@@ -32,6 +32,17 @@ echo "    flood probe exits nonzero if telemetry records zero fault spans)"
 cargo run -q --offline --release --example damming_probe
 cargo run -q --offline --release --example flood_probe
 
+echo "==> benchmark gate (the benchmark package's own fmt, clippy, tests and"
+echo "    run/trace --quick; then one short full-size run of all five"
+echo "    workloads, whose sim_digests must equal benchmark/digests.txt)"
+benchmark/check.sh
+cargo run -q --offline --release --manifest-path benchmark/Cargo.toml -- run --seconds 0 \
+    2>&1 | tee target/benchmark_digests.out
+if [ "$(grep -c 'matches the recorded digest' target/benchmark_digests.out)" -ne 5 ]; then
+    echo "ci: a sim_digest drifted from benchmark/digests.txt" >&2
+    exit 1
+fi
+
 echo "==> qpsweep smoke (dead-event pops must stay under 5% of executed)"
 cargo run -q --offline --release -p ibsim-bench --bin qpsweep -- --quick
 

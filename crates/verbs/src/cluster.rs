@@ -107,7 +107,10 @@ pub struct Cluster {
     mems: Vec<Memory>,
     drivers: Vec<Driver>,
     captures: Vec<Capture<Packet>>,
-    lid_to_host: BTreeMap<Lid, HostId>,
+    /// The host behind each LID, indexed by the LID's value (the fabric
+    /// hands LIDs out densely from 1; `None` for LID 0 and for ports
+    /// added to the public `fabric` without a host).
+    lid_to_host: Vec<Option<HostId>>,
     rng: Xorshift64Star,
     /// Invoked (with the engine) whenever completions are pushed to any
     /// CQ; upper layers use it to schedule their progress.
@@ -161,7 +164,7 @@ impl Cluster {
             mems: Vec::new(),
             drivers: Vec::new(),
             captures: Vec::new(),
-            lid_to_host: BTreeMap::new(),
+            lid_to_host: Vec::new(),
             rng: Xorshift64Star::new(seed),
             cq_waker: None,
             stats: ClusterStats::default(),
@@ -191,7 +194,10 @@ impl Cluster {
         self.nics.push(Nic::new(host, lid, profile));
         self.mems.push(Memory::new());
         self.captures.push(Capture::new());
-        self.lid_to_host.insert(lid, host);
+        if self.lid_to_host.len() <= lid.0 as usize {
+            self.lid_to_host.resize(lid.0 as usize + 1, None);
+        }
+        self.lid_to_host[lid.0 as usize] = Some(host);
         self.packet_handles.push([None; 8]);
         host
     }
@@ -211,6 +217,12 @@ impl Cluster {
         self.nics[host.0].lid
     }
 
+    /// The host whose port has `lid`, if any (a mis-addressed QP or a bare
+    /// fabric port has none).
+    fn host_of(&self, lid: Lid) -> Option<HostId> {
+        *self.lid_to_host.get(lid.0 as usize)?
+    }
+
     /// Driver statistics for `host`.
     pub fn driver_stats(&self, host: HostId) -> DriverStats {
         self.drivers[host.0].stats()
@@ -218,20 +230,25 @@ impl Cluster {
 
     /// Sum of per-QP protocol counters on `host`.
     pub fn qp_stats_sum(&self, host: HostId) -> QpStats {
-        let nic = &self.nics[host.0];
         let mut total = QpStats::default();
-        for &qpn in nic.qpns() {
-            let s = nic.qp(qpn).expect("invariant: listed qp exists").stats();
-            total.retransmissions += s.retransmissions;
-            total.timeouts += s.timeouts;
-            total.rnr_naks_received += s.rnr_naks_received;
-            total.rnr_naks_sent += s.rnr_naks_sent;
-            total.seq_naks_sent += s.seq_naks_sent;
-            total.responses_discarded += s.responses_discarded;
-            total.faults_raised += s.faults_raised;
-            total.pendency_drops += s.pendency_drops;
-            total.pages_pinned += s.pages_pinned;
-            total.invariant_violations += s.invariant_violations;
+        for qp in self.nics[host.0].qps() {
+            // A full struct literal on purpose: a counter added to
+            // `QpStats` fails to compile here instead of silently
+            // vanishing from the sum.
+            let s = qp.stats();
+            total = QpStats {
+                retransmissions: total.retransmissions + s.retransmissions,
+                timeouts: total.timeouts + s.timeouts,
+                rnr_naks_received: total.rnr_naks_received + s.rnr_naks_received,
+                rnr_naks_sent: total.rnr_naks_sent + s.rnr_naks_sent,
+                seq_naks_sent: total.seq_naks_sent + s.seq_naks_sent,
+                responses_discarded: total.responses_discarded + s.responses_discarded,
+                faults_raised: total.faults_raised + s.faults_raised,
+                pendency_drops: total.pendency_drops + s.pendency_drops,
+                pages_pinned: total.pages_pinned + s.pages_pinned,
+                invariant_violations: total.invariant_violations + s.invariant_violations,
+                ecn_echoes: total.ecn_echoes + s.ecn_echoes,
+            };
         }
         total
     }
@@ -567,10 +584,9 @@ impl Cluster {
             t.gauge_set("driver.stats.faults_resolved", labels, ds.faults_resolved);
             t.gauge_set("driver.stats.qp_resumes", labels, ds.qp_resumes);
             t.gauge_set("driver.stats.irqs_processed", labels, ds.irqs_processed);
-            for &qpn in nic.qpns() {
-                let Some(qp) = nic.qp(qpn) else { continue };
+            for qp in nic.qps() {
                 let s = qp.stats();
-                let ql = Labels::host_qp(h as u64, qpn.0);
+                let ql = Labels::host_qp(h as u64, qp.qpn().0);
                 t.gauge_set("qp.retransmissions", ql, s.retransmissions);
                 t.gauge_set("qp.timeouts", ql, s.timeouts);
                 t.gauge_set("qp.rnr_naks_received", ql, s.rnr_naks_received);
@@ -691,11 +707,11 @@ impl Cluster {
         let sh = self.shard.as_ref()?;
         let mut best: Option<SimTime> = None;
         for nic in &self.nics {
-            for &qpn in nic.qpns() {
-                let Some((peer_lid, _)) = nic.qp(qpn).and_then(|qp| qp.peer()) else {
+            for qp in nic.qps() {
+                let Some((peer_lid, _)) = qp.peer() else {
                     continue;
                 };
-                let Some(&dst) = self.lid_to_host.get(&peer_lid) else {
+                let Some(dst) = self.host_of(peer_lid) else {
                     continue;
                 };
                 if sh.owner[nic.host.0] == sh.owner[dst.0] {
@@ -751,11 +767,11 @@ impl Cluster {
         let mut writer: BTreeMap<DirectedLink, usize> = BTreeMap::new();
         for nic in &self.nics {
             let src_shard = sh.owner[nic.host.0];
-            for &qpn in nic.qpns() {
-                let Some((peer_lid, _)) = nic.qp(qpn).and_then(|qp| qp.peer()) else {
+            for qp in nic.qps() {
+                let Some((peer_lid, _)) = qp.peer() else {
                     continue;
                 };
-                if !self.lid_to_host.contains_key(&peer_lid) {
+                if self.host_of(peer_lid).is_none() {
                     continue;
                 }
                 let Some(route) = self.fabric.route(nic.lid, peer_lid) else {
@@ -1146,7 +1162,7 @@ impl Cluster {
             if ecn {
                 pkt.ecn = true;
             }
-            let Some(&dst_host) = self.lid_to_host.get(&dst_lid) else {
+            let Some(dst_host) = self.host_of(dst_lid) else {
                 return;
             };
             let recv_overhead = self.nics[dst_host.0].profile.recv_overhead;
@@ -1260,11 +1276,7 @@ impl Cluster {
                 }
                 let waiters = self.nics[host.0].take_fault_waiters(mr, page);
                 let slots = self.nics[host.0].profile.resume_slots as usize;
-                let stale: Vec<Qpn> = if waiters.len() > slots {
-                    waiters[..waiters.len() - slots].to_vec()
-                } else {
-                    Vec::new()
-                };
+                let stale = &waiters[..waiters.len().saturating_sub(slots)];
                 if self.telemetry.is_enabled() {
                     let waiter_qpns: Vec<u32> = waiters.iter().map(|q| q.0).collect();
                     self.telemetry.fault_resolved(
@@ -1279,14 +1291,13 @@ impl Cluster {
                 // Flood: QPs beyond the NIC's instant-resume capacity get a
                 // stale page status that only a serialized driver resume
                 // refreshes (§VI-B "update failure of page statuses").
-                for &q in &stale {
+                for &q in stale {
                     if let Some(qp) = self.nics[host.0].qp_mut(q) {
                         qp.mark_page_stale(mr, page);
                     }
                     self.drivers[host.0].push_resume(q, mr, page);
                 }
-                let all: Vec<Qpn> = self.nics[host.0].qpns().to_vec();
-                for q in all {
+                for q in self.nics[host.0].qpns() {
                     if stale.contains(&q) {
                         continue;
                     }
@@ -1461,5 +1472,36 @@ impl MrBuilder {
     pub fn prefetch(mut self) -> Self {
         self.prefetch = true;
         self
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::types::Psn;
+
+    #[test]
+    fn qp_stats_sum_includes_ecn_echoes() {
+        let (mut eng, mut cl, hosts) = ClusterBuilder::new()
+            .host("a", DeviceProfile::connectx6())
+            .host("b", DeviceProfile::connectx6())
+            .build();
+        let (a, b) = (hosts[0], hosts[1]);
+        let (qa, qb) = cl.connect_pair(&mut eng, a, b, QpConfig::default());
+        // An ACK as a congested routed fabric delivers it: marked.
+        let ack = Packet {
+            src: cl.lid(b),
+            dst: cl.lid(a),
+            dst_qp: qa,
+            src_qp: qb,
+            psn: Psn::new(0),
+            kind: PacketKind::Ack,
+            ghost: false,
+            retransmit: false,
+            ecn: true,
+        };
+        cl.deliver(&mut eng, a, ack);
+        assert_eq!(cl.qp_stats_sum(a).ecn_echoes, 1);
+        assert_eq!(cl.qp_stats_sum(b).ecn_echoes, 0);
     }
 }

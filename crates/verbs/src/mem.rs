@@ -63,11 +63,12 @@ impl Memory {
         self.pages.contains_key(&Self::page_base(addr))
     }
 
-    /// Materializes the page containing `addr` (first touch).
-    pub fn touch(&mut self, addr: u64) {
+    /// The page containing `addr`, materialized zero-filled on first
+    /// touch: one tree lookup whether or not the page existed.
+    fn page_mut(&mut self, addr: u64) -> &mut [u8] {
         self.pages
             .entry(Self::page_base(addr))
-            .or_insert_with(|| vec![0u8; PAGE_SIZE as usize].into_boxed_slice());
+            .or_insert_with(|| vec![0u8; PAGE_SIZE as usize].into_boxed_slice())
     }
 
     /// Reads `len` bytes at `addr`, materializing pages as needed.
@@ -76,15 +77,9 @@ impl Memory {
         let mut a = addr;
         let mut remaining = len;
         while remaining > 0 {
-            self.touch(a);
-            let base = Self::page_base(a);
-            let off = (a - base) as usize;
+            let off = (a - Self::page_base(a)) as usize;
             let take = remaining.min(PAGE_SIZE as usize - off);
-            let page = self
-                .pages
-                .get(&base)
-                .expect("invariant: page touched above");
-            out.extend_from_slice(&page[off..off + take]);
+            out.extend_from_slice(&self.page_mut(a)[off..off + take]);
             a += take as u64;
             remaining -= take;
         }
@@ -96,15 +91,9 @@ impl Memory {
         let mut a = addr;
         let mut src = data;
         while !src.is_empty() {
-            self.touch(a);
-            let base = Self::page_base(a);
-            let off = (a - base) as usize;
+            let off = (a - Self::page_base(a)) as usize;
             let take = src.len().min(PAGE_SIZE as usize - off);
-            let page = self
-                .pages
-                .get_mut(&base)
-                .expect("invariant: page touched above");
-            page[off..off + take].copy_from_slice(&src[..take]);
+            self.page_mut(a)[off..off + take].copy_from_slice(&src[..take]);
             a += take as u64;
             src = &src[take..];
         }

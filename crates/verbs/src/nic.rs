@@ -22,16 +22,23 @@ pub struct Nic {
     pub profile: DeviceProfile,
     /// Registered memory regions, keyed by lkey/rkey.
     pub mrs: BTreeMap<MrKey, MemRegion>,
-    qps: BTreeMap<Qpn, Qp>,
-    /// QPs in creation order, for deterministic iteration.
-    qp_order: Vec<Qpn>,
-    next_qpn: u32,
+    /// QPs in creation order, indexed by `qpn − 1`: QPNs are handed out
+    /// densely from 1 and a QP is never destroyed.
+    qps: Vec<Qp>,
+    /// Per QP (same index): was it in fault recovery after its last
+    /// handler turn? `recovery_count` is the number of set flags (the
+    /// timer-load model's input).
+    in_recovery: Vec<bool>,
+    recovery_count: usize,
     next_mr: u32,
     cq: VecDeque<Completion>,
     /// Requester-side QPs waiting for a page fault, in stall order.
     fault_waiters: BTreeMap<(MrKey, usize), Vec<Qpn>>,
-    /// Number of QPs currently in fault recovery (timer-load model).
-    recovery_members: std::collections::BTreeSet<Qpn>,
+}
+
+/// The table index of `qpn`; `None` for the never-assigned QPN 0.
+fn slot(qpn: Qpn) -> Option<usize> {
+    (qpn.0 as usize).checked_sub(1)
 }
 
 impl Nic {
@@ -42,22 +49,20 @@ impl Nic {
             lid,
             profile,
             mrs: BTreeMap::new(),
-            qps: BTreeMap::new(),
-            qp_order: Vec::new(),
-            next_qpn: 1,
+            qps: Vec::new(),
+            in_recovery: Vec::new(),
+            recovery_count: 0,
             next_mr: 1,
             cq: VecDeque::new(),
             fault_waiters: BTreeMap::new(),
-            recovery_members: std::collections::BTreeSet::new(),
         }
     }
 
     /// Creates a QP in the RTS-pending state; connect it before use.
     pub fn create_qp(&mut self, cfg: QpConfig) -> Qpn {
-        let qpn = Qpn(self.next_qpn);
-        self.next_qpn += 1;
-        self.qps.insert(qpn, Qp::new(qpn, self.lid, cfg));
-        self.qp_order.push(qpn);
+        let qpn = Qpn(self.qps.len() as u32 + 1);
+        self.qps.push(Qp::new(qpn, self.lid, cfg));
+        self.in_recovery.push(false);
         qpn
     }
 
@@ -71,17 +76,23 @@ impl Nic {
 
     /// Immutable QP access.
     pub fn qp(&self, qpn: Qpn) -> Option<&Qp> {
-        self.qps.get(&qpn)
+        self.qps.get(slot(qpn)?)
     }
 
     /// Mutable QP access.
     pub fn qp_mut(&mut self, qpn: Qpn) -> Option<&mut Qp> {
-        self.qps.get_mut(&qpn)
+        self.qps.get_mut(slot(qpn)?)
     }
 
-    /// QPs in creation order (deterministic).
-    pub fn qpns(&self) -> &[Qpn] {
-        &self.qp_order
+    /// QPs in creation (= QPN) order.
+    pub fn qps(&self) -> &[Qp] {
+        &self.qps
+    }
+
+    /// QPNs in creation order. The iterator owns its range, so the NIC
+    /// can be mutated while walking it.
+    pub fn qpns(&self) -> impl Iterator<Item = Qpn> {
+        (1..=self.qps.len() as u32).map(Qpn)
     }
 
     /// Splits the NIC into the pieces a QP handler needs simultaneously:
@@ -90,13 +101,13 @@ impl Nic {
         &mut self,
         qpn: Qpn,
     ) -> Option<(&mut Qp, &mut BTreeMap<MrKey, MemRegion>, &DeviceProfile)> {
-        let qp = self.qps.get_mut(&qpn)?;
+        let qp = self.qps.get_mut(slot(qpn)?)?;
         Some((qp, &mut self.mrs, &self.profile))
     }
 
     /// Number of QPs.
     pub fn qp_count(&self) -> usize {
-        self.qp_order.len()
+        self.qps.len()
     }
 
     /// Pushes a completion onto the host CQ.
@@ -131,18 +142,17 @@ impl Nic {
     /// Refreshes the recovery-membership of `qpn` after an interaction;
     /// returns the number of QPs currently in recovery.
     pub fn update_recovery(&mut self, qpn: Qpn) -> usize {
-        let in_rec = self.qps.get(&qpn).map(|q| q.in_recovery()).unwrap_or(false);
-        if in_rec {
-            self.recovery_members.insert(qpn);
-        } else {
-            self.recovery_members.remove(&qpn);
+        if let Some(i) = slot(qpn).filter(|&i| i < self.qps.len()) {
+            let now = self.qps[i].in_recovery();
+            let was = std::mem::replace(&mut self.in_recovery[i], now);
+            self.recovery_count = self.recovery_count + usize::from(now) - usize::from(was);
         }
-        self.recovery_members.len()
+        self.recovery_count
     }
 
     /// Number of QPs currently in fault recovery.
     pub fn recovery_count(&self) -> usize {
-        self.recovery_members.len()
+        self.recovery_count
     }
 }
 
@@ -162,10 +172,25 @@ mod tests {
         let b = n.create_qp(QpConfig::default());
         assert_eq!(a, Qpn(1));
         assert_eq!(b, Qpn(2));
-        assert_eq!(n.qpns(), &[a, b]);
+        assert_eq!(n.qpns().collect::<Vec<_>>(), [a, b]);
         assert_eq!(n.qp_count(), 2);
+        assert_eq!(n.qp(b).map(|q| q.qpn()), Some(b));
+        assert_eq!(n.qps()[1].qpn(), b);
+    }
+
+    #[test]
+    fn unassigned_qpns_find_nothing() {
+        // QPN 0 is never handed out; the `qpn − 1` index must not
+        // underflow on it, nor run past the table.
+        let mut n = nic();
+        let a = n.create_qp(QpConfig::default());
+        for q in [Qpn(0), Qpn(a.0 + 1), Qpn(u32::MAX)] {
+            assert!(n.qp(q).is_none(), "{q}");
+            assert!(n.qp_mut(q).is_none(), "{q}");
+            assert!(n.split_mut(q).is_none(), "{q}");
+            assert_eq!(n.update_recovery(q), 0, "{q}");
+        }
         assert!(n.qp(a).is_some());
-        assert!(n.qp(Qpn(99)).is_none());
     }
 
     #[test]

@@ -6,11 +6,13 @@
 //! of code inlined in the requester. A policy sees loss / NAK / timeout
 //! / fault-resolution events plus a narrow [`RetransmitCtx`] view of the
 //! outstanding work requests, and returns a [`RecoveryPlan`] naming the
-//! messages to put back on the wire. The requester *executes* the plan
-//! (building packets in send-queue order and pushing them through the
-//! existing `Effects` pipeline), so packet order, retransmission
-//! counters and timer sequencing stay byte-identical for the extracted
-//! [`GoBackN`] backend.
+//! messages to put back on the wire. The view is borrowed from the live
+//! send queue and lazy: a decision that never looks at the queue (every
+//! blind stall tick) reads none of it, and nothing is copied up front.
+//! The requester *executes* the plan (building packets in send-queue
+//! order and pushing them through the existing `Effects` pipeline), so
+//! packet order, retransmission counters and timer sequencing stay
+//! byte-identical for the extracted [`GoBackN`] backend.
 //!
 //! Three backends ship:
 //!
@@ -29,12 +31,16 @@
 //!   neither pitfall can occur.
 
 use core::fmt;
-use std::collections::BTreeMap;
+use std::cell::Cell;
+use std::collections::{BTreeMap, VecDeque};
 use std::str::FromStr;
 
 use ibsim_event::SimTime;
 
 use crate::types::Psn;
+use crate::wr::SendWqe;
+
+use super::requester::sq_index;
 
 /// Which loss-recovery backend a QP runs. Carried in
 /// [`QpConfig`](super::QpConfig); defaults to [`RecoveryKind::GoBackN`],
@@ -234,8 +240,7 @@ impl SackBitmap {
 // ----------------------------------------------------------------------
 
 /// One outstanding work request as a recovery policy sees it: PSN span
-/// plus delivery progress, nothing else. Views are listed in send-queue
-/// order.
+/// plus delivery progress, nothing else.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct WrView {
     /// First PSN of the message.
@@ -261,20 +266,65 @@ impl WrView {
 }
 
 /// The read-only context a policy decides over: the outstanding work
-/// requests in send-queue order and the current simulation time.
+/// requests and the current simulation time. It borrows the requester's
+/// live send queue and builds a [`WrView`] only for the entries a policy
+/// actually reads, so asking for a decision costs nothing by itself.
+/// Only the requester constructs one.
 #[derive(Debug)]
 pub struct RetransmitCtx<'a> {
-    /// Outstanding work requests, send-queue order.
-    pub wrs: &'a [WrView],
+    sq: &'a VecDeque<SendWqe>,
     /// Current simulation time.
     pub now: SimTime,
+    views_built: Cell<usize>,
 }
 
-/// A retransmission decision: the first PSNs of the messages to resend,
-/// in send-queue order. The requester resends every transmitted segment
-/// of each named message (clearing its damming ghost flag) and accounts
-/// the retransmissions, preserving the exact packet order the golden
-/// traces pin.
+impl<'a> RetransmitCtx<'a> {
+    pub(super) fn new(sq: &'a VecDeque<SendWqe>, now: SimTime) -> Self {
+        RetransmitCtx {
+            sq,
+            now,
+            views_built: Cell::new(0),
+        }
+    }
+
+    fn view(&self, w: &SendWqe) -> WrView {
+        self.views_built.set(self.views_built.get() + 1);
+        WrView {
+            psn_first: w.psn_first,
+            psn_last: w.psn_last,
+            sent: w.sent_segments > 0,
+            done: w.is_done(),
+            acked: w.acked,
+            ghosted: w.ghosted,
+        }
+    }
+
+    /// The outstanding work requests in send-queue (= PSN) order, each
+    /// view built as the iterator reaches it.
+    pub fn wrs(&self) -> impl Iterator<Item = WrView> + '_ {
+        self.sq.iter().map(|w| self.view(w))
+    }
+
+    /// The work request whose first PSN is `psn_first`, found by
+    /// bisection on the PSN-ordered queue.
+    pub fn wr(&self, psn_first: Psn) -> Option<WrView> {
+        let w = &self.sq[sq_index(self.sq, psn_first)?];
+        (w.psn_first == psn_first).then(|| self.view(w))
+    }
+
+    /// How many [`WrView`]s this decision has read so far: the work the
+    /// backend made the requester do.
+    pub fn views_built(&self) -> usize {
+        self.views_built.get()
+    }
+}
+
+/// A retransmission decision: the first PSNs of the messages to resend.
+/// The requester resends every transmitted segment of each named message
+/// (clearing its damming ghost flag) in send-queue order, whatever order
+/// they are named in, and accounts the retransmissions — preserving the
+/// exact packet order the golden traces pin. The empty plan holds no
+/// allocation.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct RecoveryPlan {
     /// `psn_first` of each message to retransmit.
@@ -376,9 +426,15 @@ pub trait RecoveryPolicy: fmt::Debug + Send {
     fn on_stall_tick(&mut self, ctx: &RetransmitCtx<'_>, psn: Psn) -> StallVerdict;
 
     /// A faulted page became usable while messages are stalled;
-    /// `stalled` lists their first PSNs in stall order. Returned
-    /// messages are resumed (retransmitted) and their stalls cleared.
-    fn on_fault_resolved(&mut self, ctx: &RetransmitCtx<'_>, stalled: &[Psn]) -> RecoveryPlan;
+    /// `stalled` yields the first PSNs of the stalls that page unblocks,
+    /// in stall order (possibly none), and like the context is only
+    /// walked if the backend pulls from it. Returned messages are resumed
+    /// (retransmitted) and their stalls cleared.
+    fn on_fault_resolved(
+        &mut self,
+        ctx: &RetransmitCtx<'_>,
+        stalled: &mut dyn Iterator<Item = Psn>,
+    ) -> RecoveryPlan;
 
     /// An ACK arrived carrying an ECN echo: some hop of the forward path
     /// was congested when this message's packets crossed it. Backends
@@ -411,8 +467,7 @@ pub struct GoBackN;
 impl GoBackN {
     fn from_psn(ctx: &RetransmitCtx<'_>, from: Psn, skip_ghosts: bool) -> RecoveryPlan {
         RecoveryPlan::messages(
-            ctx.wrs
-                .iter()
+            ctx.wrs()
                 .filter(|w| w.pending() && !w.psn_last.precedes(from))
                 .filter(|w| !(skip_ghosts && w.ghosted))
                 .map(|w| w.psn_first)
@@ -468,7 +523,11 @@ impl RecoveryPolicy for GoBackN {
         }
     }
 
-    fn on_fault_resolved(&mut self, _ctx: &RetransmitCtx<'_>, _stalled: &[Psn]) -> RecoveryPlan {
+    fn on_fault_resolved(
+        &mut self,
+        _ctx: &RetransmitCtx<'_>,
+        _stalled: &mut dyn Iterator<Item = Psn>,
+    ) -> RecoveryPlan {
         // Go-back-N hardware is deaf to resolution: the blind tick is
         // the only resume path.
         RecoveryPlan::none()
@@ -499,11 +558,8 @@ impl SelectiveRepeat {
 
     /// The messages that still need the wire: transmitted, unfinished,
     /// unacknowledged and with at least one undelivered PSN.
-    fn undelivered<'a>(
-        &'a self,
-        ctx: &'a RetransmitCtx<'_>,
-    ) -> impl Iterator<Item = &'a WrView> + 'a {
-        ctx.wrs.iter().filter(|w| {
+    fn undelivered<'a>(&'a self, ctx: &'a RetransmitCtx<'_>) -> impl Iterator<Item = WrView> + 'a {
+        ctx.wrs().filter(|w| {
             w.pending() && !w.acked && !self.delivered.all_marked(w.psn_first, w.psn_last)
         })
     }
@@ -597,14 +653,16 @@ impl RecoveryPolicy for SelectiveRepeat {
         }
     }
 
-    fn on_fault_resolved(&mut self, ctx: &RetransmitCtx<'_>, stalled: &[Psn]) -> RecoveryPlan {
+    fn on_fault_resolved(
+        &mut self,
+        ctx: &RetransmitCtx<'_>,
+        stalled: &mut dyn Iterator<Item = Psn>,
+    ) -> RecoveryPlan {
         // Event-driven resume: re-request each still-pending stalled
         // message exactly once, now that its pages can land.
         RecoveryPlan::messages(
             stalled
-                .iter()
-                .copied()
-                .filter(|&p| ctx.wrs.iter().any(|w| w.psn_first == p && w.pending()))
+                .filter(|&p| ctx.wr(p).is_some_and(|w| w.pending()))
                 .collect(),
         )
     }
@@ -665,7 +723,11 @@ impl RecoveryPolicy for OnDemandPin {
         GoBackN.on_stall_tick(ctx, psn)
     }
 
-    fn on_fault_resolved(&mut self, ctx: &RetransmitCtx<'_>, stalled: &[Psn]) -> RecoveryPlan {
+    fn on_fault_resolved(
+        &mut self,
+        ctx: &RetransmitCtx<'_>,
+        stalled: &mut dyn Iterator<Item = Psn>,
+    ) -> RecoveryPlan {
         GoBackN.on_fault_resolved(ctx, stalled)
     }
 }
@@ -674,22 +736,19 @@ impl RecoveryPolicy for OnDemandPin {
 mod tests {
     use super::*;
 
-    fn view(first: u32, last: u32, sent: bool, done: bool, acked: bool, ghosted: bool) -> WrView {
-        WrView {
-            psn_first: Psn::new(first),
-            psn_last: Psn::new(last),
-            sent,
-            done,
+    /// A queued READ that a policy will see as the given [`WrView`].
+    fn view(first: u32, last: u32, sent: bool, done: bool, acked: bool, ghosted: bool) -> SendWqe {
+        SendWqe {
             acked,
             ghosted,
+            ..SendWqe::read_for_test(Psn::new(first), last - first + 1, sent, done)
         }
     }
 
-    fn ctx_of(wrs: &[WrView]) -> RetransmitCtx<'_> {
-        RetransmitCtx {
-            wrs,
-            now: SimTime::ZERO,
-        }
+    type Sq = VecDeque<SendWqe>;
+
+    fn ctx_of(sq: &Sq) -> RetransmitCtx<'_> {
+        RetransmitCtx::new(sq, SimTime::ZERO)
     }
 
     #[test]
@@ -798,12 +857,12 @@ mod tests {
 
     #[test]
     fn go_back_n_retransmits_everything_from_hole() {
-        let wrs = [
+        let wrs = Sq::from([
             view(0, 0, true, true, true, false),    // done: skipped
             view(1, 2, true, false, false, false),  // pending
             view(3, 3, true, false, true, false),   // acked but not done (READ)
             view(4, 5, false, false, false, false), // never sent: skipped
-        ];
+        ]);
         let mut p = GoBackN;
         let plan = p.on_timeout(&ctx_of(&wrs), Psn::new(1));
         assert_eq!(plan.retransmit, vec![Psn::new(1), Psn::new(3)]);
@@ -814,10 +873,10 @@ mod tests {
 
     #[test]
     fn go_back_n_rnr_skips_ghosts_only_on_damming() {
-        let wrs = [
+        let wrs = Sq::from([
             view(0, 0, true, false, false, false),
             view(1, 1, true, false, false, true), // ghosted successor
-        ];
+        ]);
         let mut p = GoBackN;
         let flawed = p.on_rnr_expire(&ctx_of(&wrs), Psn::new(0), true);
         assert_eq!(flawed.retransmit, vec![Psn::new(0)], "ghost forgotten");
@@ -826,12 +885,38 @@ mod tests {
     }
 
     #[test]
+    fn go_back_n_stall_tick_reads_no_views() {
+        // The flood's hot decision: the blind tick resends without
+        // looking, so the borrowed context must cost nothing however
+        // deep the queue is; a timeout over the same queue reads it all.
+        let wrs: Sq = (0..1000)
+            .map(|p| view(p, p, true, p != 0, true, false))
+            .collect();
+        let ctx = ctx_of(&wrs);
+        let tick = GoBackN.on_stall_tick(&ctx, Psn::new(0));
+        assert!(tick.retransmit && tick.rearm);
+        assert_eq!(ctx.views_built(), 0, "stall tick materialised views");
+        assert!(GoBackN
+            .on_fault_resolved(&ctx, &mut std::iter::once(Psn::new(0)))
+            .is_empty());
+        assert_eq!(ctx.views_built(), 0, "deaf resume materialised views");
+        let plan = GoBackN.on_timeout(&ctx, Psn::new(0));
+        assert_eq!(plan.retransmit, vec![Psn::new(0)]);
+        assert_eq!(ctx.views_built(), 1000);
+        // A lookup by first PSN builds the one view it returns.
+        let ctx = ctx_of(&wrs);
+        assert!(ctx.wr(Psn::new(700)).is_some_and(|w| w.done));
+        assert!(ctx.wr(Psn::new(1000)).is_none());
+        assert_eq!(ctx.views_built(), 1);
+    }
+
+    #[test]
     fn selective_repeat_skips_delivered_messages() {
-        let wrs = [
+        let wrs = Sq::from([
             view(0, 1, true, false, false, false),
             view(2, 3, true, false, false, false),
             view(4, 4, true, false, false, false),
-        ];
+        ]);
         let mut p = SelectiveRepeat::new();
         // The middle message was fully delivered (responses consumed).
         p.note_delivered(Psn::new(2));
@@ -851,10 +936,10 @@ mod tests {
 
     #[test]
     fn selective_repeat_acked_message_never_replanned() {
-        let wrs = [
+        let wrs = Sq::from([
             view(0, 0, true, false, true, false), // acked
             view(1, 1, true, false, false, false),
-        ];
+        ]);
         let mut p = SelectiveRepeat::new();
         let plan = p.on_timeout(&ctx_of(&wrs), Psn::new(0));
         assert_eq!(plan.retransmit, vec![Psn::new(1)]);
@@ -862,13 +947,13 @@ mod tests {
 
     #[test]
     fn selective_repeat_resumes_stalls_on_fault_resolution() {
-        let wrs = [
+        let wrs = Sq::from([
             view(0, 0, true, false, false, false),
             view(1, 1, true, true, true, false), // completed since stalling
-        ];
+        ]);
         let mut p = SelectiveRepeat::new();
         assert!(!p.arms_blind_stall());
-        let plan = p.on_fault_resolved(&ctx_of(&wrs), &[Psn::new(0), Psn::new(1)]);
+        let plan = p.on_fault_resolved(&ctx_of(&wrs), &mut [Psn::new(0), Psn::new(1)].into_iter());
         assert_eq!(plan.retransmit, vec![Psn::new(0)], "done stall dropped");
         let tick = p.on_stall_tick(&ctx_of(&wrs), Psn::new(0));
         assert!(!tick.retransmit && !tick.rearm);
@@ -876,10 +961,10 @@ mod tests {
 
     #[test]
     fn on_demand_pin_recovers_like_sane_go_back_n() {
-        let wrs = [
+        let wrs = Sq::from([
             view(0, 0, true, false, false, false),
             view(1, 1, true, false, false, true), // ghost flag would be skipped by CX-4
-        ];
+        ]);
         let mut pin = OnDemandPin;
         assert!(!pin.ghost_quirks());
         let plan = pin.on_rnr_expire(&ctx_of(&wrs), Psn::new(0), true);
@@ -896,12 +981,12 @@ mod tests {
         // object-safe trait, must (a) only ever plan transmitted,
         // unfinished messages, (b) be deterministic across a fresh
         // replay, and (c) answer the capability probes consistently.
-        let wrs = [
+        let wrs = Sq::from([
             view(0, 1, true, false, false, false),
             view(2, 2, true, true, true, false),
             view(3, 4, true, false, false, true),
             view(5, 5, false, false, false, false),
-        ];
+        ]);
         for kind in RecoveryKind::ALL {
             let run = |mut p: Box<dyn RecoveryPolicy>| {
                 assert_eq!(p.kind(), kind);
@@ -913,7 +998,7 @@ mod tests {
                     p.on_rnr_expire(&ctx_of(&wrs), Psn::new(0), true),
                     p.on_rnr_expire(&ctx_of(&wrs), Psn::new(0), false),
                     p.on_seq_nak(&ctx_of(&wrs), Psn::new(0), Psn::new(3)),
-                    p.on_fault_resolved(&ctx_of(&wrs), &[Psn::new(0)]),
+                    p.on_fault_resolved(&ctx_of(&wrs), &mut [Psn::new(0)].into_iter()),
                 ];
                 let tick = p.on_stall_tick(&ctx_of(&wrs), Psn::new(0));
                 if tick.retransmit {
@@ -926,9 +1011,8 @@ mod tests {
             assert_eq!(a, b, "{kind}: decisions must be deterministic");
             for plan in &a {
                 for psn in &plan.retransmit {
-                    let w = wrs
-                        .iter()
-                        .find(|w| w.psn_first == *psn)
+                    let w = ctx_of(&wrs)
+                        .wr(*psn)
                         .expect("invariant: plans name known messages");
                     assert!(w.pending(), "{kind}: planned a done or never-sent message");
                 }

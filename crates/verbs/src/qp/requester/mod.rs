@@ -9,11 +9,25 @@
 //! receive path.
 //!
 //! Loss recovery is not decided here: on every timeout / RNR expiry /
-//! NAK / stall tick / fault resolution the engine builds a [`WrView`]
-//! snapshot of the send queue, asks its [`RecoveryPolicy`] backend for a
-//! [`RecoveryPlan`], and executes that plan against the live queue in
-//! send-queue order (see [`Requester::execute_plan`]). The go-back-N
-//! backend reproduces the pre-trait behavior bit-identically.
+//! NAK / stall tick / fault resolution the engine lends its
+//! [`RecoveryPolicy`] backend a [`RetransmitCtx`] — a borrowed view that
+//! reads the live send queue only where the backend looks — and executes
+//! the returned [`RecoveryPlan`] in send-queue order (see
+//! [`Requester::execute_plan`]). The go-back-N backend reproduces the
+//! pre-trait behavior bit-identically.
+//!
+//! ## The send queue is PSN-ordered
+//!
+//! [`Requester::post`] is the only producer and hands each message the
+//! PSN span right after its predecessor's, so spans are contiguous and
+//! ascending from the head. Every "which message owns this PSN" question
+//! (responses, stall ticks, RNR NAKs) is therefore one bisection
+//! ([`sq_index`]), and the three facts a handler turn needs about the
+//! rest of the queue are kept as it changes instead of recounted: how far
+//! transmission got (`tx_cursor`), how far cumulative acknowledgment got
+//! (`ack_cursor`) and how many READ/ATOMICs are in flight
+//! (`outstanding_rd`). A turn costs the same behind a stalled head with
+//! one completed successor or a thousand.
 
 mod response;
 
@@ -27,9 +41,7 @@ use crate::wr::{Completion, SendWqe, WcOpcode, WcStatus, WorkRequest, WrOp};
 
 use super::effects::Effects;
 use super::fault::{self, Recovery};
-use super::recovery::{
-    policy_for, RecoveryKind, RecoveryPlan, RecoveryPolicy, RetransmitCtx, WrView,
-};
+use super::recovery::{policy_for, RecoveryKind, RecoveryPlan, RecoveryPolicy, RetransmitCtx};
 use super::state::{Lifecycle, QpState};
 use super::wire::{build_request_packet, source_segment};
 use super::{QpCtx, QpEnv};
@@ -54,10 +66,35 @@ pub(super) struct ReqStats {
     pub(super) ecn_echoes: u64,
 }
 
+/// Index of the message whose PSN span contains `psn`, by bisection on
+/// the distance from the head's first PSN (the send queue is PSN-ordered
+/// with contiguous spans; see the module docs). PSNs behind the head —
+/// already retired — wrap to a distance beyond the tail and, like PSNs
+/// not yet assigned, find nothing. Serial-number arithmetic throughout,
+/// so a window straddling `0xFF_FFFF → 0` is no special case.
+pub(super) fn sq_index(sq: &VecDeque<SendWqe>, psn: Psn) -> Option<usize> {
+    let base = sq.front()?.psn_first;
+    let d = psn.distance_from(base);
+    // The head sits at distance 0, so the partition is never empty.
+    let idx = sq.partition_point(|w| w.psn_first.distance_from(base) <= d) - 1;
+    (d <= sq[idx].psn_last.distance_from(base)).then_some(idx)
+}
+
 /// The requester half of an RC queue pair.
 #[derive(Debug)]
 pub(super) struct Requester {
+    /// Unretired messages in posting order, which is PSN order.
     sq: VecDeque<SendWqe>,
+    /// SQ index of the first message with segments still to transmit;
+    /// `pump` transmits in order, so everything before it is fully sent.
+    tx_cursor: usize,
+    /// SQ index of the first unacknowledged message under a cumulative
+    /// backend, where acknowledged messages form a prefix (stays 0 under
+    /// selective repeat).
+    ack_cursor: usize,
+    /// Transmitted READ/ATOMICs still missing response data: the
+    /// `max_rd_atomic` window.
+    outstanding_rd: usize,
     next_psn: Psn,
     retry_budget: u8,
     rnr_budget: u8,
@@ -65,7 +102,7 @@ pub(super) struct Requester {
     ack_gen: u64,
     recovery: Recovery,
     /// The pluggable loss-recovery backend: decision logic only; this
-    /// engine snapshots the queue, asks for a plan, and executes it.
+    /// engine lends it a view of the queue and executes its plan.
     policy: Box<dyn RecoveryPolicy>,
     /// Local source pages whose faults block further transmission.
     tx_blocked: BTreeSet<(MrKey, usize)>,
@@ -79,6 +116,9 @@ impl Requester {
     pub(super) fn new(retry_count: u8, rnr_retry: u8, kind: RecoveryKind) -> Self {
         Requester {
             sq: VecDeque::new(),
+            tx_cursor: 0,
+            ack_cursor: 0,
+            outstanding_rd: 0,
             next_psn: Psn::new(0),
             retry_budget: retry_count,
             rnr_budget: rnr_retry,
@@ -212,23 +252,14 @@ impl Requester {
         let ghost_window =
             env.profile.damming && self.policy.ghost_quirks() && self.recovery.in_window(env.now);
         let mtu = ctx.cfg.mtu;
-        let mut outstanding_rd = self
-            .sq
-            .iter()
-            .filter(|w| {
-                matches!(w.op, WrOp::Read { .. } | WrOp::Atomic { .. })
-                    && w.sent_segments > 0
-                    && !w.is_done()
-            })
-            .count();
-        for wqe in self.sq.iter_mut() {
+        while let Some(wqe) = self.sq.get_mut(self.tx_cursor) {
             // max_rd_atomic: hardware bounds outstanding READ/ATOMIC
             // requests; later WQEs wait in the send queue.
             if matches!(wqe.op, WrOp::Read { .. } | WrOp::Atomic { .. }) && wqe.sent_segments == 0 {
-                if outstanding_rd >= ctx.cfg.max_rd_atomic {
+                if self.outstanding_rd >= ctx.cfg.max_rd_atomic {
                     break;
                 }
-                outstanding_rd += 1;
+                self.outstanding_rd += 1;
             }
             while wqe.sent_segments < wqe.req_packets {
                 // Send-side ODP: WRITE/SEND payloads are DMA-read from
@@ -281,6 +312,7 @@ impl Requester {
                 fx.packets.push(pkt);
                 wqe.sent_segments += 1;
             }
+            self.tx_cursor += 1;
         }
         self.rearm_timer_if_needed(ctx, life, fx);
     }
@@ -290,8 +322,13 @@ impl Requester {
     // ------------------------------------------------------------------
 
     /// True if some transmitted work still awaits acknowledgment or data.
+    /// `retire` runs whenever a message finishes, so the head is never
+    /// done; and transmission is in order, so if the head has not been
+    /// sent nothing has.
     fn has_outstanding(&self) -> bool {
-        self.sq.iter().any(|w| w.sent_segments > 0 && !w.is_done())
+        let head = self.sq.front();
+        debug_assert!(head.is_none_or(|w| !w.is_done()), "head left unretired");
+        head.is_some_and(|w| w.sent_segments > 0)
     }
 
     fn rearm_timer_if_needed(&mut self, ctx: &QpCtx, life: &Lifecycle, fx: &mut Effects) {
@@ -340,8 +377,7 @@ impl Requester {
         env: &mut QpEnv<'_>,
         fx: &mut Effects,
     ) {
-        let waiting = self.sq.iter().any(|w| w.sent_segments == 0);
-        if waiting {
+        if self.tx_cursor < self.sq.len() {
             self.pump(ctx, life, env, fx);
         }
     }
@@ -368,16 +404,12 @@ impl Requester {
             return;
         }
         self.retry_budget -= 1;
-        let from = self.lowest_pending_psn();
-        let views = self.wr_views();
-        let plan = self.policy.on_timeout(
-            &RetransmitCtx {
-                wrs: &views,
-                now: env.now,
-            },
-            from,
-        );
-        self.execute_plan(ctx, env, fx, &plan);
+        // The oldest pending message is the head (see `has_outstanding`).
+        let from = self.sq[0].psn_first;
+        let plan = self
+            .policy
+            .on_timeout(&RetransmitCtx::new(&self.sq, env.now), from);
+        self.execute_plan(ctx, env, fx, plan);
         self.rearm_timer_if_needed(ctx, life, fx);
     }
 
@@ -404,16 +436,12 @@ impl Requester {
         // (→ packet damming). Back-to-back posts that beat the NAK onto
         // the wire are recovered fine, which is why Fig. 6a's timeout
         // probability is zero at near-zero intervals.
-        let views = self.wr_views();
         let plan = self.policy.on_rnr_expire(
-            &RetransmitCtx {
-                wrs: &views,
-                now: env.now,
-            },
+            &RetransmitCtx::new(&self.sq, env.now),
             wait.psn,
             env.profile.damming,
         );
-        self.execute_plan(ctx, env, fx, &plan);
+        self.execute_plan(ctx, env, fx, plan);
         self.rearm_timer_if_needed(ctx, life, fx);
     }
 
@@ -439,27 +467,21 @@ impl Requester {
         else {
             return;
         };
-        let still_pending = self.sq.iter().any(|w| w.psn_first == psn && !w.is_done());
-        if !still_pending {
+        let Some(wqe_idx) = sq_index(&self.sq, psn)
+            .filter(|&i| self.sq[i].psn_first == psn && !self.sq[i].is_done())
+        else {
             self.recovery.stalls.swap_remove(idx);
             return;
-        }
+        };
         // Go-back-N: blind retransmission "regardless of the resolution
         // of the page fault" (§IV-A) — resend the request and re-tick.
         // Selective repeat never arms these ticks; a stray one neither
         // resends nor re-arms.
-        let verdict = {
-            let views = self.wr_views();
-            self.policy.on_stall_tick(
-                &RetransmitCtx {
-                    wrs: &views,
-                    now: env.now,
-                },
-                psn,
-            )
-        };
+        let verdict = self
+            .policy
+            .on_stall_tick(&RetransmitCtx::new(&self.sq, env.now), psn);
         if verdict.retransmit {
-            self.execute_plan(ctx, env, fx, &RecoveryPlan::messages(vec![psn]));
+            self.retransmit_at(ctx, env, fx, wqe_idx);
         }
         if verdict.rearm {
             let delay = env.profile.odp_client_retx;
@@ -472,67 +494,53 @@ impl Requester {
     // Retransmission
     // ------------------------------------------------------------------
 
-    /// First PSN of the oldest not-yet-done transmitted message.
-    fn lowest_pending_psn(&self) -> Psn {
-        self.sq
-            .iter()
-            .find(|w| w.sent_segments > 0 && !w.is_done())
-            .map(|w| w.psn_first)
-            .unwrap_or(self.next_psn)
+    /// Resends every transmitted segment of the message at SQ index
+    /// `idx` (clearing its damming ghost flag — a recovery retransmission
+    /// really goes on the wire) and accounts the retransmissions. Done
+    /// and never-sent messages have nothing to resend.
+    fn retransmit_at(&mut self, ctx: &QpCtx, env: &mut QpEnv<'_>, fx: &mut Effects, idx: usize) {
+        let wqe = &mut self.sq[idx];
+        if wqe.is_done() || wqe.sent_segments == 0 {
+            return;
+        }
+        let (peer_lid, peer_qpn) = ctx.peer_or_panic();
+        let mtu = ctx.cfg.mtu;
+        wqe.ghosted = false;
+        for seg in 0..wqe.sent_segments {
+            let pkt = build_request_packet(
+                env, ctx.lid, ctx.qpn, peer_lid, peer_qpn, wqe, seg, mtu, true,
+            );
+            fx.packets.push(pkt);
+        }
+        self.stats.retransmissions += u64::from(wqe.sent_segments);
     }
 
-    /// The narrow send-queue snapshot a [`RecoveryPolicy`] decides over.
-    fn wr_views(&self) -> Vec<WrView> {
-        self.sq
-            .iter()
-            .map(|w| WrView {
-                psn_first: w.psn_first,
-                psn_last: w.psn_last,
-                sent: w.sent_segments > 0,
-                done: w.is_done(),
-                acked: w.acked,
-                ghosted: w.ghosted,
-            })
-            .collect()
-    }
-
-    /// Executes a [`RecoveryPlan`] against the live send queue: walks the
-    /// queue in posting order, resends every transmitted segment of each
-    /// planned message (clearing its damming ghost flag — a recovery
-    /// retransmission really goes on the wire), and accounts the
-    /// retransmissions. Because plans are built from a send-queue-order
-    /// view and executed in send-queue order, the go-back-N backend's
-    /// packet stream is bit-identical to the pre-trait inlined loop.
+    /// Executes a [`RecoveryPlan`] against the live send queue, visiting
+    /// only the planned messages. Packets leave in send-queue order
+    /// whatever order the backend named them in (the shipped backends
+    /// plan in queue order already, except selective repeat's resume of
+    /// several stalls, which comes in stall order), each message at most
+    /// once, and PSNs that are not the first of a live message are
+    /// ignored — so the go-back-N backend's packet stream is
+    /// bit-identical to the pre-trait inlined loop.
     fn execute_plan(
         &mut self,
         ctx: &QpCtx,
         env: &mut QpEnv<'_>,
         fx: &mut Effects,
-        plan: &RecoveryPlan,
+        mut plan: RecoveryPlan,
     ) {
-        if plan.is_empty() {
+        let Some(base) = self.sq.front().map(|w| w.psn_first) else {
             return;
-        }
-        let (peer_lid, peer_qpn) = ctx.peer_or_panic();
-        let mtu = ctx.cfg.mtu;
-        let mut retx = 0;
-        for wqe in self.sq.iter_mut() {
-            if wqe.is_done() || wqe.sent_segments == 0 {
-                continue;
-            }
-            if !plan.retransmit.contains(&wqe.psn_first) {
-                continue;
-            }
-            wqe.ghosted = false;
-            for seg in 0..wqe.sent_segments {
-                let pkt = build_request_packet(
-                    env, ctx.lid, ctx.qpn, peer_lid, peer_qpn, wqe, seg, mtu, true,
-                );
-                fx.packets.push(pkt);
-                retx += 1;
+        };
+        plan.retransmit
+            .sort_unstable_by_key(|p| p.distance_from(base));
+        plan.retransmit.dedup();
+        for &psn in &plan.retransmit {
+            if let Some(idx) = sq_index(&self.sq, psn).filter(|&i| self.sq[i].psn_first == psn) {
+                self.retransmit_at(ctx, env, fx, idx);
             }
         }
-        self.stats.retransmissions += retx;
     }
 
     /// Fails all outstanding work and moves the QP to the error state.
@@ -546,6 +554,9 @@ impl Requester {
     ) {
         life.set(QpState::Error);
         let mut first = true;
+        self.tx_cursor = 0;
+        self.ack_cursor = 0;
+        self.outstanding_rd = 0;
         while let Some(wqe) = self.sq.pop_front() {
             if wqe.is_done() {
                 fx.completions.push(Completion {
@@ -614,34 +625,78 @@ impl Requester {
         // Offer only the stalls this resolution actually unblocks: a
         // stall waiting on a different page would just be discarded and
         // re-stalled if resent now. Stalls with no recorded page (the
-        // gate could not tell) are always offered.
-        let stalled: Vec<Psn> = self
+        // gate could not tell) are always offered. The offer is lazy: a
+        // backend that is deaf to resolution never walks the stalls.
+        let mut stalled = self
             .recovery
             .stalls
             .iter()
             .filter(|s| s.blocked_on.is_none_or(|b| b == (mr, page)))
-            .map(|s| s.psn)
-            .collect();
-        if stalled.is_empty() {
-            return;
-        }
-        let plan = {
-            let views = self.wr_views();
-            self.policy.on_fault_resolved(
-                &RetransmitCtx {
-                    wrs: &views,
-                    now: env.now,
-                },
-                &stalled,
-            )
-        };
+            .map(|s| s.psn);
+        let plan = self
+            .policy
+            .on_fault_resolved(&RetransmitCtx::new(&self.sq, env.now), &mut stalled);
         if plan.is_empty() {
             return;
         }
         self.recovery
             .stalls
             .retain(|s| !plan.retransmit.contains(&s.psn));
-        self.execute_plan(ctx, env, fx, &plan);
+        self.execute_plan(ctx, env, fx, plan);
         self.rearm_timer_if_needed(ctx, life, fx);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use ibsim_event::SplitMix64;
+
+    /// The bisection against the linear scan it replaced, on seeded
+    /// random queues: multi-packet messages, runs of done-but-unretired
+    /// messages behind a pending head, and windows straddling the 24-bit
+    /// PSN wrap. Probes cover the whole window, its two edges and random
+    /// PSNs from anywhere in the space.
+    #[test]
+    fn sq_index_equals_the_linear_scan_on_random_queues() {
+        for case in 0..512u64 {
+            let mut rng = SplitMix64::new(0x5EED_5000 + case);
+            let len = rng.next_below(48);
+            let base = match case % 3 {
+                // Head just below the wrap, so the window straddles it.
+                0 => Psn::new(Psn::MODULUS - 1 - rng.next_below(4 * len + 1) as u32),
+                _ => Psn::new(rng.next_u64() as u32),
+            };
+            let mut sq = VecDeque::new();
+            let mut next = base;
+            let mut done = false;
+            for i in 0..len {
+                let span = 1 + rng.next_below(5) as u32;
+                // Flip rarely so done messages come in runs; the head of
+                // a live queue is never done.
+                if rng.next_below(4) == 0 {
+                    done = !done;
+                }
+                sq.push_back(SendWqe::read_for_test(next, span, true, done && i > 0));
+                next = next.add(span);
+            }
+            let width = next.distance_from(base);
+            let window = (0..width + 16).map(|d| base.add(d).add(Psn::MODULUS - 8));
+            let anywhere = (0..32)
+                .map(|_| Psn::new(rng.next_u64() as u32))
+                .collect::<Vec<_>>();
+            for psn in window.chain(anywhere) {
+                assert_eq!(
+                    sq_index(&sq, psn),
+                    sq.iter().position(|w| w.covers(psn)),
+                    "case {case}: owner of {psn} in a {len}-deep queue from {base}"
+                );
+                assert_eq!(
+                    sq_index(&sq, psn).filter(|&i| !sq[i].is_done()),
+                    sq.iter().position(|w| w.covers(psn) && !w.is_done()),
+                    "case {case}: pending owner of {psn}"
+                );
+            }
+        }
     }
 }

@@ -15,14 +15,16 @@ use super::super::fault::{self, FaultTracker, OdpStall, RnrWait};
 use super::super::recovery::{RecoveryKind, RetransmitCtx};
 use super::super::state::Lifecycle;
 use super::super::{QpCtx, QpEnv};
-use super::Requester;
+use super::{sq_index, Requester};
 
 impl Requester {
     /// Marks acknowledged messages. Under a cumulative backend
     /// (go-back-N semantics) every fully-covered message up to `psn` is
-    /// acknowledged; under selective repeat only the message whose final
-    /// PSN is exactly `psn` — earlier losses are repaired by their own
-    /// retransmissions, not implied by later acknowledgments.
+    /// acknowledged: those form a prefix of the PSN-ordered queue, so the
+    /// walk resumes at `ack_cursor` and stops at the first message `psn`
+    /// does not cover. Under selective repeat only the message whose
+    /// final PSN is exactly `psn` — earlier losses are repaired by their
+    /// own retransmissions, not implied by later acknowledgments.
     fn advance_acked(
         &mut self,
         ctx: &QpCtx,
@@ -31,15 +33,20 @@ impl Requester {
         fx: &mut Effects,
         env: &QpEnv<'_>,
     ) {
-        let cumulative = self.policy.cumulative_ack();
         let mut progressed = false;
-        for wqe in self.sq.iter_mut() {
-            let covered = if cumulative {
-                wqe.psn_last.at_or_before(psn)
-            } else {
-                wqe.psn_last == psn
-            };
-            if covered && !wqe.acked {
+        if self.policy.cumulative_ack() {
+            while let Some(wqe) = self.sq.get_mut(self.ack_cursor) {
+                if !wqe.psn_last.at_or_before(psn) {
+                    break;
+                }
+                wqe.acked = true;
+                self.policy
+                    .note_message_delivered(wqe.psn_first, wqe.psn_last);
+                self.ack_cursor += 1;
+                progressed = true;
+            }
+        } else if let Some(wqe) = sq_index(&self.sq, psn).map(|i| &mut self.sq[i]) {
+            if wqe.psn_last == psn && !wqe.acked {
                 wqe.acked = true;
                 self.policy
                     .note_message_delivered(wqe.psn_first, wqe.psn_last);
@@ -63,6 +70,11 @@ impl Requester {
                 .sq
                 .pop_front()
                 .expect("invariant: front checked non-empty above");
+            // A done message is fully sent and, under a cumulative
+            // backend, acknowledged; saturate for the selective backend,
+            // whose `ack_cursor` stays 0.
+            self.tx_cursor = self.tx_cursor.saturating_sub(1);
+            self.ack_cursor = self.ack_cursor.saturating_sub(1);
             if self.recovery.stalls.iter().any(|s| s.psn == wqe.psn_first) {
                 // The stalled message completed: take its pending blind
                 // retransmit tick out of the event heap instead of leaving
@@ -163,10 +175,8 @@ impl Requester {
             self.stats.responses_discarded += 1;
             return;
         }
-        let Some(wqe_idx) = self
-            .sq
-            .iter()
-            .position(|w| w.covers(pkt.psn) && matches!(w.op, WrOp::Read { .. }) && !w.is_done())
+        let Some(wqe_idx) = sq_index(&self.sq, pkt.psn)
+            .filter(|&i| matches!(self.sq[i].op, WrOp::Read { .. }) && !self.sq[i].is_done())
         else {
             // Stale duplicate of an already-completed message.
             self.stats.responses_discarded += 1;
@@ -241,6 +251,9 @@ impl Requester {
         if seg.is_final() {
             debug_assert_eq!(w.recv_segments, w.resp_packets, "final segment count");
         }
+        if w.is_done() {
+            self.outstanding_rd -= 1;
+        }
         let done_psn = pkt.psn;
         self.policy.note_delivered(done_psn);
         // A response implicitly acknowledges all earlier requests (only
@@ -269,10 +282,8 @@ impl Requester {
             self.stats.responses_discarded += 1;
             return;
         }
-        let Some(wqe_idx) = self
-            .sq
-            .iter()
-            .position(|w| w.covers(pkt.psn) && matches!(w.op, WrOp::Atomic { .. }) && !w.is_done())
+        let Some(wqe_idx) = sq_index(&self.sq, pkt.psn)
+            .filter(|&i| matches!(self.sq[i].op, WrOp::Atomic { .. }) && !self.sq[i].is_done())
         else {
             self.stats.responses_discarded += 1;
             return;
@@ -319,6 +330,7 @@ impl Requester {
         let base = mr.base();
         env.mem.write(base + local_off, &original.to_le_bytes());
         self.sq[wqe_idx].recv_segments = 1;
+        self.outstanding_rd -= 1;
         let done_psn = pkt.psn;
         self.policy.note_delivered(done_psn);
         self.advance_acked(ctx, life, done_psn, fx, env);
@@ -341,9 +353,10 @@ impl Requester {
             NakKind::Rnr { delay } => {
                 self.stats.rnr_naks_received += 1;
                 // Ignore stale RNR NAKs for finished messages.
-                if !self.sq.iter().any(|w| w.covers(psn) && !w.is_done()) {
+                let Some(nak_idx) = sq_index(&self.sq, psn).filter(|&i| !self.sq[i].is_done())
+                else {
                     return;
-                }
+                };
                 if ctx.cfg.rnr_retry != 7 {
                     if self.rnr_budget == 0 {
                         self.error_out(ctx, life, env, fx, WcStatus::RnrRetryExcErr);
@@ -365,12 +378,15 @@ impl Requester {
                 // go-back-N engine quirk.
                 if env.profile.damming && self.policy.ghost_quirks() {
                     let lookback = env.profile.ghost_lookback;
-                    for wqe in self.sq.iter_mut() {
-                        if wqe.sent_segments > 0 && !wqe.is_done() && psn.precedes(wqe.psn_first) {
-                            if let Some(tx) = wqe.first_tx {
-                                if env.now.saturating_sub(tx) <= lookback {
-                                    wqe.ghosted = true;
-                                }
+                    // The transmitted successors of the refused message.
+                    let successors = self
+                        .sq
+                        .range_mut(nak_idx + 1..)
+                        .take_while(|w| w.sent_segments > 0);
+                    for wqe in successors.filter(|w| !w.is_done()) {
+                        if let Some(tx) = wqe.first_tx {
+                            if env.now.saturating_sub(tx) <= lookback {
+                                wqe.ghosted = true;
                             }
                         }
                     }
@@ -384,16 +400,10 @@ impl Requester {
                 if self.recovery.rnr_wait.take().is_some() {
                     fx.timers.cancel_rnr = true;
                 }
-                let views = self.wr_views();
-                let plan = self.policy.on_seq_nak(
-                    &RetransmitCtx {
-                        wrs: &views,
-                        now: env.now,
-                    },
-                    epsn,
-                    psn,
-                );
-                self.execute_plan(ctx, env, fx, &plan);
+                let plan =
+                    self.policy
+                        .on_seq_nak(&RetransmitCtx::new(&self.sq, env.now), epsn, psn);
+                self.execute_plan(ctx, env, fx, plan);
                 self.rearm_timer_if_needed(ctx, life, fx);
             }
             NakKind::RemoteAccess => {

@@ -542,9 +542,36 @@ impl SendWqe {
         }
     }
 
-    /// True if `psn` falls within this message's PSN span.
+    /// True if `psn` falls within this message's PSN span: the linear
+    /// reference the send-queue bisection is tested against.
+    #[cfg(test)]
     pub(crate) fn covers(&self, psn: Psn) -> bool {
         self.psn_first.at_or_before(psn) && psn.at_or_before(self.psn_last)
+    }
+
+    /// A queued READ spanning `span` response PSNs from `first`, for
+    /// tests that build send queues by hand.
+    #[cfg(test)]
+    pub(crate) fn read_for_test(first: Psn, span: u32, sent: bool, done: bool) -> SendWqe {
+        SendWqe {
+            id: WrId(u64::from(first.value())),
+            op: WrOp::Read {
+                local_mr: MrKey(1),
+                local_off: 0,
+                rkey: MrKey(2),
+                remote_off: 0,
+                len: span * crate::types::DEFAULT_MTU,
+            },
+            psn_first: first,
+            psn_last: first.add(span - 1),
+            req_packets: 1,
+            resp_packets: span,
+            sent_segments: u32::from(sent),
+            recv_segments: if done { span } else { 0 },
+            acked: false,
+            ghosted: false,
+            first_tx: None,
+        }
     }
 
     /// The completion opcode for this WQE.
@@ -604,19 +631,7 @@ mod tests {
 
     #[test]
     fn wqe_covers_its_span() {
-        let wqe = SendWqe {
-            id: WrId(1),
-            op: read_op(10_000),
-            psn_first: Psn::new(10),
-            psn_last: Psn::new(12),
-            req_packets: 1,
-            resp_packets: 3,
-            sent_segments: 0,
-            recv_segments: 0,
-            acked: false,
-            ghosted: false,
-            first_tx: None,
-        };
+        let wqe = SendWqe::read_for_test(Psn::new(10), 3, false, false);
         assert!(!wqe.covers(Psn::new(9)));
         assert!(wqe.covers(Psn::new(10)));
         assert!(wqe.covers(Psn::new(12)));
@@ -627,17 +642,8 @@ mod tests {
     #[test]
     fn read_done_requires_data_not_just_ack() {
         let mut wqe = SendWqe {
-            id: WrId(1),
-            op: read_op(100),
-            psn_first: Psn::new(0),
-            psn_last: Psn::new(0),
-            req_packets: 1,
-            resp_packets: 1,
-            sent_segments: 1,
-            recv_segments: 0,
             acked: true,
-            ghosted: false,
-            first_tx: None,
+            ..SendWqe::read_for_test(Psn::new(0), 1, true, false)
         };
         assert!(!wqe.is_done(), "acked READ without data is not done");
         wqe.recv_segments = 1;

@@ -6,8 +6,9 @@ use std::collections::BTreeMap;
 use ibsim_event::SimTime;
 use ibsim_fabric::{Lid, LinkSpec};
 use ibsim_verbs::{
-    DeviceProfile, Effects, MemRegion, Memory, MrKey, MrMode, NakKind, PacketKind, Psn, Qp,
-    QpConfig, QpEnv, Qpn, RecvWr, SegPos, WcStatus, WorkRequest, WrId, WrOp,
+    DeviceProfile, Effects, MemRegion, Memory, MrKey, MrMode, NakKind, Packet, PacketKind,
+    PageState, Psn, Qp, QpConfig, QpEnv, Qpn, RecoveryKind, RecvWr, SegPos, WcStatus, WorkRequest,
+    WrId, WrOp,
 };
 
 struct Host {
@@ -547,4 +548,137 @@ fn write_segments_carry_correct_slices() {
     // PSNs are consecutive.
     let psns: Vec<u32> = out.packets.iter().map(|p| p.psn.value()).collect();
     assert_eq!(psns, vec![0, 1, 2]);
+}
+
+/// A stalled head with `successors` completed READs queued behind it
+/// (they cannot retire out of order — the shape every QP of the §VI
+/// flood is in for seconds). Returns what the next blind stall tick, a
+/// re-discarded head response and a stale duplicate of a finished
+/// successor emit, rendered for comparison.
+fn turns_behind_a_stalled_head(successors: u32) -> [String; 3] {
+    let mut host = Host::new(cx4());
+    let odp = host.add_mr(1, 4096, MrMode::Odp);
+    let pinned = host.add_mr(2, 4096, MrMode::Pinned);
+    // No ACK timer, so timer generations do not count the successors.
+    let cfg = QpConfig {
+        cack: 0,
+        max_rd_atomic: successors as usize + 1,
+        ..QpConfig::default()
+    };
+    let mut qp = Qp::new(Qpn(1), Lid(1), cfg);
+    qp.connect(Lid(2), Qpn(9));
+    let response = |psn: u32| Packet {
+        src: Lid(2),
+        dst: Lid(1),
+        dst_qp: Qpn(1),
+        src_qp: Qpn(9),
+        psn: Psn::new(psn),
+        kind: PacketKind::ReadResponse {
+            seg: SegPos::Only,
+            data: vec![psn as u8; 64],
+            req_psn: Psn::new(psn),
+            offset: 0,
+        },
+        ghost: false,
+        retransmit: false,
+        ecn: false,
+    };
+    let t = SimTime::from_us;
+    let mut fx = Effects::new();
+    qp.post(&mut host.env(t(0)), &mut fx, read_wr(0, odp, MrKey(7), 64));
+    for id in 1..=successors {
+        let wr = read_wr(u64::from(id), pinned, MrKey(7), 64);
+        qp.post(&mut host.env(t(0)), &mut fx, wr);
+    }
+    assert_eq!(fx.packets.len() as u32, successors + 1, "all on the wire");
+
+    // The head's response hits an unmapped page: discarded, stalled.
+    let mut fx = Effects::new();
+    qp.on_packet(&mut host.env(t(1)), &mut fx, &response(0));
+    assert_eq!(fx.faults.len(), 1);
+    let (stall_psn, _, stall_gen) = fx.timers.arm_stalls[0];
+    // Every successor completes but none can retire past the head.
+    let mut fx = Effects::new();
+    for psn in 1..=successors {
+        qp.on_packet(&mut host.env(t(2)), &mut fx, &response(psn));
+    }
+    assert!(fx.completions.is_empty());
+    assert_eq!(qp.pending_sends() as u32, successors + 1);
+
+    let mut tick = Effects::new();
+    qp.on_stall_tick(&mut host.env(t(500)), &mut tick, stall_psn, stall_gen);
+    assert_eq!(tick.packets.len(), 1, "exactly the head is resent");
+    assert!(tick.packets[0].retransmit && tick.packets[0].psn == stall_psn);
+    assert_eq!(tick.timers.arm_stalls.len(), 1, "and the tick re-armed");
+    let mut rediscard = Effects::new();
+    qp.on_packet(&mut host.env(t(501)), &mut rediscard, &response(0));
+    assert_eq!(rediscard.irqs, 1, "still faulting: discarded again");
+    let mut duplicate = Effects::new();
+    qp.on_packet(&mut host.env(t(502)), &mut duplicate, &response(1));
+    assert!(
+        duplicate.is_quiet(),
+        "finished successor ignores duplicates"
+    );
+    assert_eq!(qp.stats().retransmissions, 1);
+    assert_eq!(qp.stats().responses_discarded, 3);
+    [tick, rediscard, duplicate].map(|fx| format!("{fx:?}"))
+}
+
+#[test]
+fn handler_turns_do_not_depend_on_the_depth_behind_a_stalled_head() {
+    assert_eq!(
+        turns_behind_a_stalled_head(1),
+        turns_behind_a_stalled_head(1000)
+    );
+}
+
+/// Selective repeat resumes every stall a resolved page unblocks in one
+/// plan, named in stall order; the requester must still resend in
+/// send-queue order, as it did when it walked the whole queue.
+#[test]
+fn selective_repeat_resume_resends_in_queue_order() {
+    let mut host = Host::new(cx4());
+    let odp = host.add_mr(1, 4096, MrMode::Odp);
+    let cfg = QpConfig {
+        recovery: RecoveryKind::SelectiveRepeat,
+        ..QpConfig::default()
+    };
+    let mut qp = Qp::new(Qpn(1), Lid(1), cfg);
+    qp.connect(Lid(2), Qpn(9));
+    let mut fx = Effects::new();
+    for id in 0..3 {
+        // Three READs landing in the same (unmapped) page.
+        let wr = read_wr(id, odp, MrKey(7), 64);
+        qp.post(&mut host.env(SimTime::ZERO), &mut fx, wr);
+    }
+    // Responses overtake each other: PSN 2 stalls first, then PSN 0.
+    for psn in [2, 0] {
+        let resp = Packet {
+            src: Lid(2),
+            dst: Lid(1),
+            dst_qp: Qpn(1),
+            src_qp: Qpn(9),
+            psn: Psn::new(psn),
+            kind: PacketKind::ReadResponse {
+                seg: SegPos::Only,
+                data: vec![0; 64],
+                req_psn: Psn::new(psn),
+                offset: 0,
+            },
+            ghost: false,
+            retransmit: false,
+            ecn: false,
+        };
+        qp.on_packet(&mut host.env(SimTime::from_us(1)), &mut fx, &resp);
+    }
+    assert!(fx.timers.arm_stalls.is_empty(), "no blind tick under IRN");
+    host.mrs
+        .get_mut(&odp)
+        .unwrap()
+        .set_page_state(0, PageState::Mapped);
+    let mut resumed = Effects::new();
+    qp.on_page_ready(&mut host.env(SimTime::from_us(300)), &mut resumed, odp, 0);
+    let psns: Vec<u32> = resumed.packets.iter().map(|p| p.psn.value()).collect();
+    assert_eq!(psns, [0, 2], "stalled messages resent once, in queue order");
+    assert!(!qp.in_recovery(), "both stalls cleared");
 }
