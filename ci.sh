@@ -20,6 +20,11 @@ cargo build --release --offline
 echo "==> cargo test --workspace"
 cargo test -q --offline --workspace
 
+echo "==> fabric tests in release (integer overflow panics in debug but"
+echo "    wraps in release, the profile every bench bin and the benchmark"
+echo "    run: the hostile-size and route-contract tests gate both)"
+cargo test -q --offline --release -p ibsim-fabric
+
 echo "==> runtime invariant checks (--features checks)"
 cargo test -q --offline -p ibsim-verbs --features checks
 cargo test -q --offline -p ibsim-analysis --features checks

@@ -2,7 +2,7 @@
 //!
 //! The physical-network substrate of the `ibsim` InfiniBand simulator:
 //! hosts, routed switch topologies (crossbar, fat-tree, ring, dragonfly)
-//! behind the [`Topology`] trait, LID-based routing, link
+//! as the closed, self-routing [`TopologyKind`], LID-based routing, link
 //! latency/bandwidth with per-port and per-hop FIFO serialization,
 //! optional ECN/PFC congestion signals, deterministic loss injection,
 //! and an `ibdump`-style packet capture facility.
@@ -37,7 +37,7 @@ mod topology;
 
 pub use capture::{Capture, Captured, Direction};
 pub use loss::{LossModel, Xorshift64Star};
-pub use routing::{DirectedLink, RouteNode, SwitchId, Topology, TopologyKind};
+pub use routing::{DirectedLink, RouteNode, SwitchId, TopologyKind};
 pub use topology::{
     Delivery, DropReason, Fabric, InterLinkStats, Lid, LinkSpec, LinkSpecError, LinkStats,
 };

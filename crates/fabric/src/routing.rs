@@ -1,14 +1,18 @@
 //! Switch topologies and deterministic route computation.
 //!
-//! A [`Topology`] describes the switch graph of a subnet and computes,
-//! for any ordered pair of attachment switches, the exact sequence of
-//! switches a frame traverses. Routes are a pure function of the
-//! topology parameters and the endpoint indices — never of construction
-//! order, traffic history, or load — so every replica of a sharded run
-//! computes bit-identical paths and the conservative lookahead derived
-//! from them is a true lower bound.
+//! A [`TopologyKind`] describes the switch graph of a subnet and is its
+//! own route computer: [`TopologyKind::next_hop`] is a closed form for
+//! the switch a frame standing at `cur` and bound for `dst` is forwarded
+//! to, and every route in the crate is a walk over that one function.
+//! Routes are a pure function of the topology parameters and the
+//! endpoint indices — never of construction order, traffic history, or
+//! load — so every replica of a sharded run computes bit-identical paths
+//! and the conservative lookahead derived from them is a true lower
+//! bound.
 //!
-//! Four built-ins cover the shapes the congestion studies need:
+//! The catalog is closed. Four kinds cover the shapes the congestion
+//! studies need; a fifth is a new variant, and the exhaustive matches
+//! below refuse to compile until it validates, attaches and routes.
 //!
 //! * [`TopologyKind::Crossbar`] — every host on one switch; the
 //!   historical default, and the timing-identity baseline every golden
@@ -26,7 +30,7 @@ use std::fmt;
 
 use crate::topology::Lid;
 
-/// Identifier of one switch inside a [`Topology`] (dense from 0).
+/// Identifier of one switch inside a [`TopologyKind`] (dense from 0).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct SwitchId(pub u16);
 
@@ -36,12 +40,31 @@ impl fmt::Display for SwitchId {
     }
 }
 
-/// The built-in topology catalog, as plain serializable data.
+/// The topology catalog: plain serializable data that routes itself.
 ///
 /// The scenario spec's `topology=` facet round-trips through
 /// [`fmt::Display`] / [`std::str::FromStr`]; tokens are single words
 /// (`crossbar`, `fattree4`, `ring5`, `dragonfly3`) so they fit the
 /// line-oriented spec format without escaping.
+///
+/// The route methods ([`switch_count`](Self::switch_count),
+/// [`attach`](Self::attach), [`next_hop`](Self::next_hop),
+/// [`route_switches`](Self::route_switches)) assume a kind that passes
+/// [`validate`](Self::validate) — `FromStr` and
+/// [`Fabric::set_topology`](crate::Fabric::set_topology) admit no other —
+/// and switch ids below `switch_count()`. They honor three properties
+/// that the sharded executor's cross-shard lookahead and the seeded
+/// route fuzz rely on:
+///
+/// * **Purity** — a route depends only on the parameters and the two
+///   endpoints. No interior mutability, no load awareness.
+/// * **Completeness** — for any two *attachment* switches (values of
+///   `attach`) the walk from `a` reaches `b` over physical links of the
+///   topology, and `route_switches(s, s)` is `[s]`. Routes between
+///   non-attachment switches (e.g. fat-tree spines) are not part of the
+///   contract — no host lives there, so the fabric never asks.
+/// * **Attachment stability** — `attach(i)` depends only on `i`, so a
+///   host's switch never changes as later hosts join.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum TopologyKind {
     /// One switch, every host attached to it (the historical default).
@@ -49,19 +72,20 @@ pub enum TopologyKind {
     Crossbar,
     /// `k` leaf switches, each connected to every one of `k/2` spine
     /// switches. Hosts attach round-robin to leaves. `k` must be an
-    /// even number ≥ 2.
+    /// even number in `2..=43690` (`k + k/2` switch ids fit 16 bits).
     FatTree {
         /// Number of leaf switches.
         k: u16,
     },
-    /// `n ≥ 2` switches in a cycle; shortest-direction routing, ties
-    /// broken clockwise (ascending switch index).
+    /// `n` switches in a cycle, `n` in `2..=65535`; shortest-direction
+    /// routing, ties broken clockwise (ascending switch index).
     Ring {
         /// Number of switches on the ring.
         switches: u16,
     },
-    /// `g ≥ 2` groups of two routers each: routers inside a group are
-    /// directly linked, and each ordered group pair shares one global
+    /// `g` groups of two routers each, `g` in `2..=32767` (`2g` switch
+    /// ids fit 16 bits): group `g` owns routers `2g` and `2g + 1`, which
+    /// are directly linked, and each ordered group pair shares one global
     /// link between deterministically chosen gateway routers.
     Dragonfly {
         /// Number of router groups.
@@ -80,49 +104,148 @@ impl TopologyKind {
     ];
 
     /// Validates the parameters; returns the first problem found.
+    ///
+    /// Beyond the shape rules of each variant, every switch id must fit
+    /// [`SwitchId`]'s 16 bits: a size needing more than 65535 switches
+    /// is rejected here instead of overflowing mid-run.
     pub fn validate(self) -> Result<(), String> {
         match self {
-            TopologyKind::Crossbar => Ok(()),
+            TopologyKind::Crossbar => {}
             TopologyKind::FatTree { k } => {
                 if k < 2 || k % 2 != 0 {
-                    Err(format!("fat-tree needs an even leaf count >= 2, got {k}"))
-                } else {
-                    Ok(())
+                    return Err(format!("fat-tree needs an even leaf count >= 2, got {k}"));
                 }
             }
             TopologyKind::Ring { switches } => {
                 if switches < 2 {
-                    Err(format!("ring needs at least 2 switches, got {switches}"))
-                } else {
-                    Ok(())
+                    return Err(format!("ring needs at least 2 switches, got {switches}"));
                 }
             }
             TopologyKind::Dragonfly { groups } => {
                 if groups < 2 {
-                    Err(format!("dragonfly needs at least 2 groups, got {groups}"))
-                } else {
-                    Ok(())
+                    return Err(format!("dragonfly needs at least 2 groups, got {groups}"));
                 }
             }
         }
+        let n = self.switches_wide();
+        if n > u32::from(u16::MAX) {
+            return Err(format!(
+                "{self} needs {n} switches, but switch ids are 16-bit (at most {})",
+                u16::MAX
+            ));
+        }
+        Ok(())
     }
 
-    /// Builds the route computer for this kind.
-    ///
-    /// # Panics
-    ///
-    /// Panics if [`TopologyKind::validate`] fails: an invalid topology is
-    /// a configuration bug and must not enter the fabric.
-    pub fn build(self) -> Box<dyn Topology> {
-        if let Err(e) = self.validate() {
-            panic!("fabric: invalid topology: {e}");
-        }
+    /// The switch count before it is narrowed to a [`SwitchId`], so
+    /// `validate` can see the sizes that do not fit.
+    fn switches_wide(self) -> u32 {
         match self {
-            TopologyKind::Crossbar => Box::new(Crossbar),
-            TopologyKind::FatTree { k } => Box::new(FatTree { k }),
-            TopologyKind::Ring { switches } => Box::new(Ring { switches }),
-            TopologyKind::Dragonfly { groups } => Box::new(Dragonfly { groups }),
+            TopologyKind::Crossbar => 1,
+            TopologyKind::FatTree { k } => u32::from(k) + u32::from(k) / 2,
+            TopologyKind::Ring { switches } => u32::from(switches),
+            TopologyKind::Dragonfly { groups } => 2 * u32::from(groups),
         }
+    }
+
+    /// Number of switches in the graph (ids are `0..switch_count()`).
+    pub fn switch_count(self) -> u16 {
+        self.switches_wide() as u16
+    }
+
+    /// The switch the `i`-th registered host attaches to (hosts are
+    /// indexed densely in LID order): round-robin over the switches
+    /// hosts may live on — fat-tree leaves, every ring switch, every
+    /// dragonfly router.
+    pub fn attach(self, host_index: u16) -> SwitchId {
+        SwitchId(match self {
+            TopologyKind::Crossbar => 0,
+            TopologyKind::FatTree { k } => host_index % k,
+            TopologyKind::Ring { .. } | TopologyKind::Dragonfly { .. } => {
+                host_index % self.switch_count()
+            }
+        })
+    }
+
+    /// The switch a frame at `cur` bound for `dst` is forwarded to;
+    /// `dst` itself once it has arrived. This is the only copy of the
+    /// routing decision: the frame path walks it hop by hop, so a route
+    /// needs no storage, no cache and no invalidation.
+    pub fn next_hop(self, cur: SwitchId, dst: SwitchId) -> SwitchId {
+        if cur == dst {
+            return dst;
+        }
+        // Widened: `c + d` and `c + n` may not fit 16 bits at the largest
+        // accepted sizes. Every result is a switch id, so it narrows back.
+        let (c, d) = (u32::from(cur.0), u32::from(dst.0));
+        let next = match self {
+            TopologyKind::Crossbar => d,
+            // Leaves are `0..k`, spines `k..k + k/2`. The spine is a
+            // static hash of the leaf pair, so the same pair always
+            // shares the same uplink — which is exactly what the
+            // congestion study wants: a storm and a victim between the
+            // same leaves collide by construction.
+            TopologyKind::FatTree { k } => {
+                let k = u32::from(k);
+                if c < k {
+                    k + (c + d) % (k / 2)
+                } else {
+                    d
+                }
+            }
+            // Shortest direction; the exact half-way tie goes clockwise
+            // so both replicas of a sharded run agree without consulting
+            // state. A step never flips the comparison, so deciding
+            // afresh at every hop keeps the direction chosen at the first.
+            TopologyKind::Ring { switches } => {
+                let n = u32::from(switches);
+                let clockwise = (d + n - c) % n;
+                let counter = (c + n - d) % n;
+                let step = if clockwise <= counter { 1 } else { n - 1 };
+                (c + step) % n
+            }
+            // Group `g` reaches group `h` through its gateway router
+            // `2g + h % 2`: the parity split spreads global links across
+            // both routers of a group while staying a pure function of
+            // the group pair. So: to the own gateway, across the one
+            // global link, then to `dst` inside its group.
+            TopologyKind::Dragonfly { .. } => {
+                let (gc, gd) = (c / 2, d / 2);
+                let out = 2 * gc + gd % 2;
+                if gc == gd {
+                    d
+                } else if c != out {
+                    out
+                } else {
+                    2 * gd + gc % 2
+                }
+            }
+        };
+        SwitchId(next as u16)
+    }
+
+    /// The directed inter-switch hops of the route `from → to`, in
+    /// order: the [`next_hop`](Self::next_hop) walk, allocation-free.
+    pub(crate) fn hops(
+        self,
+        from: SwitchId,
+        to: SwitchId,
+    ) -> impl Iterator<Item = (SwitchId, SwitchId)> {
+        let mut cur = from;
+        std::iter::from_fn(move || {
+            (cur != to).then(|| {
+                let hop = (cur, self.next_hop(cur, to));
+                cur = hop.1;
+                hop
+            })
+        })
+    }
+
+    /// The switch sequence from `from` to `to`, inclusive of both.
+    pub fn route_switches(self, from: SwitchId, to: SwitchId) -> Vec<SwitchId> {
+        std::iter::once(from)
+            .chain(self.hops(from, to).map(|(_, next)| next))
+            .collect()
     }
 }
 
@@ -196,227 +319,36 @@ pub struct DirectedLink {
     pub to: RouteNode,
 }
 
-/// Deterministic route computation over a fixed switch graph.
-///
-/// The contract every implementation (and every future out-of-tree one)
-/// must honor:
-///
-/// * **Purity** — `route_switches(a, b)` depends only on the topology
-///   parameters and `(a, b)`. No interior mutability, no load awareness.
-/// * **Completeness** — for any two *attachment* switches (values of
-///   [`Topology::attach`]) the returned path starts at `a`, ends at
-///   `b`, and every consecutive pair is a physical link of the
-///   topology. `route_switches(s, s)` is `[s]`. Routes between
-///   non-attachment switches (e.g. fat-tree spines) are not part of the
-///   contract — no host lives there, so the fabric never asks.
-/// * **Attachment stability** — `attach(i)` depends only on `i`, so a
-///   host's switch never changes as later hosts join.
-///
-/// These properties are what let the sharded executor derive its
-/// cross-shard lookahead from routes computed independently on every
-/// replica, and what the seeded route-determinism fuzz test enforces
-/// for the built-ins.
-pub trait Topology: fmt::Debug + Send {
-    /// The serializable parameters this computer was built from.
-    fn kind(&self) -> TopologyKind;
-
-    /// Number of switches in the graph (ids are `0..switch_count()`).
-    fn switch_count(&self) -> u16;
-
-    /// The switch the `i`-th registered host attaches to (hosts are
-    /// indexed densely in LID order).
-    fn attach(&self, host_index: u16) -> SwitchId;
-
-    /// The switch sequence from `from` to `to`, inclusive of both.
-    fn route_switches(&self, from: SwitchId, to: SwitchId) -> Vec<SwitchId>;
-}
-
-/// The single-switch crossbar (see [`TopologyKind::Crossbar`]).
-#[derive(Debug, Clone, Copy)]
-pub struct Crossbar;
-
-impl Topology for Crossbar {
-    fn kind(&self) -> TopologyKind {
-        TopologyKind::Crossbar
-    }
-
-    fn switch_count(&self) -> u16 {
-        1
-    }
-
-    fn attach(&self, _host_index: u16) -> SwitchId {
-        SwitchId(0)
-    }
-
-    fn route_switches(&self, from: SwitchId, _to: SwitchId) -> Vec<SwitchId> {
-        vec![from]
-    }
-}
-
-/// Two-level fat-tree (see [`TopologyKind::FatTree`]): leaves are
-/// switches `0..k`, spines are `k..k + k/2`.
-#[derive(Debug, Clone, Copy)]
-struct FatTree {
-    k: u16,
-}
-
-impl FatTree {
-    /// The spine carrying traffic between two distinct leaves. Static
-    /// (destination-independent ECMP hash of the leaf pair) so the same
-    /// pair always shares the same uplink — which is exactly what the
-    /// congestion study wants: a storm and a victim between the same
-    /// leaves collide by construction.
-    fn spine_for(&self, a: u16, b: u16) -> u16 {
-        self.k + (a + b) % (self.k / 2)
-    }
-}
-
-impl Topology for FatTree {
-    fn kind(&self) -> TopologyKind {
-        TopologyKind::FatTree { k: self.k }
-    }
-
-    fn switch_count(&self) -> u16 {
-        self.k + self.k / 2
-    }
-
-    fn attach(&self, host_index: u16) -> SwitchId {
-        SwitchId(host_index % self.k)
-    }
-
-    fn route_switches(&self, from: SwitchId, to: SwitchId) -> Vec<SwitchId> {
-        if from == to {
-            return vec![from];
-        }
-        vec![from, SwitchId(self.spine_for(from.0, to.0)), to]
-    }
-}
-
-/// Cycle of `switches` switches (see [`TopologyKind::Ring`]).
-#[derive(Debug, Clone, Copy)]
-struct Ring {
-    switches: u16,
-}
-
-impl Topology for Ring {
-    fn kind(&self) -> TopologyKind {
-        TopologyKind::Ring {
-            switches: self.switches,
-        }
-    }
-
-    fn switch_count(&self) -> u16 {
-        self.switches
-    }
-
-    fn attach(&self, host_index: u16) -> SwitchId {
-        SwitchId(host_index % self.switches)
-    }
-
-    fn route_switches(&self, from: SwitchId, to: SwitchId) -> Vec<SwitchId> {
-        let n = self.switches;
-        let clockwise = (to.0 + n - from.0) % n;
-        let counter = (from.0 + n - to.0) % n;
-        // Shortest direction; the exact half-way tie goes clockwise so
-        // both replicas of a sharded run agree without consulting state.
-        let step = if clockwise <= counter { 1 } else { n - 1 };
-        let mut path = vec![from];
-        let mut cur = from.0;
-        while cur != to.0 {
-            cur = (cur + step) % n;
-            path.push(SwitchId(cur));
-        }
-        path
-    }
-}
-
-/// Dragonfly of `groups` two-router groups (see
-/// [`TopologyKind::Dragonfly`]): group `g` owns routers `2g` and
-/// `2g + 1`.
-#[derive(Debug, Clone, Copy)]
-struct Dragonfly {
-    groups: u16,
-}
-
-impl Dragonfly {
-    fn group_of(sw: u16) -> u16 {
-        sw / 2
-    }
-
-    /// The gateway router group `from` uses toward group `to`. The
-    /// parity split spreads global links across both routers of a group
-    /// while staying a pure function of the group pair.
-    fn gateway(from_group: u16, to_group: u16) -> u16 {
-        2 * from_group + to_group % 2
-    }
-}
-
-impl Topology for Dragonfly {
-    fn kind(&self) -> TopologyKind {
-        TopologyKind::Dragonfly {
-            groups: self.groups,
-        }
-    }
-
-    fn switch_count(&self) -> u16 {
-        2 * self.groups
-    }
-
-    fn attach(&self, host_index: u16) -> SwitchId {
-        SwitchId(host_index % (2 * self.groups))
-    }
-
-    fn route_switches(&self, from: SwitchId, to: SwitchId) -> Vec<SwitchId> {
-        if from == to {
-            return vec![from];
-        }
-        let (ga, gb) = (Self::group_of(from.0), Self::group_of(to.0));
-        if ga == gb {
-            // Intra-group: the two routers of a group are directly linked.
-            return vec![from, to];
-        }
-        let out = Self::gateway(ga, gb);
-        let inn = Self::gateway(gb, ga);
-        let mut path = vec![from];
-        if out != from.0 {
-            path.push(SwitchId(out));
-        }
-        path.push(SwitchId(inn));
-        if inn != to.0 {
-            path.push(to);
-        }
-        path
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::loss::Xorshift64Star;
 
     /// The switches any host can actually attach to (sweeping well past
     /// one round-robin cycle of host indices).
-    fn attachment_switches(topo: &dyn Topology) -> Vec<SwitchId> {
-        let mut set: Vec<SwitchId> = (0..4 * topo.switch_count())
-            .map(|i| topo.attach(i))
+    fn attachment_switches(kind: TopologyKind) -> Vec<SwitchId> {
+        let mut set: Vec<SwitchId> = (0..4 * kind.switch_count())
+            .map(|i| kind.attach(i))
             .collect();
         set.sort_unstable();
         set.dedup();
         set
     }
 
-    fn assert_route_contract(topo: &dyn Topology) {
-        let n = topo.switch_count();
-        for &SwitchId(a) in &attachment_switches(topo) {
-            for &SwitchId(b) in &attachment_switches(topo) {
-                let path = topo.route_switches(SwitchId(a), SwitchId(b));
-                assert_eq!(path.first(), Some(&SwitchId(a)), "{topo:?} {a}->{b}");
-                assert_eq!(path.last(), Some(&SwitchId(b)), "{topo:?} {a}->{b}");
+    /// The route contract over every ordered pair of `switches`.
+    fn assert_route_contract(kind: TopologyKind, switches: &[SwitchId]) {
+        let n = kind.switch_count();
+        for &SwitchId(a) in switches {
+            for &SwitchId(b) in switches {
+                let path = kind.route_switches(SwitchId(a), SwitchId(b));
+                assert_eq!(path.first(), Some(&SwitchId(a)), "{kind:?} {a}->{b}");
+                assert_eq!(path.last(), Some(&SwitchId(b)), "{kind:?} {a}->{b}");
                 if a == b {
-                    assert_eq!(path.len(), 1, "{topo:?} self-route must be trivial");
+                    assert_eq!(path.len(), 1, "{kind:?} self-route must be trivial");
                 }
                 for w in path.windows(2) {
-                    assert_ne!(w[0], w[1], "{topo:?} {a}->{b}: repeated switch");
-                    assert!(w[0].0 < n && w[1].0 < n, "{topo:?} {a}->{b}: bad id");
+                    assert_ne!(w[0], w[1], "{kind:?} {a}->{b}: repeated switch");
+                    assert!(w[0].0 < n && w[1].0 < n, "{kind:?} {a}->{b}: bad id");
                 }
             }
         }
@@ -435,13 +367,68 @@ mod tests {
             TopologyKind::Dragonfly { groups: 2 },
             TopologyKind::Dragonfly { groups: 4 },
         ] {
-            assert_route_contract(kind.build().as_ref());
+            assert_route_contract(kind, &attachment_switches(kind));
         }
+    }
+
+    /// The routes as the per-kind route builders constructed them before
+    /// `next_hop` replaced them, kept as the reference the closed form
+    /// must reproduce switch for switch.
+    fn constructed_route(kind: TopologyKind, from: u16, to: u16) -> Vec<SwitchId> {
+        if from == to {
+            return vec![SwitchId(from)];
+        }
+        let path = match kind {
+            TopologyKind::Crossbar => vec![from],
+            TopologyKind::FatTree { k } => vec![from, k + (from + to) % (k / 2), to],
+            TopologyKind::Ring { switches: n } => {
+                let clockwise = (to + n - from) % n;
+                let counter = (from + n - to) % n;
+                let step = if clockwise <= counter { 1 } else { n - 1 };
+                let mut path = vec![from];
+                while path[path.len() - 1] != to {
+                    path.push((path[path.len() - 1] + step) % n);
+                }
+                path
+            }
+            TopologyKind::Dragonfly { .. } if from / 2 == to / 2 => vec![from, to],
+            TopologyKind::Dragonfly { .. } => {
+                let out = 2 * (from / 2) + (to / 2) % 2;
+                let inn = 2 * (to / 2) + (from / 2) % 2;
+                let mut path = vec![from, out, inn, to];
+                path.dedup();
+                path
+            }
+        };
+        path.into_iter().map(SwitchId).collect()
+    }
+
+    #[test]
+    fn next_hop_walks_reproduce_the_constructed_routes() {
+        let kinds = std::iter::once(TopologyKind::Crossbar)
+            .chain((1..=8).map(|h| TopologyKind::FatTree { k: 2 * h }))
+            .chain((2..=17).map(|switches| TopologyKind::Ring { switches }))
+            .chain((2..=9).map(|groups| TopologyKind::Dragonfly { groups }));
+        let mut pairs = 0;
+        for kind in kinds {
+            let switches = attachment_switches(kind);
+            for &a in &switches {
+                for &b in &switches {
+                    assert_eq!(
+                        kind.route_switches(a, b),
+                        constructed_route(kind, a.0, b.0),
+                        "{kind} {a}->{b}"
+                    );
+                    pairs += 1;
+                }
+            }
+        }
+        assert_eq!(pairs, 3737);
     }
 
     #[test]
     fn crossbar_routes_are_single_switch() {
-        let t = TopologyKind::Crossbar.build();
+        let t = TopologyKind::Crossbar;
         assert_eq!(t.switch_count(), 1);
         assert_eq!(t.attach(0), SwitchId(0));
         assert_eq!(t.attach(17), SwitchId(0));
@@ -450,7 +437,7 @@ mod tests {
 
     #[test]
     fn fattree_pairs_share_a_fixed_spine() {
-        let t = TopologyKind::FatTree { k: 4 }.build();
+        let t = TopologyKind::FatTree { k: 4 };
         assert_eq!(t.switch_count(), 6); // 4 leaves + 2 spines
         let via = t.route_switches(SwitchId(0), SwitchId(1));
         assert_eq!(via.len(), 3);
@@ -463,7 +450,7 @@ mod tests {
 
     #[test]
     fn ring_routes_take_the_shortest_direction() {
-        let t = TopologyKind::Ring { switches: 5 }.build();
+        let t = TopologyKind::Ring { switches: 5 };
         assert_eq!(
             t.route_switches(SwitchId(0), SwitchId(1)),
             [SwitchId(0), SwitchId(1)]
@@ -474,7 +461,7 @@ mod tests {
             [SwitchId(0), SwitchId(4)]
         );
         // Even split on an even ring breaks clockwise.
-        let even = TopologyKind::Ring { switches: 4 }.build();
+        let even = TopologyKind::Ring { switches: 4 };
         assert_eq!(
             even.route_switches(SwitchId(0), SwitchId(2)),
             [SwitchId(0), SwitchId(1), SwitchId(2)]
@@ -483,7 +470,7 @@ mod tests {
 
     #[test]
     fn dragonfly_routes_use_one_global_link() {
-        let t = TopologyKind::Dragonfly { groups: 3 }.build();
+        let t = TopologyKind::Dragonfly { groups: 3 };
         assert_eq!(t.switch_count(), 6);
         // Intra-group is a single hop.
         assert_eq!(
@@ -494,10 +481,7 @@ mod tests {
         for a in 0..6 {
             for b in 0..6 {
                 let path = t.route_switches(SwitchId(a), SwitchId(b));
-                let crossings = path
-                    .windows(2)
-                    .filter(|w| Dragonfly::group_of(w[0].0) != Dragonfly::group_of(w[1].0))
-                    .count();
+                let crossings = path.windows(2).filter(|w| w[0].0 / 2 != w[1].0 / 2).count();
                 assert!(crossings <= 1, "{a}->{b}: {path:?}");
             }
         }
@@ -534,27 +518,105 @@ mod tests {
         assert!(TopologyKind::Crossbar.validate().is_ok());
     }
 
-    #[test]
-    #[should_panic(expected = "invalid topology")]
-    fn building_an_invalid_topology_panics() {
-        let _ = TopologyKind::Ring { switches: 0 }.build();
+    /// A few attachment switches of a kind too large to sweep: both ends
+    /// of the id space (where 16-bit sums used to overflow) and the
+    /// half-way point (the ring's longest route and its tie-break).
+    fn edge_switches(kind: TopologyKind) -> Vec<SwitchId> {
+        let last = match kind {
+            TopologyKind::FatTree { k } => k - 1,
+            TopologyKind::Crossbar | TopologyKind::Ring { .. } | TopologyKind::Dragonfly { .. } => {
+                kind.switch_count() - 1
+            }
+        };
+        let mut set: Vec<SwitchId> = [0, 1, last / 2, last / 2 + 1, last.saturating_sub(1), last]
+            .into_iter()
+            .map(|i| kind.attach(i))
+            .collect();
+        set.sort_unstable();
+        set.dedup();
+        set
     }
 
     #[test]
-    fn routes_are_identical_across_repeated_builds() {
-        for kind in TopologyKind::ALL_SAMPLES {
-            let a = kind.build();
-            let b = kind.build();
-            let n = a.switch_count();
-            for x in 0..n {
-                for y in 0..n {
-                    assert_eq!(
-                        a.route_switches(SwitchId(x), SwitchId(y)),
-                        b.route_switches(SwitchId(x), SwitchId(y)),
-                        "{kind} {x}->{y}"
-                    );
+    fn sizes_whose_switch_ids_do_not_fit_are_rejected_at_the_edge() {
+        // The largest accepted size of each kind parses, round-trips and
+        // routes between the far ends of its id space ...
+        for (token, switches) in [
+            ("fattree43690", 65535),
+            ("ring65535", 65535),
+            ("dragonfly32767", 65534),
+        ] {
+            let kind: TopologyKind = token.parse().unwrap_or_else(|e| panic!("{token}: {e}"));
+            assert_eq!(kind.to_string(), token);
+            assert_eq!(kind.switch_count(), switches, "{token}");
+            assert_route_contract(kind, &edge_switches(kind));
+        }
+        // ... and the next size up is a typed error, not an overflow in
+        // `attach` once the run is under way.
+        for token in [
+            "fattree43692",
+            "fattree65534",
+            "dragonfly32768",
+            "dragonfly40000",
+            "dragonfly65535",
+            "ring65536",
+        ] {
+            let err = token.parse::<TopologyKind>().expect_err(token);
+            assert!(
+                err.contains("16-bit") || err.contains("bad ring parameter"),
+                "{token}: {err}"
+            );
+        }
+    }
+
+    #[test]
+    fn parsing_hostile_bytes_never_panics_and_every_ok_routes() {
+        const STEMS: [&str; 6] = ["crossbar", "fattree", "ring", "dragonfly", "torus", ""];
+        const TAILS: [&str; 8] = [
+            "0",
+            "1",
+            "2",
+            "43690",
+            "43692",
+            "65535",
+            "65536",
+            "99999999999",
+        ];
+        let mut rng = Xorshift64Star::new(0x13);
+        let mut accepted = 0;
+        for _ in 0..4096 {
+            // A plausible token — a known stem, then an edge-case or a
+            // random parameter — with up to three bytes overwritten,
+            // inserted or removed anywhere in it.
+            let mut bytes = STEMS[rng.next_below(6) as usize].as_bytes().to_vec();
+            match rng.next_below(3) {
+                0 => bytes.extend_from_slice(TAILS[rng.next_below(8) as usize].as_bytes()),
+                1 => bytes.extend_from_slice(rng.next_below(70_000).to_string().as_bytes()),
+                _ => {}
+            }
+            for _ in 0..rng.next_below(4) {
+                let at = rng.next_below(bytes.len() as u64 + 1) as usize;
+                let byte = rng.next_u64() as u8;
+                match rng.next_below(3) {
+                    0 if at < bytes.len() => bytes[at] = byte,
+                    1 if at < bytes.len() => {
+                        bytes.remove(at);
+                    }
+                    _ => bytes.insert(at, byte),
                 }
             }
+            let token = String::from_utf8_lossy(&bytes);
+            let Ok(kind) = token.parse::<TopologyKind>() else {
+                continue;
+            };
+            accepted += 1;
+            assert_eq!(kind.validate(), Ok(()), "{token:?}");
+            assert_eq!(kind.to_string().parse(), Ok(kind), "{token:?}");
+            assert_route_contract(kind, &edge_switches(kind));
         }
+        assert!(
+            accepted > 100,
+            "the fuzz must reach the Ok side: {accepted}"
+        );
     }
 }

@@ -1,12 +1,11 @@
 //! Hosts, links, and the routed switch fabric.
 
-use std::collections::BTreeMap;
 use std::fmt;
 
 use ibsim_event::SimTime;
 
 use crate::loss::LossModel;
-use crate::routing::{DirectedLink, RouteNode, SwitchId, Topology, TopologyKind};
+use crate::routing::{DirectedLink, RouteNode, SwitchId, TopologyKind};
 
 /// A Local IDentifier: the layer-2 address of a port on an InfiniBand
 /// subnet. The subnet manager (implicit here) assigns them densely from 1.
@@ -21,6 +20,12 @@ impl Lid {
     /// True unless this is the reserved LID 0.
     pub fn is_valid(self) -> bool {
         self.0 != 0
+    }
+
+    /// This LID's index in a table dense from LID 1. The reserved LID 0
+    /// wraps to an index no table reaches, so it is never found.
+    fn slot(self) -> usize {
+        usize::from(self.0).wrapping_sub(1)
     }
 }
 
@@ -219,6 +224,9 @@ pub struct InterLinkStats {
 struct Port {
     name: String,
     spec: LinkSpec,
+    /// The switch this port attaches to: the topology's `attach` of the
+    /// port's table index, cached so a frame never recomputes it.
+    switch: SwitchId,
     /// Egress (host → switch) serialization horizon.
     egress_busy_until: SimTime,
     /// Switch-egress (switch → host) serialization horizon.
@@ -226,16 +234,18 @@ struct Port {
     stats: LinkStats,
 }
 
-/// One directed inter-switch link's FIFO state. Created lazily on first
-/// traffic so a crossbar fabric (no inter-switch hops) allocates nothing.
-#[derive(Debug, Clone, Copy, Default)]
+/// One directed inter-switch link's FIFO state, filed under its
+/// transmitting switch. Created on first traffic so a crossbar fabric
+/// (no inter-switch hops) allocates nothing.
+#[derive(Debug, Clone, Copy)]
 struct InterLink {
+    to: SwitchId,
     busy_until: SimTime,
     stats: InterLinkStats,
 }
 
 /// A single-subnet InfiniBand fabric: hosts attach to the switches of a
-/// pluggable [`Topology`] (default: the historical one-switch
+/// [`TopologyKind`] (default: the historical one-switch
 /// [`TopologyKind::Crossbar`], which keeps every pinned trace
 /// byte-identical). Frames are store-and-forward FIFO-serialized at every
 /// hop.
@@ -255,12 +265,15 @@ struct InterLink {
 pub struct Fabric {
     default_spec: LinkSpec,
     switch_latency: SimTime,
-    ports: BTreeMap<Lid, Port>,
-    next_lid: u16,
+    /// Host ports, indexed by [`Lid::slot`] (LIDs are dense from 1).
+    ports: Vec<Port>,
     loss: LossModel,
-    topology: Box<dyn Topology>,
-    /// Directed inter-switch links, keyed `(from, to)`, created lazily.
-    links: BTreeMap<(u16, u16), InterLink>,
+    topology: TopologyKind,
+    /// Directed inter-switch links that have carried traffic: row `from`
+    /// holds switch `from`'s outgoing links in ascending `to` order.
+    /// Rows and entries appear on first traffic, so memory follows the
+    /// links in use — never the square of the switch count.
+    links: Vec<Vec<InterLink>>,
     /// Queueing delay beyond which a hop ECN-marks the frame.
     ecn_threshold: Option<SimTime>,
     /// Queueing delay beyond which a hop pauses its upstream feeder.
@@ -277,11 +290,10 @@ impl Fabric {
         Fabric {
             default_spec,
             switch_latency: SimTime::from_ns(200),
-            ports: BTreeMap::new(),
-            next_lid: 1,
+            ports: Vec::new(),
             loss: LossModel::None,
-            topology: TopologyKind::Crossbar.build(),
-            links: BTreeMap::new(),
+            topology: TopologyKind::Crossbar,
+            links: Vec::new(),
             ecn_threshold: None,
             pfc_threshold: None,
             total_frames: 0,
@@ -302,24 +314,24 @@ impl Fabric {
     ///
     /// Panics if `spec` fails [`LinkSpec::validate`] (e.g. zero
     /// bandwidth): an invalid link is a configuration bug and must not
-    /// enter the fabric.
+    /// enter the fabric. Panics once the 16-bit LID space is exhausted.
     pub fn add_host_with(&mut self, name: &str, spec: LinkSpec) -> Lid {
         if let Err(e) = spec.validate() {
             panic!("fabric: cannot attach host {name:?}: {e}");
         }
-        let lid = Lid(self.next_lid);
-        self.next_lid += 1;
-        self.ports.insert(
-            lid,
-            Port {
-                name: name.to_owned(),
-                spec,
-                egress_busy_until: SimTime::ZERO,
-                ingress_busy_until: SimTime::ZERO,
-                stats: LinkStats::default(),
-            },
-        );
-        lid
+        let index = u16::try_from(self.ports.len())
+            .ok()
+            .filter(|&i| i < u16::MAX)
+            .unwrap_or_else(|| panic!("fabric: cannot attach host {name:?}: out of LIDs"));
+        self.ports.push(Port {
+            name: name.to_owned(),
+            spec,
+            switch: self.topology.attach(index),
+            egress_busy_until: SimTime::ZERO,
+            ingress_busy_until: SimTime::ZERO,
+            stats: LinkStats::default(),
+        });
+        Lid(index + 1)
     }
 
     /// Installs a loss model applied to every frame after routing.
@@ -339,20 +351,28 @@ impl Fabric {
         self.switch_latency = latency;
     }
 
-    /// Replaces the switch topology, resetting all inter-link FIFO state.
-    /// Intended for construction time, before any traffic flows.
+    /// Replaces the switch topology: re-attaches every registered host
+    /// and resets all inter-link FIFO state. Intended for construction
+    /// time, before any traffic flows.
     ///
     /// # Panics
     ///
-    /// Panics if `kind` fails [`TopologyKind::validate`].
+    /// Panics if `kind` fails [`TopologyKind::validate`]: an invalid
+    /// topology is a configuration bug and must not enter the fabric.
     pub fn set_topology(&mut self, kind: TopologyKind) {
-        self.topology = kind.build();
+        if let Err(e) = kind.validate() {
+            panic!("fabric: invalid topology: {e}");
+        }
+        self.topology = kind;
+        for (port, index) in self.ports.iter_mut().zip(0..) {
+            port.switch = kind.attach(index);
+        }
         self.links.clear();
     }
 
     /// The serializable parameters of the installed topology.
     pub fn topology_kind(&self) -> TopologyKind {
-        self.topology.kind()
+        self.topology
     }
 
     /// Configures congestion signalling: a hop whose queueing delay
@@ -366,20 +386,21 @@ impl Fabric {
 
     /// Host name registered for `lid`, if any.
     pub fn host_name(&self, lid: Lid) -> Option<&str> {
-        self.ports.get(&lid).map(|p| p.name.as_str())
+        self.ports.get(lid.slot()).map(|p| p.name.as_str())
     }
 
     /// Traffic counters for `lid`'s link.
     pub fn link_stats(&self, lid: Lid) -> Option<LinkStats> {
-        self.ports.get(&lid).map(|p| p.stats)
+        self.ports.get(lid.slot()).map(|p| p.stats)
     }
 
     /// Traffic/congestion counters for every directed inter-switch link
     /// that has carried traffic, in deterministic `(from, to)` order.
     pub fn inter_links(&self) -> impl Iterator<Item = (SwitchId, SwitchId, InterLinkStats)> + '_ {
-        self.links
-            .iter()
-            .map(|(&(a, b), l)| (SwitchId(a), SwitchId(b), l.stats))
+        self.links.iter().zip(0..).flat_map(|(row, from)| {
+            row.iter()
+                .map(move |link| (SwitchId(from), link.to, link.stats))
+        })
     }
 
     /// Total frames submitted to the fabric.
@@ -402,23 +423,12 @@ impl Fabric {
         self.total_pfc_pauses
     }
 
-    /// The switch `lid` attaches to. Attachment is a pure function of
-    /// the LID (hosts are indexed densely from LID 1), so it is stable
-    /// across replicas of a sharded run.
-    fn attachment(&self, lid: Lid) -> SwitchId {
-        self.topology.attach(lid.0 - 1)
-    }
-
     /// The full directed route `src → dst` as host/switch nodes, or
     /// `None` if either endpoint is unregistered. Deterministic: depends
     /// only on the topology and the two LIDs.
     pub fn route(&self, src: Lid, dst: Lid) -> Option<Vec<DirectedLink>> {
-        if !self.ports.contains_key(&src) || !self.ports.contains_key(&dst) {
-            return None;
-        }
-        let switches = self
-            .topology
-            .route_switches(self.attachment(src), self.attachment(dst));
+        let (s, d) = (self.ports.get(src.slot())?, self.ports.get(dst.slot())?);
+        let switches = self.topology.route_switches(s.switch, d.switch);
         let mut hops = Vec::with_capacity(switches.len() + 1);
         let mut prev = RouteNode::Host(src);
         for sw in switches {
@@ -442,16 +452,10 @@ impl Fabric {
     /// cross-shard lookahead is derived from, so it must stay a true
     /// lower bound on any contended transit.
     pub fn idle_transit(&self, src: Lid, dst: Lid, bytes: u32) -> Option<SimTime> {
-        let s = self.ports.get(&src)?;
-        let d = self.ports.get(&dst)?;
-        let hops = self
-            .topology
-            .route_switches(self.attachment(src), self.attachment(dst))
-            .len() as u64
-            - 1;
+        let (s, d) = (self.ports.get(src.slot())?, self.ports.get(dst.slot())?);
         let inter = self.default_spec.serialization(bytes) + self.default_spec.latency;
         let mut t = s.spec.serialization(bytes) + s.spec.latency + self.switch_latency;
-        for _ in 0..hops {
+        for _ in self.topology.hops(s.switch, d.switch) {
             t = t + inter + self.switch_latency;
         }
         Some(t + d.spec.serialization(bytes) + d.spec.latency)
@@ -475,96 +479,96 @@ impl Fabric {
         let switch_latency = self.switch_latency;
 
         // Egress serialization at the source port.
-        let (depart, src_latency) = {
-            let sport = self
-                .ports
-                .get_mut(&src)
-                .unwrap_or_else(|| panic!("transmit from unregistered port {src}"));
-            let start = now.max(sport.egress_busy_until);
-            let ser = sport.spec.serialization(bytes);
-            sport.egress_busy_until = start + ser;
-            sport.stats.tx_frames += 1;
-            sport.stats.tx_bytes += bytes as u64;
-            (start + ser, sport.spec.latency)
+        let src_slot = src.slot();
+        let Some(sport) = self.ports.get_mut(src_slot) else {
+            panic!("transmit from unregistered port {src}");
         };
-        let at_switch = depart + src_latency + switch_latency;
+        let start = now.max(sport.egress_busy_until);
+        let ser = sport.spec.serialization(bytes);
+        sport.egress_busy_until = start + ser;
+        sport.stats.tx_frames += 1;
+        sport.stats.tx_bytes += bytes as u64;
+        let src_sw = sport.switch;
+        let at_switch = start + ser + sport.spec.latency + switch_latency;
 
         // Routing: unknown LIDs die at the first switch.
-        if !dst.is_valid() || !self.ports.contains_key(&dst) {
-            return self.drop_frame(src, DropReason::UnknownDestination);
-        }
+        let dst_slot = dst.slot();
+        let Some(dst_sw) = self.ports.get(dst_slot).map(|p| p.switch) else {
+            return self.drop_frame(src_slot, DropReason::UnknownDestination);
+        };
 
         // Injected loss (applied post-routing, i.e. in the fabric).
         if self.loss.drop(now, src, dst) {
-            return self.drop_frame(src, DropReason::Injected);
+            return self.drop_frame(src_slot, DropReason::Injected);
         }
 
         // Inter-switch hops. On the crossbar (and whenever src and dst
-        // share a switch) the route is a single switch, this loop never
-        // runs, and `t` is exactly the historical `at_switch` — no
-        // allocation, no arithmetic drift.
+        // share a switch) there are none, and `t` is exactly the
+        // historical `at_switch` — no arithmetic drift. The walk itself
+        // allocates nothing; only a link's first frame creates its entry.
         let mut t = at_switch;
         let mut ecn = false;
-        let (src_sw, dst_sw) = (self.attachment(src), self.attachment(dst));
         if src_sw != dst_sw {
             let ser = self.default_spec.serialization(bytes);
             let inter_latency = self.default_spec.latency;
-            // Key of the hop feeding the current one, for PFC backpressure.
-            let mut prev_key: Option<(u16, u16)> = None;
-            let path = self.topology.route_switches(src_sw, dst_sw);
-            for w in path.windows(2) {
-                let key = (w[0].0, w[1].0);
-                let mut pause_until = None;
-                {
-                    let link = self.links.entry(key).or_default();
-                    let start = t.max(link.busy_until);
-                    let wait = start.saturating_sub(t);
-                    if self.ecn_threshold.is_some_and(|thr| wait > thr) {
-                        ecn = true;
-                        link.stats.ecn_marks += 1;
-                        self.total_ecn_marks += 1;
-                    }
-                    if let Some(thr) = self.pfc_threshold.filter(|&thr| wait > thr) {
-                        // Pause the upstream feeder until this hop's
-                        // backlog drains back under the threshold.
-                        pause_until = Some(start.saturating_sub(thr));
-                        link.stats.pauses += 1;
-                        self.total_pfc_pauses += 1;
-                    }
-                    link.busy_until = start + ser;
-                    link.stats.frames += 1;
-                    link.stats.bytes += bytes as u64;
-                    link.stats.busy_ns += ser.as_ns();
-                    link.stats.peak_backlog_ns = link.stats.peak_backlog_ns.max(wait.as_ns());
-                    t = start + ser + inter_latency + switch_latency;
+            // Row and index of the hop feeding the current one, for PFC
+            // backpressure. A route never revisits a switch, so later
+            // hops do not disturb an earlier row.
+            let mut prev: Option<(usize, usize)> = None;
+            for (from, to) in self.topology.hops(src_sw, dst_sw) {
+                let row = usize::from(from.0);
+                if self.links.len() <= row {
+                    self.links.resize_with(row + 1, Vec::new);
                 }
+                let out = &mut self.links[row];
+                let at = out
+                    .binary_search_by_key(&to, |l| l.to)
+                    .unwrap_or_else(|at| {
+                        let idle = InterLink {
+                            to,
+                            busy_until: SimTime::ZERO,
+                            stats: InterLinkStats::default(),
+                        };
+                        out.insert(at, idle);
+                        at
+                    });
+                let link = &mut out[at];
+                let start = t.max(link.busy_until);
+                let wait = start.saturating_sub(t);
+                if self.ecn_threshold.is_some_and(|thr| wait > thr) {
+                    ecn = true;
+                    link.stats.ecn_marks += 1;
+                    self.total_ecn_marks += 1;
+                }
+                let mut pause_until = None;
+                if let Some(thr) = self.pfc_threshold.filter(|&thr| wait > thr) {
+                    // Pause the upstream feeder until this hop's
+                    // backlog drains back under the threshold.
+                    pause_until = Some(start.saturating_sub(thr));
+                    link.stats.pauses += 1;
+                    self.total_pfc_pauses += 1;
+                }
+                link.busy_until = start + ser;
+                link.stats.frames += 1;
+                link.stats.bytes += bytes as u64;
+                link.stats.busy_ns += ser.as_ns();
+                link.stats.peak_backlog_ns = link.stats.peak_backlog_ns.max(wait.as_ns());
+                t = start + ser + inter_latency + switch_latency;
                 if let Some(until) = pause_until {
-                    match prev_key {
+                    let feeder = match prev {
                         // First hop: backpressure lands on the source
                         // host's egress port.
-                        None => {
-                            if let Some(sport) = self.ports.get_mut(&src) {
-                                sport.egress_busy_until = sport.egress_busy_until.max(until);
-                            }
-                        }
-                        Some(pk) => {
-                            if let Some(plink) = self.links.get_mut(&pk) {
-                                plink.busy_until = plink.busy_until.max(until);
-                            }
-                        }
-                    }
+                        None => &mut self.ports[src_slot].egress_busy_until,
+                        Some((row, at)) => &mut self.links[row][at].busy_until,
+                    };
+                    *feeder = (*feeder).max(until);
                 }
-                prev_key = Some(key);
+                prev = Some((row, at));
             }
         }
 
         // Last-switch egress serialization toward the destination.
-        // Routing above guarantees the port exists; if the map
-        // nevertheless has no entry, fold it into the structured drop
-        // path rather than panicking mid-simulation.
-        let Some(dport) = self.ports.get_mut(&dst) else {
-            return self.drop_frame(src, DropReason::UnknownDestination);
-        };
+        let dport = &mut self.ports[dst_slot];
         let start = t.max(dport.ingress_busy_until);
         let ser = dport.spec.serialization(bytes);
         dport.ingress_busy_until = start + ser;
@@ -576,16 +580,11 @@ impl Fabric {
         }
     }
 
-    /// Accounts one dropped frame against `src` and the fabric totals.
-    ///
-    /// `src` was validated at the top of [`Fabric::transit`]; an absent
-    /// source port here simply loses its per-link attribution rather
-    /// than aborting the run.
-    fn drop_frame(&mut self, src: Lid, reason: DropReason) -> Delivery {
+    /// Accounts one dropped frame against the fabric totals and the
+    /// source port at `src_slot`, which [`Fabric::transit`] validated.
+    fn drop_frame(&mut self, src_slot: usize, reason: DropReason) -> Delivery {
         self.total_drops += 1;
-        if let Some(sport) = self.ports.get_mut(&src) {
-            sport.stats.dropped += 1;
-        }
+        self.ports[src_slot].stats.dropped += 1;
         Delivery::Dropped(reason)
     }
 }
@@ -658,6 +657,46 @@ mod tests {
         );
         // The crossbar has no inter-switch links, ever.
         assert_eq!(f.inter_links().count(), 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "invalid topology")]
+    fn installing_an_invalid_topology_panics() {
+        Fabric::new(LinkSpec::fdr()).set_topology(TopologyKind::Ring { switches: 0 });
+    }
+
+    #[test]
+    fn idle_transit_is_what_transit_does_on_an_idle_fabric() {
+        let kinds = TopologyKind::ALL_SAMPLES.into_iter().chain([
+            TopologyKind::FatTree { k: 4 },
+            TopologyKind::FatTree { k: 8 },
+            TopologyKind::Ring { switches: 2 },
+            TopologyKind::Ring { switches: 5 },
+            TopologyKind::Ring { switches: 8 },
+            TopologyKind::Dragonfly { groups: 3 },
+            TopologyKind::Dragonfly { groups: 4 },
+        ]);
+        for kind in kinds {
+            // One host more than there are switches, so the sweep covers
+            // every attachment switch and one pair that shares a switch.
+            let hosts = kind.switch_count() + 1;
+            for (src, dst) in (1..=hosts).flat_map(|s| (1..=hosts).map(move |d| (Lid(s), Lid(d)))) {
+                for bytes in [0, 13, 4096] {
+                    let mut f = Fabric::new(LinkSpec::edr());
+                    f.set_topology(kind);
+                    for h in 0..hosts {
+                        f.add_host(&format!("h{h}"));
+                    }
+                    let idle = f.idle_transit(src, dst, bytes);
+                    assert!(idle.is_some(), "{kind} {src}->{dst}");
+                    assert_eq!(
+                        f.transit(SimTime::ZERO, src, dst, bytes).arrival(),
+                        idle,
+                        "{kind} {src}->{dst} {bytes} B"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

@@ -770,6 +770,26 @@ mod tests {
         assert!(err.contains("unknown topology kind"), "{err}");
     }
 
+    /// A size whose switch ids do not fit 16 bits used to parse and then
+    /// overflow in `attach` mid-run; it is a parse error now, and the
+    /// largest size that does parse runs clean through the oracle.
+    #[test]
+    fn topology_facet_rejects_sizes_that_cannot_route() {
+        for token in ["dragonfly40000", "dragonfly32768", "fattree65534"] {
+            let text = format!("ibsim-scenario v1\nname=x\ntopology={token}\n");
+            let err = Scenario::parse(&text).expect_err(token);
+            assert!(err.contains("16-bit"), "{token}: {err}");
+        }
+        for token in ["dragonfly32767", "fattree43690", "ring65535"] {
+            let mut text = sample().to_spec_string();
+            text.push_str(&format!("topology={token}\n"));
+            let sc = Scenario::parse(&text).expect(token);
+            assert_eq!(sc.topology.to_string(), token);
+            let report = crate::check_run(&sc, &crate::run_scenario(&sc));
+            assert!(report.is_clean(), "{token}:\n{report}");
+        }
+    }
+
     /// Pins the canonical facet order (`recovery=` → `topology=` →
     /// `shards=`) and the emit-only-when-non-default rule. Corpus hashes
     /// are FNV over the spec string, so the facet block's byte layout is

@@ -32,14 +32,20 @@
 //!
 //! ## Single-writer contract
 //!
-//! [`Fabric::transit`] mutates the *source* port's egress clock and the
-//! *destination* port's ingress clock on the replica that executes the
-//! send. All hosts whose QPs peer into a given destination must
-//! therefore live on one shard (not necessarily the destination's own);
-//! [`Cluster::validate_sharding`] checks this after the build and the
-//! fabric's per-port counters merge by summation.
+//! [`Fabric::transit`] runs on the replica that executes the send and
+//! advances the serialization clock of **every directed link** on the
+//! frame's route: the source port's egress, each inter-switch link of a
+//! routed topology, and the destination port's ingress. Every directed
+//! link must therefore carry frames sent from a single shard — on the
+//! crossbar that is the rule "all hosts whose QPs peer into one
+//! destination live on one shard (not necessarily the destination's
+//! own)"; on a fat-tree it also forbids two shards sharing an uplink.
+//! [`Cluster::validate_sharding`] walks [`Fabric::route`] for every
+//! connected QP pair to check this after the build, and the fabric's
+//! per-port and per-link counters merge by summation.
 //!
-//! [`Fabric::transit`]: ibsim_fabric::Fabric
+//! [`Fabric::transit`]: ibsim_fabric::Fabric::transit
+//! [`Fabric::route`]: ibsim_fabric::Fabric::route
 
 use std::collections::BTreeMap;
 use std::sync::Mutex;
