@@ -25,7 +25,6 @@ fn print_run(name: &str, r: &CongestionRun, widths: &[usize]) {
                 r.uplink_peak_backlog_ns.to_string(),
                 r.ecn_marks.to_string(),
                 format!("{:.3}", r.exec.as_secs_f64() * 1e3),
-                format!("{:.2}", r.wall_secs),
             ],
             widths,
         )
@@ -41,7 +40,7 @@ fn main() {
 
     let study = congestion_study(quick);
 
-    let widths = [10, 12, 12, 6, 11, 13, 9, 9, 6];
+    let widths = [10, 12, 12, 6, 11, 13, 9, 9];
     println!(
         "{}",
         row(
@@ -54,7 +53,6 @@ fn main() {
                 "peak_blog_ns".into(),
                 "ecn_marks".into(),
                 "exec_ms".into(),
-                "wall_s".into(),
             ],
             &widths,
         )

@@ -26,7 +26,7 @@
 //!
 //! Exits non-zero on any failure, printing the offending reports first.
 
-use ibsim_bench::{header, quick_mode, row};
+use ibsim_bench::{arg_str, arg_value, header, quick_mode, row};
 use ibsim_scenario::{
     check_run_with, paper_corpus, random_scenario, run_corpus, run_scenario, shrink, CorpusOutcome,
     Injection, Scenario,
@@ -70,20 +70,6 @@ fn main() {
         std::process::exit(1);
     }
     println!("\n[scenario] all stages passed");
-}
-
-/// Parses `--flag N` from the command line.
-fn arg_value(flag: &str) -> Option<usize> {
-    let args: Vec<String> = std::env::args().collect();
-    let i = args.iter().position(|a| a == flag)?;
-    args.get(i + 1)?.parse().ok()
-}
-
-/// Parses `--flag value` from the command line as a string.
-fn arg_str(flag: &str) -> Option<String> {
-    let args: Vec<String> = std::env::args().collect();
-    let i = args.iter().position(|a| a == flag)?;
-    args.get(i + 1).cloned()
 }
 
 /// Runs one batch twice — a sequential-engine baseline with 1 worker,

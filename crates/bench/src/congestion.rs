@@ -19,10 +19,7 @@
 //!   measurably less damaging to the bystander at identical offered
 //!   load and identical fault schedule.
 //!
-//! The `congestion` bin asserts both inequalities; `perfsuite` records
-//! the three p99s in `BENCH_<pr>.json` so the trajectory pins them.
-
-use std::time::Instant;
+//! The `congestion` bin asserts both inequalities.
 
 use ibsim_event::SimTime;
 use ibsim_fabric::{Fabric, LinkSpec, TopologyKind};
@@ -57,7 +54,7 @@ fn uplink_spec() -> LinkSpec {
     }
 }
 
-/// Measured outcome of one congestion run.
+/// Simulated outcome of one congestion run.
 #[derive(Debug, Clone, Copy)]
 pub struct CongestionRun {
     /// Victim post-to-completion p99, in nanoseconds (log2-bucket lower
@@ -77,8 +74,6 @@ pub struct CongestionRun {
     pub ecn_marks: u64,
     /// Simulated end-to-end time.
     pub exec: SimTime,
-    /// Host wall-clock seconds.
-    pub wall_secs: f64,
 }
 
 /// p99 from a log2 histogram: the lower bound of the bucket containing
@@ -106,7 +101,6 @@ fn p99_ns(h: &Histogram) -> u64 {
 /// recovery backend. The victim QP is created first and always runs
 /// go-back-N: only the storm's backend varies between runs.
 pub fn run_congestion(storm: Option<RecoveryKind>, quick: bool) -> CongestionRun {
-    let started = Instant::now();
     let storm_qps = if quick { STORM_QPS / 4 } else { STORM_QPS };
     let device = DeviceProfile::connectx4(LinkSpec::fdr());
 
@@ -206,7 +200,6 @@ pub fn run_congestion(storm: Option<RecoveryKind>, quick: bool) -> CongestionRun
         uplink_peak_backlog_ns: peak,
         ecn_marks: marks,
         exec: eng.now(),
-        wall_secs: started.elapsed().as_secs_f64(),
     }
 }
 

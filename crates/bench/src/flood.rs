@@ -1,13 +1,13 @@
-//! The shared §VI flood rung: the workload behind both the `qpsweep`
-//! scaling gate and the `perfsuite` trajectory artifact.
+//! The §VI flood rung: the workload behind the `qpsweep` scaling gate.
 //!
 //! Each rung shards its QPs across independent client/server host pairs
 //! of [`SHARD_QPS`] QPs each — one §VI flood per shard (all READs
 //! landing on one cold client-side ODP page) — inside a *single*
 //! engine, so one shared event heap carries thousands of concurrently
 //! armed keyed timers (ACK timeouts, RNR waits, 0.5 ms stall ticks).
-//! Keeping the workload in one place guarantees the perf numbers in
-//! `BENCH_<pr>.json` measure exactly what the qpsweep gate enforces.
+//! A rung reports simulated quantities only; how fast the host ran it
+//! is the benchmark's business (`BENCHMARK.json`, workloads `flood` and
+//! `wide`).
 //!
 //! [`run_flood_rung_sharded`] runs the identical workload on the
 //! conservative-lookahead PDES executor. The host pairs are independent
@@ -16,8 +16,6 @@
 //! floor — the shards genuinely run concurrently, and the rung must
 //! still reproduce the sequential completion counts, span counts and
 //! simulated end time exactly.
-
-use std::time::Instant;
 
 use ibsim_event::{QueueStats, SimTime};
 use ibsim_fabric::LinkSpec;
@@ -29,15 +27,13 @@ use ibsim_verbs::{
 /// QPs per client/server host pair — the paper's §VI flood scale.
 pub const SHARD_QPS: usize = 64;
 
-/// Measured outcome of one flood rung.
+/// Simulated outcome of one flood rung.
 #[derive(Debug, Clone)]
 pub struct FloodRung {
     /// Total QPs in the rung (a multiple of [`SHARD_QPS`]).
     pub qps: usize,
     /// Simulated completion time of the whole rung.
     pub exec: SimTime,
-    /// Host wall-clock seconds the rung took, setup included.
-    pub wall_secs: f64,
     /// Completions drained across every client CQ (one per QP when the
     /// flood fully drains).
     pub completions: usize,
@@ -108,7 +104,6 @@ fn rung_clients(qps: usize) -> Vec<HostId> {
 
 /// Runs one rung sequentially.
 pub fn run_flood_rung(qps: usize) -> FloodRung {
-    let started = Instant::now();
     let (mut eng, mut cl) = build_flood_rung(qps, None);
     eng.run(&mut cl);
     cl.sync_telemetry(&eng);
@@ -116,7 +111,6 @@ pub fn run_flood_rung(qps: usize) -> FloodRung {
     FloodRung {
         qps,
         exec: eng.now(),
-        wall_secs: started.elapsed().as_secs_f64(),
         completions,
         stats: eng.queue_stats(),
         spans: cl.telemetry().spans().len(),
@@ -125,11 +119,9 @@ pub fn run_flood_rung(qps: usize) -> FloodRung {
 
 /// Runs one rung on `shards` PDES shards with a pair-aligned block
 /// owner map (client and server of a pair always co-located, so there
-/// are no cross-shard links). Reproduces [`run_flood_rung`]'s simulated
-/// outcome exactly; only `wall_secs` (and `stats.peak_depth`) may
-/// differ.
+/// are no cross-shard links). Reproduces [`run_flood_rung`]'s outcome
+/// exactly; only `stats.peak_depth` may differ.
 pub fn run_flood_rung_sharded(qps: usize, shards: usize) -> FloodRung {
-    let started = Instant::now();
     let pairs = qps / SHARD_QPS;
     let owner: Vec<usize> = (0..pairs * 2).map(|h| (h / 2) * shards / pairs).collect();
     let plan = ShardPlan::new(shards, owner);
@@ -172,7 +164,6 @@ pub fn run_flood_rung_sharded(qps: usize, shards: usize) -> FloodRung {
     FloodRung {
         qps,
         exec: end,
-        wall_secs: started.elapsed().as_secs_f64(),
         completions,
         stats,
         spans: telemetry.spans().len(),

@@ -21,21 +21,76 @@
 //! | `fig12` | Fig. 12 ArgoDSM init/finalize histograms |
 //! | `table13` | Fig. 13 SparkUCX table |
 //! | `all` | everything above, in sequence |
-//! | `perfsuite` | perf trajectory artifact (`BENCH_<pr>.json`) |
+//! | `qpsweep` | §VI flood scaling gate, 64 → 4096 QPs (`flood`) |
+//! | `congestion` | shared-uplink storm/victim study (`congestion`) |
+//! | `recovery` | recovery-backend ablation |
+//! | `scenario` | scenario corpus + fuzz conformance runner |
 //!
-//! This library hosts the shared formatting and statistics helpers.
+//! Every bin prints simulated quantities only: no crate of the root
+//! workspace reads a host clock (`ibsim-lint` enforces it). Speed is
+//! measured by the benchmark package — `BENCHMARK.json`.
+//!
+//! This library hosts the shared formatting, statistics and flag
+//! helpers.
 
 #![warn(missing_docs)]
 
 pub mod congestion;
 pub mod flood;
-pub mod json;
 
 use ibsim_event::SimTime;
 
 /// Returns true if `--quick` was passed: run a reduced-scale variant.
 pub fn quick_mode() -> bool {
     std::env::args().any(|a| a == "--quick")
+}
+
+/// The token following `flag` in `args`, `Ok(None)` when the flag is
+/// absent, `Err` naming the flag when it is last or followed by another
+/// `--flag` — a flag that is present must never fall back to a default.
+fn flag_str<'a>(args: &'a [String], flag: &str) -> Result<Option<&'a str>, String> {
+    let Some(i) = args.iter().position(|a| a == flag) else {
+        return Ok(None);
+    };
+    match args.get(i + 1) {
+        Some(v) if !v.starts_with("--") => Ok(Some(v)),
+        _ => Err(format!("{flag} needs a value")),
+    }
+}
+
+/// [`flag_str`] parsed as a count.
+fn flag_value(args: &[String], flag: &str) -> Result<Option<usize>, String> {
+    let Some(v) = flag_str(args, flag)? else {
+        return Ok(None);
+    };
+    v.parse()
+        .map(Some)
+        .map_err(|_| format!("{flag} needs a non-negative integer, got `{v}`"))
+}
+
+/// Prints a flag error and exits non-zero.
+fn or_exit<T>(parsed: Result<T, String>) -> T {
+    parsed.unwrap_or_else(|e| {
+        eprintln!("error: {e}");
+        std::process::exit(2)
+    })
+}
+
+/// `--flag value` from the command line as a string; `None` when the
+/// flag is absent. Exits non-zero, naming the flag, when it is present
+/// without a value.
+pub fn arg_str(flag: &str) -> Option<String> {
+    let args: Vec<String> = std::env::args().collect();
+    or_exit(flag_str(&args, flag)).map(str::to_owned)
+}
+
+/// `--flag N` from the command line; `None` when the flag is absent.
+/// Exits non-zero, naming the flag, when the value is missing or is not
+/// a non-negative integer — `--shards x` must not quietly become the
+/// default and turn a conformance stage into a sequential run.
+pub fn arg_value(flag: &str) -> Option<usize> {
+    let args: Vec<String> = std::env::args().collect();
+    or_exit(flag_value(&args, flag))
 }
 
 /// Sample mean in seconds.
@@ -98,6 +153,38 @@ mod tests {
         assert!(std_secs(&s) > 0.0);
         assert_eq!(std_secs(&s[..1]), 0.0);
         assert_eq!(mean_secs(&[]), 0.0);
+    }
+
+    fn args(line: &str) -> Vec<String> {
+        line.split_whitespace().map(str::to_owned).collect()
+    }
+
+    #[test]
+    fn flags_parse_or_are_absent() {
+        let a = args("scenario --workers 4 --only fattree,ring --shards 0");
+        assert_eq!(flag_value(&a, "--workers"), Ok(Some(4)));
+        assert_eq!(flag_value(&a, "--shards"), Ok(Some(0)));
+        assert_eq!(flag_str(&a, "--only"), Ok(Some("fattree,ring")));
+        assert_eq!(flag_value(&a, "--fuzz"), Ok(None));
+        assert_eq!(flag_str(&a, "--fuzz"), Ok(None));
+    }
+
+    #[test]
+    fn present_flags_never_fall_back_to_the_default() {
+        for line in [
+            "scenario --shards x",
+            "scenario --shards 4x",
+            "scenario --shards -1",
+            "scenario --shards",
+            "scenario --shards --workers 4",
+        ] {
+            let err = flag_value(&args(line), "--shards").expect_err(line);
+            assert!(err.contains("--shards"), "{line}: {err}");
+        }
+        for line in ["scenario --only", "scenario --only --shards 4"] {
+            let err = flag_str(&args(line), "--only").expect_err(line);
+            assert!(err.contains("--only"), "{line}: {err}");
+        }
     }
 
     #[test]

@@ -125,3 +125,46 @@ fn ibperf_reports_latency_and_bandwidth() {
     assert!(out.contains("odp+prefetch"));
     assert!(out.contains("size_bytes,read_MiBps"));
 }
+
+/// Runs a bin twice and returns its stdout once both runs agree byte for
+/// byte: every column left is a simulated quantity, so nothing a host
+/// clock could move is printed.
+fn run_twice(bin: &str) -> String {
+    let out = run(bin, true);
+    assert_eq!(out, run(bin, true), "{bin} --quick is not reproducible");
+    out
+}
+
+#[test]
+fn qpsweep_is_reproducible_and_smokes_the_sharded_rung() {
+    let out = run_twice(env!("CARGO_BIN_EXE_qpsweep"));
+    assert!(!out.contains("wall"), "{out}");
+    assert!(
+        out.contains(
+            "pdes smoke: 256 QPs on 4 shards: 256 completions, 4 spans \
+             (sequential: 256 completions, 4 spans)"
+        ),
+        "{out}"
+    );
+}
+
+#[test]
+fn congestion_is_reproducible_and_holds_its_inequalities() {
+    let out = run_twice(env!("CARGO_BIN_EXE_congestion"));
+    assert!(!out.contains("wall"), "{out}");
+    assert_eq!(out.matches("[PASS]").count(), 3, "{out}");
+}
+
+#[test]
+fn scenario_refuses_a_flag_it_cannot_parse() {
+    for args in [&["--shards", "4x"][..], &["--workers"], &["--only"]] {
+        let out = Command::new(env!("CARGO_BIN_EXE_scenario"))
+            .args(args)
+            .output()
+            .unwrap_or_else(|e| panic!("spawn scenario: {e}"));
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(!out.status.success(), "{args:?} ran anyway");
+        assert!(err.contains(args[0]), "{args:?}: {err}");
+        assert!(out.stdout.is_empty(), "{args:?} started a stage first");
+    }
+}

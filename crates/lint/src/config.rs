@@ -3,12 +3,11 @@
 //! The scoping policy, in one place so DESIGN 8.7 and the engine cannot
 //! drift apart:
 //!
-//! * **no-unwrap** and **no-std-hash-collections** apply to every crate
-//!   in the workspace, including `bench` and this lint crate itself
-//!   (the self-check).
-//! * **no-wall-clock** applies everywhere except `crates/bench`, whose
-//!   harness legitimately measures host time (qpsweep wall-ratio
-//!   budgets).
+//! * **no-unwrap**, **no-wall-clock** and **no-std-hash-collections**
+//!   apply to every crate in the workspace, including `bench` and this
+//!   lint crate itself (the self-check). No crate of the root workspace
+//!   reads a host clock: speed is measured from outside, by the
+//!   `benchmark/` package, which is its own workspace and not a root.
 //! * **no-float-in-sim-path** applies to the sim-time crates `event`,
 //!   `verbs`, `fabric`, and `core` (the ODP crate), minus the
 //!   documented float-boundary files listed in
@@ -39,8 +38,6 @@ pub struct RootConfig {
     /// Workspace-relative directory whose `src/` tree is walked
     /// (`"src"` means the workspace root crate).
     pub dir: &'static str,
-    /// Enforce no-wall-clock here.
-    pub wall_clock: bool,
     /// Enforce no-float-in-sim-path here.
     pub float_path: bool,
     /// Enforce no-wildcard-match-on-protocol-enums here.
@@ -53,98 +50,84 @@ pub struct RootConfig {
 pub const ROOTS: &[RootConfig] = &[
     RootConfig {
         dir: "crates/analysis",
-        wall_clock: true,
         float_path: false,
         wildcard: true,
         retransmit: false,
     },
     RootConfig {
         dir: "crates/bench",
-        wall_clock: false,
         float_path: false,
         wildcard: false,
         retransmit: false,
     },
     RootConfig {
         dir: "crates/core",
-        wall_clock: true,
         float_path: true,
         wildcard: false,
         retransmit: false,
     },
     RootConfig {
         dir: "crates/dsm",
-        wall_clock: true,
         float_path: false,
         wildcard: false,
         retransmit: false,
     },
     RootConfig {
         dir: "crates/event",
-        wall_clock: true,
         float_path: true,
         wildcard: false,
         retransmit: false,
     },
     RootConfig {
         dir: "crates/fabric",
-        wall_clock: true,
         float_path: true,
         wildcard: true,
         retransmit: false,
     },
     RootConfig {
         dir: "crates/lint",
-        wall_clock: true,
         float_path: false,
         wildcard: false,
         retransmit: false,
     },
     RootConfig {
         dir: "crates/perftest",
-        wall_clock: true,
         float_path: false,
         wildcard: false,
         retransmit: false,
     },
     RootConfig {
         dir: "crates/scenario",
-        wall_clock: true,
         float_path: false,
         wildcard: true,
         retransmit: false,
     },
     RootConfig {
         dir: "crates/shuffle",
-        wall_clock: true,
         float_path: false,
         wildcard: false,
         retransmit: false,
     },
     RootConfig {
         dir: "crates/telemetry",
-        wall_clock: true,
         float_path: false,
         wildcard: false,
         retransmit: false,
     },
     RootConfig {
         dir: "crates/ucp",
-        wall_clock: true,
         float_path: false,
         wildcard: false,
         retransmit: false,
     },
     RootConfig {
         dir: "crates/verbs",
-        wall_clock: true,
         float_path: true,
         wildcard: true,
         retransmit: true,
     },
     RootConfig {
         dir: "src",
-        wall_clock: true,
         float_path: false,
         wildcard: false,
         retransmit: false,
@@ -204,7 +187,7 @@ pub fn policy_for(rel: &str) -> Option<Policy> {
     let sanctioned = RETRANSMIT_SANCTIONED_FILES.contains(&rel);
     Some(Policy {
         no_unwrap: true,
-        no_wall_clock: root.wall_clock,
+        no_wall_clock: true,
         no_std_hash_collections: true,
         no_float_in_sim_path: root.float_path && !boundary,
         no_wildcard_match: root.wildcard,
@@ -231,7 +214,7 @@ mod tests {
         assert!(!analysis.no_direct_retransmit, "only verbs builds packets");
 
         let bench = policy_for("crates/bench/src/bin/qpsweep.rs").expect("bench is linted");
-        assert!(bench.no_unwrap && !bench.no_wall_clock && !bench.no_float_in_sim_path);
+        assert!(bench.no_unwrap && bench.no_wall_clock && !bench.no_float_in_sim_path);
 
         let boundary = policy_for("crates/event/src/time.rs").expect("time.rs is linted");
         assert!(!boundary.no_float_in_sim_path && boundary.no_wall_clock);
@@ -265,7 +248,10 @@ mod tests {
                 format!("{}/src/probe.rs", r.dir)
             };
             let p = policy_for(&rel).expect("configured root must be linted");
-            assert!(p.no_unwrap && p.no_std_hash_collections, "{rel}");
+            assert!(
+                p.no_unwrap && p.no_wall_clock && p.no_std_hash_collections,
+                "{rel}"
+            );
         }
     }
 }

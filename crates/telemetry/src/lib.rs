@@ -36,7 +36,7 @@ use std::collections::BTreeMap;
 use ibsim_event::SimTime;
 
 pub use export::{export_jsonl, metrics_csv, render_summary, spans_csv};
-pub use registry::{Histogram, Instrument, Labels, MetricHandle, Registry, HISTOGRAM_BUCKETS};
+pub use registry::{Histogram, Instrument, Labels, Registry, HISTOGRAM_BUCKETS};
 pub use span::{FaultSpan, SpanStore, STAGE_NAMES};
 
 /// Maps a QP state name (as rendered by the verbs crate) to the static
@@ -139,28 +139,6 @@ impl Telemetry {
     pub fn observe(&mut self, name: &'static str, labels: Labels, v: u64) {
         if self.enabled {
             self.registry.observe(name, labels, v);
-        }
-    }
-
-    /// Registers a counter and returns a handle for tree-walk-free
-    /// recording on hot paths, or `None` while disabled (so disabled
-    /// hubs register nothing). Callers cache the handle lazily and
-    /// re-acquire after anything that replaces the hub (e.g.
-    /// `std::mem::take`, which leaves a disabled hub — a handle from the
-    /// old hub is bounds-checked against the new empty slab and no-ops).
-    pub fn counter_handle(&mut self, name: &'static str, labels: Labels) -> Option<MetricHandle> {
-        if self.enabled {
-            Some(self.registry.counter_handle(name, labels))
-        } else {
-            None
-        }
-    }
-
-    /// Adds `delta` to the counter behind `h` (no-op while disabled or
-    /// when `h` does not resolve in the current registry).
-    pub fn counter_add_handle(&mut self, h: MetricHandle, delta: u64) {
-        if self.enabled {
-            self.registry.counter_add_handle(h, delta);
         }
     }
 

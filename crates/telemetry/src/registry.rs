@@ -177,16 +177,6 @@ impl Instrument {
     }
 }
 
-/// A stable, copyable reference to one registry slot, acquired with
-/// [`Registry::counter_handle`]. Recording through a handle skips the
-/// `(name, labels)` tree walk — the hot-path optimization for per-packet
-/// counters. Handles stay valid for the lifetime of the registry they
-/// came from (slots are never reindexed, even by [`Registry::remove`]);
-/// a handle applied to a *different* registry is bounds-checked and
-/// silently ignored when out of range.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct MetricHandle(usize);
-
 /// The metric registry: `(name, labels) → instrument`.
 ///
 /// Names are `&'static str` by design — the metric namespace is closed
@@ -194,8 +184,7 @@ pub struct MetricHandle(usize);
 /// export order a compile-time property.
 ///
 /// Internally a slab: a sorted index maps keys to slots in an append-only
-/// `Vec`. Exporters walk the index (deterministic order); the hot path
-/// records through [`MetricHandle`]s that jump straight to a slot.
+/// `Vec`. Exporters walk the index (deterministic order).
 #[derive(Debug, Default)]
 pub struct Registry {
     index: BTreeMap<(&'static str, Labels), usize>,
@@ -228,20 +217,6 @@ impl Registry {
     pub fn counter_add(&mut self, name: &'static str, labels: Labels, delta: u64) {
         let i = self.slot_of(name, labels, || Instrument::Counter(0));
         if let Instrument::Counter(v) = &mut self.slots[i] {
-            *v += delta;
-        }
-    }
-
-    /// Registers the counter `(name, labels)` (creating it at zero) and
-    /// returns a handle for tree-walk-free recording.
-    pub fn counter_handle(&mut self, name: &'static str, labels: Labels) -> MetricHandle {
-        MetricHandle(self.slot_of(name, labels, || Instrument::Counter(0)))
-    }
-
-    /// Adds `delta` to the counter behind `h`. Out-of-range handles (from
-    /// another registry) and non-counter slots are silently ignored.
-    pub fn counter_add_handle(&mut self, h: MetricHandle, delta: u64) {
-        if let Some(Instrument::Counter(v)) = self.slots.get_mut(h.0) {
             *v += delta;
         }
     }
@@ -337,9 +312,8 @@ impl Registry {
 
     /// Removes one instrument from the index; returns whether it existed.
     ///
-    /// The backing slot is orphaned, not reindexed — outstanding
-    /// [`MetricHandle`]s to *other* slots stay valid, and a stale handle
-    /// to the removed slot mutates storage no exporter visits.
+    /// The backing slot is orphaned, not reindexed: no exporter visits
+    /// it again.
     pub fn remove(&mut self, name: &'static str, labels: Labels) -> bool {
         self.index.remove(&(name, labels)).is_some()
     }
@@ -369,34 +343,12 @@ mod tests {
     }
 
     #[test]
-    fn handles_alias_the_named_counter() {
+    fn remove_drops_one_key_and_keeps_the_rest() {
         let mut r = Registry::new();
-        r.counter_add("packets.total", Labels::host(3), 2);
-        let h = r.counter_handle("packets.total", Labels::host(3));
-        r.counter_add_handle(h, 5);
-        r.counter_add("packets.total", Labels::host(3), 1);
-        assert_eq!(r.counter("packets.total", Labels::host(3)), Some(8));
-        // A handle for a fresh key registers it at zero.
-        let h2 = r.counter_handle("packets.ack", Labels::NONE);
-        assert_ne!(h, h2);
-        assert_eq!(r.counter("packets.ack", Labels::NONE), Some(0));
-    }
-
-    #[test]
-    fn stale_handles_are_harmless() {
-        let mut r = Registry::new();
-        let h = r.counter_handle("gone", Labels::NONE);
-        // Against an empty registry (the post-`take` state of a hub) the
-        // slot is out of range: bounds-checked no-op.
-        let mut fresh = Registry::new();
-        fresh.counter_add_handle(h, 7);
-        assert!(fresh.is_empty());
-        // After `remove`, the orphaned slot absorbs writes invisibly and
-        // other handles keep working.
-        let keep = r.counter_handle("keep", Labels::NONE);
+        r.counter_add("gone", Labels::NONE, 9);
+        r.counter_add("keep", Labels::NONE, 4);
         assert!(r.remove("gone", Labels::NONE));
-        r.counter_add_handle(h, 9);
-        r.counter_add_handle(keep, 4);
+        assert!(!r.remove("gone", Labels::NONE));
         assert_eq!(r.counter("gone", Labels::NONE), None);
         assert_eq!(r.counter("keep", Labels::NONE), Some(4));
         assert_eq!(r.len(), 1);

@@ -7,7 +7,7 @@ use ibsim_event::{Engine, SimTime};
 use ibsim_fabric::{
     Capture, Delivery, DirectedLink, Direction, Fabric, Lid, LinkSpec, TopologyKind, Xorshift64Star,
 };
-use ibsim_telemetry::{Labels, MetricHandle, Telemetry};
+use ibsim_telemetry::{Labels, Telemetry};
 
 use crate::device::DeviceProfile;
 use crate::driver::{Driver, DriverStats, DriverWork};
@@ -135,15 +135,29 @@ pub struct Cluster {
     /// conservative-lookahead PDES run (see [`crate::sharded`]); `None`
     /// on an ordinary sequential cluster.
     shard: Option<Box<ShardState>>,
-    /// Per-host caches of the hot-path packet-counter handles used by
-    /// `transmit` (slot 0 is `packets.total`, 1..8 the per-kind
-    /// counters), so the per-packet cost is a slab write instead of a
-    /// `(name, labels)` tree walk. Populated lazily only while telemetry
-    /// is enabled — a disabled run registers nothing — and reset by
-    /// [`Cluster::telemetry_enable`] so re-enabling a taken hub can
-    /// never dereference handles from the old registry.
-    packet_handles: Vec<[Option<MetricHandle>; 8]>,
+    /// Per-host transmit counts, one slot per [`TX_COUNTERS`] name,
+    /// bumped by `transmit` whether or not telemetry is on and written
+    /// into the registry by [`Cluster::sync_telemetry_at`].
+    tx_counts: Vec<[u64; TX_COUNTERS.len()]>,
 }
+
+/// The host-labelled `packets.*` counters, in `Cluster::tx_counts` slot
+/// order: the total, the seven packet kinds, then the two fates.
+const TX_COUNTERS: [&str; 10] = [
+    "packets.total",
+    "packets.ack",
+    "packets.rnr_nak",
+    "packets.seq_nak",
+    "packets.nak_other",
+    "packets.response",
+    "packets.retransmit",
+    "packets.request",
+    "packets.ghost",
+    "packets.fabric_drops",
+];
+const TX_TOTAL: usize = 0;
+const TX_GHOST: usize = 8;
+const TX_FABRIC_DROPS: usize = 9;
 
 impl std::fmt::Debug for Cluster {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
@@ -172,7 +186,7 @@ impl Cluster {
             fx_pool: Vec::new(),
             default_recovery: None,
             shard: None,
-            packet_handles: Vec::new(),
+            tx_counts: Vec::new(),
         }
     }
 
@@ -198,7 +212,7 @@ impl Cluster {
             self.lid_to_host.resize(lid.0 as usize + 1, None);
         }
         self.lid_to_host[lid.0 as usize] = Some(host);
-        self.packet_handles.push([None; 8]);
+        self.tx_counts.push([0; TX_COUNTERS.len()]);
         host
     }
 
@@ -499,12 +513,6 @@ impl Cluster {
     /// golden FNV hashes to prove it).
     pub fn telemetry_enable(&mut self) {
         self.telemetry.enable();
-        // Drop any cached counter handles: if the hub was replaced since
-        // they were acquired (`std::mem::take` leaves a fresh disabled
-        // hub), old slot indices must not alias the new registry.
-        for slots in &mut self.packet_handles {
-            *slots = [None; 8];
-        }
     }
 
     /// The observability hub (read side: exporters, assertions).
@@ -568,6 +576,16 @@ impl Cluster {
         t.gauge_set("cluster.total_packets", Labels::NONE, cs.total_packets);
         t.gauge_set("cluster.ghost_packets", Labels::NONE, cs.ghost_packets);
         t.gauge_set("cluster.fabric_drops", Labels::NONE, cs.fabric_drops);
+        // The per-host `packets.*` counters. Only a non-zero count gets a
+        // slot (a host that never sent an RNR NAK exports none), and the
+        // slot is topped up to the count, so syncing twice adds nothing.
+        for (h, counts) in self.tx_counts.iter().enumerate() {
+            let labels = Labels::host(h as u64);
+            for (&name, &n) in TX_COUNTERS.iter().zip(counts).filter(|&(_, &n)| n > 0) {
+                let have = t.registry().counter(name, labels).unwrap_or(0);
+                t.counter_add(name, labels, n.saturating_sub(have));
+            }
+        }
         for (h, (nic, driver)) in self.nics.iter().zip(self.drivers.iter()).enumerate() {
             let labels = Labels::host(h as u64);
             if let Some(ls) = self.fabric.link_stats(nic.lid) {
@@ -691,7 +709,7 @@ impl Cluster {
     /// leader replays them, in global raise order, through its own
     /// replica's RNG via this method.
     pub fn draw_fault_latency(&mut self, lo: u64, hi: u64) -> SimTime {
-        SimTime::from_ns(lo + self.rng.next_below((hi - lo).max(1)))
+        SimTime::from_ns(lo + self.rng.next_below(hi.saturating_sub(lo).max(1)))
     }
 
     /// The conservative cross-shard packet lookahead: the minimum
@@ -1057,70 +1075,46 @@ impl Cluster {
         });
     }
 
-    /// Adds one to the host-labelled counter `name`, going through the
-    /// cached [`MetricHandle`] in `packet_handles[host][slot]` (acquired
-    /// lazily on first use) instead of the registry's `(name, labels)`
-    /// tree walk — `transmit` runs once per packet, and the walk was the
-    /// dominant telemetry cost in the flood profile.
-    fn hot_counter_add(&mut self, host: HostId, slot: usize, name: &'static str) {
-        let cache = &mut self.packet_handles[host.0][slot];
-        let h = match *cache {
-            Some(h) => h,
-            None => {
-                let Some(h) = self
-                    .telemetry
-                    .counter_handle(name, Labels::host(host.0 as u64))
-                else {
-                    return;
-                };
-                *cache = Some(h);
-                h
-            }
-        };
-        self.telemetry.counter_add_handle(h, 1);
-    }
-
     fn transmit(&mut self, eng: &mut Sim, host: HostId, mut pkt: Packet) {
         self.stats.total_packets += 1;
-        let (kind_metric, kind_slot) = match (&pkt.kind, pkt.retransmit) {
+        // The arm's value is the packet kind's slot in `TX_COUNTERS`.
+        let kind_slot = match (&pkt.kind, pkt.retransmit) {
             (PacketKind::Ack, _) => {
                 self.stats.ack_packets += 1;
-                ("packets.ack", 1)
+                1
             }
             (PacketKind::Nak(crate::packet::NakKind::Rnr { .. }), _) => {
                 self.stats.rnr_nak_packets += 1;
-                ("packets.rnr_nak", 2)
+                2
             }
             (PacketKind::Nak(crate::packet::NakKind::SequenceError { .. }), _) => {
                 self.stats.seq_nak_packets += 1;
-                ("packets.seq_nak", 3)
+                3
             }
-            (PacketKind::Nak(_), _) => ("packets.nak_other", 4),
+            (PacketKind::Nak(_), _) => 4,
             (PacketKind::ReadResponse { .. }, _) => {
                 self.stats.response_packets += 1;
-                ("packets.response", 5)
+                5
             }
             (_, true) => {
                 self.stats.retransmit_packets += 1;
-                ("packets.retransmit", 6)
+                6
             }
             (_, false) => {
                 self.stats.request_packets += 1;
-                ("packets.request", 7)
+                7
             }
         };
-        if self.telemetry.is_enabled() {
-            self.hot_counter_add(host, 0, "packets.total");
-            self.hot_counter_add(host, kind_slot, kind_metric);
-        }
+        let tx = &mut self.tx_counts[host.0];
+        tx[TX_TOTAL] += 1;
+        tx[kind_slot] += 1;
         let bytes = pkt.wire_bytes();
         let src_lid = pkt.src;
         let dst_lid = pkt.dst;
         if pkt.ghost {
             // Damming quirk: the capture sees it, the wire never does.
             self.stats.ghost_packets += 1;
-            self.telemetry
-                .counter_add("packets.ghost", Labels::host(host.0 as u64), 1);
+            self.tx_counts[host.0][TX_GHOST] += 1;
             self.captures[host.0].record_with(
                 eng.now(),
                 Direction::Tx,
@@ -1138,8 +1132,7 @@ impl Cluster {
         let dropped = delivery.arrival().is_none();
         if dropped {
             self.stats.fabric_drops += 1;
-            self.telemetry
-                .counter_add("packets.fabric_drops", Labels::host(host.0 as u64), 1);
+            self.tx_counts[host.0][TX_FABRIC_DROPS] += 1;
         }
         // Lazy payload: a disabled capture must not pay the deep clone
         // of the packet (its data `Vec` included) on every frame.
@@ -1503,5 +1496,72 @@ mod tests {
         cl.deliver(&mut eng, a, ack);
         assert_eq!(cl.qp_stats_sum(a).ecn_echoes, 1);
         assert_eq!(cl.qp_stats_sum(b).ecn_echoes, 0);
+    }
+
+    #[test]
+    fn an_inverted_or_empty_fault_window_resolves_at_its_lower_bound() {
+        // Same seed, so both clusters hold the same RNG stream.
+        let mut cl = Cluster::new(11);
+        let mut reference = Cluster::new(11);
+        for (lo, hi) in [(1_000, 250), (1_000, 1_000), (u64::MAX, 0)] {
+            assert_eq!(cl.draw_fault_latency(lo, hi), SimTime::from_ns(lo));
+            // Exactly one draw consumed: the streams stay in step.
+            reference.draw_fault_latency(0, 1);
+            assert_eq!(
+                cl.draw_fault_latency(250, 1_000),
+                reference.draw_fault_latency(250, 1_000),
+                "window ({lo}, {hi})"
+            );
+        }
+    }
+
+    #[test]
+    fn packet_counters_mirror_the_stats_and_sync_is_idempotent() {
+        let (mut eng, mut cl, hosts) = ClusterBuilder::new()
+            .telemetry(true)
+            .host("a", DeviceProfile::connectx6())
+            .host("b", DeviceProfile::connectx6())
+            .build();
+        let (a, b) = (hosts[0], hosts[1]);
+        let src = cl.alloc_mr(b, 4096, MrMode::Pinned);
+        let dst = cl.alloc_mr(a, 4096, MrMode::Pinned);
+        let (qa, _) = cl.connect_pair(&mut eng, a, b, QpConfig::default());
+        cl.post(
+            &mut eng,
+            a,
+            qa,
+            crate::wr::ReadWr::new(dst, src).len(64).id(1),
+        );
+        eng.run(&mut cl);
+        let packets = |cl: &Cluster| -> Vec<(&'static str, Labels, u64)> {
+            cl.telemetry()
+                .registry()
+                .iter()
+                .filter(|(n, _, _)| n.starts_with("packets."))
+                .map(|(n, l, i)| match i {
+                    ibsim_telemetry::Instrument::Counter(v) => (n, l, *v),
+                    other => panic!("{n} is a {}", other.kind()),
+                })
+                .collect()
+        };
+        assert_eq!(packets(&cl), vec![], "counts reach the registry at sync");
+        cl.sync_telemetry(&eng);
+        let once = packets(&cl);
+        let (ha, hb) = (Labels::host(a.0 as u64), Labels::host(b.0 as u64));
+        // One READ request out of `a`, one response out of `b`; no slot
+        // for a kind a host never sent.
+        assert_eq!(
+            once,
+            vec![
+                ("packets.request", ha, cl.stats.request_packets),
+                ("packets.response", hb, cl.stats.response_packets),
+                ("packets.total", ha, 1),
+                ("packets.total", hb, 1),
+            ]
+        );
+        assert_eq!(cl.stats.total_packets, 2);
+
+        cl.sync_telemetry(&eng);
+        assert_eq!(packets(&cl), once, "a second sync adds nothing");
     }
 }
