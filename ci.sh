@@ -25,6 +25,11 @@ echo "    wraps in release, the profile every bench bin and the benchmark"
 echo "    run: the hostile-size and route-contract tests gate both)"
 cargo test -q --offline --release -p ibsim-fabric
 
+echo "==> event tests in release (the key index masks and wraps, slot"
+echo "    generations wrap, and debug_asserts vanish: the model test and the"
+echo "    allocation test gate the profile that is actually measured too)"
+cargo test -q --offline --release -p ibsim-event
+
 echo "==> runtime invariant checks (--features checks)"
 cargo test -q --offline -p ibsim-verbs --features checks
 cargo test -q --offline -p ibsim-analysis --features checks

@@ -15,7 +15,7 @@
 
 use std::fmt;
 
-use ibsim_event::Engine;
+use ibsim_event::{Engine, Event};
 use ibsim_verbs::{Cluster, HostId};
 
 /// Stable identity of one runtime invariant check.
@@ -91,7 +91,7 @@ impl InvariantSnapshot {
     /// Without the `checks` feature both counters are always zero (the
     /// checks compile away); the collection path itself is unconditional
     /// so callers need no feature gates.
-    pub fn collect<W>(cl: &Cluster, hosts: &[HostId], engine: &Engine<W>) -> Self {
+    pub fn collect<W, E: Event<W>>(cl: &Cluster, hosts: &[HostId], engine: &Engine<W, E>) -> Self {
         let qp = hosts
             .iter()
             .map(|&h| cl.qp_stats_sum(h).invariant_violations)

@@ -1,34 +1,43 @@
 //! The discrete-event engine.
 //!
-//! [`Engine`] owns an *indexed* binary min-heap of scheduled events. Each
-//! event is a boxed closure receiving mutable access to the *world* (the
-//! user's state, generic parameter `W`) and to the engine itself, so
-//! handlers can schedule follow-up events. Events at equal timestamps fire
-//! in insertion order, which makes every run bit-for-bit deterministic.
+//! [`Engine`] owns an *indexed* binary min-heap of scheduled events over
+//! a *world* (the user's state, generic parameter `W`). An event is a
+//! value of the engine's second parameter `E`, anything implementing
+//! [`Event`]: firing it hands it mutable access to the world and to the
+//! engine itself, so handlers can schedule follow-up events. `E`
+//! defaults to [`Call`], a boxed closure, so `Engine<W>` with the
+//! closure-taking `schedule_*` methods is the whole API a small model
+//! needs; a model with a closed set of hot events names them in an enum
+//! (keeping a boxed closure as one variant) and posts them by value with
+//! [`post_at`](Engine::post_at) / [`post_keyed_at`](Engine::post_keyed_at),
+//! which allocates nothing. Events at equal timestamps fire in insertion
+//! order, which makes every run bit-for-bit deterministic.
 //!
-//! ## Why an indexed heap
+//! ## Layout: three arrays
 //!
 //! The timer-heavy regimes this simulator exists for — thousands of QPs
-//! rearming retransmit timers every ~0.5 ms (§VI packet flood) — are
-//! exactly where a plain `BinaryHeap` with tombstone cancellation falls
-//! over: cancelled events linger until popped (dead pops burn time and
-//! skew queue-depth reports) and finding the next live event degenerates
-//! to an O(n) scan. The indexed heap keeps a slot arena mapping each
-//! live [`EventId`] to its heap index in O(1), so
-//! [`cancel`](Engine::cancel) *physically removes* the entry in O(log n),
-//! [`next_event_time`](Engine::next_event_time) is a O(1) peek, and heap
-//! occupancy is observable through counters
-//! ([`pending_events`](Engine::pending_events),
-//! [`peak_heap_depth`](Engine::peak_heap_depth),
-//! [`dead_event_pops`](Engine::dead_event_pops)).
+//! rearming retransmit timers every ~0.5 ms (§VI packet flood) — make the
+//! queue itself the hot path, so an event costs its handler and not its
+//! container:
 //!
-//! The arena is the scheduling hot path: an [`EventId`] packs a slot
-//! index and a generation counter, sift swaps update a `Vec` entry
-//! instead of a search-tree node, and freed slots are recycled through a
-//! LIFO free list. Both the slot assignment order and the free-list
-//! discipline are deterministic, and event *ordering* never consults
-//! them — the heap ranks strictly by `(time, insertion seq)` — so the
-//! arena cannot perturb a run.
+//! * the **heap** holds three words per event, `(at, seq, slot)`, and
+//!   sifts by moving a hole rather than swapping, so a sift copies 24
+//!   bytes per level and never touches a payload;
+//! * the **position table** maps `slot → (generation, heap index)` in 8
+//!   bytes, updated once per level moved. It is what makes
+//!   [`cancel`](Engine::cancel) a physical O(log n) removal,
+//!   [`next_event_time`](Engine::next_event_time) an O(1) peek and heap
+//!   occupancy observable ([`queue_stats`](Engine::queue_stats)): there
+//!   are no tombstones, so [`dead_event_pops`](Engine::dead_event_pops)
+//!   stays zero by construction;
+//! * the **payload arena** holds each event and its [`TimerKey`] in the
+//!   slot it was given when scheduled. Nothing moves it until it fires.
+//!
+//! An [`EventId`] packs a slot number and the slot's generation; freed
+//! slots are recycled through a LIFO free list. Slot assignment and the
+//! free-list discipline are deterministic, and event *ordering* never
+//! consults them — the heap ranks strictly by `(time, insertion seq)` —
+//! so the arena cannot perturb a run.
 //!
 //! ## Keyed timers
 //!
@@ -38,21 +47,28 @@
 //! [`TimerKey`]-addressed scheduling
 //! ([`schedule_keyed_in`](Engine::schedule_keyed_in) /
 //! [`cancel_key`](Engine::cancel_key)): at most one live event exists per
-//! key, and arming a key that is already armed cancels the old event in
-//! the same call.
+//! key. Keys resolve through a private open-addressed index — O(1), and
+//! never iterated, so its layout cannot reach event order — and arming
+//! an armed key **re-arms in place**: time, `seq` and payload are
+//! overwritten in the same slot, the slot's generation is bumped, and
+//! the heap entry sifts once. That is observably the remove-then-insert
+//! it replaces: the LIFO free list would have handed the freed slot
+//! straight back, one generation on, so the returned [`EventId`], the
+//! `scheduled`/`replaced` counters and the new `seq` are the same.
 
-use std::collections::BTreeMap;
 use std::fmt;
+use std::marker::PhantomData;
 
+use crate::rng::SplitMix64;
 use crate::time::SimTime;
 
 /// Handle to a scheduled event, usable to [cancel](Engine::cancel) it.
 ///
 /// Internally packs an arena slot index (low 32 bits) and that slot's
 /// generation at scheduling time (high 32 bits); a stale handle — the
-/// event fired, was cancelled, or its slot was recycled — simply fails
-/// to resolve. The handle is opaque: only its `Eq`/`Ord`/`Hash` identity
-/// is meaningful, never the packed value.
+/// event fired, was cancelled or re-armed, or its slot was recycled —
+/// simply fails to resolve. The handle is opaque: only its
+/// `Eq`/`Ord`/`Hash` identity is meaningful, never the packed value.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct EventId(u64);
 
@@ -92,37 +108,187 @@ impl fmt::Display for TimerKey {
     }
 }
 
-type EventFn<W> = Box<dyn FnOnce(&mut W, &mut Engine<W>)>;
+/// A boxed closure over the world and an engine of `E` events: what the
+/// closure-taking `schedule_*` methods box their argument into.
+pub type EventFn<W, E> = Box<dyn FnOnce(&mut W, &mut Engine<W, E>)>;
 
-struct Entry<W> {
+/// What an [`Engine`] schedules: a value that can be fired, and that a
+/// boxed closure can be wrapped into (so every engine, whatever its
+/// event type, still takes closures from tests and upper layers).
+///
+/// This is a parameter of the engine and not a bound on the world — an
+/// associated `World::Event` — because worlds like `u64` or `Vec<u32>`
+/// are foreign types a caller could not implement a world trait for;
+/// with a defaulted parameter `Engine<u64>` just works.
+pub trait Event<W>: Sized {
+    /// Runs the event at its scheduled time.
+    fn fire(self, world: &mut W, eng: &mut Engine<W, Self>);
+
+    /// Wraps a boxed closure as an event of this type.
+    fn from_call(f: EventFn<W, Self>) -> Self;
+}
+
+/// The default event type: a boxed closure, one allocation per event.
+pub struct Call<W>(EventFn<W, Call<W>>);
+
+impl<W> Event<W> for Call<W> {
+    #[inline]
+    fn fire(self, world: &mut W, eng: &mut Engine<W, Self>) {
+        (self.0)(world, eng)
+    }
+
+    #[inline]
+    fn from_call(f: EventFn<W, Self>) -> Self {
+        Call(f)
+    }
+}
+
+/// One heap entry. The payload stays in the arena under `slot`.
+#[derive(Debug, Clone, Copy)]
+struct Node {
     at: SimTime,
     /// Global insertion order — the determinism tiebreak. Never reused.
     seq: u64,
-    /// This entry's packed (slot, generation) identity.
-    id: EventId,
-    key: Option<TimerKey>,
-    run: EventFn<W>,
+    slot: u32,
 }
 
-/// One arena slot: where its live event currently sits in the heap, and
-/// a generation counter bumped on every free so stale [`EventId`]s from
-/// earlier occupants cannot alias the current one.
-#[derive(Debug, Clone, Copy)]
-struct Slot {
-    generation: u32,
-    /// Heap index of the occupying event, or [`Slot::FREE`].
-    idx: usize,
-}
-
-impl Slot {
-    const FREE: usize = usize::MAX;
-}
-
-impl<W> Entry<W> {
+impl Node {
     /// Lexicographic (time, insertion order) min-heap rank.
     #[inline]
     fn rank(&self) -> (SimTime, u64) {
         (self.at, self.seq)
+    }
+}
+
+/// One position-table entry: where the slot's live event currently sits
+/// in the heap, and a generation counter bumped whenever the occupant
+/// changes so stale [`EventId`]s cannot alias the current one.
+#[derive(Debug, Clone, Copy)]
+struct Slot {
+    generation: u32,
+    /// Heap index of the occupying event, or [`Slot::FREE`].
+    idx: u32,
+}
+
+impl Slot {
+    const FREE: u32 = u32::MAX;
+}
+
+/// One payload-arena entry, parallel to the position table.
+struct Cell<E> {
+    key: Option<TimerKey>,
+    /// `Some` exactly while the slot is live.
+    ev: Option<E>,
+}
+
+/// One cell of the [`KeyIndex`]: the slot armed under some key, and the
+/// key's hash so that probing, deletion and growth never read the arena.
+#[derive(Debug, Clone, Copy)]
+struct IndexCell {
+    slot: u32,
+    hash: u32,
+}
+
+/// `TimerKey → slot` for every armed key: open addressing over a
+/// power-of-two table, linear probing, at most half full, deletion by
+/// backward shift (no tombstones, so probe lengths do not degrade under
+/// the arm/cancel churn that is this table's whole life). A cell names a
+/// slot; the key itself is compared where it already lives, in the
+/// arena. The table is never iterated except to rehash into a larger
+/// one, so its layout cannot reach event order.
+#[derive(Debug, Default)]
+struct KeyIndex {
+    cells: Vec<IndexCell>,
+    len: usize,
+}
+
+impl KeyIndex {
+    const EMPTY: u32 = u32::MAX;
+
+    /// A fixed SplitMix64 mix of the two key words.
+    #[inline]
+    fn hash(key: TimerKey) -> u32 {
+        SplitMix64::new(key.0.wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ key.1).next_u64() as u32
+    }
+
+    /// Table position of the first cell on `hash`'s probe path that
+    /// `hit` accepts, or `None` on reaching an empty cell.
+    #[inline]
+    fn probe(&self, hash: u32, hit: impl Fn(u32) -> bool) -> Option<usize> {
+        if self.cells.is_empty() {
+            return None;
+        }
+        let mask = self.cells.len() - 1;
+        let mut i = hash as usize & mask;
+        loop {
+            let c = self.cells[i];
+            if c.slot == Self::EMPTY {
+                return None;
+            }
+            if c.hash == hash && hit(c.slot) {
+                return Some(i);
+            }
+            i = (i + 1) & mask;
+        }
+    }
+
+    /// The slot armed under `key`, whose arena is `arena`.
+    #[inline]
+    fn get<E>(&self, arena: &[Cell<E>], key: TimerKey, hash: u32) -> Option<u32> {
+        self.probe(hash, |slot| arena[slot as usize].key == Some(key))
+            .map(|i| self.cells[i].slot)
+    }
+
+    /// Records `slot` under a key hashing to `hash` that is not armed.
+    fn insert(&mut self, slot: u32, hash: u32) {
+        if (self.len + 1) * 2 > self.cells.len() {
+            let grown = (self.cells.len() * 2).max(8);
+            let empty = IndexCell {
+                slot: Self::EMPTY,
+                hash: 0,
+            };
+            let old = std::mem::replace(&mut self.cells, vec![empty; grown]);
+            for c in old.into_iter().filter(|c| c.slot != Self::EMPTY) {
+                self.place(c);
+            }
+        }
+        self.place(IndexCell { slot, hash });
+        self.len += 1;
+    }
+
+    fn place(&mut self, cell: IndexCell) {
+        let mask = self.cells.len() - 1;
+        let mut i = cell.hash as usize & mask;
+        while self.cells[i].slot != Self::EMPTY {
+            i = (i + 1) & mask;
+        }
+        self.cells[i] = cell;
+    }
+
+    /// Forgets `slot`, armed under a key hashing to `hash`, closing the
+    /// gap by shifting back every later cell of the run that may move.
+    fn remove(&mut self, slot: u32, hash: u32) {
+        let mut hole = self
+            .probe(hash, |s| s == slot)
+            .expect("invariant: a keyed live event is in the key index");
+        let mask = self.cells.len() - 1;
+        let mut j = hole;
+        loop {
+            j = (j + 1) & mask;
+            let c = self.cells[j];
+            if c.slot == Self::EMPTY {
+                break;
+            }
+            // `c` may move into the hole unless its home position lies
+            // cyclically after the hole (it would become unreachable).
+            let from_home = j.wrapping_sub(c.hash as usize) & mask;
+            if from_home >= (j.wrapping_sub(hole) & mask) {
+                self.cells[hole] = c;
+                hole = j;
+            }
+        }
+        self.cells[hole].slot = Self::EMPTY;
+        self.len -= 1;
     }
 }
 
@@ -144,7 +310,7 @@ pub struct QueueStats {
     pub dead_pops: u64,
     /// Maximum simultaneous live events observed.
     pub peak_depth: usize,
-    /// Total `schedule_*` calls.
+    /// Total `schedule_*` / `post_*` calls.
     pub scheduled: u64,
     /// Events physically removed by `cancel` / `cancel_key`.
     pub cancelled: u64,
@@ -172,7 +338,8 @@ impl fmt::Display for QueueStats {
     }
 }
 
-/// A deterministic discrete-event simulation engine over a world `W`.
+/// A deterministic discrete-event simulation engine over a world `W`,
+/// scheduling events of type `E` (boxed closures unless named).
 ///
 /// # Examples
 ///
@@ -189,19 +356,49 @@ impl fmt::Display for QueueStats {
 /// assert_eq!(world, 11);
 /// assert_eq!(engine.now(), SimTime::from_us(10));
 /// ```
-pub struct Engine<W> {
+///
+/// A closed event type fires without a box:
+///
+/// ```
+/// use ibsim_event::{Engine, Event, EventFn, SimTime};
+///
+/// enum Tick {
+///     Add(u32),
+///     Call(EventFn<u32, Tick>),
+/// }
+///
+/// impl Event<u32> for Tick {
+///     fn fire(self, w: &mut u32, eng: &mut Engine<u32, Tick>) {
+///         match self {
+///             Tick::Add(n) => *w += n,
+///             Tick::Call(f) => f(w, eng),
+///         }
+///     }
+///     fn from_call(f: EventFn<u32, Tick>) -> Self {
+///         Tick::Call(f)
+///     }
+/// }
+///
+/// let mut engine: Engine<u32, Tick> = Engine::new();
+/// engine.post_at(SimTime::from_us(1), Tick::Add(2));
+/// engine.schedule_at(SimTime::from_us(2), |w, _| *w *= 10);
+/// let mut world = 0;
+/// engine.run(&mut world);
+/// assert_eq!(world, 20);
+/// ```
+pub struct Engine<W, E = Call<W>> {
     now: SimTime,
-    /// Indexed binary min-heap on `(at, seq)`.
-    heap: Vec<Entry<W>>,
-    /// The slot arena: `id.slot() → heap index` for every live event;
-    /// the heap invariantly contains exactly the live events
-    /// (cancellation removes). A `Vec` rather than a search tree because
-    /// sift swaps update it once per level — this is the hot path.
+    /// Indexed binary min-heap on `(at, seq)`; exactly the live events
+    /// (cancellation removes).
+    heap: Vec<Node>,
+    /// The position table: `id.slot() → heap index` and generation.
     slots: Vec<Slot>,
+    /// The payload arena, parallel to `slots`.
+    cells: Vec<Cell<E>>,
     /// Freed slot indices, recycled LIFO (deterministic, cache-warm).
     free: Vec<u32>,
-    /// `key → id` of the single live event armed under each timer key.
-    keyed: BTreeMap<TimerKey, EventId>,
+    /// `key → slot` of the single live event armed under each timer key.
+    keyed: KeyIndex,
     next_seq: u64,
     executed: u64,
     scheduled_total: u64,
@@ -222,15 +419,16 @@ pub struct Engine<W> {
     /// whose clocks park at epoch boundaries — can still recover the
     /// sequential run's final event time (max over shards).
     last_executed_at: SimTime,
+    _world: PhantomData<fn(&mut W)>,
 }
 
-impl<W> Default for Engine<W> {
+impl<W, E: Event<W>> Default for Engine<W, E> {
     fn default() -> Self {
         Self::new()
     }
 }
 
-impl<W> fmt::Debug for Engine<W> {
+impl<W, E> fmt::Debug for Engine<W, E> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("Engine")
             .field("now", &self.now)
@@ -241,15 +439,17 @@ impl<W> fmt::Debug for Engine<W> {
     }
 }
 
-impl<W> Engine<W> {
-    /// Creates an engine with the clock at [`SimTime::ZERO`].
+impl<W, E: Event<W>> Engine<W, E> {
+    /// Creates an engine with the clock at [`SimTime::ZERO`]. Nothing is
+    /// allocated until the first event is scheduled.
     pub fn new() -> Self {
         Engine {
             now: SimTime::ZERO,
             heap: Vec::new(),
             slots: Vec::new(),
+            cells: Vec::new(),
             free: Vec::new(),
-            keyed: BTreeMap::new(),
+            keyed: KeyIndex::default(),
             next_seq: 0,
             executed: 0,
             scheduled_total: 0,
@@ -259,6 +459,7 @@ impl<W> Engine<W> {
             peak_depth: 0,
             monotonicity_violations: 0,
             last_executed_at: SimTime::ZERO,
+            _world: PhantomData,
         }
     }
 
@@ -266,12 +467,6 @@ impl<W> Engine<W> {
     #[inline]
     pub fn now(&self) -> SimTime {
         self.now
-    }
-
-    /// Number of events executed so far.
-    #[inline]
-    pub fn executed_events(&self) -> u64 {
-        self.executed
     }
 
     /// Timestamp of the last executed event ([`SimTime::ZERO`] before any
@@ -291,16 +486,6 @@ impl<W> Engine<W> {
         self.heap.len()
     }
 
-    /// Cancelled-but-unpopped events still occupying queue slots (the
-    /// quantity the old tombstone engine silently folded into
-    /// `pending_events`). The indexed heap removes cancelled entries
-    /// immediately, so this is always zero; it is exposed so reports can
-    /// state that fact rather than assume it.
-    #[inline]
-    pub fn dead_pending(&self) -> usize {
-        0
-    }
-
     /// Pops that found a cancelled event (zero by construction; see
     /// [`QueueStats::dead_pops`]).
     #[inline]
@@ -308,44 +493,24 @@ impl<W> Engine<W> {
         self.dead_pops
     }
 
-    /// Maximum number of simultaneously live events observed so far.
-    #[inline]
-    pub fn peak_heap_depth(&self) -> usize {
-        self.peak_depth
-    }
-
-    /// Total events ever scheduled.
-    #[inline]
-    pub fn scheduled_events(&self) -> u64 {
-        self.scheduled_total
-    }
-
-    /// Events physically removed by [`cancel`](Engine::cancel) or
-    /// [`cancel_key`](Engine::cancel_key) (including keyed re-arm
-    /// replacements).
-    #[inline]
-    pub fn cancelled_events(&self) -> u64 {
-        self.cancelled_total
-    }
-
     /// Keyed timer slots currently armed.
     #[inline]
     pub fn keyed_timers(&self) -> usize {
-        self.keyed.len()
+        self.keyed.len
     }
 
     /// Snapshot of every queue counter.
     pub fn queue_stats(&self) -> QueueStats {
         QueueStats {
             live: self.heap.len(),
-            dead_pending: self.dead_pending(),
+            dead_pending: 0,
             executed: self.executed,
             dead_pops: self.dead_pops,
             peak_depth: self.peak_depth,
             scheduled: self.scheduled_total,
             cancelled: self.cancelled_total,
             replaced: self.replaced_total,
-            keyed_live: self.keyed.len(),
+            keyed_live: self.keyed.len,
         }
     }
 
@@ -379,228 +544,257 @@ impl<W> Engine<W> {
     #[inline]
     fn live_idx(&self, id: EventId) -> Option<usize> {
         let slot = self.slots.get(id.slot())?;
-        if slot.generation == id.generation() && slot.idx != Slot::FREE {
-            Some(slot.idx)
-        } else {
-            None
-        }
+        (slot.generation == id.generation() && slot.idx != Slot::FREE).then_some(slot.idx as usize)
     }
 
+    /// Writes `node` at heap index `idx` and records the position.
     #[inline]
-    fn set_pos(&mut self, idx: usize) {
-        self.slots[self.heap[idx].id.slot()].idx = idx;
+    fn put(&mut self, idx: usize, node: Node) {
+        self.heap[idx] = node;
+        self.slots[node.slot as usize].idx = idx as u32;
     }
 
-    fn sift_up(&mut self, mut idx: usize) {
+    /// Settles `node` at or above the hole at `idx`: parents move down
+    /// into the hole until `node` ranks no lower than the next one.
+    fn sift_up(&mut self, mut idx: usize, node: Node) {
         while idx > 0 {
             let parent = (idx - 1) / 2;
-            if self.heap[idx].rank() < self.heap[parent].rank() {
-                self.heap.swap(idx, parent);
-                self.set_pos(idx);
-                idx = parent;
-            } else {
+            let p = self.heap[parent];
+            if node.rank() >= p.rank() {
                 break;
             }
+            self.put(idx, p);
+            idx = parent;
         }
-        self.set_pos(idx);
+        self.put(idx, node);
     }
 
-    fn sift_down(&mut self, mut idx: usize) {
+    /// Settles `node` at or below the hole at `idx`: the smaller child
+    /// moves up into the hole until `node` ranks no higher than both.
+    fn sift_down(&mut self, mut idx: usize, node: Node) {
         let len = self.heap.len();
         loop {
-            let l = 2 * idx + 1;
-            if l >= len {
+            let mut child = 2 * idx + 1;
+            if child >= len {
                 break;
             }
-            let r = l + 1;
-            let smallest = if r < len && self.heap[r].rank() < self.heap[l].rank() {
-                r
-            } else {
-                l
-            };
-            if self.heap[smallest].rank() < self.heap[idx].rank() {
-                self.heap.swap(idx, smallest);
-                self.set_pos(idx);
-                idx = smallest;
-            } else {
+            if child + 1 < len && self.heap[child + 1].rank() < self.heap[child].rank() {
+                child += 1;
+            }
+            let c = self.heap[child];
+            if c.rank() >= node.rank() {
                 break;
             }
+            self.put(idx, c);
+            idx = child;
         }
-        self.set_pos(idx);
+        self.put(idx, node);
     }
 
     /// Physically removes the entry at heap index `idx`, frees its arena
-    /// slot and restores the heap property; returns the removed entry.
-    fn remove_at(&mut self, idx: usize) -> Entry<W> {
-        let last = self.heap.len() - 1;
-        self.heap.swap(idx, last);
-        let entry = self
+    /// slot (unlinking its key) and restores the heap property; returns
+    /// the removed event and its time.
+    fn remove_at(&mut self, idx: usize) -> (SimTime, E) {
+        let removed = self.heap[idx];
+        let tail = self
             .heap
             .pop()
-            .expect("invariant: heap non-empty, just swapped idx with last");
-        let slot = entry.id.slot();
-        self.slots[slot].generation = self.slots[slot].generation.wrapping_add(1);
-        self.slots[slot].idx = Slot::FREE;
-        self.free.push(slot as u32);
+            .expect("invariant: idx names a heap entry, so the heap is non-empty");
         if idx < self.heap.len() {
-            // The displaced tail entry may need to move either way. If
-            // sift_up moves it, it became smaller than its old parent and
-            // therefore than everything below its new slot, so the
-            // follow-up sift_down is a no-op; the two calls together
-            // restore the heap property from any single displacement.
-            let moved = self.heap[idx].id.slot();
-            self.set_pos(idx);
-            self.sift_up(idx);
-            let cur = self.slots[moved].idx;
-            self.sift_down(cur);
-        }
-        entry
-    }
-
-    /// Detaches an entry's keyed-slot registration (if this id is still
-    /// the one the key maps to).
-    fn unlink_key(&mut self, entry_key: Option<TimerKey>, id: EventId) {
-        if let Some(key) = entry_key {
-            if self.keyed.get(&key) == Some(&id) {
-                self.keyed.remove(&key);
+            // The displaced tail entry fills the hole and may need to
+            // move either way, but only one: up if it outranks the
+            // hole's parent, otherwise down.
+            if idx > 0 && tail.rank() < self.heap[(idx - 1) / 2].rank() {
+                self.sift_up(idx, tail);
+            } else {
+                self.sift_down(idx, tail);
             }
         }
+        let slot = &mut self.slots[removed.slot as usize];
+        slot.generation = slot.generation.wrapping_add(1);
+        slot.idx = Slot::FREE;
+        self.free.push(removed.slot);
+        let cell = &mut self.cells[removed.slot as usize];
+        if let Some(key) = cell.key.take() {
+            self.keyed.remove(removed.slot, KeyIndex::hash(key));
+        }
+        let ev = cell
+            .ev
+            .take()
+            .expect("invariant: a slot in the heap holds its event");
+        (removed.at, ev)
     }
 
-    fn insert(
-        &mut self,
-        at: SimTime,
-        key: Option<TimerKey>,
-        f: impl FnOnce(&mut W, &mut Engine<W>) + 'static,
-    ) -> EventId {
+    fn assert_not_past(&self, at: SimTime) {
         assert!(
             at >= self.now,
             "cannot schedule into the past: at={at} now={}",
             self.now
         );
+    }
+
+    /// Takes the next insertion sequence number, counting one schedule.
+    fn stamp(&mut self) -> u64 {
         let seq = self.next_seq;
         self.next_seq += 1;
         self.scheduled_total += 1;
+        seq
+    }
+
+    #[inline]
+    fn insert(&mut self, at: SimTime, key: Option<TimerKey>, ev: E) -> EventId {
+        let seq = self.stamp();
         let slot = match self.free.pop() {
-            Some(s) => s,
+            Some(s) => {
+                let cell = &mut self.cells[s as usize];
+                cell.key = key;
+                cell.ev = Some(ev);
+                s
+            }
             None => {
+                assert!(
+                    self.slots.len() < Slot::FREE as usize,
+                    "invariant: fewer than 2^32 - 1 events are ever live at once"
+                );
                 self.slots.push(Slot {
                     generation: 0,
                     idx: Slot::FREE,
                 });
+                self.cells.push(Cell { key, ev: Some(ev) });
                 (self.slots.len() - 1) as u32
             }
         };
-        let id = EventId::pack(slot, self.slots[slot as usize].generation);
-        self.heap.push(Entry {
-            at,
-            seq,
-            id,
-            key,
-            run: Box::new(f),
-        });
-        let idx = self.heap.len() - 1;
-        self.slots[slot as usize].idx = idx;
-        self.sift_up(idx);
+        let idx = self.heap.len();
+        let node = Node { at, seq, slot };
+        self.heap.push(node);
+        self.sift_up(idx, node);
         self.peak_depth = self.peak_depth.max(self.heap.len());
-        id
-    }
-
-    fn pop(&mut self) -> Option<Entry<W>> {
-        if self.heap.is_empty() {
-            return None;
-        }
-        let entry = self.remove_at(0);
-        self.unlink_key(entry.key, entry.id);
-        Some(entry)
+        EventId::pack(slot, self.slots[slot as usize].generation)
     }
 
     // ------------------------------------------------------------------
     // Scheduling
     // ------------------------------------------------------------------
 
-    /// Schedules `f` to run at absolute time `at`.
+    /// Schedules the event `ev` at absolute time `at`.
     ///
     /// # Panics
     ///
     /// Panics if `at` lies in the past (`at < self.now()`): rewinding the
     /// clock would silently corrupt causality, so it is a programming error.
+    #[inline]
+    pub fn post_at(&mut self, at: SimTime, ev: E) -> EventId {
+        self.assert_not_past(at);
+        self.insert(at, None, ev)
+    }
+
+    /// Schedules the event `ev` at absolute time `at` under timer slot
+    /// `key`, *replacing* any event currently armed under that key (the
+    /// old event will never fire and its [`EventId`] goes stale). This is
+    /// the re-arm semantics protocol timers want: no gen-guarded no-op
+    /// events left behind in the queue. A replacement counts as one
+    /// `scheduled` and one `replaced` in [`QueueStats`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if `at` lies in the past, leaving the engine — an event
+    /// already armed under `key` included — exactly as it was.
+    pub fn post_keyed_at(&mut self, key: TimerKey, at: SimTime, ev: E) -> EventId {
+        self.assert_not_past(at);
+        let hash = KeyIndex::hash(key);
+        let Some(slot) = self.keyed.get(&self.cells, key, hash) else {
+            let id = self.insert(at, Some(key), ev);
+            self.keyed.insert(id.slot() as u32, hash);
+            return id;
+        };
+        // Re-arm in place: what removing the old event and inserting the
+        // new one would leave behind, without the two index operations,
+        // the slot round trip through the free list and the second sift.
+        let seq = self.stamp();
+        self.replaced_total += 1;
+        self.cells[slot as usize].ev = Some(ev);
+        let pos = &mut self.slots[slot as usize];
+        pos.generation = pos.generation.wrapping_add(1);
+        let (idx, generation) = (pos.idx as usize, pos.generation);
+        // `seq` only grows, so the entry moves up exactly when its time
+        // moved earlier.
+        let earlier = at < self.heap[idx].at;
+        let node = Node { at, seq, slot };
+        if earlier {
+            self.sift_up(idx, node);
+        } else {
+            self.sift_down(idx, node);
+        }
+        EventId::pack(slot, generation)
+    }
+
+    /// Schedules `f` to run at absolute time `at`; see
+    /// [`post_at`](Engine::post_at).
     pub fn schedule_at(
         &mut self,
         at: SimTime,
-        f: impl FnOnce(&mut W, &mut Engine<W>) + 'static,
+        f: impl FnOnce(&mut W, &mut Engine<W, E>) + 'static,
     ) -> EventId {
-        self.insert(at, None, f)
+        self.post_at(at, E::from_call(Box::new(f)))
     }
 
     /// Schedules `f` to run after relative delay `delay`.
     pub fn schedule_in(
         &mut self,
         delay: SimTime,
-        f: impl FnOnce(&mut W, &mut Engine<W>) + 'static,
+        f: impl FnOnce(&mut W, &mut Engine<W, E>) + 'static,
     ) -> EventId {
-        self.insert(self.now + delay, None, f)
+        self.schedule_at(self.now + delay, f)
     }
 
-    /// Schedules `f` at absolute time `at` under timer slot `key`,
-    /// *replacing* any event currently armed under that key (the old
-    /// event is physically removed and will never fire). This is the
-    /// re-arm semantics protocol timers want: no gen-guarded no-op events
-    /// left behind in the queue.
+    /// Schedules `f` at absolute time `at` under timer slot `key`; see
+    /// [`post_keyed_at`](Engine::post_keyed_at).
     pub fn schedule_keyed_at(
         &mut self,
         key: TimerKey,
         at: SimTime,
-        f: impl FnOnce(&mut W, &mut Engine<W>) + 'static,
+        f: impl FnOnce(&mut W, &mut Engine<W, E>) + 'static,
     ) -> EventId {
-        if let Some(&old_id) = self.keyed.get(&key) {
-            if let Some(idx) = self.live_idx(old_id) {
-                self.remove_at(idx);
-                self.replaced_total += 1;
-            }
-            self.keyed.remove(&key);
-        }
-        let id = self.insert(at, Some(key), f);
-        self.keyed.insert(key, id);
-        id
+        self.post_keyed_at(key, at, E::from_call(Box::new(f)))
     }
 
     /// Schedules `f` after `delay` under timer slot `key`; see
-    /// [`schedule_keyed_at`](Engine::schedule_keyed_at).
+    /// [`post_keyed_at`](Engine::post_keyed_at).
     pub fn schedule_keyed_in(
         &mut self,
         key: TimerKey,
         delay: SimTime,
-        f: impl FnOnce(&mut W, &mut Engine<W>) + 'static,
+        f: impl FnOnce(&mut W, &mut Engine<W, E>) + 'static,
     ) -> EventId {
         self.schedule_keyed_at(key, self.now + delay, f)
     }
 
+    /// Heap index of the event armed under `key`, if any.
+    #[inline]
+    fn key_idx(&self, key: TimerKey) -> Option<usize> {
+        let slot = self.keyed.get(&self.cells, key, KeyIndex::hash(key))?;
+        Some(self.slots[slot as usize].idx as usize)
+    }
+
     /// True if an event is currently armed under `key`.
     pub fn key_armed(&self, key: TimerKey) -> bool {
-        self.keyed.contains_key(&key)
+        self.key_idx(key).is_some()
     }
 
     /// Fire time of the event armed under `key`, if any.
     pub fn key_deadline(&self, key: TimerKey) -> Option<SimTime> {
-        let id = self.keyed.get(&key)?;
-        let idx = self.live_idx(*id)?;
-        Some(self.heap[idx].at)
+        self.key_idx(key).map(|idx| self.heap[idx].at)
     }
 
     /// Cancels the event armed under timer slot `key`, physically
     /// removing it from the heap. Returns `true` if one was armed.
     pub fn cancel_key(&mut self, key: TimerKey) -> bool {
-        let Some(id) = self.keyed.remove(&key) else {
+        let Some(idx) = self.key_idx(key) else {
             return false;
         };
-        if let Some(idx) = self.live_idx(id) {
-            self.remove_at(idx);
-            self.cancelled_total += 1;
-            true
-        } else {
-            false
-        }
+        self.remove_at(idx);
+        self.cancelled_total += 1;
+        true
     }
 
     /// Cancels a previously scheduled event, physically removing it from
@@ -613,8 +807,7 @@ impl<W> Engine<W> {
         let Some(idx) = self.live_idx(id) else {
             return false;
         };
-        let entry = self.remove_at(idx);
-        self.unlink_key(entry.key, entry.id);
+        self.remove_at(idx);
         self.cancelled_total += 1;
         true
     }
@@ -633,22 +826,8 @@ impl<W> Engine<W> {
     /// The clock is left at the time of the last executed event (or moved to
     /// `deadline` if that is later and the queue still holds future events).
     pub fn run_until(&mut self, world: &mut W, deadline: SimTime) {
-        loop {
-            if let Some(head_at) = self.next_event_time() {
-                if head_at > deadline {
-                    break;
-                }
-            }
-            // Pop rather than peek-then-pop: the head observed above is
-            // whatever `pop` returns, with no window for it to vanish.
-            let Some(ev) = self.pop() else {
-                break;
-            };
-            self.check_pop_monotone(ev.at);
-            self.now = ev.at;
-            self.last_executed_at = ev.at;
-            self.executed += 1;
-            (ev.run)(world, self);
+        while self.next_event_time().is_some_and(|at| at <= deadline) {
+            self.step(world);
         }
         if deadline != SimTime::MAX && self.now < deadline {
             self.now = deadline;
@@ -657,14 +836,15 @@ impl<W> Engine<W> {
 
     /// Executes exactly one event if one is pending; returns whether it did.
     pub fn step(&mut self, world: &mut W) -> bool {
-        let Some(ev) = self.pop() else {
+        if self.heap.is_empty() {
             return false;
-        };
-        self.check_pop_monotone(ev.at);
-        self.now = ev.at;
-        self.last_executed_at = ev.at;
+        }
+        let (at, ev) = self.remove_at(0);
+        self.check_pop_monotone(at);
+        self.now = at;
+        self.last_executed_at = at;
         self.executed += 1;
-        (ev.run)(world, self);
+        ev.fire(world, self);
         true
     }
 
@@ -692,7 +872,7 @@ mod tests {
         eng.run(&mut out);
         assert_eq!(out, vec![1, 2, 3]);
         assert_eq!(eng.now(), SimTime::from_us(30));
-        assert_eq!(eng.executed_events(), 3);
+        assert_eq!(eng.queue_stats().executed, 3);
     }
 
     #[test]
@@ -763,12 +943,11 @@ mod tests {
         }
         // No tombstones: the queue depth drops immediately.
         assert_eq!(eng.pending_events(), 5);
-        assert_eq!(eng.dead_pending(), 0);
-        assert_eq!(eng.cancelled_events(), 5);
+        assert_eq!(eng.queue_stats().cancelled, 5);
         let mut w = 0;
         eng.run(&mut w);
-        assert_eq!(eng.executed_events(), 5);
-        assert_eq!(eng.dead_event_pops(), 0);
+        let s = eng.queue_stats();
+        assert_eq!((s.executed, s.dead_pending, s.dead_pops), (5, 0, 0));
     }
 
     #[test]
@@ -847,6 +1026,99 @@ mod tests {
         assert_eq!(out, vec![2]);
         assert!(!eng.key_armed(key));
         assert_eq!(eng.queue_stats().replaced, 1);
+    }
+
+    #[test]
+    fn rearming_into_the_past_leaves_the_engine_as_it_was() {
+        let key = TimerKey(4, 2);
+        let mut eng: Engine<Vec<u32>> = Engine::new();
+        eng.schedule_at(SimTime::from_us(10), |w, _| w.push(1));
+        let armed = eng.schedule_keyed_at(key, SimTime::from_us(30), |w, _| w.push(3));
+        eng.schedule_at(SimTime::from_us(20), |w, _| w.push(2));
+        let mut out = Vec::new();
+        eng.run_until(&mut out, SimTime::from_us(15));
+        let before = eng.queue_stats();
+        let rearm = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            eng.schedule_keyed_at(key, SimTime::from_us(5), |w, _| w.push(99))
+        }));
+        assert!(rearm.is_err(), "scheduling into the past panics");
+        assert_eq!(eng.queue_stats(), before);
+        assert_eq!(eng.key_deadline(key), Some(SimTime::from_us(30)));
+        eng.run(&mut out);
+        assert_eq!(out, vec![1, 2, 3]);
+        assert!(!eng.cancel(armed), "the armed event fired under its own id");
+    }
+
+    #[test]
+    fn rearm_in_place_returns_the_id_a_remove_then_insert_would() {
+        let key = TimerKey(7, 7);
+        let mut eng: Engine<u32> = Engine::new();
+        eng.schedule_at(SimTime::from_us(1), |_, _| {});
+        let first = eng.schedule_keyed_at(key, SimTime::from_us(50), |w, _| *w += 1);
+        // Same slot, next generation: what the LIFO free list hands back.
+        let second = eng.schedule_keyed_at(key, SimTime::from_us(5), |w, _| *w += 10);
+        assert_eq!((second.slot(), second.generation()), (first.slot(), 1));
+        assert!(!eng.cancel(first), "the replaced id is stale");
+        let s = eng.queue_stats();
+        assert_eq!(
+            (s.scheduled, s.replaced, s.live, s.peak_depth),
+            (3, 1, 2, 2)
+        );
+        // Later again, then cancel by the live id: the slot frees once.
+        let third = eng.schedule_keyed_at(key, SimTime::from_us(90), |w, _| *w += 100);
+        assert_eq!(eng.key_deadline(key), Some(SimTime::from_us(90)));
+        assert!(eng.cancel(third));
+        assert!(!eng.key_armed(key));
+        let mut w = 0;
+        eng.run(&mut w);
+        assert_eq!(w, 0);
+        assert_eq!(eng.queue_stats().executed, 1);
+    }
+
+    #[test]
+    fn key_index_survives_colliding_churn_and_growth() {
+        // Every key hashes to the same home position, so the whole table
+        // is one probe run and each removal is a long backward shift.
+        let arena: Vec<Cell<()>> = (0..512u64)
+            .map(|k| Cell {
+                key: Some(TimerKey(k, !k)),
+                ev: None,
+            })
+            .collect();
+        let hash = |slot: u32| 5 | (slot % 3) << 16;
+        let key = |slot: u32| TimerKey(slot as u64, !(slot as u64));
+        let mut index = KeyIndex::default();
+        let mut rng = SplitMix64::new(11);
+        let mut armed = vec![false; arena.len()];
+        for round in 0..20_000 {
+            // Fill in the first half of the run, drain in the second, so
+            // the table grows several times and then empties.
+            let slot = rng.next_below(arena.len() as u64) as u32;
+            let want = if round < 10_000 {
+                rng.next_below(4) > 0
+            } else {
+                rng.next_below(4) == 0
+            };
+            if want && !armed[slot as usize] {
+                index.insert(slot, hash(slot));
+            } else if !want && armed[slot as usize] {
+                index.remove(slot, hash(slot));
+            } else {
+                continue;
+            }
+            armed[slot as usize] = want;
+            if round % 97 == 0 {
+                for s in 0..arena.len() as u32 {
+                    let found = index.get(&arena, key(s), hash(s));
+                    assert_eq!(found, armed[s as usize].then_some(s), "round {round}");
+                }
+            }
+        }
+        assert_eq!(index.len, armed.iter().filter(|&&a| a).count());
+        assert!(
+            index.cells.len() >= 512,
+            "the table grew past its first sizes"
+        );
     }
 
     #[test]
@@ -936,9 +1208,8 @@ mod tests {
         let mut out = Vec::new();
         eng.run(&mut out);
         assert_eq!(out, expect);
-        assert_eq!(eng.dead_event_pops(), 0);
-        assert_eq!(eng.dead_pending(), 0);
-        assert_eq!(eng.pending_events(), 0);
+        let s = eng.queue_stats();
+        assert_eq!((s.dead_pops, s.dead_pending, s.live), (0, 0, 0));
     }
 
     #[test]
@@ -961,7 +1232,7 @@ mod tests {
         let mut eng: Engine<u32> = Engine::new();
         let a = eng.schedule_at(SimTime::from_us(1), |_, _| {});
         eng.schedule_at(SimTime::from_us(2), |_, _| {});
-        assert_eq!(eng.peak_heap_depth(), 2);
+        assert_eq!(eng.queue_stats().peak_depth, 2);
         eng.cancel(a);
         let mut w = 0;
         eng.run(&mut w);

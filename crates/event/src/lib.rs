@@ -5,8 +5,11 @@
 //! On-Demand-Paging simulator.
 //!
 //! The kernel is deliberately tiny: a virtual clock ([`SimTime`]) and an
-//! event queue ([`Engine`]) whose events are boxed closures over a
-//! user-supplied *world* type. Determinism guarantees:
+//! event queue ([`Engine`]) over a user-supplied *world* type. An event
+//! is a value implementing [`Event`]: by default a boxed closure
+//! ([`Call`]), as below; a model with a closed set of hot events names
+//! them in an enum that lives in the queue's slot arena, so scheduling
+//! one allocates nothing. Determinism guarantees:
 //!
 //! * integer nanosecond timestamps — no floating-point drift,
 //! * ties broken by insertion order — no hash-iteration nondeterminism,
@@ -43,7 +46,7 @@ mod rng;
 mod shard;
 mod time;
 
-pub use engine::{Engine, EventId, QueueStats, TimerKey};
+pub use engine::{Call, Engine, Event, EventFn, EventId, QueueStats, TimerKey};
 pub use rng::SplitMix64;
 pub use shard::{epoch_end, injection_sort_key, EpochBarrier, PoisonGuard, POISON_PAYLOAD};
 pub use time::SimTime;

@@ -83,7 +83,11 @@ fn churn(seed: u64) -> (Vec<(u64, u64)>, (u64, u64, u64, u64, u64)) {
 
         // The core leak invariant: every pending event is live, and every
         // keyed slot maps to exactly one of them.
-        assert_eq!(eng.dead_pending(), 0, "round {round}: dead entries leaked");
+        assert_eq!(
+            eng.queue_stats().dead_pending,
+            0,
+            "round {round}: dead entries leaked"
+        );
         assert!(
             eng.keyed_timers() <= eng.pending_events(),
             "round {round}: more keyed slots than live events"
@@ -94,9 +98,9 @@ fn churn(seed: u64) -> (Vec<(u64, u64)>, (u64, u64, u64, u64, u64)) {
     eng.run(&mut world);
     assert_eq!(eng.pending_events(), 0, "live events leaked after drain");
     assert_eq!(eng.keyed_timers(), 0, "keyed slots leaked after drain");
-    assert_eq!(eng.dead_pending(), 0, "dead entries leaked after drain");
 
     let s = eng.queue_stats();
+    assert_eq!(s.dead_pending, 0, "dead entries leaked after drain");
     // Conservation: everything scheduled either executed, was physically
     // cancelled, or was replaced by a re-arm of its slot.
     assert_eq!(

@@ -39,16 +39,17 @@ pub const ALL_RULES: [Rule; 6] = [
 ];
 
 /// The enum types whose matches must stay wildcard-free: adding a
-/// protocol variant (a new QP state, opcode, timer family, or fabric
-/// topology) must break the build everywhere the variant matters, the
-/// same exhaustiveness discipline the RC state-transition table
-/// enforces dynamically.
-pub const PROTOCOL_ENUMS: [&str; 5] = [
+/// protocol variant (a new QP state, opcode, timer family, fabric
+/// topology, or cluster event) must break the build everywhere the
+/// variant matters, the same exhaustiveness discipline the RC
+/// state-transition table enforces dynamically.
+pub const PROTOCOL_ENUMS: [&str; 6] = [
     "QpState",
     "PacketKind",
     "WrOp",
     "TimerFamily",
     "TopologyKind",
+    "ClusterEvent",
 ];
 
 impl Rule {
@@ -707,6 +708,19 @@ mod tests {
                    TimerFamily::Ack => 1,\n        _ if n > 0 => 2,\n        _ => 0,\n    }\n}\n";
         let diags = run(src, Policy::all());
         assert_eq!(diags.len(), 2, "{diags:?}");
+    }
+
+    #[test]
+    fn wildcard_over_cluster_events_is_flagged() {
+        // A later event variant must not be able to fall into a `_` arm
+        // of `ClusterEvent::fire`.
+        let src = "fn fire(ev: ClusterEvent) {\n    match ev {\n        \
+                   ClusterEvent::Deliver { host, pkt } => deliver(host, pkt),\n        \
+                   ClusterEvent::Call(f) => f(),\n        _ => {}\n    }\n}\n";
+        let diags = run(src, Policy::all());
+        assert_eq!(diags.len(), 1, "{diags:?}");
+        assert_eq!(diags[0].rule, Rule::NoWildcardMatchOnProtocolEnums);
+        assert_eq!((diags[0].line, diags[0].col), (5, 9));
     }
 
     #[test]

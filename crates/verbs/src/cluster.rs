@@ -3,7 +3,7 @@
 
 use std::collections::BTreeMap;
 
-use ibsim_event::{Engine, SimTime};
+use ibsim_event::{Engine, Event, EventFn, SimTime};
 use ibsim_fabric::{
     Capture, Delivery, DirectedLink, Direction, Fabric, Lid, LinkSpec, TopologyKind, Xorshift64Star,
 };
@@ -16,11 +16,113 @@ use crate::nic::Nic;
 use crate::packet::{Packet, PacketKind};
 use crate::qp::{Effects, QpConfig, QpEnv, QpStats, RecoveryKind, TimerFamily};
 use crate::sharded::{Envelope, PendingDraw, ShardState};
-use crate::types::{HostId, MrKey, Qpn, WrId};
+use crate::types::{HostId, MrKey, Psn, Qpn, WrId};
 use crate::wr::{Completion, RecvWr, WorkRequest};
 
 /// The simulation engine type used throughout `ibsim`.
-pub type Sim = Engine<Cluster>;
+pub type Sim = Engine<Cluster, ClusterEvent>;
+
+/// Everything a [`Sim`] schedules. The cluster's own events — a packet
+/// arriving, the three per-QP timer families, a driver work item
+/// finishing — are plain data that lives in the engine's slot arena, so
+/// scheduling one allocates nothing; `Call` is the boxed closure that
+/// upper layers, workloads and tests hand to the `schedule_*` methods.
+pub enum ClusterEvent {
+    /// `pkt` reaches `host`'s NIC (fabric arrival + receive overhead).
+    Deliver {
+        /// Receiving host.
+        host: HostId,
+        /// The packet, ECN mark included.
+        pkt: Packet,
+    },
+    /// The ACK timeout (`T_o`) of a QP expires; deferred instead if the
+    /// §VI-C timer load grew since `armed_at`.
+    AckTimer {
+        /// Requester host.
+        host: HostId,
+        /// Requester QP.
+        qpn: Qpn,
+        /// Arm generation; a stale one is ignored by the QP.
+        gen: u64,
+        /// When the timer was (first) armed.
+        armed_at: SimTime,
+        /// The unloaded timeout the deadline is recomputed from.
+        t_o: SimTime,
+    },
+    /// The RNR wait of a QP ends.
+    RnrTimer {
+        /// Requester host.
+        host: HostId,
+        /// Requester QP.
+        qpn: Qpn,
+        /// Arm generation.
+        gen: u64,
+    },
+    /// The blind-retransmit tick of one stalled message (client-side ODP).
+    StallTick {
+        /// Requester host.
+        host: HostId,
+        /// Requester QP.
+        qpn: Qpn,
+        /// First PSN of the stalled message.
+        psn: Psn,
+        /// Arm generation.
+        gen: u64,
+    },
+    /// `host`'s driver finishes the work item it began.
+    DriverDone {
+        /// The driver's host.
+        host: HostId,
+        /// What it was doing.
+        work: DriverWork,
+    },
+    /// A boxed closure.
+    Call(EventFn<Cluster, ClusterEvent>),
+}
+
+impl Event<Cluster> for ClusterEvent {
+    fn fire(self, c: &mut Cluster, eng: &mut Sim) {
+        match self {
+            ClusterEvent::Deliver { host, pkt } => c.deliver(eng, host, pkt),
+            ClusterEvent::AckTimer {
+                host,
+                qpn,
+                gen,
+                armed_at,
+                t_o,
+            } => c.on_ack_timer_fire(eng, host, qpn, gen, armed_at, t_o),
+            ClusterEvent::RnrTimer { host, qpn, gen } => {
+                c.telemetry.counter_add(
+                    "timer.rnr_fired",
+                    Labels::host_qp(host.0 as u64, qpn.0),
+                    1,
+                );
+                c.with_qp(eng, host, qpn, |qp, env, fx| qp.on_rnr_fire(env, fx, gen));
+            }
+            ClusterEvent::StallTick {
+                host,
+                qpn,
+                psn,
+                gen,
+            } => {
+                c.telemetry.counter_add(
+                    "timer.stall_tick_fired",
+                    Labels::host_qp(host.0 as u64, qpn.0),
+                    1,
+                );
+                c.with_qp(eng, host, qpn, |qp, env, fx| {
+                    qp.on_stall_tick(env, fx, psn, gen)
+                });
+            }
+            ClusterEvent::DriverDone { host, work } => c.on_driver_done(eng, host, work),
+            ClusterEvent::Call(f) => f(c, eng),
+        }
+    }
+
+    fn from_call(f: EventFn<Cluster, ClusterEvent>) -> Self {
+        ClusterEvent::Call(f)
+    }
+}
 
 /// A completion waker callback (see [`Cluster::set_cq_waker`]).
 pub type CqWaker = std::rc::Rc<dyn Fn(&mut Sim)>;
@@ -939,11 +1041,15 @@ impl Cluster {
                 let delay =
                     t_o.mul_permille(1000 + nic.profile.timer_load_coeff_pm.saturating_mul(load));
                 let armed_at = eng.now();
-                eng.schedule_keyed_in(
+                eng.post_keyed_at(
                     TimerFamily::Ack.key(host, qpn, 0),
-                    delay,
-                    move |c: &mut Cluster, eng| {
-                        c.on_ack_timer_fire(eng, host, qpn, gen, armed_at, t_o);
+                    armed_at + delay,
+                    ClusterEvent::AckTimer {
+                        host,
+                        qpn,
+                        gen,
+                        armed_at,
+                        t_o,
                     },
                 );
             }
@@ -952,37 +1058,24 @@ impl Cluster {
             eng.cancel_key(TimerFamily::Rnr.key(host, qpn, 0));
         }
         if let Some((delay, gen)) = fx.timers.arm_rnr {
-            eng.schedule_keyed_in(
+            eng.post_keyed_at(
                 TimerFamily::Rnr.key(host, qpn, 0),
-                delay,
-                move |c: &mut Cluster, eng| {
-                    c.telemetry.counter_add(
-                        "timer.rnr_fired",
-                        Labels::host_qp(host.0 as u64, qpn.0),
-                        1,
-                    );
-                    c.with_qp(eng, host, qpn, move |qp, env, fx| {
-                        qp.on_rnr_fire(env, fx, gen)
-                    });
-                },
+                eng.now() + delay,
+                ClusterEvent::RnrTimer { host, qpn, gen },
             );
         }
         for psn in fx.timers.cancel_stalls.drain(..) {
             eng.cancel_key(TimerFamily::Stall.key(host, qpn, psn.value()));
         }
         for (psn, delay, gen) in fx.timers.arm_stalls.drain(..) {
-            eng.schedule_keyed_in(
+            eng.post_keyed_at(
                 TimerFamily::Stall.key(host, qpn, psn.value()),
-                delay,
-                move |c: &mut Cluster, eng| {
-                    c.telemetry.counter_add(
-                        "timer.stall_tick_fired",
-                        Labels::host_qp(host.0 as u64, qpn.0),
-                        1,
-                    );
-                    c.with_qp(eng, host, qpn, move |qp, env, fx| {
-                        qp.on_stall_tick(env, fx, psn, gen)
-                    });
+                eng.now() + delay,
+                ClusterEvent::StallTick {
+                    host,
+                    qpn,
+                    psn,
+                    gen,
                 },
             );
         }
@@ -1059,11 +1152,15 @@ impl Cluster {
                 Labels::host_qp(host.0 as u64, qpn.0),
                 1,
             );
-            eng.schedule_keyed_at(
+            eng.post_keyed_at(
                 TimerFamily::Ack.key(host, qpn, 0),
                 due,
-                move |c: &mut Cluster, eng| {
-                    c.on_ack_timer_fire(eng, host, qpn, gen, armed_at, t_o);
+                ClusterEvent::AckTimer {
+                    host,
+                    qpn,
+                    gen,
+                    armed_at,
+                    t_o,
                 },
             );
             return;
@@ -1188,9 +1285,13 @@ impl Cluster {
                 });
                 return;
             }
-            eng.schedule_at(deliver_at, move |c: &mut Cluster, eng| {
-                c.deliver(eng, dst_host, pkt);
-            });
+            eng.post_at(
+                deliver_at,
+                ClusterEvent::Deliver {
+                    host: dst_host,
+                    pkt,
+                },
+            );
         }
     }
 
@@ -1243,9 +1344,7 @@ impl Cluster {
                 self.telemetry
                     .observe("driver.work_cost_ns", labels, cost.as_ns());
             }
-            eng.schedule_at(now + cost, move |c: &mut Cluster, eng| {
-                c.on_driver_done(eng, host, work);
-            });
+            eng.post_at(now + cost, ClusterEvent::DriverDone { host, work });
         } else if self.drivers[host.0].blocked_on_undrawn() {
             // The queue head is a fault whose latency the epoch leader
             // has not yet filled. Record the stall (first stall time

@@ -26,7 +26,7 @@ mod sharded;
 mod types;
 mod wr;
 
-pub use cluster::{Cluster, ClusterBuilder, ClusterStats, MrBuilder, MrDesc, Sim};
+pub use cluster::{Cluster, ClusterBuilder, ClusterEvent, ClusterStats, MrBuilder, MrDesc, Sim};
 pub use device::{rnr_timer_decode, rnr_timer_encode, t_tr, DeviceModel, DeviceProfile};
 pub use driver::{Driver, DriverStats, DriverWork};
 pub use mem::{MemRegion, Memory, MrMode, PageState};

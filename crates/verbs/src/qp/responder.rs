@@ -211,32 +211,9 @@ impl Responder {
                 {
                     return;
                 }
-                let base = mr.base();
-                let data = env.mem.read(base + addr, *len as usize);
-                let mtu = ctx.cfg.mtu as usize;
-                let total = *resp_packets;
-                let (peer_lid, peer_qpn) = ctx.peer_or_panic();
-                for i in 0..total {
-                    let lo = i as usize * mtu;
-                    let hi = ((i as usize + 1) * mtu).min(data.len());
-                    fx.packets.push(Packet {
-                        src: ctx.lid,
-                        dst: peer_lid,
-                        dst_qp: peer_qpn,
-                        src_qp: ctx.qpn,
-                        psn: pkt.psn.add(i),
-                        kind: PacketKind::ReadResponse {
-                            seg: SegPos::of(i, total),
-                            data: data[lo.min(data.len())..hi].to_vec(),
-                            req_psn: pkt.psn,
-                            offset: lo as u32,
-                        },
-                        ghost: false,
-                        ecn: false,
-                        retransmit: false,
-                    });
-                }
-                self.ooo_done.insert(pkt.psn.value(), total);
+                let src = mr.base() + addr;
+                push_read_responses(ctx, env, fx, pkt.psn, (src, *len, *resp_packets), false);
+                self.ooo_done.insert(pkt.psn.value(), *resp_packets);
                 self.stats.ooo_executed += 1;
             }
             PacketKind::WriteRequest {
@@ -406,7 +383,6 @@ impl Responder {
         else {
             unreachable!("dispatched on kind");
         };
-        let (peer_lid, peer_qpn) = ctx.peer_or_panic();
         let Some(mr) = env.mrs.get(rkey) else {
             self.nak_remote_access(ctx, fx, pkt.psn);
             return;
@@ -428,30 +404,15 @@ impl Responder {
             .get(rkey)
             .expect("invariant: rkey checked above")
             .base();
-        let data = env.mem.read(base + addr, *len as usize);
-        let mtu = ctx.cfg.mtu as usize;
-        let total = *resp_packets;
-        for i in 0..total {
-            let lo = i as usize * mtu;
-            let hi = ((i as usize + 1) * mtu).min(data.len());
-            fx.packets.push(Packet {
-                src: ctx.lid,
-                dst: peer_lid,
-                dst_qp: peer_qpn,
-                src_qp: ctx.qpn,
-                psn: pkt.psn.add(i),
-                kind: PacketKind::ReadResponse {
-                    seg: SegPos::of(i, total),
-                    data: data[lo.min(data.len())..hi].to_vec(),
-                    req_psn: pkt.psn,
-                    offset: lo as u32,
-                },
-                ghost: false,
-                ecn: false,
-                retransmit: false,
-            });
-        }
-        self.epsn = pkt.psn.add(total);
+        push_read_responses(
+            ctx,
+            env,
+            fx,
+            pkt.psn,
+            (base + addr, *len, *resp_packets),
+            false,
+        );
+        self.epsn = pkt.psn.add(*resp_packets);
     }
 
     fn execute_write(&mut self, ctx: &QpCtx, env: &mut QpEnv<'_>, fx: &mut Effects, pkt: &Packet) {
@@ -683,7 +644,6 @@ impl Responder {
         else {
             unreachable!("dispatched on kind");
         };
-        let (peer_lid, peer_qpn) = ctx.peer_or_panic();
         let Some(mr) = env.mrs.get(rkey) else { return };
         if !mr.contains(*addr, *len)
             || (mr.mode() == MrMode::Odp && mr.first_unmapped(*addr, (*len).max(1)).is_some())
@@ -692,29 +652,8 @@ impl Responder {
             // timeout will re-drive it in order.
             return;
         }
-        let base = mr.base();
-        let data = env.mem.read(base + addr, *len as usize);
-        let mtu = ctx.cfg.mtu as usize;
-        for i in 0..*resp_packets {
-            let lo = i as usize * mtu;
-            let hi = ((i as usize + 1) * mtu).min(data.len());
-            fx.packets.push(Packet {
-                src: ctx.lid,
-                dst: peer_lid,
-                dst_qp: peer_qpn,
-                src_qp: ctx.qpn,
-                psn: pkt.psn.add(i),
-                kind: PacketKind::ReadResponse {
-                    seg: SegPos::of(i, *resp_packets),
-                    data: data[lo.min(data.len())..hi].to_vec(),
-                    req_psn: pkt.psn,
-                    offset: lo as u32,
-                },
-                ghost: false,
-                ecn: false,
-                retransmit: true,
-            });
-        }
+        let src = mr.base() + addr;
+        push_read_responses(ctx, env, fx, pkt.psn, (src, *len, *resp_packets), true);
     }
 
     fn duplicate_atomic(&mut self, ctx: &QpCtx, fx: &mut Effects, pkt: &Packet) {
@@ -755,4 +694,47 @@ impl Responder {
             }
         }
     }
+}
+
+/// Pushes the READ-response segments answering the request at `req_psn`
+/// for `read = (host address, length, response packets)`, each segment's
+/// payload read straight from host memory. A segment past the end of
+/// the data is empty (a zero-length READ still answers with one).
+fn push_read_responses(
+    ctx: &QpCtx,
+    env: &mut QpEnv<'_>,
+    fx: &mut Effects,
+    req_psn: Psn,
+    read: (u64, u32, u32),
+    retransmit: bool,
+) {
+    let (src, len, resp_packets) = read;
+    let (peer_lid, peer_qpn) = ctx.peer_or_panic();
+    let (mtu, len) = (ctx.cfg.mtu as usize, len as usize);
+    for i in 0..resp_packets {
+        let offset = i as usize * mtu;
+        let lo = offset.min(len);
+        let hi = (offset + mtu).min(len);
+        fx.packets.push(Packet {
+            src: ctx.lid,
+            dst: peer_lid,
+            dst_qp: peer_qpn,
+            src_qp: ctx.qpn,
+            psn: req_psn.add(i),
+            kind: PacketKind::ReadResponse {
+                seg: SegPos::of(i, resp_packets),
+                data: env.mem.read(src + lo as u64, hi - lo),
+                req_psn,
+                offset: offset as u32,
+            },
+            ghost: false,
+            ecn: false,
+            retransmit,
+        });
+    }
+    // A responder with a smaller MTU than the requester's sends fewer
+    // bytes than asked. The unsent tail is still read, so which host
+    // pages a READ materialises does not depend on its segmentation.
+    let sent = (resp_packets as usize).saturating_mul(mtu).min(len);
+    env.mem.read(src + sent as u64, len - sent);
 }

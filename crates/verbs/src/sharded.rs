@@ -55,7 +55,7 @@ use ibsim_event::{
 };
 use ibsim_telemetry::{Labels, Telemetry};
 
-use crate::cluster::{Cluster, Sim};
+use crate::cluster::{Cluster, ClusterEvent, Sim};
 use crate::packet::Packet;
 use crate::types::HostId;
 
@@ -407,11 +407,11 @@ fn apply_injections(eng: &mut Sim, cl: &mut Cluster, envelopes: Vec<Envelope>) {
         match item {
             Item::Rekick { host, at } => cl.driver_kick_at(eng, HostId(host), at),
             Item::Deliver(env) => {
-                let host = HostId(env.dst_host);
-                let pkt = env.pkt;
-                eng.schedule_at(env.deliver_at, move |c: &mut Cluster, eng| {
-                    c.deliver(eng, host, pkt);
-                });
+                let deliver = ClusterEvent::Deliver {
+                    host: HostId(env.dst_host),
+                    pkt: env.pkt,
+                };
+                eng.post_at(env.deliver_at, deliver);
             }
         }
     }

@@ -1,0 +1,168 @@
+//! The cluster's events are typed values in the engine's slot arena:
+//! traffic that carries no payload allocates nothing per event, and the
+//! queue counts what it did exactly as an engine of boxed closures does.
+//!
+//! The allocation counters are per thread, so the tests of this binary
+//! can run in parallel without billing each other.
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+
+use ibsim_event::{Engine, Event, QueueStats, SimTime, SplitMix64, TimerKey};
+use ibsim_verbs::{
+    Cluster, ClusterBuilder, ClusterEvent, DeviceProfile, HostId, MrMode, QpConfig, Qpn, ReadWr,
+    Sim, WriteWr,
+};
+
+struct Counting;
+
+thread_local! {
+    /// Allocations made by this thread. Const-initialised and without a
+    /// destructor, so touching it never allocates.
+    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+}
+
+fn count() {
+    // A thread past its TLS teardown is not one a test measures.
+    let _ = ALLOCATIONS.try_with(|c| c.set(c.get() + 1));
+}
+
+// SAFETY: every call is forwarded unchanged to the system allocator; the
+// counter is plain thread-local data.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        count();
+        System.alloc(layout)
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        System.dealloc(ptr, layout)
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        count();
+        System.realloc(ptr, layout, new_size)
+    }
+}
+
+#[global_allocator]
+static GLOBAL: Counting = Counting;
+
+fn two_pinned_hosts() -> (Sim, Cluster, HostId, Qpn, [ibsim_verbs::MrDesc; 2]) {
+    let (mut eng, mut cl, hosts) = ClusterBuilder::new()
+        .seed(3)
+        .host("client", DeviceProfile::connectx6())
+        .host("server", DeviceProfile::connectx6())
+        .build();
+    let (a, b) = (hosts[0], hosts[1]);
+    let local = cl.alloc_mr(a, 4096, MrMode::Pinned);
+    let remote = cl.alloc_mr(b, 4096, MrMode::Pinned);
+    let (qa, _) = cl.connect_pair(&mut eng, a, b, QpConfig::default());
+    (eng, cl, a, qa, [local, remote])
+}
+
+/// Zero-length READs (request out, empty response back) and zero-length
+/// WRITEs (request out, ACK back), posted in one burst.
+fn post_burst(eng: &mut Sim, cl: &mut Cluster, a: HostId, qa: Qpn, mrs: &[ibsim_verbs::MrDesc; 2]) {
+    let [local, remote] = *mrs;
+    for i in 0..64u64 {
+        cl.post(eng, a, qa, ReadWr::new(local, remote).len(0).id(2 * i));
+        cl.post(eng, a, qa, WriteWr::new(local, remote).len(0).id(2 * i + 1));
+    }
+}
+
+#[test]
+fn zero_payload_traffic_allocates_nothing_per_event() {
+    let (mut eng, mut cl, a, qa, mrs) = two_pinned_hosts();
+    // Warm-up: the same burst once, so the arena, the effects pool, the
+    // send queue and the CQ have all reached their size.
+    post_burst(&mut eng, &mut cl, a, qa, &mrs);
+    eng.run(&mut cl);
+    assert_eq!(cl.poll_cq(a).len(), 128);
+    let warm = eng.queue_stats();
+
+    post_burst(&mut eng, &mut cl, a, qa, &mrs);
+    let before = ALLOCATIONS.get();
+    eng.run(&mut cl);
+    let allocated = ALLOCATIONS.get() - before;
+    let s = eng.queue_stats();
+    assert_eq!(allocated, 0, "over {} events", s.executed - warm.executed);
+    // 128 requests and their 128 responses were delivered, and the ACK
+    // timer was re-armed and finally cancelled along the way.
+    assert_eq!(s.executed - warm.executed, 256, "{s}");
+    assert!(
+        s.replaced > warm.replaced && s.cancelled > warm.cancelled,
+        "{s}"
+    );
+    let done = cl.poll_cq(a);
+    assert_eq!(done.len(), 128);
+    assert!(done.iter().all(|c| c.status.is_success()));
+}
+
+/// A fixed pseudo-random schedule of plain events, keyed arms and
+/// re-arms, cancels and steps; `arm` schedules one no-op event the
+/// engine's own way. Returns the queue counters after every operation.
+fn replay<W, E: Event<W>>(
+    eng: &mut Engine<W, E>,
+    world: &mut W,
+    arm: impl Fn(&mut Engine<W, E>, Option<TimerKey>, SimTime),
+) -> Vec<QueueStats> {
+    let mut rng = SplitMix64::new(5);
+    let mut trail = Vec::new();
+    for _ in 0..5_000 {
+        let key = TimerKey(1, rng.next_below(32));
+        match rng.next_below(8) {
+            0..=2 => arm(
+                eng,
+                None,
+                eng.now() + SimTime::from_ns(1 + rng.next_below(2_000)),
+            ),
+            3..=4 => {
+                let at = eng.now() + SimTime::from_ns(1 + rng.next_below(10_000));
+                arm(eng, Some(key), at);
+            }
+            5 => {
+                eng.cancel_key(key);
+            }
+            _ => {
+                eng.step(world);
+            }
+        }
+        trail.push(eng.queue_stats());
+    }
+    eng.run(world);
+    trail.push(eng.queue_stats());
+    trail
+}
+
+/// The benchmark replays a workload's queue counts on a bare
+/// `Engine<u64>` of closures: for the same schedule of times and keys
+/// it must count exactly what the cluster's typed engine counts.
+#[test]
+fn closures_on_a_bare_engine_and_typed_events_on_a_sim_count_alike() {
+    let mut bare: Engine<u64> = Engine::new();
+    let closures = replay(&mut bare, &mut 0, |eng, key, at| {
+        match key {
+            Some(key) => eng.schedule_keyed_at(key, at, |w, _| *w += 1),
+            None => eng.schedule_at(at, |w, _| *w += 1),
+        };
+    });
+
+    let (mut eng, mut cl, a, qa, _) = two_pinned_hosts();
+    // A timer of a generation the QP never armed: firing it is a no-op.
+    let stale = move || ClusterEvent::RnrTimer {
+        host: a,
+        qpn: qa,
+        gen: u64::MAX,
+    };
+    let typed = replay(&mut eng, &mut cl, |eng, key, at| {
+        match key {
+            Some(key) => eng.post_keyed_at(key, at, stale()),
+            None => eng.post_at(at, stale()),
+        };
+    });
+    assert_eq!(closures, typed);
+    let last = typed[typed.len() - 1];
+    assert!(last.replaced > 100 && last.cancelled > 100 && last.executed > 1_000);
+    assert_eq!(cl.stats.total_packets, 0, "the stale timers did nothing");
+}

@@ -550,6 +550,104 @@ fn write_segments_carry_correct_slices() {
     assert_eq!(psns, vec![0, 1, 2]);
 }
 
+/// What the responder answers a hand-built READ request with:
+/// `(seg, offset, payload, retransmit)` per response packet.
+fn read_responses(
+    sqp: &mut Qp,
+    server: &mut Host,
+    psn: u32,
+    read: (MrKey, u32, u32),
+) -> Vec<(SegPos, u32, Vec<u8>, bool)> {
+    let (rkey, len, resp_packets) = read;
+    let req = Packet {
+        src: Lid(1),
+        dst: Lid(2),
+        dst_qp: Qpn(2),
+        src_qp: Qpn(1),
+        psn: Psn::new(psn),
+        kind: PacketKind::ReadRequest {
+            rkey,
+            addr: 0,
+            len,
+            resp_packets,
+        },
+        ghost: false,
+        retransmit: false,
+        ecn: false,
+    };
+    let mut out = Effects::new();
+    sqp.on_packet(&mut server.env(SimTime::ZERO), &mut out, &req);
+    out.packets
+        .into_iter()
+        .enumerate()
+        .map(|(i, p)| {
+            assert_eq!(p.psn, Psn::new(psn + i as u32));
+            match p.kind {
+                PacketKind::ReadResponse {
+                    seg,
+                    data,
+                    req_psn,
+                    offset,
+                } => {
+                    assert_eq!(req_psn, Psn::new(psn));
+                    (seg, offset, data, p.retransmit)
+                }
+                other => panic!("expected a READ response, got {other:?}"),
+            }
+        })
+        .collect()
+}
+
+#[test]
+fn read_response_segments_are_cut_straight_from_memory() {
+    let mut server = Host::new(cx4());
+    let len = 4096 * 2 + 100;
+    let remote = server.add_mr(2, 4096 * 4, MrMode::Pinned);
+    let base = server.mrs[&remote].base();
+    let bytes: Vec<u8> = (0..len).map(|i| (i % 199) as u8).collect();
+    server.mem.write(base, &bytes);
+    let mut sqp = Qp::new(Qpn(2), Lid(2), QpConfig::default());
+    sqp.connect(Lid(1), Qpn(1));
+
+    // Three segments, and their duplicate replay.
+    let first = read_responses(&mut sqp, &mut server, 0, (remote, len as u32, 3));
+    assert_eq!(
+        first,
+        vec![
+            (SegPos::First, 0, bytes[..4096].to_vec(), false),
+            (SegPos::Middle, 4096, bytes[4096..8192].to_vec(), false),
+            (SegPos::Last, 8192, bytes[8192..].to_vec(), false),
+        ]
+    );
+    let replay = read_responses(&mut sqp, &mut server, 0, (remote, len as u32, 3));
+    assert_eq!(replay.len(), 3);
+    for (a, b) in first.iter().zip(&replay) {
+        assert_eq!((a.0, a.1, &a.2, true), (b.0, b.1, &b.2, b.3));
+    }
+    // A zero-length READ is answered by one empty segment.
+    assert_eq!(
+        read_responses(&mut sqp, &mut server, 3, (remote, 0, 1)),
+        vec![(SegPos::Only, 0, vec![], false)]
+    );
+    // More response packets than data: the surplus segments are empty
+    // and keep their nominal offsets.
+    assert_eq!(
+        read_responses(&mut sqp, &mut server, 4, (remote, 100, 3)),
+        vec![
+            (SegPos::First, 0, bytes[..100].to_vec(), false),
+            (SegPos::Middle, 4096, vec![], false),
+            (SegPos::Last, 8192, vec![], false),
+        ]
+    );
+    assert_eq!(server.mem.resident_pages(), 3, "nothing past the data");
+    // Fewer response packets than the data needs (the requester's MTU
+    // was larger): the unsent tail is still read, so it is resident.
+    let short = read_responses(&mut sqp, &mut server, 7, (remote, 4096 * 4, 1));
+    assert_eq!(short.len(), 1);
+    assert_eq!(short[0].2.len(), 4096);
+    assert_eq!(server.mem.resident_pages(), 4);
+}
+
 /// A stalled head with `successors` completed READs queued behind it
 /// (they cannot retire out of order — the shape every QP of the §VI
 /// flood is in for seconds). Returns what the next blind stall tick, a

@@ -9,11 +9,11 @@
 //! [`ibsim_odp::fnv1a`] helper, so the trace-identity hash itself is
 //! pinned in one place).
 
-use ibsim_event::{Engine, SimTime};
+use ibsim_event::SimTime;
 use ibsim_odp::fnv1a;
 use ibsim_verbs::{
     Cluster, ClusterBuilder, CompareSwapWr, DeviceProfile, FetchAddWr, MrBuilder, MrMode, QpConfig,
-    ReadWr, RecvWr, SendWr, WrId, WriteWr,
+    ReadWr, RecvWr, SendWr, Sim, WrId, WriteWr,
 };
 
 const REGION: u64 = 4096;
@@ -24,7 +24,7 @@ const REGION: u64 = 4096;
 /// workload at t = 0.
 fn run_hashed(
     post: impl FnOnce(
-        &mut Engine<Cluster>,
+        &mut Sim,
         &mut Cluster,
         ibsim_verbs::HostId,
         ibsim_verbs::Qpn,
@@ -96,7 +96,7 @@ fn run_hashed(
 fn assert_deterministic(
     label: &str,
     post: impl Fn(
-        &mut Engine<Cluster>,
+        &mut Sim,
         &mut Cluster,
         ibsim_verbs::HostId,
         ibsim_verbs::Qpn,

@@ -6,7 +6,7 @@
 
 use ibsim_event::{Engine, SimTime};
 use ibsim_fabric::{Lid, LinkSpec};
-use ibsim_verbs::{Cluster, DeviceProfile, MrMode, QpConfig, Qpn, ReadWr};
+use ibsim_verbs::{Cluster, DeviceProfile, MrMode, QpConfig, Qpn, ReadWr, Sim};
 
 /// A device with a low timeout floor (so the test runs in microseconds,
 /// not the CX-4's 500 ms) and an exaggerated per-QP load coefficient (so
@@ -23,7 +23,7 @@ fn test_device() -> DeviceProfile {
 /// Arms a wrong-LID QP (its READ is dropped, so only the ACK timeout can
 /// save it), then raises a responder-side ODP recovery storm on `n_storm`
 /// sibling QPs before the stale deadline arrives.
-fn storm_scenario(n_storm: usize) -> (Engine<Cluster>, Cluster, ibsim_verbs::HostId) {
+fn storm_scenario(n_storm: usize) -> (Sim, Cluster, ibsim_verbs::HostId) {
     let mut eng = Engine::new();
     let mut cl = Cluster::new(42);
     let a = cl.add_host("client", test_device());
