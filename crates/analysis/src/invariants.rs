@@ -2,10 +2,10 @@
 //!
 //! The trace linter works offline, after the fact. The invariants here
 //! are checked *while the simulation runs*, inside `ibsim-verbs` and
-//! `ibsim-event`, when those crates are built with their `checks`
-//! feature (this crate's own `checks` feature forwards to them). The
-//! registry gives each runtime check a stable identity and a single
-//! place to collect the violation counters from.
+//! `ibsim-event`, in every build: one compare per event pop and one
+//! table look-up per QP state change. The registry gives each runtime
+//! check a stable identity and a single place to collect the violation
+//! counters from.
 //!
 //! Checks never panic: violations are counted and surfaced — through
 //! [`ibsim_verbs::QpStats::invariant_violations`], through
@@ -29,7 +29,7 @@ pub enum InvariantId {
     EventTimeMonotonicity,
     /// The engine's indexed heap must never pop a cancelled (dead)
     /// entry; a nonzero count means timer churn is leaking tombstones
-    /// back into the queue. Counted unconditionally in `ibsim-event`.
+    /// back into the queue. Counted in `ibsim-event`.
     DeadEventPops,
 }
 
@@ -87,10 +87,6 @@ pub struct InvariantSnapshot {
 
 impl InvariantSnapshot {
     /// Collects the counters for every host of a cluster plus its engine.
-    ///
-    /// Without the `checks` feature both counters are always zero (the
-    /// checks compile away); the collection path itself is unconditional
-    /// so callers need no feature gates.
     pub fn collect<W, E: Event<W>>(cl: &Cluster, hosts: &[HostId], engine: &Engine<W, E>) -> Self {
         let qp = hosts
             .iter()
@@ -178,6 +174,23 @@ mod tests {
     }
 
     #[test]
+    fn reconnecting_a_live_qp_is_counted_in_a_default_build() {
+        // connect_pair walked both QPs to Rts; pointing one at a LID
+        // again makes exactly one illegal hop (Rts -> Init).
+        let mut eng = Engine::new();
+        let mut cl = Cluster::new(1);
+        let a = cl.add_host("client", DeviceProfile::connectx4(LinkSpec::fdr()));
+        let b = cl.add_host("server", DeviceProfile::connectx4(LinkSpec::fdr()));
+        let (qa, qb) = cl.connect_pair(&mut eng, a, b, QpConfig::default());
+        cl.connect_to_lid(a, qa, cl.lid(b), qb);
+        assert_eq!(cl.qp_stats_sum(a).invariant_violations, 1);
+        assert_eq!(cl.qp_stats_sum(b).invariant_violations, 0);
+        let snap = InvariantSnapshot::collect(&cl, &[a, b], &eng);
+        assert_eq!(snap.total(), 1, "{snap}");
+        assert_eq!(snap.count(InvariantId::QpStateTransition), 1);
+    }
+
+    #[test]
     fn snapshot_display_lists_nonzero_counters() {
         let snap = InvariantSnapshot {
             qp_transition_violations: 2,
@@ -194,7 +207,7 @@ mod tests {
     #[test]
     fn dead_event_pops_are_collected_from_the_engine() {
         // A churny run on the indexed heap must report zero dead pops
-        // through the snapshot — the counter exists without `checks`.
+        // through the snapshot.
         let mut eng = Engine::new();
         let mut cl = Cluster::new(5);
         let a = cl.add_host("client", DeviceProfile::connectx4(LinkSpec::fdr()));

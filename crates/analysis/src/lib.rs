@@ -15,8 +15,7 @@
 //!   ends of a link: nothing silently lost, nothing invented.
 //! * [`InvariantSnapshot`] — the **runtime invariant registry**: QP
 //!   state-machine legality and event-clock monotonicity, counted inside
-//!   `ibsim-verbs` / `ibsim-event` when built with the `checks` feature
-//!   and collected here.
+//!   `ibsim-verbs` / `ibsim-event` in every build and collected here.
 //!
 //! Findings come back as a structured [`LintReport`] whose rules carry
 //! stable [`RuleId`] codes, so CI can assert "clean trace" exactly.

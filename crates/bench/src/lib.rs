@@ -21,7 +21,6 @@
 //! | `fig12` | Fig. 12 ArgoDSM init/finalize histograms |
 //! | `table13` | Fig. 13 SparkUCX table |
 //! | `all` | everything above, in sequence |
-//! | `qpsweep` | §VI flood scaling gate, 64 → 4096 QPs (`flood`) |
 //! | `congestion` | shared-uplink storm/victim study (`congestion`) |
 //! | `recovery` | recovery-backend ablation |
 //! | `scenario` | scenario corpus + fuzz conformance runner |
@@ -36,7 +35,6 @@
 #![warn(missing_docs)]
 
 pub mod congestion;
-pub mod flood;
 
 use ibsim_event::SimTime;
 
@@ -137,11 +135,6 @@ pub fn secs(t: SimTime) -> String {
     format!("{:.3}", t.as_secs_f64())
 }
 
-/// Formats a time as milliseconds with 2 decimals.
-pub fn millis(t: SimTime) -> String {
-    format!("{:.2}", t.as_ms_f64())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -190,7 +183,6 @@ mod tests {
     #[test]
     fn formatting_helpers() {
         assert_eq!(secs(SimTime::from_ms(1500)), "1.500");
-        assert_eq!(millis(SimTime::from_us(1280)), "1.28");
         let r = row(&["a".into(), "bb".into()], &[3, 4]);
         assert_eq!(r, "  a    bb");
     }

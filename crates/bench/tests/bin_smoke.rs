@@ -136,19 +136,6 @@ fn run_twice(bin: &str) -> String {
 }
 
 #[test]
-fn qpsweep_is_reproducible_and_smokes_the_sharded_rung() {
-    let out = run_twice(env!("CARGO_BIN_EXE_qpsweep"));
-    assert!(!out.contains("wall"), "{out}");
-    assert!(
-        out.contains(
-            "pdes smoke: 256 QPs on 4 shards: 256 completions, 4 spans \
-             (sequential: 256 completions, 4 spans)"
-        ),
-        "{out}"
-    );
-}
-
-#[test]
 fn congestion_is_reproducible_and_holds_its_inequalities() {
     let out = run_twice(env!("CARGO_BIN_EXE_congestion"));
     assert!(!out.contains("wall"), "{out}");

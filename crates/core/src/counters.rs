@@ -30,9 +30,8 @@ pub struct HostCounters {
     pub responses_discarded: u64,
     /// Packets silently dropped during responder fault pendency.
     pub pendency_drops: u64,
-    /// Runtime protocol-invariant violations (QP state-machine legality;
-    /// counted only when `ibsim-verbs` is built with its `checks` feature,
-    /// always zero otherwise).
+    /// Runtime protocol-invariant violations (QP state-machine legality,
+    /// counted in every build; zero on a healthy host).
     pub invariant_violations: u64,
     /// Driver: page faults resolved.
     pub faults_resolved: u64,

@@ -16,8 +16,8 @@
 
 use ibsim_event::{Engine, QueueStats, SimTime};
 use ibsim_verbs::{
-    merge_shard_telemetry, run_sharded, Cluster, DeviceProfile, HostId, Labels, MrBuilder, MrDesc,
-    MrMode, QpConfig, Qpn, ReadWr, RecoveryKind, ShardPlan, Sim, Telemetry, WcStatus, PAGE_SIZE,
+    run_plan, Cluster, DeviceProfile, HostId, MrBuilder, MrDesc, MrMode, QpConfig, Qpn, ReadWr,
+    RecoveryKind, ShardPlan, Sim, Telemetry, WcStatus, PAGE_SIZE,
 };
 
 /// Which side(s) register their buffers with On-Demand Paging (§IV-A).
@@ -246,12 +246,9 @@ fn build_microbench(
 
     // Fill the server buffer with a recognizable pattern.
     let pattern: Vec<u8> = (0..buf_len as u32).map(|i| (i % 241) as u8).collect();
+    // mem_write touches the OS pages only: the NIC mapping is independent
+    // of OS residency and stays cold for the experiment.
     cl.mem_write(server, remote.base, &pattern);
-    if cfg.odp.server_mode() == MrMode::Odp {
-        // mem_write touched the OS pages but the NIC mapping must stay
-        // cold for the experiment; re-registering keeps it cold already.
-        // Nothing to do: NIC mapping is independent of OS residency.
-    }
     if cfg.touch_all_but_first {
         touch_all_but_first(&mut cl, &local, &remote, cfg);
     }
@@ -398,160 +395,79 @@ pub struct MicrobenchDigest {
     pub queue_stats: QueueStats,
 }
 
-/// Runs the micro-benchmark sequentially and reduces it to the
-/// shard-count-invariant digest (see [`run_microbench_sharded`]).
+/// Runs the micro-benchmark on the plain engine and reduces it to the
+/// shard-count-invariant digest: the one-owner plan of
+/// [`run_microbench_sharded_with`].
 pub fn run_microbench_digest(cfg: &MicrobenchConfig) -> MicrobenchDigest {
-    let (mut eng, mut cl, setup) = build_microbench(cfg, None);
-    eng.run(&mut cl);
-    if cfg.telemetry {
-        cl.sync_telemetry(&eng);
-    }
-    let (op_completions, last, errors, data_ok) = collect_client(&mut cl, &setup, cfg);
-    let client_stats = cl.qp_stats_sum(setup.client);
-    let server_stats = cl.qp_stats_sum(setup.server);
-    let mut telemetry = std::mem::take(cl.telemetry_mut());
-    telemetry.sort_spans_by_completion();
-    telemetry.remove_metric("event.peak_depth", Labels::NONE);
-    let mut queue_stats = eng.queue_stats();
-    queue_stats.peak_depth = 0;
-    MicrobenchDigest {
-        client_timeline: cl.capture(setup.client).timeline(),
-        op_completions,
-        execution_time: last,
-        timeouts: client_stats.timeouts,
-        retransmissions: client_stats.retransmissions,
-        responses_discarded: client_stats.responses_discarded,
-        faults: server_stats.faults_raised + client_stats.faults_raised,
-        pages_pinned: server_stats.pages_pinned + client_stats.pages_pinned,
-        total_packets: cl.stats.total_packets,
-        errors,
-        data_ok,
-        telemetry,
-        queue_stats,
-    }
+    run_microbench_sharded(cfg, 1)
 }
 
-/// Per-shard extraction handed back by the sharded run's finish closure
-/// ([`Cluster`] is not `Send`, so shards return data, not replicas).
-struct ShardReport {
-    /// Client-side collection; populated only by the client's owner.
-    client: Option<ClientReport>,
-    /// Server-side QP stat sums; populated only by the server's owner.
-    server: Option<(u64, u64)>,
-    total_packets: u64,
-    telemetry: Telemetry,
-    queue_stats: QueueStats,
-    globals: (u64, u64),
-}
-
-struct ClientReport {
-    timeline: String,
-    op_completions: Vec<Option<SimTime>>,
-    execution_time: SimTime,
-    errors: usize,
-    data_ok: bool,
-    timeouts: u64,
-    retransmissions: u64,
-    responses_discarded: u64,
-    faults_raised: u64,
-    pages_pinned: u64,
-}
-
-/// Runs the micro-benchmark split across `shards` conservative-lookahead
-/// shard threads (client on shard 0, server on shard `min(1, shards-1)`,
-/// further shards idle replicas) and reduces it to the same digest as
-/// [`run_microbench_digest`] — the cross-shard conformance battery
-/// asserts the two are identical at every shard count.
+/// Runs the micro-benchmark under [`ShardPlan::pair`]: client on shard
+/// 0, server on shard 1 when there is one, further shards idle
+/// replicas. The cross-shard conformance battery asserts the digest is
+/// identical at every shard count.
 ///
 /// # Panics
 ///
-/// Panics as [`run_sharded`] does (lookahead violation, plan mismatch),
-/// or if `num_ops`/`num_qps`/`size` is zero.
+/// As [`run_microbench_sharded_with`].
 pub fn run_microbench_sharded(cfg: &MicrobenchConfig, shards: usize) -> MicrobenchDigest {
-    run_microbench_sharded_with(cfg, ShardPlan::new(shards, vec![0, 1 % shards]))
+    run_microbench_sharded_with(cfg, ShardPlan::pair(shards))
 }
 
-/// [`run_microbench_sharded`] with an explicit [`ShardPlan`] (testing
-/// knob: custom owner maps and lookahead overrides).
+/// The digest body: builds, runs and collects the micro-benchmark under
+/// an explicit [`ShardPlan`] (custom owner maps and lookahead overrides
+/// are the testing knobs) through [`run_plan`], which picks the executor
+/// from the plan.
+///
+/// # Panics
+///
+/// Panics as [`run_plan`] does (malformed plan, lookahead violation), or
+/// if `num_ops`/`num_qps`/`size` is zero.
 pub fn run_microbench_sharded_with(cfg: &MicrobenchConfig, plan: ShardPlan) -> MicrobenchDigest {
-    let reports: Vec<ShardReport> = run_sharded(
+    let done = run_plan(
         &plan,
         None,
-        |id| {
-            let (eng, cl, _) = build_microbench(cfg, Some((id, &plan.owner)));
-            (eng, cl)
-        },
-        |_, eng, mut cl, canonical_end| {
+        |shard| build_microbench(cfg, shard),
+        |eng, cl, setup, end| {
             if cfg.telemetry {
-                cl.sync_telemetry_at(&eng, canonical_end);
+                cl.sync_telemetry_at(eng, end);
             }
-            // Rebuild the setup handles: replicas are identical, so the
-            // MR layout and pattern are reproducible from the config.
-            let (_, _, setup) = build_microbench(cfg, None);
-            let client = if cl.owns(setup.client) {
-                let (op_completions, last, errors, data_ok) = collect_client(&mut cl, &setup, cfg);
-                let s = cl.qp_stats_sum(setup.client);
-                Some(ClientReport {
-                    timeline: cl.capture(setup.client).timeline(),
-                    op_completions,
-                    execution_time: last,
-                    errors,
-                    data_ok,
-                    timeouts: s.timeouts,
-                    retransmissions: s.retransmissions,
-                    responses_discarded: s.responses_discarded,
-                    faults_raised: s.faults_raised,
-                    pages_pinned: s.pages_pinned,
-                })
-            } else {
-                None
-            };
-            let server = if cl.owns(setup.server) {
-                let s = cl.qp_stats_sum(setup.server);
-                Some((s.faults_raised, s.pages_pinned))
-            } else {
-                None
-            };
-            ShardReport {
-                client,
-                server,
-                total_packets: cl.stats.total_packets,
-                telemetry: std::mem::take(cl.telemetry_mut()),
-                queue_stats: eng.queue_stats(),
-                globals: cl.shard_global_counters(),
-            }
+            // Each host's artifacts come from the replica that owns it.
+            let client = cl.owns(setup.client).then(|| {
+                let collected = collect_client(cl, &setup, cfg);
+                let timeline = cl.capture(setup.client).timeline();
+                (collected, cl.qp_stats_sum(setup.client), timeline)
+            });
+            let server = cl.owns(setup.server).then(|| cl.qp_stats_sum(setup.server));
+            (client, server, cl.stats.total_packets)
         },
     );
-    let total_packets = reports.iter().map(|r| r.total_packets).sum();
-    let globals = reports[0].globals;
     let mut client = None;
     let mut server = None;
-    let mut hubs = Vec::new();
-    let mut qss = Vec::new();
-    for r in reports {
-        client = client.or(r.client);
-        server = server.or(r.server);
-        hubs.push(r.telemetry);
-        qss.push(r.queue_stats);
+    let mut total_packets = 0;
+    for (c, s, n) in done.shards {
+        client = client.or(c);
+        server = server.or(s);
+        total_packets += n;
     }
-    let (telemetry, queue_stats) = merge_shard_telemetry(&hubs, &qss, globals.0, globals.1);
-    let (Some(cr), Some((server_faults, server_pinned))) = (client, server) else {
-        unreachable!("invariant: exactly one shard owns each host");
+    let (Some((collected, cs, client_timeline)), Some(ss)) = (client, server) else {
+        unreachable!("invariant: exactly one replica owns each host");
     };
+    let (op_completions, last, errors, data_ok) = collected;
     MicrobenchDigest {
-        client_timeline: cr.timeline,
-        op_completions: cr.op_completions,
-        execution_time: cr.execution_time,
-        timeouts: cr.timeouts,
-        retransmissions: cr.retransmissions,
-        responses_discarded: cr.responses_discarded,
-        faults: cr.faults_raised + server_faults,
-        pages_pinned: cr.pages_pinned + server_pinned,
+        client_timeline,
+        op_completions,
+        execution_time: last,
+        timeouts: cs.timeouts,
+        retransmissions: cs.retransmissions,
+        responses_discarded: cs.responses_discarded,
+        faults: cs.faults_raised + ss.faults_raised,
+        pages_pinned: cs.pages_pinned + ss.pages_pinned,
         total_packets,
-        errors: cr.errors,
-        data_ok: cr.data_ok,
-        telemetry,
-        queue_stats,
+        errors,
+        data_ok,
+        telemetry: done.telemetry,
+        queue_stats: done.queue,
     }
 }
 
@@ -698,6 +614,12 @@ mod tests {
                 "shards={shards}"
             );
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "a sharded run needs at least one shard")]
+    fn zero_shards_is_rejected_with_a_diagnostic() {
+        run_microbench_sharded(&MicrobenchConfig::default(), 0);
     }
 
     #[test]

@@ -410,8 +410,7 @@ pub struct Engine<W, E = Call<W>> {
     /// catch a regression back to tombstone cancellation.
     dead_pops: u64,
     peak_depth: usize,
-    /// Event pops whose timestamp preceded the clock (only counted with
-    /// the `checks` feature; always zero otherwise). A non-zero value
+    /// Event pops whose timestamp preceded the clock. A non-zero value
     /// means the min-heap ordering invariant broke — causality is gone.
     monotonicity_violations: u64,
     /// Timestamp of the last event actually executed. Unlike `now`, this
@@ -514,25 +513,12 @@ impl<W, E: Event<W>> Engine<W, E> {
         }
     }
 
-    /// Number of event pops that violated clock monotonicity. Counted
-    /// only when the crate is built with the `checks` feature; without it
-    /// this always returns zero (the condition is still a `debug_assert`
-    /// in debug builds).
+    /// Number of event pops that violated clock monotonicity: counted,
+    /// never panicked on, so a broken heap shows up in the same counter
+    /// reports as every other runtime invariant.
     #[inline]
     pub fn monotonicity_violations(&self) -> u64 {
         self.monotonicity_violations
-    }
-
-    /// Validates one popped event timestamp against the clock.
-    #[inline]
-    fn check_pop_monotone(&mut self, at: SimTime) {
-        #[cfg(feature = "checks")]
-        if at < self.now {
-            self.monotonicity_violations += 1;
-        }
-        #[cfg(not(feature = "checks"))]
-        debug_assert!(at >= self.now, "event queue went backwards");
-        let _ = at;
     }
 
     // ------------------------------------------------------------------
@@ -840,7 +826,9 @@ impl<W, E: Event<W>> Engine<W, E> {
             return false;
         }
         let (at, ev) = self.remove_at(0);
-        self.check_pop_monotone(at);
+        if at < self.now {
+            self.monotonicity_violations += 1;
+        }
         self.now = at;
         self.last_executed_at = at;
         self.executed += 1;

@@ -197,11 +197,6 @@ impl<P> Capture<P> {
         self.records.is_empty()
     }
 
-    /// Discards all records (keeps the enabled flag).
-    pub fn clear(&mut self) {
-        self.records.clear();
-    }
-
     /// Iterates over captured frames.
     pub fn iter(&self) -> std::slice::Iter<'_, Captured<P>> {
         self.records.iter()
@@ -227,19 +222,20 @@ impl<'a, P> IntoIterator for &'a Capture<P> {
 impl<P: fmt::Display> Capture<P> {
     /// Renders the capture as an `ibdump`-like text timeline.
     pub fn timeline(&self) -> String {
+        use fmt::Write as _;
         let mut out = String::new();
+        // `SimTime`'s `Display` ignores width, so the time goes through
+        // one reused scratch buffer to be padded.
+        let mut time = String::new();
         for r in &self.records {
             let drop_mark = if r.dropped { "  [LOST IN FABRIC]" } else { "" };
-            out.push_str(&format!(
-                "{:>12}  {}  {} -> {}  {:>5}B  {}{}\n",
-                r.time.to_string(),
-                r.direction,
-                r.src,
-                r.dst,
-                r.bytes,
-                r.payload,
-                drop_mark
-            ));
+            time.clear();
+            let _ = write!(time, "{}", r.time);
+            let _ = writeln!(
+                out,
+                "{time:>12}  {}  {} -> {}  {:>5}B  {}{drop_mark}",
+                r.direction, r.src, r.dst, r.bytes, r.payload
+            );
         }
         out
     }
@@ -288,16 +284,6 @@ mod tests {
         cap.disable();
         rec(&mut cap, 2, 8);
         assert_eq!(cap.len(), 1);
-    }
-
-    #[test]
-    fn clear_empties_buffer() {
-        let mut cap: Capture<u32> = Capture::new();
-        cap.enable();
-        rec(&mut cap, 1, 7);
-        cap.clear();
-        assert!(cap.is_empty());
-        assert!(cap.is_enabled());
     }
 
     #[test]

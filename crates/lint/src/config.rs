@@ -213,7 +213,7 @@ mod tests {
         let analysis = policy_for("crates/analysis/src/linter.rs").expect("linted");
         assert!(!analysis.no_direct_retransmit, "only verbs builds packets");
 
-        let bench = policy_for("crates/bench/src/bin/qpsweep.rs").expect("bench is linted");
+        let bench = policy_for("crates/bench/src/bin/congestion.rs").expect("bench is linted");
         assert!(bench.no_unwrap && bench.no_wall_clock && !bench.no_float_in_sim_path);
 
         let boundary = policy_for("crates/event/src/time.rs").expect("time.rs is linted");

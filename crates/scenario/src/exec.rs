@@ -4,24 +4,30 @@
 //! the oracle checks — completions, memory images, the merged lint
 //! report, runtime invariant counts, fault spans and a trace hash.
 //!
-//! Every scenario can run on either engine: [`run_scenario`] executes
-//! sequentially when [`Scenario::shards`] is 1 and dispatches to the
-//! conservative-lookahead PDES executor ([`run_scenario_sharded`])
-//! otherwise. The sharded path is required to reproduce the sequential
-//! [`ScenarioRun`] — including `trace_hash` — byte for byte; the
+//! There is one path: every entry point builds a [`ShardPlan`] and hands
+//! the same build and collect closures to [`run_plan`], which runs a
+//! one-owner plan on the plain engine in the calling thread and a split
+//! plan on the conservative-lookahead PDES executor. Either way the
+//! world is built once per replica and each host's capture is moved out
+//! of it, not copied. The [`ScenarioRun`] — including `trace_hash` — is
+//! required to be the same byte for byte under every plan; the
 //! conformance battery and the seeded shard-assignment fuzzer enforce
 //! that for every corpus entry and random partition.
+//!
+//! The path does not call `Cluster::sync_telemetry`: a [`ScenarioRun`]
+//! takes the hub's spans and stage-sum count only, and the gauges a sync
+//! writes have no reader here.
 
 use ibsim_analysis::{
     check_conservation, lint_capture, InvariantSnapshot, LintConfig, LintReport, RecoveryRules,
 };
-use ibsim_event::{QueueStats, SimTime};
+use ibsim_event::SimTime;
 use ibsim_fabric::{Capture, LinkSpec, LossModel};
-use ibsim_telemetry::{FaultSpan, Telemetry};
+use ibsim_telemetry::FaultSpan;
 use ibsim_verbs::{
-    merge_shard_telemetry, run_sharded, Cluster, ClusterBuilder, CompareSwapWr, Completion,
-    DeviceProfile, FetchAddWr, HostId, MrBuilder, MrDesc, MrMode, Packet, QpConfig, Qpn, ReadWr,
-    RecvWr, SendWr, ShardPlan, Sim, WrId, WriteWr, PAGE_SIZE,
+    run_plan, Cluster, ClusterBuilder, CompareSwapWr, Completion, DeviceProfile, FetchAddWr,
+    HostId, MrBuilder, MrDesc, MrMode, Packet, QpConfig, Qpn, ReadWr, RecvWr, SendWr, ShardPlan,
+    Sim, WrId, WriteWr, PAGE_SIZE,
 };
 
 use crate::reference::{client_init_byte, server_init_byte, RECV_ID_BASE};
@@ -64,12 +70,12 @@ pub struct ScenarioRun {
     /// packet conservation.
     pub lint: LintReport,
     /// Total runtime invariant violations counted across the cluster and
-    /// engine (nonzero only when built with `--features checks`).
+    /// engine; zero on a healthy run.
     pub invariant_violations: u64,
-    /// Closed fault-lifecycle spans recorded by telemetry. Sequential
-    /// runs report them in close order; sharded runs in the canonical
-    /// `(completed, raised, host, mr, page)` order. Only order differs —
-    /// the oracle's stage-sum law is order-insensitive.
+    /// Closed fault-lifecycle spans recorded by telemetry, in the
+    /// canonical `(completed, raised, host, mr, page)` order under every
+    /// plan. (Its readers — the span count and the oracle's stage-sum
+    /// law — are order-insensitive.)
     pub spans: Vec<FaultSpan>,
     /// Telemetry closed spans whose stage durations do not sum to their
     /// end-to-end latency (see `Telemetry::stage_sum_violations`).
@@ -89,7 +95,7 @@ pub struct ScenarioRun {
 }
 
 /// Simulated drain deadline of a scenario: last post plus the budget.
-/// Both executors run exactly to this instant, so `end_ns` is identical
+/// Every plan runs exactly to this instant, so `end_ns` is identical
 /// whatever the shard count.
 fn scenario_deadline(sc: &Scenario) -> SimTime {
     SimTime::from_ns(sc.wrs.len() as u64 * sc.post_interval_ns) + DRAIN_BUDGET
@@ -104,13 +110,12 @@ struct World {
     smr: MrDesc,
     client_qpns: Vec<Qpn>,
     server_qpns: Vec<Qpn>,
-    hosts: Vec<HostId>,
 }
 
 /// Builds the two-host cluster, registers regions, connects QPs and
 /// schedules the workload, fault and loss timelines.
 ///
-/// `shard` is `None` for a sequential run; `Some((id, owner))` builds
+/// `shard` is `None` for the plain cluster; `Some((id, owner))` builds
 /// shard `id`'s replica of a sharded run. Replicas are construction-time
 /// identical (registration, memory init and QP connection schedule no
 /// events), but each replica only schedules events it will execute:
@@ -279,7 +284,6 @@ fn build_scenario_world(sc: &Scenario, shard: Option<(usize, &[usize])>) -> (Sim
         smr,
         client_qpns,
         server_qpns,
-        hosts,
     };
     (eng, cl, world)
 }
@@ -294,8 +298,9 @@ struct HostCollect {
     capture: Capture<Packet>,
 }
 
-/// Drains one host's completion queue and snapshots its region and
-/// capture. Only meaningful on the replica that owns the host.
+/// Drains one host's completion queue, snapshots its region and moves
+/// its capture out of the cluster. Only meaningful on the replica that
+/// owns the host.
 fn collect_host(
     cl: &mut Cluster,
     sc: &Scenario,
@@ -328,26 +333,83 @@ fn collect_host(
         comp_log,
         stray,
         mem,
-        capture: cl.capture(host).clone(),
+        capture: cl.take_capture(host),
     }
 }
 
-/// Assembles the final [`ScenarioRun`] from both hosts' artifacts: the
-/// merged lint report, the concatenated timeline and the trace hash.
-/// Shared verbatim by the sequential and sharded executors, which is
-/// what makes "same `HostCollect`s in, same hash out" a structural
-/// guarantee.
-#[allow(clippy::too_many_arguments)]
-fn assemble_run(
-    sc: &Scenario,
-    ccol: HostCollect,
-    scol: HostCollect,
-    spans: Vec<FaultSpan>,
-    stage_sum_violations: usize,
-    invariant_violations: u64,
-    stalled: bool,
-    end_ns: u64,
-) -> ScenarioRun {
+/// Runs one scenario to completion under [`ShardPlan::pair`] of
+/// [`Scenario::shards`] (a zero runs as one). Deterministic: the same
+/// scenario always produces the same [`ScenarioRun`], including its
+/// `trace_hash` — whatever the shard count, because the sharded
+/// executor reproduces the sequential trace bit for bit.
+///
+/// The scenario should satisfy [`Scenario::validate`]; out-of-range
+/// offsets would make the run itself meaningless.
+pub fn run_scenario(sc: &Scenario) -> ScenarioRun {
+    run_scenario_sharded(sc, sc.shards.max(1))
+}
+
+/// Runs a scenario on `shards` PDES shards with the default host
+/// placement, [`ShardPlan::pair`]: client on shard 0, server on shard 1
+/// when there is one.
+///
+/// # Panics
+///
+/// As [`run_scenario_sharded_with`]; `shards == 0` is a malformed plan.
+pub fn run_scenario_sharded(sc: &Scenario, shards: usize) -> ScenarioRun {
+    run_scenario_sharded_with(sc, ShardPlan::pair(shards))
+}
+
+/// Runs a scenario under an explicit [`ShardPlan`] — the entry point for
+/// the shard-assignment fuzzer, which exercises arbitrary host→shard
+/// partitions. When any loss phase is order-dependent (its model
+/// consumes a PRNG or counter per inspected packet) the plan is
+/// collapsed onto the client's shard: cross-shard traffic would consult
+/// replicated loss state in a shard-local order and diverge from the
+/// sequential drop pattern.
+///
+/// # Panics
+///
+/// Panics as [`run_plan`] does on a malformed plan: no shards, an owner
+/// map that does not name a shard for both hosts, a shard out of range.
+pub fn run_scenario_sharded_with(sc: &Scenario, mut plan: ShardPlan) -> ScenarioRun {
+    let order_dependent_loss = sc
+        .loss
+        .iter()
+        .any(|p| loss_model(&p.model).is_order_dependent());
+    if order_dependent_loss {
+        if let Some(&shard) = plan.owner.first() {
+            plan.owner.fill(shard);
+        }
+    }
+    let done = run_plan(
+        &plan,
+        Some(scenario_deadline(sc)),
+        |shard| build_scenario_world(sc, shard),
+        |eng, cl, w, _end| {
+            // Each host's artifacts come from the replica that owns it.
+            let client = cl
+                .owns(w.client)
+                .then(|| collect_host(cl, sc, "C", w.client, &w.client_qpns, &w.cmr));
+            let server = cl
+                .owns(w.server)
+                .then(|| collect_host(cl, sc, "S", w.server, &w.server_qpns, &w.smr));
+            let invariants = InvariantSnapshot::collect(cl, &[w.client, w.server], eng).total();
+            (client, server, invariants)
+        },
+    );
+    let mut client = None;
+    let mut server = None;
+    let mut invariant_violations = 0u64;
+    for (c, s, n) in done.shards {
+        client = client.or(c);
+        server = server.or(s);
+        invariant_violations += n;
+    }
+    let (Some(ccol), Some(scol)) = (client, server) else {
+        unreachable!("invariant: exactly one replica owns each host")
+    };
+
     // The justification rules come from the backend under test: batch
     // inheritance is a go-back-N rollback property (see RecoveryRules).
     let lint_cfg = LintConfig {
@@ -358,8 +420,7 @@ fn assemble_run(
     lint.merge(lint_capture(&scol.capture, &lint_cfg));
     lint.merge(check_conservation(&ccol.capture, &scol.capture));
 
-    let mut timeline = String::new();
-    timeline.push_str(&ccol.capture.timeline());
+    let mut timeline = ccol.capture.timeline();
     timeline.push('\n');
     timeline.push_str(&scol.capture.timeline());
     timeline.push('\n');
@@ -377,164 +438,13 @@ fn assemble_run(
         server_mem: scol.mem,
         lint,
         invariant_violations,
-        spans,
-        stage_sum_violations,
-        stalled,
-        end_ns,
+        spans: done.telemetry.spans().to_vec(),
+        stage_sum_violations: done.telemetry.stage_sum_violations(),
+        stalled: done.queue.live > 0,
+        end_ns: done.end.as_ns(),
         trace_hash: fnv1a(&ident),
         timeline,
     }
-}
-
-/// Runs one scenario to completion. Deterministic: the same scenario
-/// always produces the same [`ScenarioRun`], including its `trace_hash`
-/// — whatever [`Scenario::shards`] says, because the sharded executor
-/// reproduces the sequential trace bit for bit.
-///
-/// The scenario should satisfy [`Scenario::validate`]; out-of-range
-/// offsets would make the run itself meaningless.
-pub fn run_scenario(sc: &Scenario) -> ScenarioRun {
-    if sc.shards > 1 {
-        return run_scenario_sharded(sc, sc.shards);
-    }
-    let deadline = scenario_deadline(sc);
-    let (mut eng, mut cl, w) = build_scenario_world(sc, None);
-    eng.run_until(&mut cl, deadline);
-    let stalled = eng.queue_stats().live > 0;
-    let end_ns = eng.now().as_ns();
-
-    let ccol = collect_host(&mut cl, sc, "C", w.client, &w.client_qpns, &w.cmr);
-    let scol = collect_host(&mut cl, sc, "S", w.server, &w.server_qpns, &w.smr);
-
-    cl.sync_telemetry(&eng);
-    let snapshot = InvariantSnapshot::collect(&cl, &w.hosts, &eng);
-    let spans: Vec<FaultSpan> = cl.telemetry().spans().to_vec();
-    let stage_sum_violations = cl.telemetry().stage_sum_violations();
-
-    assemble_run(
-        sc,
-        ccol,
-        scol,
-        spans,
-        stage_sum_violations,
-        snapshot.total(),
-        stalled,
-        end_ns,
-    )
-}
-
-/// Runs a scenario on `shards` PDES shards with the default host
-/// placement: client on shard 0, server on shard `1 % shards`. When any
-/// loss phase is order-dependent (its model consumes a PRNG or counter
-/// per inspected packet) both hosts are co-located on shard 0 instead —
-/// cross-shard traffic would consult replicated loss state in a
-/// shard-local order and diverge from the sequential drop pattern.
-pub fn run_scenario_sharded(sc: &Scenario, shards: usize) -> ScenarioRun {
-    run_scenario_sharded_with(sc, ShardPlan::new(shards, vec![0, 1 % shards]))
-}
-
-/// Runs a scenario under an explicit [`ShardPlan`] — the entry point for
-/// the shard-assignment fuzzer, which exercises arbitrary host→shard
-/// partitions. Plans that split the hosts are collapsed onto the
-/// client's shard when the loss schedule is order-dependent (see
-/// [`run_scenario_sharded`]).
-pub fn run_scenario_sharded_with(sc: &Scenario, mut plan: ShardPlan) -> ScenarioRun {
-    let order_dependent_loss = sc
-        .loss
-        .iter()
-        .any(|p| loss_model(&p.model).is_order_dependent());
-    if order_dependent_loss {
-        plan.owner = vec![plan.owner[0]; plan.owner.len()];
-    }
-    let deadline = scenario_deadline(sc);
-    let outs: Vec<ShardOut> = run_sharded(
-        &plan,
-        Some(deadline),
-        |id| {
-            let (eng, cl, _) = build_scenario_world(sc, Some((id, &plan.owner)));
-            (eng, cl)
-        },
-        |_, eng, mut cl, canonical_end| {
-            // Rebuild the collection handles: replicas are identical, so
-            // region descriptors and QP maps are reproducible from the
-            // spec alone.
-            let (_, _, w) = build_scenario_world(sc, None);
-            let client = if cl.owns(w.client) {
-                Some(collect_host(
-                    &mut cl,
-                    sc,
-                    "C",
-                    w.client,
-                    &w.client_qpns,
-                    &w.cmr,
-                ))
-            } else {
-                None
-            };
-            let server = if cl.owns(w.server) {
-                Some(collect_host(
-                    &mut cl,
-                    sc,
-                    "S",
-                    w.server,
-                    &w.server_qpns,
-                    &w.smr,
-                ))
-            } else {
-                None
-            };
-            cl.sync_telemetry_at(&eng, canonical_end);
-            let snapshot = InvariantSnapshot::collect(&cl, &w.hosts, &eng);
-            ShardOut {
-                client,
-                server,
-                invariants: snapshot.total(),
-                telemetry: std::mem::take(cl.telemetry_mut()),
-                queue_stats: eng.queue_stats(),
-                globals: cl.shard_global_counters(),
-            }
-        },
-    );
-
-    let globals = outs[0].globals;
-    let mut client = None;
-    let mut server = None;
-    let mut invariants = 0u64;
-    let mut hubs = Vec::new();
-    let mut qss = Vec::new();
-    for o in outs {
-        client = client.or(o.client);
-        server = server.or(o.server);
-        invariants += o.invariants;
-        hubs.push(o.telemetry);
-        qss.push(o.queue_stats);
-    }
-    let (telemetry, merged_qs) = merge_shard_telemetry(&hubs, &qss, globals.0, globals.1);
-    let (Some(ccol), Some(scol)) = (client, server) else {
-        unreachable!("every host has exactly one owning shard")
-    };
-    assemble_run(
-        sc,
-        ccol,
-        scol,
-        telemetry.spans().to_vec(),
-        telemetry.stage_sum_violations(),
-        invariants,
-        merged_qs.live > 0,
-        deadline.as_ns(),
-    )
-}
-
-/// One shard's contribution to a sharded [`ScenarioRun`]: the artifacts
-/// of the hosts it owns plus its telemetry hub and queue statistics for
-/// the deterministic merge.
-struct ShardOut {
-    client: Option<HostCollect>,
-    server: Option<HostCollect>,
-    invariants: u64,
-    telemetry: Telemetry,
-    queue_stats: QueueStats,
-    globals: (u64, u64),
 }
 
 /// Instantiates the fabric loss model a [`LossSpec`] describes.
@@ -676,5 +586,37 @@ mod tests {
         let seq = run_scenario(&sc);
         let sharded = run_scenario_sharded_with(&sc, ShardPlan::new(4, vec![0, 3]));
         assert_eq!(seq.trace_hash, sharded.trace_hash);
+    }
+
+    #[test]
+    fn an_unvalidated_zero_shard_count_runs_as_one() {
+        let mut sc = Scenario::base("zero-shards");
+        sc.slot = 64;
+        sc.wrs = vec![(0, WrSpec::Write { off: 0, len: 32 })];
+        let one = run_scenario(&sc);
+        sc.shards = 0;
+        assert_eq!(run_scenario(&sc).trace_hash, one.trace_hash);
+    }
+
+    #[test]
+    #[should_panic(expected = "a sharded run needs at least one shard")]
+    fn zero_shards_is_rejected_with_a_diagnostic() {
+        run_scenario_sharded(&Scenario::base("no-shards"), 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "owner map must name a shard for every host")]
+    fn an_empty_owner_map_is_rejected_with_a_diagnostic() {
+        // Order-dependent loss, so the collapse onto the client's shard
+        // looks at the map before `run_plan` validates it.
+        let mut sc = Scenario::base("no-owners");
+        sc.loss = vec![LossPhase {
+            at_ns: 0,
+            model: LossSpec::Uniform {
+                prob_milli: 200,
+                seed: 7,
+            },
+        }];
+        run_scenario_sharded_with(&sc, ShardPlan::new(2, Vec::new()));
     }
 }

@@ -21,7 +21,7 @@
 //!    *signatures* are excluded: finding damming in a damming scenario
 //!    is the expected result, not a bug.
 //! 4. **Runtime invariants** — zero counted invariant violations
-//!    (meaningful under `--features checks`).
+//!    (the counters are live in every build).
 //! 5. **Telemetry stage-sum conservation** — every closed fault span's
 //!    stage durations sum exactly to its end-to-end latency.
 //! 6. **Liveness** — the run drained before its deadline.

@@ -3,7 +3,7 @@
 
 use std::collections::BTreeMap;
 
-use ibsim_event::{Engine, Event, EventFn, SimTime};
+use ibsim_event::{Engine, Event, EventFn, QueueStats, SimTime};
 use ibsim_fabric::{
     Capture, Delivery, DirectedLink, Direction, Fabric, Lid, LinkSpec, TopologyKind, Xorshift64Star,
 };
@@ -15,7 +15,7 @@ use crate::mem::{Memory, MrMode};
 use crate::nic::Nic;
 use crate::packet::{Packet, PacketKind};
 use crate::qp::{Effects, QpConfig, QpEnv, QpStats, RecoveryKind, TimerFamily};
-use crate::sharded::{Envelope, PendingDraw, ShardState};
+use crate::sharded::{assert_covers, Envelope, PendingDraw, ShardState};
 use crate::types::{HostId, MrKey, Psn, Qpn, WrId};
 use crate::wr::{Completion, RecvWr, WorkRequest};
 
@@ -260,6 +260,19 @@ const TX_COUNTERS: [&str; 10] = [
 const TX_TOTAL: usize = 0;
 const TX_GHOST: usize = 8;
 const TX_FABRIC_DROPS: usize = 9;
+
+/// Writes the `event.*` gauges that compose across shards: every
+/// [`QueueStats`] field but `peak_depth`.
+pub(crate) fn set_mergeable_engine_gauges(t: &mut Telemetry, qs: &QueueStats) {
+    t.gauge_set("event.live", Labels::NONE, qs.live as u64);
+    t.gauge_set("event.dead_pending", Labels::NONE, qs.dead_pending as u64);
+    t.gauge_set("event.executed", Labels::NONE, qs.executed);
+    t.gauge_set("event.dead_pops", Labels::NONE, qs.dead_pops);
+    t.gauge_set("event.scheduled", Labels::NONE, qs.scheduled);
+    t.gauge_set("event.cancelled", Labels::NONE, qs.cancelled);
+    t.gauge_set("event.replaced", Labels::NONE, qs.replaced);
+    t.gauge_set("event.keyed_live", Labels::NONE, qs.keyed_live as u64);
+}
 
 impl std::fmt::Debug for Cluster {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
@@ -598,9 +611,11 @@ impl Cluster {
         &self.captures[host.0]
     }
 
-    /// Clears a host's capture buffer.
-    pub fn capture_clear(&mut self, host: HostId) {
-        self.captures[host.0].clear();
+    /// Moves a host's capture out of the cluster, leaving an empty,
+    /// disabled one behind — for a harness that is done with the world
+    /// and wants the records without copying them.
+    pub fn take_capture(&mut self, host: HostId) -> Capture<Packet> {
+        std::mem::take(&mut self.captures[host.0])
     }
 
     // ------------------------------------------------------------------
@@ -646,7 +661,7 @@ impl Cluster {
     /// Sharded runs park each replica's clock at its last *owned* event,
     /// so the per-shard `eng.now()` values differ from the sequential
     /// clock; passing the canonical end-of-run time (handed to the
-    /// `finish` closure by [`crate::sharded::run_sharded`]) makes the
+    /// `finish` closure by [`crate::sharded::run_plan`]) makes the
     /// flushed QP dwell counters match the sequential run exactly.
     pub fn sync_telemetry_at(&mut self, eng: &Sim, now: SimTime) {
         if !self.telemetry.is_enabled() {
@@ -665,15 +680,8 @@ impl Cluster {
         let owned: Vec<bool> = (0..self.nics.len()).map(|h| self.owns(HostId(h))).collect();
         let t = &mut self.telemetry;
         let qs = eng.queue_stats();
-        t.gauge_set("event.live", Labels::NONE, qs.live as u64);
-        t.gauge_set("event.dead_pending", Labels::NONE, qs.dead_pending as u64);
-        t.gauge_set("event.executed", Labels::NONE, qs.executed);
-        t.gauge_set("event.dead_pops", Labels::NONE, qs.dead_pops);
+        set_mergeable_engine_gauges(t, &qs);
         t.gauge_set("event.peak_depth", Labels::NONE, qs.peak_depth as u64);
-        t.gauge_set("event.scheduled", Labels::NONE, qs.scheduled);
-        t.gauge_set("event.cancelled", Labels::NONE, qs.cancelled);
-        t.gauge_set("event.replaced", Labels::NONE, qs.replaced);
-        t.gauge_set("event.keyed_live", Labels::NONE, qs.keyed_live as u64);
         let cs = self.stats;
         t.gauge_set("cluster.total_packets", Labels::NONE, cs.total_packets);
         t.gauge_set("cluster.ghost_packets", Labels::NONE, cs.ghost_packets);
@@ -760,11 +768,7 @@ impl Cluster {
     ///
     /// Panics if the owner map does not cover every host.
     pub fn enable_sharding(&mut self, id: usize, owner: Vec<usize>) {
-        assert_eq!(
-            owner.len(),
-            self.nics.len(),
-            "owner map must name a shard for every host"
-        );
+        assert_covers(&owner, self.nics.len());
         self.shard = Some(Box::new(ShardState::new(id, owner)));
     }
 

@@ -37,7 +37,7 @@ pub use qp::{
     RecoveryPlan, RecoveryPolicy, RetransmitCtx, SackBitmap, SelectiveRepeat, StallVerdict,
     TimerEffects, TimerFamily, WrView,
 };
-pub use sharded::{merge_queue_stats, merge_shard_telemetry, run_sharded, ShardPlan};
+pub use sharded::{merge_queue_stats, run_plan, run_sharded, Finished, ShardPlan};
 pub use types::{
     packets_for, HostId, MrKey, Psn, Qpn, WrId, AETH_BYTES, BASE_HEADER_BYTES, DEFAULT_MTU,
     PAGE_SIZE, RETH_BYTES,

@@ -128,10 +128,8 @@ pub struct QpStats {
     /// [`RecoveryKind::OnDemandPin`] backend ever pins, so this stays
     /// zero under go-back-N and selective repeat.
     pub pages_pinned: u64,
-    /// Protocol-invariant violations detected at runtime (only counted
-    /// when the `checks` feature is enabled; always zero otherwise).
-    /// Currently covers illegal QP state transitions per
-    /// [`QpState::transition_allowed`].
+    /// Protocol-invariant violations detected at runtime: illegal QP
+    /// state transitions per [`QpState::transition_allowed`].
     pub invariant_violations: u64,
     /// ACKs received carrying an ECN echo (requester side). Nonzero only
     /// on routed topologies with congestion marking enabled.

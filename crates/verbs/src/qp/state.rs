@@ -33,9 +33,9 @@ impl QpState {
 
     /// The RC state-machine legality table (IB spec §10.3.1): the only
     /// forward transitions are `Reset → Init → Rtr → Rts`, any state may
-    /// collapse to `Error`, and `Error → Reset` recycles the QP. Under
-    /// the `checks` feature every transition a [`Qp`](super::Qp) performs
-    /// is validated against this table and illegal ones are counted in
+    /// collapse to `Error`, and `Error → Reset` recycles the QP. Every
+    /// transition a [`Qp`](super::Qp) performs is validated against this
+    /// table and illegal ones are counted in
     /// [`QpStats::invariant_violations`](super::QpStats::invariant_violations).
     pub fn transition_allowed(from: QpState, to: QpState) -> bool {
         use QpState::*;
@@ -66,12 +66,12 @@ impl fmt::Display for QpState {
 
 /// The lifecycle guard owned by the QP facade: the current state plus
 /// the runtime-invariant counter. Every state change goes through
-/// [`Lifecycle::set`] so illegal transitions are observed (and, under
-/// the `checks` feature, counted) instead of silently applied.
+/// [`Lifecycle::set`] so illegal transitions are counted instead of
+/// silently applied.
 #[derive(Debug, Clone, Copy)]
 pub(super) struct Lifecycle {
     state: QpState,
-    /// Illegal transitions seen (only counted under `checks`).
+    /// Illegal transitions seen.
     violations: u64,
 }
 
@@ -94,18 +94,16 @@ impl Lifecycle {
         self.state == QpState::Error
     }
 
-    /// Illegal transitions counted so far (always zero without the
-    /// `checks` feature).
+    /// Illegal transitions counted so far.
     pub(super) fn violations(self) -> u64 {
         self.violations
     }
 
-    /// Routes a state change through the legality table. With the
-    /// `checks` feature enabled, an illegal transition increments the
-    /// violation counter; the transition is still applied so a buggy
-    /// caller's behaviour is observed rather than masked.
+    /// Routes a state change through the legality table. An illegal
+    /// transition increments the violation counter; the transition is
+    /// still applied so a buggy caller's behaviour is observed rather
+    /// than masked.
     pub(super) fn set(&mut self, to: QpState) {
-        #[cfg(feature = "checks")]
         if !QpState::transition_allowed(self.state, to) {
             self.violations += 1;
         }
@@ -171,11 +169,9 @@ mod tests {
         // Error -> Reset recycles.
         life.set(QpState::Reset);
         assert_eq!(life.get(), QpState::Reset);
-        #[cfg(not(feature = "checks"))]
         assert_eq!(life.violations(), 0);
     }
 
-    #[cfg(feature = "checks")]
     #[test]
     fn lifecycle_counts_illegal_transitions_under_checks() {
         let mut life = Lifecycle::new();

@@ -1,9 +1,5 @@
-//! Runtime invariant checks (`--features checks`): the QP state-machine
-//! legality counter and the engine monotonicity counter.
-//!
-//! These tests only exist under the feature — without it the checks
-//! compile away and the counters are constant zero.
-#![cfg(feature = "checks")]
+//! Runtime invariant checks: the QP state-machine legality counter and
+//! the engine monotonicity counter, live in every build.
 
 use ibsim_event::Engine;
 use ibsim_fabric::{Lid, LinkSpec};

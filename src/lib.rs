@@ -21,10 +21,9 @@
 //! * [`scenario`] — seeded fault-schedule fuzzing with a differential RC
 //!   oracle, a failing-seed minimizer, and a parallel conformance runner.
 //!
-//! Building with `--features checks` turns on runtime invariant checking
-//! (QP state-machine legality, event-clock monotonicity) across the
-//! stack; violations are counted, never panicking, and surface in the
-//! usual counter reports.
+//! Runtime invariants (QP state-machine legality, event-clock
+//! monotonicity) are checked in every build; violations are counted,
+//! never panicking, and surface in the usual counter reports.
 
 #![warn(missing_docs)]
 
