@@ -30,9 +30,6 @@ echo "    generations wrap, and debug_asserts vanish: the model test and the"
 echo "    allocation test gate the profile that is actually measured too)"
 cargo test -q --offline --release -p ibsim-event
 
-echo "==> telemetry unit tests (registry, spans, exporters)"
-cargo test -q --offline -p ibsim-telemetry
-
 echo "==> pitfall probes (linter must flag each probe's own signature;"
 echo "    flood probe exits nonzero if telemetry records zero fault spans)"
 cargo run -q --offline --release --example damming_probe

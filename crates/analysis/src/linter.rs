@@ -10,6 +10,11 @@
 //!   plausible ACK timeout,
 //! * every ACK and READ/ATOMIC response matches an outstanding request.
 //!
+//! What justifies a retransmission, and whether a ghost may appear at
+//! all, depends on the loss-recovery backend that produced the trace:
+//! [`RecoveryRules::for_kind`] reads that off the backend's own
+//! capability predicates.
+//!
 //! It then runs the pitfall signature detectors from [`crate::signature`]
 //! over the same capture, so one call yields both conformance violations
 //! and §V/§VI pitfall findings.
@@ -32,9 +37,10 @@ use crate::signature;
 /// The conformance rule set one recovery backend earns.
 ///
 /// What counts as legal recovery behaviour is a property of the
-/// loss-recovery policy driving the requester, not of RC itself, so the
-/// linter takes its rule set from the backend under test instead of
-/// hard-coding the paper's go-back-N hardware. Two rules differ:
+/// loss-recovery backend driving the requester, not of RC itself, so the
+/// linter reads its rule set off the [`RecoveryKind`] under test — the
+/// same capability predicates the simulator's engines ask — instead of
+/// restating them. Two rules differ:
 ///
 /// * **Ghosts.** The damming ghost (a request swallowed inside the
 ///   engine's fault-recovery window, §V) is a go-back-N engine quirk.
@@ -68,49 +74,20 @@ pub struct RecoveryRules {
 }
 
 impl RecoveryRules {
-    /// The paper's hardware: ghost quirks on damming devices, blind
-    /// cadence-based stall resume.
-    pub fn go_back_n() -> Self {
-        RecoveryRules {
-            backend: "gbn",
-            ghosts_expected: true,
-            event_driven_resume: false,
-        }
-    }
-
-    /// IRN-style selective repeat: no ghost window, fault-resolution
-    /// events resume stalled messages.
-    pub fn selective_repeat() -> Self {
-        RecoveryRules {
-            backend: "irn",
-            ghosts_expected: false,
-            event_driven_resume: true,
-        }
-    }
-
-    /// NP-RDMA on-demand pinning: pages pin on first touch, so neither
-    /// the ghost window nor client-side stalls ever open.
-    pub fn on_demand_pin() -> Self {
-        RecoveryRules {
-            backend: "pin",
-            ghosts_expected: false,
-            event_driven_resume: false,
-        }
-    }
-
-    /// The rule set for a simulator recovery backend.
+    /// The rule set the simulator's recovery backend `kind` earns.
     pub fn for_kind(kind: RecoveryKind) -> Self {
-        match kind {
-            RecoveryKind::GoBackN => RecoveryRules::go_back_n(),
-            RecoveryKind::SelectiveRepeat => RecoveryRules::selective_repeat(),
-            RecoveryKind::OnDemandPin => RecoveryRules::on_demand_pin(),
+        RecoveryRules {
+            backend: kind.token(),
+            ghosts_expected: kind.ghost_quirks(),
+            event_driven_resume: !kind.blind_stall_tick(),
         }
     }
 }
 
 impl Default for RecoveryRules {
+    /// Go-back-N, the paper's hardware.
     fn default() -> Self {
-        RecoveryRules::go_back_n()
+        RecoveryRules::for_kind(RecoveryKind::GoBackN)
     }
 }
 
@@ -145,7 +122,7 @@ impl Default for LintConfig {
             damming_min_stall: SimTime::from_ms(20),
             flood_min_transmissions: 5,
             flood_cadence: (SimTime::from_us(100), SimTime::from_ms(2)),
-            rules: RecoveryRules::go_back_n(),
+            rules: RecoveryRules::default(),
         }
     }
 }
@@ -720,7 +697,7 @@ mod tests {
         rx(&mut cap, 31_000, read_resp(0, 0));
         tx_retx(&mut cap, 38_000, read_req(0, 1));
         let irn = LintConfig {
-            rules: RecoveryRules::selective_repeat(),
+            rules: RecoveryRules::for_kind(RecoveryKind::SelectiveRepeat),
             ..LintConfig::default()
         };
         let report = lint_capture(&cap, &irn);
@@ -743,7 +720,7 @@ mod tests {
         tx_retx(&mut cap, 38_000, read_req(0, 1));
         tx_retx(&mut cap, 45_000, read_req(0, 1));
         let irn = LintConfig {
-            rules: RecoveryRules::selective_repeat(),
+            rules: RecoveryRules::for_kind(RecoveryKind::SelectiveRepeat),
             ..LintConfig::default()
         };
         let report = lint_capture(&cap, &irn);
@@ -756,11 +733,7 @@ mod tests {
         // refused message plus the pendency-dropped successors at one
         // instant, so the tail inherits the head's NAK justification
         // under every rule set.
-        for rules in [
-            RecoveryRules::go_back_n(),
-            RecoveryRules::selective_repeat(),
-            RecoveryRules::on_demand_pin(),
-        ] {
+        for rules in RecoveryKind::ALL.map(RecoveryRules::for_kind) {
             let mut cap = Capture::new();
             cap.enable();
             tx(&mut cap, 1_000, read_req(0, 1));
@@ -788,10 +761,8 @@ mod tests {
         cap.enable();
         tx_ghost(&mut cap, 1_000, read_req(0, 1));
         assert_eq!(lint(&cap).count(RuleId::UnexpectedGhost), 0);
-        for rules in [
-            RecoveryRules::selective_repeat(),
-            RecoveryRules::on_demand_pin(),
-        ] {
+        for kind in [RecoveryKind::SelectiveRepeat, RecoveryKind::OnDemandPin] {
+            let rules = RecoveryRules::for_kind(kind);
             let cfg = LintConfig {
                 rules,
                 ..LintConfig::default()
@@ -808,23 +779,20 @@ mod tests {
 
     #[test]
     fn recovery_rules_follow_the_backend_kind() {
+        let rule_set = |backend, ghosts_expected, event_driven_resume| RecoveryRules {
+            backend,
+            ghosts_expected,
+            event_driven_resume,
+        };
         assert_eq!(
-            RecoveryRules::for_kind(RecoveryKind::GoBackN),
-            RecoveryRules::go_back_n()
+            RecoveryKind::ALL.map(RecoveryRules::for_kind),
+            [
+                rule_set("gbn", true, false),
+                rule_set("irn", false, true),
+                rule_set("pin", false, false),
+            ]
         );
-        assert_eq!(
-            RecoveryRules::for_kind(RecoveryKind::SelectiveRepeat),
-            RecoveryRules::selective_repeat()
-        );
-        assert_eq!(
-            RecoveryRules::for_kind(RecoveryKind::OnDemandPin),
-            RecoveryRules::on_demand_pin()
-        );
-        assert!(RecoveryRules::go_back_n().ghosts_expected);
-        assert!(!RecoveryRules::selective_repeat().ghosts_expected);
-        assert!(RecoveryRules::selective_repeat().event_driven_resume);
-        assert!(!RecoveryRules::on_demand_pin().event_driven_resume);
-        assert_eq!(RecoveryRules::default(), RecoveryRules::go_back_n());
+        assert_eq!(RecoveryRules::default(), rule_set("gbn", true, false));
     }
 
     #[test]

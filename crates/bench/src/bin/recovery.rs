@@ -3,8 +3,8 @@
 //!
 //! Go-back-N is the hardware the paper measured, so its runs double as
 //! golden gates: the client packet timelines must hash to the pinned
-//! FNV values, proving the `RecoveryPolicy` extraction left the modeled
-//! ConnectX-4 behavior bit-identical. Selective repeat (IRN) and
+//! FNV values, proving no refactor of the recovery path has moved the
+//! modeled ConnectX-4 behavior by a bit. Selective repeat (IRN) and
 //! on-demand pinning (NP-RDMA) are the counterfactuals: the run asserts
 //! the structural claims (IRN retransmits strictly less under the
 //! flood; pinning never opens the fault window) and prints the ablation

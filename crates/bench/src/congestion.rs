@@ -151,12 +151,12 @@ pub fn run_congestion(storm: Option<RecoveryKind>, quick: bool) -> CongestionRun
     // of 6 puts the timeout (~262 µs) inside the resolution window, so
     // the requesters fire while the page is still missing.
     if let Some(kind) = storm {
-        cl.set_default_recovery(kind);
         let span = STORM_QPS * STORM_READS * STORM_LEN as usize;
         let remote = cl.alloc_mr(storm_server, span as u64, MrMode::Pinned);
         let local = cl.alloc_mr(storm_client, span as u64, MrMode::Odp);
         let cfg = QpConfig {
             cack: 6,
+            recovery: kind,
             ..QpConfig::default()
         };
         for q in 0..storm_qps {

@@ -14,13 +14,15 @@
 //!   [`FLOAT_BOUNDARY_FILES`].
 //! * **no-wildcard-match-on-protocol-enums** applies to `verbs` and
 //!   `analysis`, where protocol-enum matches encode the RC state
-//!   machine and the trace linter's opcode accounting, and — since the
+//!   machine, the closed set of recovery backends (`RecoveryKind`) and
+//!   the trace linter's opcode accounting, and — since the
 //!   routed-fabric refactor added `TopologyKind` to the protected enum
 //!   list — to `fabric` (route construction dispatches on it) and
 //!   `scenario` (the `topology=` facet serializer must stay exhaustive).
 //! * **no-direct-retransmit** applies to `verbs`, where every packet is
-//!   built: retransmissions must come out of a `RecoveryPolicy` plan,
-//!   not a hard-coded `retransmit: true`, minus the sanctioned sites in
+//!   built: a retransmission is a message the recovery backend selected,
+//!   resent by the requester's one resend path, not a hard-coded
+//!   `retransmit: true`, minus the sanctioned site in
 //!   [`RETRANSMIT_SANCTIONED_FILES`].
 //!
 //! The sharded PDES executor (`verbs/src/sharded.rs`) needs no scoping
@@ -156,20 +158,15 @@ pub const FLOAT_BOUNDARY_FILES: &[&str] = &[
 /// Files where a literal `retransmit: true` is sanctioned even inside
 /// the retransmit-linted `verbs` crate:
 ///
-/// * `verbs/src/qp/recovery.rs` — the `RecoveryPolicy` backends
-///   themselves; this is where retransmission *decisions* are made, so
-///   the flag originates here by definition;
 /// * `verbs/src/qp/responder.rs` — duplicate READ/ATOMIC replay. A
 ///   responder re-answering a duplicate request is wire-mandated replay
 ///   (IBTA §9.7.5.1.5), not loss recovery, and never consults the
 ///   requester's backend.
 ///
-/// Everywhere else the flag must flow out of a plan: the requester's
-/// executor threads it positionally through `build_request_packet`.
-pub const RETRANSMIT_SANCTIONED_FILES: &[&str] = &[
-    "crates/verbs/src/qp/recovery.rs",
-    "crates/verbs/src/qp/responder.rs",
-];
+/// Everywhere else the flag is threaded positionally: the requester's
+/// `retransmit_at` passes it through `build_request_packet` for the
+/// messages the recovery backend selected.
+pub const RETRANSMIT_SANCTIONED_FILES: &[&str] = &["crates/verbs/src/qp/responder.rs"];
 
 /// Derives the rule set for one workspace-relative file path. Returns
 /// `None` for files outside every configured root (e.g. `tests/`
@@ -206,7 +203,7 @@ mod tests {
         assert!(verbs.no_direct_retransmit);
 
         let backends = policy_for("crates/verbs/src/qp/recovery.rs").expect("linted");
-        assert!(!backends.no_direct_retransmit && backends.no_wildcard_match);
+        assert!(backends.no_direct_retransmit && backends.no_wildcard_match);
         let replay = policy_for("crates/verbs/src/qp/responder.rs").expect("linted");
         assert!(!replay.no_direct_retransmit && replay.no_unwrap);
 

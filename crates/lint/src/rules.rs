@@ -24,7 +24,7 @@ pub enum Rule {
     /// `_ =>` arms in matches over protocol enums.
     NoWildcardMatchOnProtocolEnums,
     /// `retransmit: true` struct-literal initializers outside the
-    /// recovery backends and the responder's duplicate-replay path.
+    /// responder's duplicate-replay path.
     NoDirectRetransmit,
 }
 
@@ -40,16 +40,17 @@ pub const ALL_RULES: [Rule; 6] = [
 
 /// The enum types whose matches must stay wildcard-free: adding a
 /// protocol variant (a new QP state, opcode, timer family, fabric
-/// topology, or cluster event) must break the build everywhere the
-/// variant matters, the same exhaustiveness discipline the RC
-/// state-transition table enforces dynamically.
-pub const PROTOCOL_ENUMS: [&str; 6] = [
+/// topology, cluster event, or recovery backend) must break the build
+/// everywhere the variant matters, the same exhaustiveness discipline
+/// the RC state-transition table enforces dynamically.
+pub const PROTOCOL_ENUMS: [&str; 7] = [
     "QpState",
     "PacketKind",
     "WrOp",
     "TimerFamily",
     "TopologyKind",
     "ClusterEvent",
+    "RecoveryKind",
 ];
 
 impl Rule {
@@ -95,9 +96,9 @@ impl Rule {
                  every variant so additions force explicit handling"
             }
             Rule::NoDirectRetransmit => {
-                "retransmissions must be planned by a RecoveryPolicy backend and executed \
-                 through the requester's plan executor; a literal `retransmit: true` \
-                 anywhere else forges recovery traffic the trace linter cannot justify"
+                "a retransmission is a message the QP's recovery backend selected, resent by \
+                 the requester's one resend path; a literal `retransmit: true` anywhere else \
+                 forges recovery traffic the trace linter cannot justify"
             }
         }
     }
@@ -377,7 +378,7 @@ fn check_direct_retransmit(
     // Field shorthand (`retransmit,`), variable initializers
     // (`retransmit: is_retx`), and the field declaration
     // (`retransmit: bool`) all stay legal: only hard-coding the flag on
-    // forges a retransmission outside the recovery plan. The preceding
+    // forges a retransmission the backend never selected. The preceding
     // token must not be a second `:` so paths never match.
     if t.is_ident("retransmit")
         && !(i > 0 && toks[i - 1].is_punct(':'))
@@ -388,9 +389,9 @@ fn check_direct_retransmit(
             rule: Rule::NoDirectRetransmit,
             line: t.line,
             col: t.col,
-            message: "`retransmit: true` outside the recovery backends (retransmissions \
-                      must come from a RecoveryPolicy plan; see the sanctioned-file list \
-                      in the lint config)"
+            message: "`retransmit: true` outside the requester's resend path (the flag is \
+                      threaded through `build_request_packet` for messages the recovery \
+                      backend selected; see the sanctioned-file list in the lint config)"
                 .to_owned(),
         });
     }
@@ -724,6 +725,18 @@ mod tests {
     }
 
     #[test]
+    fn wildcard_over_recovery_kinds_is_flagged() {
+        // The set of backends is closed so that a fourth one breaks the
+        // build at every decision site; a `_` arm would swallow it.
+        let src = "fn blind(k: RecoveryKind) -> bool {\n    match k {\n        \
+                   RecoveryKind::SelectiveRepeat => false,\n        _ => true,\n    }\n}\n";
+        let diags = run(src, Policy::all());
+        assert_eq!(diags.len(), 1, "{diags:?}");
+        assert_eq!(diags[0].rule, Rule::NoWildcardMatchOnProtocolEnums);
+        assert_eq!((diags[0].line, diags[0].col), (4, 9));
+    }
+
+    #[test]
     fn direct_retransmit_literal_is_flagged() {
         let diags = run(
             "fn f() { let p = Packet { psn, retransmit: true }; }",
@@ -737,7 +750,7 @@ mod tests {
     fn lawful_retransmit_spellings_stay_clean() {
         // Field shorthand: the value came from somewhere with authority.
         assert!(run("fn f() { let p = Packet { retransmit }; }", Policy::all()).is_empty());
-        // A computed flag is a plan decision, not a forged one.
+        // A computed flag is the backend's decision, not a forged one.
         assert!(run(
             "fn f() { let p = Packet { retransmit: is_retx }; }",
             Policy::all()

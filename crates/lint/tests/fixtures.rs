@@ -164,8 +164,8 @@ fn clean_retransmit_is_clean() {
 
 #[test]
 fn sanctioned_retransmit_files_are_exempt() {
-    // The recovery backends and the responder's duplicate-replay path
-    // are the two sanctioned homes of a literal `retransmit: true`.
+    // The responder's duplicate-replay path is the one sanctioned home
+    // of a literal `retransmit: true`.
     for rel in ibsim_lint::config::RETRANSMIT_SANCTIONED_FILES {
         let p = ibsim_lint::config::policy_for(rel).expect("sanctioned file must still be linted");
         assert!(!p.no_direct_retransmit, "{rel}");

@@ -18,13 +18,13 @@ pub fn threaded(psn: u32, retransmit: bool) -> Packet {
     Packet { psn, retransmit }
 }
 
-pub fn planned(psn: u32, in_plan: bool) -> Packet {
-    // A computed flag is a plan decision: "retransmit: true" in a
-    // comment or string never fires either.
+pub fn selected(psn: u32, resends: bool) -> Packet {
+    // A computed flag is the backend's decision: "retransmit: true" in
+    // a comment or string never fires either.
     let note = "retransmit: true";
     Packet {
         psn: psn + note.len() as u32,
-        retransmit: in_plan,
+        retransmit: resends,
     }
 }
 

@@ -1,6 +1,6 @@
-//! Deterministic exporters: human summary table, JSON-lines, CSV.
+//! Deterministic exporters: human summary table and JSON-lines.
 //!
-//! All three render from the registry's sorted iteration order and the
+//! Both render from the registry's sorted iteration order and the
 //! span store's close order, and format durations as integer
 //! nanoseconds — two runs of the same seeded workload produce
 //! byte-identical output, which CI exploits as a golden-file check.
@@ -191,70 +191,6 @@ fn span_json(sp: &FaultSpan) -> String {
     )
 }
 
-/// Exports the registry as a CSV table (header + one row per slot).
-pub fn metrics_csv(t: &Telemetry) -> String {
-    let mut s = String::from("name,host,qpn,kind,value,count,sum,min,max,mean\n");
-    for (name, labels, inst) in t.registry().iter() {
-        let host = labels.host.map(|h| h.to_string()).unwrap_or_default();
-        let qpn = labels.qpn.map(|q| q.to_string()).unwrap_or_default();
-        match inst {
-            Instrument::Counter(v) | Instrument::Gauge(v) => {
-                let _ = writeln!(s, "{},{},{},{},{},,,,,", name, host, qpn, inst.kind(), v);
-            }
-            Instrument::Histogram(h) => {
-                let _ = writeln!(
-                    s,
-                    "{},{},{},histogram,,{},{},{},{},{}",
-                    name,
-                    host,
-                    qpn,
-                    h.count(),
-                    h.sum(),
-                    h.min(),
-                    h.max(),
-                    h.mean()
-                );
-            }
-        }
-    }
-    s
-}
-
-/// Exports closed spans as a CSV table (header + one row per span).
-pub fn spans_csv(t: &Telemetry) -> String {
-    let mut s = String::from(
-        "host,mr,page,raised_ns,queue_wait_ns,resolution_ns,propagation_ns,\
-         retransmit_drain_ns,end_to_end_ns,waiters,stale_qps\n",
-    );
-    for sp in t.spans() {
-        let stages = sp.stages();
-        let stage_ns = |i: usize| -> String {
-            match &stages {
-                Some(st) => st[i].1.as_ns().to_string(),
-                None => String::new(),
-            }
-        };
-        let _ = writeln!(
-            s,
-            "{},{},{},{},{},{},{},{},{},{},{}",
-            sp.host,
-            sp.mr,
-            sp.page,
-            sp.raised.as_ns(),
-            stage_ns(0),
-            stage_ns(1),
-            stage_ns(2),
-            stage_ns(3),
-            sp.end_to_end()
-                .map(|d| d.as_ns().to_string())
-                .unwrap_or_default(),
-            sp.waiters,
-            sp.stale_qps,
-        );
-    }
-    s
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -281,8 +217,6 @@ mod tests {
         let b = sample();
         assert_eq!(export_jsonl(&a), export_jsonl(&b));
         assert_eq!(render_summary(&a), render_summary(&b));
-        assert_eq!(metrics_csv(&a), metrics_csv(&b));
-        assert_eq!(spans_csv(&a), spans_csv(&b));
     }
 
     #[test]
@@ -305,12 +239,5 @@ mod tests {
         assert!(out.contains("queue_wait"));
         assert!(out.contains("retransmit_drain"));
         assert!(out.contains("end_to_end"));
-    }
-
-    #[test]
-    fn csv_row_counts_match() {
-        let t = sample();
-        assert_eq!(metrics_csv(&t).lines().count(), 1 + t.registry().len());
-        assert_eq!(spans_csv(&t).lines().count(), 1 + t.spans().len());
     }
 }

@@ -5,8 +5,8 @@
 //! name plus optional `(host, qpn)` labels), **fault-lifecycle spans**
 //! that decompose one network page fault into the stages the paper
 //! measures (queue wait → resolution → per-QP propagation → retransmit
-//! drain), and three exporters (human summary, JSON-lines, CSV) whose
-//! output is byte-identical across runs of the same seeded workload.
+//! drain), and two exporters (human summary, JSON-lines) whose output
+//! is byte-identical across runs of the same seeded workload.
 //!
 //! The paper's methodology is observational — `ibdump` captures and
 //! reverse-engineered timelines are how packet damming (§V) and the
@@ -35,7 +35,7 @@ use std::collections::BTreeMap;
 
 use ibsim_event::SimTime;
 
-pub use export::{export_jsonl, metrics_csv, render_summary, spans_csv};
+pub use export::{export_jsonl, render_summary};
 pub use registry::{Histogram, Instrument, Labels, Registry, HISTOGRAM_BUCKETS};
 pub use span::{FaultSpan, SpanStore, STAGE_NAMES};
 

@@ -149,13 +149,9 @@ impl Histogram {
     }
 }
 
-/// One registered instrument.
-///
-/// The histogram variant is ~550 bytes (64 fixed buckets) against 8 for
-/// the scalar kinds; instruments live in one long-lived registry map, so
-/// the size skew is deliberate — boxing would cost an allocation per
-/// histogram for no benefit.
-#[allow(clippy::large_enum_variant)]
+/// One registered instrument: two words. Nearly every instrument is a
+/// scalar, so the 64 buckets of the rare histogram live behind a box
+/// instead of padding each counter to their size.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Instrument {
     /// A monotonically increasing count.
@@ -163,10 +159,14 @@ pub enum Instrument {
     /// A last-write-wins absolute value (synced snapshots land here).
     Gauge(u64),
     /// A log2-bucketed distribution.
-    Histogram(Histogram),
+    Histogram(Box<Histogram>),
 }
 
 impl Instrument {
+    fn empty_histogram() -> Instrument {
+        Instrument::Histogram(Box::default())
+    }
+
     /// The instrument kind as a static lowercase string (exporter use).
     pub fn kind(&self) -> &'static str {
         match self {
@@ -182,13 +182,9 @@ impl Instrument {
 /// Names are `&'static str` by design — the metric namespace is closed
 /// and compiled in, which keeps recording allocation-free and makes the
 /// export order a compile-time property.
-///
-/// Internally a slab: a sorted index maps keys to slots in an append-only
-/// `Vec`. Exporters walk the index (deterministic order).
 #[derive(Debug, Default)]
 pub struct Registry {
-    index: BTreeMap<(&'static str, Labels), usize>,
-    slots: Vec<Instrument>,
+    instruments: BTreeMap<(&'static str, Labels), Instrument>,
 }
 
 impl Registry {
@@ -197,17 +193,16 @@ impl Registry {
         Registry::default()
     }
 
-    /// Slot index for `(name, labels)`, inserting `default` if absent.
-    fn slot_of(
+    /// The instrument at `(name, labels)`, inserting `default()` if absent.
+    fn slot(
         &mut self,
         name: &'static str,
         labels: Labels,
         default: impl FnOnce() -> Instrument,
-    ) -> usize {
-        *self.index.entry((name, labels)).or_insert_with(|| {
-            self.slots.push(default());
-            self.slots.len() - 1
-        })
+    ) -> &mut Instrument {
+        self.instruments
+            .entry((name, labels))
+            .or_insert_with(default)
     }
 
     /// Adds `delta` to the counter `(name, labels)`, creating it at zero.
@@ -215,31 +210,28 @@ impl Registry {
     /// Silently ignored if the slot already holds a different instrument
     /// kind (a programming error surfaced by the slot keeping its value).
     pub fn counter_add(&mut self, name: &'static str, labels: Labels, delta: u64) {
-        let i = self.slot_of(name, labels, || Instrument::Counter(0));
-        if let Instrument::Counter(v) = &mut self.slots[i] {
+        if let Instrument::Counter(v) = self.slot(name, labels, || Instrument::Counter(0)) {
             *v += delta;
         }
     }
 
     /// Sets the gauge `(name, labels)` to `v`.
     pub fn gauge_set(&mut self, name: &'static str, labels: Labels, v: u64) {
-        let i = self.slot_of(name, labels, || Instrument::Gauge(0));
-        if let Instrument::Gauge(g) = &mut self.slots[i] {
+        if let Instrument::Gauge(g) = self.slot(name, labels, || Instrument::Gauge(0)) {
             *g = v;
         }
     }
 
     /// Records `v` into the histogram `(name, labels)`.
     pub fn observe(&mut self, name: &'static str, labels: Labels, v: u64) {
-        let i = self.slot_of(name, labels, || Instrument::Histogram(Histogram::default()));
-        if let Instrument::Histogram(h) = &mut self.slots[i] {
+        if let Instrument::Histogram(h) = self.slot(name, labels, Instrument::empty_histogram) {
             h.observe(v);
         }
     }
 
     /// Looks up one instrument.
     pub fn get(&self, name: &'static str, labels: Labels) -> Option<&Instrument> {
-        self.index.get(&(name, labels)).map(|&i| &self.slots[i])
+        self.instruments.get(&(name, labels))
     }
 
     /// The value of a counter, or `None` if absent / not a counter.
@@ -268,19 +260,17 @@ impl Registry {
 
     /// Number of registered `(name, labels)` slots.
     pub fn len(&self) -> usize {
-        self.index.len()
+        self.instruments.len()
     }
 
     /// True if nothing has been recorded.
     pub fn is_empty(&self) -> bool {
-        self.index.is_empty()
+        self.instruments.is_empty()
     }
 
     /// Iterates every instrument in deterministic (name, labels) order.
     pub fn iter(&self) -> impl Iterator<Item = (&'static str, Labels, &Instrument)> + '_ {
-        self.index
-            .iter()
-            .map(|(&(n, l), &i)| (n, l, &self.slots[i]))
+        self.instruments.iter().map(|(&(n, l), inst)| (n, l, inst))
     }
 
     /// Folds every instrument of `other` into `self`: counters add,
@@ -294,15 +284,14 @@ impl Registry {
             match inst {
                 Instrument::Counter(v) => self.counter_add(name, labels, *v),
                 Instrument::Gauge(v) => {
-                    let i = self.slot_of(name, labels, || Instrument::Gauge(0));
-                    if let Instrument::Gauge(g) = &mut self.slots[i] {
+                    if let Instrument::Gauge(g) = self.slot(name, labels, || Instrument::Gauge(0)) {
                         *g += v;
                     }
                 }
                 Instrument::Histogram(h) => {
-                    let i =
-                        self.slot_of(name, labels, || Instrument::Histogram(Histogram::default()));
-                    if let Instrument::Histogram(mine) = &mut self.slots[i] {
+                    if let Instrument::Histogram(mine) =
+                        self.slot(name, labels, Instrument::empty_histogram)
+                    {
                         mine.merge(h);
                     }
                 }
@@ -310,12 +299,9 @@ impl Registry {
         }
     }
 
-    /// Removes one instrument from the index; returns whether it existed.
-    ///
-    /// The backing slot is orphaned, not reindexed: no exporter visits
-    /// it again.
+    /// Removes one instrument; returns whether it existed.
     pub fn remove(&mut self, name: &'static str, labels: Labels) -> bool {
-        self.index.remove(&(name, labels)).is_some()
+        self.instruments.remove(&(name, labels)).is_some()
     }
 }
 
@@ -351,7 +337,35 @@ mod tests {
         assert!(!r.remove("gone", Labels::NONE));
         assert_eq!(r.counter("gone", Labels::NONE), None);
         assert_eq!(r.counter("keep", Labels::NONE), Some(4));
+        // No trace: the map is the registry, there is no slot to orphan.
         assert_eq!(r.len(), 1);
+        let left: Vec<_> = r.iter().collect();
+        assert_eq!(left, [("keep", Labels::NONE, &Instrument::Counter(4))]);
+        // And the key is free again, for any kind.
+        r.gauge_set("gone", Labels::NONE, 2);
+        assert_eq!(r.gauge("gone", Labels::NONE), Some(2));
+    }
+
+    #[test]
+    fn absorbing_into_an_empty_registry_copies_the_source() {
+        let mut src = Registry::new();
+        for v in [0, 3, 250_000, 900_000, u64::MAX] {
+            src.observe("lat", Labels::host(1), v);
+        }
+        src.counter_add("pkt", Labels::NONE, 7);
+        src.gauge_set("depth", Labels::host_qp(1, 2), 5);
+        let mut dst = Registry::new();
+        dst.absorb(&src);
+        assert_eq!(dst.len(), 3);
+        assert!(dst.iter().eq(src.iter()));
+        assert_eq!(
+            dst.histogram("lat", Labels::host(1)),
+            src.histogram("lat", Labels::host(1))
+        );
+        // A second absorb doubles counts but not extrema.
+        dst.absorb(&src);
+        let h = dst.histogram("lat", Labels::host(1)).expect("absorbed");
+        assert_eq!((h.count(), h.min(), h.max()), (10, 0, u64::MAX));
     }
 
     #[test]

@@ -14,7 +14,7 @@ use crate::driver::{Driver, DriverStats, DriverWork};
 use crate::mem::{Memory, MrMode};
 use crate::nic::Nic;
 use crate::packet::{Packet, PacketKind};
-use crate::qp::{Effects, QpConfig, QpEnv, QpStats, RecoveryKind, TimerFamily};
+use crate::qp::{Effects, QpConfig, QpEnv, QpStats, TimerFamily};
 use crate::sharded::{assert_covers, Envelope, PendingDraw, ShardState};
 use crate::types::{HostId, MrKey, Psn, Qpn, WrId};
 use crate::wr::{Completion, RecvWr, WorkRequest};
@@ -228,11 +228,6 @@ pub struct Cluster {
     /// so steady-state turns allocate nothing. Pool contents never
     /// influence behavior (values are reset before reuse).
     fx_pool: Vec<Effects>,
-    /// Cluster-wide recovery backend applied to every QP created after
-    /// [`Cluster::set_default_recovery`] (ablation harnesses flip one
-    /// knob instead of threading a config through every `connect_pair`).
-    /// `None` leaves each [`QpConfig::recovery`] as passed.
-    default_recovery: Option<RecoveryKind>,
     /// Sharded-execution state when this cluster is one replica of a
     /// conservative-lookahead PDES run (see [`crate::sharded`]); `None`
     /// on an ordinary sequential cluster.
@@ -299,16 +294,9 @@ impl Cluster {
             stats: ClusterStats::default(),
             telemetry: Telemetry::new(),
             fx_pool: Vec::new(),
-            default_recovery: None,
             shard: None,
             tx_counts: Vec::new(),
         }
-    }
-
-    /// Overrides the recovery backend of every QP created from now on;
-    /// existing QPs are untouched.
-    pub fn set_default_recovery(&mut self, kind: RecoveryKind) {
-        self.default_recovery = Some(kind);
     }
 
     /// Adds a host with the given NIC profile; returns its id.
@@ -493,10 +481,7 @@ impl Cluster {
     // ------------------------------------------------------------------
 
     /// Creates an RC QP on `host`.
-    pub fn create_qp(&mut self, host: HostId, mut cfg: QpConfig) -> Qpn {
-        if let Some(kind) = self.default_recovery {
-            cfg.recovery = kind;
-        }
+    pub fn create_qp(&mut self, host: HostId, cfg: QpConfig) -> Qpn {
         self.nics[host.0].create_qp(cfg)
     }
 
@@ -507,11 +492,8 @@ impl Cluster {
         _eng: &mut Sim,
         a: HostId,
         b: HostId,
-        mut cfg: QpConfig,
+        cfg: QpConfig,
     ) -> (Qpn, Qpn) {
-        if let Some(kind) = self.default_recovery {
-            cfg.recovery = kind;
-        }
         let qa = self.nics[a.0].create_qp(cfg.clone());
         let qb = self.nics[b.0].create_qp(cfg);
         let (la, lb) = (self.nics[a.0].lid, self.nics[b.0].lid);
@@ -1441,7 +1423,6 @@ pub struct ClusterBuilder {
     hosts: Vec<(String, DeviceProfile)>,
     capture: bool,
     telemetry: bool,
-    recovery: Option<RecoveryKind>,
     topology: Option<TopologyKind>,
 }
 
@@ -1477,14 +1458,6 @@ impl ClusterBuilder {
         self
     }
 
-    /// Runs every QP of the cluster on this recovery backend (the
-    /// ablation knob). Unset, each QP keeps its own
-    /// [`QpConfig::recovery`], which defaults to go-back-N.
-    pub fn recovery(mut self, kind: RecoveryKind) -> Self {
-        self.recovery = Some(kind);
-        self
-    }
-
     /// Routes the fabric over this topology instead of the default
     /// single-switch crossbar. Hosts attach to switches round-robin in
     /// add order (the topology's `attach` rule), so host placement in
@@ -1508,9 +1481,6 @@ impl ClusterBuilder {
         }
         if self.telemetry {
             cl.telemetry_enable();
-        }
-        if let Some(kind) = self.recovery {
-            cl.set_default_recovery(kind);
         }
         let mut ids = Vec::with_capacity(self.hosts.len());
         for (name, profile) in self.hosts {

@@ -33,9 +33,8 @@ pub use mem::{MemRegion, Memory, MrMode, PageState};
 pub use nic::Nic;
 pub use packet::{AtomicOp, NakKind, Packet, PacketKind, SegPos};
 pub use qp::{
-    policy_for, Effects, GoBackN, OnDemandPin, Qp, QpConfig, QpEnv, QpState, QpStats, RecoveryKind,
-    RecoveryPlan, RecoveryPolicy, RetransmitCtx, SackBitmap, SelectiveRepeat, StallVerdict,
-    TimerEffects, TimerFamily, WrView,
+    Effects, Qp, QpConfig, QpEnv, QpState, QpStats, RecoveryKind, SackBitmap, TimerEffects,
+    TimerFamily,
 };
 pub use sharded::{merge_queue_stats, run_plan, run_sharded, Finished, ShardPlan};
 pub use types::{

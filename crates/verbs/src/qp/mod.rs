@@ -44,10 +44,7 @@ mod state;
 mod wire;
 
 pub use effects::{Effects, TimerEffects, TimerFamily};
-pub use recovery::{
-    policy_for, GoBackN, OnDemandPin, RecoveryKind, RecoveryPlan, RecoveryPolicy, RetransmitCtx,
-    SackBitmap, SelectiveRepeat, StallVerdict, WrView,
-};
+pub use recovery::{RecoveryKind, SackBitmap};
 pub use state::QpState;
 
 use std::collections::BTreeMap;
@@ -312,7 +309,9 @@ impl Qp {
             }
             PacketKind::Ack => {
                 if pkt.ecn {
-                    self.req.on_ecn_echo(env.now);
+                    // Counted only: no backend reacts to an ECN echo, so
+                    // congestion marking never perturbs timing.
+                    self.req.stats.ecn_echoes += 1;
                 }
                 self.req.on_ack(&self.ctx, &self.life, env, fx, pkt.psn)
             }

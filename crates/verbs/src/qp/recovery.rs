@@ -1,46 +1,37 @@
-//! Pluggable loss-recovery backends behind the requester engine.
+//! Loss recovery as closed data: [`RecoveryKind`] is the backend.
 //!
 //! The paper's pitfalls are consequences of *one point* in the design
-//! space — go-back-N recovery colliding with the ODP fault window — so
-//! the recovery decision logic is a trait, [`RecoveryPolicy`], instead
-//! of code inlined in the requester. A policy sees loss / NAK / timeout
-//! / fault-resolution events plus a narrow [`RetransmitCtx`] view of the
-//! outstanding work requests, and returns a [`RecoveryPlan`] naming the
-//! messages to put back on the wire. The view is borrowed from the live
-//! send queue and lazy: a decision that never looks at the queue (every
-//! blind stall tick) reads none of it, and nothing is copied up front.
-//! The requester *executes* the plan (building packets in send-queue
-//! order and pushing them through the existing `Effects` pipeline), so
-//! packet order, retransmission counters and timer sequencing stay
-//! byte-identical for the extracted [`GoBackN`] backend.
+//! space — go-back-N recovery colliding with the ODP fault window — and
+//! the literature being reproduced names exactly two alternatives, so
+//! the set of backends is closed and every decision is an exhaustive
+//! `match` on the kind (a fourth backend breaks the build at each one):
 //!
-//! Three backends ship:
+//! * `gbn` — the measured hardware: cumulative acking, everything from
+//!   the hole retransmitted, blind 0.5 ms ODP stall ticks, and the
+//!   ConnectX-4 ghost-forgetting quirk on damming profiles.
+//! * `irn` — IRN-style selective repeat (Mittal et al., *Revisiting
+//!   Network Support for RDMA*): per-message acking backed by a
+//!   wraparound-safe [`SackBitmap`], retransmission only of messages
+//!   with evidence of non-delivery, out-of-order acceptance at the
+//!   responder, and ODP stalls resumed by the fault-resolution event.
+//! * `pin` — NP-RDMA-style on-demand pinning: go-back-N loss recovery on
+//!   sane firmware, but faulting pages pin on first touch (see
+//!   `fault::pin_pages`), so the fault window never opens and neither
+//!   pitfall can occur.
 //!
-//! * [`GoBackN`] — today's hardware, extracted verbatim: cumulative
-//!   acking, everything from the hole retransmitted, blind 0.5 ms ODP
-//!   stall ticks, and the ConnectX-4 ghost-forgetting quirk on damming
-//!   profiles.
-//! * [`SelectiveRepeat`] — IRN-style (Mittal et al., *Revisiting
-//!   Network Support for RDMA*): per-message selective acking backed by
-//!   a 24-bit-wraparound-safe [`SackBitmap`], retransmission only of
-//!   messages with evidence of non-delivery, and event-driven resume of
-//!   ODP stalls instead of blind ticks.
-//! * [`OnDemandPin`] — NP-RDMA-style fault model: loss recovery
-//!   delegates to go-back-N, but faulting pages are pinned on first
-//!   touch (see `fault::pin_pages`), so the fault window never opens and
-//!   neither pitfall can occur.
+//! Two things live here. The capability predicates on [`RecoveryKind`]
+//! are what the requester, the responder and the trace linter ask
+//! instead of comparing kinds. [`Backend`] is the little state a
+//! requester owns on top of its kind — selective repeat's delivery
+//! bitmap — with the one selection rule every recovery pass applies:
+//! [`Backend::resends`].
 
 use core::fmt;
-use std::cell::Cell;
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::BTreeMap;
 use std::str::FromStr;
-
-use ibsim_event::SimTime;
 
 use crate::types::Psn;
 use crate::wr::SendWqe;
-
-use super::requester::sq_index;
 
 /// Which loss-recovery backend a QP runs. Carried in
 /// [`QpConfig`](super::QpConfig); defaults to [`RecoveryKind::GoBackN`],
@@ -85,6 +76,58 @@ impl RecoveryKind {
             RecoveryKind::GoBackN => "gbn",
             RecoveryKind::SelectiveRepeat => "irn",
             RecoveryKind::OnDemandPin => "pin",
+        }
+    }
+
+    /// True if the ConnectX-4 damming quirks apply: ghost windows, the
+    /// ghost lookback on RNR NAKs, response discard during RNR waits
+    /// and ghosts forgotten when the wait expires. They are artifacts of
+    /// the hardware go-back-N engine, not of go-back-N recovery.
+    pub fn ghost_quirks(self) -> bool {
+        match self {
+            RecoveryKind::GoBackN => true,
+            RecoveryKind::SelectiveRepeat | RecoveryKind::OnDemandPin => false,
+        }
+    }
+
+    /// True if ACKs and responses acknowledge cumulatively. When false,
+    /// an ACK for `psn` acknowledges only the message whose final PSN is
+    /// `psn`.
+    pub fn cumulative_ack(self) -> bool {
+        match self {
+            RecoveryKind::GoBackN | RecoveryKind::OnDemandPin => true,
+            RecoveryKind::SelectiveRepeat => false,
+        }
+    }
+
+    /// How a client-side ODP stall resumes. True: a blind 0.5 ms tick
+    /// resends the stalled request "regardless of the resolution of the
+    /// page fault" (§IV-A) and re-arms itself, deaf to the resolution.
+    /// False: no tick is armed and the fault-resolution event resumes
+    /// the stall, once. (Pinning never stalls, so its answer is moot.)
+    pub fn blind_stall_tick(self) -> bool {
+        match self {
+            RecoveryKind::GoBackN | RecoveryKind::OnDemandPin => true,
+            RecoveryKind::SelectiveRepeat => false,
+        }
+    }
+
+    /// True if the responder executes a future READ or WRITE on arrival
+    /// and lets the ePSN jump over it once the hole fills, instead of
+    /// dropping everything behind a hole.
+    pub fn accepts_out_of_order(self) -> bool {
+        match self {
+            RecoveryKind::SelectiveRepeat => true,
+            RecoveryKind::GoBackN | RecoveryKind::OnDemandPin => false,
+        }
+    }
+
+    /// True if the ODP gates pin a not-yet-mapped page synchronously on
+    /// first touch instead of raising a network page fault.
+    pub fn pins_on_first_touch(self) -> bool {
+        match self {
+            RecoveryKind::OnDemandPin => true,
+            RecoveryKind::GoBackN | RecoveryKind::SelectiveRepeat => false,
         }
     }
 }
@@ -236,366 +279,51 @@ impl SackBitmap {
 }
 
 // ----------------------------------------------------------------------
-// The narrow requester view and the decision types
+// The requester's backend state
 // ----------------------------------------------------------------------
 
-/// One outstanding work request as a recovery policy sees it: PSN span
-/// plus delivery progress, nothing else.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct WrView {
-    /// First PSN of the message.
-    pub psn_first: Psn,
-    /// Last PSN of the message (inclusive).
-    pub psn_last: Psn,
-    /// At least one segment has been transmitted.
-    pub sent: bool,
-    /// The message can retire (acked / all response data consumed).
-    pub done: bool,
-    /// The remote side acknowledged the message.
-    pub acked: bool,
-    /// Damming quirk: first transmitted inside a fault-recovery window.
-    pub ghosted: bool,
-}
-
-impl WrView {
-    /// True if the message still needs the wire: transmitted but not
-    /// finished.
-    pub fn pending(&self) -> bool {
-        self.sent && !self.done
-    }
-}
-
-/// The read-only context a policy decides over: the outstanding work
-/// requests and the current simulation time. It borrows the requester's
-/// live send queue and builds a [`WrView`] only for the entries a policy
-/// actually reads, so asking for a decision costs nothing by itself.
-/// Only the requester constructs one.
+/// What a requester keeps for its recovery backend: the kind, and under
+/// selective repeat the PSNs delivered so far. The cumulative backends
+/// mark nothing, and an empty bitmap holds no allocation.
 #[derive(Debug)]
-pub struct RetransmitCtx<'a> {
-    sq: &'a VecDeque<SendWqe>,
-    /// Current simulation time.
-    pub now: SimTime,
-    views_built: Cell<usize>,
-}
-
-impl<'a> RetransmitCtx<'a> {
-    pub(super) fn new(sq: &'a VecDeque<SendWqe>, now: SimTime) -> Self {
-        RetransmitCtx {
-            sq,
-            now,
-            views_built: Cell::new(0),
-        }
-    }
-
-    fn view(&self, w: &SendWqe) -> WrView {
-        self.views_built.set(self.views_built.get() + 1);
-        WrView {
-            psn_first: w.psn_first,
-            psn_last: w.psn_last,
-            sent: w.sent_segments > 0,
-            done: w.is_done(),
-            acked: w.acked,
-            ghosted: w.ghosted,
-        }
-    }
-
-    /// The outstanding work requests in send-queue (= PSN) order, each
-    /// view built as the iterator reaches it.
-    pub fn wrs(&self) -> impl Iterator<Item = WrView> + '_ {
-        self.sq.iter().map(|w| self.view(w))
-    }
-
-    /// The work request whose first PSN is `psn_first`, found by
-    /// bisection on the PSN-ordered queue.
-    pub fn wr(&self, psn_first: Psn) -> Option<WrView> {
-        let w = &self.sq[sq_index(self.sq, psn_first)?];
-        (w.psn_first == psn_first).then(|| self.view(w))
-    }
-
-    /// How many [`WrView`]s this decision has read so far: the work the
-    /// backend made the requester do.
-    pub fn views_built(&self) -> usize {
-        self.views_built.get()
-    }
-}
-
-/// A retransmission decision: the first PSNs of the messages to resend.
-/// The requester resends every transmitted segment of each named message
-/// (clearing its damming ghost flag) in send-queue order, whatever order
-/// they are named in, and accounts the retransmissions — preserving the
-/// exact packet order the golden traces pin. The empty plan holds no
-/// allocation.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct RecoveryPlan {
-    /// `psn_first` of each message to retransmit.
-    pub retransmit: Vec<Psn>,
-}
-
-impl RecoveryPlan {
-    /// The empty plan: retransmit nothing.
-    pub fn none() -> Self {
-        RecoveryPlan::default()
-    }
-
-    /// A plan retransmitting the given messages.
-    pub fn messages(retransmit: Vec<Psn>) -> Self {
-        RecoveryPlan { retransmit }
-    }
-
-    /// True if the plan does nothing.
-    pub fn is_empty(&self) -> bool {
-        self.retransmit.is_empty()
-    }
-}
-
-/// Decision for one blind ODP stall tick: whether to resend the stalled
-/// message now, and whether to re-arm the tick timer (the arm/cancel
-/// half of the recovery contract).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct StallVerdict {
-    /// Resend the stalled message this tick.
-    pub retransmit: bool,
-    /// Re-arm the blind tick timer for another round.
-    pub rearm: bool,
-}
-
-// ----------------------------------------------------------------------
-// The trait
-// ----------------------------------------------------------------------
-
-/// A pluggable loss-recovery backend.
-///
-/// Implementations must be deterministic: decisions may depend only on
-/// the event arguments, the [`RetransmitCtx`] view and state accumulated
-/// from earlier `note_*` calls — never on wall clock, randomness or
-/// iteration order of unordered containers. Every method is object-safe;
-/// the requester owns a `Box<dyn RecoveryPolicy>`.
-///
-/// Event flow: the requester feeds delivery bookkeeping through
-/// [`note_delivered`](RecoveryPolicy::note_delivered) /
-/// [`note_message_delivered`](RecoveryPolicy::note_message_delivered) /
-/// [`note_retired`](RecoveryPolicy::note_retired), and asks for
-/// decisions on ACK timeout, RNR-wait expiry, sequence-error NAKs,
-/// blind stall ticks and fault resolution. Returned plans are executed
-/// by the requester against the live send queue and drained through the
-/// `Effects` pipeline.
-pub trait RecoveryPolicy: fmt::Debug + Send {
-    /// Which backend this is.
-    fn kind(&self) -> RecoveryKind;
-
-    /// True if the ConnectX-4 damming quirks apply: ghost windows, the
-    /// ghost lookback on RNR NAKs and response discard during RNR waits.
-    /// They are artifacts of the hardware go-back-N engine, so only
-    /// [`GoBackN`] returns true.
-    fn ghost_quirks(&self) -> bool;
-
-    /// True if a discarded client-ODP response arms the blind 0.5 ms
-    /// retransmit tick ("regardless of the resolution of the page
-    /// fault", §IV-A). Selective repeat resumes on the fault-resolution
-    /// event instead.
-    fn arms_blind_stall(&self) -> bool;
-
-    /// True if ACKs and responses acknowledge cumulatively (go-back-N
-    /// semantics). When false, an ACK for `psn` acknowledges only the
-    /// message whose final PSN is `psn`.
-    fn cumulative_ack(&self) -> bool;
-
-    /// One PSN was delivered (a response segment consumed, or an ACK
-    /// received).
-    fn note_delivered(&mut self, psn: Psn);
-
-    /// A whole message span was acknowledged.
-    fn note_message_delivered(&mut self, psn_first: Psn, psn_last: Psn);
-
-    /// Everything before `up_to` retired; loss state may be pruned.
-    fn note_retired(&mut self, up_to: Psn);
-
-    /// The ACK timeout fired; `from` is the first PSN of the oldest
-    /// pending message.
-    fn on_timeout(&mut self, ctx: &RetransmitCtx<'_>, from: Psn) -> RecoveryPlan;
-
-    /// The RNR wait for the message at `psn` expired. `damming` is true
-    /// on profiles with the ConnectX-4 recovery flaw.
-    fn on_rnr_expire(&mut self, ctx: &RetransmitCtx<'_>, psn: Psn, damming: bool) -> RecoveryPlan;
-
-    /// A NAK(SequenceError) arrived: the responder expected `epsn` and
-    /// saw `at` instead.
-    fn on_seq_nak(&mut self, ctx: &RetransmitCtx<'_>, epsn: Psn, at: Psn) -> RecoveryPlan;
-
-    /// One blind stall tick fired for the stalled message at `psn`.
-    fn on_stall_tick(&mut self, ctx: &RetransmitCtx<'_>, psn: Psn) -> StallVerdict;
-
-    /// A faulted page became usable while messages are stalled;
-    /// `stalled` yields the first PSNs of the stalls that page unblocks,
-    /// in stall order (possibly none), and like the context is only
-    /// walked if the backend pulls from it. Returned messages are resumed
-    /// (retransmitted) and their stalls cleared.
-    fn on_fault_resolved(
-        &mut self,
-        ctx: &RetransmitCtx<'_>,
-        stalled: &mut dyn Iterator<Item = Psn>,
-    ) -> RecoveryPlan;
-
-    /// An ACK arrived carrying an ECN echo: some hop of the forward path
-    /// was congested when this message's packets crossed it. Backends
-    /// may use it to moderate retransmission aggressiveness; the default
-    /// ignores it, so congestion marking never perturbs timing for
-    /// backends that don't opt in.
-    fn on_ecn_echo(&mut self, _now: SimTime) {}
-}
-
-/// Constructs the backend for `kind`.
-pub fn policy_for(kind: RecoveryKind) -> Box<dyn RecoveryPolicy> {
-    match kind {
-        RecoveryKind::GoBackN => Box::new(GoBackN),
-        RecoveryKind::SelectiveRepeat => Box::new(SelectiveRepeat::new()),
-        RecoveryKind::OnDemandPin => Box::new(OnDemandPin),
-    }
-}
-
-// ----------------------------------------------------------------------
-// Go-back-N
-// ----------------------------------------------------------------------
-
-/// The hardware go-back-N engine, extracted bit-identically from the
-/// pre-trait requester: retransmit every transmitted, unfinished message
-/// whose span reaches the hole or beyond; on damming profiles the RNR
-/// recovery pass forgets ghosts (the ConnectX-4 flaw, §IV-A).
-#[derive(Debug, Clone, Copy, Default)]
-pub struct GoBackN;
-
-impl GoBackN {
-    fn from_psn(ctx: &RetransmitCtx<'_>, from: Psn, skip_ghosts: bool) -> RecoveryPlan {
-        RecoveryPlan::messages(
-            ctx.wrs()
-                .filter(|w| w.pending() && !w.psn_last.precedes(from))
-                .filter(|w| !(skip_ghosts && w.ghosted))
-                .map(|w| w.psn_first)
-                .collect(),
-        )
-    }
-}
-
-impl RecoveryPolicy for GoBackN {
-    fn kind(&self) -> RecoveryKind {
-        RecoveryKind::GoBackN
-    }
-
-    fn ghost_quirks(&self) -> bool {
-        true
-    }
-
-    fn arms_blind_stall(&self) -> bool {
-        true
-    }
-
-    fn cumulative_ack(&self) -> bool {
-        true
-    }
-
-    fn note_delivered(&mut self, _psn: Psn) {}
-
-    fn note_message_delivered(&mut self, _psn_first: Psn, _psn_last: Psn) {}
-
-    fn note_retired(&mut self, _up_to: Psn) {}
-
-    fn on_timeout(&mut self, ctx: &RetransmitCtx<'_>, from: Psn) -> RecoveryPlan {
-        Self::from_psn(ctx, from, false)
-    }
-
-    fn on_rnr_expire(&mut self, ctx: &RetransmitCtx<'_>, psn: Psn, damming: bool) -> RecoveryPlan {
-        // The ConnectX-4 flaw: recovery retransmits the requests that
-        // were in flight when the RNR NAK arrived but forgets the
-        // ghosts — successors first transmitted during the wait.
-        Self::from_psn(ctx, psn, damming)
-    }
-
-    fn on_seq_nak(&mut self, ctx: &RetransmitCtx<'_>, epsn: Psn, _at: Psn) -> RecoveryPlan {
-        Self::from_psn(ctx, epsn, false)
-    }
-
-    fn on_stall_tick(&mut self, _ctx: &RetransmitCtx<'_>, _psn: Psn) -> StallVerdict {
-        // Blind retransmission "regardless of the resolution of the
-        // page fault" (§IV-A): resend and keep ticking.
-        StallVerdict {
-            retransmit: true,
-            rearm: true,
-        }
-    }
-
-    fn on_fault_resolved(
-        &mut self,
-        _ctx: &RetransmitCtx<'_>,
-        _stalled: &mut dyn Iterator<Item = Psn>,
-    ) -> RecoveryPlan {
-        // Go-back-N hardware is deaf to resolution: the blind tick is
-        // the only resume path.
-        RecoveryPlan::none()
-    }
-}
-
-// ----------------------------------------------------------------------
-// Selective repeat (IRN)
-// ----------------------------------------------------------------------
-
-/// IRN-style selective repeat: per-message acknowledgment, a SACK
-/// bitmap of delivered PSNs, and retransmission only of messages with
-/// evidence of non-delivery. ODP stalls resume when the fault resolves
-/// instead of on a blind cadence, which is what removes the packet
-/// flood's retransmit amplification.
-#[derive(Debug)]
-pub struct SelectiveRepeat {
+pub(super) struct Backend {
+    kind: RecoveryKind,
     delivered: SackBitmap,
 }
 
-impl SelectiveRepeat {
-    /// A fresh backend with an empty delivery bitmap based at PSN 0.
-    pub fn new() -> Self {
-        SelectiveRepeat {
+impl Backend {
+    pub(super) fn new(kind: RecoveryKind) -> Self {
+        Backend {
+            kind,
             delivered: SackBitmap::new(Psn::new(0)),
         }
     }
 
-    /// The messages that still need the wire: transmitted, unfinished,
-    /// unacknowledged and with at least one undelivered PSN.
-    fn undelivered<'a>(&'a self, ctx: &'a RetransmitCtx<'_>) -> impl Iterator<Item = WrView> + 'a {
-        ctx.wrs().filter(|w| {
-            w.pending() && !w.acked && !self.delivered.all_marked(w.psn_first, w.psn_last)
-        })
-    }
-}
-
-impl Default for SelectiveRepeat {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl RecoveryPolicy for SelectiveRepeat {
-    fn kind(&self) -> RecoveryKind {
-        RecoveryKind::SelectiveRepeat
+    /// The delivery bitmap, for the one backend that tracks delivery
+    /// per PSN.
+    fn sack(&mut self) -> Option<&mut SackBitmap> {
+        match self.kind {
+            RecoveryKind::SelectiveRepeat => Some(&mut self.delivered),
+            RecoveryKind::GoBackN | RecoveryKind::OnDemandPin => None,
+        }
     }
 
-    fn ghost_quirks(&self) -> bool {
-        false
+    /// One PSN was delivered (a response segment consumed, or an ACK
+    /// received).
+    pub(super) fn note_delivered(&mut self, psn: Psn) {
+        if let Some(sack) = self.sack() {
+            sack.mark(psn);
+        }
     }
 
-    fn arms_blind_stall(&self) -> bool {
-        false
-    }
-
-    fn cumulative_ack(&self) -> bool {
-        false
-    }
-
-    fn note_delivered(&mut self, psn: Psn) {
-        self.delivered.mark(psn);
-    }
-
-    fn note_message_delivered(&mut self, psn_first: Psn, psn_last: Psn) {
+    /// The whole message span `[psn_first, psn_last]` was acknowledged.
+    pub(super) fn note_message_delivered(&mut self, psn_first: Psn, psn_last: Psn) {
+        let Some(sack) = self.sack() else {
+            return;
+        };
         let mut p = psn_first;
         loop {
-            self.delivered.mark(p);
+            sack.mark(p);
             if p == psn_last {
                 break;
             }
@@ -603,132 +331,38 @@ impl RecoveryPolicy for SelectiveRepeat {
         }
     }
 
-    fn note_retired(&mut self, up_to: Psn) {
-        self.delivered.advance_to(up_to);
-    }
-
-    fn on_timeout(&mut self, ctx: &RetransmitCtx<'_>, from: Psn) -> RecoveryPlan {
-        RecoveryPlan::messages(
-            self.undelivered(ctx)
-                .filter(|w| !w.psn_last.precedes(from))
-                .map(|w| w.psn_first)
-                .collect(),
-        )
-    }
-
-    fn on_rnr_expire(&mut self, ctx: &RetransmitCtx<'_>, psn: Psn, _damming: bool) -> RecoveryPlan {
-        // The refused message and every undelivered successor: the
-        // responder's fault pendency dropped whatever followed the
-        // refused PSN, and waiting for per-message timeouts instead
-        // would stretch recovery by a full T_o each.
-        RecoveryPlan::messages(
-            self.undelivered(ctx)
-                .filter(|w| !w.psn_last.precedes(psn))
-                .map(|w| w.psn_first)
-                .collect(),
-        )
-    }
-
-    fn on_seq_nak(&mut self, ctx: &RetransmitCtx<'_>, epsn: Psn, _at: Psn) -> RecoveryPlan {
-        // Every undelivered message from the hole: the responder's
-        // in-order path dropped (or, for READ/WRITE, absorbed out of
-        // order without acking) whatever followed the hole, so bounding
-        // the plan at the arrived PSN would leave later SENDs and
-        // atomics waiting out a full T_o each. Delivered messages the
-        // bitmap already covers are skipped — the selective half of
-        // selective repeat.
-        RecoveryPlan::messages(
-            self.undelivered(ctx)
-                .filter(|w| !w.psn_last.precedes(epsn))
-                .map(|w| w.psn_first)
-                .collect(),
-        )
-    }
-
-    fn on_stall_tick(&mut self, _ctx: &RetransmitCtx<'_>, _psn: Psn) -> StallVerdict {
-        // Never armed; a stray tick neither resends nor re-arms.
-        StallVerdict {
-            retransmit: false,
-            rearm: false,
+    /// Everything before `up_to` retired: the bitmap is pruned, so it
+    /// stays bounded by the outstanding window.
+    pub(super) fn note_retired(&mut self, up_to: Psn) {
+        if let Some(sack) = self.sack() {
+            sack.advance_to(up_to);
         }
     }
 
-    fn on_fault_resolved(
-        &mut self,
-        ctx: &RetransmitCtx<'_>,
-        stalled: &mut dyn Iterator<Item = Psn>,
-    ) -> RecoveryPlan {
-        // Event-driven resume: re-request each still-pending stalled
-        // message exactly once, now that its pages can land.
-        RecoveryPlan::messages(
-            stalled
-                .filter(|&p| ctx.wr(p).is_some_and(|w| w.pending()))
-                .collect(),
-        )
-    }
-}
-
-// ----------------------------------------------------------------------
-// On-demand pinning (NP-RDMA)
-// ----------------------------------------------------------------------
-
-/// NP-RDMA-style on-demand pinning. Loss recovery is plain go-back-N
-/// (fabric loss still exists), but the ODP gates pin faulting pages
-/// synchronously on first touch, so RNR fault pendency, client-side
-/// stalls and the damming ghost window never arise. The quirk knobs are
-/// all off: this models fixed firmware, not ConnectX-4.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct OnDemandPin;
-
-impl RecoveryPolicy for OnDemandPin {
-    fn kind(&self) -> RecoveryKind {
-        RecoveryKind::OnDemandPin
-    }
-
-    fn ghost_quirks(&self) -> bool {
-        false
-    }
-
-    fn arms_blind_stall(&self) -> bool {
-        // Unreachable in practice: the pin gates never discard a
-        // response, so no stall is ever registered.
-        true
-    }
-
-    fn cumulative_ack(&self) -> bool {
-        true
-    }
-
-    fn note_delivered(&mut self, _psn: Psn) {}
-
-    fn note_message_delivered(&mut self, _psn_first: Psn, _psn_last: Psn) {}
-
-    fn note_retired(&mut self, _up_to: Psn) {}
-
-    fn on_timeout(&mut self, ctx: &RetransmitCtx<'_>, from: Psn) -> RecoveryPlan {
-        GoBackN.on_timeout(ctx, from)
-    }
-
-    fn on_rnr_expire(&mut self, ctx: &RetransmitCtx<'_>, psn: Psn, _damming: bool) -> RecoveryPlan {
-        // No ghost window exists without a fault window; recover like
-        // go-back-N on sane hardware.
-        GoBackN.on_rnr_expire(ctx, psn, false)
-    }
-
-    fn on_seq_nak(&mut self, ctx: &RetransmitCtx<'_>, epsn: Psn, at: Psn) -> RecoveryPlan {
-        GoBackN.on_seq_nak(ctx, epsn, at)
-    }
-
-    fn on_stall_tick(&mut self, ctx: &RetransmitCtx<'_>, psn: Psn) -> StallVerdict {
-        GoBackN.on_stall_tick(ctx, psn)
-    }
-
-    fn on_fault_resolved(
-        &mut self,
-        ctx: &RetransmitCtx<'_>,
-        stalled: &mut dyn Iterator<Item = Psn>,
-    ) -> RecoveryPlan {
-        GoBackN.on_fault_resolved(ctx, stalled)
+    /// The one selection rule of loss recovery: does a pass that
+    /// recovers from PSN `from` — an ACK timeout, an RNR-wait expiry or
+    /// a sequence-error NAK — put `w` back on the wire? Never a message
+    /// that was not transmitted, has finished, or ends before `from`.
+    /// Of the rest, go-back-N resends all but the ghosts it is asked to
+    /// forget (the ConnectX-4 flaw, §IV-A: an RNR expiry on a damming
+    /// profile skips the successors first transmitted during the wait);
+    /// pinning resends all, on any profile; selective repeat skips
+    /// whatever was acknowledged or is covered by the delivery bitmap,
+    /// and resends the undelivered rest all the way to the tail — the
+    /// responder dropped, or absorbed without acking, whatever followed
+    /// the hole, and bounding the pass at the NAKed PSN would leave
+    /// later SENDs and atomics waiting out a full `T_o` each.
+    pub(super) fn resends(&self, w: &SendWqe, from: Psn, forget_ghosts: bool) -> bool {
+        if w.sent_segments == 0 || w.is_done() || w.psn_last.precedes(from) {
+            return false;
+        }
+        match self.kind {
+            RecoveryKind::GoBackN => !(forget_ghosts && w.ghosted),
+            RecoveryKind::OnDemandPin => true,
+            RecoveryKind::SelectiveRepeat => {
+                !w.acked && !self.delivered.all_marked(w.psn_first, w.psn_last)
+            }
+        }
     }
 }
 
@@ -736,8 +370,12 @@ impl RecoveryPolicy for OnDemandPin {
 mod tests {
     use super::*;
 
-    /// A queued READ that a policy will see as the given [`WrView`].
-    fn view(first: u32, last: u32, sent: bool, done: bool, acked: bool, ghosted: bool) -> SendWqe {
+    use std::collections::VecDeque;
+
+    use ibsim_event::SplitMix64;
+
+    /// A queued READ over `[first, last]` in the given delivery state.
+    fn wqe(first: u32, last: u32, sent: bool, done: bool, acked: bool, ghosted: bool) -> SendWqe {
         SendWqe {
             acked,
             ghosted,
@@ -747,8 +385,12 @@ mod tests {
 
     type Sq = VecDeque<SendWqe>;
 
-    fn ctx_of(sq: &Sq) -> RetransmitCtx<'_> {
-        RetransmitCtx::new(sq, SimTime::ZERO)
+    /// First PSNs of the messages a recovery pass from `from` resends.
+    fn pass(b: &Backend, sq: &Sq, from: Psn, forget_ghosts: bool) -> Vec<Psn> {
+        sq.iter()
+            .filter(|w| b.resends(w, from, forget_ghosts))
+            .map(|w| w.psn_first)
+            .collect()
     }
 
     #[test]
@@ -856,170 +498,465 @@ mod tests {
     }
 
     #[test]
+    fn capabilities_by_kind() {
+        use RecoveryKind::{GoBackN, OnDemandPin, SelectiveRepeat};
+        let table = RecoveryKind::ALL.map(|k| {
+            [
+                k.ghost_quirks(),
+                k.cumulative_ack(),
+                k.blind_stall_tick(),
+                k.accepts_out_of_order(),
+                k.pins_on_first_touch(),
+            ]
+        });
+        assert_eq!(RecoveryKind::ALL, [GoBackN, SelectiveRepeat, OnDemandPin]);
+        assert_eq!(
+            table,
+            [
+                [true, true, true, false, false],
+                [false, false, false, true, false],
+                [false, true, true, false, true],
+            ]
+        );
+    }
+
+    #[test]
     fn go_back_n_retransmits_everything_from_hole() {
-        let wrs = Sq::from([
-            view(0, 0, true, true, true, false),    // done: skipped
-            view(1, 2, true, false, false, false),  // pending
-            view(3, 3, true, false, true, false),   // acked but not done (READ)
-            view(4, 5, false, false, false, false), // never sent: skipped
+        let sq = Sq::from([
+            wqe(0, 0, true, true, true, false),    // done: skipped
+            wqe(1, 2, true, false, false, false),  // pending
+            wqe(3, 3, true, false, true, false),   // acked but not done (READ)
+            wqe(4, 5, false, false, false, false), // never sent: skipped
         ]);
-        let mut p = GoBackN;
-        let plan = p.on_timeout(&ctx_of(&wrs), Psn::new(1));
-        assert_eq!(plan.retransmit, vec![Psn::new(1), Psn::new(3)]);
+        let b = Backend::new(RecoveryKind::GoBackN);
+        assert_eq!(
+            pass(&b, &sq, Psn::new(1), false),
+            [Psn::new(1), Psn::new(3)]
+        );
         // From a later hole, earlier spans are skipped.
-        let plan = p.on_seq_nak(&ctx_of(&wrs), Psn::new(3), Psn::new(5));
-        assert_eq!(plan.retransmit, vec![Psn::new(3)]);
+        assert_eq!(pass(&b, &sq, Psn::new(3), false), [Psn::new(3)]);
     }
 
     #[test]
-    fn go_back_n_rnr_skips_ghosts_only_on_damming() {
-        let wrs = Sq::from([
-            view(0, 0, true, false, false, false),
-            view(1, 1, true, false, false, true), // ghosted successor
+    fn only_go_back_n_forgets_ghosts_and_only_when_asked() {
+        let sq = Sq::from([
+            wqe(0, 0, true, false, false, false),
+            wqe(1, 1, true, false, false, true), // ghosted successor
         ]);
-        let mut p = GoBackN;
-        let flawed = p.on_rnr_expire(&ctx_of(&wrs), Psn::new(0), true);
-        assert_eq!(flawed.retransmit, vec![Psn::new(0)], "ghost forgotten");
-        let sane = p.on_rnr_expire(&ctx_of(&wrs), Psn::new(0), false);
-        assert_eq!(sane.retransmit, vec![Psn::new(0), Psn::new(1)]);
+        let both = [Psn::new(0), Psn::new(1)];
+        let gbn = Backend::new(RecoveryKind::GoBackN);
+        assert_eq!(pass(&gbn, &sq, Psn::new(0), true), [Psn::new(0)]);
+        assert_eq!(pass(&gbn, &sq, Psn::new(0), false), both);
+        // The pin model is fixed firmware: even on a damming profile.
+        let pin = Backend::new(RecoveryKind::OnDemandPin);
+        assert_eq!(pass(&pin, &sq, Psn::new(0), true), both);
+        let irn = Backend::new(RecoveryKind::SelectiveRepeat);
+        assert_eq!(pass(&irn, &sq, Psn::new(0), true), both);
     }
 
     #[test]
-    fn go_back_n_stall_tick_reads_no_views() {
-        // The flood's hot decision: the blind tick resends without
-        // looking, so the borrowed context must cost nothing however
-        // deep the queue is; a timeout over the same queue reads it all.
-        let wrs: Sq = (0..1000)
-            .map(|p| view(p, p, true, p != 0, true, false))
-            .collect();
-        let ctx = ctx_of(&wrs);
-        let tick = GoBackN.on_stall_tick(&ctx, Psn::new(0));
-        assert!(tick.retransmit && tick.rearm);
-        assert_eq!(ctx.views_built(), 0, "stall tick materialised views");
-        assert!(GoBackN
-            .on_fault_resolved(&ctx, &mut std::iter::once(Psn::new(0)))
-            .is_empty());
-        assert_eq!(ctx.views_built(), 0, "deaf resume materialised views");
-        let plan = GoBackN.on_timeout(&ctx, Psn::new(0));
-        assert_eq!(plan.retransmit, vec![Psn::new(0)]);
-        assert_eq!(ctx.views_built(), 1000);
-        // A lookup by first PSN builds the one view it returns.
-        let ctx = ctx_of(&wrs);
-        assert!(ctx.wr(Psn::new(700)).is_some_and(|w| w.done));
-        assert!(ctx.wr(Psn::new(1000)).is_none());
-        assert_eq!(ctx.views_built(), 1);
-    }
-
-    #[test]
-    fn selective_repeat_skips_delivered_messages() {
-        let wrs = Sq::from([
-            view(0, 1, true, false, false, false),
-            view(2, 3, true, false, false, false),
-            view(4, 4, true, false, false, false),
+    fn selective_repeat_skips_delivered_and_acked_messages() {
+        let sq = Sq::from([
+            wqe(0, 1, true, false, false, false),
+            wqe(2, 3, true, false, false, false),
+            wqe(4, 4, true, false, true, false), // acked, data outstanding
+            wqe(5, 5, true, false, false, false),
         ]);
-        let mut p = SelectiveRepeat::new();
-        // The middle message was fully delivered (responses consumed).
-        p.note_delivered(Psn::new(2));
-        p.note_delivered(Psn::new(3));
-        let plan = p.on_timeout(&ctx_of(&wrs), Psn::new(0));
+        let mut b = Backend::new(RecoveryKind::SelectiveRepeat);
+        // The second message was fully delivered (responses consumed).
+        b.note_delivered(Psn::new(2));
+        b.note_delivered(Psn::new(3));
+        // The bitmap-covered and the acked message are skipped, and the
+        // undelivered tail past them is still resent: the responder
+        // dropped or silently absorbed everything behind the hole.
         assert_eq!(
-            plan.retransmit,
-            vec![Psn::new(0), Psn::new(4)],
-            "delivered message not retransmitted"
+            pass(&b, &sq, Psn::new(0), false),
+            [Psn::new(0), Psn::new(5)]
         );
-        // Seq NAK skips the bitmap-covered middle but still replans the
-        // undelivered tail: the responder dropped or silently absorbed
-        // everything past the hole.
-        let plan = p.on_seq_nak(&ctx_of(&wrs), Psn::new(0), Psn::new(2));
-        assert_eq!(plan.retransmit, vec![Psn::new(0), Psn::new(4)]);
+        // The cumulative backends track nothing per PSN.
+        let mut gbn = Backend::new(RecoveryKind::GoBackN);
+        gbn.note_delivered(Psn::new(2));
+        gbn.note_message_delivered(Psn::new(2), Psn::new(3));
+        gbn.note_retired(Psn::new(2));
+        assert_eq!(gbn.delivered.word_count(), 0);
+        assert_eq!(gbn.delivered.base(), Psn::new(0));
     }
 
-    #[test]
-    fn selective_repeat_acked_message_never_replanned() {
-        let wrs = Sq::from([
-            view(0, 0, true, false, true, false), // acked
-            view(1, 1, true, false, false, false),
-        ]);
-        let mut p = SelectiveRepeat::new();
-        let plan = p.on_timeout(&ctx_of(&wrs), Psn::new(0));
-        assert_eq!(plan.retransmit, vec![Psn::new(1)]);
-    }
+    /// The three backends as they were behind the `RecoveryPolicy` trait
+    /// the closed form replaced (then object-safe and boxed; generic
+    /// here), kept as its reference.
+    mod reference {
+        use super::super::SackBitmap;
+        use crate::qp::requester::sq_index;
+        use crate::types::Psn;
+        use crate::wr::SendWqe;
+        use std::collections::VecDeque;
 
-    #[test]
-    fn selective_repeat_resumes_stalls_on_fault_resolution() {
-        let wrs = Sq::from([
-            view(0, 0, true, false, false, false),
-            view(1, 1, true, true, true, false), // completed since stalling
-        ]);
-        let mut p = SelectiveRepeat::new();
-        assert!(!p.arms_blind_stall());
-        let plan = p.on_fault_resolved(&ctx_of(&wrs), &mut [Psn::new(0), Psn::new(1)].into_iter());
-        assert_eq!(plan.retransmit, vec![Psn::new(0)], "done stall dropped");
-        let tick = p.on_stall_tick(&ctx_of(&wrs), Psn::new(0));
-        assert!(!tick.retransmit && !tick.rearm);
-    }
+        #[derive(Debug, Clone, Copy)]
+        pub struct WrView {
+            pub psn_first: Psn,
+            pub psn_last: Psn,
+            pub sent: bool,
+            pub done: bool,
+            pub acked: bool,
+            pub ghosted: bool,
+        }
 
-    #[test]
-    fn on_demand_pin_recovers_like_sane_go_back_n() {
-        let wrs = Sq::from([
-            view(0, 0, true, false, false, false),
-            view(1, 1, true, false, false, true), // ghost flag would be skipped by CX-4
-        ]);
-        let mut pin = OnDemandPin;
-        assert!(!pin.ghost_quirks());
-        let plan = pin.on_rnr_expire(&ctx_of(&wrs), Psn::new(0), true);
-        assert_eq!(
-            plan.retransmit,
-            vec![Psn::new(0), Psn::new(1)],
-            "pin model never forgets ghosts even on damming profiles"
-        );
-    }
+        impl WrView {
+            pub fn pending(&self) -> bool {
+                self.sent && !self.done
+            }
+        }
 
-    #[test]
-    fn trait_conformance_matrix_all_backends() {
-        // Every backend, fed the same event stream through the
-        // object-safe trait, must (a) only ever plan transmitted,
-        // unfinished messages, (b) be deterministic across a fresh
-        // replay, and (c) answer the capability probes consistently.
-        let wrs = Sq::from([
-            view(0, 1, true, false, false, false),
-            view(2, 2, true, true, true, false),
-            view(3, 4, true, false, false, true),
-            view(5, 5, false, false, false, false),
-        ]);
-        for kind in RecoveryKind::ALL {
-            let run = |mut p: Box<dyn RecoveryPolicy>| {
-                assert_eq!(p.kind(), kind);
-                p.note_delivered(Psn::new(0));
-                p.note_message_delivered(Psn::new(2), Psn::new(2));
-                p.note_retired(Psn::new(2));
-                let mut plans = vec![
-                    p.on_timeout(&ctx_of(&wrs), Psn::new(0)),
-                    p.on_rnr_expire(&ctx_of(&wrs), Psn::new(0), true),
-                    p.on_rnr_expire(&ctx_of(&wrs), Psn::new(0), false),
-                    p.on_seq_nak(&ctx_of(&wrs), Psn::new(0), Psn::new(3)),
-                    p.on_fault_resolved(&ctx_of(&wrs), &mut [Psn::new(0)].into_iter()),
-                ];
-                let tick = p.on_stall_tick(&ctx_of(&wrs), Psn::new(0));
-                if tick.retransmit {
-                    plans.push(RecoveryPlan::messages(vec![Psn::new(0)]));
-                }
-                plans
-            };
-            let a = run(policy_for(kind));
-            let b = run(policy_for(kind));
-            assert_eq!(a, b, "{kind}: decisions must be deterministic");
-            for plan in &a {
-                for psn in &plan.retransmit {
-                    let w = ctx_of(&wrs)
-                        .wr(*psn)
-                        .expect("invariant: plans name known messages");
-                    assert!(w.pending(), "{kind}: planned a done or never-sent message");
+        pub struct RetransmitCtx<'a>(pub &'a VecDeque<SendWqe>);
+
+        fn view(w: &SendWqe) -> WrView {
+            WrView {
+                psn_first: w.psn_first,
+                psn_last: w.psn_last,
+                sent: w.sent_segments > 0,
+                done: w.is_done(),
+                acked: w.acked,
+                ghosted: w.ghosted,
+            }
+        }
+
+        impl RetransmitCtx<'_> {
+            pub fn wrs(&self) -> impl Iterator<Item = WrView> + '_ {
+                self.0.iter().map(view)
+            }
+
+            pub fn wr(&self, psn_first: Psn) -> Option<WrView> {
+                let w = &self.0[sq_index(self.0, psn_first)?];
+                (w.psn_first == psn_first).then(|| view(w))
+            }
+        }
+
+        pub type RecoveryPlan = Vec<Psn>;
+
+        #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+        pub struct StallVerdict {
+            pub retransmit: bool,
+            pub rearm: bool,
+        }
+
+        pub trait RecoveryPolicy {
+            fn ghost_quirks(&self) -> bool;
+            fn arms_blind_stall(&self) -> bool;
+            fn cumulative_ack(&self) -> bool;
+            fn note_delivered(&mut self, psn: Psn);
+            fn note_message_delivered(&mut self, psn_first: Psn, psn_last: Psn);
+            fn note_retired(&mut self, up_to: Psn);
+            fn on_timeout(&mut self, ctx: &RetransmitCtx<'_>, from: Psn) -> RecoveryPlan;
+            fn on_rnr_expire(
+                &mut self,
+                ctx: &RetransmitCtx<'_>,
+                psn: Psn,
+                damming: bool,
+            ) -> RecoveryPlan;
+            fn on_seq_nak(&mut self, ctx: &RetransmitCtx<'_>, epsn: Psn, at: Psn) -> RecoveryPlan;
+            fn on_stall_tick(&mut self, ctx: &RetransmitCtx<'_>, psn: Psn) -> StallVerdict;
+            fn on_fault_resolved(
+                &mut self,
+                ctx: &RetransmitCtx<'_>,
+                stalled: impl Iterator<Item = Psn>,
+            ) -> RecoveryPlan;
+        }
+
+        pub struct GoBackN;
+
+        impl GoBackN {
+            fn from_psn(ctx: &RetransmitCtx<'_>, from: Psn, skip_ghosts: bool) -> RecoveryPlan {
+                ctx.wrs()
+                    .filter(|w| w.pending() && !w.psn_last.precedes(from))
+                    .filter(|w| !(skip_ghosts && w.ghosted))
+                    .map(|w| w.psn_first)
+                    .collect()
+            }
+        }
+
+        impl RecoveryPolicy for GoBackN {
+            fn ghost_quirks(&self) -> bool {
+                true
+            }
+            fn arms_blind_stall(&self) -> bool {
+                true
+            }
+            fn cumulative_ack(&self) -> bool {
+                true
+            }
+            fn note_delivered(&mut self, _psn: Psn) {}
+            fn note_message_delivered(&mut self, _psn_first: Psn, _psn_last: Psn) {}
+            fn note_retired(&mut self, _up_to: Psn) {}
+            fn on_timeout(&mut self, ctx: &RetransmitCtx<'_>, from: Psn) -> RecoveryPlan {
+                Self::from_psn(ctx, from, false)
+            }
+            fn on_rnr_expire(
+                &mut self,
+                ctx: &RetransmitCtx<'_>,
+                psn: Psn,
+                damming: bool,
+            ) -> RecoveryPlan {
+                Self::from_psn(ctx, psn, damming)
+            }
+            fn on_seq_nak(&mut self, ctx: &RetransmitCtx<'_>, epsn: Psn, _at: Psn) -> RecoveryPlan {
+                Self::from_psn(ctx, epsn, false)
+            }
+            fn on_stall_tick(&mut self, _ctx: &RetransmitCtx<'_>, _psn: Psn) -> StallVerdict {
+                StallVerdict {
+                    retransmit: true,
+                    rearm: true,
                 }
             }
-            let p = policy_for(kind);
-            assert_eq!(p.ghost_quirks(), kind == RecoveryKind::GoBackN);
-            assert_eq!(p.cumulative_ack(), kind != RecoveryKind::SelectiveRepeat);
+            fn on_fault_resolved(
+                &mut self,
+                _ctx: &RetransmitCtx<'_>,
+                _stalled: impl Iterator<Item = Psn>,
+            ) -> RecoveryPlan {
+                RecoveryPlan::new()
+            }
         }
+
+        pub struct SelectiveRepeat {
+            delivered: SackBitmap,
+        }
+
+        impl SelectiveRepeat {
+            pub fn new() -> Self {
+                SelectiveRepeat {
+                    delivered: SackBitmap::new(Psn::new(0)),
+                }
+            }
+
+            fn undelivered<'a>(
+                &'a self,
+                ctx: &'a RetransmitCtx<'_>,
+            ) -> impl Iterator<Item = WrView> + 'a {
+                ctx.wrs().filter(|w| {
+                    w.pending() && !w.acked && !self.delivered.all_marked(w.psn_first, w.psn_last)
+                })
+            }
+
+            fn undelivered_from(&self, ctx: &RetransmitCtx<'_>, from: Psn) -> RecoveryPlan {
+                self.undelivered(ctx)
+                    .filter(|w| !w.psn_last.precedes(from))
+                    .map(|w| w.psn_first)
+                    .collect()
+            }
+        }
+
+        impl RecoveryPolicy for SelectiveRepeat {
+            fn ghost_quirks(&self) -> bool {
+                false
+            }
+            fn arms_blind_stall(&self) -> bool {
+                false
+            }
+            fn cumulative_ack(&self) -> bool {
+                false
+            }
+            fn note_delivered(&mut self, psn: Psn) {
+                self.delivered.mark(psn);
+            }
+            fn note_message_delivered(&mut self, psn_first: Psn, psn_last: Psn) {
+                let mut p = psn_first;
+                loop {
+                    self.delivered.mark(p);
+                    if p == psn_last {
+                        break;
+                    }
+                    p = p.next();
+                }
+            }
+            fn note_retired(&mut self, up_to: Psn) {
+                self.delivered.advance_to(up_to);
+            }
+            fn on_timeout(&mut self, ctx: &RetransmitCtx<'_>, from: Psn) -> RecoveryPlan {
+                self.undelivered_from(ctx, from)
+            }
+            fn on_rnr_expire(
+                &mut self,
+                ctx: &RetransmitCtx<'_>,
+                psn: Psn,
+                _damming: bool,
+            ) -> RecoveryPlan {
+                self.undelivered_from(ctx, psn)
+            }
+            fn on_seq_nak(&mut self, ctx: &RetransmitCtx<'_>, epsn: Psn, _at: Psn) -> RecoveryPlan {
+                self.undelivered_from(ctx, epsn)
+            }
+            fn on_stall_tick(&mut self, _ctx: &RetransmitCtx<'_>, _psn: Psn) -> StallVerdict {
+                StallVerdict {
+                    retransmit: false,
+                    rearm: false,
+                }
+            }
+            fn on_fault_resolved(
+                &mut self,
+                ctx: &RetransmitCtx<'_>,
+                stalled: impl Iterator<Item = Psn>,
+            ) -> RecoveryPlan {
+                stalled
+                    .filter(|&p| ctx.wr(p).is_some_and(|w| w.pending()))
+                    .collect()
+            }
+        }
+
+        pub struct OnDemandPin;
+
+        impl RecoveryPolicy for OnDemandPin {
+            fn ghost_quirks(&self) -> bool {
+                false
+            }
+            fn arms_blind_stall(&self) -> bool {
+                true
+            }
+            fn cumulative_ack(&self) -> bool {
+                true
+            }
+            fn note_delivered(&mut self, _psn: Psn) {}
+            fn note_message_delivered(&mut self, _psn_first: Psn, _psn_last: Psn) {}
+            fn note_retired(&mut self, _up_to: Psn) {}
+            fn on_timeout(&mut self, ctx: &RetransmitCtx<'_>, from: Psn) -> RecoveryPlan {
+                GoBackN.on_timeout(ctx, from)
+            }
+            fn on_rnr_expire(
+                &mut self,
+                ctx: &RetransmitCtx<'_>,
+                psn: Psn,
+                _damming: bool,
+            ) -> RecoveryPlan {
+                GoBackN.on_rnr_expire(ctx, psn, false)
+            }
+            fn on_seq_nak(&mut self, ctx: &RetransmitCtx<'_>, epsn: Psn, at: Psn) -> RecoveryPlan {
+                GoBackN.on_seq_nak(ctx, epsn, at)
+            }
+            fn on_stall_tick(&mut self, ctx: &RetransmitCtx<'_>, psn: Psn) -> StallVerdict {
+                GoBackN.on_stall_tick(ctx, psn)
+            }
+            fn on_fault_resolved(
+                &mut self,
+                ctx: &RetransmitCtx<'_>,
+                stalled: impl Iterator<Item = Psn>,
+            ) -> RecoveryPlan {
+                GoBackN.on_fault_resolved(ctx, stalled)
+            }
+        }
+    }
+
+    /// One queue, one backend: a random delivery history fed to the
+    /// closed form and its reference alike, then every hook from random
+    /// PSNs in and around the window. Returns how many messages the
+    /// plain passes resent.
+    fn replay_against<P: reference::RecoveryPolicy>(
+        case: u64,
+        kind: RecoveryKind,
+        mut reference: P,
+        sq: &Sq,
+        rng: &mut SplitMix64,
+    ) -> usize {
+        use reference::{RetransmitCtx, StallVerdict};
+        let base = sq.front().map_or(Psn::new(0), |w| w.psn_first);
+        let width = sq.back().map_or(0, |w| w.psn_last.distance_from(base) + 1);
+        // Eight PSNs either side of the window, so holes behind the head
+        // and past the tail are drawn too.
+        let around = |rng: &mut SplitMix64| {
+            base.add(Psn::MODULUS - 8)
+                .add(rng.next_below(16 + u64::from(width)) as u32)
+        };
+        let mut closed = Backend::new(kind);
+        assert_eq!(kind.ghost_quirks(), reference.ghost_quirks());
+        assert_eq!(kind.cumulative_ack(), reference.cumulative_ack());
+        // Arming the tick, obeying it and being deaf to the resolution
+        // are one bit.
+        let blind = kind.blind_stall_tick();
+        assert_eq!(blind, reference.arms_blind_stall());
+        for _ in 0..rng.next_below(12) {
+            match rng.next_below(3) {
+                0 => {
+                    let psn = around(rng);
+                    closed.note_delivered(psn);
+                    reference.note_delivered(psn);
+                }
+                1 if !sq.is_empty() => {
+                    let w = &sq[rng.next_below(sq.len() as u64) as usize];
+                    closed.note_message_delivered(w.psn_first, w.psn_last);
+                    reference.note_message_delivered(w.psn_first, w.psn_last);
+                }
+                _ => {
+                    let up_to = base.add(rng.next_below(u64::from(width) / 2 + 1) as u32);
+                    closed.note_retired(up_to);
+                    reference.note_retired(up_to);
+                }
+            }
+        }
+        let ctx = RetransmitCtx(sq);
+        let mut resent = 0;
+        for _ in 0..8 {
+            let (from, at) = (around(rng), around(rng));
+            let why = format!("case {case}, {kind} from {from}");
+            let plain = pass(&closed, sq, from, false);
+            resent += plain.len();
+            assert_eq!(plain, reference.on_timeout(&ctx, from), "{why}");
+            assert_eq!(plain, reference.on_seq_nak(&ctx, from, at), "{why}");
+            for damming in [false, true] {
+                assert_eq!(
+                    pass(&closed, sq, from, damming),
+                    reference.on_rnr_expire(&ctx, from, damming),
+                    "{why} damming {damming}"
+                );
+            }
+            let verdict = StallVerdict {
+                retransmit: blind,
+                rearm: blind,
+            };
+            assert_eq!(reference.on_stall_tick(&ctx, from), verdict);
+        }
+        let resumed = reference.on_fault_resolved(&ctx, sq.iter().map(|w| w.psn_first));
+        let unfinished = sq.iter().filter(|w| w.sent_segments > 0 && !w.is_done());
+        assert_eq!(resumed.len(), if blind { 0 } else { unfinished.count() });
+        resent
+    }
+
+    /// The closed filter against the trait impls it replaced, on seeded
+    /// random send queues: multi-packet spans, every mix of never-sent /
+    /// done / acked / ghosted, and windows straddling the 24-bit wrap.
+    #[test]
+    fn closed_filter_names_the_reference_plan_on_random_queues() {
+        let mut resent = 0;
+        for case in 0..768u64 {
+            let mut rng = SplitMix64::new(0x5EED_1900 + case);
+            let len = rng.next_below(24);
+            let mut next = match case % 3 {
+                0 => Psn::new(Psn::MODULUS - 1 - rng.next_below(3 * len + 1) as u32),
+                _ => Psn::new(rng.next_u64() as u32),
+            };
+            let mut sq = Sq::new();
+            for _ in 0..len {
+                let span = 1 + rng.next_below(5) as u32;
+                let [unsent, done, acked, ghosted] = [4, 3, 3, 3].map(|n| rng.next_below(n) == 0);
+                sq.push_back(SendWqe {
+                    acked,
+                    ghosted,
+                    ..SendWqe::read_for_test(next, span, !unsent, done)
+                });
+                next = next.add(span);
+            }
+            for kind in RecoveryKind::ALL {
+                let rng = &mut rng;
+                resent += match kind {
+                    RecoveryKind::GoBackN => {
+                        replay_against(case, kind, reference::GoBackN, &sq, rng)
+                    }
+                    RecoveryKind::SelectiveRepeat => {
+                        replay_against(case, kind, reference::SelectiveRepeat::new(), &sq, rng)
+                    }
+                    RecoveryKind::OnDemandPin => {
+                        replay_against(case, kind, reference::OnDemandPin, &sq, rng)
+                    }
+                };
+            }
+        }
+        assert!(resent > 10_000, "the replay must exercise non-empty passes");
     }
 }

@@ -1,5 +1,5 @@
 //! The requester engine: send queue, PSN assignment, ACK timeout, RNR
-//! wait, ODP response stalls, and plan-driven loss recovery.
+//! wait, ODP response stalls, and loss recovery.
 //!
 //! Everything here runs on the *initiating* side of a connection. The
 //! engine owns no responder state; the only cross-role input is a
@@ -8,13 +8,13 @@
 //! transmit-side machinery; [`response`] holds the ACK/response/NAK
 //! receive path.
 //!
-//! Loss recovery is not decided here: on every timeout / RNR expiry /
-//! NAK / stall tick / fault resolution the engine lends its
-//! [`RecoveryPolicy`] backend a [`RetransmitCtx`] — a borrowed view that
-//! reads the live send queue only where the backend looks — and executes
-//! the returned [`RecoveryPlan`] in send-queue order (see
-//! [`Requester::execute_plan`]). The go-back-N backend reproduces the
-//! pre-trait behavior bit-identically.
+//! What loss recovery resends is not decided here. An ACK timeout, an
+//! RNR-wait expiry and a sequence-error NAK are the same pass,
+//! [`Requester::recover_from`]: one walk of the send queue that resends
+//! each message the QP's [`Backend`] selects, in queue order by
+//! construction. How an ODP stall resumes — a blind tick, or the
+//! fault-resolution event — is one bit of the configured
+//! [`RecoveryKind`](super::RecoveryKind).
 //!
 //! ## The send queue is PSN-ordered
 //!
@@ -41,7 +41,7 @@ use crate::wr::{Completion, SendWqe, WcOpcode, WcStatus, WorkRequest, WrOp};
 
 use super::effects::Effects;
 use super::fault::{self, Recovery};
-use super::recovery::{policy_for, RecoveryKind, RecoveryPlan, RecoveryPolicy, RetransmitCtx};
+use super::recovery::{Backend, RecoveryKind};
 use super::state::{Lifecycle, QpState};
 use super::wire::{build_request_packet, source_segment};
 use super::{QpCtx, QpEnv};
@@ -101,9 +101,8 @@ pub(super) struct Requester {
     timer_gen: u64,
     ack_gen: u64,
     recovery: Recovery,
-    /// The pluggable loss-recovery backend: decision logic only; this
-    /// engine lends it a view of the queue and executes its plan.
-    policy: Box<dyn RecoveryPolicy>,
+    /// The loss-recovery backend's state and selection rule.
+    backend: Backend,
     /// Local source pages whose faults block further transmission.
     tx_blocked: BTreeSet<(MrKey, usize)>,
     /// Protocol counters.
@@ -125,7 +124,7 @@ impl Requester {
             timer_gen: 0,
             ack_gen: 0,
             recovery: Recovery::default(),
-            policy: policy_for(kind),
+            backend: Backend::new(kind),
             tx_blocked: BTreeSet::new(),
             stats: ReqStats::default(),
         }
@@ -159,14 +158,6 @@ impl Requester {
     /// See [`Recovery::active`].
     pub(super) fn in_recovery(&self) -> bool {
         self.recovery.active()
-    }
-
-    /// An ACK arrived with its ECN-echo bit set: count it and let the
-    /// recovery backend react (the default backend reaction is a no-op,
-    /// so unmarked runs are timing-identical).
-    pub(super) fn on_ecn_echo(&mut self, now: SimTime) {
-        self.stats.ecn_echoes += 1;
-        self.policy.on_ecn_echo(now);
     }
 
     fn next_gen(&mut self) -> u64 {
@@ -249,8 +240,9 @@ impl Requester {
             return;
         }
         let (peer_lid, peer_qpn) = ctx.peer_or_panic();
-        let ghost_window =
-            env.profile.damming && self.policy.ghost_quirks() && self.recovery.in_window(env.now);
+        let ghost_window = env.profile.damming
+            && ctx.cfg.recovery.ghost_quirks()
+            && self.recovery.in_window(env.now);
         let mtu = ctx.cfg.mtu;
         while let Some(wqe) = self.sq.get_mut(self.tx_cursor) {
             // max_rd_atomic: hardware bounds outstanding READ/ATOMIC
@@ -272,7 +264,7 @@ impl Requester {
                         .get_mut(&mr_key)
                         .expect("invariant: WQE admitted with a valid lkey");
                     if mr.mode() == MrMode::Odp && seg_len > 0 {
-                        if ctx.cfg.recovery == RecoveryKind::OnDemandPin {
+                        if ctx.cfg.recovery.pins_on_first_touch() {
                             // NP-RDMA model: pin the source pages on
                             // first touch and keep transmitting — no
                             // fault, no head-of-line block.
@@ -406,10 +398,7 @@ impl Requester {
         self.retry_budget -= 1;
         // The oldest pending message is the head (see `has_outstanding`).
         let from = self.sq[0].psn_first;
-        let plan = self
-            .policy
-            .on_timeout(&RetransmitCtx::new(&self.sq, env.now), from);
-        self.execute_plan(ctx, env, fx, plan);
+        self.recover_from(ctx, env, fx, from, false);
         self.rearm_timer_if_needed(ctx, life, fx);
     }
 
@@ -436,12 +425,7 @@ impl Requester {
         // (→ packet damming). Back-to-back posts that beat the NAK onto
         // the wire are recovered fine, which is why Fig. 6a's timeout
         // probability is zero at near-zero intervals.
-        let plan = self.policy.on_rnr_expire(
-            &RetransmitCtx::new(&self.sq, env.now),
-            wait.psn,
-            env.profile.damming,
-        );
-        self.execute_plan(ctx, env, fx, plan);
+        self.recover_from(ctx, env, fx, wait.psn, env.profile.damming);
         self.rearm_timer_if_needed(ctx, life, fx);
     }
 
@@ -467,25 +451,17 @@ impl Requester {
         else {
             return;
         };
-        let Some(wqe_idx) = sq_index(&self.sq, psn)
-            .filter(|&i| self.sq[i].psn_first == psn && !self.sq[i].is_done())
-        else {
+        let Some(wqe_idx) = self.unfinished_at(psn) else {
             self.recovery.stalls.swap_remove(idx);
             return;
         };
-        // Go-back-N: blind retransmission "regardless of the resolution
-        // of the page fault" (§IV-A) — resend the request and re-tick.
-        // Selective repeat never arms these ticks; a stray one neither
-        // resends nor re-arms.
-        let verdict = self
-            .policy
-            .on_stall_tick(&RetransmitCtx::new(&self.sq, env.now), psn);
-        if verdict.retransmit {
+        // Blind retransmission "regardless of the resolution of the page
+        // fault" (§IV-A): resend the request and keep ticking on the
+        // unchanged generation. An event-driven backend never arms these
+        // ticks; a stray one neither resends nor re-arms.
+        if ctx.cfg.recovery.blind_stall_tick() {
             self.retransmit_at(ctx, env, fx, wqe_idx);
-        }
-        if verdict.rearm {
             let delay = env.profile.odp_client_retx;
-            let gen = self.recovery.stalls[idx].gen; // unchanged generation keeps ticking
             fx.timers.arm_stalls.push((psn, delay, gen));
         }
     }
@@ -515,32 +491,29 @@ impl Requester {
         self.stats.retransmissions += u64::from(wqe.sent_segments);
     }
 
-    /// Executes a [`RecoveryPlan`] against the live send queue, visiting
-    /// only the planned messages. Packets leave in send-queue order
-    /// whatever order the backend named them in (the shipped backends
-    /// plan in queue order already, except selective repeat's resume of
-    /// several stalls, which comes in stall order), each message at most
-    /// once, and PSNs that are not the first of a live message are
-    /// ignored — so the go-back-N backend's packet stream is
-    /// bit-identical to the pre-trait inlined loop.
-    fn execute_plan(
+    /// One loss-recovery pass from PSN `from`: resends every message the
+    /// backend selects (see [`Backend::resends`]; `forget_ghosts` is the
+    /// RNR expiry on a damming profile). The walk follows the PSN-ordered
+    /// queue, so packets leave in send-queue order, each message once.
+    fn recover_from(
         &mut self,
         ctx: &QpCtx,
         env: &mut QpEnv<'_>,
         fx: &mut Effects,
-        mut plan: RecoveryPlan,
+        from: Psn,
+        forget_ghosts: bool,
     ) {
-        let Some(base) = self.sq.front().map(|w| w.psn_first) else {
-            return;
-        };
-        plan.retransmit
-            .sort_unstable_by_key(|p| p.distance_from(base));
-        plan.retransmit.dedup();
-        for &psn in &plan.retransmit {
-            if let Some(idx) = sq_index(&self.sq, psn).filter(|&i| self.sq[i].psn_first == psn) {
+        for idx in 0..self.sq.len() {
+            if self.backend.resends(&self.sq[idx], from, forget_ghosts) {
                 self.retransmit_at(ctx, env, fx, idx);
             }
         }
+    }
+
+    /// SQ index of the unfinished message whose first PSN is `psn`: what
+    /// a stall registered for `psn` still has to resume, if anything.
+    fn unfinished_at(&self, psn: Psn) -> Option<usize> {
+        sq_index(&self.sq, psn).filter(|&i| self.sq[i].psn_first == psn && !self.sq[i].is_done())
     }
 
     /// Fails all outstanding work and moves the QP to the error state.
@@ -599,14 +572,13 @@ impl Requester {
     // Page events
     // ------------------------------------------------------------------
 
-    /// A local source page became usable: unblock transmission if this
-    /// was the last blocking page, then offer the recovery backend its
-    /// fault-resolution event for any active ODP stalls. Go-back-N
-    /// returns the empty plan (its hardware is deaf to resolution — the
-    /// blind tick is the only resume path), so this stays a no-op on the
-    /// golden traces; selective repeat resumes stalled messages here,
-    /// event-driven, which is what removes the flood's blind-retransmit
-    /// amplification.
+    /// A local page became usable: unblock transmission if this was the
+    /// last blocking source page, then resume the ODP stalls it unblocks
+    /// unless the backend ticks blindly (go-back-N hardware is deaf to
+    /// resolution — the tick is its only resume path — so this stays a
+    /// no-op on the golden traces). Resuming here, event-driven, is what
+    /// removes the flood's blind-retransmit amplification under
+    /// selective repeat.
     pub(super) fn page_ready(
         &mut self,
         ctx: &QpCtx,
@@ -619,30 +591,34 @@ impl Requester {
         if self.tx_blocked.remove(&(mr, page)) && self.tx_blocked.is_empty() {
             self.pump(ctx, life, env, fx);
         }
-        if self.recovery.stalls.is_empty() {
+        if self.recovery.stalls.is_empty() || ctx.cfg.recovery.blind_stall_tick() {
             return;
         }
-        // Offer only the stalls this resolution actually unblocks: a
-        // stall waiting on a different page would just be discarded and
+        // Only the stalls this resolution actually unblocks: a stall
+        // waiting on a different page would just be discarded and
         // re-stalled if resent now. Stalls with no recorded page (the
-        // gate could not tell) are always offered. The offer is lazy: a
-        // backend that is deaf to resolution never walks the stalls.
-        let mut stalled = self
+        // gate could not tell) always resume. A message that finished
+        // since stalling has nothing to resend; its stall goes when it
+        // retires. Stalls come in stall order, one per message, and
+        // packets must leave in queue order: hence the sort.
+        let mut resumed: Vec<usize> = self
             .recovery
             .stalls
             .iter()
             .filter(|s| s.blocked_on.is_none_or(|b| b == (mr, page)))
-            .map(|s| s.psn);
-        let plan = self
-            .policy
-            .on_fault_resolved(&RetransmitCtx::new(&self.sq, env.now), &mut stalled);
-        if plan.is_empty() {
+            .filter_map(|s| self.unfinished_at(s.psn))
+            .collect();
+        if resumed.is_empty() {
             return;
         }
+        resumed.sort_unstable();
+        let sq = &self.sq;
         self.recovery
             .stalls
-            .retain(|s| !plan.retransmit.contains(&s.psn));
-        self.execute_plan(ctx, env, fx, plan);
+            .retain(|s| !resumed.iter().any(|&i| sq[i].psn_first == s.psn));
+        for idx in resumed {
+            self.retransmit_at(ctx, env, fx, idx);
+        }
         self.rearm_timer_if_needed(ctx, life, fx);
     }
 }

@@ -12,7 +12,6 @@ use crate::wr::{Completion, WcStatus, WrOp};
 
 use super::super::effects::Effects;
 use super::super::fault::{self, FaultTracker, OdpStall, RnrWait};
-use super::super::recovery::{RecoveryKind, RetransmitCtx};
 use super::super::state::Lifecycle;
 use super::super::{QpCtx, QpEnv};
 use super::{sq_index, Requester};
@@ -34,13 +33,13 @@ impl Requester {
         env: &QpEnv<'_>,
     ) {
         let mut progressed = false;
-        if self.policy.cumulative_ack() {
+        if ctx.cfg.recovery.cumulative_ack() {
             while let Some(wqe) = self.sq.get_mut(self.ack_cursor) {
                 if !wqe.psn_last.at_or_before(psn) {
                     break;
                 }
                 wqe.acked = true;
-                self.policy
+                self.backend
                     .note_message_delivered(wqe.psn_first, wqe.psn_last);
                 self.ack_cursor += 1;
                 progressed = true;
@@ -48,7 +47,7 @@ impl Requester {
         } else if let Some(wqe) = sq_index(&self.sq, psn).map(|i| &mut self.sq[i]) {
             if wqe.psn_last == psn && !wqe.acked {
                 wqe.acked = true;
-                self.policy
+                self.backend
                     .note_message_delivered(wqe.psn_first, wqe.psn_last);
                 progressed = true;
             }
@@ -99,7 +98,7 @@ impl Requester {
             .front()
             .map(|w| w.psn_first)
             .unwrap_or(self.next_psn);
-        self.policy.note_retired(up_to);
+        self.backend.note_retired(up_to);
     }
 
     /// Handles a bare transport ACK.
@@ -111,7 +110,7 @@ impl Requester {
         fx: &mut Effects,
         psn: Psn,
     ) {
-        self.policy.note_delivered(psn);
+        self.backend.note_delivered(psn);
         self.advance_acked(ctx, life, psn, fx, env);
         self.rearm_timer_if_needed(ctx, life, fx);
         self.pump_after_progress(ctx, life, env, fx);
@@ -125,6 +124,7 @@ impl Requester {
     /// quiescent until the fault-resolution event resumes it.
     fn stall_or_irq(
         &mut self,
+        ctx: &QpCtx,
         env: &QpEnv<'_>,
         fx: &mut Effects,
         msg_psn: Psn,
@@ -145,7 +145,7 @@ impl Requester {
                 gen,
                 blocked_on,
             });
-            if self.policy.arms_blind_stall() {
+            if ctx.cfg.recovery.blind_stall_tick() {
                 fx.timers.arm_stalls.push((msg_psn, delay, gen));
             }
         }
@@ -171,7 +171,10 @@ impl Requester {
         // ConnectX-4 discards responses arriving during an RNR wait
         // ("while discarding responses sent back during the waiting
         // time", §IV-A) — a quirk of the go-back-N recovery engine.
-        if env.profile.damming && self.policy.ghost_quirks() && self.recovery.rnr_wait.is_some() {
+        if env.profile.damming
+            && ctx.cfg.recovery.ghost_quirks()
+            && self.recovery.rnr_wait.is_some()
+        {
             self.stats.responses_discarded += 1;
             return;
         }
@@ -218,7 +221,7 @@ impl Requester {
         let mut usable = true;
         let mut blocking = None;
         if mr.mode() == MrMode::Odp {
-            if ctx.cfg.recovery == RecoveryKind::OnDemandPin {
+            if ctx.cfg.recovery.pins_on_first_touch() {
                 // NP-RDMA model: pin the landing pages on first touch —
                 // the response is always usable, so neither the stall
                 // nor the per-QP staleness machinery ever engages.
@@ -239,7 +242,7 @@ impl Requester {
         if !usable {
             self.stats.responses_discarded += 1;
             let msg_psn = self.sq[wqe_idx].psn_first;
-            self.stall_or_irq(env, fx, msg_psn, blocking);
+            self.stall_or_irq(ctx, env, fx, msg_psn, blocking);
             return;
         }
 
@@ -255,7 +258,7 @@ impl Requester {
             self.outstanding_rd -= 1;
         }
         let done_psn = pkt.psn;
-        self.policy.note_delivered(done_psn);
+        self.backend.note_delivered(done_psn);
         // A response implicitly acknowledges all earlier requests (only
         // under cumulative backends; see advance_acked).
         self.advance_acked(ctx, life, done_psn, fx, env);
@@ -278,7 +281,10 @@ impl Requester {
         let PacketKind::AtomicResponse { original, .. } = &pkt.kind else {
             unreachable!("dispatch guarantees an atomic response");
         };
-        if env.profile.damming && self.policy.ghost_quirks() && self.recovery.rnr_wait.is_some() {
+        if env.profile.damming
+            && ctx.cfg.recovery.ghost_quirks()
+            && self.recovery.rnr_wait.is_some()
+        {
             self.stats.responses_discarded += 1;
             return;
         }
@@ -306,7 +312,7 @@ impl Requester {
         let mut usable = true;
         let mut blocking = None;
         if mr.mode() == MrMode::Odp {
-            if ctx.cfg.recovery == RecoveryKind::OnDemandPin {
+            if ctx.cfg.recovery.pins_on_first_touch() {
                 let pinned = fault::pin_pages(mr, local_off, 8);
                 if pinned > 0 {
                     self.stats.pages_pinned += pinned as u64;
@@ -324,7 +330,7 @@ impl Requester {
         if !usable {
             self.stats.responses_discarded += 1;
             let msg_psn = self.sq[wqe_idx].psn_first;
-            self.stall_or_irq(env, fx, msg_psn, blocking);
+            self.stall_or_irq(ctx, env, fx, msg_psn, blocking);
             return;
         }
         let base = mr.base();
@@ -332,7 +338,7 @@ impl Requester {
         self.sq[wqe_idx].recv_segments = 1;
         self.outstanding_rd -= 1;
         let done_psn = pkt.psn;
-        self.policy.note_delivered(done_psn);
+        self.backend.note_delivered(done_psn);
         self.advance_acked(ctx, life, done_psn, fx, env);
         self.retire(ctx, fx, env);
         self.note_progress(ctx, life, fx);
@@ -376,7 +382,7 @@ impl Requester {
                 // the flawed recovery forgets them too (they are dropped
                 // at the responder's fault pendency either way). Another
                 // go-back-N engine quirk.
-                if env.profile.damming && self.policy.ghost_quirks() {
+                if env.profile.damming && ctx.cfg.recovery.ghost_quirks() {
                     let lookback = env.profile.ghost_lookback;
                     // The transmitted successors of the refused message.
                     let successors = self
@@ -394,16 +400,13 @@ impl Requester {
             }
             NakKind::SequenceError { epsn } => {
                 // The rescue path of Fig. 8: the backend decides what the
-                // hole [epsn, psn] costs — go-back-N retransmits
-                // everything from the responder's expected PSN; selective
-                // repeat only the undelivered messages inside the hole.
+                // hole at `epsn` costs — go-back-N retransmits everything
+                // from the responder's expected PSN; selective repeat
+                // only what it has no evidence was delivered.
                 if self.recovery.rnr_wait.take().is_some() {
                     fx.timers.cancel_rnr = true;
                 }
-                let plan =
-                    self.policy
-                        .on_seq_nak(&RetransmitCtx::new(&self.sq, env.now), epsn, psn);
-                self.execute_plan(ctx, env, fx, plan);
+                self.recover_from(ctx, env, fx, epsn, false);
                 self.rearm_timer_if_needed(ctx, life, fx);
             }
             NakKind::RemoteAccess => {

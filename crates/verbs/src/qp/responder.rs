@@ -15,7 +15,6 @@ use crate::wr::{Completion, RecvWr, WcOpcode, WcStatus};
 
 use super::effects::Effects;
 use super::fault;
-use super::recovery::RecoveryKind;
 use super::{QpCtx, QpEnv};
 
 /// Responder-side protocol counters (merged into the public
@@ -164,7 +163,7 @@ impl Responder {
                     retransmit: false,
                 });
             }
-            if ctx.cfg.recovery == RecoveryKind::SelectiveRepeat {
+            if ctx.cfg.recovery.accepts_out_of_order() {
                 self.execute_ooo(ctx, env, fx, pkt);
             }
         }
@@ -392,7 +391,7 @@ impl Responder {
             return;
         }
         if mr.mode() == MrMode::Odp && mr.first_unmapped(*addr, (*len).max(1)).is_some() {
-            if ctx.cfg.recovery == RecoveryKind::OnDemandPin {
+            if ctx.cfg.recovery.pins_on_first_touch() {
                 self.pin_span(env, fx, *rkey, *addr, *len);
             } else {
                 self.begin_fault_pendency(ctx, fx, env.mrs, (*rkey, *addr, *len), pkt.psn);
@@ -438,7 +437,7 @@ impl Responder {
                 .first_unmapped(*addr, (data.len() as u32).max(1))
                 .is_some()
         {
-            if ctx.cfg.recovery == RecoveryKind::OnDemandPin {
+            if ctx.cfg.recovery.pins_on_first_touch() {
                 self.pin_span(env, fx, *rkey, *addr, data.len() as u32);
             } else {
                 self.begin_fault_pendency(
@@ -486,7 +485,7 @@ impl Responder {
                 .first_unmapped(dst_off, (data.len() as u32).max(1))
                 .is_some()
         {
-            if ctx.cfg.recovery == RecoveryKind::OnDemandPin {
+            if ctx.cfg.recovery.pins_on_first_touch() {
                 self.pin_span(env, fx, recv.mr, dst_off, data.len() as u32);
             } else {
                 self.begin_fault_pendency(
@@ -538,7 +537,7 @@ impl Responder {
             return;
         }
         if mr.mode() == MrMode::Odp && mr.first_unmapped(*addr, 8).is_some() {
-            if ctx.cfg.recovery == RecoveryKind::OnDemandPin {
+            if ctx.cfg.recovery.pins_on_first_touch() {
                 self.pin_span(env, fx, *rkey, *addr, 8);
             } else {
                 self.begin_fault_pendency(ctx, fx, env.mrs, (*rkey, *addr, 8), pkt.psn);

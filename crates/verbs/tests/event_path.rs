@@ -1,5 +1,6 @@
 //! The cluster's events are typed values in the engine's slot arena:
-//! traffic that carries no payload allocates nothing per event, and the
+//! traffic that carries no payload allocates nothing per event, a
+//! loss-recovery pass allocates nothing beyond its packets, and the
 //! queue counts what it did exactly as an engine of boxed closures does.
 //!
 //! The allocation counters are per thread, so the tests of this binary
@@ -7,11 +8,14 @@
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
+use std::collections::BTreeMap;
 
 use ibsim_event::{Engine, Event, QueueStats, SimTime, SplitMix64, TimerKey};
+use ibsim_fabric::Lid;
 use ibsim_verbs::{
-    Cluster, ClusterBuilder, ClusterEvent, DeviceProfile, HostId, MrMode, QpConfig, Qpn, ReadWr,
-    Sim, WriteWr,
+    Cluster, ClusterBuilder, ClusterEvent, DeviceProfile, Effects, HostId, MemRegion, Memory,
+    MrKey, MrMode, NakKind, Packet, PacketKind, Psn, Qp, QpConfig, QpEnv, Qpn, ReadWr, Sim,
+    WorkRequest, WriteWr,
 };
 
 struct Counting;
@@ -82,9 +86,7 @@ fn zero_payload_traffic_allocates_nothing_per_event() {
     let warm = eng.queue_stats();
 
     post_burst(&mut eng, &mut cl, a, qa, &mrs);
-    let before = ALLOCATIONS.get();
-    eng.run(&mut cl);
-    let allocated = ALLOCATIONS.get() - before;
+    let allocated = counted(|| eng.run(&mut cl));
     let s = eng.queue_stats();
     assert_eq!(allocated, 0, "over {} events", s.executed - warm.executed);
     // 128 requests and their 128 responses were delivered, and the ACK
@@ -97,6 +99,78 @@ fn zero_payload_traffic_allocates_nothing_per_event() {
     let done = cl.poll_cq(a);
     assert_eq!(done.len(), 128);
     assert!(done.iter().all(|c| c.status.is_success()));
+}
+
+/// Allocations this thread makes while `f` runs.
+fn counted(f: impl FnOnce()) -> u64 {
+    let before = ALLOCATIONS.get();
+    f();
+    ALLOCATIONS.get() - before
+}
+
+/// A go-back-N recovery pass is one walk of the send queue pushing
+/// packets into the turn's effects: with those warm, an ACK timeout, a
+/// sequence-error NAK and an RNR-wait expiry allocate nothing, however
+/// many messages they resend. (Behind the trait object each pass built,
+/// sorted and bisected a `Vec` of PSNs first.)
+#[test]
+fn go_back_n_recovery_turns_allocate_nothing_beyond_their_packets() {
+    let profile = DeviceProfile::connectx6();
+    let mut mem = Memory::new();
+    let key = MrKey(1);
+    let mut mrs = BTreeMap::from([(
+        key,
+        MemRegion::new(key, mem.alloc(4096), 4096, MrMode::Pinned),
+    )]);
+    let mut env = QpEnv {
+        now: SimTime::ZERO,
+        mem: &mut mem,
+        mrs: &mut mrs,
+        profile: &profile,
+    };
+    let mut qp = Qp::new(Qpn(1), Lid(1), QpConfig::default());
+    qp.connect(Lid(2), Qpn(9));
+    // Sixteen zero-length READs fill the max_rd_atomic window; posting
+    // them also warms the effects' packet vector.
+    let mut fx = Effects::new();
+    for id in 0..16 {
+        let wr: WorkRequest = ReadWr::new((key, 0), MrKey(7)).len(0).id(id).into();
+        qp.post(&mut env, &mut fx, wr);
+    }
+    assert_eq!(fx.packets.len(), 16);
+    let nak = |psn: u32, kind| Packet {
+        src: Lid(2),
+        dst: Lid(1),
+        dst_qp: Qpn(1),
+        src_qp: Qpn(9),
+        psn: Psn::new(psn),
+        kind: PacketKind::Nak(kind),
+        ghost: false,
+        ecn: false,
+        retransmit: false,
+    };
+    let resent = |fx: &Effects| fx.packets.iter().filter(|p| p.retransmit).count();
+
+    let gen = fx.timers.arm_ack.expect("the ACK timer is armed");
+    fx.reset();
+    env.now = SimTime::from_us(300);
+    let timeout = counted(|| qp.on_ack_timeout(&mut env, &mut fx, gen));
+    assert_eq!((resent(&fx), timeout), (16, 0), "ACK timeout");
+
+    fx.reset();
+    let hole = nak(5, NakKind::SequenceError { epsn: Psn::new(3) });
+    let seq_nak = counted(|| qp.on_packet(&mut env, &mut fx, &hole));
+    assert_eq!((resent(&fx), seq_nak), (13, 0), "sequence-error NAK");
+
+    fx.reset();
+    let delay = SimTime::from_us(10);
+    qp.on_packet(&mut env, &mut fx, &nak(0, NakKind::Rnr { delay }));
+    let (_, gen) = fx.timers.arm_rnr.expect("the RNR wait is armed");
+    fx.reset();
+    env.now = SimTime::from_us(340);
+    let expiry = counted(|| qp.on_rnr_fire(&mut env, &mut fx, gen));
+    assert_eq!((resent(&fx), expiry), (16, 0), "RNR expiry");
+    assert_eq!(qp.stats().retransmissions, 45);
 }
 
 /// A fixed pseudo-random schedule of plain events, keyed arms and

@@ -1,0 +1,30 @@
+//! Sizes of the values the simulator holds by the thousand. These are
+//! upper bounds, not pins: a type may shrink freely, and growing one is
+//! a decision to take here, with its reason, instead of a surprise in
+//! `peak_rss_mib` (an `Instrument` that stored its 64 histogram buckets
+//! inline was 552 bytes, and 83 852 of them were two thirds of the
+//! `wide` workload's resident memory).
+
+use std::mem::size_of;
+
+use ibsim_telemetry::Instrument;
+use ibsim_verbs::{ClusterEvent, Packet, Qp};
+
+#[test]
+fn hot_values_stay_within_their_size_bounds() {
+    // A tag and one word: counters and gauges are a `u64`, the rare
+    // histogram is a box. One per registered (name, labels) pair.
+    assert!(size_of::<Instrument>() <= 16);
+    // One per pending event, in the engine's slot arena; the largest
+    // variant carries a `Packet` by value.
+    assert!(size_of::<ClusterEvent>() <= 72);
+    // One per frame in flight and per capture record.
+    assert!(size_of::<Packet>() <= 64);
+    // One per queue pair (`shuffle` holds 5.7 k, `wide` 4 k). 496 bytes
+    // with the recovery backend behind a `Box<dyn _>`; the closed backend
+    // is a kind and selective repeat's bitmap header held inline
+    // (40 bytes for the pointer pair's 16), which spares every
+    // selective-repeat QP an allocation and every backend the pointer
+    // chase per ACK.
+    assert!(size_of::<Qp>() <= 496 + 24);
+}

@@ -703,11 +703,22 @@ fn turns_behind_a_stalled_head(successors: u32) -> [String; 3] {
     assert!(fx.completions.is_empty());
     assert_eq!(qp.pending_sends() as u32, successors + 1);
 
+    // The go-back-N tick is blind: the head goes back on the wire and
+    // the tick re-arms on its unchanged generation — one packet and one
+    // re-arm, nothing else, whatever is queued behind.
     let mut tick = Effects::new();
     qp.on_stall_tick(&mut host.env(t(500)), &mut tick, stall_psn, stall_gen);
     assert_eq!(tick.packets.len(), 1, "exactly the head is resent");
     assert!(tick.packets[0].retransmit && tick.packets[0].psn == stall_psn);
-    assert_eq!(tick.timers.arm_stalls.len(), 1, "and the tick re-armed");
+    let rearm = (stall_psn, host.profile.odp_client_retx, stall_gen);
+    assert_eq!(tick.timers.arm_stalls, [rearm], "and the tick re-armed");
+    assert!(tick.timers.arm_ack.is_none() && tick.timers.cancel_stalls.is_empty());
+    assert!(tick.completions.is_empty() && tick.faults.is_empty());
+    assert!(tick.fault_waits.is_empty() && tick.irqs == 0);
+    // A tick of a generation the stall never had does nothing at all.
+    let mut stray = Effects::new();
+    qp.on_stall_tick(&mut host.env(t(500)), &mut stray, stall_psn, stall_gen + 1);
+    assert!(stray.is_quiet());
     let mut rediscard = Effects::new();
     qp.on_packet(&mut host.env(t(501)), &mut rediscard, &response(0));
     assert_eq!(rediscard.irqs, 1, "still faulting: discarded again");
@@ -731,8 +742,9 @@ fn handler_turns_do_not_depend_on_the_depth_behind_a_stalled_head() {
 }
 
 /// Selective repeat resumes every stall a resolved page unblocks in one
-/// plan, named in stall order; the requester must still resend in
-/// send-queue order, as it did when it walked the whole queue.
+/// turn. Stalls are kept in stall order; the requester must still resend
+/// in send-queue order, and a message that completed since stalling is
+/// not resent (its stall goes when it retires).
 #[test]
 fn selective_repeat_resume_resends_in_queue_order() {
     let mut host = Host::new(cx4());
@@ -749,34 +761,61 @@ fn selective_repeat_resume_resends_in_queue_order() {
         let wr = read_wr(id, odp, MrKey(7), 64);
         qp.post(&mut host.env(SimTime::ZERO), &mut fx, wr);
     }
-    // Responses overtake each other: PSN 2 stalls first, then PSN 0.
-    for psn in [2, 0] {
-        let resp = Packet {
-            src: Lid(2),
-            dst: Lid(1),
-            dst_qp: Qpn(1),
-            src_qp: Qpn(9),
-            psn: Psn::new(psn),
-            kind: PacketKind::ReadResponse {
-                seg: SegPos::Only,
-                data: vec![0; 64],
-                req_psn: Psn::new(psn),
-                offset: 0,
-            },
-            ghost: false,
-            retransmit: false,
-            ecn: false,
-        };
-        qp.on_packet(&mut host.env(SimTime::from_us(1)), &mut fx, &resp);
+    let response = |psn: u32| Packet {
+        src: Lid(2),
+        dst: Lid(1),
+        dst_qp: Qpn(1),
+        src_qp: Qpn(9),
+        psn: Psn::new(psn),
+        kind: PacketKind::ReadResponse {
+            seg: SegPos::Only,
+            data: vec![0; 64],
+            req_psn: Psn::new(psn),
+            offset: 0,
+        },
+        ghost: false,
+        retransmit: false,
+        ecn: false,
+    };
+    // Responses overtake each other: PSN 2 stalls first, then 0, then 1.
+    for psn in [2, 0, 1] {
+        qp.on_packet(&mut host.env(SimTime::from_us(1)), &mut fx, &response(psn));
     }
     assert!(fx.timers.arm_stalls.is_empty(), "no blind tick under IRN");
     host.mrs
         .get_mut(&odp)
         .unwrap()
         .set_page_state(0, PageState::Mapped);
+    // The page is mapped but this QP has not heard yet, and a duplicate
+    // response for PSN 1 lands: it completes behind the stalled head,
+    // where it cannot retire, so its stall is still registered.
+    let mut landed = Effects::new();
+    qp.on_packet(
+        &mut host.env(SimTime::from_us(299)),
+        &mut landed,
+        &response(1),
+    );
+    assert!(landed.completions.is_empty() && qp.pending_sends() == 3);
     let mut resumed = Effects::new();
     qp.on_page_ready(&mut host.env(SimTime::from_us(300)), &mut resumed, odp, 0);
     let psns: Vec<u32> = resumed.packets.iter().map(|p| p.psn.value()).collect();
-    assert_eq!(psns, [0, 2], "stalled messages resent once, in queue order");
-    assert!(!qp.in_recovery(), "both stalls cleared");
+    assert_eq!(
+        psns,
+        [0, 2],
+        "unfinished stalls resent once, in queue order"
+    );
+    assert!(resumed.packets.iter().all(|p| p.retransmit));
+    assert_eq!(qp.stats().retransmissions, 2);
+    assert!(qp.in_recovery(), "the finished message keeps its stall");
+    // The head lands: PSN 0 and 1 retire together, and the last stall
+    // is cancelled with the message it belonged to.
+    let mut retired = Effects::new();
+    qp.on_packet(
+        &mut host.env(SimTime::from_us(310)),
+        &mut retired,
+        &response(0),
+    );
+    assert_eq!(retired.completions.len(), 2);
+    assert_eq!(retired.timers.cancel_stalls, [Psn::new(1)]);
+    assert!(!qp.in_recovery(), "every stall cleared");
 }
