@@ -4,7 +4,6 @@
 //! round instead of a whole Spark job); compare the ratios and QP counts.
 
 use ibsim_bench::{header, mean_secs, quick_mode, row, std_secs};
-use ibsim_event::SimTime;
 use ibsim_shuffle::presets::{fig13_cells, SparkExample};
 use ibsim_shuffle::run_shuffle;
 
@@ -64,7 +63,6 @@ fn main() {
             if failed > 0 {
                 println!("   ({failed} enabled trials had RETRY_EXC_ERR fetches)");
             }
-            let _ = SimTime::ZERO;
         }
     }
     println!(

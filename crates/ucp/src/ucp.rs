@@ -17,7 +17,7 @@ use std::rc::Rc;
 use ibsim_event::SimTime;
 use ibsim_verbs::{
     Cluster, DeviceProfile, HostId, MrDesc, MrMode, QpConfig, Qpn, ReadWr, RecvWr, SendWr, Sim,
-    WcStatus, WrId, WriteWr,
+    WcStatus, WorkRequest, WrId, WriteWr,
 };
 
 use crate::proto::{EpId, MemSlice, MsgMeta, ReqId, ReqKind, Tag, UcpCompletion};
@@ -110,6 +110,8 @@ struct EpState {
     ring_at_b: Ring,
     /// Eager ring at A for B→A traffic.
     ring_at_a: Ring,
+    /// Out-of-band message headers in send order, one queue per [`Dir`].
+    meta_q: [VecDeque<MsgMeta>; 2],
 }
 
 impl EpState {
@@ -141,12 +143,15 @@ impl EpState {
             Dir::BToA => &self.ring_at_a,
         }
     }
+
+    fn meta_q(&mut self, dir: Dir) -> &mut VecDeque<MsgMeta> {
+        &mut self.meta_q[dir as usize]
+    }
 }
 
 #[derive(Debug)]
 struct PostedRecv {
     req: ReqId,
-    host: HostId,
     tag: Tag,
     dst: MemSlice,
 }
@@ -169,24 +174,74 @@ struct WorkerState {
     host: HostId,
     /// Pinned scratch region for control-message payloads.
     scratch: MrDesc,
+    /// Receives posted and not yet matched, in posting order: a message
+    /// matches the oldest receive on its tag (MPI's non-overtaking rule).
+    posted_recvs: Vec<PostedRecv>,
+    /// Messages that arrived before their receive, in arrival order per
+    /// tag. The one ordered map left: tags are sparse application values,
+    /// not dense ids handed out here.
+    unexpected: BTreeMap<Tag, VecDeque<Unexpected>>,
+    completed: Vec<UcpCompletion>,
+}
+
+/// What every outstanding verbs work request means to this layer,
+/// addressed by its id: `WrId(n)` names slot `n − 1`. An id is unique
+/// among *outstanding* requests only — a completion frees its slot and
+/// the next request reuses it — which is all any reader needs:
+/// completions are exactly-once and nothing orders by `WrId`. The table
+/// is as long as the peak number outstanding (the pre-posted ring
+/// receives plus the operations in flight), not the number ever posted.
+#[derive(Debug, Default)]
+struct RoleSlab {
+    slots: Vec<Option<(HostId, WrRole)>>,
+    free: Vec<usize>,
+}
+
+impl RoleSlab {
+    /// Records `role` for a request about to be posted on `host`;
+    /// returns the id to post it under.
+    fn alloc_wr(&mut self, host: HostId, role: WrRole) -> WrId {
+        let slot = self.free.pop().unwrap_or_else(|| {
+            self.slots.push(None);
+            self.slots.len() - 1
+        });
+        self.slots[slot] = Some((host, role));
+        WrId(slot as u64 + 1)
+    }
+
+    /// Takes back the role of the request `wr` that completed on `host`
+    /// and frees its id. `None` for a request this layer did not post
+    /// there (the application used the cluster directly): `WrId(0)`, an
+    /// id past the table, a vacant slot, or one issued on another host.
+    fn take(&mut self, host: HostId, wr: WrId) -> Option<WrRole> {
+        let slot = usize::try_from(wr.0.checked_sub(1)?).ok()?;
+        let entry = self.slots.get_mut(slot)?;
+        if entry.as_ref()?.0 != host {
+            return None;
+        }
+        self.free.push(slot);
+        entry.take().map(|(_, role)| role)
+    }
+}
+
+/// One request, at index `ReqId − 1`.
+enum ReqSlot {
+    /// Not yet complete; the continuations run, in registration order,
+    /// when it is.
+    Open { continuations: Vec<Callback> },
+    /// Complete (kept for late `when_done` registration).
+    Done(UcpCompletion),
 }
 
 struct Inner {
     cfg: UcpConfig,
     workers: Vec<WorkerState>,
+    /// The `workers` index of each host that has one, by `HostId`.
+    worker_of: Vec<Option<usize>>,
     eps: Vec<EpState>,
-    next_wr: u64,
-    next_req: u64,
-    wr_roles: BTreeMap<(HostId, WrId), WrRole>,
-    /// Out-of-band message headers, in per-(ep, dir) send order.
-    meta_q: BTreeMap<(EpId, Dir), VecDeque<MsgMeta>>,
-    posted_recvs: BTreeMap<HostId, Vec<PostedRecv>>,
-    unexpected: BTreeMap<(HostId, Tag), VecDeque<Unexpected>>,
-    completed: BTreeMap<HostId, Vec<UcpCompletion>>,
-    /// Continuations to invoke when a request completes.
-    callbacks: BTreeMap<ReqId, Callback>,
-    /// Requests that already completed (for late `when_done` registration).
-    done: BTreeMap<ReqId, UcpCompletion>,
+    roles: RoleSlab,
+    /// Every request ever issued: one slot each, never reclaimed.
+    reqs: Vec<ReqSlot>,
     /// Completions whose callbacks must fire once borrows are released.
     fired: Vec<(Callback, UcpCompletion)>,
     open_reqs: u64,
@@ -195,15 +250,18 @@ struct Inner {
 }
 
 impl Inner {
-    fn alloc_wr(&mut self) -> WrId {
-        self.next_wr += 1;
-        WrId(self.next_wr)
+    fn alloc_req(&mut self) -> ReqId {
+        self.reqs.push(ReqSlot::Open {
+            continuations: Vec::new(),
+        });
+        self.open_reqs += 1;
+        ReqId(self.reqs.len() as u64)
     }
 
-    fn alloc_req(&mut self) -> ReqId {
-        self.next_req += 1;
-        self.open_reqs += 1;
-        ReqId(self.next_req)
+    fn worker(&mut self, host: HostId) -> &mut WorkerState {
+        let i = self.worker_of.get(host.0).copied().flatten();
+        let i = i.expect("invariant: host registered a worker at add_worker");
+        &mut self.workers[i]
     }
 
     fn finish(
@@ -223,11 +281,25 @@ impl Inner {
             failed,
             bytes,
         };
-        self.completed.entry(host).or_default().push(c);
-        self.done.insert(req, c);
-        if let Some(cb) = self.callbacks.remove(&req) {
-            self.fired.push((cb, c));
+        self.worker(host).completed.push(c);
+        let slot = &mut self.reqs[req.0 as usize - 1];
+        if let ReqSlot::Open { continuations } = std::mem::replace(slot, ReqSlot::Done(c)) {
+            self.fired
+                .extend(continuations.into_iter().map(|cb| (cb, c)));
         }
+    }
+
+    /// Removes and returns the oldest receive posted on `host` for `tag`.
+    fn match_posted(&mut self, host: HostId, tag: Tag) -> Option<PostedRecv> {
+        let posted = &mut self.worker(host).posted_recvs;
+        let pos = posted.iter().position(|r| r.tag == tag)?;
+        Some(posted.remove(pos))
+    }
+
+    /// Keeps a message that found no receive posted on `host` for `tag`.
+    fn park_unexpected(&mut self, host: HostId, tag: Tag, msg: Unexpected) {
+        let q = self.worker(host).unexpected.entry(tag).or_default();
+        q.push_back(msg);
     }
 }
 
@@ -286,16 +358,10 @@ impl Ucp {
             inner: Rc::new(RefCell::new(Inner {
                 cfg,
                 workers: Vec::new(),
+                worker_of: Vec::new(),
                 eps: Vec::new(),
-                next_wr: 0,
-                next_req: 0,
-                wr_roles: BTreeMap::new(),
-                meta_q: BTreeMap::new(),
-                posted_recvs: BTreeMap::new(),
-                unexpected: BTreeMap::new(),
-                completed: BTreeMap::new(),
-                callbacks: BTreeMap::new(),
-                done: BTreeMap::new(),
+                roles: RoleSlab::default(),
+                reqs: Vec::new(),
                 fired: Vec::new(),
                 open_reqs: 0,
                 tick_scheduled: false,
@@ -313,10 +379,18 @@ impl Ucp {
         }
         let host = cl.add_host(name, device);
         let scratch = cl.alloc_mr(host, 4096, MrMode::Pinned);
-        self.inner
-            .borrow_mut()
-            .workers
-            .push(WorkerState { host, scratch });
+        let mut inner = self.inner.borrow_mut();
+        if inner.worker_of.len() <= host.0 {
+            inner.worker_of.resize(host.0 + 1, None);
+        }
+        inner.worker_of[host.0] = Some(inner.workers.len());
+        inner.workers.push(WorkerState {
+            host,
+            scratch,
+            posted_recvs: Vec::new(),
+            unexpected: BTreeMap::new(),
+            completed: Vec::new(),
+        });
         host
     }
 
@@ -363,6 +437,7 @@ impl Ucp {
             b: (b, qb),
             ring_at_b,
             ring_at_a,
+            meta_q: [VecDeque::new(), VecDeque::new()],
         });
         // Pre-post both rings.
         for dir in [Dir::AToB, Dir::BToA] {
@@ -387,30 +462,12 @@ impl Ucp {
         src_off: u64,
         len: u32,
     ) -> ReqId {
-        let mut inner = self.inner.borrow_mut();
-        let req = inner.alloc_req();
-        let wr = inner.alloc_wr();
-        let dir = inner.eps[ep.0].dir_from(from);
-        let (host, qpn) = inner.eps[ep.0].sender_qp(dir);
-        debug_assert_eq!(host, from);
-        inner.wr_roles.insert(
-            (host, wr),
-            WrRole::App {
-                req,
-                kind: ReqKind::Get,
-            },
-        );
-        cl.post(
-            eng,
-            host,
-            qpn,
+        self.post_app(eng, cl, ep, from, ReqKind::Get, |wr| {
             ReadWr::new((dst.mr, dst.offset), (src_mr, src_off))
                 .len(len)
-                .id(wr),
-        );
-        drop(inner);
-        self.ensure_ticking(eng);
-        req
+                .id(wr)
+                .into()
+        })
     }
 
     /// One-sided put: WRITE `len` bytes from `src` into the remote
@@ -427,29 +484,12 @@ impl Ucp {
         dst_off: u64,
         len: u32,
     ) -> ReqId {
-        let mut inner = self.inner.borrow_mut();
-        let req = inner.alloc_req();
-        let wr = inner.alloc_wr();
-        let dir = inner.eps[ep.0].dir_from(from);
-        let (host, qpn) = inner.eps[ep.0].sender_qp(dir);
-        inner.wr_roles.insert(
-            (host, wr),
-            WrRole::App {
-                req,
-                kind: ReqKind::Put,
-            },
-        );
-        cl.post(
-            eng,
-            host,
-            qpn,
+        self.post_app(eng, cl, ep, from, ReqKind::Put, |wr| {
             WriteWr::new((src.mr, src.offset), (dst_mr, dst_off))
                 .len(len)
-                .id(wr),
-        );
-        drop(inner);
-        self.ensure_ticking(eng);
-        req
+                .id(wr)
+                .into()
+        })
     }
 
     /// 8-byte fetch-and-add on the remote `(dst_mr, dst_off)` over `ep`;
@@ -517,35 +557,36 @@ impl Ucp {
         dst_off: u64,
         op: ibsim_verbs::AtomicOp,
     ) -> ReqId {
+        self.post_app(eng, cl, ep, from, ReqKind::Atomic, |wr| WorkRequest {
+            id: wr,
+            op: ibsim_verbs::WrOp::Atomic {
+                local_mr: local.mr,
+                local_off: local.offset,
+                rkey: dst_mr,
+                remote_off: dst_off,
+                op,
+            },
+        })
+    }
+
+    /// Posts one one-sided operation from `from` over `ep`: `wr` builds
+    /// the verbs request around the id its completion will carry.
+    fn post_app(
+        &self,
+        eng: &mut Sim,
+        cl: &mut Cluster,
+        ep: EpId,
+        from: HostId,
+        kind: ReqKind,
+        wr: impl FnOnce(WrId) -> WorkRequest,
+    ) -> ReqId {
         let mut inner = self.inner.borrow_mut();
         let req = inner.alloc_req();
-        let wr = inner.alloc_wr();
         let dir = inner.eps[ep.0].dir_from(from);
         let (host, qpn) = inner.eps[ep.0].sender_qp(dir);
-        inner.wr_roles.insert(
-            (host, wr),
-            WrRole::App {
-                req,
-                kind: ReqKind::Atomic,
-            },
-        );
-        cl.post(
-            eng,
-            host,
-            qpn,
-            ibsim_verbs::WorkRequest {
-                id: wr,
-                op: ibsim_verbs::WrOp::Atomic {
-                    local_mr: local.mr,
-                    local_off: local.offset,
-                    rkey: dst_mr,
-                    remote_off: dst_off,
-                    op,
-                },
-            },
-        );
-        drop(inner);
-        self.ensure_ticking(eng);
+        debug_assert_eq!(host, from);
+        let id = inner.roles.alloc_wr(host, WrRole::App { req, kind });
+        cl.post(eng, host, qpn, wr(id));
         req
     }
 
@@ -563,39 +604,21 @@ impl Ucp {
         let mut inner = self.inner.borrow_mut();
         let req = inner.alloc_req();
         let dir = inner.eps[ep.0].dir_from(from);
-        let (host, qpn) = inner.eps[ep.0].sender_qp(dir);
-        let rndv = src.len >= inner.cfg.rndv_threshold;
-        if rndv {
-            inner
-                .meta_q
-                .entry((ep, dir))
-                .or_default()
-                .push_back(MsgMeta::RndvRts {
-                    tag,
-                    send_req: req,
-                    src,
-                });
-            let wr = inner.alloc_wr();
-            let scratch = worker_scratch(&inner, host);
-            inner.wr_roles.insert((host, wr), WrRole::MetaSend);
-            cl.post(
-                eng,
-                host,
-                qpn,
-                SendWr::new(scratch.key).len(META_BYTES).id(wr),
-            );
+        if src.len >= inner.cfg.rndv_threshold {
+            let rts = MsgMeta::RndvRts {
+                tag,
+                send_req: req,
+                src,
+            };
+            post_meta(&mut inner, eng, cl, ep, dir, rts);
         } else {
-            inner
-                .meta_q
-                .entry((ep, dir))
-                .or_default()
-                .push_back(MsgMeta::Eager {
-                    tag,
-                    send_req: req,
-                    len: src.len,
-                });
-            let wr = inner.alloc_wr();
-            inner.wr_roles.insert((host, wr), WrRole::EagerSend { req });
+            inner.eps[ep.0].meta_q(dir).push_back(MsgMeta::Eager {
+                tag,
+                send_req: req,
+                len: src.len,
+            });
+            let (host, qpn) = inner.eps[ep.0].sender_qp(dir);
+            let wr = inner.roles.alloc_wr(host, WrRole::EagerSend { req });
             cl.post(
                 eng,
                 host,
@@ -603,12 +626,15 @@ impl Ucp {
                 SendWr::new((src.mr, src.offset)).len(src.len).id(wr),
             );
         }
-        drop(inner);
-        self.ensure_ticking(eng);
         req
     }
 
-    /// Posts a tagged receive on worker `w` into `dst`.
+    /// Posts a tagged receive on worker `w` into `dst`. Receives on one
+    /// tag match messages in posting order.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `w` was not added through [`Ucp::add_worker`].
     pub fn tag_recv(
         &self,
         eng: &mut Sim,
@@ -620,44 +646,33 @@ impl Ucp {
         let mut inner = self.inner.borrow_mut();
         let req = inner.alloc_req();
         // Unexpected message already here?
-        if let Some(q) = inner.unexpected.get_mut(&(w, tag)) {
-            if let Some(u) = q.pop_front() {
-                match u {
-                    Unexpected::Eager { data } => {
-                        let base = cl.mr_base(w, dst.mr);
-                        let n = data.len().min(dst.len as usize);
-                        cl.mem_write(w, base + dst.offset, &data[..n]);
-                        let now = eng.now();
-                        inner.finish(w, req, ReqKind::TagRecv, now, false, n as u32);
-                        return req;
-                    }
-                    Unexpected::Rndv {
-                        src,
-                        send_req,
-                        ep,
-                        dir,
-                    } => {
-                        start_rndv_get(&mut inner, eng, cl, ep, dir, req, send_req, src, dst);
-                        drop(inner);
-                        self.ensure_ticking(eng);
-                        return req;
-                    }
-                }
+        let unexpected = inner.worker(w).unexpected.get_mut(&tag);
+        match unexpected.and_then(|q| q.pop_front()) {
+            Some(Unexpected::Eager { data }) => {
+                let base = cl.mr_base(w, dst.mr);
+                let n = data.len().min(dst.len as usize);
+                cl.mem_write(w, base + dst.offset, &data[..n]);
+                let now = eng.now();
+                inner.finish(w, req, ReqKind::TagRecv, now, false, n as u32);
             }
+            Some(Unexpected::Rndv {
+                src,
+                send_req,
+                ep,
+                dir,
+            }) => start_rndv_get(&mut inner, eng, cl, ep, dir, req, send_req, src, dst),
+            None => inner
+                .worker(w)
+                .posted_recvs
+                .push(PostedRecv { req, tag, dst }),
         }
-        inner.posted_recvs.entry(w).or_default().push(PostedRecv {
-            req,
-            host: w,
-            tag,
-            dst,
-        });
-        drop(inner);
-        self.ensure_ticking(eng);
         req
     }
 
-    /// Registers a continuation to run when `req` completes. If the
-    /// request already completed, the continuation runs immediately.
+    /// Registers a continuation to run when `req` completes; several on
+    /// one request run in registration order. If the request already
+    /// completed, the continuation runs immediately. A `req` this layer
+    /// never issued completes never, and its continuation is dropped.
     pub fn when_done(
         &self,
         eng: &mut Sim,
@@ -665,11 +680,15 @@ impl Ucp {
         req: ReqId,
         cb: impl FnOnce(&mut Sim, &mut Cluster, UcpCompletion) + 'static,
     ) {
-        let already = self.inner.borrow().done.get(&req).copied();
-        if let Some(c) = already {
-            cb(eng, cl, c);
-        } else {
-            self.inner.borrow_mut().callbacks.insert(req, Box::new(cb));
+        let mut inner = self.inner.borrow_mut();
+        let slot = (req.0 as usize).checked_sub(1);
+        match slot.and_then(|i| inner.reqs.get_mut(i)) {
+            Some(ReqSlot::Open { continuations }) => continuations.push(Box::new(cb)),
+            Some(&mut ReqSlot::Done(c)) => {
+                drop(inner);
+                cb(eng, cl, c);
+            }
+            None => {}
         }
     }
 
@@ -687,18 +706,18 @@ impl Ucp {
     }
 
     /// Takes the completions accumulated on worker `w`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `w` was not added through [`Ucp::add_worker`].
     pub fn take_completed(&self, w: HostId) -> Vec<UcpCompletion> {
-        self.inner
-            .borrow_mut()
-            .completed
-            .entry(w)
-            .or_default()
-            .drain(..)
-            .collect()
+        std::mem::take(&mut self.inner.borrow_mut().worker(w).completed)
     }
 
     /// Schedules a progress tick shortly after a completion lands (the
-    /// cluster invokes this through its completion waker).
+    /// cluster invokes this through its completion waker). Posting needs
+    /// no progress start of its own: the completion it leads to wakes
+    /// the layer.
     fn wake(&self, eng: &mut Sim) {
         let mut inner = self.inner.borrow_mut();
         if inner.tick_scheduled {
@@ -710,12 +729,6 @@ impl Ucp {
         let ucp = self.clone();
         eng.schedule_in(delay, move |c: &mut Cluster, eng| ucp.tick(eng, c));
     }
-
-    /// Kept for call-site clarity: posting an operation needs no explicit
-    /// progress start — its completion will wake the layer — but posting
-    /// from inside a quiet system must not deadlock either, so this is a
-    /// no-op today.
-    fn ensure_ticking(&self, _eng: &mut Sim) {}
 
     /// One progress step: drain CQs, advance protocols.
     fn tick(&self, eng: &mut Sim, cl: &mut Cluster) {
@@ -740,7 +753,7 @@ impl Ucp {
         c: ibsim_verbs::Completion,
     ) {
         let mut inner = self.inner.borrow_mut();
-        let Some(role) = inner.wr_roles.remove(&(host, c.wr_id)) else {
+        let Some(role) = inner.roles.take(host, c.wr_id) else {
             return; // not ours (application used the cluster directly)
         };
         let failed = c.status != WcStatus::Success;
@@ -766,22 +779,8 @@ impl Ucp {
             } => {
                 inner.finish(host, recv_req, ReqKind::TagRecv, c.at, failed, c.bytes);
                 // Tell the sender it may complete (FIN).
-                let fin_dir = dir.flip();
-                inner
-                    .meta_q
-                    .entry((ep, fin_dir))
-                    .or_default()
-                    .push_back(MsgMeta::RndvFin { send_req });
-                let (fin_host, fin_qpn) = inner.eps[ep.0].sender_qp(fin_dir);
-                let wr = inner.alloc_wr();
-                let scratch = worker_scratch(&inner, fin_host);
-                inner.wr_roles.insert((fin_host, wr), WrRole::MetaSend);
-                cl.post(
-                    eng,
-                    fin_host,
-                    fin_qpn,
-                    SendWr::new(scratch.key).len(META_BYTES).id(wr),
-                );
+                let fin = MsgMeta::RndvFin { send_req };
+                post_meta(&mut inner, eng, cl, ep, dir.flip(), fin);
             }
         }
     }
@@ -798,10 +797,9 @@ impl Ucp {
         bytes: u32,
         at: SimTime,
     ) {
-        let meta = inner
-            .meta_q
-            .get_mut(&(ep, dir))
-            .and_then(|q| q.pop_front())
+        let meta = inner.eps[ep.0]
+            .meta_q(dir)
+            .pop_front()
             .expect("invariant: RC in-order delivery keeps header and wire aligned");
         let (rcv_host, _) = inner.eps[ep.0].receiver(dir);
         match meta {
@@ -813,51 +811,26 @@ impl Ucp {
                     ring.mr.base + (slot as u64) * ring.slot_bytes as u64,
                     len as usize,
                 );
-                if let Some(pos) = inner
-                    .posted_recvs
-                    .get(&rcv_host)
-                    .and_then(|v| v.iter().position(|r| r.tag == tag))
-                {
-                    let recv = inner
-                        .posted_recvs
-                        .get_mut(&rcv_host)
-                        .expect("invariant: receiver entry checked above")
-                        .swap_remove(pos);
+                if let Some(recv) = inner.match_posted(rcv_host, tag) {
                     let base = cl.mr_base(rcv_host, recv.dst.mr);
                     let n = data.len().min(recv.dst.len as usize);
                     cl.mem_write(rcv_host, base + recv.dst.offset, &data[..n]);
-                    inner.finish(recv.host, recv.req, ReqKind::TagRecv, at, false, n as u32);
+                    inner.finish(rcv_host, recv.req, ReqKind::TagRecv, at, false, n as u32);
                 } else {
-                    inner
-                        .unexpected
-                        .entry((rcv_host, tag))
-                        .or_default()
-                        .push_back(Unexpected::Eager { data });
+                    inner.park_unexpected(rcv_host, tag, Unexpected::Eager { data });
                 }
             }
             MsgMeta::RndvRts { tag, send_req, src } => {
-                if let Some(pos) = inner
-                    .posted_recvs
-                    .get(&rcv_host)
-                    .and_then(|v| v.iter().position(|r| r.tag == tag))
-                {
-                    let recv = inner
-                        .posted_recvs
-                        .get_mut(&rcv_host)
-                        .expect("invariant: receiver entry checked above")
-                        .swap_remove(pos);
+                if let Some(recv) = inner.match_posted(rcv_host, tag) {
                     start_rndv_get(inner, eng, cl, ep, dir, recv.req, send_req, src, recv.dst);
                 } else {
-                    inner
-                        .unexpected
-                        .entry((rcv_host, tag))
-                        .or_default()
-                        .push_back(Unexpected::Rndv {
-                            src,
-                            send_req,
-                            ep,
-                            dir,
-                        });
+                    let rts = Unexpected::Rndv {
+                        src,
+                        send_req,
+                        ep,
+                        dir,
+                    };
+                    inner.park_unexpected(rcv_host, tag, rts);
                 }
             }
             MsgMeta::RndvFin { send_req } => {
@@ -867,29 +840,36 @@ impl Ucp {
     }
 }
 
-fn worker_scratch(inner: &Inner, host: HostId) -> MrDesc {
-    inner
-        .workers
-        .iter()
-        .find(|w| w.host == host)
-        .expect("invariant: host registered a worker at create_worker")
-        .scratch
+/// Queues the control header `meta` for direction `dir` of `ep` and posts
+/// the SEND that stands for it on the wire.
+fn post_meta(
+    inner: &mut Inner,
+    eng: &mut Sim,
+    cl: &mut Cluster,
+    ep: EpId,
+    dir: Dir,
+    meta: MsgMeta,
+) {
+    inner.eps[ep.0].meta_q(dir).push_back(meta);
+    let (host, qpn) = inner.eps[ep.0].sender_qp(dir);
+    let scratch = inner.worker(host).scratch.key;
+    let wr = inner.roles.alloc_wr(host, WrRole::MetaSend);
+    cl.post(eng, host, qpn, SendWr::new(scratch).len(META_BYTES).id(wr));
 }
 
 fn post_ring_recv(inner: &mut Inner, cl: &mut Cluster, ep: EpId, dir: Dir, slot: usize) {
     let (host, qpn) = inner.eps[ep.0].receiver(dir);
+    let id = inner
+        .roles
+        .alloc_wr(host, WrRole::RingRecv { ep, dir, slot });
     let ring = inner.eps[ep.0].ring(dir);
     let recv = RecvWr {
-        id: WrId(0), // replaced below
+        id,
         mr: ring.mr.key,
         offset: (slot as u64) * ring.slot_bytes as u64,
         max_len: ring.slot_bytes,
     };
-    let wr = inner.alloc_wr();
-    inner
-        .wr_roles
-        .insert((host, wr), WrRole::RingRecv { ep, dir, slot });
-    cl.post_recv(host, qpn, RecvWr { id: wr, ..recv });
+    cl.post_recv(host, qpn, recv);
 }
 
 /// The receiver side of rendezvous: GET the payload from the sender's
@@ -907,16 +887,13 @@ fn start_rndv_get(
     dst: MemSlice,
 ) {
     let (host, qpn) = inner.eps[ep.0].receiver(dir);
-    let wr = inner.alloc_wr();
-    inner.wr_roles.insert(
-        (host, wr),
-        WrRole::RndvGet {
-            recv_req,
-            ep,
-            dir,
-            send_req,
-        },
-    );
+    let role = WrRole::RndvGet {
+        recv_req,
+        ep,
+        dir,
+        send_req,
+    };
+    let wr = inner.roles.alloc_wr(host, role);
     let len = src.len.min(dst.len);
     cl.post(
         eng,
@@ -927,3 +904,6 @@ fn start_rndv_get(
             .id(wr),
     );
 }
+
+#[cfg(test)]
+mod tests;

@@ -287,3 +287,78 @@ fn ucp_atomics_roundtrip() {
     let now = u64::from_le_bytes(cl.mem_read(b, shared.base, 8).try_into().unwrap());
     assert_eq!(now, 100);
 }
+
+/// UCX/MPI tag matching is non-overtaking: receives posted on one tag
+/// match that tag's messages in posting order, whatever other tags are
+/// posted between them. Removing a matched receive used to move the
+/// newest one into its place, so three receives came back 0, 2, 1.
+#[test]
+fn same_tag_receives_match_in_posting_order() {
+    const SLOT: u64 = 8192;
+    // An eager and a rendezvous size (the threshold is 4096).
+    for len in [5u32, 6000] {
+        let (mut eng, mut cl, ucp, a, b, ep) = setup(UcpConfig {
+            odp: false,
+            ..Default::default()
+        });
+        let src = ucp.mem_map(&mut cl, a, 5 * SLOT);
+        let dst = ucp.mem_map(&mut cl, b, 5 * SLOT);
+        // Slot i is both the i-th message sent and the i-th receive
+        // posted; tags 1, 2, 1, 2, 1.
+        let body = |i: u64| vec![b'0' + i as u8; len as usize];
+        let tag = |i: u64| Tag(1 + i % 2);
+        for i in 0..5 {
+            cl.mem_write(a, src.base + i * SLOT, &body(i));
+            ucp.tag_recv(&mut eng, &mut cl, b, tag(i), slice(&dst, i * SLOT, len));
+        }
+        for i in 0..5 {
+            ucp.tag_send(&mut eng, &mut cl, ep, a, tag(i), slice(&src, i * SLOT, len));
+        }
+        eng.run(&mut cl);
+        assert_eq!(ucp.open_requests(), 0, "len {len}");
+        for i in 0..5 {
+            let got = cl.mem_read(b, dst.base + i * SLOT, len as usize);
+            assert_eq!(got, body(i), "len {len}: receive {i} on {:?}", tag(i));
+        }
+    }
+}
+
+/// A request takes any number of continuations. The second registration
+/// used to replace the first, whose caller then waited for ever.
+#[test]
+fn every_continuation_of_a_request_runs_in_registration_order() {
+    let (mut eng, mut cl, ucp, a, b, ep) = setup(UcpConfig {
+        odp: false,
+        ..Default::default()
+    });
+    let ra = ucp.mem_map(&mut cl, a, 4096);
+    let rb = ucp.mem_map(&mut cl, b, 4096);
+    let g = ucp.get(&mut eng, &mut cl, ep, a, slice(&ra, 0, 4), rb.key, 0, 4);
+    let log = std::rc::Rc::new(std::cell::RefCell::new(Vec::new()));
+    for i in 0..2 {
+        let log = log.clone();
+        ucp.when_done(&mut eng, &mut cl, g, move |_, _, c| {
+            assert_eq!(c.req, g);
+            log.borrow_mut().push(i);
+        });
+    }
+    assert_eq!(ucp.open_requests(), 1);
+    assert!(log.borrow().is_empty(), "nothing runs before completion");
+    eng.run(&mut cl);
+    assert_eq!(*log.borrow(), [0, 1]);
+    assert_eq!(ucp.open_requests(), 0);
+    // After completion a registration runs at once, and only itself.
+    let late = log.clone();
+    ucp.when_done(&mut eng, &mut cl, g, move |_, _, _| {
+        late.borrow_mut().push(2)
+    });
+    assert_eq!(*log.borrow(), [0, 1, 2]);
+    // A request this layer never issued has nothing to wait for.
+    for unknown in [ibsim_ucp::ReqId(0), ibsim_ucp::ReqId(99)] {
+        ucp.when_done(&mut eng, &mut cl, unknown, |_, _, _| {
+            panic!("no such request")
+        });
+    }
+    eng.run(&mut cl);
+    assert_eq!(*log.borrow(), [0, 1, 2]);
+}

@@ -225,9 +225,11 @@ pub struct Cluster {
     telemetry: Telemetry,
     /// Drained [`Effects`] values kept warm for reuse: `with_qp` pops
     /// one per handler turn and pushes it back after `apply_effects`,
-    /// so steady-state turns allocate nothing. Pool contents never
-    /// influence behavior (values are reset before reuse).
-    fx_pool: Vec<Effects>,
+    /// so steady-state turns allocate nothing. Boxed: a turn moves a
+    /// pointer out of the pool and back, not the 200-byte value. Pool
+    /// contents never influence behavior (values are reset before reuse).
+    #[allow(clippy::vec_box)]
+    fx_pool: Vec<Box<Effects>>,
     /// Sharded-execution state when this cluster is one replica of a
     /// conservative-lookahead PDES run (see [`crate::sharded`]); `None`
     /// on an ordinary sequential cluster.
@@ -236,6 +238,14 @@ pub struct Cluster {
     /// bumped by `transmit` whether or not telemetry is on and written
     /// into the registry by [`Cluster::sync_telemetry_at`].
     tx_counts: Vec<[u64; TX_COUNTERS.len()]>,
+    /// The reference rule the fan-out tests replay worlds against: a
+    /// resolved page gives every QP on the host a turn, interested or
+    /// not.
+    #[cfg(test)]
+    broadcast_page_ready: bool,
+    /// Handler turns taken so far.
+    #[cfg(test)]
+    turns: u64,
 }
 
 /// The host-labelled `packets.*` counters, in `Cluster::tx_counts` slot
@@ -296,6 +306,10 @@ impl Cluster {
             fx_pool: Vec::new(),
             shard: None,
             tx_counts: Vec::new(),
+            #[cfg(test)]
+            broadcast_page_ready: false,
+            #[cfg(test)]
+            turns: 0,
         }
     }
 
@@ -961,6 +975,10 @@ impl Cluster {
     where
         F: FnOnce(&mut crate::qp::Qp, &mut QpEnv<'_>, &mut Effects),
     {
+        #[cfg(test)]
+        {
+            self.turns += 1;
+        }
         let mut fx = self.fx_pool.pop().unwrap_or_default();
         {
             let nic = &mut self.nics[host.0];
@@ -978,15 +996,30 @@ impl Cluster {
             f(qp, &mut env, &mut fx);
         }
         self.nics[host.0].update_recovery(qpn);
-        if self.telemetry.is_enabled() {
-            if let Some(state) = self.nics[host.0].qp(qpn).map(|q| q.state()) {
-                self.telemetry
-                    .qp_state_sample(host.0 as u64, qpn.0, state.name(), eng.now());
-            }
-        }
+        self.sample_qp_state(eng.now(), host, qpn);
         self.apply_effects(eng, host, qpn, &mut fx);
         fx.reset();
         self.fx_pool.push(fx);
+    }
+
+    /// True if a page resolved on `host` is news to `qpn`.
+    fn wakes_on_page(&self, host: HostId, qpn: Qpn) -> bool {
+        #[cfg(test)]
+        if self.broadcast_page_ready {
+            return true;
+        }
+        self.nics[host.0].awaits_page(qpn)
+    }
+
+    /// Feeds `qpn`'s lifecycle state to the dwell clocks, whose first
+    /// sample of a QP starts its clock (telemetry on only).
+    fn sample_qp_state(&mut self, now: SimTime, host: HostId, qpn: Qpn) {
+        if self.telemetry.is_enabled() {
+            if let Some(state) = self.nics[host.0].qp(qpn).map(|q| q.state()) {
+                self.telemetry
+                    .qp_state_sample(host.0 as u64, qpn.0, state.name(), now);
+            }
+        }
     }
 
     /// Drains one [`Effects`] value into the engine and peripherals, in a
@@ -1373,15 +1406,27 @@ impl Cluster {
                     if let Some(qp) = self.nics[host.0].qp_mut(q) {
                         qp.mark_page_stale(mr, page);
                     }
+                    self.nics[host.0].update_recovery(q);
                     self.drivers[host.0].push_resume(q, mr, page);
                 }
+                // The page is news only to the QPs that await one (see
+                // `Qp::awaits_page`); they take their turns in ascending
+                // QPN order. The dwell clocks are shown every other QP
+                // too: a QP's first sample starts its clock, and for an
+                // idle QP this is the first.
+                let sample = self.telemetry.is_enabled();
                 for q in self.nics[host.0].qpns() {
-                    if stale.contains(&q) {
+                    let wakes = self.wakes_on_page(host, q);
+                    if !(wakes || sample) || stale.contains(&q) {
                         continue;
                     }
-                    self.with_qp(eng, host, q, move |qp, env, fx| {
-                        qp.on_page_ready(env, fx, mr, page)
-                    });
+                    if wakes {
+                        self.with_qp(eng, host, q, move |qp, env, fx| {
+                            qp.on_page_ready(env, fx, mr, page)
+                        });
+                    } else {
+                        self.sample_qp_state(eng.now(), host, q);
+                    }
                 }
             }
             DriverWork::QpResumed { qpn, mr, page } => {
@@ -1540,6 +1585,9 @@ impl MrBuilder {
         self
     }
 }
+
+#[cfg(test)]
+mod fanout_tests;
 
 #[cfg(test)]
 mod tests {

@@ -30,6 +30,9 @@ pub struct Nic {
     /// timer-load model's input).
     in_recovery: Vec<bool>,
     recovery_count: usize,
+    /// Per QP (same index): [`Qp::awaits_page`] after its last handler
+    /// turn, so a resolved fault finds its audience by a byte scan.
+    awaits_page: Vec<bool>,
     next_mr: u32,
     cq: VecDeque<Completion>,
     /// Requester-side QPs waiting for a page fault, in stall order.
@@ -52,6 +55,7 @@ impl Nic {
             qps: Vec::new(),
             in_recovery: Vec::new(),
             recovery_count: 0,
+            awaits_page: Vec::new(),
             next_mr: 1,
             cq: VecDeque::new(),
             fault_waiters: BTreeMap::new(),
@@ -63,6 +67,7 @@ impl Nic {
         let qpn = Qpn(self.qps.len() as u32 + 1);
         self.qps.push(Qp::new(qpn, self.lid, cfg));
         self.in_recovery.push(false);
+        self.awaits_page.push(false);
         qpn
     }
 
@@ -139,15 +144,23 @@ impl Nic {
         self.fault_waiters.remove(&(mr, page)).unwrap_or_default()
     }
 
-    /// Refreshes the recovery-membership of `qpn` after an interaction;
-    /// returns the number of QPs currently in recovery.
+    /// Refreshes the recovery-membership and the page interest of `qpn`
+    /// after an interaction; returns the number of QPs currently in
+    /// recovery.
     pub fn update_recovery(&mut self, qpn: Qpn) -> usize {
         if let Some(i) = slot(qpn).filter(|&i| i < self.qps.len()) {
             let now = self.qps[i].in_recovery();
             let was = std::mem::replace(&mut self.in_recovery[i], now);
             self.recovery_count = self.recovery_count + usize::from(now) - usize::from(was);
+            self.awaits_page[i] = self.qps[i].awaits_page();
         }
         self.recovery_count
+    }
+
+    /// [`Qp::awaits_page`] of `qpn` as of its last
+    /// [`Nic::update_recovery`]; false for a QPN never handed out.
+    pub(crate) fn awaits_page(&self, qpn: Qpn) -> bool {
+        slot(qpn).and_then(|i| self.awaits_page.get(i)) == Some(&true)
     }
 
     /// Number of QPs currently in fault recovery.
@@ -189,6 +202,7 @@ mod tests {
             assert!(n.qp_mut(q).is_none(), "{q}");
             assert!(n.split_mut(q).is_none(), "{q}");
             assert_eq!(n.update_recovery(q), 0, "{q}");
+            assert!(!n.awaits_page(q), "{q}");
         }
         assert!(n.qp(a).is_some());
     }

@@ -255,6 +255,16 @@ impl Qp {
         self.req.in_recovery()
     }
 
+    /// True if a page becoming usable could change anything here: the QP
+    /// holds a stale page, its responder is in fault pendency, or its
+    /// requester has blocked source pages or ODP stalls. Conservative —
+    /// *any* page, so a stall that recorded no page stays covered. While
+    /// this is false [`Qp::on_page_ready`] is a no-op, which lets the
+    /// cluster wake only the QPs that await a page.
+    pub fn awaits_page(&self) -> bool {
+        self.fault.stale_count() > 0 || self.resp.awaits_page() || self.req.awaits_page()
+    }
+
     /// The public counter snapshot, assembled from the per-engine
     /// counters. `faults_raised` sums both sides.
     pub fn stats(&self) -> QpStats {

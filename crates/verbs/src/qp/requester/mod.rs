@@ -572,6 +572,12 @@ impl Requester {
     // Page events
     // ------------------------------------------------------------------
 
+    /// True with a blocked source page or an ODP stall: `page_ready`
+    /// returns untouched when both collections are empty.
+    pub(super) fn awaits_page(&self) -> bool {
+        !self.tx_blocked.is_empty() || !self.recovery.stalls.is_empty()
+    }
+
     /// A local page became usable: unblock transmission if this was the
     /// last blocking source page, then resume the ODP stalls it unblocks
     /// unless the backend ticks blindly (go-back-N hardware is deaf to

@@ -683,6 +683,11 @@ impl Responder {
         }
     }
 
+    /// True while fault pendency holds: the only state `page_ready` reads.
+    pub(super) fn awaits_page(&self) -> bool {
+        matches!(self.resp_pend, Some(RespPend::Fault { .. }))
+    }
+
     /// A page became usable: clear it from any fault pendency; the last
     /// page resolving lifts the pendency.
     pub(super) fn page_ready(&mut self, mr: MrKey, page: usize) {

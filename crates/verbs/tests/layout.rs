@@ -3,7 +3,9 @@
 //! a decision to take here, with its reason, instead of a surprise in
 //! `peak_rss_mib` (an `Instrument` that stored its 64 histogram buckets
 //! inline was 552 bytes, and 83 852 of them were two thirds of the
-//! `wide` workload's resident memory).
+//! `wide` workload's resident memory). One such value is private to
+//! another crate and bounded beside its definition instead: `ibsim-ucp`'s
+//! role slot, one per posted ring receive (`crates/ucp/src/ucp/tests.rs`).
 
 use std::mem::size_of;
 
