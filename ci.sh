@@ -30,10 +30,12 @@ echo "    generations wrap, and debug_asserts vanish: the model test and the"
 echo "    allocation test gate the profile that is actually measured too)"
 cargo test -q --offline --release -p ibsim-event
 
-echo "==> ucp and shuffle tests in release (a request id is a table slot"
-echo "    plus one: the subtraction and the narrowing to an index wrap"
-echo "    silently here, so the foreign-id and slot-reuse tests gate both)"
-cargo test -q --offline --release -p ibsim-ucp -p ibsim-shuffle
+echo "==> ucp, shuffle and verbs tests in release (a request id is a table"
+echo "    slot plus one: the subtraction and the narrowing to an index wrap"
+echo "    silently here, so the foreign-id and slot-reuse tests gate both;"
+echo "    verbs multiplies segment and page offsets in u32, so the page-gate"
+echo "    replay and the transport suites gate the measured profile too)"
+cargo test -q --offline --release -p ibsim-ucp -p ibsim-shuffle -p ibsim-verbs
 
 echo "==> pitfall probes (linter must flag each probe's own signature;"
 echo "    flood probe exits nonzero if telemetry records zero fault spans)"

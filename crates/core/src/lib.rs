@@ -10,8 +10,8 @@
 //!   like the paper's C code.
 //! * [`experiment`] — figure-level runners regenerating the data behind
 //!   Figures 1–11.
-//! * [`pitfall`] — packet-capture analyzers that detect packet damming
-//!   and packet flood from their wire signatures.
+//! * [`traffic`] — per-opcode traffic counts of a packet capture (the
+//!   damming and flood wire signatures are `ibsim-analysis`'s).
 //! * [`workaround`] — the §IX-A software mitigations (smallest RNR delay,
 //!   periodic dummy communication, fresh-QP re-issue).
 //! * [`regcache`] — the manual alternatives ODP competes against
@@ -45,10 +45,10 @@ pub mod counters;
 pub mod experiment;
 pub mod hash;
 pub mod microbench;
-pub mod pitfall;
 pub mod regcache;
 pub mod systems;
 pub mod timeline;
+pub mod traffic;
 pub mod workaround;
 
 pub use counters::{snapshot, HostCounters};
@@ -62,11 +62,8 @@ pub use microbench::{
     run_microbench_sharded_with, timeout_probability, MicrobenchConfig, MicrobenchDigest,
     MicrobenchRun, OdpMode,
 };
-pub use pitfall::{
-    detect_damming, detect_flood, summarize, DammingIncident, FloodIncident, RescueKind,
-    TrafficSummary,
-};
 pub use regcache::{deregistration_cost, registration_cost, PinDownCache, RegCacheStats};
 pub use systems::SystemProfile;
 pub use timeline::{annotate_workflow, render_workflow, WorkflowEvent};
+pub use traffic::{summarize, TrafficSummary};
 pub use workaround::{install_dummy_reads, reissue_read, smallest_rnr_delay};

@@ -158,14 +158,17 @@ pub const FLOAT_BOUNDARY_FILES: &[&str] = &[
 /// Files where a literal `retransmit: true` is sanctioned even inside
 /// the retransmit-linted `verbs` crate:
 ///
-/// * `verbs/src/qp/responder.rs` — duplicate READ/ATOMIC replay. A
-///   responder re-answering a duplicate request is wire-mandated replay
-///   (IBTA §9.7.5.1.5), not loss recovery, and never consults the
-///   requester's backend.
+/// * `verbs/src/qp/responder.rs` — `Responder::duplicate_atomic`, the
+///   one literal left in the crate: it overrides the flag on the packet
+///   `QpCtx::packet` (the one packet constructor) hands back, to replay
+///   a duplicate ATOMIC from the replay cache. A responder re-answering
+///   a duplicate request is wire-mandated replay (IBTA §9.7.5.1.5), not
+///   loss recovery, and never consults the requester's backend.
 ///
-/// Everywhere else the flag is threaded positionally: the requester's
-/// `retransmit_at` passes it through `build_request_packet` for the
-/// messages the recovery backend selected.
+/// Everywhere else the flag is threaded: duplicate-READ re-execution
+/// passes it to `push_read_responses`, and the requester's
+/// `retransmit_at` through `build_request_packet` for the messages the
+/// recovery backend selected.
 pub const RETRANSMIT_SANCTIONED_FILES: &[&str] = &["crates/verbs/src/qp/responder.rs"];
 
 /// Derives the rule set for one workspace-relative file path. Returns

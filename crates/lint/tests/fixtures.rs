@@ -164,8 +164,9 @@ fn clean_retransmit_is_clean() {
 
 #[test]
 fn sanctioned_retransmit_files_are_exempt() {
-    // The responder's duplicate-replay path is the one sanctioned home
-    // of a literal `retransmit: true`.
+    // `Responder::duplicate_atomic` — the caller of the one packet
+    // constructor that replays from the atomic cache — is the one
+    // sanctioned home of a literal `retransmit: true`.
     for rel in ibsim_lint::config::RETRANSMIT_SANCTIONED_FILES {
         let p = ibsim_lint::config::policy_for(rel).expect("sanctioned file must still be linted");
         assert!(!p.no_direct_retransmit, "{rel}");

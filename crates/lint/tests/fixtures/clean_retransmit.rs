@@ -18,6 +18,16 @@ pub fn threaded(psn: u32, retransmit: bool) -> Packet {
     Packet { psn, retransmit }
 }
 
+/// The shape of the one sanctioned site (`Responder::duplicate_atomic`
+/// over `QpCtx::packet`) with the flag threaded instead of forged:
+/// override a field of the constructor's packet.
+pub fn replayed(psn: u32, retransmit: bool) -> Packet {
+    Packet {
+        retransmit,
+        ..fresh(psn)
+    }
+}
+
 pub fn selected(psn: u32, resends: bool) -> Packet {
     // A computed flag is the backend's decision: "retransmit: true" in
     // a comment or string never fires either.

@@ -45,19 +45,11 @@ pub fn random_scenario(seed: u64) -> Scenario {
         _ => RecoveryKind::GoBackN,
     };
 
-    // The pairwise race predicate for rejection sampling matches the
-    // backend's validate() rule: selective repeat executes out of order
-    // and acks non-cumulatively, so everything overlapping except
-    // READ/READ is racy there (see `Scenario::validate`).
+    // Rejection sampling uses `validate()`'s race rule, in *either*
+    // posting order (the global shuffle below may put a request before
+    // or after its peers).
     let recovery = sc.recovery;
-    let racy = move |a: WrSpec, b: WrSpec| {
-        if recovery == RecoveryKind::SelectiveRepeat {
-            let both_reads = matches!(a, WrSpec::Read { .. }) && matches!(b, WrSpec::Read { .. });
-            a.overlaps(b) && !both_reads
-        } else {
-            a.races_with_later(b) || b.races_with_later(a)
-        }
-    };
+    let racy = move |a: WrSpec, b: WrSpec| a.races_under(b, recovery) || b.races_under(a, recovery);
     for qp in 0..sc.qps {
         let n = 1 + rng.next_below(5);
         let mut mine: Vec<WrSpec> = Vec::new();

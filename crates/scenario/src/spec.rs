@@ -163,10 +163,8 @@ impl WrSpec {
     /// WRITE/SENDs are re-ACKed without re-applying data, and duplicate
     /// atomics are replayed from the responder's replay cache.
     ///
-    /// This rule set is the go-back-N one. Selective repeat executes
-    /// overlapping requests out of order and acks non-cumulatively, so
-    /// [`Scenario::validate`] tightens the precondition there to "any
-    /// overlap except READ/READ" using [`WrSpec::overlaps`] directly.
+    /// This rule set is the in-order one; [`WrSpec::races_under`] picks
+    /// between it and the out-of-order rule by backend.
     pub fn races_with_later(self, later: WrSpec) -> bool {
         if !self.overlaps(later) {
             return false; // disjoint footprints never race
@@ -187,6 +185,25 @@ impl WrSpec {
             // acknowledges this request first — it can no longer be
             // re-gathered once the overlap changes.
             WrSpec::Write { .. } | WrSpec::Send { .. } => false,
+        }
+    }
+
+    /// The race rule under the `recovery` backend, stated once for
+    /// [`Scenario::validate`] and the fuzz generator. A backend that
+    /// [accepts requests out of order](RecoveryKind::accepts_out_of_order)
+    /// weakens both ordering guarantees [`WrSpec::races_with_later`]
+    /// leans on: the responder executes future READ/WRITEs on arrival,
+    /// and acking is no longer cumulative (so an unacked WRITE/SEND can
+    /// be re-gathered after a later response landed in its source
+    /// bytes). There any overlapping same-QP pair except READ/READ is an
+    /// unsequenced race, in either posting order.
+    pub fn races_under(self, later: WrSpec, recovery: RecoveryKind) -> bool {
+        if recovery.accepts_out_of_order() {
+            let both_reads =
+                matches!(self, WrSpec::Read { .. }) && matches!(later, WrSpec::Read { .. });
+            self.overlaps(later) && !both_reads
+        } else {
+            self.races_with_later(later)
         }
     }
 }
@@ -372,27 +389,13 @@ impl Scenario {
             }
         }
         // Oracle soundness precondition: no unsequenced buffer races
-        // between same-QP requests (see `WrSpec::races_with_later`).
-        //
-        // Selective repeat weakens both ordering guarantees the go-back-N
-        // rule leans on: the responder executes future READ/WRITEs out of
-        // order, and acking is no longer cumulative (so an unacked
-        // WRITE/SEND can be re-gathered after a later response landed in
-        // its source bytes). Under that backend any overlapping same-QP
-        // pair except READ/READ is an unsequenced race.
+        // between same-QP requests (see `WrSpec::races_under`).
         for (j, &(qp_j, wr_j)) in self.wrs.iter().enumerate() {
             for &(qp_i, wr_i) in &self.wrs[..j] {
                 if qp_i != qp_j {
                     continue;
                 }
-                let racy = if self.recovery == RecoveryKind::SelectiveRepeat {
-                    let both_reads =
-                        matches!(wr_i, WrSpec::Read { .. }) && matches!(wr_j, WrSpec::Read { .. });
-                    wr_i.overlaps(wr_j) && !both_reads
-                } else {
-                    wr_i.races_with_later(wr_j)
-                };
-                if racy {
+                if wr_i.races_under(wr_j, self.recovery) {
                     return Err(format!(
                         "wr {j} ({wr_j:?}) overlaps the landing range of an earlier \
                          outstanding {wr_i:?} on QP {qp_j}: unsequenced buffer race \

@@ -247,18 +247,6 @@ impl MemRegion {
         self.pages[idx] = state;
     }
 
-    /// True if every page covering the range is NIC-mapped.
-    pub fn range_mapped(&self, offset: u64, len: u32) -> bool {
-        self.pages_spanned(offset, len)
-            .all(|p| self.pages[p] == PageState::Mapped)
-    }
-
-    /// First non-mapped page index covering the range, if any.
-    pub fn first_unmapped(&self, offset: u64, len: u32) -> Option<usize> {
-        self.pages_spanned(offset, len)
-            .find(|&p| self.pages[p] != PageState::Mapped)
-    }
-
     /// Maps every page (pre-touch / prefetch, like `ibv_advise_mr`).
     pub fn map_all(&mut self) {
         for p in &mut self.pages {
@@ -327,16 +315,15 @@ mod tests {
     fn pinned_region_starts_mapped() {
         let r = MemRegion::new(MrKey(1), 0x1000, 8192, MrMode::Pinned);
         assert_eq!(r.page_count(), 2);
-        assert!(r.range_mapped(0, 8192));
-        assert_eq!(r.first_unmapped(0, 8192), None);
+        assert_eq!(r.page_state(0), PageState::Mapped);
+        assert_eq!(r.page_state(1), PageState::Mapped);
     }
 
     #[test]
     fn odp_region_starts_unmapped() {
         let r = MemRegion::new(MrKey(1), 0x1000, 8192, MrMode::Odp);
-        assert!(!r.range_mapped(0, 1));
-        assert_eq!(r.first_unmapped(0, 8192), Some(0));
         assert_eq!(r.page_state(0), PageState::Unmapped);
+        assert_eq!(r.page_state(1), PageState::Unmapped);
     }
 
     #[test]
@@ -370,11 +357,11 @@ mod tests {
     fn map_all_and_invalidate() {
         let mut r = MemRegion::new(MrKey(1), 0, 8192, MrMode::Odp);
         r.map_all();
-        assert!(r.range_mapped(0, 8192));
+        assert_eq!(r.page_state(1), PageState::Mapped);
         r.invalidate_page(1);
+        assert_eq!(r.page_state(0), PageState::Mapped);
         assert_eq!(r.page_state(1), PageState::Unmapped);
         assert_eq!(r.invalidation_count, 1);
-        assert_eq!(r.first_unmapped(0, 8192), Some(1));
     }
 
     #[test]

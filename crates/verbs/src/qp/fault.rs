@@ -1,21 +1,68 @@
-//! The ODP fault layer: per-QP page staleness, recovery-window state, and
-//! the page-gate loops both transport engines route their ODP decisions
-//! through.
+//! The ODP fault layer: the page gate, per-QP page staleness and the
+//! requester's recovery-window state.
+//!
+//! ## The page gate
+//!
+//! Both of the paper's pitfalls come out of one hardware mechanism: the
+//! RNIC checks the status of every page an access touches (§III-B), and a
+//! page it cannot use yet stalls the QP that asked. The simulator states
+//! that mechanism once, as [`admit`] — "may this QP touch this span
+//! now?" — and asks it in three places:
+//!
+//! | asked by | span | pages still pending mean |
+//! |---|---|---|
+//! | responder admission (`Responder::admit`) | the request's remote target, or a SEND's posted receive | fault pendency on exactly those pages + an RNR NAK; every later packet is dropped until the last one resolves (the responder half of damming, §V) |
+//! | requester pump (`Requester::pump`) | the local source of the next WRITE/SEND segment | the pages join `tx_blocked`; the send queue is head-of-line blocked until the last one resolves |
+//! | requester landing (`Requester::on_response`) | the local range a READ segment or an atomic's original value lands in | each page registers this QP's fault wait; the response is discarded and the message stalls on the first page that is faulting *or stale for this QP* (the flood, §VI) |
+//!
+//! What the gate does, in order. **Who may touch a span:** pinned memory
+//! is always usable and the gate returns at once. On an ODP region under
+//! the pinning backend ([`RecoveryKind::pins_on_first_touch`]) every page
+//! of the span that is not mapped is mapped on the spot, counted into
+//! [`Effects::pins`] and `pages_pinned`, and the span is usable — no
+//! fault event, no wait, the fault window never opens. Under every other
+//! backend the gate is [`raise`], the one span walk. **What is raised:**
+//! each `Unmapped` page becomes `Faulting`, bumps the region's
+//! `fault_count` and is pushed onto [`Effects::faults`] in ascending page
+//! order — the order the driver queues them in, which the golden traces
+//! pin; `Faulting` and `Mapped` pages are left alone; a walk that raised
+//! anything counts as *one* `faults_raised`. **What is reported:**
+//! [`Gated::pending`] lists the pages still not mapped (ascending; those
+//! just raised included) and [`Gated::blocking`] adds the asking QP's
+//! stale set. The caller pushes its own effects after the walk's —
+//! fault waits, then timers; an RNR NAK; nothing — so within one handler
+//! turn `faults` always precedes what the fault caused.
+//!
+//! **Zero length** is decided in [`pages`], after the bounds check and
+//! nowhere else: an empty span touches the page it points into (a
+//! zero-length READ inside an ODP region faults that page) and touches
+//! no page when it points at the region's end. The one exception is
+//! upstream of the gate: an empty WRITE/SEND segment gathers nothing, so
+//! `wire::source_segment` never asks.
+//!
+//! Two callers use less than the whole gate. The responder's drop path
+//! (a packet dropped under pendency still primes faults for its target)
+//! calls [`raise`] directly, under *every* backend. And a request that
+//! may only execute if nothing needs answering — a future request under
+//! selective repeat, a duplicate READ — uses the non-faulting form,
+//! [`usable`].
+//!
+//! ## State
 //!
 //! This is the only place requester and responder knowledge meet: the
-//! [`FaultTracker`] page map is owned by the QP facade and read by the
-//! requester's client-side gate, while the gate helpers below mutate MR
-//! page states and emit fault effects with the exact push order the
-//! golden traces pin.
+//! [`FaultTracker`] stale-page set is owned by the QP facade, read by
+//! the landing gate, and written only by page-ready / mark-stale events.
 
 use std::collections::BTreeSet;
+use std::ops::Range;
 
 use ibsim_event::SimTime;
 
-use crate::mem::{MemRegion, PageState};
+use crate::mem::{MemRegion, MrMode, PageState};
 use crate::types::{MrKey, Psn};
 
 use super::effects::Effects;
+use super::recovery::RecoveryKind;
 
 /// Pages globally mapped but not yet propagated to this QP — the packet
 /// flood root cause ("update failure of page statuses", §VI-B). Owned by
@@ -105,159 +152,147 @@ impl Recovery {
     }
 }
 
-/// Outcome of the client-side destination-page gate.
-pub(super) struct GateOutcome {
-    /// Every spanned page is NIC-mapped and propagated to this QP.
-    pub(super) usable: bool,
-    /// At least one page moved `Unmapped → Faulting` (one fault event).
-    pub(super) newly_faulted: bool,
-    /// The first page that made the response unusable (faulting or
-    /// stale), if any — what an event-driven resume waits on.
-    pub(super) blocking: Option<(MrKey, usize)>,
+/// A byte range of one registered region: what a request targets, a
+/// response lands in, or a payload segment is gathered from.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(super) struct Span {
+    /// The region (rkey for a remote target, lkey for a local range).
+    pub(super) key: MrKey,
+    /// Offset of the first byte within the region.
+    pub(super) off: u64,
+    /// Length in bytes; zero is legal (see [`pages`]).
+    pub(super) len: u32,
 }
 
-/// Client-side ODP gate (requester): destination pages of a READ/ATOMIC
-/// response must be NIC-mapped AND propagated to this QP. Unmapped pages
-/// start faulting and register a fault wait; already-faulting pages just
-/// register the wait; mapped-but-stale pages make the response unusable
-/// without any fault work. The caller has already checked the MR is ODP.
-pub(super) fn gate_dest_pages(
-    tracker: &FaultTracker,
-    mr: &mut MemRegion,
-    mr_key: MrKey,
-    off: u64,
-    len: u32,
-    fx: &mut Effects,
-) -> GateOutcome {
-    let mut usable = true;
-    let mut newly_faulted = false;
-    let mut blocking = None;
-    for p in mr.pages_spanned(off, len) {
-        match mr.page_state(p) {
-            PageState::Unmapped => {
-                mr.set_page_state(p, PageState::Faulting);
-                mr.fault_count += 1;
-                fx.faults.push((mr_key, p));
-                fx.fault_waits.push((mr_key, p));
-                newly_faulted = true;
-                usable = false;
-                blocking.get_or_insert((mr_key, p));
-            }
-            PageState::Faulting => {
-                fx.fault_waits.push((mr_key, p));
-                usable = false;
-                blocking.get_or_insert((mr_key, p));
-            }
-            PageState::Mapped => {
-                if tracker.is_stale(mr_key, p) {
-                    usable = false;
-                    blocking.get_or_insert((mr_key, p));
-                }
-            }
-        }
+/// The gate's two counters, kept for the engine that asked (requester
+/// and responder embed one each; [`QpStats`](super::QpStats) sums them).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub(super) struct GateStats {
+    /// Gate passes that raised at least one network page fault.
+    pub(super) faults_raised: u64,
+    /// Pages pinned on first touch (`OnDemandPin` backend only).
+    pub(super) pages_pinned: u64,
+}
+
+/// The pages `span` touches. The bounds check comes first — a span
+/// outside the region is the caller's to refuse (the responder NAKs it
+/// before asking; a local range is the poster's contract, asserted
+/// here) — and the zero-length rule after it: an empty span touches the
+/// page it points into, and no page when it points at the region's end.
+fn pages(mr: &MemRegion, span: Span) -> Range<usize> {
+    if span.len == 0 && span.off == mr.len() {
+        return 0..0;
     }
-    GateOutcome {
-        usable,
-        newly_faulted,
-        blocking,
+    let touched = mr.pages_spanned(span.off, span.len);
+    *touched.start()..touched.end() + 1
+}
+
+/// The pages of a gated span its caller must still see usable: none on
+/// pinned memory or once the pinning backend has mapped them.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub(super) struct Gated {
+    key: MrKey,
+    pages: Range<usize>,
+}
+
+impl Gated {
+    /// The pages not yet usable by anyone — still faulting, those the
+    /// gate just raised included — in page order.
+    pub(super) fn pending<'a>(
+        &self,
+        mr: &'a MemRegion,
+    ) -> impl Iterator<Item = (MrKey, usize)> + 'a {
+        let key = self.key;
+        self.pages
+            .clone()
+            .filter(|&p| mr.page_state(p) != PageState::Mapped)
+            .map(move |p| (key, p))
+    }
+
+    /// The first page unusable by *this QP*: faulting, or mapped but
+    /// its status not yet propagated here (the tracker's stale set).
+    pub(super) fn blocking(
+        &self,
+        mr: &MemRegion,
+        tracker: &FaultTracker,
+    ) -> Option<(MrKey, usize)> {
+        self.pages
+            .clone()
+            .find(|&p| mr.page_state(p) != PageState::Mapped || tracker.is_stale(self.key, p))
+            .map(|p| (self.key, p))
     }
 }
 
-/// Send-side ODP gate (requester pump): WRITE/SEND payloads are DMA-read
-/// from local memory, so unmapped source pages start faulting and every
-/// still-faulting page blocks transmission. Returns the blocking pages
-/// and whether any fault was newly raised.
-pub(super) fn fault_source_pages(
+/// The one span walk: every unmapped page of `span` starts faulting
+/// (`Unmapped → Faulting`, counted on the region, queued for the driver
+/// in page order) and the pass counts as one raised fault if any did.
+/// Faulting and mapped pages are left alone. This is also the whole of
+/// the responder's drop path, which primes faults under every backend.
+pub(super) fn raise(
     mr: &mut MemRegion,
-    mr_key: MrKey,
-    off: u64,
-    len: u32,
+    span: Span,
+    stats: &mut GateStats,
     fx: &mut Effects,
-) -> (Vec<(MrKey, usize)>, bool) {
-    let mut blocked = Vec::new();
-    let mut faulted = false;
-    for p in mr.pages_spanned(off, len) {
+) -> Gated {
+    let pages = pages(mr, span);
+    let before = fx.faults.len();
+    for p in pages.clone() {
         if mr.page_state(p) == PageState::Unmapped {
             mr.set_page_state(p, PageState::Faulting);
             mr.fault_count += 1;
-            fx.faults.push((mr_key, p));
-            faulted = true;
-        }
-        if mr.page_state(p) == PageState::Faulting {
-            blocked.push((mr_key, p));
+            fx.faults.push((span.key, p));
         }
     }
-    (blocked, faulted)
+    if fx.faults.len() > before {
+        stats.faults_raised += 1;
+    }
+    Gated {
+        key: span.key,
+        pages,
+    }
 }
 
-/// NP-RDMA-style on-demand pin (the [`RecoveryKind::OnDemandPin`]
-/// fault model, see [`super::recovery`]): every spanned page that is not
-/// yet mapped is pinned — mapped synchronously, with no fault event, no
-/// fault wait and no pendency — so the fault window never opens. Returns
-/// the number of pages newly pinned; the caller accounts them into
-/// [`Effects::pins`] and the per-engine `pages_pinned` counter.
-///
-/// [`RecoveryKind::OnDemandPin`]: super::recovery::RecoveryKind::OnDemandPin
-pub(super) fn pin_pages(mr: &mut MemRegion, off: u64, len: u32) -> u32 {
-    let mut pinned = 0;
-    for p in mr.pages_spanned(off, len.max(1)) {
+/// The page gate — "may this QP touch this span now?" — asked by the
+/// responder's admission, the requester's transmit pump and its
+/// response landing alike. Pinned memory is always usable. On an ODP
+/// region the pinning backend maps every page of the span on the spot
+/// (NP-RDMA style: no fault event, no wait, the fault window never
+/// opens); every other backend [`raise`]s what is unmapped. What the
+/// caller does with the pages still [`Gated::pending`] is its own
+/// business: enter pendency, block transmission, or register waits and
+/// consult staleness.
+pub(super) fn admit(
+    kind: RecoveryKind,
+    mr: &mut MemRegion,
+    span: Span,
+    stats: &mut GateStats,
+    fx: &mut Effects,
+) -> Gated {
+    let clear = Gated {
+        key: span.key,
+        pages: 0..0,
+    };
+    if mr.mode() != MrMode::Odp {
+        return clear;
+    }
+    if !kind.pins_on_first_touch() {
+        return raise(mr, span, stats, fx);
+    }
+    for p in pages(mr, span) {
         if mr.page_state(p) != PageState::Mapped {
             mr.set_page_state(p, PageState::Mapped);
-            pinned += 1;
+            stats.pages_pinned += 1;
+            fx.pins += 1;
         }
     }
-    pinned
+    clear
 }
 
-/// Responder drop-path fault priming: starts faults for the unmapped
-/// pages a dropped request targets, without touching faulting or mapped
-/// pages. Returns true if any fault was raised.
-pub(super) fn raise_unmapped(
-    mr: &mut MemRegion,
-    mr_key: MrKey,
-    addr: u64,
-    len: u32,
-    fx: &mut Effects,
-) -> bool {
-    let mut faulted = false;
-    for p in mr.pages_spanned(addr, len) {
-        if mr.page_state(p) == PageState::Unmapped {
-            mr.set_page_state(p, PageState::Faulting);
-            mr.fault_count += 1;
-            fx.faults.push((mr_key, p));
-            faulted = true;
-        }
-    }
-    faulted
-}
-
-/// Responder pendency collection: the pages that must resolve before the
-/// QP leaves fault pendency — unmapped ones are raised, already-faulting
-/// ones joined, mapped ones skipped. Returns the pendency page list and
-/// whether any fault was newly raised.
-pub(super) fn collect_pendency_pages(
-    mr: &mut MemRegion,
-    mr_key: MrKey,
-    offset: u64,
-    len: u32,
-    fx: &mut Effects,
-) -> (Vec<(MrKey, usize)>, bool) {
-    let mut pages = Vec::new();
-    let mut newly_faulted = false;
-    for p in mr.pages_spanned(offset, len.max(1)) {
-        match mr.page_state(p) {
-            PageState::Unmapped => {
-                mr.set_page_state(p, PageState::Faulting);
-                mr.fault_count += 1;
-                fx.faults.push((mr_key, p));
-                pages.push((mr_key, p));
-                newly_faulted = true;
-            }
-            PageState::Faulting => pages.push((mr_key, p)),
-            PageState::Mapped => {}
-        }
-    }
-    (pages, newly_faulted)
+/// The gate's non-faulting form: true if `span` lies inside the region
+/// and every page it touches is mapped. Changes nothing.
+pub(super) fn usable(mr: &MemRegion, span: Span) -> bool {
+    mr.contains(span.off, span.len)
+        && pages(mr, span).all(|p| mr.page_state(p) == PageState::Mapped)
 }
 
 #[cfg(test)]

@@ -8,8 +8,8 @@
 //!   ODP response stalls, go-back-N retransmission.
 //! * [`responder`] — ePSN tracking, duplicate and out-of-sequence
 //!   handling, RNR NAK generation, ODP fault pendency.
-//! * [`fault`] — per-QP page staleness, recovery windows, and the ODP
-//!   page-gate loops both engines share.
+//! * [`fault`] — the page gate ("may this QP touch this span now?")
+//!   both engines ask, per-QP page staleness, recovery windows.
 //! * [`effects`] — the [`Effects`] value every engine emits into;
 //!   the cluster router interprets it ([`wire`] holds the pure
 //!   packet-construction helpers).
@@ -37,6 +37,8 @@
 
 mod effects;
 mod fault;
+#[cfg(test)]
+mod gate_tests;
 mod recovery;
 mod requester;
 mod responder;
@@ -154,9 +156,28 @@ struct QpCtx {
 }
 
 impl QpCtx {
-    fn peer_or_panic(&self) -> (Lid, Qpn) {
-        self.peer
-            .expect("invariant: QP connected before carrying traffic")
+    /// The one packet constructor: `kind` at `psn` from this QP to its
+    /// connected peer, on the wire (no ghost), unmarked, not a
+    /// retransmission. Callers that mean otherwise say so on the result.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the QP was never connected.
+    fn packet(&self, psn: Psn, kind: PacketKind) -> Packet {
+        let (dst, dst_qp) = self
+            .peer
+            .expect("invariant: QP connected before carrying traffic");
+        Packet {
+            src: self.lid,
+            dst,
+            dst_qp,
+            src_qp: self.qpn,
+            psn,
+            kind,
+            ghost: false,
+            ecn: false,
+            retransmit: false,
+        }
     }
 }
 
@@ -275,9 +296,9 @@ impl Qp {
             rnr_naks_sent: self.resp.stats.rnr_naks_sent,
             seq_naks_sent: self.resp.stats.seq_naks_sent,
             responses_discarded: self.req.stats.responses_discarded,
-            faults_raised: self.req.stats.faults_raised + self.resp.stats.faults_raised,
+            faults_raised: self.req.stats.gate.faults_raised + self.resp.stats.gate.faults_raised,
             pendency_drops: self.resp.stats.pendency_drops,
-            pages_pinned: self.req.stats.pages_pinned + self.resp.stats.pages_pinned,
+            pages_pinned: self.req.stats.gate.pages_pinned + self.resp.stats.gate.pages_pinned,
             invariant_violations: self.life.violations(),
             ecn_echoes: self.req.stats.ecn_echoes,
         }
@@ -309,14 +330,9 @@ impl Qp {
             | PacketKind::WriteRequest { .. }
             | PacketKind::Send { .. }
             | PacketKind::AtomicRequest { .. } => self.resp.on_request(&self.ctx, env, fx, pkt),
-            PacketKind::ReadResponse { .. } => {
-                self.req
-                    .on_read_response(&self.ctx, &self.life, &self.fault, env, fx, pkt)
-            }
-            PacketKind::AtomicResponse { .. } => {
-                self.req
-                    .on_atomic_response(&self.ctx, &self.life, &self.fault, env, fx, pkt)
-            }
+            PacketKind::ReadResponse { .. } | PacketKind::AtomicResponse { .. } => self
+                .req
+                .on_response(&self.ctx, &self.life, &self.fault, env, fx, pkt),
             PacketKind::Ack => {
                 if pkt.ecn {
                     // Counted only: no backend reacts to an ECN echo, so

@@ -35,12 +35,11 @@ use std::collections::{BTreeSet, VecDeque};
 
 use ibsim_event::SimTime;
 
-use crate::mem::MrMode;
 use crate::types::{MrKey, Psn, WrId};
 use crate::wr::{Completion, SendWqe, WcOpcode, WcStatus, WorkRequest, WrOp};
 
 use super::effects::Effects;
-use super::fault::{self, Recovery};
+use super::fault::{self, GateStats, Recovery};
 use super::recovery::{Backend, RecoveryKind};
 use super::state::{Lifecycle, QpState};
 use super::wire::{build_request_packet, source_segment};
@@ -58,10 +57,8 @@ pub(super) struct ReqStats {
     pub(super) rnr_naks_received: u64,
     /// READ/ATOMIC responses discarded by client-side ODP.
     pub(super) responses_discarded: u64,
-    /// Network page faults raised on this side.
-    pub(super) faults_raised: u64,
-    /// Pages pinned on first touch (`OnDemandPin` backend only).
-    pub(super) pages_pinned: u64,
+    /// Faults raised and pages pinned by the page gate on this side.
+    pub(super) gate: GateStats,
     /// ACKs received carrying an ECN echo (congested forward path).
     pub(super) ecn_echoes: u64,
 }
@@ -239,7 +236,6 @@ impl Requester {
         if life.is_error() || !self.tx_blocked.is_empty() {
             return;
         }
-        let (peer_lid, peer_qpn) = ctx.peer_or_panic();
         let ghost_window = env.profile.damming
             && ctx.cfg.recovery.ghost_quirks()
             && self.recovery.in_window(env.now);
@@ -255,40 +251,17 @@ impl Requester {
             }
             while wqe.sent_segments < wqe.req_packets {
                 // Send-side ODP: WRITE/SEND payloads are DMA-read from
-                // local memory; unmapped pages stall transmission.
-                if let Some((mr_key, local_off, seg_len, seg_off)) =
-                    source_segment(wqe, wqe.sent_segments, mtu)
-                {
+                // local memory, so the source span passes the page gate
+                // first and every page still pending blocks the queue.
+                if let Some(span) = source_segment(wqe, wqe.sent_segments, mtu) {
                     let mr = env
                         .mrs
-                        .get_mut(&mr_key)
+                        .get_mut(&span.key)
                         .expect("invariant: WQE admitted with a valid lkey");
-                    if mr.mode() == MrMode::Odp && seg_len > 0 {
-                        if ctx.cfg.recovery.pins_on_first_touch() {
-                            // NP-RDMA model: pin the source pages on
-                            // first touch and keep transmitting — no
-                            // fault, no head-of-line block.
-                            let pinned = fault::pin_pages(mr, local_off + seg_off, seg_len);
-                            if pinned > 0 {
-                                self.stats.pages_pinned += pinned as u64;
-                                fx.pins += pinned;
-                            }
-                        } else if mr.first_unmapped(local_off + seg_off, seg_len).is_some() {
-                            let (blocked, faulted) = fault::fault_source_pages(
-                                mr,
-                                mr_key,
-                                local_off + seg_off,
-                                seg_len,
-                                fx,
-                            );
-                            for b in blocked {
-                                self.tx_blocked.insert(b);
-                            }
-                            if faulted {
-                                self.stats.faults_raised += 1;
-                            }
-                            return; // head-of-line blocked
-                        }
+                    let gated = fault::admit(ctx.cfg.recovery, mr, span, &mut self.stats.gate, fx);
+                    self.tx_blocked.extend(gated.pending(mr));
+                    if !self.tx_blocked.is_empty() {
+                        return; // head-of-line blocked
                     }
                 }
                 let seg = wqe.sent_segments;
@@ -298,10 +271,8 @@ impl Requester {
                         wqe.ghosted = true;
                     }
                 }
-                let pkt = build_request_packet(
-                    env, ctx.lid, ctx.qpn, peer_lid, peer_qpn, wqe, seg, mtu, false,
-                );
-                fx.packets.push(pkt);
+                fx.packets
+                    .push(build_request_packet(env, ctx, wqe, seg, false));
                 wqe.sent_segments += 1;
             }
             self.tx_cursor += 1;
@@ -479,14 +450,10 @@ impl Requester {
         if wqe.is_done() || wqe.sent_segments == 0 {
             return;
         }
-        let (peer_lid, peer_qpn) = ctx.peer_or_panic();
-        let mtu = ctx.cfg.mtu;
         wqe.ghosted = false;
         for seg in 0..wqe.sent_segments {
-            let pkt = build_request_packet(
-                env, ctx.lid, ctx.qpn, peer_lid, peer_qpn, wqe, seg, mtu, true,
-            );
-            fx.packets.push(pkt);
+            fx.packets
+                .push(build_request_packet(env, ctx, wqe, seg, true));
         }
         self.stats.retransmissions += u64::from(wqe.sent_segments);
     }

@@ -5,13 +5,12 @@
 //! direction of flow; both halves operate on the same [`Requester`]
 //! state and emit into the same [`Effects`] pipeline.
 
-use crate::mem::MrMode;
 use crate::packet::{NakKind, Packet, PacketKind};
 use crate::types::{MrKey, Psn};
 use crate::wr::{Completion, WcStatus, WrOp};
 
 use super::super::effects::Effects;
-use super::super::fault::{self, FaultTracker, OdpStall, RnrWait};
+use super::super::fault::{self, FaultTracker, OdpStall, RnrWait, Span};
 use super::super::state::Lifecycle;
 use super::super::{QpCtx, QpEnv};
 use super::{sq_index, Requester};
@@ -151,9 +150,14 @@ impl Requester {
         }
     }
 
-    /// Consumes one READ response segment, or discards it behind the
-    /// client-side ODP gate.
-    pub(in crate::qp) fn on_read_response(
+    /// Consumes one READ response segment or the original value an
+    /// atomic returns — or discards it: ConnectX-4 discards responses
+    /// arriving during an RNR wait ("while discarding responses sent back
+    /// during the waiting time", §IV-A; a quirk of the go-back-N recovery
+    /// engine), a response no unfinished message expects next is a stale
+    /// duplicate or sits behind a gap recovery will close, and the
+    /// client-side page gate refuses a landing range this QP cannot use.
+    pub(in crate::qp) fn on_response(
         &mut self,
         ctx: &QpCtx,
         life: &Lifecycle,
@@ -162,184 +166,83 @@ impl Requester {
         fx: &mut Effects,
         pkt: &Packet,
     ) {
-        let PacketKind::ReadResponse {
-            seg, data, offset, ..
-        } = &pkt.kind
-        else {
-            unreachable!("dispatch guarantees a read response");
-        };
-        // ConnectX-4 discards responses arriving during an RNR wait
-        // ("while discarding responses sent back during the waiting
-        // time", §IV-A) — a quirk of the go-back-N recovery engine.
-        if env.profile.damming
+        let rnr_quirk = env.profile.damming
             && ctx.cfg.recovery.ghost_quirks()
-            && self.recovery.rnr_wait.is_some()
-        {
-            self.stats.responses_discarded += 1;
-            return;
-        }
-        let Some(wqe_idx) = sq_index(&self.sq, pkt.psn)
-            .filter(|&i| matches!(self.sq[i].op, WrOp::Read { .. }) && !self.sq[i].is_done())
-        else {
-            // Stale duplicate of an already-completed message.
-            self.stats.responses_discarded += 1;
-            return;
+            && self.recovery.rnr_wait.is_some();
+        let value;
+        let (data, seg_off): (&[u8], u64) = match &pkt.kind {
+            PacketKind::ReadResponse { data, offset, .. } => (data, u64::from(*offset)),
+            PacketKind::AtomicResponse { original, .. } => {
+                value = original.to_le_bytes();
+                (&value, 0)
+            }
+            PacketKind::ReadRequest { .. }
+            | PacketKind::WriteRequest { .. }
+            | PacketKind::Send { .. }
+            | PacketKind::AtomicRequest { .. }
+            | PacketKind::Ack
+            | PacketKind::Nak(_) => unreachable!("dispatch guarantees a response"),
         };
-        let (expected_psn, local_mr, local_off, seg_done_bytes) = {
-            let w = &self.sq[wqe_idx];
-            let WrOp::Read {
-                local_mr,
-                local_off,
-                ..
-            } = w.op
-            else {
-                unreachable!()
+        let is_read = matches!(pkt.kind, PacketKind::ReadResponse { .. });
+        // Only an unfinished message of the response's own kind expects
+        // it, and a READ only its next segment in order.
+        let landing = sq_index(&self.sq, pkt.psn).and_then(|idx| {
+            let w = &self.sq[idx];
+            let (key, off) = match w.op {
+                WrOp::Read {
+                    local_mr,
+                    local_off,
+                    ..
+                } if is_read && pkt.psn == w.psn_first.add(w.recv_segments) => {
+                    (local_mr, local_off + seg_off)
+                }
+                WrOp::Atomic {
+                    local_mr,
+                    local_off,
+                    ..
+                } if !is_read => (local_mr, local_off),
+                WrOp::Read { .. }
+                | WrOp::Atomic { .. }
+                | WrOp::Write { .. }
+                | WrOp::Send { .. } => return None,
             };
-            (
-                w.psn_first.add(w.recv_segments),
-                local_mr,
-                local_off,
-                w.recv_segments * ctx.cfg.mtu,
-            )
-        };
-        if pkt.psn != expected_psn {
-            // Duplicate of an already-consumed segment, or a gap left by a
-            // drop; recovery retransmission will resolve either.
+            (!rnr_quirk && !w.is_done()).then_some((idx, key, off))
+        });
+        let Some((idx, key, off)) = landing else {
             self.stats.responses_discarded += 1;
             return;
-        }
-        debug_assert_eq!(*offset, seg_done_bytes, "segment offset mismatch");
+        };
 
-        // Client-side ODP gate: destination pages must be NIC-mapped AND
-        // propagated to this QP.
-        let dest_off = local_off + *offset as u64;
-        let dest_len = (data.len() as u32).max(1);
+        // Client-side ODP: the landing pages must be NIC-mapped AND
+        // propagated to this QP. A response that finds one unusable is
+        // discarded: every pending page registers this QP's wait, and
+        // the first unusable one is what the stall waits on.
+        let len = data.len() as u32;
         let mr = env
             .mrs
-            .get_mut(&local_mr)
-            .expect("invariant: READ admitted with a valid lkey");
-        let mut usable = true;
-        let mut blocking = None;
-        if mr.mode() == MrMode::Odp {
-            if ctx.cfg.recovery.pins_on_first_touch() {
-                // NP-RDMA model: pin the landing pages on first touch —
-                // the response is always usable, so neither the stall
-                // nor the per-QP staleness machinery ever engages.
-                let pinned = fault::pin_pages(mr, dest_off, dest_len);
-                if pinned > 0 {
-                    self.stats.pages_pinned += pinned as u64;
-                    fx.pins += pinned;
-                }
-            } else {
-                let gate = fault::gate_dest_pages(tracker, mr, local_mr, dest_off, dest_len, fx);
-                usable = gate.usable;
-                blocking = gate.blocking;
-                if gate.newly_faulted {
-                    self.stats.faults_raised += 1;
-                }
-            }
-        }
-        if !usable {
+            .get_mut(&key)
+            .expect("invariant: READ/ATOMIC admitted with a valid lkey");
+        let span = Span { key, off, len };
+        let gated = fault::admit(ctx.cfg.recovery, mr, span, &mut self.stats.gate, fx);
+        if let Some(blocking) = gated.blocking(mr, tracker) {
+            fx.fault_waits.extend(gated.pending(mr));
             self.stats.responses_discarded += 1;
-            let msg_psn = self.sq[wqe_idx].psn_first;
-            self.stall_or_irq(ctx, env, fx, msg_psn, blocking);
+            let msg_psn = self.sq[idx].psn_first;
+            self.stall_or_irq(ctx, env, fx, msg_psn, Some(blocking));
             return;
         }
 
         // Accept the segment.
-        let base = mr.base();
-        env.mem.write(base + dest_off, data);
-        let w = &mut self.sq[wqe_idx];
+        env.mem.write(mr.base() + off, data);
+        let w = &mut self.sq[idx];
         w.recv_segments += 1;
-        if seg.is_final() {
-            debug_assert_eq!(w.recv_segments, w.resp_packets, "final segment count");
-        }
         if w.is_done() {
             self.outstanding_rd -= 1;
         }
-        let done_psn = pkt.psn;
-        self.backend.note_delivered(done_psn);
+        self.backend.note_delivered(pkt.psn);
         // A response implicitly acknowledges all earlier requests (only
         // under cumulative backends; see advance_acked).
-        self.advance_acked(ctx, life, done_psn, fx, env);
-        self.retire(ctx, fx, env);
-        self.note_progress(ctx, life, fx);
-        self.pump_after_progress(ctx, life, env, fx);
-    }
-
-    /// Consumes the original value returned by an atomic. Same client-side
-    /// ODP gate as READ responses: the 8-byte landing pad must be usable.
-    pub(in crate::qp) fn on_atomic_response(
-        &mut self,
-        ctx: &QpCtx,
-        life: &Lifecycle,
-        tracker: &FaultTracker,
-        env: &mut QpEnv<'_>,
-        fx: &mut Effects,
-        pkt: &Packet,
-    ) {
-        let PacketKind::AtomicResponse { original, .. } = &pkt.kind else {
-            unreachable!("dispatch guarantees an atomic response");
-        };
-        if env.profile.damming
-            && ctx.cfg.recovery.ghost_quirks()
-            && self.recovery.rnr_wait.is_some()
-        {
-            self.stats.responses_discarded += 1;
-            return;
-        }
-        let Some(wqe_idx) = sq_index(&self.sq, pkt.psn)
-            .filter(|&i| matches!(self.sq[i].op, WrOp::Atomic { .. }) && !self.sq[i].is_done())
-        else {
-            self.stats.responses_discarded += 1;
-            return;
-        };
-        let (local_mr, local_off) = {
-            let WrOp::Atomic {
-                local_mr,
-                local_off,
-                ..
-            } = self.sq[wqe_idx].op
-            else {
-                unreachable!()
-            };
-            (local_mr, local_off)
-        };
-        let mr = env
-            .mrs
-            .get_mut(&local_mr)
-            .expect("invariant: atomic admitted with a valid lkey");
-        let mut usable = true;
-        let mut blocking = None;
-        if mr.mode() == MrMode::Odp {
-            if ctx.cfg.recovery.pins_on_first_touch() {
-                let pinned = fault::pin_pages(mr, local_off, 8);
-                if pinned > 0 {
-                    self.stats.pages_pinned += pinned as u64;
-                    fx.pins += pinned;
-                }
-            } else {
-                let gate = fault::gate_dest_pages(tracker, mr, local_mr, local_off, 8, fx);
-                usable = gate.usable;
-                blocking = gate.blocking;
-                if gate.newly_faulted {
-                    self.stats.faults_raised += 1;
-                }
-            }
-        }
-        if !usable {
-            self.stats.responses_discarded += 1;
-            let msg_psn = self.sq[wqe_idx].psn_first;
-            self.stall_or_irq(ctx, env, fx, msg_psn, blocking);
-            return;
-        }
-        let base = mr.base();
-        env.mem.write(base + local_off, &original.to_le_bytes());
-        self.sq[wqe_idx].recv_segments = 1;
-        self.outstanding_rd -= 1;
-        let done_psn = pkt.psn;
-        self.backend.note_delivered(done_psn);
-        self.advance_acked(ctx, life, done_psn, fx, env);
+        self.advance_acked(ctx, life, pkt.psn, fx, env);
         self.retire(ctx, fx, env);
         self.note_progress(ctx, life, fx);
         self.pump_after_progress(ctx, life, env, fx);

@@ -8,13 +8,13 @@
 
 use std::collections::{BTreeMap, VecDeque};
 
-use crate::mem::{MemRegion, MrMode};
-use crate::packet::{NakKind, Packet, PacketKind, SegPos};
+use crate::mem::MemRegion;
+use crate::packet::{AtomicOp, NakKind, Packet, PacketKind, SegPos};
 use crate::types::{MrKey, Psn};
 use crate::wr::{Completion, RecvWr, WcOpcode, WcStatus};
 
 use super::effects::Effects;
-use super::fault;
+use super::fault::{self, GateStats, Span};
 use super::{QpCtx, QpEnv};
 
 /// Responder-side protocol counters (merged into the public
@@ -27,10 +27,8 @@ pub(super) struct RespStats {
     pub(super) seq_naks_sent: u64,
     /// Request packets silently dropped by fault pendency.
     pub(super) pendency_drops: u64,
-    /// Network page faults raised on this side.
-    pub(super) faults_raised: u64,
-    /// Pages pinned on first touch (`OnDemandPin` backend only).
-    pub(super) pages_pinned: u64,
+    /// Faults raised and pages pinned by the page gate on this side.
+    pub(super) gate: GateStats,
     /// Future requests executed out of order (`SelectiveRepeat` only).
     pub(super) ooo_executed: u64,
 }
@@ -113,6 +111,7 @@ impl Responder {
         if pkt.ecn {
             self.ecn_pending = true;
         }
+        let target = target(&pkt.kind);
         // Fault pendency: drop everything; re-RNR-NAK the faulted PSN
         // itself so an early retransmission keeps the requester waiting.
         if let Some(pend) = &self.resp_pend {
@@ -124,47 +123,39 @@ impl Responder {
             } else {
                 self.stats.pendency_drops += 1;
                 // The NIC still queues page faults for the dropped
-                // packets' target pages — by the time the requester works
-                // its way back here, later pages are already resolving.
-                self.queue_faults_for(env, fx, pkt);
+                // packets' target pages (under every backend) — by the
+                // time the requester works its way back here, later
+                // pages are already resolving.
+                if let Some(span) = target {
+                    if let Some(mr) = in_bounds(env.mrs, span) {
+                        fault::raise(mr, span, &mut self.stats.gate, fx);
+                    }
+                }
             }
             return;
         }
         if pkt.psn == self.epsn {
             self.nak_seq_sent = false;
-            if self.ooo_done.contains_key(&pkt.psn.value()) {
-                // The hole just filled with a duplicate of a span we
-                // already executed out of order: consume the recording
-                // instead of re-executing (re-applying an older WRITE
-                // payload over a newer out-of-order one would reorder
-                // memory).
-                self.drain_ooo();
-            } else {
-                self.execute_request(ctx, env, fx, pkt);
-                self.drain_ooo();
+            // A hole filling with a duplicate of a span already executed
+            // out of order consumes the recording instead of
+            // re-executing (re-applying an older WRITE payload over a
+            // newer out-of-order one would reorder memory).
+            if !self.ooo_done.contains_key(&pkt.psn.value()) {
+                self.execute_request(ctx, env, fx, pkt, target);
             }
+            self.drain_ooo();
         } else if pkt.psn.precedes(self.epsn) {
-            self.handle_duplicate(ctx, env, fx, pkt);
+            self.handle_duplicate(ctx, env, fx, pkt, target);
         } else {
             // Future PSN: something was lost in between.
             if !self.nak_seq_sent {
                 self.nak_seq_sent = true;
                 self.stats.seq_naks_sent += 1;
-                let (peer_lid, peer_qpn) = ctx.peer_or_panic();
-                fx.packets.push(Packet {
-                    src: ctx.lid,
-                    dst: peer_lid,
-                    dst_qp: peer_qpn,
-                    src_qp: ctx.qpn,
-                    psn: pkt.psn,
-                    kind: PacketKind::Nak(NakKind::SequenceError { epsn: self.epsn }),
-                    ghost: false,
-                    ecn: false,
-                    retransmit: false,
-                });
+                let nak = NakKind::SequenceError { epsn: self.epsn };
+                fx.packets.push(ctx.packet(pkt.psn, PacketKind::Nak(nak)));
             }
             if ctx.cfg.recovery.accepts_out_of_order() {
-                self.execute_ooo(ctx, env, fx, pkt);
+                self.execute_ooo(ctx, env, fx, pkt, target);
             }
         }
     }
@@ -179,341 +170,190 @@ impl Responder {
     }
 
     /// Selective repeat only: IRN-style out-of-order acceptance. A future
-    /// READ or WRITE that validates cleanly executes on arrival and its
-    /// span is recorded so the ePSN can jump over it once the hole fills.
-    /// Anything that fails validation (bad rkey/range, unmapped ODP pages)
-    /// drops silently — the in-order retransmission produces the proper
-    /// NAK or fault pendency. SENDs stay in order (receive buffers are
-    /// consumed in posting order) and atomics stay in order (reordering
-    /// same-address atomics across WQEs would change final memory; the
-    /// replay cache only guards re-execution, not cross-WQE order).
-    /// Out-of-order execution never emits ACKs: acking a final segment
-    /// while an earlier segment is still missing would retire the whole
-    /// message under the requester's message-level acking and lose the
-    /// hole. Liveness comes from the seq-NAK-driven message
-    /// retransmission, whose duplicate final segment is re-ACKed.
-    fn execute_ooo(&mut self, ctx: &QpCtx, env: &mut QpEnv<'_>, fx: &mut Effects, pkt: &Packet) {
+    /// READ or WRITE that passes the gate's non-faulting probe executes
+    /// on arrival and its span is recorded so the ePSN can jump over it
+    /// once the hole fills. Anything the probe refuses (bad rkey/range,
+    /// unmapped ODP pages) drops silently — the in-order retransmission
+    /// produces the proper NAK or fault pendency. SENDs stay in order
+    /// (receive buffers are consumed in posting order) and atomics stay
+    /// in order (reordering same-address atomics across WQEs would
+    /// change final memory; the replay cache only guards re-execution,
+    /// not cross-WQE order). Out-of-order execution never emits ACKs:
+    /// acking a final segment while an earlier segment is still missing
+    /// would retire the whole message under the requester's
+    /// message-level acking and lose the hole. Liveness comes from the
+    /// seq-NAK-driven message retransmission, whose duplicate final
+    /// segment is re-ACKed.
+    fn execute_ooo(
+        &mut self,
+        ctx: &QpCtx,
+        env: &mut QpEnv<'_>,
+        fx: &mut Effects,
+        pkt: &Packet,
+        target: Option<Span>,
+    ) {
         if self.ooo_done.contains_key(&pkt.psn.value()) {
             return; // duplicate of a span already executed out of order
         }
-        match &pkt.kind {
+        let Some(at) = target.and_then(|t| probe(env.mrs, t)) else {
+            return;
+        };
+        let psns = match &pkt.kind {
             PacketKind::ReadRequest {
-                rkey,
-                addr,
-                len,
-                resp_packets,
+                len, resp_packets, ..
             } => {
-                let Some(mr) = env.mrs.get(rkey) else { return };
-                if !mr.contains(*addr, *len)
-                    || (mr.mode() == MrMode::Odp
-                        && mr.first_unmapped(*addr, (*len).max(1)).is_some())
-                {
-                    return;
-                }
-                let src = mr.base() + addr;
-                push_read_responses(ctx, env, fx, pkt.psn, (src, *len, *resp_packets), false);
-                self.ooo_done.insert(pkt.psn.value(), *resp_packets);
-                self.stats.ooo_executed += 1;
+                push_read_responses(ctx, env, fx, pkt.psn, (at, *len, *resp_packets), false);
+                *resp_packets
             }
-            PacketKind::WriteRequest {
-                rkey, addr, data, ..
-            } => {
-                let Some(mr) = env.mrs.get(rkey) else { return };
-                if !mr.contains(*addr, data.len() as u32)
-                    || (mr.mode() == MrMode::Odp
-                        && mr
-                            .first_unmapped(*addr, (data.len() as u32).max(1))
-                            .is_some())
-                {
-                    return;
-                }
-                let base = mr.base();
-                env.mem.write(base + addr, data);
-                self.ooo_done.insert(pkt.psn.value(), 1);
-                self.stats.ooo_executed += 1;
+            PacketKind::WriteRequest { data, .. } => {
+                env.mem.write(at, data);
+                1
             }
             PacketKind::Send { .. }
             | PacketKind::AtomicRequest { .. }
             | PacketKind::ReadResponse { .. }
             | PacketKind::AtomicResponse { .. }
             | PacketKind::Ack
-            | PacketKind::Nak(_) => {}
-        }
-    }
-
-    /// On-demand pinning: synchronously map the span's pages (NP-RDMA
-    /// style) and continue serving — the fault window never opens.
-    fn pin_span(
-        &mut self,
-        env: &mut QpEnv<'_>,
-        fx: &mut Effects,
-        mr_key: MrKey,
-        off: u64,
-        len: u32,
-    ) {
-        let mr = env
-            .mrs
-            .get_mut(&mr_key)
-            .expect("invariant: span validated by caller");
-        let pinned = fault::pin_pages(mr, off, len);
-        if pinned > 0 {
-            self.stats.pages_pinned += pinned as u64;
-            fx.pins += pinned;
-        }
+            | PacketKind::Nak(_) => return,
+        };
+        self.ooo_done.insert(pkt.psn.value(), psns);
+        self.stats.ooo_executed += 1;
     }
 
     fn send_rnr_nak(&mut self, ctx: &QpCtx, fx: &mut Effects, psn: Psn) {
         self.stats.rnr_naks_sent += 1;
-        let (peer_lid, peer_qpn) = ctx.peer_or_panic();
-        fx.packets.push(Packet {
-            src: ctx.lid,
-            dst: peer_lid,
-            dst_qp: peer_qpn,
-            src_qp: ctx.qpn,
-            psn,
-            kind: PacketKind::Nak(NakKind::Rnr {
-                delay: ctx.cfg.min_rnr_delay,
-            }),
-            ghost: false,
-            ecn: false,
-            retransmit: false,
-        });
-    }
-
-    /// Starts page faults for the pages a dropped request targets, without
-    /// processing the request itself.
-    fn queue_faults_for(&mut self, env: &mut QpEnv<'_>, fx: &mut Effects, pkt: &Packet) {
-        let (rkey, addr, len) = match &pkt.kind {
-            PacketKind::ReadRequest {
-                rkey, addr, len, ..
-            } => (*rkey, *addr, (*len).max(1)),
-            PacketKind::WriteRequest {
-                rkey, addr, data, ..
-            } => (*rkey, *addr, (data.len() as u32).max(1)),
-            PacketKind::AtomicRequest { rkey, addr, .. } => (*rkey, *addr, 8),
-            // SENDs fault through posted-receive buffers, not rkeys;
-            // responses and (N)ACKs never carry a memory target.
-            PacketKind::Send { .. }
-            | PacketKind::ReadResponse { .. }
-            | PacketKind::AtomicResponse { .. }
-            | PacketKind::Ack
-            | PacketKind::Nak(_) => return,
-        };
-        let Some(mr) = env.mrs.get_mut(&rkey) else {
-            return;
-        };
-        if mr.mode() != MrMode::Odp || !mr.contains(addr, len) {
-            return;
-        }
-        if fault::raise_unmapped(mr, rkey, addr, len, fx) {
-            self.stats.faults_raised += 1;
-        }
+        let delay = ctx.cfg.min_rnr_delay;
+        fx.packets
+            .push(ctx.packet(psn, PacketKind::Nak(NakKind::Rnr { delay })));
     }
 
     fn send_ack(&mut self, ctx: &QpCtx, fx: &mut Effects, psn: Psn) {
-        let (peer_lid, peer_qpn) = ctx.peer_or_panic();
-        fx.packets.push(Packet {
-            src: ctx.lid,
-            dst: peer_lid,
-            dst_qp: peer_qpn,
-            src_qp: ctx.qpn,
-            psn,
-            kind: PacketKind::Ack,
-            ghost: false,
-            // Echo a pending forward-path congestion mark back to the
-            // requester; consumed so each mark is echoed once.
-            ecn: std::mem::take(&mut self.ecn_pending),
-            retransmit: false,
-        });
+        let mut ack = ctx.packet(psn, PacketKind::Ack);
+        // Echo a pending forward-path congestion mark back to the
+        // requester; consumed so each mark is echoed once.
+        ack.ecn = std::mem::take(&mut self.ecn_pending);
+        fx.packets.push(ack);
     }
 
-    /// Begins ODP fault pendency for the `(mr_key, offset, len)` span
-    /// (server-side ODP, §III-B): RNR-NAK the requester and drop
-    /// everything until resolved.
-    fn begin_fault_pendency(
+    fn nak_remote_access(&mut self, ctx: &QpCtx, fx: &mut Effects, psn: Psn) {
+        fx.packets
+            .push(ctx.packet(psn, PacketKind::Nak(NakKind::RemoteAccess)));
+    }
+
+    /// The one admission: may this QP touch `span` now, and where is it?
+    /// An unknown key or a range outside the region is refused with a
+    /// remote-access NAK. Otherwise the page gate runs, and pages still
+    /// pending after it begin fault pendency (server-side ODP, §III-B):
+    /// RNR-NAK the requester and drop everything until they resolve.
+    /// Returns the host address of the span's first byte when the
+    /// request may execute; `None` means it has been answered.
+    fn admit(
         &mut self,
         ctx: &QpCtx,
+        env: &mut QpEnv<'_>,
         fx: &mut Effects,
-        mrs: &mut BTreeMap<MrKey, MemRegion>,
-        span: (MrKey, u64, u32),
         psn: Psn,
-    ) {
-        let (mr_key, offset, len) = span;
-        let mr = mrs
-            .get_mut(&mr_key)
-            .expect("invariant: span validated by caller");
-        let (pages, newly_faulted) = fault::collect_pendency_pages(mr, mr_key, offset, len, fx);
-        if newly_faulted {
-            self.stats.faults_raised += 1;
+        span: Span,
+    ) -> Option<u64> {
+        let Some(mr) = in_bounds(env.mrs, span) else {
+            self.nak_remote_access(ctx, fx, psn);
+            return None;
+        };
+        let gated = fault::admit(ctx.cfg.recovery, mr, span, &mut self.stats.gate, fx);
+        let pages: Vec<_> = gated.pending(mr).collect();
+        if pages.is_empty() {
+            return Some(mr.base() + span.off);
         }
         self.resp_pend = Some(RespPend::Fault { psn, pages });
         self.send_rnr_nak(ctx, fx, psn);
+        None
     }
 
-    /// Executes the in-sequence request `pkt`, dispatching by opcode.
+    /// Executes the in-sequence request `pkt` against its `target`.
     fn execute_request(
         &mut self,
         ctx: &QpCtx,
         env: &mut QpEnv<'_>,
         fx: &mut Effects,
         pkt: &Packet,
+        target: Option<Span>,
     ) {
+        let psn = pkt.psn;
+        if let PacketKind::Send { seg, data } = &pkt.kind {
+            return self.execute_send(ctx, env, fx, psn, *seg, data);
+        }
+        let span = target.expect("invariant: every request but a SEND names its target");
         match &pkt.kind {
-            PacketKind::ReadRequest { .. } => self.execute_read(ctx, env, fx, pkt),
-            PacketKind::WriteRequest { .. } => self.execute_write(ctx, env, fx, pkt),
-            PacketKind::Send { .. } => self.execute_send(ctx, env, fx, pkt),
-            PacketKind::AtomicRequest { .. } => self.execute_atomic(ctx, env, fx, pkt),
-            PacketKind::ReadResponse { .. }
+            PacketKind::ReadRequest {
+                len, resp_packets, ..
+            } => {
+                if let Some(src) = self.admit(ctx, env, fx, psn, span) {
+                    push_read_responses(ctx, env, fx, psn, (src, *len, *resp_packets), false);
+                    self.epsn = psn.add(*resp_packets);
+                }
+            }
+            PacketKind::WriteRequest { seg, data, .. } => {
+                if let Some(dst) = self.admit(ctx, env, fx, psn, span) {
+                    env.mem.write(dst, data);
+                    self.epsn = self.epsn.next();
+                    if seg.is_final() {
+                        self.send_ack(ctx, fx, psn);
+                    }
+                }
+            }
+            PacketKind::AtomicRequest { op, .. } => {
+                if !span.off.is_multiple_of(8) {
+                    self.nak_remote_access(ctx, fx, psn);
+                } else if let Some(at) = self.admit(ctx, env, fx, psn, span) {
+                    self.execute_atomic(ctx, env, fx, psn, *op, at);
+                }
+            }
+            PacketKind::Send { .. }
+            | PacketKind::ReadResponse { .. }
             | PacketKind::AtomicResponse { .. }
             | PacketKind::Ack
-            | PacketKind::Nak(_) => {
-                unreachable!("responder only sees requests")
-            }
+            | PacketKind::Nak(_) => unreachable!("responder only sees requests"),
         }
     }
 
-    fn execute_read(&mut self, ctx: &QpCtx, env: &mut QpEnv<'_>, fx: &mut Effects, pkt: &Packet) {
-        let PacketKind::ReadRequest {
-            rkey,
-            addr,
+    /// A SEND targets the head posted receive, continuing where the
+    /// message's earlier segments left off.
+    fn execute_send(
+        &mut self,
+        ctx: &QpCtx,
+        env: &mut QpEnv<'_>,
+        fx: &mut Effects,
+        psn: Psn,
+        seg: SegPos,
+        data: &[u8],
+    ) {
+        let len = data.len() as u32;
+        let Some(recv) = self.rq.front() else {
+            self.resp_pend = Some(RespPend::NoRecv { psn });
+            self.send_rnr_nak(ctx, fx, psn);
+            return;
+        };
+        if self.rq_written + len > recv.max_len {
+            self.nak_remote_access(ctx, fx, psn);
+            return;
+        }
+        let span = Span {
+            key: recv.mr,
+            off: recv.offset + self.rq_written as u64,
             len,
-            resp_packets,
-        } = &pkt.kind
-        else {
-            unreachable!("dispatched on kind");
         };
-        let Some(mr) = env.mrs.get(rkey) else {
-            self.nak_remote_access(ctx, fx, pkt.psn);
+        let wr_id = recv.id;
+        let Some(dst) = self.admit(ctx, env, fx, psn, span) else {
             return;
         };
-        if !mr.contains(*addr, *len) {
-            self.nak_remote_access(ctx, fx, pkt.psn);
-            return;
-        }
-        if mr.mode() == MrMode::Odp && mr.first_unmapped(*addr, (*len).max(1)).is_some() {
-            if ctx.cfg.recovery.pins_on_first_touch() {
-                self.pin_span(env, fx, *rkey, *addr, *len);
-            } else {
-                self.begin_fault_pendency(ctx, fx, env.mrs, (*rkey, *addr, *len), pkt.psn);
-                return;
-            }
-        }
-        let base = env
-            .mrs
-            .get(rkey)
-            .expect("invariant: rkey checked above")
-            .base();
-        push_read_responses(
-            ctx,
-            env,
-            fx,
-            pkt.psn,
-            (base + addr, *len, *resp_packets),
-            false,
-        );
-        self.epsn = pkt.psn.add(*resp_packets);
-    }
-
-    fn execute_write(&mut self, ctx: &QpCtx, env: &mut QpEnv<'_>, fx: &mut Effects, pkt: &Packet) {
-        let PacketKind::WriteRequest {
-            seg,
-            rkey,
-            addr,
-            data,
-        } = &pkt.kind
-        else {
-            unreachable!("dispatched on kind");
-        };
-        let Some(mr) = env.mrs.get(rkey) else {
-            self.nak_remote_access(ctx, fx, pkt.psn);
-            return;
-        };
-        if !mr.contains(*addr, data.len() as u32) {
-            self.nak_remote_access(ctx, fx, pkt.psn);
-            return;
-        }
-        if mr.mode() == MrMode::Odp
-            && mr
-                .first_unmapped(*addr, (data.len() as u32).max(1))
-                .is_some()
-        {
-            if ctx.cfg.recovery.pins_on_first_touch() {
-                self.pin_span(env, fx, *rkey, *addr, data.len() as u32);
-            } else {
-                self.begin_fault_pendency(
-                    ctx,
-                    fx,
-                    env.mrs,
-                    (*rkey, *addr, data.len() as u32),
-                    pkt.psn,
-                );
-                return;
-            }
-        }
-        let base = env
-            .mrs
-            .get(rkey)
-            .expect("invariant: rkey checked above")
-            .base();
-        env.mem.write(base + addr, data);
+        env.mem.write(dst, data);
+        self.rq_written += len;
         self.epsn = self.epsn.next();
         if seg.is_final() {
-            self.send_ack(ctx, fx, pkt.psn);
-        }
-    }
-
-    fn execute_send(&mut self, ctx: &QpCtx, env: &mut QpEnv<'_>, fx: &mut Effects, pkt: &Packet) {
-        let PacketKind::Send { seg, data } = &pkt.kind else {
-            unreachable!("dispatched on kind");
-        };
-        let Some(recv) = self.rq.front().cloned() else {
-            self.resp_pend = Some(RespPend::NoRecv { psn: pkt.psn });
-            self.send_rnr_nak(ctx, fx, pkt.psn);
-            return;
-        };
-        if self.rq_written + data.len() as u32 > recv.max_len {
-            self.nak_remote_access(ctx, fx, pkt.psn);
-            return;
-        }
-        let mr = env
-            .mrs
-            .get(&recv.mr)
-            .expect("invariant: recv posted with a valid lkey");
-        let dst_off = recv.offset + self.rq_written as u64;
-        if mr.mode() == MrMode::Odp
-            && mr
-                .first_unmapped(dst_off, (data.len() as u32).max(1))
-                .is_some()
-        {
-            if ctx.cfg.recovery.pins_on_first_touch() {
-                self.pin_span(env, fx, recv.mr, dst_off, data.len() as u32);
-            } else {
-                self.begin_fault_pendency(
-                    ctx,
-                    fx,
-                    env.mrs,
-                    (recv.mr, dst_off, data.len() as u32),
-                    pkt.psn,
-                );
-                return;
-            }
-        }
-        let base = env
-            .mrs
-            .get(&recv.mr)
-            .expect("invariant: recv lkey checked above")
-            .base();
-        env.mem.write(base + dst_off, data);
-        self.rq_written += data.len() as u32;
-        self.epsn = self.epsn.next();
-        if seg.is_final() {
-            self.send_ack(ctx, fx, pkt.psn);
-            let recv = self
-                .rq
-                .pop_front()
-                .expect("invariant: rq front cloned above");
+            self.send_ack(ctx, fx, psn);
+            self.rq.pop_front();
             fx.completions.push(Completion {
-                wr_id: recv.id,
+                wr_id,
                 qpn: ctx.qpn,
                 status: WcStatus::Success,
                 opcode: WcOpcode::Recv,
@@ -524,83 +364,44 @@ impl Responder {
         }
     }
 
-    fn execute_atomic(&mut self, ctx: &QpCtx, env: &mut QpEnv<'_>, fx: &mut Effects, pkt: &Packet) {
-        let PacketKind::AtomicRequest { op, rkey, addr } = &pkt.kind else {
-            unreachable!("dispatched on kind");
-        };
-        let Some(mr) = env.mrs.get(rkey) else {
-            self.nak_remote_access(ctx, fx, pkt.psn);
-            return;
-        };
-        if !mr.contains(*addr, 8) || addr % 8 != 0 {
-            self.nak_remote_access(ctx, fx, pkt.psn);
-            return;
-        }
-        if mr.mode() == MrMode::Odp && mr.first_unmapped(*addr, 8).is_some() {
-            if ctx.cfg.recovery.pins_on_first_touch() {
-                self.pin_span(env, fx, *rkey, *addr, 8);
-            } else {
-                self.begin_fault_pendency(ctx, fx, env.mrs, (*rkey, *addr, 8), pkt.psn);
-                return;
-            }
-        }
-        let base = env
-            .mrs
-            .get(rkey)
-            .expect("invariant: rkey checked above")
-            .base();
-        let bytes = env.mem.read(base + addr, 8);
+    /// Applies the atomic `op` to the 8 admitted bytes at host address
+    /// `at` and answers with the original value.
+    fn execute_atomic(
+        &mut self,
+        ctx: &QpCtx,
+        env: &mut QpEnv<'_>,
+        fx: &mut Effects,
+        psn: Psn,
+        op: AtomicOp,
+        at: u64,
+    ) {
+        let bytes = env.mem.read(at, 8);
         let original = u64::from_le_bytes(
             bytes
                 .try_into()
                 .expect("invariant: an 8-byte read yields 8 bytes"),
         );
         let new = match op {
-            crate::packet::AtomicOp::FetchAdd { add } => original.wrapping_add(*add),
-            crate::packet::AtomicOp::CompareSwap { compare, swap } => {
-                if original == *compare {
-                    *swap
+            AtomicOp::FetchAdd { add } => original.wrapping_add(add),
+            AtomicOp::CompareSwap { compare, swap } => {
+                if original == compare {
+                    swap
                 } else {
                     original
                 }
             }
         };
-        env.mem.write(base + addr, &new.to_le_bytes());
-        self.atomic_replay.push_back((pkt.psn, original));
+        env.mem.write(at, &new.to_le_bytes());
+        self.atomic_replay.push_back((psn, original));
         if self.atomic_replay.len() > 16 {
             self.atomic_replay.pop_front();
         }
         self.epsn = self.epsn.next();
-        let (peer_lid, peer_qpn) = ctx.peer_or_panic();
-        fx.packets.push(Packet {
-            src: ctx.lid,
-            dst: peer_lid,
-            dst_qp: peer_qpn,
-            src_qp: ctx.qpn,
-            psn: pkt.psn,
-            kind: PacketKind::AtomicResponse {
-                original,
-                req_psn: pkt.psn,
-            },
-            ghost: false,
-            ecn: false,
-            retransmit: false,
-        });
-    }
-
-    fn nak_remote_access(&mut self, ctx: &QpCtx, fx: &mut Effects, psn: Psn) {
-        let (peer_lid, peer_qpn) = ctx.peer_or_panic();
-        fx.packets.push(Packet {
-            src: ctx.lid,
-            dst: peer_lid,
-            dst_qp: peer_qpn,
-            src_qp: ctx.qpn,
-            psn,
-            kind: PacketKind::Nak(NakKind::RemoteAccess),
-            ghost: false,
-            ecn: false,
-            retransmit: false,
-        });
+        let kind = PacketKind::AtomicResponse {
+            original,
+            req_psn: psn,
+        };
+        fx.packets.push(ctx.packet(psn, kind));
     }
 
     /// Duplicate requests: re-execute READs (the blind-retransmission path
@@ -612,10 +413,20 @@ impl Responder {
         env: &mut QpEnv<'_>,
         fx: &mut Effects,
         pkt: &Packet,
+        target: Option<Span>,
     ) {
         match &pkt.kind {
-            PacketKind::ReadRequest { .. } => self.duplicate_read(ctx, env, fx, pkt),
-            PacketKind::AtomicRequest { .. } => self.duplicate_atomic(ctx, fx, pkt),
+            PacketKind::ReadRequest {
+                len, resp_packets, ..
+            } => {
+                // Refused by the probe only if a page got invalidated
+                // again: drop, the requester's timeout re-drives it in
+                // order.
+                if let Some(src) = target.and_then(|t| probe(env.mrs, t)) {
+                    push_read_responses(ctx, env, fx, pkt.psn, (src, *len, *resp_packets), true);
+                }
+            }
+            PacketKind::AtomicRequest { .. } => self.duplicate_atomic(ctx, fx, pkt.psn),
             PacketKind::WriteRequest { seg, .. } | PacketKind::Send { seg, .. }
                 if seg.is_final() =>
             {
@@ -633,53 +444,26 @@ impl Responder {
         }
     }
 
-    fn duplicate_read(&mut self, ctx: &QpCtx, env: &mut QpEnv<'_>, fx: &mut Effects, pkt: &Packet) {
-        let PacketKind::ReadRequest {
-            rkey,
-            addr,
-            len,
-            resp_packets,
-        } = &pkt.kind
-        else {
-            unreachable!("dispatched on kind");
-        };
-        let Some(mr) = env.mrs.get(rkey) else { return };
-        if !mr.contains(*addr, *len)
-            || (mr.mode() == MrMode::Odp && mr.first_unmapped(*addr, (*len).max(1)).is_some())
-        {
-            // Rare: page got invalidated again. Drop; the requester's
-            // timeout will re-drive it in order.
-            return;
-        }
-        let src = mr.base() + addr;
-        push_read_responses(ctx, env, fx, pkt.psn, (src, *len, *resp_packets), true);
-    }
-
-    fn duplicate_atomic(&mut self, ctx: &QpCtx, fx: &mut Effects, pkt: &Packet) {
+    fn duplicate_atomic(&mut self, ctx: &QpCtx, fx: &mut Effects, psn: Psn) {
         // Never re-execute: replay the stored result if still in the
         // replay window; otherwise drop (the requester's timeout will
         // surface the loss).
-        let replay = self
-            .atomic_replay
-            .iter()
-            .find(|(p, _)| *p == pkt.psn)
-            .map(|&(_, original)| original);
-        if let Some(original) = replay {
-            let (peer_lid, peer_qpn) = ctx.peer_or_panic();
+        let replay = self.atomic_replay.iter().find(|(p, _)| *p == psn);
+        if let Some(&(req_psn, original)) = replay {
+            let kind = PacketKind::AtomicResponse { original, req_psn };
             fx.packets.push(Packet {
-                src: ctx.lid,
-                dst: peer_lid,
-                dst_qp: peer_qpn,
-                src_qp: ctx.qpn,
-                psn: pkt.psn,
-                kind: PacketKind::AtomicResponse {
-                    original,
-                    req_psn: pkt.psn,
-                },
-                ghost: false,
-                ecn: false,
                 retransmit: true,
+                ..ctx.packet(psn, kind)
             });
+        }
+    }
+
+    /// The faulted PSN and the pages fault pendency still waits on.
+    #[cfg(test)]
+    pub(super) fn fault_pendency(&self) -> Option<(Psn, &[(MrKey, usize)])> {
+        match &self.resp_pend {
+            Some(RespPend::Fault { psn, pages }) => Some((*psn, pages)),
+            Some(RespPend::NoRecv { .. }) | None => None,
         }
     }
 
@@ -700,6 +484,41 @@ impl Responder {
     }
 }
 
+/// The memory a request targets, derived once per packet: READ, WRITE
+/// and ATOMIC name it by rkey. SENDs land in posted-receive buffers
+/// (resolved at execution), and responses and (N)ACKs carry none.
+fn target(kind: &PacketKind) -> Option<Span> {
+    let (key, off, len) = match kind {
+        PacketKind::ReadRequest {
+            rkey, addr, len, ..
+        } => (*rkey, *addr, *len),
+        PacketKind::WriteRequest {
+            rkey, addr, data, ..
+        } => (*rkey, *addr, data.len() as u32),
+        PacketKind::AtomicRequest { rkey, addr, .. } => (*rkey, *addr, 8),
+        PacketKind::Send { .. }
+        | PacketKind::ReadResponse { .. }
+        | PacketKind::AtomicResponse { .. }
+        | PacketKind::Ack
+        | PacketKind::Nak(_) => return None,
+    };
+    Some(Span { key, off, len })
+}
+
+/// The region `span` names, if it is registered and holds the range.
+fn in_bounds(mrs: &mut BTreeMap<MrKey, MemRegion>, span: Span) -> Option<&mut MemRegion> {
+    mrs.get_mut(&span.key)
+        .filter(|mr| mr.contains(span.off, span.len))
+}
+
+/// The admission's non-faulting form, for requests that may only execute
+/// if nothing needs answering: the host address of `span` if its region
+/// is registered, holds the range and has every page mapped.
+fn probe(mrs: &BTreeMap<MrKey, MemRegion>, span: Span) -> Option<u64> {
+    let mr = mrs.get(&span.key).filter(|mr| fault::usable(mr, span))?;
+    Some(mr.base() + span.off)
+}
+
 /// Pushes the READ-response segments answering the request at `req_psn`
 /// for `read = (host address, length, response packets)`, each segment's
 /// payload read straight from host memory. A segment past the end of
@@ -713,28 +532,20 @@ fn push_read_responses(
     retransmit: bool,
 ) {
     let (src, len, resp_packets) = read;
-    let (peer_lid, peer_qpn) = ctx.peer_or_panic();
     let (mtu, len) = (ctx.cfg.mtu as usize, len as usize);
     for i in 0..resp_packets {
         let offset = i as usize * mtu;
         let lo = offset.min(len);
         let hi = (offset + mtu).min(len);
-        fx.packets.push(Packet {
-            src: ctx.lid,
-            dst: peer_lid,
-            dst_qp: peer_qpn,
-            src_qp: ctx.qpn,
-            psn: req_psn.add(i),
-            kind: PacketKind::ReadResponse {
-                seg: SegPos::of(i, resp_packets),
-                data: env.mem.read(src + lo as u64, hi - lo),
-                req_psn,
-                offset: offset as u32,
-            },
-            ghost: false,
-            ecn: false,
-            retransmit,
-        });
+        let kind = PacketKind::ReadResponse {
+            seg: SegPos::of(i, resp_packets),
+            data: env.mem.read(src + lo as u64, hi - lo),
+            req_psn,
+            offset: offset as u32,
+        };
+        let mut segment = ctx.packet(req_psn.add(i), kind);
+        segment.retransmit = retransmit;
+        fx.packets.push(segment);
     }
     // A responder with a smaller MTU than the requester's sends fewer
     // bytes than asked. The unsent tail is still read, so which host

@@ -2,18 +2,16 @@
 //! format. Pure functions shared by the first-transmission and
 //! retransmission paths of the requester engine.
 
-use ibsim_fabric::Lid;
-
 use crate::packet::{Packet, PacketKind, SegPos};
-use crate::types::{MrKey, Qpn};
 use crate::wr::{SendWqe, WrOp};
 
-use super::QpEnv;
+use super::fault::Span;
+use super::{QpCtx, QpEnv};
 
-/// For WRITE/SEND WQEs, the local source range of segment `seg`:
-/// `(mr, base_offset, seg_len, seg_offset)`. READs return `None` (their
-/// requests carry no payload).
-pub(super) fn source_segment(wqe: &SendWqe, seg: u32, mtu: u32) -> Option<(MrKey, u64, u32, u64)> {
+/// The local source range segment `seg` of a WRITE/SEND gathers its
+/// payload from. `None` when nothing is gathered: READ and ATOMIC
+/// requests carry no payload, and neither does an empty segment.
+pub(super) fn source_segment(wqe: &SendWqe, seg: u32, mtu: u32) -> Option<Span> {
     match wqe.op {
         WrOp::Read { .. } | WrOp::Atomic { .. } => None,
         WrOp::Write {
@@ -27,26 +25,37 @@ pub(super) fn source_segment(wqe: &SendWqe, seg: u32, mtu: u32) -> Option<(MrKey
             local_off,
             len,
         } => {
-            let seg_off = (seg * mtu) as u64;
             let seg_len = len.saturating_sub(seg * mtu).min(mtu);
-            Some((local_mr, local_off, seg_len, seg_off))
+            (seg_len > 0).then_some(Span {
+                key: local_mr,
+                off: local_off + (seg * mtu) as u64,
+                len: seg_len,
+            })
         }
     }
 }
 
 /// Builds the request packet for segment `seg` of `wqe`.
-#[allow(clippy::too_many_arguments)]
 pub(super) fn build_request_packet(
     env: &mut QpEnv<'_>,
-    lid: Lid,
-    qpn: Qpn,
-    peer_lid: Lid,
-    peer_qpn: Qpn,
+    ctx: &QpCtx,
     wqe: &SendWqe,
     seg: u32,
-    mtu: u32,
     retransmit: bool,
 ) -> Packet {
+    let mtu = ctx.cfg.mtu;
+    // The payload of this segment, gathered from local memory now.
+    let payload = |env: &mut QpEnv<'_>| {
+        let Some(src) = source_segment(wqe, seg, mtu) else {
+            return Vec::new();
+        };
+        let base = env
+            .mrs
+            .get(&src.key)
+            .expect("invariant: WQE admitted with a valid lkey")
+            .base();
+        env.mem.read(base + src.off, src.len as usize)
+    };
     let kind = match &wqe.op {
         WrOp::Read {
             rkey,
@@ -60,45 +69,17 @@ pub(super) fn build_request_packet(
             resp_packets: wqe.resp_packets,
         },
         WrOp::Write {
-            local_mr,
-            local_off,
-            rkey,
-            remote_off,
-            len,
-        } => {
-            let lo = seg * mtu;
-            let seg_len = len.saturating_sub(lo).min(mtu);
-            let base = env
-                .mrs
-                .get(local_mr)
-                .expect("invariant: WQE admitted with a valid lkey")
-                .base();
-            let data = env.mem.read(base + local_off + lo as u64, seg_len as usize);
-            PacketKind::WriteRequest {
-                seg: SegPos::of(seg, wqe.req_packets),
-                rkey: *rkey,
-                addr: *remote_off + lo as u64,
-                data,
-            }
-        }
-        WrOp::Send {
-            local_mr,
-            local_off,
-            len,
-        } => {
-            let lo = seg * mtu;
-            let seg_len = len.saturating_sub(lo).min(mtu);
-            let base = env
-                .mrs
-                .get(local_mr)
-                .expect("invariant: WQE admitted with a valid lkey")
-                .base();
-            let data = env.mem.read(base + local_off + lo as u64, seg_len as usize);
-            PacketKind::Send {
-                seg: SegPos::of(seg, wqe.req_packets),
-                data,
-            }
-        }
+            rkey, remote_off, ..
+        } => PacketKind::WriteRequest {
+            seg: SegPos::of(seg, wqe.req_packets),
+            rkey: *rkey,
+            addr: *remote_off + (seg * mtu) as u64,
+            data: payload(env),
+        },
+        WrOp::Send { .. } => PacketKind::Send {
+            seg: SegPos::of(seg, wqe.req_packets),
+            data: payload(env),
+        },
         WrOp::Atomic {
             rkey,
             remote_off,
@@ -111,14 +92,8 @@ pub(super) fn build_request_packet(
         },
     };
     Packet {
-        src: lid,
-        dst: peer_lid,
-        dst_qp: peer_qpn,
-        src_qp: qpn,
-        psn: wqe.psn_first.add(seg),
-        kind,
         ghost: wqe.ghosted,
-        ecn: false,
         retransmit,
+        ..ctx.packet(wqe.psn_first.add(seg), kind)
     }
 }

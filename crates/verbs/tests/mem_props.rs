@@ -3,7 +3,7 @@
 //! deterministic PRNG (formerly `proptest` properties).
 
 use ibsim_event::SplitMix64;
-use ibsim_verbs::{MemRegion, Memory, MrKey, MrMode, PAGE_SIZE};
+use ibsim_verbs::{MemRegion, Memory, MrKey, MrMode, PageState, PAGE_SIZE};
 
 /// Arbitrary interleaved writes read back exactly, independent of page
 /// boundaries.
@@ -68,8 +68,8 @@ fn pages_spanned_is_exact() {
     }
 }
 
-/// Mapping then invalidating arbitrary pages leaves `first_unmapped`
-/// consistent with `range_mapped`.
+/// Mapping then invalidating arbitrary pages leaves exactly the
+/// invalidated pages unmapped and counts every invalidation.
 #[test]
 fn page_state_queries_agree() {
     for case in 0..128u64 {
@@ -84,12 +84,15 @@ fn page_state_queries_agree() {
                 r.invalidate_page(p);
             }
         }
-        let len = (pages as u64 * PAGE_SIZE) as u32;
-        let fully_mapped = r.range_mapped(0, len);
-        let first = r.first_unmapped(0, len);
-        assert_eq!(fully_mapped, first.is_none(), "case {case}");
-        if let Some(p) = first {
-            assert!(invalidate.contains(&p), "case {case}");
+        for p in 0..pages {
+            let want = if invalidate.contains(&p) {
+                PageState::Unmapped
+            } else {
+                PageState::Mapped
+            };
+            assert_eq!(r.page_state(p), want, "case {case} page {p}");
         }
+        let applied = invalidate.iter().filter(|&&p| p < pages).count();
+        assert_eq!(r.invalidation_count, applied as u64, "case {case}");
     }
 }

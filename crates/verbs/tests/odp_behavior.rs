@@ -4,7 +4,8 @@
 use ibsim_event::{Engine, SimTime};
 use ibsim_fabric::LinkSpec;
 use ibsim_verbs::{
-    Cluster, DeviceProfile, HostId, MrMode, PacketKind, QpConfig, ReadWr, Sim, WcStatus, WriteWr,
+    Cluster, DeviceProfile, HostId, MrMode, PacketKind, QpConfig, ReadWr, RecoveryKind, Sim,
+    WcStatus, WriteWr,
 };
 
 fn cx4() -> DeviceProfile {
@@ -443,4 +444,119 @@ fn flood_retransmissions_are_duplicates_of_the_same_reads() {
     assert!(retx_reqs > 32, "flood duplicates: {retx_reqs}");
     let discarded = cl.qp_stats_sum(a).responses_discarded;
     assert!(discarded > 32, "discarded duplicates: {discarded}");
+}
+
+/// One zero-length request touching the byte *after* a 4096-byte region,
+/// where there is no page: `probe` names which of the request's ranges
+/// sits there. Returns `(status, bytes, faults raised, pages pinned)`.
+fn zero_length_at_region_end(
+    probe: &str,
+    odp: bool,
+    recovery: RecoveryKind,
+) -> (WcStatus, u32, u64, u64) {
+    const END: u64 = 4096;
+    let (server_odp, client_odp) = match probe {
+        "read target" | "write target" => (odp, false),
+        "read landing" | "write source" => (false, odp),
+        other => panic!("unknown probe {other}"),
+    };
+    let (mut eng, mut cl, a, b, local, remote) = setup(cx4(), server_odp, client_odp, END);
+    let cfg = QpConfig {
+        recovery,
+        ..QpConfig::default()
+    };
+    let (qa, _) = cl.connect_pair(&mut eng, a, b, cfg);
+    match probe {
+        "read target" => cl.post(
+            &mut eng,
+            a,
+            qa,
+            ReadWr::new(local.key, (remote.key, END)).len(0).id(1),
+        ),
+        "read landing" => cl.post(
+            &mut eng,
+            a,
+            qa,
+            ReadWr::new((local.key, END), remote.key).len(0).id(1),
+        ),
+        "write target" => cl.post(
+            &mut eng,
+            a,
+            qa,
+            WriteWr::new(local.key, (remote.key, END)).len(0).id(1),
+        ),
+        _ => cl.post(
+            &mut eng,
+            a,
+            qa,
+            WriteWr::new((local.key, END), remote.key).len(0).id(1),
+        ),
+    }
+    eng.run(&mut cl);
+    let cq = cl.poll_cq(a);
+    assert_eq!(cq.len(), 1, "{probe}: one completion");
+    let faults = cl.mr_fault_count(a, local.key) + cl.mr_fault_count(b, remote.key);
+    let stats = [cl.qp_stats_sum(a), cl.qp_stats_sum(b)];
+    assert_eq!(
+        faults,
+        stats.iter().map(|s| s.faults_raised).sum::<u64>(),
+        "{probe}: region and QP fault counters agree"
+    );
+    let pinned = stats.iter().map(|s| s.pages_pinned).sum();
+    (cq[0].status, cq[0].bytes, faults, pinned)
+}
+
+/// A zero-length READ or WRITE pointing at the end of an ODP region —
+/// as its remote target, its local landing range or its local source —
+/// touches no page: it completes `Success` with 0 bytes and raises no
+/// fault under every recovery backend, exactly as on pinned memory.
+/// (The first three panicked the responder or the requester mid-run,
+/// "range out of bounds", while each site re-spelt the zero-length rule
+/// beside its bounds check.)
+#[test]
+fn zero_length_at_the_end_of_an_odp_region_touches_no_page() {
+    for probe in [
+        "read target",
+        "write target",
+        "read landing",
+        "write source",
+    ] {
+        for recovery in [
+            RecoveryKind::GoBackN,
+            RecoveryKind::SelectiveRepeat,
+            RecoveryKind::OnDemandPin,
+        ] {
+            let pinned_twin = zero_length_at_region_end(probe, false, recovery);
+            assert_eq!(
+                pinned_twin,
+                (WcStatus::Success, 0, 0, 0),
+                "{probe} on pinned memory under {recovery}"
+            );
+            assert_eq!(
+                zero_length_at_region_end(probe, true, recovery),
+                pinned_twin,
+                "{probe} on ODP memory under {recovery}"
+            );
+        }
+    }
+}
+
+/// A zero-length READ pointing *inside* an ODP region still touches the
+/// page it points into: the server faults it (one RNR NAK) before the
+/// empty response goes out.
+#[test]
+fn zero_length_inside_an_odp_region_still_faults_its_page() {
+    let (mut eng, mut cl, a, b, local, remote) = setup(cx4(), true, false, 8192);
+    let (qa, _) = cl.connect_pair(&mut eng, a, b, QpConfig::default());
+    cl.post(
+        &mut eng,
+        a,
+        qa,
+        ReadWr::new(local.key, (remote.key, 4096)).len(0).id(1),
+    );
+    eng.run(&mut cl);
+    let cq = cl.poll_cq(a);
+    assert_eq!((cq[0].status, cq[0].bytes), (WcStatus::Success, 0));
+    assert_eq!(cl.mr_fault_count(b, remote.key), 1);
+    assert_eq!(cl.qp_stats_sum(b).rnr_naks_sent, 1);
 }

@@ -1,5 +1,5 @@
 //! Reproduce packet damming (§V), detect it from the packet capture with
-//! the library's analyzer, and show the dummy-communication workaround
+//! the trace linter, and show the dummy-communication workaround
 //! (§IX-A) removing the ~500 ms stall.
 //!
 //! ```text
@@ -9,7 +9,7 @@
 use ibsim::analysis::{lint_capture, LintConfig, RuleId};
 use ibsim::event::SimTime;
 use ibsim::odp::workaround::install_dummy_reads;
-use ibsim::odp::{detect_damming, run_microbench, MicrobenchConfig};
+use ibsim::odp::{run_microbench, MicrobenchConfig};
 use ibsim::telemetry::render_summary;
 use ibsim::verbs::{
     Cluster, ClusterBuilder, DeviceProfile, MrBuilder, QpConfig, ReadWr, WcStatus, WrId,
@@ -30,29 +30,23 @@ fn main() {
         run.execution_time, run.timeouts
     );
 
-    // 2. The analyzer finds the stall from the capture alone — the
-    //    detection capability §IX-A says real deployments lack.
-    let incidents = detect_damming(run.cluster.capture(run.client), SimTime::from_ms(20));
-    for inc in &incidents {
-        println!(
-            "DAMMING: {} psn{} stalled {} (first tx {}, recovered {} by {})",
-            inc.qp, inc.psn, inc.stall, inc.first_tx, inc.recovered_at, inc.rescued_by
-        );
-    }
-    assert!(!incidents.is_empty(), "the stall must be detected");
-
-    // 3. The conformance linter agrees: every packet is individually
-    //    protocol-legal (no conformance violations), yet the damming
-    //    signature detector flags the flow.
+    // 2. The trace linter finds the stall from the capture alone — the
+    //    detection capability §IX-A says real deployments lack. Every
+    //    packet is individually protocol-legal (no conformance
+    //    violation), yet the damming signature flags the flow: a request
+    //    silently lost, then silence until the ACK timeout.
     let report = lint_capture(run.cluster.capture(run.client), &LintConfig::default());
     for f in report.by_rule(RuleId::DammingSignature) {
         println!("LINTER {f}");
     }
-    assert!(report.count(RuleId::DammingSignature) >= 1);
+    assert!(
+        report.count(RuleId::DammingSignature) >= 1,
+        "the stall must be detected"
+    );
     assert_eq!(report.count(RuleId::FloodSignature), 0);
     assert_eq!(report.count(RuleId::UnjustifiedRetransmit), 0);
 
-    // 4. The telemetry layer tells the same story from the inside: the
+    // 3. The telemetry layer tells the same story from the inside: the
     //    fault-lifecycle spans show where the time went (driver queue
     //    wait, resolution, page-status propagation, retransmit drain).
     println!(
@@ -64,7 +58,7 @@ fn main() {
         "the damming run must record at least one fault span"
     );
 
-    // 5. Workaround: a software timer posting dummy READs gives the
+    // 4. Workaround: a software timer posting dummy READs gives the
     //    responder a chance to emit NAK(PSN sequence error) early.
     let (mut eng, mut cl, hosts) = ClusterBuilder::new()
         .seed(7)

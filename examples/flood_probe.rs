@@ -1,7 +1,7 @@
 //! Reproduce packet flood (§VI): many QPs issue READs that fault on the
 //! same client-side page; per-QP page-status updates lag, duplicate
-//! responses get discarded, and packets multiply. The analyzer spots the
-//! storms, and the fresh-QP re-issue workaround (§IX-A) sidesteps them.
+//! responses get discarded, and packets multiply. The trace linter spots
+//! the storms, and the fresh-QP re-issue workaround (§IX-A) sidesteps them.
 //!
 //! ```text
 //! cargo run --release --example flood_probe
@@ -10,7 +10,7 @@
 use ibsim::analysis::{lint_capture, LintConfig, RuleId};
 use ibsim::event::SimTime;
 use ibsim::odp::workaround::reissue_read;
-use ibsim::odp::{detect_flood, run_microbench, summarize, MicrobenchConfig, OdpMode};
+use ibsim::odp::{run_microbench, summarize, MicrobenchConfig, OdpMode};
 use ibsim::telemetry::render_summary;
 use ibsim::verbs::{ClusterBuilder, DeviceProfile, MrBuilder, QpConfig, ReadWr, WrId};
 
@@ -35,25 +35,18 @@ fn main() {
     );
     println!("traffic: {}", summarize(run.cluster.capture(run.client)));
 
-    let storms = detect_flood(run.cluster.capture(run.client), 3);
-    println!("flood storms detected: {}", storms.len());
-    if let Some(worst) = storms.iter().max_by_key(|s| s.transmissions) {
-        println!(
-            "worst storm: {} psn{} transmitted {} times over {}",
-            worst.qp, worst.psn, worst.transmissions, worst.span
-        );
-    }
-    assert!(!storms.is_empty());
-
-    // 2. The conformance linter sees the same storms as signature
-    //    findings — blind 0.5 ms retransmits with responses discarded —
-    //    while the per-packet RC rules all hold.
+    // 2. The trace linter sees the storms as signature findings — one
+    //    request resent over and over at the blind 0.5 ms cadence while
+    //    its responses are discarded — and the per-packet RC rules hold.
     let report = lint_capture(run.cluster.capture(run.client), &LintConfig::default());
     println!(
         "linter: {} flood signature(s), {} conformance violation(s)",
         report.count(RuleId::FloodSignature),
         report.violations() - report.count(RuleId::FloodSignature)
     );
+    if let Some(first) = report.by_rule(RuleId::FloodSignature).next() {
+        println!("first storm: {first}");
+    }
     assert!(report.count(RuleId::FloodSignature) >= 1);
     assert_eq!(report.count(RuleId::DammingSignature), 0);
 

@@ -2,13 +2,13 @@
 //! the stack together — transport, ODP engine, UCP, DSM, shuffle and the
 //! pitfall analyzers.
 
+use ibsim::analysis::{lint_capture, LintConfig, RuleId};
 use ibsim::dsm::{Dsm, DsmConfig};
 use ibsim::event::{Engine, SimTime};
 use ibsim::fabric::LinkSpec;
 use ibsim::odp::{
-    detect_damming, detect_flood, fnv1a_str, run_microbench, run_microbench_digest,
-    run_microbench_sharded, run_microbench_sharded_with, MicrobenchConfig, MicrobenchDigest,
-    OdpMode, SystemProfile,
+    fnv1a_str, run_microbench, run_microbench_digest, run_microbench_sharded,
+    run_microbench_sharded_with, MicrobenchConfig, MicrobenchDigest, OdpMode, SystemProfile,
 };
 use ibsim::shuffle::{run_shuffle, ShuffleConfig};
 use ibsim::ucp::{MemSlice, Tag, Ucp, UcpConfig};
@@ -42,8 +42,9 @@ fn paper_headline_damming_and_detection() {
     };
     let run = run_microbench(&cfg);
     assert!(run.execution_time >= SimTime::from_ms(400));
-    let incidents = detect_damming(run.cluster.capture(run.client), SimTime::from_ms(20));
-    assert_eq!(incidents.len(), 1);
+    let report = lint_capture(run.cluster.capture(run.client), &LintConfig::default());
+    assert_eq!(report.count(RuleId::DammingSignature), 1, "{report}");
+    assert_eq!(report.count(RuleId::FloodSignature), 0, "{report}");
 }
 
 #[test]
@@ -58,8 +59,9 @@ fn paper_headline_flood_and_detection() {
         ..Default::default()
     };
     let run = run_microbench(&cfg);
-    let storms = detect_flood(run.cluster.capture(run.client), 3);
-    assert!(!storms.is_empty());
+    let report = lint_capture(run.cluster.capture(run.client), &LintConfig::default());
+    assert!(report.count(RuleId::FloodSignature) >= 1, "{report}");
+    assert_eq!(report.count(RuleId::DammingSignature), 0, "{report}");
     assert_eq!(run.errors, 0);
     assert!(run.data_ok);
 }
