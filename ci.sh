@@ -20,22 +20,18 @@ cargo build --release --offline
 echo "==> cargo test --workspace"
 cargo test -q --offline --workspace
 
-echo "==> fabric tests in release (integer overflow panics in debug but"
-echo "    wraps in release, the profile every bench bin and the benchmark"
-echo "    run: the hostile-size and route-contract tests gate both)"
-cargo test -q --offline --release -p ibsim-fabric
-
-echo "==> event tests in release (the key index masks and wraps, slot"
-echo "    generations wrap, and debug_asserts vanish: the model test and the"
-echo "    allocation test gate the profile that is actually measured too)"
-cargo test -q --offline --release -p ibsim-event
-
-echo "==> ucp, shuffle and verbs tests in release (a request id is a table"
-echo "    slot plus one: the subtraction and the narrowing to an index wrap"
-echo "    silently here, so the foreign-id and slot-reuse tests gate both;"
-echo "    verbs multiplies segment and page offsets in u32, so the page-gate"
-echo "    replay and the transport suites gate the measured profile too)"
-cargo test -q --offline --release -p ibsim-ucp -p ibsim-shuffle -p ibsim-verbs
+echo "==> fabric, event, ucp, shuffle and verbs tests in release, the"
+echo "    profile every bench bin and the benchmark run: integer overflow"
+echo "    panics in debug but wraps here and debug_asserts vanish. fabric:"
+echo "    the hostile-size and route-contract tests gate both profiles;"
+echo "    event: the key index masks and wraps, slot generations wrap (the"
+echo "    model test and the allocation test); ucp and shuffle: a request id"
+echo "    is a table slot plus one, so the subtraction and the narrowing to"
+echo "    an index wrap silently (the foreign-id and slot-reuse tests);"
+echo "    verbs multiplies segment and page offsets in u32 (the page-gate"
+echo "    replay and the transport suites)"
+cargo test -q --offline --release \
+    -p ibsim-fabric -p ibsim-event -p ibsim-ucp -p ibsim-shuffle -p ibsim-verbs
 
 echo "==> pitfall probes (linter must flag each probe's own signature;"
 echo "    flood probe exits nonzero if telemetry records zero fault spans)"

@@ -8,10 +8,9 @@
 //! counters from.
 //!
 //! Checks never panic: violations are counted and surfaced — through
-//! [`ibsim_verbs::QpStats::invariant_violations`], through
-//! `Engine::monotonicity_violations`, and through `ibsim-odp`'s
-//! `HostCounters` — so a broken invariant shows up in the same counter
-//! reports the paper's methodology relies on.
+//! [`ibsim_verbs::QpStats::invariant_violations`] and
+//! `Engine::monotonicity_violations` — so a broken invariant shows up in
+//! the counters a run already reports.
 
 use std::fmt;
 
@@ -47,23 +46,6 @@ impl InvariantId {
             InvariantId::QpStateTransition => "QP_STATE_TRANSITION",
             InvariantId::EventTimeMonotonicity => "EVENT_TIME_MONOTONICITY",
             InvariantId::DeadEventPops => "DEAD_EVENT_POPS",
-        }
-    }
-
-    /// One-line description of what the check enforces.
-    pub fn description(self) -> &'static str {
-        match self {
-            InvariantId::QpStateTransition => {
-                "QP state changes follow the RC lifecycle (Reset→Init→Rtr→Rts, \
-                 any→Error, Error→Reset)"
-            }
-            InvariantId::EventTimeMonotonicity => {
-                "event pops never move the simulated clock backwards"
-            }
-            InvariantId::DeadEventPops => {
-                "the event queue never pops a cancelled entry (cancellation \
-                 physically removes events instead of tombstoning them)"
-            }
         }
     }
 }
@@ -145,7 +127,6 @@ mod tests {
     fn registry_is_self_describing() {
         for id in InvariantId::ALL {
             assert!(!id.code().is_empty());
-            assert!(!id.description().is_empty());
             assert_eq!(id.to_string(), id.code());
         }
     }

@@ -1,6 +1,6 @@
 //! Packet-level signature detectors for the paper's two pitfalls.
 //!
-//! These complement the conformance rules in [`crate::linter`]: a damming
+//! These complement the conformance rules in `crate::linter`: a damming
 //! or flood trace is often *protocol-legal* packet by packet (every
 //! retransmission has a timeout behind it), yet the shape of the timeline
 //! is pathological. The signatures below encode exactly what the paper's

@@ -178,7 +178,7 @@ pub fn run_congestion(storm: Option<RecoveryKind>, quick: bool) -> CongestionRun
     }
 
     eng.run(&mut cl);
-    cl.sync_telemetry(&eng);
+    cl.sync_telemetry_at(&eng, eng.now());
 
     let victim_completions = cl.poll_cq(victim_client).len();
     let (p99, mean) = cl

@@ -16,8 +16,6 @@
 //!   periodic dummy communication, fresh-QP re-issue).
 //! * [`regcache`] — the manual alternatives ODP competes against
 //!   (register-per-transfer, Tezuka-style pin-down cache, §VIII-A).
-//! * [`counters`] — `/sys`-style ODP/transport/driver counters and a
-//!   packet-free pitfall screen.
 //! * [`timeline`] — Fig. 1/5/8-style annotated workflow rendering.
 //! * [`hash`] — the FNV-1a trace-identity digest shared by every
 //!   byte-identity gate in the workspace.
@@ -41,7 +39,6 @@
 
 #![warn(missing_docs)]
 
-pub mod counters;
 pub mod experiment;
 pub mod hash;
 pub mod microbench;
@@ -51,16 +48,14 @@ pub mod timeline;
 pub mod traffic;
 pub mod workaround;
 
-pub use counters::{snapshot, HostCounters};
 pub use experiment::{
     fig11_curves, fig1_workflow, fig2_curve, fig4_series, fig5_workflow, fig6_series, fig7_series,
     fig8_workflow, fig9_points, Fig11Curve, Fig2Point, Fig4Point, Fig9Point, TimeoutSeries,
 };
 pub use hash::{fnv1a, fnv1a_str};
 pub use microbench::{
-    average_execution, run_microbench, run_microbench_digest, run_microbench_sharded,
-    run_microbench_sharded_with, timeout_probability, MicrobenchConfig, MicrobenchDigest,
-    MicrobenchRun, OdpMode,
+    average_execution, run_microbench, run_microbench_plan, timeout_probability, MicrobenchConfig,
+    MicrobenchDigest, MicrobenchRun, OdpMode,
 };
 pub use regcache::{deregistration_cost, registration_cost, PinDownCache, RegCacheStats};
 pub use systems::SystemProfile;

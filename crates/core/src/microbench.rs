@@ -335,7 +335,7 @@ pub fn run_microbench(cfg: &MicrobenchConfig) -> MicrobenchRun {
     let (mut eng, mut cl, setup) = build_microbench(cfg, None);
     eng.run(&mut cl);
     if cfg.telemetry {
-        cl.sync_telemetry(&eng);
+        cl.sync_telemetry_at(&eng, eng.now());
     }
     let (op_completions, last, errors, data_ok) = collect_client(&mut cl, &setup, cfg);
     let client_stats = cl.qp_stats_sum(setup.client);
@@ -362,7 +362,7 @@ pub fn run_microbench(cfg: &MicrobenchConfig) -> MicrobenchRun {
 /// the cross-shard conformance battery compares between a sequential run
 /// and a sharded one. The telemetry hub is canonically ordered (spans
 /// sorted by completion, the non-mergeable `event.peak_depth` gauge
-/// dropped) so [`ibsim_telemetry::export_jsonl`] output is byte-equal
+/// dropped) so [`ibsim_verbs::export_jsonl`] output is byte-equal
 /// across shard counts.
 #[derive(Debug)]
 pub struct MicrobenchDigest {
@@ -395,35 +395,19 @@ pub struct MicrobenchDigest {
     pub queue_stats: QueueStats,
 }
 
-/// Runs the micro-benchmark on the plain engine and reduces it to the
-/// shard-count-invariant digest: the one-owner plan of
-/// [`run_microbench_sharded_with`].
-pub fn run_microbench_digest(cfg: &MicrobenchConfig) -> MicrobenchDigest {
-    run_microbench_sharded(cfg, 1)
-}
-
-/// Runs the micro-benchmark under [`ShardPlan::pair`]: client on shard
-/// 0, server on shard 1 when there is one, further shards idle
-/// replicas. The cross-shard conformance battery asserts the digest is
-/// identical at every shard count.
-///
-/// # Panics
-///
-/// As [`run_microbench_sharded_with`].
-pub fn run_microbench_sharded(cfg: &MicrobenchConfig, shards: usize) -> MicrobenchDigest {
-    run_microbench_sharded_with(cfg, ShardPlan::pair(shards))
-}
-
-/// The digest body: builds, runs and collects the micro-benchmark under
-/// an explicit [`ShardPlan`] (custom owner maps and lookahead overrides
-/// are the testing knobs) through [`run_plan`], which picks the executor
-/// from the plan.
+/// Builds, runs and collects the micro-benchmark under an explicit
+/// [`ShardPlan`] through [`run_plan`], which picks the executor from the
+/// plan, and reduces it to the shard-count-invariant digest.
+/// `ShardPlan::pair(1)` is the plain engine on the calling thread;
+/// `ShardPlan::pair(n)` puts the client on shard 0, the server on shard
+/// 1 and leaves further shards idle replicas. The cross-shard
+/// conformance battery asserts the digest is identical under every plan.
 ///
 /// # Panics
 ///
 /// Panics as [`run_plan`] does (malformed plan, lookahead violation), or
 /// if `num_ops`/`num_qps`/`size` is zero.
-pub fn run_microbench_sharded_with(cfg: &MicrobenchConfig, plan: ShardPlan) -> MicrobenchDigest {
+pub fn run_microbench_plan(cfg: &MicrobenchConfig, plan: ShardPlan) -> MicrobenchDigest {
     let done = run_plan(
         &plan,
         None,
@@ -598,10 +582,10 @@ mod tests {
             telemetry: true,
             ..Default::default()
         };
-        let seq = run_microbench_digest(&cfg);
+        let seq = run_microbench_plan(&cfg, ShardPlan::pair(1));
         assert!(seq.timeouts > 0, "damming config must dam");
         for shards in [1, 2, 4] {
-            let sh = run_microbench_sharded(&cfg, shards);
+            let sh = run_microbench_plan(&cfg, ShardPlan::pair(shards));
             assert_eq!(seq.client_timeline, sh.client_timeline, "shards={shards}");
             assert_eq!(seq.op_completions, sh.op_completions, "shards={shards}");
             assert_eq!(seq.execution_time, sh.execution_time, "shards={shards}");
@@ -619,7 +603,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "a sharded run needs at least one shard")]
     fn zero_shards_is_rejected_with_a_diagnostic() {
-        run_microbench_sharded(&MicrobenchConfig::default(), 0);
+        run_microbench_plan(&MicrobenchConfig::default(), ShardPlan::pair(0));
     }
 
     #[test]

@@ -37,6 +37,28 @@ fn tag(kind: u64, seq: u64, node: usize) -> Tag {
     Tag((kind << 48) | (seq << 16) | node as u64)
 }
 
+/// A completion to hand to `n` operations: its `n`-th call runs `then`.
+fn countdown(
+    n: usize,
+    then: impl FnOnce(&mut Sim, &mut Cluster) + 'static,
+) -> impl Fn(&mut Sim, &mut Cluster) + Clone + 'static {
+    let state = Rc::new(RefCell::new((n, Some(then))));
+    move |eng, cl| {
+        let then = {
+            let mut s = state.borrow_mut();
+            s.0 -= 1;
+            if s.0 == 0 {
+                s.1.take()
+            } else {
+                None
+            }
+        };
+        if let Some(then) = then {
+            then(eng, cl);
+        }
+    }
+}
+
 /// Cumulative DSM statistics.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct DsmStats {
@@ -138,10 +160,7 @@ impl Dsm {
             cfg.partition_size() >= (2 + cfg.nodes as u64) * PAGE_SIZE,
             "partition too small for the control area"
         );
-        let ucp = Ucp::new(UcpConfig {
-            odp: cfg.odp,
-            ..Default::default()
-        });
+        let ucp = Ucp::new(UcpConfig { odp: cfg.odp });
         let mut nodes = Vec::new();
         for i in 0..cfg.nodes {
             let host = ucp.add_worker(cl, &format!("dsm{i}"), cfg.device.clone());
@@ -209,21 +228,23 @@ impl Dsm {
             let mut inner = self.inner.borrow_mut();
             (inner.nodes.len(), inner.next_seq())
         };
-        let pending = Rc::new(RefCell::new((n, Some(cb))));
-        let done = {
-            let pending = pending.clone();
-            move |eng: &mut Sim, cl: &mut Cluster| {
-                let mut p = pending.borrow_mut();
-                p.0 -= 1;
-                if p.0 == 0 {
-                    let cb = p.1.take().expect("invariant: barrier callback fires once");
-                    drop(p);
-                    cb(eng, cl);
-                }
-            }
-        };
+        let done = countdown(n, cb);
         // Coordinator collects ARRIVE from everyone else, then GOes them.
-        let arrive_left = Rc::new(RefCell::new(n - 1));
+        let all_arrived = {
+            let (dsm, done) = (self.clone(), done.clone());
+            countdown(n - 1, move |eng, cl| {
+                for j in 1..n {
+                    let (ep, src) = {
+                        let inner = dsm.inner.borrow();
+                        (inner.ep(0, j), inner.scratch_slice(0, 0, 8))
+                    };
+                    let host0 = dsm.host(0);
+                    dsm.ucp
+                        .tag_send(eng, cl, ep, host0, tag(tag_kind::GO, seq, j), src);
+                }
+                done(eng, cl);
+            })
+        };
         for i in 1..n {
             let (ep, arrive_src, go_dst, coord_dst) = {
                 let inner = self.inner.borrow();
@@ -256,28 +277,9 @@ impl Dsm {
             let areq = self
                 .ucp
                 .tag_recv(eng, cl, host0, tag(tag_kind::ARRIVE, seq, i), coord_dst);
-            let arrive_left = arrive_left.clone();
-            let dsm = self.clone();
-            let done0 = done.clone();
-            self.ucp.when_done(eng, cl, areq, move |eng, cl, _| {
-                let left = {
-                    let mut a = arrive_left.borrow_mut();
-                    *a -= 1;
-                    *a
-                };
-                if left == 0 {
-                    for j in 1..n {
-                        let (ep, src) = {
-                            let inner = dsm.inner.borrow();
-                            (inner.ep(0, j), inner.scratch_slice(0, 0, 8))
-                        };
-                        let host0 = dsm.host(0);
-                        dsm.ucp
-                            .tag_send(eng, cl, ep, host0, tag(tag_kind::GO, seq, j), src);
-                    }
-                    done0(eng, cl);
-                }
-            });
+            let arrived = all_arrived.clone();
+            self.ucp
+                .when_done(eng, cl, areq, move |eng, cl, _| arrived(eng, cl));
         }
     }
 
@@ -298,20 +300,13 @@ impl Dsm {
     ) {
         let n = self.node_count();
         let dsm = self.clone();
-        let ready = Rc::new(RefCell::new((n, Some(cb))));
         // Phase 3 (after the per-node work): a closing barrier.
-        let node_done = move |eng: &mut Sim, cl: &mut Cluster| {
-            let mut r = ready.borrow_mut();
-            r.0 -= 1;
-            if r.0 == 0 {
-                let cb = r.1.take().expect("invariant: init finishes once");
-                drop(r);
-                dsm.barrier(eng, cl, move |eng, cl| {
-                    let now = eng.now();
-                    cb(eng, cl, now);
-                });
-            }
-        };
+        let node_done = countdown(n, move |eng, cl| {
+            dsm.barrier(eng, cl, move |eng, cl| {
+                let now = eng.now();
+                cb(eng, cl, now);
+            });
+        });
 
         for i in 0..n {
             let (start, gap) = {
@@ -339,7 +334,7 @@ impl Dsm {
         cl: &mut Cluster,
         i: usize,
         lock_gap: SimTime,
-        done: impl FnOnce(&mut Sim, &mut Cluster) + Clone + 'static,
+        done: impl FnOnce(&mut Sim, &mut Cluster) + 'static,
     ) {
         let n = self.node_count();
         // Directory metadata: 64 bytes into a node-specific page of every
@@ -362,22 +357,14 @@ impl Dsm {
             let dst_off = PAGE_SIZE * (2 + i as u64);
             put_reqs.push(self.ucp.put(eng, cl, ep, host_i, src, dst_key, dst_off, 64));
         }
-        let outstanding = Rc::new(RefCell::new(put_reqs.len()));
         let dsm = self.clone();
+        let puts_done = countdown(put_reqs.len(), move |eng, cl| {
+            dsm.init_lock_phase(eng, cl, i, lock_gap, done);
+        });
         for r in put_reqs {
-            let outstanding = outstanding.clone();
-            let dsm = dsm.clone();
-            let done = done.clone();
-            self.ucp.when_done(eng, cl, r, move |eng, cl, _| {
-                let left = {
-                    let mut o = outstanding.borrow_mut();
-                    *o -= 1;
-                    *o
-                };
-                if left == 0 {
-                    dsm.init_lock_phase(eng, cl, i, lock_gap, done);
-                }
-            });
+            let put_done = puts_done.clone();
+            self.ucp
+                .when_done(eng, cl, r, move |eng, cl, _| put_done(eng, cl));
         }
     }
 
@@ -393,7 +380,7 @@ impl Dsm {
         cl: &mut Cluster,
         i: usize,
         gap: SimTime,
-        done: impl FnOnce(&mut Sim, &mut Cluster) + Clone + 'static,
+        done: impl FnOnce(&mut Sim, &mut Cluster) + 'static,
     ) {
         if i == 0 {
             // The home of the lock word touches it locally.
@@ -447,20 +434,11 @@ impl Dsm {
 
         // The node is done when both its READ and node 0's note arrival
         // completed (the send completion is implied by the recv).
-        let pending = Rc::new(RefCell::new(2u32));
+        let both_done = countdown(2, done);
         for r in [read_req, note_recv] {
-            let pending = pending.clone();
-            let done = done.clone();
-            self.ucp.when_done(eng, cl, r, move |eng, cl, _| {
-                let left = {
-                    let mut p = pending.borrow_mut();
-                    *p -= 1;
-                    *p
-                };
-                if left == 0 {
-                    done(eng, cl);
-                }
-            });
+            let one_done = both_done.clone();
+            self.ucp
+                .when_done(eng, cl, r, move |eng, cl, _| one_done(eng, cl));
         }
     }
 

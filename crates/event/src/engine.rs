@@ -31,7 +31,8 @@
 //!   are no tombstones, so [`dead_event_pops`](Engine::dead_event_pops)
 //!   stays zero by construction;
 //! * the **payload arena** holds each event and its [`TimerKey`] in the
-//!   slot it was given when scheduled. Nothing moves it until it fires.
+//!   slot it was given when scheduled. Nothing moves it until it fires:
+//!   the arena grows by whole pages, never by reallocating.
 //!
 //! An [`EventId`] packs a slot number and the slot's generation; freed
 //! slots are recycled through a LIFO free list. Slot assignment and the
@@ -181,6 +182,48 @@ struct Cell<E> {
     ev: Option<E>,
 }
 
+/// The payload arena: cells in pages of [`Arena::PAGE`]. The first page
+/// grows as a `Vec` does, so a small world stays small; every later one
+/// is allocated whole. Growing therefore never moves a live cell, and a
+/// large world's footprint does not depend on whether the allocator could
+/// extend a megabyte block in place.
+struct Arena<E> {
+    pages: Vec<Vec<Cell<E>>>,
+}
+
+impl<E> Arena<E> {
+    const SHIFT: u32 = 10;
+    const PAGE: usize = 1 << Self::SHIFT;
+
+    fn push(&mut self, cell: Cell<E>) {
+        match self.pages.last_mut() {
+            Some(page) if page.len() < Self::PAGE => page.push(cell),
+            full => {
+                let whole = if full.is_some() { Self::PAGE } else { 0 };
+                let mut page = Vec::with_capacity(whole);
+                page.push(cell);
+                self.pages.push(page);
+            }
+        }
+    }
+}
+
+impl<E> std::ops::Index<usize> for Arena<E> {
+    type Output = Cell<E>;
+
+    #[inline]
+    fn index(&self, slot: usize) -> &Cell<E> {
+        &self.pages[slot >> Self::SHIFT][slot & (Self::PAGE - 1)]
+    }
+}
+
+impl<E> std::ops::IndexMut<usize> for Arena<E> {
+    #[inline]
+    fn index_mut(&mut self, slot: usize) -> &mut Cell<E> {
+        &mut self.pages[slot >> Self::SHIFT][slot & (Self::PAGE - 1)]
+    }
+}
+
 /// One cell of the [`KeyIndex`]: the slot armed under some key, and the
 /// key's hash so that probing, deletion and growth never read the arena.
 #[derive(Debug, Clone, Copy)]
@@ -234,7 +277,7 @@ impl KeyIndex {
 
     /// The slot armed under `key`, whose arena is `arena`.
     #[inline]
-    fn get<E>(&self, arena: &[Cell<E>], key: TimerKey, hash: u32) -> Option<u32> {
+    fn get<E>(&self, arena: &Arena<E>, key: TimerKey, hash: u32) -> Option<u32> {
         self.probe(hash, |slot| arena[slot as usize].key == Some(key))
             .map(|i| self.cells[i].slot)
     }
@@ -394,7 +437,7 @@ pub struct Engine<W, E = Call<W>> {
     /// The position table: `id.slot() → heap index` and generation.
     slots: Vec<Slot>,
     /// The payload arena, parallel to `slots`.
-    cells: Vec<Cell<E>>,
+    cells: Arena<E>,
     /// Freed slot indices, recycled LIFO (deterministic, cache-warm).
     free: Vec<u32>,
     /// `key → slot` of the single live event armed under each timer key.
@@ -446,7 +489,7 @@ impl<W, E: Event<W>> Engine<W, E> {
             now: SimTime::ZERO,
             heap: Vec::new(),
             slots: Vec::new(),
-            cells: Vec::new(),
+            cells: Arena { pages: Vec::new() },
             free: Vec::new(),
             keyed: KeyIndex::default(),
             next_seq: 0,
@@ -469,9 +512,10 @@ impl<W, E: Event<W>> Engine<W, E> {
     }
 
     /// Timestamp of the last executed event ([`SimTime::ZERO`] before any
-    /// event ran). Unlike [`now`](Engine::now), a [`run_until`]
-    /// (Engine::run_until) deadline does not advance this, so it reports
-    /// where the *work* ended rather than where the clock was parked.
+    /// event ran). Unlike [`now`](Engine::now), a
+    /// [`run_until`](Engine::run_until) deadline does not advance this, so
+    /// it reports where the *work* ended rather than where the clock was
+    /// parked.
     #[inline]
     pub fn last_executed_at(&self) -> SimTime {
         self.last_executed_at
@@ -1064,24 +1108,58 @@ mod tests {
     }
 
     #[test]
+    fn arena_grows_by_pages_and_never_moves_a_cell() {
+        let mut arena: Arena<u32> = Arena { pages: Vec::new() };
+        let cell = |i: usize| Cell {
+            key: None,
+            ev: Some(i as u32),
+        };
+        arena.push(cell(0));
+        assert!(
+            arena.pages[0].capacity() < Arena::<u32>::PAGE,
+            "the first page starts small"
+        );
+        for i in 1..Arena::<u32>::PAGE {
+            arena.push(cell(i));
+        }
+        let first: *const Cell<u32> = &arena[0];
+        for i in Arena::<u32>::PAGE..2 * Arena::<u32>::PAGE + 1 {
+            arena.push(cell(i));
+        }
+        assert_eq!(arena.pages.len(), 3);
+        assert!(std::ptr::eq(first, &arena[0]), "growth moved a live cell");
+        assert!(arena
+            .pages
+            .iter()
+            .all(|p| p.capacity() == Arena::<u32>::PAGE));
+        for i in 0..2 * Arena::<u32>::PAGE + 1 {
+            assert_eq!(arena[i].ev, Some(i as u32));
+        }
+        arena[Arena::<u32>::PAGE].ev = None;
+        assert_eq!(arena[Arena::<u32>::PAGE].ev, None);
+    }
+
+    #[test]
     fn key_index_survives_colliding_churn_and_growth() {
         // Every key hashes to the same home position, so the whole table
         // is one probe run and each removal is a long backward shift.
-        let arena: Vec<Cell<()>> = (0..512u64)
-            .map(|k| Cell {
+        const SLOTS: usize = 512;
+        let mut arena: Arena<()> = Arena { pages: Vec::new() };
+        for k in 0..SLOTS as u64 {
+            arena.push(Cell {
                 key: Some(TimerKey(k, !k)),
                 ev: None,
-            })
-            .collect();
+            });
+        }
         let hash = |slot: u32| 5 | (slot % 3) << 16;
         let key = |slot: u32| TimerKey(slot as u64, !(slot as u64));
         let mut index = KeyIndex::default();
         let mut rng = SplitMix64::new(11);
-        let mut armed = vec![false; arena.len()];
+        let mut armed = vec![false; SLOTS];
         for round in 0..20_000 {
             // Fill in the first half of the run, drain in the second, so
             // the table grows several times and then empties.
-            let slot = rng.next_below(arena.len() as u64) as u32;
+            let slot = rng.next_below(SLOTS as u64) as u32;
             let want = if round < 10_000 {
                 rng.next_below(4) > 0
             } else {
@@ -1096,7 +1174,7 @@ mod tests {
             }
             armed[slot as usize] = want;
             if round % 97 == 0 {
-                for s in 0..arena.len() as u32 {
+                for s in 0..SLOTS as u32 {
                     let found = index.get(&arena, key(s), hash(s));
                     assert_eq!(found, armed[s as usize].then_some(s), "round {round}");
                 }

@@ -57,15 +57,6 @@ impl SimTime {
         SimTime(s * 1_000_000_000)
     }
 
-    /// Creates a time from a floating-point number of microseconds,
-    /// rounding to the nearest nanosecond.
-    ///
-    /// Convenient for constants given in the paper such as `4.096 µs`.
-    #[inline]
-    pub fn from_us_f64(us: f64) -> Self {
-        SimTime((us * 1_000.0).round().max(0.0) as u64)
-    }
-
     /// Creates a time from a floating-point number of milliseconds.
     #[inline]
     pub fn from_ms_f64(ms: f64) -> Self {
@@ -144,12 +135,6 @@ impl SimTime {
         } else {
             other
         }
-    }
-
-    /// True if this is the zero time.
-    #[inline]
-    pub const fn is_zero(self) -> bool {
-        self.0 == 0
     }
 }
 
@@ -237,7 +222,6 @@ mod tests {
         assert_eq!(SimTime::from_us(1), SimTime::from_ns(1_000));
         assert_eq!(SimTime::from_ms(1), SimTime::from_us(1_000));
         assert_eq!(SimTime::from_secs(1), SimTime::from_ms(1_000));
-        assert_eq!(SimTime::from_us_f64(4.096), SimTime::from_ns(4_096));
         assert_eq!(SimTime::from_ms_f64(1.28), SimTime::from_us(1_280));
     }
 

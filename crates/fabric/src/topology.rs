@@ -10,18 +10,13 @@ use crate::routing::{DirectedLink, RouteNode, SwitchId, TopologyKind};
 /// A Local IDentifier: the layer-2 address of a port on an InfiniBand
 /// subnet. The subnet manager (implicit here) assigns them densely from 1.
 ///
-/// LID 0 is reserved (it is the "permissive" LID in real InfiniBand), so
-/// [`Lid::is_valid`] is false for it; sending to an unassigned LID models
-/// the paper's Fig. 2 experiment of deliberately mis-addressing a QP.
+/// LID 0 is reserved (it is the "permissive" LID in real InfiniBand) and
+/// never assigned; sending to an unassigned LID models the paper's
+/// Fig. 2 experiment of deliberately mis-addressing a QP.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct Lid(pub u16);
 
 impl Lid {
-    /// True unless this is the reserved LID 0.
-    pub fn is_valid(self) -> bool {
-        self.0 != 0
-    }
-
     /// This LID's index in a table dense from LID 1. The reserved LID 0
     /// wraps to an index no table reaches, so it is never found.
     fn slot(self) -> usize {
@@ -222,7 +217,6 @@ pub struct InterLinkStats {
 
 #[derive(Debug, Clone)]
 struct Port {
-    name: String,
     spec: LinkSpec,
     /// The switch this port attaches to: the topology's `attach` of the
     /// port's table index, cached so a frame never recomputes it.
@@ -244,6 +238,9 @@ struct InterLink {
     stats: InterLinkStats,
 }
 
+/// Forwarding delay of every switch a frame crosses.
+const SWITCH_LATENCY: SimTime = SimTime::from_ns(200);
+
 /// A single-subnet InfiniBand fabric: hosts attach to the switches of a
 /// [`TopologyKind`] (default: the historical one-switch
 /// [`TopologyKind::Crossbar`], which keeps every pinned trace
@@ -264,7 +261,6 @@ struct InterLink {
 #[derive(Debug)]
 pub struct Fabric {
     default_spec: LinkSpec,
-    switch_latency: SimTime,
     /// Host ports, indexed by [`Lid::slot`] (LIDs are dense from 1).
     ports: Vec<Port>,
     loss: LossModel,
@@ -289,7 +285,6 @@ impl Fabric {
     pub fn new(default_spec: LinkSpec) -> Self {
         Fabric {
             default_spec,
-            switch_latency: SimTime::from_ns(200),
             ports: Vec::new(),
             loss: LossModel::None,
             topology: TopologyKind::Crossbar,
@@ -324,7 +319,6 @@ impl Fabric {
             .filter(|&i| i < u16::MAX)
             .unwrap_or_else(|| panic!("fabric: cannot attach host {name:?}: out of LIDs"));
         self.ports.push(Port {
-            name: name.to_owned(),
             spec,
             switch: self.topology.attach(index),
             egress_busy_until: SimTime::ZERO,
@@ -344,11 +338,6 @@ impl Fabric {
     /// refuse to route cross-shard traffic through such a model.
     pub fn loss_is_order_dependent(&self) -> bool {
         self.loss.is_order_dependent()
-    }
-
-    /// Sets the switch forwarding delay (default 200 ns).
-    pub fn set_switch_latency(&mut self, latency: SimTime) {
-        self.switch_latency = latency;
     }
 
     /// Replaces the switch topology: re-attaches every registered host
@@ -382,11 +371,6 @@ impl Fabric {
     pub fn set_congestion(&mut self, ecn: Option<SimTime>, pfc: Option<SimTime>) {
         self.ecn_threshold = ecn;
         self.pfc_threshold = pfc;
-    }
-
-    /// Host name registered for `lid`, if any.
-    pub fn host_name(&self, lid: Lid) -> Option<&str> {
-        self.ports.get(lid.slot()).map(|p| p.name.as_str())
     }
 
     /// Traffic counters for `lid`'s link.
@@ -454,9 +438,9 @@ impl Fabric {
     pub fn idle_transit(&self, src: Lid, dst: Lid, bytes: u32) -> Option<SimTime> {
         let (s, d) = (self.ports.get(src.slot())?, self.ports.get(dst.slot())?);
         let inter = self.default_spec.serialization(bytes) + self.default_spec.latency;
-        let mut t = s.spec.serialization(bytes) + s.spec.latency + self.switch_latency;
+        let mut t = s.spec.serialization(bytes) + s.spec.latency + SWITCH_LATENCY;
         for _ in self.topology.hops(s.switch, d.switch) {
-            t = t + inter + self.switch_latency;
+            t = t + inter + SWITCH_LATENCY;
         }
         Some(t + d.spec.serialization(bytes) + d.spec.latency)
     }
@@ -476,8 +460,6 @@ impl Fabric {
     /// a port that does not exist.
     pub fn transit(&mut self, now: SimTime, src: Lid, dst: Lid, bytes: u32) -> Delivery {
         self.total_frames += 1;
-        let switch_latency = self.switch_latency;
-
         // Egress serialization at the source port.
         let src_slot = src.slot();
         let Some(sport) = self.ports.get_mut(src_slot) else {
@@ -489,7 +471,7 @@ impl Fabric {
         sport.stats.tx_frames += 1;
         sport.stats.tx_bytes += bytes as u64;
         let src_sw = sport.switch;
-        let at_switch = start + ser + sport.spec.latency + switch_latency;
+        let at_switch = start + ser + sport.spec.latency + SWITCH_LATENCY;
 
         // Routing: unknown LIDs die at the first switch.
         let dst_slot = dst.slot();
@@ -553,7 +535,7 @@ impl Fabric {
                 link.stats.bytes += bytes as u64;
                 link.stats.busy_ns += ser.as_ns();
                 link.stats.peak_backlog_ns = link.stats.peak_backlog_ns.max(wait.as_ns());
-                t = start + ser + inter_latency + switch_latency;
+                t = start + ser + inter_latency + SWITCH_LATENCY;
                 if let Some(until) = pause_until {
                     let feeder = match prev {
                         // First hop: backpressure lands on the source
@@ -615,8 +597,10 @@ mod tests {
         let (f, a, b) = two_hosts();
         assert_eq!(a, Lid(1));
         assert_eq!(b, Lid(2));
-        assert_eq!(f.host_name(a), Some("a"));
-        assert!(!Lid(0).is_valid());
+        assert!(
+            f.link_stats(Lid(0)).is_none(),
+            "the reserved LID names no port"
+        );
     }
 
     #[test]

@@ -189,58 +189,6 @@ pub fn render_human(report: &Report) -> String {
     out
 }
 
-/// Renders a report as a single JSON object (hand-rolled; the
-/// workspace has no serde and must stay dependency-free).
-pub fn render_json(report: &Report) -> String {
-    let mut out = String::from("{\"diagnostics\":[");
-    for (i, d) in report.diagnostics.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&format!(
-            "{{\"rule\":{},\"file\":{},\"line\":{},\"col\":{},\"message\":{}}}",
-            json_str(&d.rule),
-            json_str(&d.file),
-            d.line,
-            d.col,
-            json_str(&d.message)
-        ));
-    }
-    out.push_str("],\"unused_allows\":[");
-    for (i, u) in report.unused_allows.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&format!(
-            "{{\"rule\":{},\"file\":{},\"line\":{},\"col\":{}}}",
-            json_str(&u.rule),
-            json_str(&u.file),
-            u.line,
-            u.col
-        ));
-    }
-    out.push_str(&format!("],\"files_scanned\":{}}}", report.files_scanned));
-    out
-}
-
-fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
 fn rel_name(root: &Path, path: &Path) -> String {
     path.strip_prefix(root)
         .unwrap_or(path)
@@ -289,12 +237,6 @@ mod tests {
     }
 
     #[test]
-    fn json_escapes_specials() {
-        assert_eq!(json_str("a\"b\\c\nd"), "\"a\\\"b\\\\c\\nd\"");
-        assert_eq!(json_str("\u{1}"), "\"\\u0001\"");
-    }
-
-    #[test]
     fn render_human_pins_the_span_format() {
         let r = lint_source(
             "crates/verbs/src/x.rs",
@@ -306,16 +248,5 @@ mod tests {
             text.contains("crates/verbs/src/x.rs:1:12: [no-unwrap]"),
             "{text}"
         );
-    }
-
-    #[test]
-    fn render_json_is_well_formed() {
-        let r = lint_source("x.rs", "fn f() { y.unwrap(); }\n", &rules::Policy::all());
-        let json = render_json(&r);
-        assert!(
-            json.starts_with("{\"diagnostics\":[{\"rule\":\"no-unwrap\""),
-            "{json}"
-        );
-        assert!(json.ends_with("\"files_scanned\":1}"), "{json}");
     }
 }

@@ -3,15 +3,13 @@
 //! ```text
 //! cargo run -p ibsim-lint -- --workspace                       # lint every crate
 //! cargo run -p ibsim-lint -- --workspace --deny-unused-allows  # CI mode
-//! cargo run -p ibsim-lint -- --json path/to/file.rs            # one file, JSON
+//! cargo run -p ibsim-lint -- path/to/file.rs                    # one file
 //! ```
 //!
 //! Flags:
 //!
 //! * `--workspace` — lint every configured source root (the default
 //!   when no file arguments are given);
-//! * `--json` — machine-readable output instead of `file:line:col`
-//!   lines;
 //! * `--deny-unused-allows` — a `lint: allow` that suppresses nothing
 //!   fails the run (CI mode; unused allows are always printed);
 //! * `--root <dir>` — workspace root (defaults to the root this binary
@@ -23,7 +21,6 @@
 use std::path::{Path, PathBuf};
 
 fn main() {
-    let mut json = false;
     let mut deny_unused = false;
     let mut workspace = false;
     let mut root: Option<PathBuf> = None;
@@ -32,7 +29,6 @@ fn main() {
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         match arg.as_str() {
-            "--json" => json = true,
             "--deny-unused-allows" => deny_unused = true,
             "--workspace" => workspace = true,
             "--root" => match args.next() {
@@ -61,11 +57,7 @@ fn main() {
         }
     };
 
-    if json {
-        println!("{}", ibsim_lint::render_json(&report));
-    } else {
-        print!("{}", ibsim_lint::render_human(&report));
-    }
+    print!("{}", ibsim_lint::render_human(&report));
     if report.failed(deny_unused) {
         std::process::exit(1);
     }
@@ -96,7 +88,7 @@ fn default_root() -> PathBuf {
 fn fail_usage(msg: &str) -> ! {
     eprintln!("[ibsim-lint] {msg}");
     eprintln!(
-        "usage: ibsim-lint [--workspace] [--json] [--deny-unused-allows] \
+        "usage: ibsim-lint [--workspace] [--deny-unused-allows] \
          [--root <dir>] [files…]"
     );
     std::process::exit(2);

@@ -13,18 +13,24 @@ use crate::lexer::{Token, TokenKind};
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum Rule {
     /// `.unwrap()` calls — and `.expect(…)` calls whose message does not
-    /// document a checked invariant — in simulator code.
+    /// document a checked invariant (`invariant: …`) — in simulator
+    /// code, which must degrade into counters or errors, not panics.
     NoUnwrap,
-    /// `Instant::now` / `SystemTime::now` reads in simulator crates.
+    /// `Instant::now` / `SystemTime::now` reads in simulator crates: all
+    /// time comes from the event engine.
     NoWallClock,
-    /// `HashMap` / `HashSet` in simulator crates.
+    /// `HashMap` / `HashSet` in simulator crates: their iteration order
+    /// is seeded per process and breaks cross-worker hash identity.
     NoStdHashCollections,
-    /// `f32` / `f64` types and float literals in sim-time code.
+    /// `f32` / `f64` types and float literals in sim-time code: float
+    /// arithmetic drifts across platforms; floats stay in reporting.
     NoFloatInSimPath,
-    /// `_ =>` arms in matches over protocol enums.
+    /// `_ =>` arms in matches over protocol enums: a new variant must
+    /// force explicit handling everywhere.
     NoWildcardMatchOnProtocolEnums,
     /// `retransmit: true` struct-literal initializers outside the
-    /// responder's duplicate-replay path.
+    /// responder's duplicate-replay path: anywhere else forges recovery
+    /// traffic the trace linter cannot justify.
     NoDirectRetransmit,
 }
 
@@ -70,37 +76,6 @@ impl Rule {
     /// Looks a rule up by its kebab-case ID.
     pub fn from_id(id: &str) -> Option<Rule> {
         ALL_RULES.into_iter().find(|r| r.id() == id)
-    }
-
-    /// One-line description of what the rule enforces and why.
-    pub fn rationale(self) -> &'static str {
-        match self {
-            Rule::NoUnwrap => {
-                "simulation code must degrade into counters or errors, not panics; \
-                 a bare `.expect(…)` is an unwrap with a nicer epitaph — only a \
-                 documented invariant check (message starting `invariant: `) may stay"
-            }
-            Rule::NoWallClock => {
-                "all time must come from the event engine; wall-clock reads break determinism"
-            }
-            Rule::NoStdHashCollections => {
-                "std hash-collection iteration order is seeded per process and silently \
-                 breaks cross-worker hash identity; use BTreeMap/BTreeSet"
-            }
-            Rule::NoFloatInSimPath => {
-                "float arithmetic drifts across platforms and accumulates; sim-time math \
-                 must be integer (see SimTime::mul_permille), floats stay in reporting"
-            }
-            Rule::NoWildcardMatchOnProtocolEnums => {
-                "a `_ =>` arm lets a new protocol variant slip through silently; spell \
-                 every variant so additions force explicit handling"
-            }
-            Rule::NoDirectRetransmit => {
-                "a retransmission is a message the QP's recovery backend selected, resent by \
-                 the requester's one resend path; a literal `retransmit: true` anywhere else \
-                 forges recovery traffic the trace linter cannot justify"
-            }
-        }
     }
 }
 
@@ -577,7 +552,6 @@ mod tests {
     fn rule_ids_round_trip() {
         for r in ALL_RULES {
             assert_eq!(Rule::from_id(r.id()), Some(r));
-            assert!(!r.rationale().is_empty());
         }
         assert_eq!(Rule::from_id("nope"), None);
     }

@@ -25,8 +25,6 @@ pub struct PerfConfig {
     /// Pre-fault ODP pages before measuring (`--odp --use_hugepages`-ish
     /// prefetch; a no-op for pinned buffers).
     pub prefetch: bool,
-    /// Outstanding operations for bandwidth runs (`-t`, the tx depth).
-    pub window: usize,
     /// Seed for fault-latency jitter.
     pub seed: u64,
 }
@@ -40,7 +38,6 @@ impl Default for PerfConfig {
             warmup: 10,
             odp: false,
             prefetch: false,
-            window: 16,
             seed: 1,
         }
     }
@@ -186,7 +183,7 @@ fn bw_run(cfg: &PerfConfig, write: bool) -> BwReport {
     let mut b = setup(cfg);
     let total = cfg.warmup + cfg.iterations;
     // Post everything up front; max_rd_atomic and the SQ pace the wire
-    // like a real tx-depth window.
+    // like a real tx depth.
     for i in 0..total {
         let o = off(&b, cfg, i);
         if write {

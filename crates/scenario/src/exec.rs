@@ -14,7 +14,7 @@
 //! conformance battery and the seeded shard-assignment fuzzer enforce
 //! that for every corpus entry and random partition.
 //!
-//! The path does not call `Cluster::sync_telemetry`: a [`ScenarioRun`]
+//! The path does not call `Cluster::sync_telemetry_at`: a [`ScenarioRun`]
 //! takes the hub's spans and stage-sum count only, and the gauges a sync
 //! writes have no reader here.
 
@@ -346,18 +346,7 @@ fn collect_host(
 /// The scenario should satisfy [`Scenario::validate`]; out-of-range
 /// offsets would make the run itself meaningless.
 pub fn run_scenario(sc: &Scenario) -> ScenarioRun {
-    run_scenario_sharded(sc, sc.shards.max(1))
-}
-
-/// Runs a scenario on `shards` PDES shards with the default host
-/// placement, [`ShardPlan::pair`]: client on shard 0, server on shard 1
-/// when there is one.
-///
-/// # Panics
-///
-/// As [`run_scenario_sharded_with`]; `shards == 0` is a malformed plan.
-pub fn run_scenario_sharded(sc: &Scenario, shards: usize) -> ScenarioRun {
-    run_scenario_sharded_with(sc, ShardPlan::pair(shards))
+    run_scenario_plan(sc, ShardPlan::pair(sc.shards.max(1)))
 }
 
 /// Runs a scenario under an explicit [`ShardPlan`] — the entry point for
@@ -372,7 +361,7 @@ pub fn run_scenario_sharded(sc: &Scenario, shards: usize) -> ScenarioRun {
 ///
 /// Panics as [`run_plan`] does on a malformed plan: no shards, an owner
 /// map that does not name a shard for both hosts, a shard out of range.
-pub fn run_scenario_sharded_with(sc: &Scenario, mut plan: ShardPlan) -> ScenarioRun {
+pub fn run_scenario_plan(sc: &Scenario, mut plan: ShardPlan) -> ScenarioRun {
     let order_dependent_loss = sc
         .loss
         .iter()
@@ -584,7 +573,7 @@ mod tests {
             },
         ];
         let seq = run_scenario(&sc);
-        let sharded = run_scenario_sharded_with(&sc, ShardPlan::new(4, vec![0, 3]));
+        let sharded = run_scenario_plan(&sc, ShardPlan::new(4, vec![0, 3]));
         assert_eq!(seq.trace_hash, sharded.trace_hash);
     }
 
@@ -601,7 +590,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "a sharded run needs at least one shard")]
     fn zero_shards_is_rejected_with_a_diagnostic() {
-        run_scenario_sharded(&Scenario::base("no-shards"), 0);
+        run_scenario_plan(&Scenario::base("no-shards"), ShardPlan::pair(0));
     }
 
     #[test]
@@ -617,6 +606,6 @@ mod tests {
                 seed: 7,
             },
         }];
-        run_scenario_sharded_with(&sc, ShardPlan::new(2, Vec::new()));
+        run_scenario_plan(&sc, ShardPlan::new(2, Vec::new()));
     }
 }

@@ -54,7 +54,7 @@ mod shrink;
 mod spec;
 
 pub use corpus::paper_corpus;
-pub use exec::{fnv1a, run_scenario, run_scenario_sharded, run_scenario_sharded_with, ScenarioRun};
+pub use exec::{fnv1a, run_scenario, run_scenario_plan, ScenarioRun};
 pub use generator::random_scenario;
 pub use ibsim_verbs::ShardPlan;
 pub use oracle::{check_run, check_run_with, OracleReport, OracleViolation};

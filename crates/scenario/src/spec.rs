@@ -531,27 +531,37 @@ impl Scenario {
                 "name" => sc.name = value.to_owned(),
                 "seed" => sc.seed = parse_num(value)?,
                 "device" => sc.device = DeviceKind::from_token(value)?,
-                "qps" => sc.qps = parse_num::<u64>(value)? as usize,
+                "qps" => sc.qps = parse_num(value)?,
                 "slot" => sc.slot = parse_num(value)?,
                 "odp" => {
-                    let mut chars = value.chars();
-                    sc.client_odp = chars.next() == Some('c');
-                    sc.server_odp = chars.next() == Some('s');
+                    (sc.client_odp, sc.server_odp) = match value {
+                        "--" => (false, false),
+                        "c-" => (true, false),
+                        "-s" => (false, true),
+                        "cs" => (true, true),
+                        other => return Err(format!("bad odp sides {other:?}")),
+                    }
                 }
-                "prefetch" => sc.prefetch = value == "1",
-                "cack" => sc.cack = parse_num::<u64>(value)? as u8,
-                "retry" => sc.retry_count = parse_num::<u64>(value)? as u8,
+                "prefetch" => {
+                    sc.prefetch = match value {
+                        "0" => false,
+                        "1" => true,
+                        other => return Err(format!("bad prefetch flag {other:?}")),
+                    }
+                }
+                "cack" => sc.cack = parse_num(value)?,
+                "retry" => sc.retry_count = parse_num(value)?,
                 "rnr_ns" => sc.min_rnr_delay_ns = parse_num(value)?,
                 "interval_ns" => sc.post_interval_ns = parse_num(value)?,
                 "recovery" => sc.recovery = value.parse()?,
                 "topology" => sc.topology = value.parse()?,
-                "shards" => sc.shards = parse_num::<u64>(value)? as usize,
+                "shards" => sc.shards = parse_num(value)?,
                 "wr" => {
                     let parts: Vec<&str> = value.split_whitespace().collect();
                     if parts.len() < 3 {
                         return Err(format!("short wr line {line:?}"));
                     }
-                    let qp = parse_num::<u64>(parts[0])? as usize;
+                    let qp = parse_num(parts[0])?;
                     let wr = match parts[1] {
                         "read" => WrSpec::Read {
                             off: parse_num(parts[2])?,
@@ -586,8 +596,8 @@ impl Scenario {
                     sc.faults.push(FaultEvent {
                         at_ns: parse_num(parts[0])?,
                         side: Side::from_token(parts[1])?,
-                        page: parse_num::<u64>(parts[2])? as usize,
-                        count: parse_num::<u64>(parts[3])? as usize,
+                        page: parse_num(parts[2])?,
+                        count: parse_num(parts[3])?,
                     });
                 }
                 "loss" => {
@@ -879,6 +889,36 @@ mod tests {
         assert!(Scenario::parse(ok).is_ok());
         assert!(Scenario::parse("ibsim-scenario v1\nwat=1\n").is_err());
         assert!(Scenario::parse("ibsim-scenario v1\nwr=0 levitate 1 2\n").is_err());
+    }
+
+    /// A value the field's own type cannot hold, or a token
+    /// `to_spec_string` never emits, is an error — not the nearest value
+    /// (`cack=300` used to mean 44, `retry=256` 0, `prefetch=yes` off).
+    #[test]
+    fn parse_rejects_out_of_range_numbers_and_unknown_tokens() {
+        for line in [
+            "cack=300",
+            "cack=-1",
+            "retry=256",
+            "prefetch=yes",
+            "prefetch=",
+            "prefetch=01",
+            "odp=sc",
+            "odp=c",
+            "odp=cs-",
+            "odp=",
+            "qps=18446744073709551616",
+            "shards=-2",
+            "wr=-1 read 0 8",
+            "fault=0 s 4294967296000000000000 1",
+        ] {
+            let text = format!("ibsim-scenario v1\nname=x\n{line}\n");
+            assert!(Scenario::parse(&text).is_err(), "{line} parsed");
+        }
+        for line in ["cack=31", "retry=7", "prefetch=0", "odp=-s", "odp=--"] {
+            let text = format!("ibsim-scenario v1\nname=x\n{line}\n");
+            assert!(Scenario::parse(&text).is_ok(), "{line} rejected");
+        }
     }
 
     #[test]

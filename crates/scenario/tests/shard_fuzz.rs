@@ -8,7 +8,7 @@
 //! stage-sum verdicts from every pair.
 
 use ibsim_scenario::{
-    paper_corpus, random_scenario, run_scenario, run_scenario_sharded_with, Scenario, ShardPlan,
+    paper_corpus, random_scenario, run_scenario, run_scenario_plan, Scenario, ShardPlan,
 };
 
 #[test]
@@ -66,7 +66,7 @@ fn random_shard_assignments_reproduce_the_sequential_trace() {
         sc.shards = 1;
         let seq = run_scenario(&sc);
         let plan = plan_for(seed);
-        let run = run_scenario_sharded_with(&sc, plan.clone());
+        let run = run_scenario_plan(&sc, plan.clone());
         assert_eq!(
             seq.trace_hash, run.trace_hash,
             "seed {seed}: {} shards, owner {:?}: trace diverged from sequential",

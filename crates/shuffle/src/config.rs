@@ -67,11 +67,6 @@ impl ShuffleConfig {
         let pairs = self.workers * (self.workers - 1) / 2;
         pairs * self.endpoints_per_pair * 2
     }
-
-    /// Total bytes moved if nothing is co-located.
-    pub fn total_shuffle_bytes(&self) -> u64 {
-        self.map_tasks as u64 * self.reduce_tasks as u64 * self.block_bytes as u64
-    }
 }
 
 #[cfg(test)]
@@ -93,16 +88,5 @@ mod tests {
         };
         // 6 pairs × 16 eps × 2 ends.
         assert_eq!(cfg4.total_qps(), 192);
-    }
-
-    #[test]
-    fn byte_accounting() {
-        let cfg = ShuffleConfig {
-            map_tasks: 4,
-            reduce_tasks: 4,
-            block_bytes: 1000,
-            ..Default::default()
-        };
-        assert_eq!(cfg.total_shuffle_bytes(), 16_000);
     }
 }

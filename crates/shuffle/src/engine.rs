@@ -65,10 +65,7 @@ pub fn run_shuffle(cfg: &ShuffleConfig) -> ShuffleReport {
 
     let mut eng = Engine::new();
     let mut cl = Cluster::new(cfg.seed);
-    let ucp = Ucp::new(UcpConfig {
-        odp: cfg.odp,
-        ..Default::default()
-    });
+    let ucp = Ucp::new(UcpConfig { odp: cfg.odp });
 
     // Workers and their shuffle regions.
     let out_bytes = cfg.map_tasks as u64 * cfg.reduce_tasks as u64 * cfg.block_bytes as u64;

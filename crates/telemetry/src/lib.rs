@@ -171,14 +171,6 @@ impl Telemetry {
         self.spans.qp_completion(host, qpn, now);
     }
 
-    /// Forwards a bare QP completion to the span store (used for
-    /// completions that are not tracked WRs, e.g. RECVs).
-    pub fn qp_completion(&mut self, host: u64, qpn: u32, now: SimTime) {
-        if self.enabled {
-            self.spans.qp_completion(host, qpn, now);
-        }
-    }
-
     // ------------------------------------------------------------------
     // Fault lifecycle
     // ------------------------------------------------------------------
@@ -361,7 +353,7 @@ mod tests {
         tel.resume_done(0, 2, 1, t(425));
         tel.wr_posted(0, 5, 1, t(0));
         tel.wr_completed(0, 5, 1, t(430));
-        tel.qp_completion(0, 6, t(440));
+        tel.wr_completed(0, 6, 2, t(440));
         assert_eq!(tel.spans().len(), 1);
         let span = &tel.spans()[0];
         let stages = span.stages().expect("closed");

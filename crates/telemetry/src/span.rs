@@ -74,11 +74,6 @@ impl FaultSpan {
         }
     }
 
-    /// True once every stage boundary has been recorded.
-    pub fn is_closed(&self) -> bool {
-        self.completed.is_some()
-    }
-
     /// The four named stage durations, or `None` while the span is open.
     ///
     /// Ordered as [`STAGE_NAMES`]; the durations sum to

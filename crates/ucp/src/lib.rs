@@ -4,10 +4,11 @@
 //! endpoints, one-sided `get`/`put`, and tagged two-sided messaging with
 //! eager and READ-based rendezvous protocols.
 //!
-//! The configuration defaults mirror the UCX build the paper evaluated
-//! (§VII): ODP preferred for application memory, minimal RNR NAK delay of
-//! 0.96 ms, `C_ack = 18`. Flipping [`UcpConfig::odp`] is exactly the
-//! "ODP enabled / disabled" toggle of Figures 12 and 13.
+//! The layer mirrors the UCX build the paper evaluated (§VII): ODP
+//! preferred for application memory, minimal RNR NAK delay of 0.96 ms,
+//! `C_ack = 18`. The one option, [`UcpConfig::odp`], is exactly the
+//! "ODP enabled / disabled" toggle of Figures 12 and 13; the rest are
+//! constants of the protocol.
 
 #![warn(missing_docs)]
 

@@ -10,7 +10,7 @@
 //! default** for application memory ([`UcpConfig::odp`]), uses a minimal
 //! RNR NAK delay of 0.96 ms and `C_ack = 18` (§VII).
 
-use std::cell::RefCell;
+use std::cell::{Cell, RefCell};
 use std::collections::{BTreeMap, VecDeque};
 use std::rc::Rc;
 
@@ -22,43 +22,37 @@ use ibsim_verbs::{
 
 use crate::proto::{EpId, MemSlice, MsgMeta, ReqId, ReqKind, Tag, UcpCompletion};
 
-/// Configuration of the UCP layer (UCX defaults from §VII).
+/// Configuration of the UCP layer: the one choice the paper's
+/// applications differ in. Everything else is a constant of the
+/// protocol below.
 #[derive(Debug, Clone)]
 pub struct UcpConfig {
     /// Register application memory with ODP (the UCX default the paper
     /// calls out: "UCX prioritized ODP over direct memory registration by
     /// default and we were even unaware of the use of ODP").
     pub odp: bool,
-    /// Local ACK Timeout field used for all QPs (UCX default 18).
-    pub cack: u8,
-    /// Minimal RNR NAK delay (UCX default 0.96 ms).
-    pub min_rnr_delay: SimTime,
-    /// Messages of this size or larger use the rendezvous protocol.
-    pub rndv_threshold: u32,
-    /// Pre-posted eager receive buffers per endpoint direction.
-    pub eager_slots: usize,
-    /// Size of one eager receive buffer.
-    pub eager_slot_bytes: u32,
-    /// Minimum progress-tick interval.
-    pub progress_min: SimTime,
-    /// Maximum progress-tick interval (idle backoff ceiling).
-    pub progress_max: SimTime,
 }
 
 impl Default for UcpConfig {
     fn default() -> Self {
-        UcpConfig {
-            odp: true,
-            cack: 18,
-            min_rnr_delay: SimTime::from_us(960),
-            rndv_threshold: 4096,
-            eager_slots: 32,
-            eager_slot_bytes: 4096,
-            progress_min: SimTime::from_us(2),
-            progress_max: SimTime::from_us(100),
-        }
+        UcpConfig { odp: true }
     }
 }
+
+/// Local ACK Timeout field used for all QPs (UCX default, §VII).
+const CACK: u8 = 18;
+/// Minimal RNR NAK delay (UCX default 0.96 ms, §VII).
+const MIN_RNR_DELAY: SimTime = SimTime::from_us(960);
+/// Messages of this size or larger use the rendezvous protocol.
+const RNDV_THRESHOLD: u32 = 4096;
+/// Pre-posted eager receive buffers per endpoint direction.
+const EAGER_SLOTS: usize = 32;
+/// Size of one eager receive buffer.
+const EAGER_SLOT_BYTES: u32 = 4096;
+/// Delay from a completion landing to the progress tick that reaps it.
+const PROGRESS_MIN: SimTime = SimTime::from_us(2);
+/// Size on the wire of a control (RTS/FIN) message.
+const META_BYTES: u32 = 64;
 
 /// Message direction within an endpoint.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -83,8 +77,10 @@ enum WrRole {
     App { req: ReqId, kind: ReqKind },
     /// Sender-side eager SEND carrying app payload.
     EagerSend { req: ReqId },
-    /// Control SEND (RTS/FIN); no app completion on the send CQE.
-    MetaSend,
+    /// Control SEND (RTS/FIN) for the tagged send `send_req` issued on
+    /// `sender`. A successful CQE completes nothing (the FIN's arrival
+    /// does); a failed one fails that send, which no FIN can reach now.
+    MetaSend { send_req: ReqId, sender: HostId },
     /// A ring receive landed (one incoming message).
     RingRecv { ep: EpId, dir: Dir, slot: usize },
     /// The receiver's rendezvous GET finished.
@@ -97,19 +93,14 @@ enum WrRole {
 }
 
 #[derive(Debug)]
-struct Ring {
-    mr: MrDesc,
-    slot_bytes: u32,
-}
-
-#[derive(Debug)]
 struct EpState {
     a: (HostId, Qpn),
     b: (HostId, Qpn),
-    /// Eager ring at B for A→B traffic.
-    ring_at_b: Ring,
+    /// Eager ring at B for A→B traffic: [`EAGER_SLOTS`] slots of
+    /// [`EAGER_SLOT_BYTES`].
+    ring_at_b: MrDesc,
     /// Eager ring at A for B→A traffic.
-    ring_at_a: Ring,
+    ring_at_a: MrDesc,
     /// Out-of-band message headers in send order, one queue per [`Dir`].
     meta_q: [VecDeque<MsgMeta>; 2],
 }
@@ -137,7 +128,7 @@ impl EpState {
         }
     }
 
-    fn ring(&self, dir: Dir) -> &Ring {
+    fn ring(&self, dir: Dir) -> &MrDesc {
         match dir {
             Dir::AToB => &self.ring_at_b,
             Dir::BToA => &self.ring_at_a,
@@ -234,7 +225,6 @@ enum ReqSlot {
 }
 
 struct Inner {
-    cfg: UcpConfig,
     workers: Vec<WorkerState>,
     /// The `workers` index of each host that has one, by `HostId`.
     worker_of: Vec<Option<usize>>,
@@ -245,8 +235,18 @@ struct Inner {
     /// Completions whose callbacks must fire once borrows are released.
     fired: Vec<(Callback, UcpCompletion)>,
     open_reqs: u64,
-    /// True while a progress tick is already scheduled.
-    tick_scheduled: bool,
+}
+
+/// What every handle shares.
+struct Shared {
+    /// [`UcpConfig::odp`].
+    odp: bool,
+    /// True while a progress tick is already scheduled. Beside `inner`,
+    /// not in it: an errored QP flushes a posted request synchronously,
+    /// so the cluster calls [`Ucp::wake`] from inside `Cluster::post`
+    /// while the posting method still holds `inner`.
+    tick_scheduled: Cell<bool>,
+    inner: RefCell<Inner>,
 }
 
 impl Inner {
@@ -273,6 +273,12 @@ impl Inner {
         failed: bool,
         bytes: u32,
     ) {
+        let slot = req.0 as usize - 1;
+        if matches!(self.reqs[slot], ReqSlot::Done(_)) {
+            // A FIN was delivered and then its SEND failed (ACKs lost):
+            // the send it stands for completed at delivery.
+            return;
+        }
         self.open_reqs -= 1;
         let c = UcpCompletion {
             req,
@@ -282,8 +288,9 @@ impl Inner {
             bytes,
         };
         self.worker(host).completed.push(c);
-        let slot = &mut self.reqs[req.0 as usize - 1];
-        if let ReqSlot::Open { continuations } = std::mem::replace(slot, ReqSlot::Done(c)) {
+        if let ReqSlot::Open { continuations } =
+            std::mem::replace(&mut self.reqs[slot], ReqSlot::Done(c))
+        {
             self.fired
                 .extend(continuations.into_iter().map(|cb| (cb, c)));
         }
@@ -315,7 +322,7 @@ impl Inner {
 ///
 /// let mut eng = Engine::new();
 /// let mut cl = Cluster::new(3);
-/// let ucp = Ucp::new(UcpConfig { odp: false, ..Default::default() });
+/// let ucp = Ucp::new(UcpConfig { odp: false });
 /// let a = ucp.add_worker(&mut cl, "a", DeviceProfile::connectx6());
 /// let b = ucp.add_worker(&mut cl, "b", DeviceProfile::connectx6());
 /// let ep = ucp.connect(&mut eng, &mut cl, a, b);
@@ -331,12 +338,12 @@ impl Inner {
 /// ```
 #[derive(Clone)]
 pub struct Ucp {
-    inner: Rc<RefCell<Inner>>,
+    shared: Rc<Shared>,
 }
 
 impl std::fmt::Debug for Ucp {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let inner = self.inner.borrow();
+        let inner = self.shared.inner.borrow();
         f.debug_struct("Ucp")
             .field("workers", &inner.workers.len())
             .field("endpoints", &inner.eps.len())
@@ -345,9 +352,6 @@ impl std::fmt::Debug for Ucp {
     }
 }
 
-/// Size on the wire of a control (RTS/FIN) message.
-const META_BYTES: u32 = 64;
-
 /// A continuation invoked when a request completes.
 pub type Callback = Box<dyn FnOnce(&mut Sim, &mut Cluster, UcpCompletion)>;
 
@@ -355,17 +359,19 @@ impl Ucp {
     /// Creates a UCP layer with the given configuration.
     pub fn new(cfg: UcpConfig) -> Self {
         Ucp {
-            inner: Rc::new(RefCell::new(Inner {
-                cfg,
-                workers: Vec::new(),
-                worker_of: Vec::new(),
-                eps: Vec::new(),
-                roles: RoleSlab::default(),
-                reqs: Vec::new(),
-                fired: Vec::new(),
-                open_reqs: 0,
-                tick_scheduled: false,
-            })),
+            shared: Rc::new(Shared {
+                odp: cfg.odp,
+                tick_scheduled: Cell::new(false),
+                inner: RefCell::new(Inner {
+                    workers: Vec::new(),
+                    worker_of: Vec::new(),
+                    eps: Vec::new(),
+                    roles: RoleSlab::default(),
+                    reqs: Vec::new(),
+                    fired: Vec::new(),
+                    open_reqs: 0,
+                }),
+            }),
         }
     }
 
@@ -379,7 +385,7 @@ impl Ucp {
         }
         let host = cl.add_host(name, device);
         let scratch = cl.alloc_mr(host, 4096, MrMode::Pinned);
-        let mut inner = self.inner.borrow_mut();
+        let mut inner = self.shared.inner.borrow_mut();
         if inner.worker_of.len() <= host.0 {
             inner.worker_of.resize(host.0 + 1, None);
         }
@@ -397,7 +403,7 @@ impl Ucp {
     /// Registers `len` bytes of fresh memory on a worker, using ODP or
     /// pinning per [`UcpConfig::odp`].
     pub fn mem_map(&self, cl: &mut Cluster, w: HostId, len: u64) -> MrDesc {
-        let mode = if self.inner.borrow().cfg.odp {
+        let mode = if self.shared.odp {
             MrMode::Odp
         } else {
             MrMode::Pinned
@@ -407,30 +413,23 @@ impl Ucp {
 
     /// Number of requests not yet completed.
     pub fn open_requests(&self) -> u64 {
-        self.inner.borrow().open_reqs
+        self.shared.inner.borrow().open_reqs
     }
 
     /// Connects two workers with a fresh endpoint (QP pair + eager rings).
     pub fn connect(&self, eng: &mut Sim, cl: &mut Cluster, a: HostId, b: HostId) -> EpId {
-        let mut inner = self.inner.borrow_mut();
+        let mut inner = self.shared.inner.borrow_mut();
         let qp_cfg = QpConfig {
-            cack: inner.cfg.cack,
-            min_rnr_delay: inner.cfg.min_rnr_delay,
+            cack: CACK,
+            min_rnr_delay: MIN_RNR_DELAY,
             ..QpConfig::default()
         };
         let (qa, qb) = cl.connect_pair(eng, a, b, qp_cfg);
-        let slots = inner.cfg.eager_slots;
-        let slot_bytes = inner.cfg.eager_slot_bytes;
         // Eager rings are bounce buffers: always pinned, like UCX's
         // pre-registered RX descriptors.
-        let ring_at_b = Ring {
-            mr: cl.alloc_mr(b, slots as u64 * slot_bytes as u64, MrMode::Pinned),
-            slot_bytes,
-        };
-        let ring_at_a = Ring {
-            mr: cl.alloc_mr(a, slots as u64 * slot_bytes as u64, MrMode::Pinned),
-            slot_bytes,
-        };
+        let ring_bytes = EAGER_SLOTS as u64 * u64::from(EAGER_SLOT_BYTES);
+        let ring_at_b = cl.alloc_mr(b, ring_bytes, MrMode::Pinned);
+        let ring_at_a = cl.alloc_mr(a, ring_bytes, MrMode::Pinned);
         let ep = EpId(inner.eps.len());
         inner.eps.push(EpState {
             a: (a, qa),
@@ -441,7 +440,7 @@ impl Ucp {
         });
         // Pre-post both rings.
         for dir in [Dir::AToB, Dir::BToA] {
-            for slot in 0..slots {
+            for slot in 0..EAGER_SLOTS {
                 post_ring_recv(&mut inner, cl, ep, dir, slot);
             }
         }
@@ -580,7 +579,7 @@ impl Ucp {
         kind: ReqKind,
         wr: impl FnOnce(WrId) -> WorkRequest,
     ) -> ReqId {
-        let mut inner = self.inner.borrow_mut();
+        let mut inner = self.shared.inner.borrow_mut();
         let req = inner.alloc_req();
         let dir = inner.eps[ep.0].dir_from(from);
         let (host, qpn) = inner.eps[ep.0].sender_qp(dir);
@@ -601,10 +600,10 @@ impl Ucp {
         tag: Tag,
         src: MemSlice,
     ) -> ReqId {
-        let mut inner = self.inner.borrow_mut();
+        let mut inner = self.shared.inner.borrow_mut();
         let req = inner.alloc_req();
         let dir = inner.eps[ep.0].dir_from(from);
-        if src.len >= inner.cfg.rndv_threshold {
+        if src.len >= RNDV_THRESHOLD {
             let rts = MsgMeta::RndvRts {
                 tag,
                 send_req: req,
@@ -643,7 +642,7 @@ impl Ucp {
         tag: Tag,
         dst: MemSlice,
     ) -> ReqId {
-        let mut inner = self.inner.borrow_mut();
+        let mut inner = self.shared.inner.borrow_mut();
         let req = inner.alloc_req();
         // Unexpected message already here?
         let unexpected = inner.worker(w).unexpected.get_mut(&tag);
@@ -680,7 +679,7 @@ impl Ucp {
         req: ReqId,
         cb: impl FnOnce(&mut Sim, &mut Cluster, UcpCompletion) + 'static,
     ) {
-        let mut inner = self.inner.borrow_mut();
+        let mut inner = self.shared.inner.borrow_mut();
         let slot = (req.0 as usize).checked_sub(1);
         match slot.and_then(|i| inner.reqs.get_mut(i)) {
             Some(ReqSlot::Open { continuations }) => continuations.push(Box::new(cb)),
@@ -695,7 +694,7 @@ impl Ucp {
     /// Invokes continuations queued by completed requests.
     fn drain_callbacks(&self, eng: &mut Sim, cl: &mut Cluster) {
         loop {
-            let fired = std::mem::take(&mut self.inner.borrow_mut().fired);
+            let fired = std::mem::take(&mut self.shared.inner.borrow_mut().fired);
             if fired.is_empty() {
                 return;
             }
@@ -711,7 +710,7 @@ impl Ucp {
     ///
     /// Panics if `w` was not added through [`Ucp::add_worker`].
     pub fn take_completed(&self, w: HostId) -> Vec<UcpCompletion> {
-        std::mem::take(&mut self.inner.borrow_mut().worker(w).completed)
+        std::mem::take(&mut self.shared.inner.borrow_mut().worker(w).completed)
     }
 
     /// Schedules a progress tick shortly after a completion lands (the
@@ -719,22 +718,18 @@ impl Ucp {
     /// no progress start of its own: the completion it leads to wakes
     /// the layer.
     fn wake(&self, eng: &mut Sim) {
-        let mut inner = self.inner.borrow_mut();
-        if inner.tick_scheduled {
+        if self.shared.tick_scheduled.replace(true) {
             return;
         }
-        inner.tick_scheduled = true;
-        let delay = inner.cfg.progress_min;
-        drop(inner);
         let ucp = self.clone();
-        eng.schedule_in(delay, move |c: &mut Cluster, eng| ucp.tick(eng, c));
+        eng.schedule_in(PROGRESS_MIN, move |c: &mut Cluster, eng| ucp.tick(eng, c));
     }
 
     /// One progress step: drain CQs, advance protocols.
     fn tick(&self, eng: &mut Sim, cl: &mut Cluster) {
-        self.inner.borrow_mut().tick_scheduled = false;
+        self.shared.tick_scheduled.set(false);
         let hosts: Vec<HostId> = {
-            let inner = self.inner.borrow();
+            let inner = self.shared.inner.borrow();
             inner.workers.iter().map(|w| w.host).collect()
         };
         for host in hosts {
@@ -752,7 +747,7 @@ impl Ucp {
         host: HostId,
         c: ibsim_verbs::Completion,
     ) {
-        let mut inner = self.inner.borrow_mut();
+        let mut inner = self.shared.inner.borrow_mut();
         let Some(role) = inner.roles.take(host, c.wr_id) else {
             return; // not ours (application used the cluster directly)
         };
@@ -764,7 +759,11 @@ impl Ucp {
             WrRole::EagerSend { req } => {
                 inner.finish(host, req, ReqKind::TagSend, c.at, failed, c.bytes);
             }
-            WrRole::MetaSend => {}
+            WrRole::MetaSend { send_req, sender } => {
+                if failed {
+                    inner.finish(sender, send_req, ReqKind::TagSend, c.at, true, 0);
+                }
+            }
             WrRole::RingRecv { ep, dir, slot } => {
                 if !failed {
                     self.handle_ring_message(&mut inner, eng, cl, ep, dir, slot, c.bytes, c.at);
@@ -808,7 +807,7 @@ impl Ucp {
                 let ring = inner.eps[ep.0].ring(dir);
                 let data = cl.mem_read(
                     rcv_host,
-                    ring.mr.base + (slot as u64) * ring.slot_bytes as u64,
+                    ring.base + slot as u64 * u64::from(EAGER_SLOT_BYTES),
                     len as usize,
                 );
                 if let Some(recv) = inner.match_posted(rcv_host, tag) {
@@ -850,10 +849,18 @@ fn post_meta(
     dir: Dir,
     meta: MsgMeta,
 ) {
-    inner.eps[ep.0].meta_q(dir).push_back(meta);
     let (host, qpn) = inner.eps[ep.0].sender_qp(dir);
+    // The tagged send a header belongs to was issued where its RTS
+    // leaves from and where its FIN arrives.
+    let (send_req, sender) = match meta {
+        MsgMeta::RndvRts { send_req, .. } | MsgMeta::Eager { send_req, .. } => (send_req, host),
+        MsgMeta::RndvFin { send_req } => (send_req, inner.eps[ep.0].receiver(dir).0),
+    };
+    inner.eps[ep.0].meta_q(dir).push_back(meta);
     let scratch = inner.worker(host).scratch.key;
-    let wr = inner.roles.alloc_wr(host, WrRole::MetaSend);
+    let wr = inner
+        .roles
+        .alloc_wr(host, WrRole::MetaSend { send_req, sender });
     cl.post(eng, host, qpn, SendWr::new(scratch).len(META_BYTES).id(wr));
 }
 
@@ -865,9 +872,9 @@ fn post_ring_recv(inner: &mut Inner, cl: &mut Cluster, ep: EpId, dir: Dir, slot:
     let ring = inner.eps[ep.0].ring(dir);
     let recv = RecvWr {
         id,
-        mr: ring.mr.key,
-        offset: (slot as u64) * ring.slot_bytes as u64,
-        max_len: ring.slot_bytes,
+        mr: ring.key,
+        offset: slot as u64 * u64::from(EAGER_SLOT_BYTES),
+        max_len: EAGER_SLOT_BYTES,
     };
     cl.post_recv(host, qpn, recv);
 }

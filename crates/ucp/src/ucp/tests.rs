@@ -1,10 +1,11 @@
 //! Tests that need the layer's private tables: the role slab against
-//! the ordered map it replaced, slot reuse under a mixed workload, and
-//! the slot's size.
+//! the ordered map it replaced, slot reuse under a mixed workload, the
+//! slot's size, the protocol constants, and an endpoint whose QP died.
 
 use std::collections::{BTreeMap, BTreeSet};
 
 use ibsim_event::{Engine, SplitMix64};
+use ibsim_fabric::Lid;
 
 use super::*;
 
@@ -129,8 +130,8 @@ fn a_mixed_mesh_workload_completes_and_reuses_role_slots() {
         .iter()
         .map(|&(x, y)| ucp.connect(&mut eng, &mut cl, hosts[x], hosts[y]))
         .collect();
-    let rings = eps.len() * 2 * ucp.inner.borrow().cfg.eager_slots;
-    assert_eq!(ucp.inner.borrow().roles.slots.len(), rings);
+    let rings = eps.len() * 2 * EAGER_SLOTS;
+    assert_eq!(ucp.shared.inner.borrow().roles.slots.len(), rings);
 
     // Per worker: a source region of seeded bytes, a destination region
     // with one slot per operation, and a counter for the atomics.
@@ -256,7 +257,95 @@ fn a_mixed_mesh_workload_completes_and_reuses_role_slots() {
     }
     // A rendezvous has at most three requests of its own outstanding
     // (RTS, the receiver's GET, FIN); everything else has one.
-    let table = ucp.inner.borrow().roles.slots.len();
+    let table = ucp.shared.inner.borrow().roles.slots.len();
     assert!(table <= rings + 3 * ROUND as usize, "{table} slots");
     assert!(posted as usize > 10 * (table - rings), "{posted} posted");
+}
+
+/// The protocol constants are the values `UcpConfig::default()` carried
+/// while they were fields (UCX's, §VII; the fixed-slot eager ring and
+/// rendezvous threshold of MPICH2 over InfiniBand): moving one moves
+/// every Fig. 12 / Fig. 13 number.
+#[test]
+fn protocol_constants_are_the_former_defaults() {
+    assert!(UcpConfig::default().odp);
+    assert_eq!(CACK, 18);
+    assert_eq!(MIN_RNR_DELAY, SimTime::from_us(960));
+    assert_eq!(RNDV_THRESHOLD, 4096);
+    assert_eq!(EAGER_SLOTS, 32);
+    assert_eq!(EAGER_SLOT_BYTES, 4096);
+    assert_eq!(PROGRESS_MIN, SimTime::from_us(2));
+}
+
+/// An errored QP flushes a posted request synchronously, so the cluster
+/// wakes the layer from inside the posting call. Every operation on a
+/// dead endpoint — one-sided, eager, rendezvous from either side —
+/// completes `failed`; nothing panics and nothing stays open.
+#[test]
+fn every_operation_on_an_errored_endpoint_completes_failed() {
+    let mut eng = Engine::new();
+    let mut cl = Cluster::new(9);
+    let ucp = Ucp::new(UcpConfig { odp: false });
+    let a = ucp.add_worker(&mut cl, "a", DeviceProfile::connectx6());
+    let b = ucp.add_worker(&mut cl, "b", DeviceProfile::connectx6());
+    let ep = ucp.connect(&mut eng, &mut cl, a, b);
+    let at_a = ucp.mem_map(&mut cl, a, 4 * 8192);
+    let at_b = ucp.mem_map(&mut cl, b, 8192);
+    let slice = |mr: &MrDesc, offset: u64, len: u32| MemSlice {
+        host: mr.host,
+        mr: mr.key,
+        offset,
+        len,
+    };
+
+    // A rendezvous from `b` parks its RTS at `a` while the link works.
+    let parked = ucp.tag_send(&mut eng, &mut cl, ep, b, Tag(1), slice(&at_b, 0, 8192));
+    eng.run(&mut cl);
+    assert_eq!(ucp.open_requests(), 1);
+
+    // `a`'s QP now talks to nobody; one GET exhausts its retries.
+    let (qa, qb) = {
+        let inner = ucp.shared.inner.borrow();
+        (inner.eps[ep.0].a.1, inner.eps[ep.0].b.1)
+    };
+    cl.connect_to_lid(a, qa, Lid(999), qb);
+    ucp.get(
+        &mut eng,
+        &mut cl,
+        ep,
+        a,
+        slice(&at_a, 0, 64),
+        at_b.key,
+        0,
+        64,
+    );
+    eng.run(&mut cl);
+    let done = ucp.take_completed(a);
+    assert!(done.len() == 1 && done[0].failed, "{done:?}");
+
+    let reqs = [
+        ucp.get(
+            &mut eng,
+            &mut cl,
+            ep,
+            a,
+            slice(&at_a, 0, 64),
+            at_b.key,
+            0,
+            64,
+        ),
+        ucp.tag_send(&mut eng, &mut cl, ep, a, Tag(2), slice(&at_a, 0, 100)),
+        ucp.tag_send(&mut eng, &mut cl, ep, a, Tag(3), slice(&at_a, 0, 8192)),
+        ucp.fetch_add(&mut eng, &mut cl, ep, a, slice(&at_a, 0, 8), at_b.key, 0, 1),
+        // Matches the parked RTS: the GET fails, and so does its FIN.
+        ucp.tag_recv(&mut eng, &mut cl, a, Tag(1), slice(&at_a, 8192, 8192)),
+    ];
+    eng.run(&mut cl);
+    assert_eq!(ucp.open_requests(), 0);
+    let done = ucp.take_completed(a);
+    for req in reqs {
+        assert!(done.iter().any(|c| c.req == req && c.failed), "{req}");
+    }
+    let done = ucp.take_completed(b);
+    assert!(done.len() == 1 && done[0].req == parked && done[0].failed);
 }

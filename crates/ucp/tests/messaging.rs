@@ -34,10 +34,7 @@ fn slice(desc: &MrDesc, offset: u64, len: u32) -> MemSlice {
 
 #[test]
 fn eager_send_recv_roundtrip() {
-    let (mut eng, mut cl, ucp, a, b, ep) = setup(UcpConfig {
-        odp: false,
-        ..Default::default()
-    });
+    let (mut eng, mut cl, ucp, a, b, ep) = setup(UcpConfig { odp: false });
     let src = ucp.mem_map(&mut cl, a, 4096);
     let dst = ucp.mem_map(&mut cl, b, 4096);
     cl.mem_write(a, src.base, b"eager payload");
@@ -58,10 +55,7 @@ fn eager_send_recv_roundtrip() {
 
 #[test]
 fn unexpected_eager_is_buffered_until_recv() {
-    let (mut eng, mut cl, ucp, a, b, ep) = setup(UcpConfig {
-        odp: false,
-        ..Default::default()
-    });
+    let (mut eng, mut cl, ucp, a, b, ep) = setup(UcpConfig { odp: false });
     let src = ucp.mem_map(&mut cl, a, 4096);
     let dst = ucp.mem_map(&mut cl, b, 4096);
     cl.mem_write(a, src.base, b"early bird");
@@ -79,10 +73,7 @@ fn unexpected_eager_is_buffered_until_recv() {
 
 #[test]
 fn rendezvous_uses_read_and_transfers_bulk() {
-    let (mut eng, mut cl, ucp, a, b, ep) = setup(UcpConfig {
-        odp: false,
-        ..Default::default()
-    });
+    let (mut eng, mut cl, ucp, a, b, ep) = setup(UcpConfig { odp: false });
     let len = 64 * 1024;
     let src = ucp.mem_map(&mut cl, a, len as u64);
     let dst = ucp.mem_map(&mut cl, b, len as u64);
@@ -100,10 +91,7 @@ fn rendezvous_uses_read_and_transfers_bulk() {
 
 #[test]
 fn rendezvous_unexpected_then_recv() {
-    let (mut eng, mut cl, ucp, a, b, ep) = setup(UcpConfig {
-        odp: false,
-        ..Default::default()
-    });
+    let (mut eng, mut cl, ucp, a, b, ep) = setup(UcpConfig { odp: false });
     let len = 16 * 1024u32;
     let src = ucp.mem_map(&mut cl, a, len as u64);
     let dst = ucp.mem_map(&mut cl, b, len as u64);
@@ -122,10 +110,7 @@ fn rendezvous_unexpected_then_recv() {
 
 #[test]
 fn get_and_put_roundtrip() {
-    let (mut eng, mut cl, ucp, a, b, ep) = setup(UcpConfig {
-        odp: false,
-        ..Default::default()
-    });
+    let (mut eng, mut cl, ucp, a, b, ep) = setup(UcpConfig { odp: false });
     let ra = ucp.mem_map(&mut cl, a, 8192);
     let rb = ucp.mem_map(&mut cl, b, 8192);
     cl.mem_write(b, rb.base, b"get me");
@@ -154,10 +139,7 @@ fn get_and_put_roundtrip() {
 fn callbacks_chain_operations() {
     // A GET whose completion triggers a tagged send — the continuation
     // style the DSM and shuffle layers use.
-    let (mut eng, mut cl, ucp, a, b, ep) = setup(UcpConfig {
-        odp: false,
-        ..Default::default()
-    });
+    let (mut eng, mut cl, ucp, a, b, ep) = setup(UcpConfig { odp: false });
     let ra = ucp.mem_map(&mut cl, a, 4096);
     let rb = ucp.mem_map(&mut cl, b, 4096);
     cl.mem_write(b, rb.base, b"lock");
@@ -176,10 +158,7 @@ fn callbacks_chain_operations() {
 
 #[test]
 fn when_done_on_finished_request_fires_immediately() {
-    let (mut eng, mut cl, ucp, a, b, ep) = setup(UcpConfig {
-        odp: false,
-        ..Default::default()
-    });
+    let (mut eng, mut cl, ucp, a, b, ep) = setup(UcpConfig { odp: false });
     let ra = ucp.mem_map(&mut cl, a, 4096);
     let rb = ucp.mem_map(&mut cl, b, 4096);
     let g = ucp.get(&mut eng, &mut cl, ep, a, slice(&ra, 0, 4), rb.key, 0, 4);
@@ -212,10 +191,7 @@ fn odp_enabled_get_faults_and_still_completes() {
 
 #[test]
 fn many_messages_both_directions() {
-    let (mut eng, mut cl, ucp, a, b, ep) = setup(UcpConfig {
-        odp: false,
-        ..Default::default()
-    });
+    let (mut eng, mut cl, ucp, a, b, ep) = setup(UcpConfig { odp: false });
     let ra = ucp.mem_map(&mut cl, a, 64 * 128);
     let rb = ucp.mem_map(&mut cl, b, 64 * 128);
     for i in 0..64u64 {
@@ -252,10 +228,7 @@ fn many_messages_both_directions() {
 
 #[test]
 fn ucp_atomics_roundtrip() {
-    let (mut eng, mut cl, ucp, a, b, ep) = setup(UcpConfig {
-        odp: false,
-        ..Default::default()
-    });
+    let (mut eng, mut cl, ucp, a, b, ep) = setup(UcpConfig { odp: false });
     let la = ucp.mem_map(&mut cl, a, 4096);
     let shared = ucp.mem_map(&mut cl, b, 4096);
     cl.mem_write(b, shared.base, &5u64.to_le_bytes());
@@ -297,10 +270,7 @@ fn same_tag_receives_match_in_posting_order() {
     const SLOT: u64 = 8192;
     // An eager and a rendezvous size (the threshold is 4096).
     for len in [5u32, 6000] {
-        let (mut eng, mut cl, ucp, a, b, ep) = setup(UcpConfig {
-            odp: false,
-            ..Default::default()
-        });
+        let (mut eng, mut cl, ucp, a, b, ep) = setup(UcpConfig { odp: false });
         let src = ucp.mem_map(&mut cl, a, 5 * SLOT);
         let dst = ucp.mem_map(&mut cl, b, 5 * SLOT);
         // Slot i is both the i-th message sent and the i-th receive
@@ -327,10 +297,7 @@ fn same_tag_receives_match_in_posting_order() {
 /// used to replace the first, whose caller then waited for ever.
 #[test]
 fn every_continuation_of_a_request_runs_in_registration_order() {
-    let (mut eng, mut cl, ucp, a, b, ep) = setup(UcpConfig {
-        odp: false,
-        ..Default::default()
-    });
+    let (mut eng, mut cl, ucp, a, b, ep) = setup(UcpConfig { odp: false });
     let ra = ucp.mem_map(&mut cl, a, 4096);
     let rb = ucp.mem_map(&mut cl, b, 4096);
     let g = ucp.get(&mut eng, &mut cl, ep, a, slice(&ra, 0, 4), rb.key, 0, 4);

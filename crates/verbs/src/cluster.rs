@@ -643,22 +643,16 @@ impl Cluster {
     /// gauges: engine [`ibsim_event::QueueStats`] (queue depth, dead
     /// pops, timer churn), per-host [`DriverStats`], per-host fabric
     /// link counters, per-QP [`QpStats`], and the cluster-wide packet
-    /// counters. Also flushes partial QP state dwell times up to now.
+    /// counters. Also flushes partial QP state dwell times up to `now`.
     ///
     /// Call once before exporting; the structs stay API-compatible and
-    /// the registry holds a superset of what they expose.
-    pub fn sync_telemetry(&mut self, eng: &Sim) {
-        let now = eng.now();
-        self.sync_telemetry_at(eng, now);
-    }
-
-    /// [`Cluster::sync_telemetry`] with an explicit dwell-flush instant.
-    ///
-    /// Sharded runs park each replica's clock at its last *owned* event,
-    /// so the per-shard `eng.now()` values differ from the sequential
-    /// clock; passing the canonical end-of-run time (handed to the
-    /// `finish` closure by [`crate::sharded::run_plan`]) makes the
-    /// flushed QP dwell counters match the sequential run exactly.
+    /// the registry holds a superset of what they expose. `now` is
+    /// `eng.now()` on a plain run. Sharded runs park each replica's
+    /// clock at its last *owned* event, so the per-shard `eng.now()`
+    /// values differ from the sequential clock; passing the canonical
+    /// end-of-run time (handed to the `finish` closure by
+    /// [`crate::sharded::run_plan`]) makes the flushed QP dwell counters
+    /// match the sequential run exactly.
     pub fn sync_telemetry_at(&mut self, eng: &Sim, now: SimTime) {
         if !self.telemetry.is_enabled() {
             return;
@@ -1666,7 +1660,7 @@ mod tests {
                 .collect()
         };
         assert_eq!(packets(&cl), vec![], "counts reach the registry at sync");
-        cl.sync_telemetry(&eng);
+        cl.sync_telemetry_at(&eng, eng.now());
         let once = packets(&cl);
         let (ha, hb) = (Labels::host(a.0 as u64), Labels::host(b.0 as u64));
         // One READ request out of `a`, one response out of `b`; no slot
@@ -1682,7 +1676,7 @@ mod tests {
         );
         assert_eq!(cl.stats.total_packets, 2);
 
-        cl.sync_telemetry(&eng);
+        cl.sync_telemetry_at(&eng, eng.now());
         assert_eq!(packets(&cl), once, "a second sync adds nothing");
     }
 }

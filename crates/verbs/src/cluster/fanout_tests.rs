@@ -131,7 +131,7 @@ struct Outcome {
 }
 
 fn finish(eng: &Sim, cl: &mut Cluster) -> Outcome {
-    cl.sync_telemetry(eng);
+    cl.sync_telemetry_at(eng, eng.now());
     let hosts: Vec<HostId> = (0..cl.host_count()).map(HostId).collect();
     Outcome {
         timelines: hosts.iter().map(|&h| cl.capture(h).timeline()).collect(),

@@ -160,19 +160,9 @@ impl Driver {
         self.irq_pending += 1;
     }
 
-    /// True if a work item is currently being processed.
-    pub fn is_busy(&self) -> bool {
-        self.busy
-    }
-
     /// True if any work is waiting.
     pub fn has_work(&self) -> bool {
         !self.faults.is_empty() || !self.resumes.is_empty() || self.irq_pending > 0
-    }
-
-    /// Pending per-QP resumes (diagnostics).
-    pub fn pending_resumes(&self) -> usize {
-        self.resumes.len()
     }
 
     /// Cumulative statistics.
@@ -275,10 +265,9 @@ mod tests {
             }
         );
         assert_eq!(cost, SimTime::from_us(300));
-        assert!(d.is_busy());
         assert_eq!(d.begin_next(), None, "serial: busy driver yields nothing");
         d.finish();
-        assert!(!d.is_busy());
+        assert!(d.begin_next().is_some(), "idle again: the next item starts");
     }
 
     #[test]

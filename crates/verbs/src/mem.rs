@@ -14,8 +14,8 @@ use crate::types::{MrKey, PAGE_SIZE};
 /// Sparse page-granular memory for one host.
 ///
 /// Pages materialize zero-filled on first access, which doubles as a
-/// first-touch model: [`Memory::is_resident`] tells whether the OS has the
-/// page yet.
+/// first-touch model: [`Memory::resident_pages`] counts the pages the OS
+/// has so far.
 ///
 /// # Examples
 ///
@@ -25,8 +25,7 @@ use crate::types::{MrKey, PAGE_SIZE};
 /// let mut mem = Memory::new();
 /// mem.write(0x1000, b"hello");
 /// assert_eq!(mem.read(0x1000, 5), b"hello");
-/// assert!(mem.is_resident(0x1000));
-/// assert!(!mem.is_resident(0x9000));
+/// assert_eq!(mem.resident_pages(), 1);
 /// ```
 #[derive(Debug, Default)]
 pub struct Memory {
@@ -56,11 +55,6 @@ impl Memory {
 
     fn page_base(addr: u64) -> u64 {
         addr & !(PAGE_SIZE - 1)
-    }
-
-    /// True if the page containing `addr` has been materialized.
-    pub fn is_resident(&self, addr: u64) -> bool {
-        self.pages.contains_key(&Self::page_base(addr))
     }
 
     /// The page containing `addr`, materialized zero-filled on first

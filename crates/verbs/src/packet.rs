@@ -213,11 +213,6 @@ impl PacketKind {
                 | PacketKind::AtomicRequest { .. }
         )
     }
-
-    /// True for READ response segments.
-    pub fn is_read_response(&self) -> bool {
-        matches!(self, PacketKind::ReadResponse { .. })
-    }
 }
 
 /// A packet on the wire.
@@ -373,7 +368,6 @@ mod tests {
             offset: 0,
         });
         assert_eq!(r.kind.opcode(), "RDMA_READ_RESP_LAST");
-        assert!(r.kind.is_read_response());
         assert!(!r.kind.is_request());
     }
 

@@ -2,16 +2,16 @@
 //!
 //! One [`Qp`] is a thin facade over four layers, each in its own module:
 //!
-//! * [`state`] — the QP lifecycle enum and the single exhaustive
+//! * `state` — the QP lifecycle enum and the single exhaustive
 //!   transition-legality table.
-//! * [`requester`] — send queue, PSN assignment, ACK timeout, RNR wait,
+//! * `requester` — send queue, PSN assignment, ACK timeout, RNR wait,
 //!   ODP response stalls, go-back-N retransmission.
-//! * [`responder`] — ePSN tracking, duplicate and out-of-sequence
+//! * `responder` — ePSN tracking, duplicate and out-of-sequence
 //!   handling, RNR NAK generation, ODP fault pendency.
-//! * [`fault`] — the page gate ("may this QP touch this span now?")
+//! * `fault` — the page gate ("may this QP touch this span now?")
 //!   both engines ask, per-QP page staleness, recovery windows.
-//! * [`effects`] — the [`Effects`] value every engine emits into;
-//!   the cluster router interprets it ([`wire`] holds the pure
+//! * `effects` — the [`Effects`] value every engine emits into;
+//!   the cluster router interprets it (`wire` holds the pure
 //!   packet-construction helpers).
 //!
 //! The engines are engine-agnostic in the event-loop sense: handlers
@@ -380,10 +380,5 @@ impl Qp {
     /// flood root cause: "update failure of page statuses", §VI-B).
     pub fn mark_page_stale(&mut self, mr: MrKey, page: usize) {
         self.fault.mark_stale(mr, page);
-    }
-
-    /// Number of pages this QP still considers stale.
-    pub fn stale_page_count(&self) -> usize {
-        self.fault.stale_count()
     }
 }

@@ -7,8 +7,8 @@ use ibsim::dsm::{Dsm, DsmConfig};
 use ibsim::event::{Engine, SimTime};
 use ibsim::fabric::LinkSpec;
 use ibsim::odp::{
-    fnv1a_str, run_microbench, run_microbench_digest, run_microbench_sharded,
-    run_microbench_sharded_with, MicrobenchConfig, MicrobenchDigest, OdpMode, SystemProfile,
+    fnv1a_str, run_microbench, run_microbench_plan, MicrobenchConfig, MicrobenchDigest, OdpMode,
+    SystemProfile,
 };
 use ibsim::shuffle::{run_shuffle, ShuffleConfig};
 use ibsim::ucp::{MemSlice, Tag, Ucp, UcpConfig};
@@ -138,7 +138,7 @@ fn assert_digest_matches(seq: &MicrobenchDigest, sh: &MicrobenchDigest, ctx: &st
 
 #[test]
 fn sharded_damming_reproduces_pinned_golden_at_every_shard_count() {
-    let seq = run_microbench_digest(&damming_probe_cfg());
+    let seq = run_microbench_plan(&damming_probe_cfg(), ShardPlan::pair(1));
     assert_eq!(seq.client_timeline.len(), 919, "sequential golden drifted");
     assert_eq!(
         fnv1a_str(&seq.client_timeline),
@@ -146,7 +146,7 @@ fn sharded_damming_reproduces_pinned_golden_at_every_shard_count() {
         "sequential golden drifted"
     );
     for shards in [1, 2, 4, 8] {
-        let sh = run_microbench_sharded(&damming_probe_cfg(), shards);
+        let sh = run_microbench_plan(&damming_probe_cfg(), ShardPlan::pair(shards));
         assert_eq!(
             fnv1a_str(&sh.client_timeline),
             0xeabf_f70d_d984_76b9,
@@ -158,7 +158,7 @@ fn sharded_damming_reproduces_pinned_golden_at_every_shard_count() {
 
 #[test]
 fn sharded_flood_reproduces_pinned_golden_at_every_shard_count() {
-    let seq = run_microbench_digest(&flood_probe_cfg());
+    let seq = run_microbench_plan(&flood_probe_cfg(), ShardPlan::pair(1));
     assert_eq!(
         seq.client_timeline.len(),
         135_890,
@@ -170,7 +170,7 @@ fn sharded_flood_reproduces_pinned_golden_at_every_shard_count() {
         "sequential golden drifted"
     );
     for shards in [1, 2, 4, 8] {
-        let sh = run_microbench_sharded(&flood_probe_cfg(), shards);
+        let sh = run_microbench_plan(&flood_probe_cfg(), ShardPlan::pair(shards));
         assert_eq!(
             fnv1a_str(&sh.client_timeline),
             0xa115_5303_7a19_1337,
@@ -186,7 +186,7 @@ fn sharded_stage_sum_law_holds_with_cross_shard_fault_lifecycles() {
     // each host's own shard, but the retransmit drain closing every span
     // is driven by packets from the peer's shard. The stage-sum
     // conservation law must survive the epoch-merged telemetry.
-    let sh = run_microbench_sharded(&damming_probe_cfg(), 2);
+    let sh = run_microbench_plan(&damming_probe_cfg(), ShardPlan::pair(2));
     assert!(
         !sh.telemetry.spans().is_empty(),
         "damming probe must record fault spans"
@@ -197,7 +197,7 @@ fn sharded_stage_sum_law_holds_with_cross_shard_fault_lifecycles() {
         "both shards must contribute spans"
     );
     assert_eq!(sh.telemetry.stage_sum_violations(), 0);
-    let seq = run_microbench_digest(&damming_probe_cfg());
+    let seq = run_microbench_plan(&damming_probe_cfg(), ShardPlan::pair(1));
     assert_eq!(seq.telemetry.stage_sum_violations(), 0);
     assert_eq!(seq.telemetry.spans().len(), sh.telemetry.spans().len());
 }
@@ -214,7 +214,7 @@ fn oversized_lookahead_override_is_rejected() {
     };
     let mut plan = ShardPlan::new(2, vec![0, 1]);
     plan.lookahead_override = Some(SimTime::from_ms(1000));
-    run_microbench_sharded_with(&cfg, plan);
+    run_microbench_plan(&cfg, plan);
 }
 
 #[test]
