@@ -10,6 +10,9 @@ cargo fmt --all -- --check
 echo "==> cargo clippy --workspace --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets --offline -- -D warnings
 
+echo "==> cargo doc --workspace --no-deps (rustdoc warnings are errors)"
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline -q
+
 echo "==> ibsim-lint determinism analyzer (workspace + self-check,"
 echo "    unused suppressions are errors)"
 cargo run -q --offline -p ibsim-lint -- --workspace --deny-unused-allows

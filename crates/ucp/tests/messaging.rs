@@ -135,6 +135,32 @@ fn get_and_put_roundtrip() {
     assert_eq!(cl.mem_read(b, rb.base + 4096, 6), b"put me");
 }
 
+/// `get` forwards the caller's slice to the verbs layer unchecked; one
+/// that overruns its region comes back as a failed request (a local
+/// protection error underneath), not a panic or a write past the region.
+#[test]
+fn get_into_an_out_of_range_slice_fails_the_request() {
+    let (mut eng, mut cl, ucp, a, b, ep) = setup(UcpConfig { odp: false });
+    let ra = ucp.mem_map(&mut cl, a, 4096);
+    let rb = ucp.mem_map(&mut cl, b, 4096);
+    let g = ucp.get(
+        &mut eng,
+        &mut cl,
+        ep,
+        a,
+        slice(&ra, 4000, 512),
+        rb.key,
+        0,
+        512,
+    );
+    assert_eq!(ucp.open_requests(), 1);
+    eng.run(&mut cl);
+    let done = ucp.take_completed(a);
+    assert_eq!(done.len(), 1);
+    assert!(done[0].req == g && done[0].failed && done[0].bytes == 0);
+    assert_eq!(ucp.open_requests(), 0);
+}
+
 #[test]
 fn callbacks_chain_operations() {
     // A GET whose completion triggers a tagged send — the continuation

@@ -36,29 +36,29 @@ pub enum ClusterEvent {
         pkt: Packet,
     },
     /// The ACK timeout (`T_o`) of a QP expires; deferred instead if the
-    /// §VI-C timer load grew since `armed_at`.
+    /// §VI-C timer load grew since `armed_at`. A fire the QP did not arm
+    /// for finds `ack_armed` false and does nothing.
     AckTimer {
         /// Requester host.
         host: HostId,
         /// Requester QP.
         qpn: Qpn,
-        /// Arm generation; a stale one is ignored by the QP.
-        gen: u64,
         /// When the timer was (first) armed.
         armed_at: SimTime,
         /// The unloaded timeout the deadline is recomputed from.
         t_o: SimTime,
     },
-    /// The RNR wait of a QP ends.
+    /// The RNR wait of a QP ends. A fire with no wait in progress finds
+    /// `rnr_wait` empty and does nothing.
     RnrTimer {
         /// Requester host.
         host: HostId,
         /// Requester QP.
         qpn: Qpn,
-        /// Arm generation.
-        gen: u64,
     },
-    /// The blind-retransmit tick of one stalled message (client-side ODP).
+    /// The blind-retransmit tick of one stalled message (client-side
+    /// ODP). A tick for a PSN with no stall, or whose message finished,
+    /// finds nothing to resend and does not re-arm.
     StallTick {
         /// Requester host.
         host: HostId,
@@ -66,8 +66,6 @@ pub enum ClusterEvent {
         qpn: Qpn,
         /// First PSN of the stalled message.
         psn: Psn,
-        /// Arm generation.
-        gen: u64,
     },
     /// `host`'s driver finishes the work item it began.
     DriverDone {
@@ -87,32 +85,24 @@ impl Event<Cluster> for ClusterEvent {
             ClusterEvent::AckTimer {
                 host,
                 qpn,
-                gen,
                 armed_at,
                 t_o,
-            } => c.on_ack_timer_fire(eng, host, qpn, gen, armed_at, t_o),
-            ClusterEvent::RnrTimer { host, qpn, gen } => {
+            } => c.on_ack_timer_fire(eng, host, qpn, armed_at, t_o),
+            ClusterEvent::RnrTimer { host, qpn } => {
                 c.telemetry.counter_add(
                     "timer.rnr_fired",
                     Labels::host_qp(host.0 as u64, qpn.0),
                     1,
                 );
-                c.with_qp(eng, host, qpn, |qp, env, fx| qp.on_rnr_fire(env, fx, gen));
+                c.with_qp(eng, host, qpn, |qp, env, fx| qp.on_rnr_fire(env, fx));
             }
-            ClusterEvent::StallTick {
-                host,
-                qpn,
-                psn,
-                gen,
-            } => {
+            ClusterEvent::StallTick { host, qpn, psn } => {
                 c.telemetry.counter_add(
                     "timer.stall_tick_fired",
                     Labels::host_qp(host.0 as u64, qpn.0),
                     1,
                 );
-                c.with_qp(eng, host, qpn, |qp, env, fx| {
-                    qp.on_stall_tick(env, fx, psn, gen)
-                });
+                c.with_qp(eng, host, qpn, |qp, env, fx| qp.on_stall_tick(env, fx, psn));
             }
             ClusterEvent::DriverDone { host, work } => c.on_driver_done(eng, host, work),
             ClusterEvent::Call(f) => f(c, eng),
@@ -1040,56 +1030,33 @@ impl Cluster {
         if fx.timers.cancel_ack {
             eng.cancel_key(TimerFamily::Ack.key(host, qpn, 0));
         }
-        if let Some(gen) = fx.timers.arm_ack {
+        if fx.timers.arm_ack {
             let nic = &self.nics[host.0];
             let cack = nic.qp(qpn).map(|q| q.config().cack).unwrap_or_default();
             if let Some(t_o) = nic.profile.t_o(cack) {
-                // Timer-management load: many QPs in recovery lengthen the
-                // observed timeout (§VI-C). The load factor is re-checked
-                // when the timer fires (see `on_ack_timer_fire`), so a
-                // timer armed before a recovery storm still observes the
-                // lengthened delay. Arming through the keyed slot replaces
-                // any pending timeout event in place.
-                let load = nic.recovery_count().saturating_sub(1) as u64;
-                let delay =
-                    t_o.mul_permille(1000 + nic.profile.timer_load_coeff_pm.saturating_mul(load));
-                let armed_at = eng.now();
-                eng.post_keyed_at(
-                    TimerFamily::Ack.key(host, qpn, 0),
-                    armed_at + delay,
-                    ClusterEvent::AckTimer {
-                        host,
-                        qpn,
-                        gen,
-                        armed_at,
-                        t_o,
-                    },
-                );
+                // The deadline is checked again when the timer fires
+                // (see `on_ack_timer_fire`).
+                self.post_ack_timer(eng, host, qpn, eng.now(), t_o);
             }
         }
         if fx.timers.cancel_rnr {
             eng.cancel_key(TimerFamily::Rnr.key(host, qpn, 0));
         }
-        if let Some((delay, gen)) = fx.timers.arm_rnr {
+        if let Some(delay) = fx.timers.arm_rnr {
             eng.post_keyed_at(
                 TimerFamily::Rnr.key(host, qpn, 0),
                 eng.now() + delay,
-                ClusterEvent::RnrTimer { host, qpn, gen },
+                ClusterEvent::RnrTimer { host, qpn },
             );
         }
         for psn in fx.timers.cancel_stalls.drain(..) {
             eng.cancel_key(TimerFamily::Stall.key(host, qpn, psn.value()));
         }
-        for (psn, delay, gen) in fx.timers.arm_stalls.drain(..) {
+        for (psn, delay) in fx.timers.arm_stalls.drain(..) {
             eng.post_keyed_at(
                 TimerFamily::Stall.key(host, qpn, psn.value()),
                 eng.now() + delay,
-                ClusterEvent::StallTick {
-                    host,
-                    qpn,
-                    psn,
-                    gen,
-                },
+                ClusterEvent::StallTick { host, qpn, psn },
             );
         }
         let mut kick = false;
@@ -1139,50 +1106,64 @@ impl Cluster {
         }
     }
 
-    /// An ACK-timeout event reached its scheduled time. The §VI-C
-    /// timer-management load factor is sampled *again* here: a timer armed
-    /// before a recovery storm was scheduled with a stale (too short)
-    /// delay, so if the load has since grown the timeout is deferred to
-    /// `armed_at + T_o · (1 + coeff · load_now)` instead of firing early.
-    /// A shrinking load never retracts an elapsed wait: the timer just
-    /// fires at its (longer) armed delay.
+    /// When an ACK timeout armed at `armed_at` is due: `armed_at + T_o ·
+    /// (1 + coeff · load)`, where the load is the number of *other* QPs
+    /// of the NIC in recovery right now — many QPs in recovery lengthen
+    /// the observed timeout (timer-management load, §VI-C).
+    fn ack_deadline(&self, host: HostId, armed_at: SimTime, t_o: SimTime) -> SimTime {
+        let nic = &self.nics[host.0];
+        let load = nic.recovery_count().saturating_sub(1) as u64;
+        armed_at + t_o.mul_permille(1000 + nic.profile.timer_load_coeff_pm.saturating_mul(load))
+    }
+
+    /// Posts `qpn`'s ACK timeout into its keyed slot (replacing any
+    /// pending one in place), due at [`Cluster::ack_deadline`].
+    fn post_ack_timer(
+        &self,
+        eng: &mut Sim,
+        host: HostId,
+        qpn: Qpn,
+        armed_at: SimTime,
+        t_o: SimTime,
+    ) {
+        eng.post_keyed_at(
+            TimerFamily::Ack.key(host, qpn, 0),
+            self.ack_deadline(host, armed_at, t_o),
+            ClusterEvent::AckTimer {
+                host,
+                qpn,
+                armed_at,
+                t_o,
+            },
+        );
+    }
+
+    /// An ACK-timeout event reached its scheduled time. The §VI-C load
+    /// is sampled *again* here: a timer armed before a recovery storm was
+    /// scheduled with a stale (too short) delay, so if the load has since
+    /// grown the timeout is deferred to the recomputed deadline instead
+    /// of firing early. A shrinking load never retracts an elapsed wait:
+    /// the timer just fires at its (longer) armed delay.
     fn on_ack_timer_fire(
         &mut self,
         eng: &mut Sim,
         host: HostId,
         qpn: Qpn,
-        gen: u64,
         armed_at: SimTime,
         t_o: SimTime,
     ) {
-        let nic = &self.nics[host.0];
-        let load = nic.recovery_count().saturating_sub(1) as u64;
-        let due = armed_at
-            + t_o.mul_permille(1000 + nic.profile.timer_load_coeff_pm.saturating_mul(load));
-        if eng.now() < due {
+        if eng.now() < self.ack_deadline(host, armed_at, t_o) {
             self.telemetry.counter_add(
                 "timer.ack_deferred",
                 Labels::host_qp(host.0 as u64, qpn.0),
                 1,
             );
-            eng.post_keyed_at(
-                TimerFamily::Ack.key(host, qpn, 0),
-                due,
-                ClusterEvent::AckTimer {
-                    host,
-                    qpn,
-                    gen,
-                    armed_at,
-                    t_o,
-                },
-            );
+            self.post_ack_timer(eng, host, qpn, armed_at, t_o);
             return;
         }
         self.telemetry
             .counter_add("timer.ack_fired", Labels::host_qp(host.0 as u64, qpn.0), 1);
-        self.with_qp(eng, host, qpn, |qp, env, fx| {
-            qp.on_ack_timeout(env, fx, gen)
-        });
+        self.with_qp(eng, host, qpn, |qp, env, fx| qp.on_ack_timeout(env, fx));
     }
 
     fn transmit(&mut self, eng: &mut Sim, host: HostId, mut pkt: Packet) {

@@ -11,6 +11,10 @@
 //! telemetry hooks (work-request completion records, fault-span records,
 //! per-packet counters) are all derived from the `Effects` stream by the
 //! router, never recorded inside an engine.
+//!
+//! Timer effects name engine slots ([`TimerFamily::key`]): a timer's
+//! identity is its keyed slot; a handler that clears a wait cancels its
+//! key in the same turn; nothing else guards a stale fire.
 
 use ibsim_event::{SimTime, TimerKey};
 
@@ -21,7 +25,7 @@ use crate::wr::Completion;
 /// The three per-QP protocol timer families, multiplexed onto the
 /// engine's keyed timer table. Each family has at most one live event
 /// per (host, QP[, PSN]) slot: arming an armed slot replaces the old
-/// event, so re-arms never leave gen-guarded no-op events in the heap.
+/// event, so a re-arm leaves nothing behind to fire late.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TimerFamily {
     /// Transport ACK timeout (`T_o`), one slot per (host, QP).
@@ -56,22 +60,23 @@ impl TimerFamily {
 /// earlier arm) exactly like the keyed timer table they are routed into,
 /// so a handler that arms and then cancels produces *no* scheduled event
 /// — not a schedule-then-cancel pair — keeping engine queue statistics
-/// byte-identical across refactors.
+/// byte-identical across refactors. A cancel followed by an arm stays
+/// both: the router cancels the slot, then posts into it.
 #[derive(Debug, Default)]
 pub struct TimerEffects {
-    /// Arm (or re-arm) the ACK timeout with this generation; the router
-    /// derives the delay from the device profile and §VI-C timer load.
-    pub arm_ack: Option<u64>,
+    /// Arm (or re-arm) the ACK timeout; the router derives the delay
+    /// from the device profile and §VI-C timer load.
+    pub arm_ack: bool,
     /// Cancel any armed ACK timeout.
     pub cancel_ack: bool,
-    /// Start an RNR wait timer: (delay, generation).
-    pub arm_rnr: Option<(SimTime, u64)>,
+    /// Start an RNR wait timer with this delay.
+    pub arm_rnr: Option<SimTime>,
     /// Cancel any armed RNR wait timer (the wait resolved early, e.g. a
     /// sequence-error NAK or QP teardown); without this the stale event
     /// sits in the heap for the full advertised delay.
     pub cancel_rnr: bool,
-    /// Schedule ODP blind-retransmit ticks: (message PSN, delay, generation).
-    pub arm_stalls: Vec<(Psn, SimTime, u64)>,
+    /// Schedule ODP blind-retransmit ticks: (message PSN, delay).
+    pub arm_stalls: Vec<(Psn, SimTime)>,
     /// Cancel the blind-retransmit tick of these stalled messages (the
     /// stall resolved before its next tick).
     pub cancel_stalls: Vec<Psn>,
@@ -81,7 +86,7 @@ impl TimerEffects {
     /// Clears every slot while keeping the stall vectors' capacity, so a
     /// pooled [`Effects`] value re-arms without reallocating.
     pub fn reset(&mut self) {
-        self.arm_ack = None;
+        self.arm_ack = false;
         self.cancel_ack = false;
         self.arm_rnr = None;
         self.cancel_rnr = false;
@@ -91,7 +96,7 @@ impl TimerEffects {
 
     /// True if no timer operation was emitted.
     pub fn is_quiet(&self) -> bool {
-        self.arm_ack.is_none()
+        !self.arm_ack
             && !self.cancel_ack
             && self.arm_rnr.is_none()
             && !self.cancel_rnr
@@ -177,7 +182,7 @@ mod tests {
         fx.timers.cancel_ack = true;
         assert!(!fx.is_quiet());
         let mut fx = Effects::new();
-        fx.timers.arm_stalls.push((Psn::new(3), SimTime::ZERO, 1));
+        fx.timers.arm_stalls.push((Psn::new(3), SimTime::ZERO));
         assert!(!fx.is_quiet());
         let mut fx = Effects::new();
         fx.faults.push((MrKey(1), 0));
@@ -188,9 +193,9 @@ mod tests {
     fn reset_clears_everything_and_keeps_capacity() {
         let mut fx = Effects::new();
         fx.completions.reserve(8);
-        fx.timers.arm_ack = Some(4);
+        fx.timers.arm_ack = true;
         fx.timers.cancel_rnr = true;
-        fx.timers.arm_stalls.push((Psn::new(3), SimTime::ZERO, 1));
+        fx.timers.arm_stalls.push((Psn::new(3), SimTime::ZERO));
         fx.timers.cancel_stalls.push(Psn::new(9));
         fx.faults.push((MrKey(1), 0));
         fx.fault_waits.push((MrKey(1), 1));

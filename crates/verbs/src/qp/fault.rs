@@ -108,8 +108,6 @@ pub(super) struct OdpStall {
     pub(super) psn: Psn,
     /// End of the damming ghost window (= time of the first blind retick).
     pub(super) ghost_until: SimTime,
-    /// Timer generation guarding this stall's ticks.
-    pub(super) gen: u64,
     /// The page whose fault blocked the response, when the gate knows
     /// it. Event-driven backends resume a stall only when *its* page
     /// resolves, so one page's resolution never triggers retransmissions
@@ -117,22 +115,13 @@ pub(super) struct OdpStall {
     pub(super) blocked_on: Option<(MrKey, usize)>,
 }
 
-/// Requester-side RNR wait state.
-#[derive(Debug, Clone, Copy)]
-pub(super) struct RnrWait {
-    /// PSN of the message the responder RNR-NAKed.
-    pub(super) psn: Psn,
-    /// Timer generation guarding the wait.
-    pub(super) gen: u64,
-}
-
 /// The requester's fault-recovery state: the RNR wait (if any) plus every
 /// active ODP stall. Owned by the requester engine; grouped here because
 /// the damming ghost window (§V) is defined over exactly this state.
 #[derive(Debug, Default)]
 pub(super) struct Recovery {
-    /// Active RNR wait, if the responder RNR-NAKed us.
-    pub(super) rnr_wait: Option<RnrWait>,
+    /// PSN of the message the responder RNR-NAKed, while the wait lasts.
+    pub(super) rnr_wait: Option<Psn>,
     /// Active client-side ODP stalls.
     pub(super) stalls: Vec<OdpStall>,
 }
@@ -176,8 +165,8 @@ pub(super) struct GateStats {
 
 /// The pages `span` touches. The bounds check comes first — a span
 /// outside the region is the caller's to refuse (the responder NAKs it
-/// before asking; a local range is the poster's contract, asserted
-/// here) — and the zero-length rule after it: an empty span touches the
+/// before asking; `Requester::post` refuses a local one, so the assert
+/// here states an invariant) — and the zero-length rule after it: an empty span touches the
 /// page it points into, and no page when it points at the region's end.
 fn pages(mr: &MemRegion, span: Span) -> Range<usize> {
     if span.len == 0 && span.off == mr.len() {
@@ -320,7 +309,6 @@ mod tests {
         r.stalls.push(OdpStall {
             psn: Psn::new(5),
             ghost_until: SimTime::from_us(10),
-            gen: 1,
             blocked_on: None,
         });
         assert!(r.active());
@@ -330,10 +318,7 @@ mod tests {
         assert!(!r.in_window(SimTime::from_us(10)));
         assert!(r.active());
         r.stalls.clear();
-        r.rnr_wait = Some(RnrWait {
-            psn: Psn::new(5),
-            gen: 2,
-        });
+        r.rnr_wait = Some(Psn::new(5));
         assert!(r.in_window(SimTime::from_ms(99)));
     }
 }

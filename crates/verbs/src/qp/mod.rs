@@ -1,15 +1,21 @@
 //! The layered Reliable Connection transport core.
 //!
-//! One [`Qp`] is a thin facade over four layers, each in its own module:
+//! One [`Qp`] is a thin facade (`ctx`, `life`, `req`, `resp`, `fault`)
+//! over one module per concern:
 //!
 //! * `state` — the QP lifecycle enum and the single exhaustive
 //!   transition-legality table.
-//! * `requester` — send queue, PSN assignment, ACK timeout, RNR wait,
-//!   ODP response stalls, go-back-N retransmission.
+//! * `requester` — send queue, PSN assignment, the transmit pump, the
+//!   ACK / RNR / stall timers, the loss-recovery pass and error-out;
+//!   `requester::response` is its receive path (ACK advance, READ and
+//!   atomic response landing, NAK handling).
 //! * `responder` — ePSN tracking, duplicate and out-of-sequence
-//!   handling, RNR NAK generation, ODP fault pendency.
+//!   handling, the one admission, RNR NAK generation, ODP fault
+//!   pendency, the atomic replay cache.
 //! * `fault` — the page gate ("may this QP touch this span now?")
 //!   both engines ask, per-QP page staleness, recovery windows.
+//! * `recovery` — [`RecoveryKind`], the loss-recovery backend: what a
+//!   recovery pass resends and how an ODP stall resumes.
 //! * `effects` — the [`Effects`] value every engine emits into;
 //!   the cluster router interprets it (`wire` holds the pure
 //!   packet-construction helpers).
@@ -20,6 +26,15 @@
 //! packets, timer arms/cancels, faults, completions — into an
 //! [`Effects`] value. This keeps every protocol rule unit-testable
 //! without an event loop.
+//!
+//! ## Timers
+//!
+//! A timer's identity is its keyed slot ([`TimerFamily::key`]); a
+//! handler that clears a wait cancels its key in the same turn; nothing
+//! else guards a stale fire. What the QP keeps per family is the wait
+//! itself — `ack_armed`, `rnr_wait`, one `OdpStall` per stalled message
+//! — and a fire that finds no wait ([`Qp::on_ack_timeout`],
+//! [`Qp::on_rnr_fire`], [`Qp::on_stall_tick`]) is quiet.
 //!
 //! ## Where the paper's pitfalls live
 //!
@@ -310,7 +325,7 @@ impl Qp {
     ///
     /// Panics if the QP was never connected.
     pub fn post(&mut self, env: &mut QpEnv<'_>, fx: &mut Effects, wr: WorkRequest) {
-        self.req.post(&self.ctx, &self.life, env, fx, wr);
+        self.req.post(&self.ctx, &mut self.life, env, fx, wr);
     }
 
     /// Posts a receive buffer for an incoming SEND.
@@ -348,22 +363,20 @@ impl Qp {
         }
     }
 
-    /// Handles an ACK-timeout event with guard generation `gen`.
-    pub fn on_ack_timeout(&mut self, env: &mut QpEnv<'_>, fx: &mut Effects, gen: u64) {
-        self.req
-            .on_ack_timeout(&self.ctx, &mut self.life, env, fx, gen);
+    /// Handles the ACK timeout firing; quiet unless the timer is armed.
+    pub fn on_ack_timeout(&mut self, env: &mut QpEnv<'_>, fx: &mut Effects) {
+        self.req.on_ack_timeout(&self.ctx, &mut self.life, env, fx);
     }
 
-    /// Handles the RNR wait expiring.
-    pub fn on_rnr_fire(&mut self, env: &mut QpEnv<'_>, fx: &mut Effects, gen: u64) {
-        self.req.on_rnr_fire(&self.ctx, &self.life, env, fx, gen);
+    /// Handles the RNR wait expiring; quiet unless a wait is in progress.
+    pub fn on_rnr_fire(&mut self, env: &mut QpEnv<'_>, fx: &mut Effects) {
+        self.req.on_rnr_fire(&self.ctx, &self.life, env, fx);
     }
 
     /// Handles one blind ODP retransmission tick for the stalled message
-    /// with first PSN `psn`.
-    pub fn on_stall_tick(&mut self, env: &mut QpEnv<'_>, fx: &mut Effects, psn: Psn, gen: u64) {
-        self.req
-            .on_stall_tick(&self.ctx, &self.life, env, fx, psn, gen);
+    /// with first PSN `psn`; quiet unless that message is still stalled.
+    pub fn on_stall_tick(&mut self, env: &mut QpEnv<'_>, fx: &mut Effects, psn: Psn) {
+        self.req.on_stall_tick(&self.ctx, env, fx, psn);
     }
 
     /// Called when a page becomes usable for this QP (fault resolved, or a

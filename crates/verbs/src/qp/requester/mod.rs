@@ -36,7 +36,7 @@ use std::collections::{BTreeSet, VecDeque};
 use ibsim_event::SimTime;
 
 use crate::types::{MrKey, Psn, WrId};
-use crate::wr::{Completion, SendWqe, WcOpcode, WcStatus, WorkRequest, WrOp};
+use crate::wr::{Completion, SendWqe, WcStatus, WorkRequest, WrOp};
 
 use super::effects::Effects;
 use super::fault::{self, GateStats, Recovery};
@@ -95,8 +95,8 @@ pub(super) struct Requester {
     next_psn: Psn,
     retry_budget: u8,
     rnr_budget: u8,
-    timer_gen: u64,
-    ack_gen: u64,
+    /// True while this QP's ACK-timeout slot holds a live event.
+    ack_armed: bool,
     recovery: Recovery,
     /// The loss-recovery backend's state and selection rule.
     backend: Backend,
@@ -118,8 +118,7 @@ impl Requester {
             next_psn: Psn::new(0),
             retry_budget: retry_count,
             rnr_budget: rnr_retry,
-            timer_gen: 0,
-            ack_gen: 0,
+            ack_armed: false,
             recovery: Recovery::default(),
             backend: Backend::new(kind),
             tx_blocked: BTreeSet::new(),
@@ -157,16 +156,16 @@ impl Requester {
         self.recovery.active()
     }
 
-    fn next_gen(&mut self) -> u64 {
-        self.timer_gen += 1;
-        self.timer_gen
-    }
-
     // ------------------------------------------------------------------
     // Posting
     // ------------------------------------------------------------------
 
-    /// Posts a send work request and transmits as far as possible.
+    /// Posts a send work request and transmits as far as possible. A
+    /// request whose local range — a READ/ATOMIC landing range, a
+    /// WRITE/SEND source — names no region of this NIC or overruns it is
+    /// refused here, so every queued WQE has a valid lkey and an in-bounds
+    /// local span: it completes `IBV_WC_LOC_PROT_ERR` behind the flush of
+    /// what was queued, and the QP is in error.
     ///
     /// # Panics
     ///
@@ -174,26 +173,30 @@ impl Requester {
     pub(super) fn post(
         &mut self,
         ctx: &QpCtx,
-        life: &Lifecycle,
+        life: &mut Lifecycle,
         env: &mut QpEnv<'_>,
         fx: &mut Effects,
         wr: WorkRequest,
     ) {
-        if life.is_error() {
+        let (lkey, off) = wr.op.local();
+        let local_ok = env
+            .mrs
+            .get(&lkey)
+            .is_some_and(|mr| mr.contains(off, wr.op.len()));
+        let refused = if life.is_error() {
+            Some(WcStatus::WrFlushErr)
+        } else if local_ok {
+            None
+        } else {
+            self.error_out(ctx, life, env, fx, WcStatus::WrFlushErr);
+            Some(WcStatus::LocalProtErr)
+        };
+        if let Some(status) = refused {
             fx.completions.push(Completion {
                 wr_id: wr.id,
                 qpn: ctx.qpn,
-                status: WcStatus::WrFlushErr,
-                opcode: match wr.op {
-                    WrOp::Read { .. } => WcOpcode::Read,
-                    WrOp::Write { .. } => WcOpcode::Write,
-                    WrOp::Send { .. } => WcOpcode::Send,
-                    WrOp::Atomic {
-                        op: crate::packet::AtomicOp::FetchAdd { .. },
-                        ..
-                    } => WcOpcode::FetchAdd,
-                    WrOp::Atomic { .. } => WcOpcode::CompareSwap,
-                },
+                status,
+                opcode: wr.op.wc_opcode(),
                 bytes: 0,
                 at: env.now,
             });
@@ -298,29 +301,24 @@ impl Requester {
         if ctx.cfg.cack == 0 || life.is_error() {
             return;
         }
-        if self.recovery.rnr_wait.is_some() {
-            // The RNR timer replaces the ACK timer while waiting.
-            if self.ack_gen != 0 {
-                self.ack_gen = 0;
-                fx.timers.cancel_ack = true;
-            }
-            fx.timers.arm_ack = None;
-            return;
-        }
-        if self.has_outstanding() {
-            let gen = self.next_gen();
-            self.ack_gen = gen;
-            fx.timers.arm_ack = Some(gen);
+        // The RNR timer replaces the ACK timer while waiting.
+        if self.recovery.rnr_wait.is_none() && self.has_outstanding() {
+            self.ack_armed = true;
+            fx.timers.arm_ack = true;
         } else {
-            if self.ack_gen != 0 {
-                self.ack_gen = 0;
-                fx.timers.cancel_ack = true;
-            }
-            // An earlier handler in this same effects batch may have armed
-            // the timer; the cancel must win or a stale no-op event
-            // lingers in the queue for a full T_o.
-            fx.timers.arm_ack = None;
+            self.disarm_ack(fx);
         }
+    }
+
+    /// Disarms the ACK timer: cancels its slot if armed, and withdraws an
+    /// arm an earlier handler left in this same effects batch — the cancel
+    /// must win or a no-op event lingers in the queue for a full `T_o`.
+    fn disarm_ack(&mut self, fx: &mut Effects) {
+        if self.ack_armed {
+            self.ack_armed = false;
+            fx.timers.cancel_ack = true;
+        }
+        fx.timers.arm_ack = false;
     }
 
     /// Notes forward progress: refills the retry budget and restarts the
@@ -345,19 +343,19 @@ impl Requester {
         }
     }
 
-    /// Handles an ACK-timeout event with guard generation `gen`.
+    /// Handles the ACK timeout firing. A fire on a disarmed QP (every
+    /// disarm cancels the slot, and `error_out` disarms) does nothing.
     pub(super) fn on_ack_timeout(
         &mut self,
         ctx: &QpCtx,
         life: &mut Lifecycle,
         env: &mut QpEnv<'_>,
         fx: &mut Effects,
-        gen: u64,
     ) {
-        if gen != self.ack_gen || life.is_error() {
+        if !self.ack_armed {
             return;
         }
-        self.ack_gen = 0;
+        self.ack_armed = false;
         if !self.has_outstanding() {
             return;
         }
@@ -373,22 +371,18 @@ impl Requester {
         self.rearm_timer_if_needed(ctx, life, fx);
     }
 
-    /// Handles the RNR wait expiring.
+    /// Handles the RNR wait expiring; with no wait in progress (ended by
+    /// a sequence-error NAK or `error_out`) a fire does nothing.
     pub(super) fn on_rnr_fire(
         &mut self,
         ctx: &QpCtx,
         life: &Lifecycle,
         env: &mut QpEnv<'_>,
         fx: &mut Effects,
-        gen: u64,
     ) {
-        let Some(wait) = self.recovery.rnr_wait else {
+        let Some(from) = self.recovery.rnr_wait.take() else {
             return;
         };
-        if wait.gen != gen || life.is_error() {
-            return;
-        }
-        self.recovery.rnr_wait = None;
         // On damming devices the go-back-N backend reproduces the
         // ConnectX-4 flaw here: recovery retransmits the requests that
         // were in flight when the RNR NAK arrived, but *forgets* the
@@ -396,30 +390,21 @@ impl Requester {
         // (→ packet damming). Back-to-back posts that beat the NAK onto
         // the wire are recovered fine, which is why Fig. 6a's timeout
         // probability is zero at near-zero intervals.
-        self.recover_from(ctx, env, fx, wait.psn, env.profile.damming);
+        self.recover_from(ctx, env, fx, from, env.profile.damming);
         self.rearm_timer_if_needed(ctx, life, fx);
     }
 
     /// Handles one blind ODP retransmission tick for the stalled message
-    /// with first PSN `psn`.
+    /// with first PSN `psn`; with no such stall (`retire` and `error_out`
+    /// drop a stall and cancel its slot together) a tick does nothing.
     pub(super) fn on_stall_tick(
         &mut self,
         ctx: &QpCtx,
-        life: &Lifecycle,
         env: &mut QpEnv<'_>,
         fx: &mut Effects,
         psn: Psn,
-        gen: u64,
     ) {
-        if life.is_error() {
-            return;
-        }
-        let Some(idx) = self
-            .recovery
-            .stalls
-            .iter()
-            .position(|s| s.psn == psn && s.gen == gen)
-        else {
+        let Some(idx) = self.recovery.stalls.iter().position(|s| s.psn == psn) else {
             return;
         };
         let Some(wqe_idx) = self.unfinished_at(psn) else {
@@ -427,13 +412,12 @@ impl Requester {
             return;
         };
         // Blind retransmission "regardless of the resolution of the page
-        // fault" (§IV-A): resend the request and keep ticking on the
-        // unchanged generation. An event-driven backend never arms these
-        // ticks; a stray one neither resends nor re-arms.
+        // fault" (§IV-A): resend the request and keep ticking. An
+        // event-driven backend never arms these ticks.
         if ctx.cfg.recovery.blind_stall_tick() {
             self.retransmit_at(ctx, env, fx, wqe_idx);
             let delay = env.profile.odp_client_retx;
-            fx.timers.arm_stalls.push((psn, delay, gen));
+            fx.timers.arm_stalls.push((psn, delay));
         }
     }
 
@@ -503,7 +487,7 @@ impl Requester {
                     wr_id: wqe.id,
                     qpn: ctx.qpn,
                     status: WcStatus::Success,
-                    opcode: wqe.wc_opcode(),
+                    opcode: wqe.op.wc_opcode(),
                     bytes: wqe.op.len(),
                     at: env.now,
                 });
@@ -513,7 +497,7 @@ impl Requester {
                 wr_id: wqe.id,
                 qpn: ctx.qpn,
                 status: if first { status } else { WcStatus::WrFlushErr },
-                opcode: wqe.wc_opcode(),
+                opcode: wqe.op.wc_opcode(),
                 bytes: 0,
                 at: env.now,
             });
@@ -527,12 +511,7 @@ impl Requester {
             fx.timers.cancel_rnr = true;
         }
         self.tx_blocked.clear();
-        if self.ack_gen != 0 {
-            self.ack_gen = 0;
-            fx.timers.cancel_ack = true;
-        }
-        fx.timers.arm_ack = None;
-        self.timer_gen += 1; // invalidate everything in flight
+        self.disarm_ack(fx);
     }
 
     // ------------------------------------------------------------------

@@ -10,7 +10,7 @@ use crate::types::{MrKey, Psn};
 use crate::wr::{Completion, WcStatus, WrOp};
 
 use super::super::effects::Effects;
-use super::super::fault::{self, FaultTracker, OdpStall, RnrWait, Span};
+use super::super::fault::{self, FaultTracker, OdpStall, Span};
 use super::super::state::Lifecycle;
 use super::super::{QpCtx, QpEnv};
 use super::{sq_index, Requester};
@@ -84,7 +84,7 @@ impl Requester {
                 wr_id: wqe.id,
                 qpn: ctx.qpn,
                 status: WcStatus::Success,
-                opcode: wqe.wc_opcode(),
+                opcode: wqe.op.wc_opcode(),
                 bytes: wqe.op.len(),
                 at: env.now,
             });
@@ -136,16 +136,14 @@ impl Requester {
             // event-driven resume waits for the right resolution.
             stall.blocked_on = blocked_on;
         } else {
-            let gen = self.next_gen();
             let delay = env.profile.odp_client_retx;
             self.recovery.stalls.push(OdpStall {
                 psn: msg_psn,
                 ghost_until: env.now + delay,
-                gen,
                 blocked_on,
             });
             if ctx.cfg.recovery.blind_stall_tick() {
-                fx.timers.arm_stalls.push((msg_psn, delay, gen));
+                fx.timers.arm_stalls.push((msg_psn, delay));
             }
         }
     }
@@ -188,25 +186,13 @@ impl Requester {
         // it, and a READ only its next segment in order.
         let landing = sq_index(&self.sq, pkt.psn).and_then(|idx| {
             let w = &self.sq[idx];
-            let (key, off) = match w.op {
-                WrOp::Read {
-                    local_mr,
-                    local_off,
-                    ..
-                } if is_read && pkt.psn == w.psn_first.add(w.recv_segments) => {
-                    (local_mr, local_off + seg_off)
-                }
-                WrOp::Atomic {
-                    local_mr,
-                    local_off,
-                    ..
-                } if !is_read => (local_mr, local_off),
-                WrOp::Read { .. }
-                | WrOp::Atomic { .. }
-                | WrOp::Write { .. }
-                | WrOp::Send { .. } => return None,
+            let expected = match w.op {
+                WrOp::Read { .. } => is_read && pkt.psn == w.psn_first.add(w.recv_segments),
+                WrOp::Atomic { .. } => !is_read,
+                WrOp::Write { .. } | WrOp::Send { .. } => false,
             };
-            (!rnr_quirk && !w.is_done()).then_some((idx, key, off))
+            let (key, off) = w.op.local();
+            (expected && !rnr_quirk && !w.is_done()).then_some((idx, key, off + seg_off))
         });
         let Some((idx, key, off)) = landing else {
             self.stats.responses_discarded += 1;
@@ -273,13 +259,9 @@ impl Requester {
                     }
                     self.rnr_budget -= 1;
                 }
-                let gen = self.next_gen();
-                self.recovery.rnr_wait = Some(RnrWait { psn, gen });
-                fx.timers.arm_rnr = Some((env.profile.rnr_actual(delay), gen));
-                if self.ack_gen != 0 {
-                    self.ack_gen = 0;
-                    fx.timers.cancel_ack = true;
-                }
+                self.recovery.rnr_wait = Some(psn);
+                fx.timers.arm_rnr = Some(env.profile.rnr_actual(delay));
+                self.disarm_ack(fx);
                 // Doorbell latency: requests that left the pipeline just
                 // before this NAK were still queued behind it in hardware;
                 // the flawed recovery forgets them too (they are dropped

@@ -12,27 +12,16 @@ use super::{QpCtx, QpEnv};
 /// payload from. `None` when nothing is gathered: READ and ATOMIC
 /// requests carry no payload, and neither does an empty segment.
 pub(super) fn source_segment(wqe: &SendWqe, seg: u32, mtu: u32) -> Option<Span> {
-    match wqe.op {
-        WrOp::Read { .. } | WrOp::Atomic { .. } => None,
-        WrOp::Write {
-            local_mr,
-            local_off,
-            len,
-            ..
-        }
-        | WrOp::Send {
-            local_mr,
-            local_off,
-            len,
-        } => {
-            let seg_len = len.saturating_sub(seg * mtu).min(mtu);
-            (seg_len > 0).then_some(Span {
-                key: local_mr,
-                off: local_off + (seg * mtu) as u64,
-                len: seg_len,
-            })
-        }
+    if matches!(wqe.op, WrOp::Read { .. } | WrOp::Atomic { .. }) {
+        return None;
     }
+    let (key, off) = wqe.op.local();
+    let len = wqe.op.len().saturating_sub(seg * mtu).min(mtu);
+    (len > 0).then_some(Span {
+        key,
+        off: off + (seg * mtu) as u64,
+        len,
+    })
 }
 
 /// Builds the request packet for segment `seg` of `wqe`.

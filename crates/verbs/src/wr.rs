@@ -77,6 +77,50 @@ impl WrOp {
         self.len() == 0
     }
 
+    /// The local range's start `(lkey, offset)`: where a READ or an
+    /// atomic's original value lands, or a WRITE/SEND payload is read.
+    pub(crate) fn local(&self) -> (MrKey, u64) {
+        match *self {
+            WrOp::Read {
+                local_mr,
+                local_off,
+                ..
+            }
+            | WrOp::Write {
+                local_mr,
+                local_off,
+                ..
+            }
+            | WrOp::Send {
+                local_mr,
+                local_off,
+                ..
+            }
+            | WrOp::Atomic {
+                local_mr,
+                local_off,
+                ..
+            } => (local_mr, local_off),
+        }
+    }
+
+    /// The opcode a completion of this operation reports.
+    pub(crate) fn wc_opcode(&self) -> WcOpcode {
+        match self {
+            WrOp::Read { .. } => WcOpcode::Read,
+            WrOp::Write { .. } => WcOpcode::Write,
+            WrOp::Send { .. } => WcOpcode::Send,
+            WrOp::Atomic {
+                op: crate::packet::AtomicOp::FetchAdd { .. },
+                ..
+            } => WcOpcode::FetchAdd,
+            WrOp::Atomic {
+                op: crate::packet::AtomicOp::CompareSwap { .. },
+                ..
+            } => WcOpcode::CompareSwap,
+        }
+    }
+
     /// Number of request packets at the given MTU.
     pub fn request_packets(&self, mtu: u32) -> u32 {
         match self {
@@ -437,6 +481,9 @@ pub enum WcStatus {
     RemoteAccessErr,
     /// The work request was flushed because the QP entered the error state.
     WrFlushErr,
+    /// The work request's local range named no registered region or
+    /// overran it (`IBV_WC_LOC_PROT_ERR`).
+    LocalProtErr,
 }
 
 impl WcStatus {
@@ -454,6 +501,7 @@ impl fmt::Display for WcStatus {
             WcStatus::RnrRetryExcErr => write!(f, "IBV_WC_RNR_RETRY_EXC_ERR"),
             WcStatus::RemoteAccessErr => write!(f, "IBV_WC_REM_ACCESS_ERR"),
             WcStatus::WrFlushErr => write!(f, "IBV_WC_WR_FLUSH_ERR"),
+            WcStatus::LocalProtErr => write!(f, "IBV_WC_LOC_PROT_ERR"),
         }
     }
 }
@@ -573,23 +621,6 @@ impl SendWqe {
             first_tx: None,
         }
     }
-
-    /// The completion opcode for this WQE.
-    pub(crate) fn wc_opcode(&self) -> WcOpcode {
-        match self.op {
-            WrOp::Read { .. } => WcOpcode::Read,
-            WrOp::Write { .. } => WcOpcode::Write,
-            WrOp::Send { .. } => WcOpcode::Send,
-            WrOp::Atomic {
-                op: crate::packet::AtomicOp::FetchAdd { .. },
-                ..
-            } => WcOpcode::FetchAdd,
-            WrOp::Atomic {
-                op: crate::packet::AtomicOp::CompareSwap { .. },
-                ..
-            } => WcOpcode::CompareSwap,
-        }
-    }
 }
 
 #[cfg(test)]
@@ -636,7 +667,7 @@ mod tests {
         assert!(wqe.covers(Psn::new(10)));
         assert!(wqe.covers(Psn::new(12)));
         assert!(!wqe.covers(Psn::new(13)));
-        assert_eq!(wqe.wc_opcode(), WcOpcode::Read);
+        assert_eq!(wqe.op.wc_opcode(), WcOpcode::Read);
     }
 
     #[test]

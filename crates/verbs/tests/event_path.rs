@@ -151,10 +151,10 @@ fn go_back_n_recovery_turns_allocate_nothing_beyond_their_packets() {
     };
     let resent = |fx: &Effects| fx.packets.iter().filter(|p| p.retransmit).count();
 
-    let gen = fx.timers.arm_ack.expect("the ACK timer is armed");
+    assert!(fx.timers.arm_ack, "the ACK timer is armed");
     fx.reset();
     env.now = SimTime::from_us(300);
-    let timeout = counted(|| qp.on_ack_timeout(&mut env, &mut fx, gen));
+    let timeout = counted(|| qp.on_ack_timeout(&mut env, &mut fx));
     assert_eq!((resent(&fx), timeout), (16, 0), "ACK timeout");
 
     fx.reset();
@@ -165,10 +165,10 @@ fn go_back_n_recovery_turns_allocate_nothing_beyond_their_packets() {
     fx.reset();
     let delay = SimTime::from_us(10);
     qp.on_packet(&mut env, &mut fx, &nak(0, NakKind::Rnr { delay }));
-    let (_, gen) = fx.timers.arm_rnr.expect("the RNR wait is armed");
+    assert!(fx.timers.arm_rnr.is_some(), "the RNR wait is armed");
     fx.reset();
     env.now = SimTime::from_us(340);
-    let expiry = counted(|| qp.on_rnr_fire(&mut env, &mut fx, gen));
+    let expiry = counted(|| qp.on_rnr_fire(&mut env, &mut fx));
     assert_eq!((resent(&fx), expiry), (16, 0), "RNR expiry");
     assert_eq!(qp.stats().retransmissions, 45);
 }
@@ -223,12 +223,8 @@ fn closures_on_a_bare_engine_and_typed_events_on_a_sim_count_alike() {
     });
 
     let (mut eng, mut cl, a, qa, _) = two_pinned_hosts();
-    // A timer of a generation the QP never armed: firing it is a no-op.
-    let stale = move || ClusterEvent::RnrTimer {
-        host: a,
-        qpn: qa,
-        gen: u64::MAX,
-    };
+    // An RNR timer for a QP in no RNR wait: firing it is a no-op.
+    let stale = move || ClusterEvent::RnrTimer { host: a, qpn: qa };
     let typed = replay(&mut eng, &mut cl, |eng, key, at| {
         match key {
             Some(key) => eng.post_keyed_at(key, at, stale()),

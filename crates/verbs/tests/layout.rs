@@ -22,11 +22,12 @@ fn hot_values_stay_within_their_size_bounds() {
     assert!(size_of::<ClusterEvent>() <= 72);
     // One per frame in flight and per capture record.
     assert!(size_of::<Packet>() <= 64);
-    // One per queue pair (`shuffle` holds 5.7 k, `wide` 4 k). 496 bytes
-    // with the recovery backend behind a `Box<dyn _>`; the closed backend
-    // is a kind and selective repeat's bitmap header held inline
-    // (40 bytes for the pointer pair's 16), which spares every
-    // selective-repeat QP an allocation and every backend the pointer
-    // chase per ACK.
-    assert!(size_of::<Qp>() <= 496 + 24);
+    // One per queue pair (`shuffle` holds 5.7 k, `wide` 4 k). The
+    // recovery backend is a kind with selective repeat's bitmap header
+    // held inline (40 bytes where a `Box<dyn _>` took 16), which spares
+    // every selective-repeat QP an allocation and every backend the
+    // pointer chase per ACK; the timers keep one `bool` and one
+    // `Option<Psn>` between them, their identity being the engine's
+    // keyed slots.
+    assert!(size_of::<Qp>() <= 488);
 }

@@ -78,7 +78,7 @@ fn post_read_emits_request_and_arms_timer() {
     assert_eq!(pkt.dst_qp, Qpn(9));
     assert_eq!(pkt.psn, Psn::new(0));
     assert!(matches!(pkt.kind, PacketKind::ReadRequest { len: 100, .. }));
-    assert!(out.timers.arm_ack.is_some(), "timeout armed");
+    assert!(out.timers.arm_ack, "timeout armed");
     assert_eq!(qp.pending_sends(), 1);
     assert!(qp.is_wr_pending(WrId(1)));
 }
@@ -120,6 +120,27 @@ fn responder_executes_in_order_and_advances_epsn() {
     assert_eq!(cout.completions.len(), 1);
     assert_eq!(cout.completions[0].status, WcStatus::Success);
     assert_eq!(qp_pending(&cqp), 0);
+}
+
+/// A single-segment READ response for `psn`, from QP 9 at LID 2 to
+/// QP 1 at LID 1.
+fn read_response(psn: u32, data: Vec<u8>) -> Packet {
+    Packet {
+        src: Lid(2),
+        dst: Lid(1),
+        dst_qp: Qpn(1),
+        src_qp: Qpn(9),
+        psn: Psn::new(psn),
+        kind: PacketKind::ReadResponse {
+            seg: SegPos::Only,
+            data,
+            req_psn: Psn::new(psn),
+            offset: 0,
+        },
+        ghost: false,
+        retransmit: false,
+        ecn: false,
+    }
 }
 
 fn qp_pending(qp: &Qp) -> usize {
@@ -415,7 +436,7 @@ fn rnr_fire_retransmits_only_faulted_message_on_damming_device() {
     };
     let mut out2 = Effects::new();
     cqp.on_packet(&mut client.env(SimTime::from_us(5)), &mut out2, &nak);
-    let (_, gen) = out2.timers.arm_rnr.expect("rnr armed");
+    assert!(out2.timers.arm_rnr.is_some(), "rnr armed");
     // Post a second message inside the window (ghosted).
     let mut out3 = Effects::new();
     cqp.post(
@@ -425,34 +446,48 @@ fn rnr_fire_retransmits_only_faulted_message_on_damming_device() {
     );
     // Fire the RNR timer: only the faulted message (psn0) retransmits.
     let mut out4 = Effects::new();
-    cqp.on_rnr_fire(&mut client.env(SimTime::from_ms(5)), &mut out4, gen);
+    cqp.on_rnr_fire(&mut client.env(SimTime::from_ms(5)), &mut out4);
     let psns: Vec<u32> = out4.packets.iter().map(|p| p.psn.value()).collect();
     assert_eq!(psns, vec![0], "ConnectX-4 forgets the successor");
 }
 
+/// The ACK timer is one bit of QP state mirroring one engine slot: a
+/// fire finds work only while the QP holds the timer armed, and every
+/// disarm (here: the last response) is emitted as a cancel of the slot.
 #[test]
-fn stale_timer_generations_are_ignored() {
+fn an_ack_timeout_acts_only_while_the_timer_is_armed() {
     let mut client = Host::new(cx4());
     let local = client.add_mr(1, 4096, MrMode::Pinned);
     let mut cqp = Qp::new(Qpn(1), Lid(1), QpConfig::default());
-    cqp.connect(Lid(2), Qpn(2));
+    cqp.connect(Lid(2), Qpn(9));
+    let t = SimTime::from_secs;
+    let mut idle = Effects::new();
+    cqp.on_ack_timeout(&mut client.env(t(0)), &mut idle);
+    assert!(idle.is_quiet(), "never armed");
     let mut out = Effects::new();
-    cqp.post(
-        &mut client.env(SimTime::ZERO),
-        &mut out,
-        read_wr(1, local, MrKey(7), 32),
-    );
-    let gen = out.timers.arm_ack.expect("armed");
-    // A later event re-arms with a new generation; the old one is stale.
-    let mut out2 = Effects::new();
-    cqp.on_ack_timeout(&mut client.env(SimTime::from_secs(1)), &mut out2, gen + 999);
-    assert!(out2.is_quiet(), "stale generation ignored");
-    assert_eq!(cqp.stats().timeouts, 0);
-    // The genuine generation fires.
-    let mut out3 = Effects::new();
-    cqp.on_ack_timeout(&mut client.env(SimTime::from_secs(1)), &mut out3, gen);
+    for id in 0..2 {
+        let wr = read_wr(id, local, MrKey(7), 32);
+        cqp.post(&mut client.env(t(0)), &mut out, wr);
+    }
+    assert!(out.timers.arm_ack && !out.timers.cancel_ack);
+    // Armed: the timeout counts, resends go-back-N and re-arms.
+    let mut fired = Effects::new();
+    cqp.on_ack_timeout(&mut client.env(t(1)), &mut fired);
     assert_eq!(cqp.stats().timeouts, 1);
-    assert_eq!(out3.packets.len(), 1, "go-back-N retransmission");
+    assert_eq!(fired.packets.len(), 2, "go-back-N retransmission");
+    assert!(fired.timers.arm_ack);
+    // Both responses land: the second retires the queue and disarms.
+    let mut done = Effects::new();
+    for psn in 0..2 {
+        let resp = read_response(psn, vec![0; 32]);
+        cqp.on_packet(&mut client.env(t(2)), &mut done, &resp);
+    }
+    assert_eq!(done.completions.len(), 2);
+    assert!(done.timers.cancel_ack && !done.timers.arm_ack);
+    let mut late = Effects::new();
+    cqp.on_ack_timeout(&mut client.env(t(3)), &mut late);
+    assert!(late.is_quiet(), "disarmed");
+    assert_eq!(cqp.stats().timeouts, 1);
 }
 
 #[test]
@@ -476,14 +511,14 @@ fn retry_exhaustion_errors_out_and_flushes() {
         &mut out,
         read_wr(2, local, MrKey(7), 32),
     );
-    let mut gen = out.timers.arm_ack.expect("armed");
+    assert!(out.timers.arm_ack, "armed");
     // First timeout: retries once and re-arms.
     let mut out2 = Effects::new();
-    cqp.on_ack_timeout(&mut client.env(SimTime::from_secs(1)), &mut out2, gen);
-    gen = out2.timers.arm_ack.expect("re-armed");
+    cqp.on_ack_timeout(&mut client.env(SimTime::from_secs(1)), &mut out2);
+    assert!(out2.timers.arm_ack, "re-armed");
     // Second timeout: budget exhausted.
     let mut out3 = Effects::new();
-    cqp.on_ack_timeout(&mut client.env(SimTime::from_secs(2)), &mut out3, gen);
+    cqp.on_ack_timeout(&mut client.env(SimTime::from_secs(2)), &mut out3);
     assert_eq!(out3.completions.len(), 2);
     assert_eq!(out3.completions[0].status, WcStatus::RetryExcErr);
     assert_eq!(out3.completions[1].status, WcStatus::WrFlushErr);
@@ -657,30 +692,13 @@ fn turns_behind_a_stalled_head(successors: u32) -> [String; 3] {
     let mut host = Host::new(cx4());
     let odp = host.add_mr(1, 4096, MrMode::Odp);
     let pinned = host.add_mr(2, 4096, MrMode::Pinned);
-    // No ACK timer, so timer generations do not count the successors.
     let cfg = QpConfig {
-        cack: 0,
         max_rd_atomic: successors as usize + 1,
         ..QpConfig::default()
     };
     let mut qp = Qp::new(Qpn(1), Lid(1), cfg);
     qp.connect(Lid(2), Qpn(9));
-    let response = |psn: u32| Packet {
-        src: Lid(2),
-        dst: Lid(1),
-        dst_qp: Qpn(1),
-        src_qp: Qpn(9),
-        psn: Psn::new(psn),
-        kind: PacketKind::ReadResponse {
-            seg: SegPos::Only,
-            data: vec![psn as u8; 64],
-            req_psn: Psn::new(psn),
-            offset: 0,
-        },
-        ghost: false,
-        retransmit: false,
-        ecn: false,
-    };
+    let response = |psn: u32| read_response(psn, vec![psn as u8; 64]);
     let t = SimTime::from_us;
     let mut fx = Effects::new();
     qp.post(&mut host.env(t(0)), &mut fx, read_wr(0, odp, MrKey(7), 64));
@@ -694,7 +712,7 @@ fn turns_behind_a_stalled_head(successors: u32) -> [String; 3] {
     let mut fx = Effects::new();
     qp.on_packet(&mut host.env(t(1)), &mut fx, &response(0));
     assert_eq!(fx.faults.len(), 1);
-    let (stall_psn, _, stall_gen) = fx.timers.arm_stalls[0];
+    let (stall_psn, _) = fx.timers.arm_stalls[0];
     // Every successor completes but none can retire past the head.
     let mut fx = Effects::new();
     for psn in 1..=successors {
@@ -704,21 +722,17 @@ fn turns_behind_a_stalled_head(successors: u32) -> [String; 3] {
     assert_eq!(qp.pending_sends() as u32, successors + 1);
 
     // The go-back-N tick is blind: the head goes back on the wire and
-    // the tick re-arms on its unchanged generation — one packet and one
-    // re-arm, nothing else, whatever is queued behind.
+    // the tick re-arms — one packet and one re-arm, nothing else,
+    // whatever is queued behind.
     let mut tick = Effects::new();
-    qp.on_stall_tick(&mut host.env(t(500)), &mut tick, stall_psn, stall_gen);
+    qp.on_stall_tick(&mut host.env(t(500)), &mut tick, stall_psn);
     assert_eq!(tick.packets.len(), 1, "exactly the head is resent");
     assert!(tick.packets[0].retransmit && tick.packets[0].psn == stall_psn);
-    let rearm = (stall_psn, host.profile.odp_client_retx, stall_gen);
+    let rearm = (stall_psn, host.profile.odp_client_retx);
     assert_eq!(tick.timers.arm_stalls, [rearm], "and the tick re-armed");
-    assert!(tick.timers.arm_ack.is_none() && tick.timers.cancel_stalls.is_empty());
+    assert!(!tick.timers.arm_ack && tick.timers.cancel_stalls.is_empty());
     assert!(tick.completions.is_empty() && tick.faults.is_empty());
     assert!(tick.fault_waits.is_empty() && tick.irqs == 0);
-    // A tick of a generation the stall never had does nothing at all.
-    let mut stray = Effects::new();
-    qp.on_stall_tick(&mut host.env(t(500)), &mut stray, stall_psn, stall_gen + 1);
-    assert!(stray.is_quiet());
     let mut rediscard = Effects::new();
     qp.on_packet(&mut host.env(t(501)), &mut rediscard, &response(0));
     assert_eq!(rediscard.irqs, 1, "still faulting: discarded again");
@@ -761,22 +775,7 @@ fn selective_repeat_resume_resends_in_queue_order() {
         let wr = read_wr(id, odp, MrKey(7), 64);
         qp.post(&mut host.env(SimTime::ZERO), &mut fx, wr);
     }
-    let response = |psn: u32| Packet {
-        src: Lid(2),
-        dst: Lid(1),
-        dst_qp: Qpn(1),
-        src_qp: Qpn(9),
-        psn: Psn::new(psn),
-        kind: PacketKind::ReadResponse {
-            seg: SegPos::Only,
-            data: vec![0; 64],
-            req_psn: Psn::new(psn),
-            offset: 0,
-        },
-        ghost: false,
-        retransmit: false,
-        ecn: false,
-    };
+    let response = |psn: u32| read_response(psn, vec![0; 64]);
     // Responses overtake each other: PSN 2 stalls first, then 0, then 1.
     for psn in [2, 0, 1] {
         qp.on_packet(&mut host.env(SimTime::from_us(1)), &mut fx, &response(psn));

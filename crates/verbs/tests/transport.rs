@@ -5,8 +5,8 @@
 use ibsim_event::{Engine, SimTime};
 use ibsim_fabric::{Lid, LossModel};
 use ibsim_verbs::{
-    Cluster, DeviceProfile, MrMode, QpConfig, ReadWr, RecvWr, SendWr, Sim, WcOpcode, WcStatus,
-    WrId, WriteWr,
+    Cluster, DeviceProfile, FetchAddWr, MrDesc, MrKey, MrMode, QpConfig, QpState, ReadWr, RecvWr,
+    SendWr, Sim, WcOpcode, WcStatus, WorkRequest, WrId, WriteWr,
 };
 
 fn two_hosts(profile: DeviceProfile) -> (Sim, Cluster, ibsim_verbs::HostId, ibsim_verbs::HostId) {
@@ -307,6 +307,63 @@ fn remote_access_error_reported() {
     eng.run(&mut cl);
     let cq = cl.poll_cq(a);
     assert_eq!(cq[0].status, WcStatus::RemoteAccessErr);
+}
+
+/// Posts a healthy READ and then `bad`, whose *local* range is not the
+/// poster's to use: real verbs complete it `IBV_WC_LOC_PROT_ERR`, move
+/// the QP to the error state and flush what was queued, and nothing of
+/// the bad request reaches the wire or memory.
+fn assert_local_protection_error(bad: impl FnOnce(MrDesc, MrDesc) -> WorkRequest) {
+    let (mut eng, mut cl, a, b) = two_hosts(DeviceProfile::connectx6());
+    let remote = cl.alloc_mr(b, 4096, MrMode::Pinned);
+    let local = cl.alloc_mr(a, 4096, MrMode::Pinned);
+    // The next allocation, right behind `local`: an overrun lands here.
+    let neighbour = cl.alloc_buffer(a, 4096);
+    cl.mem_write(b, remote.base, &[0xAB; 4096]);
+    let (qa, _) = cl.connect_pair(&mut eng, a, b, QpConfig::default());
+    cl.post(&mut eng, a, qa, ReadWr::new(local, remote).len(64).id(1));
+    cl.post(&mut eng, a, qa, bad(local, remote));
+    eng.run(&mut cl);
+    let cq = cl.poll_cq(a);
+    let got: Vec<_> = cq.iter().map(|c| (c.wr_id, c.status, c.bytes)).collect();
+    assert_eq!(
+        got,
+        [
+            (WrId(1), WcStatus::WrFlushErr, 0),
+            (WrId(2), WcStatus::LocalProtErr, 0)
+        ]
+    );
+    assert_eq!(cq[1].status.to_string(), "IBV_WC_LOC_PROT_ERR");
+    assert_eq!(cl.nic(a).qp(qa).map(|q| q.state()), Some(QpState::Error));
+    assert_eq!(cl.mem_read(a, neighbour, 4096), vec![0; 4096]);
+    assert_eq!(cl.stats.total_packets, 2, "the healthy READ and its reply");
+    assert_eq!(eng.queue_stats().live, 0);
+}
+
+#[test]
+fn read_with_an_unknown_lkey_is_a_local_protection_error() {
+    assert_local_protection_error(|_, remote| ReadWr::new(MrKey(99), remote).len(64).id(2).into());
+}
+
+#[test]
+fn read_landing_past_its_local_region_is_a_local_protection_error() {
+    assert_local_protection_error(|local, remote| {
+        ReadWr::new(local.at(4000), remote).len(512).id(2).into()
+    });
+}
+
+#[test]
+fn write_sourced_past_its_local_region_is_a_local_protection_error() {
+    assert_local_protection_error(|local, remote| {
+        WriteWr::new(local.at(4000), remote).len(512).id(2).into()
+    });
+}
+
+#[test]
+fn atomic_landing_past_its_local_region_is_a_local_protection_error() {
+    assert_local_protection_error(|local, remote| {
+        FetchAddWr::new(local.at(4092), remote).id(2).into()
+    });
 }
 
 #[test]

@@ -180,6 +180,25 @@ fn sharded_flood_reproduces_pinned_golden_at_every_shard_count() {
     }
 }
 
+/// A protocol timer's only stale-fire guard is its keyed slot, so a
+/// drained run owes the engine nothing, and every ACK timer that fired
+/// found its QP armed with work outstanding: fires == counted timeouts.
+#[test]
+fn drained_probes_leave_no_timer_behind_and_every_ack_fire_is_a_timeout() {
+    let flood = run_microbench_plan(&flood_probe_cfg(), ShardPlan::pair(1));
+    let damming = run_microbench_plan(&damming_probe_cfg(), ShardPlan::pair(1));
+    for (run, name) in [(&flood, "flood"), (&damming, "damming")] {
+        assert_eq!(run.queue_stats.live, 0, "{name}");
+        assert_eq!(run.queue_stats.keyed_live, 0, "{name}");
+        let fired = counter_sum(&run.telemetry, "timer.ack_fired");
+        assert_eq!(fired, run.timeouts, "{name}");
+    }
+    // Both families ran: the damming stall ends in a Local ACK Timeout,
+    // and each of the flood's 128 QPs ticked at least once.
+    assert!(damming.timeouts >= 1);
+    assert!(counter_sum(&flood.telemetry, "timer.stall_tick_fired") >= 128);
+}
+
 #[test]
 fn sharded_stage_sum_law_holds_with_cross_shard_fault_lifecycles() {
     // Both-side ODP across 2 shards: faults are raised and resolved on
