@@ -41,6 +41,16 @@ echo "    flood probe exits nonzero if telemetry records zero fault spans)"
 cargo run -q --offline --release --example damming_probe
 cargo run -q --offline --release --example flood_probe
 
+echo "==> the other five examples (they drive payloads through dsm and ucp;"
+echo "    their concatenated stdout is pinned)"
+for example in quickstart atomic_counter dsm_counter dsm_stencil shuffle_wordcount; do
+    cargo run -q --offline --release --example "$example"
+done > target/examples.out
+if [ "$(cksum < target/examples.out)" != "137726652 1475" ]; then
+    echo "ci: the examples' stdout drifted (target/examples.out)" >&2
+    exit 1
+fi
+
 echo "==> benchmark gate (the one stage that reads a host clock: the"
 echo "    benchmark package's own fmt, clippy, tests and run/trace --quick;"
 echo "    then one short full-size run of all five workloads, whose"

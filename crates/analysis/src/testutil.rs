@@ -5,7 +5,7 @@
 
 use ibsim_event::SimTime;
 use ibsim_fabric::{Capture, Direction, Lid};
-use ibsim_verbs::{MrKey, NakKind, Packet, PacketKind, Psn, Qpn, SegPos};
+use ibsim_verbs::{MrKey, NakKind, Packet, PacketKind, Payload, Psn, Qpn, SegPos};
 
 /// A READ request from the client consuming `resp_packets` PSNs.
 pub fn read_req(psn: u32, resp_packets: u32) -> Packet {
@@ -37,7 +37,7 @@ pub fn read_resp(req_psn: u32, psn: u32) -> Packet {
         psn: Psn::new(psn),
         kind: PacketKind::ReadResponse {
             seg: SegPos::Only,
-            data: vec![0u8; 256],
+            data: Payload::from(&[0u8; 256][..]),
             req_psn: Psn::new(req_psn),
             offset: 0,
         },

@@ -485,6 +485,11 @@ impl Cluster {
     // ------------------------------------------------------------------
 
     /// Creates an RC QP on `host`.
+    ///
+    /// # Panics
+    ///
+    /// As [`Qp::new`](crate::Qp::new): on a `cfg.mtu` that is not an
+    /// IBTA path MTU.
     pub fn create_qp(&mut self, host: HostId, cfg: QpConfig) -> Qpn {
         self.nics[host.0].create_qp(cfg)
     }

@@ -29,7 +29,7 @@ mod wr;
 pub use cluster::{Cluster, ClusterBuilder, ClusterEvent, ClusterStats, MrBuilder, MrDesc, Sim};
 pub use device::{rnr_timer_decode, rnr_timer_encode, t_tr, DeviceModel, DeviceProfile};
 pub use driver::{Driver, DriverStats, DriverWork};
-pub use mem::{MemRegion, Memory, MrMode, PageState};
+pub use mem::{MemRegion, Memory, MrMode, PageState, Payload};
 pub use nic::Nic;
 pub use packet::{AtomicOp, NakKind, Packet, PacketKind, SegPos};
 pub use qp::{

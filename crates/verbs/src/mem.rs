@@ -1,15 +1,29 @@
-//! Host memory and memory regions.
+//! Host memory, memory regions, and packet payloads.
 //!
 //! Each host owns a sparse byte-addressable [`Memory`]. Registering a
 //! [`MemRegion`] makes a range of it visible to the RNIC, either *pinned*
 //! (the classic path: every page mapped in the NIC translation table at
 //! registration time) or *ODP* (pages start unmapped; access triggers
 //! network page faults, §III).
+//!
+//! A packet carries its bytes as a [`Payload`]: a read-only snapshot of
+//! the host pages it was gathered from ([`Memory::gather`]), sharing them
+//! instead of copying. Pages are reference-counted and every write goes
+//! through `Arc::make_mut`, so writing a page that an in-flight or
+//! captured packet still holds clones the page first (copy-on-write): a
+//! snapshot shows exactly the bytes present at gather time, and a
+//! delivered byte is copied once, into the receiver's pages
+//! ([`Memory::write_payload`]).
 
 use std::collections::BTreeMap;
 use std::fmt;
+use std::ops::Range;
+use std::sync::Arc;
 
 use crate::types::{MrKey, PAGE_SIZE};
+
+/// One host page.
+type Page = [u8; PAGE_SIZE as usize];
 
 /// Sparse page-granular memory for one host.
 ///
@@ -29,7 +43,9 @@ use crate::types::{MrKey, PAGE_SIZE};
 /// ```
 #[derive(Debug, Default)]
 pub struct Memory {
-    pages: BTreeMap<u64, Box<[u8]>>,
+    /// Shared with the payloads gathered from them; `Arc`, not `Rc`,
+    /// because cross-shard packets cross threads.
+    pages: BTreeMap<u64, Arc<Page>>,
     next_alloc: u64,
 }
 
@@ -53,49 +69,155 @@ impl Memory {
         base
     }
 
-    fn page_base(addr: u64) -> u64 {
-        addr & !(PAGE_SIZE - 1)
+    /// The page at `base`, materialized zero-filled on first touch: one
+    /// tree lookup whether or not the page existed.
+    fn page(&mut self, base: u64) -> &mut Arc<Page> {
+        self.pages
+            .entry(base)
+            .or_insert_with(|| Arc::new([0; PAGE_SIZE as usize]))
     }
 
-    /// The page containing `addr`, materialized zero-filled on first
-    /// touch: one tree lookup whether or not the page existed.
-    fn page_mut(&mut self, addr: u64) -> &mut [u8] {
-        self.pages
-            .entry(Self::page_base(addr))
-            .or_insert_with(|| vec![0u8; PAGE_SIZE as usize].into_boxed_slice())
+    /// Materializes the pages `[addr, addr+len)` touches without reading
+    /// them.
+    pub fn materialize(&mut self, addr: u64, len: usize) {
+        for (base, ..) in pieces(addr, len) {
+            self.page(base);
+        }
     }
 
     /// Reads `len` bytes at `addr`, materializing pages as needed.
     pub fn read(&mut self, addr: u64, len: usize) -> Vec<u8> {
-        let mut out = Vec::with_capacity(len);
-        let mut a = addr;
-        let mut remaining = len;
-        while remaining > 0 {
-            let off = (a - Self::page_base(a)) as usize;
-            let take = remaining.min(PAGE_SIZE as usize - off);
-            out.extend_from_slice(&self.page_mut(a)[off..off + take]);
-            a += take as u64;
-            remaining -= take;
-        }
+        let mut out = vec![0; len];
+        self.read_into(addr, &mut out);
         out
     }
 
-    /// Writes `data` at `addr`, materializing pages as needed.
-    pub fn write(&mut self, addr: u64, data: &[u8]) {
-        let mut a = addr;
-        let mut src = data;
-        while !src.is_empty() {
-            let off = (a - Self::page_base(a)) as usize;
-            let take = src.len().min(PAGE_SIZE as usize - off);
-            self.page_mut(a)[off..off + take].copy_from_slice(&src[..take]);
-            a += take as u64;
-            src = &src[take..];
+    /// Fills `out` from `addr`, materializing pages as needed.
+    pub fn read_into(&mut self, addr: u64, out: &mut [u8]) {
+        for (base, in_page, in_out) in pieces(addr, out.len()) {
+            out[in_out].copy_from_slice(&self.page(base)[in_page]);
         }
+    }
+
+    /// Writes `data` at `addr`, materializing pages as needed; a page a
+    /// [`Payload`] still shares is cloned first.
+    pub fn write(&mut self, addr: u64, data: &[u8]) {
+        for (base, in_page, in_data) in pieces(addr, data.len()) {
+            Arc::make_mut(self.page(base))[in_page].copy_from_slice(&data[in_data]);
+        }
+    }
+
+    /// A snapshot of the `len` bytes at `addr`, sharing their pages
+    /// (materialized as needed) instead of copying them.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `len` exceeds `PAGE_SIZE`, the largest MTU.
+    pub fn gather(&mut self, addr: u64, len: usize) -> Payload {
+        assert!(
+            len <= PAGE_SIZE as usize,
+            "a {len}-byte payload exceeds a page"
+        );
+        let mut pages = pieces(addr, len).map(|(base, ..)| Arc::clone(self.page(base)));
+        Payload {
+            pages: [pages.next(), pages.next()],
+            off: (addr % PAGE_SIZE) as u16,
+            len: len as u16,
+        }
+    }
+
+    /// Writes `payload`'s bytes at `addr`: the one copy a delivered byte
+    /// makes.
+    pub fn write_payload(&mut self, addr: u64, payload: &Payload) {
+        let (head, tail) = payload.parts();
+        self.write(addr, head);
+        self.write(addr + head.len() as u64, tail);
     }
 
     /// Number of materialized pages.
     pub fn resident_pages(&self) -> usize {
         self.pages.len()
+    }
+}
+
+/// `[addr, addr+len)` cut at page boundaries: per piece, its page's base
+/// address, its range within that page and its range within the span.
+fn pieces(addr: u64, len: usize) -> impl Iterator<Item = (u64, Range<usize>, Range<usize>)> {
+    let mut done = 0;
+    std::iter::from_fn(move || {
+        (done < len).then(|| {
+            let at = addr + done as u64;
+            let off = (at % PAGE_SIZE) as usize;
+            let n = (len - done).min(PAGE_SIZE as usize - off);
+            done += n;
+            (at - off as u64, off..off + n, done - n..done)
+        })
+    })
+}
+
+/// The bytes a packet carries: a read-only snapshot of at most
+/// `PAGE_SIZE` bytes of host memory, held as up to two shared pages, an
+/// offset and a length — 24 bytes, the size of the `Vec<u8>` it
+/// replaced. Clones share the pages; equality and `Debug` are those of
+/// the bytes, exactly as a `Vec<u8>`'s.
+#[derive(Clone, Default)]
+pub struct Payload {
+    pages: [Option<Arc<Page>>; 2],
+    off: u16,
+    len: u16,
+}
+
+impl Payload {
+    /// Number of bytes.
+    pub fn len(&self) -> usize {
+        usize::from(self.len)
+    }
+
+    /// True if the payload carries no bytes.
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// The bytes on the first page and those on the second (empty unless
+    /// the payload crosses a page boundary).
+    pub fn parts(&self) -> (&[u8], &[u8]) {
+        let (off, len) = (usize::from(self.off), self.len());
+        let head = len.min(PAGE_SIZE as usize - off);
+        let bytes = |i: usize, r: Range<usize>| self.pages[i].as_deref().map_or(&[][..], |p| &p[r]);
+        (bytes(0, off..off + head), bytes(1, 0..len - head))
+    }
+
+    /// The bytes, in order.
+    pub fn iter(&self) -> impl Iterator<Item = &u8> {
+        let (head, tail) = self.parts();
+        head.iter().chain(tail)
+    }
+
+    /// The bytes, copied out.
+    pub fn to_vec(&self) -> Vec<u8> {
+        self.iter().copied().collect()
+    }
+}
+
+impl PartialEq for Payload {
+    fn eq(&self, other: &Self) -> bool {
+        self.len == other.len && self.iter().eq(other.iter())
+    }
+}
+
+impl fmt::Debug for Payload {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_list().entries(self.iter()).finish()
+    }
+}
+
+impl From<&[u8]> for Payload {
+    /// A payload holding a copy of `bytes` (at most `PAGE_SIZE`): how
+    /// tests and tools build packets by hand.
+    fn from(bytes: &[u8]) -> Self {
+        let mut mem = Memory::new();
+        mem.write(0, bytes);
+        mem.gather(0, bytes.len())
     }
 }
 

@@ -1,12 +1,14 @@
 //! Wire packet formats.
 //!
 //! The simulator models packets at the granularity `ibdump` shows them:
-//! opcode, PSN, addressing, and payload bytes. Multi-MTU messages are
-//! segmented into FIRST/MIDDLE/LAST packets each carrying its own PSN,
-//! exactly as RC does on the wire.
+//! opcode, PSN, addressing, and payload bytes (a [`Payload`] snapshot of
+//! the sender's pages). Multi-MTU messages are segmented into
+//! FIRST/MIDDLE/LAST packets each carrying its own PSN, exactly as RC
+//! does on the wire.
 
 use core::fmt;
 
+use crate::mem::Payload;
 use crate::types::{MrKey, Psn, Qpn, AETH_BYTES, ATOMIC_ETH_BYTES, BASE_HEADER_BYTES, RETH_BYTES};
 use ibsim_fabric::Lid;
 
@@ -117,7 +119,7 @@ pub enum PacketKind {
         /// Segment position.
         seg: SegPos,
         /// Payload bytes of this segment.
-        data: Vec<u8>,
+        data: Payload,
         /// PSN of the request packet this responds to.
         req_psn: Psn,
         /// Byte offset of this segment within the whole READ.
@@ -132,14 +134,14 @@ pub enum PacketKind {
         /// Byte offset of this segment's destination within the region.
         addr: u64,
         /// Payload bytes of this segment.
-        data: Vec<u8>,
+        data: Payload,
     },
     /// One segment of a two-sided SEND.
     Send {
         /// Segment position.
         seg: SegPos,
         /// Payload bytes of this segment.
-        data: Vec<u8>,
+        data: Payload,
     },
     /// An 8-byte atomic request.
     AtomicRequest {
@@ -344,7 +346,7 @@ mod tests {
         assert_eq!(req.wire_bytes(), BASE_HEADER_BYTES + RETH_BYTES);
         let resp = packet(PacketKind::ReadResponse {
             seg: SegPos::Only,
-            data: vec![0u8; 100],
+            data: Payload::from(&[0u8; 100][..]),
             req_psn: Psn::new(9),
             offset: 0,
         });
@@ -357,13 +359,13 @@ mod tests {
     fn opcodes_match_segments() {
         let p = packet(PacketKind::Send {
             seg: SegPos::First,
-            data: vec![],
+            data: Payload::default(),
         });
         assert_eq!(p.kind.opcode(), "SEND_FIRST");
         assert!(p.kind.is_request());
         let r = packet(PacketKind::ReadResponse {
             seg: SegPos::Last,
-            data: vec![],
+            data: Payload::default(),
             req_psn: Psn::new(0),
             offset: 0,
         });

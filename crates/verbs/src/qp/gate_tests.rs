@@ -16,7 +16,7 @@ use ibsim_event::{SimTime, SplitMix64};
 use ibsim_fabric::{Lid, LinkSpec};
 
 use crate::device::DeviceProfile;
-use crate::mem::{MemRegion, Memory, MrMode, PageState};
+use crate::mem::{MemRegion, Memory, MrMode, PageState, Payload};
 use crate::packet::{AtomicOp, NakKind, Packet, PacketKind, SegPos};
 use crate::types::{MrKey, Psn, Qpn, WrId, PAGE_SIZE};
 use crate::wr::RecvWr;
@@ -485,7 +485,7 @@ fn request(op: u64, span: Span) -> Packet {
             seg: SegPos::Only,
             rkey: span.key,
             addr: span.off,
-            data: vec![0xAB; span.len as usize],
+            data: Payload::from(&vec![0xAB; span.len as usize][..]),
         },
         2 => PacketKind::AtomicRequest {
             op: AtomicOp::FetchAdd { add: 3 },
@@ -494,7 +494,7 @@ fn request(op: u64, span: Span) -> Packet {
         },
         _ => PacketKind::Send {
             seg: SegPos::Only,
-            data: vec![0xCD; span.len as usize],
+            data: Payload::from(&vec![0xCD; span.len as usize][..]),
         },
     };
     Packet {
@@ -540,6 +540,10 @@ fn the_one_admission_equals_the_per_opcode_preludes() {
             0 => case.span.key = MrKey(77), // unknown key
             1 => case.span.off += case.len, // out of range
             _ => {}
+        }
+        if op % 2 == 1 {
+            // A WRITE or SEND packet carries at most one MTU.
+            case.span.len = case.span.len.min(PAGE_SIZE as u32);
         }
         if op == 2 {
             case.span.len = 8;

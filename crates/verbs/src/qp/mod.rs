@@ -93,7 +93,8 @@ pub struct QpConfig {
     pub rnr_retry: u8,
     /// Minimal RNR NAK delay this QP advertises as a responder.
     pub min_rnr_delay: SimTime,
-    /// Path MTU in bytes.
+    /// Path MTU in bytes: one of IBTA's 256, 512, 1024, 2048 or 4096
+    /// ([`Qp::new`] panics on anything else).
     pub mtu: u32,
     /// Maximum outstanding READ/ATOMIC requests (`max_rd_atomic`); the
     /// usual hardware limit is 16.
@@ -221,7 +222,18 @@ impl fmt::Debug for Qp {
 
 impl Qp {
     /// Creates a QP owned by the port `lid` with number `qpn`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `cfg.mtu` is not an IBTA path MTU (256, 512, 1024, 2048
+    /// or 4096 bytes): a segment may span at most the two pages a
+    /// [`Payload`](crate::Payload) holds.
     pub fn new(qpn: Qpn, lid: Lid, cfg: QpConfig) -> Self {
+        assert!(
+            [256, 512, 1024, 2048, 4096].contains(&cfg.mtu),
+            "QpConfig::mtu {} is not an IBTA path MTU (256, 512, 1024, 2048 or 4096)",
+            cfg.mtu
+        );
         Qp {
             req: Requester::new(cfg.retry_count, cfg.rnr_retry, cfg.recovery),
             resp: Responder::new(),

@@ -167,13 +167,11 @@ impl Requester {
         let rnr_quirk = env.profile.damming
             && ctx.cfg.recovery.ghost_quirks()
             && self.recovery.rnr_wait.is_some();
-        let value;
-        let (data, seg_off): (&[u8], u64) = match &pkt.kind {
-            PacketKind::ReadResponse { data, offset, .. } => (data, u64::from(*offset)),
-            PacketKind::AtomicResponse { original, .. } => {
-                value = original.to_le_bytes();
-                (&value, 0)
+        let (payload, word, seg_off) = match &pkt.kind {
+            PacketKind::ReadResponse { data, offset, .. } => {
+                (Some(data), [0; 8], u64::from(*offset))
             }
+            PacketKind::AtomicResponse { original, .. } => (None, original.to_le_bytes(), 0),
             PacketKind::ReadRequest { .. }
             | PacketKind::WriteRequest { .. }
             | PacketKind::Send { .. }
@@ -181,7 +179,7 @@ impl Requester {
             | PacketKind::Ack
             | PacketKind::Nak(_) => unreachable!("dispatch guarantees a response"),
         };
-        let is_read = matches!(pkt.kind, PacketKind::ReadResponse { .. });
+        let is_read = payload.is_some();
         // Only an unfinished message of the response's own kind expects
         // it, and a READ only its next segment in order.
         let landing = sq_index(&self.sq, pkt.psn).and_then(|idx| {
@@ -203,7 +201,7 @@ impl Requester {
         // propagated to this QP. A response that finds one unusable is
         // discarded: every pending page registers this QP's wait, and
         // the first unusable one is what the stall waits on.
-        let len = data.len() as u32;
+        let len = payload.map_or(8, |data| data.len() as u32);
         let mr = env
             .mrs
             .get_mut(&key)
@@ -219,7 +217,11 @@ impl Requester {
         }
 
         // Accept the segment.
-        env.mem.write(mr.base() + off, data);
+        let at = mr.base() + off;
+        match payload {
+            Some(data) => env.mem.write_payload(at, data),
+            None => env.mem.write(at, &word),
+        }
         let w = &mut self.sq[idx];
         w.recv_segments += 1;
         if w.is_done() {

@@ -8,7 +8,7 @@
 
 use std::collections::{BTreeMap, VecDeque};
 
-use crate::mem::MemRegion;
+use crate::mem::{MemRegion, Payload};
 use crate::packet::{AtomicOp, NakKind, Packet, PacketKind, SegPos};
 use crate::types::{MrKey, Psn};
 use crate::wr::{Completion, RecvWr, WcOpcode, WcStatus};
@@ -206,7 +206,7 @@ impl Responder {
                 *resp_packets
             }
             PacketKind::WriteRequest { data, .. } => {
-                env.mem.write(at, data);
+                env.mem.write_payload(at, data);
                 1
             }
             PacketKind::Send { .. }
@@ -294,7 +294,7 @@ impl Responder {
             }
             PacketKind::WriteRequest { seg, data, .. } => {
                 if let Some(dst) = self.admit(ctx, env, fx, psn, span) {
-                    env.mem.write(dst, data);
+                    env.mem.write_payload(dst, data);
                     self.epsn = self.epsn.next();
                     if seg.is_final() {
                         self.send_ack(ctx, fx, psn);
@@ -325,7 +325,7 @@ impl Responder {
         fx: &mut Effects,
         psn: Psn,
         seg: SegPos,
-        data: &[u8],
+        data: &Payload,
     ) {
         let len = data.len() as u32;
         let Some(recv) = self.rq.front() else {
@@ -346,7 +346,7 @@ impl Responder {
         let Some(dst) = self.admit(ctx, env, fx, psn, span) else {
             return;
         };
-        env.mem.write(dst, data);
+        env.mem.write_payload(dst, data);
         self.rq_written += len;
         self.epsn = self.epsn.next();
         if seg.is_final() {
@@ -375,12 +375,9 @@ impl Responder {
         op: AtomicOp,
         at: u64,
     ) {
-        let bytes = env.mem.read(at, 8);
-        let original = u64::from_le_bytes(
-            bytes
-                .try_into()
-                .expect("invariant: an 8-byte read yields 8 bytes"),
-        );
+        let mut word = [0; 8];
+        env.mem.read_into(at, &mut word);
+        let original = u64::from_le_bytes(word);
         let new = match op {
             AtomicOp::FetchAdd { add } => original.wrapping_add(add),
             AtomicOp::CompareSwap { compare, swap } => {
@@ -521,7 +518,7 @@ fn probe(mrs: &BTreeMap<MrKey, MemRegion>, span: Span) -> Option<u64> {
 
 /// Pushes the READ-response segments answering the request at `req_psn`
 /// for `read = (host address, length, response packets)`, each segment's
-/// payload read straight from host memory. A segment past the end of
+/// payload a snapshot of host memory. A segment past the end of
 /// the data is empty (a zero-length READ still answers with one).
 fn push_read_responses(
     ctx: &QpCtx,
@@ -539,7 +536,7 @@ fn push_read_responses(
         let hi = (offset + mtu).min(len);
         let kind = PacketKind::ReadResponse {
             seg: SegPos::of(i, resp_packets),
-            data: env.mem.read(src + lo as u64, hi - lo),
+            data: env.mem.gather(src + lo as u64, hi - lo),
             req_psn,
             offset: offset as u32,
         };
@@ -548,8 +545,8 @@ fn push_read_responses(
         fx.packets.push(segment);
     }
     // A responder with a smaller MTU than the requester's sends fewer
-    // bytes than asked. The unsent tail is still read, so which host
-    // pages a READ materialises does not depend on its segmentation.
+    // bytes than asked. The unsent tail is still materialised, so which
+    // host pages a READ touches does not depend on its segmentation.
     let sent = (resp_packets as usize).saturating_mul(mtu).min(len);
-    env.mem.read(src + sent as u64, len - sent);
+    env.mem.materialize(src + sent as u64, len - sent);
 }

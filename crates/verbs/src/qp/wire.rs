@@ -2,6 +2,7 @@
 //! format. Pure functions shared by the first-transmission and
 //! retransmission paths of the requester engine.
 
+use crate::mem::Payload;
 use crate::packet::{Packet, PacketKind, SegPos};
 use crate::wr::{SendWqe, WrOp};
 
@@ -33,17 +34,17 @@ pub(super) fn build_request_packet(
     retransmit: bool,
 ) -> Packet {
     let mtu = ctx.cfg.mtu;
-    // The payload of this segment, gathered from local memory now.
+    // The payload of this segment, a snapshot of local memory now.
     let payload = |env: &mut QpEnv<'_>| {
         let Some(src) = source_segment(wqe, seg, mtu) else {
-            return Vec::new();
+            return Payload::default();
         };
         let base = env
             .mrs
             .get(&src.key)
             .expect("invariant: WQE admitted with a valid lkey")
             .base();
-        env.mem.read(base + src.off, src.len as usize)
+        env.mem.gather(base + src.off, src.len as usize)
     };
     let kind = match &wqe.op {
         WrOp::Read {

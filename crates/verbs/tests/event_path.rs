@@ -1,6 +1,6 @@
-//! The cluster's events are typed values in the engine's slot arena:
-//! traffic that carries no payload allocates nothing per event, a
-//! loss-recovery pass allocates nothing beyond its packets, and the
+//! The cluster's events are typed values in the engine's slot arena and
+//! a packet's payload shares host pages: traffic allocates nothing per
+//! event, payload or not, a loss-recovery pass allocates nothing, and the
 //! queue counts what it did exactly as an engine of boxed closures does.
 //!
 //! The allocation counters are per thread, so the tests of this binary
@@ -14,8 +14,8 @@ use ibsim_event::{Engine, Event, QueueStats, SimTime, SplitMix64, TimerKey};
 use ibsim_fabric::Lid;
 use ibsim_verbs::{
     Cluster, ClusterBuilder, ClusterEvent, DeviceProfile, Effects, HostId, MemRegion, Memory,
-    MrKey, MrMode, NakKind, Packet, PacketKind, Psn, Qp, QpConfig, QpEnv, Qpn, ReadWr, Sim,
-    WorkRequest, WriteWr,
+    MrDesc, MrKey, MrMode, NakKind, Packet, PacketKind, Psn, Qp, QpConfig, QpEnv, Qpn, ReadWr,
+    RecvWr, SendWr, Sim, WorkRequest, WrId, WriteWr,
 };
 
 struct Counting;
@@ -99,6 +99,67 @@ fn zero_payload_traffic_allocates_nothing_per_event() {
     let done = cl.poll_cq(a);
     assert_eq!(done.len(), 128);
     assert!(done.iter().all(|c| c.status.is_success()));
+}
+
+/// A burst of 33 data packets: 4096-B READs, WRITEs and SENDs, 100-B
+/// READs and one 3000-B WRITE straddling a page boundary. READs land,
+/// WRITEs write and SENDs are received on pages no packet gathers from.
+fn post_payload_burst(eng: &mut Sim, cl: &mut Cluster, qps: (Qpn, Qpn), mrs: [MrDesc; 2]) {
+    const PAGE: u64 = 4096;
+    let [local, remote] = mrs;
+    let (a, b) = (local.host, remote.host);
+    let (landing, src) = (local.at(0), local.at(PAGE));
+    for i in 0..8u64 {
+        let read = ReadWr::new(landing, remote.at(0));
+        cl.post(eng, a, qps.0, read.len(4096).id(i));
+        cl.post(eng, a, qps.0, read.len(100));
+        cl.post(eng, a, qps.0, WriteWr::new(src, remote.at(PAGE)).len(4096));
+        let recv = RecvWr {
+            id: WrId(i),
+            mr: remote.key,
+            offset: 3 * PAGE,
+            max_len: 4096,
+        };
+        cl.post_recv(b, qps.1, recv);
+        cl.post(eng, a, qps.0, SendWr::new(src).len(4096));
+    }
+    let straddle = WriteWr::new(local.at(PAGE + 2048), remote.at(PAGE + 2048));
+    cl.post(eng, a, qps.0, straddle.len(3000));
+}
+
+/// A packet shares the pages its payload was gathered from instead of
+/// copying them, and no page is rewritten while a packet holds it, so a
+/// warm burst — posts and run — allocates nothing: no payload buffer,
+/// no copy-on-write clone. (With a `Vec<u8>` per payload it made one
+/// allocation per data packet.)
+#[test]
+fn payload_traffic_allocates_nothing_per_event() {
+    let (mut eng, mut cl, hosts) = ClusterBuilder::new()
+        .seed(3)
+        .host("client", DeviceProfile::connectx6())
+        .host("server", DeviceProfile::connectx6())
+        .build();
+    let (a, b) = (hosts[0], hosts[1]);
+    let mrs = [
+        cl.alloc_mr(a, 3 * 4096, MrMode::Pinned),
+        cl.alloc_mr(b, 4 * 4096, MrMode::Pinned),
+    ];
+    let qps = cl.connect_pair(&mut eng, a, b, QpConfig::default());
+    // Warm-up: the same burst once, so every page is resident and every
+    // queue has reached its size.
+    post_payload_burst(&mut eng, &mut cl, qps, mrs);
+    eng.run(&mut cl);
+    assert_eq!((cl.poll_cq(a).len(), cl.poll_cq(b).len()), (33, 8));
+
+    let allocated = counted(|| {
+        post_payload_burst(&mut eng, &mut cl, qps, mrs);
+        eng.run(&mut cl);
+    });
+    assert_eq!(allocated, 0, "over 33 data packets");
+    let done = cl.poll_cq(a);
+    assert_eq!(done.len(), 33);
+    assert!(done.iter().all(|c| c.status.is_success()));
+    assert_eq!(cl.poll_cq(b).len(), 8);
 }
 
 /// Allocations this thread makes while `f` runs.

@@ -10,7 +10,7 @@
 use std::mem::size_of;
 
 use ibsim_telemetry::Instrument;
-use ibsim_verbs::{ClusterEvent, Packet, Qp};
+use ibsim_verbs::{ClusterEvent, Packet, Payload, Qp};
 
 #[test]
 fn hot_values_stay_within_their_size_bounds() {
@@ -22,6 +22,10 @@ fn hot_values_stay_within_their_size_bounds() {
     assert!(size_of::<ClusterEvent>() <= 72);
     // One per frame in flight and per capture record.
     assert!(size_of::<Packet>() <= 64);
+    // Inside every data packet: two page pointers, an offset and a
+    // length — no larger than the `Vec<u8>` it replaced, so sharing the
+    // sender's pages costs `Packet` and `ClusterEvent` nothing.
+    assert!(size_of::<Payload>() <= 24);
     // One per queue pair (`shuffle` holds 5.7 k, `wide` 4 k). The
     // recovery backend is a kind with selective repeat's bitmap header
     // held inline (40 bytes where a `Box<dyn _>` took 16), which spares

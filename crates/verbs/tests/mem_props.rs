@@ -3,7 +3,7 @@
 //! deterministic PRNG (formerly `proptest` properties).
 
 use ibsim_event::SplitMix64;
-use ibsim_verbs::{MemRegion, Memory, MrKey, MrMode, PageState, PAGE_SIZE};
+use ibsim_verbs::{MemRegion, Memory, MrKey, MrMode, PageState, Payload, PAGE_SIZE};
 
 /// Arbitrary interleaved writes read back exactly, independent of page
 /// boundaries.
@@ -94,5 +94,72 @@ fn page_state_queries_agree() {
         }
         let applied = invalidate.iter().filter(|&&p| p < pages).count();
         assert_eq!(r.invalidation_count, applied as u64, "case {case}");
+    }
+}
+
+/// Payloads against a flat model of the memory, across page boundaries:
+/// `gather` snapshots exactly the bytes `read` returns (and compares and
+/// prints as them), later writes to the source leave the snapshot as it
+/// was, and `write_payload` lands it exactly as `write` lands a slice.
+#[test]
+fn payloads_gather_and_land_like_reads_and_writes() {
+    let span = 7 * PAGE_SIZE as usize;
+    for case in 0..64u64 {
+        let mut rng = SplitMix64::new(0x6A7E * 1000 + case);
+        let (mut mem, mut model) = (Memory::new(), vec![0u8; span]);
+        for _ in 0..rng.range(1, 30) {
+            let addr = rng.next_below(6 * PAGE_SIZE);
+            let len = rng.next_below(PAGE_SIZE + 1) as usize;
+            let at = addr as usize..addr as usize + len;
+            let bytes: Vec<u8> = (0..len).map(|_| rng.next_u64() as u8).collect();
+            let snapshot = mem.gather(addr, len);
+            let want = model[at.clone()].to_vec();
+            assert_eq!(snapshot.to_vec(), want, "case {case}");
+            assert_eq!(mem.read(addr, len), want, "case {case}");
+            assert_eq!(snapshot, Payload::from(&want[..]), "case {case}");
+            assert_eq!(format!("{snapshot:?}"), format!("{want:?}"));
+            let (head, tail) = snapshot.parts();
+            let room = (PAGE_SIZE - addr % PAGE_SIZE) as usize;
+            let split = (len.min(room), len.saturating_sub(room));
+            assert_eq!((head.len(), tail.len()), split, "case {case}");
+            mem.write(addr, &bytes);
+            model[at].copy_from_slice(&bytes);
+            assert_eq!(snapshot.to_vec(), want, "case {case}: copy-on-write");
+            let dst = rng.next_below(6 * PAGE_SIZE) as usize;
+            mem.write_payload(dst as u64, &snapshot);
+            model[dst..dst + len].copy_from_slice(&want);
+        }
+        assert_eq!(mem.read(0, span), model, "case {case}");
+    }
+}
+
+/// `gather` and `materialize` make resident exactly the pages `read`
+/// of the same range does (a contiguous run from the same first page,
+/// so equal counts are equal sets).
+#[test]
+fn gather_and_materialize_touch_what_read_touches() {
+    for case in 0..256u64 {
+        let mut rng = SplitMix64::new(0x7E5 * 1000 + case);
+        let addr = rng.next_below(4 * PAGE_SIZE);
+        let (short, long) = (
+            rng.next_below(PAGE_SIZE + 1) as usize,
+            rng.next_below(4 * PAGE_SIZE) as usize,
+        );
+        let resident = |touch: &dyn Fn(&mut Memory)| {
+            let mut mem = Memory::new();
+            touch(&mut mem);
+            mem.resident_pages()
+        };
+        let read = |len| move |m: &mut Memory| drop(m.read(addr, len));
+        assert_eq!(
+            resident(&|m| drop(m.gather(addr, short))),
+            resident(&read(short)),
+            "case {case}"
+        );
+        assert_eq!(
+            resident(&|m| m.materialize(addr, long)),
+            resident(&read(long)),
+            "case {case}"
+        );
     }
 }

@@ -7,8 +7,8 @@ use ibsim_event::SimTime;
 use ibsim_fabric::{Lid, LinkSpec};
 use ibsim_verbs::{
     DeviceProfile, Effects, MemRegion, Memory, MrKey, MrMode, NakKind, Packet, PacketKind,
-    PageState, Psn, Qp, QpConfig, QpEnv, Qpn, RecoveryKind, RecvWr, SegPos, WcStatus, WorkRequest,
-    WrId, WrOp,
+    PageState, Payload, Psn, Qp, QpConfig, QpEnv, Qpn, RecoveryKind, RecvWr, SegPos, WcStatus,
+    WorkRequest, WrId, WrOp,
 };
 
 struct Host {
@@ -133,7 +133,7 @@ fn read_response(psn: u32, data: Vec<u8>) -> Packet {
         psn: Psn::new(psn),
         kind: PacketKind::ReadResponse {
             seg: SegPos::Only,
-            data,
+            data: Payload::from(&data[..]),
             req_psn: Psn::new(psn),
             offset: 0,
         },
@@ -238,7 +238,7 @@ fn responder_rnr_naks_send_without_recv_and_recovers() {
         psn: Psn::new(0),
         kind: PacketKind::Send {
             seg: SegPos::Only,
-            data: b"hello".to_vec(),
+            data: Payload::from(&b"hello"[..]),
         },
         ghost: false,
         ecn: false,
@@ -625,7 +625,7 @@ fn read_responses(
                     offset,
                 } => {
                     assert_eq!(req_psn, Psn::new(psn));
-                    (seg, offset, data, p.retransmit)
+                    (seg, offset, data.to_vec(), p.retransmit)
                 }
                 other => panic!("expected a READ response, got {other:?}"),
             }
