@@ -51,6 +51,16 @@ if [ "$(cksum < target/examples.out)" != "137726652 1475" ]; then
     exit 1
 fi
 
+echo "==> the Fig. 1/5/8 timelines (the capture walk renders them; their"
+echo "    concatenated stdout is pinned)"
+for fig in fig1 fig5 fig8; do
+    cargo run -q --offline --release -p ibsim-bench --bin "$fig"
+done > target/figures.out
+if [ "$(cksum < target/figures.out)" != "237145198 3090" ]; then
+    echo "ci: the Fig. 1/5/8 stdout drifted (target/figures.out)" >&2
+    exit 1
+fi
+
 echo "==> benchmark gate (the one stage that reads a host clock: the"
 echo "    benchmark package's own fmt, clippy, tests and run/trace --quick;"
 echo "    then one short full-size run of all five workloads, whose"

@@ -12,7 +12,7 @@ use std::collections::{BTreeMap, BTreeSet};
 use ibsim_fabric::{Capture, Captured, Direction, Lid};
 use ibsim_verbs::Packet;
 
-use crate::finding::{Finding, LintReport, RuleId, Severity};
+use crate::finding::{Finding, LintReport, RuleId};
 
 /// Identity of a frame for conservation matching. Timestamps are
 /// deliberately excluded (propagation shifts them); everything else must
@@ -71,19 +71,18 @@ fn one_direction(tx_cap: &Capture<Packet>, rx_cap: &Capture<Packet>) -> LintRepo
         let k = key(r);
         match expected.get_mut(&k) {
             Some(e) if e.0 > 0 => e.0 -= 1,
-            _ => report.findings.push(Finding {
-                rule: RuleId::RxWithoutTx,
-                severity: Severity::Violation,
-                at: r.time,
-                flow: Some((r.payload.dst_qp, r.payload.src_qp)),
-                psn: Some(r.payload.psn.value()),
-                message: format!(
+            _ => report.findings.push(Finding::violation(
+                RuleId::RxWithoutTx,
+                r.time,
+                (r.payload.dst_qp, r.payload.src_qp),
+                r.payload.psn.value(),
+                format!(
                     "{} {} received from {} with no matching transmission",
                     r.payload.kind.opcode(),
                     r.payload.psn,
                     r.payload.src
                 ),
-            }),
+            )),
         }
     }
 
@@ -91,17 +90,16 @@ fn one_direction(tx_cap: &Capture<Packet>, rx_cap: &Capture<Packet>) -> LintRepo
         expected.into_iter().filter(|(_, (n, _))| *n > 0).collect();
     lost.sort_unstable_by_key(|(_, (_, t))| *t);
     for ((src, dst, src_qp, dst_qp, psn, opcode, _), (n, first)) in lost {
-        report.findings.push(Finding {
-            rule: RuleId::TxNotDelivered,
-            severity: Severity::Violation,
-            at: first,
-            flow: Some((ibsim_verbs::Qpn(src_qp), ibsim_verbs::Qpn(dst_qp))),
-            psn: Some(psn),
-            message: format!(
+        report.findings.push(Finding::violation(
+            RuleId::TxNotDelivered,
+            first,
+            (ibsim_verbs::Qpn(src_qp), ibsim_verbs::Qpn(dst_qp)),
+            psn,
+            format!(
                 "{n} transmission(s) of {opcode} psn{psn} {src} -> {dst} never \
                  reached the receiver's capture"
             ),
-        });
+        ));
     }
     report
 }

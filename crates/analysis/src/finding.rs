@@ -133,6 +133,26 @@ pub struct Finding {
     pub message: String,
 }
 
+impl Finding {
+    /// A `Violation`-severity finding on one flow and PSN.
+    pub(crate) fn violation(
+        rule: RuleId,
+        at: SimTime,
+        flow: (Qpn, Qpn),
+        psn: u32,
+        message: String,
+    ) -> Finding {
+        Finding {
+            rule,
+            severity: Severity::Violation,
+            at,
+            flow: Some(flow),
+            psn: Some(psn),
+            message,
+        }
+    }
+}
+
 impl fmt::Display for Finding {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "[{}] {} at {}", self.severity, self.rule, self.at)?;

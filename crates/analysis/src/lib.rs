@@ -4,13 +4,21 @@
 //!
 //! The paper's central methodological point (§IX-A) is that the ODP
 //! pitfalls are *invisible* without raw packets: no error codes, no
-//! failed verbs, just time disappearing. This crate turns the simulator's
-//! `ibdump`-style captures into checked artifacts:
+//! failed verbs, just time disappearing. This crate is the only reader
+//! of the simulator's `ibdump`-style captures. One walk over a capture
+//! builds a per-request record — every transmission attempt with the
+//! cause that explains it, and the replies it drew — and everything
+//! below is a projection of it:
 //!
-//! * [`lint_capture`] — an RC **trace linter**: per-flow PSN monotonicity
-//!   and contiguity, sequence-error-NAK justification, retransmission
-//!   justification, ACK/response matching; plus the §V damming and §VI
-//!   flood **signature detectors** ([`signature`]).
+//! * [`lint_capture`] — an RC **trace linter**: per-flow PSN
+//!   monotonicity and contiguity, sequence-error-NAK justification,
+//!   retransmission justification, ACK/response matching; plus the §V
+//!   damming and §VI flood **pitfall signatures**.
+//! * [`render_workflow`] — the Fig. 1/5/8-style annotated timeline.
+//! * [`summarize`] — per-opcode traffic counts.
+//!
+//! Beside it stand two checks of a different shape:
+//!
 //! * [`check_conservation`] — **packet conservation** between the two
 //!   ends of a link: nothing silently lost, nothing invented.
 //! * [`InvariantSnapshot`] — the **runtime invariant registry**: QP
@@ -39,11 +47,17 @@ mod conservation;
 mod finding;
 mod invariants;
 mod linter;
-pub mod signature;
+mod record;
+#[cfg(test)]
+mod reference;
+mod signature;
 #[cfg(test)]
 pub(crate) mod testutil;
+mod timeline;
 
 pub use conservation::check_conservation;
 pub use finding::{Finding, LintReport, RuleId, Severity};
 pub use invariants::{InvariantId, InvariantSnapshot};
 pub use linter::{lint_capture, LintConfig, RecoveryRules};
+pub use record::{summarize, TrafficSummary};
+pub use timeline::render_workflow;

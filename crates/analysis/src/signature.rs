@@ -1,187 +1,122 @@
-//! Packet-level signature detectors for the paper's two pitfalls.
+//! The paper's two pitfalls as shapes of the request record.
 //!
-//! These complement the conformance rules in `crate::linter`: a damming
-//! or flood trace is often *protocol-legal* packet by packet (every
-//! retransmission has a timeout behind it), yet the shape of the timeline
-//! is pathological. The signatures below encode exactly what the paper's
-//! authors saw in their `ibdump` captures:
+//! A damming or flood trace is often *protocol-legal* packet by packet
+//! (every retransmission has a timeout behind it), yet the shape of one
+//! request's attempts is pathological. The signatures encode what the
+//! paper's authors saw in their `ibdump` captures:
 //!
-//! * **Damming (§V, Fig. 5/8):** a request silently lost (ghosted at the
-//!   HCA or dropped in the fabric) followed by an idle gap bounded only
-//!   by the ACK timeout — nothing on the flow explains the wait.
-//! * **Flood (§VI, Fig. 1 right):** the same request retransmitted over
-//!   and over at the blind ODP retry cadence (~0.5 ms) while the
-//!   responses keep arriving and being discarded.
-
-use std::collections::BTreeMap;
+//! * **Damming (§V, Fig. 5/8):** a silently lost attempt (ghosted at the
+//!   HCA or dropped in the fabric) followed by a NAK-free gap of at least
+//!   [`DAMMING_MIN_STALL`] until the next attempt, or the end of the
+//!   capture: nothing on the flow explains the wait, which only the ACK
+//!   timeout ends.
+//! * **Flood (§VI, Fig. 1 right):** one request sent at least
+//!   [`FLOOD_MIN_TRANSMISSIONS`] times at a median gap inside
+//!   [`FLOOD_CADENCE`], the blind ODP retry timer, while its responses
+//!   keep arriving and being discarded.
 
 use ibsim_event::SimTime;
-use ibsim_fabric::{Capture, Direction};
-use ibsim_verbs::{Packet, PacketKind, Qpn};
 
-use crate::finding::{Finding, LintReport, RuleId, Severity};
-use crate::linter::LintConfig;
+use crate::finding::{Finding, RuleId};
+use crate::record::Record;
 
-/// One transmission attempt of a request, as the detector tracks it.
-struct Attempt {
-    at: SimTime,
-    silent_loss: bool,
-    opcode: &'static str,
-}
+/// The shortest NAK-free stall after a silent loss that is damming. The
+/// paper's stalls run to hundreds of milliseconds; 20 ms cleanly
+/// separates them from RNR waits (§V).
+const DAMMING_MIN_STALL: SimTime = SimTime::from_ms(20);
 
-/// Scans a sender-side capture for the §V packet-damming signature:
-/// a silently lost request (ghost or fabric drop) followed by an idle,
-/// NAK-free gap of at least [`LintConfig::damming_min_stall`] before the
-/// next attempt (or the end of the capture, if it never recovered).
-pub fn detect_damming_signature(cap: &Capture<Packet>, cfg: &LintConfig) -> LintReport {
-    let mut report = LintReport::default();
-    let mut attempts: BTreeMap<(Qpn, Qpn, u32), Vec<Attempt>> = BTreeMap::new();
-    let mut naks: BTreeMap<(Qpn, Qpn), Vec<SimTime>> = BTreeMap::new();
-    let mut order: Vec<(Qpn, Qpn, u32)> = Vec::new();
-    let mut horizon = SimTime::ZERO;
+/// The fewest transmissions of one request that make a flood storm. The
+/// paper saw hundreds; five is already anomalous (§VI). At least two by
+/// construction: the cadence is a gap between attempts.
+const FLOOD_MIN_TRANSMISSIONS: usize = 5;
 
-    for r in cap {
-        let p = &r.payload;
-        horizon = horizon.max(r.time);
-        match r.direction {
-            Direction::Tx if p.kind.is_request() => {
-                let key = (p.src_qp, p.dst_qp, p.psn.value());
-                let entry = attempts.entry(key).or_default();
-                if entry.is_empty() {
-                    order.push(key);
-                }
-                entry.push(Attempt {
-                    at: r.time,
-                    silent_loss: r.dropped || p.ghost,
-                    opcode: p.kind.opcode(),
-                });
+/// The inclusive band of retransmit cadences read as the blind ODP retry
+/// timer (~0.5 ms on ConnectX-4, Fig. 1 right).
+const FLOOD_CADENCE: (SimTime, SimTime) = (SimTime::from_us(100), SimTime::from_ms(2));
+
+/// §V packet damming: every silently lost attempt followed by a NAK-free
+/// gap of at least [`DAMMING_MIN_STALL`], in request order.
+pub(crate) fn damming(rec: &Record) -> impl Iterator<Item = Finding> + '_ {
+    rec.requests.iter().flat_map(move |req| {
+        let flow = &rec.flows[req.flow];
+        let attempts = &req.attempts;
+        attempts.iter().enumerate().filter_map(move |(i, lost)| {
+            if !lost.silent_loss {
+                return None;
             }
-            Direction::Rx => {
-                if matches!(p.kind, PacketKind::Nak(_)) {
-                    naks.entry((p.dst_qp, p.src_qp)).or_default().push(r.time);
-                }
+            let next = attempts.get(i + 1).map(|a| a.at);
+            let end = next.unwrap_or(rec.horizon);
+            let gap = end - lost.at;
+            let first_nak = flow.naks.partition_point(|&t| t <= lost.at);
+            let nak_free = flow.naks.get(first_nak).is_none_or(|&t| t > end);
+            if gap < DAMMING_MIN_STALL || !nak_free {
+                return None;
             }
-            Direction::Tx => {}
-        }
-    }
-
-    for key in order {
-        let (src_qp, dst_qp, psn) = key;
-        let tries = &attempts[&key];
-        let flow_naks = naks.get(&(src_qp, dst_qp));
-        let nak_between =
-            |a: SimTime, b: SimTime| flow_naks.is_some_and(|v| v.iter().any(|&t| t > a && t <= b));
-        for (i, attempt) in tries.iter().enumerate() {
-            if !attempt.silent_loss {
-                continue;
-            }
-            let (end, recovered) = match tries.get(i + 1) {
-                Some(next) => (next.at, true),
-                None => (horizon, false),
+            let message = if next.is_some() {
+                format!(
+                    "{} silently lost at {} then dammed for {} until the \
+                     ACK-timeout retransmission",
+                    req.opcode, lost.at, gap
+                )
+            } else {
+                format!(
+                    "{} silently lost at {} and never retransmitted within \
+                     the capture ({} of silence)",
+                    req.opcode, lost.at, gap
+                )
             };
-            let gap = end - attempt.at;
-            if gap >= cfg.damming_min_stall && !nak_between(attempt.at, end) {
-                let message = if recovered {
-                    format!(
-                        "{} silently lost at {} then dammed for {} until the \
-                         ACK-timeout retransmission",
-                        attempt.opcode, attempt.at, gap
-                    )
-                } else {
-                    format!(
-                        "{} silently lost at {} and never retransmitted within \
-                         the capture ({} of silence)",
-                        attempt.opcode, attempt.at, gap
-                    )
-                };
-                report.findings.push(Finding {
-                    rule: RuleId::DammingSignature,
-                    severity: Severity::Violation,
-                    at: attempt.at,
-                    flow: Some((src_qp, dst_qp)),
-                    psn: Some(psn),
-                    message,
-                });
-            }
-        }
-    }
-    report
+            Some(rec.violation(req, RuleId::DammingSignature, lost.at, message))
+        })
+    })
 }
 
-/// Scans a sender-side capture for the §VI packet-flood signature: one
-/// request transmitted at least [`LintConfig::flood_min_transmissions`]
-/// times with a median inter-attempt gap inside the blind ODP retry
-/// cadence band, typically with READ responses arriving and being
-/// discarded all the while.
-pub fn detect_flood_signature(cap: &Capture<Packet>, cfg: &LintConfig) -> LintReport {
-    let mut report = LintReport::default();
-    let mut attempts: BTreeMap<(Qpn, Qpn, u32), Vec<SimTime>> = BTreeMap::new();
-    let mut responses: BTreeMap<(Qpn, Qpn, u32), u64> = BTreeMap::new();
-    let mut order: Vec<(Qpn, Qpn, u32)> = Vec::new();
-
-    for r in cap {
-        let p = &r.payload;
-        match r.direction {
-            Direction::Tx if p.kind.is_request() => {
-                let key = (p.src_qp, p.dst_qp, p.psn.value());
-                let entry = attempts.entry(key).or_default();
-                if entry.is_empty() {
-                    order.push(key);
-                }
-                entry.push(r.time);
-            }
-            Direction::Rx => {
-                if let PacketKind::ReadResponse { req_psn, .. } = &p.kind {
-                    *responses
-                        .entry((p.dst_qp, p.src_qp, req_psn.value()))
-                        .or_default() += 1;
-                }
-            }
-            Direction::Tx => {}
+/// §VI packet flood: every request sent at least
+/// [`FLOOD_MIN_TRANSMISSIONS`] times whose median gap falls in
+/// [`FLOOD_CADENCE`], in request order.
+pub(crate) fn floods(rec: &Record) -> impl Iterator<Item = Finding> + '_ {
+    rec.requests.iter().filter_map(|req| {
+        let attempts = &req.attempts;
+        let n = attempts.len();
+        if n < FLOOD_MIN_TRANSMISSIONS {
+            return None;
         }
-    }
-
-    let (lo, hi) = cfg.flood_cadence;
-    for key in order {
-        let times = &attempts[&key];
-        let n = times.len() as u64;
-        if n < cfg.flood_min_transmissions {
-            continue;
-        }
-        let mut gaps: Vec<SimTime> = times.windows(2).map(|w| w[1] - w[0]).collect();
+        let mut gaps: Vec<SimTime> = attempts.windows(2).map(|w| w[1].at - w[0].at).collect();
         gaps.sort_unstable();
         let median = gaps[gaps.len() / 2];
+        let (lo, hi) = FLOOD_CADENCE;
         if median < lo || median > hi {
-            continue;
+            return None;
         }
-        let (src_qp, dst_qp, psn) = key;
-        let resp = responses.get(&key).copied().unwrap_or(0);
-        let span = *times
-            .last()
-            .expect("invariant: times non-empty, key has at least one event")
-            - times[0];
-        report.findings.push(Finding {
-            rule: RuleId::FloodSignature,
-            severity: Severity::Violation,
-            at: times[0],
-            flow: Some((src_qp, dst_qp)),
-            psn: Some(psn),
-            message: format!(
-                "request transmitted {n} times over {span} at ~{median} cadence \
-                 ({resp} response(s) received and discarded meanwhile)"
-            ),
-        });
-    }
-    report
+        let (first, span) = (attempts[0].at, attempts[n - 1].at - attempts[0].at);
+        let message = format!(
+            "request transmitted {n} times over {span} at ~{median} cadence \
+             ({} response(s) received and discarded meanwhile)",
+            req.read_responses
+        );
+        Some(rec.violation(req, RuleId::FloodSignature, first, message))
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::testutil::{nak_rnr, read_req, read_resp, rx, tx, tx_ghost, tx_retx};
+    use crate::testutil::{nak_rnr, read_req, read_resp, replayed, rx, tx, tx_ghost, tx_retx};
+    use crate::LintReport;
+    use ibsim_fabric::Capture;
+    use ibsim_verbs::Packet;
 
-    fn cfg() -> LintConfig {
-        LintConfig::default()
+    /// The damming findings of a capture, replayed against the reference.
+    fn damming_of(cap: &Capture<Packet>) -> LintReport {
+        LintReport {
+            findings: damming(&replayed(cap, Default::default())).collect(),
+        }
+    }
+
+    /// The flood findings of a capture, replayed against the reference.
+    fn floods_of(cap: &Capture<Packet>) -> LintReport {
+        LintReport {
+            findings: floods(&replayed(cap, Default::default())).collect(),
+        }
     }
 
     #[test]
@@ -191,7 +126,7 @@ mod tests {
         tx_ghost(&mut cap, 1_000_000, read_req(0, 1));
         // ~500 ms of nothing, then the timeout retransmission.
         tx_retx(&mut cap, 500_000_000, read_req(0, 1));
-        let report = detect_damming_signature(&cap, &cfg());
+        let report = damming_of(&cap);
         assert_eq!(report.count(RuleId::DammingSignature), 1, "{report}");
         let f = report.by_rule(RuleId::DammingSignature).next().unwrap();
         assert!(f.message.contains("dammed"), "{}", f.message);
@@ -207,7 +142,7 @@ mod tests {
         let mut other = read_req(0, 1);
         other.src_qp = ibsim_verbs::Qpn(99);
         tx(&mut cap, 300_000_000, other);
-        let report = detect_damming_signature(&cap, &cfg());
+        let report = damming_of(&cap);
         assert_eq!(report.count(RuleId::DammingSignature), 1, "{report}");
         assert!(report.findings[0].message.contains("never retransmitted"));
     }
@@ -219,7 +154,7 @@ mod tests {
         tx_ghost(&mut cap, 1_000_000, read_req(0, 1));
         rx(&mut cap, 2_000_000, nak_rnr());
         tx_retx(&mut cap, 500_000_000, read_req(0, 1));
-        let report = detect_damming_signature(&cap, &cfg());
+        let report = damming_of(&cap);
         assert_eq!(report.count(RuleId::DammingSignature), 0, "{report}");
     }
 
@@ -229,8 +164,7 @@ mod tests {
         cap.enable();
         tx_ghost(&mut cap, 1_000_000, read_req(0, 1));
         tx_retx(&mut cap, 2_000_000, read_req(0, 1)); // 1 ms: below threshold
-        let report = detect_damming_signature(&cap, &cfg());
-        assert!(report.is_clean());
+        assert!(damming_of(&cap).is_clean());
     }
 
     #[test]
@@ -243,7 +177,7 @@ mod tests {
             rx(&mut cap, i * 500_000 - 100_000, read_resp(0, 0));
             tx_retx(&mut cap, i * 500_000, read_req(0, 1));
         }
-        let report = detect_flood_signature(&cap, &cfg());
+        let report = floods_of(&cap);
         assert_eq!(report.count(RuleId::FloodSignature), 1, "{report}");
         let f = &report.findings[0];
         assert!(f.message.contains("8 times"), "{}", f.message);
@@ -258,7 +192,7 @@ mod tests {
         for i in 1..4u64 {
             tx_retx(&mut cap, i * 500_000, read_req(0, 1));
         }
-        assert!(detect_flood_signature(&cap, &cfg()).is_clean());
+        assert!(floods_of(&cap).is_clean());
     }
 
     #[test]
@@ -271,6 +205,6 @@ mod tests {
         for i in 1..8u64 {
             tx_retx(&mut cap, i * 100_000_000, read_req(0, 1));
         }
-        assert!(detect_flood_signature(&cap, &cfg()).is_clean());
+        assert!(floods_of(&cap).is_clean());
     }
 }

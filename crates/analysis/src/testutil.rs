@@ -7,6 +7,15 @@ use ibsim_event::SimTime;
 use ibsim_fabric::{Capture, Direction, Lid};
 use ibsim_verbs::{MrKey, NakKind, Packet, PacketKind, Payload, Psn, Qpn, SegPos};
 
+use crate::record::{walk, Record};
+use crate::RecoveryRules;
+
+/// Replays `cap` against the reference walks, then returns its record.
+pub fn replayed(cap: &Capture<Packet>, rules: RecoveryRules) -> Record {
+    crate::reference::replay(cap, rules);
+    walk(cap, rules)
+}
+
 /// A READ request from the client consuming `resp_packets` PSNs.
 pub fn read_req(psn: u32, resp_packets: u32) -> Packet {
     Packet {

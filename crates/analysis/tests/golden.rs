@@ -66,25 +66,6 @@ fn flood_probe_trace_triggers_flood_detector() {
 }
 
 #[test]
-fn a_lone_rnr_wait_is_not_a_damming_signature() {
-    // A single server-side fault: the ~4.5 ms RNR wait is explained by
-    // the NAK on the flow, however small the stall threshold.
-    let run = run_microbench(&MicrobenchConfig {
-        num_ops: 1,
-        odp: OdpMode::ServerSide,
-        capture: true,
-        ..Default::default()
-    });
-    assert!(!run.timed_out());
-    let cfg = LintConfig {
-        damming_min_stall: ibsim_event::SimTime::from_ms(2),
-        ..LintConfig::default()
-    };
-    let report = lint_capture(run.cluster.capture(run.client), &cfg);
-    assert_eq!(report.count(RuleId::DammingSignature), 0, "{report}");
-}
-
-#[test]
 fn clean_ping_pong_trace_lints_clean() {
     let run = run_microbench(&MicrobenchConfig {
         odp: OdpMode::None,

@@ -2,8 +2,24 @@
 //! server-side and client-side ODP, as `ibdump` would show it at the
 //! client (KNL profile, minimal RNR NAK delay 1.28 ms).
 
+use ibsim_analysis::render_workflow;
 use ibsim_bench::header;
-use ibsim_odp::{fig1_workflow, OdpMode};
+use ibsim_odp::{run_microbench, MicrobenchConfig, OdpMode};
+
+/// A single READ under `odp`: the client's annotated timeline.
+fn fig1_workflow(odp: OdpMode) -> String {
+    let run = run_microbench(&MicrobenchConfig {
+        num_ops: 1,
+        odp,
+        capture: true,
+        ..Default::default()
+    });
+    format!(
+        "{} — single READ, min RNR NAK delay 1.28 ms\n{}",
+        odp.label(),
+        render_workflow(run.cluster.capture(run.client))
+    )
+}
 
 fn main() {
     header("Fig. 1 (left): server-side ODP, single READ");

@@ -5,8 +5,8 @@
 //! cargo run --release -p ibsim-bench --bin ibperf
 //! ```
 
+use ibsim_bench::perftest::{read_bw, read_lat, send_lat, write_bw, PerfConfig};
 use ibsim_bench::{header, row};
-use ibsim_perftest::{read_bw, read_lat, send_lat, write_bw, PerfConfig};
 
 fn main() {
     header("ib_read_lat / ib_send_lat (4 KiB, 1000 iterations)");

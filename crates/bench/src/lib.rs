@@ -24,17 +24,19 @@
 //! | `congestion` | shared-uplink storm/victim study (`congestion`) |
 //! | `recovery` | recovery-backend ablation |
 //! | `scenario` | scenario corpus + fuzz conformance runner |
+//! | `ibperf` | `perftest`-style latency and bandwidth ([`perftest`]) |
 //!
 //! Every bin prints simulated quantities only: no crate of the root
 //! workspace reads a host clock (`ibsim-lint` enforces it). Speed is
 //! measured by the benchmark package — `BENCHMARK.json`.
 //!
 //! This library hosts the shared formatting, statistics and flag
-//! helpers.
+//! helpers, the congestion study and the `perftest` runners.
 
 #![warn(missing_docs)]
 
 pub mod congestion;
+pub mod perftest;
 
 use ibsim_event::SimTime;
 

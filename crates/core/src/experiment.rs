@@ -219,71 +219,6 @@ pub fn fig11_curves(num_ops: usize, num_qps: usize) -> Vec<Fig11Curve> {
         .collect()
 }
 
-/// The Fig. 1 workflow traces: runs a single READ under the given ODP
-/// side on a KNL-like system and returns the client's `ibdump`-style
-/// timeline.
-pub fn fig1_workflow(odp: OdpMode) -> String {
-    let cfg = MicrobenchConfig {
-        num_ops: 1,
-        odp,
-        capture: true,
-        ..Default::default()
-    };
-    let run = run_microbench(&cfg);
-    let events =
-        crate::timeline::annotate_workflow(run.cluster.capture(run.client), SimTime::from_ms(50));
-    format!(
-        "{} — single READ, min RNR NAK delay 1.28 ms\n{}",
-        odp.label(),
-        crate::timeline::render_workflow(&events)
-    )
-}
-
-/// The Fig. 5 workflow: two READs, 1 ms apart, in the given ODP side;
-/// returns the annotated client timeline (shows the ~500 ms timeout).
-pub fn fig5_workflow(odp: OdpMode) -> String {
-    let interval = match odp {
-        OdpMode::ClientSide => SimTime::from_us(300),
-        _ => SimTime::from_ms(1),
-    };
-    let cfg = MicrobenchConfig {
-        num_ops: 2,
-        interval,
-        odp,
-        capture: true,
-        ..Default::default()
-    };
-    let run = run_microbench(&cfg);
-    let events =
-        crate::timeline::annotate_workflow(run.cluster.capture(run.client), SimTime::from_ms(50));
-    format!(
-        "{} — two READs, interval {}\n{}",
-        odp.label(),
-        interval,
-        crate::timeline::render_workflow(&events)
-    )
-}
-
-/// The Fig. 8 workflow: three READs with the second inside and the third
-/// outside the recovery window (client-side ODP) — the NAK-seq rescue.
-pub fn fig8_workflow() -> String {
-    let cfg = MicrobenchConfig {
-        num_ops: 3,
-        interval: SimTime::from_us(350),
-        odp: OdpMode::ClientSide,
-        touch_all_but_first: true,
-        capture: true,
-        ..Default::default()
-    };
-    let run = run_microbench(&cfg);
-    let events =
-        crate::timeline::annotate_workflow(run.cluster.capture(run.client), SimTime::from_ms(50));
-    format!(
-        "Client-side ODP — three READs, interval 350 µs\n{}",
-        crate::timeline::render_workflow(&events)
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -386,17 +321,5 @@ mod tests {
         for c in &curves {
             assert!(c.completions.windows(2).all(|w| w[0] <= w[1]));
         }
-    }
-
-    #[test]
-    fn workflow_texts_mention_key_packets() {
-        let server = fig1_workflow(OdpMode::ServerSide);
-        assert!(server.contains("RNR_NAK"), "{server}");
-        let client = fig1_workflow(OdpMode::ClientSide);
-        assert!(client.contains("RDMA_READ_RESP"), "{client}");
-        assert!(client.contains("[retransmission]"), "{client}");
-        let fig8 = fig8_workflow();
-        assert!(fig8.contains("NAK_SEQ_ERR"), "{fig8}");
-        assert!(fig8.contains("[lost to the damming flaw]"), "{fig8}");
     }
 }

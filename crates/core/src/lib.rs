@@ -2,21 +2,20 @@
 //!
 //! The core of the `ibsim` reproduction of *Pitfalls of InfiniBand with
 //! On-Demand Paging* (Fukuoka, Sato, Taura — ISPASS 2021): the paper's
-//! experimental apparatus and analysis as a library.
+//! experimental apparatus as a library. It reads no capture: the
+//! analysis of a run's packets is `ibsim-analysis`'s.
 //!
 //! * [`systems`] — the eight InfiniBand systems of Table I/II as
 //!   simulator device profiles.
 //! * [`microbench`] — the Fig. 3 micro-benchmark, parameterized exactly
 //!   like the paper's C code.
 //! * [`experiment`] — figure-level runners regenerating the data behind
-//!   Figures 1–11.
-//! * [`traffic`] — per-opcode traffic counts of a packet capture (the
-//!   damming and flood wire signatures are `ibsim-analysis`'s).
+//!   Figures 2–11 (Figs. 1, 5 and 8 are captures, which the `ibsim-bench`
+//!   bins render through `ibsim-analysis`).
 //! * [`workaround`] — the §IX-A software mitigations (smallest RNR delay,
 //!   periodic dummy communication, fresh-QP re-issue).
 //! * [`regcache`] — the manual alternatives ODP competes against
 //!   (register-per-transfer, Tezuka-style pin-down cache, §VIII-A).
-//! * [`timeline`] — Fig. 1/5/8-style annotated workflow rendering.
 //! * [`hash`] — the FNV-1a trace-identity digest shared by every
 //!   byte-identity gate in the workspace.
 //!
@@ -44,13 +43,11 @@ pub mod hash;
 pub mod microbench;
 pub mod regcache;
 pub mod systems;
-pub mod timeline;
-pub mod traffic;
 pub mod workaround;
 
 pub use experiment::{
-    fig11_curves, fig1_workflow, fig2_curve, fig4_series, fig5_workflow, fig6_series, fig7_series,
-    fig8_workflow, fig9_points, Fig11Curve, Fig2Point, Fig4Point, Fig9Point, TimeoutSeries,
+    fig11_curves, fig2_curve, fig4_series, fig6_series, fig7_series, fig9_points, Fig11Curve,
+    Fig2Point, Fig4Point, Fig9Point, TimeoutSeries,
 };
 pub use hash::{fnv1a, fnv1a_str};
 pub use microbench::{
@@ -59,6 +56,4 @@ pub use microbench::{
 };
 pub use regcache::{deregistration_cost, registration_cost, PinDownCache, RegCacheStats};
 pub use systems::SystemProfile;
-pub use timeline::{annotate_workflow, render_workflow, WorkflowEvent};
-pub use traffic::{summarize, TrafficSummary};
 pub use workaround::{install_dummy_reads, reissue_read, smallest_rnr_delay};

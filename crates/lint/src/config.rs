@@ -93,12 +93,6 @@ pub const ROOTS: &[RootConfig] = &[
         retransmit: false,
     },
     RootConfig {
-        dir: "crates/perftest",
-        float_path: false,
-        wildcard: false,
-        retransmit: false,
-    },
-    RootConfig {
         dir: "crates/scenario",
         float_path: false,
         wildcard: true,

@@ -92,6 +92,9 @@ pub struct ScenarioRun {
     /// the completion log), kept so a divergence or lint finding can be
     /// read instead of re-instrumented.
     pub timeline: String,
+    /// Both hosts' packet captures, client first: what `lint` and
+    /// `timeline` were read from.
+    pub captures: [Capture<Packet>; 2],
 }
 
 /// Simulated drain deadline of a scenario: last post plus the budget.
@@ -399,11 +402,10 @@ pub fn run_scenario_plan(sc: &Scenario, mut plan: ShardPlan) -> ScenarioRun {
         unreachable!("invariant: exactly one replica owns each host")
     };
 
-    // The justification rules come from the backend under test: batch
-    // inheritance is a go-back-N rollback property (see RecoveryRules).
+    // The justification rules come from the backend under test (see
+    // RecoveryRules).
     let lint_cfg = LintConfig {
         rules: RecoveryRules::for_kind(sc.recovery),
-        ..LintConfig::default()
     };
     let mut lint = lint_capture(&ccol.capture, &lint_cfg);
     lint.merge(lint_capture(&scol.capture, &lint_cfg));
@@ -433,6 +435,7 @@ pub fn run_scenario_plan(sc: &Scenario, mut plan: ShardPlan) -> ScenarioRun {
         end_ns: done.end.as_ns(),
         trace_hash: fnv1a(&ident),
         timeline,
+        captures: [ccol.capture, scol.capture],
     }
 }
 

@@ -7,10 +7,10 @@
 //! cargo run --release --example flood_probe
 //! ```
 
-use ibsim::analysis::{lint_capture, LintConfig, RuleId};
+use ibsim::analysis::{lint_capture, summarize, LintConfig, RuleId};
 use ibsim::event::SimTime;
 use ibsim::odp::workaround::reissue_read;
-use ibsim::odp::{run_microbench, summarize, MicrobenchConfig, OdpMode};
+use ibsim::odp::{run_microbench, MicrobenchConfig, OdpMode};
 use ibsim::telemetry::render_summary;
 use ibsim::verbs::{ClusterBuilder, DeviceProfile, MrBuilder, QpConfig, ReadWr, WrId};
 

@@ -10,13 +10,13 @@
 //! * [`event`] — deterministic discrete-event kernel,
 //! * [`fabric`] — links, switch, LID routing, loss injection, capture,
 //! * [`verbs`] — packets, memory regions, RC queue pairs, verbs API,
-//! * [`odp`] — On-Demand Paging engine, device models, pitfall analysis,
+//! * [`odp`] — device models, the Fig. 3 micro-benchmark, figure runners,
 //! * [`ucp`] — UCX-like messaging/RMA layer,
 //! * [`dsm`] — ArgoDSM-like distributed shared memory,
 //! * [`shuffle`] — SparkUCX-like shuffle engine,
 //! * [`telemetry`] — metric registry, fault-lifecycle spans, exporters,
-//! * [`perftest`] — `ib_read_lat`/`ib_read_bw`-style micro-benchmarks,
-//! * [`analysis`] — RC trace linter, pitfall signature detectors, packet
+//! * [`analysis`] — the one reader of captures (RC trace linter, pitfall
+//!   signatures, Fig. 1/5/8 timeline, traffic count), packet
 //!   conservation, and the runtime invariant registry,
 //! * [`scenario`] — seeded fault-schedule fuzzing with a differential RC
 //!   oracle, a failing-seed minimizer, and a parallel conformance runner.
@@ -32,7 +32,6 @@ pub use ibsim_dsm as dsm;
 pub use ibsim_event as event;
 pub use ibsim_fabric as fabric;
 pub use ibsim_odp as odp;
-pub use ibsim_perftest as perftest;
 pub use ibsim_scenario as scenario;
 pub use ibsim_shuffle as shuffle;
 pub use ibsim_telemetry as telemetry;
