@@ -23,23 +23,31 @@ cargo build --release --offline
 echo "==> cargo test --workspace"
 cargo test -q --offline --workspace
 
-echo "==> fabric, event, ucp, shuffle and verbs tests in release, the"
+echo "==> fabric, event, telemetry, ucp, shuffle and verbs tests in release, the"
 echo "    profile every bench bin and the benchmark run: integer overflow"
 echo "    panics in debug but wraps here and debug_asserts vanish. fabric:"
 echo "    the hostile-size and route-contract tests gate both profiles;"
 echo "    event: the key index masks and wraps, slot generations wrap (the"
-echo "    model test and the allocation test); ucp and shuffle: a request id"
+echo "    model test and the allocation test); telemetry: the per-QP clock"
+echo "    table casts u64/u32 ids to indices; ucp and shuffle: a request id"
 echo "    is a table slot plus one, so the subtraction and the narrowing to"
 echo "    an index wrap silently (the foreign-id and slot-reuse tests);"
 echo "    verbs multiplies segment and page offsets in u32 (the page-gate"
 echo "    replay and the transport suites)"
 cargo test -q --offline --release \
-    -p ibsim-fabric -p ibsim-event -p ibsim-ucp -p ibsim-shuffle -p ibsim-verbs
+    -p ibsim-fabric -p ibsim-event -p ibsim-telemetry -p ibsim-ucp -p ibsim-shuffle -p ibsim-verbs
 
 echo "==> pitfall probes (linter must flag each probe's own signature;"
-echo "    flood probe exits nonzero if telemetry records zero fault spans)"
-cargo run -q --offline --release --example damming_probe
-cargo run -q --offline --release --example flood_probe
+echo "    flood probe exits nonzero if telemetry records zero fault spans;"
+echo "    their concatenated stdout, render_summary and the span table"
+echo "    included, is pinned)"
+for probe in damming_probe flood_probe; do
+    cargo run -q --offline --release --example "$probe"
+done > target/probes.out
+if [ "$(cksum < target/probes.out)" != "1359021930 314427" ]; then
+    echo "ci: the probes' stdout drifted (target/probes.out)" >&2
+    exit 1
+fi
 
 echo "==> the other five examples (they drive payloads through dsm and ucp;"
 echo "    their concatenated stdout is pinned)"

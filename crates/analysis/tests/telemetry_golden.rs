@@ -1,10 +1,10 @@
 //! Golden-file determinism for the telemetry exporters: the JSONL export
-//! of a seeded probe run must be byte-identical across runs, and every
+//! and summary of a seeded probe run are pinned by hash, and every
 //! recorded fault span must account for its full end-to-end latency.
 
 use ibsim_event::SimTime;
-use ibsim_odp::{run_microbench, MicrobenchConfig, MicrobenchRun, OdpMode};
-use ibsim_telemetry::export_jsonl;
+use ibsim_odp::{fnv1a_str, run_microbench, MicrobenchConfig, MicrobenchRun, OdpMode};
+use ibsim_telemetry::{export_jsonl, render_summary};
 
 fn damming_cfg() -> MicrobenchConfig {
     MicrobenchConfig {
@@ -24,6 +24,63 @@ fn flood_cfg() -> MicrobenchConfig {
         telemetry: true,
         ..Default::default()
     }
+}
+
+/// The Fig. 9 both-side-ODP cell at 50 QPs.
+fn fifty_qp_cfg() -> MicrobenchConfig {
+    MicrobenchConfig {
+        num_ops: 2048,
+        num_qps: 50,
+        odp: OdpMode::BothSide,
+        cack: 18,
+        telemetry: true,
+        ..Default::default()
+    }
+}
+
+/// Asserts the FNV-1a of `cfg`'s JSONL export (and its line count) and
+/// of its summary table.
+fn assert_pinned(cfg: &MicrobenchConfig, jsonl: (u64, usize), summary: u64) {
+    let run = run_microbench(cfg);
+    let t = run.cluster.telemetry();
+    let out = export_jsonl(t);
+    assert_eq!(
+        (fnv1a_str(&out), out.lines().count()),
+        jsonl,
+        "export_jsonl drifted"
+    );
+    assert_eq!(
+        fnv1a_str(&render_summary(t)),
+        summary,
+        "render_summary drifted"
+    );
+}
+
+#[test]
+fn damming_exports_are_pinned() {
+    assert_pinned(
+        &damming_cfg(),
+        (0x4ad7_9b7e_1e0f_139a, 71),
+        0x62b9_a84c_b3d0_8d89,
+    );
+}
+
+#[test]
+fn flood_exports_are_pinned() {
+    assert_pinned(
+        &flood_cfg(),
+        (0x9ae3_b603_1d1e_714e, 2603),
+        0xa484_f30b_ba39_2403,
+    );
+}
+
+#[test]
+fn fifty_qp_both_side_exports_are_pinned() {
+    assert_pinned(
+        &fifty_qp_cfg(),
+        (0x4ced_34d7_ff2f_964b, 1233),
+        0x9b49_b272_ccfc_a7ab,
+    );
 }
 
 fn assert_spans_account_for_latency(run: &MicrobenchRun) {

@@ -5,36 +5,22 @@
 //! nanoseconds — two runs of the same seeded workload produce
 //! byte-identical output, which CI exploits as a golden-file check.
 
-use core::fmt::Write as _;
+use core::fmt::{self, Display, Write as _};
 
 use crate::span::{FaultSpan, STAGE_NAMES};
 use crate::{Instrument, Telemetry};
 
-fn opt_u64(v: Option<u64>) -> String {
-    match v {
-        Some(x) => x.to_string(),
-        None => "-".to_owned(),
-    }
-}
+/// An optional value that renders as `absent` when `None`, honouring the
+/// width and alignment of the format spec either way — so a line is
+/// written straight into the output buffer with no `String` per field.
+struct Opt<T>(Option<T>, &'static str);
 
-fn opt_u32(v: Option<u32>) -> String {
-    match v {
-        Some(x) => x.to_string(),
-        None => "-".to_owned(),
-    }
-}
-
-fn json_opt_u64(v: Option<u64>) -> String {
-    match v {
-        Some(x) => x.to_string(),
-        None => "null".to_owned(),
-    }
-}
-
-fn json_opt_u32(v: Option<u32>) -> String {
-    match v {
-        Some(x) => x.to_string(),
-        None => "null".to_owned(),
+impl<T: Display> Display for Opt<T> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match &self.0 {
+            Some(v) => v.fmt(f),
+            None => f.pad(self.1),
+        }
     }
 }
 
@@ -50,27 +36,20 @@ pub fn render_summary(t: &Telemetry) -> String {
     );
     for (name, labels, inst) in t.registry().iter() {
         let (value, min, mean, max) = match inst {
-            Instrument::Counter(v) | Instrument::Gauge(v) => {
-                (v.to_string(), String::new(), String::new(), String::new())
-            }
-            Instrument::Histogram(h) => (
-                h.count().to_string(),
-                h.min().to_string(),
-                h.mean().to_string(),
-                h.max().to_string(),
-            ),
+            Instrument::Counter(v) | Instrument::Gauge(v) => (*v, None, None, None),
+            Instrument::Histogram(h) => (h.count(), Some(h.min()), Some(h.mean()), Some(h.max())),
         };
         let _ = writeln!(
             s,
             "{:<34} {:>6} {:>8} {:<9} {:>14} {:>10} {:>14} {:>14}",
             name,
-            opt_u64(labels.host),
-            opt_u32(labels.qpn),
+            Opt(labels.host, "-"),
+            Opt(labels.qpn, "-"),
             inst.kind(),
             value,
-            min,
-            mean,
-            max
+            Opt(min, ""),
+            Opt(mean, ""),
+            Opt(max, "")
         );
     }
     let closed = t.spans();
@@ -117,63 +96,50 @@ pub fn render_summary(t: &Telemetry) -> String {
 pub fn export_jsonl(t: &Telemetry) -> String {
     let mut s = String::new();
     for (name, labels, inst) in t.registry().iter() {
-        let host = json_opt_u64(labels.host);
-        let qpn = json_opt_u32(labels.qpn);
+        let _ = write!(
+            s,
+            "{{\"type\":\"metric\",\"name\":\"{}\",\"host\":{},\"qpn\":{},\"kind\":\"{}\",",
+            name,
+            Opt(labels.host, "null"),
+            Opt(labels.qpn, "null"),
+            inst.kind()
+        );
         match inst {
             Instrument::Counter(v) | Instrument::Gauge(v) => {
-                let _ = writeln!(
-                    s,
-                    "{{\"type\":\"metric\",\"name\":\"{}\",\"host\":{},\"qpn\":{},\
-                     \"kind\":\"{}\",\"value\":{}}}",
-                    name,
-                    host,
-                    qpn,
-                    inst.kind(),
-                    v
-                );
+                let _ = writeln!(s, "\"value\":{v}}}");
             }
             Instrument::Histogram(h) => {
-                let mut buckets = String::new();
-                for (floor, count) in h.nonzero_buckets() {
-                    if !buckets.is_empty() {
-                        buckets.push(',');
-                    }
-                    let _ = write!(buckets, "[{floor},{count}]");
-                }
-                let _ = writeln!(
+                let _ = write!(
                     s,
-                    "{{\"type\":\"metric\",\"name\":\"{}\",\"host\":{},\"qpn\":{},\
-                     \"kind\":\"histogram\",\"count\":{},\"sum\":{},\"min\":{},\"max\":{},\
-                     \"mean\":{},\"buckets\":[{}]}}",
-                    name,
-                    host,
-                    qpn,
+                    "\"count\":{},\"sum\":{},\"min\":{},\"max\":{},\"mean\":{},\"buckets\":[",
                     h.count(),
                     h.sum(),
                     h.min(),
                     h.max(),
-                    h.mean(),
-                    buckets
+                    h.mean()
                 );
+                for (i, (floor, count)) in h.nonzero_buckets().enumerate() {
+                    if i > 0 {
+                        s.push(',');
+                    }
+                    let _ = write!(s, "[{floor},{count}]");
+                }
+                s.push_str("]}\n");
             }
         }
     }
     for sp in t.spans() {
-        s.push_str(&span_json(sp));
-        s.push('\n');
+        write_span_json(&mut s, sp);
     }
     s
 }
 
-fn span_json(sp: &FaultSpan) -> String {
+/// Appends one span's JSON line to `s`.
+fn write_span_json(s: &mut String, sp: &FaultSpan) {
     let stages = sp.stages();
-    let stage_ns = |i: usize| -> String {
-        match &stages {
-            Some(st) => st[i].1.as_ns().to_string(),
-            None => "null".to_owned(),
-        }
-    };
-    format!(
+    let stage_ns = |i: usize| Opt(stages.map(|st| st[i].1.as_ns()), "null");
+    let _ = writeln!(
+        s,
         "{{\"type\":\"span\",\"host\":{},\"mr\":{},\"page\":{},\"raised_ns\":{},\
          \"queue_wait_ns\":{},\"resolution_ns\":{},\"propagation_ns\":{},\
          \"retransmit_drain_ns\":{},\"end_to_end_ns\":{},\"waiters\":{},\"stale_qps\":{}}}",
@@ -185,10 +151,10 @@ fn span_json(sp: &FaultSpan) -> String {
         stage_ns(1),
         stage_ns(2),
         stage_ns(3),
-        json_opt_u64(sp.end_to_end().map(|d| d.as_ns())),
+        Opt(sp.end_to_end().map(|d| d.as_ns()), "null"),
         sp.waiters,
         sp.stale_qps,
-    )
+    );
 }
 
 #[cfg(test)]

@@ -15,6 +15,16 @@
 //! answers "where did this fault's 500 ms go?" with named stages whose
 //! durations sum exactly to the end-to-end latency.
 //!
+//! ## Cost when on
+//!
+//! The [`Registry`] is a table of metric families (name, then labels),
+//! so a write is one lookup among a few dozen names plus one search on
+//! integer labels, and an end-of-run snapshot ([`Registry::set_gauges`])
+//! builds each family in one sorted pass. Per-QP state-dwell and
+//! work-request clocks sit in a dense `[host][qpn]` table. The exports
+//! of three seeded runs are pinned by hash, so none of this may move a
+//! byte.
+//!
 //! ## Zero perturbation
 //!
 //! A [`Telemetry`] handle starts disabled and records nothing until
@@ -31,7 +41,7 @@ mod export;
 mod registry;
 mod span;
 
-use std::collections::BTreeMap;
+use std::collections::VecDeque;
 
 use ibsim_event::SimTime;
 
@@ -52,20 +62,31 @@ fn dwell_metric(state: &'static str) -> &'static str {
     }
 }
 
+/// The clocks the hub keeps for one QP.
+#[derive(Debug, Default)]
+struct QpClocks {
+    /// Current state and when it was entered; `None` until first sampled.
+    state: Option<(&'static str, SimTime)>,
+    /// `(wr_id, posted_at)` of in-flight work requests, oldest first.
+    posted: VecDeque<(u64, SimTime)>,
+}
+
 /// The observability hub threaded through the simulator.
 ///
 /// One `Telemetry` lives on the cluster; layers report into it through
 /// the methods below. Every method is a no-op while disabled, so the
 /// instrumented hot paths cost one branch when observability is off.
+///
+/// Per-QP clocks live in a dense `[host][qpn]` table, grown to the
+/// largest id seen. That relies on host ids and QPNs being small dense
+/// integers, as the verbs crate hands them out (hosts from 0, QPNs from
+/// 1 on each host).
 #[derive(Debug, Default)]
 pub struct Telemetry {
     enabled: bool,
     registry: Registry,
     spans: SpanStore,
-    /// Post time of in-flight work requests: `(host, qpn, wr_id) → t`.
-    pending_wrs: BTreeMap<(u64, u32, u64), SimTime>,
-    /// Current QP state and when it was entered: `(host, qpn) → …`.
-    qp_states: BTreeMap<(u64, u32), (&'static str, SimTime)>,
+    qps: Vec<Vec<QpClocks>>,
 }
 
 impl Telemetry {
@@ -135,6 +156,18 @@ impl Telemetry {
         }
     }
 
+    /// Sets a family of gauges from `(labels, value)` rows in ascending
+    /// label order; see [`Registry::set_gauges`].
+    pub fn set_gauges(
+        &mut self,
+        name: &'static str,
+        rows: impl IntoIterator<Item = (Labels, u64)>,
+    ) {
+        if self.enabled {
+            self.registry.set_gauges(name, rows);
+        }
+    }
+
     /// Records a histogram sample.
     pub fn observe(&mut self, name: &'static str, labels: Labels, v: u64) {
         if self.enabled {
@@ -146,22 +179,45 @@ impl Telemetry {
     // Work-request latency
     // ------------------------------------------------------------------
 
+    /// The clocks of `(host, qpn)`, growing the table to reach them.
+    fn clocks(&mut self, host: u64, qpn: u32) -> &mut QpClocks {
+        let (h, q) = (host as usize, qpn as usize);
+        if self.qps.len() <= h {
+            self.qps.resize_with(h + 1, Vec::new);
+        }
+        let row = &mut self.qps[h];
+        if row.len() <= q {
+            row.resize_with(q + 1, QpClocks::default);
+        }
+        &mut row[q]
+    }
+
     /// A work request was posted; starts its latency clock.
     pub fn wr_posted(&mut self, host: u64, qpn: u32, wr_id: u64, now: SimTime) {
         if self.enabled {
-            self.pending_wrs.insert((host, qpn, wr_id), now);
+            self.clocks(host, qpn).posted.push_back((wr_id, now));
         }
     }
 
     /// A completion landed on the CQ: records post-to-completion latency
-    /// and lets any fault span waiting on this QP check it off.
+    /// against the oldest in-flight post with its id (a receive
+    /// completion finds none) and lets any fault span waiting on this QP
+    /// check it off.
     pub fn wr_completed(&mut self, host: u64, qpn: u32, wr_id: u64, now: SimTime) {
         if !self.enabled {
             return;
         }
         self.registry
             .counter_add("cq.completions", Labels::host_qp(host, qpn), 1);
-        if let Some(posted) = self.pending_wrs.remove(&(host, qpn, wr_id)) {
+        let posted = self
+            .qps
+            .get_mut(host as usize)
+            .and_then(|row| row.get_mut(qpn as usize))
+            .and_then(|c| {
+                let at = c.posted.iter().position(|&(id, _)| id == wr_id)?;
+                c.posted.remove(at)
+            });
+        if let Some((_, posted)) = posted {
             self.registry.observe(
                 "cq.wr_latency_ns",
                 Labels::host(host),
@@ -235,15 +291,14 @@ impl Telemetry {
         if !self.enabled {
             return;
         }
-        let entry = self.qp_states.entry((host, qpn)).or_insert((state, now));
+        let entry = self.clocks(host, qpn).state.get_or_insert((state, now));
         if entry.0 != state {
-            let (prev, since) = *entry;
+            let (prev, since) = std::mem::replace(entry, (state, now));
             self.registry.counter_add(
                 dwell_metric(prev),
                 Labels::host_qp(host, qpn),
                 (now - since).as_ns(),
             );
-            *entry = (state, now);
         }
     }
 
@@ -253,14 +308,18 @@ impl Telemetry {
         if !self.enabled {
             return;
         }
-        for (&(host, qpn), entry) in self.qp_states.iter_mut() {
-            let (state, since) = *entry;
-            self.registry.counter_add(
-                dwell_metric(state),
-                Labels::host_qp(host, qpn),
-                (now - since).as_ns(),
-            );
-            entry.1 = now;
+        for (host, row) in self.qps.iter_mut().enumerate() {
+            for (qpn, clocks) in row.iter_mut().enumerate() {
+                let Some((state, since)) = &mut clocks.state else {
+                    continue;
+                };
+                self.registry.counter_add(
+                    dwell_metric(state),
+                    Labels::host_qp(host as u64, qpn as u32),
+                    (now - *since).as_ns(),
+                );
+                *since = now;
+            }
         }
     }
 
@@ -340,6 +399,33 @@ mod tests {
             tel.registry()
                 .counter("cq.completions", Labels::host_qp(1, 7)),
             Some(1)
+        );
+    }
+
+    #[test]
+    fn two_in_flight_wrs_with_one_id_get_a_sample_each() {
+        let mut tel = Telemetry::new();
+        tel.enable();
+        tel.wr_posted(0, 1, 7, t(10));
+        tel.wr_posted(0, 1, 7, t(20));
+        tel.wr_posted(0, 1, 8, t(30));
+        // Oldest first: the first completion of id 7 is the one posted
+        // at 10 µs; id 8's post does not stand in for either.
+        tel.wr_completed(0, 1, 7, t(50));
+        tel.wr_completed(0, 1, 7, t(100));
+        // A receive completion matches no post; neither does a QP the
+        // table has never seen.
+        tel.wr_completed(0, 1, 99, t(100));
+        tel.wr_completed(5, 40, 7, t(100));
+        let h = tel
+            .registry()
+            .histogram("cq.wr_latency_ns", Labels::host(0))
+            .expect("histogram exists");
+        assert_eq!((h.count(), h.min(), h.max()), (2, 40_000, 80_000));
+        assert_eq!(
+            tel.registry()
+                .counter("cq.completions", Labels::host_qp(0, 1)),
+            Some(3)
         );
     }
 

@@ -5,7 +5,8 @@ use std::collections::BTreeMap;
 
 use ibsim_event::{Engine, Event, EventFn, QueueStats, SimTime};
 use ibsim_fabric::{
-    Capture, Delivery, DirectedLink, Direction, Fabric, Lid, LinkSpec, TopologyKind, Xorshift64Star,
+    Capture, Delivery, DirectedLink, Direction, Fabric, InterLinkStats, Lid, LinkSpec, LinkStats,
+    TopologyKind, Xorshift64Star,
 };
 use ibsim_telemetry::{Labels, Telemetry};
 
@@ -255,6 +256,47 @@ const TX_COUNTERS: [&str; 10] = [
 const TX_TOTAL: usize = 0;
 const TX_GHOST: usize = 8;
 const TX_FABRIC_DROPS: usize = 9;
+
+/// A gauge family a sync writes: its name and the stat field it reads.
+type GaugeField<S> = (&'static str, fn(&S) -> u64);
+
+/// The per-QP [`QpStats`] gauges a sync writes, one family each.
+const QP_GAUGES: [GaugeField<QpStats>; 8] = [
+    ("qp.retransmissions", |s| s.retransmissions),
+    ("qp.timeouts", |s| s.timeouts),
+    ("qp.rnr_naks_received", |s| s.rnr_naks_received),
+    ("qp.rnr_naks_sent", |s| s.rnr_naks_sent),
+    ("qp.seq_naks_sent", |s| s.seq_naks_sent),
+    ("qp.responses_discarded", |s| s.responses_discarded),
+    ("qp.faults_raised", |s| s.faults_raised),
+    ("qp.pendency_drops", |s| s.pendency_drops),
+];
+
+/// The per-host fabric port gauges a sync writes.
+const PORT_GAUGES: [GaugeField<LinkStats>; 5] = [
+    ("fabric.tx_frames", |s| s.tx_frames),
+    ("fabric.tx_bytes", |s| s.tx_bytes),
+    ("fabric.rx_frames", |s| s.rx_frames),
+    ("fabric.rx_bytes", |s| s.rx_bytes),
+    ("fabric.dropped", |s| s.dropped),
+];
+
+/// The per-host [`DriverStats`] gauges a sync writes.
+const DRIVER_GAUGES: [GaugeField<DriverStats>; 3] = [
+    ("driver.stats.faults_resolved", |s| s.faults_resolved),
+    ("driver.stats.qp_resumes", |s| s.qp_resumes),
+    ("driver.stats.irqs_processed", |s| s.irqs_processed),
+];
+
+/// The inter-switch link gauges a sync writes.
+const INTER_LINK_GAUGES: [GaugeField<InterLinkStats>; 6] = [
+    ("fabric.link.frames", |s| s.frames),
+    ("fabric.link.bytes", |s| s.bytes),
+    ("fabric.link.busy_ns", |s| s.busy_ns),
+    ("fabric.link.peak_backlog_ns", |s| s.peak_backlog_ns),
+    ("fabric.link.ecn_marks", |s| s.ecn_marks),
+    ("fabric.link.pauses", |s| s.pauses),
+];
 
 /// Writes the `event.*` gauges that compose across shards: every
 /// [`QueueStats`] field but `peak_depth`.
@@ -662,7 +704,10 @@ impl Cluster {
         // a cross-shard transit is performed by the *sender's* replica,
         // which accrues the receiver's rx frames too, so those gauges
         // must keep summing across every replica.
-        let owned: Vec<bool> = (0..self.nics.len()).map(|h| self.owns(HostId(h))).collect();
+        let owned: Vec<HostId> = (0..self.nics.len())
+            .map(HostId)
+            .filter(|&h| self.owns(h))
+            .collect();
         let t = &mut self.telemetry;
         let qs = eng.queue_stats();
         set_mergeable_engine_gauges(t, &qs);
@@ -681,34 +726,32 @@ impl Cluster {
                 t.counter_add(name, labels, n.saturating_sub(have));
             }
         }
-        for (h, (nic, driver)) in self.nics.iter().zip(self.drivers.iter()).enumerate() {
-            let labels = Labels::host(h as u64);
-            if let Some(ls) = self.fabric.link_stats(nic.lid) {
-                t.gauge_set("fabric.tx_frames", labels, ls.tx_frames);
-                t.gauge_set("fabric.tx_bytes", labels, ls.tx_bytes);
-                t.gauge_set("fabric.rx_frames", labels, ls.rx_frames);
-                t.gauge_set("fabric.rx_bytes", labels, ls.rx_bytes);
-                t.gauge_set("fabric.dropped", labels, ls.dropped);
-            }
-            if !owned[h] {
-                continue;
-            }
-            let ds = driver.stats();
-            t.gauge_set("driver.stats.faults_resolved", labels, ds.faults_resolved);
-            t.gauge_set("driver.stats.qp_resumes", labels, ds.qp_resumes);
-            t.gauge_set("driver.stats.irqs_processed", labels, ds.irqs_processed);
-            for qp in nic.qps() {
-                let s = qp.stats();
-                let ql = Labels::host_qp(h as u64, qp.qpn().0);
-                t.gauge_set("qp.retransmissions", ql, s.retransmissions);
-                t.gauge_set("qp.timeouts", ql, s.timeouts);
-                t.gauge_set("qp.rnr_naks_received", ql, s.rnr_naks_received);
-                t.gauge_set("qp.rnr_naks_sent", ql, s.rnr_naks_sent);
-                t.gauge_set("qp.seq_naks_sent", ql, s.seq_naks_sent);
-                t.gauge_set("qp.responses_discarded", ql, s.responses_discarded);
-                t.gauge_set("qp.faults_raised", ql, s.faults_raised);
-                t.gauge_set("qp.pendency_drops", ql, s.pendency_drops);
-            }
+        // The gauges go in family by family, each walked in label order
+        // (hosts ascending, then QPs in QPN order), so a first sync
+        // builds every family in one pass.
+        let ports: Vec<(Labels, LinkStats)> = self
+            .nics
+            .iter()
+            .enumerate()
+            .filter_map(|(h, nic)| Some((Labels::host(h as u64), self.fabric.link_stats(nic.lid)?)))
+            .collect();
+        for (name, field) in PORT_GAUGES {
+            t.set_gauges(name, ports.iter().map(|(l, ls)| (*l, field(ls))));
+        }
+        for (name, field) in DRIVER_GAUGES {
+            let rows = owned
+                .iter()
+                .map(|&h| (Labels::host(h.0 as u64), field(&self.drivers[h.0].stats())));
+            t.set_gauges(name, rows);
+        }
+        for (name, field) in QP_GAUGES {
+            let rows = owned.iter().flat_map(|&h| {
+                self.nics[h.0]
+                    .qps()
+                    .iter()
+                    .map(move |qp| (Labels::host_qp(h.0 as u64, qp.qpn().0), field(&qp.stats())))
+            });
+            t.set_gauges(name, rows);
         }
         // Inter-switch link counters. Lazily registered by the fabric on
         // first use, so a crossbar run (no inter-switch hops) emits no
@@ -720,14 +763,12 @@ impl Cluster {
         // single sending shard: each gauge is non-zero on exactly one
         // replica, and gauge-ADD absorption reproduces the sequential
         // values (including the non-additive `peak_backlog_ns`).
-        for (from, to, ls) in self.fabric.inter_links() {
-            let labels = Labels::host_qp(from.0 as u64, to.0 as u32);
-            t.gauge_set("fabric.link.frames", labels, ls.frames);
-            t.gauge_set("fabric.link.bytes", labels, ls.bytes);
-            t.gauge_set("fabric.link.busy_ns", labels, ls.busy_ns);
-            t.gauge_set("fabric.link.peak_backlog_ns", labels, ls.peak_backlog_ns);
-            t.gauge_set("fabric.link.ecn_marks", labels, ls.ecn_marks);
-            t.gauge_set("fabric.link.pauses", labels, ls.pauses);
+        for (name, field) in INTER_LINK_GAUGES {
+            let rows = self
+                .fabric
+                .inter_links()
+                .map(|(from, to, ls)| (Labels::host_qp(from.0 as u64, to.0 as u32), field(&ls)));
+            t.set_gauges(name, rows);
         }
         t.flush_dwell(now);
     }
@@ -1662,7 +1703,45 @@ mod tests {
         );
         assert_eq!(cl.stats.total_packets, 2);
 
+        let everything = |cl: &Cluster| -> Vec<(&'static str, Labels, String)> {
+            let reg = cl.telemetry().registry();
+            reg.iter()
+                .map(|(n, l, i)| (n, l, format!("{i:?}")))
+                .collect()
+        };
+        let all_once = everything(&cl);
         cl.sync_telemetry_at(&eng, eng.now());
         assert_eq!(packets(&cl), once, "a second sync adds nothing");
+        assert_eq!(everything(&cl), all_once, "nor moves any gauge");
+    }
+
+    #[test]
+    fn two_in_flight_reads_with_one_id_get_a_latency_sample_each() {
+        let (mut eng, mut cl, hosts) = ClusterBuilder::new()
+            .telemetry(true)
+            .host("a", DeviceProfile::connectx6())
+            .host("b", DeviceProfile::connectx6())
+            .build();
+        let (a, b) = (hosts[0], hosts[1]);
+        let src = cl.alloc_mr(b, 4096, MrMode::Pinned);
+        let dst = cl.alloc_mr(a, 4096, MrMode::Pinned);
+        let (qa, _) = cl.connect_pair(&mut eng, a, b, QpConfig::default());
+        for _ in 0..2 {
+            cl.post(
+                &mut eng,
+                a,
+                qa,
+                crate::wr::ReadWr::new(dst, src).len(64).id(7),
+            );
+        }
+        eng.run(&mut cl);
+        assert_eq!(cl.poll_cq(a).len(), 2);
+        let reg = cl.telemetry().registry();
+        let ql = Labels::host_qp(a.0 as u64, qa.0);
+        assert_eq!(reg.counter("cq.completions", ql), Some(2));
+        let h = reg
+            .histogram("cq.wr_latency_ns", Labels::host(a.0 as u64))
+            .expect("latency histogram");
+        assert_eq!(h.count(), 2, "one sample per completion");
     }
 }
