@@ -23,19 +23,21 @@ cargo build --release --offline
 echo "==> cargo test --workspace"
 cargo test -q --offline --workspace
 
-echo "==> fabric, event, telemetry, ucp, shuffle and verbs tests in release, the"
-echo "    profile every bench bin and the benchmark run: integer overflow"
-echo "    panics in debug but wraps here and debug_asserts vanish. fabric:"
-echo "    the hostile-size and route-contract tests gate both profiles;"
+echo "==> fabric, event, telemetry, ucp, shuffle, verbs and scenario tests in"
+echo "    release, the profile every bench bin and the benchmark run: integer"
+echo "    overflow panics in debug but wraps here and debug_asserts vanish."
+echo "    fabric: the hostile-size and route-contract tests gate both profiles;"
 echo "    event: the key index masks and wraps, slot generations wrap (the"
 echo "    model test and the allocation test); telemetry: the per-QP clock"
 echo "    table casts u64/u32 ids to indices; ucp and shuffle: a request id"
 echo "    is a table slot plus one, so the subtraction and the narrowing to"
 echo "    an index wrap silently (the foreign-id and slot-reuse tests);"
 echo "    verbs multiplies segment and page offsets in u32 (the page-gate"
-echo "    replay and the transport suites)"
+echo "    replay and the transport suites); scenario: a spec's span or region"
+echo "    past u64 would wrap into one that passes validation (the parse fuzz)"
 cargo test -q --offline --release \
-    -p ibsim-fabric -p ibsim-event -p ibsim-telemetry -p ibsim-ucp -p ibsim-shuffle -p ibsim-verbs
+    -p ibsim-fabric -p ibsim-event -p ibsim-telemetry -p ibsim-ucp -p ibsim-shuffle -p ibsim-verbs \
+    -p ibsim-scenario
 
 echo "==> pitfall probes (linter must flag each probe's own signature;"
 echo "    flood probe exits nonzero if telemetry records zero fault spans;"

@@ -19,7 +19,7 @@ use ibsim_event::{Engine, SimTime};
 use ibsim_fabric::LinkSpec;
 use ibsim_odp::regcache::{deregistration_cost, registration_cost, PinDownCache};
 use ibsim_odp::{run_microbench, MicrobenchConfig, OdpMode};
-use ibsim_verbs::{Cluster, DeviceProfile, MrMode, QpConfig, ReadWr, Sim, WrId};
+use ibsim_verbs::{Cluster, DeviceProfile, MrBuilder, MrMode, QpConfig, ReadWr, Sim, WrId};
 
 /// Sequentially READs `transfers` times, one of `buffers` 16 KiB client
 /// buffers per transfer (round-robin), under one strategy; returns
@@ -44,14 +44,14 @@ fn memory_strategy_run(strategy: &str, transfers: usize, buffers: usize) -> (Sim
     let odp_keys: Vec<_> = if strategy == "odp" {
         bases
             .iter()
-            .map(|&bse| cl.reg_mr(a, bse, LEN, MrMode::Odp).key)
+            .map(|&bse| cl.mr(a, MrBuilder::odp(LEN).at(bse)).key)
             .collect()
     } else {
         Vec::new()
     };
     if strategy == "pinned" {
         for &bse in &bases {
-            pinned_keys.push(cl.reg_mr(a, bse, LEN, MrMode::Pinned).key);
+            pinned_keys.push(cl.mr(a, MrBuilder::pinned(LEN).at(bse)).key);
         }
         peak_pinned = buffers as u64 * LEN;
     }
@@ -62,7 +62,7 @@ fn memory_strategy_run(strategy: &str, transfers: usize, buffers: usize) -> (Sim
         let (key, ready) = match strategy {
             "register-each" => {
                 let cost = registration_cost(LEN);
-                let key = cl.reg_mr(a, bases[buf], LEN, MrMode::Pinned).key;
+                let key = cl.mr(a, MrBuilder::pinned(LEN).at(bases[buf])).key;
                 peak_pinned = peak_pinned.max(LEN);
                 (key, eng.now() + cost)
             }
@@ -76,9 +76,9 @@ fn memory_strategy_run(strategy: &str, transfers: usize, buffers: usize) -> (Sim
             other => panic!("unknown strategy {other}"),
         };
         let wr = WrId(i as u64);
-        eng.schedule_at(ready.max(eng.now()), move |c: &mut Cluster, eng| {
-            c.post(eng, a, qp, ReadWr::new(key, remote.key).len(4096).id(wr));
-        });
+        let at = ready.max(eng.now());
+        let read = ReadWr::new(key, remote.key).len(4096).id(wr);
+        cl.post_at(&mut eng, at, a, qp, read);
         eng.run(&mut cl);
         let cq = cl.poll_cq(a);
         assert_eq!(cq.len(), 1, "{strategy}: transfer completes");

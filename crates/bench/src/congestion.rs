@@ -133,17 +133,8 @@ pub fn run_congestion(storm: Option<RecoveryKind>, quick: bool) -> CongestionRun
         .0;
     for k in 0..VICTIM_READS {
         let at = SimTime::from_ns(VICTIM_START_NS + k as u64 * VICTIM_INTERVAL_NS);
-        let (dst, src) = (victim_dst, victim_src);
-        eng.schedule_at(at, move |c: &mut Cluster, eng| {
-            c.post(
-                eng,
-                victim_client,
-                victim_qp,
-                ReadWr::new((dst.key, (k % 32) as u64 * 64), src.key)
-                    .len(64)
-                    .id(k as u64),
-            );
-        });
+        let read = ReadWr::new(victim_dst.at((k % 32) as u64 * 64), victim_src).len(64);
+        cl.post_at(&mut eng, at, victim_client, victim_qp, read.id(k as u64));
     }
 
     // Storm: the §VI flood. Every READ lands in one cold client-side

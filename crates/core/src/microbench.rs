@@ -219,8 +219,8 @@ struct Setup {
 
 /// Builds the two-host micro-benchmark world and schedules the Fig. 3
 /// posting loop. With `shard` set, the replica is converted to that
-/// shard of a sharded run and the posts (the only build-time events) are
-/// gated on client ownership.
+/// shard of a sharded run, and [`Cluster::post_at`] leaves the posts
+/// (the only build-time events) to the client's owner.
 fn build_microbench(
     cfg: &MicrobenchConfig,
     shard: Option<(usize, &[usize])>,
@@ -268,22 +268,12 @@ fn build_microbench(
         .collect();
 
     // The Fig. 3 loop: post op i at time i * interval on QP i % num_QPs.
-    // On a sharded replica only the client's owner executes the loop.
-    if cl.owns(client) {
-        for i in 0..cfg.num_ops {
-            let (qa, _) = qps[i % cfg.num_qps];
-            let off = i as u64 * cfg.size as u64;
-            let (lk, rk, size) = (local.key, remote.key, cfg.size);
-            let at = (cfg.interval + cfg.post_overhead) * i as u64;
-            eng.schedule_at(at, move |c: &mut Cluster, eng| {
-                c.post(
-                    eng,
-                    client,
-                    qa,
-                    ReadWr::new((lk, off), (rk, off)).len(size).id(i as u64),
-                );
-            });
-        }
+    for i in 0..cfg.num_ops {
+        let (qa, _) = qps[i % cfg.num_qps];
+        let off = i as u64 * cfg.size as u64;
+        let at = (cfg.interval + cfg.post_overhead) * i as u64;
+        let read = ReadWr::new(local.at(off), remote.at(off)).len(cfg.size);
+        cl.post_at(&mut eng, at, client, qa, read.id(i as u64));
     }
     let setup = Setup {
         client,

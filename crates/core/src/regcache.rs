@@ -15,7 +15,7 @@
 use std::collections::BTreeMap;
 
 use ibsim_event::SimTime;
-use ibsim_verbs::{Cluster, HostId, MrKey, MrMode, Sim, PAGE_SIZE};
+use ibsim_verbs::{Cluster, HostId, MrBuilder, MrKey, Sim, PAGE_SIZE};
 
 /// Registration cost: fixed part.
 const REG_BASE: SimTime = SimTime::from_us(30);
@@ -172,7 +172,7 @@ impl PinDownCache {
         self.stats.reg_time += reg;
         let ready_at = start + reg;
         self.busy_until = ready_at;
-        let key = cl.reg_mr(self.host, base, len, MrMode::Pinned).key;
+        let key = cl.mr(self.host, MrBuilder::pinned(len).at(base)).key;
         self.entries.insert(
             base,
             Entry {

@@ -34,6 +34,7 @@ pub fn smallest_rnr_delay() -> SimTime {
 #[allow(clippy::too_many_arguments)]
 pub fn install_dummy_reads(
     eng: &mut Sim,
+    cl: &Cluster,
     host: HostId,
     qpn: Qpn,
     wr_base: u64,
@@ -44,18 +45,10 @@ pub fn install_dummy_reads(
     period: SimTime,
     count: u32,
 ) {
+    let dummy = ReadWr::new((local_mr, local_off), (remote_rkey, remote_off)).len(1);
     for i in 0..count {
         let at = eng.now() + period * (i as u64 + 1);
-        eng.schedule_at(at, move |c: &mut Cluster, eng| {
-            c.post(
-                eng,
-                host,
-                qpn,
-                ReadWr::new((local_mr, local_off), (remote_rkey, remote_off))
-                    .len(1)
-                    .id(wr_base + i as u64),
-            );
-        });
+        cl.post_at(eng, at, host, qpn, dummy.id(wr_base + i as u64));
     }
 }
 
@@ -148,13 +141,12 @@ mod tests {
                 qa,
                 ReadWr::new(local.key, remote.key).len(100).id(0u64),
             );
-            let (lk, rk) = (local.key, remote.key);
-            eng.schedule_at(SimTime::from_ms(1), move |c: &mut Cluster, eng| {
-                c.post(eng, a, qa, ReadWr::new((lk, 200), (rk, 200)).len(100).id(1));
-            });
+            let second = ReadWr::new(local.at(200), remote.at(200)).len(100).id(1);
+            cl.post_at(&mut eng, SimTime::from_ms(1), a, qa, second);
             if dummies {
                 install_dummy_reads(
                     &mut eng,
+                    &cl,
                     a,
                     qa,
                     1000,

@@ -27,7 +27,7 @@ use ibsim_telemetry::FaultSpan;
 use ibsim_verbs::{
     run_plan, Cluster, ClusterBuilder, CompareSwapWr, Completion, DeviceProfile, FetchAddWr,
     HostId, MrBuilder, MrDesc, MrMode, Packet, QpConfig, Qpn, ReadWr, RecvWr, SendWr, ShardPlan,
-    Sim, WrId, WriteWr, PAGE_SIZE,
+    Sim, WorkRequest, WrId, WriteWr, PAGE_SIZE,
 };
 
 use crate::reference::{client_init_byte, server_init_byte, RECV_ID_BASE};
@@ -121,10 +121,9 @@ struct World {
 /// `shard` is `None` for the plain cluster; `Some((id, owner))` builds
 /// shard `id`'s replica of a sharded run. Replicas are construction-time
 /// identical (registration, memory init and QP connection schedule no
-/// events), but each replica only schedules events it will execute:
-/// workload posts on the client's owner, fault invalidations on the
-/// faulted host's owner, and loss-model swaps on every replica through
-/// [`Cluster::schedule_global`] (the fabric is replicated state).
+/// events); which of them schedules each post, invalidation and
+/// loss-model swap is [`Cluster::post_at`]'s, [`Cluster::invalidate_at`]'s
+/// and [`Cluster::set_loss_at`]'s decision.
 fn build_scenario_world(sc: &Scenario, shard: Option<(usize, &[usize])>) -> (Sim, Cluster, World) {
     let profile = match sc.device {
         DeviceKind::ConnectX4 => DeviceProfile::connectx4(LinkSpec::fdr()),
@@ -191,93 +190,31 @@ fn build_scenario_world(sc: &Scenario, shard: Option<(usize, &[usize])>) -> (Sim
 
     // The workload loop: the k-th request is posted at k * interval (the
     // Fig. 3 `usleep` pacing), with the global list index as its id.
-    // Posts execute on the client, so only the client's owner schedules
-    // them.
-    if cl.owns(client) {
-        for (k, &(qp, wr)) in sc.wrs.iter().enumerate() {
-            let at = SimTime::from_ns(k as u64 * sc.post_interval_ns);
-            let qpn = client_qpns[qp];
-            let base = qp as u64 * sc.slot;
-            let id = k as u64;
-            eng.schedule_at(at, move |c: &mut Cluster, eng| match wr {
-                WrSpec::Read { off, len } => c.post(
-                    eng,
-                    client,
-                    qpn,
-                    ReadWr::new(cmr.at(base + off), smr.at(base + off))
-                        .len(len)
-                        .id(id),
-                ),
-                WrSpec::Write { off, len } => c.post(
-                    eng,
-                    client,
-                    qpn,
-                    WriteWr::new(cmr.at(base + off), smr.at(base + off))
-                        .len(len)
-                        .id(id),
-                ),
-                WrSpec::Send { off, len } => c.post(
-                    eng,
-                    client,
-                    qpn,
-                    SendWr::new(cmr.at(base + off)).len(len).id(id),
-                ),
-                WrSpec::FetchAdd { off, add } => c.post(
-                    eng,
-                    client,
-                    qpn,
-                    FetchAddWr::new(cmr.at(base + off), smr.at(base + off))
-                        .add(add)
-                        .id(id),
-                ),
-                WrSpec::CompareSwap { off, compare, swap } => c.post(
-                    eng,
-                    client,
-                    qpn,
-                    CompareSwapWr::new(cmr.at(base + off), smr.at(base + off))
-                        .compare(compare)
-                        .swap(swap)
-                        .id(id),
-                ),
-            });
-        }
+    for (k, &(qp, wr)) in sc.wrs.iter().enumerate() {
+        let at = SimTime::from_ns(k as u64 * sc.post_interval_ns);
+        let wr = work_request(wr, k as u64, qp as u64 * sc.slot, &cmr, &smr);
+        cl.post_at(&mut eng, at, client, client_qpns[qp], wr);
     }
 
     // The fault schedule. Invalidations only make sense on ODP regions:
     // pinned pages can never be reclaimed, so events against a pinned
     // side are skipped rather than simulating an impossible kernel.
-    // Each invalidation mutates one host, so only that host's owner
-    // schedules it.
     let pages = len.div_ceil(PAGE_SIZE) as usize;
     for f in &sc.faults {
         let (host, key, odp) = match f.side {
             Side::Client => (client, cmr.key, sc.client_odp),
             Side::Server => (server, smr.key, sc.server_odp),
         };
-        if !odp || !cl.owns(host) {
-            continue;
+        if odp {
+            let last = f.page + f.count.min(pages.saturating_sub(f.page));
+            cl.invalidate_at(&mut eng, SimTime::from_ns(f.at_ns), host, key, f.page..last);
         }
-        let (first, count) = (f.page, f.count.min(pages.saturating_sub(f.page)));
-        eng.schedule_at(SimTime::from_ns(f.at_ns), move |c: &mut Cluster, _| {
-            for p in first..first + count {
-                c.invalidate_page(host, key, p);
-            }
-        });
     }
 
-    // The loss schedule: each phase swaps the fabric's loss model. The
-    // fabric is replicated per shard, so the swap is a global event —
-    // every replica executes it and the merged queue statistics discount
-    // the replication.
+    // The loss schedule: each phase swaps the fabric's loss model.
     for phase in &sc.loss {
-        let model = phase.model.clone();
-        cl.schedule_global(
-            &mut eng,
-            SimTime::from_ns(phase.at_ns),
-            move |c: &mut Cluster, _| {
-                c.fabric.set_loss(loss_model(&model));
-            },
-        );
+        let at = SimTime::from_ns(phase.at_ns);
+        cl.set_loss_at(&mut eng, at, loss_model(&phase.model));
     }
 
     let world = World {
@@ -436,6 +373,24 @@ pub fn run_scenario_plan(sc: &Scenario, mut plan: ShardPlan) -> ScenarioRun {
         trace_hash: fnv1a(&ident),
         timeline,
         captures: [ccol.capture, scol.capture],
+    }
+}
+
+/// The work request `spec` posts as list entry `id` from the QP window
+/// that starts `window` bytes into both regions.
+fn work_request(spec: WrSpec, id: u64, window: u64, cmr: &MrDesc, smr: &MrDesc) -> WorkRequest {
+    let off = window + spec.footprint().0;
+    let (local, remote) = (cmr.at(off), smr.at(off));
+    match spec {
+        WrSpec::Read { len, .. } => ReadWr::new(local, remote).len(len).id(id).into(),
+        WrSpec::Write { len, .. } => WriteWr::new(local, remote).len(len).id(id).into(),
+        WrSpec::Send { len, .. } => SendWr::new(local).len(len).id(id).into(),
+        WrSpec::FetchAdd { add, .. } => FetchAddWr::new(local, remote).add(add).id(id).into(),
+        WrSpec::CompareSwap { compare, swap, .. } => CompareSwapWr::new(local, remote)
+            .compare(compare)
+            .swap(swap)
+            .id(id)
+            .into(),
     }
 }
 

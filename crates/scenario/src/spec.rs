@@ -366,6 +366,13 @@ impl Scenario {
         if self.slot == 0 {
             return Err("slot must be positive".into());
         }
+        // Every later `region_len` and window offset is within this.
+        if (self.qps as u64).checked_mul(self.slot).is_none() {
+            return Err(format!(
+                "{} QPs of {} bytes overflow a 64-bit region",
+                self.qps, self.slot
+            ));
+        }
         if self.shards == 0 || self.shards > 16 {
             return Err(format!("shards {} outside 1..=16", self.shards));
         }
@@ -377,10 +384,9 @@ impl Scenario {
             if len == 0 {
                 return Err(format!("wr {i} has zero length"));
             }
-            if off + len > self.slot {
+            if off.checked_add(len).is_none_or(|end| end > self.slot) {
                 return Err(format!(
-                    "wr {i} spans [{off}, {}) outside slot {}",
-                    off + len,
+                    "wr {i} spans {len} bytes from {off}, outside slot {}",
                     self.slot
                 ));
             }
@@ -918,6 +924,24 @@ mod tests {
         for line in ["cack=31", "retry=7", "prefetch=0", "odp=-s", "odp=--"] {
             let text = format!("ibsim-scenario v1\nname=x\n{line}\n");
             assert!(Scenario::parse(&text).is_ok(), "{line} rejected");
+        }
+    }
+
+    /// A span or a region past `u64::MAX` is an error. It used to panic
+    /// with an overflow in a debug build and, in a release build, to
+    /// wrap into a span that passed the slot check.
+    #[test]
+    fn parse_rejects_spans_and_regions_that_overflow() {
+        for (lines, want) in [
+            ("wr=0 read 18446744073709551615 8", "outside slot"),
+            ("wr=0 read 18446744073709551608 16", "outside slot"),
+            ("wr=0 fadd 18446744073709551608 1", "outside slot"),
+            ("qps=4294967296\nslot=4294967296", "overflow"),
+            ("qps=2\nslot=9223372036854775808", "overflow"),
+        ] {
+            let text = format!("ibsim-scenario v1\nname=x\nqps=1\nslot=256\n{lines}\n");
+            let err = Scenario::parse(&text).expect_err(lines);
+            assert!(err.contains(want), "{lines}: {err}");
         }
     }
 

@@ -1,0 +1,109 @@
+//! A seeded byte-level fuzz of [`Scenario::parse`]. Every paper-corpus
+//! spec string is mutated — numbers swapped for the edges of their
+//! types, bytes overwritten, inserted and removed — and the parser must
+//! answer each with an error or with a scenario that re-validates,
+//! round-trips through [`Scenario::to_spec_string`] and keeps every span
+//! and its region inside `u64` without wrapping. It must never panic.
+
+use std::panic::{catch_unwind, AssertUnwindSafe};
+
+use ibsim_event::SplitMix64;
+use ibsim_scenario::{paper_corpus, Scenario};
+
+/// Replacement numbers: zero, `u32::MAX`, `u64::MAX` and `u64::MAX - 7`.
+const EDGES: [&str; 4] = [
+    "0",
+    "4294967295",
+    "18446744073709551615",
+    "18446744073709551608",
+];
+
+/// The byte ranges of `text`'s decimal numbers.
+fn numbers(text: &[u8]) -> Vec<(usize, usize)> {
+    let mut spans = Vec::new();
+    let mut start = None;
+    for (i, b) in text.iter().chain([&b' ']).enumerate() {
+        match (start, b.is_ascii_digit()) {
+            (None, true) => start = Some(i),
+            (Some(s), false) => {
+                spans.push((s, i));
+                start = None;
+            }
+            _ => {}
+        }
+    }
+    spans
+}
+
+/// `spec` with up to three numbers replaced by edge values, then up to
+/// three bytes overwritten, inserted or removed.
+fn mutate(spec: &str, rng: &mut SplitMix64) -> String {
+    let mut bytes = spec.as_bytes().to_vec();
+    let spans = numbers(&bytes);
+    let mut picks: Vec<(usize, usize)> = (0..rng.next_below(4))
+        .map(|_| spans[rng.next_below(spans.len() as u64) as usize])
+        .collect();
+    // Back to front, so an earlier range stays where it was.
+    picks.sort_unstable();
+    picks.dedup();
+    for &(s, e) in picks.iter().rev() {
+        let edge = EDGES[rng.next_below(EDGES.len() as u64) as usize];
+        bytes.splice(s..e, edge.bytes());
+    }
+    for _ in 0..rng.next_below(4) {
+        let at = rng.next_below(bytes.len() as u64 + 1) as usize;
+        let byte = rng.next_u64() as u8;
+        match rng.next_below(3) {
+            0 if at < bytes.len() => bytes[at] = byte,
+            1 if at < bytes.len() => {
+                bytes.remove(at);
+            }
+            _ => bytes.insert(at, byte),
+        }
+    }
+    String::from_utf8_lossy(&bytes).into_owned()
+}
+
+/// What every accepted scenario must satisfy, checked without trusting
+/// `validate`'s arithmetic.
+fn assert_accepted_is_sound(sc: &Scenario, text: &str) {
+    assert_eq!(sc.validate(), Ok(()), "{text:?}");
+    let region = (sc.qps as u64).checked_mul(sc.slot);
+    assert!(region.is_some(), "region overflows: {text:?}");
+    for &(_, wr) in &sc.wrs {
+        let (off, len) = wr.footprint();
+        let end = off.checked_add(len);
+        assert!(
+            end.is_some_and(|e| e <= sc.slot),
+            "{wr:?} escapes: {text:?}"
+        );
+    }
+    let again = Scenario::parse(&sc.to_spec_string());
+    assert_eq!(again.as_ref(), Ok(sc), "no round trip: {text:?}");
+}
+
+#[test]
+fn parsing_mutated_corpus_specs_never_panics_and_every_ok_round_trips() {
+    let specs: Vec<String> = paper_corpus()
+        .iter()
+        .map(Scenario::to_spec_string)
+        .collect();
+    let mut rng = SplitMix64::new(0x5ce7);
+    let mut accepted = 0;
+    for _ in 0..4096 {
+        let spec = &specs[rng.next_below(specs.len() as u64) as usize];
+        let text = mutate(spec, &mut rng);
+        let parsed = catch_unwind(AssertUnwindSafe(|| Scenario::parse(&text)));
+        let Ok(parsed) = parsed else {
+            panic!("Scenario::parse panicked on {text:?}");
+        };
+        if let Ok(sc) = parsed {
+            accepted += 1;
+            assert_accepted_is_sound(&sc, &text);
+        }
+    }
+    assert!(
+        accepted > 200,
+        "the fuzz must reach the Ok side: {accepted}"
+    );
+}

@@ -2,11 +2,12 @@
 //! engine. This is the user-facing verbs API of the simulator.
 
 use std::collections::BTreeMap;
+use std::ops::Range;
 
 use ibsim_event::{Engine, Event, EventFn, QueueStats, SimTime};
 use ibsim_fabric::{
     Capture, Delivery, DirectedLink, Direction, Fabric, InterLinkStats, Lid, LinkSpec, LinkStats,
-    TopologyKind, Xorshift64Star,
+    LossModel, TopologyKind, Xorshift64Star,
 };
 use ibsim_telemetry::{Labels, Telemetry};
 
@@ -25,9 +26,14 @@ pub type Sim = Engine<Cluster, ClusterEvent>;
 
 /// Everything a [`Sim`] schedules. The cluster's own events — a packet
 /// arriving, the three per-QP timer families, a driver work item
-/// finishing — are plain data that lives in the engine's slot arena, so
-/// scheduling one allocates nothing; `Call` is the boxed closure that
-/// upper layers, workloads and tests hand to the `schedule_*` methods.
+/// finishing — and a workload's deferred operations — a post, a page
+/// invalidation, a loss-model swap — are plain data that lives in the
+/// engine's slot arena, so scheduling one allocates nothing. The
+/// deferred operations are scheduled only through [`Cluster::post_at`],
+/// [`Cluster::invalidate_at`] and [`Cluster::set_loss_at`], which decide
+/// the replicas of a sharded run that hold them. `Call` is the boxed
+/// closure an application continuation hands to the `schedule_*`
+/// methods: an action that reads the cluster before deciding what to do.
 pub enum ClusterEvent {
     /// `pkt` reaches `host`'s NIC (fabric arrival + receive overhead).
     Deliver {
@@ -75,7 +81,29 @@ pub enum ClusterEvent {
         /// What it was doing.
         work: DriverWork,
     },
-    /// A boxed closure.
+    /// `host` posts `wr` on `qpn` (see [`Cluster::post_at`]).
+    Post {
+        /// The posting host's index: a `u32` keeps the variant within
+        /// the event slot, and a host needs a 16-bit LID anyway.
+        host: u32,
+        /// The QP posted to.
+        qpn: Qpn,
+        /// The work request.
+        wr: WorkRequest,
+    },
+    /// The kernel reclaims `pages` of region `key` on `host` (see
+    /// [`Cluster::invalidate_at`]).
+    Invalidate {
+        /// The region's host index, as in [`ClusterEvent::Post`].
+        host: u32,
+        /// The region.
+        key: MrKey,
+        /// Page indices invalidated, in order.
+        pages: Range<usize>,
+    },
+    /// The fabric's loss model is replaced (see [`Cluster::set_loss_at`]).
+    SetLoss(LossModel),
+    /// An application continuation.
     Call(EventFn<Cluster, ClusterEvent>),
 }
 
@@ -106,6 +134,18 @@ impl Event<Cluster> for ClusterEvent {
                 c.with_qp(eng, host, qpn, |qp, env, fx| qp.on_stall_tick(env, fx, psn));
             }
             ClusterEvent::DriverDone { host, work } => c.on_driver_done(eng, host, work),
+            ClusterEvent::Post { host, qpn, wr } => c.post(eng, HostId(host as usize), qpn, wr),
+            ClusterEvent::Invalidate { host, key, pages } => {
+                for page in pages {
+                    c.invalidate_page(HostId(host as usize), key, page);
+                }
+            }
+            ClusterEvent::SetLoss(model) => {
+                if let Some(sh) = c.shard.as_mut() {
+                    sh.global_executed += 1;
+                }
+                c.fabric.set_loss(model);
+            }
             ClusterEvent::Call(f) => f(c, eng),
         }
     }
@@ -113,6 +153,12 @@ impl Event<Cluster> for ClusterEvent {
     fn from_call(f: EventFn<Cluster, ClusterEvent>) -> Self {
         ClusterEvent::Call(f)
     }
+}
+
+/// `host` as the `u32` index a deferred event stores: every host has a
+/// 16-bit LID, so the conversion fails only for an id no host has.
+fn event_host(host: HostId) -> u32 {
+    u32::try_from(host.0).expect("invariant: host ids are bounded by 16-bit LIDs")
 }
 
 /// A completion waker callback (see [`Cluster::set_cq_waker`]).
@@ -428,51 +474,36 @@ impl Cluster {
 
     /// Allocates a fresh page-aligned buffer and registers it as an MR.
     pub fn alloc_mr(&mut self, host: HostId, len: u64, mode: MrMode) -> MrDesc {
-        let base = self.mems[host.0].alloc(len);
-        let key = self.nics[host.0].reg_mr(base, len, mode);
-        MrDesc {
-            host,
-            key,
-            base,
-            len,
-            mode,
-        }
+        self.mr(host, MrBuilder::new(len, mode))
     }
 
-    /// Registers an existing buffer as an MR.
-    pub fn reg_mr(&mut self, host: HostId, base: u64, len: u64, mode: MrMode) -> MrDesc {
-        let key = self.nics[host.0].reg_mr(base, len, mode);
-        MrDesc {
-            host,
-            key,
-            base,
-            len,
-            mode,
-        }
-    }
-
-    /// Registers a memory region described by an [`MrBuilder`] — the
-    /// single entry point unifying the [`Cluster::alloc_mr`] and
-    /// [`Cluster::reg_mr`] paths:
+    /// Registers a memory region described by an [`MrBuilder`]:
     ///
     /// * no base address ([`MrBuilder::pinned`] / [`MrBuilder::odp`]
     ///   alone) → a fresh page-aligned buffer is allocated and then
-    ///   registered (the `alloc_mr` path);
+    ///   registered (what [`Cluster::alloc_mr`] does);
     /// * an explicit base ([`MrBuilder::at`]) → the caller-owned buffer
-    ///   is registered as-is (the `reg_mr` path);
+    ///   is registered as-is, as a manual registration flow does after
+    ///   [`Cluster::alloc_buffer`];
     /// * [`MrBuilder::prefetch`] → every page is pre-touched after
     ///   registration (like `ibv_advise_mr` prefetch), so an ODP region
     ///   raises no faults until a page is invalidated. Meaningless but
     ///   harmless on pinned regions, which are always mapped.
     pub fn mr(&mut self, host: HostId, builder: MrBuilder) -> MrDesc {
-        let desc = match builder.base {
-            Some(base) => self.reg_mr(host, base, builder.len, builder.mode),
-            None => self.alloc_mr(host, builder.len, builder.mode),
-        };
+        let base = builder
+            .base
+            .unwrap_or_else(|| self.mems[host.0].alloc(builder.len));
+        let key = self.nics[host.0].reg_mr(base, builder.len, builder.mode);
         if builder.prefetch {
-            self.prefetch_mr(host, desc.key);
+            self.prefetch_mr(host, key);
         }
-        desc
+        MrDesc {
+            host,
+            key,
+            base,
+            len: builder.len,
+            mode: builder.mode,
+        }
     }
 
     /// Writes bytes into host memory (application store).
@@ -628,6 +659,70 @@ impl Cluster {
         self.nics[host.0]
             .qp(qpn)
             .is_some_and(|q| q.is_wr_pending(id))
+    }
+
+    // ------------------------------------------------------------------
+    // Deferred operations: the only place that decides which replica of
+    // a sharded run schedules one
+    // ------------------------------------------------------------------
+
+    /// Posts `wr` on `host`'s `qpn` at `at`: the Fig. 3 loop's deferred
+    /// verb. Firing calls [`Cluster::post`], so telemetry stamps the post
+    /// at `at`. A sharded replica that does not own `host` schedules
+    /// nothing.
+    pub fn post_at(
+        &self,
+        eng: &mut Sim,
+        at: SimTime,
+        host: HostId,
+        qpn: Qpn,
+        wr: impl Into<WorkRequest>,
+    ) {
+        if self.owns(host) {
+            let wr = wr.into();
+            eng.post_at(
+                at,
+                ClusterEvent::Post {
+                    host: event_host(host),
+                    qpn,
+                    wr,
+                },
+            );
+        }
+    }
+
+    /// Invalidates `pages` of `host`'s region `key` at `at`, as
+    /// [`Cluster::invalidate_page`] does one page now. An empty range
+    /// still schedules its (empty) event. A sharded replica that does not
+    /// own `host` schedules nothing.
+    pub fn invalidate_at(
+        &self,
+        eng: &mut Sim,
+        at: SimTime,
+        host: HostId,
+        key: MrKey,
+        pages: Range<usize>,
+    ) {
+        if self.owns(host) {
+            eng.post_at(
+                at,
+                ClusterEvent::Invalidate {
+                    host: event_host(host),
+                    key,
+                    pages,
+                },
+            );
+        }
+    }
+
+    /// Installs `model` as the fabric's loss model at `at`. The fabric is
+    /// replicated state, so every replica of a sharded run schedules the
+    /// swap, and [`crate::sharded::merge_queue_stats`] counts it once.
+    pub fn set_loss_at(&mut self, eng: &mut Sim, at: SimTime, model: LossModel) {
+        if let Some(sh) = self.shard.as_mut() {
+            sh.global_scheduled += 1;
+        }
+        eng.post_at(at, ClusterEvent::SetLoss(model));
     }
 
     // ------------------------------------------------------------------
@@ -810,28 +905,6 @@ impl Cluster {
         self.shard
             .as_ref()
             .map_or((0, 0), |sh| (sh.global_scheduled, sh.global_executed))
-    }
-
-    /// Schedules an event that must fire on **every replica** of a
-    /// sharded run (fabric-wide state changes like a loss-model swap).
-    /// On an unsharded cluster this is a plain `schedule_at`; sharded,
-    /// the event is counted so merged queue statistics discount the
-    /// replication.
-    pub fn schedule_global<F>(&mut self, eng: &mut Sim, at: SimTime, f: F)
-    where
-        F: FnOnce(&mut Cluster, &mut Sim) + 'static,
-    {
-        if let Some(sh) = self.shard.as_mut() {
-            sh.global_scheduled += 1;
-            eng.schedule_at(at, move |c: &mut Cluster, eng| {
-                if let Some(sh) = c.shard.as_mut() {
-                    sh.global_executed += 1;
-                }
-                f(c, eng);
-            });
-        } else {
-            eng.schedule_at(at, f);
-        }
     }
 
     /// Draws one ODP fault-resolution latency in `[lo, lo + max(hi-lo,1))`

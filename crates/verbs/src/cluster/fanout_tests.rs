@@ -110,10 +110,7 @@ fn build(world: World, recovery: RecoveryKind, broadcast: bool) -> (Sim, Cluster
                 SendWr::new(lmr.at(off)).len(len).id(i).into()
             }
         };
-        let host = hosts[me];
-        eng.schedule_at(SimTime::from_ns(700 * i), move |c: &mut Cluster, eng| {
-            c.post(eng, host, qpn, wr)
-        });
+        cl.post_at(&mut eng, SimTime::from_ns(700 * i), hosts[me], qpn, wr);
     }
     (eng, cl)
 }

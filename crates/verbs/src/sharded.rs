@@ -148,9 +148,9 @@ pub struct ShardState {
     /// Hosts whose driver is idle but head-of-line blocked on an undrawn
     /// fault: `host → (stall time, seq)`. Rekicked next epoch.
     pub(crate) stalls: BTreeMap<usize, (SimTime, u64)>,
-    /// Events scheduled via [`Cluster::schedule_global`] (replicated on
-    /// every shard; merged queue stats must not count them `shards`
-    /// times).
+    /// Loss-model swaps scheduled via [`Cluster::set_loss_at`]
+    /// (replicated on every shard; merged queue stats must not count
+    /// them `shards` times).
     pub(crate) global_scheduled: u64,
     /// Replicated events that actually executed.
     pub(crate) global_executed: u64,
@@ -257,8 +257,8 @@ pub struct Finished<D> {
     /// in-flight-WR book-keeping is not part of that form.
     pub telemetry: Telemetry,
     /// Engine statistics as one engine would report them (replicated
-    /// [`Cluster::schedule_global`] events counted once); `peak_depth`
-    /// is 0 because per-shard peaks do not compose.
+    /// [`Cluster::set_loss_at`] events counted once); `peak_depth` is 0
+    /// because per-shard peaks do not compose.
     pub queue: QueueStats,
     /// The clock the sequential engine reads at the end of the run: the
     /// deadline, or the last executed event without one.
@@ -302,9 +302,10 @@ impl<D> Replica<D> {
 /// replica, on the thread that will run it: with `None` it builds the
 /// plain cluster; with `Some((id, owner))` it builds shard `id`'s **full
 /// replica** — add every host, call [`Cluster::enable_sharding`] with
-/// `id` and `owner`, then install the workload with posts gated on
-/// [`Cluster::owns`] and schedule-everywhere events routed through
-/// [`Cluster::schedule_global`]. `finish` receives each completed
+/// `id` and `owner`, then install the workload through
+/// [`Cluster::post_at`], [`Cluster::invalidate_at`] and
+/// [`Cluster::set_loss_at`], which schedule each operation on the
+/// replicas that run it. `finish` receives each completed
 /// replica with the handles its own `build` returned (same thread, so
 /// `H` need not be `Send`) and the canonical end-of-run clock — pass it
 /// to [`Cluster::sync_telemetry_at`] if the hub's gauges are wanted.
@@ -696,12 +697,12 @@ fn lock(coord: &Mutex<Coordinator>) -> std::sync::MutexGuard<'_, Coordinator> {
 /// Merges per-shard engine queue statistics into the numbers one
 /// sequential engine would have reported.
 ///
-/// Replicated events ([`Cluster::schedule_global`]) exist once per
-/// shard, so their schedule/execute counts are discounted by
-/// `shards - 1` (the per-shard counters are identical across replicas —
-/// pass shard 0's). `peak_depth` is not derivable from per-shard peaks
-/// (the maxima need not coincide in time) and is reported as 0; sharded
-/// merges drop the `event.peak_depth` gauge rather than publish a lie.
+/// Replicated events ([`Cluster::set_loss_at`]) exist once per shard,
+/// so their schedule/execute counts are discounted by `shards - 1` (the
+/// per-shard counters are identical across replicas — pass shard 0's).
+/// `peak_depth` is not derivable from per-shard peaks (the maxima need
+/// not coincide in time) and is reported as 0; sharded merges drop the
+/// `event.peak_depth` gauge rather than publish a lie.
 pub fn merge_queue_stats(
     per_shard: &[QueueStats],
     global_scheduled: u64,

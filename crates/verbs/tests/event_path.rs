@@ -101,6 +101,38 @@ fn zero_payload_traffic_allocates_nothing_per_event() {
     assert!(done.iter().all(|c| c.status.is_success()));
 }
 
+/// A deferred post is a `ClusterEvent::Post` held by value in the slot
+/// arena, so once warm, scheduling and firing a burst of them allocates
+/// nothing. (As a closure, each post cost one box.)
+#[test]
+fn deferred_posts_allocate_nothing() {
+    let (mut eng, mut cl, a, qa, [local, remote]) = two_pinned_hosts();
+    let defer_burst = |eng: &mut Sim, cl: &Cluster| {
+        let start = eng.now();
+        for i in 0..64u64 {
+            let read = ReadWr::new(local, remote).len(0).id(i);
+            cl.post_at(eng, start + SimTime::from_ns(100 * i), a, qa, read);
+        }
+    };
+    // Warm-up: the same burst once.
+    defer_burst(&mut eng, &cl);
+    eng.run(&mut cl);
+    assert_eq!(cl.poll_cq(a).len(), 64);
+    let warm = eng.queue_stats();
+
+    let allocated = counted(|| {
+        defer_burst(&mut eng, &cl);
+        eng.run(&mut cl);
+    });
+    let s = eng.queue_stats();
+    assert_eq!(allocated, 0, "over {} events", s.executed - warm.executed);
+    // 64 posts, 64 requests and 64 responses delivered.
+    assert_eq!(s.executed - warm.executed, 192, "{s}");
+    let done = cl.poll_cq(a);
+    assert_eq!(done.len(), 64);
+    assert!(done.iter().all(|c| c.status.is_success()));
+}
+
 /// A burst of 33 data packets: 4096-B READs, WRITEs and SENDs, 100-B
 /// READs and one 3000-B WRITE straddling a page boundary. READs land,
 /// WRITEs write and SENDs are received on pages no packet gathers from.

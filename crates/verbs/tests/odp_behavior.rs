@@ -206,10 +206,8 @@ fn two_reads(
         qa,
         ReadWr::new(local.key, remote.key).len(100).id(0u64),
     );
-    let (lk, rk) = (local.key, remote.key);
-    eng.schedule_at(interval, move |c: &mut Cluster, eng| {
-        c.post(eng, a, qa, ReadWr::new((lk, 100), (rk, 100)).len(100).id(1));
-    });
+    let second = ReadWr::new(local.at(100), remote.at(100)).len(100).id(1);
+    cl.post_at(&mut eng, interval, a, qa, second);
     eng.run(&mut cl);
     let cq = cl.poll_cq(a);
     assert_eq!(cq.len(), 2, "both READs must complete");
@@ -282,18 +280,12 @@ fn third_read_rescues_via_sequence_error_nak() {
         qa,
         ReadWr::new(local.key, remote.key).len(100).id(0u64),
     );
-    let (lk, rk) = (local.key, remote.key);
     // Second READ 0.35 ms after the first (inside the ghost window),
     // third at 0.7 ms (outside).
     for i in 1..3u64 {
-        eng.schedule_at(SimTime::from_us(350) * i, move |c: &mut Cluster, eng| {
-            c.post(
-                eng,
-                a,
-                qa,
-                ReadWr::new((lk, i * 4096), (rk, i * 4096)).len(100).id(i),
-            );
-        });
+        let read = ReadWr::new(local.at(i * 4096), remote.at(i * 4096)).len(100);
+        let at = SimTime::from_us(350) * i;
+        cl.post_at(&mut eng, at, a, qa, read.id(i));
     }
     eng.run(&mut cl);
     let cq = cl.poll_cq(a);
@@ -322,15 +314,8 @@ fn damming_timeout_also_with_write_as_second_op() {
         qa,
         ReadWr::new(local.key, remote.key).len(100).id(0u64),
     );
-    let (lk, rk) = (local.key, remote.key);
-    eng.schedule_at(SimTime::from_ms(1), move |c: &mut Cluster, eng| {
-        c.post(
-            eng,
-            a,
-            qa,
-            WriteWr::new((lk, 4096), (rk, 4096)).len(1).id(1),
-        );
-    });
+    let write = WriteWr::new(local.at(4096), remote.at(4096)).len(1).id(1);
+    cl.post_at(&mut eng, SimTime::from_ms(1), a, qa, write);
     eng.run(&mut cl);
     let cq = cl.poll_cq(a);
     assert_eq!(cq.len(), 2);

@@ -9,7 +9,7 @@ use std::sync::atomic::{AtomicUsize, Ordering::SeqCst};
 use std::thread::{self, ThreadId};
 
 use ibsim_event::{QueueStats, SimTime};
-use ibsim_fabric::LinkSpec;
+use ibsim_fabric::{LinkSpec, LossModel};
 use ibsim_verbs::{
     export_jsonl, merge_queue_stats, run_plan, run_sharded, Cluster, Completion, DeviceProfile,
     Finished, HostId, Labels, MrMode, QpConfig, ReadWr, ShardPlan, Sim,
@@ -33,15 +33,53 @@ fn two_host_world(shard: Shard) -> (Sim, Cluster, Vec<HostId>) {
     let remote = cl.alloc_mr(b, 4096, MrMode::Odp);
     let local = cl.alloc_mr(a, 4096, MrMode::Odp);
     let (qp, _) = cl.connect_pair(&mut eng, a, b, QpConfig::default());
-    if cl.owns(a) {
-        for i in 0..2u64 {
-            eng.schedule_at(SimTime::from_ms(i), move |c: &mut Cluster, eng| {
-                let wr = ReadWr::new((local.key, i * 100), (remote.key, i * 100));
-                c.post(eng, a, qp, wr.len(100).id(i));
-            });
-        }
+    for i in 0..2u64 {
+        let wr = ReadWr::new(local.at(i * 100), remote.at(i * 100));
+        cl.post_at(&mut eng, SimTime::from_ms(i), a, qp, wr.len(100).id(i));
     }
     (eng, cl, vec![a])
+}
+
+/// Two pinned hosts and one READ at t = 0 whose request the first of two
+/// loss phases drops: `ToDestination(server)` from t = 0, no loss from
+/// 1 ms. Both models judge each frame alone, so the plan may split.
+fn lossy_world(shard: Shard) -> (Sim, Cluster, Vec<HostId>) {
+    let mut eng = Sim::new();
+    let mut cl = Cluster::new(2);
+    cl.telemetry_enable();
+    let a = cl.add_host("client", DeviceProfile::connectx6());
+    let b = cl.add_host("server", DeviceProfile::connectx6());
+    if let Some((id, owner)) = shard {
+        cl.enable_sharding(id, owner.to_vec());
+    }
+    let remote = cl.alloc_mr(b, 4096, MrMode::Pinned);
+    let local = cl.alloc_mr(a, 4096, MrMode::Pinned);
+    let (qp, _) = cl.connect_pair(&mut eng, a, b, QpConfig::default());
+    let server = cl.lid(b);
+    cl.set_loss_at(&mut eng, SimTime::ZERO, LossModel::ToDestination(server));
+    cl.set_loss_at(&mut eng, SimTime::from_ms(1), LossModel::None);
+    let read = ReadWr::new(local, remote).len(64);
+    cl.post_at(&mut eng, SimTime::ZERO, a, qp, read);
+    (eng, cl, vec![a])
+}
+
+/// A loss swap runs on every replica and is counted once: the merged
+/// queue of a split plan is the one-owner plan's.
+#[test]
+fn replicated_loss_phases_merge_into_the_one_owner_queue() {
+    let seq = outcome(run_plan(&ShardPlan::pair(1), None, lossy_world, drain));
+    assert_eq!(seq.completions.len(), 1);
+    assert!(seq.completions[0].status.is_success());
+    assert!(
+        seq.completions[0].at > SimTime::from_ms(1),
+        "the first phase must drop the request"
+    );
+    for shards in [2, 4] {
+        let split = outcome(run_plan(&ShardPlan::pair(shards), None, lossy_world, drain));
+        assert_drained(&split, &format!("{shards} shards"));
+        assert_eq!(seq.queue, split.queue, "{shards} shards");
+        assert_eq!(seq, split, "{shards} shards");
+    }
 }
 
 const PAIRS: usize = 4;

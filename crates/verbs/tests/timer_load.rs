@@ -58,19 +58,12 @@ fn storm_scenario(n_storm: usize) -> (Sim, Cluster, ibsim_verbs::HostId) {
     let storm: Vec<_> = (0..n_storm)
         .map(|_| cl.connect_pair(&mut eng, a, b, QpConfig::default()).0)
         .collect();
-    for (i, q) in storm.iter().enumerate() {
-        let (q, lk, rk) = (*q, local.key, remote_odp.key);
+    for (i, &q) in storm.iter().enumerate() {
         let off = 4096 + (i as u64) * 64;
-        eng.schedule_at(SimTime::from_us(20), move |c: &mut Cluster, eng| {
-            c.post(
-                eng,
-                a,
-                q,
-                ReadWr::new((lk, off), (rk, off))
-                    .len(32)
-                    .id(1000 + i as u64),
-            );
-        });
+        let read = ReadWr::new(local.at(off), remote_odp.at(off))
+            .len(32)
+            .id(1000 + i as u64);
+        cl.post_at(&mut eng, SimTime::from_us(20), a, q, read);
     }
     (eng, cl, a)
 }

@@ -11,9 +11,7 @@ use ibsim::event::SimTime;
 use ibsim::odp::workaround::install_dummy_reads;
 use ibsim::odp::{run_microbench, MicrobenchConfig};
 use ibsim::telemetry::render_summary;
-use ibsim::verbs::{
-    Cluster, ClusterBuilder, DeviceProfile, MrBuilder, QpConfig, ReadWr, WcStatus, WrId,
-};
+use ibsim::verbs::{ClusterBuilder, DeviceProfile, MrBuilder, QpConfig, ReadWr, WcStatus, WrId};
 
 fn main() {
     // 1. Two READs, 1 ms apart, both-side ODP: the paper's §V-A setup,
@@ -81,12 +79,11 @@ fn main() {
         qp,
         ReadWr::new(local.key, remote.key).len(100).id(0u64),
     );
-    let (lk, rk) = (local.key, remote.key);
-    eng.schedule_at(SimTime::from_ms(1), move |c: &mut Cluster, eng| {
-        c.post(eng, a, qp, ReadWr::new((lk, 200), (rk, 200)).len(100).id(1));
-    });
+    let second = ReadWr::new(local.at(200), remote.at(200)).len(100).id(1);
+    cl.post_at(&mut eng, SimTime::from_ms(1), a, qp, second);
     install_dummy_reads(
         &mut eng,
+        &cl,
         a,
         qp,
         1000,
