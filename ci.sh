@@ -27,14 +27,17 @@ echo "==> fabric, event, telemetry, ucp, shuffle, verbs and scenario tests in"
 echo "    release, the profile every bench bin and the benchmark run: integer"
 echo "    overflow panics in debug but wraps here and debug_asserts vanish."
 echo "    fabric: the hostile-size and route-contract tests gate both profiles;"
-echo "    event: the key index masks and wraps, slot generations wrap (the"
-echo "    model test and the allocation test); telemetry: the per-QP clock"
+echo "    event: the key index masks and wraps, slot generations wrap, a"
+echo "    position word packs its tier into the top bit and ranks pack into a"
+echo "    u128 (the model test, the allocation test and the seeded tier-"
+echo "    invariant mix); telemetry: the per-QP clock"
 echo "    table casts u64/u32 ids to indices; ucp and shuffle: a request id"
 echo "    is a table slot plus one, so the subtraction and the narrowing to"
 echo "    an index wrap silently (the foreign-id and slot-reuse tests);"
 echo "    verbs multiplies segment and page offsets in u32 (the page-gate"
-echo "    replay and the transport suites); scenario: a spec's span or region"
-echo "    past u64 would wrap into one that passes validation (the parse fuzz)"
+echo "    replay and the transport suites); scenario: a spec's span, region or"
+echo "    post schedule past u64 would wrap into one that passes validation"
+echo "    (the parse fuzz)"
 cargo test -q --offline --release \
     -p ibsim-fabric -p ibsim-event -p ibsim-telemetry -p ibsim-ucp -p ibsim-shuffle -p ibsim-verbs \
     -p ibsim-scenario
@@ -68,6 +71,14 @@ for fig in fig1 fig5 fig8; do
 done > target/figures.out
 if [ "$(cksum < target/figures.out)" != "237145198 3090" ]; then
     echo "ci: the Fig. 1/5/8 stdout drifted (target/figures.out)" >&2
+    exit 1
+fi
+
+echo "==> the full Fig. 9 sweep (40 flood cells, ~15 s: the timer storm the"
+echo "    event queue's two tiers are built for; its stdout is pinned)"
+cargo run -q --offline --release -p ibsim-bench --bin fig9 > target/fig9.out
+if [ "$(cksum < target/fig9.out)" != "3086631046 1708" ]; then
+    echo "ci: the Fig. 9 stdout drifted (target/fig9.out)" >&2
     exit 1
 fi
 

@@ -1,10 +1,10 @@
 //! The discrete-event engine.
 //!
-//! [`Engine`] owns an *indexed* binary min-heap of scheduled events over
-//! a *world* (the user's state, generic parameter `W`). An event is a
-//! value of the engine's second parameter `E`, anything implementing
-//! [`Event`]: firing it hands it mutable access to the world and to the
-//! engine itself, so handlers can schedule follow-up events. `E`
+//! [`Engine`] owns a queue of scheduled events, two *indexed* binary
+//! min-heaps, over a *world* (the user's state, generic parameter `W`).
+//! An event is a value of the engine's second parameter `E`, anything
+//! implementing [`Event`]: firing it hands it mutable access to the world
+//! and to the engine itself, so handlers can schedule follow-up events. `E`
 //! defaults to [`Call`], a boxed closure, so `Engine<W>` with the
 //! closure-taking `schedule_*` methods is the whole API a small model
 //! needs; a model with a closed set of hot events names them in an enum
@@ -13,32 +13,53 @@
 //! which allocates nothing. Events at equal timestamps fire in insertion
 //! order, which makes every run bit-for-bit deterministic.
 //!
-//! ## Layout: three arrays
+//! ## Layout: two tiers over one arena
 //!
 //! The timer-heavy regimes this simulator exists for — thousands of QPs
 //! rearming retransmit timers every ~0.5 ms (§VI packet flood) — make the
 //! queue itself the hot path, so an event costs its handler and not its
 //! container:
 //!
-//! * the **heap** holds three words per event, `(at, seq, slot)`, and
-//!   sifts by moving a hole rather than swapping, so a sift copies 24
-//!   bytes per level and never touches a payload;
-//! * the **position table** maps `slot → (generation, heap index)` in 8
-//!   bytes, updated once per level moved. It is what makes
-//!   [`cancel`](Engine::cancel) a physical O(log n) removal,
-//!   [`next_event_time`](Engine::next_event_time) an O(1) peek and heap
-//!   occupancy observable ([`queue_stats`](Engine::queue_stats)): there
-//!   are no tombstones, so [`dead_event_pops`](Engine::dead_event_pops)
-//!   stays zero by construction;
+//! * two **tiers**, each a binary min-heap of three words per event,
+//!   `(at, seq, slot)`. The *timer tier* holds every keyed event (posted
+//!   through [`post_keyed_at`](Engine::post_keyed_at) or a
+//!   `schedule_keyed_*` method), the *event tier* every one-shot
+//!   (deliveries, driver completions, posts, calls). Keyed means timer
+//!   because a key is what a protocol timer is: a long-lived slot per QP,
+//!   re-armed and cancelled in place, while a one-shot is popped
+//!   microseconds after it is pushed. Under the flood ~800 blind
+//!   retransmit ticks wait in the timer tier while the event tier holds
+//!   the few packets in flight, so a packet's push and pop sift a heap of
+//!   a handful of entries instead of one a thousand deep.
+//!   [`step`](Engine::step) and [`run_until`](Engine::run_until) compare
+//!   the two roots once per event and pop the lower, so the firing order
+//!   is the one strict `(at, seq)` order of a single heap;
+//! * in both tiers a rank is one `u128` (`at` above `seq`), so a
+//!   comparison has no branch, and sifts move a hole rather than swap, so
+//!   a level copies 24 bytes and never touches a payload. A pop goes
+//!   bottom-up: the hole walks the smaller-child path to a leaf, one
+//!   comparison per level, and the displaced tail sifts up from there. It
+//!   came from the bottom, so it rarely climbs far, and because ranks are
+//!   unique it lands exactly where a top-down sift would have stopped;
+//! * the **position table** maps `slot → (generation, tier, index)` in 8
+//!   bytes, the tier in the index word's top bit (so each tier holds
+//!   fewer than 2^31 − 1 events), updated once per level moved. It is what
+//!   makes [`cancel`](Engine::cancel) a physical O(log n) removal,
+//!   [`next_event_time`](Engine::next_event_time) an O(1) peek and queue
+//!   occupancy observable ([`queue_stats`](Engine::queue_stats), whose
+//!   depths sum the tiers): there are no tombstones, so
+//!   [`dead_event_pops`](Engine::dead_event_pops) stays zero by
+//!   construction;
 //! * the **payload arena** holds each event and its [`TimerKey`] in the
 //!   slot it was given when scheduled. Nothing moves it until it fires:
 //!   the arena grows by whole pages, never by reallocating.
 //!
 //! An [`EventId`] packs a slot number and the slot's generation; freed
-//! slots are recycled through a LIFO free list. Slot assignment and the
-//! free-list discipline are deterministic, and event *ordering* never
-//! consults them — the heap ranks strictly by `(time, insertion seq)` —
-//! so the arena cannot perturb a run.
+//! slots are recycled through one LIFO free list shared by both tiers.
+//! Slot assignment and the free-list discipline are deterministic, and
+//! event *ordering* never consults them — both tiers rank strictly by
+//! `(time, insertion seq)`, and `seq` is one counter across them — so
+//! neither the arena nor the split into tiers can perturb a run.
 //!
 //! ## Keyed timers
 //!
@@ -52,10 +73,11 @@
 //! never iterated, so its layout cannot reach event order — and arming
 //! an armed key **re-arms in place**: time, `seq` and payload are
 //! overwritten in the same slot, the slot's generation is bumped, and
-//! the heap entry sifts once. That is observably the remove-then-insert
-//! it replaces: the LIFO free list would have handed the freed slot
-//! straight back, one generation on, so the returned [`EventId`], the
-//! `scheduled`/`replaced` counters and the new `seq` are the same.
+//! its timer-tier entry sifts once. That is observably the
+//! remove-then-insert it replaces: the LIFO free list would have handed
+//! the freed slot straight back, one generation on, so the returned
+//! [`EventId`], the `scheduled`/`replaced` counters and the new `seq` are
+//! the same.
 
 use std::fmt;
 use std::marker::PhantomData;
@@ -154,25 +176,129 @@ struct Node {
 }
 
 impl Node {
-    /// Lexicographic (time, insertion order) min-heap rank.
+    /// Lexicographic (time, insertion order) min-heap rank as one integer,
+    /// so comparing two is branch-free. Unique: no two nodes share a `seq`.
     #[inline]
-    fn rank(&self) -> (SimTime, u64) {
-        (self.at, self.seq)
+    fn rank(&self) -> u128 {
+        (u128::from(self.at.as_ns()) << 64) | u128::from(self.seq)
     }
 }
 
-/// One position-table entry: where the slot's live event currently sits
-/// in the heap, and a generation counter bumped whenever the occupant
-/// changes so stale [`EventId`]s cannot alias the current one.
+/// Index into [`Engine::tiers`] of the one-shot events.
+const EVENTS: usize = 0;
+/// Index into [`Engine::tiers`] of the keyed timers.
+const TIMERS: usize = 1;
+
+/// One position-table entry: where the slot's live event currently sits,
+/// and a generation counter bumped whenever the occupant changes so stale
+/// [`EventId`]s cannot alias the current one.
 #[derive(Debug, Clone, Copy)]
 struct Slot {
     generation: u32,
-    /// Heap index of the occupying event, or [`Slot::FREE`].
+    /// The occupying event's tier in the top bit ([`Tier::tag`]) and its
+    /// index in that tier's heap below it, or [`Slot::FREE`].
     idx: u32,
 }
 
 impl Slot {
     const FREE: u32 = u32::MAX;
+
+    /// `(tier, heap index)` of an occupied slot's `idx`.
+    #[inline]
+    fn locate(idx: u32) -> (usize, usize) {
+        ((idx >> 31) as usize, (idx & (u32::MAX >> 1)) as usize)
+    }
+}
+
+/// One tier of the queue: an indexed binary min-heap on [`Node::rank`]
+/// whose every move is mirrored into the position table it is handed.
+struct Tier {
+    heap: Vec<Node>,
+    /// The tier number in [`Slot::idx`]'s top bit.
+    tag: u32,
+}
+
+impl Tier {
+    /// Events one tier may hold: its last index, tagged, stays below
+    /// [`Slot::FREE`].
+    const CAP: usize = (1 << 31) - 1;
+
+    fn new(tier: usize) -> Self {
+        Tier {
+            heap: Vec::new(),
+            tag: (tier as u32) << 31,
+        }
+    }
+
+    /// Rank of the root, or `u128::MAX` when empty. No live rank reaches
+    /// that: its `seq` would be the 2^64-th schedule.
+    #[inline]
+    fn root_rank(&self) -> u128 {
+        self.heap.first().map_or(u128::MAX, Node::rank)
+    }
+
+    /// Writes `node` at heap index `idx` and records the position.
+    #[inline]
+    fn put(&mut self, slots: &mut [Slot], idx: usize, node: Node) {
+        self.heap[idx] = node;
+        slots[node.slot as usize].idx = idx as u32 | self.tag;
+    }
+
+    fn push(&mut self, slots: &mut [Slot], node: Node) {
+        let idx = self.heap.len();
+        self.heap.push(node);
+        self.sift_up(slots, idx, node);
+    }
+
+    /// Settles `node` at or above the hole at `idx`: parents move down
+    /// into the hole until the next one ranks lower than `node`.
+    fn sift_up(&mut self, slots: &mut [Slot], mut idx: usize, node: Node) {
+        let rank = node.rank();
+        while idx > 0 {
+            let parent = (idx - 1) / 2;
+            let p = self.heap[parent];
+            if rank > p.rank() {
+                break;
+            }
+            self.put(slots, idx, p);
+            idx = parent;
+        }
+        self.put(slots, idx, node);
+    }
+
+    /// Settles `node` through the hole at `idx`, bottom-up: the smaller
+    /// child moves up into the hole all the way to a leaf, one comparison
+    /// per level, then `node` sifts up from there — past `idx` if it
+    /// outranks the hole's parent. With unique ranks that is where a
+    /// top-down sift would have stopped.
+    fn sift_down(&mut self, slots: &mut [Slot], mut idx: usize, node: Node) {
+        let len = self.heap.len();
+        let mut child = 2 * idx + 1;
+        while child + 1 < len {
+            child += usize::from(self.heap[child + 1].rank() < self.heap[child].rank());
+            self.put(slots, idx, self.heap[child]);
+            idx = child;
+            child = 2 * idx + 1;
+        }
+        if child < len {
+            self.put(slots, idx, self.heap[child]);
+            idx = child;
+        }
+        self.sift_up(slots, idx, node);
+    }
+
+    /// Takes out the node at `idx`; the displaced tail fills the hole.
+    fn remove(&mut self, slots: &mut [Slot], idx: usize) -> Node {
+        let removed = self.heap[idx];
+        let tail = self
+            .heap
+            .pop()
+            .expect("invariant: idx names a heap entry, so the heap is non-empty");
+        if idx < self.heap.len() {
+            self.sift_down(slots, idx, tail);
+        }
+        removed
+    }
 }
 
 /// One payload-arena entry, parallel to the position table.
@@ -337,10 +463,11 @@ impl KeyIndex {
 
 /// Occupancy and churn counters of an [`Engine`]'s event queue.
 ///
-/// `dead_pops` and `dead_pending` exist to *prove a negative*: the
-/// indexed heap removes cancelled events physically, so both stay at
-/// zero by construction. Reports and CI gates pin them there so a future
-/// regression back to tombstone cancellation is caught immediately.
+/// Depths count both tiers. `dead_pops` and `dead_pending` exist to
+/// *prove a negative*: the indexed heaps remove cancelled events
+/// physically, so both stay at zero by construction. Reports and CI
+/// gates pin them there so a future regression back to tombstone
+/// cancellation is caught immediately.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct QueueStats {
     /// Events currently scheduled (live entries only).
@@ -431,10 +558,11 @@ impl fmt::Display for QueueStats {
 /// ```
 pub struct Engine<W, E = Call<W>> {
     now: SimTime,
-    /// Indexed binary min-heap on `(at, seq)`; exactly the live events
-    /// (cancellation removes).
-    heap: Vec<Node>,
-    /// The position table: `id.slot() → heap index` and generation.
+    /// The one-shot tier ([`EVENTS`]) and the keyed-timer tier
+    /// ([`TIMERS`]): indexed binary min-heaps on `(at, seq)` holding
+    /// exactly the live events between them (cancellation removes).
+    tiers: [Tier; 2],
+    /// The position table: `id.slot() → (tier, heap index)` and generation.
     slots: Vec<Slot>,
     /// The payload arena, parallel to `slots`.
     cells: Arena<E>,
@@ -474,7 +602,10 @@ impl<W, E> fmt::Debug for Engine<W, E> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("Engine")
             .field("now", &self.now)
-            .field("pending", &self.heap.len())
+            .field(
+                "pending",
+                &(self.tiers[EVENTS].heap.len() + self.tiers[TIMERS].heap.len()),
+            )
             .field("executed", &self.executed)
             .field("peak_depth", &self.peak_depth)
             .finish()
@@ -487,7 +618,7 @@ impl<W, E: Event<W>> Engine<W, E> {
     pub fn new() -> Self {
         Engine {
             now: SimTime::ZERO,
-            heap: Vec::new(),
+            tiers: [Tier::new(EVENTS), Tier::new(TIMERS)],
             slots: Vec::new(),
             cells: Arena { pages: Vec::new() },
             free: Vec::new(),
@@ -521,12 +652,12 @@ impl<W, E: Event<W>> Engine<W, E> {
         self.last_executed_at
     }
 
-    /// Number of *live* events still pending. Cancelled events are
-    /// physically removed from the heap, so — unlike the old tombstone
+    /// Number of *live* events still pending, in both tiers. Cancelled
+    /// events are physically removed, so — unlike the old tombstone
     /// engine — this never overstates queue depth.
     #[inline]
     pub fn pending_events(&self) -> usize {
-        self.heap.len()
+        self.tiers[EVENTS].heap.len() + self.tiers[TIMERS].heap.len()
     }
 
     /// Pops that found a cancelled event (zero by construction; see
@@ -545,7 +676,7 @@ impl<W, E: Event<W>> Engine<W, E> {
     /// Snapshot of every queue counter.
     pub fn queue_stats(&self) -> QueueStats {
         QueueStats {
-            live: self.heap.len(),
+            live: self.pending_events(),
             dead_pending: 0,
             executed: self.executed,
             dead_pops: self.dead_pops,
@@ -566,80 +697,33 @@ impl<W, E: Event<W>> Engine<W, E> {
     }
 
     // ------------------------------------------------------------------
-    // Indexed-heap plumbing
+    // Two-tier plumbing
     // ------------------------------------------------------------------
 
-    /// Resolves an id to the heap index of its live event, or `None` if
-    /// the event already fired, was cancelled, or the slot was recycled.
+    /// Resolves an id to the `(tier, heap index)` of its live event, or
+    /// `None` if the event already fired, was cancelled, or the slot was
+    /// recycled.
     #[inline]
-    fn live_idx(&self, id: EventId) -> Option<usize> {
+    fn live_idx(&self, id: EventId) -> Option<(usize, usize)> {
         let slot = self.slots.get(id.slot())?;
-        (slot.generation == id.generation() && slot.idx != Slot::FREE).then_some(slot.idx as usize)
+        (slot.generation == id.generation() && slot.idx != Slot::FREE)
+            .then(|| Slot::locate(slot.idx))
     }
 
-    /// Writes `node` at heap index `idx` and records the position.
+    /// The tier whose root fires next, if any event is pending: the one
+    /// whose root ranks lower (an empty tier's root ranks last).
     #[inline]
-    fn put(&mut self, idx: usize, node: Node) {
-        self.heap[idx] = node;
-        self.slots[node.slot as usize].idx = idx as u32;
+    fn next_tier(&self) -> Option<usize> {
+        let [events, timers] = &self.tiers;
+        let tier = usize::from(timers.root_rank() < events.root_rank());
+        (!self.tiers[tier].heap.is_empty()).then_some(tier)
     }
 
-    /// Settles `node` at or above the hole at `idx`: parents move down
-    /// into the hole until `node` ranks no lower than the next one.
-    fn sift_up(&mut self, mut idx: usize, node: Node) {
-        while idx > 0 {
-            let parent = (idx - 1) / 2;
-            let p = self.heap[parent];
-            if node.rank() >= p.rank() {
-                break;
-            }
-            self.put(idx, p);
-            idx = parent;
-        }
-        self.put(idx, node);
-    }
-
-    /// Settles `node` at or below the hole at `idx`: the smaller child
-    /// moves up into the hole until `node` ranks no higher than both.
-    fn sift_down(&mut self, mut idx: usize, node: Node) {
-        let len = self.heap.len();
-        loop {
-            let mut child = 2 * idx + 1;
-            if child >= len {
-                break;
-            }
-            if child + 1 < len && self.heap[child + 1].rank() < self.heap[child].rank() {
-                child += 1;
-            }
-            let c = self.heap[child];
-            if c.rank() >= node.rank() {
-                break;
-            }
-            self.put(idx, c);
-            idx = child;
-        }
-        self.put(idx, node);
-    }
-
-    /// Physically removes the entry at heap index `idx`, frees its arena
-    /// slot (unlinking its key) and restores the heap property; returns
-    /// the removed event and its time.
-    fn remove_at(&mut self, idx: usize) -> (SimTime, E) {
-        let removed = self.heap[idx];
-        let tail = self
-            .heap
-            .pop()
-            .expect("invariant: idx names a heap entry, so the heap is non-empty");
-        if idx < self.heap.len() {
-            // The displaced tail entry fills the hole and may need to
-            // move either way, but only one: up if it outranks the
-            // hole's parent, otherwise down.
-            if idx > 0 && tail.rank() < self.heap[(idx - 1) / 2].rank() {
-                self.sift_up(idx, tail);
-            } else {
-                self.sift_down(idx, tail);
-            }
-        }
+    /// Physically removes the entry at `idx` of tier `tier`, frees its
+    /// arena slot (unlinking its key) and restores the heap property;
+    /// returns the removed event and its time.
+    fn remove_at(&mut self, tier: usize, idx: usize) -> (SimTime, E) {
+        let removed = self.tiers[tier].remove(&mut self.slots, idx);
         let slot = &mut self.slots[removed.slot as usize];
         slot.generation = slot.generation.wrapping_add(1);
         slot.idx = Slot::FREE;
@@ -651,7 +735,7 @@ impl<W, E: Event<W>> Engine<W, E> {
         let ev = cell
             .ev
             .take()
-            .expect("invariant: a slot in the heap holds its event");
+            .expect("invariant: a slot in a tier holds its event");
         (removed.at, ev)
     }
 
@@ -671,8 +755,15 @@ impl<W, E: Event<W>> Engine<W, E> {
         seq
     }
 
+    /// Schedules `ev` in a fresh slot: in the timer tier when it is keyed,
+    /// in the event tier otherwise.
     #[inline]
     fn insert(&mut self, at: SimTime, key: Option<TimerKey>, ev: E) -> EventId {
+        let tier = if key.is_some() { TIMERS } else { EVENTS };
+        assert!(
+            self.tiers[tier].heap.len() < Tier::CAP,
+            "invariant: fewer than 2^31 - 1 events are live in one tier"
+        );
         let seq = self.stamp();
         let slot = match self.free.pop() {
             Some(s) => {
@@ -682,10 +773,8 @@ impl<W, E: Event<W>> Engine<W, E> {
                 s
             }
             None => {
-                assert!(
-                    self.slots.len() < Slot::FREE as usize,
-                    "invariant: fewer than 2^32 - 1 events are ever live at once"
-                );
+                // Two tiers below their caps hold fewer than 2^32 - 2
+                // events, so a fresh slot number fits a `u32`.
                 self.slots.push(Slot {
                     generation: 0,
                     idx: Slot::FREE,
@@ -694,11 +783,8 @@ impl<W, E: Event<W>> Engine<W, E> {
                 (self.slots.len() - 1) as u32
             }
         };
-        let idx = self.heap.len();
-        let node = Node { at, seq, slot };
-        self.heap.push(node);
-        self.sift_up(idx, node);
-        self.peak_depth = self.peak_depth.max(self.heap.len());
+        self.tiers[tier].push(&mut self.slots, Node { at, seq, slot });
+        self.peak_depth = self.peak_depth.max(self.pending_events());
         EventId::pack(slot, self.slots[slot as usize].generation)
     }
 
@@ -745,15 +831,16 @@ impl<W, E: Event<W>> Engine<W, E> {
         self.cells[slot as usize].ev = Some(ev);
         let pos = &mut self.slots[slot as usize];
         pos.generation = pos.generation.wrapping_add(1);
-        let (idx, generation) = (pos.idx as usize, pos.generation);
+        let ((tier, idx), generation) = (Slot::locate(pos.idx), pos.generation);
+        let timers = &mut self.tiers[tier];
         // `seq` only grows, so the entry moves up exactly when its time
         // moved earlier.
-        let earlier = at < self.heap[idx].at;
+        let earlier = at < timers.heap[idx].at;
         let node = Node { at, seq, slot };
         if earlier {
-            self.sift_up(idx, node);
+            timers.sift_up(&mut self.slots, idx, node);
         } else {
-            self.sift_down(idx, node);
+            timers.sift_down(&mut self.slots, idx, node);
         }
         EventId::pack(slot, generation)
     }
@@ -799,11 +886,11 @@ impl<W, E: Event<W>> Engine<W, E> {
         self.schedule_keyed_at(key, self.now + delay, f)
     }
 
-    /// Heap index of the event armed under `key`, if any.
+    /// `(tier, heap index)` of the event armed under `key`, if any.
     #[inline]
-    fn key_idx(&self, key: TimerKey) -> Option<usize> {
+    fn key_idx(&self, key: TimerKey) -> Option<(usize, usize)> {
         let slot = self.keyed.get(&self.cells, key, KeyIndex::hash(key))?;
-        Some(self.slots[slot as usize].idx as usize)
+        Some(Slot::locate(self.slots[slot as usize].idx))
     }
 
     /// True if an event is currently armed under `key`.
@@ -813,31 +900,32 @@ impl<W, E: Event<W>> Engine<W, E> {
 
     /// Fire time of the event armed under `key`, if any.
     pub fn key_deadline(&self, key: TimerKey) -> Option<SimTime> {
-        self.key_idx(key).map(|idx| self.heap[idx].at)
+        self.key_idx(key)
+            .map(|(tier, idx)| self.tiers[tier].heap[idx].at)
     }
 
     /// Cancels the event armed under timer slot `key`, physically
-    /// removing it from the heap. Returns `true` if one was armed.
+    /// removing it from the queue. Returns `true` if one was armed.
     pub fn cancel_key(&mut self, key: TimerKey) -> bool {
-        let Some(idx) = self.key_idx(key) else {
+        let Some((tier, idx)) = self.key_idx(key) else {
             return false;
         };
-        self.remove_at(idx);
+        self.remove_at(tier, idx);
         self.cancelled_total += 1;
         true
     }
 
     /// Cancels a previously scheduled event, physically removing it from
-    /// the heap in O(log n).
+    /// the queue in O(log n).
     ///
     /// Returns `true` if the event had not yet fired (and therefore will
     /// not fire). Cancelling an already-executed or already-cancelled event
     /// returns `false` and is harmless.
     pub fn cancel(&mut self, id: EventId) -> bool {
-        let Some(idx) = self.live_idx(id) else {
+        let Some((tier, idx)) = self.live_idx(id) else {
             return false;
         };
-        self.remove_at(idx);
+        self.remove_at(tier, idx);
         self.cancelled_total += 1;
         true
     }
@@ -856,8 +944,11 @@ impl<W, E: Event<W>> Engine<W, E> {
     /// The clock is left at the time of the last executed event (or moved to
     /// `deadline` if that is later and the queue still holds future events).
     pub fn run_until(&mut self, world: &mut W, deadline: SimTime) {
-        while self.next_event_time().is_some_and(|at| at <= deadline) {
-            self.step(world);
+        while let Some(tier) = self.next_tier() {
+            if self.tiers[tier].heap[0].at > deadline {
+                break;
+            }
+            self.fire_root(tier, world);
         }
         if deadline != SimTime::MAX && self.now < deadline {
             self.now = deadline;
@@ -866,10 +957,17 @@ impl<W, E: Event<W>> Engine<W, E> {
 
     /// Executes exactly one event if one is pending; returns whether it did.
     pub fn step(&mut self, world: &mut W) -> bool {
-        if self.heap.is_empty() {
+        let Some(tier) = self.next_tier() else {
             return false;
-        }
-        let (at, ev) = self.remove_at(0);
+        };
+        self.fire_root(tier, world);
+        true
+    }
+
+    /// Pops the root of tier `tier` and fires it.
+    #[inline]
+    fn fire_root(&mut self, tier: usize, world: &mut W) {
+        let (at, ev) = self.remove_at(tier, 0);
         if at < self.now {
             self.monotonicity_violations += 1;
         }
@@ -877,14 +975,14 @@ impl<W, E: Event<W>> Engine<W, E> {
         self.last_executed_at = at;
         self.executed += 1;
         ev.fire(world, self);
-        true
     }
 
-    /// Time of the next pending event, if any — an O(1) heap peek (every
-    /// heap entry is live; cancellation removes physically).
+    /// Time of the next pending event, if any — an O(1) peek at the lower
+    /// of the two roots (every entry is live; cancellation removes
+    /// physically).
     #[inline]
     pub fn next_event_time(&self) -> Option<SimTime> {
-        self.heap.first().map(|e| e.at)
+        self.next_tier().map(|tier| self.tiers[tier].heap[0].at)
     }
 }
 
@@ -1310,5 +1408,172 @@ mod tests {
         assert_eq!(s.peak_depth, 2);
         assert_eq!(s.live, 0);
         assert_eq!(format!("{s}"), s.to_string());
+    }
+
+    /// Every structural invariant of the queue, checked from scratch: each
+    /// tier is a heap on `(at, seq)`; every live slot's recorded tier and
+    /// index point back at it; the free slots are exactly the free list;
+    /// keyed slots sit only in the timer tier, each found under its key.
+    fn check_invariants<W, E>(eng: &Engine<W, E>) {
+        let mut live = 0;
+        for (tier, t) in eng.tiers.iter().enumerate() {
+            for (i, node) in t.heap.iter().enumerate() {
+                if i > 0 {
+                    let parent = t.heap[(i - 1) / 2];
+                    assert!(parent.rank() < node.rank(), "tier {tier}: no heap at {i}");
+                }
+                let slot = node.slot as usize;
+                assert_eq!(
+                    Slot::locate(eng.slots[slot].idx),
+                    (tier, i),
+                    "slot {slot} does not point back"
+                );
+                let cell = &eng.cells[slot];
+                assert!(cell.ev.is_some(), "live slot {slot} holds no event");
+                assert_eq!(
+                    cell.key.is_some(),
+                    tier == TIMERS,
+                    "slot {slot}: tier {tier}"
+                );
+                if let Some(key) = cell.key {
+                    let found = eng.keyed.get(&eng.cells, key, KeyIndex::hash(key));
+                    assert_eq!(found, Some(node.slot), "{key}");
+                }
+                live += 1;
+            }
+        }
+        let free: Vec<u32> = (0..eng.slots.len() as u32)
+            .filter(|&s| eng.slots[s as usize].idx == Slot::FREE)
+            .collect();
+        for &s in &free {
+            let cell = &eng.cells[s as usize];
+            assert!(cell.ev.is_none() && cell.key.is_none(), "free slot {s}");
+        }
+        let mut list = eng.free.clone();
+        list.sort_unstable();
+        assert_eq!(list, free, "the free slots are not the free list");
+        assert_eq!(live + free.len(), eng.slots.len());
+        assert_eq!(eng.keyed.len, eng.tiers[TIMERS].heap.len());
+    }
+
+    #[test]
+    fn tiers_keep_their_invariants_through_a_seeded_operation_mix() {
+        // The world logs the clock at every fire.
+        let mut eng: Engine<Vec<SimTime>> = Engine::new();
+        let mut world = Vec::new();
+        let mut rng = SplitMix64::new(0x2713);
+        let mut ids = Vec::new();
+        let mut peak = [0; 2];
+        for _ in 0..20_000 {
+            let now = eng.now();
+            // A coarse grid makes timers and one-shots tie on `at`.
+            let at = SimTime::from_ns((now.as_ns() + rng.next_below(40_000)) & !63).max(now);
+            let key = TimerKey(rng.next_below(2), rng.next_below(300));
+            match rng.next_below(10) {
+                0..=2 => ids.push(eng.schedule_at(at, |w, eng| w.push(eng.now()))),
+                3..=5 => {
+                    // A third re-arm their own key when they fire, as the
+                    // stall tick does.
+                    let again = rng.next_below(3) == 0;
+                    ids.push(eng.schedule_keyed_at(key, at, move |w, eng| {
+                        w.push(eng.now());
+                        if again {
+                            eng.schedule_keyed_in(key, SimTime::from_ns(500), |w, eng| {
+                                w.push(eng.now())
+                            });
+                        }
+                    }));
+                }
+                6 => {
+                    eng.cancel_key(key);
+                }
+                7 if !ids.is_empty() => {
+                    eng.cancel(ids[rng.next_below(ids.len() as u64) as usize]);
+                }
+                8 => {
+                    eng.step(&mut world);
+                }
+                _ => eng.run_until(&mut world, now + SimTime::from_ns(rng.next_below(800))),
+            }
+            check_invariants(&eng);
+            for (p, t) in peak.iter_mut().zip(&eng.tiers) {
+                *p = (*p).max(t.heap.len());
+            }
+        }
+        eng.run(&mut world);
+        check_invariants(&eng);
+        assert_eq!(eng.pending_events(), 0);
+        assert!(world.windows(2).all(|w| w[0] <= w[1]), "the clock ran back");
+        assert!(peak[EVENTS] > 100 && peak[TIMERS] > 100, "{peak:?}");
+    }
+
+    #[test]
+    fn a_timer_and_a_one_shot_at_one_instant_fire_in_insertion_order() {
+        type Eng = Engine<Vec<&'static str>>;
+        type Post = fn(&mut Eng);
+        fn timer(eng: &mut Eng) {
+            eng.schedule_keyed_at(TimerKey(1, 1), SimTime::from_us(5), |w, _| w.push("timer"));
+        }
+        fn event(eng: &mut Eng) {
+            eng.schedule_at(SimTime::from_us(5), |w, _| w.push("event"));
+        }
+        let cases: [(&[Post], [&str; 2]); 3] = [
+            (&[timer, event], ["timer", "event"]),
+            (&[event, timer], ["event", "timer"]),
+            // A re-arm takes a fresh `seq`: re-armed to the same instant,
+            // the timer now follows the event.
+            (&[timer, event, timer], ["event", "timer"]),
+        ];
+        for (posts, want) in cases {
+            let mut eng = Eng::new();
+            for post in posts {
+                post(&mut eng);
+            }
+            let mut out = Vec::new();
+            eng.run(&mut out);
+            assert_eq!(out, want);
+        }
+    }
+
+    #[test]
+    fn a_rearm_ahead_of_every_pending_event_fires_first() {
+        let key = TimerKey(2, 0);
+        let mut eng: Engine<Vec<u64>> = Engine::new();
+        eng.schedule_keyed_at(key, SimTime::from_us(900), |w, _| w.push(0));
+        for i in 1..=40 {
+            let at = SimTime::from_us(100 + i);
+            eng.schedule_at(at, move |w, _| w.push(i));
+            eng.schedule_keyed_at(TimerKey(3, i), at, move |w, _| w.push(100 + i));
+        }
+        eng.schedule_keyed_at(key, SimTime::from_us(50), |w, _| w.push(999));
+        assert_eq!(eng.next_event_time(), Some(SimTime::from_us(50)));
+        let mut out = Vec::new();
+        assert!(eng.step(&mut out));
+        assert_eq!(out, [999]);
+        eng.run(&mut out);
+        let rest: Vec<u64> = (1..=40).flat_map(|i| [i, 100 + i]).collect();
+        assert_eq!(out[1..], rest, "the replaced event never fires");
+    }
+
+    #[test]
+    fn peak_depth_counts_both_tiers() {
+        let mut eng: Engine<u32> = Engine::new();
+        eng.schedule_at(SimTime::from_us(1), |_, _| {});
+        eng.schedule_keyed_at(TimerKey(1, 0), SimTime::from_us(2), |_, _| {});
+        eng.schedule_keyed_at(TimerKey(1, 1), SimTime::from_us(3), |_, _| {});
+        let depths = eng.tiers.each_ref().map(|t| t.heap.len());
+        assert_eq!((depths[EVENTS], depths[TIMERS]), (1, 2));
+        // A re-arm replaces in place: no deeper.
+        eng.schedule_keyed_at(TimerKey(1, 0), SimTime::from_us(4), |_, _| {});
+        let s = eng.queue_stats();
+        assert_eq!((s.live, s.peak_depth, s.keyed_live), (3, 3, 2));
+        eng.run(&mut 0);
+        assert_eq!(eng.queue_stats().peak_depth, 3);
+    }
+
+    #[test]
+    fn queue_entries_stay_small() {
+        assert!(std::mem::size_of::<Node>() <= 24);
+        assert!(std::mem::size_of::<Slot>() <= 8);
     }
 }

@@ -33,12 +33,6 @@ use ibsim_verbs::{
 use crate::reference::{client_init_byte, server_init_byte, RECV_ID_BASE};
 use crate::spec::{DeviceKind, LossSpec, Scenario, Side, WrSpec};
 
-/// Extra simulated time granted past the last post before a run is
-/// declared stalled. Generous: the paper's worst damming stalls are
-/// hundreds of milliseconds, and simulated seconds are cheap (the event
-/// engine only pays for events that exist).
-const DRAIN_BUDGET: SimTime = SimTime::from_secs(30);
-
 /// FNV-1a over raw bytes: the dependency-free stable hash used for all
 /// trace-identity checks in this repository. Re-exported from
 /// [`ibsim_odp::hash`] so every crate hashes with the same pinned
@@ -95,13 +89,6 @@ pub struct ScenarioRun {
     /// Both hosts' packet captures, client first: what `lint` and
     /// `timeline` were read from.
     pub captures: [Capture<Packet>; 2],
-}
-
-/// Simulated drain deadline of a scenario: last post plus the budget.
-/// Every plan runs exactly to this instant, so `end_ns` is identical
-/// whatever the shard count.
-fn scenario_deadline(sc: &Scenario) -> SimTime {
-    SimTime::from_ns(sc.wrs.len() as u64 * sc.post_interval_ns) + DRAIN_BUDGET
 }
 
 /// Handles into a built scenario world that collection needs after the
@@ -300,8 +287,18 @@ pub fn run_scenario(sc: &Scenario) -> ScenarioRun {
 /// # Panics
 ///
 /// Panics as [`run_plan`] does on a malformed plan: no shards, an owner
-/// map that does not name a shard for both hosts, a shard out of range.
+/// map that does not name a shard for both hosts, a shard out of range;
+/// and on a post schedule past the simulated clock, which
+/// [`Scenario::validate`] rejects.
 pub fn run_scenario_plan(sc: &Scenario, mut plan: ShardPlan) -> ScenarioRun {
+    // Every plan runs exactly to this instant, so `end_ns` is identical
+    // whatever the shard count.
+    let Some(deadline) = sc.drain_deadline() else {
+        panic!(
+            "scenario {}: its post schedule overflows the clock",
+            sc.name
+        )
+    };
     let order_dependent_loss = sc
         .loss
         .iter()
@@ -313,7 +310,7 @@ pub fn run_scenario_plan(sc: &Scenario, mut plan: ShardPlan) -> ScenarioRun {
     }
     let done = run_plan(
         &plan,
-        Some(scenario_deadline(sc)),
+        Some(deadline),
         |shard| build_scenario_world(sc, shard),
         |eng, cl, w, _end| {
             // Each host's artifacts come from the replica that owns it.

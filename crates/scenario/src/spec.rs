@@ -20,7 +20,14 @@
 
 use std::fmt;
 
+use ibsim_event::SimTime;
 use ibsim_verbs::RecoveryKind;
+
+/// Extra simulated time granted past the last post before a run is
+/// declared stalled. Generous: the paper's worst damming stalls are
+/// hundreds of milliseconds, and simulated seconds are cheap (the event
+/// engine only pays for events that exist).
+const DRAIN_BUDGET: SimTime = SimTime::from_secs(30);
 
 /// Which NIC model both hosts use.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -355,6 +362,13 @@ impl Scenario {
         self.qps as u64 * self.slot
     }
 
+    /// Simulated drain deadline: one post every `post_interval_ns`, then
+    /// the drain budget; `None` if that overflows the clock.
+    pub(crate) fn drain_deadline(&self) -> Option<SimTime> {
+        let posts = (self.wrs.len() as u64).checked_mul(self.post_interval_ns)?;
+        SimTime::from_ns(posts).checked_add(DRAIN_BUDGET)
+    }
+
     /// Validates internal consistency; returns the first problem found.
     pub fn validate(&self) -> Result<(), String> {
         if self.name.is_empty() || self.name.contains(char::is_whitespace) {
@@ -371,6 +385,15 @@ impl Scenario {
             return Err(format!(
                 "{} QPs of {} bytes overflow a 64-bit region",
                 self.qps, self.slot
+            ));
+        }
+        // Every post time and the run's deadline are within this.
+        if self.drain_deadline().is_none() {
+            return Err(format!(
+                "{} posts {} ns apart and a {} drain overflow the simulated clock",
+                self.wrs.len(),
+                self.post_interval_ns,
+                DRAIN_BUDGET
             ));
         }
         if self.shards == 0 || self.shards > 16 {
@@ -942,6 +965,35 @@ mod tests {
             let text = format!("ibsim-scenario v1\nname=x\nqps=1\nslot=256\n{lines}\n");
             let err = Scenario::parse(&text).expect_err(lines);
             assert!(err.contains(want), "{lines}: {err}");
+        }
+    }
+
+    /// A post schedule whose drain deadline is past the simulated clock
+    /// is an error. It used to pass, then overflow in `run_scenario`: a
+    /// panic in a debug build, a wrapped deadline in a release one.
+    #[test]
+    fn parse_rejects_a_post_schedule_that_overflows_the_clock() {
+        // Two posts: the largest accepted interval puts the deadline at
+        // `u64::MAX - 1` ns, and that scenario still runs clean.
+        let edge = (u64::MAX - DRAIN_BUDGET.as_ns()) / 2;
+        for (interval, ok) in [(edge, true), (edge + 1, false), (u64::MAX, false)] {
+            let text = format!(
+                "ibsim-scenario v1\nname=x\nqps=1\nslot=256\ninterval_ns={interval}\n\
+                 wr=0 read 0 8\nwr=0 read 8 8\n"
+            );
+            match Scenario::parse(&text) {
+                Ok(sc) => {
+                    assert!(ok, "{interval} accepted");
+                    let run = crate::run_scenario(&sc);
+                    assert_eq!(run.end_ns, u64::MAX - 1);
+                    let report = crate::check_run(&sc, &run);
+                    assert!(report.is_clean(), "{interval}: {report:?}");
+                }
+                Err(err) => {
+                    assert!(!ok, "{interval}: {err}");
+                    assert!(err.contains("overflow the simulated clock"), "{err}");
+                }
+            }
         }
     }
 

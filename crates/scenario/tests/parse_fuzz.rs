@@ -1,9 +1,11 @@
 //! A seeded byte-level fuzz of [`Scenario::parse`]. Every paper-corpus
-//! spec string is mutated — numbers swapped for the edges of their
-//! types, bytes overwritten, inserted and removed — and the parser must
-//! answer each with an error or with a scenario that re-validates,
-//! round-trips through [`Scenario::to_spec_string`] and keeps every span
-//! and its region inside `u64` without wrapping. It must never panic.
+//! spec string is mutated — `interval_ns` stretched to where the clock
+//! runs out, numbers swapped for the edges of their types, bytes
+//! overwritten, inserted and removed — and the parser must answer each
+//! with an error or with a scenario that re-validates, round-trips
+//! through [`Scenario::to_spec_string`] and keeps every span, its region
+//! and its post schedule inside `u64` without wrapping. It must never
+//! panic.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
@@ -17,6 +19,23 @@ const EDGES: [&str; 4] = [
     "18446744073709551615",
     "18446744073709551608",
 ];
+
+/// The drain budget a run grants past its last post, in nanoseconds.
+const DRAIN_NS: u64 = 30_000_000_000;
+
+/// `spec` with its `interval_ns` redrawn at the edge of the clock: the
+/// largest interval whose posts and drain budget fit in `u64`, or one
+/// more.
+fn stretch_interval(spec: &str, rng: &mut SplitMix64) -> String {
+    let posts = spec.matches("\nwr=").count().max(1) as u64;
+    let interval = (u64::MAX - DRAIN_NS) / posts + rng.next_below(2);
+    spec.lines()
+        .map(|line| match line.strip_prefix("interval_ns=") {
+            Some(_) => format!("interval_ns={interval}\n"),
+            None => format!("{line}\n"),
+        })
+        .collect()
+}
 
 /// The byte ranges of `text`'s decimal numbers.
 fn numbers(text: &[u8]) -> Vec<(usize, usize)> {
@@ -78,6 +97,10 @@ fn assert_accepted_is_sound(sc: &Scenario, text: &str) {
             "{wr:?} escapes: {text:?}"
         );
     }
+    let deadline = (sc.wrs.len() as u64)
+        .checked_mul(sc.post_interval_ns)
+        .and_then(|posts| posts.checked_add(DRAIN_NS));
+    assert!(deadline.is_some(), "post schedule overflows: {text:?}");
     let again = Scenario::parse(&sc.to_spec_string());
     assert_eq!(again.as_ref(), Ok(sc), "no round trip: {text:?}");
 }
@@ -89,14 +112,21 @@ fn parsing_mutated_corpus_specs_never_panics_and_every_ok_round_trips() {
         .map(Scenario::to_spec_string)
         .collect();
     let mut rng = SplitMix64::new(0x5ce7);
-    let mut accepted = 0;
+    let (mut accepted, mut stretched) = (0, [0; 2]);
     for _ in 0..4096 {
-        let spec = &specs[rng.next_below(specs.len() as u64) as usize];
-        let text = mutate(spec, &mut rng);
+        let mut spec = specs[rng.next_below(specs.len() as u64) as usize].clone();
+        let stretch = rng.next_below(4) == 0;
+        if stretch {
+            spec = stretch_interval(&spec, &mut rng);
+        }
+        let text = mutate(&spec, &mut rng);
         let parsed = catch_unwind(AssertUnwindSafe(|| Scenario::parse(&text)));
         let Ok(parsed) = parsed else {
             panic!("Scenario::parse panicked on {text:?}");
         };
+        if stretch {
+            stretched[usize::from(parsed.is_ok())] += 1;
+        }
         if let Ok(sc) = parsed {
             accepted += 1;
             assert_accepted_is_sound(&sc, &text);
@@ -105,5 +135,9 @@ fn parsing_mutated_corpus_specs_never_panics_and_every_ok_round_trips() {
     assert!(
         accepted > 200,
         "the fuzz must reach the Ok side: {accepted}"
+    );
+    assert!(
+        stretched.iter().all(|&n| n > 50),
+        "stretched intervals must land on both sides: {stretched:?}"
     );
 }
