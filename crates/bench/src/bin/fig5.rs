@@ -11,7 +11,7 @@ use ibsim_odp::{run_microbench, MicrobenchConfig, OdpMode};
 fn fig5_workflow(odp: OdpMode) -> String {
     let interval = match odp {
         OdpMode::ClientSide => SimTime::from_us(300),
-        _ => SimTime::from_ms(1),
+        OdpMode::None | OdpMode::ServerSide | OdpMode::BothSide => SimTime::from_ms(1),
     };
     let run = run_microbench(&MicrobenchConfig {
         num_ops: 2,

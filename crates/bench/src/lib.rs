@@ -27,8 +27,8 @@
 //! | `ibperf` | `perftest`-style latency and bandwidth ([`perftest`]) |
 //!
 //! Every bin prints simulated quantities only: no crate of the root
-//! workspace reads a host clock (`ibsim-lint` enforces it). Speed is
-//! measured by the benchmark package — `BENCHMARK.json`.
+//! workspace reads a host clock (clippy's `disallowed_methods` enforces
+//! it). Speed is measured by the benchmark package — `BENCHMARK.json`.
 //!
 //! This library hosts the shared formatting, statistics and flag
 //! helpers, the congestion study and the `perftest` runners.

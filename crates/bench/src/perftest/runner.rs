@@ -88,6 +88,10 @@ fn off(b: &Bench, cfg: &PerfConfig, i: usize) -> u64 {
 }
 
 /// `ib_read_lat`: sequential RDMA READ ping, one at a time.
+///
+/// # Panics
+///
+/// Panics if an iteration's READ does not complete successfully.
 pub fn read_lat(cfg: &PerfConfig) -> LatencyReport {
     let mut b = setup(cfg);
     let mut samples = Vec::with_capacity(cfg.iterations);
@@ -118,6 +122,11 @@ pub fn read_lat(cfg: &PerfConfig) -> LatencyReport {
 }
 
 /// `ib_send_lat`: two-sided ping (SEND + pre-posted receives).
+///
+/// # Panics
+///
+/// Panics if an iteration's SEND or its receive does not complete
+/// successfully.
 pub fn send_lat(cfg: &PerfConfig) -> LatencyReport {
     let mut b = setup(cfg);
     let mut samples = Vec::with_capacity(cfg.iterations);

@@ -27,6 +27,11 @@ pub struct Fig2Point {
 /// methodology: mis-address a QP, post one READ, wait for
 /// `IBV_WC_RETRY_EXC_ERR`, and divide the elapsed time by
 /// `C_retry + 1 = 8`.
+///
+/// # Panics
+///
+/// Panics if a probe READ does not complete with `RetryExcErr`: the
+/// mis-addressed QP must exhaust its retries.
 pub fn fig2_curve(sys: &SystemProfile, cacks: impl Iterator<Item = u8>) -> Vec<Fig2Point> {
     cacks
         .map(|cack| {

@@ -37,6 +37,7 @@
 //! ```
 
 #![warn(missing_docs)]
+#![deny(clippy::float_arithmetic)]
 
 pub mod experiment;
 pub mod hash;

@@ -14,6 +14,11 @@
 //! Every §V and §VI experiment is a parameterization of this loop; the
 //! figure-level sweeps live in [`crate::experiment`].
 
+#![expect(
+    clippy::float_arithmetic,
+    reason = "paper-figure reporting (ratios, probabilities), not event scheduling"
+)]
+
 use ibsim_event::{Engine, QueueStats, SimTime};
 use ibsim_verbs::{
     run_plan, Cluster, DeviceProfile, HostId, MrBuilder, MrDesc, MrMode, QpConfig, Qpn, ReadWr,
@@ -55,14 +60,14 @@ impl OdpMode {
     fn server_mode(self) -> MrMode {
         match self {
             OdpMode::ServerSide | OdpMode::BothSide => MrMode::Odp,
-            _ => MrMode::Pinned,
+            OdpMode::None | OdpMode::ClientSide => MrMode::Pinned,
         }
     }
 
     fn client_mode(self) -> MrMode {
         match self {
             OdpMode::ClientSide | OdpMode::BothSide => MrMode::Odp,
-            _ => MrMode::Pinned,
+            OdpMode::None | OdpMode::ServerSide => MrMode::Pinned,
         }
     }
 }

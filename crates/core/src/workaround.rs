@@ -31,7 +31,10 @@ pub fn smallest_rnr_delay() -> SimTime {
 /// whose page is already warm — and land at `(local_mr, local_off)`.
 /// Dummy completions carry ids `wr_base`, `wr_base + 1`, … so the
 /// application can filter them from its completion stream.
-#[allow(clippy::too_many_arguments)]
+#[expect(
+    clippy::too_many_arguments,
+    reason = "one argument per field of the timer-driven READ the workaround posts"
+)]
 pub fn install_dummy_reads(
     eng: &mut Sim,
     cl: &Cluster,
@@ -60,7 +63,10 @@ pub fn install_dummy_reads(
 /// the flood, so its page-status cache is clean — with id `reissue_id`.
 /// The original completion will still arrive eventually; the application
 /// keeps whichever lands first and ignores the other.
-#[allow(clippy::too_many_arguments)]
+#[expect(
+    clippy::too_many_arguments,
+    reason = "one argument per field of the timer-driven READ the workaround posts"
+)]
 pub fn reissue_read(
     eng: &mut Sim,
     host: HostId,

@@ -7,6 +7,10 @@ use crate::config::DsmConfig;
 use crate::dsm::Dsm;
 
 /// Runs one init+finalize trial and returns its wall-clock time.
+///
+/// # Panics
+///
+/// Panics if the simulation drains before `finalize` completes.
 pub fn init_finalize_once(cfg: DsmConfig) -> SimTime {
     let mut eng = Engine::new();
     let mut cl = Cluster::new(cfg.seed);

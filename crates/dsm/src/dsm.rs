@@ -462,6 +462,11 @@ impl Dsm {
     /// Reads `len` bytes at global address `addr` from `node`, fetching
     /// the containing page into the cache if needed. `cb` receives the
     /// bytes.
+    ///
+    /// # Panics
+    ///
+    /// The engine run panics if the page fetch from the home node
+    /// completes in error.
     pub fn read(
         &self,
         eng: &mut Sim,
@@ -538,6 +543,11 @@ impl Dsm {
 
     /// Writes `data` at global address `addr` from `node`, writing through
     /// to the home partition. `cb` runs when the write is globally visible.
+    ///
+    /// # Panics
+    ///
+    /// The engine run panics if the write-through to the home node
+    /// completes in error.
     pub fn write(
         &self,
         eng: &mut Sim,

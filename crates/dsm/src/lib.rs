@@ -11,7 +11,6 @@
 
 pub mod bench;
 mod config;
-#[allow(clippy::module_inception)]
 mod dsm;
 
 pub use bench::{init_finalize_histogram, init_finalize_once, mean};

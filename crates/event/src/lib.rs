@@ -40,6 +40,7 @@
 //! ```
 
 #![warn(missing_docs)]
+#![deny(clippy::float_arithmetic)]
 
 mod engine;
 mod rng;

@@ -5,6 +5,11 @@
 //! there is no floating-point accumulation error, and equal timestamps
 //! compare equal on every platform.
 
+#![expect(
+    clippy::float_arithmetic,
+    reason = "the `SimTime` float constructors and accessors: every other crate converts through them"
+)]
+
 use core::fmt;
 use core::iter::Sum;
 use core::ops::{Add, AddAssign, Div, Mul, Sub, SubAssign};
@@ -109,8 +114,8 @@ impl SimTime {
     /// Multiplies a duration by a per-mille factor in pure integer
     /// arithmetic, rounding half up to the nearest nanosecond:
     /// `mul_permille(1870)` scales by 1.87. This is the sanctioned
-    /// sim-path alternative to [`SimTime::mul_f64`] (see the
-    /// no-float-in-sim-path lint rule): it is exact, platform-independent,
+    /// sim-path alternative to [`SimTime::mul_f64`] (the sim-time crates
+    /// deny `clippy::float_arithmetic`): it is exact, platform-independent,
     /// and cannot drift.
     #[inline]
     pub fn mul_permille(self, permille: u64) -> SimTime {

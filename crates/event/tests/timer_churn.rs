@@ -23,7 +23,10 @@ fn slot(host: u64, qpn: u64, psn: u64) -> TimerKey {
 }
 
 /// One full churn run; returns (fire log, final stats tuple).
-#[allow(clippy::type_complexity)]
+#[expect(
+    clippy::type_complexity,
+    reason = "the fire log and the five stats counters, compared whole between two runs"
+)]
 fn churn(seed: u64) -> (Vec<(u64, u64)>, (u64, u64, u64, u64, u64)) {
     let mut rng = SplitMix64::new(seed);
     let mut eng: Engine<World> = Engine::new();

@@ -117,7 +117,10 @@ impl<P> Capture<P> {
     /// buffer): this eager form forces the caller to materialize the
     /// payload even when the capture is disabled and the value is
     /// immediately thrown away.
-    #[allow(clippy::too_many_arguments)]
+    #[expect(
+        clippy::too_many_arguments,
+        reason = "one argument per `Captured` field, so a disabled capture builds nothing"
+    )]
     pub fn record(
         &mut self,
         time: SimTime,
@@ -158,7 +161,10 @@ impl<P> Capture<P> {
     /// cap.record_with(SimTime::ZERO, Direction::Tx, Lid(1), Lid(2), 64, false, payload);
     /// assert_eq!((built.get(), cap.len()), (1, 1));
     /// ```
-    #[allow(clippy::too_many_arguments)]
+    #[expect(
+        clippy::too_many_arguments,
+        reason = "one argument per `Captured` field, so a disabled capture builds nothing"
+    )]
     pub fn record_with(
         &mut self,
         time: SimTime,

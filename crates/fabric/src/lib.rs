@@ -29,6 +29,7 @@
 //! ```
 
 #![warn(missing_docs)]
+#![deny(clippy::float_arithmetic)]
 
 mod capture;
 mod loss;

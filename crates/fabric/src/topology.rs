@@ -36,8 +36,8 @@ pub struct LinkSpec {
     /// One-way propagation + PHY latency of the cable.
     pub latency: SimTime,
     /// Signalling rate in whole gigabits per second. Integral so that
-    /// serialization times are exact integer arithmetic (the
-    /// no-float-in-sim-path rule); every IB speed grade is a whole
+    /// serialization times are exact integer arithmetic (the crate
+    /// denies `clippy::float_arithmetic`); every IB speed grade is a whole
     /// number of Gb/s.
     pub bandwidth_gbps: u64,
 }

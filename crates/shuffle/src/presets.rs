@@ -80,7 +80,7 @@ impl Fig13Cluster {
     pub fn workers(self) -> usize {
         match self {
             Fig13Cluster::Abci4 => 4,
-            _ => 2,
+            Fig13Cluster::Knl2 | Fig13Cluster::ReedbushH2 | Fig13Cluster::Abci2 => 2,
         }
     }
 
@@ -89,7 +89,9 @@ impl Fig13Cluster {
             Fig13Cluster::Knl2 | Fig13Cluster::ReedbushH2 => {
                 DeviceProfile::connectx4(ibsim_fabric::LinkSpec::fdr())
             }
-            _ => DeviceProfile::connectx4(ibsim_fabric::LinkSpec::edr()),
+            Fig13Cluster::Abci2 | Fig13Cluster::Abci4 => {
+                DeviceProfile::connectx4(ibsim_fabric::LinkSpec::edr())
+            }
         }
     }
 }

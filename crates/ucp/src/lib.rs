@@ -13,7 +13,6 @@
 #![warn(missing_docs)]
 
 mod proto;
-#[allow(clippy::module_inception)]
 mod ucp;
 
 pub use proto::{EpId, MemSlice, ReqId, ReqKind, Tag, UcpCompletion};

@@ -449,7 +449,10 @@ impl Ucp {
 
     /// One-sided get: READ `len` bytes from `(src_mr, src_off)` on the
     /// remote side of `ep` into `(dst_mr, dst_off)` on `from`.
-    #[allow(clippy::too_many_arguments)]
+    #[expect(
+        clippy::too_many_arguments,
+        reason = "the UCX-style RMA signature: endpoint, initiator, local slice, remote key, offset and operand"
+    )]
     pub fn get(
         &self,
         eng: &mut Sim,
@@ -471,7 +474,10 @@ impl Ucp {
 
     /// One-sided put: WRITE `len` bytes from `src` into the remote
     /// `(dst_mr, dst_off)` over `ep`.
-    #[allow(clippy::too_many_arguments)]
+    #[expect(
+        clippy::too_many_arguments,
+        reason = "the UCX-style RMA signature: endpoint, initiator, local slice, remote key, offset and operand"
+    )]
     pub fn put(
         &self,
         eng: &mut Sim,
@@ -493,7 +499,10 @@ impl Ucp {
 
     /// 8-byte fetch-and-add on the remote `(dst_mr, dst_off)` over `ep`;
     /// the original value lands at `local`.
-    #[allow(clippy::too_many_arguments)]
+    #[expect(
+        clippy::too_many_arguments,
+        reason = "the UCX-style RMA signature: endpoint, initiator, local slice, remote key, offset and operand"
+    )]
     pub fn fetch_add(
         &self,
         eng: &mut Sim,
@@ -519,7 +528,10 @@ impl Ucp {
 
     /// 8-byte compare-and-swap on the remote `(dst_mr, dst_off)` over
     /// `ep`; the original value lands at `local`.
-    #[allow(clippy::too_many_arguments)]
+    #[expect(
+        clippy::too_many_arguments,
+        reason = "the UCX-style RMA signature: endpoint, initiator, local slice, remote key, offset and operand"
+    )]
     pub fn compare_swap(
         &self,
         eng: &mut Sim,
@@ -544,7 +556,10 @@ impl Ucp {
         )
     }
 
-    #[allow(clippy::too_many_arguments)]
+    #[expect(
+        clippy::too_many_arguments,
+        reason = "the UCX-style RMA signature: endpoint, initiator, local slice, remote key, offset and operand"
+    )]
     fn atomic(
         &self,
         eng: &mut Sim,
@@ -784,7 +799,10 @@ impl Ucp {
         }
     }
 
-    #[allow(clippy::too_many_arguments)]
+    #[expect(
+        clippy::too_many_arguments,
+        reason = "a progress helper threading the split borrows of the endpoint state, engine and cluster"
+    )]
     fn handle_ring_message(
         &self,
         inner: &mut Inner,
@@ -881,7 +899,10 @@ fn post_ring_recv(inner: &mut Inner, cl: &mut Cluster, ep: EpId, dir: Dir, slot:
 
 /// The receiver side of rendezvous: GET the payload from the sender's
 /// exposed region into the receive destination.
-#[allow(clippy::too_many_arguments)]
+#[expect(
+    clippy::too_many_arguments,
+    reason = "a progress helper threading the split borrows of the endpoint state, engine and cluster"
+)]
 fn start_rndv_get(
     inner: &mut Inner,
     eng: &mut Sim,

@@ -17,9 +17,11 @@ fn app(n: u64) -> WrRole {
 }
 
 fn req_of(role: Option<WrRole>) -> Option<ReqId> {
-    role.map(|r| match r {
-        WrRole::App { req, .. } => req,
-        other => panic!("the model only stores App roles, found {other:?}"),
+    role.map(|r| {
+        let WrRole::App { req, .. } = r else {
+            panic!("the model only stores App roles, found {r:?}");
+        };
+        req
     })
 }
 

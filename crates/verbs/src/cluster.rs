@@ -265,7 +265,10 @@ pub struct Cluster {
     /// so steady-state turns allocate nothing. Boxed: a turn moves a
     /// pointer out of the pool and back, not the 200-byte value. Pool
     /// contents never influence behavior (values are reset before reuse).
-    #[allow(clippy::vec_box)]
+    #[expect(
+        clippy::vec_box,
+        reason = "a turn moves a pointer out of the pool and back, not the 200-byte value"
+    )]
     fx_pool: Vec<Box<Effects>>,
     /// Sharded-execution state when this cluster is one replica of a
     /// conservative-lookahead PDES run (see [`crate::sharded`]); `None`
@@ -569,6 +572,11 @@ impl Cluster {
 
     /// Creates and connects a QP pair between two hosts; both ends use the
     /// same config. Returns `(qp_on_a, qp_on_b)`.
+    ///
+    /// # Panics
+    ///
+    /// As [`Cluster::create_qp`]: on a `cfg.mtu` that is not an IBTA path
+    /// MTU.
     pub fn connect_pair(
         &mut self,
         _eng: &mut Sim,
@@ -1753,9 +1761,11 @@ mod tests {
                 .registry()
                 .iter()
                 .filter(|(n, _, _)| n.starts_with("packets."))
-                .map(|(n, l, i)| match i {
-                    ibsim_telemetry::Instrument::Counter(v) => (n, l, *v),
-                    other => panic!("{n} is a {}", other.kind()),
+                .map(|(n, l, i)| {
+                    let ibsim_telemetry::Instrument::Counter(v) = i else {
+                        panic!("{n} is a {}", i.kind());
+                    };
+                    (n, l, *v)
                 })
                 .collect()
         };

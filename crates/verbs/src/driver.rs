@@ -177,6 +177,11 @@ impl Driver {
     /// Priority: page faults first; then interrupt work and resumes in a
     /// weighted-fair rotation of at most `irq_burst` interrupt items per
     /// resume.
+    ///
+    /// # Panics
+    ///
+    /// Only on a broken internal invariant: a drawn head fault that
+    /// vanishes between the peek and the pop, or lost its latency.
     pub fn begin_next(&mut self) -> Option<(DriverWork, SimTime)> {
         if self.busy {
             return None;

@@ -14,6 +14,7 @@
 //! lives.
 
 #![warn(missing_docs)]
+#![deny(clippy::float_arithmetic)]
 
 mod cluster;
 mod device;

@@ -343,6 +343,10 @@ impl MemRegion {
     }
 
     /// Indices of the pages touched by `[offset, offset+len)`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the range is not inside the region.
     pub fn pages_spanned(&self, offset: u64, len: u32) -> std::ops::RangeInclusive<usize> {
         assert!(self.contains(offset, len), "range out of bounds");
         let last = if len == 0 {

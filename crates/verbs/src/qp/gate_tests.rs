@@ -678,14 +678,16 @@ fn responder_admission_table() {
                 off: match cell {
                     Cell::OutOfRange => 2 * PAGE_SIZE - 4,
                     Cell::Misaligned => PAGE_SIZE + 4,
-                    _ => PAGE_SIZE - 8,
+                    Cell::UnknownKey | Cell::Unmapped(_) | Cell::Mapped => PAGE_SIZE - 8,
                 },
                 // Straddles both pages (atomics: the first page's last word).
                 len: if op == 2 { 8 } else { 16 },
             };
             let kind = match cell {
                 Cell::Unmapped(kind) => kind,
-                _ => RecoveryKind::GoBackN,
+                Cell::UnknownKey | Cell::OutOfRange | Cell::Misaligned | Cell::Mapped => {
+                    RecoveryKind::GoBackN
+                }
             };
             let mut host = Host::with(mr);
             let mut resp = responder_for(op, span);

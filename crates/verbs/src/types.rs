@@ -136,6 +136,10 @@ impl fmt::Display for Psn {
 
 /// Number of packets needed to carry `len` payload bytes at `mtu`.
 /// Zero-length messages still take one packet.
+///
+/// # Panics
+///
+/// Panics if `mtu` is zero.
 pub fn packets_for(len: u32, mtu: u32) -> u32 {
     assert!(mtu > 0, "mtu must be positive");
     if len == 0 {

@@ -364,7 +364,10 @@ impl FetchAddWr {
     }
 
     /// The addend (default 1).
-    #[allow(clippy::should_implement_trait)]
+    #[expect(
+        clippy::should_implement_trait,
+        reason = "a builder setter named after the verbs field, not `std::ops::Add`"
+    )]
     pub fn add(mut self, add: u64) -> Self {
         self.add = add;
         self

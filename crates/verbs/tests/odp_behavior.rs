@@ -212,7 +212,7 @@ fn two_reads(
     let cq = cl.poll_cq(a);
     assert_eq!(cq.len(), 2, "both READs must complete");
     assert!(cq.iter().all(|c| c.status.is_success()));
-    cq.iter().map(|c| c.at).max().unwrap()
+    cq.iter().map(|c| c.at).max().expect("both READs completed")
 }
 
 #[test]
@@ -359,7 +359,7 @@ fn flood_run(qps: usize) -> (SimTime, u64) {
     assert_eq!(cq.len(), qps);
     assert!(cq.iter().all(|c| c.status.is_success()));
     (
-        cq.iter().map(|c| c.at).max().unwrap(),
+        cq.iter().map(|c| c.at).max().expect("every QP completed"),
         cl.stats.total_packets,
     )
 }

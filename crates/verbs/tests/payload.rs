@@ -108,15 +108,12 @@ fn a_captured_packet_keeps_its_bytes_after_the_page_is_rewritten() {
     cl.mem_write(a, local.base, &pattern(4096, 6));
     cl.mem_write(b, remote.base, &pattern(4096, 7));
     for host in [a, b] {
-        let data = cl
-            .capture(host)
-            .iter()
-            .find_map(|rec| match &rec.payload.kind {
-                PacketKind::WriteRequest { data, .. } => {
-                    Some(data.iter().copied().collect::<Vec<_>>())
-                }
-                _ => None,
-            });
+        let data = cl.capture(host).iter().find_map(|rec| {
+            let PacketKind::WriteRequest { data, .. } = &rec.payload.kind else {
+                return None;
+            };
+            Some(data.iter().copied().collect::<Vec<_>>())
+        });
         assert_eq!(data.as_deref(), Some(&old[..]), "{host:?}");
     }
 }

@@ -565,18 +565,22 @@ fn write_segments_carry_correct_slices() {
     let segs: Vec<SegPos> = out
         .packets
         .iter()
-        .map(|p| match &p.kind {
-            PacketKind::WriteRequest { seg, .. } => *seg,
-            _ => panic!("expected write"),
+        .map(|p| {
+            let PacketKind::WriteRequest { seg, .. } = &p.kind else {
+                panic!("expected write");
+            };
+            *seg
         })
         .collect();
     assert_eq!(segs, vec![SegPos::First, SegPos::Middle, SegPos::Last]);
     let sizes: Vec<usize> = out
         .packets
         .iter()
-        .map(|p| match &p.kind {
-            PacketKind::WriteRequest { data, .. } => data.len(),
-            _ => unreachable!(),
+        .map(|p| {
+            let PacketKind::WriteRequest { data, .. } = &p.kind else {
+                unreachable!();
+            };
+            data.len()
         })
         .collect();
     assert_eq!(sizes, vec![4096, 4096, 100]);
@@ -617,18 +621,17 @@ fn read_responses(
         .enumerate()
         .map(|(i, p)| {
             assert_eq!(p.psn, Psn::new(psn + i as u32));
-            match p.kind {
-                PacketKind::ReadResponse {
-                    seg,
-                    data,
-                    req_psn,
-                    offset,
-                } => {
-                    assert_eq!(req_psn, Psn::new(psn));
-                    (seg, offset, data.to_vec(), p.retransmit)
-                }
-                other => panic!("expected a READ response, got {other:?}"),
-            }
+            let PacketKind::ReadResponse {
+                seg,
+                data,
+                req_psn,
+                offset,
+            } = p.kind
+            else {
+                panic!("expected a READ response, got {:?}", p.kind);
+            };
+            assert_eq!(req_psn, Psn::new(psn));
+            (seg, offset, data.to_vec(), p.retransmit)
         })
         .collect()
 }

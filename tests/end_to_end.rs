@@ -102,7 +102,9 @@ fn counter_sum(t: &Telemetry, name: &str) -> u64 {
         .filter(|&(n, _, _)| n == name)
         .filter_map(|(_, _, i)| match i {
             ibsim::telemetry::Instrument::Counter(v) => Some(*v),
-            _ => None,
+            ibsim::telemetry::Instrument::Gauge(_) | ibsim::telemetry::Instrument::Histogram(_) => {
+                None
+            }
         })
         .sum()
 }
