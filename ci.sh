@@ -11,7 +11,9 @@ echo "==> cargo clippy --workspace --all-targets -- -D warnings (the"
 echo "    determinism rules: no bare unwrap, no Instant/SystemTime::now, no"
 echo "    std HashMap/HashSet, no float arithmetic in sim time, no wildcard"
 echo "    enum arm, # Panics docs; an unfulfilled #[expect] fails)"
-cargo clippy --workspace --all-targets --offline -- -D warnings
+# CLIPPY_CONF_DIR carries crates/clippy.toml to the root package too
+# (src/, tests/, examples/); benchmark/ runs its own clippy without it.
+CLIPPY_CONF_DIR=crates cargo clippy --workspace --all-targets --offline -- -D warnings
 
 echo "==> cargo doc --workspace --no-deps (rustdoc warnings are errors)"
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline -q
@@ -34,7 +36,9 @@ echo "    table casts u64/u32 ids to indices; ucp and shuffle: a request id"
 echo "    is a table slot plus one, so the subtraction and the narrowing to"
 echo "    an index wrap silently (the foreign-id and slot-reuse tests);"
 echo "    verbs multiplies segment and page offsets in u32 (the page-gate"
-echo "    replay and the transport suites); scenario: a spec's span, region or"
+echo "    replay and the transport suites) and must refuse, not wrap, an"
+echo "    allocation or registration past the address ceiling (the mem tests);"
+echo "    scenario: a spec's span, region or"
 echo "    post schedule past u64 would wrap into one that passes validation"
 echo "    (the parse fuzz)"
 cargo test -q --offline --release \

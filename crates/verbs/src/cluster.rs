@@ -471,11 +471,21 @@ impl Cluster {
 
     /// Allocates a fresh page-aligned buffer without registering it
     /// (manual registration flows register later, paying the cost).
+    ///
+    /// # Panics
+    ///
+    /// Panics, naming the range, if the buffer would reach past
+    /// [`Memory::ADDR_LIMIT`].
     pub fn alloc_buffer(&mut self, host: HostId, len: u64) -> u64 {
         self.mems[host.0].alloc(len)
     }
 
     /// Allocates a fresh page-aligned buffer and registers it as an MR.
+    ///
+    /// # Panics
+    ///
+    /// Panics, naming the range, if the buffer would reach past
+    /// [`Memory::ADDR_LIMIT`].
     pub fn alloc_mr(&mut self, host: HostId, len: u64, mode: MrMode) -> MrDesc {
         self.mr(host, MrBuilder::new(len, mode))
     }
@@ -492,6 +502,11 @@ impl Cluster {
     ///   registration (like `ibv_advise_mr` prefetch), so an ODP region
     ///   raises no faults until a page is invalidated. Meaningless but
     ///   harmless on pinned regions, which are always mapped.
+    ///
+    /// # Panics
+    ///
+    /// Panics, naming the range, if the region — allocated or at an
+    /// explicit base — would reach past [`Memory::ADDR_LIMIT`].
     pub fn mr(&mut self, host: HostId, builder: MrBuilder) -> MrDesc {
         let base = builder
             .base
@@ -1719,6 +1734,17 @@ mod tests {
         cl.deliver(&mut eng, a, ack);
         assert_eq!(cl.qp_stats_sum(a).ecn_echoes, 1);
         assert_eq!(cl.qp_stats_sum(b).ecn_echoes, 0);
+    }
+
+    /// An explicit base is checked as an allocation is; unchecked, this
+    /// overflowed in debug and died on `capacity overflow` in release.
+    #[test]
+    #[should_panic(expected = "bytes [0xfffffffffffffff5, 0xfffffffffffffff5 + 0x64) reach past")]
+    fn registering_past_the_address_ceiling_panics() {
+        let (_, mut cl, hosts) = ClusterBuilder::new()
+            .host("a", DeviceProfile::connectx6())
+            .build();
+        cl.mr(hosts[0], MrBuilder::pinned(100).at(u64::MAX - 10));
     }
 
     #[test]

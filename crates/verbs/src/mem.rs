@@ -1,6 +1,8 @@
 //! Host memory, memory regions, and packet payloads.
 //!
-//! Each host owns a sparse byte-addressable [`Memory`]. Registering a
+//! Each host owns a byte-addressable [`Memory`]: a dense page table
+//! indexed by page number, below a fixed address ceiling
+//! ([`Memory::ADDR_LIMIT`]). Registering a
 //! [`MemRegion`] makes a range of it visible to the RNIC, either *pinned*
 //! (the classic path: every page mapped in the NIC translation table at
 //! registration time) or *ODP* (pages start unmapped; access triggers
@@ -15,7 +17,6 @@
 //! delivered byte is copied once, into the receiver's pages
 //! ([`Memory::write_payload`]).
 
-use std::collections::BTreeMap;
 use std::fmt;
 use std::ops::Range;
 use std::sync::Arc;
@@ -25,11 +26,22 @@ use crate::types::{MrKey, PAGE_SIZE};
 /// One host page.
 type Page = [u8; PAGE_SIZE as usize];
 
-/// Sparse page-granular memory for one host.
+/// Page-granular memory for one host: a dense page table, slot `n`
+/// holding the page at `n × PAGE_SIZE`, so finding a page is one index.
 ///
 /// Pages materialize zero-filled on first access, which doubles as a
 /// first-touch model: [`Memory::resident_pages`] counts the pages the OS
-/// has so far.
+/// has so far. The table grows to the highest page touched, 8 bytes a
+/// slot. [`Memory::alloc`] is a bump allocator from `0x1000`, so the
+/// address space a host's buffers occupy — and the table — stays dense
+/// by construction. Every address lies below [`Memory::ADDR_LIMIT`], so
+/// no value, however hostile, sizes the table past 128 MiB.
+///
+/// # Panics
+///
+/// Every read, write, gather or materialization of a range reaching past
+/// [`Memory::ADDR_LIMIT`] panics, naming the range, as
+/// [`Memory::alloc`] does.
 ///
 /// # Examples
 ///
@@ -41,19 +53,34 @@ type Page = [u8; PAGE_SIZE as usize];
 /// assert_eq!(mem.read(0x1000, 5), b"hello");
 /// assert_eq!(mem.resident_pages(), 1);
 /// ```
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub struct Memory {
-    /// Shared with the payloads gathered from them; `Arc`, not `Rc`,
-    /// because cross-shard packets cross threads.
-    pages: BTreeMap<u64, Arc<Page>>,
+    /// Indexed by page number; `None` until first touch. Shared with the
+    /// payloads gathered from them; `Arc`, not `Rc`, because cross-shard
+    /// packets cross threads.
+    pages: Vec<Option<Arc<Page>>>,
+    /// The `Some` slots of `pages`.
+    resident: usize,
     next_alloc: u64,
 }
 
+impl Default for Memory {
+    fn default() -> Self {
+        Memory::new()
+    }
+}
+
 impl Memory {
+    /// The address ceiling: every allocation, registration and access
+    /// lies in `[0, ADDR_LIMIT)`. 64 GiB, a 128 MiB page table at worst;
+    /// the largest world in the repository touches a few MiB.
+    pub const ADDR_LIMIT: u64 = 1 << 36;
+
     /// Creates an empty memory.
     pub fn new() -> Self {
         Memory {
-            pages: BTreeMap::new(),
+            pages: Vec::new(),
+            resident: 0,
             // Start allocations away from address zero so that a zero
             // address is always a bug, never a valid buffer.
             next_alloc: 0x1000,
@@ -62,19 +89,30 @@ impl Memory {
 
     /// Reserves `len` bytes of fresh page-aligned address space and
     /// returns its base address. No pages are materialized yet.
+    ///
+    /// # Panics
+    ///
+    /// Panics, naming the range, if it would reach past
+    /// [`Memory::ADDR_LIMIT`].
     pub fn alloc(&mut self, len: u64) -> u64 {
         let base = self.next_alloc;
-        let span = len.max(1).div_ceil(PAGE_SIZE) * PAGE_SIZE;
-        self.next_alloc = base + span + PAGE_SIZE; // guard page
+        let end = below_ceiling(base, len.max(1));
+        self.next_alloc = end.next_multiple_of(PAGE_SIZE) + PAGE_SIZE; // guard page
         base
     }
 
     /// The page at `base`, materialized zero-filled on first touch: one
-    /// tree lookup whether or not the page existed.
+    /// index whether or not the page existed.
     fn page(&mut self, base: u64) -> &mut Arc<Page> {
-        self.pages
-            .entry(base)
-            .or_insert_with(|| Arc::new([0; PAGE_SIZE as usize]))
+        let n = (base / PAGE_SIZE) as usize;
+        if n >= self.pages.len() {
+            self.pages.resize(n + 1, None);
+        }
+        let slot = &mut self.pages[n];
+        if slot.is_none() {
+            self.resident += 1;
+        }
+        slot.get_or_insert_with(|| Arc::new([0; PAGE_SIZE as usize]))
     }
 
     /// Materializes the pages `[addr, addr+len)` touches without reading
@@ -112,7 +150,8 @@ impl Memory {
     ///
     /// # Panics
     ///
-    /// Panics if `len` exceeds `PAGE_SIZE`, the largest MTU.
+    /// Panics if `len` exceeds `PAGE_SIZE`, the largest MTU, or the range
+    /// reaches past [`Memory::ADDR_LIMIT`].
     pub fn gather(&mut self, addr: u64, len: usize) -> Payload {
         assert!(
             len <= PAGE_SIZE as usize,
@@ -136,13 +175,27 @@ impl Memory {
 
     /// Number of materialized pages.
     pub fn resident_pages(&self) -> usize {
-        self.pages.len()
+        self.resident
+    }
+}
+
+/// The end of `[addr, addr+len)`, refusing a range that reaches past
+/// [`Memory::ADDR_LIMIT`] — the one check behind every allocation,
+/// registration and access, overflow included, in every profile.
+fn below_ceiling(addr: u64, len: u64) -> u64 {
+    match addr.checked_add(len) {
+        Some(end) if end <= Memory::ADDR_LIMIT => end,
+        _ => panic!(
+            "bytes [{addr:#x}, {addr:#x} + {len:#x}) reach past the {:#x} address ceiling",
+            Memory::ADDR_LIMIT
+        ),
     }
 }
 
 /// `[addr, addr+len)` cut at page boundaries: per piece, its page's base
 /// address, its range within that page and its range within the span.
 fn pieces(addr: u64, len: usize) -> impl Iterator<Item = (u64, Range<usize>, Range<usize>)> {
+    below_ceiling(addr, len as u64);
     let mut done = 0;
     std::iter::from_fn(move || {
         (done < len).then(|| {
@@ -270,11 +323,12 @@ impl MemRegion {
     ///
     /// # Panics
     ///
-    /// Panics if `len` is zero.
+    /// Panics if `len` is zero, or, naming the range, if the region
+    /// reaches past [`Memory::ADDR_LIMIT`].
     pub fn new(key: MrKey, base: u64, len: u64, mode: MrMode) -> Self {
         assert!(len > 0, "cannot register an empty memory region");
         let first_page = base / PAGE_SIZE;
-        let last_page = (base + len - 1) / PAGE_SIZE;
+        let last_page = (below_ceiling(base, len) - 1) / PAGE_SIZE;
         let n = (last_page - first_page + 1) as usize;
         let initial = match mode {
             MrMode::Pinned => PageState::Mapped,
@@ -422,6 +476,61 @@ mod tests {
         assert_eq!(a % PAGE_SIZE, 0);
         assert_eq!(b % PAGE_SIZE, 0);
         assert!(b >= a + PAGE_SIZE);
+    }
+
+    #[test]
+    fn default_memory_allocates_away_from_zero() {
+        assert_eq!(Memory::default().alloc(100), 0x1000);
+        assert_eq!(Memory::default().alloc(100), Memory::new().alloc(100));
+    }
+
+    #[test]
+    fn alloc_may_end_exactly_at_the_ceiling() {
+        let mut m = Memory::new();
+        assert_eq!(m.alloc(Memory::ADDR_LIMIT - 0x1000), 0x1000);
+        let r = MemRegion::new(MrKey(1), Memory::ADDR_LIMIT - 1, 1, MrMode::Pinned);
+        assert_eq!(r.page_count(), 1);
+        assert_eq!(m.resident_pages(), 0, "reserving touches nothing");
+    }
+
+    #[test]
+    #[should_panic(
+        expected = "bytes [0x1000001000, 0x1000001000 + 0x1) reach past the 0x1000000000 address ceiling"
+    )]
+    fn alloc_past_the_ceiling_panics() {
+        let mut m = Memory::new();
+        m.alloc(Memory::ADDR_LIMIT - 0x1000); // ends at the ceiling
+        m.alloc(1);
+    }
+
+    /// Unchecked, this wrapped in release builds: the next allocation
+    /// landed inside this one.
+    #[test]
+    #[should_panic(
+        expected = "bytes [0x1000, 0x1000 + 0xfffffffffffffff5) reach past the 0x1000000000 address ceiling"
+    )]
+    fn alloc_overflowing_u64_panics() {
+        Memory::new().alloc(u64::MAX - 10);
+    }
+
+    #[test]
+    #[should_panic(expected = "bytes [0xffffffffe, 0xffffffffe + 0x3) reach past")]
+    fn write_past_the_ceiling_panics() {
+        Memory::new().write(Memory::ADDR_LIMIT - 2, b"abc");
+    }
+
+    #[test]
+    #[should_panic(expected = "bytes [0xffffffffffffffff, 0xffffffffffffffff + 0x1) reach past")]
+    fn read_at_the_top_of_u64_panics() {
+        Memory::new().read(u64::MAX, 1);
+    }
+
+    #[test]
+    #[should_panic(
+        expected = "bytes [0xfffffffffffffff5, 0xfffffffffffffff5 + 0x64) reach past the 0x1000000000 address ceiling"
+    )]
+    fn region_overflowing_u64_panics() {
+        MemRegion::new(MrKey(1), u64::MAX - 10, 100, MrMode::Odp);
     }
 
     #[test]

@@ -72,6 +72,12 @@ impl Nic {
     }
 
     /// Registers `[base, base+len)` as a memory region.
+    ///
+    /// # Panics
+    ///
+    /// Panics, naming the range, if it reaches past
+    /// [`Memory::ADDR_LIMIT`](crate::Memory::ADDR_LIMIT) (see
+    /// [`MemRegion::new`]).
     pub fn reg_mr(&mut self, base: u64, len: u64, mode: MrMode) -> MrKey {
         let key = MrKey(self.next_mr);
         self.next_mr += 1;

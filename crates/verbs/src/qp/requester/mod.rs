@@ -20,14 +20,17 @@
 //!
 //! [`Requester::post`] is the only producer and hands each message the
 //! PSN span right after its predecessor's, so spans are contiguous and
-//! ascending from the head. Every "which message owns this PSN" question
-//! (responses, stall ticks, RNR NAKs) is therefore one bisection
-//! ([`sq_index`]), and the three facts a handler turn needs about the
-//! rest of the queue are kept as it changes instead of recounted: how far
-//! transmission got (`tx_cursor`), how far cumulative acknowledgment got
-//! (`ack_cursor`) and how many READ/ATOMICs are in flight
-//! (`outstanding_rd`). A turn costs the same behind a stalled head with
-//! one completed successor or a thousand.
+//! ascending from the head, and each is at least one PSN wide: the owner
+//! of a PSN at distance `d` from the head sits at index `d` or lower.
+//! Every "which message owns this PSN" question (responses, stall ticks,
+//! RNR NAKs) is therefore one probe at that index, then a bisection below
+//! it only if the probe overshoots ([`sq_index`]) — a queue of one-PSN
+//! READs, the §VI flood's, never bisects. The three facts a handler turn
+//! needs about the rest of the queue are kept as it changes instead of
+//! recounted: how far transmission got (`tx_cursor`), how far cumulative
+//! acknowledgment got (`ack_cursor`) and how many READ/ATOMICs are in
+//! flight (`outstanding_rd`). A turn costs the same behind a stalled head
+//! with one completed successor or a thousand.
 
 mod response;
 
@@ -63,17 +66,36 @@ pub(super) struct ReqStats {
     pub(super) ecn_echoes: u64,
 }
 
-/// Index of the message whose PSN span contains `psn`, by bisection on
-/// the distance from the head's first PSN (the send queue is PSN-ordered
-/// with contiguous spans; see the module docs). PSNs behind the head —
-/// already retired — wrap to a distance beyond the tail and, like PSNs
-/// not yet assigned, find nothing. Serial-number arithmetic throughout,
-/// so a window straddling `0xFF_FFFF → 0` is no special case.
+/// Index of the message whose PSN span contains `psn`, found from the
+/// distance `d` from the head's first PSN (the send queue is PSN-ordered
+/// with contiguous spans; see the module docs). Every span is at least
+/// one PSN, so message `i` starts at distance `i` or later and the owner
+/// sits at index `d` or lower: probe `min(d, len − 1)` first — the answer
+/// whenever every message before it is one PSN — and bisect below it
+/// only when that probe starts past `d`. PSNs behind the head — already
+/// retired — wrap to a distance beyond the tail and, like PSNs not yet
+/// assigned, find nothing. Serial-number arithmetic throughout, so a
+/// window straddling `0xFF_FFFF → 0` is no special case.
 pub(super) fn sq_index(sq: &VecDeque<SendWqe>, psn: Psn) -> Option<usize> {
     let base = sq.front()?.psn_first;
     let d = psn.distance_from(base);
-    // The head sits at distance 0, so the partition is never empty.
-    let idx = sq.partition_point(|w| w.psn_first.distance_from(base) <= d) - 1;
+    let start = |i: usize| sq[i].psn_first.distance_from(base);
+    let probe = (d as usize).min(sq.len() - 1);
+    let idx = if start(probe) <= d {
+        probe
+    } else {
+        // Keeps `start(lo) <= d < start(hi)`; the head starts at 0.
+        let (mut lo, mut hi) = (0, probe);
+        while hi - lo > 1 {
+            let mid = lo + (hi - lo) / 2;
+            if start(mid) <= d {
+                lo = mid;
+            } else {
+                hi = mid;
+            }
+        }
+        lo
+    };
     (d <= sq[idx].psn_last.distance_from(base)).then_some(idx)
 }
 
@@ -580,14 +602,17 @@ mod tests {
     use super::*;
     use ibsim_event::SplitMix64;
 
-    /// The bisection against the linear scan it replaced, on seeded
-    /// random queues: multi-packet messages, runs of done-but-unretired
-    /// messages behind a pending head, and windows straddling the 24-bit
-    /// PSN wrap. Probes cover the whole window, its two edges and random
-    /// PSNs from anywhere in the space.
+    /// The lookup against a linear scan, on seeded random queues:
+    /// multi-packet messages, all-one-PSN queues (the first probe is the
+    /// owner), one-PSN runs broken by two-PSN messages (the probe
+    /// overshoots by a little), runs of done-but-unretired messages
+    /// behind a pending head, and windows straddling the 24-bit PSN wrap.
+    /// Probes cover the whole window, its two edges, distances past the
+    /// tail (the probe clamps to the last message) and random PSNs from
+    /// anywhere in the space.
     #[test]
     fn sq_index_equals_the_linear_scan_on_random_queues() {
-        for case in 0..512u64 {
+        for case in 0..576u64 {
             let mut rng = SplitMix64::new(0x5EED_5000 + case);
             let len = rng.next_below(48);
             let base = match case % 3 {
@@ -595,11 +620,12 @@ mod tests {
                 0 => Psn::new(Psn::MODULUS - 1 - rng.next_below(4 * len + 1) as u32),
                 _ => Psn::new(rng.next_u64() as u32),
             };
+            let widest = [5, 1, 2][(case / 3 % 3) as usize];
             let mut sq = VecDeque::new();
             let mut next = base;
             let mut done = false;
             for i in 0..len {
-                let span = 1 + rng.next_below(5) as u32;
+                let span = 1 + rng.next_below(widest) as u32;
                 // Flip rarely so done messages come in runs; the head of
                 // a live queue is never done.
                 if rng.next_below(4) == 0 {

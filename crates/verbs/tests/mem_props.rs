@@ -1,6 +1,7 @@
-//! Randomized tests of the memory substrate: sparse memory round-trips
-//! and region page arithmetic, driven by seeded loops over the in-tree
-//! deterministic PRNG (formerly `proptest` properties).
+//! Randomized tests of the memory substrate: memory round-trips, the
+//! page table's resident count and region page arithmetic, driven by
+//! seeded loops over the in-tree deterministic PRNG (formerly `proptest`
+//! properties).
 
 use ibsim_event::SplitMix64;
 use ibsim_verbs::{MemRegion, Memory, MrKey, MrMode, PageState, Payload, PAGE_SIZE};
@@ -130,6 +131,46 @@ fn payloads_gather_and_land_like_reads_and_writes() {
             model[dst..dst + len].copy_from_slice(&want);
         }
         assert_eq!(mem.read(0, span), model, "case {case}");
+    }
+}
+
+/// The page table against a sorted-set model of the pages touched:
+/// after every read, write, gather, materialization or allocation at a
+/// random address below 2^30 (or in the first 16 pages),
+/// `resident_pages` is the model's count. Allocation reserves address
+/// space and touches nothing.
+#[test]
+fn resident_pages_counts_exactly_the_pages_touched() {
+    for case in 0..32u64 {
+        let mut rng = SplitMix64::new(0x9A6E * 1000 + case);
+        let (mut mem, mut model) = (Memory::new(), std::collections::BTreeSet::new());
+        for op in 0..200 {
+            // Half the ops land in the first 16 pages, page 0 included,
+            // so pages are touched again as well as first.
+            let addr = rng.next_below([1 << 30, 16 * PAGE_SIZE][op % 2]);
+            let len = rng.next_below(3 * PAGE_SIZE) as usize;
+            let short = len.min(PAGE_SIZE as usize);
+            let touched = match rng.next_below(5) {
+                0 => {
+                    mem.write(addr, &vec![op as u8; len]);
+                    len
+                }
+                1 => mem.read(addr, len).len(),
+                2 => mem.gather(addr, short).len(),
+                3 => {
+                    mem.materialize(addr, len);
+                    len
+                }
+                _ => {
+                    mem.alloc(len as u64);
+                    0
+                }
+            };
+            if touched > 0 {
+                model.extend(addr / PAGE_SIZE..=(addr + touched as u64 - 1) / PAGE_SIZE);
+            }
+            assert_eq!(mem.resident_pages(), model.len(), "case {case} op {op}");
+        }
     }
 }
 
