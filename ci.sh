@@ -7,6 +7,13 @@ cd "$(dirname "$0")"
 echo "==> cargo fmt --all -- --check"
 cargo fmt --all -- --check
 
+echo "==> one world language: Scenario describes every two-host world; the"
+echo "    wrapper benchmark/'s flood still names is the only other"
+if grep -rlE 'MicrobenchConfig|run_microbench' crates src tests examples | grep -vx crates/core/src/microbench.rs; then
+    echo "ci: the files above name the wrapper's world (use Scenario::fig3_loop)" >&2
+    exit 1
+fi
+
 echo "==> cargo clippy --workspace --all-targets -- -D warnings (the"
 echo "    determinism rules: no bare unwrap, no Instant/SystemTime::now, no"
 echo "    std HashMap/HashSet, no float arithmetic in sim time, no wildcard"

@@ -538,28 +538,23 @@ pub fn summarize(cap: &Capture<Packet>) -> TrafficSummary {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ibsim_event::Engine;
+    use ibsim_event::{Engine, SimTime};
     use ibsim_fabric::LinkSpec;
-    use ibsim_odp::{run_microbench, MicrobenchConfig, OdpMode};
+    use ibsim_scenario::{run_scenario, Scenario};
     use ibsim_verbs::{Cluster, DeviceProfile, FetchAddWr, MrMode, QpConfig};
 
-    fn traffic(cfg: MicrobenchConfig) -> TrafficSummary {
-        let run = run_microbench(&MicrobenchConfig {
-            capture: true,
-            ..cfg
-        });
-        let cap = run.cluster.capture(run.client);
+    fn traffic(sc: &Scenario) -> TrafficSummary {
+        let run = run_scenario(sc);
+        let cap = &run.captures[0];
         crate::reference::replay(cap, RecoveryRules::default());
         summarize(cap)
     }
 
     #[test]
     fn clean_run_counts_each_request_once() {
-        let s = traffic(MicrobenchConfig {
-            odp: OdpMode::None,
-            num_ops: 16,
-            ..Default::default()
-        });
+        let mut sc = Scenario::fig3_loop(16, 1, 100, SimTime::ZERO);
+        (sc.client_odp, sc.server_odp) = (false, false);
+        let s = traffic(&sc);
         assert_eq!(s.requests, 16);
         assert_eq!(s.retransmissions, 0);
         assert_eq!(s.ghosts, 0);
@@ -567,14 +562,9 @@ mod tests {
 
     #[test]
     fn flood_run_retransmits_more_than_it_requests() {
-        let s = traffic(MicrobenchConfig {
-            size: 32,
-            num_ops: 64,
-            num_qps: 64,
-            odp: OdpMode::ClientSide,
-            cack: 18,
-            ..Default::default()
-        });
+        let mut sc = Scenario::fig3_loop(64, 64, 32, SimTime::ZERO);
+        (sc.server_odp, sc.cack) = (false, 18);
+        let s = traffic(&sc);
         assert!(s.retransmissions > s.requests, "{s}");
     }
 

@@ -595,8 +595,7 @@ pub(crate) fn replay(cap: &Capture<Packet>, rules: RecoveryRules) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ibsim_odp::{run_microbench, MicrobenchConfig, OdpMode};
-    use ibsim_scenario::{paper_corpus, random_scenario, run_scenario, Scenario};
+    use ibsim_scenario::{paper_corpus, random_scenario, run_scenario, Prefetch, Scenario};
     use ibsim_verbs::RecoveryKind;
 
     fn replay_scenarios(scenarios: &[Scenario]) -> usize {
@@ -622,57 +621,34 @@ mod tests {
         assert!(replay_scenarios(&seeds) > 0);
     }
 
-    /// The client capture of a microbenchmark run.
-    fn client_capture(cfg: MicrobenchConfig) -> Capture<Packet> {
-        let run = run_microbench(&MicrobenchConfig {
-            capture: true,
-            ..cfg
-        });
-        run.cluster.capture(run.client).clone()
-    }
-
     #[test]
     fn projections_replay_the_figure_and_probe_captures() {
-        let fig1 = |odp| MicrobenchConfig {
-            num_ops: 1,
-            odp,
-            ..Default::default()
+        let (client, server, both) = ((true, false), (false, true), (true, true));
+        let fig3 = |ops, qps, size, interval, odp| {
+            let mut sc = Scenario::fig3_loop(ops, qps, size, interval);
+            (sc.client_odp, sc.server_odp) = odp;
+            sc
         };
-        let fig5 = |odp, interval| MicrobenchConfig {
-            num_ops: 2,
-            interval,
-            odp,
-            ..Default::default()
-        };
-        let captures = [
-            fig1(OdpMode::ServerSide),
-            fig1(OdpMode::ClientSide),
-            fig5(OdpMode::ServerSide, SimTime::from_ms(1)),
-            fig5(OdpMode::ClientSide, SimTime::from_us(300)),
-            // Fig. 8: the third READ's NAK rescues the dammed second.
-            MicrobenchConfig {
-                num_ops: 3,
-                interval: SimTime::from_us(350),
-                odp: OdpMode::ClientSide,
-                touch_all_but_first: true,
-                ..Default::default()
-            },
+        // Fig. 8: the third READ's NAK rescues the dammed second.
+        let mut fig8 = fig3(3, 1, 100, SimTime::from_us(350), client);
+        fig8.prefetch = Prefetch::AllButFirst;
+        // The flood probe: 128 QPs, one 32 B READ each.
+        let mut flood = fig3(128, 128, 32, SimTime::ZERO, client);
+        flood.cack = 18;
+        let specs = [
+            fig3(1, 1, 100, SimTime::ZERO, server),
+            fig3(1, 1, 100, SimTime::ZERO, client),
+            fig3(2, 1, 100, SimTime::from_ms(1), server),
+            fig3(2, 1, 100, SimTime::from_us(300), client),
+            fig8,
             // The damming probe: two READs 1 ms apart, both-side ODP.
-            MicrobenchConfig {
-                interval: SimTime::from_ms(1),
-                ..Default::default()
-            },
-            // The flood probe: 128 QPs, one 32 B READ each.
-            MicrobenchConfig {
-                size: 32,
-                num_ops: 128,
-                num_qps: 128,
-                odp: OdpMode::ClientSide,
-                cack: 18,
-                ..Default::default()
-            },
-        ]
-        .map(client_capture);
+            fig3(2, 1, 100, SimTime::from_ms(1), both),
+            flood,
+        ];
+        let captures = specs.map(|sc| {
+            let [client, _] = run_scenario(&sc).captures;
+            client
+        });
         for cap in &captures {
             for rules in RecoveryKind::ALL.map(RecoveryRules::for_kind) {
                 replay(cap, rules);

@@ -96,25 +96,20 @@ fn ordinal(n: u32) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ibsim_odp::{run_microbench, MicrobenchConfig, OdpMode};
+    use ibsim_scenario::{run_scenario, Prefetch, Scenario};
 
-    fn render(cfg: MicrobenchConfig) -> (bool, String) {
-        let run = run_microbench(&MicrobenchConfig {
-            capture: true,
-            ..cfg
-        });
-        let cap = run.cluster.capture(run.client);
+    fn render(sc: &Scenario) -> (bool, String) {
+        let run = run_scenario(sc);
+        let cap = &run.captures[0];
         crate::reference::replay(cap, RecoveryRules::default());
-        (run.timed_out(), render_workflow(cap))
+        (run.client_stats.timeouts > 0, render_workflow(cap))
     }
 
     #[test]
     fn fig1_style_annotations() {
-        let (_, text) = render(MicrobenchConfig {
-            num_ops: 1,
-            odp: OdpMode::ServerSide,
-            ..Default::default()
-        });
+        let mut sc = Scenario::fig3_loop(1, 1, 100, SimTime::ZERO);
+        sc.client_odp = false;
+        let (_, text) = render(&sc);
         assert!(text.contains("== Post 1st request =="), "{text}");
         assert!(text.contains("RNR NAK delay (about 4.4"), "{text}");
         assert!(text.contains("RNR_NAK"), "{text}");
@@ -122,10 +117,7 @@ mod tests {
 
     #[test]
     fn fig5_style_timeout_annotation() {
-        let (timed_out, text) = render(MicrobenchConfig {
-            interval: SimTime::from_ms(1),
-            ..Default::default()
-        });
+        let (timed_out, text) = render(&Scenario::fig3_loop(2, 1, 100, SimTime::from_ms(1)));
         assert!(timed_out);
         assert!(text.contains("== Post 2nd request =="), "{text}");
         assert!(text.contains("Timeout (about 50"), "{text}");
@@ -133,13 +125,9 @@ mod tests {
 
     #[test]
     fn fig8_style_ghost_annotation() {
-        let (_, text) = render(MicrobenchConfig {
-            num_ops: 3,
-            interval: SimTime::from_us(350),
-            odp: OdpMode::ClientSide,
-            touch_all_but_first: true,
-            ..Default::default()
-        });
+        let mut sc = Scenario::fig3_loop(3, 1, 100, SimTime::from_us(350));
+        (sc.server_odp, sc.prefetch) = (false, Prefetch::AllButFirst);
+        let (_, text) = render(&sc);
         assert!(text.contains("[lost to the damming flaw]"), "{text}");
         assert!(text.contains("NAK_SEQ_ERR"), "{text}");
         assert!(!text.contains("== Timeout"), "rescued, no timeout: {text}");

@@ -7,22 +7,21 @@
 //! pinned-memory ping-pong produces zero findings of any kind.
 
 use ibsim_analysis::{check_conservation, lint_capture, LintConfig, RuleId};
-use ibsim_event::Engine;
+use ibsim_event::{Engine, SimTime};
 use ibsim_fabric::LinkSpec;
-use ibsim_odp::{run_microbench, MicrobenchConfig, OdpMode};
+use ibsim_scenario::{run_scenario, Scenario};
 use ibsim_verbs::{Cluster, DeviceProfile, MrMode, QpConfig, ReadWr, WriteWr};
 
 #[test]
 fn damming_probe_trace_triggers_damming_detector() {
     // examples/damming_probe.rs: two 1 MiB READs 1 ms apart on ODP memory
     // with a ConnectX-4-style damming device.
-    let run = run_microbench(&MicrobenchConfig {
-        interval: ibsim_event::SimTime::from_ms(1),
-        capture: true,
-        ..Default::default()
-    });
-    assert!(run.timed_out(), "damming run recovers via ACK timeout");
-    let report = lint_capture(run.cluster.capture(run.client), &LintConfig::default());
+    let run = run_scenario(&Scenario::fig3_loop(2, 1, 100, SimTime::from_ms(1)));
+    assert!(
+        run.client_stats.timeouts > 0,
+        "damming run recovers via ACK timeout"
+    );
+    let report = lint_capture(&run.captures[0], &LintConfig::default());
     assert!(
         report.count(RuleId::DammingSignature) >= 1,
         "damming signature found: {report}"
@@ -42,16 +41,9 @@ fn damming_probe_trace_triggers_damming_detector() {
 fn flood_probe_trace_triggers_flood_detector() {
     // examples/flood_probe.rs: many QPs, small READs, client-side ODP,
     // C_ack = 18 so the transport timeout never interferes.
-    let run = run_microbench(&MicrobenchConfig {
-        size: 32,
-        num_ops: 128,
-        num_qps: 128,
-        odp: OdpMode::ClientSide,
-        cack: 18,
-        capture: true,
-        ..Default::default()
-    });
-    let report = lint_capture(run.cluster.capture(run.client), &LintConfig::default());
+    let mut sc = Scenario::fig3_loop(128, 128, 32, SimTime::ZERO);
+    (sc.server_odp, sc.cack) = (false, 18);
+    let report = lint_capture(&run_scenario(&sc).captures[0], &LintConfig::default());
     assert!(
         report.count(RuleId::FloodSignature) >= 1,
         "flood signature found: {report}"
@@ -67,14 +59,11 @@ fn flood_probe_trace_triggers_flood_detector() {
 
 #[test]
 fn clean_ping_pong_trace_lints_clean() {
-    let run = run_microbench(&MicrobenchConfig {
-        odp: OdpMode::None,
-        num_ops: 16,
-        capture: true,
-        ..Default::default()
-    });
-    assert!(!run.timed_out());
-    let report = lint_capture(run.cluster.capture(run.client), &LintConfig::default());
+    let mut sc = Scenario::fig3_loop(16, 1, 100, SimTime::ZERO);
+    (sc.client_odp, sc.server_odp) = (false, false);
+    let run = run_scenario(&sc);
+    assert_eq!(run.client_stats.timeouts, 0);
+    let report = lint_capture(&run.captures[0], &LintConfig::default());
     assert!(
         report.is_clean(),
         "clean run must produce 0 findings: {report}"
@@ -144,7 +133,7 @@ fn damming_ghosts_do_not_violate_conservation() {
         qp,
         ReadWr::new(local.key, remote.key).len(1 << 20).id(0u64),
     );
-    eng.run_until(&mut cl, ibsim_event::SimTime::from_ms(1));
+    eng.run_until(&mut cl, SimTime::from_ms(1));
     cl.post(
         &mut eng,
         a,

@@ -2,47 +2,40 @@
 //! and summary of a seeded probe run are pinned by hash, and every
 //! recorded fault span must account for its full end-to-end latency.
 
-use ibsim_event::SimTime;
-use ibsim_odp::{fnv1a_str, run_microbench, MicrobenchConfig, MicrobenchRun, OdpMode};
-use ibsim_telemetry::{export_jsonl, render_summary};
+use ibsim_event::{fnv1a_str, SimTime};
+use ibsim_scenario::{run_scenario_with, RunOptions, Scenario, TelemetryMode};
+use ibsim_telemetry::{export_jsonl, render_summary, Telemetry};
 
-fn damming_cfg() -> MicrobenchConfig {
-    MicrobenchConfig {
-        interval: SimTime::from_ms(1),
-        telemetry: true,
-        ..Default::default()
-    }
+fn damming_cfg() -> Scenario {
+    Scenario::fig3_loop(2, 1, 100, SimTime::from_ms(1))
 }
 
-fn flood_cfg() -> MicrobenchConfig {
-    MicrobenchConfig {
-        size: 32,
-        num_ops: 128,
-        num_qps: 128,
-        odp: OdpMode::ClientSide,
-        cack: 18,
-        telemetry: true,
-        ..Default::default()
-    }
+fn flood_cfg() -> Scenario {
+    let mut sc = Scenario::fig3_loop(128, 128, 32, SimTime::ZERO);
+    (sc.server_odp, sc.cack) = (false, 18);
+    sc
 }
 
 /// The Fig. 9 both-side-ODP cell at 50 QPs.
-fn fifty_qp_cfg() -> MicrobenchConfig {
-    MicrobenchConfig {
-        num_ops: 2048,
-        num_qps: 50,
-        odp: OdpMode::BothSide,
-        cack: 18,
-        telemetry: true,
-        ..Default::default()
-    }
+fn fifty_qp_cfg() -> Scenario {
+    let mut sc = Scenario::fig3_loop(2048, 50, 100, SimTime::ZERO);
+    sc.cack = 18;
+    sc
 }
 
-/// Asserts the FNV-1a of `cfg`'s JSONL export (and its line count) and
+/// `sc`'s synced hub; capture off, as it does not move the hub.
+fn hub(sc: &Scenario) -> Telemetry {
+    let opts = RunOptions {
+        capture: false,
+        telemetry: TelemetryMode::Synced,
+    };
+    run_scenario_with(sc, opts).telemetry
+}
+
+/// Asserts the FNV-1a of `sc`'s JSONL export (and its line count) and
 /// of its summary table.
-fn assert_pinned(cfg: &MicrobenchConfig, jsonl: (u64, usize), summary: u64) {
-    let run = run_microbench(cfg);
-    let t = run.cluster.telemetry();
+fn assert_pinned(sc: &Scenario, jsonl: (u64, usize), summary: u64) {
+    let t = &hub(sc);
     let out = export_jsonl(t);
     assert_eq!(
         (fnv1a_str(&out), out.lines().count()),
@@ -83,8 +76,8 @@ fn fifty_qp_both_side_exports_are_pinned() {
     );
 }
 
-fn assert_spans_account_for_latency(run: &MicrobenchRun) {
-    let spans = run.cluster.telemetry().spans();
+fn assert_spans_account_for_latency(t: &Telemetry) {
+    let spans = t.spans();
     assert!(!spans.is_empty(), "run must close at least one span");
     for s in spans {
         let stages = s.stages().expect("closed span has all stages");
@@ -103,34 +96,34 @@ fn assert_spans_account_for_latency(run: &MicrobenchRun) {
 
 #[test]
 fn damming_jsonl_is_byte_identical_across_runs() {
-    let a = export_jsonl(run_microbench(&damming_cfg()).cluster.telemetry());
-    let b = export_jsonl(run_microbench(&damming_cfg()).cluster.telemetry());
+    let a = export_jsonl(&hub(&damming_cfg()));
+    let b = export_jsonl(&hub(&damming_cfg()));
     assert!(!a.is_empty());
     assert_eq!(a, b, "seeded damming telemetry export must be reproducible");
 }
 
 #[test]
 fn flood_jsonl_is_byte_identical_across_runs() {
-    let a = export_jsonl(run_microbench(&flood_cfg()).cluster.telemetry());
-    let b = export_jsonl(run_microbench(&flood_cfg()).cluster.telemetry());
+    let a = export_jsonl(&hub(&flood_cfg()));
+    let b = export_jsonl(&hub(&flood_cfg()));
     assert!(!a.is_empty());
     assert_eq!(a, b, "seeded flood telemetry export must be reproducible");
 }
 
 #[test]
 fn damming_spans_stage_durations_sum_to_end_to_end() {
-    assert_spans_account_for_latency(&run_microbench(&damming_cfg()));
+    assert_spans_account_for_latency(&hub(&damming_cfg()));
 }
 
 #[test]
 fn flood_spans_stage_durations_sum_to_end_to_end() {
-    assert_spans_account_for_latency(&run_microbench(&flood_cfg()));
+    assert_spans_account_for_latency(&hub(&flood_cfg()));
 }
 
 #[test]
 fn flood_span_sees_the_stale_qp_propagation() {
-    let run = run_microbench(&flood_cfg());
-    let spans = run.cluster.telemetry().spans();
+    let t = hub(&flood_cfg());
+    let spans = t.spans();
     // Fig. 11a: one shared fault, the other QPs all go stale and must be
     // resumed one by one — the propagation stage dominates.
     let worst = spans

@@ -17,8 +17,10 @@
 use ibsim_bench::{header, row, secs};
 use ibsim_event::{Engine, SimTime};
 use ibsim_fabric::LinkSpec;
+use ibsim_odp::experiment::fig3;
 use ibsim_odp::regcache::{deregistration_cost, registration_cost, PinDownCache};
-use ibsim_odp::{run_microbench, MicrobenchConfig, OdpMode};
+use ibsim_odp::OdpMode;
+use ibsim_scenario::{run_scenario_with, RunOptions, ScenarioRun};
 use ibsim_verbs::{Cluster, DeviceProfile, MrBuilder, MrMode, QpConfig, ReadWr, Sim, WrId};
 
 /// Sequentially READs `transfers` times, one of `buffers` 16 KiB client
@@ -129,15 +131,21 @@ fn part1() {
     );
 }
 
+/// `ops` 32-byte READs over `qps` QPs on `device`, client-side ODP,
+/// `C_ack = 18`: the flood case.
+fn flood_case(device: DeviceProfile, ops: usize, qps: usize) -> ScenarioRun {
+    let mut sc = fig3(ops, qps, 32, SimTime::ZERO, OdpMode::ClientSide);
+    (sc.device, sc.cack) = (device, 18);
+    run_scenario_with(&sc, RunOptions::BARE)
+}
+
 fn part2() {
     header("Ablation 2: quirk knockouts");
     let damming_case = |device: DeviceProfile| {
-        let run = run_microbench(&MicrobenchConfig {
-            device,
-            interval: SimTime::from_ms(1),
-            ..Default::default()
-        });
-        (run.execution_time, run.timeouts)
+        let mut sc = fig3(2, 1, 100, SimTime::from_ms(1), OdpMode::BothSide);
+        sc.device = device;
+        let run = run_scenario_with(&sc, RunOptions::BARE);
+        (run.execution_time(), run.client_stats.timeouts)
     };
     let cx4 = DeviceProfile::connectx4(LinkSpec::fdr());
     let (t_on, to_on) = damming_case(cx4.clone());
@@ -159,21 +167,17 @@ fn part2() {
 
     // RNR stretch governs the Fig. 6a window width.
     for stretch_pm in [1000u64, 3500] {
-        let device = DeviceProfile {
+        let mut sc = fig3(2, 1, 100, SimTime::from_ms(2), OdpMode::ServerSide);
+        sc.device = DeviceProfile {
             rnr_stretch_pm: stretch_pm,
             ..cx4.clone()
         };
-        let run = run_microbench(&MicrobenchConfig {
-            device,
-            interval: SimTime::from_ms(2),
-            odp: OdpMode::ServerSide,
-            ..Default::default()
-        });
+        let run = run_scenario_with(&sc, RunOptions::BARE);
         println!(
             "rnr_stretch {:>4} permille: 2 ms interval -> {} ({} timeouts; window = stretch x 1.28 ms)",
             stretch_pm,
-            secs(run.execution_time),
-            run.timeouts
+            secs(run.execution_time()),
+            run.client_stats.timeouts
         );
     }
 
@@ -183,18 +187,11 @@ fn part2() {
             resume_slots: slots,
             ..cx4.clone()
         };
-        let run = run_microbench(&MicrobenchConfig {
-            device,
-            size: 32,
-            num_ops: 128,
-            num_qps: 128,
-            odp: OdpMode::ClientSide,
-            cack: 18,
-            ..Default::default()
-        });
+        let run = flood_case(device, 128, 128);
         println!(
             "resume_slots {slots:>4}: 128-QP flood case finishes in {} ({} discarded responses)",
-            run.execution_time, run.responses_discarded
+            run.execution_time(),
+            run.client_stats.responses_discarded
         );
     }
 
@@ -204,18 +201,10 @@ fn part2() {
             irq_burst: burst,
             ..cx4.clone()
         };
-        let run = run_microbench(&MicrobenchConfig {
-            device,
-            size: 32,
-            num_ops: 512,
-            num_qps: 128,
-            odp: OdpMode::ClientSide,
-            cack: 18,
-            ..Default::default()
-        });
+        let run = flood_case(device, 512, 128);
         println!(
             "irq_burst {burst:>4}: 512-op flood case finishes in {}",
-            run.execution_time
+            run.execution_time()
         );
     }
 }

@@ -4,20 +4,16 @@
 
 use ibsim_analysis::render_workflow;
 use ibsim_bench::header;
-use ibsim_odp::{run_microbench, MicrobenchConfig, OdpMode};
+use ibsim_odp::{experiment::fig1, OdpMode};
+use ibsim_scenario::run_scenario;
 
 /// A single READ under `odp`: the client's annotated timeline.
 fn fig1_workflow(odp: OdpMode) -> String {
-    let run = run_microbench(&MicrobenchConfig {
-        num_ops: 1,
-        odp,
-        capture: true,
-        ..Default::default()
-    });
+    let run = run_scenario(&fig1(odp));
     format!(
         "{} — single READ, min RNR NAK delay 1.28 ms\n{}",
         odp.label(),
-        render_workflow(run.cluster.capture(run.client))
+        render_workflow(&run.captures[0])
     )
 }
 

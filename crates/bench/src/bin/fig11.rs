@@ -3,20 +3,16 @@
 //! messages and client-side ODP, for 128 and 512 operations.
 
 use ibsim_bench::{header, quick_mode};
-use ibsim_odp::{fig11_curves, MicrobenchConfig};
+use ibsim_odp::experiment::{completions_per_page, fig11};
+use ibsim_scenario::{run_scenario_with, RunOptions};
+use ibsim_verbs::PAGE_SIZE;
 
 fn main() {
     let qps = if quick_mode() { 64 } else { 128 };
     header("Fig. 10: memory layout (32-byte slots, one QP per op, round-robin)");
-    let cfg = MicrobenchConfig {
-        size: 32,
-        num_ops: 512,
-        num_qps: qps,
-        ..Default::default()
-    };
     println!(
         "512 ops x 32 B -> {} pages; ops i uses QP i % {} at byte offset 32*i",
-        cfg.pages_involved(),
+        fig11(512, qps).region_len().div_ceil(PAGE_SIZE),
         qps
     );
 
@@ -25,17 +21,14 @@ fn main() {
             "Fig. 11: {ops} operations, {qps} QPs, client-side ODP"
         ));
         println!("page,op_index_within_page,completion_ms");
-        let curves = fig11_curves(ops, qps);
-        for c in &curves {
-            for (i, t) in c.completions.iter().enumerate() {
-                println!("{},{},{:.3}", c.page, i, t.as_ms_f64());
+        let sc = fig11(ops, qps);
+        let pages = completions_per_page(&sc, &run_scenario_with(&sc, RunOptions::BARE));
+        for (page, completions) in pages.iter().enumerate() {
+            for (i, t) in completions.iter().enumerate() {
+                println!("{page},{i},{:.3}", t.as_ms_f64());
             }
         }
-        let last = curves
-            .iter()
-            .flat_map(|c| c.completions.iter())
-            .max()
-            .copied();
+        let last = pages.iter().flatten().max().copied();
         if let Some(last) = last {
             println!("(last completion at {last})");
         }

@@ -3,7 +3,7 @@
 //! methodology (`C_retry = 7`, `T_o = t/8`).
 
 use ibsim_bench::{header, quick_mode, row};
-use ibsim_odp::{fig2_curve, SystemProfile};
+use ibsim_odp::{experiment::fig2_curve, SystemProfile};
 
 fn main() {
     let cacks: Vec<u8> = if quick_mode() {

@@ -4,7 +4,8 @@
 
 use ibsim_bench::{header, quick_mode};
 use ibsim_event::SimTime;
-use ibsim_odp::fig4_series;
+use ibsim_odp::experiment::fig4_cells;
+use ibsim_scenario::{run_scenario_with, RunOptions};
 
 fn main() {
     let trials = if quick_mode() { 3 } else { 10 };
@@ -14,12 +15,12 @@ fn main() {
         .collect();
     header("Fig. 4: mean execution time [s] vs interval [ms] (two READs, both-side ODP)");
     println!("interval_ms,mean_execution_s");
-    for p in fig4_series(&intervals, trials) {
-        println!(
-            "{:.3},{:.4}",
-            p.interval.as_ms_f64(),
-            p.mean_execution.as_secs_f64()
-        );
+    for (interval, cell) in fig4_cells(&intervals, trials) {
+        let runs = cell
+            .iter()
+            .map(|sc| run_scenario_with(sc, RunOptions::BARE));
+        let mean = runs.map(|r| r.execution_time()).sum::<SimTime>() / trials;
+        println!("{:.3},{:.4}", interval.as_ms_f64(), mean.as_secs_f64());
     }
     println!(
         "\nPaper reference: several hundred milliseconds for intervals of\n\

@@ -4,27 +4,19 @@
 use ibsim_analysis::render_workflow;
 use ibsim_bench::header;
 use ibsim_event::SimTime;
-use ibsim_odp::{run_microbench, MicrobenchConfig, OdpMode};
+use ibsim_odp::{experiment::fig5, OdpMode};
+use ibsim_scenario::{run_scenario, POST_OVERHEAD_NS};
 
 /// Two READs inside the recovery window under `odp`: the client's
 /// annotated timeline, which shows the ~500 ms timeout.
 fn fig5_workflow(odp: OdpMode) -> String {
-    let interval = match odp {
-        OdpMode::ClientSide => SimTime::from_us(300),
-        OdpMode::None | OdpMode::ServerSide | OdpMode::BothSide => SimTime::from_ms(1),
-    };
-    let run = run_microbench(&MicrobenchConfig {
-        num_ops: 2,
-        interval,
-        odp,
-        capture: true,
-        ..Default::default()
-    });
+    let sc = fig5(odp);
+    let run = run_scenario(&sc);
     format!(
         "{} — two READs, interval {}\n{}",
         odp.label(),
-        interval,
-        render_workflow(run.cluster.capture(run.client))
+        SimTime::from_ns(sc.post_interval_ns - POST_OVERHEAD_NS),
+        render_workflow(&run.captures[0])
     )
 }
 

@@ -2,9 +2,9 @@
 //! of two READs, for server-side (a) and client-side (b) ODP, varying the
 //! minimal RNR NAK delay.
 
-use ibsim_bench::{header, quick_mode};
+use ibsim_bench::{header, print_timeout_series, quick_mode};
 use ibsim_event::SimTime;
-use ibsim_odp::{fig6_series, OdpMode};
+use ibsim_odp::{experiment::fig6_series, OdpMode};
 
 fn main() {
     let trials = if quick_mode() { 3 } else { 10 };
@@ -19,36 +19,25 @@ fn main() {
         SimTime::from_ms_f64(1.28),
         SimTime::from_ms_f64(10.24),
     ];
-    print_series(
+    print_timeout_series(&fig6_series(
+        OdpMode::ServerSide,
+        &delays,
         &intervals,
-        fig6_series(OdpMode::ServerSide, &delays, &intervals, trials),
-    );
+        trials,
+    ));
 
     header("Fig. 6b: client-side ODP, P(timeout) vs interval");
     let delays_b = [SimTime::from_ms_f64(1.28)];
-    print_series(
+    print_timeout_series(&fig6_series(
+        OdpMode::ClientSide,
+        &delays_b,
         &intervals,
-        fig6_series(OdpMode::ClientSide, &delays_b, &intervals, trials),
-    );
+        trials,
+    ));
 
     println!(
         "\nPaper reference: 6a's window tracks the actual RNR wait (~4.5 ms\n\
          at 1.28 ms delay); 6b's window is ~0.5 ms, the client-side\n\
          retransmission interval."
     );
-}
-
-fn print_series(intervals: &[SimTime], series: Vec<ibsim_odp::TimeoutSeries>) {
-    print!("interval_ms");
-    for s in &series {
-        print!(",{}", s.label);
-    }
-    println!();
-    for (i, iv) in intervals.iter().enumerate() {
-        print!("{:.3}", iv.as_ms_f64());
-        for s in &series {
-            print!(",{:.0}", s.points[i].1 * 100.0);
-        }
-        println!();
-    }
 }

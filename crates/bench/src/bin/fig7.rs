@@ -3,9 +3,9 @@
 //! operations *narrow* the window because later requests rescue the
 //! dammed one via NAK(PSN sequence error).
 
-use ibsim_bench::{header, quick_mode};
+use ibsim_bench::{header, print_timeout_series, quick_mode};
 use ibsim_event::SimTime;
-use ibsim_odp::fig7_series;
+use ibsim_odp::experiment::fig7_series;
 
 fn main() {
     let trials = if quick_mode() { 3 } else { 10 };
@@ -14,19 +14,7 @@ fn main() {
         .map(|i| SimTime::from_us(i * step_us))
         .collect();
     header("Fig. 7: both-side ODP, P(timeout) vs interval, 2-4 operations");
-    let series = fig7_series(&[2, 3, 4], &intervals, trials);
-    print!("interval_ms");
-    for s in &series {
-        print!(",{}", s.label);
-    }
-    println!();
-    for (i, iv) in intervals.iter().enumerate() {
-        print!("{:.3}", iv.as_ms_f64());
-        for s in &series {
-            print!(",{:.0}", s.points[i].1 * 100.0);
-        }
-        println!();
-    }
+    print_timeout_series(&fig7_series(&[2, 3, 4], &intervals, trials));
     println!(
         "\nPaper reference: the timeout range narrows as operations are\n\
          added — with n ops it persists only while all n-1 follow-ups fit\n\

@@ -4,23 +4,16 @@
 
 use ibsim_analysis::render_workflow;
 use ibsim_bench::header;
-use ibsim_event::SimTime;
-use ibsim_odp::{run_microbench, MicrobenchConfig, OdpMode};
+use ibsim_odp::experiment::fig8;
+use ibsim_scenario::run_scenario;
 
 fn main() {
     // The second READ inside, the third outside the recovery window.
-    let run = run_microbench(&MicrobenchConfig {
-        num_ops: 3,
-        interval: SimTime::from_us(350),
-        odp: OdpMode::ClientSide,
-        touch_all_but_first: true,
-        capture: true,
-        ..Default::default()
-    });
+    let run = run_scenario(&fig8());
     header("Fig. 8: client-side ODP, three READs");
     println!(
         "Client-side ODP — three READs, interval 350 µs\n{}",
-        render_workflow(run.cluster.capture(run.client))
+        render_workflow(&run.captures[0])
     );
     println!(
         "\nPaper reference: after the NAK with the PSN sequence error, the\n\

@@ -3,7 +3,8 @@
 //! and number of packets (9b) for every ODP mode.
 
 use ibsim_bench::{header, quick_mode};
-use ibsim_odp::fig9_points;
+use ibsim_odp::experiment::fig9_cells;
+use ibsim_scenario::{run_scenario_with, RunOptions};
 
 fn main() {
     let (qp_counts, num_ops): (Vec<usize>, usize) = if quick_mode() {
@@ -17,19 +18,17 @@ fn main() {
     println!("-- Fig. 9a execution time [s] / 9b packets, streamed per point --");
     println!("qps,mode,execution_s,packets,errors");
     let mut errs = 0;
-    for &q in &qp_counts {
-        let pts = fig9_points(&[q], num_ops, 100);
-        for p in &pts {
-            println!(
-                "{},{},{:.4},{},{}",
-                p.qps,
-                p.mode.label(),
-                p.execution.as_secs_f64(),
-                p.packets,
-                p.errors
-            );
-        }
-        errs += pts.iter().map(|p| p.errors).sum::<usize>();
+    for (mode, sc) in fig9_cells(&qp_counts, num_ops, 100) {
+        let run = run_scenario_with(&sc, RunOptions::BARE);
+        println!(
+            "{},{},{:.4},{},{}",
+            sc.qps,
+            mode.label(),
+            run.execution_time().as_secs_f64(),
+            run.total_packets,
+            run.errors()
+        );
+        errs += run.errors();
     }
     println!("(operations failed with RETRY_EXC_ERR across all runs: {errs})");
     println!(

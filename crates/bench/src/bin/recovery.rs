@@ -15,10 +15,10 @@
 //! ```
 
 use ibsim_bench::{header, row, secs};
-use ibsim_event::SimTime;
-use ibsim_fabric::LinkSpec;
-use ibsim_odp::{fnv1a_str, run_microbench, MicrobenchConfig, MicrobenchRun, OdpMode};
-use ibsim_verbs::{DeviceProfile, RecoveryKind};
+use ibsim_event::{fnv1a_str, SimTime};
+use ibsim_odp::{experiment::fig3, OdpMode};
+use ibsim_scenario::{run_scenario, Scenario, ScenarioRun};
+use ibsim_verbs::RecoveryKind;
 
 /// Every backend, in ablation order (the paper's hardware first).
 const KINDS: [RecoveryKind; 3] = [
@@ -32,36 +32,30 @@ const GBN_DAMMING_GOLDEN: u64 = 0x4807_1338_d6e8_def4;
 /// Pinned FNV-1a hash of the go-back-N §VI flood client timeline.
 const GBN_FLOOD_GOLDEN: u64 = 0x6ee9_7c4d_3a1f_eb25;
 
+/// `sc` under one backend.
+fn under(mut sc: Scenario, kind: RecoveryKind) -> ScenarioRun {
+    sc.recovery = kind;
+    run_scenario(&sc)
+}
+
 /// The §V two-READ packet-damming micro-benchmark (server-side ODP,
 /// 1 ms posting interval) under one backend.
-fn damming(kind: RecoveryKind) -> MicrobenchRun {
-    run_microbench(&MicrobenchConfig {
-        device: DeviceProfile::connectx4(LinkSpec::fdr()),
-        interval: SimTime::from_ms(1),
-        odp: OdpMode::ServerSide,
-        capture: true,
-        recovery: kind,
-        ..Default::default()
-    })
+fn damming(kind: RecoveryKind) -> ScenarioRun {
+    under(
+        fig3(2, 1, 100, SimTime::from_ms(1), OdpMode::ServerSide),
+        kind,
+    )
 }
 
 /// The §VI 128-QP packet-flood micro-benchmark (client-side ODP,
 /// `C_ack = 18`) under one backend.
-fn flood(kind: RecoveryKind) -> MicrobenchRun {
-    run_microbench(&MicrobenchConfig {
-        device: DeviceProfile::connectx4(LinkSpec::fdr()),
-        size: 32,
-        num_ops: 512,
-        num_qps: 128,
-        odp: OdpMode::ClientSide,
-        cack: 18,
-        capture: true,
-        recovery: kind,
-        ..Default::default()
-    })
+fn flood(kind: RecoveryKind) -> ScenarioRun {
+    let mut sc = fig3(512, 128, 32, SimTime::ZERO, OdpMode::ClientSide);
+    sc.cack = 18;
+    under(sc, kind)
 }
 
-fn table(title: &str, runs: &[(RecoveryKind, MicrobenchRun)]) {
+fn table(title: &str, runs: &[(RecoveryKind, ScenarioRun)]) {
     header(title);
     let widths = [16, 14, 10, 8, 11, 8, 8];
     println!(
@@ -80,17 +74,18 @@ fn table(title: &str, runs: &[(RecoveryKind, MicrobenchRun)]) {
         )
     );
     for (kind, run) in runs {
+        let (c, s) = (&run.client_stats, &run.server_stats);
         println!(
             "{}",
             row(
                 &[
                     kind.to_string(),
-                    secs(run.execution_time),
-                    run.timeouts.to_string(),
-                    run.retransmissions.to_string(),
-                    run.responses_discarded.to_string(),
-                    run.faults.to_string(),
-                    run.pages_pinned.to_string(),
+                    secs(run.execution_time()),
+                    c.timeouts.to_string(),
+                    c.retransmissions.to_string(),
+                    c.responses_discarded.to_string(),
+                    (c.faults_raised + s.faults_raised).to_string(),
+                    (c.pages_pinned + s.pages_pinned).to_string(),
                 ],
                 &widths
             )
@@ -102,8 +97,12 @@ fn main() {
     let damming_runs: Vec<_> = KINDS.into_iter().map(|k| (k, damming(k))).collect();
     let flood_runs: Vec<_> = KINDS.into_iter().map(|k| (k, flood(k))).collect();
     for (_, run) in damming_runs.iter().chain(&flood_runs) {
-        assert_eq!(run.errors, 0, "every op must complete");
-        assert!(run.data_ok, "every READ must return the right bytes");
+        assert_eq!(run.errors(), 0, "every op must complete");
+        // The READs cover the whole buffer.
+        assert!(
+            run.client_mem == run.server_mem,
+            "every READ must return the right bytes"
+        );
     }
 
     table(
@@ -116,8 +115,8 @@ fn main() {
     );
 
     // --- Golden gates: go-back-N is bit-identical to the pre-trait model.
-    let gbn_damming = fnv1a_str(&damming_runs[0].1.client_timeline());
-    let gbn_flood = fnv1a_str(&flood_runs[0].1.client_timeline());
+    let gbn_damming = fnv1a_str(&damming_runs[0].1.captures[0].timeline());
+    let gbn_flood = fnv1a_str(&flood_runs[0].1.captures[0].timeline());
     assert_eq!(
         gbn_damming, GBN_DAMMING_GOLDEN,
         "go-back-N damming timeline drifted (hash {gbn_damming:#018x})"
@@ -131,30 +130,35 @@ fn main() {
     let [gbn_d, irn_d, pin_d] = [&damming_runs[0].1, &damming_runs[1].1, &damming_runs[2].1];
     let [gbn_f, irn_f, pin_f] = [&flood_runs[0].1, &flood_runs[1].1, &flood_runs[2].1];
 
+    let pinned = |r: &ScenarioRun| r.client_stats.pages_pinned + r.server_stats.pages_pinned;
+    let faults = |r: &ScenarioRun| r.client_stats.faults_raised + r.server_stats.faults_raised;
+
     // Only pinning pins; everything else leaves ODP demand-paged.
     for run in [gbn_d, irn_d, gbn_f, irn_f] {
-        assert_eq!(run.pages_pinned, 0, "only on-demand pinning may pin");
+        assert_eq!(pinned(run), 0, "only on-demand pinning may pin");
     }
-    assert!(pin_d.pages_pinned > 0 && pin_f.pages_pinned > 0);
+    assert!(pinned(pin_d) > 0 && pinned(pin_f) > 0);
 
     // IRN removes the flood's retransmit amplification outright.
+    let (irn_retx, gbn_retx) = (
+        irn_f.client_stats.retransmissions,
+        gbn_f.client_stats.retransmissions,
+    );
     assert!(
-        irn_f.retransmissions < gbn_f.retransmissions,
+        irn_retx < gbn_retx,
         "selective repeat must retransmit strictly less than go-back-N \
-         under the flood ({} vs {})",
-        irn_f.retransmissions,
-        gbn_f.retransmissions
+         under the flood ({irn_retx} vs {gbn_retx})"
     );
 
     // Pinning closes the fault window before it opens: no faults, no
     // timeouts, and the damming incident disappears entirely.
     for run in [pin_d, pin_f] {
-        assert_eq!(run.faults, 0, "pinning must not fault");
-        assert_eq!(run.timeouts, 0, "pinning must not time out");
-        assert_eq!(run.responses_discarded, 0);
+        assert_eq!(faults(run), 0, "pinning must not fault");
+        assert_eq!(run.client_stats.timeouts, 0, "pinning must not time out");
+        assert_eq!(run.client_stats.responses_discarded, 0);
     }
     assert!(
-        pin_d.execution_time < gbn_d.execution_time,
+        pin_d.execution_time() < gbn_d.execution_time(),
         "pinning must beat go-back-N through the damming window"
     );
 

@@ -39,6 +39,8 @@ pub mod congestion;
 pub mod perftest;
 
 use ibsim_event::SimTime;
+use ibsim_odp::experiment::{timed_out, Series};
+use ibsim_scenario::{run_scenario_with, RunOptions};
 
 /// Returns true if `--quick` was passed: run a reduced-scale variant.
 pub fn quick_mode() -> bool {
@@ -135,6 +137,30 @@ pub fn header(title: &str) {
 /// Formats a time as seconds with 3 decimals.
 pub fn secs(t: SimTime) -> String {
     format!("{:.3}", t.as_secs_f64())
+}
+
+/// Prints Figs. 6 and 7: one row per interval, one column per series,
+/// each cell the percentage of its trials in which a transport timeout
+/// fired.
+pub fn print_timeout_series(series: &[Series]) {
+    print!("interval_ms");
+    for s in series {
+        print!(",{}", s.label);
+    }
+    println!();
+    let intervals = series.first().map_or(&[][..], |s| &s.cells);
+    for (i, (interval, _)) in intervals.iter().enumerate() {
+        print!("{:.3}", interval.as_ms_f64());
+        for s in series {
+            let trials = &s.cells[i].1;
+            let runs = trials
+                .iter()
+                .map(|sc| run_scenario_with(sc, RunOptions::BARE));
+            let hits = runs.filter(timed_out).count();
+            print!(",{:.0}", hits as f64 / trials.len() as f64 * 100.0);
+        }
+        println!();
+    }
 }
 
 #[cfg(test)]

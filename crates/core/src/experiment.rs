@@ -1,17 +1,18 @@
-//! Figure-level experiment runners.
+//! The paper's figures as families of Fig. 3 loops.
 //!
-//! Each function regenerates the data behind one figure of the paper's
-//! evaluation; the `ibsim-bench` binaries format the results as the rows
-//! and series the paper reports. Everything here is plain library code so
-//! experiments are unit-testable at reduced scale.
+//! Each generator names the cells behind one figure of the evaluation as
+//! [`Scenario`]s — [`Scenario::fig3_loop`] settings — and the renderers
+//! reduce a run to what the figure plots. The `ibsim-bench` bins run the
+//! cells through the scenario executor and print the rows and series the
+//! paper reports; the same specs go through the differential oracle in
+//! this crate's tests.
 
 use ibsim_event::{Engine, SimTime};
 use ibsim_fabric::Lid;
-use ibsim_verbs::{Cluster, MrMode, QpConfig, ReadWr, WcStatus};
+use ibsim_scenario::{Prefetch, Scenario, ScenarioRun};
+use ibsim_verbs::{Cluster, MrMode, QpConfig, ReadWr, WcStatus, PAGE_SIZE};
 
-use crate::microbench::{
-    average_execution, run_microbench, timeout_probability, MicrobenchConfig, OdpMode,
-};
+use crate::microbench::OdpMode;
 use crate::systems::SystemProfile;
 
 /// One measured point of Fig. 2: actual time-to-timeout vs `C_ack`.
@@ -65,168 +66,199 @@ pub fn fig2_curve(sys: &SystemProfile, cacks: impl Iterator<Item = u8>) -> Vec<F
         .collect()
 }
 
-/// One point of Fig. 4: mean execution time of the two-READ benchmark at
-/// a given interval.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Fig4Point {
-    /// Interval between the two READs.
-    pub interval: SimTime,
-    /// Mean execution time over the trials.
-    pub mean_execution: SimTime,
+/// `ops` READs of `size` bytes over `qps` QPs, posted `interval` apart,
+/// with ODP on `odp`'s sides; otherwise [`Scenario::fig3_loop`]'s §V
+/// defaults.
+pub fn fig3(ops: usize, qps: usize, size: u32, interval: SimTime, odp: OdpMode) -> Scenario {
+    let mut sc = Scenario::fig3_loop(ops, qps, size, interval);
+    odp.apply(&mut sc);
+    sc
 }
 
-/// Fig. 4: two READs, both-side ODP, minimal RNR NAK delay 1.28 ms,
-/// averaging `trials` seeds per interval.
-pub fn fig4_series(intervals: &[SimTime], trials: u64) -> Vec<Fig4Point> {
-    intervals
-        .iter()
-        .map(|&interval| {
-            let cfg = MicrobenchConfig {
-                interval,
-                ..Default::default()
-            };
-            Fig4Point {
-                interval,
-                mean_execution: average_execution(&cfg, trials),
-            }
+/// `sc` renamed `name`, so that a report on it says which cell it is.
+fn named(name: String, sc: Scenario) -> Scenario {
+    Scenario { name, ..sc }
+}
+
+/// `odp`'s sides as a word for a spec name.
+fn sides(odp: OdpMode) -> &'static str {
+    match odp {
+        OdpMode::None => "pinned",
+        OdpMode::ServerSide => "server",
+        OdpMode::ClientSide => "client",
+        OdpMode::BothSide => "both",
+    }
+}
+
+/// `sc` once per trial, trial `t` named `<name>-t<t>` and run under a
+/// seed drawn from `sc`'s.
+pub fn trials(sc: &Scenario, n: u64) -> Vec<Scenario> {
+    (0..n)
+        .map(|t| Scenario {
+            name: format!("{}-t{t}", sc.name),
+            seed: sc.seed.wrapping_mul(0x9E37_79B9).wrapping_add(t + 1),
+            ..sc.clone()
         })
         .collect()
 }
 
-/// One probability-of-timeout series (Figs. 6 and 7).
-#[derive(Debug, Clone, PartialEq)]
-pub struct TimeoutSeries {
+/// One x value of a figure and the trials behind it.
+pub type Cell = (SimTime, Vec<Scenario>);
+
+/// One series of a figure: its legend label and cells.
+#[derive(Debug, Clone)]
+pub struct Series {
     /// Legend label (RNR delay for Fig. 6, op count for Fig. 7).
     pub label: String,
-    /// `(interval, probability)` points.
-    pub points: Vec<(SimTime, f64)>,
+    /// The series' cells, in x order.
+    pub cells: Vec<Cell>,
 }
 
-/// Fig. 6a/6b: probability of timeout vs interval for two READs, one
-/// series per minimal RNR NAK delay, in the given ODP side.
+/// Fig. 1: a single READ under `odp`, minimal RNR NAK delay 1.28 ms.
+pub fn fig1(odp: OdpMode) -> Scenario {
+    let sc = fig3(1, 1, 100, SimTime::ZERO, odp);
+    named(format!("fig1-{}", sides(odp)), sc)
+}
+
+/// Fig. 5: two READs inside the recovery window under `odp` — 0.3 ms
+/// apart client-side, 1 ms apart otherwise.
+pub fn fig5(odp: OdpMode) -> Scenario {
+    let interval = match odp {
+        OdpMode::ClientSide => SimTime::from_us(300),
+        OdpMode::None | OdpMode::ServerSide | OdpMode::BothSide => SimTime::from_ms(1),
+    };
+    named(
+        format!("fig5-{}", sides(odp)),
+        fig3(2, 1, 100, interval, odp),
+    )
+}
+
+/// Fig. 4: two READs, both-side ODP, minimal RNR NAK delay 1.28 ms, one
+/// cell of `trials` seeds per interval.
+pub fn fig4_cells(intervals: &[SimTime], trials_per_cell: u64) -> Vec<Cell> {
+    intervals
+        .iter()
+        .map(|&interval| {
+            let sc = fig3(2, 1, 100, interval, OdpMode::BothSide);
+            let sc = named(format!("fig4-{}us", interval.as_ns() / 1000), sc);
+            (interval, trials(&sc, trials_per_cell))
+        })
+        .collect()
+}
+
+/// Fig. 6a/6b: two READs in the given ODP side, one series per minimal
+/// RNR NAK delay.
 pub fn fig6_series(
     odp: OdpMode,
     rnr_delays: &[SimTime],
     intervals: &[SimTime],
-    trials: u64,
-) -> Vec<TimeoutSeries> {
+    trials_per_cell: u64,
+) -> Vec<Series> {
     rnr_delays
         .iter()
-        .map(|&delay| TimeoutSeries {
+        .map(|&delay| Series {
             label: format!("{:.2} [ms]", delay.as_ms_f64()),
-            points: intervals
+            cells: intervals
                 .iter()
                 .map(|&interval| {
-                    let cfg = MicrobenchConfig {
-                        interval,
-                        odp,
-                        min_rnr_delay: delay,
-                        ..Default::default()
-                    };
-                    (interval, timeout_probability(&cfg, trials))
+                    let mut sc = fig3(2, 1, 100, interval, odp);
+                    sc.min_rnr_delay_ns = delay.as_ns();
+                    let name = format!(
+                        "fig6-{}-rnr{}us-{}us",
+                        sides(odp),
+                        delay.as_ns() / 1000,
+                        interval.as_ns() / 1000
+                    );
+                    (interval, trials(&named(name, sc), trials_per_cell))
                 })
                 .collect(),
         })
         .collect()
 }
 
-/// Fig. 7: probability of timeout vs interval with 2–4 READ operations,
-/// both-side ODP, minimal RNR NAK delay 1.28 ms.
-pub fn fig7_series(op_counts: &[usize], intervals: &[SimTime], trials: u64) -> Vec<TimeoutSeries> {
+/// Fig. 7: 2–4 READ operations, both-side ODP, minimal RNR NAK delay
+/// 1.28 ms, one series per op count.
+pub fn fig7_series(
+    op_counts: &[usize],
+    intervals: &[SimTime],
+    trials_per_cell: u64,
+) -> Vec<Series> {
     op_counts
         .iter()
-        .map(|&num_ops| TimeoutSeries {
-            label: format!("{num_ops} operations"),
-            points: intervals
+        .map(|&ops| Series {
+            label: format!("{ops} operations"),
+            cells: intervals
                 .iter()
                 .map(|&interval| {
-                    let cfg = MicrobenchConfig {
-                        interval,
-                        num_ops,
-                        ..Default::default()
-                    };
-                    (interval, timeout_probability(&cfg, trials))
+                    let sc = fig3(ops, 1, 100, interval, OdpMode::BothSide);
+                    let sc = named(format!("fig7-{ops}ops-{}us", interval.as_ns() / 1000), sc);
+                    (interval, trials(&sc, trials_per_cell))
                 })
                 .collect(),
         })
         .collect()
 }
 
-/// One point of Fig. 9: a QP count × ODP mode cell.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Fig9Point {
-    /// Number of QPs.
-    pub qps: usize,
-    /// ODP mode.
-    pub mode: OdpMode,
-    /// Execution time of the benchmark.
-    pub execution: SimTime,
-    /// Total packets observed (Fig. 9b).
-    pub packets: u64,
-    /// Failed operations (retry exceeded), excluded from timing like the
-    /// paper's omitted samples.
-    pub errors: usize,
+/// Fig. 8: three READs 350 µs apart, client-side ODP, the buffer warm
+/// but for the first READ's page — the second READ inside the recovery
+/// window, the third outside it.
+pub fn fig8() -> Scenario {
+    let mut sc = fig3(3, 1, 100, SimTime::from_us(350), OdpMode::ClientSide);
+    sc.prefetch = Prefetch::AllButFirst;
+    named("fig8".to_owned(), sc)
 }
 
-/// Fig. 9: `num_ops` READs of `size` bytes over a varying number of QPs,
-/// for every ODP mode. The paper fixes 8192 ops × 100 B (200 pages) with
-/// `C_ack = 18`; tests run reduced scales.
-pub fn fig9_points(qp_counts: &[usize], num_ops: usize, size: u32) -> Vec<Fig9Point> {
-    let mut out = Vec::new();
-    for &qps in qp_counts {
-        for mode in OdpMode::ALL {
-            let cfg = MicrobenchConfig {
-                size,
-                num_ops,
-                num_qps: qps,
-                odp: mode,
-                cack: 18,
-                ..Default::default()
-            };
-            let run = run_microbench(&cfg);
-            out.push(Fig9Point {
-                qps,
-                mode,
-                execution: run.execution_time,
-                packets: run.total_packets,
-                errors: run.errors,
-            });
+/// Fig. 9: `ops` READs of `size` bytes over each QP count, in every ODP
+/// mode, with `C_ack = 18`. The paper fixes 8192 ops × 100 B (200
+/// pages); tests run reduced scales.
+pub fn fig9_cells(qp_counts: &[usize], ops: usize, size: u32) -> Vec<(OdpMode, Scenario)> {
+    let cell = |qps, mode| {
+        let mut sc = fig3(ops, qps, size, SimTime::ZERO, mode);
+        sc.cack = 18;
+        (mode, named(format!("fig9-{qps}qp-{}", sides(mode)), sc))
+    };
+    let modes = |qps| OdpMode::ALL.map(|mode| cell(qps, mode));
+    qp_counts.iter().flat_map(|&qps| modes(qps)).collect()
+}
+
+/// Fig. 11: 32-byte READs over `qps` QPs, client-side ODP, `C_ack = 18`;
+/// the paper plots 128 and 512 operations over 128 QPs.
+pub fn fig11(ops: usize, qps: usize) -> Scenario {
+    let mut sc = fig3(ops, qps, 32, SimTime::ZERO, OdpMode::ClientSide);
+    sc.cack = 18;
+    named(format!("fig11-{ops}ops-{qps}qp"), sc)
+}
+
+/// True if a transport timeout fired on the client — the §V damming
+/// signature the y-axis of Figs. 6 and 7 counts.
+pub fn timed_out(run: &ScenarioRun) -> bool {
+    run.client_stats.timeouts > 0
+}
+
+/// The sorted completion times of the successful requests on each
+/// buffer page (Fig. 11's curves; Fig. 10's layout gives the pages).
+pub fn completions_per_page(sc: &Scenario, run: &ScenarioRun) -> Vec<Vec<SimTime>> {
+    let mut pages = vec![Vec::new(); sc.region_len().div_ceil(PAGE_SIZE) as usize];
+    for c in run.client_comps.iter().flatten() {
+        if c.status.is_success() {
+            let (qp, wr) = sc.wrs[c.wr_id.0 as usize];
+            pages[((sc.window(qp) + wr.footprint().0) / PAGE_SIZE) as usize].push(c.at);
         }
     }
-    out
-}
-
-/// One per-page completion curve of Fig. 11.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Fig11Curve {
-    /// Buffer page index.
-    pub page: usize,
-    /// Sorted completion times of the ops on that page.
-    pub completions: Vec<SimTime>,
-}
-
-/// Fig. 11: completions per page over time. 128 QPs, 32-byte messages,
-/// client-side ODP; the paper plots 128 and 512 operations.
-pub fn fig11_curves(num_ops: usize, num_qps: usize) -> Vec<Fig11Curve> {
-    let cfg = MicrobenchConfig {
-        size: 32,
-        num_ops,
-        num_qps,
-        odp: OdpMode::ClientSide,
-        cack: 18,
-        ..Default::default()
-    };
-    let run = run_microbench(&cfg);
-    run.completions_per_page(&cfg)
-        .into_iter()
-        .enumerate()
-        .map(|(page, completions)| Fig11Curve { page, completions })
-        .collect()
+    for page in &mut pages {
+        page.sort_unstable();
+    }
+    pages
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ibsim_scenario::{run_scenario_with, RunOptions};
+
+    fn bare(sc: &Scenario) -> ScenarioRun {
+        run_scenario_with(sc, RunOptions::BARE)
+    }
 
     #[test]
     fn fig2_flat_below_floor_then_doubles() {
@@ -255,9 +287,16 @@ mod tests {
 
     #[test]
     fn fig4_shows_the_damming_plateau() {
-        let pts = fig4_series(&[SimTime::from_ms(1), SimTime::from_ms(6)], 2);
-        assert!(pts[0].mean_execution >= SimTime::from_ms(300));
-        assert!(pts[1].mean_execution < SimTime::from_ms(30));
+        let cells = fig4_cells(&[SimTime::from_ms(1), SimTime::from_ms(6)], 2);
+        let slowest = |c: &Cell| c.1.iter().map(|sc| bare(sc).execution_time()).max();
+        assert!(slowest(&cells[0]) >= Some(SimTime::from_ms(300)));
+        assert!(slowest(&cells[1]) < Some(SimTime::from_ms(30)));
+    }
+
+    /// Timeouts over the trials of a series' only cell.
+    fn hits(series: &Series) -> usize {
+        let runs = series.cells[0].1.iter().map(bare);
+        runs.filter(timed_out).count()
     }
 
     #[test]
@@ -270,8 +309,8 @@ mod tests {
         );
         // 1 ms interval: outside the 10 µs-delay window, inside the
         // 1.28 ms-delay window.
-        assert_eq!(series[0].points[0].1, 0.0, "small delay: no timeout");
-        assert_eq!(series[1].points[0].1, 1.0, "large delay: timeout");
+        assert_eq!(hits(&series[0]), 0, "small delay: no timeout");
+        assert_eq!(hits(&series[1]), 3, "large delay: timeout");
     }
 
     #[test]
@@ -279,8 +318,8 @@ mod tests {
         // At a 2 ms interval: 2 ops still dam (2 < 4.5 ms window), but
         // with 4 ops the fourth lands outside and rescues via NAK-seq.
         let series = fig7_series(&[2, 4], &[SimTime::from_ms(2)], 3);
-        assert_eq!(series[0].points[0].1, 1.0, "2 ops time out");
-        assert_eq!(series[1].points[0].1, 0.0, "4 ops are rescued");
+        assert_eq!(hits(&series[0]), 3, "2 ops time out");
+        assert_eq!(hits(&series[1]), 0, "4 ops are rescued");
     }
 
     #[test]
@@ -288,22 +327,18 @@ mod tests {
         // One op per QP isolates the flood from client-side damming: the
         // per-QP page-status staleness is the only slowdown mechanism.
         let run_at = |qps: usize, mode: OdpMode| {
-            crate::microbench::run_microbench(&MicrobenchConfig {
-                size: 32,
-                num_ops: qps,
-                num_qps: qps,
-                odp: mode,
-                cack: 18,
-                ..Default::default()
-            })
+            let (_, sc) = fig9_cells(&[qps], qps, 32)
+                .into_iter()
+                .find(|&(m, _)| m == mode)
+                .expect("every mode has a cell");
+            bare(&sc)
         };
         let small = run_at(4, OdpMode::ClientSide);
         let large = run_at(64, OdpMode::ClientSide);
+        let (t_small, t_large) = (small.execution_time(), large.execution_time());
         assert!(
-            large.execution_time > small.execution_time * 2,
-            "flood slows execution: {} vs {}",
-            large.execution_time,
-            small.execution_time
+            t_large > t_small * 2,
+            "flood slows execution: {t_large} vs {t_small}"
         );
         assert!(
             large.total_packets > small.total_packets * 4,
@@ -312,19 +347,18 @@ mod tests {
             small.total_packets
         );
         let baseline = run_at(64, OdpMode::None);
-        assert!(baseline.execution_time < SimTime::from_ms(5));
-        assert_eq!(baseline.errors, 0);
+        assert!(baseline.execution_time() < SimTime::from_ms(5));
+        assert_eq!(baseline.errors(), 0);
     }
 
     #[test]
     fn fig11_completions_cover_all_pages() {
-        let curves = fig11_curves(256, 64);
-        assert_eq!(curves.len(), 2, "256 ops × 32 B = 2 pages");
-        let total: usize = curves.iter().map(|c| c.completions.len()).sum();
-        assert_eq!(total, 256);
-        // Completions within a page are sorted.
-        for c in &curves {
-            assert!(c.completions.windows(2).all(|w| w[0] <= w[1]));
+        let sc = fig11(256, 64);
+        let pages = completions_per_page(&sc, &bare(&sc));
+        assert_eq!(pages.len(), 2, "256 ops × 32 B = 2 pages");
+        assert_eq!(pages.iter().map(Vec::len).sum::<usize>(), 256);
+        for page in &pages {
+            assert!(page.windows(2).all(|w| w[0] <= w[1]));
         }
     }
 }

@@ -7,17 +7,17 @@
 //!
 //! * [`systems`] — the eight InfiniBand systems of Table I/II as
 //!   simulator device profiles.
-//! * [`microbench`] — the Fig. 3 micro-benchmark, parameterized exactly
-//!   like the paper's C code.
-//! * [`experiment`] — figure-level runners regenerating the data behind
-//!   Figures 2–11 (Figs. 1, 5 and 8 are captures, which the `ibsim-bench`
-//!   bins render through `ibsim-analysis`).
+//! * [`experiment`] — the figures of §V–§VI as families of the Fig. 3
+//!   micro-benchmark ([`Scenario::fig3_loop`](ibsim_scenario::Scenario::fig3_loop)
+//!   settings), run through the scenario executor, plus Fig. 2's
+//!   mis-addressed QP (Figs. 1, 5 and 8 are captures, which the
+//!   `ibsim-bench` bins render through `ibsim-analysis`).
 //! * [`workaround`] — the §IX-A software mitigations (smallest RNR delay,
 //!   periodic dummy communication, fresh-QP re-issue).
 //! * [`regcache`] — the manual alternatives ODP competes against
 //!   (register-per-transfer, Tezuka-style pin-down cache, §VIII-A).
-//! * [`hash`] — the FNV-1a trace-identity digest shared by every
-//!   byte-identity gate in the workspace.
+//! * [`microbench`] — the ODP sides of the loop, and a wrapper kept for
+//!   the repository benchmark.
 //!
 //! # Examples
 //!
@@ -26,14 +26,12 @@
 //!
 //! ```
 //! use ibsim_event::SimTime;
-//! use ibsim_odp::microbench::{run_microbench, MicrobenchConfig};
+//! use ibsim_odp::experiment::timed_out;
+//! use ibsim_scenario::{run_scenario, Scenario};
 //!
-//! let run = run_microbench(&MicrobenchConfig {
-//!     interval: SimTime::from_ms(1),
-//!     ..Default::default()
-//! });
-//! assert!(run.timed_out());
-//! assert!(run.execution_time > SimTime::from_ms(400));
+//! let run = run_scenario(&Scenario::fig3_loop(2, 1, 100, SimTime::from_ms(1)));
+//! assert!(timed_out(&run));
+//! assert!(run.execution_time() > SimTime::from_ms(400));
 //! ```
 
 #![warn(missing_docs)]
@@ -46,15 +44,8 @@ pub mod regcache;
 pub mod systems;
 pub mod workaround;
 
-pub use experiment::{
-    fig11_curves, fig2_curve, fig4_series, fig6_series, fig7_series, fig9_points, Fig11Curve,
-    Fig2Point, Fig4Point, Fig9Point, TimeoutSeries,
-};
 pub use hash::{fnv1a, fnv1a_str};
-pub use microbench::{
-    average_execution, run_microbench, run_microbench_plan, timeout_probability, MicrobenchConfig,
-    MicrobenchDigest, MicrobenchRun, OdpMode,
-};
+pub use microbench::*;
 pub use regcache::{deregistration_cost, registration_cost, PinDownCache, RegCacheStats};
 pub use systems::SystemProfile;
 pub use workaround::{install_dummy_reads, reissue_read, smallest_rnr_delay};

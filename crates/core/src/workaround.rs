@@ -116,16 +116,12 @@ mod tests {
     fn small_rnr_delay_narrows_the_damming_window() {
         // With a 10 µs minimal delay the RNR window is ~35 µs, so a 1 ms
         // interval is far outside it: no timeout.
-        use crate::microbench::{run_microbench, MicrobenchConfig, OdpMode};
-        let cfg = MicrobenchConfig {
-            interval: SimTime::from_ms(1),
-            odp: OdpMode::ServerSide,
-            min_rnr_delay: smallest_rnr_delay(),
-            ..Default::default()
-        };
-        let run = run_microbench(&cfg);
-        assert!(!run.timed_out(), "small RNR delay avoids the window");
-        assert!(run.execution_time < SimTime::from_ms(20));
+        use crate::experiment::{fig3, timed_out};
+        let mut sc = fig3(2, 1, 100, SimTime::from_ms(1), crate::OdpMode::ServerSide);
+        sc.min_rnr_delay_ns = smallest_rnr_delay().as_ns();
+        let run = ibsim_scenario::run_scenario(&sc);
+        assert!(!timed_out(&run), "small RNR delay avoids the window");
+        assert!(run.execution_time() < SimTime::from_ms(20));
     }
 
     #[test]

@@ -43,11 +43,13 @@
 #![deny(clippy::float_arithmetic)]
 
 mod engine;
+mod hash;
 mod rng;
 mod shard;
 mod time;
 
 pub use engine::{Call, Engine, Event, EventFn, EventId, QueueStats, TimerKey};
+pub use hash::{fnv1a, fnv1a_str};
 pub use rng::SplitMix64;
 pub use shard::{epoch_end, injection_sort_key, EpochBarrier, PoisonGuard, POISON_PAYLOAD};
 pub use time::SimTime;

@@ -7,7 +7,7 @@
 //! pass the differential oracle: the pitfalls degrade *performance*, not
 //! correctness, so conformance holds even while damming or flooding.
 
-use crate::spec::{DeviceKind, FaultEvent, LossPhase, LossSpec, Scenario, Side, WrSpec};
+use crate::spec::{FaultEvent, LossPhase, LossSpec, Prefetch, Scenario, Side, WrSpec};
 
 /// Builds the full corpus, in a fixed order (index 0 is the damming
 /// probe, as the crate-level example relies on).
@@ -66,7 +66,7 @@ pub fn paper_corpus() -> Vec<Scenario> {
     sc.slot = 256;
     sc.client_odp = true;
     sc.server_odp = true;
-    sc.prefetch = true;
+    sc.prefetch = Prefetch::All;
     sc.post_interval_ns = 1_000_000;
     sc.wrs = vec![
         (0, WrSpec::Read { off: 0, len: 100 }),
@@ -204,7 +204,7 @@ pub fn paper_corpus() -> Vec<Scenario> {
     sc.qps = 2;
     sc.slot = 4096; // one page per QP window
     sc.client_odp = true;
-    sc.prefetch = true;
+    sc.prefetch = Prefetch::All;
     sc.post_interval_ns = 200_000;
     sc.wrs = (0..6)
         .map(|k| (k % 2, WrSpec::Read { off: 0, len: 256 }))
@@ -259,7 +259,7 @@ pub fn paper_corpus() -> Vec<Scenario> {
     sc.qps = 2;
     sc.slot = 64;
     sc.server_odp = true;
-    sc.device = DeviceKind::ConnectX6;
+    sc.device = ibsim_verbs::DeviceProfile::connectx6();
     sc.post_interval_ns = 20_000;
     sc.wrs = vec![
         (0, WrSpec::Send { off: 0, len: 32 }),

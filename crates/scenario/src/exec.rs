@@ -1,8 +1,10 @@
-//! The scenario executor: spins up a two-host cluster, installs the
-//! fault and loss schedules as engine events, posts the workload, runs
-//! the simulation to completion and collects every observable artifact
-//! the oracle checks — completions, memory images, the merged lint
-//! report, runtime invariant counts, fault spans and a trace hash.
+//! The scenario executor — the one way the repository builds and runs a
+//! two-host world, the paper's figures included: spins up the cluster,
+//! installs the fault and loss schedules as engine events, posts the
+//! workload, runs the simulation to completion and collects every
+//! observable artifact — completions, memory images, per-side QP
+//! counters, the merged lint report, runtime invariant counts, the
+//! telemetry hub and a trace hash.
 //!
 //! There is one path: every entry point builds a [`ShardPlan`] and hands
 //! the same build and collect closures to [`run_plan`], which runs a
@@ -14,41 +16,80 @@
 //! conformance battery and the seeded shard-assignment fuzzer enforce
 //! that for every corpus entry and random partition.
 //!
-//! The path does not call `Cluster::sync_telemetry_at`: a [`ScenarioRun`]
-//! takes the hub's spans and stage-sum count only, and the gauges a sync
-//! writes have no reader here.
+//! What a run records besides the simulation is a [`RunOptions`], never
+//! a spec facet: observation does not perturb a run, so every option
+//! simulates the same trace.
+
+use std::fmt::Write as _;
 
 use ibsim_analysis::{
     check_conservation, lint_capture, InvariantSnapshot, LintConfig, LintReport, RecoveryRules,
 };
 use ibsim_event::SimTime;
-use ibsim_fabric::{Capture, LinkSpec, LossModel};
-use ibsim_telemetry::FaultSpan;
+use ibsim_fabric::{Capture, LossModel};
 use ibsim_verbs::{
-    run_plan, Cluster, ClusterBuilder, CompareSwapWr, Completion, DeviceProfile, FetchAddWr,
-    HostId, MrBuilder, MrDesc, MrMode, Packet, QpConfig, Qpn, ReadWr, RecvWr, SendWr, ShardPlan,
-    Sim, WorkRequest, WrId, WriteWr, PAGE_SIZE,
+    run_plan, Cluster, ClusterBuilder, CompareSwapWr, Completion, FetchAddWr, HostId, Labels,
+    MrBuilder, MrDesc, MrMode, Packet, QpConfig, QpStats, Qpn, ReadWr, RecvWr, SendWr, ShardPlan,
+    Sim, Telemetry, WorkRequest, WrId, WriteWr, PAGE_SIZE,
 };
 
 use crate::reference::{client_init_byte, server_init_byte, RECV_ID_BASE};
-use crate::spec::{DeviceKind, LossSpec, Scenario, Side, WrSpec};
+use crate::spec::{LossSpec, Prefetch, Scenario, Side, WrSpec};
 
-/// FNV-1a over raw bytes: the dependency-free stable hash used for all
-/// trace-identity checks in this repository. Re-exported from
-/// [`ibsim_odp::hash`] so every crate hashes with the same pinned
-/// implementation.
-///
-/// # Examples
+/// The hash behind [`ScenarioRun::trace_hash`], from `ibsim-event`.
 ///
 /// ```
 /// assert_eq!(ibsim_scenario::fnv1a(b""), 0xcbf2_9ce4_8422_2325);
 /// assert_ne!(ibsim_scenario::fnv1a(b"a"), ibsim_scenario::fnv1a(b"b"));
 /// ```
-pub use ibsim_odp::hash::fnv1a;
+pub use ibsim_event::fnv1a;
+
+/// What the telemetry hub of a run records.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum TelemetryMode {
+    /// Nothing: the hub stays disabled.
+    Off,
+    /// Fault spans and counters — what the oracle's stage-sum law reads.
+    Spans,
+    /// Spans, counters and every gauge, synced at the run's last event —
+    /// what an export reads. A synced run drains past the deadline.
+    Synced,
+}
+
+/// What a run records besides the simulation.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct RunOptions {
+    /// Capture both hosts' packets: [`ScenarioRun::lint`],
+    /// [`ScenarioRun::timeline`] and [`ScenarioRun::captures`] read them.
+    pub capture: bool,
+    /// What [`ScenarioRun::telemetry`] holds.
+    pub telemetry: TelemetryMode,
+}
+
+impl RunOptions {
+    /// What [`run_scenario`] records: captures and spans, enough for
+    /// [`crate::check_run`], and no sync it would never read.
+    pub const ORACLE: RunOptions = RunOptions {
+        capture: true,
+        telemetry: TelemetryMode::Spans,
+    };
+    /// Everything: captures and a synced hub, for a run that is
+    /// rendered or exported.
+    pub const FULL: RunOptions = RunOptions {
+        capture: true,
+        telemetry: TelemetryMode::Synced,
+    };
+    /// Nothing but the simulation: a figure cell that reads only
+    /// completions and counters.
+    pub const BARE: RunOptions = RunOptions {
+        capture: false,
+        telemetry: TelemetryMode::Off,
+    };
+}
 
 /// Everything one scenario run produced that the oracle (or a human)
 /// might want to inspect.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct ScenarioRun {
     /// Requester-side completions, grouped by QP index in poll order.
     pub client_comps: Vec<Vec<Completion>>,
@@ -60,20 +101,24 @@ pub struct ScenarioRun {
     pub client_mem: Vec<u8>,
     /// Final server region contents.
     pub server_mem: Vec<u8>,
+    /// Requester-side protocol counters, summed over the client's QPs.
+    pub client_stats: QpStats,
+    /// Responder-side protocol counters, summed over the server's QPs.
+    pub server_stats: QpStats,
+    /// Every packet submitted, as `ibdump` would count them.
+    pub total_packets: u64,
     /// Merged protocol lint: client capture + server capture + pairwise
-    /// packet conservation.
+    /// packet conservation. Empty without capture.
     pub lint: LintReport,
     /// Total runtime invariant violations counted across the cluster and
     /// engine; zero on a healthy run.
     pub invariant_violations: u64,
-    /// Closed fault-lifecycle spans recorded by telemetry, in the
-    /// canonical `(completed, raised, host, mr, page)` order under every
-    /// plan. (Its readers — the span count and the oracle's stage-sum
-    /// law — are order-insensitive.)
-    pub spans: Vec<FaultSpan>,
-    /// Telemetry closed spans whose stage durations do not sum to their
-    /// end-to-end latency (see `Telemetry::stage_sum_violations`).
-    pub stage_sum_violations: usize,
+    /// The merged hub (see [`ibsim_verbs::Finished::telemetry`]): closed
+    /// spans in the canonical `(completed, raised, host, mr, page)` order
+    /// under every plan, and counters; the gauges too when synced. On a
+    /// one-owner plan a synced hub keeps `event.peak_depth`, which per-
+    /// shard peaks cannot give a split plan. Empty when off.
+    pub telemetry: Telemetry,
     /// The run hit its drain deadline with events still pending.
     pub stalled: bool,
     /// Simulated completion time of the run, in nanoseconds.
@@ -89,6 +134,27 @@ pub struct ScenarioRun {
     /// Both hosts' packet captures, client first: what `lint` and
     /// `timeline` were read from.
     pub captures: [Capture<Packet>; 2],
+}
+
+impl ScenarioRun {
+    /// The time of the last successful requester completion — the
+    /// micro-benchmark's execution time.
+    pub fn execution_time(&self) -> SimTime {
+        self.client_comps
+            .iter()
+            .flatten()
+            .filter(|c| c.status.is_success())
+            .map(|c| c.at)
+            .max()
+            .unwrap_or(SimTime::ZERO)
+    }
+
+    /// Requester completions with an error status (e.g.
+    /// `IBV_WC_RETRY_EXC_ERR`).
+    pub fn errors(&self) -> usize {
+        let all = self.client_comps.iter().flatten();
+        all.filter(|c| !c.status.is_success()).count()
+    }
 }
 
 /// Handles into a built scenario world that collection needs after the
@@ -107,21 +173,21 @@ struct World {
 ///
 /// `shard` is `None` for the plain cluster; `Some((id, owner))` builds
 /// shard `id`'s replica of a sharded run. Replicas are construction-time
-/// identical (registration, memory init and QP connection schedule no
-/// events); which of them schedules each post, invalidation and
-/// loss-model swap is [`Cluster::post_at`]'s, [`Cluster::invalidate_at`]'s
-/// and [`Cluster::set_loss_at`]'s decision.
-fn build_scenario_world(sc: &Scenario, shard: Option<(usize, &[usize])>) -> (Sim, Cluster, World) {
-    let profile = match sc.device {
-        DeviceKind::ConnectX4 => DeviceProfile::connectx4(LinkSpec::fdr()),
-        DeviceKind::ConnectX6 => DeviceProfile::connectx6(),
-    };
+/// identical (registration, memory init, prefetch and QP connection
+/// schedule no events); which of them schedules each post, invalidation
+/// and loss-model swap is [`Cluster::post_at`]'s,
+/// [`Cluster::invalidate_at`]'s and [`Cluster::set_loss_at`]'s decision.
+fn build_scenario_world(
+    sc: &Scenario,
+    opts: RunOptions,
+    shard: Option<(usize, &[usize])>,
+) -> (Sim, Cluster, World) {
     let (mut eng, mut cl, hosts) = ClusterBuilder::new()
         .seed(sc.seed)
-        .host("client", profile.clone())
-        .host("server", profile)
-        .capture(true)
-        .telemetry(true)
+        .host("client", sc.device.clone())
+        .host("server", sc.device.clone())
+        .capture(opts.capture)
+        .telemetry(opts.telemetry != TelemetryMode::Off)
         .topology(sc.topology)
         .build();
     let (client, server) = (hosts[0], hosts[1]);
@@ -131,7 +197,8 @@ fn build_scenario_world(sc: &Scenario, shard: Option<(usize, &[usize])>) -> (Sim
 
     let len = sc.region_len();
     let mode = |odp: bool| if odp { MrMode::Odp } else { MrMode::Pinned };
-    let mk = |mb: MrBuilder| if sc.prefetch { mb.prefetch() } else { mb };
+    let warm = sc.prefetch != Prefetch::Off;
+    let mk = |mb: MrBuilder| if warm { mb.prefetch() } else { mb };
     let cmr = cl.mr(client, mk(MrBuilder::new(len, mode(sc.client_odp))));
     let smr = cl.mr(server, mk(MrBuilder::new(len, mode(sc.server_odp))));
 
@@ -139,6 +206,19 @@ fn build_scenario_world(sc: &Scenario, shard: Option<(usize, &[usize])>) -> (Sim
     let server_init: Vec<u8> = (0..len).map(server_init_byte).collect();
     cl.mem_write(client, cmr.base, &client_init);
     cl.mem_write(server, smr.base, &server_init);
+
+    // §V-C's warm buffer: the page the first request touches goes cold
+    // again, at build time, so it is cold when that request arrives.
+    if sc.prefetch == Prefetch::AllButFirst {
+        let first = sc.wrs.first().map_or(0, |&(qp, wr)| {
+            ((sc.window(qp) + wr.footprint().0) / PAGE_SIZE) as usize
+        });
+        for (host, mr, odp) in [(client, &cmr, sc.client_odp), (server, &smr, sc.server_odp)] {
+            if odp {
+                cl.invalidate_page(host, mr.key, first);
+            }
+        }
+    }
 
     let cfg = QpConfig {
         cack: sc.cack,
@@ -168,7 +248,7 @@ fn build_scenario_world(sc: &Scenario, shard: Option<(usize, &[usize])>) -> (Sim
                 RecvWr {
                     id: WrId(RECV_ID_BASE + k as u64),
                     mr: smr.key,
-                    offset: qp as u64 * sc.slot + off,
+                    offset: sc.window(qp) + off,
                     max_len: len,
                 },
             );
@@ -179,7 +259,7 @@ fn build_scenario_world(sc: &Scenario, shard: Option<(usize, &[usize])>) -> (Sim
     // Fig. 3 `usleep` pacing), with the global list index as its id.
     for (k, &(qp, wr)) in sc.wrs.iter().enumerate() {
         let at = SimTime::from_ns(k as u64 * sc.post_interval_ns);
-        let wr = work_request(wr, k as u64, qp as u64 * sc.slot, &cmr, &smr);
+        let wr = work_request(wr, k as u64, sc.window(qp), &cmr, &smr);
         cl.post_at(&mut eng, at, client, client_qpns[qp], wr);
     }
 
@@ -216,18 +296,20 @@ fn build_scenario_world(sc: &Scenario, shard: Option<(usize, &[usize])>) -> (Sim
 }
 
 /// One host's post-run artifacts: grouped completions, the textual
-/// completion log, final memory image and the packet capture.
+/// completion log, final memory image, QP counters and the packet
+/// capture.
 struct HostCollect {
     comps: Vec<Vec<Completion>>,
     comp_log: String,
     stray: usize,
     mem: Vec<u8>,
+    stats: QpStats,
     capture: Capture<Packet>,
 }
 
-/// Drains one host's completion queue, snapshots its region and moves
-/// its capture out of the cluster. Only meaningful on the replica that
-/// owns the host.
+/// Drains one host's completion queue, snapshots its region and
+/// counters and moves its capture out of the cluster. Only meaningful on
+/// the replica that owns the host.
 fn collect_host(
     cl: &mut Cluster,
     sc: &Scenario,
@@ -240,15 +322,16 @@ fn collect_host(
     let mut stray = 0usize;
     let mut comp_log = String::new();
     for comp in cl.poll_cq(host) {
-        comp_log.push_str(&format!(
-            "{tag} qp={} id={} st={} op={} b={} t={}\n",
+        let _ = writeln!(
+            comp_log,
+            "{tag} qp={} id={} st={} op={} b={} t={}",
             comp.qpn.0,
             comp.wr_id.0,
             comp.status,
             comp.opcode,
             comp.bytes,
             comp.at.as_ns()
-        ));
+        );
         match qpns.iter().position(|&q| q == comp.qpn) {
             Some(i) => comps[i].push(comp),
             None => stray += 1,
@@ -260,20 +343,27 @@ fn collect_host(
         comp_log,
         stray,
         mem,
+        stats: cl.qp_stats_sum(host),
         capture: cl.take_capture(host),
     }
 }
 
 /// Runs one scenario to completion under [`ShardPlan::pair`] of
-/// [`Scenario::shards`] (a zero runs as one). Deterministic: the same
-/// scenario always produces the same [`ScenarioRun`], including its
-/// `trace_hash` — whatever the shard count, because the sharded
-/// executor reproduces the sequential trace bit for bit.
+/// [`Scenario::shards`] (a zero runs as one), recording
+/// [`RunOptions::ORACLE`]. Deterministic: the same scenario always
+/// produces the same [`ScenarioRun`], including its `trace_hash` —
+/// whatever the shard count, because the sharded executor reproduces
+/// the sequential trace bit for bit.
 ///
 /// The scenario should satisfy [`Scenario::validate`]; out-of-range
 /// offsets would make the run itself meaningless.
 pub fn run_scenario(sc: &Scenario) -> ScenarioRun {
-    run_scenario_plan(sc, ShardPlan::pair(sc.shards.max(1)))
+    run_scenario_with(sc, RunOptions::ORACLE)
+}
+
+/// [`run_scenario`] recording what `opts` asks for.
+pub fn run_scenario_with(sc: &Scenario, opts: RunOptions) -> ScenarioRun {
+    run_scenario_plan(sc, ShardPlan::pair(sc.shards.max(1)), opts)
 }
 
 /// Runs a scenario under an explicit [`ShardPlan`] — the entry point for
@@ -290,9 +380,9 @@ pub fn run_scenario(sc: &Scenario) -> ScenarioRun {
 /// map that does not name a shard for both hosts, a shard out of range;
 /// and on a post schedule past the simulated clock, which
 /// [`Scenario::validate`] rejects.
-pub fn run_scenario_plan(sc: &Scenario, mut plan: ShardPlan) -> ScenarioRun {
+pub fn run_scenario_plan(sc: &Scenario, mut plan: ShardPlan, opts: RunOptions) -> ScenarioRun {
     // Every plan runs exactly to this instant, so `end_ns` is identical
-    // whatever the shard count.
+    // whatever the shard count; a synced run drains instead.
     let Some(deadline) = sc.drain_deadline() else {
         panic!(
             "scenario {}: its post schedule overflows the clock",
@@ -308,11 +398,15 @@ pub fn run_scenario_plan(sc: &Scenario, mut plan: ShardPlan) -> ScenarioRun {
             plan.owner.fill(shard);
         }
     }
+    let synced = opts.telemetry == TelemetryMode::Synced;
     let done = run_plan(
         &plan,
-        Some(deadline),
-        |shard| build_scenario_world(sc, shard),
-        |eng, cl, w, _end| {
+        (!synced).then_some(deadline),
+        |shard| build_scenario_world(sc, opts, shard),
+        |eng, cl, w, end| {
+            if synced {
+                cl.sync_telemetry_at(eng, end);
+            }
             // Each host's artifacts come from the replica that owns it.
             let client = cl
                 .owns(w.client)
@@ -321,20 +415,29 @@ pub fn run_scenario_plan(sc: &Scenario, mut plan: ShardPlan) -> ScenarioRun {
                 .owns(w.server)
                 .then(|| collect_host(cl, sc, "S", w.server, &w.server_qpns, &w.smr));
             let invariants = InvariantSnapshot::collect(cl, &[w.client, w.server], eng).total();
-            (client, server, invariants)
+            let peak = eng.queue_stats().peak_depth;
+            (client, server, invariants, cl.stats.total_packets, peak)
         },
     );
+    // A one-owner plan's single engine knows its true peak queue depth.
+    let one_owner = done.shards.len() == 1;
     let mut client = None;
     let mut server = None;
-    let mut invariant_violations = 0u64;
-    for (c, s, n) in done.shards {
+    let (mut invariant_violations, mut total_packets, mut peak_depth) = (0u64, 0u64, 0);
+    for (c, s, n, packets, peak) in done.shards {
         client = client.or(c);
         server = server.or(s);
         invariant_violations += n;
+        total_packets += packets;
+        peak_depth = peak;
     }
     let (Some(ccol), Some(scol)) = (client, server) else {
         unreachable!("invariant: exactly one replica owns each host")
     };
+    let mut telemetry = done.telemetry;
+    if synced && one_owner {
+        telemetry.gauge_set("event.peak_depth", Labels::NONE, peak_depth as u64);
+    }
 
     // The justification rules come from the backend under test (see
     // RecoveryRules).
@@ -361,10 +464,12 @@ pub fn run_scenario_plan(sc: &Scenario, mut plan: ShardPlan) -> ScenarioRun {
         stray_comps: ccol.stray + scol.stray,
         client_mem: ccol.mem,
         server_mem: scol.mem,
+        client_stats: ccol.stats,
+        server_stats: scol.stats,
+        total_packets,
         lint,
         invariant_violations,
-        spans: done.telemetry.spans().to_vec(),
-        stage_sum_violations: done.telemetry.stage_sum_violations(),
+        telemetry,
         stalled: done.queue.live > 0,
         end_ns: done.end.as_ns(),
         trace_hash: fnv1a(&ident),
@@ -460,7 +565,10 @@ mod tests {
             count: 1,
         }];
         let run = run_scenario(&sc);
-        assert!(run.spans.is_empty(), "pinned region must never fault");
+        assert!(
+            run.telemetry.spans().is_empty(),
+            "pinned region must never fault"
+        );
         assert!(!run.stalled);
     }
 
@@ -499,7 +607,7 @@ mod tests {
         assert_eq!(seq.trace_hash, sharded.trace_hash);
         assert_eq!(seq.timeline, sharded.timeline);
         assert_eq!(seq.end_ns, sharded.end_ns);
-        assert_eq!(seq.spans.len(), sharded.spans.len());
+        assert_eq!(seq.telemetry.spans().len(), sharded.telemetry.spans().len());
         assert_eq!(seq.lint.findings.len(), sharded.lint.findings.len());
     }
 
@@ -528,7 +636,7 @@ mod tests {
             },
         ];
         let seq = run_scenario(&sc);
-        let sharded = run_scenario_plan(&sc, ShardPlan::new(4, vec![0, 3]));
+        let sharded = run_scenario_plan(&sc, ShardPlan::new(4, vec![0, 3]), RunOptions::ORACLE);
         assert_eq!(seq.trace_hash, sharded.trace_hash);
     }
 
@@ -542,10 +650,44 @@ mod tests {
         assert_eq!(run_scenario(&sc).trace_hash, one.trace_hash);
     }
 
+    /// The §V damming loop with its hub synced: every shard count gives
+    /// the plain engine's capture, completions and export, less the
+    /// one-owner run's `event.peak_depth`.
+    #[test]
+    fn sharded_damming_matches_sequential() {
+        let sc = Scenario::fig3_loop(2, 1, 100, SimTime::from_ms(1));
+        let run = |shards| {
+            let mut run = run_scenario_plan(&sc, ShardPlan::pair(shards), RunOptions::FULL);
+            let peak = run
+                .telemetry
+                .registry()
+                .gauge("event.peak_depth", Labels::NONE);
+            run.telemetry
+                .remove_metric("event.peak_depth", Labels::NONE);
+            let jsonl = ibsim_verbs::export_jsonl(&run.telemetry);
+            (run, jsonl, peak)
+        };
+        let (seq, seq_jsonl, peak) = run(1);
+        assert!(seq.client_stats.timeouts > 0, "the damming loop must dam");
+        assert!(peak > Some(0), "a one-owner run knows its queue's peak");
+        for shards in [2, 4] {
+            let (sh, jsonl, peak) = run(shards);
+            assert_eq!(seq.trace_hash, sh.trace_hash, "shards={shards}");
+            assert_eq!(seq.client_comps, sh.client_comps, "shards={shards}");
+            assert_eq!(seq.total_packets, sh.total_packets, "shards={shards}");
+            assert_eq!(seq_jsonl, jsonl, "shards={shards}");
+            assert_eq!(peak, None, "per-shard peaks do not compose");
+        }
+    }
+
     #[test]
     #[should_panic(expected = "a sharded run needs at least one shard")]
     fn zero_shards_is_rejected_with_a_diagnostic() {
-        run_scenario_plan(&Scenario::base("no-shards"), ShardPlan::pair(0));
+        run_scenario_plan(
+            &Scenario::base("no-shards"),
+            ShardPlan::pair(0),
+            RunOptions::ORACLE,
+        );
     }
 
     #[test]
@@ -561,6 +703,6 @@ mod tests {
                 seed: 7,
             },
         }];
-        run_scenario_plan(&sc, ShardPlan::new(2, Vec::new()));
+        run_scenario_plan(&sc, ShardPlan::new(2, Vec::new()), RunOptions::ORACLE);
     }
 }

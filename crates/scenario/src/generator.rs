@@ -11,7 +11,7 @@
 use ibsim_fabric::Xorshift64Star;
 use ibsim_verbs::RecoveryKind;
 
-use crate::spec::{DeviceKind, FaultEvent, LossPhase, LossSpec, Scenario, Side, WrSpec};
+use crate::spec::{FaultEvent, LossPhase, LossSpec, Prefetch, Scenario, Side, WrSpec};
 
 /// Generates the scenario for one fuzz seed. Deterministic: the same
 /// seed always yields the same scenario (the generator never consults
@@ -22,16 +22,16 @@ pub fn random_scenario(seed: u64) -> Scenario {
     let mut rng = Xorshift64Star::new(seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ 0x5CE9_A21F);
     let mut sc = Scenario::base(&format!("fuzz-{seed}"));
     sc.seed = seed;
-    sc.device = if rng.next_below(4) == 0 {
-        DeviceKind::ConnectX6
-    } else {
-        DeviceKind::ConnectX4
-    };
+    if rng.next_below(4) == 0 {
+        sc.device = ibsim_verbs::DeviceProfile::connectx6();
+    }
     sc.qps = 1 + rng.next_below(6) as usize;
     sc.slot = 8 * (4 + rng.next_below(29)); // 32..=256, 8-aligned
     sc.client_odp = rng.next_below(2) == 1;
     sc.server_odp = rng.next_below(2) == 1;
-    sc.prefetch = (sc.client_odp || sc.server_odp) && rng.next_below(3) == 0;
+    if (sc.client_odp || sc.server_odp) && rng.next_below(3) == 0 {
+        sc.prefetch = Prefetch::All;
+    }
     sc.cack = [1u8, 14, 18][rng.next_below(3) as usize];
     if rng.next_below(4) == 0 {
         sc.min_rnr_delay_ns = 10_000;

@@ -45,6 +45,7 @@
 #![warn(missing_docs)]
 
 mod corpus;
+mod device;
 mod exec;
 mod generator;
 mod oracle;
@@ -54,11 +55,16 @@ mod shrink;
 mod spec;
 
 pub use corpus::paper_corpus;
-pub use exec::{fnv1a, run_scenario, run_scenario_plan, ScenarioRun};
+pub use exec::{
+    fnv1a, run_scenario, run_scenario_plan, run_scenario_with, RunOptions, ScenarioRun,
+    TelemetryMode,
+};
 pub use generator::random_scenario;
 pub use ibsim_verbs::ShardPlan;
 pub use oracle::{check_run, check_run_with, OracleReport, OracleViolation};
 pub use parallel::{run_corpus, CorpusOutcome};
 pub use reference::{Expectation, Injection};
 pub use shrink::{shrink, ShrinkStats};
-pub use spec::{DeviceKind, FaultEvent, LossPhase, LossSpec, Scenario, Side, WrSpec};
+pub use spec::{
+    FaultEvent, Layout, LossPhase, LossSpec, Prefetch, Scenario, Side, WrSpec, POST_OVERHEAD_NS,
+};

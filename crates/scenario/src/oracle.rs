@@ -190,10 +190,11 @@ pub fn check_run_with(sc: &Scenario, run: &ScenarioRun, inject: Option<Injection
             .violations
             .push(OracleViolation::Invariants(run.invariant_violations));
     }
-    if run.stage_sum_violations > 0 {
+    let stage_sum_violations = run.telemetry.stage_sum_violations();
+    if stage_sum_violations > 0 {
         report
             .violations
-            .push(OracleViolation::StageSum(run.stage_sum_violations));
+            .push(OracleViolation::StageSum(stage_sum_violations));
     }
     report
 }

@@ -5,9 +5,9 @@
 //! request eventually completes exactly once, in posting order per QP,
 //! with the same effect on memory as executing the requests one by one —
 //! no matter how many retransmissions, NAKs or ODP stalls happened on
-//! the way. Because every QP owns a disjoint window of both regions (see
-//! [`crate::spec`]), sequential per-QP application is exact even though
-//! QPs interleave arbitrarily on the wire.
+//! the way. Because no two QPs' requests may overlap unless both only
+//! read (see [`crate::spec`]), sequential application is exact even
+//! though QPs interleave arbitrarily on the wire.
 //!
 //! The soundness of the exactly-once expectation under retransmission
 //! rests on two responder properties the simulator implements (and real
@@ -84,7 +84,7 @@ impl Expectation {
         let mut server_comps = vec![Vec::new(); sc.qps];
 
         for (k, &(qp, wr)) in sc.wrs.iter().enumerate() {
-            let base = qp as u64 * sc.slot;
+            let base = sc.window(qp);
             let id = k as u64;
             match wr {
                 WrSpec::Read { off, len } => {

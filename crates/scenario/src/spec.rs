@@ -10,18 +10,23 @@
 //!
 //! ## Memory layout
 //!
-//! Each QP owns a disjoint `slot`-byte window of both the client and the
-//! server region: QP `i` owns bytes `[i*slot, (i+1)*slot)`. All work
-//! request offsets are relative to the owning QP's window. Disjoint
-//! windows make the reference model exact: RC guarantees in-order
-//! execution *within* a QP, and no two QPs can touch the same byte, so
-//! the final memory image is independent of cross-QP interleaving — the
-//! property the differential oracle checks.
+//! Work request offsets are relative to the posting QP's window
+//! ([`Scenario::window`]). Under the default [`Layout::Disjoint`] QP `i`
+//! owns bytes `[i*slot, (i+1)*slot)` of both the client and the server
+//! region; under [`Layout::Shared`] every window is the whole `slot`-byte
+//! region, the one round-robin buffer of the paper's Fig. 3 loop. Either
+//! way the reference model is exact: RC orders requests *within* a QP,
+//! and [`Scenario::validate`] refuses any overlap whose outcome would
+//! depend on the interleaving of two QPs, so the final memory image is
+//! independent of it — the property the differential oracle checks.
 
 use std::fmt;
 
 use ibsim_event::SimTime;
-use ibsim_verbs::RecoveryKind;
+use ibsim_fabric::LinkSpec;
+use ibsim_verbs::{DeviceProfile, Memory, RecoveryKind, PAGE_SIZE};
+
+use crate::device;
 
 /// Extra simulated time granted past the last post before a run is
 /// declared stalled. Generous: the paper's worst damming stalls are
@@ -29,28 +34,47 @@ use ibsim_verbs::RecoveryKind;
 /// engine only pays for events that exist).
 const DRAIN_BUDGET: SimTime = SimTime::from_secs(30);
 
-/// Which NIC model both hosts use.
+/// The CPU cost of one iteration of the Fig. 3 loop: posting a verb is
+/// not free (~0.5 µs on the paper's hosts), so with `usleep(0)` this
+/// alone paces the posts.
+pub const POST_OVERHEAD_NS: u64 = 500;
+
+/// How the QPs' windows sit in the two regions (see the module docs).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum DeviceKind {
-    /// ConnectX-4 on an FDR link (the paper's KNL cluster).
-    ConnectX4,
-    /// ConnectX-6 (the paper's newer comparison system).
-    ConnectX6,
+pub enum Layout {
+    /// QP `i`'s window is bytes `[i*slot, (i+1)*slot)`.
+    Disjoint,
+    /// Every QP's window is the whole `slot`-byte region.
+    Shared,
 }
 
-impl DeviceKind {
+/// Which pages of the ODP regions are mapped before the workload starts.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Prefetch {
+    /// None: every page faults on first touch.
+    Off,
+    /// Every page — the §IX-A `ibv_advise_mr` workaround ablation.
+    All,
+    /// Every page but the one the first request touches — §V-C's warm
+    /// buffer with a cold first communication (Fig. 8).
+    AllButFirst,
+}
+
+impl Prefetch {
     fn token(self) -> &'static str {
         match self {
-            DeviceKind::ConnectX4 => "cx4",
-            DeviceKind::ConnectX6 => "cx6",
+            Prefetch::Off => "0",
+            Prefetch::All => "1",
+            Prefetch::AllButFirst => "all-but-first",
         }
     }
 
     fn from_token(s: &str) -> Result<Self, String> {
         match s {
-            "cx4" => Ok(DeviceKind::ConnectX4),
-            "cx6" => Ok(DeviceKind::ConnectX6),
-            other => Err(format!("unknown device {other:?}")),
+            "0" => Ok(Prefetch::Off),
+            "1" => Ok(Prefetch::All),
+            "all-but-first" => Ok(Prefetch::AllButFirst),
+            other => Err(format!("bad prefetch flag {other:?}")),
         }
     }
 }
@@ -171,7 +195,7 @@ impl WrSpec {
     /// atomics are replayed from the responder's replay cache.
     ///
     /// This rule set is the in-order one; [`WrSpec::races_under`] picks
-    /// between it and the out-of-order rule by backend.
+    /// between it and [`WrSpec::races_unordered`] by backend.
     pub fn races_with_later(self, later: WrSpec) -> bool {
         if !self.overlaps(later) {
             return false; // disjoint footprints never race
@@ -206,12 +230,18 @@ impl WrSpec {
     /// unsequenced race, in either posting order.
     pub fn races_under(self, later: WrSpec, recovery: RecoveryKind) -> bool {
         if recovery.accepts_out_of_order() {
-            let both_reads =
-                matches!(self, WrSpec::Read { .. }) && matches!(later, WrSpec::Read { .. });
-            self.overlaps(later) && !both_reads
+            self.races_unordered(later)
         } else {
             self.races_with_later(later)
         }
+    }
+
+    /// The race rule where nothing orders the pair — an out-of-order
+    /// backend, or two QPs sharing a window: any overlap but READ/READ.
+    pub fn races_unordered(self, other: WrSpec) -> bool {
+        let both_reads =
+            matches!(self, WrSpec::Read { .. }) && matches!(other, WrSpec::Read { .. });
+        self.overlaps(other) && !both_reads
     }
 }
 
@@ -286,19 +316,22 @@ pub struct Scenario {
     pub name: String,
     /// Seed driving every random draw inside the simulator.
     pub seed: u64,
-    /// NIC model on both hosts.
-    pub device: DeviceKind,
+    /// RNIC profile on both hosts (`device=` names one of Table I's five,
+    /// plus any field an edit moved).
+    pub device: DeviceProfile,
     /// Number of RC QP pairs between the client and the server.
     pub qps: usize,
-    /// Bytes of client and server region owned by each QP.
+    /// Bytes of each QP's window.
     pub slot: u64,
+    /// Where the windows sit. Specs without a `layout=` line parse to
+    /// disjoint windows.
+    pub layout: Layout,
     /// Register the client region with On-Demand Paging.
     pub client_odp: bool,
     /// Register the server region with On-Demand Paging.
     pub server_odp: bool,
-    /// Prefetch (pre-map) ODP regions after registration — the §IX-A
-    /// `ibv_advise_mr` workaround ablation.
-    pub prefetch: bool,
+    /// ODP pages mapped before the first post.
+    pub prefetch: Prefetch,
     /// Local ACK Timeout field `C_ack` on every QP.
     pub cack: u8,
     /// Transport retry budget `C_retry` on every QP.
@@ -338,12 +371,13 @@ impl Scenario {
         Scenario {
             name: name.to_owned(),
             seed: 1,
-            device: DeviceKind::ConnectX4,
+            device: DeviceProfile::connectx4(LinkSpec::fdr()),
             qps: 1,
             slot: 256,
+            layout: Layout::Disjoint,
             client_odp: false,
             server_odp: false,
-            prefetch: false,
+            prefetch: Prefetch::Off,
             cack: 1,
             retry_count: 7,
             min_rnr_delay_ns: 1_280_000,
@@ -357,9 +391,54 @@ impl Scenario {
         }
     }
 
+    /// The paper's Fig. 3 micro-benchmark with the §V defaults:
+    ///
+    /// ```c
+    /// for (i = 0; i < num_ops; i++) {
+    ///     local  = &local_buf[size * i];
+    ///     remote = &remote_buf[size * i];
+    ///     QP     = QPs[i % num_QPs];
+    ///     post_rdma_read(local, remote, QP, size);
+    ///     usleep(interval);
+    /// }
+    /// ```
+    ///
+    /// `ops` READs of `size` bytes over `qps` QPs sharing one buffer,
+    /// posted `interval` plus [`POST_OVERHEAD_NS`] apart, on the KNL's
+    /// ConnectX-4 with both-side ODP, a 1.28 ms minimal RNR NAK delay,
+    /// `C_ack = 1` and `C_retry = 7`. Every §V and §VI experiment is a
+    /// setting of it (`ibsim-odp`'s crate docs run the §V-A one);
+    /// callers override fields from here.
+    pub fn fig3_loop(ops: usize, qps: usize, size: u32, interval: SimTime) -> Self {
+        let mut sc = Scenario::base("fig3");
+        sc.qps = qps;
+        sc.slot = ops as u64 * u64::from(size);
+        sc.layout = Layout::Shared;
+        (sc.client_odp, sc.server_odp) = (true, true);
+        sc.post_interval_ns = interval.as_ns() + POST_OVERHEAD_NS;
+        sc.wrs = (0..ops)
+            .map(|i| {
+                let off = i as u64 * u64::from(size);
+                (i % qps.max(1), WrSpec::Read { off, len: size })
+            })
+            .collect();
+        sc
+    }
+
     /// Total length in bytes of each host's region.
     pub fn region_len(&self) -> u64 {
-        self.qps as u64 * self.slot
+        match self.layout {
+            Layout::Disjoint => self.qps as u64 * self.slot,
+            Layout::Shared => self.slot,
+        }
+    }
+
+    /// Where QP `qp`'s window starts in both regions.
+    pub fn window(&self, qp: usize) -> u64 {
+        match self.layout {
+            Layout::Disjoint => qp as u64 * self.slot,
+            Layout::Shared => 0,
+        }
     }
 
     /// Simulated drain deadline: one post every `post_interval_ns`, then
@@ -381,12 +460,26 @@ impl Scenario {
             return Err("slot must be positive".into());
         }
         // Every later `region_len` and window offset is within this.
-        if (self.qps as u64).checked_mul(self.slot).is_none() {
+        let region = match self.layout {
+            Layout::Disjoint => (self.qps as u64).checked_mul(self.slot),
+            Layout::Shared => Some(self.slot),
+        };
+        let Some(region) = region else {
             return Err(format!(
                 "{} QPs of {} bytes overflow a 64-bit region",
                 self.qps, self.slot
             ));
+        };
+        // Each host allocates its region above the zero page, and no
+        // host address reaches `Memory::ADDR_LIMIT`.
+        if region > Memory::ADDR_LIMIT - PAGE_SIZE {
+            return Err(format!(
+                "a {region}-byte region reaches past the {:#x} address ceiling",
+                Memory::ADDR_LIMIT
+            ));
         }
+        let link = self.device.link.validate();
+        link.map_err(|e| format!("device link: {e}"))?;
         // Every post time and the run's deadline are within this.
         if self.drain_deadline().is_none() {
             return Err(format!(
@@ -418,24 +511,28 @@ impl Scenario {
             }
         }
         // Oracle soundness precondition: no unsequenced buffer races
-        // between same-QP requests (see `WrSpec::races_under`).
+        // between same-QP requests (see `WrSpec::races_under`), nor
+        // between two QPs sharing a window, which nothing orders.
+        let shared = self.layout == Layout::Shared;
         for (j, &(qp_j, wr_j)) in self.wrs.iter().enumerate() {
             for &(qp_i, wr_i) in &self.wrs[..j] {
-                if qp_i != qp_j {
-                    continue;
-                }
-                if wr_i.races_under(wr_j, self.recovery) {
+                let races = if qp_i == qp_j {
+                    wr_i.races_under(wr_j, self.recovery)
+                } else {
+                    shared && wr_i.races_unordered(wr_j)
+                };
+                if races {
                     return Err(format!(
-                        "wr {j} ({wr_j:?}) overlaps the landing range of an earlier \
-                         outstanding {wr_i:?} on QP {qp_j}: unsequenced buffer race \
-                         under {} recovery (the reference model assumes sequential \
-                         buffer evolution)",
+                        "wr {j} ({wr_j:?}) on QP {qp_j} overlaps an earlier outstanding \
+                         {wr_i:?} on QP {qp_i}: unsequenced buffer race under {} \
+                         recovery (the reference model assumes sequential buffer \
+                         evolution)",
                         self.recovery
                     ));
                 }
             }
         }
-        let pages = self.region_len().div_ceil(ibsim_verbs::PAGE_SIZE) as usize;
+        let pages = self.region_len().div_ceil(PAGE_SIZE) as usize;
         for (i, f) in self.faults.iter().enumerate() {
             if f.count == 0 {
                 return Err(format!("fault {i} invalidates zero pages"));
@@ -472,15 +569,19 @@ impl Scenario {
         s.push_str("ibsim-scenario v1\n");
         s.push_str(&format!("name={}\n", self.name));
         s.push_str(&format!("seed={}\n", self.seed));
-        s.push_str(&format!("device={}\n", self.device.token()));
+        s.push_str(&format!("device={}\n", device::render(&self.device)));
         s.push_str(&format!("qps={}\n", self.qps));
         s.push_str(&format!("slot={}\n", self.slot));
+        // Emitted only when non-default, like the facet block below.
+        if self.layout == Layout::Shared {
+            s.push_str("layout=shared\n");
+        }
         s.push_str(&format!(
             "odp={}{}\n",
             if self.client_odp { "c" } else { "-" },
             if self.server_odp { "s" } else { "-" }
         ));
-        s.push_str(&format!("prefetch={}\n", u8::from(self.prefetch)));
+        s.push_str(&format!("prefetch={}\n", self.prefetch.token()));
         s.push_str(&format!("cack={}\n", self.cack));
         s.push_str(&format!("retry={}\n", self.retry_count));
         s.push_str(&format!("rnr_ns={}\n", self.min_rnr_delay_ns));
@@ -559,9 +660,15 @@ impl Scenario {
             match key {
                 "name" => sc.name = value.to_owned(),
                 "seed" => sc.seed = parse_num(value)?,
-                "device" => sc.device = DeviceKind::from_token(value)?,
+                "device" => sc.device = device::parse(value)?,
                 "qps" => sc.qps = parse_num(value)?,
                 "slot" => sc.slot = parse_num(value)?,
+                "layout" => {
+                    sc.layout = match value {
+                        "shared" => Layout::Shared,
+                        other => return Err(format!("bad layout {other:?}")),
+                    }
+                }
                 "odp" => {
                     (sc.client_odp, sc.server_odp) = match value {
                         "--" => (false, false),
@@ -571,13 +678,7 @@ impl Scenario {
                         other => return Err(format!("bad odp sides {other:?}")),
                     }
                 }
-                "prefetch" => {
-                    sc.prefetch = match value {
-                        "0" => false,
-                        "1" => true,
-                        other => return Err(format!("bad prefetch flag {other:?}")),
-                    }
-                }
+                "prefetch" => sc.prefetch = Prefetch::from_token(value)?,
                 "cack" => sc.cack = parse_num(value)?,
                 "retry" => sc.retry_count = parse_num(value)?,
                 "rnr_ns" => sc.min_rnr_delay_ns = parse_num(value)?,
@@ -701,11 +802,11 @@ mod tests {
     fn sample() -> Scenario {
         let mut sc = Scenario::base("sample");
         sc.seed = 99;
-        sc.device = DeviceKind::ConnectX6;
+        sc.device = DeviceProfile::connectx6();
         sc.qps = 3;
         sc.slot = 512;
         sc.client_odp = true;
-        sc.prefetch = true;
+        sc.prefetch = Prefetch::All;
         sc.cack = 18;
         sc.post_interval_ns = 5_000;
         sc.wrs = vec![
@@ -995,6 +1096,79 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// A region past the address ceiling is an error. It used to pass,
+    /// then panic in the run's first allocation.
+    #[test]
+    fn parse_rejects_a_region_past_the_address_ceiling() {
+        let top = Memory::ADDR_LIMIT - PAGE_SIZE;
+        for (lines, ok) in [
+            (format!("qps=1\nslot={top}"), true),
+            (format!("qps=1\nslot={}", top + 1), false),
+            (format!("qps=2\nslot={}", Memory::ADDR_LIMIT / 2), false),
+            (format!("qps=8\nslot={top}\nlayout=shared"), true),
+            (format!("qps=8\nslot={}\nlayout=shared", top + 1), false),
+        ] {
+            let text = format!("ibsim-scenario v1\nname=x\n{lines}\n");
+            match Scenario::parse(&text) {
+                Ok(_) => assert!(ok, "{lines} accepted"),
+                Err(err) => {
+                    assert!(!ok, "{lines}: {err}");
+                    assert!(err.contains("address ceiling"), "{lines}: {err}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn fig3_loop_round_trips_with_its_facets() {
+        let mut sc = Scenario::fig3_loop(64, 4, 100, SimTime::from_us(350));
+        sc.prefetch = Prefetch::AllButFirst;
+        sc.device = DeviceProfile {
+            resume_slots: 64,
+            ..DeviceProfile::connectx4(LinkSpec::fdr())
+        };
+        sc.validate().expect("the Fig. 3 loop is valid");
+        assert_eq!(sc.region_len(), 6400);
+        assert_eq!(sc.window(3), 0);
+        assert_eq!(sc.post_interval_ns, 350_500);
+        let text = sc.to_spec_string();
+        for line in [
+            "device=cx4 resume_slots=64\n",
+            "slot=6400\nlayout=shared\n",
+            "prefetch=all-but-first\n",
+        ] {
+            assert!(text.contains(line), "{line:?} missing:\n{text}");
+        }
+        let back = Scenario::parse(&text).expect("parse back");
+        assert_eq!(sc, back);
+        assert_eq!(text, back.to_spec_string());
+        // The defaults stay off the page.
+        let text = sample().to_spec_string();
+        assert!(!text.contains("layout=") && text.contains("device=cx6\n"));
+    }
+
+    /// Two QPs sharing a window are not ordered at all: only READ/READ
+    /// may overlap across them, whatever the backend.
+    #[test]
+    fn shared_windows_refuse_cross_qp_overlaps() {
+        let mut sc = Scenario::base("shared");
+        sc.qps = 2;
+        sc.wrs = vec![
+            (0, WrSpec::Write { off: 0, len: 32 }),
+            (1, WrSpec::Write { off: 16, len: 32 }),
+        ];
+        sc.validate().expect("disjoint windows never meet");
+        sc.layout = Layout::Shared;
+        let err = sc.validate().expect_err("the windows meet");
+        assert!(err.contains("unsequenced buffer race"), "{err}");
+        sc.wrs = vec![
+            (0, WrSpec::Read { off: 0, len: 32 }),
+            (1, WrSpec::Read { off: 16, len: 32 }),
+            (1, WrSpec::Write { off: 64, len: 32 }),
+        ];
+        sc.validate().expect("READ/READ overlap is fine");
     }
 
     #[test]

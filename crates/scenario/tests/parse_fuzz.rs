@@ -1,16 +1,17 @@
 //! A seeded byte-level fuzz of [`Scenario::parse`]. Every paper-corpus
 //! spec string is mutated — `interval_ns` stretched to where the clock
-//! runs out, numbers swapped for the edges of their types, bytes
-//! overwritten, inserted and removed — and the parser must answer each
-//! with an error or with a scenario that re-validates, round-trips
-//! through [`Scenario::to_spec_string`] and keeps every span, its region
-//! and its post schedule inside `u64` without wrapping. It must never
-//! panic.
+//! runs out, `slot` to where the address space does, numbers swapped for
+//! the edges of their types, bytes overwritten, inserted and removed —
+//! and the parser must answer each with an error or with a scenario that
+//! re-validates, round-trips through [`Scenario::to_spec_string`], keeps
+//! every span and its post schedule inside `u64` without wrapping and
+//! its region below the address ceiling. It must never panic.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use ibsim_event::SplitMix64;
-use ibsim_scenario::{paper_corpus, Scenario};
+use ibsim_scenario::{paper_corpus, Layout, Scenario};
+use ibsim_verbs::{Memory, PAGE_SIZE};
 
 /// Replacement numbers: zero, `u32::MAX`, `u64::MAX` and `u64::MAX - 7`.
 const EDGES: [&str; 4] = [
@@ -32,6 +33,27 @@ fn stretch_interval(spec: &str, rng: &mut SplitMix64) -> String {
     spec.lines()
         .map(|line| match line.strip_prefix("interval_ns=") {
             Some(_) => format!("interval_ns={interval}\n"),
+            None => format!("{line}\n"),
+        })
+        .collect()
+}
+
+/// The largest region a host can allocate: its first buffer starts
+/// above the zero page.
+const REGION_CEILING: u64 = Memory::ADDR_LIMIT - PAGE_SIZE;
+
+/// `spec` with its `slot` redrawn at the address ceiling: the largest
+/// slot whose `qps` windows fit below it, or one more.
+fn stretch_region(spec: &str, rng: &mut SplitMix64) -> String {
+    let qps = spec
+        .lines()
+        .find_map(|l| l.strip_prefix("qps=")?.parse::<u64>().ok())
+        .unwrap_or(1)
+        .max(1);
+    let slot = REGION_CEILING / qps + rng.next_below(2);
+    spec.lines()
+        .map(|line| match line.strip_prefix("slot=") {
+            Some(_) => format!("slot={slot}\n"),
             None => format!("{line}\n"),
         })
         .collect()
@@ -87,8 +109,14 @@ fn mutate(spec: &str, rng: &mut SplitMix64) -> String {
 /// `validate`'s arithmetic.
 fn assert_accepted_is_sound(sc: &Scenario, text: &str) {
     assert_eq!(sc.validate(), Ok(()), "{text:?}");
-    let region = (sc.qps as u64).checked_mul(sc.slot);
-    assert!(region.is_some(), "region overflows: {text:?}");
+    let region = match sc.layout {
+        Layout::Disjoint => (sc.qps as u64).checked_mul(sc.slot),
+        Layout::Shared => Some(sc.slot),
+    };
+    assert!(
+        region.is_some_and(|r| r <= REGION_CEILING),
+        "region past the ceiling: {text:?}"
+    );
     for &(_, wr) in &sc.wrs {
         let (off, len) = wr.footprint();
         let end = off.checked_add(len);
@@ -112,12 +140,16 @@ fn parsing_mutated_corpus_specs_never_panics_and_every_ok_round_trips() {
         .map(Scenario::to_spec_string)
         .collect();
     let mut rng = SplitMix64::new(0x5ce7);
-    let (mut accepted, mut stretched) = (0, [0; 2]);
+    let (mut accepted, mut stretched, mut widened) = (0, [0; 2], [0; 2]);
     for _ in 0..4096 {
         let mut spec = specs[rng.next_below(specs.len() as u64) as usize].clone();
         let stretch = rng.next_below(4) == 0;
         if stretch {
             spec = stretch_interval(&spec, &mut rng);
+        }
+        let widen = rng.next_below(4) == 0;
+        if widen {
+            spec = stretch_region(&spec, &mut rng);
         }
         let text = mutate(&spec, &mut rng);
         let parsed = catch_unwind(AssertUnwindSafe(|| Scenario::parse(&text)));
@@ -126,6 +158,9 @@ fn parsing_mutated_corpus_specs_never_panics_and_every_ok_round_trips() {
         };
         if stretch {
             stretched[usize::from(parsed.is_ok())] += 1;
+        }
+        if widen {
+            widened[usize::from(parsed.is_ok())] += 1;
         }
         if let Ok(sc) = parsed {
             accepted += 1;
@@ -139,5 +174,9 @@ fn parsing_mutated_corpus_specs_never_panics_and_every_ok_round_trips() {
     assert!(
         stretched.iter().all(|&n| n > 50),
         "stretched intervals must land on both sides: {stretched:?}"
+    );
+    assert!(
+        widened.iter().all(|&n| n > 50),
+        "stretched regions must land on both sides: {widened:?}"
     );
 }

@@ -64,7 +64,7 @@ fn pinning_reports_pins_and_go_back_n_never_does() {
         let pin = run_scenario(&sc);
         // Pinning closes the fault window before it opens: no fault
         // lifecycle spans means no RNR pendency and no damming.
-        pin_spans += pin.spans.len();
+        pin_spans += pin.telemetry.spans().len();
         assert!(!pin.stalled, "{}: pin run hit the drain deadline", sc.name);
         assert!(
             pin.end_ns <= gbn.end_ns,

@@ -8,7 +8,7 @@
 //! stage-sum verdicts from every pair.
 
 use ibsim_scenario::{
-    paper_corpus, random_scenario, run_scenario, run_scenario_plan, Scenario, ShardPlan,
+    paper_corpus, random_scenario, run_scenario, run_scenario_plan, RunOptions, Scenario, ShardPlan,
 };
 
 #[test]
@@ -30,8 +30,8 @@ fn paper_corpus_is_shard_count_invariant() {
                 sc.name
             );
             assert_eq!(
-                seq.spans.len(),
-                run.spans.len(),
+                seq.telemetry.spans().len(),
+                run.telemetry.spans().len(),
                 "{}: span count diverged at {shards} shards",
                 sc.name
             );
@@ -66,7 +66,7 @@ fn random_shard_assignments_reproduce_the_sequential_trace() {
         sc.shards = 1;
         let seq = run_scenario(&sc);
         let plan = plan_for(seed);
-        let run = run_scenario_plan(&sc, plan.clone());
+        let run = run_scenario_plan(&sc, plan.clone(), RunOptions::ORACLE);
         assert_eq!(
             seq.trace_hash, run.trace_hash,
             "seed {seed}: {} shards, owner {:?}: trace diverged from sequential",
@@ -79,12 +79,13 @@ fn random_shard_assignments_reproduce_the_sequential_trace() {
             "seed {seed}: stall verdict diverged"
         );
         assert_eq!(
-            seq.spans.len(),
-            run.spans.len(),
+            seq.telemetry.spans().len(),
+            run.telemetry.spans().len(),
             "seed {seed}: span count diverged"
         );
         assert_eq!(
-            seq.stage_sum_violations, run.stage_sum_violations,
+            seq.telemetry.stage_sum_violations(),
+            run.telemetry.stage_sum_violations(),
             "seed {seed}: stage-sum verdict diverged"
         );
         assert_eq!(
@@ -92,8 +93,8 @@ fn random_shard_assignments_reproduce_the_sequential_trace() {
             run.lint.findings.len(),
             "seed {seed}: lint findings diverged"
         );
-        if plan.owner[0] != plan.owner[1] && !seq.spans.is_empty() {
-            sharded_faults += seq.spans.len();
+        if plan.owner[0] != plan.owner[1] && !seq.telemetry.spans().is_empty() {
+            sharded_faults += seq.telemetry.spans().len();
         }
     }
     // The sweep must not pass vacuously: at least some runs have to

@@ -7,7 +7,7 @@
 //! on so spans actually open, and layering random loss phases on top —
 //! and requires zero stage-sum violations from every run.
 
-use ibsim_scenario::{random_scenario, run_scenario, LossPhase, LossSpec};
+use ibsim_scenario::{random_scenario, run_scenario, LossPhase, LossSpec, Prefetch};
 
 #[test]
 fn stage_sums_are_conserved_under_random_loss_schedules() {
@@ -18,7 +18,7 @@ fn stage_sums_are_conserved_under_random_loss_schedules() {
         // faults, and a deterministic uniform-loss phase (when the
         // generator produced none) stresses recovery interleavings.
         sc.client_odp = true;
-        sc.prefetch = false;
+        sc.prefetch = Prefetch::Off;
         if sc.loss.is_empty() {
             let post_end = sc.wrs.len() as u64 * sc.post_interval_ns;
             sc.loss = vec![
@@ -39,11 +39,12 @@ fn stage_sums_are_conserved_under_random_loss_schedules() {
         let run = run_scenario(&sc);
         assert!(!run.stalled, "seed {seed} stalled");
         assert_eq!(
-            run.stage_sum_violations, 0,
+            run.telemetry.stage_sum_violations(),
+            0,
             "seed {seed}: {} closed span(s) violate stage-sum conservation",
-            run.stage_sum_violations
+            run.telemetry.stage_sum_violations()
         );
-        total_spans += run.spans.len();
+        total_spans += run.telemetry.spans().len();
     }
     // The law must not hold vacuously: the sweep has to produce spans.
     assert!(

@@ -112,7 +112,7 @@ pub fn t_tr(cack: u8) -> Option<SimTime> {
 /// Constants with paper provenance are documented field by field; the rest
 /// are engineering choices calibrated so that the reproduced figures match
 /// the paper's shapes (see `DESIGN.md` §6).
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DeviceProfile {
     /// Silicon generation.
     pub model: DeviceModel,

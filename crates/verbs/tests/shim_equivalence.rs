@@ -6,11 +6,10 @@
 //! onto fresh clusters must produce byte-identical runs — same packet
 //! timelines on both hosts, same completion log, same final memory —
 //! compressed into one FNV-1a hash per run (the shared
-//! [`ibsim_odp::fnv1a`] helper, so the trace-identity hash itself is
+//! [`ibsim_event::fnv1a`] helper, so the trace-identity hash itself is
 //! pinned in one place).
 
-use ibsim_event::SimTime;
-use ibsim_odp::fnv1a;
+use ibsim_event::{fnv1a, SimTime};
 use ibsim_verbs::{
     Cluster, ClusterBuilder, CompareSwapWr, DeviceProfile, FetchAddWr, MrBuilder, MrMode, QpConfig,
     ReadWr, RecvWr, SendWr, Sim, WrId, WriteWr,

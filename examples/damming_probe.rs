@@ -9,23 +9,19 @@
 use ibsim::analysis::{lint_capture, LintConfig, RuleId};
 use ibsim::event::SimTime;
 use ibsim::odp::workaround::install_dummy_reads;
-use ibsim::odp::{run_microbench, MicrobenchConfig};
+use ibsim::scenario::{run_scenario_with, RunOptions, Scenario};
 use ibsim::telemetry::render_summary;
 use ibsim::verbs::{ClusterBuilder, DeviceProfile, MrBuilder, QpConfig, ReadWr, WcStatus, WrId};
 
 fn main() {
     // 1. Two READs, 1 ms apart, both-side ODP: the paper's §V-A setup,
     //    with sim-time telemetry recording the fault lifecycles.
-    let cfg = MicrobenchConfig {
-        interval: SimTime::from_ms(1),
-        capture: true,
-        telemetry: true,
-        ..Default::default()
-    };
-    let run = run_microbench(&cfg);
+    let sc = Scenario::fig3_loop(2, 1, 100, SimTime::from_ms(1));
+    let run = run_scenario_with(&sc, RunOptions::FULL);
     println!(
         "two READs at 1 ms interval: execution time {} (timeouts: {})",
-        run.execution_time, run.timeouts
+        run.execution_time(),
+        run.client_stats.timeouts
     );
 
     // 2. The trace linter finds the stall from the capture alone — the
@@ -33,7 +29,7 @@ fn main() {
     //    packet is individually protocol-legal (no conformance
     //    violation), yet the damming signature flags the flow: a request
     //    silently lost, then silence until the ACK timeout.
-    let report = lint_capture(run.cluster.capture(run.client), &LintConfig::default());
+    let report = lint_capture(&run.captures[0], &LintConfig::default());
     for f in report.by_rule(RuleId::DammingSignature) {
         println!("LINTER {f}");
     }
@@ -47,12 +43,9 @@ fn main() {
     // 3. The telemetry layer tells the same story from the inside: the
     //    fault-lifecycle spans show where the time went (driver queue
     //    wait, resolution, page-status propagation, retransmit drain).
-    println!(
-        "\nsim-time telemetry:\n{}",
-        render_summary(run.cluster.telemetry())
-    );
+    println!("\nsim-time telemetry:\n{}", render_summary(&run.telemetry));
     assert!(
-        !run.cluster.telemetry().spans().is_empty(),
+        !run.telemetry.spans().is_empty(),
         "the damming run must record at least one fault span"
     );
 

@@ -10,7 +10,7 @@
 use ibsim::analysis::{lint_capture, summarize, LintConfig, RuleId};
 use ibsim::event::SimTime;
 use ibsim::odp::workaround::reissue_read;
-use ibsim::odp::{run_microbench, MicrobenchConfig, OdpMode};
+use ibsim::scenario::{run_scenario_with, RunOptions, Scenario};
 use ibsim::telemetry::render_summary;
 use ibsim::verbs::{ClusterBuilder, DeviceProfile, MrBuilder, QpConfig, ReadWr, WrId};
 
@@ -18,27 +18,20 @@ fn main() {
     // 1. The Fig. 11a setup: 128 QPs, one 32-byte READ each, all landing
     //    on the same local ODP page, with telemetry recording the fault
     //    lifecycle (raise → queue wait → resolve → per-QP propagation).
-    let cfg = MicrobenchConfig {
-        size: 32,
-        num_ops: 128,
-        num_qps: 128,
-        odp: OdpMode::ClientSide,
-        cack: 18,
-        capture: true,
-        telemetry: true,
-        ..Default::default()
-    };
-    let run = run_microbench(&cfg);
+    let mut sc = Scenario::fig3_loop(128, 128, 32, SimTime::ZERO);
+    (sc.server_odp, sc.cack) = (false, 18);
+    let run = run_scenario_with(&sc, RunOptions::FULL);
     println!(
         "128 QPs x one 32 B READ: execution time {}, {} responses discarded",
-        run.execution_time, run.responses_discarded
+        run.execution_time(),
+        run.client_stats.responses_discarded
     );
-    println!("traffic: {}", summarize(run.cluster.capture(run.client)));
+    println!("traffic: {}", summarize(&run.captures[0]));
 
     // 2. The trace linter sees the storms as signature findings — one
     //    request resent over and over at the blind 0.5 ms cadence while
     //    its responses are discarded — and the per-packet RC rules hold.
-    let report = lint_capture(run.cluster.capture(run.client), &LintConfig::default());
+    let report = lint_capture(&run.captures[0], &LintConfig::default());
     println!(
         "linter: {} flood signature(s), {} conformance violation(s)",
         report.count(RuleId::FloodSignature),
@@ -54,11 +47,8 @@ fn main() {
     //    with its 127 stale-QP propagations. An empty span store means
     //    the observability layer silently lost the lifecycle — fail
     //    loudly so CI catches it.
-    println!(
-        "\nsim-time telemetry:\n{}",
-        render_summary(run.cluster.telemetry())
-    );
-    let spans = run.cluster.telemetry().spans();
+    println!("\nsim-time telemetry:\n{}", render_summary(&run.telemetry));
+    let spans = run.telemetry.spans();
     if spans.is_empty() {
         eprintln!("error: flood run recorded zero fault spans");
         std::process::exit(1);

@@ -4,16 +4,14 @@
 
 use ibsim::analysis::{lint_capture, LintConfig, RuleId};
 use ibsim::dsm::{Dsm, DsmConfig};
-use ibsim::event::{Engine, SimTime};
+use ibsim::event::{fnv1a_str, Engine, SimTime};
 use ibsim::fabric::LinkSpec;
-use ibsim::odp::{
-    fnv1a_str, run_microbench, run_microbench_plan, MicrobenchConfig, MicrobenchDigest, OdpMode,
-    SystemProfile,
-};
+use ibsim::odp::SystemProfile;
+use ibsim::scenario::{run_scenario, run_scenario_plan, RunOptions, Scenario, ScenarioRun};
 use ibsim::shuffle::{run_shuffle, ShuffleConfig};
 use ibsim::ucp::{MemSlice, Tag, Ucp, UcpConfig};
 use ibsim::verbs::{
-    export_jsonl, Cluster, DeviceProfile, MrMode, QpConfig, ReadWr, ShardPlan, Telemetry,
+    export_jsonl, Cluster, DeviceProfile, Labels, MrMode, QpConfig, ReadWr, ShardPlan, Telemetry,
 };
 
 #[test]
@@ -32,38 +30,36 @@ fn facade_reexports_are_usable() {
     assert_eq!(cl.mem_read(a, dst.base, 6), b"facade");
 }
 
+/// The damming probe: two READs 1 ms apart, both-side ODP.
+fn damming_probe() -> Scenario {
+    Scenario::fig3_loop(2, 1, 100, SimTime::from_ms(1))
+}
+
+/// The flood probe: `qps` QPs, one 32 B READ each, client-side ODP.
+fn flood_probe(qps: usize) -> Scenario {
+    let mut sc = Scenario::fig3_loop(qps, qps, 32, SimTime::ZERO);
+    (sc.server_odp, sc.cack) = (false, 18);
+    sc
+}
+
 #[test]
 fn paper_headline_damming_and_detection() {
     // §V-A headline + §IX-A detection, through the facade.
-    let cfg = MicrobenchConfig {
-        interval: SimTime::from_ms(1),
-        capture: true,
-        ..Default::default()
-    };
-    let run = run_microbench(&cfg);
-    assert!(run.execution_time >= SimTime::from_ms(400));
-    let report = lint_capture(run.cluster.capture(run.client), &LintConfig::default());
+    let run = run_scenario(&damming_probe());
+    assert!(run.execution_time() >= SimTime::from_ms(400));
+    let report = lint_capture(&run.captures[0], &LintConfig::default());
     assert_eq!(report.count(RuleId::DammingSignature), 1, "{report}");
     assert_eq!(report.count(RuleId::FloodSignature), 0, "{report}");
 }
 
 #[test]
 fn paper_headline_flood_and_detection() {
-    let cfg = MicrobenchConfig {
-        size: 32,
-        num_ops: 96,
-        num_qps: 96,
-        odp: OdpMode::ClientSide,
-        cack: 18,
-        capture: true,
-        ..Default::default()
-    };
-    let run = run_microbench(&cfg);
-    let report = lint_capture(run.cluster.capture(run.client), &LintConfig::default());
+    let run = run_scenario(&flood_probe(96));
+    let report = lint_capture(&run.captures[0], &LintConfig::default());
     assert!(report.count(RuleId::FloodSignature) >= 1, "{report}");
     assert_eq!(report.count(RuleId::DammingSignature), 0, "{report}");
-    assert_eq!(run.errors, 0);
-    assert!(run.data_ok);
+    assert_eq!(run.errors(), 0);
+    assert!(run.client_mem == run.server_mem, "every READ read back");
 }
 
 // ---------------------------------------------------------------------
@@ -73,26 +69,9 @@ fn paper_headline_flood_and_detection() {
 // event counts, same merged metrics export.
 // ---------------------------------------------------------------------
 
-fn damming_probe_cfg() -> MicrobenchConfig {
-    MicrobenchConfig {
-        interval: SimTime::from_ms(1),
-        capture: true,
-        telemetry: true,
-        ..Default::default()
-    }
-}
-
-fn flood_probe_cfg() -> MicrobenchConfig {
-    MicrobenchConfig {
-        size: 32,
-        num_ops: 128,
-        num_qps: 128,
-        odp: OdpMode::ClientSide,
-        cack: 18,
-        capture: true,
-        telemetry: true,
-        ..Default::default()
-    }
+/// `sc` under `ShardPlan::pair(shards)`, capture on and the hub synced.
+fn run_at(sc: &Scenario, shards: usize) -> ScenarioRun {
+    run_scenario_plan(sc, ShardPlan::pair(shards), RunOptions::FULL)
 }
 
 /// Sum of one counter family across all label sets.
@@ -109,16 +88,32 @@ fn counter_sum(t: &Telemetry, name: &str) -> u64 {
         .sum()
 }
 
-fn assert_digest_matches(seq: &MicrobenchDigest, sh: &MicrobenchDigest, ctx: &str) {
-    assert_eq!(seq.client_timeline, sh.client_timeline, "{ctx}: timeline");
-    assert_eq!(seq.op_completions, sh.op_completions, "{ctx}: completions");
+/// One engine gauge of a synced hub.
+fn engine_gauge(t: &Telemetry, name: &'static str) -> Option<u64> {
+    t.registry().gauge(name, Labels::NONE)
+}
+
+/// The shard-count-invariant view of a run: its export with
+/// `event.peak_depth` left out, which a one-owner run knows and per-shard
+/// peaks cannot give. The export carries every engine queue counter.
+fn plan_invariant_export(run: &mut ScenarioRun) -> String {
+    run.telemetry
+        .remove_metric("event.peak_depth", Labels::NONE);
+    export_jsonl(&run.telemetry)
+}
+
+fn assert_runs_match(seq: &mut ScenarioRun, sh: &mut ScenarioRun, ctx: &str) {
+    let timeline = |r: &ScenarioRun| r.captures[0].timeline();
+    assert_eq!(timeline(seq), timeline(sh), "{ctx}: timeline");
+    assert_eq!(seq.client_comps, sh.client_comps, "{ctx}: completions");
     assert_eq!(
-        seq.execution_time, sh.execution_time,
+        seq.execution_time(),
+        sh.execution_time(),
         "{ctx}: execution time"
     );
     assert_eq!(seq.total_packets, sh.total_packets, "{ctx}: packet count");
-    assert_eq!(seq.faults, sh.faults, "{ctx}: fault count");
-    assert_eq!(seq.queue_stats, sh.queue_stats, "{ctx}: queue stats");
+    let faults = |r: &ScenarioRun| r.client_stats.faults_raised + r.server_stats.faults_raised;
+    assert_eq!(faults(seq), faults(sh), "{ctx}: fault count");
     assert_eq!(
         seq.telemetry.spans().len(),
         sh.telemetry.spans().len(),
@@ -132,54 +127,39 @@ fn assert_digest_matches(seq: &MicrobenchDigest, sh: &MicrobenchDigest, ctx: &st
         );
     }
     assert_eq!(
-        export_jsonl(&seq.telemetry),
-        export_jsonl(&sh.telemetry),
+        plan_invariant_export(seq),
+        plan_invariant_export(sh),
         "{ctx}: telemetry export"
     );
 }
 
-#[test]
-fn sharded_damming_reproduces_pinned_golden_at_every_shard_count() {
-    let seq = run_microbench_plan(&damming_probe_cfg(), ShardPlan::pair(1));
-    assert_eq!(seq.client_timeline.len(), 919, "sequential golden drifted");
-    assert_eq!(
-        fnv1a_str(&seq.client_timeline),
-        0xeabf_f70d_d984_76b9,
-        "sequential golden drifted"
-    );
+/// The battery over one probe: `seq` must carry the pinned client
+/// timeline, and every shard count must reproduce `seq`.
+fn assert_every_shard_count_matches(sc: &Scenario, len: usize, pin: u64) {
+    let mut seq = run_at(sc, 1);
+    let timeline = seq.captures[0].timeline();
+    assert_eq!(timeline.len(), len, "sequential golden drifted");
+    assert_eq!(fnv1a_str(&timeline), pin, "sequential golden drifted");
     for shards in [1, 2, 4, 8] {
-        let sh = run_microbench_plan(&damming_probe_cfg(), ShardPlan::pair(shards));
+        let mut sh = run_at(sc, shards);
+        let ctx = format!("{}, {shards} shards", sc.name);
         assert_eq!(
-            fnv1a_str(&sh.client_timeline),
-            0xeabf_f70d_d984_76b9,
-            "damming trace diverged at {shards} shards"
+            fnv1a_str(&sh.captures[0].timeline()),
+            pin,
+            "{ctx}: diverged"
         );
-        assert_digest_matches(&seq, &sh, &format!("damming, {shards} shards"));
+        assert_runs_match(&mut seq, &mut sh, &ctx);
     }
 }
 
 #[test]
+fn sharded_damming_reproduces_pinned_golden_at_every_shard_count() {
+    assert_every_shard_count_matches(&damming_probe(), 919, 0xeabf_f70d_d984_76b9);
+}
+
+#[test]
 fn sharded_flood_reproduces_pinned_golden_at_every_shard_count() {
-    let seq = run_microbench_plan(&flood_probe_cfg(), ShardPlan::pair(1));
-    assert_eq!(
-        seq.client_timeline.len(),
-        135_890,
-        "sequential golden drifted"
-    );
-    assert_eq!(
-        fnv1a_str(&seq.client_timeline),
-        0xa115_5303_7a19_1337,
-        "sequential golden drifted"
-    );
-    for shards in [1, 2, 4, 8] {
-        let sh = run_microbench_plan(&flood_probe_cfg(), ShardPlan::pair(shards));
-        assert_eq!(
-            fnv1a_str(&sh.client_timeline),
-            0xa115_5303_7a19_1337,
-            "flood trace diverged at {shards} shards"
-        );
-        assert_digest_matches(&seq, &sh, &format!("flood, {shards} shards"));
-    }
+    assert_every_shard_count_matches(&flood_probe(128), 135_890, 0xa115_5303_7a19_1337);
 }
 
 /// A protocol timer's only stale-fire guard is its keyed slot, so a
@@ -187,17 +167,25 @@ fn sharded_flood_reproduces_pinned_golden_at_every_shard_count() {
 /// found its QP armed with work outstanding: fires == counted timeouts.
 #[test]
 fn drained_probes_leave_no_timer_behind_and_every_ack_fire_is_a_timeout() {
-    let flood = run_microbench_plan(&flood_probe_cfg(), ShardPlan::pair(1));
-    let damming = run_microbench_plan(&damming_probe_cfg(), ShardPlan::pair(1));
+    let flood = run_at(&flood_probe(128), 1);
+    let damming = run_at(&damming_probe(), 1);
     for (run, name) in [(&flood, "flood"), (&damming, "damming")] {
-        assert_eq!(run.queue_stats.live, 0, "{name}");
-        assert_eq!(run.queue_stats.keyed_live, 0, "{name}");
+        assert_eq!(
+            engine_gauge(&run.telemetry, "event.live"),
+            Some(0),
+            "{name}"
+        );
+        assert_eq!(
+            engine_gauge(&run.telemetry, "event.keyed_live"),
+            Some(0),
+            "{name}"
+        );
         let fired = counter_sum(&run.telemetry, "timer.ack_fired");
-        assert_eq!(fired, run.timeouts, "{name}");
+        assert_eq!(fired, run.client_stats.timeouts, "{name}");
     }
     // Both families ran: the damming stall ends in a Local ACK Timeout,
     // and each of the flood's 128 QPs ticked at least once.
-    assert!(damming.timeouts >= 1);
+    assert!(damming.client_stats.timeouts >= 1);
     assert!(counter_sum(&flood.telemetry, "timer.stall_tick_fired") >= 128);
 }
 
@@ -207,20 +195,17 @@ fn sharded_stage_sum_law_holds_with_cross_shard_fault_lifecycles() {
     // each host's own shard, but the retransmit drain closing every span
     // is driven by packets from the peer's shard. The stage-sum
     // conservation law must survive the epoch-merged telemetry.
-    let sh = run_microbench_plan(&damming_probe_cfg(), ShardPlan::pair(2));
+    let sh = run_at(&damming_probe(), 2);
+    let spans = sh.telemetry.spans();
+    assert!(!spans.is_empty(), "damming probe must record fault spans");
     assert!(
-        !sh.telemetry.spans().is_empty(),
-        "damming probe must record fault spans"
-    );
-    assert!(
-        sh.telemetry.spans().iter().any(|s| s.host == 0)
-            && sh.telemetry.spans().iter().any(|s| s.host == 1),
+        spans.iter().any(|s| s.host == 0) && spans.iter().any(|s| s.host == 1),
         "both shards must contribute spans"
     );
     assert_eq!(sh.telemetry.stage_sum_violations(), 0);
-    let seq = run_microbench_plan(&damming_probe_cfg(), ShardPlan::pair(1));
+    let seq = run_at(&damming_probe(), 1);
     assert_eq!(seq.telemetry.stage_sum_violations(), 0);
-    assert_eq!(seq.telemetry.spans().len(), sh.telemetry.spans().len());
+    assert_eq!(seq.telemetry.spans().len(), spans.len());
 }
 
 #[test]
@@ -229,13 +214,11 @@ fn oversized_lookahead_override_is_rejected() {
     // A lookahead wider than the real minimum cross-shard latency lets a
     // packet arrive inside the epoch it was sent in; the leader must
     // reject the run with a diagnostic instead of silently reordering.
-    let cfg = MicrobenchConfig {
-        odp: OdpMode::None,
-        ..Default::default()
-    };
+    let mut sc = damming_probe();
+    (sc.client_odp, sc.server_odp) = (false, false);
     let mut plan = ShardPlan::new(2, vec![0, 1]);
     plan.lookahead_override = Some(SimTime::from_ms(1000));
-    run_microbench_plan(&cfg, plan);
+    run_scenario_plan(&sc, plan, RunOptions::BARE);
 }
 
 #[test]
