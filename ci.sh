@@ -112,10 +112,15 @@ cargo run -q --offline --release -p ibsim-bench --bin recovery
 echo "==> scenario conformance (paper corpus + 256-seed fuzz through the"
 echo "    differential oracle, 1-vs-4-worker hash identity, minimizer demo;"
 echo "    the crossbar default must keep the pre-topology damming golden"
-echo "    hash identical — zero re-pinning)"
+echo "    hash identical — zero re-pinning; the stdout, 271 trace hashes and"
+echo "    sim end times with no host clock, is pinned)"
 cargo run -q --offline --release -p ibsim-bench --bin scenario -- --workers 4 --fuzz 256 --minimize-demo \
     | tee target/scenario_seq.out
 grep -q '0x82cd0331e596f726' target/scenario_seq.out
+if [ "$(cksum < target/scenario_seq.out)" != "2458247284 19838" ]; then
+    echo "ci: the scenario trace hashes drifted (target/scenario_seq.out)" >&2
+    exit 1
+fi
 
 echo "==> pdes conformance (corpus trace hashes must survive the move from"
 echo "    the plain engine to 4 PDES shards byte for byte)"

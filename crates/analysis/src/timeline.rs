@@ -57,10 +57,8 @@ pub fn render_workflow(cap: &Capture<Packet>) -> String {
             },
             None => None,
         };
-        // `SimTime`'s `Display` ignores width, so the time is padded as text.
-        let time = at.to_string();
         if let Some(note) = note {
-            let _ = writeln!(out, "{time:>12}  == {note} ==");
+            let _ = writeln!(out, "{at:>12}  == {note} ==");
         }
         let p = &r.payload;
         if let (Direction::Rx, PacketKind::Nak(NakKind::Rnr { .. })) = (r.direction, &p.kind) {
@@ -78,7 +76,7 @@ pub fn render_workflow(cap: &Capture<Packet>) -> String {
             ""
         };
         let (opcode, psn) = (p.kind.opcode(), p.psn);
-        let _ = writeln!(out, "{time:>12}  {arrow} {opcode} {psn}{mark}");
+        let _ = writeln!(out, "{at:>12}  {arrow} {opcode} {psn}{mark}");
         last_activity = at;
     }
     out

@@ -15,7 +15,7 @@
 //! ```
 
 use ibsim_bench::{header, row, secs};
-use ibsim_event::{fnv1a_str, SimTime};
+use ibsim_event::{Fnv1a, SimTime};
 use ibsim_odp::{experiment::fig3, OdpMode};
 use ibsim_scenario::{run_scenario, Scenario, ScenarioRun};
 use ibsim_verbs::RecoveryKind;
@@ -115,8 +115,13 @@ fn main() {
     );
 
     // --- Golden gates: go-back-N is bit-identical to the pre-trait model.
-    let gbn_damming = fnv1a_str(&damming_runs[0].1.captures[0].timeline());
-    let gbn_flood = fnv1a_str(&flood_runs[0].1.captures[0].timeline());
+    let client_timeline_hash = |run: &ScenarioRun| {
+        let mut h = Fnv1a::new();
+        let _ = run.captures[0].write_timeline(&mut h);
+        h.finish()
+    };
+    let gbn_damming = client_timeline_hash(&damming_runs[0].1);
+    let gbn_flood = client_timeline_hash(&flood_runs[0].1);
     assert_eq!(
         gbn_damming, GBN_DAMMING_GOLDEN,
         "go-back-N damming timeline drifted (hash {gbn_damming:#018x})"

@@ -2,10 +2,67 @@
 //!
 //! Every byte-identity gate in this workspace — the damming/flood golden
 //! trace pins, the scenario corpus 1-vs-N worker comparison, the typed
-//! work-request determinism pins — compresses a rendered run artifact
-//! (capture timeline, completion log, memory image) into one 64-bit
-//! FNV-1a digest. It lives in the lowest crate so that every gate, in
-//! every crate, hashes with the one definition.
+//! work-request determinism pins — compresses a run artifact (capture
+//! timeline, completion log, memory image) into one 64-bit FNV-1a
+//! digest. It lives in the lowest crate so that every gate, in every
+//! crate, hashes with the one definition.
+
+use core::fmt;
+
+/// A streaming FNV-1a hasher: feeding it a preimage in any chunking
+/// gives [`fnv1a`] of the concatenation. It implements [`fmt::Write`], so
+/// a renderer can write text straight into the digest instead of into a
+/// `String` that is hashed afterwards.
+///
+/// # Examples
+///
+/// ```
+/// use std::fmt::Write as _;
+/// use ibsim_event::{fnv1a, Fnv1a};
+///
+/// let mut h = Fnv1a::new();
+/// write!(h, "{}-{}", "foo", 42).unwrap();
+/// h.write_bytes(b"bar");
+/// assert_eq!(h.finish(), fnv1a(b"foo-42bar"));
+/// ```
+#[derive(Debug, Clone, Copy)]
+pub struct Fnv1a(u64);
+
+impl Fnv1a {
+    /// A hasher over the empty input (the standard 64-bit offset basis).
+    pub const fn new() -> Self {
+        Fnv1a(0xcbf2_9ce4_8422_2325)
+    }
+
+    /// Folds `bytes` into the digest; returns `self` so calls chain.
+    #[inline]
+    pub fn write_bytes(&mut self, bytes: &[u8]) -> &mut Self {
+        for &b in bytes {
+            self.0 ^= b as u64;
+            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+        self
+    }
+
+    /// The digest of everything written so far.
+    pub const fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+impl Default for Fnv1a {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
+impl fmt::Write for Fnv1a {
+    #[inline]
+    fn write_str(&mut self, s: &str) -> fmt::Result {
+        self.write_bytes(s.as_bytes());
+        Ok(())
+    }
+}
 
 /// FNV-1a over raw bytes: dependency-free, deterministic, and stable
 /// across platforms (the two magic constants are the standard 64-bit
@@ -20,12 +77,7 @@
 /// assert_ne!(fnv1a(b"a"), fnv1a(b"b"));
 /// ```
 pub fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
+    Fnv1a::new().write_bytes(bytes).finish()
 }
 
 /// Convenience for hashing rendered text artifacts (timelines, reports).
@@ -36,10 +88,13 @@ pub fn fnv1a_str(s: &str) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::SplitMix64;
+    use core::fmt::Write as _;
 
     #[test]
     fn empty_input_is_the_offset_basis() {
         assert_eq!(fnv1a(b""), 0xcbf2_9ce4_8422_2325);
+        assert_eq!(Fnv1a::default().finish(), fnv1a(b""));
     }
 
     #[test]
@@ -59,5 +114,32 @@ mod tests {
     #[test]
     fn single_byte_order_matters() {
         assert_ne!(fnv1a(b"ab"), fnv1a(b"ba"));
+    }
+
+    /// Any split of one input into chunks, through either entry point,
+    /// gives the one-shot digest.
+    #[test]
+    fn streaming_is_independent_of_chunking() {
+        let mut rng = SplitMix64::new(0x5eed);
+        for round in 0..256 {
+            let len = rng.next_below(2_048) as usize;
+            let text: String = (0..len)
+                .map(|_| char::from(b' ' + rng.next_below(95) as u8))
+                .collect();
+            let want = fnv1a_str(&text);
+            let mut h = Fnv1a::new();
+            let mut rest = text.as_str();
+            while !rest.is_empty() {
+                let cut = 1 + rng.next_below(rest.len() as u64) as usize;
+                let (chunk, tail) = rest.split_at(cut);
+                if rng.next_bool() {
+                    h.write_bytes(chunk.as_bytes());
+                } else {
+                    h.write_str(chunk).unwrap();
+                }
+                rest = tail;
+            }
+            assert_eq!(h.finish(), want, "round {round}, {len} bytes");
+        }
     }
 }

@@ -49,7 +49,7 @@ mod shard;
 mod time;
 
 pub use engine::{Call, Engine, Event, EventFn, EventId, QueueStats, TimerKey};
-pub use hash::{fnv1a, fnv1a_str};
+pub use hash::{fnv1a, fnv1a_str, Fnv1a};
 pub use rng::SplitMix64;
 pub use shard::{epoch_end, injection_sort_key, EpochBarrier, PoisonGuard, POISON_PAYLOAD};
 pub use time::SimTime;

@@ -7,7 +7,7 @@
 
 #![expect(
     clippy::float_arithmetic,
-    reason = "the `SimTime` float constructors and accessors: every other crate converts through them"
+    reason = "the `SimTime` float constructors and accessors, which every other crate converts through, and `Display` at a tie or from 2^53 ns"
 )]
 
 use core::fmt;
@@ -196,26 +196,113 @@ impl Sum for SimTime {
 }
 
 impl fmt::Display for SimTime {
-    /// Formats with the most natural unit: `ns`, `us`, `ms` or `s`.
+    /// Formats with the most natural unit — `ns`, `us`, `ms` or `s` — and
+    /// up to three decimals, trailing zeros trimmed: `4.096us`, `1.5s`.
+    /// Width, fill and alignment apply to the whole text (`{t:>12}`).
+    ///
+    /// The text is defined as `{:.3}` of the `f64` quotient `ns / scale`,
+    /// trimmed; it is computed in integers. The exact quotient lies on a
+    /// rounding boundary (a tie: the remainder below one thousandth of
+    /// the unit is exactly half of one) or at least `1 / scale` from
+    /// every boundary. The correctly rounded `f64` quotient lies within
+    /// half an ulp of it: at most 2^-44 for `ms` (quotient below 2^10)
+    /// and 2^-30 for `s` below 2^53 ns (quotient below 2^24), both under
+    /// `1 / scale`. So off a tie both round to the same thousandth, and
+    /// `{:.3}` prints that thousandth exactly. Ties, and counts of 2^53 ns
+    /// and up (whose conversion to `f64` itself rounds), keep the float.
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        use fmt::Write as _;
         let ns = self.0;
-        if ns < 1_000 {
-            write!(f, "{ns}ns")
-        } else if ns < 1_000_000 {
-            write!(f, "{}us", trim(ns as f64 / 1e3))
-        } else if ns < 1_000_000_000 {
-            write!(f, "{}ms", trim(ns as f64 / 1e6))
+        let mut text = Text {
+            buf: [0; 24],
+            len: 0,
+        };
+        let unit = if ns < 1_000 {
+            text.push_int(ns);
+            "ns"
         } else {
-            write!(f, "{}s", trim(ns as f64 / 1e9))
-        }
+            let (scale, unit) = if ns < 1_000_000 {
+                (1_000, "us")
+            } else if ns < 1_000_000_000 {
+                (1_000_000, "ms")
+            } else {
+                (1_000_000_000, "s")
+            };
+            let tick = scale / 1_000;
+            let rem = ns % tick;
+            if 2 * rem == tick || ns >= 1 << 53 {
+                write!(text, "{:.3}", ns as f64 / scale as f64)?;
+            } else {
+                let thousandths = ns / tick + u64::from(2 * rem > tick);
+                text.push_int(thousandths / 1_000);
+                let frac = thousandths % 1_000;
+                let digit = |d: u64| b'0' + d as u8;
+                text.push(&[
+                    b'.',
+                    digit(frac / 100),
+                    digit(frac / 10 % 10),
+                    digit(frac % 10),
+                ]);
+            }
+            text.trim_zeros();
+            unit
+        };
+        text.push(unit.as_bytes());
+        f.pad(text.as_str())
     }
 }
 
-/// Formats a float with up to three decimals, trimming trailing zeros.
-fn trim(v: f64) -> String {
-    let s = format!("{v:.3}");
-    let s = s.trim_end_matches('0').trim_end_matches('.');
-    s.to_owned()
+/// [`SimTime`]'s rendering, on the stack. The longest form is
+/// `18446744073.71s` ([`SimTime::MAX`]), 15 bytes.
+struct Text {
+    buf: [u8; 24],
+    len: usize,
+}
+
+impl Text {
+    fn push(&mut self, bytes: &[u8]) {
+        self.buf[self.len..self.len + bytes.len()].copy_from_slice(bytes);
+        self.len += bytes.len();
+    }
+
+    fn push_int(&mut self, mut n: u64) {
+        let mut digits = [0u8; 20];
+        let mut at = digits.len();
+        loop {
+            at -= 1;
+            digits[at] = b'0' + (n % 10) as u8;
+            n /= 10;
+            if n == 0 {
+                break;
+            }
+        }
+        self.push(&digits[at..]);
+    }
+
+    /// Drops a fraction's trailing zeros, then a bare decimal point.
+    fn trim_zeros(&mut self) {
+        while self.len > 0 && self.buf[self.len - 1] == b'0' {
+            self.len -= 1;
+        }
+        if self.len > 0 && self.buf[self.len - 1] == b'.' {
+            self.len -= 1;
+        }
+    }
+
+    fn as_str(&self) -> &str {
+        // Only ASCII digits, `.` and unit letters are ever pushed.
+        core::str::from_utf8(&self.buf[..self.len]).unwrap_or_default()
+    }
+}
+
+impl fmt::Write for Text {
+    fn write_str(&mut self, s: &str) -> fmt::Result {
+        if self.len + s.len() > self.buf.len() {
+            return Err(fmt::Error);
+        }
+        self.push(s.as_bytes());
+        Ok(())
+    }
 }
 
 #[cfg(test)]
@@ -293,6 +380,97 @@ mod tests {
         assert_eq!(SimTime::from_ns(4_096).to_string(), "4.096us");
         assert_eq!(SimTime::from_ms(500).to_string(), "500ms");
         assert_eq!(SimTime::from_ms(1_500).to_string(), "1.5s");
+    }
+
+    /// The float formula `Display` is defined by: `{:.3}` of the quotient
+    /// in the unit, trailing zeros and a bare point trimmed.
+    fn oracle(ns: u64) -> String {
+        let trim = |v: f64| {
+            let s = format!("{v:.3}");
+            s.trim_end_matches('0').trim_end_matches('.').to_owned()
+        };
+        if ns < 1_000 {
+            format!("{ns}ns")
+        } else if ns < 1_000_000 {
+            format!("{}us", trim(ns as f64 / 1e3))
+        } else if ns < 1_000_000_000 {
+            format!("{}ms", trim(ns as f64 / 1e6))
+        } else {
+            format!("{}s", trim(ns as f64 / 1e9))
+        }
+    }
+
+    fn assert_display_matches(values: impl IntoIterator<Item = u64>) {
+        use std::fmt::Write as _;
+        let mut got = String::new();
+        for ns in values {
+            got.clear();
+            write!(got, "{}", SimTime(ns)).unwrap();
+            assert_eq!(got, oracle(ns), "ns={ns}");
+        }
+    }
+
+    #[test]
+    fn display_matches_the_float_formula_below_3ms() {
+        assert_display_matches(0..3_000_000);
+    }
+
+    /// Every tie residue of the `ms` and `s` ranges, and both of its
+    /// neighbours, under integer parts across each range.
+    #[test]
+    fn display_matches_the_float_formula_at_every_tie() {
+        for q in [1, 2, 7, 63, 500, 999] {
+            let ties = (0..1_000).map(|k| q * 1_000_000 + k * 1_000 + 500);
+            assert_display_matches(ties.flat_map(|t| [t - 1, t, t + 1]));
+        }
+        // The last integer part is the largest below 2^53 ns.
+        for q in [1, 2, 9, 1_000, 4_194_304, 9_007_198] {
+            let ties = (0..1_000).map(|k| q * 1_000_000_000 + k * 1_000_000 + 500_000);
+            assert_display_matches(ties.flat_map(|t| [t - 1, t, t + 1]));
+        }
+    }
+
+    /// Just below a second the rounded thousandth carries into the
+    /// integer part: the formula prints `1000ms`, not `1s`.
+    #[test]
+    fn display_keeps_the_1000ms_carry() {
+        assert_display_matches(999_999_000..1_000_000_001);
+        assert_eq!(SimTime::from_ns(999_999_499).to_string(), "999.999ms");
+        assert_eq!(SimTime::from_ns(999_999_999).to_string(), "1000ms");
+        assert_eq!(SimTime::from_ns(1_999_999_999).to_string(), "2s");
+    }
+
+    #[test]
+    fn display_matches_the_float_formula_from_2_pow_53() {
+        let p = 1u64 << 53;
+        assert_display_matches(p - 2_000..p + 2_000);
+        assert_display_matches(u64::MAX - 2_000..=u64::MAX);
+        assert_eq!(SimTime::MAX.to_string(), "18446744073.71s");
+    }
+
+    /// Values spread over every magnitude: a random word shifted right
+    /// by a random amount.
+    #[test]
+    fn display_matches_the_float_formula_on_random_values() {
+        let mut rng = crate::SplitMix64::new(0x51_7e);
+        let values: Vec<u64> = (0..1_000_000)
+            .map(|_| rng.next_u64() >> rng.next_below(64))
+            .collect();
+        assert_display_matches(values);
+    }
+
+    #[test]
+    fn display_honours_width_fill_and_alignment() {
+        let t = SimTime::from_ns(4_096);
+        assert_eq!(format!("{t:>12}"), "     4.096us");
+        assert_eq!(format!("{t:<12}"), "4.096us     ");
+        assert_eq!(format!("{t:*^11}"), "**4.096us**");
+        assert_eq!(format!("{t:>3}"), "4.096us");
+        for ns in [0, 999, 1_280_000, 999_999_999, 1 << 53, u64::MAX] {
+            let text = oracle(ns);
+            assert_eq!(format!("{:>12}", SimTime(ns)), format!("{text:>12}"));
+            assert_eq!(format!("{:<12}", SimTime(ns)), format!("{text:<12}"));
+        }
     }
 
     #[test]

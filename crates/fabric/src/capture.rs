@@ -228,22 +228,37 @@ impl<'a, P> IntoIterator for &'a Capture<P> {
 impl<P: fmt::Display> Capture<P> {
     /// Renders the capture as an `ibdump`-like text timeline.
     pub fn timeline(&self) -> String {
-        use fmt::Write as _;
         let mut out = String::new();
-        // `SimTime`'s `Display` ignores width, so the time goes through
-        // one reused scratch buffer to be padded.
-        let mut time = String::new();
+        let _ = self.write_timeline(&mut out);
+        out
+    }
+
+    /// Writes [`Capture::timeline`]'s text, one line per frame, to `out`:
+    /// a `String`, or a hasher such as `ibsim_event::Fnv1a` that digests
+    /// the text without it ever being built.
+    ///
+    /// ```
+    /// use ibsim_event::{fnv1a_str, Fnv1a, SimTime};
+    /// use ibsim_fabric::{Capture, Direction, Lid};
+    ///
+    /// let mut cap: Capture<&'static str> = Capture::new();
+    /// cap.enable();
+    /// cap.record(SimTime::from_ns(4_096), Direction::Tx, Lid(1), Lid(2), 64, false, "READ req");
+    /// let mut h = Fnv1a::new();
+    /// cap.write_timeline(&mut h).unwrap();
+    /// assert_eq!(h.finish(), fnv1a_str(&cap.timeline()));
+    /// assert_eq!(cap.timeline(), "     4.096us  TX  lid1 -> lid2     64B  READ req\n");
+    /// ```
+    pub fn write_timeline(&self, out: &mut impl fmt::Write) -> fmt::Result {
         for r in &self.records {
             let drop_mark = if r.dropped { "  [LOST IN FABRIC]" } else { "" };
-            time.clear();
-            let _ = write!(time, "{}", r.time);
-            let _ = writeln!(
+            writeln!(
                 out,
-                "{time:>12}  {}  {} -> {}  {:>5}B  {}{drop_mark}",
-                r.direction, r.src, r.dst, r.bytes, r.payload
-            );
+                "{:>12}  {}  {} -> {}  {:>5}B  {}{drop_mark}",
+                r.time, r.direction, r.src, r.dst, r.bytes, r.payload
+            )?;
         }
-        out
+        Ok(())
     }
 }
 

@@ -20,12 +20,12 @@
 //! a spec facet: observation does not perturb a run, so every option
 //! simulates the same trace.
 
-use std::fmt::Write as _;
+use std::fmt::{self, Write as _};
 
 use ibsim_analysis::{
     check_conservation, lint_capture, InvariantSnapshot, LintConfig, LintReport, RecoveryRules,
 };
-use ibsim_event::SimTime;
+use ibsim_event::{Fnv1a, SimTime};
 use ibsim_fabric::{Capture, LossModel};
 use ibsim_verbs::{
     run_plan, Cluster, ClusterBuilder, CompareSwapWr, Completion, FetchAddWr, HostId, Labels,
@@ -123,20 +123,49 @@ pub struct ScenarioRun {
     pub stalled: bool,
     /// Simulated completion time of the run, in nanoseconds.
     pub end_ns: u64,
-    /// FNV-1a hash over both packet timelines, the completion log and
-    /// the final memory images — the run's identity for determinism
-    /// comparisons across worker counts.
+    /// The run's identity for determinism comparisons across worker and
+    /// shard counts: FNV-1a over [`ScenarioRun::timeline`] followed by
+    /// the client then the server memory image, streamed into the
+    /// hasher without the text being built.
     pub trace_hash: u64,
-    /// The textual part of the hash preimage (both packet timelines and
-    /// the completion log), kept so a divergence or lint finding can be
-    /// read instead of re-instrumented.
-    pub timeline: String,
     /// Both hosts' packet captures, client first: what `lint` and
-    /// `timeline` were read from.
+    /// [`ScenarioRun::timeline`] read.
     pub captures: [Capture<Packet>; 2],
+    /// The client's then the server's completion log, one line per
+    /// completion in poll order.
+    comp_logs: [String; 2],
 }
 
 impl ScenarioRun {
+    /// The textual part of the `trace_hash` preimage: the client's packet
+    /// timeline, `\n`, the server's, `\n`, then the client's and the
+    /// server's completion logs. Rendered on demand, so a divergence or
+    /// a lint finding can be read instead of re-instrumented.
+    pub fn timeline(&self) -> String {
+        let mut out = String::new();
+        let _ = self.write_timeline(&mut out);
+        out
+    }
+
+    /// Writes [`ScenarioRun::timeline`] to `out`.
+    fn write_timeline(&self, out: &mut impl fmt::Write) -> fmt::Result {
+        let [client, server] = &self.captures;
+        client.write_timeline(out)?;
+        out.write_char('\n')?;
+        server.write_timeline(out)?;
+        out.write_char('\n')?;
+        self.comp_logs.iter().try_for_each(|log| out.write_str(log))
+    }
+
+    /// The [`ScenarioRun::trace_hash`] of this run's artifacts.
+    fn identity(&self) -> u64 {
+        let mut h = Fnv1a::new();
+        let _ = self.write_timeline(&mut h);
+        h.write_bytes(&self.client_mem)
+            .write_bytes(&self.server_mem)
+            .finish()
+    }
+
     /// The time of the last successful requester completion — the
     /// micro-benchmark's execution time.
     pub fn execution_time(&self) -> SimTime {
@@ -448,17 +477,7 @@ pub fn run_scenario_plan(sc: &Scenario, mut plan: ShardPlan, opts: RunOptions) -
     lint.merge(lint_capture(&scol.capture, &lint_cfg));
     lint.merge(check_conservation(&ccol.capture, &scol.capture));
 
-    let mut timeline = ccol.capture.timeline();
-    timeline.push('\n');
-    timeline.push_str(&scol.capture.timeline());
-    timeline.push('\n');
-    timeline.push_str(&ccol.comp_log);
-    timeline.push_str(&scol.comp_log);
-    let mut ident = timeline.clone().into_bytes();
-    ident.extend_from_slice(&ccol.mem);
-    ident.extend_from_slice(&scol.mem);
-
-    ScenarioRun {
+    let mut run = ScenarioRun {
         client_comps: ccol.comps,
         server_comps: scol.comps,
         stray_comps: ccol.stray + scol.stray,
@@ -472,10 +491,12 @@ pub fn run_scenario_plan(sc: &Scenario, mut plan: ShardPlan, opts: RunOptions) -
         telemetry,
         stalled: done.queue.live > 0,
         end_ns: done.end.as_ns(),
-        trace_hash: fnv1a(&ident),
-        timeline,
+        trace_hash: 0,
         captures: [ccol.capture, scol.capture],
-    }
+        comp_logs: [ccol.comp_log, scol.comp_log],
+    };
+    run.trace_hash = run.identity();
+    run
 }
 
 /// The work request `spec` posts as list entry `id` from the QP window
@@ -605,7 +626,7 @@ mod tests {
         sc.shards = 4;
         let sharded = run_scenario(&sc);
         assert_eq!(seq.trace_hash, sharded.trace_hash);
-        assert_eq!(seq.timeline, sharded.timeline);
+        assert_eq!(seq.timeline(), sharded.timeline());
         assert_eq!(seq.end_ns, sharded.end_ns);
         assert_eq!(seq.telemetry.spans().len(), sharded.telemetry.spans().len());
         assert_eq!(seq.lint.findings.len(), sharded.lint.findings.len());

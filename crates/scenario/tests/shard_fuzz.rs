@@ -72,7 +72,11 @@ fn random_shard_assignments_reproduce_the_sequential_trace() {
             "seed {seed}: {} shards, owner {:?}: trace diverged from sequential",
             plan.shards, plan.owner
         );
-        assert_eq!(seq.timeline, run.timeline, "seed {seed}: timeline diverged");
+        assert_eq!(
+            seq.timeline(),
+            run.timeline(),
+            "seed {seed}: timeline diverged"
+        );
         assert_eq!(seq.end_ns, run.end_ns, "seed {seed}: end time diverged");
         assert_eq!(
             seq.stalled, run.stalled,
@@ -131,7 +135,8 @@ fn every_topology_is_shard_count_invariant() {
                 "{kind}: trace diverged at {shards} shards"
             );
             assert_eq!(
-                seq.timeline, run.timeline,
+                seq.timeline(),
+                run.timeline(),
                 "{kind}: timeline diverged at {shards} shards"
             );
             assert_eq!(

@@ -6,10 +6,10 @@
 //! onto fresh clusters must produce byte-identical runs — same packet
 //! timelines on both hosts, same completion log, same final memory —
 //! compressed into one FNV-1a hash per run (the shared
-//! [`ibsim_event::fnv1a`] helper, so the trace-identity hash itself is
+//! [`ibsim_event::Fnv1a`] hasher, so the trace-identity hash itself is
 //! pinned in one place).
 
-use ibsim_event::{fnv1a, SimTime};
+use ibsim_event::{Fnv1a, SimTime};
 use ibsim_verbs::{
     Cluster, ClusterBuilder, CompareSwapWr, DeviceProfile, FetchAddWr, MrBuilder, MrMode, QpConfig,
     ReadWr, RecvWr, SendWr, Sim, WrId, WriteWr,
@@ -79,16 +79,16 @@ fn run_hashed(
     }
     assert!(completions > 0, "workload must actually complete something");
 
-    let mut ident = String::new();
-    ident.push_str(&cl.capture(client).timeline());
-    ident.push('\n');
-    ident.push_str(&cl.capture(server).timeline());
-    ident.push('\n');
-    ident.push_str(&comp_log);
-    let mut ident = ident.into_bytes();
-    ident.extend_from_slice(&cl.mem_read(client, cmr.base, REGION as usize));
-    ident.extend_from_slice(&cl.mem_read(server, smr.base, REGION as usize));
-    fnv1a(&ident)
+    let mut ident = Fnv1a::new();
+    let _ = cl.capture(client).write_timeline(&mut ident);
+    ident.write_bytes(b"\n");
+    let _ = cl.capture(server).write_timeline(&mut ident);
+    ident
+        .write_bytes(b"\n")
+        .write_bytes(comp_log.as_bytes())
+        .write_bytes(&cl.mem_read(client, cmr.base, REGION as usize))
+        .write_bytes(&cl.mem_read(server, smr.base, REGION as usize))
+        .finish()
 }
 
 /// Two fresh runs of the same typed workload must hash identically.
