@@ -35,13 +35,13 @@ echo "==> fabric, event, telemetry, ucp, shuffle, verbs and scenario tests in"
 echo "    release, the profile every bench bin and the benchmark run: integer"
 echo "    overflow panics in debug but wraps here and debug_asserts vanish."
 echo "    fabric: the hostile-size and route-contract tests gate both profiles;"
-echo "    event: the key index masks and wraps, slot generations wrap, a"
-echo "    position word packs its tier into the top bit and ranks pack into a"
-echo "    u128 (the model test, the allocation test and the seeded tier-"
-echo "    invariant mix); telemetry: the per-QP clock"
-echo "    table casts u64/u32 ids to indices; ucp and shuffle: a request id"
-echo "    is a table slot plus one, so the subtraction and the narrowing to"
-echo "    an index wrap silently (the foreign-id and slot-reuse tests);"
+echo "    event: the key index masks and wraps its probe, ranks pack into a"
+echo "    u128 and slot numbers stay below u32::MAX (the model test, the"
+echo "    allocation test and the seeded tier-invariant mix); telemetry: the"
+echo "    per-QP clock table casts u64/u32 ids to indices; ucp and shuffle:"
+echo "    a request id is a table slot plus one, so the subtraction and the"
+echo "    narrowing to an index wrap silently (the foreign-id and slot-reuse"
+echo "    tests);"
 echo "    verbs multiplies segment and page offsets in u32 (the page-gate"
 echo "    replay and the transport suites) and must refuse, not wrap, an"
 echo "    allocation or registration past the address ceiling (the mem tests);"

@@ -26,18 +26,13 @@ pub enum InvariantId {
     /// Every event popped by the engine must carry a timestamp at or
     /// after the current clock; checked in `ibsim-event`.
     EventTimeMonotonicity,
-    /// The engine's indexed heap must never pop a cancelled (dead)
-    /// entry; a nonzero count means timer churn is leaking tombstones
-    /// back into the queue. Counted in `ibsim-event`.
-    DeadEventPops,
 }
 
 impl InvariantId {
     /// Every registered runtime invariant.
-    pub const ALL: [InvariantId; 3] = [
+    pub const ALL: [InvariantId; 2] = [
         InvariantId::QpStateTransition,
         InvariantId::EventTimeMonotonicity,
-        InvariantId::DeadEventPops,
     ];
 
     /// Short stable mnemonic.
@@ -45,7 +40,6 @@ impl InvariantId {
         match self {
             InvariantId::QpStateTransition => "QP_STATE_TRANSITION",
             InvariantId::EventTimeMonotonicity => "EVENT_TIME_MONOTONICITY",
-            InvariantId::DeadEventPops => "DEAD_EVENT_POPS",
         }
     }
 }
@@ -63,8 +57,6 @@ pub struct InvariantSnapshot {
     pub qp_transition_violations: u64,
     /// Event pops that moved the clock backwards.
     pub event_monotonicity_violations: u64,
-    /// Cancelled entries that reached the head of the event queue.
-    pub dead_event_pops: u64,
 }
 
 impl InvariantSnapshot {
@@ -77,13 +69,12 @@ impl InvariantSnapshot {
         InvariantSnapshot {
             qp_transition_violations: qp,
             event_monotonicity_violations: engine.monotonicity_violations(),
-            dead_event_pops: engine.dead_event_pops(),
         }
     }
 
     /// Total violations across all invariants.
     pub fn total(&self) -> u64 {
-        self.qp_transition_violations + self.event_monotonicity_violations + self.dead_event_pops
+        self.qp_transition_violations + self.event_monotonicity_violations
     }
 
     /// True when every runtime invariant held.
@@ -96,7 +87,6 @@ impl InvariantSnapshot {
         match id {
             InvariantId::QpStateTransition => self.qp_transition_violations,
             InvariantId::EventTimeMonotonicity => self.event_monotonicity_violations,
-            InvariantId::DeadEventPops => self.dead_event_pops,
         }
     }
 }
@@ -176,37 +166,11 @@ mod tests {
         let snap = InvariantSnapshot {
             qp_transition_violations: 2,
             event_monotonicity_violations: 0,
-            dead_event_pops: 0,
         };
         let s = snap.to_string();
         assert!(s.contains("QP_STATE_TRANSITION=2"), "{s}");
         assert!(!s.contains("EVENT_TIME_MONOTONICITY"), "{s}");
         assert_eq!(snap.count(InvariantId::QpStateTransition), 2);
         assert!(!snap.is_clean());
-    }
-
-    #[test]
-    fn dead_event_pops_are_collected_from_the_engine() {
-        // A churny run on the indexed heap must report zero dead pops
-        // through the snapshot.
-        let mut eng = Engine::new();
-        let mut cl = Cluster::new(5);
-        let a = cl.add_host("client", DeviceProfile::connectx4(LinkSpec::fdr()));
-        let b = cl.add_host("server", DeviceProfile::connectx4(LinkSpec::fdr()));
-        let remote = cl.alloc_mr(b, 1 << 16, MrMode::Odp);
-        let local = cl.alloc_mr(a, 1 << 16, MrMode::Pinned);
-        let (qp, _) = cl.connect_pair(&mut eng, a, b, QpConfig::default());
-        for i in 0..8u64 {
-            cl.post(
-                &mut eng,
-                a,
-                qp,
-                ReadWr::new(local.key, (remote.key, i * 4096)).len(64).id(i),
-            );
-        }
-        eng.run(&mut cl);
-        let snap = InvariantSnapshot::collect(&cl, &[a, b], &eng);
-        assert_eq!(snap.count(InvariantId::DeadEventPops), 0, "{snap}");
-        assert!(snap.is_clean(), "{snap}");
     }
 }

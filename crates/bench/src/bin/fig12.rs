@@ -11,7 +11,7 @@ fn run_system(name: &str, compute: SimTime, lock_gap_max: SimTime, trials: u64) 
         let cfg = DsmConfig {
             odp,
             compute_base: compute,
-            compute_jitter: compute.mul_f64(0.05),
+            compute_jitter: compute.mul_permille(50),
             lock_gap_max,
             ..Default::default()
         };

@@ -1,7 +1,7 @@
 //! The discrete-event engine.
 //!
-//! [`Engine`] owns a queue of scheduled events, two *indexed* binary
-//! min-heaps, over a *world* (the user's state, generic parameter `W`).
+//! [`Engine`] owns a queue of scheduled events, two binary min-heaps,
+//! over a *world* (the user's state, generic parameter `W`).
 //! An event is a value of the engine's second parameter `E`, anything
 //! implementing [`Event`]: firing it hands it mutable access to the world
 //! and to the engine itself, so handlers can schedule follow-up events. `E`
@@ -21,8 +21,9 @@
 //! container:
 //!
 //! * two **tiers**, each a binary min-heap of three words per event,
-//!   `(at, seq, slot)`. The *timer tier* holds every keyed event (posted
-//!   through [`post_keyed_at`](Engine::post_keyed_at) or a
+//!   `(at, seq, slot)`, ranked by one `u128` (`at` above `seq`) so a
+//!   comparison has no branch. The *timer tier* holds every keyed event
+//!   (posted through [`post_keyed_at`](Engine::post_keyed_at) or a
 //!   `schedule_keyed_*` method), the *event tier* every one-shot
 //!   (deliveries, driver completions, posts, calls). Keyed means timer
 //!   because a key is what a protocol timer is: a long-lived slot per QP,
@@ -34,32 +35,31 @@
 //!   [`step`](Engine::step) and [`run_until`](Engine::run_until) compare
 //!   the two roots once per event and pop the lower, so the firing order
 //!   is the one strict `(at, seq)` order of a single heap;
-//! * in both tiers a rank is one `u128` (`at` above `seq`), so a
-//!   comparison has no branch, and sifts move a hole rather than swap, so
+//! * a one-shot is fire-and-forget: nothing can address it once posted,
+//!   so the event tier is a plain [`BinaryHeap`]. Only a timer has an
+//!   address, its key, so only the timer tier is *indexed*: the
+//!   **position table** maps each armed timer's slot to its heap index,
+//!   updated once per level moved. It is what makes
+//!   [`cancel_key`](Engine::cancel_key) a physical O(log n) removal and a
+//!   re-arm one sift in place. Its sifts move a hole rather than swap, so
 //!   a level copies 24 bytes and never touches a payload. A pop goes
 //!   bottom-up: the hole walks the smaller-child path to a leaf, one
 //!   comparison per level, and the displaced tail sifts up from there. It
 //!   came from the bottom, so it rarely climbs far, and because ranks are
 //!   unique it lands exactly where a top-down sift would have stopped;
-//! * the **position table** maps `slot → (generation, tier, index)` in 8
-//!   bytes, the tier in the index word's top bit (so each tier holds
-//!   fewer than 2^31 − 1 events), updated once per level moved. It is what
-//!   makes [`cancel`](Engine::cancel) a physical O(log n) removal,
-//!   [`next_event_time`](Engine::next_event_time) an O(1) peek and queue
-//!   occupancy observable ([`queue_stats`](Engine::queue_stats), whose
-//!   depths sum the tiers): there are no tombstones, so
-//!   [`dead_event_pops`](Engine::dead_event_pops) stays zero by
-//!   construction;
 //! * the **payload arena** holds each event and its [`TimerKey`] in the
 //!   slot it was given when scheduled. Nothing moves it until it fires:
 //!   the arena grows by whole pages, never by reallocating.
 //!
-//! An [`EventId`] packs a slot number and the slot's generation; freed
-//! slots are recycled through one LIFO free list shared by both tiers.
-//! Slot assignment and the free-list discipline are deterministic, and
-//! event *ordering* never consults them — both tiers rank strictly by
+//! Freed slots are recycled through one LIFO free list shared by both
+//! tiers. Slot assignment and the free-list discipline are deterministic,
+//! and event *ordering* never consults them — both tiers rank strictly by
 //! `(time, insertion seq)`, and `seq` is one counter across them — so
-//! neither the arena nor the split into tiers can perturb a run.
+//! neither the arena nor the split into tiers can perturb a run. There
+//! are no tombstones: every queued entry is live, so
+//! [`next_event_time`](Engine::next_event_time) is an O(1) peek and queue
+//! occupancy is observable ([`queue_stats`](Engine::queue_stats), whose
+//! depths sum the tiers).
 //!
 //! ## Keyed timers
 //!
@@ -72,51 +72,18 @@
 //! key. Keys resolve through a private open-addressed index — O(1), and
 //! never iterated, so its layout cannot reach event order — and arming
 //! an armed key **re-arms in place**: time, `seq` and payload are
-//! overwritten in the same slot, the slot's generation is bumped, and
-//! its timer-tier entry sifts once. That is observably the
-//! remove-then-insert it replaces: the LIFO free list would have handed
-//! the freed slot straight back, one generation on, so the returned
-//! [`EventId`], the `scheduled`/`replaced` counters and the new `seq` are
-//! the same.
+//! overwritten in the same slot and its timer-tier entry sifts once. That
+//! is observably the remove-then-insert it replaces: the LIFO free list
+//! would have handed the freed slot straight back, so the
+//! `scheduled`/`replaced` counters and the new `seq` are the same.
 
+use std::cmp::Ordering;
+use std::collections::BinaryHeap;
 use std::fmt;
 use std::marker::PhantomData;
 
 use crate::rng::SplitMix64;
 use crate::time::SimTime;
-
-/// Handle to a scheduled event, usable to [cancel](Engine::cancel) it.
-///
-/// Internally packs an arena slot index (low 32 bits) and that slot's
-/// generation at scheduling time (high 32 bits); a stale handle — the
-/// event fired, was cancelled or re-armed, or its slot was recycled —
-/// simply fails to resolve. The handle is opaque: only its
-/// `Eq`/`Ord`/`Hash` identity is meaningful, never the packed value.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub struct EventId(u64);
-
-impl EventId {
-    #[inline]
-    fn slot(self) -> usize {
-        (self.0 & u32::MAX as u64) as usize
-    }
-
-    #[inline]
-    fn generation(self) -> u32 {
-        (self.0 >> 32) as u32
-    }
-
-    #[inline]
-    fn pack(slot: u32, generation: u32) -> Self {
-        EventId(((generation as u64) << 32) | slot as u64)
-    }
-}
-
-impl fmt::Display for EventId {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "ev#{}.{}", self.slot(), self.generation())
-    }
-}
 
 /// Address of a replaceable timer slot: at most one live event exists per
 /// key (see [`Engine::schedule_keyed_in`]). The two words are free-form;
@@ -184,75 +151,54 @@ impl Node {
     }
 }
 
-/// Index into [`Engine::tiers`] of the one-shot events.
-const EVENTS: usize = 0;
-/// Index into [`Engine::tiers`] of the keyed timers.
-const TIMERS: usize = 1;
-
-/// One position-table entry: where the slot's live event currently sits,
-/// and a generation counter bumped whenever the occupant changes so stale
-/// [`EventId`]s cannot alias the current one.
-#[derive(Debug, Clone, Copy)]
-struct Slot {
-    generation: u32,
-    /// The occupying event's tier in the top bit ([`Tier::tag`]) and its
-    /// index in that tier's heap below it, or [`Slot::FREE`].
-    idx: u32,
-}
-
-impl Slot {
-    const FREE: u32 = u32::MAX;
-
-    /// `(tier, heap index)` of an occupied slot's `idx`.
+/// Ordered for the event tier's [`BinaryHeap`], a max-heap: by reversed
+/// [`Node::rank`], so the greatest node is the next to fire.
+impl Ord for Node {
     #[inline]
-    fn locate(idx: u32) -> (usize, usize) {
-        ((idx >> 31) as usize, (idx & (u32::MAX >> 1)) as usize)
+    fn cmp(&self, other: &Self) -> Ordering {
+        other.rank().cmp(&self.rank())
     }
 }
 
-/// One tier of the queue: an indexed binary min-heap on [`Node::rank`]
-/// whose every move is mirrored into the position table it is handed.
-struct Tier {
+impl PartialOrd for Node {
+    #[inline]
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl PartialEq for Node {
+    #[inline]
+    fn eq(&self, other: &Self) -> bool {
+        self.rank() == other.rank()
+    }
+}
+
+impl Eq for Node {}
+
+/// The timer tier: an indexed binary min-heap on [`Node::rank`] whose
+/// every move is mirrored into the position table it is handed.
+struct TimerHeap {
     heap: Vec<Node>,
-    /// The tier number in [`Slot::idx`]'s top bit.
-    tag: u32,
 }
 
-impl Tier {
-    /// Events one tier may hold: its last index, tagged, stays below
-    /// [`Slot::FREE`].
-    const CAP: usize = (1 << 31) - 1;
-
-    fn new(tier: usize) -> Self {
-        Tier {
-            heap: Vec::new(),
-            tag: (tier as u32) << 31,
-        }
-    }
-
-    /// Rank of the root, or `u128::MAX` when empty. No live rank reaches
-    /// that: its `seq` would be the 2^64-th schedule.
-    #[inline]
-    fn root_rank(&self) -> u128 {
-        self.heap.first().map_or(u128::MAX, Node::rank)
-    }
-
+impl TimerHeap {
     /// Writes `node` at heap index `idx` and records the position.
     #[inline]
-    fn put(&mut self, slots: &mut [Slot], idx: usize, node: Node) {
+    fn put(&mut self, pos: &mut [u32], idx: usize, node: Node) {
         self.heap[idx] = node;
-        slots[node.slot as usize].idx = idx as u32 | self.tag;
+        pos[node.slot as usize] = idx as u32;
     }
 
-    fn push(&mut self, slots: &mut [Slot], node: Node) {
+    fn push(&mut self, pos: &mut [u32], node: Node) {
         let idx = self.heap.len();
         self.heap.push(node);
-        self.sift_up(slots, idx, node);
+        self.sift_up(pos, idx, node);
     }
 
     /// Settles `node` at or above the hole at `idx`: parents move down
     /// into the hole until the next one ranks lower than `node`.
-    fn sift_up(&mut self, slots: &mut [Slot], mut idx: usize, node: Node) {
+    fn sift_up(&mut self, pos: &mut [u32], mut idx: usize, node: Node) {
         let rank = node.rank();
         while idx > 0 {
             let parent = (idx - 1) / 2;
@@ -260,10 +206,10 @@ impl Tier {
             if rank > p.rank() {
                 break;
             }
-            self.put(slots, idx, p);
+            self.put(pos, idx, p);
             idx = parent;
         }
-        self.put(slots, idx, node);
+        self.put(pos, idx, node);
     }
 
     /// Settles `node` through the hole at `idx`, bottom-up: the smaller
@@ -271,31 +217,31 @@ impl Tier {
     /// per level, then `node` sifts up from there — past `idx` if it
     /// outranks the hole's parent. With unique ranks that is where a
     /// top-down sift would have stopped.
-    fn sift_down(&mut self, slots: &mut [Slot], mut idx: usize, node: Node) {
+    fn sift_down(&mut self, pos: &mut [u32], mut idx: usize, node: Node) {
         let len = self.heap.len();
         let mut child = 2 * idx + 1;
         while child + 1 < len {
             child += usize::from(self.heap[child + 1].rank() < self.heap[child].rank());
-            self.put(slots, idx, self.heap[child]);
+            self.put(pos, idx, self.heap[child]);
             idx = child;
             child = 2 * idx + 1;
         }
         if child < len {
-            self.put(slots, idx, self.heap[child]);
+            self.put(pos, idx, self.heap[child]);
             idx = child;
         }
-        self.sift_up(slots, idx, node);
+        self.sift_up(pos, idx, node);
     }
 
     /// Takes out the node at `idx`; the displaced tail fills the hole.
-    fn remove(&mut self, slots: &mut [Slot], idx: usize) -> Node {
+    fn remove(&mut self, pos: &mut [u32], idx: usize) -> Node {
         let removed = self.heap[idx];
         let tail = self
             .heap
             .pop()
             .expect("invariant: idx names a heap entry, so the heap is non-empty");
         if idx < self.heap.len() {
-            self.sift_down(slots, idx, tail);
+            self.sift_down(pos, idx, tail);
         }
         removed
     }
@@ -463,11 +409,10 @@ impl KeyIndex {
 
 /// Occupancy and churn counters of an [`Engine`]'s event queue.
 ///
-/// Depths count both tiers. `dead_pops` and `dead_pending` exist to
-/// *prove a negative*: the indexed heaps remove cancelled events
-/// physically, so both stay at zero by construction. Reports and CI
-/// gates pin them there so a future regression back to tombstone
-/// cancellation is caught immediately.
+/// Depths count both tiers. `dead_pending` and `dead_pops` are constant
+/// zeros: cancellation removes physically, so no queued entry is ever
+/// dead. They stay only so that reports and pinned telemetry keep their
+/// shape.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct QueueStats {
     /// Events currently scheduled (live entries only).
@@ -482,7 +427,7 @@ pub struct QueueStats {
     pub peak_depth: usize,
     /// Total `schedule_*` / `post_*` calls.
     pub scheduled: u64,
-    /// Events physically removed by `cancel` / `cancel_key`.
+    /// Events physically removed by `cancel_key`.
     pub cancelled: u64,
     /// Events replaced by a keyed re-arm on the same [`TimerKey`].
     pub replaced: u64,
@@ -558,13 +503,14 @@ impl fmt::Display for QueueStats {
 /// ```
 pub struct Engine<W, E = Call<W>> {
     now: SimTime,
-    /// The one-shot tier ([`EVENTS`]) and the keyed-timer tier
-    /// ([`TIMERS`]): indexed binary min-heaps on `(at, seq)` holding
-    /// exactly the live events between them (cancellation removes).
-    tiers: [Tier; 2],
-    /// The position table: `id.slot() → (tier, heap index)` and generation.
-    slots: Vec<Slot>,
-    /// The payload arena, parallel to `slots`.
+    /// The event tier: every pending one-shot, greatest (next) first.
+    events: BinaryHeap<Node>,
+    /// The timer tier: every armed keyed event, indexed through `pos`.
+    timers: TimerHeap,
+    /// The position table: the `timers` index of the event in each slot,
+    /// meaningful while a timer holds the slot.
+    pos: Vec<u32>,
+    /// The payload arena, parallel to `pos`.
     cells: Arena<E>,
     /// Freed slot indices, recycled LIFO (deterministic, cache-warm).
     free: Vec<u32>,
@@ -575,11 +521,6 @@ pub struct Engine<W, E = Call<W>> {
     scheduled_total: u64,
     cancelled_total: u64,
     replaced_total: u64,
-    /// Pops that found a cancelled event. The indexed heap removes
-    /// cancelled entries physically, so this is zero by construction;
-    /// the counter (and the analysis-crate invariant over it) exists to
-    /// catch a regression back to tombstone cancellation.
-    dead_pops: u64,
     peak_depth: usize,
     /// Event pops whose timestamp preceded the clock. A non-zero value
     /// means the min-heap ordering invariant broke — causality is gone.
@@ -602,10 +543,7 @@ impl<W, E> fmt::Debug for Engine<W, E> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("Engine")
             .field("now", &self.now)
-            .field(
-                "pending",
-                &(self.tiers[EVENTS].heap.len() + self.tiers[TIMERS].heap.len()),
-            )
+            .field("pending", &(self.events.len() + self.timers.heap.len()))
             .field("executed", &self.executed)
             .field("peak_depth", &self.peak_depth)
             .finish()
@@ -618,8 +556,9 @@ impl<W, E: Event<W>> Engine<W, E> {
     pub fn new() -> Self {
         Engine {
             now: SimTime::ZERO,
-            tiers: [Tier::new(EVENTS), Tier::new(TIMERS)],
-            slots: Vec::new(),
+            events: BinaryHeap::new(),
+            timers: TimerHeap { heap: Vec::new() },
+            pos: Vec::new(),
             cells: Arena { pages: Vec::new() },
             free: Vec::new(),
             keyed: KeyIndex::default(),
@@ -628,7 +567,6 @@ impl<W, E: Event<W>> Engine<W, E> {
             scheduled_total: 0,
             cancelled_total: 0,
             replaced_total: 0,
-            dead_pops: 0,
             peak_depth: 0,
             monotonicity_violations: 0,
             last_executed_at: SimTime::ZERO,
@@ -652,19 +590,11 @@ impl<W, E: Event<W>> Engine<W, E> {
         self.last_executed_at
     }
 
-    /// Number of *live* events still pending, in both tiers. Cancelled
-    /// events are physically removed, so — unlike the old tombstone
-    /// engine — this never overstates queue depth.
+    /// Number of events still pending, in both tiers. Cancelled events
+    /// are physically removed, so this never overstates queue depth.
     #[inline]
     pub fn pending_events(&self) -> usize {
-        self.tiers[EVENTS].heap.len() + self.tiers[TIMERS].heap.len()
-    }
-
-    /// Pops that found a cancelled event (zero by construction; see
-    /// [`QueueStats::dead_pops`]).
-    #[inline]
-    pub fn dead_event_pops(&self) -> u64 {
-        self.dead_pops
+        self.events.len() + self.timers.heap.len()
     }
 
     /// Keyed timer slots currently armed.
@@ -679,7 +609,7 @@ impl<W, E: Event<W>> Engine<W, E> {
             live: self.pending_events(),
             dead_pending: 0,
             executed: self.executed,
-            dead_pops: self.dead_pops,
+            dead_pops: 0,
             peak_depth: self.peak_depth,
             scheduled: self.scheduled_total,
             cancelled: self.cancelled_total,
@@ -700,43 +630,28 @@ impl<W, E: Event<W>> Engine<W, E> {
     // Two-tier plumbing
     // ------------------------------------------------------------------
 
-    /// Resolves an id to the `(tier, heap index)` of its live event, or
-    /// `None` if the event already fired, was cancelled, or the slot was
-    /// recycled.
+    /// The root that fires next, if any event is pending — the lower of
+    /// the two tiers' roots — and whether it is the timer tier's.
     #[inline]
-    fn live_idx(&self, id: EventId) -> Option<(usize, usize)> {
-        let slot = self.slots.get(id.slot())?;
-        (slot.generation == id.generation() && slot.idx != Slot::FREE)
-            .then(|| Slot::locate(slot.idx))
-    }
-
-    /// The tier whose root fires next, if any event is pending: the one
-    /// whose root ranks lower (an empty tier's root ranks last).
-    #[inline]
-    fn next_tier(&self) -> Option<usize> {
-        let [events, timers] = &self.tiers;
-        let tier = usize::from(timers.root_rank() < events.root_rank());
-        (!self.tiers[tier].heap.is_empty()).then_some(tier)
-    }
-
-    /// Physically removes the entry at `idx` of tier `tier`, frees its
-    /// arena slot (unlinking its key) and restores the heap property;
-    /// returns the removed event and its time.
-    fn remove_at(&mut self, tier: usize, idx: usize) -> (SimTime, E) {
-        let removed = self.tiers[tier].remove(&mut self.slots, idx);
-        let slot = &mut self.slots[removed.slot as usize];
-        slot.generation = slot.generation.wrapping_add(1);
-        slot.idx = Slot::FREE;
-        self.free.push(removed.slot);
-        let cell = &mut self.cells[removed.slot as usize];
-        if let Some(key) = cell.key.take() {
-            self.keyed.remove(removed.slot, KeyIndex::hash(key));
+    fn next_root(&self) -> Option<(Node, bool)> {
+        match (self.events.peek(), self.timers.heap.first()) {
+            (Some(e), Some(t)) if t.rank() < e.rank() => Some((*t, true)),
+            (Some(e), _) => Some((*e, false)),
+            (None, t) => t.map(|t| (*t, true)),
         }
-        let ev = cell
-            .ev
+    }
+
+    /// Frees an arena slot taken out of its tier, unlinking its key;
+    /// returns the event it held.
+    fn release(&mut self, slot: u32) -> E {
+        self.free.push(slot);
+        let cell = &mut self.cells[slot as usize];
+        if let Some(key) = cell.key.take() {
+            self.keyed.remove(slot, KeyIndex::hash(key));
+        }
+        cell.ev
             .take()
-            .expect("invariant: a slot in a tier holds its event");
-        (removed.at, ev)
+            .expect("invariant: a slot in a tier holds its event")
     }
 
     fn assert_not_past(&self, at: SimTime) {
@@ -756,14 +671,9 @@ impl<W, E: Event<W>> Engine<W, E> {
     }
 
     /// Schedules `ev` in a fresh slot: in the timer tier when it is keyed,
-    /// in the event tier otherwise.
+    /// in the event tier otherwise. Returns the slot.
     #[inline]
-    fn insert(&mut self, at: SimTime, key: Option<TimerKey>, ev: E) -> EventId {
-        let tier = if key.is_some() { TIMERS } else { EVENTS };
-        assert!(
-            self.tiers[tier].heap.len() < Tier::CAP,
-            "invariant: fewer than 2^31 - 1 events are live in one tier"
-        );
+    fn insert(&mut self, at: SimTime, key: Option<TimerKey>, ev: E) -> u32 {
         let seq = self.stamp();
         let slot = match self.free.pop() {
             Some(s) => {
@@ -773,55 +683,63 @@ impl<W, E: Event<W>> Engine<W, E> {
                 s
             }
             None => {
-                // Two tiers below their caps hold fewer than 2^32 - 2
-                // events, so a fresh slot number fits a `u32`.
-                self.slots.push(Slot {
-                    generation: 0,
-                    idx: Slot::FREE,
-                });
+                // A slot number names a live event in the key index,
+                // whose empty cells hold `KeyIndex::EMPTY`.
+                assert!(
+                    self.pos.len() < KeyIndex::EMPTY as usize,
+                    "invariant: fewer than 2^32 - 1 events are live"
+                );
+                self.pos.push(0);
                 self.cells.push(Cell { key, ev: Some(ev) });
-                (self.slots.len() - 1) as u32
+                (self.pos.len() - 1) as u32
             }
         };
-        self.tiers[tier].push(&mut self.slots, Node { at, seq, slot });
+        let node = Node { at, seq, slot };
+        if key.is_some() {
+            self.timers.push(&mut self.pos, node);
+        } else {
+            self.events.push(node);
+        }
         self.peak_depth = self.peak_depth.max(self.pending_events());
-        EventId::pack(slot, self.slots[slot as usize].generation)
+        slot
     }
 
     // ------------------------------------------------------------------
     // Scheduling
     // ------------------------------------------------------------------
 
-    /// Schedules the event `ev` at absolute time `at`.
+    /// Schedules the event `ev` at absolute time `at`. Nothing can cancel
+    /// it: only a keyed event ([`post_keyed_at`](Engine::post_keyed_at))
+    /// has an address.
     ///
     /// # Panics
     ///
     /// Panics if `at` lies in the past (`at < self.now()`): rewinding the
     /// clock would silently corrupt causality, so it is a programming error.
     #[inline]
-    pub fn post_at(&mut self, at: SimTime, ev: E) -> EventId {
+    pub fn post_at(&mut self, at: SimTime, ev: E) {
         self.assert_not_past(at);
-        self.insert(at, None, ev)
+        self.insert(at, None, ev);
     }
 
     /// Schedules the event `ev` at absolute time `at` under timer slot
     /// `key`, *replacing* any event currently armed under that key (the
-    /// old event will never fire and its [`EventId`] goes stale). This is
-    /// the re-arm semantics protocol timers want: no gen-guarded no-op
-    /// events left behind in the queue. A replacement counts as one
-    /// `scheduled` and one `replaced` in [`QueueStats`].
+    /// old event will never fire). This is the re-arm semantics protocol
+    /// timers want: no gen-guarded no-op events left behind in the queue.
+    /// A replacement counts as one `scheduled` and one `replaced` in
+    /// [`QueueStats`].
     ///
     /// # Panics
     ///
     /// Panics if `at` lies in the past, leaving the engine — an event
     /// already armed under `key` included — exactly as it was.
-    pub fn post_keyed_at(&mut self, key: TimerKey, at: SimTime, ev: E) -> EventId {
+    pub fn post_keyed_at(&mut self, key: TimerKey, at: SimTime, ev: E) {
         self.assert_not_past(at);
         let hash = KeyIndex::hash(key);
         let Some(slot) = self.keyed.get(&self.cells, key, hash) else {
-            let id = self.insert(at, Some(key), ev);
-            self.keyed.insert(id.slot() as u32, hash);
-            return id;
+            let slot = self.insert(at, Some(key), ev);
+            self.keyed.insert(slot, hash);
+            return;
         };
         // Re-arm in place: what removing the old event and inserting the
         // new one would leave behind, without the two index operations,
@@ -829,20 +747,16 @@ impl<W, E: Event<W>> Engine<W, E> {
         let seq = self.stamp();
         self.replaced_total += 1;
         self.cells[slot as usize].ev = Some(ev);
-        let pos = &mut self.slots[slot as usize];
-        pos.generation = pos.generation.wrapping_add(1);
-        let ((tier, idx), generation) = (Slot::locate(pos.idx), pos.generation);
-        let timers = &mut self.tiers[tier];
+        let idx = self.pos[slot as usize] as usize;
         // `seq` only grows, so the entry moves up exactly when its time
         // moved earlier.
-        let earlier = at < timers.heap[idx].at;
+        let earlier = at < self.timers.heap[idx].at;
         let node = Node { at, seq, slot };
         if earlier {
-            timers.sift_up(&mut self.slots, idx, node);
+            self.timers.sift_up(&mut self.pos, idx, node);
         } else {
-            timers.sift_down(&mut self.slots, idx, node);
+            self.timers.sift_down(&mut self.pos, idx, node);
         }
-        EventId::pack(slot, generation)
     }
 
     /// Schedules `f` to run at absolute time `at`; see
@@ -851,7 +765,7 @@ impl<W, E: Event<W>> Engine<W, E> {
         &mut self,
         at: SimTime,
         f: impl FnOnce(&mut W, &mut Engine<W, E>) + 'static,
-    ) -> EventId {
+    ) {
         self.post_at(at, E::from_call(Box::new(f)))
     }
 
@@ -860,7 +774,7 @@ impl<W, E: Event<W>> Engine<W, E> {
         &mut self,
         delay: SimTime,
         f: impl FnOnce(&mut W, &mut Engine<W, E>) + 'static,
-    ) -> EventId {
+    ) {
         self.schedule_at(self.now + delay, f)
     }
 
@@ -871,7 +785,7 @@ impl<W, E: Event<W>> Engine<W, E> {
         key: TimerKey,
         at: SimTime,
         f: impl FnOnce(&mut W, &mut Engine<W, E>) + 'static,
-    ) -> EventId {
+    ) {
         self.post_keyed_at(key, at, E::from_call(Box::new(f)))
     }
 
@@ -882,15 +796,15 @@ impl<W, E: Event<W>> Engine<W, E> {
         key: TimerKey,
         delay: SimTime,
         f: impl FnOnce(&mut W, &mut Engine<W, E>) + 'static,
-    ) -> EventId {
+    ) {
         self.schedule_keyed_at(key, self.now + delay, f)
     }
 
-    /// `(tier, heap index)` of the event armed under `key`, if any.
+    /// `(slot, timer-tier index)` of the event armed under `key`, if any.
     #[inline]
-    fn key_idx(&self, key: TimerKey) -> Option<(usize, usize)> {
+    fn key_idx(&self, key: TimerKey) -> Option<(u32, usize)> {
         let slot = self.keyed.get(&self.cells, key, KeyIndex::hash(key))?;
-        Some(Slot::locate(self.slots[slot as usize].idx))
+        Some((slot, self.pos[slot as usize] as usize))
     }
 
     /// True if an event is currently armed under `key`.
@@ -900,32 +814,18 @@ impl<W, E: Event<W>> Engine<W, E> {
 
     /// Fire time of the event armed under `key`, if any.
     pub fn key_deadline(&self, key: TimerKey) -> Option<SimTime> {
-        self.key_idx(key)
-            .map(|(tier, idx)| self.tiers[tier].heap[idx].at)
+        self.key_idx(key).map(|(_, idx)| self.timers.heap[idx].at)
     }
 
     /// Cancels the event armed under timer slot `key`, physically
-    /// removing it from the queue. Returns `true` if one was armed.
+    /// removing it from the queue in O(log n). Returns `true` if one was
+    /// armed; cancelling a key with nothing armed is harmless.
     pub fn cancel_key(&mut self, key: TimerKey) -> bool {
-        let Some((tier, idx)) = self.key_idx(key) else {
+        let Some((slot, idx)) = self.key_idx(key) else {
             return false;
         };
-        self.remove_at(tier, idx);
-        self.cancelled_total += 1;
-        true
-    }
-
-    /// Cancels a previously scheduled event, physically removing it from
-    /// the queue in O(log n).
-    ///
-    /// Returns `true` if the event had not yet fired (and therefore will
-    /// not fire). Cancelling an already-executed or already-cancelled event
-    /// returns `false` and is harmless.
-    pub fn cancel(&mut self, id: EventId) -> bool {
-        let Some((tier, idx)) = self.live_idx(id) else {
-            return false;
-        };
-        self.remove_at(tier, idx);
+        self.timers.remove(&mut self.pos, idx);
+        self.release(slot);
         self.cancelled_total += 1;
         true
     }
@@ -941,14 +841,17 @@ impl<W, E: Event<W>> Engine<W, E> {
 
     /// Runs events whose time is `<= deadline`, then stops.
     ///
-    /// The clock is left at the time of the last executed event (or moved to
-    /// `deadline` if that is later and the queue still holds future events).
+    /// A finite `deadline` (any but [`SimTime::MAX`]) then parks the clock
+    /// there if it is still earlier, whether or not events remain: a PDES
+    /// epoch or a sliced run ends at its boundary even when its queue ran
+    /// dry. [`last_executed_at`](Engine::last_executed_at) keeps the last
+    /// event's time.
     pub fn run_until(&mut self, world: &mut W, deadline: SimTime) {
-        while let Some(tier) = self.next_tier() {
-            if self.tiers[tier].heap[0].at > deadline {
+        while let Some((node, timer)) = self.next_root() {
+            if node.at > deadline {
                 break;
             }
-            self.fire_root(tier, world);
+            self.fire_next(timer, world);
         }
         if deadline != SimTime::MAX && self.now < deadline {
             self.now = deadline;
@@ -957,22 +860,30 @@ impl<W, E: Event<W>> Engine<W, E> {
 
     /// Executes exactly one event if one is pending; returns whether it did.
     pub fn step(&mut self, world: &mut W) -> bool {
-        let Some(tier) = self.next_tier() else {
+        let Some((_, timer)) = self.next_root() else {
             return false;
         };
-        self.fire_root(tier, world);
+        self.fire_next(timer, world);
         true
     }
 
-    /// Pops the root of tier `tier` and fires it.
+    /// Pops the root of the timer tier if `timer`, else of the event
+    /// tier, and fires it.
     #[inline]
-    fn fire_root(&mut self, tier: usize, world: &mut W) {
-        let (at, ev) = self.remove_at(tier, 0);
-        if at < self.now {
+    fn fire_next(&mut self, timer: bool, world: &mut W) {
+        let node = if timer {
+            self.timers.remove(&mut self.pos, 0)
+        } else {
+            self.events
+                .pop()
+                .expect("invariant: the event tier's root fires next")
+        };
+        let ev = self.release(node.slot);
+        if node.at < self.now {
             self.monotonicity_violations += 1;
         }
-        self.now = at;
-        self.last_executed_at = at;
+        self.now = node.at;
+        self.last_executed_at = node.at;
         self.executed += 1;
         ev.fire(world, self);
     }
@@ -982,7 +893,7 @@ impl<W, E: Event<W>> Engine<W, E> {
     /// physically).
     #[inline]
     pub fn next_event_time(&self) -> Option<SimTime> {
-        self.next_tier().map(|tier| self.tiers[tier].heap[0].at)
+        self.next_root().map(|(node, _)| node.at)
     }
 }
 
@@ -1042,11 +953,15 @@ mod tests {
 
     #[test]
     fn cancel_prevents_execution() {
+        // A handler that clears a wait cancels its timer in the same turn.
+        let key = TimerKey(1, 1);
         let mut eng: Engine<u32> = Engine::new();
-        let id = eng.schedule_at(SimTime::from_us(10), |w, _| *w += 1);
-        eng.schedule_at(SimTime::from_us(20), |w, _| *w += 100);
-        assert!(eng.cancel(id));
-        assert!(!eng.cancel(id), "double cancel reports false");
+        eng.schedule_keyed_at(key, SimTime::from_us(20), |w, _| *w += 1);
+        eng.schedule_at(SimTime::from_us(10), move |w, eng| {
+            assert!(eng.cancel_key(key));
+            assert!(!eng.cancel_key(key), "double cancel reports false");
+            *w += 100;
+        });
         let mut w = 0;
         eng.run(&mut w);
         assert_eq!(w, 100);
@@ -1054,22 +969,24 @@ mod tests {
 
     #[test]
     fn cancel_after_execution_is_false() {
+        let key = TimerKey(1, 2);
         let mut eng: Engine<u32> = Engine::new();
-        let id = eng.schedule_at(SimTime::from_us(1), |w, _| *w += 1);
+        eng.schedule_keyed_at(key, SimTime::from_us(1), |w, _| *w += 1);
         let mut w = 0;
         eng.run(&mut w);
-        assert!(!eng.cancel(id));
+        assert!(!eng.cancel_key(key));
+        assert_eq!(eng.queue_stats().cancelled, 0);
     }
 
     #[test]
     fn cancel_physically_removes() {
         let mut eng: Engine<u32> = Engine::new();
-        let ids: Vec<_> = (0..10)
-            .map(|i| eng.schedule_at(SimTime::from_us(i), |_, _| {}))
-            .collect();
+        for i in 0..10 {
+            eng.schedule_keyed_at(TimerKey(0, i), SimTime::from_us(i), |_, _| {});
+        }
         assert_eq!(eng.pending_events(), 10);
-        for id in &ids[..5] {
-            assert!(eng.cancel(*id));
+        for i in 0..5 {
+            assert!(eng.cancel_key(TimerKey(0, i)));
         }
         // No tombstones: the queue depth drops immediately.
         assert_eq!(eng.pending_events(), 5);
@@ -1119,11 +1036,12 @@ mod tests {
 
     #[test]
     fn next_event_time_skips_cancelled() {
+        let key = TimerKey(5, 5);
         let mut eng: Engine<u32> = Engine::new();
-        let id = eng.schedule_at(SimTime::from_us(5), |_, _| {});
+        eng.schedule_keyed_at(key, SimTime::from_us(5), |_, _| {});
         eng.schedule_at(SimTime::from_us(9), |_, _| {});
         assert_eq!(eng.next_event_time(), Some(SimTime::from_us(5)));
-        eng.cancel(id);
+        eng.cancel_key(key);
         assert_eq!(eng.next_event_time(), Some(SimTime::from_us(9)));
     }
 
@@ -1163,7 +1081,7 @@ mod tests {
         let key = TimerKey(4, 2);
         let mut eng: Engine<Vec<u32>> = Engine::new();
         eng.schedule_at(SimTime::from_us(10), |w, _| w.push(1));
-        let armed = eng.schedule_keyed_at(key, SimTime::from_us(30), |w, _| w.push(3));
+        eng.schedule_keyed_at(key, SimTime::from_us(30), |w, _| w.push(3));
         eng.schedule_at(SimTime::from_us(20), |w, _| w.push(2));
         let mut out = Vec::new();
         eng.run_until(&mut out, SimTime::from_us(15));
@@ -1176,29 +1094,30 @@ mod tests {
         assert_eq!(eng.key_deadline(key), Some(SimTime::from_us(30)));
         eng.run(&mut out);
         assert_eq!(out, vec![1, 2, 3]);
-        assert!(!eng.cancel(armed), "the armed event fired under its own id");
+        assert!(!eng.key_armed(key), "the armed event fired under its key");
     }
 
     #[test]
-    fn rearm_in_place_returns_the_id_a_remove_then_insert_would() {
+    fn rearm_in_place_counts_as_a_remove_then_insert() {
         let key = TimerKey(7, 7);
         let mut eng: Engine<u32> = Engine::new();
         eng.schedule_at(SimTime::from_us(1), |_, _| {});
-        let first = eng.schedule_keyed_at(key, SimTime::from_us(50), |w, _| *w += 1);
-        // Same slot, next generation: what the LIFO free list hands back.
-        let second = eng.schedule_keyed_at(key, SimTime::from_us(5), |w, _| *w += 10);
-        assert_eq!((second.slot(), second.generation()), (first.slot(), 1));
-        assert!(!eng.cancel(first), "the replaced id is stale");
+        eng.schedule_keyed_at(key, SimTime::from_us(50), |w, _| *w += 1);
+        // Earlier: the same slot, the one a LIFO free list hands back.
+        let slot = eng.key_idx(key).map(|(slot, _)| slot);
+        eng.schedule_keyed_at(key, SimTime::from_us(5), |w, _| *w += 10);
+        assert_eq!(eng.key_idx(key).map(|(slot, _)| slot), slot);
         let s = eng.queue_stats();
         assert_eq!(
             (s.scheduled, s.replaced, s.live, s.peak_depth),
             (3, 1, 2, 2)
         );
-        // Later again, then cancel by the live id: the slot frees once.
-        let third = eng.schedule_keyed_at(key, SimTime::from_us(90), |w, _| *w += 100);
+        // Later again, then cancel: the slot frees once.
+        eng.schedule_keyed_at(key, SimTime::from_us(90), |w, _| *w += 100);
         assert_eq!(eng.key_deadline(key), Some(SimTime::from_us(90)));
-        assert!(eng.cancel(third));
+        assert!(eng.cancel_key(key));
         assert!(!eng.key_armed(key));
+        assert_eq!(eng.free.len(), 1);
         let mut w = 0;
         eng.run(&mut w);
         assert_eq!(w, 0);
@@ -1300,16 +1219,6 @@ mod tests {
     }
 
     #[test]
-    fn cancel_by_id_frees_keyed_slot() {
-        let key = TimerKey(2, 2);
-        let mut eng: Engine<u32> = Engine::new();
-        let id = eng.schedule_keyed_in(key, SimTime::from_us(5), |w, _| *w += 1);
-        assert!(eng.cancel(id));
-        assert!(!eng.key_armed(key), "id cancel unlinks the key slot");
-        assert_eq!(eng.keyed_timers(), 0);
-    }
-
-    #[test]
     fn keyed_slot_clears_after_fire() {
         let key = TimerKey(9, 9);
         let mut eng: Engine<u32> = Engine::new();
@@ -1322,56 +1231,36 @@ mod tests {
     }
 
     #[test]
-    fn stale_ids_do_not_alias_recycled_slots() {
-        let mut eng: Engine<u32> = Engine::new();
-        let a = eng.schedule_at(SimTime::from_us(1), |w, _| *w += 1);
-        assert!(eng.cancel(a));
-        // The freed slot is recycled for the next event; the stale handle
-        // must not resolve to (and cancel) the new occupant.
-        let b = eng.schedule_at(SimTime::from_us(2), |w, _| *w += 10);
-        assert_ne!(a, b);
-        assert!(!eng.cancel(a), "stale id after recycle is inert");
-        let mut w = 0;
-        eng.run(&mut w);
-        assert_eq!(w, 10);
-        assert!(!eng.cancel(b), "fired id is inert");
-    }
-
-    #[test]
     fn heavy_churn_keeps_physical_cancellation_invariants() {
         // Schedule/cancel storm across interleaved times: the arena must
-        // keep ids straight while slots recycle constantly.
+        // keep keys straight while slots recycle constantly.
         let mut eng: Engine<Vec<u64>> = Engine::new();
         let mut live = Vec::new();
         for round in 0..50u64 {
             for i in 0..20u64 {
                 let tag = round * 100 + i;
-                let id =
-                    eng.schedule_at(SimTime::from_us(1000 + (tag % 37)), move |w, _| w.push(tag));
-                live.push((tag, id));
+                let at = SimTime::from_us(1000 + (tag % 37));
+                eng.schedule_keyed_at(TimerKey(0, tag), at, move |w, _| w.push(tag));
+                live.push(tag);
             }
             // Cancel every third outstanding event.
             let mut idx = 0;
-            live.retain(|&(_, id)| {
+            live.retain(|&tag| {
                 idx += 1;
                 if idx % 3 == 0 {
-                    assert!(eng.cancel(id));
+                    assert!(eng.cancel_key(TimerKey(0, tag)));
                     false
                 } else {
                     true
                 }
             });
         }
-        let expect: Vec<u64> = {
-            let mut v: Vec<(u64, EventId)> = live.clone();
-            // Equal times fire in insertion order; sort by (time, tag)
-            // since tags are assigned in insertion order per time bucket.
-            v.sort_by_key(|&(tag, _)| (1000 + (tag % 37), tag));
-            v.into_iter().map(|(tag, _)| tag).collect()
-        };
+        // Equal times fire in insertion order; sort by (time, tag) since
+        // tags are assigned in insertion order per time bucket.
+        live.sort_by_key(|&tag| (1000 + (tag % 37), tag));
         let mut out = Vec::new();
         eng.run(&mut out);
-        assert_eq!(out, expect);
+        assert_eq!(out, live);
         let s = eng.queue_stats();
         assert_eq!((s.dead_pops, s.dead_pending, s.live), (0, 0, 0));
     }
@@ -1393,11 +1282,12 @@ mod tests {
 
     #[test]
     fn queue_stats_track_churn() {
+        let key = TimerKey(3, 3);
         let mut eng: Engine<u32> = Engine::new();
-        let a = eng.schedule_at(SimTime::from_us(1), |_, _| {});
+        eng.schedule_keyed_at(key, SimTime::from_us(1), |_, _| {});
         eng.schedule_at(SimTime::from_us(2), |_, _| {});
         assert_eq!(eng.queue_stats().peak_depth, 2);
-        eng.cancel(a);
+        eng.cancel_key(key);
         let mut w = 0;
         eng.run(&mut w);
         let s = eng.queue_stats();
@@ -1411,49 +1301,42 @@ mod tests {
     }
 
     /// Every structural invariant of the queue, checked from scratch: each
-    /// tier is a heap on `(at, seq)`; every live slot's recorded tier and
-    /// index point back at it; the free slots are exactly the free list;
-    /// keyed slots sit only in the timer tier, each found under its key.
+    /// tier is a heap on `(at, seq)`; one-shots hold unkeyed slots; every
+    /// timer's position points back at it and its key finds it; the free
+    /// slots are exactly the free list.
     fn check_invariants<W, E>(eng: &Engine<W, E>) {
-        let mut live = 0;
-        for (tier, t) in eng.tiers.iter().enumerate() {
-            for (i, node) in t.heap.iter().enumerate() {
+        let tiers = [eng.events.as_slice(), &eng.timers.heap];
+        for (tier, heap) in tiers.into_iter().enumerate() {
+            for (i, node) in heap.iter().enumerate() {
                 if i > 0 {
-                    let parent = t.heap[(i - 1) / 2];
+                    let parent = heap[(i - 1) / 2];
                     assert!(parent.rank() < node.rank(), "tier {tier}: no heap at {i}");
                 }
                 let slot = node.slot as usize;
-                assert_eq!(
-                    Slot::locate(eng.slots[slot].idx),
-                    (tier, i),
-                    "slot {slot} does not point back"
-                );
                 let cell = &eng.cells[slot];
                 assert!(cell.ev.is_some(), "live slot {slot} holds no event");
-                assert_eq!(
-                    cell.key.is_some(),
-                    tier == TIMERS,
-                    "slot {slot}: tier {tier}"
-                );
+                assert_eq!(cell.key.is_some(), tier == 1, "slot {slot}: tier {tier}");
                 if let Some(key) = cell.key {
+                    assert_eq!(eng.pos[slot] as usize, i, "slot {slot} does not point back");
                     let found = eng.keyed.get(&eng.cells, key, KeyIndex::hash(key));
                     assert_eq!(found, Some(node.slot), "{key}");
                 }
-                live += 1;
             }
         }
-        let free: Vec<u32> = (0..eng.slots.len() as u32)
-            .filter(|&s| eng.slots[s as usize].idx == Slot::FREE)
+        let free: Vec<u32> = (0..eng.pos.len() as u32)
+            .filter(|&s| eng.cells[s as usize].ev.is_none())
             .collect();
         for &s in &free {
-            let cell = &eng.cells[s as usize];
-            assert!(cell.ev.is_none() && cell.key.is_none(), "free slot {s}");
+            assert!(eng.cells[s as usize].key.is_none(), "free slot {s}");
         }
         let mut list = eng.free.clone();
         list.sort_unstable();
         assert_eq!(list, free, "the free slots are not the free list");
-        assert_eq!(live + free.len(), eng.slots.len());
-        assert_eq!(eng.keyed.len, eng.tiers[TIMERS].heap.len());
+        assert_eq!(
+            eng.events.len() + eng.timers.heap.len() + free.len(),
+            eng.pos.len()
+        );
+        assert_eq!(eng.keyed.len, eng.timers.heap.len());
     }
 
     #[test]
@@ -1462,33 +1345,29 @@ mod tests {
         let mut eng: Engine<Vec<SimTime>> = Engine::new();
         let mut world = Vec::new();
         let mut rng = SplitMix64::new(0x2713);
-        let mut ids = Vec::new();
-        let mut peak = [0; 2];
+        let mut peak = (0, 0);
         for _ in 0..20_000 {
             let now = eng.now();
             // A coarse grid makes timers and one-shots tie on `at`.
             let at = SimTime::from_ns((now.as_ns() + rng.next_below(40_000)) & !63).max(now);
             let key = TimerKey(rng.next_below(2), rng.next_below(300));
             match rng.next_below(10) {
-                0..=2 => ids.push(eng.schedule_at(at, |w, eng| w.push(eng.now()))),
+                0..=2 => eng.schedule_at(at, |w, eng| w.push(eng.now())),
                 3..=5 => {
                     // A third re-arm their own key when they fire, as the
                     // stall tick does.
                     let again = rng.next_below(3) == 0;
-                    ids.push(eng.schedule_keyed_at(key, at, move |w, eng| {
+                    eng.schedule_keyed_at(key, at, move |w, eng| {
                         w.push(eng.now());
                         if again {
                             eng.schedule_keyed_in(key, SimTime::from_ns(500), |w, eng| {
                                 w.push(eng.now())
                             });
                         }
-                    }));
+                    });
                 }
-                6 => {
+                6..=7 => {
                     eng.cancel_key(key);
-                }
-                7 if !ids.is_empty() => {
-                    eng.cancel(ids[rng.next_below(ids.len() as u64) as usize]);
                 }
                 8 => {
                     eng.step(&mut world);
@@ -1496,15 +1375,16 @@ mod tests {
                 _ => eng.run_until(&mut world, now + SimTime::from_ns(rng.next_below(800))),
             }
             check_invariants(&eng);
-            for (p, t) in peak.iter_mut().zip(&eng.tiers) {
-                *p = (*p).max(t.heap.len());
-            }
+            peak = (
+                peak.0.max(eng.events.len()),
+                peak.1.max(eng.timers.heap.len()),
+            );
         }
         eng.run(&mut world);
         check_invariants(&eng);
         assert_eq!(eng.pending_events(), 0);
         assert!(world.windows(2).all(|w| w[0] <= w[1]), "the clock ran back");
-        assert!(peak[EVENTS] > 100 && peak[TIMERS] > 100, "{peak:?}");
+        assert!(peak.0 > 100 && peak.1 > 100, "{peak:?}");
     }
 
     #[test]
@@ -1561,8 +1441,7 @@ mod tests {
         eng.schedule_at(SimTime::from_us(1), |_, _| {});
         eng.schedule_keyed_at(TimerKey(1, 0), SimTime::from_us(2), |_, _| {});
         eng.schedule_keyed_at(TimerKey(1, 1), SimTime::from_us(3), |_, _| {});
-        let depths = eng.tiers.each_ref().map(|t| t.heap.len());
-        assert_eq!((depths[EVENTS], depths[TIMERS]), (1, 2));
+        assert_eq!((eng.events.len(), eng.timers.heap.len()), (1, 2));
         // A re-arm replaces in place: no deeper.
         eng.schedule_keyed_at(TimerKey(1, 0), SimTime::from_us(4), |_, _| {});
         let s = eng.queue_stats();
@@ -1574,6 +1453,5 @@ mod tests {
     #[test]
     fn queue_entries_stay_small() {
         assert!(std::mem::size_of::<Node>() <= 24);
-        assert!(std::mem::size_of::<Slot>() <= 8);
     }
 }

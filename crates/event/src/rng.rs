@@ -11,11 +11,6 @@
 //! (`ibsim_fabric::Xorshift64Star`) for seed-stability of existing
 //! experiments; new code should prefer this one.
 
-#![expect(
-    clippy::float_arithmetic,
-    reason = "the `next_f64` uniform draw; a fixed-point draw would change the RNG stream and re-pin every golden hash"
-)]
-
 /// A deterministic SplitMix64 pseudo-random number generator.
 ///
 /// # Examples
@@ -75,11 +70,6 @@ impl SplitMix64 {
     pub fn next_bool(&mut self) -> bool {
         self.next_u64() & 1 == 1
     }
-
-    /// Uniform float in `[0, 1)` with 53 bits of precision.
-    pub fn next_f64(&mut self) -> f64 {
-        (self.next_u64() >> 11) as f64 / (1u64 << 53) as f64
-    }
 }
 
 #[cfg(test)]
@@ -119,8 +109,6 @@ mod tests {
             assert!(r.next_below(7) < 7);
             let x = r.range(10, 20);
             assert!((10..20).contains(&x));
-            let f = r.next_f64();
-            assert!((0.0..1.0).contains(&f));
         }
     }
 

@@ -104,19 +104,10 @@ impl SimTime {
         self.0.checked_add(rhs.0).map(SimTime)
     }
 
-    /// Multiplies a duration by a dimensionless floating-point factor,
-    /// rounding to the nearest nanosecond.
-    #[inline]
-    pub fn mul_f64(self, factor: f64) -> SimTime {
-        SimTime((self.0 as f64 * factor).round().max(0.0) as u64)
-    }
-
     /// Multiplies a duration by a per-mille factor in pure integer
     /// arithmetic, rounding half up to the nearest nanosecond:
-    /// `mul_permille(1870)` scales by 1.87. This is the sanctioned
-    /// sim-path alternative to [`SimTime::mul_f64`] (the sim-time crates
-    /// deny `clippy::float_arithmetic`): it is exact, platform-independent,
-    /// and cannot drift.
+    /// `mul_permille(1870)` scales by 1.87. It is the one way to scale a
+    /// duration: exact, platform-independent, and unable to drift.
     #[inline]
     pub fn mul_permille(self, permille: u64) -> SimTime {
         SimTime((self.0.saturating_mul(permille).saturating_add(500)) / 1000)
@@ -326,7 +317,7 @@ mod tests {
         assert_eq!(a * 3, SimTime::from_us(30));
         assert_eq!(a / 2, SimTime::from_us(5));
         assert_eq!(b.saturating_sub(a), SimTime::ZERO);
-        assert_eq!(a.mul_f64(1.5), SimTime::from_us(15));
+        assert_eq!(a.mul_permille(1500), SimTime::from_us(15));
     }
 
     #[test]
@@ -351,7 +342,9 @@ mod tests {
                 655_360_000,
             ] {
                 let t = SimTime::from_ns(ns);
-                assert_eq!(t.mul_permille(pm), t.mul_f64(f), "ns={ns} pm={pm} f={f}");
+                // The float formula, as the oracle.
+                let float = SimTime::from_ns((ns as f64 * f).round().max(0.0) as u64);
+                assert_eq!(t.mul_permille(pm), float, "ns={ns} pm={pm} f={f}");
             }
         }
         // Half-up rounding: 1ns * 1.5 rounds to 2ns.

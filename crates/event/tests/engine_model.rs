@@ -3,12 +3,12 @@
 //! `(at, seq)` and a `BTreeMap` of armed keys, where a keyed re-arm is
 //! literally remove-then-insert. Under a random mix of every scheduling
 //! and execution call, the two must agree after every operation on the
-//! fired sequence, the clock, the armed deadlines, the whole
-//! [`QueueStats`] and the liveness of every [`EventId`] ever returned.
+//! fired sequence, the clock, the armed deadlines and the whole
+//! [`QueueStats`].
 
 use std::collections::BTreeMap;
 
-use ibsim_event::{Engine, EventId, QueueStats, SimTime, SplitMix64, TimerKey};
+use ibsim_event::{Engine, QueueStats, SimTime, SplitMix64, TimerKey};
 
 /// Tag bit of an event scheduled by a firing event.
 const CHILD: u64 = 1 << 63;
@@ -23,23 +23,17 @@ struct Ev {
     rearm_after: Option<u64>,
 }
 
-#[derive(Default)]
-struct World {
-    fired: Vec<u64>,
-    /// Ids returned to handlers, in fire order, with the child's tag.
-    spawned: Vec<(u64, EventId)>,
-}
+/// The tags of the fired events, in fire order.
+type World = Vec<u64>;
 
-fn schedule(eng: &mut Engine<World>, at: u64, ev: Ev) -> EventId {
+fn schedule(eng: &mut Engine<World>, at: u64, ev: Ev) {
     let run = move |w: &mut World, eng: &mut Engine<World>| {
-        w.fired.push(ev.tag);
+        w.push(ev.tag);
         if let (Some(key), Some(after)) = (ev.key, ev.rearm_after) {
             let tag = ev.tag | CHILD;
-            let id =
-                eng.schedule_keyed_in(key, SimTime::from_ns(after), move |w: &mut World, _| {
-                    w.fired.push(tag)
-                });
-            w.spawned.push((tag, id));
+            eng.schedule_keyed_in(key, SimTime::from_ns(after), move |w: &mut World, _| {
+                w.push(tag)
+            });
         }
     };
     match ev.key {
@@ -52,8 +46,6 @@ struct Pending {
     at: u64,
     seq: u64,
     ev: Ev,
-    /// Index into `Reference::live`.
-    id: usize,
 }
 
 /// The parent commit's semantics, written the slow way.
@@ -67,14 +59,11 @@ struct Reference {
     keys: BTreeMap<TimerKey, u64>,
     stats: QueueStats,
     fired: Vec<u64>,
-    /// Liveness of every id ever handed out, in hand-out order.
-    live: Vec<bool>,
 }
 
 impl Reference {
     fn remove(&mut self, pos: usize) -> Pending {
         let p = self.pending.remove(pos);
-        self.live[p.id] = false;
         if let Some(key) = p.ev.key {
             if self.keys.get(&key) == Some(&p.seq) {
                 self.keys.remove(&key);
@@ -88,8 +77,7 @@ impl Reference {
         self.pending.iter().position(|p| p.seq == seq)
     }
 
-    /// Returns the index of the new id in `live`.
-    fn schedule(&mut self, at: u64, ev: Ev) -> usize {
+    fn schedule(&mut self, at: u64, ev: Ev) {
         assert!(at >= self.now);
         if let Some(pos) = ev.key.and_then(|k| self.position_of_key(k)) {
             self.remove(pos);
@@ -101,20 +89,8 @@ impl Reference {
         if let Some(key) = ev.key {
             self.keys.insert(key, seq);
         }
-        self.live.push(true);
-        let id = self.live.len() - 1;
-        self.pending.push(Pending { at, seq, ev, id });
+        self.pending.push(Pending { at, seq, ev });
         self.stats.peak_depth = self.stats.peak_depth.max(self.pending.len());
-        id
-    }
-
-    fn cancel(&mut self, id: usize) -> bool {
-        let Some(pos) = self.pending.iter().position(|p| p.id == id) else {
-            return false;
-        };
-        self.remove(pos);
-        self.stats.cancelled += 1;
-        true
     }
 
     fn cancel_key(&mut self, key: TimerKey) -> bool {
@@ -204,36 +180,18 @@ struct Harness {
     eng: Engine<World>,
     world: World,
     model: Reference,
-    /// Engine ids, parallel to `model.live`.
-    ids: Vec<EventId>,
-    /// Where each engine id was last handed out: a fresh id may equal an
-    /// earlier one only if the model says that one is dead.
-    handed_out: BTreeMap<EventId, usize>,
     keys: Vec<TimerKey>,
 }
 
 impl Harness {
-    fn adopt(&mut self, id: EventId) {
-        if let Some(earlier) = self.handed_out.insert(id, self.ids.len()) {
-            assert!(!self.model.live[earlier], "{id} aliases a live event");
-        }
-        self.ids.push(id);
-    }
-
     fn schedule(&mut self, at: u64, ev: Ev) {
-        let id = schedule(&mut self.eng, at, ev);
+        schedule(&mut self.eng, at, ev);
         self.model.schedule(at, ev);
-        self.adopt(id);
     }
 
-    /// Brings the id table up to date after an operation, then compares
-    /// everything cheap; `key` is the key the operation touched.
-    fn check(&mut self, op: usize, key: Option<TimerKey>) {
-        for (tag, id) in std::mem::take(&mut self.world.spawned) {
-            assert_ne!(tag & CHILD, 0);
-            self.adopt(id);
-        }
-        assert_eq!(self.ids.len(), self.model.live.len(), "op {op}");
+    /// Compares everything cheap after an operation; `key` is the key the
+    /// operation touched.
+    fn check(&self, op: usize, key: Option<TimerKey>) {
         let model = &self.model;
         assert_eq!(self.eng.queue_stats(), model.stats(), "op {op}");
         assert_eq!(self.eng.now(), SimTime::from_ns(model.now), "op {op}");
@@ -248,9 +206,8 @@ impl Harness {
         );
         assert_eq!(self.eng.pending_events(), model.pending.len());
         assert_eq!(self.eng.keyed_timers(), model.keys.len());
-        assert_eq!(self.eng.dead_event_pops(), 0);
-        assert_eq!(self.world.fired.len(), model.fired.len(), "op {op}");
-        assert_eq!(self.world.fired.last(), model.fired.last(), "op {op}");
+        assert_eq!(self.world.len(), model.fired.len(), "op {op}");
+        assert_eq!(self.world.last(), model.fired.last(), "op {op}");
         if let Some(key) = key {
             assert_eq!(self.eng.key_deadline(key), model.key_deadline(key));
             assert_eq!(self.eng.key_armed(key), model.keys.contains_key(&key));
@@ -266,7 +223,7 @@ impl Harness {
                 "op {op}: {key}"
             );
         }
-        assert_eq!(self.world.fired, self.model.fired, "op {op}");
+        assert_eq!(self.world, self.model.fired, "op {op}");
     }
 }
 
@@ -276,8 +233,6 @@ fn run_model(seed: u64, keys: Vec<TimerKey>, ops: usize) -> (usize, QueueStats) 
         eng: Engine::new(),
         world: World::default(),
         model: Reference::default(),
-        ids: Vec::new(),
-        handed_out: BTreeMap::new(),
         keys,
     };
     let mut peak_keyed = 0;
@@ -327,11 +282,7 @@ fn run_model(seed: u64, keys: Vec<TimerKey>, ops: usize) -> (usize, QueueStats) 
                 rearm_after: None,
             };
             h.schedule(grid(now + rng.next_below(2_000)), ev);
-        } else if roll < arm + cancel_key + 25 && !h.ids.is_empty() {
-            // Any id ever returned: live, fired, cancelled or replaced.
-            let i = rng.next_below(h.ids.len() as u64) as usize;
-            assert_eq!(h.eng.cancel(h.ids[i]), h.model.cancel(i), "op {op}");
-        } else if roll < arm + cancel_key + 40 {
+        } else if roll < arm + cancel_key + 30 {
             assert_eq!(h.eng.step(&mut h.world), h.model.step(), "op {op}");
         } else {
             let deadline = now + rng.next_below(400);
@@ -345,11 +296,16 @@ fn run_model(seed: u64, keys: Vec<TimerKey>, ops: usize) -> (usize, QueueStats) 
         }
     }
     h.check_all_keys(ops);
-    // Every id ever returned resolves exactly as the model says.
-    for i in 0..h.ids.len() {
-        assert_eq!(h.eng.cancel(h.ids[i]), h.model.cancel(i), "id {i}");
+    // Every key cancels exactly as the model says; the one-shots left
+    // then drain in the model's order.
+    for key in h.keys.clone() {
+        assert_eq!(h.eng.cancel_key(key), h.model.cancel_key(key), "{key}");
     }
     h.check(ops, None);
+    h.eng.run(&mut h.world);
+    while h.model.step() {}
+    h.check(ops, None);
+    h.check_all_keys(ops);
     assert_eq!(h.eng.pending_events(), 0);
     (peak_keyed, h.eng.queue_stats())
 }

@@ -5,7 +5,7 @@
 //! loops over the in-tree [`SplitMix64`] generator so the suite needs no
 //! external dependencies and every failure reproduces from its seed.
 
-use ibsim_event::{Engine, SimTime, SplitMix64};
+use ibsim_event::{Engine, SimTime, SplitMix64, TimerKey};
 
 const CASES: u64 = 64;
 
@@ -32,7 +32,8 @@ fn clock_is_monotone() {
     }
 }
 
-/// Cancelling an arbitrary subset removes exactly that subset.
+/// Cancelling an arbitrary subset of keys removes exactly the events
+/// armed under them.
 #[test]
 fn cancellation_is_exact() {
     for case in 0..CASES {
@@ -40,16 +41,15 @@ fn cancellation_is_exact() {
         let n = rng.range(1, 100) as usize;
         let times: Vec<u64> = (0..n).map(|_| rng.next_below(100_000)).collect();
         let cancel_mask: Vec<bool> = (0..n).map(|_| rng.next_bool()).collect();
+        let key = |i: usize| TimerKey(case, i as u64);
         let mut eng: Engine<Vec<usize>> = Engine::new();
-        let ids: Vec<_> = times
-            .iter()
-            .enumerate()
-            .map(|(i, &t)| eng.schedule_at(SimTime::from_ns(t), move |w, _| w.push(i)))
-            .collect();
+        for (i, &t) in times.iter().enumerate() {
+            eng.schedule_keyed_at(key(i), SimTime::from_ns(t), move |w, _| w.push(i));
+        }
         let mut expect: Vec<usize> = Vec::new();
-        for (i, id) in ids.iter().enumerate() {
-            if cancel_mask[i] {
-                assert!(eng.cancel(*id), "case {case}: fresh cancel succeeds");
+        for (i, &cancel) in cancel_mask.iter().enumerate() {
+            if cancel {
+                assert!(eng.cancel_key(key(i)), "case {case}: fresh cancel succeeds");
             } else {
                 expect.push(i);
             }

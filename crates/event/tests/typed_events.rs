@@ -85,14 +85,15 @@ impl Event<u64> for Tick {
 const KEYS: u64 = 64;
 const RESIDENT: usize = 96;
 
-/// One round: two plain posts, an arm or re-arm (earlier or later), a
-/// chain timer, a cancel by key and one by id, then fire back down to
-/// the resident population.
+/// One round: a plain post, an arm or re-arm (earlier or later), a chain
+/// timer, a doomed timer, two cancels by key, then fire back down to the
+/// resident population.
 fn round(eng: &mut Engine<u64, Tick>, world: &mut u64, rng: &mut SplitMix64) {
     let now = eng.now();
     let after = |rng: &mut SplitMix64, span: u64| now + SimTime::from_ns(1 + rng.next_below(span));
     eng.post_at(after(rng, 2_000), Tick::Add(1));
-    let doomed = eng.post_at(after(rng, 2_000), Tick::Add(1 << 32));
+    let doomed = TimerKey(3, rng.next_below(KEYS));
+    eng.post_keyed_at(doomed, after(rng, 2_000), Tick::Add(1 << 32));
     let key = TimerKey(1, rng.next_below(KEYS));
     eng.post_keyed_at(key, after(rng, 50_000), Tick::Add(2));
     eng.post_keyed_at(key, after(rng, 50_000), Tick::Add(3));
@@ -106,7 +107,7 @@ fn round(eng: &mut Engine<u64, Tick>, world: &mut u64, rng: &mut SplitMix64) {
         },
     );
     eng.cancel_key(TimerKey(1, rng.next_below(KEYS)));
-    assert!(eng.cancel(doomed));
+    assert!(eng.cancel_key(doomed));
     while eng.pending_events() > RESIDENT {
         assert!(eng.step(world));
     }

@@ -367,7 +367,7 @@ mod tests {
             pinned.packets
         );
         assert!(
-            odp.duration > pinned.duration.mul_f64(1.5),
+            odp.duration * 2 > pinned.duration * 3,
             "ODP stretches the job: {} vs {}",
             odp.duration,
             pinned.duration
