@@ -36,8 +36,11 @@ echo "    release, the profile every bench bin and the benchmark run: integer"
 echo "    overflow panics in debug but wraps here and debug_asserts vanish."
 echo "    fabric: the hostile-size and route-contract tests gate both profiles;"
 echo "    event: the key index masks and wraps its probe, ranks pack into a"
-echo "    u128 and slot numbers stay below u32::MAX (the model test, the"
-echo "    allocation test and the seeded tier-invariant mix); telemetry: the"
+echo "    u128, slot numbers stay below u32::MAX, which ends a lane or run,"
+echo "    and a position word's top bit tags a timer waiting in a lane, so a"
+echo "    heap index must stay below that bit (asserted where a heap grows;"
+echo "    the model test, the allocation test and the seeded tier-invariant"
+echo "    mix); telemetry: the"
 echo "    per-QP clock table casts u64/u32 ids to indices; ucp and shuffle:"
 echo "    a request id is a table slot plus one, so the subtraction and the"
 echo "    narrowing to an index wrap silently (the foreign-id and slot-reuse"
@@ -84,8 +87,9 @@ if [ "$(cksum < target/figures.out)" != "237145198 3090" ]; then
     exit 1
 fi
 
-echo "==> the full Fig. 9 sweep (40 flood cells, ~15 s: the timer storm the"
-echo "    event queue's two tiers are built for; its stdout is pinned)"
+echo "==> the full Fig. 9 sweep (40 flood cells, ~15 s: the timer storm whose"
+echo "    one-delay ticks the event queue's lanes keep off its heaps; its"
+echo "    stdout is pinned)"
 cargo run -q --offline --release -p ibsim-bench --bin fig9 > target/fig9.out
 if [ "$(cksum < target/fig9.out)" != "3086631046 1708" ]; then
     echo "ci: the Fig. 9 stdout drifted (target/fig9.out)" >&2

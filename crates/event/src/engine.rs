@@ -1,7 +1,7 @@
 //! The discrete-event engine.
 //!
-//! [`Engine`] owns a queue of scheduled events, two binary min-heaps,
-//! over a *world* (the user's state, generic parameter `W`).
+//! [`Engine`] owns a queue of scheduled events, in two tiers of sorted
+//! lists and heaps, over a *world* (the user's state, generic parameter `W`).
 //! An event is a value of the engine's second parameter `E`, anything
 //! implementing [`Event`]: firing it hands it mutable access to the world
 //! and to the engine itself, so handlers can schedule follow-up events. `E`
@@ -13,53 +13,73 @@
 //! which allocates nothing. Events at equal timestamps fire in insertion
 //! order, which makes every run bit-for-bit deterministic.
 //!
-//! ## Layout: two tiers over one arena
+//! ## Layout: two tiers, in-order traffic in lists beside their heaps
 //!
 //! The timer-heavy regimes this simulator exists for — thousands of QPs
 //! rearming retransmit timers every ~0.5 ms (§VI packet flood) — make the
 //! queue itself the hot path, so an event costs its handler and not its
 //! container:
 //!
-//! * two **tiers**, each a binary min-heap of three words per event,
-//!   `(at, seq, slot)`, ranked by one `u128` (`at` above `seq`) so a
-//!   comparison has no branch. The *timer tier* holds every keyed event
-//!   (posted through [`post_keyed_at`](Engine::post_keyed_at) or a
+//! * two **tiers**: the *timer tier* holds every keyed event (posted
+//!   through [`post_keyed_at`](Engine::post_keyed_at) or a
 //!   `schedule_keyed_*` method), the *event tier* every one-shot
 //!   (deliveries, driver completions, posts, calls). Keyed means timer
 //!   because a key is what a protocol timer is: a long-lived slot per QP,
 //!   re-armed and cancelled in place, while a one-shot is popped
-//!   microseconds after it is pushed. Under the flood ~800 blind
-//!   retransmit ticks wait in the timer tier while the event tier holds
-//!   the few packets in flight, so a packet's push and pop sift a heap of
-//!   a handful of entries instead of one a thousand deep.
-//!   [`step`](Engine::step) and [`run_until`](Engine::run_until) compare
-//!   the two roots once per event and pop the lower, so the firing order
-//!   is the one strict `(at, seq)` order of a single heap;
-//! * a one-shot is fire-and-forget: nothing can address it once posted,
-//!   so the event tier is a plain [`BinaryHeap`]. Only a timer has an
-//!   address, its key, so only the timer tier is *indexed*: the
-//!   **position table** maps each armed timer's slot to its heap index,
-//!   updated once per level moved. It is what makes
-//!   [`cancel_key`](Engine::cancel_key) a physical O(log n) removal and a
-//!   re-arm one sift in place. Its sifts move a hole rather than swap, so
-//!   a level copies 24 bytes and never touches a payload. A pop goes
-//!   bottom-up: the hole walks the smaller-child path to a leaf, one
-//!   comparison per level, and the displaced tail sifts up from there. It
-//!   came from the bottom, so it rarely climbs far, and because ranks are
-//!   unique it lands exactly where a top-down sift would have stopped;
-//! * the **payload arena** holds each event and its [`TimerKey`] in the
-//!   slot it was given when scheduled. Nothing moves it until it fires:
-//!   the arena grows by whole pages, never by reallocating.
+//!   microseconds after it is pushed;
+//! * most of both tiers' traffic is already in order, so it waits in
+//!   FIFO **lists** and skips the heaps. A timer armed with the delay
+//!   (`at − now`) of one of the timer tier's four **lanes** joins its
+//!   tail; a delay no lane has claims an empty lane. A lane's members were
+//!   armed with one delay, at a clock that never runs back, each with a
+//!   larger `seq`, so a lane is sorted by construction. A one-shot at or
+//!   after the last time of one of the event tier's two **runs** joins the
+//!   run with the latest such time (best fit); since `seq` only grows, it
+//!   ranks above that tail, so a run is sorted by its append test. What
+//!   joins no list — a timer whose delay matches no lane while all four
+//!   hold others, a one-shot before both runs' tails — goes into its
+//!   tier's heap. On the benchmark's workloads the share of timers that
+//!   join a lane and of one-shots that join a run is 99.8 % and 88 % on
+//!   `flood`, 99 and 83 on `sweep`, 100 and 37 on `wide`, 76 and 35 on
+//!   `shuffle`, 100 and 24 on `stream`;
+//! * each tier's **heap** is a binary min-heap of three words per entry,
+//!   `(at, seq, slot)`, ranked by one `u128` (`at` above `seq`) so a
+//!   comparison has no branch. It holds each list's head beside the events
+//!   that joined none, so its root is the tier's minimum; popping a head
+//!   hands its entry to its successor with one sift. [`step`](Engine::step)
+//!   and [`run_until`](Engine::run_until) compare the two roots once per
+//!   event and pop the lower, so the firing order is the one strict
+//!   `(at, seq)` order of a single heap. Under the flood the ~440
+//!   blind-retransmit ticks, all armed with one delay, wait in one lane,
+//!   and most packets ride a run, so each heap holds a handful of entries
+//!   where the timer heap alone used to hold ~440. The sifts move a hole
+//!   rather than swap, so a level copies 24 bytes and never touches a
+//!   payload. A pop goes bottom-up: the hole walks the smaller-child path
+//!   to a leaf, one comparison per level, and the displaced entry sifts up
+//!   from there, landing, because ranks are unique, exactly where a
+//!   top-down sift would have stopped;
+//! * the lists are threaded through a **link** (time, `seq`, neighbours)
+//!   in each slot's arena cell, so they allocate nothing. A one-shot is
+//!   fire-and-forget: nothing can address it once posted, so a run only
+//!   ever loses its head. Only a timer has an address, its key, so only the timer tier is
+//!   *indexed*: the **position table** maps each armed timer's slot to its
+//!   heap index, updated once per level moved, or, for a timer waiting
+//!   behind its lane's head, to a lane tag. A lane is doubly linked, so a
+//!   re-arm or [`cancel_key`](Engine::cancel_key) behind the head is an
+//!   O(1) unlink, and at the head or in the heap one sift;
+//! * the **payload arena** holds each event, its [`TimerKey`] and its
+//!   link in the slot it was given when scheduled. Nothing moves it until
+//!   it fires: the arena grows by whole pages, never by reallocating.
 //!
 //! Freed slots are recycled through one LIFO free list shared by both
-//! tiers. Slot assignment and the free-list discipline are deterministic,
-//! and event *ordering* never consults them — both tiers rank strictly by
-//! `(time, insertion seq)`, and `seq` is one counter across them — so
-//! neither the arena nor the split into tiers can perturb a run. There
-//! are no tombstones: every queued entry is live, so
+//! tiers. Slot assignment, the free-list discipline and the choice of
+//! list are deterministic, and event *ordering* never consults them —
+//! every list and heap is sorted on `(time, insertion seq)`, and `seq` is
+//! one counter across the tiers — so none of them can perturb a run.
+//! There are no tombstones: every queued entry is live, so
 //! [`next_event_time`](Engine::next_event_time) is an O(1) peek and queue
 //! occupancy is observable ([`queue_stats`](Engine::queue_stats), whose
-//! depths sum the tiers).
+//! depth counts every slot off the free list).
 //!
 //! ## Keyed timers
 //!
@@ -72,13 +92,11 @@
 //! key. Keys resolve through a private open-addressed index — O(1), and
 //! never iterated, so its layout cannot reach event order — and arming
 //! an armed key **re-arms in place**: time, `seq` and payload are
-//! overwritten in the same slot and its timer-tier entry sifts once. That
-//! is observably the remove-then-insert it replaces: the LIFO free list
-//! would have handed the freed slot straight back, so the
-//! `scheduled`/`replaced` counters and the new `seq` are the same.
+//! overwritten in the same slot, which leaves its lane or heap entry and
+//! is armed again. That is observably the remove-then-insert it replaces:
+//! the LIFO free list would have handed the freed slot straight back, so
+//! the `scheduled`/`replaced` counters and the new `seq` are the same.
 
-use std::cmp::Ordering;
-use std::collections::BinaryHeap;
 use std::fmt;
 use std::marker::PhantomData;
 
@@ -133,6 +151,27 @@ impl<W> Event<W> for Call<W> {
     }
 }
 
+/// Lanes in the timer tier. The cluster arms timers with few delays at a
+/// time — the blind-retransmit tick's, `T_o` at each recovery load, the
+/// RNR wait — so four take 99–100 % of the timers of every benchmark
+/// workload but `shuffle`'s (76 %). Eight would take 97 % there, and
+/// measured no cheaper (DESIGN 3.1.1).
+const LANES: usize = 4;
+
+/// Runs in the event tier. Deliveries arrive nearly in time order, with a
+/// far post (a driver job) now and then: the far post ends one run, and
+/// the next deliveries go on in the other. Two take 88 % of the flood's
+/// one-shots; eight would take more on every workload, and measured no
+/// cheaper (DESIGN 3.1.1).
+const RUNS: usize = 2;
+
+/// The tag of a position-table word naming a timer that waits behind its
+/// lane's head; the low bits are the lane. Heap indexes stay below it.
+const IN_LANE: u32 = 1 << 31;
+
+/// No slot: the end of a lane or run, or an empty one's head and tail.
+const NIL: u32 = u32::MAX;
+
 /// One heap entry. The payload stays in the arena under `slot`.
 #[derive(Debug, Clone, Copy)]
 struct Node {
@@ -140,9 +179,14 @@ struct Node {
     /// Global insertion order — the determinism tiebreak. Never reused.
     seq: u64,
     slot: u32,
+    /// The lane (timer tier) or run (event tier) this entry heads, or
+    /// [`Node::SOLO`] for an event that joined none.
+    head_of: u32,
 }
 
 impl Node {
+    const SOLO: u32 = u32::MAX;
+
     /// Lexicographic (time, insertion order) min-heap rank as one integer,
     /// so comparing two is branch-free. Unique: no two nodes share a `seq`.
     #[inline]
@@ -151,65 +195,105 @@ impl Node {
     }
 }
 
-/// Ordered for the event tier's [`BinaryHeap`], a max-heap: by reversed
-/// [`Node::rank`], so the greatest node is the next to fire.
-impl Ord for Node {
+/// A lane or run member's time, order and neighbours ([`NIL`] at either
+/// end), kept in its arena cell.
+#[derive(Debug, Clone, Copy)]
+struct Link {
+    at: SimTime,
+    seq: u64,
+    prev: u32,
+    next: u32,
+}
+
+impl Link {
+    /// A fresh slot's link, in no list.
+    const NONE: Link = Link {
+        at: SimTime::ZERO,
+        seq: 0,
+        prev: NIL,
+        next: NIL,
+    };
+}
+
+/// A FIFO list threaded through the arena cells' links: a lane or a run.
+/// Empty when `head` is [`NIL`].
+#[derive(Debug, Clone, Copy)]
+struct Fifo {
+    head: u32,
+    tail: u32,
+}
+
+impl Fifo {
+    const EMPTY: Fifo = Fifo {
+        head: NIL,
+        tail: NIL,
+    };
+
+    /// Appends `node`; returns whether it is the first member, the head.
     #[inline]
-    fn cmp(&self, other: &Self) -> Ordering {
-        other.rank().cmp(&self.rank())
+    fn push<E>(&mut self, cells: &mut Arena<E>, node: Node) -> bool {
+        cells[node.slot as usize].link = Link {
+            at: node.at,
+            seq: node.seq,
+            prev: self.tail,
+            next: NIL,
+        };
+        let first = self.head == NIL;
+        if first {
+            self.head = node.slot;
+        } else {
+            cells[self.tail as usize].link.next = node.slot;
+        }
+        self.tail = node.slot;
+        first
     }
 }
 
-impl PartialOrd for Node {
-    #[inline]
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
+/// A binary min-heap on [`Node::rank`] over the heads of a tier's lists
+/// and every event of the tier that joined none. An `INDEXED` heap
+/// mirrors every move into its position table, `pos`. Sifts move a hole
+/// rather than swap, so a level copies 24 bytes and never touches a
+/// payload.
+#[derive(Default)]
+struct Heap<const INDEXED: bool> {
+    nodes: Vec<Node>,
+    pos: Vec<u32>,
 }
 
-impl PartialEq for Node {
+impl<const INDEXED: bool> Heap<INDEXED> {
+    /// Writes `node` at index `idx` and records the position.
     #[inline]
-    fn eq(&self, other: &Self) -> bool {
-        self.rank() == other.rank()
-    }
-}
-
-impl Eq for Node {}
-
-/// The timer tier: an indexed binary min-heap on [`Node::rank`] whose
-/// every move is mirrored into the position table it is handed.
-struct TimerHeap {
-    heap: Vec<Node>,
-}
-
-impl TimerHeap {
-    /// Writes `node` at heap index `idx` and records the position.
-    #[inline]
-    fn put(&mut self, pos: &mut [u32], idx: usize, node: Node) {
-        self.heap[idx] = node;
-        pos[node.slot as usize] = idx as u32;
+    fn put(&mut self, idx: usize, node: Node) {
+        self.nodes[idx] = node;
+        if INDEXED {
+            self.pos[node.slot as usize] = idx as u32;
+        }
     }
 
-    fn push(&mut self, pos: &mut [u32], node: Node) {
-        let idx = self.heap.len();
-        self.heap.push(node);
-        self.sift_up(pos, idx, node);
+    fn push(&mut self, node: Node) {
+        let idx = self.nodes.len();
+        assert!(
+            idx < IN_LANE as usize,
+            "invariant: a heap index stays below the lane tag"
+        );
+        self.nodes.push(node);
+        self.sift_up(idx, node);
     }
 
     /// Settles `node` at or above the hole at `idx`: parents move down
     /// into the hole until the next one ranks lower than `node`.
-    fn sift_up(&mut self, pos: &mut [u32], mut idx: usize, node: Node) {
+    fn sift_up(&mut self, mut idx: usize, node: Node) {
         let rank = node.rank();
         while idx > 0 {
             let parent = (idx - 1) / 2;
-            let p = self.heap[parent];
+            let p = self.nodes[parent];
             if rank > p.rank() {
                 break;
             }
-            self.put(pos, idx, p);
+            self.put(idx, p);
             idx = parent;
         }
-        self.put(pos, idx, node);
+        self.put(idx, node);
     }
 
     /// Settles `node` through the hole at `idx`, bottom-up: the smaller
@@ -217,39 +301,218 @@ impl TimerHeap {
     /// per level, then `node` sifts up from there — past `idx` if it
     /// outranks the hole's parent. With unique ranks that is where a
     /// top-down sift would have stopped.
-    fn sift_down(&mut self, pos: &mut [u32], mut idx: usize, node: Node) {
-        let len = self.heap.len();
+    fn sift_down(&mut self, mut idx: usize, node: Node) {
+        let len = self.nodes.len();
         let mut child = 2 * idx + 1;
         while child + 1 < len {
-            child += usize::from(self.heap[child + 1].rank() < self.heap[child].rank());
-            self.put(pos, idx, self.heap[child]);
+            child += usize::from(self.nodes[child + 1].rank() < self.nodes[child].rank());
+            self.put(idx, self.nodes[child]);
             idx = child;
             child = 2 * idx + 1;
         }
         if child < len {
-            self.put(pos, idx, self.heap[child]);
+            self.put(idx, self.nodes[child]);
             idx = child;
         }
-        self.sift_up(pos, idx, node);
+        self.sift_up(idx, node);
     }
 
-    /// Takes out the node at `idx`; the displaced tail fills the hole.
-    fn remove(&mut self, pos: &mut [u32], idx: usize) -> Node {
-        let removed = self.heap[idx];
+    /// Writes `node`, which ranks above the entry at `idx`, in its place
+    /// and sifts it top-down. A list's successor mostly still ranks below
+    /// both children, so this stops at once where a bottom-up sift would
+    /// walk to a leaf and back.
+    fn replace_down(&mut self, mut idx: usize, node: Node) {
+        let len = self.nodes.len();
+        let rank = node.rank();
+        loop {
+            let mut child = 2 * idx + 1;
+            if child >= len {
+                break;
+            }
+            if child + 1 < len && self.nodes[child + 1].rank() < self.nodes[child].rank() {
+                child += 1;
+            }
+            if rank < self.nodes[child].rank() {
+                break;
+            }
+            self.put(idx, self.nodes[child]);
+            idx = child;
+        }
+        self.put(idx, node);
+    }
+
+    /// Takes the entry at `idx` out of the tier. The head of one of
+    /// `lists` hands its entry to its successor, which ranks above it;
+    /// any other entry leaves, and the displaced tail fills the hole.
+    fn take<E>(&mut self, lists: &mut [Fifo], cells: &mut Arena<E>, idx: usize) -> Node {
+        let node = self.nodes[idx];
+        if let Some(list) = lists.get_mut(node.head_of as usize) {
+            let next = cells[node.slot as usize].link.next;
+            list.head = next;
+            if next != NIL {
+                let link = &mut cells[next as usize].link;
+                link.prev = NIL;
+                let succ = Node {
+                    at: link.at,
+                    seq: link.seq,
+                    slot: next,
+                    head_of: node.head_of,
+                };
+                self.replace_down(idx, succ);
+                return node;
+            }
+            list.tail = NIL;
+        }
         let tail = self
-            .heap
+            .nodes
             .pop()
             .expect("invariant: idx names a heap entry, so the heap is non-empty");
-        if idx < self.heap.len() {
-            self.sift_down(pos, idx, tail);
+        if idx < self.nodes.len() {
+            self.sift_down(idx, tail);
         }
-        removed
+        node
+    }
+
+    /// Appends `node` to list `id` of `lists`; a list's first member
+    /// enters the heap as its head. Returns whether it did.
+    #[inline]
+    fn append<E>(
+        &mut self,
+        lists: &mut [Fifo],
+        cells: &mut Arena<E>,
+        id: usize,
+        node: Node,
+    ) -> bool {
+        let first = lists[id].push(cells, node);
+        if first {
+            self.push(Node {
+                head_of: id as u32,
+                ..node
+            });
+        }
+        first
+    }
+}
+
+/// The timer tier: [`LANES`] lanes, each of timers armed with one delay,
+/// and an indexed heap of their heads and every other timer.
+struct TimerTier {
+    heap: Heap<true>,
+    lanes: [Fifo; LANES],
+    /// The delay each lane's members were armed with. An empty lane keeps
+    /// its last members' delay until a timer whose delay no lane has
+    /// claims it.
+    delays: [SimTime; LANES],
+}
+
+impl TimerTier {
+    /// The lane a timer armed `delay` ahead joins: the one with that
+    /// delay, else the first empty one, claimed for it. `None`: every
+    /// lane holds other timers, so the timer goes into the heap.
+    #[inline]
+    fn lane_for(&self, delay: SimTime) -> Option<usize> {
+        let lane = self.delays.iter().position(|&d| d == delay);
+        lane.or_else(|| self.lanes.iter().position(|l| l.head == NIL))
+    }
+
+    /// Queues the timer `node`, armed `delay` ahead of the clock.
+    fn arm<E>(&mut self, cells: &mut Arena<E>, node: Node, delay: SimTime) {
+        let Some(l) = self.lane_for(delay) else {
+            self.heap.push(node);
+            return;
+        };
+        self.delays[l] = delay;
+        if !self.heap.append(&mut self.lanes, cells, l, node) {
+            self.heap.pos[node.slot as usize] = IN_LANE | l as u32;
+        }
+    }
+
+    /// Takes the timer in `slot` out of the tier, wherever it waits.
+    fn detach<E>(&mut self, cells: &mut Arena<E>, slot: u32) {
+        let p = self.heap.pos[slot as usize];
+        if p & IN_LANE == 0 {
+            self.heap.take(&mut self.lanes, cells, p as usize);
+            return;
+        }
+        // Behind its lane's head, so `prev` is a slot.
+        let Link { prev, next, .. } = cells[slot as usize].link;
+        cells[prev as usize].link.next = next;
+        if next == NIL {
+            self.lanes[(p & !IN_LANE) as usize].tail = prev;
+        } else {
+            cells[next as usize].link.prev = prev;
+        }
+    }
+
+    /// Moves the timer in `node.slot` to `node`'s rank, armed `delay`
+    /// ahead: a detach and an arm, but one sift in place when it stays in
+    /// the heap outside every lane.
+    fn rearm<E>(&mut self, cells: &mut Arena<E>, node: Node, delay: SimTime) {
+        let p = self.heap.pos[node.slot as usize];
+        let solo = p & IN_LANE == 0 && self.heap.nodes[p as usize].head_of == Node::SOLO;
+        if !solo || self.lane_for(delay).is_some() {
+            self.detach(cells, node.slot);
+            self.arm(cells, node, delay);
+        } else if node.at < self.heap.nodes[p as usize].at {
+            // `seq` only grows, so the entry moves up exactly when its
+            // time moved earlier.
+            self.heap.sift_up(p as usize, node);
+        } else {
+            self.heap.sift_down(p as usize, node);
+        }
+    }
+
+    /// Fire time of the timer in `slot`.
+    fn deadline<E>(&self, cells: &Arena<E>, slot: u32) -> SimTime {
+        let p = self.heap.pos[slot as usize];
+        if p & IN_LANE == 0 {
+            self.heap.nodes[p as usize].at
+        } else {
+            cells[slot as usize].link.at
+        }
+    }
+}
+
+/// The event tier: [`RUNS`] runs, each sorted by its append test, and a
+/// heap of their heads and every other one-shot.
+struct EventTier {
+    heap: Heap<false>,
+    runs: [Fifo; RUNS],
+    /// Each run's last member's time, kept when the run empties: then it
+    /// is at most the clock, so the run fits any one-shot, but no better
+    /// than a run with members that fits it too.
+    tails: [SimTime; RUNS],
+}
+
+impl EventTier {
+    /// Queues the one-shot `node`: at the tail of the run whose last
+    /// member is the latest at or before it (best fit), else in the heap.
+    /// `seq` only grows, so at or before is below in rank.
+    #[inline]
+    fn push<E>(&mut self, cells: &mut Arena<E>, node: Node) {
+        let mut fit = None;
+        let mut best = SimTime::ZERO;
+        for (r, &t) in self.tails.iter().enumerate() {
+            if t <= node.at && t >= best {
+                fit = Some(r);
+                best = t;
+            }
+        }
+        match fit {
+            Some(r) => {
+                self.tails[r] = node.at;
+                self.heap.append(&mut self.runs, cells, r, node);
+            }
+            None => self.heap.push(node),
+        }
     }
 }
 
 /// One payload-arena entry, parallel to the position table.
 struct Cell<E> {
     key: Option<TimerKey>,
+    /// The slot's place in a lane or run, while one holds it.
+    link: Link,
     /// `Some` exactly while the slot is live.
     ev: Option<E>,
 }
@@ -503,14 +766,11 @@ impl fmt::Display for QueueStats {
 /// ```
 pub struct Engine<W, E = Call<W>> {
     now: SimTime,
-    /// The event tier: every pending one-shot, greatest (next) first.
-    events: BinaryHeap<Node>,
-    /// The timer tier: every armed keyed event, indexed through `pos`.
-    timers: TimerHeap,
-    /// The position table: the `timers` index of the event in each slot,
-    /// meaningful while a timer holds the slot.
-    pos: Vec<u32>,
-    /// The payload arena, parallel to `pos`.
+    /// The event tier: every pending one-shot.
+    events: EventTier,
+    /// The timer tier: every armed keyed event, indexed by slot.
+    timers: TimerTier,
+    /// The payload arena, parallel to the timer tier's position table.
     cells: Arena<E>,
     /// Freed slot indices, recycled LIFO (deterministic, cache-warm).
     free: Vec<u32>,
@@ -523,7 +783,7 @@ pub struct Engine<W, E = Call<W>> {
     replaced_total: u64,
     peak_depth: usize,
     /// Event pops whose timestamp preceded the clock. A non-zero value
-    /// means the min-heap ordering invariant broke — causality is gone.
+    /// means the queue's ordering invariant broke — causality is gone.
     monotonicity_violations: u64,
     /// Timestamp of the last event actually executed. Unlike `now`, this
     /// is *not* advanced by a `run_until` deadline, so a sharded run —
@@ -543,7 +803,7 @@ impl<W, E> fmt::Debug for Engine<W, E> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("Engine")
             .field("now", &self.now)
-            .field("pending", &(self.events.len() + self.timers.heap.len()))
+            .field("pending", &(self.timers.heap.pos.len() - self.free.len()))
             .field("executed", &self.executed)
             .field("peak_depth", &self.peak_depth)
             .finish()
@@ -556,9 +816,16 @@ impl<W, E: Event<W>> Engine<W, E> {
     pub fn new() -> Self {
         Engine {
             now: SimTime::ZERO,
-            events: BinaryHeap::new(),
-            timers: TimerHeap { heap: Vec::new() },
-            pos: Vec::new(),
+            events: EventTier {
+                heap: Heap::default(),
+                runs: [Fifo::EMPTY; RUNS],
+                tails: [SimTime::ZERO; RUNS],
+            },
+            timers: TimerTier {
+                heap: Heap::default(),
+                lanes: [Fifo::EMPTY; LANES],
+                delays: [SimTime::ZERO; LANES],
+            },
             cells: Arena { pages: Vec::new() },
             free: Vec::new(),
             keyed: KeyIndex::default(),
@@ -590,11 +857,12 @@ impl<W, E: Event<W>> Engine<W, E> {
         self.last_executed_at
     }
 
-    /// Number of events still pending, in both tiers. Cancelled events
-    /// are physically removed, so this never overstates queue depth.
+    /// Number of events still pending: every slot off the free list.
+    /// Cancelled events are physically removed, so this never overstates
+    /// queue depth.
     #[inline]
     pub fn pending_events(&self) -> usize {
-        self.events.len() + self.timers.heap.len()
+        self.timers.heap.pos.len() - self.free.len()
     }
 
     /// Keyed timer slots currently armed.
@@ -619,7 +887,7 @@ impl<W, E: Event<W>> Engine<W, E> {
     }
 
     /// Number of event pops that violated clock monotonicity: counted,
-    /// never panicked on, so a broken heap shows up in the same counter
+    /// never panicked on, so a broken queue shows up in the same counter
     /// reports as every other runtime invariant.
     #[inline]
     pub fn monotonicity_violations(&self) -> u64 {
@@ -631,10 +899,14 @@ impl<W, E: Event<W>> Engine<W, E> {
     // ------------------------------------------------------------------
 
     /// The root that fires next, if any event is pending — the lower of
-    /// the two tiers' roots — and whether it is the timer tier's.
+    /// the two tiers' heap roots, each its tier's minimum — and whether it
+    /// is the timer tier's.
     #[inline]
     fn next_root(&self) -> Option<(Node, bool)> {
-        match (self.events.peek(), self.timers.heap.first()) {
+        match (
+            self.events.heap.nodes.first(),
+            self.timers.heap.nodes.first(),
+        ) {
             (Some(e), Some(t)) if t.rank() < e.rank() => Some((*t, true)),
             (Some(e), _) => Some((*e, false)),
             (None, t) => t.map(|t| (*t, true)),
@@ -684,21 +956,31 @@ impl<W, E: Event<W>> Engine<W, E> {
             }
             None => {
                 // A slot number names a live event in the key index,
-                // whose empty cells hold `KeyIndex::EMPTY`.
+                // whose empty cells hold `KeyIndex::EMPTY`, and in the
+                // lists, whose ends are `NIL`: both `u32::MAX`.
                 assert!(
-                    self.pos.len() < KeyIndex::EMPTY as usize,
+                    self.timers.heap.pos.len() < NIL as usize,
                     "invariant: fewer than 2^32 - 1 events are live"
                 );
-                self.pos.push(0);
-                self.cells.push(Cell { key, ev: Some(ev) });
-                (self.pos.len() - 1) as u32
+                self.timers.heap.pos.push(0);
+                self.cells.push(Cell {
+                    key,
+                    link: Link::NONE,
+                    ev: Some(ev),
+                });
+                (self.timers.heap.pos.len() - 1) as u32
             }
         };
-        let node = Node { at, seq, slot };
+        let node = Node {
+            at,
+            seq,
+            slot,
+            head_of: Node::SOLO,
+        };
         if key.is_some() {
-            self.timers.push(&mut self.pos, node);
+            self.timers.arm(&mut self.cells, node, at - self.now);
         } else {
-            self.events.push(node);
+            self.events.push(&mut self.cells, node);
         }
         self.peak_depth = self.peak_depth.max(self.pending_events());
         slot
@@ -742,21 +1024,18 @@ impl<W, E: Event<W>> Engine<W, E> {
             return;
         };
         // Re-arm in place: what removing the old event and inserting the
-        // new one would leave behind, without the two index operations,
-        // the slot round trip through the free list and the second sift.
+        // new one would leave behind, without the two index operations
+        // and the slot round trip through the free list.
         let seq = self.stamp();
         self.replaced_total += 1;
         self.cells[slot as usize].ev = Some(ev);
-        let idx = self.pos[slot as usize] as usize;
-        // `seq` only grows, so the entry moves up exactly when its time
-        // moved earlier.
-        let earlier = at < self.timers.heap[idx].at;
-        let node = Node { at, seq, slot };
-        if earlier {
-            self.timers.sift_up(&mut self.pos, idx, node);
-        } else {
-            self.timers.sift_down(&mut self.pos, idx, node);
-        }
+        let node = Node {
+            at,
+            seq,
+            slot,
+            head_of: Node::SOLO,
+        };
+        self.timers.rearm(&mut self.cells, node, at - self.now);
     }
 
     /// Schedules `f` to run at absolute time `at`; see
@@ -800,31 +1079,32 @@ impl<W, E: Event<W>> Engine<W, E> {
         self.schedule_keyed_at(key, self.now + delay, f)
     }
 
-    /// `(slot, timer-tier index)` of the event armed under `key`, if any.
+    /// The slot of the event armed under `key`, if any.
     #[inline]
-    fn key_idx(&self, key: TimerKey) -> Option<(u32, usize)> {
-        let slot = self.keyed.get(&self.cells, key, KeyIndex::hash(key))?;
-        Some((slot, self.pos[slot as usize] as usize))
+    fn key_slot(&self, key: TimerKey) -> Option<u32> {
+        self.keyed.get(&self.cells, key, KeyIndex::hash(key))
     }
 
     /// True if an event is currently armed under `key`.
     pub fn key_armed(&self, key: TimerKey) -> bool {
-        self.key_idx(key).is_some()
+        self.key_slot(key).is_some()
     }
 
     /// Fire time of the event armed under `key`, if any.
     pub fn key_deadline(&self, key: TimerKey) -> Option<SimTime> {
-        self.key_idx(key).map(|(_, idx)| self.timers.heap[idx].at)
+        self.key_slot(key)
+            .map(|slot| self.timers.deadline(&self.cells, slot))
     }
 
     /// Cancels the event armed under timer slot `key`, physically
-    /// removing it from the queue in O(log n). Returns `true` if one was
-    /// armed; cancelling a key with nothing armed is harmless.
+    /// removing it from the queue: O(1) from behind a lane's head,
+    /// O(log n) from the heap. Returns `true` if one was armed;
+    /// cancelling a key with nothing armed is harmless.
     pub fn cancel_key(&mut self, key: TimerKey) -> bool {
-        let Some((slot, idx)) = self.key_idx(key) else {
+        let Some(slot) = self.key_slot(key) else {
             return false;
         };
-        self.timers.remove(&mut self.pos, idx);
+        self.timers.detach(&mut self.cells, slot);
         self.release(slot);
         self.cancelled_total += 1;
         true
@@ -872,11 +1152,11 @@ impl<W, E: Event<W>> Engine<W, E> {
     #[inline]
     fn fire_next(&mut self, timer: bool, world: &mut W) {
         let node = if timer {
-            self.timers.remove(&mut self.pos, 0)
+            let timers = &mut self.timers;
+            timers.heap.take(&mut timers.lanes, &mut self.cells, 0)
         } else {
-            self.events
-                .pop()
-                .expect("invariant: the event tier's root fires next")
+            let events = &mut self.events;
+            events.heap.take(&mut events.runs, &mut self.cells, 0)
         };
         let ev = self.release(node.slot);
         if node.at < self.now {
@@ -1104,9 +1384,9 @@ mod tests {
         eng.schedule_at(SimTime::from_us(1), |_, _| {});
         eng.schedule_keyed_at(key, SimTime::from_us(50), |w, _| *w += 1);
         // Earlier: the same slot, the one a LIFO free list hands back.
-        let slot = eng.key_idx(key).map(|(slot, _)| slot);
+        let slot = eng.key_slot(key);
         eng.schedule_keyed_at(key, SimTime::from_us(5), |w, _| *w += 10);
-        assert_eq!(eng.key_idx(key).map(|(slot, _)| slot), slot);
+        assert_eq!(eng.key_slot(key), slot);
         let s = eng.queue_stats();
         assert_eq!(
             (s.scheduled, s.replaced, s.live, s.peak_depth),
@@ -1129,6 +1409,7 @@ mod tests {
         let mut arena: Arena<u32> = Arena { pages: Vec::new() };
         let cell = |i: usize| Cell {
             key: None,
+            link: Link::NONE,
             ev: Some(i as u32),
         };
         arena.push(cell(0));
@@ -1165,6 +1446,7 @@ mod tests {
         for k in 0..SLOTS as u64 {
             arena.push(Cell {
                 key: Some(TimerKey(k, !k)),
+                link: Link::NONE,
                 ev: None,
             });
         }
@@ -1300,30 +1582,109 @@ mod tests {
         assert_eq!(format!("{s}"), s.to_string());
     }
 
+    /// The members of a lane or run, head first.
+    fn members<E>(cells: &Arena<E>, fifo: Fifo) -> Vec<u32> {
+        let mut members = Vec::new();
+        let mut s = fifo.head;
+        while s != NIL {
+            members.push(s);
+            s = cells[s as usize].link.next;
+        }
+        members
+    }
+
+    /// Checks that a lane's or run's links point back, its tail ends it,
+    /// it is sorted, and its head, and only its head, has an entry in
+    /// `heap` that heads list `id`. Returns its members.
+    fn check_fifo<E>(cells: &Arena<E>, fifo: Fifo, id: usize, heap: &[Node]) -> Vec<u32> {
+        let members = members(cells, fifo);
+        assert_eq!(members.last().copied().unwrap_or(NIL), fifo.tail, "{id}");
+        let mut prev = NIL;
+        let mut ranks = Vec::new();
+        for &s in &members {
+            let link = cells[s as usize].link;
+            assert_eq!(link.prev, prev, "list {id}: slot {s} does not point back");
+            prev = s;
+            ranks.push((u128::from(link.at.as_ns()) << 64) | u128::from(link.seq));
+        }
+        assert!(
+            ranks.windows(2).all(|w| w[0] < w[1]),
+            "list {id} is unsorted"
+        );
+        let entries: Vec<(u128, u32)> = heap
+            .iter()
+            .filter(|n| n.head_of == id as u32)
+            .map(|n| (n.rank(), n.slot))
+            .collect();
+        let head = members.first().map(|&s| (ranks[0], s));
+        assert_eq!(entries, Vec::from_iter(head), "list {id}'s heap entries");
+        members
+    }
+
     /// Every structural invariant of the queue, checked from scratch: each
-    /// tier is a heap on `(at, seq)`; one-shots hold unkeyed slots; every
-    /// timer's position points back at it and its key finds it; the free
-    /// slots are exactly the free list.
-    fn check_invariants<W, E>(eng: &Engine<W, E>) {
-        let tiers = [eng.events.as_slice(), &eng.timers.heap];
-        for (tier, heap) in tiers.into_iter().enumerate() {
-            for (i, node) in heap.iter().enumerate() {
-                if i > 0 {
-                    let parent = heap[(i - 1) / 2];
-                    assert!(parent.rank() < node.rank(), "tier {tier}: no heap at {i}");
-                }
-                let slot = node.slot as usize;
-                let cell = &eng.cells[slot];
-                assert!(cell.ev.is_some(), "live slot {slot} holds no event");
-                assert_eq!(cell.key.is_some(), tier == 1, "slot {slot}: tier {tier}");
-                if let Some(key) = cell.key {
-                    assert_eq!(eng.pos[slot] as usize, i, "slot {slot} does not point back");
-                    let found = eng.keyed.get(&eng.cells, key, KeyIndex::hash(key));
-                    assert_eq!(found, Some(node.slot), "{key}");
-                }
+    /// heap is a heap on `(at, seq)`; every lane and run is sorted, and its
+    /// head, and only its head, has an entry in its tier's heap; every
+    /// position entry says where its slot is — a heap index, or the lane it
+    /// waits in; no two lanes hold one delay; one-shots hold unkeyed
+    /// slots, every timer's key finds it; the free slots are exactly the
+    /// free list; the depth counts every member.
+    fn check_invariants<W, E: Event<W>>(eng: &Engine<W, E>) {
+        let (ev, t, cells) = (&eng.events, &eng.timers, &eng.cells);
+        let heaps = [ev.heap.nodes.as_slice(), &t.heap.nodes];
+        for (tier, heap) in heaps.into_iter().enumerate() {
+            for (i, node) in heap.iter().enumerate().skip(1) {
+                let parent = heap[(i - 1) / 2];
+                assert!(parent.rank() < node.rank(), "tier {tier}: no heap at {i}");
             }
         }
-        let free: Vec<u32> = (0..eng.pos.len() as u32)
+        // Every queued slot, and whether it is a timer.
+        let mut queued: Vec<(u32, bool)> = Vec::new();
+        let solo = ev.heap.nodes.iter().filter(|n| n.head_of == Node::SOLO);
+        queued.extend(solo.map(|n| (n.slot, false)));
+        for (r, &run) in ev.runs.iter().enumerate() {
+            // An empty run's kept tail is in the past: it fits anything.
+            let tail = match run.tail {
+                NIL => eng.now,
+                s => cells[s as usize].link.at,
+            };
+            assert!(ev.tails[r] <= tail, "run {r}'s tail time");
+            assert!(
+                run.head == NIL || ev.tails[r] == tail,
+                "run {r}'s tail time"
+            );
+            let run = check_fifo(cells, run, r, &ev.heap.nodes);
+            queued.extend(run.into_iter().map(|s| (s, false)));
+        }
+        for (i, node) in t.heap.nodes.iter().enumerate() {
+            let slot = node.slot as usize;
+            assert_eq!(t.heap.pos[slot] as usize, i, "slot {slot}");
+            if node.head_of == Node::SOLO {
+                queued.push((node.slot, true));
+            }
+        }
+        for (l, &lane) in t.lanes.iter().enumerate() {
+            let lane_slots = check_fifo(cells, lane, l, &t.heap.nodes);
+            for &s in lane_slots.iter().skip(1) {
+                let pos = t.heap.pos[s as usize];
+                assert_eq!(pos, IN_LANE | l as u32, "lane {l}: slot {s}");
+            }
+            queued.extend(lane_slots.into_iter().map(|s| (s, true)));
+            let twins = (0..l).filter(|&k| t.lanes[k].head != NIL && t.delays[k] == t.delays[l]);
+            assert!(
+                lane.head == NIL || twins.count() == 0,
+                "two lanes hold one delay"
+            );
+        }
+        for &(slot, timer) in &queued {
+            let cell = &eng.cells[slot as usize];
+            assert!(cell.ev.is_some(), "live slot {slot} holds no event");
+            assert_eq!(cell.key.is_some(), timer, "slot {slot}");
+            if let Some(key) = cell.key {
+                let found = eng.keyed.get(&eng.cells, key, KeyIndex::hash(key));
+                assert_eq!(found, Some(slot), "{key}");
+            }
+        }
+        let free: Vec<u32> = (0..t.heap.pos.len() as u32)
             .filter(|&s| eng.cells[s as usize].ev.is_none())
             .collect();
         for &s in &free {
@@ -1332,59 +1693,131 @@ mod tests {
         let mut list = eng.free.clone();
         list.sort_unstable();
         assert_eq!(list, free, "the free slots are not the free list");
+        let mut slots: Vec<u32> = queued.iter().map(|&(s, _)| s).collect();
+        slots.sort_unstable();
+        slots.dedup();
+        assert_eq!(slots.len(), queued.len(), "a slot is queued twice");
+        assert_eq!(queued.len() + free.len(), t.heap.pos.len());
         assert_eq!(
-            eng.events.len() + eng.timers.heap.len() + free.len(),
-            eng.pos.len()
+            eng.pending_events(),
+            queued.len(),
+            "the depth misses a member"
         );
-        assert_eq!(eng.keyed.len, eng.timers.heap.len());
+        let timers = queued.iter().filter(|&&(_, timer)| timer).count();
+        assert_eq!(eng.keyed.len, timers);
     }
 
     #[test]
     fn tiers_keep_their_invariants_through_a_seeded_operation_mix() {
         // The world logs the clock at every fire.
-        let mut eng: Engine<Vec<SimTime>> = Engine::new();
+        type Eng = Engine<Vec<SimTime>>;
+        fn log(w: &mut Vec<SimTime>, eng: &mut Eng) {
+            w.push(eng.now())
+        }
+        /// A timer that re-arms its own key `again` ahead when it fires,
+        /// as the stall tick does.
+        fn tick(eng: &mut Eng, key: TimerKey, at: SimTime, again: Option<SimTime>) {
+            eng.schedule_keyed_at(key, at, move |w, eng| {
+                log(w, eng);
+                if let Some(delay) = again {
+                    eng.schedule_keyed_in(key, delay, log);
+                }
+            });
+        }
+        let mut eng = Eng::new();
         let mut world = Vec::new();
         let mut rng = SplitMix64::new(0x2713);
-        let mut peak = (0, 0);
+        // A second timer family's delay drifts, as `T_o` does with load.
+        let mut drift = 0;
+        // One-shots post near the last one, rarely far ahead.
+        let mut last_post = SimTime::ZERO;
+        // Deepest heaps (event, timer), longest run and lane.
+        let mut peak = [0; 4];
         for _ in 0..20_000 {
             let now = eng.now();
             // A coarse grid makes timers and one-shots tie on `at`.
             let at = SimTime::from_ns((now.as_ns() + rng.next_below(40_000)) & !63).max(now);
             let key = TimerKey(rng.next_below(2), rng.next_below(300));
-            match rng.next_below(10) {
-                0..=2 => eng.schedule_at(at, |w, eng| w.push(eng.now())),
-                3..=5 => {
-                    // A third re-arm their own key when they fire, as the
-                    // stall tick does.
+            match rng.next_below(16) {
+                0..=1 => eng.schedule_at(at, log),
+                2..=3 => {
+                    last_post = match rng.next_below(32) {
+                        0 => now + SimTime::from_ns(50_000 + rng.next_below(50_000)),
+                        _ => last_post.max(now) + SimTime::from_ns(rng.next_below(300)),
+                    };
+                    eng.schedule_at(last_post, log);
+                }
+                4..=5 => {
                     let again = rng.next_below(3) == 0;
-                    eng.schedule_keyed_at(key, at, move |w, eng| {
-                        w.push(eng.now());
-                        if again {
-                            eng.schedule_keyed_in(key, SimTime::from_ns(500), |w, eng| {
-                                w.push(eng.now())
-                            });
-                        }
-                    });
+                    tick(&mut eng, key, at, again.then_some(SimTime::from_ns(500)));
                 }
                 6..=7 => {
-                    eng.cancel_key(key);
+                    // A burst at one fixed delay, re-armed at it.
+                    for _ in 0..1 + rng.next_below(4) {
+                        let key = TimerKey(2, rng.next_below(300));
+                        let delay = SimTime::from_ns(20_000);
+                        tick(&mut eng, key, now + delay, Some(delay));
+                    }
                 }
                 8 => {
+                    drift = (drift + rng.next_below(64)).saturating_sub(31);
+                    let key = TimerKey(3, rng.next_below(100));
+                    tick(&mut eng, key, now + SimTime::from_ns(30_000 + drift), None);
+                }
+                9 => {
+                    eng.cancel_key(key);
+                }
+                10..=11 => {
+                    // Re-arm or cancel a lane's head, middle or tail.
+                    let l = rng.next_below(LANES as u64) as usize;
+                    let members = members(&eng.cells, eng.timers.lanes[l]);
+                    if !members.is_empty() {
+                        let s = match rng.next_below(3) {
+                            0 => members[0],
+                            1 => members[members.len() / 2],
+                            _ => members[members.len() - 1],
+                        };
+                        let key = eng.cells[s as usize].key.expect("a lane member is a timer");
+                        match rng.next_below(3) {
+                            0 => {
+                                eng.cancel_key(key);
+                            }
+                            1 => {
+                                let delay = eng.timers.delays[l];
+                                tick(&mut eng, key, now + delay, None)
+                            }
+                            _ => tick(&mut eng, key, at, None),
+                        }
+                    }
+                }
+                12..=13 => {
                     eng.step(&mut world);
                 }
                 _ => eng.run_until(&mut world, now + SimTime::from_ns(rng.next_below(800))),
             }
             check_invariants(&eng);
-            peak = (
-                peak.0.max(eng.events.len()),
-                peak.1.max(eng.timers.heap.len()),
-            );
+            let t = &eng.timers;
+            let longest =
+                |fifos: &[Fifo]| fifos.iter().map(|&f| members(&eng.cells, f).len()).max();
+            let longest_lane = longest(&t.lanes);
+            let longest_run = longest(&eng.events.runs);
+            let now = [
+                eng.events.heap.nodes.len(),
+                t.heap.nodes.len(),
+                longest_run.unwrap_or(0),
+                longest_lane.unwrap_or(0),
+            ];
+            peak = std::array::from_fn(|i| peak[i].max(now[i]));
         }
         eng.run(&mut world);
         check_invariants(&eng);
         assert_eq!(eng.pending_events(), 0);
         assert!(world.windows(2).all(|w| w[0] <= w[1]), "the clock ran back");
-        assert!(peak.0 > 100 && peak.1 > 100, "{peak:?}");
+        // Lanes and runs take most of the traffic, so the heaps stay shallow.
+        assert!(
+            peak[0] > 10 && peak[1..].iter().all(|&p| p > 50),
+            "{peak:?}"
+        );
     }
 
     #[test]
@@ -1438,16 +1871,26 @@ mod tests {
     #[test]
     fn peak_depth_counts_both_tiers() {
         let mut eng: Engine<u32> = Engine::new();
-        eng.schedule_at(SimTime::from_us(1), |_, _| {});
-        eng.schedule_keyed_at(TimerKey(1, 0), SimTime::from_us(2), |_, _| {});
-        eng.schedule_keyed_at(TimerKey(1, 1), SimTime::from_us(3), |_, _| {});
-        assert_eq!((eng.events.len(), eng.timers.heap.len()), (1, 2));
-        // A re-arm replaces in place: no deeper.
-        eng.schedule_keyed_at(TimerKey(1, 0), SimTime::from_us(4), |_, _| {});
+        for i in 0..3 {
+            eng.schedule_at(SimTime::from_us(1 + i), |_, _| {});
+            eng.schedule_keyed_at(TimerKey(1, i), SimTime::from_us(9), |_, _| {});
+        }
+        // One run and one lane of three, each one heap entry.
+        fn lengths<E>(cells: &Arena<E>, lists: &[Fifo]) -> Vec<usize> {
+            let lengths = lists.iter().map(|&l| members(cells, l).len());
+            lengths.filter(|&n| n > 0).collect()
+        }
+        let runs = lengths(&eng.cells, &eng.events.runs);
+        let lanes = lengths(&eng.cells, &eng.timers.lanes);
+        let heaps = (eng.events.heap.nodes.len(), eng.timers.heap.nodes.len());
+        assert_eq!((runs, lanes, heaps), (vec![3], vec![3], (1, 1)));
+        // A re-arm of the lane's head moves it to the tail: no deeper.
+        eng.schedule_keyed_at(TimerKey(1, 0), SimTime::from_us(9), |_, _| {});
+        assert_eq!(lengths(&eng.cells, &eng.timers.lanes), [3]);
         let s = eng.queue_stats();
-        assert_eq!((s.live, s.peak_depth, s.keyed_live), (3, 3, 2));
+        assert_eq!((s.live, s.peak_depth, s.keyed_live), (6, 6, 3));
         eng.run(&mut 0);
-        assert_eq!(eng.queue_stats().peak_depth, 3);
+        assert_eq!(eng.queue_stats().peak_depth, 6);
     }
 
     #[test]

@@ -149,6 +149,13 @@ impl Reference {
         self.position_of_key(key)
             .map(|pos| SimTime::from_ns(self.pending[pos].at))
     }
+
+    /// `(at, seq)` of the event armed under `key`: its place in the
+    /// firing order.
+    fn armed(&self, key: TimerKey) -> Option<(u64, u64)> {
+        let p = &self.pending[self.position_of_key(key)?];
+        Some((p.at, p.seq))
+    }
 }
 
 /// The engine's private key mix, mirrored so that a key set can be built
@@ -174,6 +181,105 @@ fn cluster_keys(n: u64) -> Vec<TimerKey> {
     (0..n)
         .map(|i| TimerKey(((i % 3) << 48) | (i % 4), ((i % 50) << 32) | (i / 7)))
         .collect()
+}
+
+/// Keys in each lane-shaped timer family.
+const FAMILY: u64 = 48;
+/// The delay of the fixed family, armed in bursts as the stall tick is.
+const FIXED_DELAY: u64 = 7_000;
+/// The drifting family's base delay; its offset walks, as `T_o` does
+/// with the recovery load.
+const DRIFT_DELAY: u64 = 9_000;
+
+fn fixed_key(i: u64) -> TimerKey {
+    TimerKey(0xF1, i)
+}
+
+fn drift_key(i: u64) -> TimerKey {
+    TimerKey(0xD1, i)
+}
+
+/// Traffic shaped like the cluster's, whose order the queue's lanes and
+/// runs exploit: timers armed at one delay, timers whose delay drifts,
+/// one-shots posted nearly in time order with a rare far one, and re-arms
+/// and cancels at a lane's head, middle and tail.
+#[derive(Default)]
+struct LaneTraffic {
+    drift: u64,
+    /// The nearly monotone one-shots' last time.
+    near: u64,
+}
+
+impl LaneTraffic {
+    /// Runs one lane-shaped operation of kind `kind` (0–3); returns the
+    /// key it touched, if one.
+    fn op(
+        &mut self,
+        h: &mut Harness,
+        rng: &mut SplitMix64,
+        kind: u64,
+        tag: u64,
+    ) -> Option<TimerKey> {
+        let now = h.model.now;
+        let timer = |tag, key, rearm_after| Ev {
+            tag,
+            key: Some(key),
+            rearm_after,
+        };
+        match kind {
+            0 => {
+                let mut key = None;
+                for i in 0..1 + rng.next_below(4) {
+                    let k = fixed_key(rng.next_below(FAMILY));
+                    let again = (rng.next_below(2) == 0).then_some(FIXED_DELAY);
+                    h.schedule(now + FIXED_DELAY, timer(tag | i << 32, k, again));
+                    key = Some(k);
+                }
+                key
+            }
+            1 => {
+                self.drift = (self.drift + rng.next_below(17)).saturating_sub(8).min(300);
+                let k = drift_key(rng.next_below(FAMILY));
+                h.schedule(now + DRIFT_DELAY + self.drift, timer(tag, k, None));
+                Some(k)
+            }
+            2 => {
+                let at = if rng.next_below(40) == 0 {
+                    now + 100_000 + rng.next_below(100_000)
+                } else {
+                    self.near = self.near.max(now) + rng.next_below(100);
+                    self.near
+                };
+                let ev = Ev {
+                    tag,
+                    key: None,
+                    rearm_after: None,
+                };
+                h.schedule(at, ev);
+                None
+            }
+            _ => {
+                // The fixed family in firing order: its lane, head first.
+                let mut lane: Vec<(u64, u64, TimerKey)> = (0..FAMILY)
+                    .map(fixed_key)
+                    .filter_map(|k| h.model.armed(k).map(|(at, seq)| (at, seq, k)))
+                    .collect();
+                lane.sort_unstable();
+                let at = match rng.next_below(3) {
+                    0 => lane.first(),
+                    1 => lane.get(lane.len() / 2),
+                    _ => lane.last(),
+                };
+                let &(_, _, k) = at?;
+                match rng.next_below(3) {
+                    0 => assert_eq!(h.eng.cancel_key(k), h.model.cancel_key(k), "{k}"),
+                    1 => h.schedule(now + FIXED_DELAY, timer(tag, k, None)),
+                    _ => h.schedule(now + rng.next_below(20_000), timer(tag, k, None)),
+                }
+                Some(k)
+            }
+        }
+    }
 }
 
 struct Harness {
@@ -229,12 +335,15 @@ impl Harness {
 
 fn run_model(seed: u64, keys: Vec<TimerKey>, ops: usize) -> (usize, QueueStats) {
     let mut rng = SplitMix64::new(seed);
+    let random_keys = keys.len() as u64;
+    let families = (0..FAMILY).flat_map(|i| [fixed_key(i), drift_key(i)]);
     let mut h = Harness {
         eng: Engine::new(),
         world: World::default(),
         model: Reference::default(),
-        keys,
+        keys: keys.into_iter().chain(families).collect(),
     };
+    let mut traffic = LaneTraffic::default();
     let mut peak_keyed = 0;
     for op in 0..ops {
         // Three phases: arm-heavy (the index grows through several
@@ -248,11 +357,14 @@ fn run_model(seed: u64, keys: Vec<TimerKey>, ops: usize) -> (usize, QueueStats) 
         // Times land on a coarse grid so that many events tie on `at`
         // and only the insertion order separates them.
         let grid = |at: u64| (at & !63).max(now);
-        let key = h.keys[rng.next_below(h.keys.len() as u64) as usize];
+        let key = h.keys[rng.next_below(random_keys) as usize];
         let tag = op as u64;
         let roll = rng.next_below(100);
+        let shape = rng.next_below(10);
         let mut touched = None;
-        if roll < arm {
+        if shape < 4 {
+            touched = traffic.op(&mut h, &mut rng, shape, tag);
+        } else if roll < arm {
             // Re-arm to an earlier, the same or a later time when armed.
             let at = match h.model.key_deadline(key).map(|d| d.as_ns()) {
                 Some(d) => match rng.next_below(3) {

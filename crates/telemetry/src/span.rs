@@ -19,6 +19,7 @@
 //! paper had to reverse-engineer from `ibdump` captures.
 
 use std::collections::BTreeMap;
+use std::ops::Bound;
 
 use ibsim_event::SimTime;
 
@@ -135,6 +136,10 @@ impl OpenSpan {
 #[derive(Debug, Default)]
 pub struct SpanStore {
     open: BTreeMap<(u64, u32, u64), OpenSpan>,
+    /// For each `(host, qpn)`, how many times the open spans' waiter
+    /// lists name it, so that a completion nobody waits on costs one
+    /// lookup and not a walk of every open span.
+    waiting: BTreeMap<(u64, u32), usize>,
     closed: Vec<FaultSpan>,
 }
 
@@ -186,6 +191,17 @@ impl SpanStore {
         o.span.waiters = waiters.len() as u32;
         o.span.stale_qps = stale;
         o.stale_remaining = stale;
+        for &qpn in &o.pending_waiters {
+            if let Some(n) = self.waiting.get_mut(&(host, qpn)) {
+                *n -= 1;
+                if *n == 0 {
+                    self.waiting.remove(&(host, qpn));
+                }
+            }
+        }
+        for &qpn in waiters {
+            *self.waiting.entry((host, qpn)).or_default() += 1;
+        }
         o.pending_waiters = waiters.to_vec();
         if o.stale_remaining == 0 {
             o.span.propagated = Some(now);
@@ -205,20 +221,32 @@ impl SpanStore {
     }
 
     /// A work request completed on `(host, qpn)`; any open span waiting
-    /// on that QP checks it off its drain list.
+    /// on that QP checks it off its drain list. Spans close in key order,
+    /// and the walk covers `host`'s spans only until the last waiter
+    /// entry naming the QP is checked off.
     pub fn qp_completion(&mut self, host: u64, qpn: u32, now: SimTime) {
-        let keys: Vec<(u64, u32, u64)> = self
-            .open
-            .iter()
-            .filter(|(&(h, _, _), o)| h == host && o.pending_waiters.contains(&qpn))
-            .map(|(&k, _)| k)
-            .collect();
-        for (h, mr, page) in keys {
-            if let Some(o) = self.open.get_mut(&(h, mr, page)) {
-                o.pending_waiters.retain(|&q| q != qpn);
-                o.last_waiter_done = Some(now);
+        let Some(mut left) = self.waiting.remove(&(host, qpn)) else {
+            return;
+        };
+        let mut from = Bound::Included((host, 0, 0));
+        let to = Bound::Included((host, u32::MAX, u64::MAX));
+        while left > 0 {
+            let Some((&key, o)) = self
+                .open
+                .range_mut((from, to))
+                .find(|(_, o)| o.pending_waiters.contains(&qpn))
+            else {
+                break;
+            };
+            from = Bound::Excluded(key);
+            let before = o.pending_waiters.len();
+            o.pending_waiters.retain(|&q| q != qpn);
+            left -= before - o.pending_waiters.len();
+            o.last_waiter_done = Some(now);
+            if let Some(span) = o.try_close() {
+                self.open.remove(&key);
+                self.closed.push(span);
             }
-            self.finish(h, mr, page);
         }
     }
 
@@ -350,5 +378,30 @@ mod tests {
         assert_eq!(s.open_count(), 1);
         s.qp_completion(0, 3, t(30));
         assert_eq!(s.closed().len(), 1);
+    }
+
+    #[test]
+    fn one_completion_closes_every_span_waiting_on_it_in_key_order() {
+        let mut s = SpanStore::default();
+        // Raised in the reverse of key order, on two hosts.
+        for (mr, page) in [(2, 0), (1, 9), (1, 4)] {
+            s.fault_raised(0, mr, page, t(0));
+            s.fault_resolved(0, mr, page, t(10), &[7, 7, 8], 0);
+        }
+        s.fault_raised(1, 1, 0, t(0));
+        s.fault_resolved(1, 1, 0, t(10), &[7], 0);
+        s.qp_completion(0, 8, t(20));
+        assert_eq!(s.closed().len(), 0);
+        s.qp_completion(0, 7, t(30));
+        let closed: Vec<(u32, u64)> = s.closed().iter().map(|c| (c.mr, c.page)).collect();
+        assert_eq!(closed, [(1, 4), (1, 9), (2, 0)]);
+        assert!(s.closed().iter().all(|c| c.completed == Some(t(30))));
+        // The other host's span still waits on its own QP 7.
+        assert_eq!(s.open_count(), 1);
+        s.qp_completion(0, 7, t(40));
+        assert_eq!(s.open_count(), 1);
+        s.qp_completion(1, 7, t(50));
+        assert_eq!((s.open_count(), s.closed().len()), (0, 4));
+        assert!(s.waiting.is_empty(), "{:?}", s.waiting);
     }
 }
