@@ -41,7 +41,9 @@ echo "    and a position word's top bit tags a timer waiting in a lane, so a"
 echo "    heap index must stay below that bit (asserted where a heap grows;"
 echo "    the model test, the allocation test and the seeded tier-invariant"
 echo "    mix); telemetry: the"
-echo "    per-QP clock table casts u64/u32 ids to indices; ucp and shuffle:"
+echo "    per-QP clock table, the registry rows and the span waiter counts"
+echo "    cast u64/u32 ids to indices (the model and id-space tests); ucp"
+echo "    and shuffle:"
 echo "    a request id is a table slot plus one, so the subtraction and the"
 echo "    narrowing to an index wrap silently (the foreign-id and slot-reuse"
 echo "    tests);"

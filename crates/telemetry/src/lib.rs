@@ -17,12 +17,13 @@
 //!
 //! ## Cost when on
 //!
-//! The [`Registry`] is a table of metric families (name, then labels),
-//! so a write is one lookup among a few dozen names plus one search on
-//! integer labels, and an end-of-run snapshot ([`Registry::set_gauges`])
-//! builds each family in one sorted pass. Per-QP state-dwell and
-//! work-request clocks sit in a dense `[host][qpn]` table. The exports
-//! of three seeded runs are pinned by hash, so none of this may move a
+//! The [`Registry`] is a table of metric families, each a dense
+//! `[host][qpn]` table, so a write is one lookup among a few dozen names
+//! plus two indexes, and an end-of-run snapshot
+//! ([`Registry::set_gauges`]) looks its family up once. Per-QP
+//! state-dwell and work-request clocks, and the span store's per-QP
+//! waiter counts, sit in dense `[host][qpn]` tables too. The exports of
+//! three seeded runs are pinned by hash, so none of this may move a
 //! byte.
 //!
 //! ## Zero perturbation
@@ -80,7 +81,9 @@ struct QpClocks {
 /// Per-QP clocks live in a dense `[host][qpn]` table, grown to the
 /// largest id seen. That relies on host ids and QPNs being small dense
 /// integers, as the verbs crate hands them out (hosts from 0, QPNs from
-/// 1 on each host).
+/// 1 on each host). An id past the InfiniBand id space (a host past the
+/// 16-bit LID range, a QPN past 24 bits) grows no table: its clocks,
+/// metric writes and span waits are ignored.
 #[derive(Debug, Default)]
 pub struct Telemetry {
     enabled: bool,
@@ -179,23 +182,13 @@ impl Telemetry {
     // Work-request latency
     // ------------------------------------------------------------------
 
-    /// The clocks of `(host, qpn)`, growing the table to reach them.
-    fn clocks(&mut self, host: u64, qpn: u32) -> &mut QpClocks {
-        let (h, q) = (host as usize, qpn as usize);
-        if self.qps.len() <= h {
-            self.qps.resize_with(h + 1, Vec::new);
-        }
-        let row = &mut self.qps[h];
-        if row.len() <= q {
-            row.resize_with(q + 1, QpClocks::default);
-        }
-        &mut row[q]
-    }
-
     /// A work request was posted; starts its latency clock.
     pub fn wr_posted(&mut self, host: u64, qpn: u32, wr_id: u64, now: SimTime) {
-        if self.enabled {
-            self.clocks(host, qpn).posted.push_back((wr_id, now));
+        if !self.enabled {
+            return;
+        }
+        if let Some(clocks) = registry::dense_cell(&mut self.qps, host, qpn) {
+            clocks.posted.push_back((wr_id, now));
         }
     }
 
@@ -291,7 +284,10 @@ impl Telemetry {
         if !self.enabled {
             return;
         }
-        let entry = self.clocks(host, qpn).state.get_or_insert((state, now));
+        let Some(clocks) = registry::dense_cell(&mut self.qps, host, qpn) else {
+            return;
+        };
+        let entry = clocks.state.get_or_insert((state, now));
         if entry.0 != state {
             let (prev, since) = std::mem::replace(entry, (state, now));
             self.registry.counter_add(
@@ -427,6 +423,20 @@ mod tests {
                 .counter("cq.completions", Labels::host_qp(0, 1)),
             Some(3)
         );
+    }
+
+    #[test]
+    fn ids_past_the_id_space_start_no_clock() {
+        let mut tel = Telemetry::new();
+        tel.enable();
+        for (host, qpn) in [(0, u32::MAX), (0, 1 << 24), (1 << 16, 1), (u64::MAX, 0)] {
+            tel.wr_posted(host, qpn, 1, t(0));
+            tel.qp_state_sample(host, qpn, "RTS", t(0));
+            tel.wr_completed(host, qpn, 1, t(5));
+        }
+        tel.flush_dwell(t(10));
+        assert!(tel.qps.is_empty());
+        assert!(tel.registry().is_empty());
     }
 
     #[test]

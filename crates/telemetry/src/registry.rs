@@ -2,22 +2,64 @@
 //! by a static metric name plus optional `(host, qpn)` labels.
 //!
 //! The registry is a table of metric *families*: an ordered map from the
-//! name to an ordered map from the labels to the instrument. A write pays
-//! one lookup among the few dozen names and then one search on integer
-//! labels, instead of comparing name strings at every node of one big
-//! map. Walking names and then labels is `(name, labels)` order, so
-//! iteration (and therefore every exporter) visits metrics in the same
-//! order on every run with the same workload, and all values are
-//! integers (nanoseconds for durations) so no formatting ambiguity can
-//! creep in.
+//! name to a dense table of instruments. A family keeps its host-less
+//! slots ([`Labels::NONE`], and the `(None, Some(qpn))` shape no layer
+//! writes) in a small sorted list, then one row per host, indexed by host
+//! id: column 0 is the host-only instrument and column `qpn + 1` the
+//! QP's. The verbs crate hands hosts out from 0 and QPNs from 1 on each
+//! host (and the fabric numbers switches from 0, which the inter-link
+//! gauges write as `(src switch, dst switch)`), so a write is one lookup
+//! among the few dozen names and then two indexes.
 //!
-//! A family is a B-tree rather than a sorted vector because run-time
-//! first inserts (`timer.*`, `cq.completions`) arrive in event order, not
-//! label order. End-of-run snapshots arrive whole and sorted instead:
-//! [`Registry::set_gauges`] builds a new family from them in one pass.
+//! Walking a family in index order *is* `Labels`' derived order: `NONE`,
+//! then each host's host-only slot before its QPs in ascending QPN. So
+//! iteration (and therefore every exporter, [`Registry::absorb`] and the
+//! sharded merge) visits metrics in `(name, labels)` order however the
+//! run-time first inserts (`timer.*`, `cq.completions`) arrived, and all
+//! values are integers (nanoseconds for durations) so no formatting
+//! ambiguity can creep in.
+//!
+//! The tables trust that ids are small, as the clock table in
+//! [`crate::Telemetry`] does. An id past the InfiniBand id space (a host
+//! past the 16-bit LID range, a QPN past 24 bits) has no slot: a write to
+//! it is ignored, as a write to a slot of another kind is, and never grows
+//! a table.
 
-use std::collections::btree_map::Entry;
 use std::collections::BTreeMap;
+
+/// Host ids a dense table indexes: one per 16-bit LID.
+const HOST_LIMIT: u64 = 1 << 16;
+/// QPNs a dense table indexes: the 24-bit QPN space.
+const QPN_LIMIT: u32 = 1 << 24;
+
+/// The dense `(host, qpn)` index of an id pair, or `None` if either id
+/// lies past the InfiniBand id space.
+pub(crate) fn dense_index(host: u64, qpn: u32) -> Option<(usize, usize)> {
+    (host < HOST_LIMIT && qpn < QPN_LIMIT).then_some((host as usize, qpn as usize))
+}
+
+/// The cell of `(host, qpn)` in a dense `[host][qpn]` table, growing the
+/// table to reach it; `None` past the id space, which no table grows to.
+pub(crate) fn dense_cell<T: Default>(
+    table: &mut Vec<Vec<T>>,
+    host: u64,
+    qpn: u32,
+) -> Option<&mut T> {
+    let (h, q) = dense_index(host, qpn)?;
+    Some(grow_to(table, h, q))
+}
+
+/// `table[h][c]`, growing the table with defaults to reach it.
+fn grow_to<T: Default>(table: &mut Vec<Vec<T>>, h: usize, c: usize) -> &mut T {
+    if table.len() <= h {
+        table.resize_with(h + 1, Vec::new);
+    }
+    let row = &mut table[h];
+    if row.len() <= c {
+        row.resize_with(c + 1, T::default);
+    }
+    &mut row[c]
+}
 
 /// Optional `(host, qpn)` labels attached to a metric sample.
 ///
@@ -196,23 +238,125 @@ impl Instrument {
     }
 }
 
-/// One metric family: every labelled instrument under one name.
-type Family = BTreeMap<Labels, Instrument>;
+/// Every labelled instrument under one name, at its dense index.
+#[derive(Debug, Clone, Default)]
+struct Cells {
+    /// The host-less slots, sorted by QPN: `NONE` first, then the
+    /// `(None, Some(qpn))` shape.
+    hostless: Vec<(Option<u32>, Option<Instrument>)>,
+    /// `[host][column]`: column 0 is the host-only slot and column
+    /// `qpn + 1` the QP's, so index order is label order.
+    rows: Vec<Vec<Option<Instrument>>>,
+}
 
-/// The instrument at `labels` in `family`, inserting `default()` (and
-/// counting it in `len`) if absent.
-fn family_slot<'a>(
-    family: &'a mut Family,
-    len: &mut usize,
-    labels: Labels,
-    default: impl FnOnce() -> Instrument,
-) -> &'a mut Instrument {
-    match family.entry(labels) {
-        Entry::Occupied(e) => e.into_mut(),
-        Entry::Vacant(e) => {
-            *len += 1;
-            e.insert(default())
+/// The `[host][column]` index of a host's label, or `None` past the id
+/// space.
+fn row_index(host: u64, qpn: Option<u32>) -> Option<(usize, usize)> {
+    let (h, q) = dense_index(host, qpn.unwrap_or(0))?;
+    Some((h, qpn.map_or(0, |_| q + 1)))
+}
+
+impl Cells {
+    /// True if `labels` has a slot (see the module docs).
+    fn has_slot(labels: Labels) -> bool {
+        labels
+            .host
+            .is_none_or(|h| row_index(h, labels.qpn).is_some())
+    }
+
+    /// The cell for `labels`. With `grow` the tables grow to reach it;
+    /// without, a cell no write has reached is `None`. Always `None`
+    /// past the id space.
+    fn cell(&mut self, labels: Labels, grow: bool) -> Option<&mut Option<Instrument>> {
+        let Some(host) = labels.host else {
+            let at = match self.hostless.binary_search_by_key(&labels.qpn, |&(q, _)| q) {
+                Ok(at) => at,
+                Err(at) if grow => {
+                    self.hostless.insert(at, (labels.qpn, None));
+                    at
+                }
+                Err(_) => return None,
+            };
+            return Some(&mut self.hostless[at].1);
+        };
+        let (h, c) = row_index(host, labels.qpn)?;
+        if grow {
+            return Some(grow_to(&mut self.rows, h, c));
         }
+        self.rows.get_mut(h)?.get_mut(c)
+    }
+
+    fn get(&self, labels: Labels) -> Option<&Instrument> {
+        let Some(host) = labels.host else {
+            let at = self
+                .hostless
+                .binary_search_by_key(&labels.qpn, |&(q, _)| q)
+                .ok()?;
+            return self.hostless[at].1.as_ref();
+        };
+        let (h, c) = row_index(host, labels.qpn)?;
+        self.rows.get(h)?.get(c)?.as_ref()
+    }
+
+    /// The family's instruments in label order: the index order.
+    fn iter(&self) -> impl Iterator<Item = (Labels, &Instrument)> + '_ {
+        let hostless = self.hostless.iter().filter_map(|(qpn, inst)| {
+            Some((
+                Labels {
+                    host: None,
+                    qpn: *qpn,
+                },
+                inst.as_ref()?,
+            ))
+        });
+        let rows = self.rows.iter().enumerate().flat_map(|(h, row)| {
+            row.iter().enumerate().filter_map(move |(c, inst)| {
+                let labels = Labels {
+                    host: Some(h as u64),
+                    qpn: c.checked_sub(1).map(|q| q as u32),
+                };
+                Some((labels, inst.as_ref()?))
+            })
+        });
+        hostless.chain(rows)
+    }
+}
+
+/// One metric family: its cells and how many of them hold an instrument.
+#[derive(Debug, Clone, Default)]
+struct Family {
+    cells: Cells,
+    /// Instruments in the family; the family is dropped at zero.
+    len: usize,
+}
+
+impl Family {
+    /// The instrument at `labels`, inserting `default()` (and counting it)
+    /// if absent; `None` past the id space.
+    fn slot(
+        &mut self,
+        labels: Labels,
+        default: impl FnOnce() -> Instrument,
+    ) -> Option<&mut Instrument> {
+        let cell = self.cells.cell(labels, true)?;
+        if cell.is_none() {
+            self.len += 1;
+        }
+        Some(cell.get_or_insert_with(default))
+    }
+
+    /// Removes the instrument at `labels`; returns whether it existed.
+    fn remove(&mut self, labels: Labels) -> bool {
+        let removed = self
+            .cells
+            .cell(labels, false)
+            .and_then(Option::take)
+            .is_some();
+        if removed {
+            self.len -= 1;
+            self.cells.hostless.retain(|(_, inst)| inst.is_some());
+        }
+        removed
     }
 }
 
@@ -225,8 +369,6 @@ fn family_slot<'a>(
 #[derive(Debug, Default)]
 pub struct Registry {
     families: BTreeMap<&'static str, Family>,
-    /// Instruments across every family.
-    len: usize,
 }
 
 impl Registry {
@@ -236,14 +378,17 @@ impl Registry {
     }
 
     /// The instrument at `(name, labels)`, inserting `default()` if absent.
+    /// A write that lands nowhere creates no family.
     fn slot(
         &mut self,
         name: &'static str,
         labels: Labels,
         default: impl FnOnce() -> Instrument,
-    ) -> &mut Instrument {
-        let family = self.families.entry(name).or_default();
-        family_slot(family, &mut self.len, labels, default)
+    ) -> Option<&mut Instrument> {
+        if !Cells::has_slot(labels) {
+            return None;
+        }
+        self.families.entry(name).or_default().slot(labels, default)
     }
 
     /// Adds `delta` to the counter `(name, labels)`, creating it at zero.
@@ -251,62 +396,48 @@ impl Registry {
     /// Silently ignored if the slot already holds a different instrument
     /// kind (a programming error surfaced by the slot keeping its value).
     pub fn counter_add(&mut self, name: &'static str, labels: Labels, delta: u64) {
-        if let Instrument::Counter(v) = self.slot(name, labels, || Instrument::Counter(0)) {
+        if let Some(Instrument::Counter(v)) = self.slot(name, labels, || Instrument::Counter(0)) {
             *v += delta;
         }
     }
 
     /// Sets the gauge `(name, labels)` to `v`: the one-row case of
     /// [`Registry::set_gauges`].
-    pub fn gauge_set(&mut self, name: &'static str, labels: Labels, v: u64) {
+    pub(crate) fn gauge_set(&mut self, name: &'static str, labels: Labels, v: u64) {
         self.set_gauges(name, [(labels, v)]);
     }
 
     /// Sets the gauges of family `name` from `(labels, value)` rows, with
-    /// the effect of one [`Registry::gauge_set`] per row in turn.
-    ///
-    /// A family that does not exist yet is built whole: rows in ascending
-    /// label order (the order a sync walks hosts and QPs in) fill the
-    /// B-tree's nodes in one pass. Rows in any other order cost a sort
-    /// and stay correct. An existing family is updated row by row.
+    /// the effect of one gauge write per row in turn: the family is
+    /// looked up once, and each row is one indexed write.
     pub fn set_gauges(
         &mut self,
         name: &'static str,
         rows: impl IntoIterator<Item = (Labels, u64)>,
     ) {
-        match self.families.entry(name) {
-            Entry::Vacant(e) => {
-                let family: Family = rows
-                    .into_iter()
-                    .map(|(labels, v)| (labels, Instrument::Gauge(v)))
-                    .collect();
-                if !family.is_empty() {
-                    self.len += family.len();
-                    e.insert(family);
-                }
-            }
-            Entry::Occupied(e) => {
-                let family = e.into_mut();
-                for (labels, v) in rows {
-                    let slot = family_slot(family, &mut self.len, labels, || Instrument::Gauge(0));
-                    if let Instrument::Gauge(g) = slot {
-                        *g = v;
-                    }
-                }
+        let mut rows = rows.into_iter();
+        let Some((first, v)) = rows.by_ref().find(|&(labels, _)| Cells::has_slot(labels)) else {
+            return;
+        };
+        let family = self.families.entry(name).or_default();
+        for (labels, v) in std::iter::once((first, v)).chain(rows) {
+            if let Some(Instrument::Gauge(g)) = family.slot(labels, || Instrument::Gauge(0)) {
+                *g = v;
             }
         }
     }
 
     /// Records `v` into the histogram `(name, labels)`.
     pub fn observe(&mut self, name: &'static str, labels: Labels, v: u64) {
-        if let Instrument::Histogram(h) = self.slot(name, labels, Instrument::empty_histogram) {
+        if let Some(Instrument::Histogram(h)) = self.slot(name, labels, Instrument::empty_histogram)
+        {
             h.observe(v);
         }
     }
 
     /// Looks up one instrument.
     pub fn get(&self, name: &'static str, labels: Labels) -> Option<&Instrument> {
-        self.families.get(name)?.get(&labels)
+        self.families.get(name)?.cells.get(labels)
     }
 
     /// The value of a counter, or `None` if absent / not a counter.
@@ -335,20 +466,21 @@ impl Registry {
 
     /// Number of registered `(name, labels)` slots.
     pub fn len(&self) -> usize {
-        self.len
+        self.families.values().map(|f| f.len).sum()
     }
 
     /// True if nothing has been recorded.
     pub fn is_empty(&self) -> bool {
-        self.len == 0
+        self.families.is_empty()
     }
 
     /// Iterates every instrument in deterministic (name, labels) order.
     pub fn iter(&self) -> impl Iterator<Item = (&'static str, Labels, &Instrument)> + '_ {
         self.families.iter().flat_map(|(&name, family)| {
             family
+                .cells
                 .iter()
-                .map(move |(&labels, inst)| (name, labels, inst))
+                .map(move |(labels, inst)| (name, labels, inst))
         })
     }
 
@@ -361,18 +493,14 @@ impl Registry {
     pub fn absorb(&mut self, other: &Registry) {
         for (&name, theirs) in &other.families {
             let Some(mine) = self.families.get_mut(name) else {
-                self.len += theirs.len();
                 self.families.insert(name, theirs.clone());
                 continue;
             };
-            for (&labels, inst) in theirs {
-                match (
-                    family_slot(mine, &mut self.len, labels, || inst.empty_like()),
-                    inst,
-                ) {
-                    (Instrument::Counter(a), Instrument::Counter(b))
-                    | (Instrument::Gauge(a), Instrument::Gauge(b)) => *a += b,
-                    (Instrument::Histogram(a), Instrument::Histogram(b)) => a.merge(b),
+            for (labels, inst) in theirs.cells.iter() {
+                match (mine.slot(labels, || inst.empty_like()), inst) {
+                    (Some(Instrument::Counter(a)), Instrument::Counter(b))
+                    | (Some(Instrument::Gauge(a)), Instrument::Gauge(b)) => *a += b,
+                    (Some(Instrument::Histogram(a)), Instrument::Histogram(b)) => a.merge(b),
                     _ => {}
                 }
             }
@@ -384,11 +512,10 @@ impl Registry {
         let Some(family) = self.families.get_mut(name) else {
             return false;
         };
-        let removed = family.remove(&labels).is_some();
-        if family.is_empty() {
+        let removed = family.remove(labels);
+        if family.len == 0 {
             self.families.remove(name);
         }
-        self.len -= usize::from(removed);
         removed
     }
 }
@@ -644,18 +771,29 @@ mod tests {
         "a",
     ];
 
-    /// Every label shape: none, host, host + QP, and QP without a host.
-    fn label_universe() -> Vec<Labels> {
-        let mut all = vec![Labels::NONE];
-        for host in 0..2 {
-            all.push(Labels::host(host));
-            all.extend((0..3).map(|qpn| Labels::host_qp(host, qpn)));
+    /// Every label shape the registry must order: none; hosts with gaps
+    /// between their ids, each host-only and with QPNs that leave gaps
+    /// (0, the first QPN a verbs host hands out, and two far ones);
+    /// switch pairs written as `(src, dst)` in both directions; and QPs
+    /// without a host. The second list adds a host that only appears
+    /// late, past every earlier row, and one between them.
+    fn label_universes() -> (Vec<Labels>, Vec<Labels>) {
+        let mut early = vec![Labels::NONE];
+        for host in [0, 1, 4] {
+            early.push(Labels::host(host));
+            early.extend([0, 1, 5, 40].map(|qpn| Labels::host_qp(host, qpn)));
         }
-        all.extend((0..2).map(|qpn| Labels {
+        early.extend([(2, 0), (0, 2), (6, 3)].map(|(src, dst)| Labels::host_qp(src, dst)));
+        early.extend([0, 3, 1 << 30].map(|qpn| Labels {
             host: None,
             qpn: Some(qpn),
         }));
-        all
+        let mut all = early.clone();
+        for host in [9, 3] {
+            all.push(Labels::host(host));
+            all.extend([2, 7].map(|qpn| Labels::host_qp(host, qpn)));
+        }
+        (early, all)
     }
 
     #[derive(Debug, Clone)]
@@ -665,6 +803,9 @@ mod tests {
         SetMany(&'static str, Vec<(Labels, u64)>),
         Observe(&'static str, Labels, u64),
         Remove(&'static str, Labels),
+        /// Remove every label of the universe from one family, in a
+        /// seeded order: the family ends empty.
+        Clear(&'static str, Vec<Labels>),
         /// Absorb a registry built by these ops.
         Absorb(Vec<Op>),
     }
@@ -673,17 +814,19 @@ mod tests {
         let name = NAMES[rng.next_below(NAMES.len() as u64) as usize];
         let pick = |rng: &mut SplitMix64| labels[rng.next_below(labels.len() as u64) as usize];
         let label = pick(rng);
-        match rng.next_below(if nested { 10 } else { 9 }) {
+        match rng.next_below(if nested { 11 } else { 10 }) {
             0 | 1 => Op::Add(name, label, rng.next_below(1_000)),
             2 => Op::Set(name, label, rng.next_below(1 << 40)),
             3 | 4 => {
                 let mut rows: Vec<(Labels, u64)> = (0..rng.next_below(12))
                     .map(|_| (pick(rng), rng.next_below(1 << 40)))
                     .collect();
-                // Mostly the ascending order a sync writes in; sometimes
-                // not, and sometimes with a label twice.
-                if rng.next_below(4) != 0 {
-                    rows.sort_by_key(|&(l, _)| l);
+                // The ascending order a sync writes in, the reverse of
+                // it, or no order; sometimes with a label twice.
+                match rng.next_below(4) {
+                    0 | 1 => rows.sort_by_key(|&(l, _)| l),
+                    2 => rows.sort_by_key(|&(l, _)| std::cmp::Reverse(l)),
+                    _ => {}
                 }
                 Op::SetMany(name, rows)
             }
@@ -696,6 +839,13 @@ mod tests {
                 Op::Observe(name, label, v)
             }
             7 | 8 => Op::Remove(name, label),
+            9 => {
+                let mut order = labels.to_vec();
+                for i in (1..order.len()).rev() {
+                    order.swap(i, rng.next_below(i as u64 + 1) as usize);
+                }
+                Op::Clear(name, order)
+            }
             _ => Op::Absorb(
                 (0..rng.next_below(8))
                     .map(|_| random_op(rng, labels, false))
@@ -727,6 +877,12 @@ mod tests {
             Op::Remove(n, l) => {
                 assert_eq!(table.remove(n, *l), reference.remove(n, *l), "{op:?}");
             }
+            Op::Clear(n, order) => {
+                for &l in order {
+                    assert_eq!(table.remove(n, l), reference.remove(n, l), "{op:?}");
+                }
+                assert!(table.get(n, Labels::NONE).is_none());
+            }
             Op::Absorb(ops) => {
                 let (mut src, mut src_ref) = (Registry::new(), reference::Registry::default());
                 for op in ops {
@@ -738,33 +894,101 @@ mod tests {
         }
     }
 
+    /// Asserts that `table` holds what `reference` holds, read every way
+    /// (with `typed`, through the typed getters too).
+    fn assert_same(
+        table: &Registry,
+        reference: &reference::Registry,
+        labels: &[Labels],
+        typed: bool,
+        at: &str,
+    ) {
+        assert_eq!(table.len(), reference.len(), "{at}");
+        assert_eq!(table.is_empty(), reference.len() == 0, "{at}");
+        assert!(table.iter().eq(reference.iter()), "{at}");
+        // No family is ever empty.
+        let mut names: Vec<&str> = reference.iter().map(|(n, _, _)| n).collect();
+        names.dedup();
+        assert!(table.families.keys().copied().eq(names), "{at}");
+        for name in NAMES {
+            for &l in labels {
+                assert_eq!(table.get(name, l), reference.get(name, l), "{at}");
+                if !typed {
+                    continue;
+                }
+                assert_eq!(table.counter(name, l), reference.counter(name, l), "{at}");
+                assert_eq!(table.gauge(name, l), reference.gauge(name, l), "{at}");
+                assert_eq!(
+                    table.histogram(name, l),
+                    reference.histogram(name, l),
+                    "{at}"
+                );
+            }
+        }
+    }
+
     #[test]
     fn the_family_table_replays_the_single_map_registry() {
-        let labels = label_universe();
+        let (early, all) = label_universes();
         for seed in 0..4 {
             let mut rng = SplitMix64::new(seed);
             let (mut table, mut reference) = (Registry::new(), reference::Registry::default());
             for step in 0..600 {
-                let op = random_op(&mut rng, &labels, true);
+                let labels = if step < 300 { &early } else { &all };
+                let op = random_op(&mut rng, labels, true);
                 apply(&op, &mut table, &mut reference);
                 let at = format!("seed {seed} step {step}: {op:?}");
-                assert_eq!(table.len(), reference.len(), "{at}");
-                assert_eq!(table.is_empty(), reference.len() == 0, "{at}");
-                assert!(table.iter().eq(reference.iter()), "{at}");
-                for name in NAMES {
-                    for &l in &labels {
-                        assert_eq!(table.get(name, l), reference.get(name, l), "{at}");
-                        assert_eq!(table.counter(name, l), reference.counter(name, l), "{at}");
-                        assert_eq!(table.gauge(name, l), reference.gauge(name, l), "{at}");
-                        assert_eq!(
-                            table.histogram(name, l),
-                            reference.histogram(name, l),
-                            "{at}"
-                        );
-                    }
+                let typed = step % 50 == 0;
+                assert_same(&table, &reference, &all, typed, &at);
+                if typed {
+                    // Absorbing into an empty registry copies the source.
+                    let (mut copy, mut copy_ref) =
+                        (Registry::new(), reference::Registry::default());
+                    copy.absorb(&table);
+                    copy_ref.absorb(&reference);
+                    assert_same(&copy, &copy_ref, &all, true, &at);
+                    assert!(copy.iter().eq(table.iter()), "{at}");
                 }
             }
         }
+    }
+
+    #[test]
+    fn ids_past_the_id_space_grow_no_table() {
+        let mut r = Registry::new();
+        let far = [
+            Labels::host(HOST_LIMIT),
+            Labels::host(u64::MAX),
+            Labels::host_qp(0, QPN_LIMIT),
+            Labels::host_qp(HOST_LIMIT, 1),
+            Labels::host_qp(u64::MAX, u32::MAX),
+        ];
+        for l in far {
+            r.counter_add("far", l, 1);
+            r.gauge_set("far", l, 1);
+            r.set_gauges("far", [(l, 1), (l, 2)]);
+            r.observe("far", l, 1);
+            assert_eq!(r.get("far", l), None);
+            assert!(!r.remove("far", l));
+        }
+        // A write that lands nowhere creates no family.
+        assert!(r.is_empty());
+        assert!(r.families.is_empty());
+        // The last ids inside it land, and a far row beside them is
+        // skipped without dropping the rest of the snapshot.
+        let last = Labels::host_qp(HOST_LIMIT - 1, 3);
+        r.set_gauges("near", [(far[0], 5), (last, 6), (far[2], 7)]);
+        assert_eq!(r.gauge("near", last), Some(6));
+        assert_eq!(r.len(), 1);
+        // A QP without a host sits in the side list whatever its QPN.
+        let hostless = Labels {
+            host: None,
+            qpn: Some(u32::MAX),
+        };
+        r.counter_add("near", hostless, 4);
+        assert_eq!(r.counter("near", hostless), Some(4));
+        let order: Vec<Labels> = r.iter().map(|(_, l, _)| l).collect();
+        assert_eq!(order, [hostless, last]);
     }
 
     #[test]

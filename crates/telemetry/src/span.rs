@@ -23,6 +23,8 @@ use std::ops::Bound;
 
 use ibsim_event::SimTime;
 
+use crate::registry::{dense_cell, dense_index};
+
 /// The names of the four span stages, in order.
 pub const STAGE_NAMES: [&str; 4] = [
     "queue_wait",
@@ -136,10 +138,11 @@ impl OpenSpan {
 #[derive(Debug, Default)]
 pub struct SpanStore {
     open: BTreeMap<(u64, u32, u64), OpenSpan>,
-    /// For each `(host, qpn)`, how many times the open spans' waiter
-    /// lists name it, so that a completion nobody waits on costs one
-    /// lookup and not a walk of every open span.
-    waiting: BTreeMap<(u64, u32), usize>,
+    /// For each `(host, qpn)`, at its dense `[host][qpn]` index, how many
+    /// times the open spans' waiter lists name it, so that a completion
+    /// nobody waits on costs two indexes and not a walk of every open
+    /// span.
+    waiting: Vec<Vec<usize>>,
     closed: Vec<FaultSpan>,
 }
 
@@ -192,17 +195,19 @@ impl SpanStore {
         o.span.stale_qps = stale;
         o.stale_remaining = stale;
         for &qpn in &o.pending_waiters {
-            if let Some(n) = self.waiting.get_mut(&(host, qpn)) {
+            if let Some(n) = dense_cell(&mut self.waiting, host, qpn) {
                 *n -= 1;
-                if *n == 0 {
-                    self.waiting.remove(&(host, qpn));
-                }
             }
         }
+        // A waiter past the id space has no count, so no completion could
+        // check it off: the span drains without it.
+        o.pending_waiters.clear();
         for &qpn in waiters {
-            *self.waiting.entry((host, qpn)).or_default() += 1;
+            if let Some(n) = dense_cell(&mut self.waiting, host, qpn) {
+                *n += 1;
+                o.pending_waiters.push(qpn);
+            }
         }
-        o.pending_waiters = waiters.to_vec();
         if o.stale_remaining == 0 {
             o.span.propagated = Some(now);
         }
@@ -225,9 +230,12 @@ impl SpanStore {
     /// and the walk covers `host`'s spans only until the last waiter
     /// entry naming the QP is checked off.
     pub fn qp_completion(&mut self, host: u64, qpn: u32, now: SimTime) {
-        let Some(mut left) = self.waiting.remove(&(host, qpn)) else {
+        let mut left = dense_index(host, qpn)
+            .and_then(|(h, q)| self.waiting.get_mut(h)?.get_mut(q))
+            .map_or(0, std::mem::take);
+        if left == 0 {
             return;
-        };
+        }
         let mut from = Bound::Included((host, 0, 0));
         let to = Bound::Included((host, u32::MAX, u64::MAX));
         while left > 0 {
@@ -402,6 +410,63 @@ mod tests {
         assert_eq!(s.open_count(), 1);
         s.qp_completion(1, 7, t(50));
         assert_eq!((s.open_count(), s.closed().len()), (0, 4));
+        assert!(
+            s.waiting.iter().flatten().all(|&n| n == 0),
+            "{:?}",
+            s.waiting
+        );
+    }
+
+    #[test]
+    fn completions_check_off_one_qpn_on_two_hosts_apart() {
+        let mut s = SpanStore::default();
+        s.fault_raised(0, 1, 0, t(0));
+        s.fault_resolved(0, 1, 0, t(10), &[7], 0);
+        s.fault_raised(3, 1, 0, t(0));
+        s.fault_resolved(3, 1, 0, t(10), &[7, 2], 0);
+        assert_eq!(
+            (s.waiting[0][7], s.waiting[3][7], s.waiting[3][2]),
+            (1, 1, 1)
+        );
+        s.qp_completion(3, 7, t(20));
+        assert_eq!(
+            (s.open_count(), s.waiting[0][7], s.waiting[3][7]),
+            (2, 1, 0)
+        );
+        s.qp_completion(0, 7, t(30));
+        assert_eq!(s.closed().len(), 1);
+        assert_eq!(
+            (s.closed()[0].host, s.closed()[0].completed),
+            (0, Some(t(30)))
+        );
+        s.qp_completion(3, 2, t(40));
+        let closed: Vec<(u64, Option<SimTime>)> =
+            s.closed().iter().map(|c| (c.host, c.completed)).collect();
+        assert_eq!(closed, [(0, Some(t(30))), (3, Some(t(40)))]);
+        assert!(
+            s.waiting.iter().flatten().all(|&n| n == 0),
+            "{:?}",
+            s.waiting
+        );
+    }
+
+    #[test]
+    fn a_completion_nobody_waits_on_grows_no_table() {
+        let mut s = SpanStore::default();
+        for (host, qpn) in [(0, 1), (5, 9), (u64::MAX, u32::MAX)] {
+            s.qp_completion(host, qpn, t(1));
+        }
+        // A span with no waiters, and one whose only waiter lies past the
+        // id space: both drain at resolution.
+        s.fault_raised(2, 1, 0, t(0));
+        s.fault_resolved(2, 1, 0, t(10), &[], 0);
+        s.fault_raised(2, 1, 1, t(0));
+        s.fault_resolved(2, 1, 1, t(10), &[u32::MAX], 0);
+        s.qp_completion(2, 1, t(20));
+        s.qp_completion(2, u32::MAX, t(20));
         assert!(s.waiting.is_empty(), "{:?}", s.waiting);
+        assert_eq!((s.open_count(), s.closed().len()), (0, 2));
+        assert_eq!(s.closed()[1].waiters, 1);
+        assert_eq!(s.closed()[1].completed, Some(t(10)));
     }
 }

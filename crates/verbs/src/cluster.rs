@@ -643,8 +643,12 @@ impl Cluster {
     /// [`CompareSwapWr`]: crate::wr::CompareSwapWr
     pub fn post(&mut self, eng: &mut Sim, host: HostId, qpn: Qpn, wr: impl Into<WorkRequest>) {
         let wr = wr.into();
-        self.telemetry
-            .wr_posted(host.0 as u64, qpn.0, wr.id.0, eng.now());
+        // Only a QP that exists starts a latency clock: a post to one the
+        // host lacks is ignored below, telemetry on or off.
+        if self.telemetry.is_enabled() && self.nics[host.0].qp(qpn).is_some() {
+            self.telemetry
+                .wr_posted(host.0 as u64, qpn.0, wr.id.0, eng.now());
+        }
         self.with_qp(eng, host, qpn, move |qp, env, fx| qp.post(env, fx, wr));
     }
 
