@@ -132,11 +132,6 @@ echo "==> pdes conformance (corpus trace hashes must survive the move from"
 echo "    the plain engine to 4 PDES shards byte for byte)"
 cargo run -q --offline --release -p ibsim-bench --bin scenario -- --workers 4 --shards 4
 
-echo "==> topology conformance (routed-fabric corpus entries must survive the"
-echo "    move to 4 PDES shards byte for byte)"
-cargo run -q --offline --release -p ibsim-bench --bin scenario -- \
-    --only fattree,ring --workers 2 --shards 4
-
 echo "==> congestion smoke (fat-tree shared-uplink study: the flood must"
 echo "    inflate the victim p99 and selective repeat must beat go-back-N)"
 cargo run -q --offline --release -p ibsim-bench --bin congestion -- --quick

@@ -17,13 +17,9 @@
 //! * [`render_workflow`] — the Fig. 1/5/8-style annotated timeline.
 //! * [`summarize`] — per-opcode traffic counts.
 //!
-//! Beside it stand two checks of a different shape:
-//!
-//! * [`check_conservation`] — **packet conservation** between the two
-//!   ends of a link: nothing silently lost, nothing invented.
-//! * [`InvariantSnapshot`] — the **runtime invariant registry**: QP
-//!   state-machine legality and event-clock monotonicity, counted inside
-//!   `ibsim-verbs` / `ibsim-event` in every build and collected here.
+//! Beside it stands a check of a different shape:
+//! [`check_conservation`] — **packet conservation** between the two
+//! ends of a link: nothing silently lost, nothing invented.
 //!
 //! Findings come back as a structured [`LintReport`] whose rules carry
 //! stable [`RuleId`] codes, so CI can assert "clean trace" exactly.
@@ -45,7 +41,6 @@
 
 mod conservation;
 mod finding;
-mod invariants;
 mod linter;
 mod record;
 #[cfg(test)]
@@ -57,7 +52,6 @@ mod timeline;
 
 pub use conservation::check_conservation;
 pub use finding::{Finding, LintReport, RuleId, Severity};
-pub use invariants::{InvariantId, InvariantSnapshot};
-pub use linter::{lint_capture, LintConfig, RecoveryRules};
+pub use linter::{lint_capture, LintConfig};
 pub use record::{summarize, TrafficSummary};
 pub use timeline::render_workflow;

@@ -12,8 +12,8 @@
 //!
 //! What justifies a retransmission, and whether a ghost may appear at
 //! all, depends on the loss-recovery backend that produced the trace:
-//! [`RecoveryRules::for_kind`] reads that off the backend's own
-//! capability predicates.
+//! [`LintConfig`] names it, and the walk asks its own capability
+//! predicates.
 //!
 //! The checks are the verdicts of the one capture walk (`record.rs`), in
 //! capture order; the §V/§VI pitfall signatures follow as shapes of the
@@ -28,75 +28,45 @@ use ibsim_verbs::{Packet, RecoveryKind};
 use crate::finding::{Finding, LintReport};
 use crate::{record, signature};
 
-/// The conformance rule set one recovery backend earns.
+/// Linter settings: the recovery backend that produced the trace.
 ///
 /// What counts as legal recovery behaviour is a property of the
 /// loss-recovery backend driving the requester, not of RC itself, so the
-/// linter reads its rule set off the [`RecoveryKind`] under test — the
-/// same capability predicates the simulator's engines ask — instead of
-/// restating them. Two rules differ:
+/// walk asks the [`RecoveryKind`] under test the same capability
+/// predicates the simulator's engines ask. Two rules differ:
 ///
-/// * **Ghosts.** The damming ghost (a request swallowed inside the
-///   engine's fault-recovery window, §V) is a go-back-N engine quirk.
-///   Selective repeat and on-demand pinning never open that window, so
-///   a ghost-flagged transmission under their rule sets is a violation.
-/// * **Event-driven stall resume.** Selective repeat resumes a stalled
-///   message when its fault resolves, which can legally retransmit
-///   well under the ACK-timeout hint. The trace evidence is the
-///   response that arrived since the last attempt yet left the message
-///   unfinished — it must have been discarded at the ODP landing gate.
-///   Go-back-N resumes on a blind ≥ 0.5 ms cadence that always clears
-///   the timeout hint, so it needs (and earns) no such justification.
+/// * **Ghosts** ([`RecoveryKind::ghost_quirks`]). The damming ghost (a
+///   request swallowed inside the engine's fault-recovery window, §V) is
+///   a go-back-N engine quirk. Selective repeat and on-demand pinning
+///   never open that window, so a ghost-flagged transmission under them
+///   is a violation.
+/// * **Event-driven stall resume** (not
+///   [`RecoveryKind::blind_stall_tick`]). Selective repeat resumes a
+///   stalled message when its fault resolves, which can legally
+///   retransmit well under the ACK-timeout hint. The trace evidence is
+///   the response that arrived since the last attempt yet left the
+///   message unfinished — it must have been discarded at the ODP landing
+///   gate. Go-back-N resumes on a blind ≥ 0.5 ms cadence that always
+///   clears the timeout hint, so it needs (and earns) no such
+///   justification.
 ///
-/// Same-instant batch inheritance stays on for every backend: all
-/// three retransmit recovery batches at one instant (go-back-N rolls
-/// back its window; selective repeat resends the refused message plus
-/// the undelivered successors a fault pendency silently dropped), and
-/// a batch tail first transmitted after the triggering NAK inherits
-/// the head's justification either way.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RecoveryRules {
-    /// Backend label used in findings and reports.
-    pub backend: &'static str,
-    /// Whether damming ghost packets are an expected engine quirk.
-    /// When false, any ghost-flagged transmission is a violation.
-    pub ghosts_expected: bool,
-    /// Whether a retransmission is additionally justified by a response
-    /// for the same PSN arriving since the last attempt (event-driven
-    /// resume after an ODP landing-gate discard).
-    pub event_driven_resume: bool,
-}
-
-impl RecoveryRules {
-    /// The rule set the simulator's recovery backend `kind` earns.
-    pub fn for_kind(kind: RecoveryKind) -> Self {
-        RecoveryRules {
-            backend: kind.token(),
-            ghosts_expected: kind.ghost_quirks(),
-            event_driven_resume: !kind.blind_stall_tick(),
-        }
-    }
-}
-
-impl Default for RecoveryRules {
-    /// Go-back-N, the paper's hardware.
-    fn default() -> Self {
-        RecoveryRules::for_kind(RecoveryKind::GoBackN)
-    }
-}
-
-/// Linter settings: the justification rules of the recovery backend
-/// that produced the trace. The thresholds are constants: a
-/// retransmission at least 100 µs after the previous attempt is a
-/// plausible ACK timeout, a silent loss followed by a NAK-free stall of
-/// 20 ms is damming, and five transmissions of one request at a median
-/// cadence within 0.1–2 ms are a flood.
+/// Same-instant batch inheritance holds for every backend: all three
+/// retransmit recovery batches at one instant (go-back-N rolls back its
+/// window; selective repeat resends the refused message plus the
+/// undelivered successors a fault pendency silently dropped), and a
+/// batch tail first transmitted after the triggering NAK inherits the
+/// head's justification either way.
+///
+/// The thresholds are constants: a retransmission at least 100 µs after
+/// the previous attempt is a plausible ACK timeout, a silent loss
+/// followed by a NAK-free stall of 20 ms is damming, and five
+/// transmissions of one request at a median cadence within 0.1–2 ms are
+/// a flood.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct LintConfig {
-    /// Justification rule set supplied by the recovery backend under
-    /// test (see [`RecoveryRules`]). Defaults to go-back-N, the paper's
-    /// hardware.
-    pub rules: RecoveryRules,
+    /// The recovery backend under test. Defaults to go-back-N, the
+    /// paper's hardware.
+    pub recovery: RecoveryKind,
 }
 
 /// Lints one capture against the requester-side RC conformance rules,
@@ -116,7 +86,7 @@ pub struct LintConfig {
 /// assert!(report.is_clean());
 /// ```
 pub fn lint_capture(cap: &Capture<Packet>, cfg: &LintConfig) -> LintReport {
-    let rec = record::walk(cap, cfg.rules);
+    let rec = record::walk(cap, cfg.recovery);
     let signatures: Vec<Finding> = signature::damming(&rec)
         .chain(signature::floods(&rec))
         .collect();
@@ -134,14 +104,14 @@ mod tests {
     use crate::RuleId;
     use ibsim_verbs::Psn;
 
-    /// Lints a fixture under one rule set, replayed against the reference.
-    fn lint_with(cap: &Capture<Packet>, rules: RecoveryRules) -> LintReport {
-        crate::reference::replay(cap, rules);
-        lint_capture(cap, &LintConfig { rules })
+    /// Lints a fixture under one backend, replayed against the reference.
+    fn lint_with(cap: &Capture<Packet>, recovery: RecoveryKind) -> LintReport {
+        crate::reference::replay(cap, recovery);
+        lint_capture(cap, &LintConfig { recovery })
     }
 
     fn lint(cap: &Capture<Packet>) -> LintReport {
-        lint_with(cap, RecoveryRules::default())
+        lint_with(cap, RecoveryKind::default())
     }
 
     #[test]
@@ -365,8 +335,7 @@ mod tests {
         tx(&mut cap, 1_000, read_req(0, 1));
         rx(&mut cap, 31_000, read_resp(0, 0));
         tx_retx(&mut cap, 38_000, read_req(0, 1));
-        let irn = RecoveryRules::for_kind(RecoveryKind::SelectiveRepeat);
-        let report = lint_with(&cap, irn);
+        let report = lint_with(&cap, RecoveryKind::SelectiveRepeat);
         assert_eq!(report.count(RuleId::UnjustifiedRetransmit), 0, "{report}");
         // Go-back-N earns no such justification: its stall resume is a
         // blind cadence that always clears the timeout hint, so the
@@ -385,8 +354,7 @@ mod tests {
         rx(&mut cap, 31_000, read_resp(0, 0));
         tx_retx(&mut cap, 38_000, read_req(0, 1));
         tx_retx(&mut cap, 45_000, read_req(0, 1));
-        let irn = RecoveryRules::for_kind(RecoveryKind::SelectiveRepeat);
-        let report = lint_with(&cap, irn);
+        let report = lint_with(&cap, RecoveryKind::SelectiveRepeat);
         assert_eq!(report.count(RuleId::UnjustifiedRetransmit), 1, "{report}");
     }
 
@@ -396,7 +364,7 @@ mod tests {
         // refused message plus the pendency-dropped successors at one
         // instant, so the tail inherits the head's NAK justification
         // under every rule set.
-        for rules in RecoveryKind::ALL.map(RecoveryRules::for_kind) {
+        for kind in RecoveryKind::ALL {
             let mut cap = Capture::new();
             cap.enable();
             tx(&mut cap, 1_000, read_req(0, 1));
@@ -404,12 +372,11 @@ mod tests {
             tx(&mut cap, 3_000, read_req(1, 1));
             tx_retx(&mut cap, 40_000, read_req(0, 1));
             tx_retx(&mut cap, 40_000, read_req(1, 1));
-            let report = lint_with(&cap, rules);
+            let report = lint_with(&cap, kind);
             assert_eq!(
                 report.count(RuleId::UnjustifiedRetransmit),
                 0,
-                "{}: {report}",
-                rules.backend
+                "{kind}: {report}"
             );
         }
     }
@@ -421,33 +388,25 @@ mod tests {
         tx_ghost(&mut cap, 1_000, read_req(0, 1));
         assert_eq!(lint(&cap).count(RuleId::UnexpectedGhost), 0);
         for kind in [RecoveryKind::SelectiveRepeat, RecoveryKind::OnDemandPin] {
-            let rules = RecoveryRules::for_kind(kind);
-            let report = lint_with(&cap, rules);
-            assert_eq!(
-                report.count(RuleId::UnexpectedGhost),
-                1,
-                "{}",
-                rules.backend
-            );
+            let report = lint_with(&cap, kind);
+            assert_eq!(report.count(RuleId::UnexpectedGhost), 1, "{kind}");
         }
     }
 
+    /// The two rules the walk asks the backend: whether ghosts are
+    /// expected, and whether event-driven resume justifies a resend.
     #[test]
     fn recovery_rules_follow_the_backend_kind() {
-        let rule_set = |backend, ghosts_expected, event_driven_resume| RecoveryRules {
-            backend,
-            ghosts_expected,
-            event_driven_resume,
-        };
+        let rules = RecoveryKind::ALL.map(|k| (k.token(), k.ghost_quirks(), !k.blind_stall_tick()));
         assert_eq!(
-            RecoveryKind::ALL.map(RecoveryRules::for_kind),
+            rules,
             [
-                rule_set("gbn", true, false),
-                rule_set("irn", false, true),
-                rule_set("pin", false, false),
+                ("gbn", true, false),
+                ("irn", false, true),
+                ("pin", false, false)
             ]
         );
-        assert_eq!(RecoveryRules::default(), rule_set("gbn", true, false));
+        assert_eq!(LintConfig::default().recovery, RecoveryKind::GoBackN);
     }
 
     #[test]

@@ -27,10 +27,9 @@ use std::fmt;
 
 use ibsim_event::SimTime;
 use ibsim_fabric::{Capture, Captured, Direction};
-use ibsim_verbs::{NakKind, Packet, PacketKind, Psn, Qpn};
+use ibsim_verbs::{NakKind, Packet, PacketKind, Psn, Qpn, RecoveryKind};
 
 use crate::finding::{Finding, RuleId};
-use crate::linter::RecoveryRules;
 
 /// Shortest interval after which a spontaneous retransmission is a
 /// plausible transport (ACK) timeout. It sits below the smallest `T_o`
@@ -54,8 +53,8 @@ pub(crate) enum Cause {
     /// Event-driven resume (selective repeat): a reply carrying this PSN
     /// arrived since the previous attempt yet left the request pending,
     /// so it was discarded at the ODP landing gate and the fault's
-    /// resolution resumed the request. Only a rule set with
-    /// `event_driven_resume` earns it.
+    /// resolution resumed the request. Only a backend without a blind
+    /// stall tick earns it.
     Resume,
     /// Sent at the same instant as the flow's last retransmission with a
     /// cause of its own: a recovery batch's tail inherits the head's
@@ -125,7 +124,7 @@ pub(crate) struct Flow {
 /// The per-request record of one capture, built by [`Record::step`].
 #[derive(Default)]
 pub(crate) struct Record {
-    rules: RecoveryRules,
+    recovery: RecoveryKind,
     flow_index: BTreeMap<(Qpn, Qpn), usize>,
     pub(crate) flows: Vec<Flow>,
     /// In first-transmission order.
@@ -138,8 +137,8 @@ pub(crate) struct Record {
 }
 
 /// Walks a whole capture under one backend's justification rules.
-pub(crate) fn walk(cap: &Capture<Packet>, rules: RecoveryRules) -> Record {
-    let mut rec = Record::new(rules);
+pub(crate) fn walk(cap: &Capture<Packet>, recovery: RecoveryKind) -> Record {
+    let mut rec = Record::new(recovery);
     for r in cap {
         rec.step(r);
     }
@@ -166,9 +165,9 @@ fn request_shape(kind: &PacketKind) -> Option<(u32, Answer)> {
 }
 
 impl Record {
-    pub(crate) fn new(rules: RecoveryRules) -> Record {
+    pub(crate) fn new(recovery: RecoveryKind) -> Record {
         Record {
-            rules,
+            recovery,
             ..Record::default()
         }
     }
@@ -253,14 +252,14 @@ impl Record {
             self.check_fresh(f, at, p, span);
             Some(Cause::Fresh)
         };
-        if p.ghost && !self.rules.ghosts_expected {
+        if p.ghost && !self.recovery.ghost_quirks() {
             // The damming ghost window is a go-back-N engine quirk; the
             // backend under test claims it never opens.
             let message = format!(
                 "{} ghosted at transmission under the `{}` backend, \
                  which never opens the ghost window",
                 p.kind.opcode(),
-                self.rules.backend
+                self.recovery
             );
             self.flag(RuleId::UnexpectedGhost, at, f, p.psn, message);
         }
@@ -358,7 +357,7 @@ impl Record {
             Some(Cause::ObservedLoss)
         } else if at - prev >= ACK_TIMEOUT_HINT {
             Some(Cause::Timeout)
-        } else if self.rules.event_driven_resume && since(req.last_reply) {
+        } else if !self.recovery.blind_stall_tick() && since(req.last_reply) {
             Some(Cause::Resume)
         } else {
             None
@@ -532,7 +531,7 @@ impl fmt::Display for TrafficSummary {
 /// assert_eq!(summarize(&cap).total, 0);
 /// ```
 pub fn summarize(cap: &Capture<Packet>) -> TrafficSummary {
-    walk(cap, RecoveryRules::default()).traffic
+    walk(cap, RecoveryKind::default()).traffic
 }
 
 #[cfg(test)]
@@ -546,7 +545,7 @@ mod tests {
     fn traffic(sc: &Scenario) -> TrafficSummary {
         let run = run_scenario(sc);
         let cap = &run.captures[0];
-        crate::reference::replay(cap, RecoveryRules::default());
+        crate::reference::replay(cap, RecoveryKind::default());
         summarize(cap)
     }
 
@@ -586,10 +585,10 @@ mod tests {
         );
         eng.run(&mut cl);
         let cap = cl.capture(a);
-        crate::reference::replay(cap, RecoveryRules::default());
+        crate::reference::replay(cap, RecoveryKind::default());
         let s = summarize(cap);
         assert_eq!((s.total, s.requests, s.responses), (2, 1, 1), "{s}");
-        assert!(walk(cap, RecoveryRules::default()).findings.is_empty());
+        assert!(walk(cap, RecoveryKind::default()).findings.is_empty());
     }
 
     #[test]

@@ -8,10 +8,10 @@ use std::collections::{BTreeMap, BTreeSet};
 
 use ibsim_event::SimTime;
 use ibsim_fabric::{Capture, Direction};
-use ibsim_verbs::{NakKind, Packet, PacketKind, Psn, Qpn};
+use ibsim_verbs::{NakKind, Packet, PacketKind, Psn, Qpn, RecoveryKind};
 
 use crate::finding::{Finding, LintReport, RuleId, Severity};
-use crate::{RecoveryRules, TrafficSummary};
+use crate::TrafficSummary;
 
 /// The five-field linter configuration, at its old defaults.
 struct LintConfig {
@@ -19,17 +19,17 @@ struct LintConfig {
     damming_min_stall: SimTime,
     flood_min_transmissions: u64,
     flood_cadence: (SimTime, SimTime),
-    rules: RecoveryRules,
+    recovery: RecoveryKind,
 }
 
 impl LintConfig {
-    fn new(rules: RecoveryRules) -> Self {
+    fn new(recovery: RecoveryKind) -> Self {
         LintConfig {
             ack_timeout_hint: SimTime::from_us(100),
             damming_min_stall: SimTime::from_ms(20),
             flood_min_transmissions: 5,
             flood_cadence: (SimTime::from_us(100), SimTime::from_ms(2)),
-            rules,
+            recovery,
         }
     }
 }
@@ -63,8 +63,8 @@ fn psn_span(kind: &PacketKind) -> u32 {
 }
 
 /// The old `lint_capture`: the `FlowState` walk, then both detectors.
-pub(crate) fn lint_capture(cap: &Capture<Packet>, rules: RecoveryRules) -> LintReport {
-    let cfg = &LintConfig::new(rules);
+pub(crate) fn lint_capture(cap: &Capture<Packet>, recovery: RecoveryKind) -> LintReport {
+    let cfg = &LintConfig::new(recovery);
     let mut report = LintReport::default();
     let mut flows: BTreeMap<(Qpn, Qpn), FlowState> = BTreeMap::new();
 
@@ -93,7 +93,7 @@ pub(crate) fn lint_capture(cap: &Capture<Packet>, rules: RecoveryRules) -> LintR
                     | PacketKind::Ack
                     | PacketKind::Nak(_) => {}
                 }
-                if p.ghost && !cfg.rules.ghosts_expected {
+                if p.ghost && !cfg.recovery.ghost_quirks() {
                     report.findings.push(Finding {
                         rule: RuleId::UnexpectedGhost,
                         severity: Severity::Violation,
@@ -104,7 +104,7 @@ pub(crate) fn lint_capture(cap: &Capture<Packet>, rules: RecoveryRules) -> LintR
                             "{} ghosted at transmission under the `{}` backend, \
                              which never opens the ghost window",
                             p.kind.opcode(),
-                            cfg.rules.backend
+                            cfg.recovery
                         ),
                     });
                 }
@@ -203,7 +203,7 @@ fn check_retransmit(
     let loss_explains = flow.last_silent_loss.is_some_and(|t| t >= prev && t <= at);
     let timeout_plausible = at - prev >= cfg.ack_timeout_hint;
     let batch_explains = flow.last_justified_retx == Some(at);
-    let resume_explains = cfg.rules.event_driven_resume
+    let resume_explains = !cfg.recovery.blind_stall_tick()
         && flow
             .last_response_rx
             .get(&psn)
@@ -574,9 +574,9 @@ fn summarize(cap: &Capture<Packet>) -> TrafficSummary {
 /// one capture: the lint report (findings, order and text), the rendered
 /// timeline, and the traffic count once the `ATOMIC_ACK` fix is applied
 /// to the reference.
-pub(crate) fn replay(cap: &Capture<Packet>, rules: RecoveryRules) {
-    let cfg = crate::LintConfig { rules };
-    assert_eq!(crate::lint_capture(cap, &cfg), lint_capture(cap, rules));
+pub(crate) fn replay(cap: &Capture<Packet>, recovery: RecoveryKind) {
+    let cfg = crate::LintConfig { recovery };
+    assert_eq!(crate::lint_capture(cap, &cfg), lint_capture(cap, recovery));
     assert_eq!(crate::render_workflow(cap), render_workflow(cap));
     let mut expected = summarize(cap);
     for r in cap {
@@ -596,14 +596,13 @@ pub(crate) fn replay(cap: &Capture<Packet>, rules: RecoveryRules) {
 mod tests {
     use super::*;
     use ibsim_scenario::{paper_corpus, random_scenario, run_scenario, Prefetch, Scenario};
-    use ibsim_verbs::RecoveryKind;
 
     fn replay_scenarios(scenarios: &[Scenario]) -> usize {
         let mut frames = 0;
         for sc in scenarios {
             let run = run_scenario(sc);
             for cap in &run.captures {
-                replay(cap, RecoveryRules::for_kind(sc.recovery));
+                replay(cap, sc.recovery);
                 frames += cap.len();
             }
         }
@@ -650,8 +649,8 @@ mod tests {
             client
         });
         for cap in &captures {
-            for rules in RecoveryKind::ALL.map(RecoveryRules::for_kind) {
-                replay(cap, rules);
+            for kind in RecoveryKind::ALL {
+                replay(cap, kind);
             }
         }
         let flood = &captures[6];

@@ -5,15 +5,14 @@
 
 use ibsim_event::SimTime;
 use ibsim_fabric::{Capture, Direction, Lid};
-use ibsim_verbs::{MrKey, NakKind, Packet, PacketKind, Payload, Psn, Qpn, SegPos};
+use ibsim_verbs::{MrKey, NakKind, Packet, PacketKind, Payload, Psn, Qpn, RecoveryKind, SegPos};
 
 use crate::record::{walk, Record};
-use crate::RecoveryRules;
 
 /// Replays `cap` against the reference walks, then returns its record.
-pub fn replayed(cap: &Capture<Packet>, rules: RecoveryRules) -> Record {
-    crate::reference::replay(cap, rules);
-    walk(cap, rules)
+pub fn replayed(cap: &Capture<Packet>, recovery: RecoveryKind) -> Record {
+    crate::reference::replay(cap, recovery);
+    walk(cap, recovery)
 }
 
 /// A READ request from the client consuming `resp_packets` PSNs.

@@ -6,10 +6,9 @@ use std::fmt::Write as _;
 
 use ibsim_event::SimTime;
 use ibsim_fabric::{Capture, Direction};
-use ibsim_verbs::{NakKind, Packet, PacketKind};
+use ibsim_verbs::{NakKind, Packet, PacketKind, RecoveryKind};
 
 use crate::record::{Cause, Record};
-use crate::RecoveryRules;
 
 /// A silent gap at least this long, ended by a retransmission, is
 /// called a timeout. The ConnectX-4/5 timeout floors are 500 and 30 ms;
@@ -36,7 +35,7 @@ const TIMEOUT_FLOOR: SimTime = SimTime::from_ms(50);
 /// assert!(render_workflow(&cap).is_empty());
 /// ```
 pub fn render_workflow(cap: &Capture<Packet>) -> String {
-    let mut walk = Record::new(RecoveryRules::default());
+    let mut walk = Record::new(RecoveryKind::default());
     let mut out = String::new();
     let mut posts = 0u32;
     let mut last_rnr: Option<SimTime> = None;
@@ -99,7 +98,7 @@ mod tests {
     fn render(sc: &Scenario) -> (bool, String) {
         let run = run_scenario(sc);
         let cap = &run.captures[0];
-        crate::reference::replay(cap, RecoveryRules::default());
+        crate::reference::replay(cap, RecoveryKind::default());
         (run.client_stats.timeouts > 0, render_workflow(cap))
     }
 

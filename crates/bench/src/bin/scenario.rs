@@ -5,7 +5,6 @@
 //! cargo run --release --bin scenario                      # corpus only
 //! cargo run --release --bin scenario -- --workers 4 --fuzz 256 --minimize-demo
 //! cargo run --release --bin scenario -- --shards 4        # PDES conformance
-//! cargo run --release --bin scenario -- --only fattree,ring   # corpus subset
 //! ```
 //!
 //! Stages (each optional flag adds one):
@@ -26,7 +25,7 @@
 //!
 //! Exits non-zero on any failure, printing the offending reports first.
 
-use ibsim_bench::{arg_str, arg_value, header, quick_mode, row};
+use ibsim_bench::{arg_value, header, quick_mode, row};
 use ibsim_scenario::{
     check_run_with, paper_corpus, random_scenario, run_corpus, run_scenario, shrink, CorpusOutcome,
     Injection, Scenario,
@@ -38,24 +37,7 @@ fn main() {
     let fuzz = arg_value("--fuzz").unwrap_or(0);
     let fuzz = if quick_mode() { fuzz.min(32) } else { fuzz };
     let minimize_demo = std::env::args().any(|a| a == "--minimize-demo");
-    let only = arg_str("--only");
-    let mut failed = false;
-
-    // `--only a,b` keeps corpus entries whose name contains any of the
-    // comma-separated substrings — the CI topology stage uses it to run
-    // just the routed-fabric entries at several shard counts.
-    let corpus: Vec<Scenario> = paper_corpus()
-        .into_iter()
-        .filter(|sc| match &only {
-            None => true,
-            Some(pats) => pats.split(',').any(|p| sc.name.contains(p)),
-        })
-        .collect();
-    if corpus.is_empty() {
-        println!("[scenario] --only matched no corpus entries");
-        std::process::exit(1);
-    }
-    failed |= !run_stage("paper corpus", &corpus, workers, shards);
+    let mut failed = !run_stage("paper corpus", &paper_corpus(), workers, shards);
 
     if fuzz > 0 {
         let scenarios: Vec<Scenario> = (0..fuzz as u64).map(random_scenario).collect();

@@ -78,14 +78,6 @@ fn or_exit<T>(parsed: Result<T, String>) -> T {
     })
 }
 
-/// `--flag value` from the command line as a string; `None` when the
-/// flag is absent. Exits non-zero, naming the flag, when it is present
-/// without a value.
-pub fn arg_str(flag: &str) -> Option<String> {
-    let args: Vec<String> = std::env::args().collect();
-    or_exit(flag_str(&args, flag)).map(str::to_owned)
-}
-
 /// `--flag N` from the command line; `None` when the flag is absent.
 /// Exits non-zero, naming the flag, when the value is missing or is not
 /// a non-negative integer — `--shards x` must not quietly become the
@@ -182,10 +174,10 @@ mod tests {
 
     #[test]
     fn flags_parse_or_are_absent() {
-        let a = args("scenario --workers 4 --only fattree,ring --shards 0");
+        let a = args("scenario --workers 4 --shards 0");
         assert_eq!(flag_value(&a, "--workers"), Ok(Some(4)));
         assert_eq!(flag_value(&a, "--shards"), Ok(Some(0)));
-        assert_eq!(flag_str(&a, "--only"), Ok(Some("fattree,ring")));
+        assert_eq!(flag_str(&a, "--workers"), Ok(Some("4")));
         assert_eq!(flag_value(&a, "--fuzz"), Ok(None));
         assert_eq!(flag_str(&a, "--fuzz"), Ok(None));
     }
@@ -202,9 +194,9 @@ mod tests {
             let err = flag_value(&args(line), "--shards").expect_err(line);
             assert!(err.contains("--shards"), "{line}: {err}");
         }
-        for line in ["scenario --only", "scenario --only --shards 4"] {
-            let err = flag_str(&args(line), "--only").expect_err(line);
-            assert!(err.contains("--only"), "{line}: {err}");
+        for line in ["scenario --fuzz", "scenario --fuzz --shards 4"] {
+            let err = flag_str(&args(line), "--fuzz").expect_err(line);
+            assert!(err.contains("--fuzz"), "{line}: {err}");
         }
     }
 

@@ -176,7 +176,7 @@ fn congestion_is_reproducible_and_holds_its_inequalities() {
 
 #[test]
 fn scenario_refuses_a_flag_it_cannot_parse() {
-    for args in [&["--shards", "4x"][..], &["--workers"], &["--only"]] {
+    for args in [&["--shards", "4x"][..], &["--workers"], &["--fuzz", "-1"]] {
         let out = Command::new(env!("CARGO_BIN_EXE_scenario"))
             .args(args)
             .output()

@@ -5,11 +5,11 @@
 //! the transport's reliability machinery we additionally want repeatable
 //! random loss, provided here by a self-contained xorshift PRNG so the
 //! fabric stays dependency-free and every run is reproducible from a seed.
-
-#![expect(
-    clippy::float_arithmetic,
-    reason = "the loss models' uniform draws; a fixed-point draw would change the RNG stream and re-pin every golden hash"
-)]
+//!
+//! Probabilities are per-mille. Each becomes a `threshold` on the top
+//! 53 bits of a draw, chosen so that the integer compare is true exactly
+//! when the float draw `x / 2^53 < p` it replaced was; the RNG streams
+//! and every golden hash stay as they were.
 
 use ibsim_event::SimTime;
 
@@ -55,9 +55,10 @@ impl Xorshift64Star {
         x.wrapping_mul(0x2545_F491_4F6C_DD1D)
     }
 
-    /// Uniform float in `[0, 1)`.
-    pub fn next_f64(&mut self) -> f64 {
-        (self.next_u64() >> 11) as f64 / (1u64 << 53) as f64
+    /// True with the probability `threshold` encodes: one draw, its
+    /// top 53 bits compared against the threshold.
+    fn chance(&mut self, threshold: u64) -> bool {
+        (self.next_u64() >> 11) < threshold
     }
 
     /// Uniform integer in `[0, bound)`.
@@ -71,6 +72,33 @@ impl Xorshift64Star {
     }
 }
 
+/// The 53-bit draw threshold of a probability of `permille` / 1000 (1000
+/// and above: every draw).
+///
+/// It is `⌈p · 2^53⌉` for `p` the `f64` nearest `permille / 1000`, so a
+/// draw `x < 2^53` passes exactly when `x / 2^53 < p`. Computed without
+/// a float: `permille / 1000` lies in `[2^-k, 2^(1-k))` for the least
+/// `k ≥ 1` with `permille · 2^k ≥ 1000`, so its 53-bit significand is
+/// `n = permille · 2^(52+k) / 1000` rounded half to even, and
+/// `p · 2^53 = n / 2^(k-1)`.
+fn threshold(permille: u32) -> u64 {
+    if permille == 0 {
+        return 0;
+    }
+    if permille >= 1000 {
+        return 1 << 53;
+    }
+    let m = u128::from(permille);
+    let mut k = 1;
+    while m << k < 1000 {
+        k += 1;
+    }
+    let num = m << (52 + k);
+    let (q, r) = (num / 1000, num % 1000);
+    let n = q + u128::from(2 * r > 1000 || (2 * r == 1000 && q % 2 == 1));
+    ((n + (1 << (k - 1)) - 1) >> (k - 1)) as u64
+}
+
 /// Frame-loss policy applied by the fabric after routing.
 #[derive(Debug, Default)]
 pub enum LossModel {
@@ -82,8 +110,8 @@ pub enum LossModel {
     /// Drop each frame independently with probability `prob`, using a
     /// deterministic seeded PRNG.
     Uniform {
-        /// Per-frame drop probability in `[0, 1]`.
-        prob: f64,
+        /// Per-frame drop probability, as a 53-bit draw threshold.
+        prob: u64,
         /// PRNG supplying the per-frame coin flips.
         rng: Xorshift64Star,
     },
@@ -99,14 +127,15 @@ pub enum LossModel {
     /// between a good state (no loss) and a bad state (loss with
     /// probability `drop_in_burst`). Bursty loss is what a congested or
     /// flapping link produces, and what exercises go-back-N recovery far
-    /// harder than independent per-frame coin flips.
+    /// harder than independent per-frame coin flips. Every probability
+    /// is a 53-bit draw threshold.
     Burst {
         /// Per-frame probability of entering a burst from the good state.
-        enter: f64,
+        enter: u64,
         /// Per-frame probability of leaving a burst from the bad state.
-        exit: f64,
-        /// Drop probability while inside a burst (1.0 = every frame).
-        drop_in_burst: f64,
+        exit: u64,
+        /// Drop probability while inside a burst.
+        drop_in_burst: u64,
         /// Currently inside a burst.
         in_burst: bool,
         /// PRNG supplying state transitions and drop coins.
@@ -117,10 +146,10 @@ pub enum LossModel {
 }
 
 impl LossModel {
-    /// Uniform loss with probability `prob` seeded by `seed`.
-    pub fn uniform(prob: f64, seed: u64) -> Self {
+    /// Uniform loss with probability `permille` / 1000 seeded by `seed`.
+    pub fn uniform(permille: u32, seed: u64) -> Self {
         LossModel::Uniform {
-            prob,
+            prob: threshold(permille),
             rng: Xorshift64Star::new(seed),
         }
     }
@@ -131,19 +160,21 @@ impl LossModel {
         LossModel::Nth { indices, seen: 0 }
     }
 
-    /// Gilbert–Elliott burst loss dropping every frame inside a burst.
-    /// Expected burst length is `1 / exit` frames; expected gap between
-    /// bursts is `1 / enter` frames.
-    pub fn burst(enter: f64, exit: f64, seed: u64) -> Self {
-        LossModel::burst_with(enter, exit, 1.0, seed)
+    /// Gilbert–Elliott burst loss dropping every frame inside a burst,
+    /// with per-mille transition probabilities. Expected burst length is
+    /// `1000 / exit` frames; expected gap between bursts is
+    /// `1000 / enter` frames.
+    pub fn burst(enter: u32, exit: u32, seed: u64) -> Self {
+        LossModel::burst_with(enter, exit, 1000, seed)
     }
 
-    /// Gilbert–Elliott burst loss with a partial in-burst drop rate.
-    pub fn burst_with(enter: f64, exit: f64, drop_in_burst: f64, seed: u64) -> Self {
+    /// Gilbert–Elliott burst loss with a partial in-burst drop rate, all
+    /// three probabilities per-mille.
+    pub fn burst_with(enter: u32, exit: u32, drop_in_burst: u32, seed: u64) -> Self {
         LossModel::Burst {
-            enter,
-            exit,
-            drop_in_burst,
+            enter: threshold(enter),
+            exit: threshold(exit),
+            drop_in_burst: threshold(drop_in_burst),
             in_burst: false,
             rng: Xorshift64Star::new(seed),
         }
@@ -169,7 +200,7 @@ impl LossModel {
         match self {
             LossModel::None => false,
             LossModel::DropAll => true,
-            LossModel::Uniform { prob, rng } => rng.next_f64() < *prob,
+            LossModel::Uniform { prob, rng } => rng.chance(*prob),
             LossModel::Nth { indices, seen } => {
                 let idx = *seen;
                 *seen += 1;
@@ -184,15 +215,14 @@ impl LossModel {
             } => {
                 // Fixed draw order (transition first, then the drop coin)
                 // keeps the sequence a pure function of the seed.
-                let flip = rng.next_f64();
                 if *in_burst {
-                    if flip < *exit {
+                    if rng.chance(*exit) {
                         *in_burst = false;
                     }
-                } else if flip < *enter {
+                } else if rng.chance(*enter) {
                     *in_burst = true;
                 }
-                *in_burst && rng.next_f64() < *drop_in_burst
+                *in_burst && rng.chance(*drop_in_burst)
             }
             LossModel::ToDestination(target) => dst == *target,
         }
@@ -243,28 +273,28 @@ mod tests {
 
     #[test]
     fn uniform_rate_loss_is_deterministic_from_seed() {
-        let a = drop_pattern(LossModel::uniform(0.3, 42), 4096);
-        let b = drop_pattern(LossModel::uniform(0.3, 42), 4096);
+        let a = drop_pattern(LossModel::uniform(300, 42), 4096);
+        let b = drop_pattern(LossModel::uniform(300, 42), 4096);
         assert_eq!(a, b, "same seed must reproduce the same drop pattern");
-        let c = drop_pattern(LossModel::uniform(0.3, 43), 4096);
+        let c = drop_pattern(LossModel::uniform(300, 43), 4096);
         assert_ne!(a, c, "different seeds must diverge");
     }
 
     #[test]
     fn burst_loss_is_deterministic_from_seed() {
-        let a = drop_pattern(LossModel::burst(0.02, 0.25, 7), 8192);
-        let b = drop_pattern(LossModel::burst(0.02, 0.25, 7), 8192);
+        let a = drop_pattern(LossModel::burst(20, 250, 7), 8192);
+        let b = drop_pattern(LossModel::burst(20, 250, 7), 8192);
         assert_eq!(a, b, "same seed must reproduce the same burst pattern");
-        let c = drop_pattern(LossModel::burst(0.02, 0.25, 8), 8192);
+        let c = drop_pattern(LossModel::burst(20, 250, 8), 8192);
         assert_ne!(a, c, "different seeds must diverge");
     }
 
     #[test]
     fn burst_loss_clusters_drops() {
-        // With enter=0.01 and exit=0.2 the chain spends ~1/21 of its time
-        // in bursts of mean length 5; drops must arrive in runs, not as
-        // independent singletons.
-        let pat = drop_pattern(LossModel::burst(0.01, 0.2, 99), 50_000);
+        // With enter=10‰ and exit=200‰ the chain spends ~1/21 of its
+        // time in bursts of mean length 5; drops must arrive in runs, not
+        // as independent singletons.
+        let pat = drop_pattern(LossModel::burst(10, 200, 99), 50_000);
         let drops = pat.iter().filter(|&&d| d).count();
         assert!(drops > 500, "bursts must produce substantial loss: {drops}");
         // Count maximal runs of consecutive drops; mean run length must
@@ -277,16 +307,15 @@ mod tests {
             }
             prev = d;
         }
-        let mean_run = drops as f64 / runs as f64;
         assert!(
-            mean_run > 2.0,
-            "drops must cluster into bursts: mean run {mean_run:.2}"
+            drops > 2 * runs,
+            "drops must cluster into bursts: {drops} drops in {runs} runs"
         );
     }
 
     #[test]
     fn burst_with_zero_enter_never_drops() {
-        let pat = drop_pattern(LossModel::burst(0.0, 0.5, 3), 10_000);
+        let pat = drop_pattern(LossModel::burst(0, 500, 3), 10_000);
         assert!(pat.iter().all(|&d| !d));
     }
 
@@ -294,19 +323,30 @@ mod tests {
     fn burst_zero_seed_is_usable() {
         // The seed-0 remap reaches the burst model through its PRNG: the
         // pattern must be well-formed and identical to the remap constant.
-        let a = drop_pattern(LossModel::burst(0.05, 0.2, 0), 4096);
-        let b = drop_pattern(LossModel::burst(0.05, 0.2, 0x9E37_79B9_7F4A_7C15), 4096);
+        let a = drop_pattern(LossModel::burst(50, 200, 0), 4096);
+        let b = drop_pattern(LossModel::burst(50, 200, 0x9E37_79B9_7F4A_7C15), 4096);
         assert_eq!(a, b);
         assert!(a.iter().any(|&d| d), "seed 0 must still produce drops");
     }
 
+    /// The threshold against the float draw it replaced, at both sides
+    /// of the boundary, for every per-mille probability.
     #[test]
-    fn next_f64_in_unit_interval() {
-        let mut r = Xorshift64Star::new(3);
-        for _ in 0..1000 {
-            let v = r.next_f64();
-            assert!((0.0..1.0).contains(&v));
+    fn thresholds_match_the_float_draw_at_their_boundary() {
+        const DRAWS: u64 = 1 << 53;
+        for m in 0..=1000u32 {
+            let p = f64::from(m) / 1000.0;
+            let t = threshold(m);
+            let float_drops = |x: u64| (x as f64) / (DRAWS as f64) < p;
+            if t > 0 {
+                assert!(float_drops(t - 1), "{m}‰: draw {} must drop", t - 1);
+            }
+            if t < DRAWS {
+                assert!(!float_drops(t), "{m}‰: draw {t} must pass");
+            }
         }
+        assert_eq!((threshold(0), threshold(1000)), (0, DRAWS));
+        assert_eq!(threshold(1001), DRAWS);
     }
 
     #[test]
@@ -329,7 +369,7 @@ mod tests {
 
     #[test]
     fn uniform_hits_expected_rate() {
-        let mut m = LossModel::uniform(0.25, 99);
+        let mut m = LossModel::uniform(250, 99);
         let t = SimTime::ZERO;
         let drops = (0..10_000).filter(|_| m.drop(t, Lid(1), Lid(2))).count();
         // 4 sigma around 2500.

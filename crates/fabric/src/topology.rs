@@ -962,11 +962,11 @@ mod tests {
         assert!(!f.loss_is_order_dependent());
         f.set_loss(LossModel::ToDestination(b));
         assert!(!f.loss_is_order_dependent());
-        f.set_loss(LossModel::uniform(0.5, 7));
+        f.set_loss(LossModel::uniform(500, 7));
         assert!(f.loss_is_order_dependent());
         f.set_loss(LossModel::nth(vec![3]));
         assert!(f.loss_is_order_dependent());
-        f.set_loss(LossModel::burst(0.1, 0.5, 7));
+        f.set_loss(LossModel::burst(100, 500, 7));
         assert!(f.loss_is_order_dependent());
     }
 

@@ -22,9 +22,7 @@
 
 use std::fmt::{self, Write as _};
 
-use ibsim_analysis::{
-    check_conservation, lint_capture, InvariantSnapshot, LintConfig, LintReport, RecoveryRules,
-};
+use ibsim_analysis::{check_conservation, lint_capture, LintConfig, LintReport};
 use ibsim_event::{Fnv1a, SimTime};
 use ibsim_fabric::{Capture, LossModel};
 use ibsim_verbs::{
@@ -443,7 +441,11 @@ pub fn run_scenario_plan(sc: &Scenario, mut plan: ShardPlan, opts: RunOptions) -
             let server = cl
                 .owns(w.server)
                 .then(|| collect_host(cl, sc, "S", w.server, &w.server_qpns, &w.smr));
-            let invariants = InvariantSnapshot::collect(cl, &[w.client, w.server], eng).total();
+            // The runtime invariants: illegal QP transitions on both
+            // hosts, and event pops that moved the clock backwards.
+            let invariants = cl.qp_stats_sum(w.client).invariant_violations
+                + cl.qp_stats_sum(w.server).invariant_violations
+                + eng.monotonicity_violations();
             let peak = eng.queue_stats().peak_depth;
             (client, server, invariants, cl.stats.total_packets, peak)
         },
@@ -468,10 +470,9 @@ pub fn run_scenario_plan(sc: &Scenario, mut plan: ShardPlan, opts: RunOptions) -
         telemetry.gauge_set("event.peak_depth", Labels::NONE, peak_depth as u64);
     }
 
-    // The justification rules come from the backend under test (see
-    // RecoveryRules).
+    // The justification rules come from the backend under test.
     let lint_cfg = LintConfig {
-        rules: RecoveryRules::for_kind(sc.recovery),
+        recovery: sc.recovery,
     };
     let mut lint = lint_capture(&ccol.capture, &lint_cfg);
     lint.merge(lint_capture(&scol.capture, &lint_cfg));
@@ -521,20 +522,13 @@ fn work_request(spec: WrSpec, id: u64, window: u64, cmr: &MrDesc, smr: &MrDesc) 
 fn loss_model(spec: &LossSpec) -> LossModel {
     match spec {
         LossSpec::None => LossModel::None,
-        LossSpec::Uniform { prob_milli, seed } => {
-            LossModel::uniform(*prob_milli as f64 / 1000.0, *seed)
-        }
+        LossSpec::Uniform { prob_milli, seed } => LossModel::uniform(*prob_milli, *seed),
         LossSpec::Burst {
             enter_milli,
             exit_milli,
             drop_milli,
             seed,
-        } => LossModel::burst_with(
-            *enter_milli as f64 / 1000.0,
-            *exit_milli as f64 / 1000.0,
-            *drop_milli as f64 / 1000.0,
-            *seed,
-        ),
+        } => LossModel::burst_with(*enter_milli, *exit_milli, *drop_milli, *seed),
         LossSpec::Nth(indices) => LossModel::nth(indices.clone()),
     }
 }

@@ -173,7 +173,7 @@ mod tests {
         t.fault_raised(0, 1, 0, SimTime::from_us(10));
         t.fault_service_begin(0, 1, 0, SimTime::from_us(20));
         t.fault_resolved(0, 1, 0, SimTime::from_us(500), &[3], 0);
-        t.wr_completed(0, 3, 1, SimTime::from_us(600));
+        t.wr_completed(0, 3, None, SimTime::from_us(600));
         t
     }
 

@@ -21,10 +21,9 @@
 //! `[host][qpn]` table, so a write is one lookup among a few dozen names
 //! plus two indexes, and an end-of-run snapshot
 //! ([`Registry::set_gauges`]) looks its family up once. Per-QP
-//! state-dwell and work-request clocks, and the span store's per-QP
-//! waiter counts, sit in dense `[host][qpn]` tables too. The exports of
-//! three seeded runs are pinned by hash, so none of this may move a
-//! byte.
+//! state-dwell clocks and the span store's per-QP waiter counts sit in
+//! dense `[host][qpn]` tables too. The exports of three seeded runs are
+//! pinned by hash, so none of this may move a byte.
 //!
 //! ## Zero perturbation
 //!
@@ -41,8 +40,6 @@
 mod export;
 mod registry;
 mod span;
-
-use std::collections::VecDeque;
 
 use ibsim_event::SimTime;
 
@@ -63,33 +60,26 @@ fn dwell_metric(state: &'static str) -> &'static str {
     }
 }
 
-/// The clocks the hub keeps for one QP.
-#[derive(Debug, Default)]
-struct QpClocks {
-    /// Current state and when it was entered; `None` until first sampled.
-    state: Option<(&'static str, SimTime)>,
-    /// `(wr_id, posted_at)` of in-flight work requests, oldest first.
-    posted: VecDeque<(u64, SimTime)>,
-}
-
 /// The observability hub threaded through the simulator.
 ///
 /// One `Telemetry` lives on the cluster; layers report into it through
 /// the methods below. Every method is a no-op while disabled, so the
 /// instrumented hot paths cost one branch when observability is off.
 ///
-/// Per-QP clocks live in a dense `[host][qpn]` table, grown to the
-/// largest id seen. That relies on host ids and QPNs being small dense
-/// integers, as the verbs crate hands them out (hosts from 0, QPNs from
-/// 1 on each host). An id past the InfiniBand id space (a host past the
-/// 16-bit LID range, a QPN past 24 bits) grows no table: its clocks,
+/// Per-QP dwell clocks live in a dense `[host][qpn]` table, grown to
+/// the largest id seen. That relies on host ids and QPNs being small
+/// dense integers, as the verbs crate hands them out (hosts from 0, QPNs
+/// from 1 on each host). An id past the InfiniBand id space (a host past
+/// the 16-bit LID range, a QPN past 24 bits) grows no table: its clocks,
 /// metric writes and span waits are ignored.
 #[derive(Debug, Default)]
 pub struct Telemetry {
     enabled: bool,
     registry: Registry,
     spans: SpanStore,
-    qps: Vec<Vec<QpClocks>>,
+    /// Each QP's current state and when it was entered; `None` until
+    /// first sampled.
+    dwell: Vec<Vec<Option<(&'static str, SimTime)>>>,
 }
 
 impl Telemetry {
@@ -182,35 +172,17 @@ impl Telemetry {
     // Work-request latency
     // ------------------------------------------------------------------
 
-    /// A work request was posted; starts its latency clock.
-    pub fn wr_posted(&mut self, host: u64, qpn: u32, wr_id: u64, now: SimTime) {
-        if !self.enabled {
-            return;
-        }
-        if let Some(clocks) = registry::dense_cell(&mut self.qps, host, qpn) {
-            clocks.posted.push_back((wr_id, now));
-        }
-    }
-
     /// A completion landed on the CQ: records post-to-completion latency
-    /// against the oldest in-flight post with its id (a receive
-    /// completion finds none) and lets any fault span waiting on this QP
-    /// check it off.
-    pub fn wr_completed(&mut self, host: u64, qpn: u32, wr_id: u64, now: SimTime) {
+    /// from `posted_at`, the work request's post time (`None` for a
+    /// receive, which has none), and lets any fault span waiting on this
+    /// QP check it off.
+    pub fn wr_completed(&mut self, host: u64, qpn: u32, posted_at: Option<SimTime>, now: SimTime) {
         if !self.enabled {
             return;
         }
         self.registry
             .counter_add("cq.completions", Labels::host_qp(host, qpn), 1);
-        let posted = self
-            .qps
-            .get_mut(host as usize)
-            .and_then(|row| row.get_mut(qpn as usize))
-            .and_then(|c| {
-                let at = c.posted.iter().position(|&(id, _)| id == wr_id)?;
-                c.posted.remove(at)
-            });
-        if let Some((_, posted)) = posted {
+        if let Some(posted) = posted_at {
             self.registry.observe(
                 "cq.wr_latency_ns",
                 Labels::host(host),
@@ -284,10 +256,10 @@ impl Telemetry {
         if !self.enabled {
             return;
         }
-        let Some(clocks) = registry::dense_cell(&mut self.qps, host, qpn) else {
+        let Some(clock) = registry::dense_cell(&mut self.dwell, host, qpn) else {
             return;
         };
-        let entry = clocks.state.get_or_insert((state, now));
+        let entry = clock.get_or_insert((state, now));
         if entry.0 != state {
             let (prev, since) = std::mem::replace(entry, (state, now));
             self.registry.counter_add(
@@ -304,9 +276,9 @@ impl Telemetry {
         if !self.enabled {
             return;
         }
-        for (host, row) in self.qps.iter_mut().enumerate() {
-            for (qpn, clocks) in row.iter_mut().enumerate() {
-                let Some((state, since)) = &mut clocks.state else {
+        for (host, row) in self.dwell.iter_mut().enumerate() {
+            for (qpn, clock) in row.iter_mut().enumerate() {
+                let Some((state, since)) = clock else {
                     continue;
                 };
                 self.registry.counter_add(
@@ -329,8 +301,8 @@ impl Telemetry {
     /// recompute), and closed spans concatenate. A disabled `other` is a
     /// no-op; absorbing into a disabled hub enables it.
     ///
-    /// Open-span and in-flight WR book-keeping is *not* merged — absorb
-    /// after the run has drained and dwell has been flushed.
+    /// Open spans are *not* merged — absorb after the run has drained
+    /// and dwell has been flushed.
     pub fn absorb(&mut self, other: &Telemetry) {
         if !other.enabled {
             return;
@@ -370,8 +342,7 @@ mod tests {
         tel.counter_add("a", Labels::NONE, 1);
         tel.observe("b", Labels::NONE, 1);
         tel.gauge_set("c", Labels::NONE, 1);
-        tel.wr_posted(0, 0, 0, t(0));
-        tel.wr_completed(0, 0, 0, t(1));
+        tel.wr_completed(0, 0, Some(t(0)), t(1));
         tel.fault_raised(0, 0, 0, t(0));
         tel.qp_state_sample(0, 0, "RTS", t(0));
         assert!(tel.registry().is_empty());
@@ -383,8 +354,7 @@ mod tests {
     fn wr_latency_is_post_to_completion() {
         let mut tel = Telemetry::new();
         tel.enable();
-        tel.wr_posted(1, 7, 42, t(100));
-        tel.wr_completed(1, 7, 42, t(350));
+        tel.wr_completed(1, 7, Some(t(100)), t(350));
         let h = tel
             .registry()
             .histogram("cq.wr_latency_ns", Labels::host(1))
@@ -402,17 +372,12 @@ mod tests {
     fn two_in_flight_wrs_with_one_id_get_a_sample_each() {
         let mut tel = Telemetry::new();
         tel.enable();
-        tel.wr_posted(0, 1, 7, t(10));
-        tel.wr_posted(0, 1, 7, t(20));
-        tel.wr_posted(0, 1, 8, t(30));
-        // Oldest first: the first completion of id 7 is the one posted
-        // at 10 µs; id 8's post does not stand in for either.
-        tel.wr_completed(0, 1, 7, t(50));
-        tel.wr_completed(0, 1, 7, t(100));
-        // A receive completion matches no post; neither does a QP the
-        // table has never seen.
-        tel.wr_completed(0, 1, 99, t(100));
-        tel.wr_completed(5, 40, 7, t(100));
+        // Each completion carries its own WR's post time, so two WRs
+        // sharing an id never trade clocks.
+        tel.wr_completed(0, 1, Some(t(10)), t(50));
+        tel.wr_completed(0, 1, Some(t(20)), t(100));
+        // A receive completion carries none and records no sample.
+        tel.wr_completed(0, 1, None, t(100));
         let h = tel
             .registry()
             .histogram("cq.wr_latency_ns", Labels::host(0))
@@ -430,12 +395,11 @@ mod tests {
         let mut tel = Telemetry::new();
         tel.enable();
         for (host, qpn) in [(0, u32::MAX), (0, 1 << 24), (1 << 16, 1), (u64::MAX, 0)] {
-            tel.wr_posted(host, qpn, 1, t(0));
             tel.qp_state_sample(host, qpn, "RTS", t(0));
-            tel.wr_completed(host, qpn, 1, t(5));
+            tel.wr_completed(host, qpn, None, t(5));
         }
         tel.flush_dwell(t(10));
-        assert!(tel.qps.is_empty());
+        assert!(tel.dwell.is_empty());
         assert!(tel.registry().is_empty());
     }
 
@@ -447,9 +411,8 @@ mod tests {
         tel.fault_service_begin(0, 2, 1, t(10));
         tel.fault_resolved(0, 2, 1, t(400), &[5, 6], 1);
         tel.resume_done(0, 2, 1, t(425));
-        tel.wr_posted(0, 5, 1, t(0));
-        tel.wr_completed(0, 5, 1, t(430));
-        tel.wr_completed(0, 6, 2, t(440));
+        tel.wr_completed(0, 5, Some(t(0)), t(430));
+        tel.wr_completed(0, 6, None, t(440));
         assert_eq!(tel.spans().len(), 1);
         let span = &tel.spans()[0];
         let stages = span.stages().expect("closed");

@@ -643,12 +643,6 @@ impl Cluster {
     /// [`CompareSwapWr`]: crate::wr::CompareSwapWr
     pub fn post(&mut self, eng: &mut Sim, host: HostId, qpn: Qpn, wr: impl Into<WorkRequest>) {
         let wr = wr.into();
-        // Only a QP that exists starts a latency clock: a post to one the
-        // host lacks is ignored below, telemetry on or off.
-        if self.telemetry.is_enabled() && self.nics[host.0].qp(qpn).is_some() {
-            self.telemetry
-                .wr_posted(host.0 as u64, qpn.0, wr.id.0, eng.now());
-        }
         self.with_qp(eng, host, qpn, move |qp, env, fx| qp.post(env, fx, wr));
     }
 
@@ -694,9 +688,9 @@ impl Cluster {
     // ------------------------------------------------------------------
 
     /// Posts `wr` on `host`'s `qpn` at `at`: the Fig. 3 loop's deferred
-    /// verb. Firing calls [`Cluster::post`], so telemetry stamps the post
-    /// at `at`. A sharded replica that does not own `host` schedules
-    /// nothing.
+    /// verb. Firing calls [`Cluster::post`], so the WR's post time, where
+    /// its latency sample starts, is `at`. A sharded replica that does not
+    /// own `host` schedules nothing.
     pub fn post_at(
         &self,
         eng: &mut Sim,
@@ -1163,9 +1157,9 @@ impl Cluster {
             self.transmit(eng, host, pkt);
         }
         let had_completions = !fx.completions.is_empty();
-        for c in fx.completions.drain(..) {
+        for (c, posted_at) in fx.completions.drain(..) {
             self.telemetry
-                .wr_completed(host.0 as u64, c.qpn.0, c.wr_id.0, c.at);
+                .wr_completed(host.0 as u64, c.qpn.0, posted_at, c.at);
             self.nics[host.0].push_completion(c);
         }
         if had_completions {
@@ -1714,6 +1708,7 @@ mod fanout_tests;
 mod tests {
     use super::*;
     use crate::types::Psn;
+    use crate::wr::WcOpcode;
 
     #[test]
     fn qp_stats_sum_includes_ecn_echoes() {
@@ -1856,5 +1851,61 @@ mod tests {
             .histogram("cq.wr_latency_ns", Labels::host(a.0 as u64))
             .expect("latency histogram");
         assert_eq!(h.count(), 2, "one sample per completion");
+    }
+
+    /// A receive completion sharing an id with an in-flight send on the
+    /// same QP must not take that send's clock: the latency sample
+    /// belongs to the READ, from its post to its own completion.
+    #[test]
+    fn a_receive_with_an_in_flight_reads_id_takes_no_latency_sample() {
+        let (mut eng, mut cl, hosts) = ClusterBuilder::new()
+            .telemetry(true)
+            .host("a", DeviceProfile::connectx4(LinkSpec::fdr()))
+            .host("b", DeviceProfile::connectx4(LinkSpec::fdr()))
+            .build();
+        let (a, b) = (hosts[0], hosts[1]);
+        // Server-side ODP: the READ faults at `b` and waits out the
+        // resolution and an RNR wait.
+        let remote = cl.alloc_mr(b, 4096, MrMode::Odp);
+        let local = cl.alloc_mr(a, 4096, MrMode::Pinned);
+        let src = cl.alloc_mr(b, 4096, MrMode::Pinned);
+        let (qa, qb) = cl.connect_pair(&mut eng, a, b, QpConfig::default());
+        cl.post(
+            &mut eng,
+            a,
+            qa,
+            crate::wr::ReadWr::new(local, remote).len(64).id(7),
+        );
+        cl.post_recv(
+            a,
+            qa,
+            RecvWr {
+                id: WrId(7),
+                mr: local.key,
+                offset: 1024,
+                max_len: 1024,
+            },
+        );
+        cl.post(&mut eng, b, qb, crate::wr::SendWr::new(src).len(16).id(1));
+        eng.run(&mut cl);
+        let cq = cl.poll_cq(a);
+        let at = |op| {
+            cq.iter()
+                .find(|c| c.opcode == op && c.status.is_success())
+                .map(|c| c.at)
+                .unwrap_or_else(|| panic!("no {op:?} completion: {cq:?}"))
+        };
+        let read_done = at(WcOpcode::Read);
+        assert!(at(WcOpcode::Recv) < read_done, "the receive lands first");
+        let h = cl
+            .telemetry()
+            .registry()
+            .histogram("cq.wr_latency_ns", Labels::host(a.0 as u64))
+            .expect("latency histogram");
+        assert_eq!(
+            (h.count(), h.sum()),
+            (1, read_done.as_ns()),
+            "one sample: the READ's, posted at 0"
+        );
     }
 }

@@ -112,8 +112,10 @@ impl TimerEffects {
 pub struct Effects {
     /// Packets to put on the wire, in order.
     pub packets: Vec<Packet>,
-    /// Completions to append to the host CQ.
-    pub completions: Vec<Completion>,
+    /// Completions to append to the host CQ, each beside its work
+    /// request's post time (`None` for a receive): the router's
+    /// post-to-completion latency sample.
+    pub completions: Vec<(Completion, Option<SimTime>)>,
     /// Timer arms and cancels, per family.
     pub timers: TimerEffects,
     /// Network page faults to hand to the driver.
@@ -122,10 +124,6 @@ pub struct Effects {
     pub fault_waits: Vec<(MrKey, usize)>,
     /// Driver interrupt work units generated (discarded duplicates).
     pub irqs: u32,
-    /// Pages pinned on first touch by the `OnDemandPin` recovery
-    /// backend's gates. Zero under every other backend, so the router's
-    /// lazily-created pin counter never perturbs golden telemetry.
-    pub pins: u32,
 }
 
 impl Effects {
@@ -147,7 +145,6 @@ impl Effects {
         self.faults.clear();
         self.fault_waits.clear();
         self.irqs = 0;
-        self.pins = 0;
     }
 
     /// True if the handler produced no effects.
@@ -158,7 +155,6 @@ impl Effects {
             && self.faults.is_empty()
             && self.fault_waits.is_empty()
             && self.irqs == 0
-            && self.pins == 0
     }
 }
 

@@ -271,7 +271,6 @@ pub(super) fn admit(
         if mr.page_state(p) != PageState::Mapped {
             mr.set_page_state(p, PageState::Mapped);
             stats.pages_pinned += 1;
-            fx.pins += 1;
         }
     }
     clear

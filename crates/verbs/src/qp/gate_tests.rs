@@ -194,10 +194,7 @@ mod legacy {
         if mr.mode() == MrMode::Odp && first_unmapped(mr, span.off, span.len.max(1)).is_some() {
             if kind.pins_on_first_touch() {
                 let pinned = pin_pages(mr, span.off, span.len);
-                if pinned > 0 {
-                    stats.pages_pinned += pinned as u64;
-                    fx.pins += pinned;
-                }
+                stats.pages_pinned += pinned as u64;
             } else {
                 let (pages, newly_faulted) =
                     collect_pendency_pages(mr, span.key, span.off, span.len, fx);
@@ -336,10 +333,7 @@ fn the_gate_equals_the_walks_it_replaced() {
             if old_mr.mode() == MrMode::Odp {
                 if pins {
                     let pinned = legacy::pin_pages(&mut old_mr, off, len.max(1));
-                    if pinned > 0 {
-                        old_stats.pages_pinned += pinned as u64;
-                        old_fx.pins += pinned;
-                    }
+                    old_stats.pages_pinned += pinned as u64;
                 } else {
                     let gate = legacy::gate_dest_pages(
                         &tracker,
@@ -379,10 +373,7 @@ fn the_gate_equals_the_walks_it_replaced() {
             if old_mr.mode() == MrMode::Odp {
                 if pins {
                     let pinned = legacy::pin_pages(&mut old_mr, off, len);
-                    if pinned > 0 {
-                        old_stats.pages_pinned += pinned as u64;
-                        old_fx.pins += pinned;
-                    }
+                    old_stats.pages_pinned += pinned as u64;
                 } else if legacy::first_unmapped(&old_mr, off, len).is_some() {
                     let (blocked, faulted) =
                         legacy::fault_source_pages(&mut old_mr, KEY, off, len, &mut old_fx);
@@ -732,7 +723,6 @@ fn responder_admission_table() {
             let pinned = cell == Cell::Unmapped(RecoveryKind::OnDemandPin);
             let want_pins = if pinned { pages as u64 } else { 0 };
             assert_eq!(resp.stats.gate.pages_pinned, want_pins, "{what}");
-            assert_eq!(u64::from(fx.pins), want_pins, "{what}");
             assert_eq!(
                 fx.completions.len(),
                 usize::from(op == 3 && executed),

@@ -214,14 +214,15 @@ impl Requester {
             Some(WcStatus::LocalProtErr)
         };
         if let Some(status) = refused {
-            fx.completions.push(Completion {
+            let c = Completion {
                 wr_id: wr.id,
                 qpn: ctx.qpn,
                 status,
                 opcode: wr.op.wc_opcode(),
                 bytes: 0,
                 at: env.now,
-            });
+            };
+            fx.completions.push((c, Some(env.now)));
             return;
         }
         let span = wr.op.psn_span(ctx.cfg.mtu);
@@ -234,6 +235,7 @@ impl Requester {
         let wqe = SendWqe {
             id: wr.id,
             op: wr.op,
+            posted_at: env.now,
             psn_first: self.next_psn,
             psn_last: self.next_psn.add(span - 1),
             req_packets,
@@ -242,7 +244,7 @@ impl Requester {
             recv_segments: 0,
             acked: false,
             ghosted: false,
-            first_tx: None,
+            first_tx: SimTime::ZERO,
         };
         self.next_psn = self.next_psn.add(span);
         self.sq.push_back(wqe);
@@ -291,7 +293,7 @@ impl Requester {
                 }
                 let seg = wqe.sent_segments;
                 if seg == 0 {
-                    wqe.first_tx = Some(env.now);
+                    wqe.first_tx = env.now;
                     if ghost_window {
                         wqe.ghosted = true;
                     }
@@ -504,26 +506,22 @@ impl Requester {
         self.ack_cursor = 0;
         self.outstanding_rd = 0;
         while let Some(wqe) = self.sq.pop_front() {
-            if wqe.is_done() {
-                fx.completions.push(Completion {
-                    wr_id: wqe.id,
-                    qpn: ctx.qpn,
-                    status: WcStatus::Success,
-                    opcode: wqe.op.wc_opcode(),
-                    bytes: wqe.op.len(),
-                    at: env.now,
-                });
-                continue;
-            }
-            fx.completions.push(Completion {
+            let (status, bytes) = if wqe.is_done() {
+                (WcStatus::Success, wqe.op.len())
+            } else if std::mem::take(&mut first) {
+                (status, 0)
+            } else {
+                (WcStatus::WrFlushErr, 0)
+            };
+            let c = Completion {
                 wr_id: wqe.id,
                 qpn: ctx.qpn,
-                status: if first { status } else { WcStatus::WrFlushErr },
+                status,
                 opcode: wqe.op.wc_opcode(),
-                bytes: 0,
+                bytes,
                 at: env.now,
-            });
-            first = false;
+            };
+            fx.completions.push((c, Some(wqe.posted_at)));
         }
         for s in &self.recovery.stalls {
             fx.timers.cancel_stalls.push(s.psn);

@@ -80,14 +80,15 @@ impl Requester {
                 fx.timers.cancel_stalls.push(wqe.psn_first);
                 self.recovery.stalls.retain(|s| s.psn != wqe.psn_first);
             }
-            fx.completions.push(Completion {
+            let c = Completion {
                 wr_id: wqe.id,
                 qpn: ctx.qpn,
                 status: WcStatus::Success,
                 opcode: wqe.op.wc_opcode(),
                 bytes: wqe.op.len(),
                 at: env.now,
-            });
+            };
+            fx.completions.push((c, Some(wqe.posted_at)));
         }
         // Everything before the new head is retired: the backend may
         // prune its loss-tracking state (the SACK bitmap stays bounded
@@ -277,10 +278,8 @@ impl Requester {
                         .range_mut(nak_idx + 1..)
                         .take_while(|w| w.sent_segments > 0);
                     for wqe in successors.filter(|w| !w.is_done()) {
-                        if let Some(tx) = wqe.first_tx {
-                            if env.now.saturating_sub(tx) <= lookback {
-                                wqe.ghosted = true;
-                            }
+                        if env.now.saturating_sub(wqe.first_tx) <= lookback {
+                            wqe.ghosted = true;
                         }
                     }
                 }

@@ -352,14 +352,15 @@ impl Responder {
         if seg.is_final() {
             self.send_ack(ctx, fx, psn);
             self.rq.pop_front();
-            fx.completions.push(Completion {
+            let c = Completion {
                 wr_id,
                 qpn: ctx.qpn,
                 status: WcStatus::Success,
                 opcode: WcOpcode::Recv,
                 bytes: self.rq_written,
                 at: env.now,
-            });
+            };
+            fx.completions.push((c, None));
             self.rq_written = 0;
         }
     }

@@ -561,6 +561,8 @@ pub struct Completion {
 pub(crate) struct SendWqe {
     pub id: WrId,
     pub op: WrOp,
+    /// When the application posted it: the start of its latency sample.
+    pub posted_at: SimTime,
     /// First PSN of the message.
     pub psn_first: Psn,
     /// Last PSN of the message (inclusive).
@@ -579,8 +581,9 @@ pub(crate) struct SendWqe {
     /// window, so recovery retransmissions skip it and the wire never saw
     /// it (see `DeviceProfile::damming`).
     pub ghosted: bool,
-    /// Time of first transmission of the first segment.
-    pub first_tx: Option<SimTime>,
+    /// Time of first transmission of the first segment; meaningful once
+    /// `sent_segments > 0`.
+    pub first_tx: SimTime,
 }
 
 impl SendWqe {
@@ -606,6 +609,7 @@ impl SendWqe {
     pub(crate) fn read_for_test(first: Psn, span: u32, sent: bool, done: bool) -> SendWqe {
         SendWqe {
             id: WrId(u64::from(first.value())),
+            posted_at: SimTime::ZERO,
             op: WrOp::Read {
                 local_mr: MrKey(1),
                 local_off: 0,
@@ -621,7 +625,7 @@ impl SendWqe {
             recv_segments: if done { span } else { 0 },
             acked: false,
             ghosted: false,
-            first_tx: None,
+            first_tx: SimTime::ZERO,
         }
     }
 }

@@ -46,6 +46,21 @@ fn reconnecting_a_live_qp_is_one_illegal_transition() {
 }
 
 #[test]
+fn reconnecting_a_live_qp_is_counted_in_a_default_build() {
+    // connect_pair walked both QPs to Rts; pointing one at a LID again
+    // makes exactly one illegal hop (Rts -> Init), counted on its host.
+    let mut eng = Engine::new();
+    let mut cl = Cluster::new(1);
+    let a = cl.add_host("client", DeviceProfile::connectx4(LinkSpec::fdr()));
+    let b = cl.add_host("server", DeviceProfile::connectx4(LinkSpec::fdr()));
+    let (qa, qb) = cl.connect_pair(&mut eng, a, b, QpConfig::default());
+    cl.connect_to_lid(a, qa, cl.lid(b), qb);
+    assert_eq!(cl.qp_stats_sum(a).invariant_violations, 1);
+    assert_eq!(cl.qp_stats_sum(b).invariant_violations, 0);
+    assert_eq!(eng.monotonicity_violations(), 0);
+}
+
+#[test]
 fn transition_legality_table() {
     use QpState::*;
     // The spine of the RC lifecycle.

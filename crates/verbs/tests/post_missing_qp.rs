@@ -1,5 +1,5 @@
 //! A post to a QP the host does not have is ignored, with telemetry on
-//! as with it off: it starts no latency clock and grows no table. (Its
+//! as with it off: it records nothing and grows no table. (Its
 //! own binary: the hub once grew its per-QP clock table to the QPN, and
 //! for `u32::MAX` that allocation aborts the process, not the test.)
 

@@ -118,7 +118,7 @@ fn responder_executes_in_order_and_advances_epsn() {
     let mut cout = Effects::new();
     cqp.on_packet(&mut client.env(SimTime::from_us(2)), &mut cout, &resp);
     assert_eq!(cout.completions.len(), 1);
-    assert_eq!(cout.completions[0].status, WcStatus::Success);
+    assert_eq!(cout.completions[0].0.status, WcStatus::Success);
     assert_eq!(qp_pending(&cqp), 0);
 }
 
@@ -261,8 +261,8 @@ fn responder_rnr_naks_send_without_recv_and_recovers() {
     sqp.on_packet(&mut server.env(SimTime::from_ms(1)), &mut out2, &send_pkt);
     assert!(matches!(out2.packets[0].kind, PacketKind::Ack));
     assert_eq!(out2.completions.len(), 1);
-    assert_eq!(out2.completions[0].wr_id, WrId(50));
-    assert_eq!(out2.completions[0].bytes, 5);
+    assert_eq!(out2.completions[0].0.wr_id, WrId(50));
+    assert_eq!(out2.completions[0].0.bytes, 5);
 }
 
 #[test]
@@ -520,8 +520,8 @@ fn retry_exhaustion_errors_out_and_flushes() {
     let mut out3 = Effects::new();
     cqp.on_ack_timeout(&mut client.env(SimTime::from_secs(2)), &mut out3);
     assert_eq!(out3.completions.len(), 2);
-    assert_eq!(out3.completions[0].status, WcStatus::RetryExcErr);
-    assert_eq!(out3.completions[1].status, WcStatus::WrFlushErr);
+    assert_eq!(out3.completions[0].0.status, WcStatus::RetryExcErr);
+    assert_eq!(out3.completions[1].0.status, WcStatus::WrFlushErr);
     assert_eq!(cqp.state(), ibsim_verbs::QpState::Error);
     // Posting afterwards flushes immediately.
     let mut out4 = Effects::new();
@@ -530,7 +530,7 @@ fn retry_exhaustion_errors_out_and_flushes() {
         &mut out4,
         read_wr(3, local, MrKey(7), 32),
     );
-    assert_eq!(out4.completions[0].status, WcStatus::WrFlushErr);
+    assert_eq!(out4.completions[0].0.status, WcStatus::WrFlushErr);
 }
 
 #[test]

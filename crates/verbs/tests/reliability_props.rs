@@ -38,7 +38,7 @@ fn reads_survive_uniform_loss() {
         let payload: Vec<u8> = (0..(n_ops * 128) as u32).map(|i| (i % 251) as u8).collect();
         cl.mem_write(b, remote.base, &payload);
         cl.fabric
-            .set_loss(LossModel::uniform(loss_pct as f64 / 100.0, seed ^ 0xABCD));
+            .set_loss(LossModel::uniform(loss_pct * 10, seed ^ 0xABCD));
         // A deep retry budget: with C_retry = 7 a ~23% loss rate can
         // legitimately exhaust the transport retries (0.4^8 ≈ 1e-3 per
         // message), which is not what this property is about.

@@ -173,6 +173,41 @@ fn send_without_recv_waits_for_rnr_then_completes() {
     assert_eq!(cl.mem_read(b, dst.base, 9), b"late recv");
 }
 
+/// IBTA 9.7.5.2.8: `rnr_retry` counts retries, so a budget of 2 allows
+/// three attempts. The third RNR NAK exhausts it: the SEND completes
+/// `IBV_WC_RNR_RETRY_EXC_ERR`, the QP errors, and every later WR is
+/// flushed, whether it was queued behind the SEND or posted afterwards.
+#[test]
+fn rnr_retry_exhaustion_errors_the_send_and_flushes_the_rest() {
+    let (mut eng, mut cl, a, b) =
+        two_hosts(DeviceProfile::connectx4(ibsim_fabric::LinkSpec::fdr()));
+    let src = cl.alloc_mr(a, 4096, MrMode::Pinned);
+    let dst = cl.alloc_mr(b, 4096, MrMode::Pinned);
+    let cfg = QpConfig {
+        rnr_retry: 2,
+        ..QpConfig::default()
+    };
+    // No receive is ever posted on `b`.
+    let (qa, _) = cl.connect_pair(&mut eng, a, b, cfg);
+    cl.post(&mut eng, a, qa, SendWr::new(src.key).len(9).id(1));
+    cl.post(&mut eng, a, qa, WriteWr::new(src.key, dst.key).len(9).id(2));
+    eng.run(&mut cl);
+    assert_eq!(cl.qp_stats_sum(a).rnr_naks_received, 3);
+    assert_eq!(cl.qp_stats_sum(b).rnr_naks_sent, 3);
+    assert_eq!(cl.nic(a).qp(qa).map(|q| q.state()), Some(QpState::Error));
+    cl.post(&mut eng, a, qa, SendWr::new(src.key).len(9).id(3));
+    eng.run(&mut cl);
+    let statuses: Vec<_> = cl.poll_cq(a).iter().map(|c| (c.wr_id, c.status)).collect();
+    assert_eq!(
+        statuses,
+        [
+            (WrId(1), WcStatus::RnrRetryExcErr),
+            (WrId(2), WcStatus::WrFlushErr),
+            (WrId(3), WcStatus::WrFlushErr),
+        ]
+    );
+}
+
 #[test]
 fn many_sequential_reads_complete_in_order() {
     let (mut eng, mut cl, a, b) =
