@@ -7,12 +7,14 @@
 
 #![expect(
     clippy::float_arithmetic,
-    reason = "the `SimTime` float constructors and accessors, which every other crate converts through, and `Display` at a tie or from 2^53 ns"
+    reason = "the `SimTime` float constructors and accessors, which every other crate converts through"
 )]
 
 use core::fmt;
 use core::iter::Sum;
 use core::ops::{Add, AddAssign, Div, Mul, Sub, SubAssign};
+
+use crate::{Line, Render};
 
 /// A point on the simulated clock, in nanoseconds since simulation start.
 ///
@@ -186,113 +188,17 @@ impl Sum for SimTime {
     }
 }
 
+impl Render for SimTime {
+    fn render(&self, out: &mut Line) {
+        out.time(*self);
+    }
+}
+
 impl fmt::Display for SimTime {
-    /// Formats with the most natural unit — `ns`, `us`, `ms` or `s` — and
-    /// up to three decimals, trailing zeros trimmed: `4.096us`, `1.5s`.
-    /// Width, fill and alignment apply to the whole text (`{t:>12}`).
-    ///
-    /// The text is defined as `{:.3}` of the `f64` quotient `ns / scale`,
-    /// trimmed; it is computed in integers. The exact quotient lies on a
-    /// rounding boundary (a tie: the remainder below one thousandth of
-    /// the unit is exactly half of one) or at least `1 / scale` from
-    /// every boundary. The correctly rounded `f64` quotient lies within
-    /// half an ulp of it: at most 2^-44 for `ms` (quotient below 2^10)
-    /// and 2^-30 for `s` below 2^53 ns (quotient below 2^24), both under
-    /// `1 / scale`. So off a tie both round to the same thousandth, and
-    /// `{:.3}` prints that thousandth exactly. Ties, and counts of 2^53 ns
-    /// and up (whose conversion to `f64` itself rounds), keep the float.
+    /// [`Line::time`]'s text. Width, fill and alignment apply to the
+    /// whole text (`{t:>12}`).
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        use fmt::Write as _;
-        let ns = self.0;
-        let mut text = Text {
-            buf: [0; 24],
-            len: 0,
-        };
-        let unit = if ns < 1_000 {
-            text.push_int(ns);
-            "ns"
-        } else {
-            let (scale, unit) = if ns < 1_000_000 {
-                (1_000, "us")
-            } else if ns < 1_000_000_000 {
-                (1_000_000, "ms")
-            } else {
-                (1_000_000_000, "s")
-            };
-            let tick = scale / 1_000;
-            let rem = ns % tick;
-            if 2 * rem == tick || ns >= 1 << 53 {
-                write!(text, "{:.3}", ns as f64 / scale as f64)?;
-            } else {
-                let thousandths = ns / tick + u64::from(2 * rem > tick);
-                text.push_int(thousandths / 1_000);
-                let frac = thousandths % 1_000;
-                let digit = |d: u64| b'0' + d as u8;
-                text.push(&[
-                    b'.',
-                    digit(frac / 100),
-                    digit(frac / 10 % 10),
-                    digit(frac % 10),
-                ]);
-            }
-            text.trim_zeros();
-            unit
-        };
-        text.push(unit.as_bytes());
-        f.pad(text.as_str())
-    }
-}
-
-/// [`SimTime`]'s rendering, on the stack. The longest form is
-/// `18446744073.71s` ([`SimTime::MAX`]), 15 bytes.
-struct Text {
-    buf: [u8; 24],
-    len: usize,
-}
-
-impl Text {
-    fn push(&mut self, bytes: &[u8]) {
-        self.buf[self.len..self.len + bytes.len()].copy_from_slice(bytes);
-        self.len += bytes.len();
-    }
-
-    fn push_int(&mut self, mut n: u64) {
-        let mut digits = [0u8; 20];
-        let mut at = digits.len();
-        loop {
-            at -= 1;
-            digits[at] = b'0' + (n % 10) as u8;
-            n /= 10;
-            if n == 0 {
-                break;
-            }
-        }
-        self.push(&digits[at..]);
-    }
-
-    /// Drops a fraction's trailing zeros, then a bare decimal point.
-    fn trim_zeros(&mut self) {
-        while self.len > 0 && self.buf[self.len - 1] == b'0' {
-            self.len -= 1;
-        }
-        if self.len > 0 && self.buf[self.len - 1] == b'.' {
-            self.len -= 1;
-        }
-    }
-
-    fn as_str(&self) -> &str {
-        // Only ASCII digits, `.` and unit letters are ever pushed.
-        core::str::from_utf8(&self.buf[..self.len]).unwrap_or_default()
-    }
-}
-
-impl fmt::Write for Text {
-    fn write_str(&mut self, s: &str) -> fmt::Result {
-        if self.len + s.len() > self.buf.len() {
-            return Err(fmt::Error);
-        }
-        self.push(s.as_bytes());
-        Ok(())
+        Line::pad(self, f)
     }
 }
 
@@ -421,6 +327,25 @@ mod tests {
             let ties = (0..1_000).map(|k| q * 1_000_000_000 + k * 1_000_000 + 500_000);
             assert_display_matches(ties.flat_map(|t| [t - 1, t, t + 1]));
         }
+    }
+
+    /// Seeded ties over the whole `ms` and `s` ranges below 2^53 ns.
+    #[test]
+    fn display_matches_the_float_formula_at_random_ties() {
+        let mut rng = crate::SplitMix64::new(0x71e5);
+        let ties: Vec<u64> = (0..200_000)
+            .map(|_| {
+                // `m` whole thousandths of the unit, then half of one.
+                let (tick, limit) = if rng.next_below(2) == 0 {
+                    (1_000, 1_000_000)
+                } else {
+                    (1_000_000, (1 << 53) / 1_000_000)
+                };
+                let m = 1_000 + rng.next_below(limit - 1_000);
+                m * tick + tick / 2
+            })
+            .collect();
+        assert_display_matches(ties);
     }
 
     /// Just below a second the rounded thousandth carries into the

@@ -12,7 +12,7 @@
 
 use std::fmt;
 
-use ibsim_event::SimTime;
+use ibsim_event::{Line, Render, SimTime};
 
 use crate::topology::Lid;
 
@@ -25,12 +25,24 @@ pub enum Direction {
     Rx,
 }
 
+impl Direction {
+    fn name(self) -> &'static str {
+        match self {
+            Direction::Tx => "TX",
+            Direction::Rx => "RX",
+        }
+    }
+}
+
+impl Render for Direction {
+    fn render(&self, out: &mut Line) {
+        out.push(self.name().as_bytes());
+    }
+}
+
 impl fmt::Display for Direction {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            Direction::Tx => write!(f, "TX"),
-            Direction::Rx => write!(f, "RX"),
-        }
+        f.pad(self.name())
     }
 }
 
@@ -225,7 +237,7 @@ impl<'a, P> IntoIterator for &'a Capture<P> {
     }
 }
 
-impl<P: fmt::Display> Capture<P> {
+impl<P: Render> Capture<P> {
     /// Renders the capture as an `ibdump`-like text timeline.
     pub fn timeline(&self) -> String {
         let mut out = String::new();
@@ -250,13 +262,18 @@ impl<P: fmt::Display> Capture<P> {
     /// assert_eq!(cap.timeline(), "     4.096us  TX  lid1 -> lid2     64B  READ req\n");
     /// ```
     pub fn write_timeline(&self, out: &mut impl fmt::Write) -> fmt::Result {
+        let mut line = Line::new();
         for r in &self.records {
-            let drop_mark = if r.dropped { "  [LOST IN FABRIC]" } else { "" };
-            writeln!(
-                out,
-                "{:>12}  {}  {} -> {}  {:>5}B  {}{drop_mark}",
-                r.time, r.direction, r.src, r.dst, r.bytes, r.payload
-            )?;
+            line.clear().time(r.time).pad_left(0, 12);
+            line.push(b"  ").put(&r.direction).push(b"  ");
+            line.put(&r.src).push(b" -> ").put(&r.dst).push(b"  ");
+            let at = line.len();
+            line.uint(u64::from(r.bytes)).pad_left(at, 5).push(b"B  ");
+            line.put(&r.payload);
+            if r.dropped {
+                line.push(b"  [LOST IN FABRIC]");
+            }
+            out.write_str(line.push(b"\n").as_str())?;
         }
         Ok(())
     }

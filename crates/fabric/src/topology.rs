@@ -2,7 +2,7 @@
 
 use std::fmt;
 
-use ibsim_event::SimTime;
+use ibsim_event::{Line, Render, SimTime};
 
 use crate::loss::LossModel;
 use crate::routing::{DirectedLink, RouteNode, SwitchId, TopologyKind};
@@ -24,9 +24,15 @@ impl Lid {
     }
 }
 
+impl Render for Lid {
+    fn render(&self, out: &mut Line) {
+        out.push(b"lid").uint(u64::from(self.0));
+    }
+}
+
 impl fmt::Display for Lid {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "lid{}", self.0)
+        Line::pad(self, f)
     }
 }
 

@@ -20,10 +20,10 @@
 //! a spec facet: observation does not perturb a run, so every option
 //! simulates the same trace.
 
-use std::fmt::{self, Write as _};
+use std::fmt;
 
 use ibsim_analysis::{check_conservation, lint_capture, LintConfig, LintReport};
-use ibsim_event::{Fnv1a, SimTime};
+use ibsim_event::{Fnv1a, Line, SimTime};
 use ibsim_fabric::{Capture, LossModel};
 use ibsim_verbs::{
     run_plan, Cluster, ClusterBuilder, CompareSwapWr, Completion, FetchAddWr, HostId, Labels,
@@ -348,17 +348,9 @@ fn collect_host(
     let mut comps = vec![Vec::new(); sc.qps];
     let mut stray = 0usize;
     let mut comp_log = String::new();
+    let mut line = Line::new();
     for comp in cl.poll_cq(host) {
-        let _ = writeln!(
-            comp_log,
-            "{tag} qp={} id={} st={} op={} b={} t={}",
-            comp.qpn.0,
-            comp.wr_id.0,
-            comp.status,
-            comp.opcode,
-            comp.bytes,
-            comp.at.as_ns()
-        );
+        comp_log.push_str(comp_line(&mut line, tag, &comp));
         match qpns.iter().position(|&q| q == comp.qpn) {
             Some(i) => comps[i].push(comp),
             None => stray += 1,
@@ -373,6 +365,18 @@ fn collect_host(
         stats: cl.qp_stats_sum(host),
         capture: cl.take_capture(host),
     }
+}
+
+/// One completion-log line: `{tag} qp=… id=… st=… op=… b=… t=…`.
+fn comp_line<'l>(line: &'l mut Line, tag: &str, comp: &Completion) -> &'l str {
+    line.clear().push(tag.as_bytes());
+    line.push(b" qp=").uint(u64::from(comp.qpn.0));
+    line.push(b" id=").uint(comp.wr_id.0);
+    line.push(b" st=").put(&comp.status);
+    line.push(b" op=").put(&comp.opcode);
+    line.push(b" b=").uint(u64::from(comp.bytes));
+    line.push(b" t=").uint(comp.at.as_ns());
+    line.push(b"\n").as_str()
 }
 
 /// Runs one scenario to completion under [`ShardPlan::pair`] of
@@ -537,6 +541,54 @@ fn loss_model(spec: &LossSpec) -> LossModel {
 mod tests {
     use super::*;
     use crate::spec::{FaultEvent, LossPhase, Scenario};
+
+    /// Every status and opcode, seeded ids, sizes and times: each line is
+    /// the `writeln!` text the log was built with, names kept verbatim.
+    #[test]
+    fn completion_lines_match_the_format_text() {
+        use ibsim_verbs::{WcOpcode, WcStatus};
+        let statuses = [
+            (WcStatus::Success, "IBV_WC_SUCCESS"),
+            (WcStatus::RetryExcErr, "IBV_WC_RETRY_EXC_ERR"),
+            (WcStatus::RnrRetryExcErr, "IBV_WC_RNR_RETRY_EXC_ERR"),
+            (WcStatus::RemoteAccessErr, "IBV_WC_REM_ACCESS_ERR"),
+            (WcStatus::WrFlushErr, "IBV_WC_WR_FLUSH_ERR"),
+            (WcStatus::LocalProtErr, "IBV_WC_LOC_PROT_ERR"),
+        ];
+        let opcodes = [
+            (WcOpcode::Read, "READ"),
+            (WcOpcode::Write, "WRITE"),
+            (WcOpcode::Send, "SEND"),
+            (WcOpcode::Recv, "RECV"),
+            (WcOpcode::FetchAdd, "FETCH_ADD"),
+            (WcOpcode::CompareSwap, "CMP_SWAP"),
+        ];
+        let mut rng = ibsim_event::SplitMix64::new(0xc0_1e);
+        let mut spread = || rng.next_u64() >> (rng.next_u64() % 64);
+        let mut line = Line::new();
+        for (status, st) in statuses {
+            for (opcode, op) in opcodes {
+                for tag in ["C", "S"] {
+                    let comp = Completion {
+                        wr_id: WrId(spread()),
+                        qpn: Qpn(spread() as u32),
+                        status,
+                        opcode,
+                        bytes: spread() as u32,
+                        at: SimTime::from_ns(spread()),
+                    };
+                    let old = format!(
+                        "{tag} qp={} id={} st={st} op={op} b={} t={}\n",
+                        comp.qpn.0,
+                        comp.wr_id.0,
+                        comp.bytes,
+                        comp.at.as_ns()
+                    );
+                    assert_eq!(comp_line(&mut line, tag, &comp), old);
+                }
+            }
+        }
+    }
 
     #[test]
     fn identical_scenarios_hash_identically() {

@@ -10,6 +10,7 @@ use core::fmt;
 
 use crate::mem::Payload;
 use crate::types::{MrKey, Psn, Qpn, AETH_BYTES, ATOMIC_ETH_BYTES, BASE_HEADER_BYTES, RETH_BYTES};
+use ibsim_event::{Line, Render};
 use ibsim_fabric::Lid;
 
 /// Position of a packet within a segmented message.
@@ -44,12 +45,12 @@ impl SegPos {
 
 impl fmt::Display for SegPos {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            SegPos::Only => write!(f, "ONLY"),
-            SegPos::First => write!(f, "FIRST"),
-            SegPos::Middle => write!(f, "MID"),
-            SegPos::Last => write!(f, "LAST"),
-        }
+        f.pad(match self {
+            SegPos::Only => "ONLY",
+            SegPos::First => "FIRST",
+            SegPos::Middle => "MID",
+            SegPos::Last => "LAST",
+        })
     }
 }
 
@@ -70,13 +71,19 @@ pub enum NakKind {
     RemoteAccess,
 }
 
+impl Render for NakKind {
+    fn render(&self, out: &mut Line) {
+        match self {
+            NakKind::Rnr { delay } => out.push(b"RNR(").time(*delay).push(b")"),
+            NakKind::SequenceError { epsn } => out.push(b"SEQ_ERR(exp ").put(epsn).push(b")"),
+            NakKind::RemoteAccess => out.push(b"REM_ACCESS_ERR"),
+        };
+    }
+}
+
 impl fmt::Display for NakKind {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            NakKind::Rnr { delay } => write!(f, "RNR({delay})"),
-            NakKind::SequenceError { epsn } => write!(f, "SEQ_ERR(exp {epsn})"),
-            NakKind::RemoteAccess => write!(f, "REM_ACCESS_ERR"),
-        }
+        Line::pad(self, f)
     }
 }
 
@@ -97,6 +104,30 @@ pub enum AtomicOp {
         swap: u64,
     },
 }
+
+/// Every opcode mnemonic, in byte order, at its [`PacketKind::opcode_id`].
+const OPCODES: [&str; 20] = [
+    "ACK",
+    "ATOMIC_ACK",
+    "CMP_SWAP",
+    "FETCH_ADD",
+    "NAK_REM_ACCESS",
+    "NAK_SEQ_ERR",
+    "RDMA_READ_REQ",
+    "RDMA_READ_RESP_FIRST",
+    "RDMA_READ_RESP_LAST",
+    "RDMA_READ_RESP_MID",
+    "RDMA_READ_RESP_ONLY",
+    "RDMA_WRITE_FIRST",
+    "RDMA_WRITE_LAST",
+    "RDMA_WRITE_MID",
+    "RDMA_WRITE_ONLY",
+    "RNR_NAK",
+    "SEND_FIRST",
+    "SEND_LAST",
+    "SEND_MID",
+    "SEND_ONLY",
+];
 
 /// Transport-level content of a packet.
 #[derive(Debug, Clone, PartialEq)]
@@ -169,39 +200,38 @@ pub enum PacketKind {
 impl PacketKind {
     /// Short opcode mnemonic, as a capture tool would print.
     pub fn opcode(&self) -> &'static str {
+        OPCODES[usize::from(self.opcode_id())]
+    }
+
+    /// The opcode as a small integer: its mnemonic's index among all
+    /// mnemonics in byte order, so ids compare as [`PacketKind::opcode`]
+    /// names do.
+    pub fn opcode_id(&self) -> u8 {
+        // Segment names in byte order: FIRST, LAST, MID, ONLY.
+        let seg = |s: &SegPos| match s {
+            SegPos::First => 0,
+            SegPos::Last => 1,
+            SegPos::Middle => 2,
+            SegPos::Only => 3,
+        };
         match self {
-            PacketKind::ReadRequest { .. } => "RDMA_READ_REQ",
-            PacketKind::ReadResponse { seg, .. } => match seg {
-                SegPos::Only => "RDMA_READ_RESP_ONLY",
-                SegPos::First => "RDMA_READ_RESP_FIRST",
-                SegPos::Middle => "RDMA_READ_RESP_MID",
-                SegPos::Last => "RDMA_READ_RESP_LAST",
-            },
-            PacketKind::WriteRequest { seg, .. } => match seg {
-                SegPos::Only => "RDMA_WRITE_ONLY",
-                SegPos::First => "RDMA_WRITE_FIRST",
-                SegPos::Middle => "RDMA_WRITE_MID",
-                SegPos::Last => "RDMA_WRITE_LAST",
-            },
-            PacketKind::Send { seg, .. } => match seg {
-                SegPos::Only => "SEND_ONLY",
-                SegPos::First => "SEND_FIRST",
-                SegPos::Middle => "SEND_MID",
-                SegPos::Last => "SEND_LAST",
-            },
-            PacketKind::AtomicRequest {
-                op: AtomicOp::FetchAdd { .. },
-                ..
-            } => "FETCH_ADD",
+            PacketKind::Ack => 0,
+            PacketKind::AtomicResponse { .. } => 1,
             PacketKind::AtomicRequest {
                 op: AtomicOp::CompareSwap { .. },
                 ..
-            } => "CMP_SWAP",
-            PacketKind::AtomicResponse { .. } => "ATOMIC_ACK",
-            PacketKind::Ack => "ACK",
-            PacketKind::Nak(NakKind::Rnr { .. }) => "RNR_NAK",
-            PacketKind::Nak(NakKind::SequenceError { .. }) => "NAK_SEQ_ERR",
-            PacketKind::Nak(NakKind::RemoteAccess) => "NAK_REM_ACCESS",
+            } => 2,
+            PacketKind::AtomicRequest {
+                op: AtomicOp::FetchAdd { .. },
+                ..
+            } => 3,
+            PacketKind::Nak(NakKind::RemoteAccess) => 4,
+            PacketKind::Nak(NakKind::SequenceError { .. }) => 5,
+            PacketKind::ReadRequest { .. } => 6,
+            PacketKind::ReadResponse { seg: s, .. } => 7 + seg(s),
+            PacketKind::WriteRequest { seg: s, .. } => 11 + seg(s),
+            PacketKind::Nak(NakKind::Rnr { .. }) => 15,
+            PacketKind::Send { seg: s, .. } => 16 + seg(s),
         }
     }
 
@@ -267,42 +297,62 @@ impl Packet {
     }
 }
 
-impl fmt::Display for Packet {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{} {}", self.kind.opcode(), self.psn)?;
+impl Render for Packet {
+    fn render(&self, out: &mut Line) {
+        out.push(self.kind.opcode().as_bytes())
+            .push(b" ")
+            .put(&self.psn);
         match &self.kind {
             PacketKind::ReadRequest { addr, len, .. } => {
-                write!(f, " addr=0x{addr:x} len={len}")?;
+                out.push(b" addr=0x").hex(*addr);
+                out.push(b" len=").uint(u64::from(*len));
             }
             PacketKind::ReadResponse { req_psn, data, .. } => {
-                write!(f, " req={req_psn} len={}", data.len())?;
+                out.push(b" req=").put(req_psn);
+                out.push(b" len=").uint(data.len() as u64);
             }
             PacketKind::WriteRequest { addr, data, .. } => {
-                write!(f, " addr=0x{addr:x} len={}", data.len())?;
+                out.push(b" addr=0x").hex(*addr);
+                out.push(b" len=").uint(data.len() as u64);
             }
-            PacketKind::Send { data, .. } => write!(f, " len={}", data.len())?,
-            PacketKind::AtomicRequest { op, addr, .. } => match op {
-                AtomicOp::FetchAdd { add } => write!(f, " addr=0x{addr:x} add={add}")?,
-                AtomicOp::CompareSwap { compare, swap } => {
-                    write!(f, " addr=0x{addr:x} cmp={compare} swap={swap}")?
-                }
-            },
+            PacketKind::Send { data, .. } => {
+                out.push(b" len=").uint(data.len() as u64);
+            }
+            PacketKind::AtomicRequest { op, addr, .. } => {
+                out.push(b" addr=0x").hex(*addr);
+                match op {
+                    AtomicOp::FetchAdd { add } => out.push(b" add=").uint(*add),
+                    AtomicOp::CompareSwap { compare, swap } => out
+                        .push(b" cmp=")
+                        .uint(*compare)
+                        .push(b" swap=")
+                        .uint(*swap),
+                };
+            }
             PacketKind::AtomicResponse { original, req_psn } => {
-                write!(f, " orig={original} req={req_psn}")?
+                out.push(b" orig=").uint(*original);
+                out.push(b" req=").put(req_psn);
             }
             PacketKind::Ack => {}
-            PacketKind::Nak(k) => write!(f, " {k}")?,
+            PacketKind::Nak(k) => {
+                out.push(b" ").put(k);
+            }
         }
         if self.retransmit {
-            write!(f, " [RETX]")?;
+            out.push(b" [RETX]");
         }
         if self.ghost {
-            write!(f, " [GHOST]")?;
+            out.push(b" [GHOST]");
         }
         if self.ecn {
-            write!(f, " [ECN]")?;
+            out.push(b" [ECN]");
         }
-        Ok(())
+    }
+}
+
+impl fmt::Display for Packet {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        Line::pad(self, f)
     }
 }
 
@@ -371,6 +421,12 @@ mod tests {
         });
         assert_eq!(r.kind.opcode(), "RDMA_READ_RESP_LAST");
         assert!(!r.kind.is_request());
+    }
+
+    /// Opcode ids order as the names do: the table is in byte order.
+    #[test]
+    fn opcode_table_is_in_byte_order() {
+        assert!(OPCODES.windows(2).all(|w| w[0] < w[1]));
     }
 
     #[test]

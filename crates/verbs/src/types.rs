@@ -2,6 +2,8 @@
 
 use core::fmt;
 
+use ibsim_event::{Line, Render};
+
 /// Default InfiniBand path MTU used by the simulator (4096 bytes, the
 /// largest the architecture allows and what the paper's clusters use).
 pub const DEFAULT_MTU: u32 = 4096;
@@ -128,9 +130,15 @@ impl Psn {
     }
 }
 
+impl Render for Psn {
+    fn render(&self, out: &mut Line) {
+        out.push(b"psn").uint(u64::from(self.0));
+    }
+}
+
 impl fmt::Display for Psn {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "psn{}", self.0)
+        Line::pad(self, f)
     }
 }
 

@@ -2,7 +2,7 @@
 
 use core::fmt;
 
-use ibsim_event::SimTime;
+use ibsim_event::{Line, Render, SimTime};
 
 use crate::types::{packets_for, MrKey, Psn, Qpn, WrId};
 
@@ -494,18 +494,28 @@ impl WcStatus {
     pub fn is_success(self) -> bool {
         self == WcStatus::Success
     }
+
+    fn name(self) -> &'static str {
+        match self {
+            WcStatus::Success => "IBV_WC_SUCCESS",
+            WcStatus::RetryExcErr => "IBV_WC_RETRY_EXC_ERR",
+            WcStatus::RnrRetryExcErr => "IBV_WC_RNR_RETRY_EXC_ERR",
+            WcStatus::RemoteAccessErr => "IBV_WC_REM_ACCESS_ERR",
+            WcStatus::WrFlushErr => "IBV_WC_WR_FLUSH_ERR",
+            WcStatus::LocalProtErr => "IBV_WC_LOC_PROT_ERR",
+        }
+    }
+}
+
+impl Render for WcStatus {
+    fn render(&self, out: &mut Line) {
+        out.push(self.name().as_bytes());
+    }
 }
 
 impl fmt::Display for WcStatus {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            WcStatus::Success => write!(f, "IBV_WC_SUCCESS"),
-            WcStatus::RetryExcErr => write!(f, "IBV_WC_RETRY_EXC_ERR"),
-            WcStatus::RnrRetryExcErr => write!(f, "IBV_WC_RNR_RETRY_EXC_ERR"),
-            WcStatus::RemoteAccessErr => write!(f, "IBV_WC_REM_ACCESS_ERR"),
-            WcStatus::WrFlushErr => write!(f, "IBV_WC_WR_FLUSH_ERR"),
-            WcStatus::LocalProtErr => write!(f, "IBV_WC_LOC_PROT_ERR"),
-        }
+        f.pad(self.name())
     }
 }
 
@@ -526,16 +536,28 @@ pub enum WcOpcode {
     CompareSwap,
 }
 
+impl WcOpcode {
+    fn name(self) -> &'static str {
+        match self {
+            WcOpcode::Read => "READ",
+            WcOpcode::Write => "WRITE",
+            WcOpcode::Send => "SEND",
+            WcOpcode::Recv => "RECV",
+            WcOpcode::FetchAdd => "FETCH_ADD",
+            WcOpcode::CompareSwap => "CMP_SWAP",
+        }
+    }
+}
+
+impl Render for WcOpcode {
+    fn render(&self, out: &mut Line) {
+        out.push(self.name().as_bytes());
+    }
+}
+
 impl fmt::Display for WcOpcode {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            WcOpcode::Read => write!(f, "READ"),
-            WcOpcode::Write => write!(f, "WRITE"),
-            WcOpcode::Send => write!(f, "SEND"),
-            WcOpcode::Recv => write!(f, "RECV"),
-            WcOpcode::FetchAdd => write!(f, "FETCH_ADD"),
-            WcOpcode::CompareSwap => write!(f, "CMP_SWAP"),
-        }
+        f.pad(self.name())
     }
 }
 
