@@ -7,6 +7,38 @@ cd "$(dirname "$0")"
 echo "==> cargo fmt --all -- --check"
 cargo fmt --all -- --check
 
+echo "==> legible: DESIGN.md at most 25 600 B and README.md at most 12 288 B;"
+echo "    every numbered DESIGN section reference in Rust, TOML and shell"
+echo "    files, README, EXPERIMENTS and SKILL.md, and every numbered §"
+echo "    reference inside DESIGN.md, names a heading"
+design_bytes=$(wc -c < DESIGN.md)
+readme_bytes=$(wc -c < README.md)
+if [ "$design_bytes" -gt 25600 ] || [ "$readme_bytes" -gt 12288 ]; then
+    echo "ci: DESIGN.md is $design_bytes B (limit 25600), README.md $readme_bytes B (limit 12288)" >&2
+    exit 1
+fi
+design_headings=$(grep -oE '^#+ [0-9]+(\.[0-9]+)*' DESIGN.md | grep -oE '[0-9]+(\.[0-9]+)*$')
+design_refs=$(
+    {
+        grep -rnoE --include='*.rs' --include='*.toml' --include='*.sh' --include=SKILL.md \
+            --include=README.md --include=EXPERIMENTS.md --exclude-dir=target --exclude-dir=.git \
+            'DESIGN(\.md)?`? (§)?[0-9]+(\.[0-9]+)*' . || true
+        grep -noE '§[0-9]+(\.[0-9]+)*' DESIGN.md | sed 's/^/DESIGN.md:/' || true
+    }
+)
+dangling=0
+while IFS= read -r ref; do
+    [ -n "$ref" ] || continue
+    number=$(grep -oE '[0-9]+(\.[0-9]+)*$' <<< "$ref")
+    if ! grep -qxF "$number" <<< "$design_headings"; then
+        echo "ci: $ref names no DESIGN.md heading" >&2
+        dangling=1
+    fi
+done <<< "$design_refs"
+if [ "$dangling" -ne 0 ]; then
+    exit 1
+fi
+
 echo "==> one world language: Scenario describes every two-host world; the"
 echo "    wrapper benchmark/'s flood still names is the only other"
 if grep -rlE 'MicrobenchConfig|run_microbench' crates src tests examples | grep -vx crates/core/src/microbench.rs; then

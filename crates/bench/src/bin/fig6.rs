@@ -16,8 +16,8 @@ fn main() {
     header("Fig. 6a: server-side ODP, P(timeout) vs interval");
     let delays = [
         SimTime::from_us(10),
-        SimTime::from_ms_f64(1.28),
-        SimTime::from_ms_f64(10.24),
+        SimTime::from_us(1_280),
+        SimTime::from_us(10_240),
     ];
     print_timeout_series(&fig6_series(
         OdpMode::ServerSide,
@@ -27,7 +27,7 @@ fn main() {
     ));
 
     header("Fig. 6b: client-side ODP, P(timeout) vs interval");
-    let delays_b = [SimTime::from_ms_f64(1.28)];
+    let delays_b = [SimTime::from_us(1_280)];
     print_timeout_series(&fig6_series(
         OdpMode::ClientSide,
         &delays_b,

@@ -23,6 +23,8 @@
 //! | `all` | everything above, in sequence |
 //! | `congestion` | shared-uplink storm/victim study (`congestion`) |
 //! | `recovery` | recovery-backend ablation |
+//! | `ablation` | quirk knockouts and the registration trade-off |
+//! | `calib13` | the Fig. 13 preset calibration sweep |
 //! | `scenario` | scenario corpus + fuzz conformance runner |
 //! | `ibperf` | `perftest`-style latency and bandwidth ([`perftest`]) |
 //!

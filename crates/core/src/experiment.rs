@@ -303,7 +303,7 @@ mod tests {
     fn fig6_window_tracks_rnr_delay() {
         let series = fig6_series(
             OdpMode::ServerSide,
-            &[SimTime::from_us(10), SimTime::from_ms_f64(1.28)],
+            &[SimTime::from_us(10), SimTime::from_us(1_280)],
             &[SimTime::from_ms(1)],
             3,
         );

@@ -38,13 +38,14 @@
 #![deny(clippy::float_arithmetic)]
 
 pub mod experiment;
-pub mod hash;
 pub mod microbench;
 pub mod regcache;
 pub mod systems;
 pub mod workaround;
 
-pub use hash::{fnv1a, fnv1a_str};
+// The trace-identity hash, which the repository benchmark's digests name
+// through this crate.
+pub use ibsim_event::{fnv1a, fnv1a_str};
 pub use microbench::*;
 pub use regcache::{deregistration_cost, registration_cost, PinDownCache, RegCacheStats};
 pub use systems::SystemProfile;

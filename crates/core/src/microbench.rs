@@ -97,7 +97,7 @@ impl Default for MicrobenchConfig {
             interval: SimTime::ZERO,
             post_overhead: SimTime::from_ns(POST_OVERHEAD_NS),
             odp: OdpMode::BothSide,
-            min_rnr_delay: SimTime::from_ms_f64(1.28),
+            min_rnr_delay: SimTime::from_us(1_280),
             cack: 1,
             retry_count: 7,
             seed: 1,

@@ -33,8 +33,8 @@ fn paper_worlds() -> Vec<Scenario> {
     all.extend(fig4_cells(&intervals(500), 3).into_iter().flat_map(|c| c.1));
     let delays = [
         SimTime::from_us(10),
-        SimTime::from_ms_f64(1.28),
-        SimTime::from_ms_f64(10.24),
+        SimTime::from_us(1_280),
+        SimTime::from_us(10_240),
     ];
     let server = fig6_series(OdpMode::ServerSide, &delays, &intervals(750), 3);
     let client = fig6_series(OdpMode::ClientSide, &delays[1..2], &intervals(750), 3);

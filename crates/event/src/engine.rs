@@ -155,14 +155,14 @@ impl<W> Event<W> for Call<W> {
 /// time — the blind-retransmit tick's, `T_o` at each recovery load, the
 /// RNR wait — so four take 99–100 % of the timers of every benchmark
 /// workload but `shuffle`'s (76 %). Eight would take 97 % there, and
-/// measured no cheaper (DESIGN 3.1.1).
+/// measured no cheaper (DESIGN 2.3).
 const LANES: usize = 4;
 
 /// Runs in the event tier. Deliveries arrive nearly in time order, with a
 /// far post (a driver job) now and then: the far post ends one run, and
 /// the next deliveries go on in the other. Two take 88 % of the flood's
 /// one-shots; eight would take more on every workload, and measured no
-/// cheaper (DESIGN 3.1.1).
+/// cheaper (DESIGN 2.3).
 const RUNS: usize = 2;
 
 /// The tag of a position-table word naming a timer that waits behind its

@@ -7,6 +7,9 @@
 //! sink in one write. Every type that appears in that text implements
 //! [`Render`], and its `Display` pads the same text ([`Line::pad`]), so
 //! each type has one text.
+//!
+//! The buffer is 256 bytes; the longest record a test renders is under
+//! 200.
 
 use core::cmp::Ordering;
 use core::fmt;

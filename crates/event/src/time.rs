@@ -7,7 +7,7 @@
 
 #![expect(
     clippy::float_arithmetic,
-    reason = "the `SimTime` float constructors and accessors, which every other crate converts through"
+    reason = "the `as_*_f64` accessors, the one way a report turns a `SimTime` into a float"
 )]
 
 use core::fmt;
@@ -62,12 +62,6 @@ impl SimTime {
     #[inline]
     pub const fn from_secs(s: u64) -> Self {
         SimTime(s * 1_000_000_000)
-    }
-
-    /// Creates a time from a floating-point number of milliseconds.
-    #[inline]
-    pub fn from_ms_f64(ms: f64) -> Self {
-        SimTime((ms * 1_000_000.0).round().max(0.0) as u64)
     }
 
     /// Returns the raw nanosecond count.
@@ -203,6 +197,10 @@ impl fmt::Display for SimTime {
 }
 
 #[cfg(test)]
+#[expect(
+    clippy::float_arithmetic,
+    reason = "the tests hold integer time to float references"
+)]
 mod tests {
     use super::*;
 
@@ -211,7 +209,6 @@ mod tests {
         assert_eq!(SimTime::from_us(1), SimTime::from_ns(1_000));
         assert_eq!(SimTime::from_ms(1), SimTime::from_us(1_000));
         assert_eq!(SimTime::from_secs(1), SimTime::from_ms(1_000));
-        assert_eq!(SimTime::from_ms_f64(1.28), SimTime::from_us(1_280));
     }
 
     #[test]

@@ -25,6 +25,13 @@
 //! * [`TopologyKind::Dragonfly`] — `g` groups of two routers, cliqued
 //!   inside a group, one global link per group pair through fixed
 //!   gateway routers.
+//!
+//! A closed form, not a `dyn Topology`: every shape forwards in O(1), so
+//! a trait object would only add two virtual calls per frame and a
+//! second vocabulary for the same four cases. A unit test replays
+//! per-shape route builders against [`TopologyKind::next_hop`] on all
+//! 3 737 attachment-switch pairs of crossbar, fat-tree 2..16, ring 2..17
+//! and dragonfly 2..9.
 
 use std::fmt;
 

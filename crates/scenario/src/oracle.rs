@@ -12,7 +12,8 @@
 //!    are precisely what a broken retransmission path produces.
 //! 2. **Final memory-state equality** — both hosts' regions equal the
 //!    reference model's sequential execution, byte for byte. Sound
-//!    because QP windows are disjoint and RC responders replay (never
+//!    because [`Scenario::validate`] refuses every overlap whose outcome
+//!    depends on how two QPs interleave, and RC responders replay (never
 //!    re-execute) duplicate atomics.
 //! 3. **Protocol conformance** — the `ibsim-analysis` trace linter and
 //!    packet-conservation checks report no conformance violations (PSN

@@ -49,6 +49,9 @@ pub enum Layout {
 }
 
 /// Which pages of the ODP regions are mapped before the workload starts.
+///
+/// The executor maps them while it builds the world: a prefetch
+/// scheduled as a t = 0 event would land behind the first post.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Prefetch {
     /// None: every page faults on first touch.
@@ -642,6 +645,10 @@ impl Scenario {
     }
 
     /// Parses the spec format produced by [`Scenario::to_spec_string`].
+    ///
+    /// Each number is read into its field's own type, and only the tokens
+    /// the renderer emits are accepted: a value out of range or an unknown
+    /// token is an error, never the nearest value.
     pub fn parse(text: &str) -> Result<Scenario, String> {
         let mut lines = text.lines().filter(|l| {
             let t = l.trim();

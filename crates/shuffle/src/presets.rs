@@ -165,8 +165,11 @@ impl Fig13Cell {
             fetches_per_ep,
             fetch_stagger: SimTime::from_us(stagger_us),
             // ~1/100 of the paper's disabled wall time, minus the network
-            // part, is modeled as setup/compute.
-            setup_compute: SimTime::from_ms_f64(self.paper_disabled_s * 10.0 * 0.95),
+            // part, is modeled as setup/compute: 0.95 × 10 ms per paper
+            // second, counted in the tenths of a second Fig. 13 prints.
+            setup_compute: SimTime::from_ns(
+                (self.paper_disabled_s * 10.0).round() as u64 * 950_000,
+            ),
         }
     }
 }
@@ -300,6 +303,30 @@ mod tests {
                 want
             );
         }
+    }
+
+    #[test]
+    fn setup_compute_is_pinned_in_ns() {
+        // 0.95 × (disabled seconds / 100) for every cell, in Fig. 13 order.
+        let want: [u64; 12] = [
+            2_878_500_000,
+            377_150_000,
+            797_050_000,
+            396_150_000,
+            950_000_000,
+            208_050_000,
+            275_500_000,
+            230_850_000,
+            4_911_500_000,
+            442_700_000,
+            1_016_500_000,
+            790_400_000,
+        ];
+        let got: Vec<u64> = fig13_cells()
+            .iter()
+            .map(|c| c.config(true, 1).setup_compute.as_ns())
+            .collect();
+        assert_eq!(got, want);
     }
 
     #[test]

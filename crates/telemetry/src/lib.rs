@@ -33,6 +33,32 @@
 //! telemetry must not move a single packet, which CI enforces by
 //! asserting the golden FNV trace hashes are unchanged with telemetry
 //! on.
+//!
+//! # Examples
+//!
+//! A disabled hub records nothing; an enabled one counts and opens a
+//! span per raised fault:
+//!
+//! ```
+//! use ibsim_event::SimTime;
+//! use ibsim_telemetry::{Labels, Telemetry};
+//!
+//! let record = |hub: &mut Telemetry| {
+//!     hub.counter_add("packets.tx", Labels::host(0), 2);
+//!     hub.counter_add("packets.tx", Labels::host(0), 1);
+//!     hub.fault_raised(0, 1, 7, SimTime::from_us(5));
+//! };
+//! let mut off = Telemetry::new();
+//! record(&mut off);
+//! assert!(off.registry().is_empty());
+//! assert_eq!(off.open_span_count(), 0);
+//!
+//! let mut on = Telemetry::new();
+//! on.enable();
+//! record(&mut on);
+//! assert_eq!(on.registry().counter("packets.tx", Labels::host(0)), Some(3));
+//! assert_eq!(on.open_span_count(), 1);
+//! ```
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]

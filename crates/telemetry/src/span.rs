@@ -16,7 +16,9 @@
 //!
 //! Stage boundaries are monotone timestamps, so the four stage durations
 //! sum *exactly* to the end-to-end fault latency — the decomposition the
-//! paper had to reverse-engineer from `ibdump` captures.
+//! paper had to reverse-engineer from `ibdump` captures. The damming
+//! probe's `retransmit_drain` absorbs the §V stall; the flood probe's
+//! `propagation` is the Fig. 11 straggler tail.
 
 use std::collections::BTreeMap;
 use std::ops::Bound;

@@ -873,7 +873,7 @@ impl Cluster {
         // first use, so a crossbar run (no inter-switch hops) emits no
         // `fabric.link.*` slots and its JSONL export stays byte-identical
         // to the pre-topology simulator. Labels reuse the `(host, qp)`
-        // slots as `(src switch, dst switch)` — see DESIGN §8.11. The
+        // slots as `(src switch, dst switch)`. The
         // sharded merge is sound because routing is deterministic and
         // [`Cluster::validate_sharding`] pins every directed link to a
         // single sending shard: each gauge is non-zero on exactly one

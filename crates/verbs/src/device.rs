@@ -5,6 +5,18 @@
 //! latencies, and the reverse-engineered quirks the paper uncovered. The
 //! per-system catalog reproducing Table I lives in `ibsim-odp`; this module
 //! provides the per-generation baselines.
+//!
+//! The damming quirk ([`DeviceProfile::damming`]), as the QP engines
+//! apply it: a request first transmitted inside a fault-recovery window
+//! is a ghost, in the sender's capture but never delivered, and the
+//! recovery retransmission (RNR expiry or blind tick) resends only what
+//! was in flight before the window opened. The server-side window runs
+//! from the RNR NAK to the RNR retransmission, the client-side one from
+//! the discarded response to the first blind retransmit. A later packet
+//! that provokes NAK(seq) rescues a ghost (Fig. 8); otherwise the ACK
+//! timeout does (Fig. 5). Back-to-back posts that beat the NAK onto the
+//! wire recover fine, which is why the Fig. 4/6 windows open above zero
+//! interval and close at the window's length.
 
 use core::fmt;
 
@@ -111,7 +123,7 @@ pub fn t_tr(cack: u8) -> Option<SimTime> {
 ///
 /// Constants with paper provenance are documented field by field; the rest
 /// are engineering choices calibrated so that the reproduced figures match
-/// the paper's shapes (see `DESIGN.md` §6).
+/// the paper's shapes (see `DESIGN.md` §2.2).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DeviceProfile {
     /// Silicon generation.
@@ -268,12 +280,12 @@ mod tests {
 
     #[test]
     fn rnr_table_roundtrips() {
-        assert_eq!(rnr_timer_decode(14), SimTime::from_ms_f64(1.28));
-        assert_eq!(rnr_timer_decode(13), SimTime::from_ms_f64(0.96));
-        assert_eq!(rnr_timer_decode(0), SimTime::from_ms_f64(655.36));
-        assert_eq!(rnr_timer_encode(SimTime::from_ms_f64(1.28)), 14);
+        assert_eq!(rnr_timer_decode(14), SimTime::from_us(1_280));
+        assert_eq!(rnr_timer_decode(13), SimTime::from_us(960));
+        assert_eq!(rnr_timer_decode(0), SimTime::from_us(655_360));
+        assert_eq!(rnr_timer_encode(SimTime::from_us(1_280)), 14);
         // Rounds up to the next table entry.
-        assert_eq!(rnr_timer_encode(SimTime::from_ms_f64(1.0)), 14);
+        assert_eq!(rnr_timer_encode(SimTime::from_ms(1)), 14);
         assert_eq!(rnr_timer_encode(SimTime::from_us(10)), 1);
         // Saturates at the top.
         assert_eq!(rnr_timer_encode(SimTime::from_secs(10)), 31);
@@ -334,7 +346,7 @@ mod tests {
     #[test]
     fn rnr_actual_stretches() {
         let cx4 = DeviceProfile::connectx4(LinkSpec::fdr());
-        let w = cx4.rnr_actual(SimTime::from_ms_f64(1.28));
+        let w = cx4.rnr_actual(SimTime::from_us(1_280));
         // ≈ 4.5 ms per Fig. 1.
         assert!(
             (SimTime::from_ms(4)..SimTime::from_ms(5)).contains(&w),

@@ -4,8 +4,9 @@
 //! `ibsim` simulator: packets, memory registration (pinned and ODP), queue
 //! pairs with the full retransmission machinery (Local ACK Timeout, Retry
 //! Count, RNR NAK, PSN sequence-error NAK, go-back-N), completion queues,
-//! the kernel-driver work queue, and the cluster glue binding it all to
-//! the discrete-event engine and fabric.
+//! the kernel-driver work queue, the cluster glue binding it all to
+//! the discrete-event engine and fabric, and [`run_plan`], the one way a
+//! harness runs a world (on the calling thread, or on PDES shards).
 //!
 //! The reverse-engineered device behaviors from *Pitfalls of InfiniBand
 //! with On-Demand Paging* (ISPASS 2021) are encoded in [`DeviceProfile`]

@@ -351,7 +351,7 @@ fn damming_device_ghosts_posts_inside_rnr_wait() {
         src_qp: Qpn(2),
         psn: Psn::new(0),
         kind: PacketKind::Nak(NakKind::Rnr {
-            delay: SimTime::from_ms_f64(1.28),
+            delay: SimTime::from_us(1_280),
         }),
         ghost: false,
         ecn: false,
@@ -392,7 +392,7 @@ fn healthy_device_does_not_ghost() {
         src_qp: Qpn(2),
         psn: Psn::new(0),
         kind: PacketKind::Nak(NakKind::Rnr {
-            delay: SimTime::from_ms_f64(1.28),
+            delay: SimTime::from_us(1_280),
         }),
         ghost: false,
         ecn: false,
@@ -428,7 +428,7 @@ fn rnr_fire_retransmits_only_faulted_message_on_damming_device() {
         src_qp: Qpn(2),
         psn: Psn::new(0),
         kind: PacketKind::Nak(NakKind::Rnr {
-            delay: SimTime::from_ms_f64(1.28),
+            delay: SimTime::from_us(1_280),
         }),
         ghost: false,
         ecn: false,

@@ -8,16 +8,19 @@
 //! See the sub-crate docs for details:
 //!
 //! * [`event`] — deterministic discrete-event kernel,
-//! * [`fabric`] — links, switch, LID routing, loss injection, capture,
-//! * [`verbs`] — packets, memory regions, RC queue pairs, verbs API,
-//! * [`odp`] — device models, the Fig. 3 micro-benchmark, figure runners,
+//! * [`fabric`] — LIDs, routed switch topologies, per-hop transit, loss
+//!   injection, capture,
+//! * [`verbs`] — packets, memory regions, RC queue pairs, the ODP driver,
+//!   the verbs API and `run_plan`,
+//! * [`odp`] — the paper's apparatus: Table I systems, the figures as
+//!   families of Fig. 3 scenarios, §IX-A workarounds, registration caches,
 //! * [`ucp`] — UCX-like messaging/RMA layer,
 //! * [`dsm`] — ArgoDSM-like distributed shared memory,
 //! * [`shuffle`] — SparkUCX-like shuffle engine,
 //! * [`telemetry`] — metric registry, fault-lifecycle spans, exporters,
 //! * [`analysis`] — the one reader of captures (RC trace linter, pitfall
-//!   signatures, Fig. 1/5/8 timeline, traffic count), packet
-//!   conservation, and the runtime invariant registry,
+//!   signatures, Fig. 1/5/8 timeline, traffic count) and packet
+//!   conservation,
 //! * [`scenario`] — seeded fault-schedule fuzzing with a differential RC
 //!   oracle, a failing-seed minimizer, and a parallel conformance runner.
 //!
