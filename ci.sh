@@ -4,6 +4,19 @@
 set -euo pipefail
 cd "$(dirname "$0")"
 
+# The value GOLDENS pins under the name $1: the rest of its line.
+golden() { awk -v n="$1" '$1 == n { sub(/^[^ ]+ /, ""); print }' GOLDENS; }
+
+# Prints the cksum of the file $2 beside the GOLDENS entry $1; a drift
+# fails ci.sh at the end, once every pin has reported.
+drifted=""
+pin() {
+    local got want
+    got=$(cksum < "$2") want=$(golden "$1")
+    echo "    pin $1: $got (GOLDENS: $want)"
+    [ "$got" = "$want" ] || drifted+=" $1"
+}
+
 echo "==> cargo fmt --all -- --check"
 cargo fmt --all -- --check
 
@@ -38,6 +51,16 @@ done <<< "$design_refs"
 if [ "$dangling" -ne 0 ]; then
     exit 1
 fi
+
+echo "==> goldens: each GOLDENS name is unique and quoted by ci.sh or a Rust file"
+golden_names=$(grep -vE '^(#|$)' GOLDENS | cut -d' ' -f1)
+for name in $golden_names; do
+    if [ "$(grep -cxF "$name" <<< "$golden_names")" -ne 1 ] ||
+        ! grep -rqF --include='*.rs' --include=ci.sh --exclude-dir=target "\"$name\"" .; then
+        echo "ci: the GOLDENS entry $name is named twice or read by nothing" >&2
+        exit 1
+    fi
+done
 
 echo "==> one world language: Scenario describes every two-host world; the"
 echo "    wrapper benchmark/'s flood still names is the only other"
@@ -96,39 +119,27 @@ echo "    included, is pinned)"
 for probe in damming_probe flood_probe; do
     cargo run -q --offline --release --example "$probe"
 done > target/probes.out
-if [ "$(cksum < target/probes.out)" != "1359021930 314427" ]; then
-    echo "ci: the probes' stdout drifted (target/probes.out)" >&2
-    exit 1
-fi
+pin "probes.stdout" target/probes.out
 
 echo "==> the other five examples (they drive payloads through dsm and ucp;"
 echo "    their concatenated stdout is pinned)"
 for example in quickstart atomic_counter dsm_counter dsm_stencil shuffle_wordcount; do
     cargo run -q --offline --release --example "$example"
 done > target/examples.out
-if [ "$(cksum < target/examples.out)" != "137726652 1475" ]; then
-    echo "ci: the examples' stdout drifted (target/examples.out)" >&2
-    exit 1
-fi
+pin "examples.stdout" target/examples.out
 
 echo "==> the Fig. 1/5/8 timelines (the capture walk renders them; their"
 echo "    concatenated stdout is pinned)"
 for fig in fig1 fig5 fig8; do
     cargo run -q --offline --release -p ibsim-bench --bin "$fig"
 done > target/figures.out
-if [ "$(cksum < target/figures.out)" != "237145198 3090" ]; then
-    echo "ci: the Fig. 1/5/8 stdout drifted (target/figures.out)" >&2
-    exit 1
-fi
+pin "figures.stdout" target/figures.out
 
 echo "==> the full Fig. 9 sweep (40 flood cells, ~15 s: the timer storm whose"
 echo "    one-delay ticks the event queue's lanes keep off its heaps; its"
 echo "    stdout is pinned)"
 cargo run -q --offline --release -p ibsim-bench --bin fig9 > target/fig9.out
-if [ "$(cksum < target/fig9.out)" != "3086631046 1708" ]; then
-    echo "ci: the Fig. 9 stdout drifted (target/fig9.out)" >&2
-    exit 1
-fi
+pin "fig9.stdout" target/fig9.out
 
 echo "==> benchmark gate (the one stage that reads a host clock: the"
 echo "    benchmark package's own fmt, clippy, tests and run/trace --quick;"
@@ -154,11 +165,8 @@ echo "    hash identical — zero re-pinning; the stdout, 271 trace hashes and"
 echo "    sim end times with no host clock, is pinned)"
 cargo run -q --offline --release -p ibsim-bench --bin scenario -- --workers 4 --fuzz 256 --minimize-demo \
     | tee target/scenario_seq.out
-grep -q '0x82cd0331e596f726' target/scenario_seq.out
-if [ "$(cksum < target/scenario_seq.out)" != "2458247284 19838" ]; then
-    echo "ci: the scenario trace hashes drifted (target/scenario_seq.out)" >&2
-    exit 1
-fi
+grep -qF "$(golden "corpus.damming")" target/scenario_seq.out || drifted+=" corpus.damming"
+pin "scenario.stdout" target/scenario_seq.out
 
 echo "==> 2048-seed fuzz report (its 20 known violations on 9 scenarios make"
 echo "    the run exit 1; its stdout, whose finding texts quote rendered times"
@@ -167,10 +175,8 @@ echo "    exit code or cksum fails; fixing those seeds re-pins it)"
 fuzz_status=0
 cargo run -q --offline --release -p ibsim-bench --bin scenario -- --workers 2 --fuzz 2048 \
     > target/scenario_fuzz2048.out || fuzz_status=$?
-if [ "$fuzz_status" -ne 1 ] || [ "$(cksum < target/scenario_fuzz2048.out)" != "2919496242 147040" ]; then
-    echo "ci: the 2048-seed fuzz report drifted (exit $fuzz_status, target/scenario_fuzz2048.out)" >&2
-    exit 1
-fi
+pin "fuzz2048.stdout" target/scenario_fuzz2048.out
+[ "$fuzz_status" -eq 1 ] || drifted+=" fuzz2048-exit-$fuzz_status"
 
 echo "==> pdes conformance (corpus trace hashes must survive the move from"
 echo "    the plain engine to 4 PDES shards byte for byte)"
@@ -180,4 +186,8 @@ echo "==> congestion smoke (fat-tree shared-uplink study: the flood must"
 echo "    inflate the victim p99 and selective repeat must beat go-back-N)"
 cargo run -q --offline --release -p ibsim-bench --bin congestion -- --quick
 
+if [ -n "$drifted" ]; then
+    echo "ci: drifted from GOLDENS:$drifted" >&2
+    exit 1
+fi
 echo "==> ci: all green"

@@ -561,9 +561,7 @@ mod tests {
 
     #[test]
     fn flood_run_retransmits_more_than_it_requests() {
-        let mut sc = Scenario::fig3_loop(64, 64, 32, SimTime::ZERO);
-        (sc.server_odp, sc.cack) = (false, 18);
-        let s = traffic(&sc);
+        let s = traffic(&Scenario::flood_probe(64));
         assert!(s.retransmissions > s.requests, "{s}");
     }
 

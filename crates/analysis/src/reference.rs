@@ -622,7 +622,7 @@ mod tests {
 
     #[test]
     fn projections_replay_the_figure_and_probe_captures() {
-        let (client, server, both) = ((true, false), (false, true), (true, true));
+        let (client, server) = ((true, false), (false, true));
         let fig3 = |ops, qps, size, interval, odp| {
             let mut sc = Scenario::fig3_loop(ops, qps, size, interval);
             (sc.client_odp, sc.server_odp) = odp;
@@ -631,18 +631,14 @@ mod tests {
         // Fig. 8: the third READ's NAK rescues the dammed second.
         let mut fig8 = fig3(3, 1, 100, SimTime::from_us(350), client);
         fig8.prefetch = Prefetch::AllButFirst;
-        // The flood probe: 128 QPs, one 32 B READ each.
-        let mut flood = fig3(128, 128, 32, SimTime::ZERO, client);
-        flood.cack = 18;
         let specs = [
             fig3(1, 1, 100, SimTime::ZERO, server),
             fig3(1, 1, 100, SimTime::ZERO, client),
             fig3(2, 1, 100, SimTime::from_ms(1), server),
             fig3(2, 1, 100, SimTime::from_us(300), client),
             fig8,
-            // The damming probe: two READs 1 ms apart, both-side ODP.
-            fig3(2, 1, 100, SimTime::from_ms(1), both),
-            flood,
+            Scenario::damming_probe(),
+            Scenario::flood_probe(128),
         ];
         let captures = specs.map(|sc| {
             let [client, _] = run_scenario(&sc).captures;

@@ -114,7 +114,7 @@ mod tests {
 
     #[test]
     fn fig5_style_timeout_annotation() {
-        let (timed_out, text) = render(&Scenario::fig3_loop(2, 1, 100, SimTime::from_ms(1)));
+        let (timed_out, text) = render(&Scenario::damming_probe());
         assert!(timed_out);
         assert!(text.contains("== Post 2nd request =="), "{text}");
         assert!(text.contains("Timeout (about 50"), "{text}");

@@ -1,8 +1,8 @@
 //! Golden-trace tests: the linter against real simulator captures.
 //!
-//! The configurations below mirror `examples/damming_probe.rs` and
-//! `examples/flood_probe.rs` — the same runs a user would capture — and
-//! pin down the acceptance contract: the damming trace trips exactly the
+//! The probe worlds are `examples/damming_probe.rs`'s and
+//! `examples/flood_probe.rs`'s — the same runs a user would capture — and
+//! the tests pin down the acceptance contract: the damming trace trips exactly the
 //! damming detector, the flood trace the flood detector, and a clean
 //! pinned-memory ping-pong produces zero findings of any kind.
 
@@ -16,7 +16,7 @@ use ibsim_verbs::{Cluster, DeviceProfile, MrMode, QpConfig, ReadWr, WriteWr};
 fn damming_probe_trace_triggers_damming_detector() {
     // examples/damming_probe.rs: two 1 MiB READs 1 ms apart on ODP memory
     // with a ConnectX-4-style damming device.
-    let run = run_scenario(&Scenario::fig3_loop(2, 1, 100, SimTime::from_ms(1)));
+    let run = run_scenario(&Scenario::damming_probe());
     assert!(
         run.client_stats.timeouts > 0,
         "damming run recovers via ACK timeout"
@@ -41,8 +41,7 @@ fn damming_probe_trace_triggers_damming_detector() {
 fn flood_probe_trace_triggers_flood_detector() {
     // examples/flood_probe.rs: many QPs, small READs, client-side ODP,
     // C_ack = 18 so the transport timeout never interferes.
-    let mut sc = Scenario::fig3_loop(128, 128, 32, SimTime::ZERO);
-    (sc.server_odp, sc.cack) = (false, 18);
+    let sc = Scenario::flood_probe(128);
     let report = lint_capture(&run_scenario(&sc).captures[0], &LintConfig::default());
     assert!(
         report.count(RuleId::FloodSignature) >= 1,

@@ -3,49 +3,36 @@
 //! captured from the pre-indexed-heap engine; any drift means event
 //! ordering (and therefore simulated behaviour) changed.
 
-use ibsim_event::{fnv1a_str as fnv1a, SimTime};
+use ibsim_event::{assert_golden, fnv1a_str};
 use ibsim_scenario::{run_scenario_with, RunOptions, Scenario, TelemetryMode};
 
-fn damming() -> Scenario {
-    Scenario::fig3_loop(2, 1, 100, SimTime::from_ms(1))
-}
-
-fn flood() -> Scenario {
-    let mut sc = Scenario::fig3_loop(128, 128, 32, SimTime::ZERO);
-    (sc.server_odp, sc.cack) = (false, 18);
-    sc
-}
-
-/// The client timeline of `sc`, captured with the hub in `telemetry`.
-fn client_timeline(sc: &Scenario, telemetry: TelemetryMode) -> (String, usize) {
+/// Asserts `sc`'s client timeline, captured with the hub in `telemetry`,
+/// against the `GOLDENS` entry `pin`: its FNV-1a and length.
+fn assert_timeline_pinned(sc: &Scenario, telemetry: TelemetryMode, pin: &str) {
     let opts = RunOptions {
         capture: true,
         telemetry,
     };
     let run = run_scenario_with(sc, opts);
-    (run.captures[0].timeline(), run.telemetry.spans().len())
+    let tl = run.captures[0].timeline();
+    assert_golden(pin, [fnv1a_str(&tl), tl.len() as u64]);
+    let spans = run.telemetry.spans().len();
+    assert!(
+        telemetry == TelemetryMode::Off || spans > 0,
+        "the same run must still record fault spans"
+    );
 }
 
 #[test]
 fn damming_probe_trace_hash_pinned() {
-    let (tl, _) = client_timeline(&damming(), TelemetryMode::Off);
-    assert_eq!(tl.len(), 919, "damming timeline length drifted");
-    assert_eq!(
-        fnv1a(&tl),
-        0xeabf_f70d_d984_76b9,
-        "damming probe trace is no longer byte-identical to the pinned capture"
-    );
+    let sc = Scenario::damming_probe();
+    assert_timeline_pinned(&sc, TelemetryMode::Off, "damming.timeline");
 }
 
 #[test]
 fn flood_probe_trace_hash_pinned() {
-    let (tl, _) = client_timeline(&flood(), TelemetryMode::Off);
-    assert_eq!(tl.len(), 135_890, "flood timeline length drifted");
-    assert_eq!(
-        fnv1a(&tl),
-        0xa115_5303_7a19_1337,
-        "flood probe trace is no longer byte-identical to the pinned capture"
-    );
+    let sc = Scenario::flood_probe(128);
+    assert_timeline_pinned(&sc, TelemetryMode::Off, "flood.timeline");
 }
 
 // ---------------------------------------------------------------------
@@ -57,27 +44,13 @@ fn flood_probe_trace_hash_pinned() {
 #[test]
 fn telemetry_does_not_perturb_damming_trace() {
     for mode in [TelemetryMode::Spans, TelemetryMode::Synced] {
-        let (tl, spans) = client_timeline(&damming(), mode);
-        assert_eq!(tl.len(), 919, "telemetry perturbed the damming timeline");
-        assert_eq!(
-            fnv1a(&tl),
-            0xeabf_f70d_d984_76b9,
-            "telemetry perturbed the damming trace hash"
-        );
-        assert!(spans > 0, "the same run must still record fault spans");
+        assert_timeline_pinned(&Scenario::damming_probe(), mode, "damming.timeline");
     }
 }
 
 #[test]
 fn telemetry_does_not_perturb_flood_trace() {
     for mode in [TelemetryMode::Spans, TelemetryMode::Synced] {
-        let (tl, spans) = client_timeline(&flood(), mode);
-        assert_eq!(tl.len(), 135_890, "telemetry perturbed the flood timeline");
-        assert_eq!(
-            fnv1a(&tl),
-            0xa115_5303_7a19_1337,
-            "telemetry perturbed the flood trace hash"
-        );
-        assert!(spans > 0, "the same run must still record fault spans");
+        assert_timeline_pinned(&Scenario::flood_probe(128), mode, "flood.timeline");
     }
 }

@@ -2,19 +2,9 @@
 //! and summary of a seeded probe run are pinned by hash, and every
 //! recorded fault span must account for its full end-to-end latency.
 
-use ibsim_event::{fnv1a_str, SimTime};
+use ibsim_event::{assert_golden, fnv1a_str, SimTime};
 use ibsim_scenario::{run_scenario_with, RunOptions, Scenario, TelemetryMode};
 use ibsim_telemetry::{export_jsonl, render_summary, Telemetry};
-
-fn damming_cfg() -> Scenario {
-    Scenario::fig3_loop(2, 1, 100, SimTime::from_ms(1))
-}
-
-fn flood_cfg() -> Scenario {
-    let mut sc = Scenario::fig3_loop(128, 128, 32, SimTime::ZERO);
-    (sc.server_odp, sc.cack) = (false, 18);
-    sc
-}
 
 /// The Fig. 9 both-side-ODP cell at 50 QPs.
 fn fifty_qp_cfg() -> Scenario {
@@ -33,47 +23,32 @@ fn hub(sc: &Scenario) -> Telemetry {
 }
 
 /// Asserts the FNV-1a of `sc`'s JSONL export (and its line count) and
-/// of its summary table.
-fn assert_pinned(sc: &Scenario, jsonl: (u64, usize), summary: u64) {
+/// of its summary table against the `GOLDENS` entries `jsonl` and
+/// `summary`.
+fn assert_pinned(sc: &Scenario, jsonl: &str, summary: &str) {
     let t = &hub(sc);
     let out = export_jsonl(t);
-    assert_eq!(
-        (fnv1a_str(&out), out.lines().count()),
-        jsonl,
-        "export_jsonl drifted"
-    );
-    assert_eq!(
-        fnv1a_str(&render_summary(t)),
-        summary,
-        "render_summary drifted"
-    );
+    assert_golden(jsonl, [fnv1a_str(&out), out.lines().count() as u64]);
+    assert_golden(summary, [fnv1a_str(&render_summary(t))]);
 }
 
 #[test]
 fn damming_exports_are_pinned() {
     assert_pinned(
-        &damming_cfg(),
-        (0x4ad7_9b7e_1e0f_139a, 71),
-        0x62b9_a84c_b3d0_8d89,
+        &Scenario::damming_probe(),
+        "damming.jsonl",
+        "damming.summary",
     );
 }
 
 #[test]
 fn flood_exports_are_pinned() {
-    assert_pinned(
-        &flood_cfg(),
-        (0x9ae3_b603_1d1e_714e, 2603),
-        0xa484_f30b_ba39_2403,
-    );
+    assert_pinned(&Scenario::flood_probe(128), "flood.jsonl", "flood.summary");
 }
 
 #[test]
 fn fifty_qp_both_side_exports_are_pinned() {
-    assert_pinned(
-        &fifty_qp_cfg(),
-        (0x4ced_34d7_ff2f_964b, 1233),
-        0x9b49_b272_ccfc_a7ab,
-    );
+    assert_pinned(&fifty_qp_cfg(), "fifty-qp.jsonl", "fifty-qp.summary");
 }
 
 fn assert_spans_account_for_latency(t: &Telemetry) {
@@ -96,33 +71,33 @@ fn assert_spans_account_for_latency(t: &Telemetry) {
 
 #[test]
 fn damming_jsonl_is_byte_identical_across_runs() {
-    let a = export_jsonl(&hub(&damming_cfg()));
-    let b = export_jsonl(&hub(&damming_cfg()));
+    let a = export_jsonl(&hub(&Scenario::damming_probe()));
+    let b = export_jsonl(&hub(&Scenario::damming_probe()));
     assert!(!a.is_empty());
     assert_eq!(a, b, "seeded damming telemetry export must be reproducible");
 }
 
 #[test]
 fn flood_jsonl_is_byte_identical_across_runs() {
-    let a = export_jsonl(&hub(&flood_cfg()));
-    let b = export_jsonl(&hub(&flood_cfg()));
+    let a = export_jsonl(&hub(&Scenario::flood_probe(128)));
+    let b = export_jsonl(&hub(&Scenario::flood_probe(128)));
     assert!(!a.is_empty());
     assert_eq!(a, b, "seeded flood telemetry export must be reproducible");
 }
 
 #[test]
 fn damming_spans_stage_durations_sum_to_end_to_end() {
-    assert_spans_account_for_latency(&hub(&damming_cfg()));
+    assert_spans_account_for_latency(&hub(&Scenario::damming_probe()));
 }
 
 #[test]
 fn flood_spans_stage_durations_sum_to_end_to_end() {
-    assert_spans_account_for_latency(&hub(&flood_cfg()));
+    assert_spans_account_for_latency(&hub(&Scenario::flood_probe(128)));
 }
 
 #[test]
 fn flood_span_sees_the_stale_qp_propagation() {
-    let t = hub(&flood_cfg());
+    let t = hub(&Scenario::flood_probe(128));
     let spans = t.spans();
     // Fig. 11a: one shared fault, the other QPs all go stale and must be
     // resumed one by one — the propagation stage dominates.

@@ -20,7 +20,7 @@ use ibsim_fabric::LinkSpec;
 use ibsim_odp::experiment::fig3;
 use ibsim_odp::regcache::{deregistration_cost, registration_cost, PinDownCache};
 use ibsim_odp::OdpMode;
-use ibsim_scenario::{run_scenario_with, RunOptions, ScenarioRun};
+use ibsim_scenario::{run_scenario_with, RunOptions, Scenario, ScenarioRun};
 use ibsim_verbs::{Cluster, DeviceProfile, MrBuilder, MrMode, QpConfig, ReadWr, Sim, WrId};
 
 /// Sequentially READs `transfers` times, one of `buffers` 16 KiB client
@@ -142,7 +142,7 @@ fn flood_case(device: DeviceProfile, ops: usize, qps: usize) -> ScenarioRun {
 fn part2() {
     header("Ablation 2: quirk knockouts");
     let damming_case = |device: DeviceProfile| {
-        let mut sc = fig3(2, 1, 100, SimTime::from_ms(1), OdpMode::BothSide);
+        let mut sc = Scenario::damming_probe();
         sc.device = device;
         let run = run_scenario_with(&sc, RunOptions::BARE);
         (run.execution_time(), run.client_stats.timeouts)

@@ -2,8 +2,8 @@
 //! micro-benchmarks re-run under each loss-recovery backend.
 //!
 //! Go-back-N is the hardware the paper measured, so its runs double as
-//! golden gates: the client packet timelines must hash to the pinned
-//! FNV values, proving no refactor of the recovery path has moved the
+//! golden gates: the client packet timelines must hash to the FNV values
+//! `GOLDENS` pins, proving no refactor of the recovery path has moved the
 //! modeled ConnectX-4 behavior by a bit. Selective repeat (IRN) and
 //! on-demand pinning (NP-RDMA) are the counterfactuals: the run asserts
 //! the structural claims (IRN retransmits strictly less under the
@@ -15,7 +15,7 @@
 //! ```
 
 use ibsim_bench::{header, row, secs};
-use ibsim_event::{Fnv1a, SimTime};
+use ibsim_event::{assert_golden, Fnv1a, SimTime};
 use ibsim_odp::{experiment::fig3, OdpMode};
 use ibsim_scenario::{run_scenario, Scenario, ScenarioRun};
 use ibsim_verbs::RecoveryKind;
@@ -26,11 +26,6 @@ const KINDS: [RecoveryKind; 3] = [
     RecoveryKind::SelectiveRepeat,
     RecoveryKind::OnDemandPin,
 ];
-
-/// Pinned FNV-1a hash of the go-back-N §V damming client timeline.
-const GBN_DAMMING_GOLDEN: u64 = 0x4807_1338_d6e8_def4;
-/// Pinned FNV-1a hash of the go-back-N §VI flood client timeline.
-const GBN_FLOOD_GOLDEN: u64 = 0x6ee9_7c4d_3a1f_eb25;
 
 /// `sc` under one backend.
 fn under(mut sc: Scenario, kind: RecoveryKind) -> ScenarioRun {
@@ -122,14 +117,8 @@ fn main() {
     };
     let gbn_damming = client_timeline_hash(&damming_runs[0].1);
     let gbn_flood = client_timeline_hash(&flood_runs[0].1);
-    assert_eq!(
-        gbn_damming, GBN_DAMMING_GOLDEN,
-        "go-back-N damming timeline drifted (hash {gbn_damming:#018x})"
-    );
-    assert_eq!(
-        gbn_flood, GBN_FLOOD_GOLDEN,
-        "go-back-N flood timeline drifted (hash {gbn_flood:#018x})"
-    );
+    assert_golden("recovery.gbn-damming", [gbn_damming]);
+    assert_golden("recovery.gbn-flood", [gbn_flood]);
 
     // --- Structural claims per backend (runs follow `KINDS` order).
     let [gbn_d, irn_d, pin_d] = [&damming_runs[0].1, &damming_runs[1].1, &damming_runs[2].1];

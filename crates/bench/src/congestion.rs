@@ -117,7 +117,7 @@ pub fn run_congestion(storm: Option<RecoveryKind>, quick: bool) -> CongestionRun
     // Mark ECN aggressively so the run also exercises the marking and
     // echo path end to end; marking is observational (it changes no
     // packet timing), so it cannot perturb the latency comparison.
-    cl.fabric.set_congestion(Some(SimTime::from_ns(500)), None);
+    cl.fabric.set_congestion(Some(SimTime::from_ns(500)));
     cl.telemetry_enable();
 
     let storm_client = cl.add_host("storm-client", device.clone());

@@ -54,21 +54,19 @@ fn fig2_reports_floors() {
     assert!(out.contains("0.0300"), "{out}");
 }
 
-/// Asserts the FNV-1a of a bin's stdout. Every column these bins print
-/// is simulated, so a change that leaves the figure worlds alone leaves
-/// these bytes alone. Re-pin only with the reason the numbers moved.
-fn assert_pinned(bin: &str, out: &str, pin: u64) {
-    assert_eq!(
-        ibsim_odp::fnv1a_str(out),
-        pin,
-        "{bin} printed different numbers:\n{out}"
-    );
+/// Asserts the FNV-1a of a bin's stdout, printed should it fail, against
+/// the `GOLDENS` entry `pin`. Every column these bins print is simulated,
+/// so a change that leaves the figure worlds alone leaves these bytes
+/// alone. Re-pin only with the reason the numbers moved.
+fn assert_pinned(pin: &str, out: &str) {
+    println!("{out}");
+    ibsim_event::assert_golden(pin, [ibsim_event::fnv1a_str(out)]);
 }
 
 #[test]
 fn fig4_shows_plateau_and_recovery() {
     let out = run(env!("CARGO_BIN_EXE_fig4"), true);
-    assert_pinned("fig4 --quick", &out, 0x8cf4_45e1_f6e8_9bea);
+    assert_pinned("fig4.stdout", &out);
     let plateau = out
         .lines()
         .filter(|l| l.starts_with("1.500") || l.starts_with("3.000"))
@@ -87,7 +85,7 @@ fn fig5_shows_timeout_workflow() {
 #[test]
 fn fig6_windows_follow_rnr_delay() {
     let out = run(env!("CARGO_BIN_EXE_fig6"), true);
-    assert_pinned("fig6 --quick", &out, 0x9354_e05f_4492_4e99);
+    assert_pinned("fig6.stdout", &out);
     assert!(out.contains("0.01 [ms]"));
     assert!(out.contains("1.28 [ms]"));
     assert!(out.contains("10.24 [ms]"));
@@ -96,7 +94,7 @@ fn fig6_windows_follow_rnr_delay() {
 #[test]
 fn fig7_has_three_series() {
     let out = run(env!("CARGO_BIN_EXE_fig7"), true);
-    assert_pinned("fig7 --quick", &out, 0x6e72_f84e_0c2e_f222);
+    assert_pinned("fig7.stdout", &out);
     assert!(out.contains("2 operations"));
     assert!(out.contains("4 operations"));
 }
@@ -111,7 +109,7 @@ fn fig8_shows_nak_rescue() {
 #[test]
 fn fig11_layout_and_tail() {
     let out = run(env!("CARGO_BIN_EXE_fig11"), true);
-    assert_pinned("fig11 --quick", &out, 0xf534_d50c_ca41_6773);
+    assert_pinned("fig11.stdout", &out);
     assert!(out.contains("4 pages"), "{out}");
     assert!(out.contains("last completion"), "{out}");
 }
@@ -133,21 +131,21 @@ fn table13_reports_all_examples() {
     assert!(out.contains("Enable/Disable"));
     // QP counts, shuffle durations and their ratios: the 24 Fig. 13
     // worlds.
-    assert_pinned("table13 --quick", &out, 0xb728_bb3c_880b_c221);
+    assert_pinned("table13.stdout", &out);
 }
 
 #[test]
 fn ablation_prints_the_pinned_knockouts() {
     let out = run(env!("CARGO_BIN_EXE_ablation"), false);
     assert!(out.contains("damming flag OFF"), "{out}");
-    assert_pinned("ablation", &out, 0xe718_68bb_61a7_1c9d);
+    assert_pinned("ablation.stdout", &out);
 }
 
 #[test]
 fn recovery_prints_the_pinned_backend_tables() {
     let out = run(env!("CARGO_BIN_EXE_recovery"), false);
     assert!(out.contains("all gates passed"), "{out}");
-    assert_pinned("recovery", &out, 0x4cd3_5bf1_8ef5_27ed);
+    assert_pinned("recovery.stdout", &out);
 }
 
 #[test]

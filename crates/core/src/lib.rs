@@ -29,7 +29,7 @@
 //! use ibsim_odp::experiment::timed_out;
 //! use ibsim_scenario::{run_scenario, Scenario};
 //!
-//! let run = run_scenario(&Scenario::fig3_loop(2, 1, 100, SimTime::from_ms(1)));
+//! let run = run_scenario(&Scenario::damming_probe());
 //! assert!(timed_out(&run));
 //! assert!(run.execution_time() > SimTime::from_ms(400));
 //! ```
@@ -45,7 +45,7 @@ pub mod workaround;
 
 // The trace-identity hash, which the repository benchmark's digests name
 // through this crate.
-pub use ibsim_event::{fnv1a, fnv1a_str};
+pub use ibsim_event::fnv1a;
 pub use microbench::*;
 pub use regcache::{deregistration_cost, registration_cost, PinDownCache, RegCacheStats};
 pub use systems::SystemProfile;

@@ -43,10 +43,10 @@ fn paper_worlds() -> Vec<Scenario> {
     all.push(fig8());
     all.extend(fig9_cells(&[1, 10], 1024, 100).into_iter().map(|c| c.1));
     all.extend([fig11(64, 64), fig11(256, 64)]);
-    let mut damming = Scenario::fig3_loop(2, 1, 100, SimTime::from_ms(1));
+    let mut damming = Scenario::damming_probe();
     damming.name = "damming-probe".to_owned();
-    let mut flood = Scenario::fig3_loop(128, 128, 32, SimTime::ZERO);
-    (flood.name, flood.server_odp, flood.cack) = ("flood-probe".to_owned(), false, 18);
+    let mut flood = Scenario::flood_probe(128);
+    flood.name = "flood-probe".to_owned();
     all.extend([damming, flood]);
     all
 }

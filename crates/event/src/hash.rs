@@ -5,7 +5,9 @@
 //! work-request determinism pins — compresses a run artifact (capture
 //! timeline, completion log, memory image) into one 64-bit FNV-1a
 //! digest. It lives in the lowest crate so that every gate, in every
-//! crate, hashes with the one definition.
+//! crate, hashes with the one definition, and checks its pinned value
+//! with [`assert_golden`] against the repository's one pin file,
+//! `GOLDENS`.
 
 use core::fmt;
 
@@ -85,6 +87,53 @@ pub fn fnv1a_str(s: &str) -> u64 {
     fnv1a(s.as_bytes())
 }
 
+/// The repository's pin file, one `name value…` line per pinned value.
+const GOLDENS: &str = include_str!("../../../GOLDENS");
+
+/// One value of a `GOLDENS` line: hex after `0x`, else decimal, with
+/// `_` between digits as in a Rust literal.
+fn golden_value(token: &str) -> Option<u64> {
+    let digits = token.replace('_', "");
+    match digits.strip_prefix("0x") {
+        Some(hex) => u64::from_str_radix(hex, 16).ok(),
+        None => digits.parse().ok(),
+    }
+}
+
+/// Asserts that `got` — a digest and, where one is pinned, its length —
+/// is the entry `name` of the repository's pin file `GOLDENS`.
+///
+/// # Examples
+///
+/// ```should_panic
+/// use ibsim_event::{assert_golden, fnv1a_str};
+///
+/// // Three dots are not the damming probe's client timeline.
+/// let timeline = "...";
+/// assert_golden("damming.timeline", [fnv1a_str(timeline), timeline.len() as u64]);
+/// ```
+///
+/// # Panics
+///
+/// If `got` differs from the entry, with the line that would re-pin it,
+/// or if `GOLDENS` has no entry `name`; either message names the entry.
+#[track_caller]
+pub fn assert_golden<const N: usize>(name: &str, got: [u64; N]) {
+    let pinned = GOLDENS
+        .lines()
+        .find_map(|l| l.strip_prefix(name)?.strip_prefix(' '))
+        .unwrap_or_else(|| panic!("GOLDENS has no entry {name:?}"));
+    let want: Vec<Option<u64>> = pinned.split(' ').map(golden_value).collect();
+    if want != got.map(Some) {
+        // A digest in hex, a length in decimal, as `GOLDENS` writes them.
+        let hex = got.iter().take(1).map(|v| format!(" {v:#x}"));
+        let line: String = hex
+            .chain(got.iter().skip(1).map(|v| format!(" {v}")))
+            .collect();
+        panic!("{name} drifted: got `{name}{line}`, GOLDENS has `{name} {pinned}`");
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -141,5 +190,38 @@ mod tests {
             }
             assert_eq!(h.finish(), want, "round {round}, {len} bytes");
         }
+    }
+
+    /// Every `GOLDENS` entry is a name, then a hex digest with an optional
+    /// decimal length, or a decimal `cksum` and byte count.
+    #[test]
+    fn goldens_lines_are_well_formed() {
+        let only = |t: &str, set: &[u8]| t.bytes().all(|b| set.contains(&b));
+        let hex = |t: &str| t.starts_with("0x") && golden_value(t).is_some();
+        let dec = |t: &str| only(t, b"0123456789_") && golden_value(t).is_some();
+        let name = |t: &str| !t.is_empty() && only(t, b"abcdefghijklmnopqrstuvwxyz0123456789-.");
+        let entries = GOLDENS
+            .lines()
+            .filter(|l| !l.is_empty() && !l.starts_with('#'));
+        for line in entries {
+            let ok = match line.split(' ').collect::<Vec<_>>()[..] {
+                [n, h] => name(n) && hex(h),
+                [n, h, len] => name(n) && (hex(h) || dec(h)) && dec(len),
+                _ => false,
+            };
+            assert!(ok, "malformed GOLDENS line {line:?}");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "GOLDENS has no entry \"no.such.pin\"")]
+    fn an_unknown_golden_panics_naming_it() {
+        assert_golden("no.such.pin", [0]);
+    }
+
+    #[test]
+    #[should_panic(expected = "damming.timeline drifted: got `damming.timeline 0xff 7`")]
+    fn a_drift_panics_with_the_line_that_re_pins_it() {
+        assert_golden("damming.timeline", [0xff, 7]);
     }
 }

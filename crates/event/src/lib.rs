@@ -50,7 +50,7 @@ mod shard;
 mod time;
 
 pub use engine::{Call, Engine, Event, EventFn, QueueStats, TimerKey};
-pub use hash::{fnv1a, fnv1a_str, Fnv1a};
+pub use hash::{assert_golden, fnv1a, fnv1a_str, Fnv1a};
 pub use line::{Line, Render};
 pub use rng::SplitMix64;
 pub use shard::{epoch_end, injection_sort_key, EpochBarrier, PoisonGuard, POISON_PAYLOAD};

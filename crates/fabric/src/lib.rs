@@ -4,7 +4,7 @@
 //! hosts, routed switch topologies (crossbar, fat-tree, ring, dragonfly)
 //! as the closed, self-routing [`TopologyKind`], LID-based routing, link
 //! latency/bandwidth with per-port and per-hop FIFO serialization,
-//! optional ECN/PFC congestion signals, deterministic loss injection,
+//! optional ECN marking, deterministic loss injection,
 //! and an `ibdump`-style packet capture facility.
 //!
 //! The fabric is a *pure timing model*: callers (the verbs layer) ask it

@@ -225,8 +225,6 @@ pub struct InterLinkStats {
     pub peak_backlog_ns: u64,
     /// Frames that left this hop carrying an ECN mark.
     pub ecn_marks: u64,
-    /// PFC-style pauses this hop asserted against its upstream feeder.
-    pub pauses: u64,
 }
 
 #[derive(Debug, Clone)]
@@ -268,10 +266,10 @@ const SWITCH_LATENCY: SimTime = SimTime::from_ns(200);
 /// * FIFO serialization on each directed inter-switch link of the route,
 /// * serialization at the last switch's egress toward the destination,
 /// * loss: unknown destination LIDs and an optional injected [`LossModel`],
-/// * optional congestion signals: ECN marking and PFC-style pauses when a
-///   hop's queueing delay exceeds a configured threshold (both off by
-///   default, so plain runs are congestion-oblivious exactly like the
-///   original crossbar).
+/// * an optional congestion signal: ECN marking when a hop's queueing
+///   delay exceeds a configured threshold (off by default). A mark is
+///   accounting only: it never moves a frame, so a marked run's timing
+///   is an unmarked one's.
 #[derive(Debug)]
 pub struct Fabric {
     default_spec: LinkSpec,
@@ -286,12 +284,9 @@ pub struct Fabric {
     links: Vec<Vec<InterLink>>,
     /// Queueing delay beyond which a hop ECN-marks the frame.
     ecn_threshold: Option<SimTime>,
-    /// Queueing delay beyond which a hop pauses its upstream feeder.
-    pfc_threshold: Option<SimTime>,
     total_frames: u64,
     total_drops: u64,
     total_ecn_marks: u64,
-    total_pfc_pauses: u64,
 }
 
 impl Fabric {
@@ -304,11 +299,9 @@ impl Fabric {
             topology: TopologyKind::Crossbar,
             links: Vec::new(),
             ecn_threshold: None,
-            pfc_threshold: None,
             total_frames: 0,
             total_drops: 0,
             total_ecn_marks: 0,
-            total_pfc_pauses: 0,
         }
     }
 
@@ -379,12 +372,10 @@ impl Fabric {
     }
 
     /// Configures congestion signalling: a hop whose queueing delay
-    /// exceeds `ecn` marks the frame; one whose delay exceeds `pfc`
-    /// pauses its upstream feeder. `None` disables the mechanism (the
-    /// default — plain runs never mark or pause).
-    pub fn set_congestion(&mut self, ecn: Option<SimTime>, pfc: Option<SimTime>) {
+    /// exceeds `ecn` marks the frame. `None` disables marking (the
+    /// default — plain runs never mark).
+    pub fn set_congestion(&mut self, ecn: Option<SimTime>) {
         self.ecn_threshold = ecn;
-        self.pfc_threshold = pfc;
     }
 
     /// Traffic counters for `lid`'s link.
@@ -414,11 +405,6 @@ impl Fabric {
     /// Total ECN marks applied across all hops.
     pub fn total_ecn_marks(&self) -> u64 {
         self.total_ecn_marks
-    }
-
-    /// Total PFC-style pauses asserted across all hops.
-    pub fn total_pfc_pauses(&self) -> u64 {
-        self.total_pfc_pauses
     }
 
     /// The full directed route `src → dst` as host/switch nodes, or
@@ -507,10 +493,6 @@ impl Fabric {
         if src_sw != dst_sw {
             let ser = self.default_spec.serialization(bytes);
             let inter_latency = self.default_spec.latency;
-            // Row and index of the hop feeding the current one, for PFC
-            // backpressure. A route never revisits a switch, so later
-            // hops do not disturb an earlier row.
-            let mut prev: Option<(usize, usize)> = None;
             for (from, to) in self.topology.hops(src_sw, dst_sw) {
                 let row = usize::from(from.0);
                 if self.links.len() <= row {
@@ -536,30 +518,12 @@ impl Fabric {
                     link.stats.ecn_marks += 1;
                     self.total_ecn_marks += 1;
                 }
-                let mut pause_until = None;
-                if let Some(thr) = self.pfc_threshold.filter(|&thr| wait > thr) {
-                    // Pause the upstream feeder until this hop's
-                    // backlog drains back under the threshold.
-                    pause_until = Some(start.saturating_sub(thr));
-                    link.stats.pauses += 1;
-                    self.total_pfc_pauses += 1;
-                }
                 link.busy_until = start + ser;
                 link.stats.frames += 1;
                 link.stats.bytes += bytes as u64;
                 link.stats.busy_ns += ser.as_ns();
                 link.stats.peak_backlog_ns = link.stats.peak_backlog_ns.max(wait.as_ns());
                 t = start + ser + inter_latency + SWITCH_LATENCY;
-                if let Some(until) = pause_until {
-                    let feeder = match prev {
-                        // First hop: backpressure lands on the source
-                        // host's egress port.
-                        None => &mut self.ports[src_slot].egress_busy_until,
-                        Some((row, at)) => &mut self.links[row][at].busy_until,
-                    };
-                    *feeder = (*feeder).max(until);
-                }
-                prev = Some((row, at));
             }
         }
 
@@ -765,7 +729,7 @@ mod tests {
     fn ecn_marks_frames_past_the_threshold() {
         let (mut f, _a, b) = fat_tree_pair();
         let c = f.add_host("c");
-        f.set_congestion(Some(SimTime::from_ns(100)), None);
+        f.set_congestion(Some(SimTime::from_ns(100)));
         let d1 = f.transit(SimTime::ZERO, Lid(1), b, 4096);
         let d2 = f.transit(SimTime::ZERO, c, b, 4096);
         assert!(matches!(d1, Delivery::Deliver { ecn: false, .. }));
@@ -777,40 +741,6 @@ mod tests {
     }
 
     #[test]
-    fn pfc_pause_backpressures_the_source_port() {
-        // Same traffic on two fabrics; only one has PFC enabled. PFC
-        // does not change who wins the bottleneck — it moves the
-        // queueing out of the switch and back to the source port, so
-        // the congested hop's peak backlog shrinks while arrival times
-        // never improve (lossless pushback, not a fast path).
-        let run = |pfc: Option<SimTime>| {
-            let (mut f, _a, b) = fat_tree_pair();
-            let c = f.add_host("c");
-            f.set_congestion(None, pfc);
-            f.transit(SimTime::ZERO, Lid(1), b, 4096);
-            f.transit(SimTime::ZERO, c, b, 4096);
-            let next = f.transit(SimTime::ZERO, c, b, 56).arrival().unwrap();
-            let backlog = f
-                .inter_links()
-                .map(|(_, _, s)| s.peak_backlog_ns)
-                .max()
-                .unwrap();
-            (next, backlog, f.total_pfc_pauses())
-        };
-        let (free_next, free_backlog, free_pauses) = run(None);
-        let (paused_next, paused_backlog, pauses) = run(Some(SimTime::from_ns(100)));
-        assert_eq!(free_pauses, 0);
-        // At least the 586 ns uplink wait asserts a pause; the slowed
-        // egress can cascade further pauses downstream.
-        assert!(pauses >= 1, "uplink wait must assert a pause, got {pauses}");
-        assert!(
-            paused_backlog < free_backlog,
-            "pause must drain switch-side queueing: {paused_backlog} vs {free_backlog}"
-        );
-        assert!(paused_next >= free_next, "PFC must never beat the free run");
-    }
-
-    #[test]
     fn congestion_signals_default_off() {
         let (mut f, _a, b) = fat_tree_pair();
         let c = f.add_host("c");
@@ -819,7 +749,6 @@ mod tests {
             f.transit(SimTime::ZERO, c, b, 4096);
         }
         assert_eq!(f.total_ecn_marks(), 0);
-        assert_eq!(f.total_pfc_pauses(), 0);
     }
 
     #[test]

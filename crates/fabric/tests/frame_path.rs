@@ -70,7 +70,7 @@ fn all_pairs(f: &mut Fabric, hosts: u16, frames: usize) {
 
 /// Steady state: after one pass has created every link the traffic
 /// uses, 10 000 routed frames allocate nothing at all — with the
-/// congestion signals armed, so the ECN and PFC branches run too.
+/// ECN marking armed, so its branch runs too.
 #[test]
 fn transit_allocates_nothing_once_its_links_exist() {
     for kind in [
@@ -80,7 +80,7 @@ fn transit_allocates_nothing_once_its_links_exist() {
     ] {
         let hosts = 8;
         let mut f = fabric_with(kind, hosts);
-        f.set_congestion(Some(SimTime::from_ns(10)), Some(SimTime::from_ns(20)));
+        f.set_congestion(Some(SimTime::from_ns(10)));
         all_pairs(&mut f, hosts, usize::from(hosts * (hosts - 1)));
         let links = f.inter_links().count();
         let before = counts();
@@ -91,10 +91,7 @@ fn transit_allocates_nothing_once_its_links_exist() {
             links,
             "{kind}: warm-up missed a link"
         );
-        assert!(
-            f.total_ecn_marks() > 0 && f.total_pfc_pauses() > 0,
-            "{kind}"
-        );
+        assert!(f.total_ecn_marks() > 0, "{kind}");
     }
 }
 

@@ -34,14 +34,6 @@ use ibsim_verbs::{
 use crate::reference::{client_init_byte, server_init_byte, RECV_ID_BASE};
 use crate::spec::{LossSpec, Prefetch, Scenario, Side, WrSpec};
 
-/// The hash behind [`ScenarioRun::trace_hash`], from `ibsim-event`.
-///
-/// ```
-/// assert_eq!(ibsim_scenario::fnv1a(b""), 0xcbf2_9ce4_8422_2325);
-/// assert_ne!(ibsim_scenario::fnv1a(b"a"), ibsim_scenario::fnv1a(b"b"));
-/// ```
-pub use ibsim_event::fnv1a;
-
 /// What the telemetry hub of a run records.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TelemetryMode {
@@ -722,7 +714,7 @@ mod tests {
     /// one-owner run's `event.peak_depth`.
     #[test]
     fn sharded_damming_matches_sequential() {
-        let sc = Scenario::fig3_loop(2, 1, 100, SimTime::from_ms(1));
+        let sc = Scenario::damming_probe();
         let run = |shards| {
             let mut run = run_scenario_plan(&sc, ShardPlan::pair(shards), RunOptions::FULL);
             let peak = run

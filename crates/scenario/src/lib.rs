@@ -56,8 +56,7 @@ mod spec;
 
 pub use corpus::paper_corpus;
 pub use exec::{
-    fnv1a, run_scenario, run_scenario_plan, run_scenario_with, RunOptions, ScenarioRun,
-    TelemetryMode,
+    run_scenario, run_scenario_plan, run_scenario_with, RunOptions, ScenarioRun, TelemetryMode,
 };
 pub use generator::random_scenario;
 pub use ibsim_verbs::ShardPlan;

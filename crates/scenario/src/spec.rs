@@ -335,9 +335,9 @@ pub struct Scenario {
     pub server_odp: bool,
     /// ODP pages mapped before the first post.
     pub prefetch: Prefetch,
-    /// Local ACK Timeout field `C_ack` on every QP.
+    /// Local ACK Timeout field `C_ack` on every QP (5 bits: at most 31).
     pub cack: u8,
-    /// Transport retry budget `C_retry` on every QP.
+    /// Transport retry budget `C_retry` on every QP (3 bits: at most 7).
     pub retry_count: u8,
     /// Minimal RNR NAK delay advertised by every QP, in nanoseconds.
     pub min_rnr_delay_ns: u64,
@@ -428,6 +428,22 @@ impl Scenario {
         sc
     }
 
+    /// The §V-A damming probe: two 100 B READs 1 ms apart on one QP,
+    /// both-side ODP. The second request lands in the first one's fault
+    /// window and waits out the Local ACK Timeout.
+    pub fn damming_probe() -> Self {
+        Scenario::fig3_loop(2, 1, 100, SimTime::from_ms(1))
+    }
+
+    /// The §VI flood probe (Fig. 11a): `qps` QPs, one 32 B READ each into
+    /// one shared client-side ODP buffer, `C_ack = 18` so the transport
+    /// timer stays out of the storm.
+    pub fn flood_probe(qps: usize) -> Self {
+        let mut sc = Scenario::fig3_loop(qps, qps, 32, SimTime::ZERO);
+        (sc.server_odp, sc.cack) = (false, 18);
+        sc
+    }
+
     /// Total length in bytes of each host's region.
     pub fn region_len(&self) -> u64 {
         match self.layout {
@@ -444,6 +460,16 @@ impl Scenario {
         }
     }
 
+    /// Checks `cack` and `retry_count` against the widths IBTA gives the
+    /// fields; a QP would otherwise clamp `C_ack` to 31 without a word.
+    pub(crate) fn check_field_widths(&self) -> Result<(), FieldWidthError> {
+        match (self.cack, self.retry_count) {
+            (cack @ 32.., _) => Err(FieldWidthError::Cack(cack)),
+            (_, retry @ 8..) => Err(FieldWidthError::Retry(retry)),
+            _ => Ok(()),
+        }
+    }
+
     /// Simulated drain deadline: one post every `post_interval_ns`, then
     /// the drain budget; `None` if that overflows the clock.
     pub(crate) fn drain_deadline(&self) -> Option<SimTime> {
@@ -456,6 +482,7 @@ impl Scenario {
         if self.name.is_empty() || self.name.contains(char::is_whitespace) {
             return Err(format!("bad name {:?}", self.name));
         }
+        self.check_field_widths().map_err(|e| e.to_string())?;
         if self.qps == 0 {
             return Err("need at least one QP".into());
         }
@@ -776,6 +803,25 @@ impl Scenario {
     }
 }
 
+/// A QP attribute past the bits IBTA gives its field
+/// ([`Scenario::check_field_widths`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum FieldWidthError {
+    /// `C_ack`, the 5-bit Local ACK Timeout field, above 31.
+    Cack(u8),
+    /// `C_retry`, the 3-bit transport retry count, above 7.
+    Retry(u8),
+}
+
+impl fmt::Display for FieldWidthError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match *self {
+            FieldWidthError::Cack(v) => write!(f, "cack {v} exceeds the 5-bit field (max 31)"),
+            FieldWidthError::Retry(v) => write!(f, "retry {v} exceeds the 3-bit field (max 7)"),
+        }
+    }
+}
+
 impl fmt::Display for Scenario {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
@@ -1036,7 +1082,9 @@ mod tests {
         for line in [
             "cack=300",
             "cack=-1",
+            "cack=32",
             "retry=256",
+            "retry=8",
             "prefetch=yes",
             "prefetch=",
             "prefetch=01",
@@ -1210,6 +1258,23 @@ mod tests {
             },
         });
         assert!(sc.validate().is_err(), "probability over 1.0");
+    }
+
+    /// `C_ack` has 5 bits and `C_retry` 3: a value past either is refused
+    /// by name, never clamped to the widest one.
+    #[test]
+    fn validate_rejects_cack_and_retry_past_their_field_widths() {
+        let mut sc = sample();
+        (sc.cack, sc.retry_count) = (31, 7);
+        sc.validate().expect("the widest values fit");
+        for (cack, retry, want) in [
+            (200, 7, FieldWidthError::Cack(200)),
+            (31, 8, FieldWidthError::Retry(8)),
+        ] {
+            (sc.cack, sc.retry_count) = (cack, retry);
+            assert_eq!(sc.check_field_widths(), Err(want));
+            assert_eq!(sc.validate(), Err(want.to_string()));
+        }
     }
 
     #[test]

@@ -2,7 +2,8 @@
 //! pass the differential oracle, and the parallel runner must produce
 //! identical hashes for different worker counts on the real corpus.
 
-use ibsim_scenario::{fnv1a, paper_corpus, random_scenario, run_corpus, run_scenario};
+use ibsim_event::fnv1a;
+use ibsim_scenario::{paper_corpus, random_scenario, run_corpus, run_scenario};
 
 #[test]
 fn corpus_is_oracle_clean() {

@@ -338,13 +338,12 @@ const DRIVER_GAUGES: [GaugeField<DriverStats>; 3] = [
 ];
 
 /// The inter-switch link gauges a sync writes.
-const INTER_LINK_GAUGES: [GaugeField<InterLinkStats>; 6] = [
+const INTER_LINK_GAUGES: [GaugeField<InterLinkStats>; 5] = [
     ("fabric.link.frames", |s| s.frames),
     ("fabric.link.bytes", |s| s.bytes),
     ("fabric.link.busy_ns", |s| s.busy_ns),
     ("fabric.link.peak_backlog_ns", |s| s.peak_backlog_ns),
     ("fabric.link.ecn_marks", |s| s.ecn_marks),
-    ("fabric.link.pauses", |s| s.pauses),
 ];
 
 /// Writes the `event.*` gauges that compose across shards: every

@@ -16,7 +16,7 @@ use ibsim::verbs::{ClusterBuilder, DeviceProfile, MrBuilder, QpConfig, ReadWr, W
 fn main() {
     // 1. Two READs, 1 ms apart, both-side ODP: the paper's §V-A setup,
     //    with sim-time telemetry recording the fault lifecycles.
-    let sc = Scenario::fig3_loop(2, 1, 100, SimTime::from_ms(1));
+    let sc = Scenario::damming_probe();
     let run = run_scenario_with(&sc, RunOptions::FULL);
     println!(
         "two READs at 1 ms interval: execution time {} (timeouts: {})",

@@ -18,8 +18,7 @@ fn main() {
     // 1. The Fig. 11a setup: 128 QPs, one 32-byte READ each, all landing
     //    on the same local ODP page, with telemetry recording the fault
     //    lifecycle (raise → queue wait → resolve → per-QP propagation).
-    let mut sc = Scenario::fig3_loop(128, 128, 32, SimTime::ZERO);
-    (sc.server_odp, sc.cack) = (false, 18);
+    let sc = Scenario::flood_probe(128);
     let run = run_scenario_with(&sc, RunOptions::FULL);
     println!(
         "128 QPs x one 32 B READ: execution time {}, {} responses discarded",

@@ -4,7 +4,7 @@
 
 use ibsim::analysis::{lint_capture, LintConfig, RuleId};
 use ibsim::dsm::{Dsm, DsmConfig};
-use ibsim::event::{fnv1a_str, Engine, Fnv1a, SimTime};
+use ibsim::event::{assert_golden, fnv1a_str, Engine, SimTime};
 use ibsim::fabric::LinkSpec;
 use ibsim::odp::SystemProfile;
 use ibsim::scenario::{run_scenario, run_scenario_plan, RunOptions, Scenario, ScenarioRun};
@@ -30,22 +30,10 @@ fn facade_reexports_are_usable() {
     assert_eq!(cl.mem_read(a, dst.base, 6), b"facade");
 }
 
-/// The damming probe: two READs 1 ms apart, both-side ODP.
-fn damming_probe() -> Scenario {
-    Scenario::fig3_loop(2, 1, 100, SimTime::from_ms(1))
-}
-
-/// The flood probe: `qps` QPs, one 32 B READ each, client-side ODP.
-fn flood_probe(qps: usize) -> Scenario {
-    let mut sc = Scenario::fig3_loop(qps, qps, 32, SimTime::ZERO);
-    (sc.server_odp, sc.cack) = (false, 18);
-    sc
-}
-
 #[test]
 fn paper_headline_damming_and_detection() {
     // §V-A headline + §IX-A detection, through the facade.
-    let run = run_scenario(&damming_probe());
+    let run = run_scenario(&Scenario::damming_probe());
     assert!(run.execution_time() >= SimTime::from_ms(400));
     let report = lint_capture(&run.captures[0], &LintConfig::default());
     assert_eq!(report.count(RuleId::DammingSignature), 1, "{report}");
@@ -54,7 +42,7 @@ fn paper_headline_damming_and_detection() {
 
 #[test]
 fn paper_headline_flood_and_detection() {
-    let run = run_scenario(&flood_probe(96));
+    let run = run_scenario(&Scenario::flood_probe(96));
     let report = lint_capture(&run.captures[0], &LintConfig::default());
     assert!(report.count(RuleId::FloodSignature) >= 1, "{report}");
     assert_eq!(report.count(RuleId::DammingSignature), 0, "{report}");
@@ -133,31 +121,28 @@ fn assert_runs_match(seq: &mut ScenarioRun, sh: &mut ScenarioRun, ctx: &str) {
     );
 }
 
-/// The battery over one probe: `seq` must carry the pinned client
-/// timeline, and every shard count must reproduce `seq`.
-fn assert_every_shard_count_matches(sc: &Scenario, len: usize, pin: u64) {
+/// The battery over one probe: `seq` must carry the client timeline
+/// `GOLDENS` pins as `golden_name`, and every shard count must reproduce
+/// `seq`.
+fn assert_every_shard_count_matches(sc: &Scenario, golden_name: &str) {
     let mut seq = run_at(sc, 1);
     let timeline = seq.captures[0].timeline();
-    assert_eq!(timeline.len(), len, "sequential golden drifted");
-    assert_eq!(fnv1a_str(&timeline), pin, "sequential golden drifted");
+    assert_golden(golden_name, [fnv1a_str(&timeline), timeline.len() as u64]);
     for shards in [1, 2, 4, 8] {
         let mut sh = run_at(sc, shards);
         let ctx = format!("{}, {shards} shards", sc.name);
-        let mut h = Fnv1a::new();
-        let _ = sh.captures[0].write_timeline(&mut h);
-        assert_eq!(h.finish(), pin, "{ctx}: diverged");
         assert_runs_match(&mut seq, &mut sh, &ctx);
     }
 }
 
 #[test]
 fn sharded_damming_reproduces_pinned_golden_at_every_shard_count() {
-    assert_every_shard_count_matches(&damming_probe(), 919, 0xeabf_f70d_d984_76b9);
+    assert_every_shard_count_matches(&Scenario::damming_probe(), "damming.timeline");
 }
 
 #[test]
 fn sharded_flood_reproduces_pinned_golden_at_every_shard_count() {
-    assert_every_shard_count_matches(&flood_probe(128), 135_890, 0xa115_5303_7a19_1337);
+    assert_every_shard_count_matches(&Scenario::flood_probe(128), "flood.timeline");
 }
 
 /// A protocol timer's only stale-fire guard is its keyed slot, so a
@@ -165,8 +150,8 @@ fn sharded_flood_reproduces_pinned_golden_at_every_shard_count() {
 /// found its QP armed with work outstanding: fires == counted timeouts.
 #[test]
 fn drained_probes_leave_no_timer_behind_and_every_ack_fire_is_a_timeout() {
-    let flood = run_at(&flood_probe(128), 1);
-    let damming = run_at(&damming_probe(), 1);
+    let flood = run_at(&Scenario::flood_probe(128), 1);
+    let damming = run_at(&Scenario::damming_probe(), 1);
     for (run, name) in [(&flood, "flood"), (&damming, "damming")] {
         assert_eq!(
             engine_gauge(&run.telemetry, "event.live"),
@@ -193,7 +178,7 @@ fn sharded_stage_sum_law_holds_with_cross_shard_fault_lifecycles() {
     // each host's own shard, but the retransmit drain closing every span
     // is driven by packets from the peer's shard. The stage-sum
     // conservation law must survive the epoch-merged telemetry.
-    let sh = run_at(&damming_probe(), 2);
+    let sh = run_at(&Scenario::damming_probe(), 2);
     let spans = sh.telemetry.spans();
     assert!(!spans.is_empty(), "damming probe must record fault spans");
     assert!(
@@ -201,7 +186,7 @@ fn sharded_stage_sum_law_holds_with_cross_shard_fault_lifecycles() {
         "both shards must contribute spans"
     );
     assert_eq!(sh.telemetry.stage_sum_violations(), 0);
-    let seq = run_at(&damming_probe(), 1);
+    let seq = run_at(&Scenario::damming_probe(), 1);
     assert_eq!(seq.telemetry.stage_sum_violations(), 0);
     assert_eq!(seq.telemetry.spans().len(), spans.len());
 }
@@ -212,7 +197,7 @@ fn oversized_lookahead_override_is_rejected() {
     // A lookahead wider than the real minimum cross-shard latency lets a
     // packet arrive inside the epoch it was sent in; the leader must
     // reject the run with a diagnostic instead of silently reordering.
-    let mut sc = damming_probe();
+    let mut sc = Scenario::damming_probe();
     (sc.client_odp, sc.server_odp) = (false, false);
     let mut plan = ShardPlan::new(2, vec![0, 1]);
     plan.lookahead_override = Some(SimTime::from_ms(1000));
