@@ -77,8 +77,9 @@ echo "    enum arm, # Panics docs; an unfulfilled #[expect] fails)"
 # (src/, tests/, examples/); benchmark/ runs its own clippy without it.
 CLIPPY_CONF_DIR=crates cargo clippy --workspace --all-targets --offline -- -D warnings
 
-echo "==> cargo doc --workspace --no-deps (rustdoc warnings are errors)"
-RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline -q
+echo "==> cargo doc --workspace --no-deps --document-private-items (rustdoc"
+echo "    warnings are errors, so a link to a deleted private item fails too)"
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --document-private-items --offline -q
 
 echo "==> cargo build --release"
 cargo build --release --offline
@@ -91,7 +92,7 @@ echo "    release, the profile every bench bin and the benchmark run: integer"
 echo "    overflow panics in debug but wraps here and debug_asserts vanish."
 echo "    fabric: the hostile-size and route-contract tests gate both profiles;"
 echo "    event: the key index masks and wraps its probe, ranks pack into a"
-echo "    u128, slot numbers stay below u32::MAX, which ends a lane or run,"
+echo "    u128, slot numbers stay below u32::MAX, which ends a lane,"
 echo "    and a position word's top bit tags a timer waiting in a lane, so a"
 echo "    heap index must stay below that bit (asserted where a heap grows;"
 echo "    the model test, the allocation test and the seeded tier-invariant"

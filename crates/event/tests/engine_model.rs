@@ -199,10 +199,10 @@ fn drift_key(i: u64) -> TimerKey {
     TimerKey(0xD1, i)
 }
 
-/// Traffic shaped like the cluster's, whose order the queue's lanes and
-/// runs exploit: timers armed at one delay, timers whose delay drifts,
-/// one-shots posted nearly in time order with a rare far one, and re-arms
-/// and cancels at a lane's head, middle and tail.
+/// Traffic shaped like the cluster's: timers armed at one delay, which the
+/// queue's lanes exploit, timers whose delay drifts, one-shots posted
+/// nearly in time order with a rare far one, and re-arms and cancels at a
+/// lane's head, middle and tail.
 #[derive(Default)]
 struct LaneTraffic {
     drift: u64,

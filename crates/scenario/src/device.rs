@@ -95,6 +95,13 @@ const FIELDS: [Field; 17] = [
     field!("timer_load_pm", raw, timer_load_coeff_pm),
 ];
 
+/// Every duration field of `profile` (those spelled `*_ns`): its spec
+/// name and nanoseconds.
+pub(crate) fn durations(profile: &DeviceProfile) -> impl Iterator<Item = (&'static str, u64)> + '_ {
+    let ns = FIELDS.iter().filter(|f| f.name.ends_with("_ns"));
+    ns.map(|f| (f.name, (f.get)(profile)))
+}
+
 /// The `device=` value for `profile`: the first name of its generation
 /// on its link (else of its generation), then every field that differs.
 pub(crate) fn render(profile: &DeviceProfile) -> String {

@@ -21,7 +21,7 @@
 //!   ([`Expectation`]) and checked for exactly-once completion, per-QP
 //!   PSN conformance (via `ibsim-analysis`), final memory-state
 //!   equality, and telemetry stage-sum conservation;
-//! * [`shrink`] — a failing-seed minimizer that deletes work requests,
+//! * [`shrink()`] — a failing-seed minimizer that deletes work requests,
 //!   fault events and loss phases while a failure predicate holds,
 //!   producing a minimal reproducer;
 //! * [`run_corpus`] — a multi-threaded corpus runner whose per-scenario

@@ -24,7 +24,9 @@ use std::fmt;
 
 use ibsim_event::SimTime;
 use ibsim_fabric::LinkSpec;
-use ibsim_verbs::{DeviceProfile, Memory, RecoveryKind, PAGE_SIZE};
+use ibsim_verbs::{
+    rnr_timer_decode, rnr_timer_encode, DeviceProfile, Memory, RecoveryKind, PAGE_SIZE,
+};
 
 use crate::device;
 
@@ -339,7 +341,8 @@ pub struct Scenario {
     pub cack: u8,
     /// Transport retry budget `C_retry` on every QP (3 bits: at most 7).
     pub retry_count: u8,
-    /// Minimal RNR NAK delay advertised by every QP, in nanoseconds.
+    /// Minimal RNR NAK delay advertised by every QP, in nanoseconds: an
+    /// entry of the 5-bit RNR NAK timer table.
     pub min_rnr_delay_ns: u64,
     /// Gap between consecutive posts of the workload loop, in
     /// nanoseconds (the Fig. 3 `usleep(interval)`).
@@ -470,6 +473,30 @@ impl Scenario {
         }
     }
 
+    /// Checks the values a field holds but no run can carry: a zero
+    /// blind-retransmit period re-arms its tick at one instant forever, a
+    /// zero `irq_burst` would run as 1, a device duration past the drain
+    /// budget can overflow the clock mid-run, and an RNR NAK can carry
+    /// only a table delay.
+    pub(crate) fn check_ranges(&self) -> Result<(), RangeError> {
+        let p = &self.device;
+        if p.odp_client_retx == SimTime::ZERO {
+            return Err(RangeError::ZeroRetxPeriod);
+        }
+        if p.irq_burst == 0 {
+            return Err(RangeError::ZeroIrqBurst);
+        }
+        let budget = DRAIN_BUDGET.as_ns();
+        if let Some((field, ns)) = device::durations(p).find(|&(_, ns)| ns > budget) {
+            return Err(RangeError::PastDrainBudget { field, ns });
+        }
+        let rnr = SimTime::from_ns(self.min_rnr_delay_ns);
+        if rnr_timer_decode(rnr_timer_encode(rnr)) != rnr {
+            return Err(RangeError::RnrDelay(self.min_rnr_delay_ns));
+        }
+        Ok(())
+    }
+
     /// Simulated drain deadline: one post every `post_interval_ns`, then
     /// the drain budget; `None` if that overflows the clock.
     pub(crate) fn drain_deadline(&self) -> Option<SimTime> {
@@ -483,6 +510,7 @@ impl Scenario {
             return Err(format!("bad name {:?}", self.name));
         }
         self.check_field_widths().map_err(|e| e.to_string())?;
+        self.check_ranges().map_err(|e| e.to_string())?;
         if self.qps == 0 {
             return Err("need at least one QP".into());
         }
@@ -818,6 +846,36 @@ impl fmt::Display for FieldWidthError {
         match *self {
             FieldWidthError::Cack(v) => write!(f, "cack {v} exceeds the 5-bit field (max 31)"),
             FieldWidthError::Retry(v) => write!(f, "retry {v} exceeds the 3-bit field (max 7)"),
+        }
+    }
+}
+
+/// A value that fits its field but that no run can carry
+/// ([`Scenario::check_ranges`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum RangeError {
+    /// `odp_client_retx_ns=0`: the blind-retransmit tick never advances.
+    ZeroRetxPeriod,
+    /// `irq_burst=0`: `Driver::new` would run it as 1.
+    ZeroIrqBurst,
+    /// A device duration, in nanoseconds, past the drain budget.
+    PastDrainBudget { field: &'static str, ns: u64 },
+    /// A minimal RNR delay, in nanoseconds, that is no RNR NAK timer
+    /// table entry.
+    RnrDelay(u64),
+}
+
+impl fmt::Display for RangeError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match *self {
+            RangeError::ZeroRetxPeriod => write!(f, "device odp_client_retx_ns=0 never advances"),
+            RangeError::ZeroIrqBurst => write!(f, "device irq_burst=0 would run as 1"),
+            RangeError::PastDrainBudget { field, ns } => write!(
+                f,
+                "device {field}={ns} exceeds the {} ns drain budget",
+                DRAIN_BUDGET.as_ns()
+            ),
+            RangeError::RnrDelay(ns) => write!(f, "rnr_ns {ns} is no RNR NAK timer table entry"),
         }
     }
 }
@@ -1274,6 +1332,66 @@ mod tests {
             (sc.cack, sc.retry_count) = (cack, retry);
             assert_eq!(sc.check_field_widths(), Err(want));
             assert_eq!(sc.validate(), Err(want.to_string()));
+        }
+    }
+
+    /// A value that fits its field but that no run can carry is refused
+    /// by name. Each line used to parse: a zero blind-retransmit period
+    /// re-armed its tick at one instant until memory ran out, and a zero
+    /// `irq_burst` quietly ran as 1.
+    #[test]
+    fn parse_rejects_values_no_run_can_carry() {
+        for (line, want) in [
+            (
+                "device=cx4 odp_client_retx_ns=0",
+                RangeError::ZeroRetxPeriod,
+            ),
+            ("device=cx4 irq_burst=0", RangeError::ZeroIrqBurst),
+            ("rnr_ns=0", RangeError::RnrDelay(0)),
+            ("rnr_ns=1", RangeError::RnrDelay(1)),
+            ("rnr_ns=1280001", RangeError::RnrDelay(1_280_001)),
+            ("rnr_ns=655360000", RangeError::RnrDelay(655_360_000)),
+            (
+                "rnr_ns=18446744073709551615",
+                RangeError::RnrDelay(u64::MAX),
+            ),
+        ] {
+            let text = format!("ibsim-scenario v1\nname=x\nodp=cs\n{line}\n");
+            assert_eq!(Scenario::parse(&text), Err(want.to_string()), "{line}");
+        }
+        for ns in [10_000, 1_280_000, 10_240_000, 491_520_000] {
+            let text = format!("ibsim-scenario v1\nname=x\nrnr_ns={ns}\n");
+            assert!(Scenario::parse(&text).is_ok(), "table delay {ns} refused");
+        }
+    }
+
+    /// Every duration of the `device=` line at the drain budget and at
+    /// `u64::MAX`, on a world where both sides fault: a value either
+    /// fails to parse or the run reaches its deadline without a panic.
+    /// Past the budget every value used to parse, and most then overflowed
+    /// the clock mid-run: a panic in a debug build, a wrap in a release one.
+    #[test]
+    fn device_durations_at_the_extremes_are_refused_or_run_to_the_deadline() {
+        let cx4 = DeviceProfile::connectx4(LinkSpec::fdr());
+        let budget = DRAIN_BUDGET.as_ns();
+        for (field, _) in device::durations(&cx4) {
+            for ns in [budget, budget + 1, u64::MAX] {
+                let text = format!(
+                    "ibsim-scenario v1\nname=x\nodp=cs\ndevice=cx4 {field}={ns}\n\
+                     wr=0 read 0 8\nwr=0 write 64 8\n"
+                );
+                match Scenario::parse(&text) {
+                    Ok(sc) => {
+                        assert!(ns <= budget, "{field}={ns} parsed");
+                        let deadline = sc.drain_deadline().expect("validated").as_ns();
+                        assert_eq!(crate::run_scenario(&sc).end_ns, deadline, "{field}");
+                    }
+                    Err(err) => {
+                        let want = RangeError::PastDrainBudget { field, ns };
+                        assert_eq!(err, want.to_string());
+                    }
+                }
+            }
         }
     }
 

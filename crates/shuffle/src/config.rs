@@ -27,12 +27,6 @@ pub struct ShuffleConfig {
     pub endpoints_per_pair: usize,
     /// Concurrent outstanding fetches per reduce task.
     pub fetch_parallelism: usize,
-    /// Consecutive fetches a reduce task issues on the same endpoint
-    /// before rotating to the next (connection reuse for locality, like
-    /// SparkUCX's per-executor connections). Values above 1 put
-    /// back-to-back READs on one QP — the packet-damming precondition
-    /// when the first of them page-faults.
-    pub fetches_per_ep: usize,
     /// Mean compute time between a reduce task's fetches (CPU speed and
     /// scheduling noise; larger values spread the READs out in time,
     /// which — as §VII-B observes — weakens the flood).
@@ -53,7 +47,6 @@ impl Default for ShuffleConfig {
             block_bytes: 32 * 1024,
             endpoints_per_pair: 16,
             fetch_parallelism: 4,
-            fetches_per_ep: 1,
             fetch_stagger: SimTime::from_us(50),
             setup_compute: SimTime::from_ms(50),
         }

@@ -235,8 +235,7 @@ impl ReduceTask {
         }
         *self.inflight.borrow_mut() += 1;
         let ep_set = &self.eps[w_red][w_map];
-        let rot = self.cfg.fetches_per_ep.max(1);
-        let ep = ep_set[(self.r * 131 + m / rot) % ep_set.len()];
+        let ep = ep_set[(self.r * 131 + m) % ep_set.len()];
         let dst = MemSlice {
             host: self.areas[w_red].host,
             mr: self.areas[w_red].stage.key,

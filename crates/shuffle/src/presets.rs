@@ -136,21 +136,21 @@ impl Fig13Cell {
         // cell — §VII-B: "the degree of performance degradation with ODP
         // differs from each system and each example because packet flood
         // is intimately related to the timing issue".
-        // (stagger µs, fetch parallelism, fetches per endpoint) per cell,
-        // chosen with the `calib13` sweep.
-        let (stagger_us, par, fetches_per_ep) = match (self.cluster, self.example) {
-            (Fig13Cluster::Knl2, SparkExample::SparkTc) => (400, 6, 1),
-            (Fig13Cluster::Knl2, SparkExample::Recommendation) => (900, 2, 1),
-            (Fig13Cluster::Knl2, SparkExample::RankingMetrics) => (400, 5, 1),
-            (Fig13Cluster::ReedbushH2, SparkExample::SparkTc) => (60, 4, 1),
-            (Fig13Cluster::ReedbushH2, SparkExample::Recommendation) => (60, 6, 1),
-            (Fig13Cluster::ReedbushH2, SparkExample::RankingMetrics) => (70, 6, 1),
-            (Fig13Cluster::Abci2, SparkExample::SparkTc) => (900, 6, 1),
-            (Fig13Cluster::Abci2, SparkExample::Recommendation) => (700, 6, 1),
-            (Fig13Cluster::Abci2, SparkExample::RankingMetrics) => (600, 6, 1),
-            (Fig13Cluster::Abci4, SparkExample::SparkTc) => (60, 6, 1),
-            (Fig13Cluster::Abci4, SparkExample::Recommendation) => (250, 6, 1),
-            (Fig13Cluster::Abci4, SparkExample::RankingMetrics) => (50, 6, 1),
+        // (stagger µs, fetch parallelism) per cell, chosen with the
+        // `calib13` sweep.
+        let (stagger_us, par) = match (self.cluster, self.example) {
+            (Fig13Cluster::Knl2, SparkExample::SparkTc) => (400, 6),
+            (Fig13Cluster::Knl2, SparkExample::Recommendation) => (900, 2),
+            (Fig13Cluster::Knl2, SparkExample::RankingMetrics) => (400, 5),
+            (Fig13Cluster::ReedbushH2, SparkExample::SparkTc) => (60, 4),
+            (Fig13Cluster::ReedbushH2, SparkExample::Recommendation) => (60, 6),
+            (Fig13Cluster::ReedbushH2, SparkExample::RankingMetrics) => (70, 6),
+            (Fig13Cluster::Abci2, SparkExample::SparkTc) => (900, 6),
+            (Fig13Cluster::Abci2, SparkExample::Recommendation) => (700, 6),
+            (Fig13Cluster::Abci2, SparkExample::RankingMetrics) => (600, 6),
+            (Fig13Cluster::Abci4, SparkExample::SparkTc) => (60, 6),
+            (Fig13Cluster::Abci4, SparkExample::Recommendation) => (250, 6),
+            (Fig13Cluster::Abci4, SparkExample::RankingMetrics) => (50, 6),
         };
         ShuffleConfig {
             workers,
@@ -162,7 +162,6 @@ impl Fig13Cell {
             block_bytes,
             endpoints_per_pair,
             fetch_parallelism: par,
-            fetches_per_ep,
             fetch_stagger: SimTime::from_us(stagger_us),
             // ~1/100 of the paper's disabled wall time, minus the network
             // part, is modeled as setup/compute: 0.95 × 10 ms per paper

@@ -19,7 +19,7 @@
 //! is always usable and the gate returns at once. On an ODP region under
 //! the pinning backend ([`RecoveryKind::pins_on_first_touch`]) every page
 //! of the span that is not mapped is mapped on the spot, counted into
-//! [`Effects::pins`] and `pages_pinned`, and the span is usable — no
+//! `pages_pinned`, and the span is usable — no
 //! fault event, no wait, the fault window never opens. Under every other
 //! backend the gate is [`raise`], the one span walk. **What is raised:**
 //! each `Unmapped` page becomes `Faulting`, bumps the region's

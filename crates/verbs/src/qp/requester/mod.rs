@@ -14,7 +14,7 @@
 //! each message the QP's [`Backend`] selects, in queue order by
 //! construction. How an ODP stall resumes — a blind tick, or the
 //! fault-resolution event — is one bit of the configured
-//! [`RecoveryKind`](super::RecoveryKind).
+//! [`RecoveryKind`].
 //!
 //! ## The send queue is PSN-ordered
 //!
