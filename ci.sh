@@ -105,10 +105,13 @@ echo "    narrowing to an index wrap silently (the foreign-id and slot-reuse"
 echo "    tests);"
 echo "    verbs multiplies segment and page offsets in u32 (the page-gate"
 echo "    replay and the transport suites) and must refuse, not wrap, an"
-echo "    allocation or registration past the address ceiling (the mem tests);"
+echo "    allocation or registration past the address ceiling (the mem tests),"
+echo "    and a page it adopts whole must count as resident once and replace"
+echo "    only a page held elsewhere too (the two-memory model test);"
 echo "    scenario: a spec's span, region or"
 echo "    post schedule past u64 would wrap into one that passes validation"
-echo "    (the parse fuzz)"
+echo "    (the parse fuzz), and whole pages adopted across threads must hash"
+echo "    at 2 shards as at 1 (the whole-page oracle test)"
 cargo test -q --offline --release \
     -p ibsim-fabric -p ibsim-event -p ibsim-telemetry -p ibsim-ucp -p ibsim-shuffle -p ibsim-verbs \
     -p ibsim-scenario

@@ -13,9 +13,19 @@
 //! instead of copying. Pages are reference-counted and every write goes
 //! through `Arc::make_mut`, so writing a page that an in-flight or
 //! captured packet still holds clones the page first (copy-on-write): a
-//! snapshot shows exactly the bytes present at gather time, and a
-//! delivered byte is copied once, into the receiver's pages
-//! ([`Memory::write_payload`]).
+//! snapshot shows exactly the bytes present at gather time.
+//!
+//! Delivery ([`Memory::write_payload`]) copies a payload's bytes into the
+//! receiver's pages, except for the page the paper (§III) treats as the
+//! unit of RDMA memory: a payload that is exactly one whole page, landing
+//! on a page boundary, is *adopted*. The receiver's slot takes a share of
+//! the sender's page, and copy-on-write separates the two hosts at the
+//! first later write on either side. Adoption only ever fills a slot that
+//! holds no private bytes: one never touched, or one whose page something
+//! else also holds (a snapshot, a packet, another host), which the next
+//! write would have cloned anyway. A page that only this memory holds is
+//! copied into, as before: displacing it would drop a page that later
+//! writes reuse in place and make each of them clone a fresh one.
 
 use std::fmt;
 use std::ops::Range;
@@ -29,10 +39,11 @@ type Page = [u8; PAGE_SIZE as usize];
 /// Page-granular memory for one host: a dense page table, slot `n`
 /// holding the page at `n × PAGE_SIZE`, so finding a page is one index.
 ///
-/// Pages materialize zero-filled on first access, which doubles as a
-/// first-touch model: [`Memory::resident_pages`] counts the pages the OS
-/// has so far. The table grows to the highest page touched, 8 bytes a
-/// slot. [`Memory::alloc`] is a bump allocator from `0x1000`, so the
+/// Pages materialize zero-filled on first access (or arrive whole,
+/// adopted from a delivered payload), which doubles as a first-touch
+/// model: [`Memory::resident_pages`] counts the pages the OS has so far.
+/// The table grows to the highest page touched, 8 bytes a slot.
+/// [`Memory::alloc`] is a bump allocator from `0x1000`, so the
 /// address space a host's buffers occupy — and the table — stays dense
 /// by construction. Every address lies below [`Memory::ADDR_LIMIT`], so
 /// no value, however hostile, sizes the table past 128 MiB.
@@ -56,8 +67,8 @@ type Page = [u8; PAGE_SIZE as usize];
 #[derive(Debug)]
 pub struct Memory {
     /// Indexed by page number; `None` until first touch. Shared with the
-    /// payloads gathered from them; `Arc`, not `Rc`, because cross-shard
-    /// packets cross threads.
+    /// payloads gathered from them and the memories that adopted them;
+    /// `Arc`, not `Rc`, because cross-shard packets cross threads.
     pages: Vec<Option<Arc<Page>>>,
     /// The `Some` slots of `pages`.
     resident: usize,
@@ -101,16 +112,22 @@ impl Memory {
         base
     }
 
-    /// The page at `base`, materialized zero-filled on first touch: one
-    /// index whether or not the page existed.
-    fn page(&mut self, base: u64) -> &mut Arc<Page> {
+    /// The slot of the page at `base`, the table grown to reach it, and
+    /// the resident count that filling it must raise.
+    fn slot(&mut self, base: u64) -> (&mut Option<Arc<Page>>, &mut usize) {
         let n = (base / PAGE_SIZE) as usize;
         if n >= self.pages.len() {
             self.pages.resize(n + 1, None);
         }
-        let slot = &mut self.pages[n];
+        (&mut self.pages[n], &mut self.resident)
+    }
+
+    /// The page at `base`, materialized zero-filled on first touch: one
+    /// index whether or not the page existed.
+    fn page(&mut self, base: u64) -> &mut Arc<Page> {
+        let (slot, resident) = self.slot(base);
         if slot.is_none() {
-            self.resident += 1;
+            *resident += 1;
         }
         slot.get_or_insert_with(|| Arc::new([0; PAGE_SIZE as usize]))
     }
@@ -138,7 +155,8 @@ impl Memory {
     }
 
     /// Writes `data` at `addr`, materializing pages as needed; a page a
-    /// [`Payload`] still shares is cloned first.
+    /// [`Payload`] or another memory still shares is cloned first, so the
+    /// write is seen here alone.
     pub fn write(&mut self, addr: u64, data: &[u8]) {
         for (base, in_page, in_data) in pieces(addr, data.len()) {
             Arc::make_mut(self.page(base))[in_page].copy_from_slice(&data[in_data]);
@@ -165,9 +183,26 @@ impl Memory {
         }
     }
 
-    /// Writes `payload`'s bytes at `addr`: the one copy a delivered byte
-    /// makes.
+    /// Writes `payload`'s bytes at `addr`, as [`Memory::write`] would.
+    /// A whole page landing on a page boundary is adopted, not copied,
+    /// when its slot holds no private page: the slot is untouched (and
+    /// now resident) or its page is shared anyway. See the module docs.
+    ///
+    /// # Panics
+    ///
+    /// Panics, naming the range, if it reaches past
+    /// [`Memory::ADDR_LIMIT`].
     pub fn write_payload(&mut self, addr: u64, payload: &Payload) {
+        let aligned = addr.is_multiple_of(PAGE_SIZE);
+        if let Some(page) = payload.whole_page().filter(|_| aligned) {
+            below_ceiling(addr, PAGE_SIZE);
+            let (slot, resident) = self.slot(addr);
+            if slot.as_ref().is_none_or(|held| Arc::strong_count(held) > 1) {
+                *resident += usize::from(slot.is_none());
+                *slot = Some(Arc::clone(page));
+                return;
+            }
+        }
         let (head, tail) = payload.parts();
         self.write(addr, head);
         self.write(addr + head.len() as u64, tail);
@@ -229,6 +264,12 @@ impl Payload {
     /// True if the payload carries no bytes.
     pub fn is_empty(&self) -> bool {
         self.len == 0
+    }
+
+    /// The page this payload spans exactly, if it is one whole page.
+    fn whole_page(&self) -> Option<&Arc<Page>> {
+        let whole = self.off == 0 && u64::from(self.len) == PAGE_SIZE;
+        self.pages[0].as_ref().filter(|_| whole)
     }
 
     /// The bytes on the first page and those on the second (empty unless
@@ -517,6 +558,15 @@ mod tests {
     #[should_panic(expected = "bytes [0xffffffffe, 0xffffffffe + 0x3) reach past")]
     fn write_past_the_ceiling_panics() {
         Memory::new().write(Memory::ADDR_LIMIT - 2, b"abc");
+    }
+
+    /// Adoption skips `pieces`, so it checks the ceiling itself; unchecked,
+    /// the page table would grow to the slot first.
+    #[test]
+    #[should_panic(expected = "bytes [0x1000000000, 0x1000000000 + 0x1000) reach past")]
+    fn adopting_a_page_past_the_ceiling_panics() {
+        let page = Payload::from(&[7; PAGE_SIZE as usize][..]);
+        Memory::new().write_payload(Memory::ADDR_LIMIT, &page);
     }
 
     #[test]

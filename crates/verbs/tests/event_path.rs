@@ -194,6 +194,65 @@ fn payload_traffic_allocates_nothing_per_event() {
     assert_eq!(cl.poll_cq(b).len(), 8);
 }
 
+/// Four 4096-B READs from the server's page 0 and four 4096-B WRITEs
+/// from the client's page 0, each landing on page `first + i` of the
+/// other side.
+fn post_whole_pages(eng: &mut Sim, cl: &mut Cluster, qa: Qpn, mrs: [MrDesc; 2], first: u64) {
+    const PAGE: u64 = 4096;
+    let [local, remote] = mrs;
+    for i in 0..4 {
+        let at = (first + i) * PAGE;
+        let read = ReadWr::new(local.at(at), remote.at(0)).len(4096);
+        cl.post(eng, local.host, qa, read.id(i));
+        let write = WriteWr::new(local.at(0), remote.at(at)).len(4096);
+        cl.post(eng, local.host, qa, write.id(i));
+    }
+}
+
+/// A whole page delivered onto a page nothing has touched is adopted,
+/// not copied into a fresh zero page: once warm on other pages, a burst
+/// landing on first-touched pages allocates nothing, and each side still
+/// reads the other's bytes, separate from later writes to the source.
+#[test]
+fn whole_pages_landing_on_first_touched_pages_allocate_nothing() {
+    const PAGE: u64 = 4096;
+    let (mut eng, mut cl, hosts) = ClusterBuilder::new()
+        .seed(3)
+        .host("client", DeviceProfile::connectx6())
+        .host("server", DeviceProfile::connectx6())
+        .build();
+    let (a, b) = (hosts[0], hosts[1]);
+    let mrs = [
+        cl.alloc_mr(a, 9 * PAGE, MrMode::Pinned),
+        cl.alloc_mr(b, 9 * PAGE, MrMode::Pinned),
+    ];
+    let (qa, _) = cl.connect_pair(&mut eng, a, b, QpConfig::default());
+    let [client, server] = mrs.map(|mr| mr.base);
+    cl.mem_write(a, client, &[0xc1; PAGE as usize]);
+    cl.mem_write(b, server, &[0x5e; PAGE as usize]);
+    // Warm-up on pages 5-8, so every queue has reached its size and each
+    // page table already reaches past pages 1-4.
+    post_whole_pages(&mut eng, &mut cl, qa, mrs, 5);
+    eng.run(&mut cl);
+    assert_eq!(cl.poll_cq(a).len(), 8);
+
+    let allocated = counted(|| {
+        post_whole_pages(&mut eng, &mut cl, qa, mrs, 1);
+        eng.run(&mut cl);
+    });
+    assert_eq!(allocated, 0, "over 8 whole pages landing on 8 fresh pages");
+    let done = cl.poll_cq(a);
+    assert_eq!(done.len(), 8);
+    assert!(done.iter().all(|c| c.status.is_success()));
+    cl.mem_write(a, client, b"client");
+    cl.mem_write(b, server, b"server");
+    for page in 1..=8 {
+        let at = page * PAGE;
+        assert_eq!(cl.mem_read(a, client + at, 4096), [0x5e; 4096], "{page}");
+        assert_eq!(cl.mem_read(b, server + at, 4096), [0xc1; 4096], "{page}");
+    }
+}
+
 /// Allocations this thread makes while `f` runs.
 fn counted(f: impl FnOnce()) -> u64 {
     let before = ALLOCATIONS.get();

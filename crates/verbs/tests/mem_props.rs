@@ -204,3 +204,162 @@ fn gather_and_materialize_touch_what_read_touches() {
         );
     }
 }
+
+/// Two memories, their bytes and resident pages as flat models, and the
+/// snapshots held across steps with the bytes each must keep showing.
+struct Twin {
+    mems: [Memory; 2],
+    bytes: [Vec<u8>; 2],
+    resident: [std::collections::BTreeSet<u64>; 2],
+    held: Vec<(Payload, Vec<u8>)>,
+}
+
+impl Twin {
+    fn touch(&mut self, m: usize, addr: u64, len: usize) {
+        if len > 0 {
+            let pages = addr / PAGE_SIZE..=(addr + len as u64 - 1) / PAGE_SIZE;
+            self.resident[m].extend(pages);
+        }
+    }
+
+    fn write(&mut self, m: usize, addr: u64, data: &[u8]) {
+        self.mems[m].write(addr, data);
+        self.touch(m, addr, data.len());
+        self.bytes[m][addr as usize..][..data.len()].copy_from_slice(data);
+    }
+
+    fn gather(&mut self, m: usize, addr: u64, len: usize) -> (Payload, Vec<u8>) {
+        let payload = self.mems[m].gather(addr, len);
+        self.touch(m, addr, len);
+        (payload, self.bytes[m][addr as usize..][..len].to_vec())
+    }
+
+    /// Gathers `len` bytes at `src` and lands them at `dst`, as a packet
+    /// does; `hold` keeps the payload, as an in-flight copy or a capture.
+    fn deliver(&mut self, src: (usize, u64), len: usize, dst: (usize, u64), hold: bool) {
+        let (payload, want) = self.gather(src.0, src.1, len);
+        self.mems[dst.0].write_payload(dst.1, &payload);
+        self.touch(dst.0, dst.1, len);
+        self.bytes[dst.0][dst.1 as usize..][..len].copy_from_slice(&want);
+        if hold {
+            self.held.push((payload, want));
+        }
+    }
+
+    /// Compares everything against the model, reading only pages the
+    /// model holds resident so that checking touches nothing.
+    fn check(&mut self, case: u64, step: usize) {
+        for m in 0..2 {
+            let resident = self.mems[m].resident_pages();
+            assert_eq!(
+                resident,
+                self.resident[m].len(),
+                "case {case} step {step} mem {m}"
+            );
+            for &n in &self.resident[m] {
+                let at = (n * PAGE_SIZE) as usize..((n + 1) * PAGE_SIZE) as usize;
+                let got = self.mems[m].read(at.start as u64, at.len());
+                assert!(
+                    got == self.bytes[m][at],
+                    "case {case} step {step} mem {m} page {n}"
+                );
+            }
+        }
+        for (k, (payload, want)) in self.held.iter().enumerate() {
+            assert!(
+                payload.to_vec() == *want,
+                "case {case} step {step} snapshot {k}"
+            );
+        }
+    }
+}
+
+/// Whole-page deliveries against a flat model of two memories: aligned
+/// whole pages from the other memory, from another slot of the same one,
+/// onto their own slot, onto a page a held snapshot shares and onto an
+/// untouched page, interleaved with sub-page writes on both sides,
+/// deliveries that must be copied (unaligned, short or straddling) and
+/// snapshots held across it all. After every step both memories, every
+/// snapshot and `resident_pages` match the model.
+#[test]
+fn whole_page_adoption_matches_a_flat_model() {
+    const PAGES: u64 = 12;
+    let page = PAGE_SIZE as usize;
+    for case in 0..64u64 {
+        let mut rng = SplitMix64::new(0xAD0 * 1000 + case);
+        let mut twin = Twin {
+            mems: [Memory::new(), Memory::new()],
+            bytes: [
+                vec![0; PAGES as usize * page],
+                vec![0; PAGES as usize * page],
+            ],
+            resident: Default::default(),
+            held: Vec::new(),
+        };
+        for step in 0..150 {
+            let dst = rng.next_below(2) as usize;
+            let other = 1 - dst;
+            // Most traffic stays in the first 8 pages; the rest are left
+            // for first touches.
+            let pick = |rng: &mut SplitMix64| rng.next_below(8) * PAGE_SIZE;
+            let (to, from) = (pick(&mut rng), pick(&mut rng));
+            let hold = rng.next_below(4) == 0;
+            match rng.next_below(10) {
+                0 | 1 => {
+                    let addr = rng.next_below((PAGES - 1) * PAGE_SIZE);
+                    let len = rng.range(1, PAGE_SIZE / 2) as usize;
+                    let data: Vec<u8> = (0..len).map(|_| rng.next_u64() as u8).collect();
+                    twin.write(dst, addr, &data);
+                }
+                2 => {
+                    let data: Vec<u8> = (0..page).map(|_| rng.next_u64() as u8).collect();
+                    twin.write(dst, to, &data);
+                }
+                3 => twin.deliver((other, from), page, (dst, to), hold),
+                4 => {
+                    let from = if from == to {
+                        (from + PAGE_SIZE) % (8 * PAGE_SIZE)
+                    } else {
+                        from
+                    };
+                    twin.deliver((dst, from), page, (dst, to), hold);
+                }
+                5 => twin.deliver((dst, to), page, (dst, to), hold),
+                6 => {
+                    // A snapshot of part of the destination page shares it.
+                    let off = rng.next_below(PAGE_SIZE);
+                    let len = rng.range(1, PAGE_SIZE - off + 1) as usize;
+                    let snapshot = twin.gather(dst, to + off, len);
+                    twin.held.push(snapshot);
+                    twin.deliver((other, from), page, (dst, to), hold);
+                }
+                7 => {
+                    let fresh = (0..PAGES).find(|n| !twin.resident[dst].contains(n));
+                    if let Some(n) = fresh {
+                        let src = rng.next_below(2) as usize;
+                        twin.deliver((src, from), page, (dst, n * PAGE_SIZE), hold);
+                    }
+                }
+                8 => {
+                    // Not an aligned whole page at both ends: copied.
+                    let src = rng.next_below(2) as usize;
+                    let (skew, short) = (rng.range(1, PAGE_SIZE), rng.range(1, PAGE_SIZE));
+                    let (from, len, to) = match rng.next_below(4) {
+                        0 => (from + skew, page, to),
+                        1 => (from, short as usize, to),
+                        2 => (from + skew, short as usize, to + skew / 2),
+                        _ => (from, page, to + skew),
+                    };
+                    twin.deliver((src, from), len, (dst, to), hold);
+                }
+                _ => {
+                    if !twin.held.is_empty() {
+                        let k = rng.next_below(twin.held.len() as u64) as usize;
+                        twin.held.swap_remove(k);
+                    }
+                }
+            }
+            twin.check(case, step);
+        }
+    }
+}
