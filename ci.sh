@@ -102,7 +102,8 @@ echo "    cast u64/u32 ids to indices (the model and id-space tests); ucp"
 echo "    and shuffle:"
 echo "    a request id is a table slot plus one, so the subtraction and the"
 echo "    narrowing to an index wrap silently (the foreign-id and slot-reuse"
-echo "    tests);"
+echo "    tests), and the wire-identity test pins a mesh's packets, counters and"
+echo "    completions, which a ring built on first use must leave as they were;"
 echo "    verbs multiplies segment and page offsets in u32 (the page-gate"
 echo "    replay and the transport suites) and must refuse, not wrap, an"
 echo "    allocation or registration past the address ceiling (the mem tests),"
@@ -126,6 +127,7 @@ done > target/probes.out
 pin "probes.stdout" target/probes.out
 
 echo "==> the other five examples (they drive payloads through dsm and ucp;"
+echo "    dsm's barrier and lock messages build each eager ring on first use;"
 echo "    their concatenated stdout is pinned)"
 for example in quickstart atomic_counter dsm_counter dsm_stencil shuffle_wordcount; do
     cargo run -q --offline --release --example "$example"

@@ -9,6 +9,14 @@
 //! Like the UCX release the paper studied, the layer **prefers ODP by
 //! default** for application memory ([`UcpConfig::odp`]), uses a minimal
 //! RNR NAK delay of 0.96 ms and `C_ack = 18` (§VII).
+//!
+//! Tagged messages land in per-endpoint eager rings, MPICH2-style
+//! bounce buffers. A ring is built when its direction first needs one,
+//! just before that direction's first SEND is posted, not at
+//! [`Ucp::connect`]. No packet can tell: a responder reads its receive
+//! queue only when a SEND arrives, and a posted receive is never
+//! flushed. A mesh that only ever uses `get` and `put`, like Fig. 13's
+//! shuffle, registers no ring and posts no receive.
 
 use std::cell::{Cell, RefCell};
 use std::collections::{BTreeMap, VecDeque};
@@ -45,7 +53,8 @@ const CACK: u8 = 18;
 const MIN_RNR_DELAY: SimTime = SimTime::from_us(960);
 /// Messages of this size or larger use the rendezvous protocol.
 const RNDV_THRESHOLD: u32 = 4096;
-/// Pre-posted eager receive buffers per endpoint direction.
+/// Eager receive buffers in one direction's ring, all posted, in slot
+/// order, just before the direction's first SEND.
 const EAGER_SLOTS: usize = 32;
 /// Size of one eager receive buffer.
 const EAGER_SLOT_BYTES: u32 = 4096;
@@ -96,11 +105,10 @@ enum WrRole {
 struct EpState {
     a: (HostId, Qpn),
     b: (HostId, Qpn),
-    /// Eager ring at B for A→B traffic: [`EAGER_SLOTS`] slots of
-    /// [`EAGER_SLOT_BYTES`].
-    ring_at_b: MrDesc,
-    /// Eager ring at A for B→A traffic.
-    ring_at_a: MrDesc,
+    /// The eager ring of each [`Dir`], at that direction's receiver:
+    /// [`EAGER_SLOTS`] slots of [`EAGER_SLOT_BYTES`], built by
+    /// [`ensure_ring`] just before the direction's first SEND is posted.
+    rings: [Option<MrDesc>; 2],
     /// Out-of-band message headers in send order, one queue per [`Dir`].
     meta_q: [VecDeque<MsgMeta>; 2],
 }
@@ -129,10 +137,9 @@ impl EpState {
     }
 
     fn ring(&self, dir: Dir) -> &MrDesc {
-        match dir {
-            Dir::AToB => &self.ring_at_b,
-            Dir::BToA => &self.ring_at_a,
-        }
+        self.rings[dir as usize]
+            .as_ref()
+            .expect("invariant: a direction's ring is built before its first SEND")
     }
 
     fn meta_q(&mut self, dir: Dir) -> &mut VecDeque<MsgMeta> {
@@ -180,8 +187,9 @@ struct WorkerState {
 /// among *outstanding* requests only — a completion frees its slot and
 /// the next request reuses it — which is all any reader needs:
 /// completions are exactly-once and nothing orders by `WrId`. The table
-/// is as long as the peak number outstanding (the pre-posted ring
-/// receives plus the operations in flight), not the number ever posted.
+/// is as long as the peak number outstanding (the receives of the rings
+/// built so far plus the operations in flight), not the number ever
+/// posted.
 #[derive(Debug, Default)]
 struct RoleSlab {
     slots: Vec<Option<(HostId, WrRole)>>,
@@ -416,7 +424,8 @@ impl Ucp {
         self.shared.inner.borrow().open_reqs
     }
 
-    /// Connects two workers with a fresh endpoint (QP pair + eager rings).
+    /// Connects two workers with a fresh endpoint: a QP pair. Each
+    /// direction's eager ring waits for that direction's first SEND.
     pub fn connect(&self, eng: &mut Sim, cl: &mut Cluster, a: HostId, b: HostId) -> EpId {
         let mut inner = self.shared.inner.borrow_mut();
         let qp_cfg = QpConfig {
@@ -425,25 +434,13 @@ impl Ucp {
             ..QpConfig::default()
         };
         let (qa, qb) = cl.connect_pair(eng, a, b, qp_cfg);
-        // Eager rings are bounce buffers: always pinned, like UCX's
-        // pre-registered RX descriptors.
-        let ring_bytes = EAGER_SLOTS as u64 * u64::from(EAGER_SLOT_BYTES);
-        let ring_at_b = cl.alloc_mr(b, ring_bytes, MrMode::Pinned);
-        let ring_at_a = cl.alloc_mr(a, ring_bytes, MrMode::Pinned);
         let ep = EpId(inner.eps.len());
         inner.eps.push(EpState {
             a: (a, qa),
             b: (b, qb),
-            ring_at_b,
-            ring_at_a,
+            rings: [None, None],
             meta_q: [VecDeque::new(), VecDeque::new()],
         });
-        // Pre-post both rings.
-        for dir in [Dir::AToB, Dir::BToA] {
-            for slot in 0..EAGER_SLOTS {
-                post_ring_recv(&mut inner, cl, ep, dir, slot);
-            }
-        }
         ep
     }
 
@@ -631,6 +628,7 @@ impl Ucp {
                 send_req: req,
                 len: src.len,
             });
+            ensure_ring(&mut inner, cl, ep, dir);
             let (host, qpn) = inner.eps[ep.0].sender_qp(dir);
             let wr = inner.roles.alloc_wr(host, WrRole::EagerSend { req });
             cl.post(
@@ -867,6 +865,7 @@ fn post_meta(
     dir: Dir,
     meta: MsgMeta,
 ) {
+    ensure_ring(inner, cl, ep, dir);
     let (host, qpn) = inner.eps[ep.0].sender_qp(dir);
     // The tagged send a header belongs to was issued where its RTS
     // leaves from and where its FIN arrives.
@@ -880,6 +879,23 @@ fn post_meta(
         .roles
         .alloc_wr(host, WrRole::MetaSend { send_req, sender });
     cl.post(eng, host, qpn, SendWr::new(scratch).len(META_BYTES).id(wr));
+}
+
+/// Builds the eager ring of direction `dir` of `ep` if it has none yet:
+/// registers it at the receiver and posts its slots in order. Called
+/// just before every SEND in `dir` is posted, so the ring exists before
+/// the first one can arrive. Rings are bounce buffers: always pinned,
+/// like UCX's pre-registered RX descriptors.
+fn ensure_ring(inner: &mut Inner, cl: &mut Cluster, ep: EpId, dir: Dir) {
+    if inner.eps[ep.0].rings[dir as usize].is_some() {
+        return;
+    }
+    let (host, _) = inner.eps[ep.0].receiver(dir);
+    let ring_bytes = EAGER_SLOTS as u64 * u64::from(EAGER_SLOT_BYTES);
+    inner.eps[ep.0].rings[dir as usize] = Some(cl.alloc_mr(host, ring_bytes, MrMode::Pinned));
+    for slot in 0..EAGER_SLOTS {
+        post_ring_recv(inner, cl, ep, dir, slot);
+    }
 }
 
 fn post_ring_recv(inner: &mut Inner, cl: &mut Cluster, ep: EpId, dir: Dir, slot: usize) {

@@ -97,12 +97,12 @@ fn role_slab_agrees_with_an_ordered_map() {
     assert_eq!(live.len(), model.len());
 }
 
-/// One slot per outstanding request, and every endpoint keeps 64 ring
-/// receives posted for as long as it lives (`shuffle` holds 91 392 in
-/// its largest cell): the slot is the layer's resident memory. 40 bytes
-/// is the largest role (`RndvGet`: two request ids, an endpoint, a
-/// direction) plus the host; the ordered map it replaced spent 48 on
-/// the pair and its share of a node besides.
+/// One slot per outstanding request, and a ring keeps its 32 receives
+/// posted for as long as its endpoint lives: in a tagged-message mesh
+/// the slot is the layer's resident memory. 40 bytes is the largest
+/// role (`RndvGet`: two request ids, an endpoint, a direction) plus the
+/// host; the ordered map it replaced spent 48 on the pair and its share
+/// of a node besides.
 #[test]
 fn a_role_slot_stays_within_its_size_bound() {
     assert!(std::mem::size_of::<Option<(HostId, WrRole)>>() <= 40);
@@ -110,8 +110,9 @@ fn a_role_slot_stays_within_its_size_bound() {
 
 /// A seeded mix of every operation on a 3-worker mesh, in rounds of
 /// `ROUND` operations: everything completes, every destination holds
-/// the right bytes, and the role table ends no longer than the rings
-/// plus what one round can have in flight — far below the number of
+/// the right bytes, a ring exists exactly where a tagged message
+/// travelled, and the role table ends no longer than those rings plus
+/// what one round can have in flight — far below the number of
 /// requests posted, so slots were reused.
 #[test]
 fn a_mixed_mesh_workload_completes_and_reuses_role_slots() {
@@ -132,8 +133,8 @@ fn a_mixed_mesh_workload_completes_and_reuses_role_slots() {
         .iter()
         .map(|&(x, y)| ucp.connect(&mut eng, &mut cl, hosts[x], hosts[y]))
         .collect();
-    let rings = eps.len() * 2 * EAGER_SLOTS;
-    assert_eq!(ucp.shared.inner.borrow().roles.slots.len(), rings);
+    // `connect` builds no ring: the table holds nothing yet.
+    assert!(ucp.shared.inner.borrow().roles.slots.is_empty());
 
     // Per worker: a source region of seeded bytes, a destination region
     // with one slot per operation, and a counter for the atomics.
@@ -162,15 +163,20 @@ fn a_mixed_mesh_workload_completes_and_reuses_role_slots() {
     let mut expect: Vec<(usize, u64, usize, u64, u32)> = Vec::new();
     let mut added = [0u64; 3];
     let mut posted = 0u64;
+    // (endpoint, direction) pairs a tagged SEND travelled.
+    let mut carried: BTreeSet<(usize, Dir)> = BTreeSet::new();
     for round in 0..ROUNDS {
         let mut late_recvs = Vec::new();
         for i in 0..ROUND {
             let n = round * ROUND + i;
             let e = rng.next_below(eps.len() as u64) as usize;
             let (mut me, mut peer) = pairs[e];
-            if rng.next_bool() {
+            let dir = if rng.next_bool() {
                 std::mem::swap(&mut me, &mut peer);
-            }
+                Dir::BToA
+            } else {
+                Dir::AToB
+            };
             let off = rng.next_below(SLOT);
             let small = 1 + rng.next_below(4000) as u32;
             let big = 4096 + rng.next_below(4096) as u32;
@@ -229,6 +235,10 @@ fn a_mixed_mesh_workload_completes_and_reuses_role_slots() {
                     }
                     let src = slice(&srcs[me], off, len);
                     ucp.tag_send(&mut eng, &mut cl, eps[e], hosts[me], tag, src);
+                    carried.insert((e, dir));
+                    if kind == 4 {
+                        carried.insert((e, dir.flip())); // the FIN
+                    }
                     expect.push((peer, n, me, off, len));
                     posted += 1;
                 }
@@ -257,9 +267,16 @@ fn a_mixed_mesh_workload_completes_and_reuses_role_slots() {
         let sum = cl.mem_read(h, counters[w].base, 8);
         assert_eq!(sum, added[w].to_le_bytes(), "counter on worker {w}");
     }
+    let inner = ucp.shared.inner.borrow();
+    let built: BTreeSet<(usize, Dir)> = (0..eps.len())
+        .flat_map(|e| [Dir::AToB, Dir::BToA].map(|dir| (e, dir)))
+        .filter(|&(e, dir)| inner.eps[e].rings[dir as usize].is_some())
+        .collect();
+    assert_eq!(built, carried);
     // A rendezvous has at most three requests of its own outstanding
     // (RTS, the receiver's GET, FIN); everything else has one.
-    let table = ucp.shared.inner.borrow().roles.slots.len();
+    let rings = carried.len() * EAGER_SLOTS;
+    let table = inner.roles.slots.len();
     assert!(table <= rings + 3 * ROUND as usize, "{table} slots");
     assert!(posted as usize > 10 * (table - rings), "{posted} posted");
 }
