@@ -84,8 +84,10 @@ RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --document-private-it
 echo "==> cargo build --release"
 cargo build --release --offline
 
-echo "==> cargo test --workspace"
-cargo test -q --offline --workspace
+# Both test stages run under a 900 s limit, so a world stepped in a loop
+# that never ends fails its stage (exit 124) instead of stalling CI.
+echo "==> cargo test --workspace (at most 900 s)"
+timeout 900 cargo test -q --offline --workspace
 
 echo "==> fabric, event, telemetry, ucp, shuffle, verbs and scenario tests in"
 echo "    release, the profile every bench bin and the benchmark run: integer"
@@ -113,7 +115,7 @@ echo "    scenario: a spec's span, region or"
 echo "    post schedule past u64 would wrap into one that passes validation"
 echo "    (the parse fuzz), and whole pages adopted across threads must hash"
 echo "    at 2 shards as at 1 (the whole-page oracle test)"
-cargo test -q --offline --release \
+timeout 900 cargo test -q --offline --release \
     -p ibsim-fabric -p ibsim-event -p ibsim-telemetry -p ibsim-ucp -p ibsim-shuffle -p ibsim-verbs \
     -p ibsim-scenario
 

@@ -542,6 +542,9 @@ mod tests {
     use ibsim_scenario::{run_scenario, Scenario};
     use ibsim_verbs::{Cluster, DeviceProfile, FetchAddWr, MrMode, QpConfig};
 
+    /// How far any world in this file may run before it must have quiesced.
+    const HORIZON: SimTime = SimTime::from_ms(10);
+
     fn traffic(sc: &Scenario) -> TrafficSummary {
         let run = run_scenario(sc);
         let cap = &run.captures[0];
@@ -581,7 +584,7 @@ mod tests {
             qp,
             FetchAddWr::new(local.key, remote.key).id(1),
         );
-        eng.run(&mut cl);
+        eng.run(&mut cl, HORIZON).expect("the world quiesces");
         let cap = cl.capture(a);
         crate::reference::replay(cap, RecoveryKind::default());
         let s = summarize(cap);

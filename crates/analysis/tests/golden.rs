@@ -12,6 +12,9 @@ use ibsim_fabric::LinkSpec;
 use ibsim_scenario::{run_scenario, Scenario};
 use ibsim_verbs::{Cluster, DeviceProfile, MrMode, QpConfig, ReadWr, WriteWr};
 
+/// How far any world in this file may run before it must have quiesced.
+const HORIZON: SimTime = SimTime::from_secs(10);
+
 #[test]
 fn damming_probe_trace_triggers_damming_detector() {
     // examples/damming_probe.rs: two 1 MiB READs 1 ms apart on ODP memory
@@ -102,7 +105,7 @@ fn conservation_holds_between_healthy_hosts() {
             );
         }
     }
-    eng.run(&mut cl);
+    eng.run(&mut cl, HORIZON).expect("the world quiesces");
     assert_eq!(cl.poll_cq(a).len(), 8);
     let report = check_conservation(cl.capture(a), cl.capture(b));
     assert!(report.is_clean(), "{report}");
@@ -139,7 +142,7 @@ fn damming_ghosts_do_not_violate_conservation() {
         qp,
         ReadWr::new(local.key, remote.key).len(1 << 20).id(1),
     );
-    eng.run(&mut cl);
+    eng.run(&mut cl, HORIZON).expect("the world quiesces");
     let report = check_conservation(cl.capture(a), cl.capture(b));
     assert!(report.is_clean(), "{report}");
 }

@@ -23,6 +23,10 @@ use ibsim_odp::OdpMode;
 use ibsim_scenario::{run_scenario_with, RunOptions, Scenario, ScenarioRun};
 use ibsim_verbs::{Cluster, DeviceProfile, MrBuilder, MrMode, QpConfig, ReadWr, Sim, WrId};
 
+/// How long past its post one transfer may take before it has stalled;
+/// each takes microseconds.
+const HORIZON: SimTime = SimTime::from_secs(1);
+
 /// Sequentially READs `transfers` times, one of `buffers` 16 KiB client
 /// buffers per transfer (round-robin), under one strategy; returns
 /// (mean per-transfer latency, peak pinned bytes on the client).
@@ -81,7 +85,8 @@ fn memory_strategy_run(strategy: &str, transfers: usize, buffers: usize) -> (Sim
         let at = ready.max(eng.now());
         let read = ReadWr::new(key, remote.key).len(4096).id(wr);
         cl.post_at(&mut eng, at, a, qp, read);
-        eng.run(&mut cl);
+        eng.run(&mut cl, eng.now() + HORIZON)
+            .unwrap_or_else(|s| panic!("{strategy}: {s}"));
         let cq = cl.poll_cq(a);
         assert_eq!(cq.len(), 1, "{strategy}: transfer completes");
         assert!(cq[0].status.is_success());

@@ -43,6 +43,9 @@ const VICTIM_INTERVAL_NS: u64 = 150_000;
 /// the backend's own retransmit traffic.
 const VICTIM_START_NS: u64 = 1_500_000;
 
+/// By when a run must have quiesced; the full-size storm ends by 0.2 s.
+const HORIZON: SimTime = SimTime::from_secs(10);
+
 /// The oversubscribed inter-switch spec: edge ports run full-rate FDR,
 /// but the leaf→spine uplinks serialize at 2 Gb/s — the classic
 /// oversubscription shape that turns a retransmit storm into queueing
@@ -100,6 +103,10 @@ fn p99_ns(h: &Histogram) -> u64 {
 /// routes are identical) or `Some(backend)` to run the flood on that
 /// recovery backend. The victim QP is created first and always runs
 /// go-back-N: only the storm's backend varies between runs.
+///
+/// # Panics
+///
+/// Panics if the run stalls: events still pending at 10 simulated seconds.
 pub fn run_congestion(storm: Option<RecoveryKind>, quick: bool) -> CongestionRun {
     let storm_qps = if quick { STORM_QPS / 4 } else { STORM_QPS };
     let device = DeviceProfile::connectx4(LinkSpec::fdr());
@@ -168,7 +175,8 @@ pub fn run_congestion(storm: Option<RecoveryKind>, quick: bool) -> CongestionRun
         }
     }
 
-    eng.run(&mut cl);
+    eng.run(&mut cl, HORIZON)
+        .unwrap_or_else(|s| panic!("the congestion study {s}"));
     cl.sync_telemetry_at(&eng, eng.now());
 
     let victim_completions = cl.poll_cq(victim_client).len();

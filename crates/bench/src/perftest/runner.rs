@@ -9,6 +9,11 @@ use ibsim_verbs::{
 
 use super::stats::LatencyReport;
 
+/// How long past its post one iteration (or a bandwidth run's whole
+/// burst) may take before it has stalled; the slowest `ibperf` run takes
+/// about 5 s.
+const HORIZON: SimTime = SimTime::from_secs(60);
+
 /// Parameters shared by every benchmark, mirroring `perftest` flags.
 #[derive(Debug, Clone)]
 pub struct PerfConfig {
@@ -91,7 +96,8 @@ fn off(b: &Bench, cfg: &PerfConfig, i: usize) -> u64 {
 ///
 /// # Panics
 ///
-/// Panics if an iteration's READ does not complete successfully.
+/// Panics if an iteration's READ does not complete successfully, or
+/// its world stalls.
 pub fn read_lat(cfg: &PerfConfig) -> LatencyReport {
     let mut b = setup(cfg);
     let mut samples = Vec::with_capacity(cfg.iterations);
@@ -106,7 +112,9 @@ pub fn read_lat(cfg: &PerfConfig) -> LatencyReport {
                 .len(cfg.size)
                 .id(i as u64),
         );
-        b.eng.run(&mut b.cl);
+        b.eng
+            .run(&mut b.cl, b.eng.now() + HORIZON)
+            .unwrap_or_else(|s| panic!("perftest {s}"));
         let cq = b.cl.poll_cq(b.client);
         assert_eq!(cq.len(), 1, "iteration completes");
         assert!(
@@ -126,7 +134,7 @@ pub fn read_lat(cfg: &PerfConfig) -> LatencyReport {
 /// # Panics
 ///
 /// Panics if an iteration's SEND or its receive does not complete
-/// successfully.
+/// successfully, or its world stalls.
 pub fn send_lat(cfg: &PerfConfig) -> LatencyReport {
     let mut b = setup(cfg);
     let mut samples = Vec::with_capacity(cfg.iterations);
@@ -149,7 +157,9 @@ pub fn send_lat(cfg: &PerfConfig) -> LatencyReport {
             b.qp,
             SendWr::new((b.local.key, o)).len(cfg.size).id(i as u64),
         );
-        b.eng.run(&mut b.cl);
+        b.eng
+            .run(&mut b.cl, b.eng.now() + HORIZON)
+            .unwrap_or_else(|s| panic!("perftest {s}"));
         let cq = b.cl.poll_cq(b.client);
         assert!(
             cq[0].status.is_success(),
@@ -215,7 +225,9 @@ fn bw_run(cfg: &PerfConfig, write: bool) -> BwReport {
             );
         }
     }
-    b.eng.run(&mut b.cl);
+    b.eng
+        .run(&mut b.cl, b.eng.now() + HORIZON)
+        .unwrap_or_else(|s| panic!("perftest {s}"));
     let cq = b.cl.poll_cq(b.client);
     assert_eq!(cq.len(), total, "all iterations complete");
     let mut first = SimTime::MAX;

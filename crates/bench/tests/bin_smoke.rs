@@ -135,6 +135,13 @@ fn table13_reports_all_examples() {
 }
 
 #[test]
+fn calib13_quick_runs_one_grid_point() {
+    let out = run_twice(env!("CARGO_BIN_EXE_calib13"));
+    assert!(out.contains("paper ratio"), "{out}");
+    assert_eq!(out.matches("ratio=").count(), 1, "{out}");
+}
+
+#[test]
 fn ablation_prints_the_pinned_knockouts() {
     let out = run(env!("CARGO_BIN_EXE_ablation"), false);
     assert!(out.contains("damming flag OFF"), "{out}");

@@ -32,7 +32,9 @@ pub struct Fig2Point {
 /// # Panics
 ///
 /// Panics if a probe READ does not complete with `RetryExcErr`: the
-/// mis-addressed QP must exhaust its retries.
+/// mis-addressed QP must exhaust its retries, within one `T_o` past
+/// `(C_retry + 1) · T_o`. A `C_ack` of 0, which disables the timeout,
+/// panics too.
 pub fn fig2_curve(sys: &SystemProfile, cacks: impl Iterator<Item = u8>) -> Vec<Fig2Point> {
     cacks
         .map(|cack| {
@@ -47,6 +49,10 @@ pub fn fig2_curve(sys: &SystemProfile, cacks: impl Iterator<Item = u8>) -> Vec<F
                 retry_count: 7,
                 ..QpConfig::default()
             };
+            // The READ fails (C_retry + 1) · T_o after its post; one
+            // T_o more is slack for its wire time.
+            let t_o = sys.device.t_o(cack).expect("C_ack 0 has no timeout");
+            let horizon = t_o * (u64::from(cfg.retry_count) + 2);
             let (qa, qb) = cl.connect_pair(&mut eng, a, b, cfg);
             cl.connect_to_lid(a, qa, Lid(0xFFF), qb);
             cl.post(
@@ -55,7 +61,8 @@ pub fn fig2_curve(sys: &SystemProfile, cacks: impl Iterator<Item = u8>) -> Vec<F
                 qa,
                 ReadWr::new(local.key, remote.key).len(100).id(1),
             );
-            eng.run(&mut cl);
+            eng.run(&mut cl, horizon)
+                .unwrap_or_else(|s| panic!("{}: {s}", sys.name));
             let cq = cl.poll_cq(a);
             assert_eq!(cq[0].status, WcStatus::RetryExcErr, "{}", sys.name);
             Fig2Point {

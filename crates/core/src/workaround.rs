@@ -103,6 +103,9 @@ mod tests {
     use ibsim_fabric::LinkSpec;
     use ibsim_verbs::{DeviceProfile, MrMode, QpConfig, WcStatus};
 
+    /// How far any world in this file may run before it must have quiesced.
+    const HORIZON: SimTime = SimTime::from_secs(10);
+
     fn cx4() -> DeviceProfile {
         DeviceProfile::connectx4(LinkSpec::fdr())
     }
@@ -160,7 +163,7 @@ mod tests {
                     8,
                 );
             }
-            eng.run(&mut cl);
+            eng.run(&mut cl, HORIZON).expect("the world quiesces");
             let cq = cl.poll_cq(a);
             cq.iter()
                 .filter(|c| c.wr_id == WrId(1) && c.status == WcStatus::Success)
@@ -220,7 +223,7 @@ mod tests {
                     SimTime::from_ms(2),
                 );
             }
-            eng.run(&mut cl);
+            eng.run(&mut cl, HORIZON).expect("the world quiesces");
             let cq = cl.poll_cq(a);
             let original = cq
                 .iter()

@@ -6,11 +6,16 @@ use ibsim_verbs::Cluster;
 use crate::config::DsmConfig;
 use crate::dsm::Dsm;
 
+/// By when a trial must have quiesced; the slowest Fig. 12 trial, dammed
+/// twice, ends by 5 s.
+const HORIZON: SimTime = SimTime::from_secs(60);
+
 /// Runs one init+finalize trial and returns its wall-clock time.
 ///
 /// # Panics
 ///
-/// Panics if the simulation drains before `finalize` completes.
+/// Panics if the simulation drains before `finalize` completes, or
+/// stalls: events still pending at 60 simulated seconds.
 pub fn init_finalize_once(cfg: DsmConfig) -> SimTime {
     let mut eng = Engine::new();
     let mut cl = Cluster::new(cfg.seed);
@@ -22,7 +27,8 @@ pub fn init_finalize_once(cfg: DsmConfig) -> SimTime {
         let fin = fin.clone();
         dsm2.finalize(eng, cl, move |_, _, at| fin.set(at));
     });
-    eng.run(&mut cl);
+    eng.run(&mut cl, HORIZON)
+        .unwrap_or_else(|s| panic!("init+finalize {s}"));
     let t = finished.get();
     assert!(t > SimTime::ZERO, "benchmark did not finish");
     t

@@ -5,6 +5,9 @@ use ibsim_dsm::{Dsm, DsmConfig};
 use ibsim_event::{Engine, SimTime};
 use ibsim_verbs::Cluster;
 
+/// How far any world in this file may run before it must have quiesced.
+const HORIZON: SimTime = SimTime::from_secs(1);
+
 fn small_cfg(odp: bool) -> DsmConfig {
     DsmConfig {
         nodes: 2,
@@ -40,7 +43,7 @@ fn local_read_write_roundtrip() {
             });
         },
     );
-    eng.run(&mut cl);
+    eng.run(&mut cl, HORIZON).expect("the world quiesces");
     let s = dsm.stats();
     assert_eq!(s.local_writes, 1);
     assert_eq!(s.local_reads, 1);
@@ -68,7 +71,7 @@ fn remote_read_fetches_page_then_hits_cache() {
             });
         },
     );
-    eng.run(&mut cl);
+    eng.run(&mut cl, HORIZON).expect("the world quiesces");
     let s = dsm.stats();
     assert_eq!(s.remote_reads, 1, "first read fetches the page");
     assert_eq!(s.cache_hits, 1, "second read hits the cache");
@@ -101,7 +104,7 @@ fn release_self_invalidates_cache() {
             });
         });
     });
-    eng.run(&mut cl);
+    eng.run(&mut cl, HORIZON).expect("the world quiesces");
     let s = dsm.stats();
     assert!(s.self_invalidations >= 1);
     assert_eq!(s.remote_reads, 2, "page re-fetched after invalidation");
@@ -135,7 +138,7 @@ fn lock_serializes_contenders() {
             });
         }
     }
-    eng.run(&mut cl);
+    eng.run(&mut cl, HORIZON).expect("the world quiesces");
     assert_eq!(counter.get(), 8, "every acquire was granted exactly once");
     assert_eq!(dsm.stats().lock_acquisitions, 8);
 }
@@ -155,7 +158,7 @@ fn write_through_is_visible_at_home() {
             d.read(eng, cl, 0, 200, 6, |_, _, v| assert_eq!(v, b"from-1"));
         },
     );
-    eng.run(&mut cl);
+    eng.run(&mut cl, HORIZON).expect("the world quiesces");
     let s = dsm.stats();
     assert_eq!(s.remote_writes, 1);
     assert_eq!(s.local_reads, 1);
@@ -177,7 +180,7 @@ fn odp_mode_still_coherent() {
             d.read(eng, cl, 0, 300, 9, |_, _, v| assert_eq!(v, b"odp-write"));
         },
     );
-    eng.run(&mut cl);
+    eng.run(&mut cl, HORIZON).expect("the world quiesces");
     assert_eq!(dsm.stats().remote_writes, 1);
 }
 
@@ -187,6 +190,6 @@ fn barrier_waits_for_everyone() {
     let hit = std::rc::Rc::new(std::cell::Cell::new(false));
     let h = hit.clone();
     dsm.barrier(&mut eng, &mut cl, move |_, _| h.set(true));
-    eng.run(&mut cl);
+    eng.run(&mut cl, HORIZON).expect("the world quiesces");
     assert!(hit.get());
 }

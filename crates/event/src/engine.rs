@@ -660,6 +660,42 @@ impl fmt::Display for QueueStats {
     }
 }
 
+/// A run that reached its horizon with events still pending: the error
+/// of [`Engine::run`]. A world that never quiesces — a SEND RNR-NAKed for
+/// ever, a timer that re-arms itself — ends here instead of hanging.
+///
+/// ```
+/// use ibsim_event::{Engine, SimTime, Stalled};
+///
+/// fn tick(_: &mut (), eng: &mut Engine<()>) {
+///     eng.schedule_in(SimTime::from_us(3), tick);
+/// }
+/// let mut eng = Engine::new();
+/// eng.schedule_at(SimTime::ZERO, tick);
+/// let (at, next) = (SimTime::from_us(10), SimTime::from_us(12));
+/// assert_eq!(eng.run(&mut (), at), Err(Stalled { at, pending: 1, next }));
+/// assert_eq!(eng.now(), SimTime::from_us(9), "the clock is not parked");
+/// ```
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Stalled {
+    /// The horizon the run reached: every event up to it has fired.
+    pub at: SimTime,
+    /// Events still pending.
+    pub pending: usize,
+    /// Time of the earliest of them, past the horizon.
+    pub next: SimTime,
+}
+
+impl fmt::Display for Stalled {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(
+            f,
+            "stalled at the {} horizon: {} events pending, the next at {}",
+            self.at, self.pending, self.next
+        )
+    }
+}
+
 /// A deterministic discrete-event simulation engine over a world `W`,
 /// scheduling events of type `E` (boxed closures unless named).
 ///
@@ -674,7 +710,8 @@ impl fmt::Display for QueueStats {
 ///     eng.schedule_in(SimTime::from_us(5), |w, _| *w += 10);
 /// });
 /// let mut world = 0u32;
-/// engine.run(&mut world);
+/// let quiet = engine.run(&mut world, SimTime::from_ms(1));
+/// assert_eq!(quiet, Ok(SimTime::from_us(10)));
 /// assert_eq!(world, 11);
 /// assert_eq!(engine.now(), SimTime::from_us(10));
 /// ```
@@ -705,7 +742,7 @@ impl fmt::Display for QueueStats {
 /// engine.post_at(SimTime::from_us(1), Tick::Add(2));
 /// engine.schedule_at(SimTime::from_us(2), |w, _| *w *= 10);
 /// let mut world = 0;
-/// engine.run(&mut world);
+/// engine.run(&mut world, SimTime::from_ms(1)).expect("quiesces");
 /// assert_eq!(world, 20);
 /// ```
 pub struct Engine<W, E = Call<W>> {
@@ -1051,9 +1088,20 @@ impl<W, E: Event<W>> Engine<W, E> {
     // Execution
     // ------------------------------------------------------------------
 
-    /// Runs events until the queue is empty.
-    pub fn run(&mut self, world: &mut W) {
-        self.run_until(world, SimTime::MAX);
+    /// Runs events whose time is `<= horizon`; returns the time the
+    /// world went quiet, or [`Stalled`] if events are still pending past
+    /// the horizon. The clock is left at the last event fired, never
+    /// parked at the horizon.
+    pub fn run(&mut self, world: &mut W, horizon: SimTime) -> Result<SimTime, Stalled> {
+        self.fire_through(world, horizon);
+        match self.next_event_time() {
+            None => Ok(self.now),
+            Some(next) => Err(Stalled {
+                at: horizon,
+                pending: self.pending_events(),
+                next,
+            }),
+        }
     }
 
     /// Runs events whose time is `<= deadline`, then stops.
@@ -1064,14 +1112,22 @@ impl<W, E: Event<W>> Engine<W, E> {
     /// dry. [`last_executed_at`](Engine::last_executed_at) keeps the last
     /// event's time.
     pub fn run_until(&mut self, world: &mut W, deadline: SimTime) {
+        self.fire_through(world, deadline);
+        if deadline != SimTime::MAX && self.now < deadline {
+            self.now = deadline;
+        }
+    }
+
+    /// The hot loop of [`run`](Engine::run) and
+    /// [`run_until`](Engine::run_until): fires every event whose time is
+    /// `<= deadline`.
+    #[inline]
+    fn fire_through(&mut self, world: &mut W, deadline: SimTime) {
         while let Some((node, timer)) = self.next_root() {
             if node.at > deadline {
                 break;
             }
             self.fire_next(timer, world);
-        }
-        if deadline != SimTime::MAX && self.now < deadline {
-            self.now = deadline;
         }
     }
 
@@ -1118,6 +1174,9 @@ mod tests {
     use std::cell::RefCell;
     use std::rc::Rc;
 
+    /// How far any world in this file may run before it must have quiesced.
+    const HORIZON: SimTime = SimTime::from_secs(1);
+
     #[test]
     fn events_fire_in_time_order() {
         let mut eng: Engine<Vec<u32>> = Engine::new();
@@ -1125,7 +1184,7 @@ mod tests {
         eng.schedule_at(SimTime::from_us(10), |w, _| w.push(1));
         eng.schedule_at(SimTime::from_us(20), |w, _| w.push(2));
         let mut out = Vec::new();
-        eng.run(&mut out);
+        eng.run(&mut out, HORIZON).expect("the world quiesces");
         assert_eq!(out, vec![1, 2, 3]);
         assert_eq!(eng.now(), SimTime::from_us(30));
         assert_eq!(eng.queue_stats().executed, 3);
@@ -1139,7 +1198,7 @@ mod tests {
             eng.schedule_at(t, move |w, _| w.push(i));
         }
         let mut out = Vec::new();
-        eng.run(&mut out);
+        eng.run(&mut out, HORIZON).expect("the world quiesces");
         assert_eq!(out, (0..100).collect::<Vec<_>>());
     }
 
@@ -1154,7 +1213,7 @@ mod tests {
         }
         eng.schedule_at(SimTime::ZERO, tick);
         let mut out = Vec::new();
-        eng.run(&mut out);
+        eng.run(&mut out, HORIZON).expect("the world quiesces");
         assert_eq!(
             out,
             vec![
@@ -1178,7 +1237,7 @@ mod tests {
             *w += 100;
         });
         let mut w = 0;
-        eng.run(&mut w);
+        eng.run(&mut w, HORIZON).expect("the world quiesces");
         assert_eq!(w, 100);
     }
 
@@ -1188,7 +1247,7 @@ mod tests {
         let mut eng: Engine<u32> = Engine::new();
         eng.schedule_keyed_at(key, SimTime::from_us(1), |w, _| *w += 1);
         let mut w = 0;
-        eng.run(&mut w);
+        eng.run(&mut w, HORIZON).expect("the world quiesces");
         assert!(!eng.cancel_key(key));
         assert_eq!(eng.queue_stats().cancelled, 0);
     }
@@ -1207,7 +1266,7 @@ mod tests {
         assert_eq!(eng.pending_events(), 5);
         assert_eq!(eng.queue_stats().cancelled, 5);
         let mut w = 0;
-        eng.run(&mut w);
+        eng.run(&mut w, HORIZON).expect("the world quiesces");
         let s = eng.queue_stats();
         assert_eq!((s.executed, s.dead_pending, s.dead_pops), (5, 0, 0));
     }
@@ -1221,7 +1280,7 @@ mod tests {
         eng.run_until(&mut out, SimTime::from_us(20));
         assert_eq!(out, vec![1]);
         assert_eq!(eng.now(), SimTime::from_us(20));
-        eng.run(&mut out);
+        eng.run(&mut out, HORIZON).expect("the world quiesces");
         assert_eq!(out, vec![1, 2]);
     }
 
@@ -1246,7 +1305,7 @@ mod tests {
             eng.schedule_at(SimTime::from_us(5), |_, _| {});
         });
         let mut w = 0;
-        eng.run(&mut w);
+        eng.run(&mut w, HORIZON).expect("the world quiesces");
     }
 
     #[test]
@@ -1269,7 +1328,7 @@ mod tests {
             let h = Rc::clone(&hits);
             eng.schedule_in(SimTime::from_us(1), move |_, _| *h.borrow_mut() += 1);
         }
-        eng.run(&mut ());
+        eng.run(&mut (), HORIZON).expect("the world quiesces");
         assert_eq!(*hits.borrow(), 10);
     }
 
@@ -1285,7 +1344,7 @@ mod tests {
         assert_eq!(eng.pending_events(), 1, "replace, not accumulate");
         assert_eq!(eng.key_deadline(key), Some(SimTime::from_us(20)));
         let mut out = Vec::new();
-        eng.run(&mut out);
+        eng.run(&mut out, HORIZON).expect("the world quiesces");
         assert_eq!(out, vec![2]);
         assert!(!eng.key_armed(key));
         assert_eq!(eng.queue_stats().replaced, 1);
@@ -1307,7 +1366,7 @@ mod tests {
         assert!(rearm.is_err(), "scheduling into the past panics");
         assert_eq!(eng.queue_stats(), before);
         assert_eq!(eng.key_deadline(key), Some(SimTime::from_us(30)));
-        eng.run(&mut out);
+        eng.run(&mut out, HORIZON).expect("the world quiesces");
         assert_eq!(out, vec![1, 2, 3]);
         assert!(!eng.key_armed(key), "the armed event fired under its key");
     }
@@ -1334,7 +1393,7 @@ mod tests {
         assert!(!eng.key_armed(key));
         assert_eq!(eng.free.len(), 1);
         let mut w = 0;
-        eng.run(&mut w);
+        eng.run(&mut w, HORIZON).expect("the world quiesces");
         assert_eq!(w, 0);
         assert_eq!(eng.queue_stats().executed, 1);
     }
@@ -1431,7 +1490,7 @@ mod tests {
         assert!(!eng.cancel_key(key), "double cancel reports false");
         assert_eq!(eng.pending_events(), 0);
         let mut w = 0;
-        eng.run(&mut w);
+        eng.run(&mut w, HORIZON).expect("the world quiesces");
         assert_eq!(w, 0, "cancelled keyed timer never fires");
     }
 
@@ -1441,7 +1500,7 @@ mod tests {
         let mut eng: Engine<u32> = Engine::new();
         eng.schedule_keyed_in(key, SimTime::from_us(5), |w, _| *w += 1);
         let mut w = 0;
-        eng.run(&mut w);
+        eng.run(&mut w, HORIZON).expect("the world quiesces");
         assert_eq!(w, 1);
         assert!(!eng.key_armed(key), "slot is free after the event fires");
         assert_eq!(eng.keyed_timers(), 0);
@@ -1476,7 +1535,7 @@ mod tests {
         // tags are assigned in insertion order per time bucket.
         live.sort_by_key(|&tag| (1000 + (tag % 37), tag));
         let mut out = Vec::new();
-        eng.run(&mut out);
+        eng.run(&mut out, HORIZON).expect("the world quiesces");
         assert_eq!(out, live);
         let s = eng.queue_stats();
         assert_eq!((s.dead_pops, s.dead_pending, s.live), (0, 0, 0));
@@ -1506,7 +1565,7 @@ mod tests {
         assert_eq!(eng.queue_stats().peak_depth, 2);
         eng.cancel_key(key);
         let mut w = 0;
-        eng.run(&mut w);
+        eng.run(&mut w, HORIZON).expect("the world quiesces");
         let s = eng.queue_stats();
         assert_eq!(s.scheduled, 2);
         assert_eq!(s.cancelled, 1);
@@ -1729,7 +1788,7 @@ mod tests {
             ];
             peak = std::array::from_fn(|i| peak[i].max(now[i]));
         }
-        eng.run(&mut world);
+        eng.run(&mut world, HORIZON).expect("the world quiesces");
         check_invariants(&eng);
         assert_eq!(eng.pending_events(), 0);
         assert!(world.windows(2).all(|w| w[0] <= w[1]), "the clock ran back");
@@ -1760,7 +1819,7 @@ mod tests {
                 post(&mut eng);
             }
             let mut out = Vec::new();
-            eng.run(&mut out);
+            eng.run(&mut out, HORIZON).expect("the world quiesces");
             assert_eq!(out, want);
         }
     }
@@ -1780,7 +1839,7 @@ mod tests {
         let mut out = Vec::new();
         assert!(eng.step(&mut out));
         assert_eq!(out, [999]);
-        eng.run(&mut out);
+        eng.run(&mut out, HORIZON).expect("the world quiesces");
         let rest: Vec<u64> = (1..=40).flat_map(|i| [i, 100 + i]).collect();
         assert_eq!(out[1..], rest, "the replaced event never fires");
     }
@@ -1806,7 +1865,7 @@ mod tests {
         assert_eq!(lengths(&eng.cells, &eng.timers.lanes), [3]);
         let s = eng.queue_stats();
         assert_eq!((s.live, s.peak_depth, s.keyed_live), (6, 6, 3));
-        eng.run(&mut 0);
+        eng.run(&mut 0, HORIZON).expect("the world quiesces");
         assert_eq!(eng.queue_stats().peak_depth, 6);
     }
 

@@ -34,9 +34,9 @@
 //! let mut eng = Engine::new();
 //! eng.schedule_at(SimTime::ZERO, ping);
 //! let mut world = World { pings: 0 };
-//! eng.run(&mut world);
+//! let quiet = eng.run(&mut world, SimTime::from_ms(1));
+//! assert_eq!(quiet, Ok(SimTime::from_us(4)));
 //! assert_eq!(world.pings, 3);
-//! assert_eq!(eng.now(), SimTime::from_us(4));
 //! ```
 
 #![warn(missing_docs)]
@@ -49,7 +49,7 @@ mod rng;
 mod shard;
 mod time;
 
-pub use engine::{Call, Engine, Event, EventFn, QueueStats, TimerKey};
+pub use engine::{Call, Engine, Event, EventFn, QueueStats, Stalled, TimerKey};
 pub use hash::{assert_golden, fnv1a, fnv1a_str, Fnv1a};
 pub use line::{Line, Render};
 pub use rng::SplitMix64;

@@ -10,6 +10,9 @@ use std::collections::BTreeMap;
 
 use ibsim_event::{Engine, QueueStats, SimTime, SplitMix64, TimerKey};
 
+/// How far any world in this file may run before it must have quiesced.
+const HORIZON: SimTime = SimTime::from_secs(1);
+
 /// Tag bit of an event scheduled by a firing event.
 const CHILD: u64 = 1 << 63;
 
@@ -414,7 +417,9 @@ fn run_model(seed: u64, keys: Vec<TimerKey>, ops: usize) -> (usize, QueueStats) 
         assert_eq!(h.eng.cancel_key(key), h.model.cancel_key(key), "{key}");
     }
     h.check(ops, None);
-    h.eng.run(&mut h.world);
+    h.eng
+        .run(&mut h.world, HORIZON)
+        .expect("the world quiesces");
     while h.model.step() {}
     h.check(ops, None);
     h.check_all_keys(ops);

@@ -7,6 +7,9 @@
 
 use ibsim_event::{Engine, SimTime, SplitMix64, TimerKey};
 
+/// How far any world in this file may run before it must have quiesced.
+const HORIZON: SimTime = SimTime::from_secs(1);
+
 const CASES: u64 = 64;
 
 /// Events always observe a monotonically non-decreasing clock, and all
@@ -24,7 +27,7 @@ fn clock_is_monotone() {
             });
         }
         let mut seen = Vec::new();
-        eng.run(&mut seen);
+        eng.run(&mut seen, HORIZON).expect("the world quiesces");
         assert_eq!(seen.len(), times.len(), "case {case}");
         let mut sorted = times.clone();
         sorted.sort_unstable();
@@ -56,7 +59,7 @@ fn cancellation_is_exact() {
         }
         expect.sort_by_key(|&i| (times[i], i));
         let mut seen = Vec::new();
-        eng.run(&mut seen);
+        eng.run(&mut seen, HORIZON).expect("the world quiesces");
         assert_eq!(seen, expect, "case {case}");
     }
 }
@@ -80,13 +83,13 @@ fn run_until_is_transparent() {
         let mut a: Engine<Vec<(u64, usize)>> = Engine::new();
         schedule(&mut a, &times);
         let mut one_shot = Vec::new();
-        a.run(&mut one_shot);
+        a.run(&mut one_shot, HORIZON).expect("the world quiesces");
 
         let mut b: Engine<Vec<(u64, usize)>> = Engine::new();
         schedule(&mut b, &times);
         let mut paused = Vec::new();
         b.run_until(&mut paused, SimTime::from_ns(split));
-        b.run(&mut paused);
+        b.run(&mut paused, HORIZON).expect("the world quiesces");
 
         assert_eq!(one_shot, paused, "case {case} (split {split})");
     }

@@ -6,6 +6,9 @@
 
 use ibsim_event::{Engine, SimTime, SplitMix64, TimerKey};
 
+/// How far any world in this file may run before it must have quiesced.
+const HORIZON: SimTime = SimTime::from_secs(1);
+
 const PSN_MODULUS: u64 = 1 << 24;
 const HOSTS: u64 = 4;
 const QPS: u64 = 8;
@@ -98,7 +101,7 @@ fn churn(seed: u64) -> (Vec<(u64, u64)>, (u64, u64, u64, u64, u64)) {
     }
 
     // Drain completely: nothing may remain, live or otherwise.
-    eng.run(&mut world);
+    eng.run(&mut world, HORIZON).expect("the world quiesces");
     assert_eq!(eng.pending_events(), 0, "live events leaked after drain");
     assert_eq!(eng.keyed_timers(), 0, "keyed slots leaked after drain");
 
@@ -167,7 +170,7 @@ fn golden_trace_equality_under_interleaved_churn() {
                 assert!(eng.cancel_key(key), "just armed, must cancel");
             }
         }
-        eng.run(&mut world);
+        eng.run(&mut world, HORIZON).expect("the world quiesces");
         world.fires
     }
 

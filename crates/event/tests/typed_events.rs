@@ -10,6 +10,9 @@ use std::cell::Cell;
 
 use ibsim_event::{Engine, Event, EventFn, SimTime, SplitMix64, TimerKey};
 
+/// How far any world in this file may run before it must have quiesced.
+const HORIZON: SimTime = SimTime::from_secs(1);
+
 struct Counting;
 
 thread_local! {
@@ -127,7 +130,7 @@ fn typed_events_allocate_nothing_in_steady_state() {
     for _ in 0..1_000 {
         round(&mut eng, &mut world, &mut rng);
     }
-    eng.run(&mut world);
+    eng.run(&mut world, HORIZON).expect("the world quiesces");
     let warm = eng.queue_stats();
 
     let before = ALLOCATIONS.get();
@@ -151,13 +154,13 @@ fn a_boxed_closure_is_the_only_allocation_of_the_variant_that_carries_it() {
     for i in 0..8 {
         eng.post_at(SimTime::from_ns(i), Tick::Add(1));
     }
-    eng.run(&mut world);
+    eng.run(&mut world, HORIZON).expect("the world quiesces");
     let bias = [7u64; 4];
     let before = ALLOCATIONS.get();
     for i in 0..8 {
         eng.schedule_in(SimTime::from_ns(i), move |w, _| *w += bias[0]);
     }
-    eng.run(&mut world);
+    eng.run(&mut world, HORIZON).expect("the world quiesces");
     assert_eq!(ALLOCATIONS.get() - before, 8, "one box per closure");
     assert_eq!(world, 8 + 8 * 7);
 }

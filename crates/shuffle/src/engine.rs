@@ -17,6 +17,10 @@ use ibsim_verbs::{Cluster, HostId, MrDesc, Sim};
 
 use crate::config::ShuffleConfig;
 
+/// By when a job must have quiesced; the slowest Fig. 13 cell and
+/// `calib13` grid point ends by 8 s.
+const HORIZON: SimTime = SimTime::from_secs(60);
+
 /// Outcome of one shuffle job.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ShuffleReport {
@@ -58,7 +62,8 @@ struct JobState {
 ///
 /// # Panics
 ///
-/// Panics if the configuration has fewer than two workers or no tasks.
+/// Panics if the configuration has fewer than two workers or no tasks,
+/// or if the job stalls: events still pending at 60 simulated seconds.
 pub fn run_shuffle(cfg: &ShuffleConfig) -> ShuffleReport {
     assert!(cfg.workers >= 2, "shuffle needs at least two workers");
     assert!(cfg.map_tasks > 0 && cfg.reduce_tasks > 0, "need tasks");
@@ -141,7 +146,8 @@ pub fn run_shuffle(cfg: &ShuffleConfig) -> ShuffleReport {
         });
     }
 
-    eng.run(&mut cl);
+    eng.run(&mut cl, HORIZON)
+        .unwrap_or_else(|s| panic!("the shuffle {s}"));
 
     let s = state.borrow();
     assert_eq!(s.remaining_reducers, 0, "all reducers finished");

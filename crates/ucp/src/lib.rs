@@ -34,7 +34,7 @@
 //!     cl.mem_write(b, src.base, b"remote");
 //!     let into = MemSlice { host: a, mr: dst.key, offset: 0, len: 6 };
 //!     ucp.get(&mut eng, &mut cl, ep, a, into, src.key, 0, 6);
-//!     eng.run(&mut cl);
+//!     eng.run(&mut cl, SimTime::from_secs(1)).expect("quiet within 1 s");
 //!     let done = ucp.take_completed(a);
 //!     assert!(done.len() == 1 && !done[0].failed);
 //!     assert_eq!(cl.mem_read(a, dst.base, 6), b"remote");

@@ -324,7 +324,7 @@ impl Inner {
 /// # Examples
 ///
 /// ```
-/// use ibsim_event::Engine;
+/// use ibsim_event::{Engine, SimTime};
 /// use ibsim_verbs::{Cluster, DeviceProfile};
 /// use ibsim_ucp::{MemSlice, Tag, Ucp, UcpConfig};
 ///
@@ -340,7 +340,7 @@ impl Inner {
 /// cl.mem_write(a, src.base, b"hi there");
 /// ucp.tag_recv(&mut eng, &mut cl, b, Tag(7), MemSlice { host: b, mr: dst.key, offset: 0, len: 8 });
 /// ucp.tag_send(&mut eng, &mut cl, ep, a, Tag(7), MemSlice { host: a, mr: src.key, offset: 0, len: 8 });
-/// eng.run(&mut cl);
+/// eng.run(&mut cl, SimTime::from_ms(1)).expect("quiet within 1 ms");
 /// assert_eq!(ucp.take_completed(b).len(), 1);
 /// assert_eq!(cl.mem_read(b, dst.base, 8), b"hi there");
 /// ```

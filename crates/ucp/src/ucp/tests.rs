@@ -9,6 +9,9 @@ use ibsim_fabric::Lid;
 
 use super::*;
 
+/// How far any world in this file may run before it must have quiesced.
+const HORIZON: SimTime = SimTime::from_secs(60);
+
 fn app(n: u64) -> WrRole {
     WrRole::App {
         req: ReqId(n),
@@ -244,13 +247,13 @@ fn a_mixed_mesh_workload_completes_and_reuses_role_slots() {
                 }
             }
         }
-        eng.run(&mut cl);
+        eng.run(&mut cl, HORIZON).expect("the world quiesces");
         // The messages of this round without a receive are waiting in
         // the unexpected queues.
         for (h, tag, dst) in late_recvs {
             ucp.tag_recv(&mut eng, &mut cl, h, tag, dst);
         }
-        eng.run(&mut cl);
+        eng.run(&mut cl, HORIZON).expect("the world quiesces");
         assert_eq!(ucp.open_requests(), 0, "round {round}");
     }
 
@@ -319,7 +322,7 @@ fn every_operation_on_an_errored_endpoint_completes_failed() {
 
     // A rendezvous from `b` parks its RTS at `a` while the link works.
     let parked = ucp.tag_send(&mut eng, &mut cl, ep, b, Tag(1), slice(&at_b, 0, 8192));
-    eng.run(&mut cl);
+    eng.run(&mut cl, HORIZON).expect("the world quiesces");
     assert_eq!(ucp.open_requests(), 1);
 
     // `a`'s QP now talks to nobody; one GET exhausts its retries.
@@ -338,7 +341,7 @@ fn every_operation_on_an_errored_endpoint_completes_failed() {
         0,
         64,
     );
-    eng.run(&mut cl);
+    eng.run(&mut cl, HORIZON).expect("the world quiesces");
     let done = ucp.take_completed(a);
     assert!(done.len() == 1 && done[0].failed, "{done:?}");
 
@@ -359,7 +362,7 @@ fn every_operation_on_an_errored_endpoint_completes_failed() {
         // Matches the parked RTS: the GET fails, and so does its FIN.
         ucp.tag_recv(&mut eng, &mut cl, a, Tag(1), slice(&at_a, 8192, 8192)),
     ];
-    eng.run(&mut cl);
+    eng.run(&mut cl, HORIZON).expect("the world quiesces");
     assert_eq!(ucp.open_requests(), 0);
     let done = ucp.take_completed(a);
     for req in reqs {

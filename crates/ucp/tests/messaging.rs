@@ -5,6 +5,9 @@ use ibsim_event::{Engine, SimTime};
 use ibsim_ucp::{MemSlice, ReqKind, Tag, Ucp, UcpConfig};
 use ibsim_verbs::{Cluster, DeviceProfile, HostId, MrDesc, Sim};
 
+/// How far any world in this file may run before it must have quiesced.
+const HORIZON: SimTime = SimTime::from_secs(1);
+
 fn setup(cfg: UcpConfig) -> (Sim, Cluster, Ucp, HostId, HostId, ibsim_ucp::EpId) {
     let mut eng = Engine::new();
     let mut cl = Cluster::new(21);
@@ -40,7 +43,7 @@ fn eager_send_recv_roundtrip() {
     cl.mem_write(a, src.base, b"eager payload");
     ucp.tag_recv(&mut eng, &mut cl, b, Tag(1), slice(&dst, 0, 13));
     let sreq = ucp.tag_send(&mut eng, &mut cl, ep, a, Tag(1), slice(&src, 0, 13));
-    eng.run(&mut cl);
+    eng.run(&mut cl, HORIZON).expect("the world quiesces");
     let ca = ucp.take_completed(a);
     let cb = ucp.take_completed(b);
     assert_eq!(ca.len(), 1);
@@ -66,7 +69,7 @@ fn unexpected_eager_is_buffered_until_recv() {
     eng.schedule_at(SimTime::from_ms(1), move |c: &mut Cluster, eng| {
         ucp2.tag_recv(eng, c, b, Tag(5), dsts);
     });
-    eng.run(&mut cl);
+    eng.run(&mut cl, HORIZON).expect("the world quiesces");
     assert_eq!(ucp.take_completed(b).len(), 1);
     assert_eq!(cl.mem_read(b, dst.base, 10), b"early bird");
 }
@@ -81,7 +84,7 @@ fn rendezvous_uses_read_and_transfers_bulk() {
     cl.mem_write(a, src.base, &payload);
     ucp.tag_recv(&mut eng, &mut cl, b, Tag(2), slice(&dst, 0, len as u32));
     ucp.tag_send(&mut eng, &mut cl, ep, a, Tag(2), slice(&src, 0, len as u32));
-    eng.run(&mut cl);
+    eng.run(&mut cl, HORIZON).expect("the world quiesces");
     assert_eq!(ucp.take_completed(a).len(), 1, "FIN completes the sender");
     assert_eq!(ucp.take_completed(b).len(), 1);
     assert_eq!(cl.mem_read(b, dst.base, len), payload);
@@ -102,7 +105,7 @@ fn rendezvous_unexpected_then_recv() {
     eng.schedule_at(SimTime::from_ms(2), move |c: &mut Cluster, eng| {
         ucp2.tag_recv(eng, c, b, Tag(9), dsts);
     });
-    eng.run(&mut cl);
+    eng.run(&mut cl, HORIZON).expect("the world quiesces");
     assert_eq!(ucp.take_completed(a).len(), 1);
     assert_eq!(ucp.take_completed(b).len(), 1);
     assert_eq!(cl.mem_read(b, dst.base, 16), vec![0x5A; 16]);
@@ -126,7 +129,7 @@ fn get_and_put_roundtrip() {
         4096,
         6,
     );
-    eng.run(&mut cl);
+    eng.run(&mut cl, HORIZON).expect("the world quiesces");
     let done = ucp.take_completed(a);
     assert_eq!(done.len(), 2);
     assert!(done.iter().any(|c| c.req == g && c.kind == ReqKind::Get));
@@ -154,7 +157,7 @@ fn get_into_an_out_of_range_slice_fails_the_request() {
         512,
     );
     assert_eq!(ucp.open_requests(), 1);
-    eng.run(&mut cl);
+    eng.run(&mut cl, HORIZON).expect("the world quiesces");
     let done = ucp.take_completed(a);
     assert_eq!(done.len(), 1);
     assert!(done[0].req == g && done[0].failed && done[0].bytes == 0);
@@ -177,7 +180,7 @@ fn callbacks_chain_operations() {
         assert!(!c.failed);
         ucp2.tag_send(eng, cl, ep, a, Tag(42), srcs);
     });
-    eng.run(&mut cl);
+    eng.run(&mut cl, HORIZON).expect("the world quiesces");
     assert_eq!(ucp.take_completed(b).len(), 1);
     assert_eq!(cl.mem_read(b, rb.base + 512, 4), b"lock");
 }
@@ -188,7 +191,7 @@ fn when_done_on_finished_request_fires_immediately() {
     let ra = ucp.mem_map(&mut cl, a, 4096);
     let rb = ucp.mem_map(&mut cl, b, 4096);
     let g = ucp.get(&mut eng, &mut cl, ep, a, slice(&ra, 0, 4), rb.key, 0, 4);
-    eng.run(&mut cl);
+    eng.run(&mut cl, HORIZON).expect("the world quiesces");
     let hit = std::rc::Rc::new(std::cell::Cell::new(false));
     let h = hit.clone();
     ucp.when_done(&mut eng, &mut cl, g, move |_, _, _| h.set(true));
@@ -204,7 +207,7 @@ fn odp_enabled_get_faults_and_still_completes() {
     let rb = ucp.mem_map(&mut cl, b, 4096);
     cl.mem_write(b, rb.base, b"odp data");
     let g = ucp.get(&mut eng, &mut cl, ep, a, slice(&ra, 0, 8), rb.key, 0, 8);
-    eng.run(&mut cl);
+    eng.run(&mut cl, HORIZON).expect("the world quiesces");
     let done = ucp.take_completed(a);
     assert_eq!(done.len(), 1);
     assert_eq!(done[0].req, g);
@@ -243,7 +246,7 @@ fn many_messages_both_directions() {
             slice(&rb, i * 128 + 64, 64),
         );
     }
-    eng.run(&mut cl);
+    eng.run(&mut cl, HORIZON).expect("the world quiesces");
     assert_eq!(ucp.take_completed(a).len(), 128, "64 sends + 64 recvs");
     assert_eq!(ucp.take_completed(b).len(), 128);
     assert_eq!(ucp.open_requests(), 0);
@@ -259,7 +262,7 @@ fn ucp_atomics_roundtrip() {
     let shared = ucp.mem_map(&mut cl, b, 4096);
     cl.mem_write(b, shared.base, &5u64.to_le_bytes());
     let r1 = ucp.fetch_add(&mut eng, &mut cl, ep, a, slice(&la, 0, 8), shared.key, 0, 3);
-    eng.run(&mut cl);
+    eng.run(&mut cl, HORIZON).expect("the world quiesces");
     let done = ucp.take_completed(a);
     assert_eq!(done[0].req, r1);
     assert_eq!(done[0].kind, ReqKind::Atomic);
@@ -281,7 +284,7 @@ fn ucp_atomics_roundtrip() {
         8,
         100,
     );
-    eng.run(&mut cl);
+    eng.run(&mut cl, HORIZON).expect("the world quiesces");
     assert_eq!(ucp.take_completed(a)[0].req, r2);
     let now = u64::from_le_bytes(cl.mem_read(b, shared.base, 8).try_into().unwrap());
     assert_eq!(now, 100);
@@ -310,7 +313,7 @@ fn same_tag_receives_match_in_posting_order() {
         for i in 0..5 {
             ucp.tag_send(&mut eng, &mut cl, ep, a, tag(i), slice(&src, i * SLOT, len));
         }
-        eng.run(&mut cl);
+        eng.run(&mut cl, HORIZON).expect("the world quiesces");
         assert_eq!(ucp.open_requests(), 0, "len {len}");
         for i in 0..5 {
             let got = cl.mem_read(b, dst.base + i * SLOT, len as usize);
@@ -337,7 +340,7 @@ fn every_continuation_of_a_request_runs_in_registration_order() {
     }
     assert_eq!(ucp.open_requests(), 1);
     assert!(log.borrow().is_empty(), "nothing runs before completion");
-    eng.run(&mut cl);
+    eng.run(&mut cl, HORIZON).expect("the world quiesces");
     assert_eq!(*log.borrow(), [0, 1]);
     assert_eq!(ucp.open_requests(), 0);
     // After completion a registration runs at once, and only itself.
@@ -352,6 +355,6 @@ fn every_continuation_of_a_request_runs_in_registration_order() {
             panic!("no such request")
         });
     }
-    eng.run(&mut cl);
+    eng.run(&mut cl, HORIZON).expect("the world quiesces");
     assert_eq!(*log.borrow(), [0, 1, 2]);
 }

@@ -3,7 +3,7 @@
 //! When an endpoint builds its eager rings is the layer's own business;
 //! nothing a capture, a counter or a completion shows may depend on it.
 
-use ibsim_event::{assert_golden, Engine, Fnv1a, SplitMix64};
+use ibsim_event::{assert_golden, Engine, Fnv1a, SimTime, SplitMix64};
 use ibsim_ucp::{EpId, MemSlice, Tag, Ucp, UcpConfig};
 use ibsim_verbs::{Cluster, DeviceProfile, HostId, MrDesc, Sim};
 
@@ -13,8 +13,8 @@ const RING_BYTES: u64 = 32 * 4096;
 const ROUNDS: u64 = 12;
 const ROUND: u64 = 10;
 const SLOT: u64 = 8192;
-/// Events one `settle` may take; the busiest takes a few hundred.
-const STEPS: u32 = 10_000;
+/// How far any world in this file may run before it must have quiesced.
+const HORIZON: SimTime = SimTime::from_secs(1);
 
 fn slice(mr: &MrDesc, offset: u64, len: u32) -> MemSlice {
     MemSlice {
@@ -23,18 +23,6 @@ fn slice(mr: &MrDesc, offset: u64, len: u32) -> MemSlice {
         offset,
         len,
     }
-}
-
-/// Runs the world dry, failing if it has not settled within [`STEPS`]
-/// events: a SEND that finds no receive posted is RNR-NAKed and retried
-/// for ever.
-fn settle(eng: &mut Sim, cl: &mut Cluster) {
-    for _ in 0..STEPS {
-        if !eng.step(cl) {
-            return;
-        }
-    }
-    panic!("the mesh did not settle within {STEPS} events");
 }
 
 /// One world: three workers, seven endpoints (two per worker pair plus
@@ -93,7 +81,7 @@ fn run_mesh(odp: bool, h: &mut Fnv1a) -> (Cluster, Vec<(HostId, EpId, HostId)>) 
     );
     carried(b, eps[0], a);
     carried(a, eps[0], b);
-    settle(&mut eng, &mut cl);
+    eng.run(&mut cl, HORIZON).expect("the mesh quiesces");
     ucp.tag_send(
         &mut eng,
         &mut cl,
@@ -104,7 +92,7 @@ fn run_mesh(odp: bool, h: &mut Fnv1a) -> (Cluster, Vec<(HostId, EpId, HostId)>) 
     );
     ucp.tag_recv(&mut eng, &mut cl, a, Tag(1), slice(&dsts[0], SLOT, 300));
     carried(a, eps[1], hosts[2]);
-    settle(&mut eng, &mut cl);
+    eng.run(&mut cl, HORIZON).expect("the mesh quiesces");
 
     for round in 0..ROUNDS {
         let mut late = Vec::new();
@@ -164,11 +152,11 @@ fn run_mesh(odp: bool, h: &mut Fnv1a) -> (Cluster, Vec<(HostId, EpId, HostId)>) 
                 }
             }
         }
-        settle(&mut eng, &mut cl);
+        eng.run(&mut cl, HORIZON).expect("the mesh quiesces");
         for (host, tag, dst) in late {
             ucp.tag_recv(&mut eng, &mut cl, host, tag, dst);
         }
-        settle(&mut eng, &mut cl);
+        eng.run(&mut cl, HORIZON).expect("the mesh quiesces");
         assert_eq!(ucp.open_requests(), 0, "round {round}");
     }
 

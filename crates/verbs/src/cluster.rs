@@ -220,6 +220,7 @@ pub struct ClusterStats {
 /// A pinned-memory READ between two hosts:
 ///
 /// ```
+/// use ibsim_event::SimTime;
 /// use ibsim_verbs::{ClusterBuilder, DeviceProfile, MrMode, QpConfig, ReadWr};
 ///
 /// let (mut eng, mut cl, hosts) = ClusterBuilder::new()
@@ -233,7 +234,7 @@ pub struct ClusterStats {
 /// cl.mem_write(b, src.base, b"greetings");
 /// let (qa, _qb) = cl.connect_pair(&mut eng, a, b, QpConfig::default());
 /// cl.post(&mut eng, a, qa, ReadWr::new(dst, src).len(9).id(1));
-/// eng.run(&mut cl);
+/// eng.run(&mut cl, SimTime::from_ms(1)).expect("quiet within 1 ms");
 /// let done = cl.poll_cq(a);
 /// assert_eq!(done.len(), 1);
 /// assert!(done[0].status.is_success());
@@ -1709,6 +1710,9 @@ mod tests {
     use crate::types::Psn;
     use crate::wr::WcOpcode;
 
+    /// How far any world in this file may run before it must have quiesced.
+    const HORIZON: SimTime = SimTime::from_secs(1);
+
     #[test]
     fn qp_stats_sum_includes_ecn_echoes() {
         let (mut eng, mut cl, hosts) = ClusterBuilder::new()
@@ -1779,7 +1783,7 @@ mod tests {
             qa,
             crate::wr::ReadWr::new(dst, src).len(64).id(1),
         );
-        eng.run(&mut cl);
+        eng.run(&mut cl, HORIZON).expect("the world quiesces");
         let packets = |cl: &Cluster| -> Vec<(&'static str, Labels, u64)> {
             cl.telemetry()
                 .registry()
@@ -1841,7 +1845,7 @@ mod tests {
                 crate::wr::ReadWr::new(dst, src).len(64).id(7),
             );
         }
-        eng.run(&mut cl);
+        eng.run(&mut cl, HORIZON).expect("the world quiesces");
         assert_eq!(cl.poll_cq(a).len(), 2);
         let reg = cl.telemetry().registry();
         let ql = Labels::host_qp(a.0 as u64, qa.0);
@@ -1886,7 +1890,7 @@ mod tests {
             },
         );
         cl.post(&mut eng, b, qb, crate::wr::SendWr::new(src).len(16).id(1));
-        eng.run(&mut cl);
+        eng.run(&mut cl, HORIZON).expect("the world quiesces");
         let cq = cl.poll_cq(a);
         let at = |op| {
             cq.iter()

@@ -10,6 +10,9 @@ use super::*;
 use crate::qp::RecoveryKind;
 use crate::wr::{ReadWr, SendWr, WriteWr};
 
+/// How far any world in this file may run before it must have quiesced.
+const HORIZON: SimTime = SimTime::from_secs(1);
+
 /// The ODP worlds replayed under both rules.
 #[derive(Debug, Clone, Copy)]
 enum World {
@@ -197,6 +200,7 @@ fn interest_flags_track_the_predicate_after_every_event() {
             let (mut eng, mut cl) = build(world, recovery, false);
             let (mut events, mut interested) = (0u64, 0u64);
             while eng.step(&mut cl) {
+                assert!(eng.now() <= HORIZON, "{world:?} under {recovery}: stalled");
                 events += 1;
                 for nic in &cl.nics {
                     for qp in nic.qps() {
@@ -240,7 +244,7 @@ fn idle_qps_take_no_turn_when_a_fault_resolves() {
             cl.connect_pair(&mut eng, a, b, QpConfig::default());
         }
         cl.post(&mut eng, a, qa, ReadWr::new(dst, src).len(64).id(1));
-        eng.run(&mut cl);
+        eng.run(&mut cl, HORIZON).expect("the world quiesces");
         assert_eq!(cl.nic(a).qp_count(), idle + 1);
         assert_eq!(cl.qp_stats_sum(a).faults_raised, 1);
         assert!(cl.poll_cq(a)[0].status.is_success());

@@ -8,6 +8,9 @@ use ibsim_verbs::{
     Cluster, CompareSwapWr, DeviceProfile, FetchAddWr, HostId, MrDesc, MrMode, QpConfig, Sim,
     WcOpcode, WcStatus,
 };
+
+/// How far any world in this file may run before it must have quiesced.
+const HORIZON: SimTime = SimTime::from_secs(10);
 fn setup(mode: MrMode) -> (Sim, Cluster, HostId, HostId, MrDesc, MrDesc) {
     let mut eng = Engine::new();
     let mut cl = Cluster::new(17);
@@ -34,7 +37,7 @@ fn fetch_add_returns_original_and_adds() {
         qp,
         FetchAddWr::new(local.key, remote.key).add(5).id(1),
     );
-    eng.run(&mut cl);
+    eng.run(&mut cl, HORIZON).expect("the world quiesces");
     let cq = cl.poll_cq(a);
     assert_eq!(cq[0].status, WcStatus::Success);
     assert_eq!(cq[0].opcode, WcOpcode::FetchAdd);
@@ -58,7 +61,7 @@ fn compare_swap_only_swaps_on_match() {
             .swap(1)
             .id(1),
     );
-    eng.run(&mut cl);
+    eng.run(&mut cl, HORIZON).expect("the world quiesces");
     assert_eq!(cl.poll_cq(a)[0].opcode, WcOpcode::CompareSwap);
     assert_eq!(read_u64(&mut cl, a, local.base), 7);
     assert_eq!(read_u64(&mut cl, b, remote.base), 7, "no swap on mismatch");
@@ -72,7 +75,7 @@ fn compare_swap_only_swaps_on_match() {
             .swap(42)
             .id(2),
     );
-    eng.run(&mut cl);
+    eng.run(&mut cl, HORIZON).expect("the world quiesces");
     assert_eq!(cl.poll_cq(a)[0].status, WcStatus::Success);
     assert_eq!(read_u64(&mut cl, a, local.base + 8), 7);
     assert_eq!(read_u64(&mut cl, b, remote.base), 42, "swap on match");
@@ -88,7 +91,7 @@ fn unaligned_atomic_is_rejected() {
         qp,
         FetchAddWr::new(local.key, (remote.key, 4)).add(1).id(1),
     );
-    eng.run(&mut cl);
+    eng.run(&mut cl, HORIZON).expect("the world quiesces");
     assert_eq!(cl.poll_cq(a)[0].status, WcStatus::RemoteAccessErr);
 }
 
@@ -103,7 +106,7 @@ fn atomic_on_cold_odp_page_faults_then_completes() {
         qp,
         FetchAddWr::new(local.key, remote.key).add(1).id(1),
     );
-    eng.run(&mut cl);
+    eng.run(&mut cl, HORIZON).expect("the world quiesces");
     let cq = cl.poll_cq(a);
     assert_eq!(cq[0].status, WcStatus::Success);
     // Took the RNR path like any server-side ODP access.
@@ -128,7 +131,7 @@ fn lost_response_is_replayed_not_reexecuted() {
         qp,
         FetchAddWr::new(local.key, remote.key).add(1).id(1),
     );
-    eng.run(&mut cl);
+    eng.run(&mut cl, HORIZON).expect("the world quiesces");
     let cq = cl.poll_cq(a);
     assert_eq!(cq[0].status, WcStatus::Success);
     assert_eq!(read_u64(&mut cl, a, local.base), 10, "replayed original");
@@ -155,7 +158,7 @@ fn concurrent_fetch_adds_from_two_qps_serialize() {
             FetchAddWr::new((local.key, i * 8), remote.key).add(1).id(i),
         );
     }
-    eng.run(&mut cl);
+    eng.run(&mut cl, HORIZON).expect("the world quiesces");
     let cq = cl.poll_cq(a);
     assert_eq!(cq.len(), 8);
     assert!(cq.iter().all(|c| c.status.is_success()));
@@ -203,7 +206,7 @@ fn fetch_add_exactly_once_under_loss() {
                 FetchAddWr::new((local.key, i * 8), remote.key).add(1).id(i),
             );
         }
-        eng.run(&mut cl);
+        eng.run(&mut cl, HORIZON).expect("the world quiesces");
         let cq = cl.poll_cq(a);
         assert_eq!(cq.len(), n as usize, "case {case}");
         assert!(cq.iter().all(|c| c.status.is_success()), "case {case}");

@@ -18,6 +18,9 @@ use ibsim_verbs::{
     RecvWr, SendWr, Sim, WorkRequest, WrId, WriteWr,
 };
 
+/// How far any world in this file may run before it must have quiesced.
+const HORIZON: SimTime = SimTime::from_secs(1);
+
 struct Counting;
 
 thread_local! {
@@ -81,12 +84,14 @@ fn zero_payload_traffic_allocates_nothing_per_event() {
     // Warm-up: the same burst once, so the arena, the effects pool, the
     // send queue and the CQ have all reached their size.
     post_burst(&mut eng, &mut cl, a, qa, &mrs);
-    eng.run(&mut cl);
+    eng.run(&mut cl, HORIZON).expect("the world quiesces");
     assert_eq!(cl.poll_cq(a).len(), 128);
     let warm = eng.queue_stats();
 
     post_burst(&mut eng, &mut cl, a, qa, &mrs);
-    let allocated = counted(|| eng.run(&mut cl));
+    let allocated = counted(|| {
+        eng.run(&mut cl, HORIZON).expect("the world quiesces");
+    });
     let s = eng.queue_stats();
     assert_eq!(allocated, 0, "over {} events", s.executed - warm.executed);
     // 128 requests and their 128 responses were delivered, and the ACK
@@ -116,13 +121,13 @@ fn deferred_posts_allocate_nothing() {
     };
     // Warm-up: the same burst once.
     defer_burst(&mut eng, &cl);
-    eng.run(&mut cl);
+    eng.run(&mut cl, HORIZON).expect("the world quiesces");
     assert_eq!(cl.poll_cq(a).len(), 64);
     let warm = eng.queue_stats();
 
     let allocated = counted(|| {
         defer_burst(&mut eng, &cl);
-        eng.run(&mut cl);
+        eng.run(&mut cl, HORIZON).expect("the world quiesces");
     });
     let s = eng.queue_stats();
     assert_eq!(allocated, 0, "over {} events", s.executed - warm.executed);
@@ -180,12 +185,12 @@ fn payload_traffic_allocates_nothing_per_event() {
     // Warm-up: the same burst once, so every page is resident and every
     // queue has reached its size.
     post_payload_burst(&mut eng, &mut cl, qps, mrs);
-    eng.run(&mut cl);
+    eng.run(&mut cl, HORIZON).expect("the world quiesces");
     assert_eq!((cl.poll_cq(a).len(), cl.poll_cq(b).len()), (33, 8));
 
     let allocated = counted(|| {
         post_payload_burst(&mut eng, &mut cl, qps, mrs);
-        eng.run(&mut cl);
+        eng.run(&mut cl, HORIZON).expect("the world quiesces");
     });
     assert_eq!(allocated, 0, "over 33 data packets");
     let done = cl.poll_cq(a);
@@ -233,12 +238,12 @@ fn whole_pages_landing_on_first_touched_pages_allocate_nothing() {
     // Warm-up on pages 5-8, so every queue has reached its size and each
     // page table already reaches past pages 1-4.
     post_whole_pages(&mut eng, &mut cl, qa, mrs, 5);
-    eng.run(&mut cl);
+    eng.run(&mut cl, HORIZON).expect("the world quiesces");
     assert_eq!(cl.poll_cq(a).len(), 8);
 
     let allocated = counted(|| {
         post_whole_pages(&mut eng, &mut cl, qa, mrs, 1);
-        eng.run(&mut cl);
+        eng.run(&mut cl, HORIZON).expect("the world quiesces");
     });
     assert_eq!(allocated, 0, "over 8 whole pages landing on 8 fresh pages");
     let done = cl.poll_cq(a);
@@ -356,7 +361,7 @@ fn replay<W, E: Event<W>>(
         }
         trail.push(eng.queue_stats());
     }
-    eng.run(world);
+    eng.run(world, HORIZON).expect("the world quiesces");
     trail.push(eng.queue_stats());
     trail
 }

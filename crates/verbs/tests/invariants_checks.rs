@@ -1,9 +1,12 @@
 //! Runtime invariant checks: the QP state-machine legality counter and
 //! the engine monotonicity counter, live in every build.
 
-use ibsim_event::Engine;
+use ibsim_event::{Engine, SimTime};
 use ibsim_fabric::{Lid, LinkSpec};
 use ibsim_verbs::{Cluster, DeviceProfile, MrMode, Qp, QpConfig, QpState, Qpn, ReadWr};
+
+/// How far any world in this file may run before it must have quiesced.
+const HORIZON: SimTime = SimTime::from_secs(1);
 
 #[test]
 fn healthy_run_counts_no_violations() {
@@ -22,7 +25,7 @@ fn healthy_run_counts_no_violations() {
             ReadWr::new(local.key, remote.key).len(1024).id(i),
         );
     }
-    eng.run(&mut cl);
+    eng.run(&mut cl, HORIZON).expect("the world quiesces");
     assert_eq!(cl.poll_cq(a).len(), 4);
     assert_eq!(cl.qp_stats_sum(a).invariant_violations, 0);
     assert_eq!(cl.qp_stats_sum(b).invariant_violations, 0);

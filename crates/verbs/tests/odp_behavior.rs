@@ -8,6 +8,9 @@ use ibsim_verbs::{
     WcStatus, WriteWr,
 };
 
+/// How far any world in this file may run before it must have quiesced.
+const HORIZON: SimTime = SimTime::from_secs(10);
+
 fn cx4() -> DeviceProfile {
     DeviceProfile::connectx4(LinkSpec::fdr())
 }
@@ -57,7 +60,7 @@ fn server_side_odp_single_read_uses_rnr_nak() {
         qa,
         ReadWr::new(local.key, remote.key).len(100).id(1),
     );
-    eng.run(&mut cl);
+    eng.run(&mut cl, HORIZON).expect("the world quiesces");
     let cq = cl.poll_cq(a);
     assert_eq!(cq[0].status, WcStatus::Success);
     // One RNR NAK was sent by the server.
@@ -92,7 +95,7 @@ fn client_side_odp_single_read_blind_retransmits() {
         qa,
         ReadWr::new(local.key, remote.key).len(100).id(1),
     );
-    eng.run(&mut cl);
+    eng.run(&mut cl, HORIZON).expect("the world quiesces");
     let cq = cl.poll_cq(a);
     assert_eq!(cq[0].status, WcStatus::Success);
     assert_eq!(cl.mr_fault_count(a, local.key), 1);
@@ -125,7 +128,7 @@ fn prefetched_odp_behaves_like_pinned() {
         qa,
         ReadWr::new(local.key, remote.key).len(100).id(1),
     );
-    eng.run(&mut cl);
+    eng.run(&mut cl, HORIZON).expect("the world quiesces");
     let cq = cl.poll_cq(a);
     assert_eq!(cq[0].status, WcStatus::Success);
     assert!(cq[0].at < SimTime::from_us(10), "no faults: {}", cq[0].at);
@@ -143,7 +146,7 @@ fn invalidated_page_faults_again() {
         qa,
         ReadWr::new(local.key, remote.key).len(100).id(1),
     );
-    eng.run(&mut cl);
+    eng.run(&mut cl, HORIZON).expect("the world quiesces");
     assert_eq!(cl.poll_cq(a).len(), 1);
     assert_eq!(cl.mr_fault_count(b, remote.key), 1);
     // The kernel reclaims the server page; the next READ faults again.
@@ -154,7 +157,7 @@ fn invalidated_page_faults_again() {
         qa,
         ReadWr::new(local.key, remote.key).len(100).id(2),
     );
-    eng.run(&mut cl);
+    eng.run(&mut cl, HORIZON).expect("the world quiesces");
     assert_eq!(cl.poll_cq(a)[0].status, WcStatus::Success);
     assert_eq!(cl.mr_fault_count(b, remote.key), 2);
 }
@@ -173,7 +176,7 @@ fn write_from_odp_source_stalls_until_fault_resolves() {
         qa,
         WriteWr::new(local.key, remote.key).len(15).id(1),
     );
-    eng.run(&mut cl);
+    eng.run(&mut cl, HORIZON).expect("the world quiesces");
     let cq = cl.poll_cq(a);
     assert_eq!(cq[0].status, WcStatus::Success);
     assert_eq!(cl.mr_fault_count(a, local.key), 1);
@@ -208,7 +211,7 @@ fn two_reads(
     );
     let second = ReadWr::new(local.at(100), remote.at(100)).len(100).id(1);
     cl.post_at(&mut eng, interval, a, qa, second);
-    eng.run(&mut cl);
+    eng.run(&mut cl, HORIZON).expect("the world quiesces");
     let cq = cl.poll_cq(a);
     assert_eq!(cq.len(), 2, "both READs must complete");
     assert!(cq.iter().all(|c| c.status.is_success()));
@@ -287,7 +290,7 @@ fn third_read_rescues_via_sequence_error_nak() {
         let at = SimTime::from_us(350) * i;
         cl.post_at(&mut eng, at, a, qa, read.id(i));
     }
-    eng.run(&mut cl);
+    eng.run(&mut cl, HORIZON).expect("the world quiesces");
     let cq = cl.poll_cq(a);
     assert_eq!(cq.len(), 3);
     let t = cq.iter().map(|c| c.at).max().unwrap();
@@ -316,7 +319,7 @@ fn damming_timeout_also_with_write_as_second_op() {
     );
     let write = WriteWr::new(local.at(4096), remote.at(4096)).len(1).id(1);
     cl.post_at(&mut eng, SimTime::from_ms(1), a, qa, write);
-    eng.run(&mut cl);
+    eng.run(&mut cl, HORIZON).expect("the world quiesces");
     let cq = cl.poll_cq(a);
     assert_eq!(cq.len(), 2);
     let t = cq.iter().map(|c| c.at).max().unwrap();
@@ -354,7 +357,7 @@ fn flood_run(qps: usize) -> (SimTime, u64) {
                 .id(i as u64),
         );
     }
-    eng.run(&mut cl);
+    eng.run(&mut cl, HORIZON).expect("the world quiesces");
     let cq = cl.poll_cq(a);
     assert_eq!(cq.len(), qps);
     assert!(cq.iter().all(|c| c.status.is_success()));
@@ -416,7 +419,7 @@ fn flood_retransmissions_are_duplicates_of_the_same_reads() {
                 .id(i as u64),
         );
     }
-    eng.run(&mut cl);
+    eng.run(&mut cl, HORIZON).expect("the world quiesces");
     assert_eq!(cl.poll_cq(a).len(), 32);
     // Many duplicate READ requests of the same 32 messages flew by.
     let retx_reqs = cl
@@ -477,7 +480,7 @@ fn zero_length_at_region_end(
             WriteWr::new((local.key, END), remote.key).len(0).id(1),
         ),
     }
-    eng.run(&mut cl);
+    eng.run(&mut cl, HORIZON).expect("the world quiesces");
     let cq = cl.poll_cq(a);
     assert_eq!(cq.len(), 1, "{probe}: one completion");
     let faults = cl.mr_fault_count(a, local.key) + cl.mr_fault_count(b, remote.key);
@@ -539,7 +542,7 @@ fn zero_length_inside_an_odp_region_still_faults_its_page() {
         qa,
         ReadWr::new(local.key, (remote.key, 4096)).len(0).id(1),
     );
-    eng.run(&mut cl);
+    eng.run(&mut cl, HORIZON).expect("the world quiesces");
     let cq = cl.poll_cq(a);
     assert_eq!((cq[0].status, cq[0].bytes), (WcStatus::Success, 0));
     assert_eq!(cl.mr_fault_count(b, remote.key), 1);

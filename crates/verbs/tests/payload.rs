@@ -4,11 +4,15 @@
 //! packet sits in a capture. And the MTU a segment is cut at is an IBTA
 //! path MTU, checked when the QP is created.
 
+use ibsim_event::SimTime;
 use ibsim_fabric::LinkSpec;
 use ibsim_verbs::{
     Cluster, ClusterBuilder, DeviceProfile, HostId, MrMode, PacketKind, QpConfig, ReadWr, Sim,
     WcStatus, WriteWr,
 };
+
+/// How far any world in this file may run before it must have quiesced.
+const HORIZON: SimTime = SimTime::from_secs(1);
 
 fn hosts(n: usize, capture: bool) -> (Sim, Cluster, Vec<HostId>) {
     let mut b = ClusterBuilder::new().seed(7).capture(capture);
@@ -39,7 +43,7 @@ fn a_posted_write_lands_the_bytes_it_was_posted_with() {
     let wr = WriteWr::new(local.at(2048), remote.at(2048)).len(3000);
     cl.post(&mut eng, a, qa, wr.id(1));
     cl.mem_write(a, local.base + 2048, &new);
-    eng.run(&mut cl);
+    eng.run(&mut cl, HORIZON).expect("the world quiesces");
     assert_eq!(cl.poll_cq(a)[0].status, WcStatus::Success);
     assert_eq!(cl.mem_read(b, remote.base + 2048, 3000), old);
     assert_eq!(cl.mem_read(a, local.base + 2048, 3000), new);
@@ -83,7 +87,7 @@ fn a_read_response_in_flight_keeps_the_pre_write_bytes() {
     // ...and the reader still got the bytes from before it.
     assert_eq!(cl.poll_cq(reader)[0].status, WcStatus::Success);
     assert_eq!(cl.mem_read(reader, landing.base, len), old);
-    eng.run(&mut cl);
+    eng.run(&mut cl, HORIZON).expect("the world quiesces");
     assert_eq!(cl.poll_cq(writer)[0].status, WcStatus::Success);
 }
 
@@ -104,7 +108,7 @@ fn a_captured_packet_keeps_its_bytes_after_the_page_is_rewritten() {
         qa,
         WriteWr::new(local.key, remote.key).len(4096),
     );
-    eng.run(&mut cl);
+    eng.run(&mut cl, HORIZON).expect("the world quiesces");
     cl.mem_write(a, local.base, &pattern(4096, 6));
     cl.mem_write(b, remote.base, &pattern(4096, 7));
     for host in [a, b] {
@@ -170,7 +174,7 @@ fn every_ibta_mtu_round_trips_a_three_segment_read_and_write() {
         );
         let wr = WriteWr::new(local.at(len as u64), remote.at(len as u64)).len(len as u32);
         cl.post(&mut eng, a, qa, wr);
-        eng.run(&mut cl);
+        eng.run(&mut cl, HORIZON).expect("the world quiesces");
         let done = cl.poll_cq(a);
         assert!(
             done.len() == 2 && done.iter().all(|c| c.status.is_success()),

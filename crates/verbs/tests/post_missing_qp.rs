@@ -6,6 +6,9 @@
 use ibsim_event::SimTime;
 use ibsim_verbs::{ClusterBuilder, Completion, DeviceProfile, MrMode, QpConfig, Qpn, ReadWr};
 
+/// How far any world in this file may run before it must have quiesced.
+const HORIZON: SimTime = SimTime::from_secs(1);
+
 /// One READ between two hosts; with `hostile`, posts to QPs the client
 /// lacks around it, direct and deferred. Returns the completions and,
 /// with telemetry on, every registry row in export order but the
@@ -40,7 +43,7 @@ fn run(telemetry: bool, hostile: bool) -> (Vec<Completion>, Vec<String>) {
             cl.post_at(&mut eng, later, a, qpn, ReadWr::new(local, remote).len(64));
         }
     }
-    eng.run(&mut cl);
+    eng.run(&mut cl, HORIZON).expect("the world quiesces");
     cl.sync_telemetry_at(&eng, eng.now());
     let rows = cl
         .telemetry()

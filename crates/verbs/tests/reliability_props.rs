@@ -5,11 +5,14 @@
 //! Formerly `proptest` properties; now seeded loops over the in-tree
 //! deterministic PRNG so the suite is hermetic.
 
-use ibsim_event::{Engine, SplitMix64};
+use ibsim_event::{Engine, SimTime, SplitMix64};
 use ibsim_fabric::{LinkSpec, LossModel};
 use ibsim_verbs::{
     Cluster, DeviceProfile, MrMode, QpConfig, ReadWr, RecvWr, SendWr, WcStatus, WrId, WriteWr,
 };
+
+/// How far any world in this file may run before it must have quiesced.
+const HORIZON: SimTime = SimTime::from_secs(1);
 
 fn profile() -> DeviceProfile {
     // Shrink the timeout so loss-recovery tests stay fast: a permissive
@@ -57,7 +60,7 @@ fn reads_survive_uniform_loss() {
                     .id(i),
             );
         }
-        eng.run(&mut cl);
+        eng.run(&mut cl, HORIZON).expect("the world quiesces");
         let cq = cl.poll_cq(a);
         assert_eq!(
             cq.len(),
@@ -131,7 +134,7 @@ fn mixed_ops_survive_exact_losses() {
             }
             expect_client += 1;
         }
-        eng.run(&mut cl);
+        eng.run(&mut cl, HORIZON).expect("the world quiesces");
         let ca = cl.poll_cq(a);
         assert_eq!(ca.len(), expect_client, "case {case}");
         assert!(ca.iter().all(|c| c.status.is_success()), "case {case}");
@@ -166,7 +169,7 @@ fn identical_seeds_are_deterministic() {
                         .id(i),
                 );
             }
-            eng.run(&mut cl);
+            eng.run(&mut cl, HORIZON).expect("the world quiesces");
             cl.poll_cq(a)
                 .iter()
                 .map(|c| (c.wr_id.0, c.at.as_ns()))

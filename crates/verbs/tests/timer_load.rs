@@ -8,6 +8,9 @@ use ibsim_event::{Engine, SimTime};
 use ibsim_fabric::{Lid, LinkSpec};
 use ibsim_verbs::{Cluster, DeviceProfile, MrMode, QpConfig, Qpn, ReadWr, Sim};
 
+/// How far any world in this file may run before it must have quiesced.
+const HORIZON: SimTime = SimTime::from_secs(1);
+
 /// A device with a low timeout floor (so the test runs in microseconds,
 /// not the CX-4's 500 ms) and an exaggerated per-QP load coefficient (so
 /// one storm visibly stretches `T_o`).
@@ -85,7 +88,7 @@ fn ack_timeout_observes_load_at_fire_time() {
 
     // Let the run finish: the deferred timeout eventually fires (the
     // wrong-LID READ can only resolve through it).
-    eng.run(&mut cl);
+    eng.run(&mut cl, HORIZON).expect("the world quiesces");
     assert!(
         cl.qp_stats_sum(a).timeouts >= 1,
         "the deferred ACK timeout still fires once the load drains"

@@ -11,6 +11,9 @@ use ibsim_verbs::{
     TimerFamily, WcStatus,
 };
 
+/// How far any world in this file may run before it must have quiesced.
+const HORIZON: SimTime = SimTime::from_secs(1);
+
 /// A ConnectX-4 with a ≈131 µs `T_o` (the stock floor is ≈500 ms), so an
 /// ACK timeout fits inside a page fault's 250 µs–1 ms service time.
 fn fast_timeout_cx4() -> DeviceProfile {
@@ -73,7 +76,7 @@ fn retry_exhaustion_leaves_no_key_of_the_qp_armed() {
     }
     assert!(eng.queue_stats().live > 0, "the fault is still in service");
 
-    eng.run(&mut cl);
+    eng.run(&mut cl, HORIZON).expect("the world quiesces");
     assert_eq!(fired(&cl, "timer.ack_fired", a, qa), 1);
     assert_eq!(fired(&cl, "timer.stall_tick_fired", a, qa), 0);
     assert_eq!(cl.qp_stats_sum(a).timeouts, 1);
@@ -99,7 +102,7 @@ fn a_sequence_nak_ending_an_rnr_wait_leaves_no_rnr_key() {
     assert_eq!(cl.qp_stats_sum(b).seq_naks_sent, 1);
     assert!(!armed(&eng, TimerFamily::Rnr, a, qa, 0));
 
-    eng.run(&mut cl);
+    eng.run(&mut cl, HORIZON).expect("the world quiesces");
     let done = cl.poll_cq(a);
     assert_eq!(done.len(), 2);
     assert!(done.iter().all(|c| c.status.is_success()));
@@ -118,7 +121,7 @@ fn a_stalled_message_that_retires_leaves_no_stall_key() {
     // the all-zero one.
     cl.prefetch_mr(a, local.key);
     cl.post(&mut eng, a, qa, ReadWr::new(local, remote).len(64).id(0));
-    eng.run(&mut cl);
+    eng.run(&mut cl, HORIZON).expect("the world quiesces");
     cl.invalidate_page(a, local.key, 1);
     let stalled = 1;
     cl.post(
@@ -138,7 +141,7 @@ fn a_stalled_message_that_retires_leaves_no_stall_key() {
     assert!(eng.queue_stats().cancelled > before);
     let ticks = fired(&cl, "timer.stall_tick_fired", a, qa);
     assert!(ticks >= 1);
-    eng.run(&mut cl);
+    eng.run(&mut cl, HORIZON).expect("the world quiesces");
     assert_eq!(fired(&cl, "timer.stall_tick_fired", a, qa), ticks);
 }
 
@@ -161,7 +164,7 @@ fn an_ack_timer_armed_many_times_fires_once() {
     }
     let s = eng.queue_stats();
     assert_eq!((s.keyed_live, s.replaced), (1, 7), "{s}");
-    eng.run(&mut cl);
+    eng.run(&mut cl, HORIZON).expect("the world quiesces");
     assert_eq!(fired(&cl, "timer.ack_fired", a, qa), 1);
     assert_eq!(cl.qp_stats_sum(a).timeouts, 1);
     assert_eq!(cl.poll_cq(a).len(), 8);

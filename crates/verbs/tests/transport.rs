@@ -9,6 +9,9 @@ use ibsim_verbs::{
     SendWr, Sim, WcOpcode, WcStatus, WorkRequest, WrId, WriteWr,
 };
 
+/// How far any world in this file may run before it must have quiesced.
+const HORIZON: SimTime = SimTime::from_secs(60);
+
 fn two_hosts(profile: DeviceProfile) -> (Sim, Cluster, ibsim_verbs::HostId, ibsim_verbs::HostId) {
     let eng = Engine::new();
     let mut cl = Cluster::new(42);
@@ -32,7 +35,7 @@ fn read_roundtrip_pinned() {
         qa,
         ReadWr::new(local.key, remote.key).len(8192).id(1),
     );
-    eng.run(&mut cl);
+    eng.run(&mut cl, HORIZON).expect("the world quiesces");
     let cq = cl.poll_cq(a);
     assert_eq!(cq.len(), 1);
     assert_eq!(cq[0].status, WcStatus::Success);
@@ -54,7 +57,7 @@ fn read_latency_is_microseconds_without_odp() {
         qa,
         ReadWr::new(local.key, remote.key).len(100).id(1),
     );
-    eng.run(&mut cl);
+    eng.run(&mut cl, HORIZON).expect("the world quiesces");
     let cq = cl.poll_cq(a);
     // "the usual round trip latency of InfiniBand is about several µs" (§IV-B)
     assert!(
@@ -80,7 +83,7 @@ fn large_read_segments_at_mtu() {
         qa,
         ReadWr::new(local.key, remote.key).len(len as u32).id(1),
     );
-    eng.run(&mut cl);
+    eng.run(&mut cl, HORIZON).expect("the world quiesces");
     assert_eq!(cl.poll_cq(a)[0].status, WcStatus::Success);
     assert_eq!(cl.mem_read(a, local.base, len), payload);
     assert_eq!(cl.stats.response_packets, 4);
@@ -101,7 +104,7 @@ fn write_roundtrip() {
         qa,
         WriteWr::new(local.key, remote.key).len(10000).id(2),
     );
-    eng.run(&mut cl);
+    eng.run(&mut cl, HORIZON).expect("the world quiesces");
     let cq = cl.poll_cq(a);
     assert_eq!(cq[0].status, WcStatus::Success);
     assert_eq!(cq[0].opcode, WcOpcode::Write);
@@ -127,7 +130,7 @@ fn send_recv_roundtrip() {
         },
     );
     cl.post(&mut eng, a, qa, SendWr::new(src.key).len(15).id(3));
-    eng.run(&mut cl);
+    eng.run(&mut cl, HORIZON).expect("the world quiesces");
     let ca = cl.poll_cq(a);
     let cb = cl.poll_cq(b);
     assert_eq!(ca[0].opcode, WcOpcode::Send);
@@ -161,7 +164,7 @@ fn send_without_recv_waits_for_rnr_then_completes() {
             },
         );
     });
-    eng.run(&mut cl);
+    eng.run(&mut cl, HORIZON).expect("the world quiesces");
     let ca = cl.poll_cq(a);
     assert_eq!(ca.len(), 1);
     assert_eq!(ca[0].status, WcStatus::Success);
@@ -191,12 +194,12 @@ fn rnr_retry_exhaustion_errors_the_send_and_flushes_the_rest() {
     let (qa, _) = cl.connect_pair(&mut eng, a, b, cfg);
     cl.post(&mut eng, a, qa, SendWr::new(src.key).len(9).id(1));
     cl.post(&mut eng, a, qa, WriteWr::new(src.key, dst.key).len(9).id(2));
-    eng.run(&mut cl);
+    eng.run(&mut cl, HORIZON).expect("the world quiesces");
     assert_eq!(cl.qp_stats_sum(a).rnr_naks_received, 3);
     assert_eq!(cl.qp_stats_sum(b).rnr_naks_sent, 3);
     assert_eq!(cl.nic(a).qp(qa).map(|q| q.state()), Some(QpState::Error));
     cl.post(&mut eng, a, qa, SendWr::new(src.key).len(9).id(3));
-    eng.run(&mut cl);
+    eng.run(&mut cl, HORIZON).expect("the world quiesces");
     let statuses: Vec<_> = cl.poll_cq(a).iter().map(|c| (c.wr_id, c.status)).collect();
     assert_eq!(
         statuses,
@@ -205,6 +208,29 @@ fn rnr_retry_exhaustion_errors_the_send_and_flushes_the_rest() {
             (WrId(2), WcStatus::WrFlushErr),
             (WrId(3), WcStatus::WrFlushErr),
         ]
+    );
+}
+
+/// An `rnr_retry` of 7 retries for ever (IBTA 9.7.5.2.8): a SEND that
+/// never finds a receive keeps the world busy past any horizon, and the
+/// run says so instead of hanging.
+#[test]
+fn send_that_never_finds_a_recv_stalls_at_the_horizon() {
+    let (mut eng, mut cl, a, b) =
+        two_hosts(DeviceProfile::connectx4(ibsim_fabric::LinkSpec::fdr()));
+    let src = cl.alloc_mr(a, 4096, MrMode::Pinned);
+    let (qa, _) = cl.connect_pair(&mut eng, a, b, QpConfig::default());
+    cl.post(&mut eng, a, qa, SendWr::new(src.key).len(9).id(1));
+    let stalled = eng
+        .run(&mut cl, HORIZON)
+        .expect_err("an unlimited RNR retry never quiesces");
+    assert_eq!(stalled.at, HORIZON);
+    assert!(stalled.pending > 0 && stalled.next > HORIZON, "{stalled}");
+    assert!(eng.now() <= HORIZON, "the clock is not parked");
+    assert!(cl.qp_stats_sum(a).rnr_naks_received > 1);
+    assert!(
+        cl.poll_cq(a).is_empty(),
+        "the SEND neither completes nor fails"
     );
 }
 
@@ -225,7 +251,7 @@ fn many_sequential_reads_complete_in_order() {
                 .id(i),
         );
     }
-    eng.run(&mut cl);
+    eng.run(&mut cl, HORIZON).expect("the world quiesces");
     let cq = cl.poll_cq(a);
     assert_eq!(cq.len(), 64);
     let ids: Vec<u64> = cq.iter().map(|c| c.wr_id.0).collect();
@@ -250,7 +276,7 @@ fn wrong_lid_aborts_with_retry_exc_err_at_8_timeouts() {
         qa,
         ReadWr::new(local.key, remote.key).len(100).id(1),
     );
-    eng.run(&mut cl);
+    eng.run(&mut cl, HORIZON).expect("the world quiesces");
     let cq = cl.poll_cq(a);
     assert_eq!(cq.len(), 1);
     assert_eq!(cq[0].status, WcStatus::RetryExcErr);
@@ -287,7 +313,7 @@ fn cack_above_floor_doubles_abort_time() {
             qa,
             ReadWr::new(local.key, remote.key).len(100).id(1),
         );
-        eng.run(&mut cl);
+        eng.run(&mut cl, HORIZON).expect("the world quiesces");
         cl.poll_cq(a)[0].at
     };
     let t17 = run(17);
@@ -312,7 +338,7 @@ fn injected_single_loss_recovers_via_timeout() {
         qa,
         ReadWr::new(local.key, remote.key).len(13).id(1),
     );
-    eng.run(&mut cl);
+    eng.run(&mut cl, HORIZON).expect("the world quiesces");
     let cq = cl.poll_cq(a);
     assert_eq!(cq[0].status, WcStatus::Success);
     assert_eq!(cl.mem_read(a, local.base, 13), b"survives loss");
@@ -339,7 +365,7 @@ fn remote_access_error_reported() {
         qa,
         ReadWr::new(local.key, (remote.key, 4000)).len(200).id(1),
     );
-    eng.run(&mut cl);
+    eng.run(&mut cl, HORIZON).expect("the world quiesces");
     let cq = cl.poll_cq(a);
     assert_eq!(cq[0].status, WcStatus::RemoteAccessErr);
 }
@@ -358,7 +384,7 @@ fn assert_local_protection_error(bad: impl FnOnce(MrDesc, MrDesc) -> WorkRequest
     let (qa, _) = cl.connect_pair(&mut eng, a, b, QpConfig::default());
     cl.post(&mut eng, a, qa, ReadWr::new(local, remote).len(64).id(1));
     cl.post(&mut eng, a, qa, bad(local, remote));
-    eng.run(&mut cl);
+    eng.run(&mut cl, HORIZON).expect("the world quiesces");
     let cq = cl.poll_cq(a);
     let got: Vec<_> = cq.iter().map(|c| (c.wr_id, c.status, c.bytes)).collect();
     assert_eq!(
@@ -415,7 +441,7 @@ fn posts_after_error_flush() {
         qa,
         ReadWr::new(local.key, remote.key).len(100).id(1),
     );
-    eng.run(&mut cl);
+    eng.run(&mut cl, HORIZON).expect("the world quiesces");
     assert_eq!(cl.poll_cq(a)[0].status, WcStatus::RetryExcErr);
     // The QP is now in the error state: further posts flush immediately.
     cl.post(
@@ -424,7 +450,7 @@ fn posts_after_error_flush() {
         qa,
         ReadWr::new(local.key, remote.key).len(100).id(2),
     );
-    eng.run(&mut cl);
+    eng.run(&mut cl, HORIZON).expect("the world quiesces");
     let cq = cl.poll_cq(a);
     assert_eq!(cq.len(), 1);
     assert_eq!(cq[0].status, WcStatus::WrFlushErr);
@@ -444,7 +470,7 @@ fn capture_records_request_and_response() {
         qa,
         ReadWr::new(local.key, remote.key).len(64).id(1),
     );
-    eng.run(&mut cl);
+    eng.run(&mut cl, HORIZON).expect("the world quiesces");
     let cap = cl.capture(a);
     let ops: Vec<&str> = cap.iter().map(|r| r.payload.kind.opcode()).collect();
     assert_eq!(ops, vec!["RDMA_READ_REQ", "RDMA_READ_RESP_ONLY"]);

@@ -6,9 +6,13 @@
 //! cargo run --release --example atomic_counter
 //! ```
 
+use ibsim::event::SimTime;
 use ibsim::verbs::{
     ClusterBuilder, CompareSwapWr, DeviceProfile, FetchAddWr, MrBuilder, QpConfig, WcStatus,
 };
+
+/// How far any world in this file may run before it must have quiesced.
+const HORIZON: SimTime = SimTime::from_secs(1);
 
 fn main() {
     let device = DeviceProfile::connectx4(ibsim::fabric::LinkSpec::fdr());
@@ -43,7 +47,7 @@ fn main() {
             FetchAddWr::new((l2.key, i * 8), shared.key).add(1).id(i),
         );
     }
-    eng.run(&mut cl);
+    eng.run(&mut cl, HORIZON).expect("the world quiesces");
     let (d1, d2) = (cl.poll_cq(c1), cl.poll_cq(c2));
     assert!(d1.iter().chain(&d2).all(|c| c.status == WcStatus::Success));
     let total = u64::from_le_bytes(cl.mem_read(server, shared.base, 8).try_into().expect("8B"));
@@ -62,7 +66,7 @@ fn main() {
             .swap(1)
             .id(100),
     );
-    eng.run(&mut cl);
+    eng.run(&mut cl, HORIZON).expect("the world quiesces");
     assert_eq!(cl.poll_cq(c1).len(), 1);
     let seen1 = u64::from_le_bytes(cl.mem_read(c1, l1.base + 512, 8).try_into().expect("8B"));
     println!("client1 CAS(0 -> 1): saw {seen1} (acquired)");
@@ -77,7 +81,7 @@ fn main() {
             .swap(1)
             .id(100),
     );
-    eng.run(&mut cl);
+    eng.run(&mut cl, HORIZON).expect("the world quiesces");
     cl.poll_cq(c2);
     let seen2 = u64::from_le_bytes(cl.mem_read(c2, l2.base + 512, 8).try_into().expect("8B"));
     println!("client2 CAS(0 -> 1): saw {seen2} (lock held, not acquired)");
@@ -93,7 +97,7 @@ fn main() {
             .swap(0)
             .id(101),
     );
-    eng.run(&mut cl);
+    eng.run(&mut cl, HORIZON).expect("the world quiesces");
     cl.poll_cq(c1);
     cl.post(
         &mut eng,
@@ -104,7 +108,7 @@ fn main() {
             .swap(1)
             .id(101),
     );
-    eng.run(&mut cl);
+    eng.run(&mut cl, HORIZON).expect("the world quiesces");
     cl.poll_cq(c2);
     let seen3 = u64::from_le_bytes(cl.mem_read(c2, l2.base + 520, 8).try_into().expect("8B"));
     println!("client2 CAS(0 -> 1) after release: saw {seen3} (acquired)");

@@ -13,6 +13,9 @@ use ibsim::scenario::{run_scenario_with, RunOptions, Scenario};
 use ibsim::telemetry::render_summary;
 use ibsim::verbs::{ClusterBuilder, DeviceProfile, MrBuilder, QpConfig, ReadWr, WcStatus, WrId};
 
+/// How far any world in this file may run before it must have quiesced.
+const HORIZON: SimTime = SimTime::from_secs(1);
+
 fn main() {
     // 1. Two READs, 1 ms apart, both-side ODP: the paper's §V-A setup,
     //    with sim-time telemetry recording the fault lifecycles.
@@ -87,7 +90,7 @@ fn main() {
         SimTime::from_ms(2),
         8,
     );
-    eng.run(&mut cl);
+    eng.run(&mut cl, HORIZON).expect("the world quiesces");
     let t2 = cl
         .poll_cq(a)
         .into_iter()

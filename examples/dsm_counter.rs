@@ -12,6 +12,9 @@ use ibsim::dsm::{Dsm, DsmConfig};
 use ibsim::event::{Engine, SimTime};
 use ibsim::verbs::Cluster;
 
+/// How far any world in this file may run before it must have quiesced.
+const HORIZON: SimTime = SimTime::from_secs(1);
+
 fn increment_loop(dsm: Dsm, node: usize, remaining: u32) {
     // Each iteration: acquire → read counter → write counter+1 → release.
     // All chained through completion callbacks.
@@ -62,7 +65,7 @@ fn drain_pending(eng: &mut ibsim::verbs::Sim, cl: &mut Cluster) {
         for job in jobs {
             job(eng, cl);
         }
-        eng.run(cl);
+        eng.run(cl, HORIZON).expect("the world quiesces");
     }
 }
 
@@ -90,7 +93,7 @@ fn main() {
         0u64.to_le_bytes().to_vec(),
         |_, _| {},
     );
-    eng.run(&mut cl);
+    eng.run(&mut cl, HORIZON).expect("the world quiesces");
 
     const PER_NODE: u32 = 10;
     for node in 1..3 {
@@ -103,7 +106,7 @@ fn main() {
     dsm.read(&mut eng, &mut cl, 0, 0, 8, move |_, _, bytes| {
         d.set(u64::from_le_bytes(bytes.try_into().expect("8 bytes")));
     });
-    eng.run(&mut cl);
+    eng.run(&mut cl, HORIZON).expect("the world quiesces");
 
     println!(
         "counter after {} lock-protected increments from 2 nodes: {} (odp={odp})",

@@ -15,6 +15,9 @@ use ibsim::dsm::{Dsm, DsmConfig};
 use ibsim::event::{Engine, SimTime};
 use ibsim::verbs::Cluster;
 
+/// How far any world in this file may run before it must have quiesced.
+const HORIZON: SimTime = SimTime::from_secs(1);
+
 const NODES: usize = 3;
 const CELLS_PER_NODE: usize = 64;
 const CELLS: usize = NODES * CELLS_PER_NODE;
@@ -171,7 +174,7 @@ fn main() {
             |_, _| {},
         );
     }
-    eng.run(&mut cl);
+    eng.run(&mut cl, HORIZON).expect("the world quiesces");
 
     let sync = Rc::new(RefCell::new(StepSync {
         dsm: dsm.clone(),
@@ -181,7 +184,7 @@ fn main() {
     for n in 0..NODES {
         step(dsm.clone(), n, &mut eng, &mut cl, sync.clone());
     }
-    eng.run(&mut cl);
+    eng.run(&mut cl, HORIZON).expect("the world quiesces");
 
     // Check conservation and diffusion.
     let total = Rc::new(RefCell::new(0.0f64));
@@ -198,7 +201,7 @@ fn main() {
             }
         });
     }
-    eng.run(&mut cl);
+    eng.run(&mut cl, HORIZON).expect("the world quiesces");
 
     println!(
         "after {STEPS} stencil steps on {NODES} nodes (odp={odp}): total heat = {:.2}, peak = {:.2}",

@@ -14,6 +14,9 @@ use ibsim::scenario::{run_scenario_with, RunOptions, Scenario};
 use ibsim::telemetry::render_summary;
 use ibsim::verbs::{ClusterBuilder, DeviceProfile, MrBuilder, QpConfig, ReadWr, WrId};
 
+/// How far any world in this file may run before it must have quiesced.
+const HORIZON: SimTime = SimTime::from_secs(1);
+
 fn main() {
     // 1. The Fig. 11a setup: 128 QPs, one 32-byte READ each, all landing
     //    on the same local ODP page, with telemetry recording the fault
@@ -101,7 +104,7 @@ fn main() {
         32,
         SimTime::from_ms(2),
     );
-    eng.run(&mut cl);
+    eng.run(&mut cl, HORIZON).expect("the world quiesces");
     let cq = cl.poll_cq(a);
     let original = cq.iter().find(|c| c.wr_id == WrId(0)).expect("original").at;
     let reissued = cq

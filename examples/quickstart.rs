@@ -5,7 +5,11 @@
 //! cargo run --example quickstart
 //! ```
 
+use ibsim::event::SimTime;
 use ibsim::verbs::{ClusterBuilder, DeviceProfile, MrBuilder, QpConfig, ReadWr};
+
+/// How far any world in this file may run before it must have quiesced.
+const HORIZON: SimTime = SimTime::from_secs(1);
 
 fn main() {
     // A deterministic two-host cluster with ConnectX-4 FDR NICs (the
@@ -37,7 +41,7 @@ fn main() {
         qp,
         ReadWr::new(local.key, remote.key).len(28).id(1),
     );
-    eng.run(&mut cluster);
+    eng.run(&mut cluster, HORIZON).expect("the world quiesces");
 
     let completions = cluster.poll_cq(client);
     println!(

@@ -14,6 +14,9 @@ use ibsim::verbs::{
     export_jsonl, Cluster, DeviceProfile, Labels, MrMode, QpConfig, ReadWr, ShardPlan, Telemetry,
 };
 
+/// How far any world in this file may run before it must have quiesced.
+const HORIZON: SimTime = SimTime::from_secs(20);
+
 #[test]
 fn facade_reexports_are_usable() {
     // A minimal end-to-end run through the facade paths only.
@@ -26,7 +29,7 @@ fn facade_reexports_are_usable() {
     cl.mem_write(b, src.base, b"facade");
     let (qp, _) = cl.connect_pair(&mut eng, a, b, QpConfig::default());
     cl.post(&mut eng, a, qp, ReadWr::new(dst.key, src.key).len(6).id(1));
-    eng.run(&mut cl);
+    eng.run(&mut cl, HORIZON).expect("the world quiesces");
     assert_eq!(cl.mem_read(a, dst.base, 6), b"facade");
 }
 
@@ -244,7 +247,7 @@ fn ucp_over_damming_hardware_still_delivers() {
             len,
         },
     );
-    eng.run(&mut cl);
+    eng.run(&mut cl, HORIZON).expect("the world quiesces");
     assert_eq!(ucp.take_completed(b).len(), 1);
     assert_eq!(cl.mem_read(b, dst.base, len as usize), payload);
 }
@@ -265,7 +268,7 @@ fn dsm_init_faults_on_odp_but_not_pinned() {
         let finished = std::rc::Rc::new(std::cell::Cell::new(SimTime::ZERO));
         let f = finished.clone();
         dsm.init(&mut eng, &mut cl, move |_, _, at| f.set(at));
-        eng.run(&mut cl);
+        eng.run(&mut cl, HORIZON).expect("the world quiesces");
         assert!(finished.get() > SimTime::ZERO);
         let faults: u64 = (0..2)
             .map(|n| {
