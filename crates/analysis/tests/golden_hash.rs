@@ -4,7 +4,7 @@
 //! ordering (and therefore simulated behaviour) changed.
 
 use ibsim_event::{assert_golden, fnv1a_str};
-use ibsim_scenario::{run_scenario_with, RunOptions, Scenario, TelemetryMode};
+use ibsim_scenario::{paper_corpus, run_scenario_with, RunOptions, Scenario, TelemetryMode};
 
 /// Asserts `sc`'s client timeline, captured with the hub in `telemetry`,
 /// against the `GOLDENS` entry `pin`: its FNV-1a and length.
@@ -52,5 +52,23 @@ fn telemetry_does_not_perturb_damming_trace() {
 fn telemetry_does_not_perturb_flood_trace() {
     for mode in [TelemetryMode::Spans, TelemetryMode::Synced] {
         assert_timeline_pinned(&Scenario::flood_probe(128), mode, "flood.timeline");
+    }
+}
+
+/// The same law over the whole paper corpus, the drain deadline
+/// included: a run that syncs its hub stops where an oracle run stops,
+/// with the same trace, completions, clock and stall verdict.
+#[test]
+fn telemetry_does_not_perturb_the_paper_corpus() {
+    for sc in paper_corpus() {
+        let oracle = run_scenario_with(&sc, RunOptions::ORACLE);
+        let full = run_scenario_with(&sc, RunOptions::FULL);
+        let name = &sc.name;
+        assert_eq!(oracle.trace_hash, full.trace_hash, "{name}");
+        assert_eq!(oracle.stalled, full.stalled, "{name}");
+        assert_eq!(oracle.client_comps, full.client_comps, "{name}");
+        assert_eq!(oracle.server_comps, full.server_comps, "{name}");
+        assert_eq!(oracle.end_ns, full.end_ns, "{name}");
+        assert_eq!(oracle.telemetry.spans(), full.telemetry.spans(), "{name}");
     }
 }

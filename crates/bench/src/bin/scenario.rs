@@ -4,7 +4,6 @@
 //! ```text
 //! cargo run --release --bin scenario                      # corpus only
 //! cargo run --release --bin scenario -- --workers 4 --fuzz 256 --minimize-demo
-//! cargo run --release --bin scenario -- --shards 4        # PDES conformance
 //! ```
 //!
 //! Stages (each optional flag adds one):
@@ -13,9 +12,7 @@
 //!    oracle with 1 worker and with `--workers` workers, and fails on
 //!    any oracle violation *or* any per-scenario trace-hash divergence
 //!    between the two runs (thread-count independence is an enforced
-//!    invariant, not a hope). `--shards N` additionally moves the second
-//!    run onto N PDES shards, so the same diff enforces shard-count
-//!    conformance against the sequential baseline.
+//!    invariant, not a hope).
 //! 2. **Fuzz** (`--fuzz N`): generates N seeded random scenarios and
 //!    runs them through the oracle the same dual-run way.
 //! 3. **Minimizer demo** (`--minimize-demo`): plants a known divergence
@@ -23,25 +20,27 @@
 //!    the failing mixed-verbs corpus scenario, and fails unless the
 //!    reproducer still fails and has at most 3 work requests.
 //!
-//! Exits non-zero on any failure, printing the offending reports first.
+//! Exits non-zero on any failure, printing the offending reports first;
+//! exits 2 before any stage on a flag it does not know (`--quick` is the
+//! fifth it does).
 
-use ibsim_bench::{arg_value, header, quick_mode, row};
+use ibsim_bench::{arg_value, header, quick_mode, reject_unknown_flags, row};
 use ibsim_scenario::{
     check_run_with, paper_corpus, random_scenario, run_corpus, run_scenario, shrink, CorpusOutcome,
     Injection, Scenario,
 };
 
 fn main() {
+    reject_unknown_flags(&["--workers", "--fuzz", "--minimize-demo", "--quick"]);
     let workers = arg_value("--workers").unwrap_or(4).max(1);
-    let shards = arg_value("--shards").unwrap_or(1).max(1);
     let fuzz = arg_value("--fuzz").unwrap_or(0);
     let fuzz = if quick_mode() { fuzz.min(32) } else { fuzz };
     let minimize_demo = std::env::args().any(|a| a == "--minimize-demo");
-    let mut failed = !run_stage("paper corpus", &paper_corpus(), workers, shards);
+    let mut failed = !run_stage("paper corpus", &paper_corpus(), workers);
 
     if fuzz > 0 {
         let scenarios: Vec<Scenario> = (0..fuzz as u64).map(random_scenario).collect();
-        failed |= !run_stage(&format!("fuzz x{fuzz}"), &scenarios, workers, shards);
+        failed |= !run_stage(&format!("fuzz x{fuzz}"), &scenarios, workers);
     }
 
     if minimize_demo {
@@ -54,33 +53,13 @@ fn main() {
     println!("\n[scenario] all stages passed");
 }
 
-/// Runs one batch twice — a sequential-engine baseline with 1 worker,
-/// then `workers` workers on `shards` PDES shards — prints the result
-/// table, and returns false on oracle violations or divergence. With
-/// `--shards 1` this is the classic thread-count-independence check;
-/// with `--shards N` the same diff additionally enforces shard-count
-/// conformance: every trace hash must survive the move to the sharded
-/// executor byte for byte.
-fn run_stage(label: &str, scenarios: &[Scenario], workers: usize, shards: usize) -> bool {
-    header(&format!("scenario conformance: {label} (shards {shards})"));
-    let baseline: Vec<Scenario> = scenarios
-        .iter()
-        .map(|sc| {
-            let mut sc = sc.clone();
-            sc.shards = 1;
-            sc
-        })
-        .collect();
-    let sharded: Vec<Scenario> = scenarios
-        .iter()
-        .map(|sc| {
-            let mut sc = sc.clone();
-            sc.shards = shards;
-            sc
-        })
-        .collect();
-    let serial = run_corpus(&baseline, 1);
-    let parallel = run_corpus(&sharded, workers);
+/// Runs one batch twice — with 1 worker, then with `workers` — prints
+/// the result table, and returns false on oracle violations or on any
+/// scenario whose two runs differ.
+fn run_stage(label: &str, scenarios: &[Scenario], workers: usize) -> bool {
+    header(&format!("scenario conformance: {label}"));
+    let serial = run_corpus(scenarios, 1);
+    let parallel = run_corpus(scenarios, workers);
     let mut ok = true;
     let mut any_diverged = false;
 
@@ -124,8 +103,7 @@ fn run_stage(label: &str, scenarios: &[Scenario], workers: usize, shards: usize)
         }
         if diverged {
             println!(
-                "    workers=1/shards=1 hash {:#018x} != workers={workers}/shards={shards} \
-                 hash {:#018x}",
+                "    workers=1 hash {:#018x} != workers={workers} hash {:#018x}",
                 s.hash, p.hash
             );
             ok = false;
@@ -135,7 +113,7 @@ fn run_stage(label: &str, scenarios: &[Scenario], workers: usize, shards: usize)
     let total: usize = serial.iter().map(|o: &CorpusOutcome| o.violations).sum();
     println!(
         "[scenario] {label}: {} scenario(s), {total} violation(s), \
-         workers 1 vs {workers} / shards 1 vs {shards}: {}",
+         workers 1 vs {workers}: {}",
         serial.len(),
         if any_diverged {
             "MISMATCH"

@@ -80,10 +80,28 @@ fn or_exit<T>(parsed: Result<T, String>) -> T {
     })
 }
 
+/// `Err` naming the first `--flag` in `args` (past the program name)
+/// that `known` does not list.
+fn unknown_flag(args: &[String], known: &[&str]) -> Result<(), String> {
+    let unknown = |a: &&String| a.starts_with("--") && !known.contains(&a.as_str());
+    match args.iter().skip(1).find(unknown) {
+        Some(flag) => Err(format!("unknown flag {flag}")),
+        None => Ok(()),
+    }
+}
+
+/// Exits with status 2, naming the flag, if the command line carries a
+/// `--flag` that `known` does not list: a stale or misspelt flag
+/// (`--fuz 256`) must not quietly run less than it asked for.
+pub fn reject_unknown_flags(known: &[&str]) {
+    let args: Vec<String> = std::env::args().collect();
+    or_exit(unknown_flag(&args, known))
+}
+
 /// `--flag N` from the command line; `None` when the flag is absent.
-/// Exits non-zero, naming the flag, when the value is missing or is not
-/// a non-negative integer — `--shards x` must not quietly become the
-/// default and turn a conformance stage into a sequential run.
+/// Exits with status 2, naming the flag, when the value is missing or is
+/// not a non-negative integer — `--fuzz x` must not quietly become the
+/// default and turn a fuzz stage into none.
 pub fn arg_value(flag: &str) -> Option<usize> {
     let args: Vec<String> = std::env::args().collect();
     or_exit(flag_value(&args, flag))
@@ -176,29 +194,50 @@ mod tests {
 
     #[test]
     fn flags_parse_or_are_absent() {
-        let a = args("scenario --workers 4 --shards 0");
+        let a = args("scenario --workers 4 --fuzz 0");
         assert_eq!(flag_value(&a, "--workers"), Ok(Some(4)));
-        assert_eq!(flag_value(&a, "--shards"), Ok(Some(0)));
+        assert_eq!(flag_value(&a, "--fuzz"), Ok(Some(0)));
         assert_eq!(flag_str(&a, "--workers"), Ok(Some("4")));
-        assert_eq!(flag_value(&a, "--fuzz"), Ok(None));
-        assert_eq!(flag_str(&a, "--fuzz"), Ok(None));
+        assert_eq!(flag_value(&a, "--minimize-demo"), Ok(None));
+        assert_eq!(flag_str(&a, "--minimize-demo"), Ok(None));
     }
 
     #[test]
     fn present_flags_never_fall_back_to_the_default() {
         for line in [
-            "scenario --shards x",
-            "scenario --shards 4x",
-            "scenario --shards -1",
-            "scenario --shards",
-            "scenario --shards --workers 4",
+            "scenario --workers x",
+            "scenario --workers 4x",
+            "scenario --workers -1",
+            "scenario --workers",
+            "scenario --workers --fuzz 4",
         ] {
-            let err = flag_value(&args(line), "--shards").expect_err(line);
-            assert!(err.contains("--shards"), "{line}: {err}");
+            let err = flag_value(&args(line), "--workers").expect_err(line);
+            assert!(err.contains("--workers"), "{line}: {err}");
         }
-        for line in ["scenario --fuzz", "scenario --fuzz --shards 4"] {
+        for line in ["scenario --fuzz", "scenario --fuzz --workers 4"] {
             let err = flag_str(&args(line), "--fuzz").expect_err(line);
             assert!(err.contains("--fuzz"), "{line}: {err}");
+        }
+    }
+
+    #[test]
+    fn a_flag_the_runner_does_not_know_is_an_error_naming_it() {
+        let known = ["--workers", "--fuzz", "--minimize-demo", "--quick"];
+        for (line, flag) in [
+            ("scenario --shards 4", "--shards"),
+            ("scenario --workers 4 --fuz 256", "--fuz"),
+            ("scenario --fuzz 2 --minimise-demo", "--minimise-demo"),
+            ("scenario --fuzz -1 --", "--"),
+        ] {
+            let err = unknown_flag(&args(line), &known).expect_err(line);
+            assert_eq!(err, format!("unknown flag {flag}"), "{line}");
+        }
+        for line in [
+            "scenario",
+            "scenario --workers 4 --fuzz 256 --minimize-demo --quick",
+            "scenario --fuzz -1",
+        ] {
+            assert_eq!(unknown_flag(&args(line), &known), Ok(()), "{line}");
         }
     }
 

@@ -179,16 +179,38 @@ fn congestion_is_reproducible_and_holds_its_inequalities() {
     assert_eq!(out.matches("[PASS]").count(), 3, "{out}");
 }
 
+/// Runs the scenario runner on `args`, asserts it exits 2 before any
+/// stage, and returns its stderr.
+fn scenario_refusal(args: &[&str]) -> String {
+    let out = Command::new(env!("CARGO_BIN_EXE_scenario"))
+        .args(args)
+        .output()
+        .unwrap_or_else(|e| panic!("spawn scenario: {e}"));
+    assert_eq!(out.status.code(), Some(2), "{args:?}");
+    assert!(out.stdout.is_empty(), "{args:?} started a stage first");
+    String::from_utf8_lossy(&out.stderr).into_owned()
+}
+
 #[test]
 fn scenario_refuses_a_flag_it_cannot_parse() {
-    for args in [&["--shards", "4x"][..], &["--workers"], &["--fuzz", "-1"]] {
-        let out = Command::new(env!("CARGO_BIN_EXE_scenario"))
-            .args(args)
-            .output()
-            .unwrap_or_else(|e| panic!("spawn scenario: {e}"));
-        let err = String::from_utf8_lossy(&out.stderr);
-        assert!(!out.status.success(), "{args:?} ran anyway");
+    for args in [&["--workers", "4x"][..], &["--workers"], &["--fuzz", "-1"]] {
+        let err = scenario_refusal(args);
         assert!(err.contains(args[0]), "{args:?}: {err}");
-        assert!(out.stdout.is_empty(), "{args:?} started a stage first");
+    }
+}
+
+/// A flag the runner does not know, a removed one or a misspelt one,
+/// would otherwise be ignored and the run would do less than it says.
+#[test]
+fn scenario_refuses_a_flag_it_does_not_know() {
+    for (args, flag) in [
+        (&["--shards", "4"][..], "--shards"),
+        (&["--workers", "2", "--fuz", "256"], "--fuz"),
+    ] {
+        let err = scenario_refusal(args);
+        assert!(
+            err.contains(&format!("unknown flag {flag}")),
+            "{args:?}: {err}"
+        );
     }
 }

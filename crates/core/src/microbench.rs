@@ -158,7 +158,6 @@ pub fn run_microbench(cfg: &MicrobenchConfig) -> MicrobenchRun {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ibsim_scenario::{run_scenario_plan, ShardPlan};
     use ibsim_verbs::PAGE_SIZE;
 
     /// Runs `cfg` under `trials` seeds drawn from its own.
@@ -236,13 +235,6 @@ mod tests {
             ..Default::default()
         };
         assert!(trials(&cfg, 5).iter().all(|r| r.timeouts > 0));
-    }
-
-    #[test]
-    #[should_panic(expected = "a sharded run needs at least one shard")]
-    fn zero_shards_is_rejected_with_a_diagnostic() {
-        let sc = Scenario::fig3_loop(2, 1, 100, SimTime::ZERO);
-        run_scenario_plan(&sc, ShardPlan::pair(0), RunOptions::BARE);
     }
 
     #[test]

@@ -1,20 +1,16 @@
 //! The scenario executor — the one way the repository builds and runs a
 //! two-host world, the paper's figures included: spins up the cluster,
 //! installs the fault and loss schedules as engine events, posts the
-//! workload, runs the simulation to completion and collects every
-//! observable artifact — completions, memory images, per-side QP
-//! counters, the merged lint report, runtime invariant counts, the
-//! telemetry hub and a trace hash.
+//! workload, runs the simulation up to the scenario's drain deadline and
+//! collects every observable artifact — completions, memory images,
+//! per-side QP counters, the merged lint report, runtime invariant
+//! counts, the telemetry hub and a trace hash.
 //!
-//! There is one path: every entry point builds a [`ShardPlan`] and hands
-//! the same build and collect closures to [`run_plan`], which runs a
-//! one-owner plan on the plain engine in the calling thread and a split
-//! plan on the conservative-lookahead PDES executor. Either way the
-//! world is built once per replica and each host's capture is moved out
-//! of it, not copied. The [`ScenarioRun`] — including `trace_hash` — is
-//! required to be the same byte for byte under every plan; the
-//! conformance battery and the seeded shard-assignment fuzzer enforce
-//! that for every corpus entry and random partition.
+//! There is one path: [`run_scenario_with`] builds the world on one
+//! engine in the calling thread, runs it to [`Scenario::drain_deadline`]
+//! and moves each host's capture out of it, not copied. A world still
+//! busy at the deadline reports [`ScenarioRun::stalled`]; none runs past
+//! it.
 //!
 //! What a run records besides the simulation is a [`RunOptions`], never
 //! a spec facet: observation does not perturb a run, so every option
@@ -26,9 +22,9 @@ use ibsim_analysis::{check_conservation, lint_capture, LintConfig, LintReport};
 use ibsim_event::{Fnv1a, Line, SimTime};
 use ibsim_fabric::{Capture, LossModel};
 use ibsim_verbs::{
-    run_plan, Cluster, ClusterBuilder, CompareSwapWr, Completion, FetchAddWr, HostId, Labels,
-    MrBuilder, MrDesc, MrMode, Packet, QpConfig, QpStats, Qpn, ReadWr, RecvWr, SendWr, ShardPlan,
-    Sim, Telemetry, WorkRequest, WrId, WriteWr, PAGE_SIZE,
+    Cluster, ClusterBuilder, CompareSwapWr, Completion, FetchAddWr, HostId, MrBuilder, MrDesc,
+    MrMode, Packet, QpConfig, QpStats, Qpn, ReadWr, RecvWr, SendWr, Sim, Telemetry, WorkRequest,
+    WrId, WriteWr, PAGE_SIZE,
 };
 
 use crate::reference::{client_init_byte, server_init_byte, RECV_ID_BASE};
@@ -42,7 +38,7 @@ pub enum TelemetryMode {
     /// Fault spans and counters — what the oracle's stage-sum law reads.
     Spans,
     /// Spans, counters and every gauge, synced at the run's last event —
-    /// what an export reads. A synced run drains past the deadline.
+    /// what an export reads.
     Synced,
 }
 
@@ -103,18 +99,17 @@ pub struct ScenarioRun {
     /// Total runtime invariant violations counted across the cluster and
     /// engine; zero on a healthy run.
     pub invariant_violations: u64,
-    /// The merged hub (see [`ibsim_verbs::Finished::telemetry`]): closed
-    /// spans in the canonical `(completed, raised, host, mr, page)` order
-    /// under every plan, and counters; the gauges too when synced. On a
-    /// one-owner plan a synced hub keeps `event.peak_depth`, which per-
-    /// shard peaks cannot give a split plan. Empty when off.
+    /// The hub: closed spans in the order they closed, and counters; when
+    /// synced, every gauge too, `event.peak_depth` included. Empty when
+    /// off.
     pub telemetry: Telemetry,
     /// The run hit its drain deadline with events still pending.
     pub stalled: bool,
-    /// Simulated completion time of the run, in nanoseconds.
+    /// Where the run's clock stopped, in nanoseconds: the scenario's
+    /// drain deadline.
     pub end_ns: u64,
-    /// The run's identity for determinism comparisons across worker and
-    /// shard counts: FNV-1a over [`ScenarioRun::timeline`] followed by
+    /// The run's identity for determinism comparisons across worker
+    /// counts: FNV-1a over [`ScenarioRun::timeline`] followed by
     /// the client then the server memory image, streamed into the
     /// hasher without the text being built.
     pub trace_hash: u64,
@@ -189,18 +184,7 @@ struct World {
 
 /// Builds the two-host cluster, registers regions, connects QPs and
 /// schedules the workload, fault and loss timelines.
-///
-/// `shard` is `None` for the plain cluster; `Some((id, owner))` builds
-/// shard `id`'s replica of a sharded run. Replicas are construction-time
-/// identical (registration, memory init, prefetch and QP connection
-/// schedule no events); which of them schedules each post, invalidation
-/// and loss-model swap is [`Cluster::post_at`]'s,
-/// [`Cluster::invalidate_at`]'s and [`Cluster::set_loss_at`]'s decision.
-fn build_scenario_world(
-    sc: &Scenario,
-    opts: RunOptions,
-    shard: Option<(usize, &[usize])>,
-) -> (Sim, Cluster, World) {
+fn build_scenario_world(sc: &Scenario, opts: RunOptions) -> (Sim, Cluster, World) {
     let (mut eng, mut cl, hosts) = ClusterBuilder::new()
         .seed(sc.seed)
         .host("client", sc.device.clone())
@@ -210,9 +194,6 @@ fn build_scenario_world(
         .topology(sc.topology)
         .build();
     let (client, server) = (hosts[0], hosts[1]);
-    if let Some((id, owner)) = shard {
-        cl.enable_sharding(id, owner.to_vec());
-    }
 
     let len = sc.region_len();
     let mode = |odp: bool| if odp { MrMode::Odp } else { MrMode::Pinned };
@@ -257,8 +238,7 @@ fn build_scenario_world(
     // Receives are posted up front, at the same window offset as the
     // matching SEND: RC pairs sends with posted receives FIFO per QP, and
     // posting order follows the workload list, so the k-th SEND on a QP
-    // consumes the k-th receive posted on it. Posting is pure queue
-    // state, so every replica posts them (replica symmetry is free).
+    // consumes the k-th receive posted on it.
     for (k, &(qp, wr)) in sc.wrs.iter().enumerate() {
         if let WrSpec::Send { off, len } = wr {
             cl.post_recv(
@@ -327,8 +307,7 @@ struct HostCollect {
 }
 
 /// Drains one host's completion queue, snapshots its region and
-/// counters and moves its capture out of the cluster. Only meaningful on
-/// the replica that owns the host.
+/// counters and moves its capture out of the cluster.
 fn collect_host(
     cl: &mut Cluster,
     sc: &Scenario,
@@ -371,12 +350,9 @@ fn comp_line<'l>(line: &'l mut Line, tag: &str, comp: &Completion) -> &'l str {
     line.push(b"\n").as_str()
 }
 
-/// Runs one scenario to completion under [`ShardPlan::pair`] of
-/// [`Scenario::shards`] (a zero runs as one), recording
+/// Runs one scenario up to its drain deadline, recording
 /// [`RunOptions::ORACLE`]. Deterministic: the same scenario always
-/// produces the same [`ScenarioRun`], including its `trace_hash` —
-/// whatever the shard count, because the sharded executor reproduces
-/// the sequential trace bit for bit.
+/// produces the same [`ScenarioRun`], including its `trace_hash`.
 ///
 /// The scenario should satisfy [`Scenario::validate`]; out-of-range
 /// offsets would make the run itself meaningless.
@@ -384,87 +360,32 @@ pub fn run_scenario(sc: &Scenario) -> ScenarioRun {
     run_scenario_with(sc, RunOptions::ORACLE)
 }
 
-/// [`run_scenario`] recording what `opts` asks for.
-pub fn run_scenario_with(sc: &Scenario, opts: RunOptions) -> ScenarioRun {
-    run_scenario_plan(sc, ShardPlan::pair(sc.shards.max(1)), opts)
-}
-
-/// Runs a scenario under an explicit [`ShardPlan`] — the entry point for
-/// the shard-assignment fuzzer, which exercises arbitrary host→shard
-/// partitions. When any loss phase is order-dependent (its model
-/// consumes a PRNG or counter per inspected packet) the plan is
-/// collapsed onto the client's shard: cross-shard traffic would consult
-/// replicated loss state in a shard-local order and diverge from the
-/// sequential drop pattern.
+/// [`run_scenario`] recording what `opts` asks for. Every option runs
+/// the same events to the same deadline: observation does not perturb.
 ///
 /// # Panics
 ///
-/// Panics as [`run_plan`] does on a malformed plan: no shards, an owner
-/// map that does not name a shard for both hosts, a shard out of range;
-/// and on a post schedule past the simulated clock, which
+/// Panics on a post schedule past the simulated clock, which
 /// [`Scenario::validate`] rejects.
-pub fn run_scenario_plan(sc: &Scenario, mut plan: ShardPlan, opts: RunOptions) -> ScenarioRun {
-    // Every plan runs exactly to this instant, so `end_ns` is identical
-    // whatever the shard count; a synced run drains instead.
+pub fn run_scenario_with(sc: &Scenario, opts: RunOptions) -> ScenarioRun {
     let Some(deadline) = sc.drain_deadline() else {
         panic!(
             "scenario {}: its post schedule overflows the clock",
             sc.name
         )
     };
-    let order_dependent_loss = sc
-        .loss
-        .iter()
-        .any(|p| loss_model(&p.model).is_order_dependent());
-    if order_dependent_loss {
-        if let Some(&shard) = plan.owner.first() {
-            plan.owner.fill(shard);
-        }
+    let (mut eng, mut cl, w) = build_scenario_world(sc, opts);
+    eng.run_until(&mut cl, deadline);
+    if opts.telemetry == TelemetryMode::Synced {
+        cl.sync_telemetry_at(&eng, eng.last_executed_at());
     }
-    let synced = opts.telemetry == TelemetryMode::Synced;
-    let done = run_plan(
-        &plan,
-        (!synced).then_some(deadline),
-        |shard| build_scenario_world(sc, opts, shard),
-        |eng, cl, w, end| {
-            if synced {
-                cl.sync_telemetry_at(eng, end);
-            }
-            // Each host's artifacts come from the replica that owns it.
-            let client = cl
-                .owns(w.client)
-                .then(|| collect_host(cl, sc, "C", w.client, &w.client_qpns, &w.cmr));
-            let server = cl
-                .owns(w.server)
-                .then(|| collect_host(cl, sc, "S", w.server, &w.server_qpns, &w.smr));
-            // The runtime invariants: illegal QP transitions on both
-            // hosts, and event pops that moved the clock backwards.
-            let invariants = cl.qp_stats_sum(w.client).invariant_violations
-                + cl.qp_stats_sum(w.server).invariant_violations
-                + eng.monotonicity_violations();
-            let peak = eng.queue_stats().peak_depth;
-            (client, server, invariants, cl.stats.total_packets, peak)
-        },
-    );
-    // A one-owner plan's single engine knows its true peak queue depth.
-    let one_owner = done.shards.len() == 1;
-    let mut client = None;
-    let mut server = None;
-    let (mut invariant_violations, mut total_packets, mut peak_depth) = (0u64, 0u64, 0);
-    for (c, s, n, packets, peak) in done.shards {
-        client = client.or(c);
-        server = server.or(s);
-        invariant_violations += n;
-        total_packets += packets;
-        peak_depth = peak;
-    }
-    let (Some(ccol), Some(scol)) = (client, server) else {
-        unreachable!("invariant: exactly one replica owns each host")
-    };
-    let mut telemetry = done.telemetry;
-    if synced && one_owner {
-        telemetry.gauge_set("event.peak_depth", Labels::NONE, peak_depth as u64);
-    }
+    let ccol = collect_host(&mut cl, sc, "C", w.client, &w.client_qpns, &w.cmr);
+    let scol = collect_host(&mut cl, sc, "S", w.server, &w.server_qpns, &w.smr);
+    // The runtime invariants: illegal QP transitions on both hosts, and
+    // event pops that moved the clock backwards.
+    let invariant_violations = ccol.stats.invariant_violations
+        + scol.stats.invariant_violations
+        + eng.monotonicity_violations();
 
     // The justification rules come from the backend under test.
     let lint_cfg = LintConfig {
@@ -482,12 +403,12 @@ pub fn run_scenario_plan(sc: &Scenario, mut plan: ShardPlan, opts: RunOptions) -
         server_mem: scol.mem,
         client_stats: ccol.stats,
         server_stats: scol.stats,
-        total_packets,
+        total_packets: cl.stats.total_packets,
         lint,
         invariant_violations,
-        telemetry,
-        stalled: done.queue.live > 0,
-        end_ns: done.end.as_ns(),
+        telemetry: std::mem::take(cl.telemetry_mut()),
+        stalled: eng.pending_events() > 0,
+        end_ns: eng.now().as_ns(),
         trace_hash: 0,
         captures: [ccol.capture, scol.capture],
         comp_logs: [ccol.comp_log, scol.comp_log],
@@ -649,119 +570,5 @@ mod tests {
         // The dropped first frame must be retransmitted and both writes
         // must still complete.
         assert_eq!(lossy.client_comps[0].len(), 2);
-    }
-
-    #[test]
-    fn shards_facet_dispatches_and_reproduces_the_sequential_hash() {
-        let mut sc = Scenario::base("dispatch");
-        sc.client_odp = true;
-        sc.slot = 64;
-        sc.wrs = vec![
-            (0, WrSpec::Write { off: 0, len: 32 }),
-            (0, WrSpec::Read { off: 0, len: 32 }),
-        ];
-        let seq = run_scenario(&sc);
-        sc.shards = 4;
-        let sharded = run_scenario(&sc);
-        assert_eq!(seq.trace_hash, sharded.trace_hash);
-        assert_eq!(seq.timeline(), sharded.timeline());
-        assert_eq!(seq.end_ns, sharded.end_ns);
-        assert_eq!(seq.telemetry.spans().len(), sharded.telemetry.spans().len());
-        assert_eq!(seq.lint.findings.len(), sharded.lint.findings.len());
-    }
-
-    #[test]
-    fn order_dependent_loss_collapses_split_plans() {
-        // A uniform-loss scenario across a split plan must co-locate the
-        // hosts (cross-shard traffic would consult replicated PRNG state
-        // out of order) and still reproduce the sequential trace.
-        let mut sc = Scenario::base("lossy-sharded");
-        sc.slot = 64;
-        sc.wrs = vec![
-            (0, WrSpec::Write { off: 0, len: 32 }),
-            (0, WrSpec::Write { off: 32, len: 32 }),
-        ];
-        sc.loss = vec![
-            LossPhase {
-                at_ns: 0,
-                model: LossSpec::Uniform {
-                    prob_milli: 200,
-                    seed: 7,
-                },
-            },
-            LossPhase {
-                at_ns: 1_000_000,
-                model: LossSpec::None,
-            },
-        ];
-        let seq = run_scenario(&sc);
-        let sharded = run_scenario_plan(&sc, ShardPlan::new(4, vec![0, 3]), RunOptions::ORACLE);
-        assert_eq!(seq.trace_hash, sharded.trace_hash);
-    }
-
-    #[test]
-    fn an_unvalidated_zero_shard_count_runs_as_one() {
-        let mut sc = Scenario::base("zero-shards");
-        sc.slot = 64;
-        sc.wrs = vec![(0, WrSpec::Write { off: 0, len: 32 })];
-        let one = run_scenario(&sc);
-        sc.shards = 0;
-        assert_eq!(run_scenario(&sc).trace_hash, one.trace_hash);
-    }
-
-    /// The §V damming loop with its hub synced: every shard count gives
-    /// the plain engine's capture, completions and export, less the
-    /// one-owner run's `event.peak_depth`.
-    #[test]
-    fn sharded_damming_matches_sequential() {
-        let sc = Scenario::damming_probe();
-        let run = |shards| {
-            let mut run = run_scenario_plan(&sc, ShardPlan::pair(shards), RunOptions::FULL);
-            let peak = run
-                .telemetry
-                .registry()
-                .gauge("event.peak_depth", Labels::NONE);
-            run.telemetry
-                .remove_metric("event.peak_depth", Labels::NONE);
-            let jsonl = ibsim_verbs::export_jsonl(&run.telemetry);
-            (run, jsonl, peak)
-        };
-        let (seq, seq_jsonl, peak) = run(1);
-        assert!(seq.client_stats.timeouts > 0, "the damming loop must dam");
-        assert!(peak > Some(0), "a one-owner run knows its queue's peak");
-        for shards in [2, 4] {
-            let (sh, jsonl, peak) = run(shards);
-            assert_eq!(seq.trace_hash, sh.trace_hash, "shards={shards}");
-            assert_eq!(seq.client_comps, sh.client_comps, "shards={shards}");
-            assert_eq!(seq.total_packets, sh.total_packets, "shards={shards}");
-            assert_eq!(seq_jsonl, jsonl, "shards={shards}");
-            assert_eq!(peak, None, "per-shard peaks do not compose");
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "a sharded run needs at least one shard")]
-    fn zero_shards_is_rejected_with_a_diagnostic() {
-        run_scenario_plan(
-            &Scenario::base("no-shards"),
-            ShardPlan::pair(0),
-            RunOptions::ORACLE,
-        );
-    }
-
-    #[test]
-    #[should_panic(expected = "owner map must name a shard for every host")]
-    fn an_empty_owner_map_is_rejected_with_a_diagnostic() {
-        // Order-dependent loss, so the collapse onto the client's shard
-        // looks at the map before `run_plan` validates it.
-        let mut sc = Scenario::base("no-owners");
-        sc.loss = vec![LossPhase {
-            at_ns: 0,
-            model: LossSpec::Uniform {
-                prob_milli: 200,
-                seed: 7,
-            },
-        }];
-        run_scenario_plan(&sc, ShardPlan::new(2, Vec::new()), RunOptions::ORACLE);
     }
 }

@@ -125,16 +125,16 @@ pub fn random_scenario(seed: u64) -> Scenario {
         });
     }
 
-    // Drawn last so enabling the facet left every pre-existing seed's
-    // scenario (and its oracle verdict) untouched. The sharded executor
-    // must reproduce the sequential trace bit for bit, so a random shard
-    // count perturbs nothing but which engine runs the spec.
-    sc.shards = [1usize, 2, 4, 8][rng.next_below(4) as usize];
+    // The draw of the removed `shards` facet: made and discarded, so the
+    // topology draw below, and every seed's scenario, stay where they
+    // were.
+    let _ = rng.next_below(4);
 
-    // Newest facet draws after `shards` (same preservation argument).
-    // Routing is deterministic and the reference executor runs the same
-    // fabric, so the differential oracle holds on every topology; the
-    // draw just moves traffic onto multi-hop paths for some seeds.
+    // The newest facet draws last, so enabling it left every older seed's
+    // scenario (and its oracle verdict) untouched. Routing is
+    // deterministic and the reference executor runs the same fabric, so
+    // the differential oracle holds on every topology; the draw just
+    // moves traffic onto multi-hop paths for some seeds.
     sc.topology = ibsim_fabric::TopologyKind::ALL_SAMPLES[rng.next_below(4) as usize];
 
     debug_assert!(sc.validate().is_ok(), "generator produced invalid scenario");

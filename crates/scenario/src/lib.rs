@@ -17,7 +17,8 @@
 //!   and the §IX-A workaround ablations, plus [`random_scenario`], a
 //!   seeded generator for fuzzing;
 //! * [`run_scenario`] + [`check_run`] — the differential oracle: every
-//!   run is replayed against a tiny reference model of RC semantics
+//!   run, one engine up to the scenario's drain deadline, is replayed
+//!   against a tiny reference model of RC semantics
 //!   ([`Expectation`]) and checked for exactly-once completion, per-QP
 //!   PSN conformance (via `ibsim-analysis`), final memory-state
 //!   equality, and telemetry stage-sum conservation;
@@ -55,11 +56,8 @@ mod shrink;
 mod spec;
 
 pub use corpus::paper_corpus;
-pub use exec::{
-    run_scenario, run_scenario_plan, run_scenario_with, RunOptions, ScenarioRun, TelemetryMode,
-};
+pub use exec::{run_scenario, run_scenario_with, RunOptions, ScenarioRun, TelemetryMode};
 pub use generator::random_scenario;
-pub use ibsim_verbs::ShardPlan;
 pub use oracle::{check_run, check_run_with, OracleReport, OracleViolation};
 pub use parallel::{run_corpus, CorpusOutcome};
 pub use reference::{Expectation, Injection};

@@ -358,10 +358,10 @@ pub struct Scenario {
     pub faults: Vec<FaultEvent>,
     /// The loss schedule (fabric loss model changes over time).
     pub loss: Vec<LossPhase>,
-    /// Number of PDES shards to execute on (1 = the sequential engine).
-    /// Any value must reproduce the shard-count-1 trace byte for byte;
-    /// the facet exists so the conformance battery and fuzzer can
-    /// exercise the sharded executor through the same spec pipeline.
+    /// Always 1: every scenario runs on one engine, and
+    /// [`Scenario::validate`] rejects any other value. The spec format
+    /// has no `shards=` line any more. The field remains only because the
+    /// benchmark package's `sweep` workload still assigns it.
     pub shards: usize,
     /// Fabric topology routing the two hosts' traffic. Defaults to the
     /// single-switch crossbar (the hardware shape every golden trace is
@@ -547,8 +547,11 @@ impl Scenario {
                 DRAIN_BUDGET
             ));
         }
-        if self.shards == 0 || self.shards > 16 {
-            return Err(format!("shards {} outside 1..=16", self.shards));
+        if self.shards != 1 {
+            return Err(format!(
+                "shards {} is not 1: sharded scenario runs were removed",
+                self.shards
+            ));
         }
         for (i, &(qp, wr)) in self.wrs.iter().enumerate() {
             if qp >= self.qps {
@@ -645,15 +648,12 @@ impl Scenario {
         s.push_str(&format!("rnr_ns={}\n", self.min_rnr_delay_ns));
         s.push_str(&format!("interval_ns={}\n", self.post_interval_ns));
         s.push_str(&format!("recovery={}\n", self.recovery));
-        // `topology=` and `shards=` are emitted only when non-default,
-        // in this canonical order, so every pre-facet spec string — and
-        // its pinned corpus hash — stays byte-identical (a test pins
-        // the facet order itself).
+        // `topology=` is emitted only when non-default, right after
+        // `recovery=`, so every pre-facet spec string — and its pinned
+        // corpus hash — stays byte-identical (a test pins the facet
+        // order itself).
         if self.topology != ibsim_fabric::TopologyKind::Crossbar {
             s.push_str(&format!("topology={}\n", self.topology));
-        }
-        if self.shards != 1 {
-            s.push_str(&format!("shards={}\n", self.shards));
         }
         for &(qp, wr) in &self.wrs {
             match wr {
@@ -747,7 +747,12 @@ impl Scenario {
                 "interval_ns" => sc.post_interval_ns = parse_num(value)?,
                 "recovery" => sc.recovery = value.parse()?,
                 "topology" => sc.topology = value.parse()?,
-                "shards" => sc.shards = parse_num(value)?,
+                "shards" => {
+                    return Err(format!(
+                        "shards={value}: sharded scenario runs were removed; \
+                         every scenario runs on one engine, so drop the line"
+                    ))
+                }
                 "wr" => {
                     let parts: Vec<&str> = value.split_whitespace().collect();
                     if parts.len() < 3 {
@@ -1044,35 +1049,46 @@ mod tests {
         }
     }
 
-    /// Pins the canonical facet order (`recovery=` → `topology=` →
-    /// `shards=`) and the emit-only-when-non-default rule. Corpus hashes
-    /// are FNV over the spec string, so the facet block's byte layout is
-    /// load-bearing: reordering it (or emitting defaults) would silently
-    /// re-pin every corpus entry.
+    /// Pins the canonical facet order (`recovery=` → `topology=`) and
+    /// the emit-only-when-non-default rule. Corpus hashes are FNV over
+    /// the spec string, so the facet block's byte layout is load-bearing:
+    /// reordering it (or emitting defaults) would silently re-pin every
+    /// corpus entry.
     #[test]
     fn facet_block_order_is_canonical() {
         let mut sc = sample();
         sc.recovery = RecoveryKind::SelectiveRepeat;
         sc.topology = ibsim_fabric::TopologyKind::FatTree { k: 4 };
-        sc.shards = 4;
         let text = sc.to_spec_string();
         assert!(
-            text.contains("recovery=irn\ntopology=fattree4\nshards=4\n"),
+            text.contains("recovery=irn\ntopology=fattree4\nwr="),
             "facets must be adjacent lines in canonical order:\n{text}"
         );
-        // Defaults vanish individually, never reordering the others.
         sc.topology = ibsim_fabric::TopologyKind::Crossbar;
         let text = sc.to_spec_string();
         assert!(!text.contains("topology="), "default topology is elided");
-        assert!(
-            text.contains("recovery=irn\nshards=4\n"),
-            "remaining facets stay adjacent:\n{text}"
-        );
-        sc.shards = 1;
-        let text = sc.to_spec_string();
-        assert!(!text.contains("shards="), "default shards is elided");
+        assert!(!text.contains("shards="), "no spec names shards");
         let back = Scenario::parse(&text).expect("parse back");
         assert_eq!(text, back.to_spec_string());
+    }
+
+    /// A spec that still carries the removed `shards=` facet, any value
+    /// at all, is refused with an error naming the removal, and
+    /// `validate` refuses a scenario whose field is not 1.
+    #[test]
+    fn the_removed_shards_facet_is_a_typed_error() {
+        for value in ["1", "2", "4", "-2", ""] {
+            let text = format!("ibsim-scenario v1\nname=x\nshards={value}\n");
+            let err = Scenario::parse(&text).expect_err(value);
+            assert!(err.contains("shards") && err.contains("removed"), "{err}");
+        }
+        let mut sc = sample();
+        assert_eq!(sc.validate(), Ok(()));
+        for shards in [0, 2, 4, 8, 16] {
+            sc.shards = shards;
+            let err = sc.validate().expect_err("only one engine is left");
+            assert!(err.contains("shards") && err.contains("removed"), "{err}");
+        }
     }
 
     #[test]
@@ -1151,7 +1167,6 @@ mod tests {
             "odp=cs-",
             "odp=",
             "qps=18446744073709551616",
-            "shards=-2",
             "wr=-1 read 0 8",
             "fault=0 s 4294967296000000000000 1",
         ] {

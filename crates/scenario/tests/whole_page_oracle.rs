@@ -6,8 +6,7 @@
 //! windows, mixed with sub-page requests on the same pages, across ODP
 //! sides, recovery backends and topologies, under uniform loss or a
 //! fault window (never both, and no atomics). Every spec must pass the
-//! oracle, and a subset must hash alike at 2 shards, where adopted pages
-//! cross threads.
+//! oracle.
 
 use ibsim_event::SplitMix64;
 use ibsim_fabric::TopologyKind;
@@ -138,13 +137,4 @@ fn whole_page_traffic_is_oracle_clean() {
         })
         .collect();
     assert!(failing.is_empty(), "{}", failing.join("\n"));
-}
-
-#[test]
-fn whole_page_traffic_hashes_alike_at_two_shards() {
-    for mut sc in valid_specs(36) {
-        let one = run_scenario(&sc).trace_hash;
-        sc.shards = 2;
-        assert_eq!(run_scenario(&sc).trace_hash, one, "{}", sc.name);
-    }
 }

@@ -316,42 +316,6 @@ impl Telemetry {
             }
         }
     }
-
-    // ------------------------------------------------------------------
-    // Sharded-run merging
-    // ------------------------------------------------------------------
-
-    /// Folds another hub's recorded state into this one: counters add,
-    /// histograms merge, gauges add (per-host gauges are disjoint across
-    /// shards; non-additive cluster-wide gauges are the caller's job to
-    /// recompute), and closed spans concatenate. A disabled `other` is a
-    /// no-op; absorbing into a disabled hub enables it.
-    ///
-    /// Open spans are *not* merged — absorb after the run has drained
-    /// and dwell has been flushed.
-    pub fn absorb(&mut self, other: &Telemetry) {
-        if !other.enabled {
-            return;
-        }
-        self.enabled = true;
-        self.registry.absorb(&other.registry);
-        self.spans.absorb_closed(&other.spans);
-    }
-
-    /// Re-sorts closed spans into the canonical cross-shard order
-    /// (completion, raise, identity) so merged hubs export identically
-    /// regardless of shard count. See
-    /// [`SpanStore::sort_closed_by_completion`].
-    pub fn sort_spans_by_completion(&mut self) {
-        self.spans.sort_closed_by_completion();
-    }
-
-    /// Removes one instrument slot from the registry; returns whether it
-    /// existed. Used by the sharded merge to drop metrics that cannot be
-    /// reconstructed from per-shard values (peak queue depth).
-    pub fn remove_metric(&mut self, name: &'static str, labels: Labels) -> bool {
-        self.registry.remove(name, labels)
-    }
 }
 
 #[cfg(test)]
@@ -453,63 +417,6 @@ mod tests {
             tel.registry().counter("driver.qp_resumes", Labels::host(0)),
             Some(1)
         );
-    }
-
-    #[test]
-    fn absorb_merges_counters_histograms_and_spans() {
-        let mut a = Telemetry::new();
-        a.enable();
-        a.counter_add("pkt", Labels::NONE, 3);
-        a.observe("lat", Labels::NONE, 8);
-        a.fault_raised(0, 1, 0, t(0));
-        a.fault_resolved(0, 1, 0, t(10), &[], 0);
-
-        let mut b = Telemetry::new();
-        b.enable();
-        b.counter_add("pkt", Labels::NONE, 4);
-        b.observe("lat", Labels::NONE, 2);
-        b.gauge_set("depth", Labels::host(1), 5);
-        b.fault_raised(1, 1, 0, t(2));
-        b.fault_resolved(1, 1, 0, t(5), &[], 0);
-
-        a.absorb(&b);
-        a.sort_spans_by_completion();
-        assert_eq!(a.registry().counter("pkt", Labels::NONE), Some(7));
-        let h = a.registry().histogram("lat", Labels::NONE).expect("merged");
-        assert_eq!(h.count(), 2);
-        assert_eq!(h.sum(), 10);
-        assert_eq!(h.min(), 2);
-        assert_eq!(h.max(), 8);
-        assert_eq!(a.registry().gauge("depth", Labels::host(1)), Some(5));
-        // Sorted by completion: host 1 closed at t(5), host 0 at t(10).
-        assert_eq!(a.spans().len(), 2);
-        assert_eq!(a.spans()[0].host, 1);
-        assert_eq!(a.spans()[1].host, 0);
-    }
-
-    #[test]
-    fn absorb_from_disabled_hub_is_a_no_op() {
-        let mut a = Telemetry::new();
-        a.enable();
-        a.counter_add("pkt", Labels::NONE, 1);
-        let b = Telemetry::new(); // disabled
-        a.absorb(&b);
-        assert_eq!(a.registry().counter("pkt", Labels::NONE), Some(1));
-
-        let mut c = Telemetry::new(); // disabled target
-        c.absorb(&a);
-        assert!(c.is_enabled(), "absorbing an enabled hub enables");
-        assert_eq!(c.registry().counter("pkt", Labels::NONE), Some(1));
-    }
-
-    #[test]
-    fn remove_metric_drops_the_slot() {
-        let mut tel = Telemetry::new();
-        tel.enable();
-        tel.gauge_set("event.peak_depth", Labels::NONE, 9);
-        assert!(tel.remove_metric("event.peak_depth", Labels::NONE));
-        assert!(!tel.remove_metric("event.peak_depth", Labels::NONE));
-        assert!(tel.registry().is_empty());
     }
 
     #[test]

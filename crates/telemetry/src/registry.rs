@@ -13,9 +13,9 @@
 //!
 //! Walking a family in index order *is* `Labels`' derived order: `NONE`,
 //! then each host's host-only slot before its QPs in ascending QPN. So
-//! iteration (and therefore every exporter, [`Registry::absorb`] and the
-//! sharded merge) visits metrics in `(name, labels)` order however the
-//! run-time first inserts (`timer.*`, `cq.completions`) arrived, and all
+//! iteration (and therefore every exporter) visits metrics in
+//! `(name, labels)` order however the run-time first inserts
+//! (`timer.*`, `cq.completions`) arrived, and all
 //! values are integers (nanoseconds for durations) so no formatting
 //! ambiguity can creep in.
 //!
@@ -183,22 +183,6 @@ impl Histogram {
             .filter(|(_, &c)| c != 0)
             .map(|(i, &c)| (1u64 << i, c))
     }
-
-    /// Folds `other`'s samples into `self`. The result is identical to
-    /// having observed both sample streams into one histogram, in any
-    /// order — histograms are commutative, which is what lets sharded
-    /// runs merge per-shard hubs without replaying sample order.
-    pub fn merge(&mut self, other: &Histogram) {
-        for (b, o) in self.buckets.iter_mut().zip(other.buckets.iter()) {
-            *b += o;
-        }
-        self.count += other.count;
-        self.sum = self.sum.saturating_add(other.sum);
-        // `min` uses u64::MAX as the empty sentinel, so a plain min is
-        // correct even when either side is empty.
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
-    }
 }
 
 /// One registered instrument: two words. Nearly every instrument is a
@@ -219,15 +203,6 @@ impl Instrument {
         Instrument::Histogram(Box::default())
     }
 
-    /// An instrument of the same kind holding nothing yet.
-    fn empty_like(&self) -> Instrument {
-        match self {
-            Instrument::Counter(_) => Instrument::Counter(0),
-            Instrument::Gauge(_) => Instrument::Gauge(0),
-            Instrument::Histogram(_) => Instrument::empty_histogram(),
-        }
-    }
-
     /// The instrument kind as a static lowercase string (exporter use).
     pub fn kind(&self) -> &'static str {
         match self {
@@ -239,7 +214,7 @@ impl Instrument {
 }
 
 /// Every labelled instrument under one name, at its dense index.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Default)]
 struct Cells {
     /// The host-less slots, sorted by QPN: `NONE` first, then the
     /// `(None, Some(qpn))` shape.
@@ -323,7 +298,7 @@ impl Cells {
 }
 
 /// One metric family: its cells and how many of them hold an instrument.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Default)]
 struct Family {
     cells: Cells,
     /// Instruments in the family; the family is dropped at zero.
@@ -484,29 +459,6 @@ impl Registry {
         })
     }
 
-    /// Folds every instrument of `other` into `self`: counters add,
-    /// histograms merge bucket-wise, and gauges **add** too — a sharded
-    /// merge sums per-shard snapshots of disjoint state (each host's
-    /// gauges are written by exactly one shard), and cluster-wide gauges
-    /// that do not sum (queue depths) are recomputed by the caller after
-    /// absorbing. A family `self` lacks is copied whole.
-    pub fn absorb(&mut self, other: &Registry) {
-        for (&name, theirs) in &other.families {
-            let Some(mine) = self.families.get_mut(name) else {
-                self.families.insert(name, theirs.clone());
-                continue;
-            };
-            for (labels, inst) in theirs.cells.iter() {
-                match (mine.slot(labels, || inst.empty_like()), inst) {
-                    (Some(Instrument::Counter(a)), Instrument::Counter(b))
-                    | (Some(Instrument::Gauge(a)), Instrument::Gauge(b)) => *a += b,
-                    (Some(Instrument::Histogram(a)), Instrument::Histogram(b)) => a.merge(b),
-                    _ => {}
-                }
-            }
-        }
-    }
-
     /// Removes one instrument; returns whether it existed.
     pub fn remove(&mut self, name: &'static str, labels: Labels) -> bool {
         let Some(family) = self.families.get_mut(name) else {
@@ -561,28 +513,6 @@ mod tests {
         // And the key is free again, for any kind.
         r.gauge_set("gone", Labels::NONE, 2);
         assert_eq!(r.gauge("gone", Labels::NONE), Some(2));
-    }
-
-    #[test]
-    fn absorbing_into_an_empty_registry_copies_the_source() {
-        let mut src = Registry::new();
-        for v in [0, 3, 250_000, 900_000, u64::MAX] {
-            src.observe("lat", Labels::host(1), v);
-        }
-        src.counter_add("pkt", Labels::NONE, 7);
-        src.gauge_set("depth", Labels::host_qp(1, 2), 5);
-        let mut dst = Registry::new();
-        dst.absorb(&src);
-        assert_eq!(dst.len(), 3);
-        assert!(dst.iter().eq(src.iter()));
-        assert_eq!(
-            dst.histogram("lat", Labels::host(1)),
-            src.histogram("lat", Labels::host(1))
-        );
-        // A second absorb doubles counts but not extrema.
-        dst.absorb(&src);
-        let h = dst.histogram("lat", Labels::host(1)).expect("absorbed");
-        assert_eq!((h.count(), h.min(), h.max()), (10, 0, u64::MAX));
     }
 
     #[test]
@@ -718,28 +648,6 @@ mod tests {
                 self.instruments.iter().map(|(&(n, l), inst)| (n, l, inst))
             }
 
-            pub fn absorb(&mut self, other: &Registry) {
-                for (name, labels, inst) in other.iter() {
-                    match inst {
-                        Instrument::Counter(v) => self.counter_add(name, labels, *v),
-                        Instrument::Gauge(v) => {
-                            if let Instrument::Gauge(g) =
-                                self.slot(name, labels, || Instrument::Gauge(0))
-                            {
-                                *g += v;
-                            }
-                        }
-                        Instrument::Histogram(h) => {
-                            if let Instrument::Histogram(mine) =
-                                self.slot(name, labels, Instrument::empty_histogram)
-                            {
-                                mine.merge(h);
-                            }
-                        }
-                    }
-                }
-            }
-
             pub fn remove(&mut self, name: &'static str, labels: Labels) -> bool {
                 self.instruments.remove(&(name, labels)).is_some()
             }
@@ -806,15 +714,13 @@ mod tests {
         /// Remove every label of the universe from one family, in a
         /// seeded order: the family ends empty.
         Clear(&'static str, Vec<Labels>),
-        /// Absorb a registry built by these ops.
-        Absorb(Vec<Op>),
     }
 
-    fn random_op(rng: &mut SplitMix64, labels: &[Labels], nested: bool) -> Op {
+    fn random_op(rng: &mut SplitMix64, labels: &[Labels]) -> Op {
         let name = NAMES[rng.next_below(NAMES.len() as u64) as usize];
         let pick = |rng: &mut SplitMix64| labels[rng.next_below(labels.len() as u64) as usize];
         let label = pick(rng);
-        match rng.next_below(if nested { 11 } else { 10 }) {
+        match rng.next_below(10) {
             0 | 1 => Op::Add(name, label, rng.next_below(1_000)),
             2 => Op::Set(name, label, rng.next_below(1 << 40)),
             3 | 4 => {
@@ -839,18 +745,13 @@ mod tests {
                 Op::Observe(name, label, v)
             }
             7 | 8 => Op::Remove(name, label),
-            9 => {
+            _ => {
                 let mut order = labels.to_vec();
                 for i in (1..order.len()).rev() {
                     order.swap(i, rng.next_below(i as u64 + 1) as usize);
                 }
                 Op::Clear(name, order)
             }
-            _ => Op::Absorb(
-                (0..rng.next_below(8))
-                    .map(|_| random_op(rng, labels, false))
-                    .collect(),
-            ),
         }
     }
 
@@ -882,14 +783,6 @@ mod tests {
                     assert_eq!(table.remove(n, l), reference.remove(n, l), "{op:?}");
                 }
                 assert!(table.get(n, Labels::NONE).is_none());
-            }
-            Op::Absorb(ops) => {
-                let (mut src, mut src_ref) = (Registry::new(), reference::Registry::default());
-                for op in ops {
-                    apply(op, &mut src, &mut src_ref);
-                }
-                table.absorb(&src);
-                reference.absorb(&src_ref);
             }
         }
     }
@@ -935,20 +828,10 @@ mod tests {
             let (mut table, mut reference) = (Registry::new(), reference::Registry::default());
             for step in 0..600 {
                 let labels = if step < 300 { &early } else { &all };
-                let op = random_op(&mut rng, labels, true);
+                let op = random_op(&mut rng, labels);
                 apply(&op, &mut table, &mut reference);
                 let at = format!("seed {seed} step {step}: {op:?}");
-                let typed = step % 50 == 0;
-                assert_same(&table, &reference, &all, typed, &at);
-                if typed {
-                    // Absorbing into an empty registry copies the source.
-                    let (mut copy, mut copy_ref) =
-                        (Registry::new(), reference::Registry::default());
-                    copy.absorb(&table);
-                    copy_ref.absorb(&reference);
-                    assert_same(&copy, &copy_ref, &all, true, &at);
-                    assert!(copy.iter().eq(table.iter()), "{at}");
-                }
+                assert_same(&table, &reference, &all, step % 50 == 0, &at);
             }
         }
     }

@@ -281,23 +281,6 @@ impl SpanStore {
     pub fn open_count(&self) -> usize {
         self.open.len()
     }
-
-    /// Appends `other`'s closed spans to this store's closed list
-    /// (sharded-run merge; follow with
-    /// [`SpanStore::sort_closed_by_completion`] for a canonical order).
-    pub fn absorb_closed(&mut self, other: &SpanStore) {
-        self.closed.extend(other.closed.iter().cloned());
-    }
-
-    /// Re-sorts the closed spans into the canonical cross-shard order:
-    /// completion time, then raise time, then identity. Close order is a
-    /// per-engine artifact — two spans closing in the same nanosecond on
-    /// different shards have no inherent order — so merged stores sort
-    /// by content instead.
-    pub fn sort_closed_by_completion(&mut self) {
-        self.closed
-            .sort_by_key(|s| (s.completed, s.raised, s.host, s.mr, s.page));
-    }
 }
 
 #[cfg(test)]

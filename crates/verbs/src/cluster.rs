@@ -4,7 +4,7 @@
 use std::collections::BTreeMap;
 use std::ops::Range;
 
-use ibsim_event::{Engine, Event, EventFn, QueueStats, SimTime};
+use ibsim_event::{Engine, Event, EventFn, SimTime};
 use ibsim_fabric::{
     Capture, Delivery, DirectedLink, Direction, Fabric, InterLinkStats, Lid, LinkSpec, LinkStats,
     LossModel, TopologyKind, Xorshift64Star,
@@ -17,7 +17,7 @@ use crate::mem::{Memory, MrMode};
 use crate::nic::Nic;
 use crate::packet::{Packet, PacketKind};
 use crate::qp::{Effects, QpConfig, QpEnv, QpStats, TimerFamily};
-use crate::sharded::{assert_covers, Envelope, PendingDraw, ShardState};
+use crate::sharded::{Envelope, PendingDraw, ShardState};
 use crate::types::{HostId, MrKey, Psn, Qpn, WrId};
 use crate::wr::{Completion, RecvWr, WorkRequest};
 
@@ -346,19 +346,6 @@ const INTER_LINK_GAUGES: [GaugeField<InterLinkStats>; 5] = [
     ("fabric.link.peak_backlog_ns", |s| s.peak_backlog_ns),
     ("fabric.link.ecn_marks", |s| s.ecn_marks),
 ];
-
-/// Writes the `event.*` gauges that compose across shards: every
-/// [`QueueStats`] field but `peak_depth`.
-pub(crate) fn set_mergeable_engine_gauges(t: &mut Telemetry, qs: &QueueStats) {
-    t.gauge_set("event.live", Labels::NONE, qs.live as u64);
-    t.gauge_set("event.dead_pending", Labels::NONE, qs.dead_pending as u64);
-    t.gauge_set("event.executed", Labels::NONE, qs.executed);
-    t.gauge_set("event.dead_pops", Labels::NONE, qs.dead_pops);
-    t.gauge_set("event.scheduled", Labels::NONE, qs.scheduled);
-    t.gauge_set("event.cancelled", Labels::NONE, qs.cancelled);
-    t.gauge_set("event.replaced", Labels::NONE, qs.replaced);
-    t.gauge_set("event.keyed_live", Labels::NONE, qs.keyed_live as u64);
-}
 
 impl std::fmt::Debug for Cluster {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
@@ -799,13 +786,14 @@ impl Cluster {
     /// counters. Also flushes partial QP state dwell times up to `now`.
     ///
     /// Call once before exporting; the structs stay API-compatible and
-    /// the registry holds a superset of what they expose. `now` is
-    /// `eng.now()` on a plain run. Sharded runs park each replica's
-    /// clock at its last *owned* event, so the per-shard `eng.now()`
-    /// values differ from the sequential clock; passing the canonical
-    /// end-of-run time (handed to the `finish` closure by
-    /// [`crate::sharded::run_plan`]) makes the flushed QP dwell counters
-    /// match the sequential run exactly.
+    /// the registry holds a superset of what they expose. `now` is the
+    /// run's last event on a plain run (`eng.last_executed_at()`, or
+    /// `eng.now()` when the run was not cut at a deadline). Sharded runs
+    /// park each replica's clock at its last *owned* event, so the
+    /// per-shard `eng.now()` values differ from the sequential clock;
+    /// passing the canonical end-of-run time (handed to the `finish`
+    /// closure by [`crate::sharded::run_sharded`]) makes the flushed QP
+    /// dwell counters match the sequential run exactly.
     pub fn sync_telemetry_at(&mut self, eng: &Sim, now: SimTime) {
         if !self.telemetry.is_enabled() {
             return;
@@ -826,7 +814,14 @@ impl Cluster {
             .collect();
         let t = &mut self.telemetry;
         let qs = eng.queue_stats();
-        set_mergeable_engine_gauges(t, &qs);
+        t.gauge_set("event.live", Labels::NONE, qs.live as u64);
+        t.gauge_set("event.dead_pending", Labels::NONE, qs.dead_pending as u64);
+        t.gauge_set("event.executed", Labels::NONE, qs.executed);
+        t.gauge_set("event.dead_pops", Labels::NONE, qs.dead_pops);
+        t.gauge_set("event.scheduled", Labels::NONE, qs.scheduled);
+        t.gauge_set("event.cancelled", Labels::NONE, qs.cancelled);
+        t.gauge_set("event.replaced", Labels::NONE, qs.replaced);
+        t.gauge_set("event.keyed_live", Labels::NONE, qs.keyed_live as u64);
         t.gauge_set("event.peak_depth", Labels::NONE, qs.peak_depth as u64);
         let cs = self.stats;
         t.gauge_set("cluster.total_packets", Labels::NONE, cs.total_packets);
@@ -910,7 +905,11 @@ impl Cluster {
     ///
     /// Panics if the owner map does not cover every host.
     pub fn enable_sharding(&mut self, id: usize, owner: Vec<usize>) {
-        assert_covers(&owner, self.nics.len());
+        assert_eq!(
+            owner.len(),
+            self.nics.len(),
+            "owner map must name a shard for every host"
+        );
         self.shard = Some(Box::new(ShardState::new(id, owner)));
     }
 

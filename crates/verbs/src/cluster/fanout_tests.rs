@@ -3,7 +3,7 @@
 //! behind `broadcast_page_ready` as the reference: seeded ODP worlds are
 //! run under both rules and must leave the same observable world.
 
-use ibsim_event::SplitMix64;
+use ibsim_event::{QueueStats, SplitMix64};
 use ibsim_telemetry::export_jsonl;
 
 use super::*;

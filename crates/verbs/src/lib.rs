@@ -4,9 +4,10 @@
 //! `ibsim` simulator: packets, memory registration (pinned and ODP), queue
 //! pairs with the full retransmission machinery (Local ACK Timeout, Retry
 //! Count, RNR NAK, PSN sequence-error NAK, go-back-N), completion queues,
-//! the kernel-driver work queue, the cluster glue binding it all to
-//! the discrete-event engine and fabric, and [`run_plan`], the one way a
-//! harness runs a world (on the calling thread, or on PDES shards).
+//! the kernel-driver work queue, and the cluster glue binding it all to
+//! the discrete-event engine and fabric. [`run_sharded`] runs one world
+//! split across PDES shard threads; only the benchmark's `wide`
+//! workload calls it.
 //!
 //! The reverse-engineered device behaviors from *Pitfalls of InfiniBand
 //! with On-Demand Paging* (ISPASS 2021) are encoded in [`DeviceProfile`]
@@ -38,7 +39,7 @@ pub use qp::{
     Effects, Qp, QpConfig, QpEnv, QpState, QpStats, RecoveryKind, SackBitmap, TimerEffects,
     TimerFamily,
 };
-pub use sharded::{merge_queue_stats, run_plan, run_sharded, Finished, ShardPlan};
+pub use sharded::{merge_queue_stats, run_sharded, ShardPlan};
 pub use types::{
     packets_for, HostId, MrKey, Psn, Qpn, WrId, AETH_BYTES, BASE_HEADER_BYTES, DEFAULT_MTU,
     PAGE_SIZE, RETH_BYTES,

@@ -27,18 +27,15 @@
 //! incoming injection ("lookahead violation" is a panic, not a silent
 //! reordering). With identical replicas, deterministic merge order and a
 //! sequential-order RNG stream, a sharded run produces **bit-identical
-//! traces** at every shard count — the property the cross-shard
-//! conformance battery in `tests/end_to_end.rs` pins.
+//! traces** at every shard count — the property `tests/run_plan.rs`
+//! pins against the plain engine.
 //!
-//! ## Entry points
+//! ## Entry point
 //!
-//! Harnesses call [`run_plan`]: it hands `finish` back the handles
-//! `build` returned, merges telemetry and queue statistics into the
-//! shard-count-invariant [`Finished`], and picks the executor from the
-//! plan itself — an owner map that names a single shard has nothing to
-//! synchronise, so it runs the plain engine on the caller's thread and
-//! none of the machinery above exists for that run. [`run_sharded`] is
-//! the bare epoch loop, always threaded, for callers that time it.
+//! [`run_sharded`] is the bare epoch loop, always threaded, even for one
+//! shard. Its one caller outside this crate's tests is the benchmark's
+//! `wide` workload, which times it; every scenario, figure and app runs
+//! on one plain engine instead.
 //!
 //! ## Single-writer contract
 //!
@@ -63,9 +60,8 @@ use std::sync::Mutex;
 use ibsim_event::{
     epoch_end, injection_sort_key, EpochBarrier, PoisonGuard, QueueStats, SimTime, POISON_PAYLOAD,
 };
-use ibsim_telemetry::{Labels, Telemetry};
 
-use crate::cluster::{set_mergeable_engine_gauges, Cluster, ClusterEvent, Sim};
+use crate::cluster::{Cluster, ClusterEvent, Sim};
 use crate::packet::Packet;
 use crate::types::HostId;
 
@@ -73,7 +69,7 @@ use crate::types::HostId;
 /// run.
 #[derive(Debug, Clone)]
 pub struct ShardPlan {
-    /// Number of shards — and of threads, when the owner map splits.
+    /// Number of shards, and of the threads that run them.
     pub shards: usize,
     /// `owner[h]` is the shard executing host `h`'s events.
     pub owner: Vec<usize>,
@@ -93,21 +89,8 @@ impl ShardPlan {
         }
     }
 
-    /// The two-host default: host 0 on shard 0, host 1 on shard 1 when
-    /// there is one, further shards idle replicas. Total for every
-    /// `shards` — a zero is left for [`run_plan`] to reject.
-    pub fn pair(shards: usize) -> Self {
-        ShardPlan::new(shards, vec![0, usize::from(shards > 1)])
-    }
-
-    /// True when the owner map names more than one shard — the only
-    /// plans on which anything can cross a shard boundary.
-    fn splits(&self) -> bool {
-        self.owner.windows(2).any(|w| w[0] != w[1])
-    }
-
-    /// The checks that need no cluster; [`assert_covers`] is the one
-    /// that does.
+    /// The checks that need no cluster; [`Cluster::enable_sharding`]
+    /// checks that the owner map covers every host.
     fn check(&self) {
         assert!(self.shards >= 1, "a sharded run needs at least one shard");
         assert!(
@@ -116,15 +99,6 @@ impl ShardPlan {
             self.shards
         );
     }
-}
-
-/// Panics unless `owner` names a shard for each of `hosts` hosts.
-pub(crate) fn assert_covers(owner: &[usize], hosts: usize) {
-    assert_eq!(
-        owner.len(),
-        hosts,
-        "owner map must name a shard for every host"
-    );
 }
 
 /// Per-replica sharding state carried by a [`Cluster`].
@@ -240,149 +214,30 @@ struct Coordinator {
     width: Option<SimTime>,
 }
 
-/// What [`run_plan`] returns: `finish`'s results plus the run's
-/// telemetry and engine statistics in the one form every executor and
-/// every shard count produces.
-#[derive(Debug)]
-pub struct Finished<D> {
-    /// `finish`'s result for each replica, in shard order: one entry on
-    /// a one-owner plan, `plan.shards` otherwise. A host's artifacts
-    /// come from the replica that [`Cluster::owns`] it.
-    pub shards: Vec<D>,
-    /// The hub: counters, gauges and histograms summed over replicas,
-    /// closed spans in `(completed, raised, host, mr, page)` order, the
-    /// `event.*` gauges rewritten from [`Finished::queue`] and
-    /// `event.peak_depth` dropped, so [`ibsim_telemetry::export_jsonl`]
-    /// gives the same bytes at every shard count. Open-span and
-    /// in-flight-WR book-keeping is not part of that form.
-    pub telemetry: Telemetry,
-    /// Engine statistics as one engine would report them (replicated
-    /// [`Cluster::set_loss_at`] events counted once); `peak_depth` is 0
-    /// because per-shard peaks do not compose.
-    pub queue: QueueStats,
-    /// The clock the sequential engine reads at the end of the run: the
-    /// deadline, or the last executed event without one.
-    pub end: SimTime,
-}
-
-/// One replica's share of a [`Finished`].
-struct Replica<D> {
-    out: D,
-    telemetry: Telemetry,
-    queue: QueueStats,
-    globals: (u64, u64),
-    end: SimTime,
-}
-
-impl<D> Replica<D> {
-    /// Runs `finish` on a completed replica, then takes what the merge
-    /// needs out of it.
-    fn close<H>(
-        eng: &Sim,
-        cl: &mut Cluster,
-        handles: H,
-        end: SimTime,
-        finish: &impl Fn(&Sim, &mut Cluster, H, SimTime) -> D,
-    ) -> Self {
-        Replica {
-            out: finish(eng, cl, handles, end),
-            telemetry: std::mem::take(cl.telemetry_mut()),
-            queue: eng.queue_stats(),
-            globals: cl.shard_global_counters(),
-            end,
-        }
-    }
-}
-
-/// Builds, runs and collects one world under `plan` — the one way a
-/// harness executes a simulation.
+/// The bare epoch loop: runs one simulation split across `plan.shards`
+/// OS threads in conservative-lookahead epochs, always threaded, even
+/// for one shard — the form the benchmark times.
 ///
-/// `build` constructs the world and returns the harness's handles into
-/// it (host ids, region descriptors, QP numbers). It is called once per
-/// replica, on the thread that will run it: with `None` it builds the
-/// plain cluster; with `Some((id, owner))` it builds shard `id`'s **full
-/// replica** — add every host, call [`Cluster::enable_sharding`] with
-/// `id` and `owner`, then install the workload through
-/// [`Cluster::post_at`], [`Cluster::invalidate_at`] and
-/// [`Cluster::set_loss_at`], which schedule each operation on the
-/// replicas that run it. `finish` receives each completed
-/// replica with the handles its own `build` returned (same thread, so
-/// `H` need not be `Send`) and the canonical end-of-run clock — pass it
-/// to [`Cluster::sync_telemetry_at`] if the hub's gauges are wanted.
-/// `deadline` bounds the run like `Engine::run_until`; `None` runs to
-/// exhaustion.
-///
-/// The executor follows from the plan, never from an option: when the
-/// owner map names a single shard nothing can cross a shard boundary,
-/// so the world is built with `None` and run by the plain engine on the
-/// calling thread; otherwise it runs in conservative-lookahead epochs on
-/// `plan.shards` threads. [`Finished`] is identical either way.
+/// `build` is called once per shard, inside its thread ([`Cluster`] is
+/// not `Send`), and must construct shard `id`'s **full replica**: add
+/// every host, call [`Cluster::enable_sharding`] with `id` and
+/// `plan.owner`, then install the workload through [`Cluster::post_at`],
+/// [`Cluster::invalidate_at`] and [`Cluster::set_loss_at`], which
+/// schedule each operation on the replicas that run it. `finish` maps
+/// each completed shard to its result; it receives the canonical
+/// end-of-run clock (pass it to [`Cluster::sync_telemetry_at`] so dwell
+/// flushes match the sequential run). `deadline` bounds the run like
+/// `Engine::run_until`; `None` runs until no shard has work left.
 ///
 /// # Panics
 ///
 /// Panics on a malformed plan — no shards, an owner map that does not
-/// cover the cluster's hosts or names a shard out of range — with the
-/// same message on either executor; if the plan and replicas disagree
-/// (an ingress single-writer violation); or with a "lookahead violation"
-/// diagnostic if a cross-shard packet arrives inside the epoch it was
-/// sent in. A panic on any shard poisons the barrier and unwinds every
-/// thread; the original panic payload is re-raised.
-pub fn run_plan<H, D, B, F>(
-    plan: &ShardPlan,
-    deadline: Option<SimTime>,
-    build: B,
-    finish: F,
-) -> Finished<D>
-where
-    D: Send,
-    B: Fn(Option<(usize, &[usize])>) -> (Sim, Cluster, H) + Sync,
-    F: Fn(&Sim, &mut Cluster, H, SimTime) -> D + Sync,
-{
-    plan.check();
-    let replicas = if plan.splits() {
-        run_epochs(
-            plan,
-            deadline,
-            |id| build(Some((id, &plan.owner))),
-            |_, eng, mut cl, handles, end| Replica::close(&eng, &mut cl, handles, end, &finish),
-        )
-    } else {
-        let (mut eng, mut cl, handles) = build(None);
-        assert_covers(&plan.owner, cl.host_count());
-        eng.run_until(&mut cl, deadline.unwrap_or(SimTime::MAX));
-        let end = eng.now();
-        vec![Replica::close(&eng, &mut cl, handles, end, &finish)]
-    };
-    // Replicated counters and the canonical end are the same on every
-    // replica; shard 0's stand for all.
-    let (globals, end) = (replicas[0].globals, replicas[0].end);
-    let queues: Vec<QueueStats> = replicas.iter().map(|r| r.queue).collect();
-    let queue = merge_queue_stats(&queues, globals.0, globals.1);
-    let (shards, hubs): (Vec<D>, Vec<Telemetry>) =
-        replicas.into_iter().map(|r| (r.out, r.telemetry)).unzip();
-    Finished {
-        shards,
-        telemetry: merge_telemetry(hubs, &queue),
-        queue,
-        end,
-    }
-}
-
-/// The bare epoch loop: runs one simulation split across `plan.shards`
-/// OS threads in conservative-lookahead epochs, always threaded, even
-/// for one shard — the form the benchmark times. Harnesses use
-/// [`run_plan`], which adds handles, the merge and the executor choice.
-///
-/// `build` is called once per shard (inside its thread — [`Cluster`] is
-/// not `Send`) and must construct the full replica as [`run_plan`]
-/// describes. `finish` maps each completed shard to its result; it
-/// receives the canonical end-of-run clock (pass it to
-/// [`Cluster::sync_telemetry_at`] so dwell flushes match the sequential
-/// run).
-///
-/// # Panics
-///
-/// As [`run_plan`].
+/// cover the cluster's hosts or names a shard out of range; if the plan
+/// and replicas disagree (an ingress single-writer violation); or with a
+/// "lookahead violation" diagnostic if a cross-shard packet arrives
+/// inside the epoch it was sent in. A panic on any shard poisons the
+/// barrier and unwinds every thread; the original panic payload is
+/// re-raised.
 pub fn run_sharded<D, B, F>(
     plan: &ShardPlan,
     deadline: Option<SimTime>,
@@ -406,9 +261,8 @@ where
     )
 }
 
-/// The epoch loop behind [`run_plan`] and [`run_sharded`]: one thread
-/// per shard, each carrying its `build`'s handles `H` through to its
-/// `finish`.
+/// The epoch loop behind [`run_sharded`]: one thread per shard, each
+/// carrying its `build`'s handles `H` through to its `finish`.
 fn run_epochs<H, D, B, F>(
     plan: &ShardPlan,
     deadline: Option<SimTime>,
@@ -725,23 +579,4 @@ pub fn merge_queue_stats(
     m.live -= (extra * (global_scheduled - global_executed)) as usize;
     m.peak_depth = 0;
     m
-}
-
-/// Puts the replicas' hubs into the form [`Finished::telemetry`]
-/// documents. The hubs fold into the first — counters and gauges sum
-/// (per-host instruments are zero on non-owner replicas, so sums are
-/// exact), histograms merge bucket-wise, spans concatenate. Then spans
-/// sort by completion and the `event.*` engine gauges are rewritten from
-/// the merged `queue`, minus the non-derivable peak depth (see
-/// [`merge_queue_stats`]).
-fn merge_telemetry(hubs: Vec<Telemetry>, queue: &QueueStats) -> Telemetry {
-    let mut hubs = hubs.into_iter();
-    let mut hub = hubs.next().unwrap_or_default();
-    for t in hubs {
-        hub.absorb(&t);
-    }
-    hub.sort_spans_by_completion();
-    set_mergeable_engine_gauges(&mut hub, queue);
-    hub.remove_metric("event.peak_depth", Labels::NONE);
-    hub
 }

@@ -1,26 +1,33 @@
-//! `run_plan` driven directly: one build and one finish per replica, the
-//! executor chosen from the plan, and the same [`Finished`] whichever
-//! executor ran — the conformance the harnesses (`ibsim-odp`'s
-//! micro-benchmark digest, `ibsim-scenario`'s executor) rely on.
+//! The PDES epoch loop that remains, [`run_sharded`], against the plain
+//! engine: the same completions, clock, engine counters and fault spans
+//! at 2 and 4 shards, and at one shard the same export; a deadline;
+//! panic payloads; malformed plans; and a lookahead wider than the
+//! fabric allows. The benchmark's `wide` workload is the loop's one
+//! caller outside these tests.
 
 use std::panic::{catch_unwind, panic_any, AssertUnwindSafe};
-use std::rc::Rc;
-use std::sync::atomic::{AtomicUsize, Ordering::SeqCst};
-use std::thread::{self, ThreadId};
 
 use ibsim_event::{QueueStats, SimTime};
 use ibsim_fabric::{LinkSpec, LossModel};
+use ibsim_telemetry::FaultSpan;
 use ibsim_verbs::{
-    export_jsonl, merge_queue_stats, run_plan, run_sharded, Cluster, Completion, DeviceProfile,
-    Finished, HostId, Labels, MrMode, QpConfig, ReadWr, ShardPlan, Sim,
+    export_jsonl, merge_queue_stats, run_sharded, Cluster, Completion, DeviceProfile, HostId,
+    MrMode, QpConfig, ReadWr, ShardPlan, Sim, Telemetry,
 };
 
-/// What `run_plan` passes its `build`.
+/// How far a plain run may go before it must have quiesced.
+const HORIZON: SimTime = SimTime::from_secs(20);
+
+/// What a world's build is handed: `None` for the plain engine, or a
+/// shard id and the plan's owner map.
 type Shard<'a> = Option<(usize, &'a [usize])>;
 
+/// A world's build.
+type World = fn(Shard) -> (Sim, Cluster);
+
 /// The §V damming shape: two hosts, both regions ODP, two READs 1 ms
-/// apart on one QP, telemetry on. The handles are the client hosts.
-fn two_host_world(shard: Shard) -> (Sim, Cluster, Vec<HostId>) {
+/// apart on one QP, telemetry on.
+fn two_host_world(shard: Shard) -> (Sim, Cluster) {
     let mut eng = Sim::new();
     let mut cl = Cluster::new(1);
     cl.telemetry_enable();
@@ -37,13 +44,13 @@ fn two_host_world(shard: Shard) -> (Sim, Cluster, Vec<HostId>) {
         let wr = ReadWr::new(local.at(i * 100), remote.at(i * 100));
         cl.post_at(&mut eng, SimTime::from_ms(i), a, qp, wr.len(100).id(i));
     }
-    (eng, cl, vec![a])
+    (eng, cl)
 }
 
 /// Two pinned hosts and one READ at t = 0 whose request the first of two
 /// loss phases drops: `ToDestination(server)` from t = 0, no loss from
 /// 1 ms. Both models judge each frame alone, so the plan may split.
-fn lossy_world(shard: Shard) -> (Sim, Cluster, Vec<HostId>) {
+fn lossy_world(shard: Shard) -> (Sim, Cluster) {
     let mut eng = Sim::new();
     let mut cl = Cluster::new(2);
     cl.telemetry_enable();
@@ -60,37 +67,18 @@ fn lossy_world(shard: Shard) -> (Sim, Cluster, Vec<HostId>) {
     cl.set_loss_at(&mut eng, SimTime::from_ms(1), LossModel::None);
     let read = ReadWr::new(local, remote).len(64);
     cl.post_at(&mut eng, SimTime::ZERO, a, qp, read);
-    (eng, cl, vec![a])
-}
-
-/// A loss swap runs on every replica and is counted once: the merged
-/// queue of a split plan is the one-owner plan's.
-#[test]
-fn replicated_loss_phases_merge_into_the_one_owner_queue() {
-    let seq = outcome(run_plan(&ShardPlan::pair(1), None, lossy_world, drain));
-    assert_eq!(seq.completions.len(), 1);
-    assert!(seq.completions[0].status.is_success());
-    assert!(
-        seq.completions[0].at > SimTime::from_ms(1),
-        "the first phase must drop the request"
-    );
-    for shards in [2, 4] {
-        let split = outcome(run_plan(&ShardPlan::pair(shards), None, lossy_world, drain));
-        assert_drained(&split, &format!("{shards} shards"));
-        assert_eq!(seq.queue, split.queue, "{shards} shards");
-        assert_eq!(seq, split, "{shards} shards");
-    }
+    (eng, cl)
 }
 
 const PAIRS: usize = 4;
 const PAIR_QPS: usize = 64;
 
-/// The retired `qpsweep` rung: `PAIRS` independent client/server pairs,
+/// The `wide` rung in small: `PAIRS` independent client/server pairs,
 /// each a §VI flood of `PAIR_QPS` QPs posting one 32 B READ at t = 0
 /// against the pair's one cold client-side ODP page. No QP leaves its
 /// pair, so a pair-aligned plan has no cross-shard link and the epoch
 /// width is the fault-draw floor.
-fn flood_world(shard: Shard) -> (Sim, Cluster, Vec<HostId>) {
+fn flood_world(shard: Shard) -> (Sim, Cluster) {
     let mut eng = Sim::new();
     let mut cl = Cluster::new((PAIRS * PAIR_QPS) as u64);
     cl.telemetry_enable();
@@ -118,45 +106,100 @@ fn flood_world(shard: Shard) -> (Sim, Cluster, Vec<HostId>) {
             }
         }
     }
-    (eng, cl, (0..PAIRS).map(|s| HostId(2 * s)).collect())
+    (eng, cl)
 }
 
-/// Client and server of a pair on one shard, pairs in blocks.
+/// The client on shard 0, the server on shard 1, further shards idle.
+fn pair(shards: usize) -> ShardPlan {
+    ShardPlan::new(shards, vec![0, 1])
+}
+
+/// Client and server of a flood pair on one shard, pairs in blocks.
 fn pair_aligned(shards: usize) -> ShardPlan {
     let owner = (0..2 * PAIRS).map(|h| (h / 2) * shards / PAIRS).collect();
     ShardPlan::new(shards, owner)
 }
 
-/// The `finish` of both worlds: sync the hub, drain the owned clients.
-fn drain(eng: &Sim, cl: &mut Cluster, clients: Vec<HostId>, end: SimTime) -> Vec<Completion> {
+/// One finished engine: the plain one, or one shard's replica.
+struct Replica {
+    /// Every completion of the hosts it owns, in host order.
+    completions: Vec<Completion>,
+    queue: QueueStats,
+    /// [`Cluster::shard_global_counters`].
+    globals: (u64, u64),
+    hub: Telemetry,
+    end: SimTime,
+}
+
+/// Syncs the hub at `end` and drains every owned host's completions.
+fn finish(eng: &Sim, cl: &mut Cluster, end: SimTime) -> Replica {
     cl.sync_telemetry_at(eng, end);
     let mut completions = Vec::new();
-    for host in clients {
+    for host in (0..cl.host_count()).map(HostId) {
         if cl.owns(host) {
             completions.extend(cl.poll_cq(host));
         }
     }
-    completions
+    Replica {
+        completions,
+        queue: eng.queue_stats(),
+        globals: cl.shard_global_counters(),
+        hub: std::mem::take(cl.telemetry_mut()),
+        end,
+    }
 }
 
-/// Everything of a [`Finished`] that must not depend on the plan.
+/// `world` on the plain engine, up to `deadline` or until it is quiet.
+fn plain(world: World, deadline: Option<SimTime>) -> Replica {
+    let (mut eng, mut cl) = world(None);
+    match deadline {
+        Some(d) => eng.run_until(&mut cl, d),
+        None => {
+            eng.run(&mut cl, HORIZON).expect("the world quiesces");
+        }
+    }
+    let end = eng.now();
+    finish(&eng, &mut cl, end)
+}
+
+/// `world` under `plan`, one replica per shard.
+fn sharded(world: World, plan: &ShardPlan, deadline: Option<SimTime>) -> Vec<Replica> {
+    run_sharded(
+        plan,
+        deadline,
+        |id| world(Some((id, &plan.owner))),
+        |_, eng, mut cl, end| finish(&eng, &mut cl, end),
+    )
+}
+
+/// Everything of a run that must not depend on the plan.
 #[derive(Debug, PartialEq)]
 struct Outcome {
     /// Owners are assigned in host order, so shard order is host order.
     completions: Vec<Completion>,
     end: SimTime,
+    /// Merged as [`merge_queue_stats`] merges `wide`'s shards.
     queue: QueueStats,
-    spans: usize,
-    jsonl: String,
+    /// Every replica's closed spans, sorted by content: close order is a
+    /// per-engine artifact.
+    spans: Vec<FaultSpan>,
 }
 
-fn outcome(done: Finished<Vec<Completion>>) -> Outcome {
+fn outcome(replicas: Vec<Replica>) -> Outcome {
+    let end = replicas[0].end;
+    assert!(replicas.iter().all(|r| r.end == end), "shards disagree");
+    let queues: Vec<QueueStats> = replicas.iter().map(|r| r.queue).collect();
+    let (scheduled, executed) = replicas[0].globals;
+    let mut spans: Vec<FaultSpan> = replicas
+        .iter()
+        .flat_map(|r| r.hub.spans().iter().cloned())
+        .collect();
+    spans.sort_by_key(|s| (s.completed, s.raised, s.host, s.mr, s.page));
     Outcome {
-        completions: done.shards.into_iter().flatten().collect(),
-        end: done.end,
-        queue: done.queue,
-        spans: done.telemetry.spans().len(),
-        jsonl: export_jsonl(&done.telemetry),
+        completions: replicas.into_iter().flat_map(|r| r.completions).collect(),
+        end,
+        queue: merge_queue_stats(&queues, scheduled, executed),
+        spans,
     }
 }
 
@@ -174,28 +217,17 @@ fn assert_drained(o: &Outcome, ctx: &str) {
 
 #[test]
 fn two_host_world_finishes_the_same_under_every_plan() {
-    let seq = outcome(run_plan(
-        &ShardPlan::new(1, vec![0, 0]),
-        None,
-        two_host_world,
-        drain,
-    ));
+    let seq = outcome(vec![plain(two_host_world, None)]);
     assert_eq!(seq.completions.len(), 2);
     assert!(seq.completions.iter().all(|c| c.status.is_success()));
-    assert!(seq.spans >= 2, "both sides must fault: {} spans", seq.spans);
     assert!(
-        seq.jsonl.contains("event.executed"),
-        "the hub was not synced"
+        seq.spans.len() >= 2,
+        "both sides must fault: {} spans",
+        seq.spans.len()
     );
-    assert!(!seq.jsonl.contains("event.peak_depth"));
-    assert_drained(&seq, "one owner");
+    assert_drained(&seq, "plain engine");
     for shards in [2, 4] {
-        let split = outcome(run_plan(
-            &ShardPlan::pair(shards),
-            None,
-            two_host_world,
-            drain,
-        ));
+        let split = outcome(sharded(two_host_world, &pair(shards), None));
         assert_drained(&split, &format!("{shards} shards"));
         assert_eq!(seq, split, "{shards} shards");
     }
@@ -203,12 +235,30 @@ fn two_host_world_finishes_the_same_under_every_plan() {
 
 #[test]
 fn pair_aligned_flood_finishes_the_same_under_every_plan() {
-    let seq = outcome(run_plan(&pair_aligned(1), None, flood_world, drain));
+    let seq = outcome(vec![plain(flood_world, None)]);
     assert_eq!(seq.completions.len(), PAIRS * PAIR_QPS, "one per QP");
-    assert_eq!(seq.spans, PAIRS, "one cold page per pair");
-    assert_drained(&seq, "one owner");
+    assert_eq!(seq.spans.len(), PAIRS, "one cold page per pair");
+    assert_drained(&seq, "plain engine");
     for shards in [2, 4] {
-        let split = outcome(run_plan(&pair_aligned(shards), None, flood_world, drain));
+        let split = outcome(sharded(flood_world, &pair_aligned(shards), None));
+        assert_drained(&split, &format!("{shards} shards"));
+        assert_eq!(seq, split, "{shards} shards");
+    }
+}
+
+/// A loss swap runs on every replica and is counted once: the merged
+/// queue of a split plan is the plain engine's.
+#[test]
+fn replicated_loss_phases_merge_into_the_one_owner_queue() {
+    let seq = outcome(vec![plain(lossy_world, None)]);
+    assert_eq!(seq.completions.len(), 1);
+    assert!(seq.completions[0].status.is_success());
+    assert!(
+        seq.completions[0].at > SimTime::from_ms(1),
+        "the first phase must drop the request"
+    );
+    for shards in [2, 4] {
+        let split = outcome(sharded(lossy_world, &pair(shards), None));
         assert_drained(&split, &format!("{shards} shards"));
         assert_eq!(seq, split, "{shards} shards");
     }
@@ -218,149 +268,48 @@ fn pair_aligned_flood_finishes_the_same_under_every_plan() {
 fn a_deadline_parks_every_plan_at_the_same_clock() {
     // Mid-run: the first READ is still inside its fault window.
     let deadline = Some(SimTime::from_us(500));
-    let seq = outcome(run_plan(
-        &ShardPlan::pair(1),
-        deadline,
-        two_host_world,
-        drain,
-    ));
+    let seq = outcome(vec![plain(two_host_world, deadline)]);
     assert_eq!(seq.end, SimTime::from_us(500));
     assert!(seq.queue.live > 0, "the run must be cut short");
-    let split = outcome(run_plan(
-        &ShardPlan::pair(2),
-        deadline,
-        two_host_world,
-        drain,
-    ));
-    assert_eq!(seq, split);
-}
-
-#[test]
-fn build_runs_once_per_replica_and_finish_gets_its_own_handles() {
-    let plans = [
-        (ShardPlan::new(1, vec![0, 0]), 1),
-        (ShardPlan::pair(2), 2),
-        (ShardPlan::pair(4), 4),
-    ];
-    for (plan, replicas) in plans {
-        let builds = AtomicUsize::new(0);
-        let finishes = AtomicUsize::new(0);
-        let done = run_plan(
-            &plan,
-            None,
-            |shard| {
-                assert_eq!(finishes.load(SeqCst), 0, "build ran after a finish began");
-                let nth = builds.fetch_add(1, SeqCst);
-                let (eng, cl, _) = two_host_world(shard);
-                // An `Rc` is not `Send`: handles stay on their replica's
-                // thread from `build` to `finish`.
-                let handles: Rc<(usize, Option<usize>, ThreadId)> =
-                    Rc::new((nth, shard.map(|(id, _)| id), thread::current().id()));
-                (eng, cl, handles)
-            },
-            |_, cl, handles, _| {
-                finishes.fetch_add(1, SeqCst);
-                assert_eq!(handles.1, cl.shard_id(), "another replica's handles");
-                assert_eq!(handles.2, thread::current().id(), "handles changed thread");
-                handles.0
-            },
-        );
-        assert_eq!(builds.load(SeqCst), replicas, "{plan:?}");
-        assert_eq!(finishes.load(SeqCst), replicas, "{plan:?}");
-        let mut seen = done.shards;
-        seen.sort_unstable();
-        assert_eq!(seen, (0..replicas).collect::<Vec<_>>(), "{plan:?}");
+    for shards in [2, 4] {
+        let split = outcome(sharded(two_host_world, &pair(shards), deadline));
+        assert_eq!(seq, split, "{shards} shards");
     }
 }
 
-#[test]
-fn a_plan_whose_owners_are_all_equal_runs_on_the_callers_thread() {
-    let caller = thread::current().id();
-    let where_built = |plan: ShardPlan| {
-        let done = run_plan(
-            &plan,
-            None,
-            |shard| {
-                let (eng, cl, _) = two_host_world(shard);
-                (eng, cl, (shard.is_some(), thread::current().id()))
-            },
-            |_, _, built, _| (built, thread::current().id()),
-        );
-        done.shards
-    };
-    // Four shards, one owner: nothing to synchronise, nothing spawned.
-    assert_eq!(
-        where_built(ShardPlan::new(4, vec![2, 2])),
-        [((false, caller), caller)]
-    );
-    // The same four shards split: every replica is sharded and off the
-    // caller's thread.
-    let split = where_built(ShardPlan::new(4, vec![2, 0]));
-    assert_eq!(split.len(), 4);
-    for ((sharded, built_on), finished_on) in split {
-        assert!(sharded);
-        assert_ne!(built_on, caller);
-        assert_eq!(built_on, finished_on);
-    }
-}
-
+/// At one shard the loop has nothing to exchange: its one replica
+/// exports what the plain engine exports, byte for byte.
 #[test]
 fn run_sharded_at_one_shard_equals_the_plain_engine() {
-    // `run_plan` never takes a one-owner plan through the epoch loop, so
-    // PDES at one shard is pinned here, on the loop itself.
-    let seq = outcome(run_plan(&ShardPlan::pair(1), None, two_host_world, drain));
-    let plan = ShardPlan::pair(1);
-    let mut outs = run_sharded(
-        &plan,
-        None,
-        |id| {
-            let (eng, cl, _) = two_host_world(Some((id, &plan.owner)));
-            (eng, cl)
-        },
-        |_, eng, mut cl, end| {
-            assert_eq!(cl.shard_id(), Some(0));
-            let completions = drain(&eng, &mut cl, vec![HostId(0)], end);
-            let mut hub = std::mem::take(cl.telemetry_mut());
-            hub.sort_spans_by_completion();
-            hub.remove_metric("event.peak_depth", Labels::NONE);
-            let (scheduled, executed) = cl.shard_global_counters();
-            Outcome {
-                completions,
-                end,
-                queue: merge_queue_stats(&[eng.queue_stats()], scheduled, executed),
-                spans: hub.spans().len(),
-                jsonl: export_jsonl(&hub),
-            }
-        },
-    );
-    assert_eq!(outs.len(), 1);
-    assert_eq!(outs.pop(), Some(seq));
+    let seq = plain(two_host_world, None);
+    let mut one = sharded(two_host_world, &ShardPlan::new(1, vec![0, 0]), None);
+    assert_eq!(one.len(), 1);
+    let jsonl = |r: &Replica| export_jsonl(&r.hub);
+    assert_eq!(jsonl(&seq), jsonl(&one[0]));
+    assert_eq!(outcome(vec![seq]), outcome(vec![one.remove(0)]));
 }
 
 /// A payload no library code raises.
 #[derive(Debug, PartialEq)]
 struct Boom(&'static str);
 
-fn one_owner_and_split() -> [ShardPlan; 2] {
-    [ShardPlan::new(2, vec![1, 1]), ShardPlan::pair(2)]
-}
-
 #[test]
-fn a_panic_in_build_or_finish_keeps_its_payload_on_either_executor() {
-    for plan in one_owner_and_split() {
-        // Only one replica of the split plan panics; the others unwind
-        // on the poisoned barrier and must not mask it.
+fn a_panic_in_build_or_finish_keeps_its_payload() {
+    // Both hosts on shard 1, then one host per shard.
+    for plan in [ShardPlan::new(2, vec![1, 1]), pair(2)] {
+        // Only shard 1 panics; shard 0 unwinds on the poisoned barrier
+        // and must not mask it.
         let in_build = catch_unwind(AssertUnwindSafe(|| {
-            run_plan(
+            run_sharded(
                 &plan,
                 None,
-                |shard| {
-                    if shard.is_none_or(|(id, _)| id == 1) {
+                |id| {
+                    if id == 1 {
                         panic_any(Boom("build"));
                     }
-                    two_host_world(shard)
+                    two_host_world(Some((id, &plan.owner)))
                 },
-                drain,
+                |_, _, _, _| (),
             )
         }));
         let payload = in_build.expect_err("build panicked");
@@ -371,11 +320,16 @@ fn a_panic_in_build_or_finish_keeps_its_payload_on_either_executor() {
         );
 
         let in_finish = catch_unwind(AssertUnwindSafe(|| {
-            run_plan(&plan, None, two_host_world, |_, cl, _, _| {
-                if cl.shard_id().is_none_or(|id| id == 1) {
-                    panic_any(Boom("finish"));
-                }
-            })
+            run_sharded(
+                &plan,
+                None,
+                |id| two_host_world(Some((id, &plan.owner))),
+                |id, _, _, _| {
+                    if id == 1 {
+                        panic_any(Boom("finish"));
+                    }
+                },
+            )
         }));
         let payload = in_finish.expect_err("finish panicked");
         assert_eq!(
@@ -386,10 +340,10 @@ fn a_panic_in_build_or_finish_keeps_its_payload_on_either_executor() {
     }
 }
 
-/// The message `run_plan` dies with under `plan`.
+/// The message `run_sharded` dies with under `plan`.
 fn rejection(plan: &ShardPlan) -> String {
     let run = catch_unwind(AssertUnwindSafe(|| {
-        run_plan(plan, None, two_host_world, drain)
+        sharded(two_host_world, plan, None);
     }));
     let payload = run.expect_err("a malformed plan must be rejected");
     match payload.downcast::<String>() {
@@ -399,8 +353,8 @@ fn rejection(plan: &ShardPlan) -> String {
 }
 
 #[test]
-fn a_malformed_plan_is_rejected_the_same_way_on_either_executor() {
-    // Each defect once in a one-owner shape and once in a split shape.
+fn a_malformed_plan_is_rejected_whatever_its_shape() {
+    // Each defect once with both hosts on one shard and once split.
     let cases = [
         (vec![0, 0], vec![0, 1], 0, "needs at least one shard"),
         (
@@ -419,4 +373,16 @@ fn a_malformed_plan_is_rejected_the_same_way_on_either_executor() {
             assert!(msg.contains(want), "{plan:?}: {msg}");
         }
     }
+}
+
+#[test]
+#[should_panic(expected = "lookahead violation")]
+fn oversized_lookahead_override_is_rejected() {
+    // A lookahead wider than the real minimum cross-shard latency lets a
+    // packet arrive inside the epoch it was sent in; the leader must
+    // reject the run with a diagnostic instead of silently reordering.
+    // Both regions are pinned, so no fault-draw floor narrows the epoch.
+    let mut plan = pair(2);
+    plan.lookahead_override = Some(SimTime::from_ms(1000));
+    sharded(lossy_world, &plan, None);
 }

@@ -10,8 +10,8 @@
 //! * [`event`] — deterministic discrete-event kernel,
 //! * [`fabric`] — LIDs, routed switch topologies, per-hop transit, loss
 //!   injection, capture,
-//! * [`verbs`] — packets, memory regions, RC queue pairs, the ODP driver,
-//!   the verbs API and `run_plan`,
+//! * [`verbs`] — packets, memory regions, RC queue pairs, the ODP driver
+//!   and the verbs API,
 //! * [`odp`] — the paper's apparatus: Table I systems, the figures as
 //!   families of Fig. 3 scenarios, §IX-A workarounds, registration caches,
 //! * [`ucp`] — UCX-like messaging/RMA layer,

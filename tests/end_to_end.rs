@@ -4,15 +4,13 @@
 
 use ibsim::analysis::{lint_capture, LintConfig, RuleId};
 use ibsim::dsm::{Dsm, DsmConfig};
-use ibsim::event::{assert_golden, fnv1a_str, Engine, SimTime};
+use ibsim::event::{Engine, SimTime};
 use ibsim::fabric::LinkSpec;
 use ibsim::odp::SystemProfile;
-use ibsim::scenario::{run_scenario, run_scenario_plan, RunOptions, Scenario, ScenarioRun};
+use ibsim::scenario::{run_scenario, run_scenario_with, RunOptions, Scenario};
 use ibsim::shuffle::{run_shuffle, ShuffleConfig};
 use ibsim::ucp::{MemSlice, Tag, Ucp, UcpConfig};
-use ibsim::verbs::{
-    export_jsonl, Cluster, DeviceProfile, Labels, MrMode, QpConfig, ReadWr, ShardPlan, Telemetry,
-};
+use ibsim::verbs::{Cluster, DeviceProfile, Labels, MrMode, QpConfig, ReadWr, Telemetry};
 
 /// How far any world in this file may run before it must have quiesced.
 const HORIZON: SimTime = SimTime::from_secs(20);
@@ -53,18 +51,6 @@ fn paper_headline_flood_and_detection() {
     assert!(run.client_mem == run.server_mem, "every READ read back");
 }
 
-// ---------------------------------------------------------------------
-// Cross-shard conformance battery: the sharded conservative-lookahead
-// engine must reproduce the sequential goldens bit for bit at every
-// shard count (1, 2, 4, 8) — same pinned capture hash, same telemetry
-// event counts, same merged metrics export.
-// ---------------------------------------------------------------------
-
-/// `sc` under `ShardPlan::pair(shards)`, capture on and the hub synced.
-fn run_at(sc: &Scenario, shards: usize) -> ScenarioRun {
-    run_scenario_plan(sc, ShardPlan::pair(shards), RunOptions::FULL)
-}
-
 /// Sum of one counter family across all label sets.
 fn counter_sum(t: &Telemetry, name: &str) -> u64 {
     t.registry()
@@ -84,77 +70,13 @@ fn engine_gauge(t: &Telemetry, name: &'static str) -> Option<u64> {
     t.registry().gauge(name, Labels::NONE)
 }
 
-/// The shard-count-invariant view of a run: its export with
-/// `event.peak_depth` left out, which a one-owner run knows and per-shard
-/// peaks cannot give. The export carries every engine queue counter.
-fn plan_invariant_export(run: &mut ScenarioRun) -> String {
-    run.telemetry
-        .remove_metric("event.peak_depth", Labels::NONE);
-    export_jsonl(&run.telemetry)
-}
-
-fn assert_runs_match(seq: &mut ScenarioRun, sh: &mut ScenarioRun, ctx: &str) {
-    let timeline = |r: &ScenarioRun| r.captures[0].timeline();
-    assert_eq!(timeline(seq), timeline(sh), "{ctx}: timeline");
-    assert_eq!(seq.client_comps, sh.client_comps, "{ctx}: completions");
-    assert_eq!(
-        seq.execution_time(),
-        sh.execution_time(),
-        "{ctx}: execution time"
-    );
-    assert_eq!(seq.total_packets, sh.total_packets, "{ctx}: packet count");
-    let faults = |r: &ScenarioRun| r.client_stats.faults_raised + r.server_stats.faults_raised;
-    assert_eq!(faults(seq), faults(sh), "{ctx}: fault count");
-    assert_eq!(
-        seq.telemetry.spans().len(),
-        sh.telemetry.spans().len(),
-        "{ctx}: span count"
-    );
-    for name in ["fault.raised", "fault.resolved", "cq.completions"] {
-        assert_eq!(
-            counter_sum(&seq.telemetry, name),
-            counter_sum(&sh.telemetry, name),
-            "{ctx}: {name}"
-        );
-    }
-    assert_eq!(
-        plan_invariant_export(seq),
-        plan_invariant_export(sh),
-        "{ctx}: telemetry export"
-    );
-}
-
-/// The battery over one probe: `seq` must carry the client timeline
-/// `GOLDENS` pins as `golden_name`, and every shard count must reproduce
-/// `seq`.
-fn assert_every_shard_count_matches(sc: &Scenario, golden_name: &str) {
-    let mut seq = run_at(sc, 1);
-    let timeline = seq.captures[0].timeline();
-    assert_golden(golden_name, [fnv1a_str(&timeline), timeline.len() as u64]);
-    for shards in [1, 2, 4, 8] {
-        let mut sh = run_at(sc, shards);
-        let ctx = format!("{}, {shards} shards", sc.name);
-        assert_runs_match(&mut seq, &mut sh, &ctx);
-    }
-}
-
-#[test]
-fn sharded_damming_reproduces_pinned_golden_at_every_shard_count() {
-    assert_every_shard_count_matches(&Scenario::damming_probe(), "damming.timeline");
-}
-
-#[test]
-fn sharded_flood_reproduces_pinned_golden_at_every_shard_count() {
-    assert_every_shard_count_matches(&Scenario::flood_probe(128), "flood.timeline");
-}
-
 /// A protocol timer's only stale-fire guard is its keyed slot, so a
 /// drained run owes the engine nothing, and every ACK timer that fired
 /// found its QP armed with work outstanding: fires == counted timeouts.
 #[test]
 fn drained_probes_leave_no_timer_behind_and_every_ack_fire_is_a_timeout() {
-    let flood = run_at(&Scenario::flood_probe(128), 1);
-    let damming = run_at(&Scenario::damming_probe(), 1);
+    let flood = run_scenario_with(&Scenario::flood_probe(128), RunOptions::FULL);
+    let damming = run_scenario_with(&Scenario::damming_probe(), RunOptions::FULL);
     for (run, name) in [(&flood, "flood"), (&damming, "damming")] {
         assert_eq!(
             engine_gauge(&run.telemetry, "event.live"),
@@ -173,38 +95,6 @@ fn drained_probes_leave_no_timer_behind_and_every_ack_fire_is_a_timeout() {
     // and each of the flood's 128 QPs ticked at least once.
     assert!(damming.client_stats.timeouts >= 1);
     assert!(counter_sum(&flood.telemetry, "timer.stall_tick_fired") >= 128);
-}
-
-#[test]
-fn sharded_stage_sum_law_holds_with_cross_shard_fault_lifecycles() {
-    // Both-side ODP across 2 shards: faults are raised and resolved on
-    // each host's own shard, but the retransmit drain closing every span
-    // is driven by packets from the peer's shard. The stage-sum
-    // conservation law must survive the epoch-merged telemetry.
-    let sh = run_at(&Scenario::damming_probe(), 2);
-    let spans = sh.telemetry.spans();
-    assert!(!spans.is_empty(), "damming probe must record fault spans");
-    assert!(
-        spans.iter().any(|s| s.host == 0) && spans.iter().any(|s| s.host == 1),
-        "both shards must contribute spans"
-    );
-    assert_eq!(sh.telemetry.stage_sum_violations(), 0);
-    let seq = run_at(&Scenario::damming_probe(), 1);
-    assert_eq!(seq.telemetry.stage_sum_violations(), 0);
-    assert_eq!(seq.telemetry.spans().len(), spans.len());
-}
-
-#[test]
-#[should_panic(expected = "lookahead violation")]
-fn oversized_lookahead_override_is_rejected() {
-    // A lookahead wider than the real minimum cross-shard latency lets a
-    // packet arrive inside the epoch it was sent in; the leader must
-    // reject the run with a diagnostic instead of silently reordering.
-    let mut sc = Scenario::damming_probe();
-    (sc.client_odp, sc.server_odp) = (false, false);
-    let mut plan = ShardPlan::new(2, vec![0, 1]);
-    plan.lookahead_override = Some(SimTime::from_ms(1000));
-    run_scenario_plan(&sc, plan, RunOptions::BARE);
 }
 
 #[test]
