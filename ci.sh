@@ -62,8 +62,10 @@ for name in $golden_names; do
     fi
 done
 
-echo "==> one world language: Scenario describes every two-host world; the"
-echo "    wrapper benchmark/'s flood still names is the only other"
+echo "==> one world language: only core/src/microbench.rs names the wrapper"
+echo "    benchmark/'s flood still runs. Scenario describes every other two-host"
+echo "    world but three still built by hand, which ROADMAP item 11 moves:"
+echo "    fig2_curve, bin/ablation.rs and perftest/runner.rs"
 if grep -rlE 'MicrobenchConfig|run_microbench' crates src tests examples | grep -vx crates/core/src/microbench.rs; then
     echo "ci: the files above name the wrapper's world (use Scenario::fig3_loop)" >&2
     exit 1

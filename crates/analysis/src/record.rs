@@ -27,7 +27,7 @@ use std::fmt;
 
 use ibsim_event::SimTime;
 use ibsim_fabric::{Capture, Captured, Direction};
-use ibsim_verbs::{NakKind, Packet, PacketKind, Psn, Qpn, RecoveryKind};
+use ibsim_verbs::{NakKind, Packet, PacketClass, PacketKind, Psn, Qpn, RecoveryKind};
 
 use crate::finding::{Finding, RuleId};
 
@@ -449,7 +449,7 @@ impl Record {
     }
 }
 
-/// Per-opcode traffic counts of one capture.
+/// Traffic counts of one capture, per [`PacketClass`].
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct TrafficSummary {
     /// Total frames in the capture.
@@ -474,24 +474,14 @@ impl TrafficSummary {
     fn count(&mut self, p: &Packet) {
         self.total += 1;
         self.ghosts += u64::from(p.ghost);
-        match &p.kind {
-            PacketKind::Ack => self.acks += 1,
-            PacketKind::Nak(NakKind::Rnr { .. }) => self.rnr_naks += 1,
-            PacketKind::Nak(NakKind::SequenceError { .. }) => self.seq_naks += 1,
-            PacketKind::Nak(NakKind::RemoteAccess) => {}
-            PacketKind::ReadResponse { .. } | PacketKind::AtomicResponse { .. } => {
-                self.responses += 1
-            }
-            PacketKind::ReadRequest { .. }
-            | PacketKind::WriteRequest { .. }
-            | PacketKind::Send { .. }
-            | PacketKind::AtomicRequest { .. } => {
-                if p.retransmit {
-                    self.retransmissions += 1;
-                } else {
-                    self.requests += 1;
-                }
-            }
+        match p.class() {
+            PacketClass::Request => self.requests += 1,
+            PacketClass::Retransmit => self.retransmissions += 1,
+            PacketClass::Response => self.responses += 1,
+            PacketClass::Ack => self.acks += 1,
+            PacketClass::RnrNak => self.rnr_naks += 1,
+            PacketClass::SeqNak => self.seq_naks += 1,
+            PacketClass::OtherNak => {}
         }
     }
 }

@@ -73,19 +73,6 @@ pub use export::{export_jsonl, render_summary};
 pub use registry::{Histogram, Instrument, Labels, Registry, HISTOGRAM_BUCKETS};
 pub use span::{FaultSpan, SpanStore, STAGE_NAMES};
 
-/// Maps a QP state name (as rendered by the verbs crate) to the static
-/// dwell-time counter it accumulates into.
-fn dwell_metric(state: &'static str) -> &'static str {
-    match state {
-        "RESET" => "qp.dwell_reset_ns",
-        "INIT" => "qp.dwell_init_ns",
-        "RTR" => "qp.dwell_rtr_ns",
-        "RTS" => "qp.dwell_rts_ns",
-        "ERROR" => "qp.dwell_error_ns",
-        _ => "qp.dwell_other_ns",
-    }
-}
-
 /// The observability hub threaded through the simulator.
 ///
 /// One `Telemetry` lives on the cluster; layers report into it through
@@ -103,8 +90,8 @@ pub struct Telemetry {
     enabled: bool,
     registry: Registry,
     spans: SpanStore,
-    /// Each QP's current state and when it was entered; `None` until
-    /// first sampled.
+    /// Each QP's current state, as its dwell metric, and when it was
+    /// entered; `None` until first sampled.
     dwell: Vec<Vec<Option<(&'static str, SimTime)>>>,
 }
 
@@ -273,26 +260,22 @@ impl Telemetry {
     // QP state dwell times
     // ------------------------------------------------------------------
 
-    /// Samples a QP's current state; accumulates dwell time into
-    /// per-state counters on every transition.
-    ///
-    /// `state` must be one of the verbs-crate state names (`RESET`,
-    /// `INIT`, `RTR`, `RTS`, `ERROR`).
-    pub fn qp_state_sample(&mut self, host: u64, qpn: u32, state: &'static str, now: SimTime) {
+    /// Samples a QP's current state, named by its dwell metric (the
+    /// counter its time in that state accumulates into, such as
+    /// `qp.dwell_rts_ns`); on every change of state the time spent in
+    /// the previous one is added to that one's counter.
+    pub fn qp_state_sample(&mut self, host: u64, qpn: u32, metric: &'static str, now: SimTime) {
         if !self.enabled {
             return;
         }
         let Some(clock) = registry::dense_cell(&mut self.dwell, host, qpn) else {
             return;
         };
-        let entry = clock.get_or_insert((state, now));
-        if entry.0 != state {
-            let (prev, since) = std::mem::replace(entry, (state, now));
-            self.registry.counter_add(
-                dwell_metric(prev),
-                Labels::host_qp(host, qpn),
-                (now - since).as_ns(),
-            );
+        let entry = clock.get_or_insert((metric, now));
+        if entry.0 != metric {
+            let (prev, since) = std::mem::replace(entry, (metric, now));
+            self.registry
+                .counter_add(prev, Labels::host_qp(host, qpn), (now - since).as_ns());
         }
     }
 
@@ -304,11 +287,11 @@ impl Telemetry {
         }
         for (host, row) in self.dwell.iter_mut().enumerate() {
             for (qpn, clock) in row.iter_mut().enumerate() {
-                let Some((state, since)) = clock else {
+                let Some((metric, since)) = clock else {
                     continue;
                 };
                 self.registry.counter_add(
-                    dwell_metric(state),
+                    metric,
                     Labels::host_qp(host as u64, qpn as u32),
                     (now - *since).as_ns(),
                 );
@@ -334,7 +317,7 @@ mod tests {
         tel.gauge_set("c", Labels::NONE, 1);
         tel.wr_completed(0, 0, Some(t(0)), t(1));
         tel.fault_raised(0, 0, 0, t(0));
-        tel.qp_state_sample(0, 0, "RTS", t(0));
+        tel.qp_state_sample(0, 0, "qp.dwell_rts_ns", t(0));
         assert!(tel.registry().is_empty());
         assert_eq!(tel.spans().len(), 0);
         assert_eq!(tel.open_span_count(), 0);
@@ -385,7 +368,7 @@ mod tests {
         let mut tel = Telemetry::new();
         tel.enable();
         for (host, qpn) in [(0, u32::MAX), (0, 1 << 24), (1 << 16, 1), (u64::MAX, 0)] {
-            tel.qp_state_sample(host, qpn, "RTS", t(0));
+            tel.qp_state_sample(host, qpn, "qp.dwell_rts_ns", t(0));
             tel.wr_completed(host, qpn, None, t(5));
         }
         tel.flush_dwell(t(10));
@@ -423,9 +406,9 @@ mod tests {
     fn dwell_accumulates_per_state() {
         let mut tel = Telemetry::new();
         tel.enable();
-        tel.qp_state_sample(0, 3, "INIT", t(0));
-        tel.qp_state_sample(0, 3, "INIT", t(5));
-        tel.qp_state_sample(0, 3, "RTS", t(10));
+        tel.qp_state_sample(0, 3, "qp.dwell_init_ns", t(0));
+        tel.qp_state_sample(0, 3, "qp.dwell_init_ns", t(5));
+        tel.qp_state_sample(0, 3, "qp.dwell_rts_ns", t(10));
         tel.flush_dwell(t(100));
         let l = Labels::host_qp(0, 3);
         assert_eq!(tel.registry().counter("qp.dwell_init_ns", l), Some(10_000));

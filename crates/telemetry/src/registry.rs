@@ -2,14 +2,14 @@
 //! by a static metric name plus optional `(host, qpn)` labels.
 //!
 //! The registry is a table of metric *families*: an ordered map from the
-//! name to a dense table of instruments. A family keeps its host-less
-//! slots ([`Labels::NONE`], and the `(None, Some(qpn))` shape no layer
-//! writes) in a small sorted list, then one row per host, indexed by host
+//! name to a dense table of instruments. A family's first row holds one
+//! slot, [`Labels::NONE`]'s, then comes one row per host, indexed by host
 //! id: column 0 is the host-only instrument and column `qpn + 1` the
-//! QP's. The verbs crate hands hosts out from 0 and QPNs from 1 on each
-//! host (and the fabric numbers switches from 0, which the inter-link
-//! gauges write as `(src switch, dst switch)`), so a write is one lookup
-//! among the few dozen names and then two indexes.
+//! QP's. The verbs
+//! crate hands hosts out from 0 and QPNs from 1 on each host (and the
+//! fabric numbers switches from 0, which the inter-link gauges write as
+//! `(src switch, dst switch)`), so a write is one lookup among the few
+//! dozen names and then two indexes.
 //!
 //! Walking a family in index order *is* `Labels`' derived order: `NONE`,
 //! then each host's host-only slot before its QPs in ascending QPN. So
@@ -17,13 +17,15 @@
 //! `(name, labels)` order however the run-time first inserts
 //! (`timer.*`, `cq.completions`) arrived, and all
 //! values are integers (nanoseconds for durations) so no formatting
-//! ambiguity can creep in.
+//! ambiguity can creep in. An instrument, once registered, stays: no
+//! family is ever empty.
 //!
 //! The tables trust that ids are small, as the clock table in
-//! [`crate::Telemetry`] does. An id past the InfiniBand id space (a host
-//! past the 16-bit LID range, a QPN past 24 bits) has no slot: a write to
-//! it is ignored, as a write to a slot of another kind is, and never grows
-//! a table.
+//! [`crate::Telemetry`] does. Some labels have no slot: an id past the
+//! InfiniBand id space (a host past the 16-bit LID range, a QPN past 24
+//! bits), and a QPN without a host, which no layer writes. A write to
+//! one is ignored, as a write to a slot of another kind is, and never
+//! grows a table or creates a family.
 
 use std::collections::BTreeMap;
 
@@ -213,125 +215,22 @@ impl Instrument {
     }
 }
 
-/// Every labelled instrument under one name, at its dense index.
-#[derive(Debug, Default)]
-struct Cells {
-    /// The host-less slots, sorted by QPN: `NONE` first, then the
-    /// `(None, Some(qpn))` shape.
-    hostless: Vec<(Option<u32>, Option<Instrument>)>,
-    /// `[host][column]`: column 0 is the host-only slot and column
-    /// `qpn + 1` the QP's, so index order is label order.
-    rows: Vec<Vec<Option<Instrument>>>,
-}
+/// Every labelled instrument under one name, `[row][column]` at its
+/// [`index`].
+type Family = Vec<Vec<Option<Instrument>>>;
 
-/// The `[host][column]` index of a host's label, or `None` past the id
-/// space.
-fn row_index(host: u64, qpn: Option<u32>) -> Option<(usize, usize)> {
-    let (h, q) = dense_index(host, qpn.unwrap_or(0))?;
-    Some((h, qpn.map_or(0, |_| q + 1)))
-}
-
-impl Cells {
-    /// True if `labels` has a slot (see the module docs).
-    fn has_slot(labels: Labels) -> bool {
-        labels
-            .host
-            .is_none_or(|h| row_index(h, labels.qpn).is_some())
-    }
-
-    /// The cell for `labels`. With `grow` the tables grow to reach it;
-    /// without, a cell no write has reached is `None`. Always `None`
-    /// past the id space.
-    fn cell(&mut self, labels: Labels, grow: bool) -> Option<&mut Option<Instrument>> {
-        let Some(host) = labels.host else {
-            let at = match self.hostless.binary_search_by_key(&labels.qpn, |&(q, _)| q) {
-                Ok(at) => at,
-                Err(at) if grow => {
-                    self.hostless.insert(at, (labels.qpn, None));
-                    at
-                }
-                Err(_) => return None,
-            };
-            return Some(&mut self.hostless[at].1);
-        };
-        let (h, c) = row_index(host, labels.qpn)?;
-        if grow {
-            return Some(grow_to(&mut self.rows, h, c));
+/// Where `labels` sits in a family, as `[row][column]`: row 0 holds only
+/// [`Labels::NONE`], at column 0; row `host + 1` holds the host-only slot
+/// at column 0 and QP `qpn` at column `qpn + 1`. So index order is label
+/// order. `None` for a label with no slot (see the module docs).
+fn index(labels: Labels) -> Option<(usize, usize)> {
+    match (labels.host, labels.qpn) {
+        (Some(host), qpn) => {
+            let (h, q) = dense_index(host, qpn.unwrap_or(0))?;
+            Some((h + 1, qpn.map_or(0, |_| q + 1)))
         }
-        self.rows.get_mut(h)?.get_mut(c)
-    }
-
-    fn get(&self, labels: Labels) -> Option<&Instrument> {
-        let Some(host) = labels.host else {
-            let at = self
-                .hostless
-                .binary_search_by_key(&labels.qpn, |&(q, _)| q)
-                .ok()?;
-            return self.hostless[at].1.as_ref();
-        };
-        let (h, c) = row_index(host, labels.qpn)?;
-        self.rows.get(h)?.get(c)?.as_ref()
-    }
-
-    /// The family's instruments in label order: the index order.
-    fn iter(&self) -> impl Iterator<Item = (Labels, &Instrument)> + '_ {
-        let hostless = self.hostless.iter().filter_map(|(qpn, inst)| {
-            Some((
-                Labels {
-                    host: None,
-                    qpn: *qpn,
-                },
-                inst.as_ref()?,
-            ))
-        });
-        let rows = self.rows.iter().enumerate().flat_map(|(h, row)| {
-            row.iter().enumerate().filter_map(move |(c, inst)| {
-                let labels = Labels {
-                    host: Some(h as u64),
-                    qpn: c.checked_sub(1).map(|q| q as u32),
-                };
-                Some((labels, inst.as_ref()?))
-            })
-        });
-        hostless.chain(rows)
-    }
-}
-
-/// One metric family: its cells and how many of them hold an instrument.
-#[derive(Debug, Default)]
-struct Family {
-    cells: Cells,
-    /// Instruments in the family; the family is dropped at zero.
-    len: usize,
-}
-
-impl Family {
-    /// The instrument at `labels`, inserting `default()` (and counting it)
-    /// if absent; `None` past the id space.
-    fn slot(
-        &mut self,
-        labels: Labels,
-        default: impl FnOnce() -> Instrument,
-    ) -> Option<&mut Instrument> {
-        let cell = self.cells.cell(labels, true)?;
-        if cell.is_none() {
-            self.len += 1;
-        }
-        Some(cell.get_or_insert_with(default))
-    }
-
-    /// Removes the instrument at `labels`; returns whether it existed.
-    fn remove(&mut self, labels: Labels) -> bool {
-        let removed = self
-            .cells
-            .cell(labels, false)
-            .and_then(Option::take)
-            .is_some();
-        if removed {
-            self.len -= 1;
-            self.cells.hostless.retain(|(_, inst)| inst.is_some());
-        }
-        removed
+        (None, None) => Some((0, 0)),
+        (None, Some(_)) => None,
     }
 }
 
@@ -339,8 +238,7 @@ impl Family {
 ///
 /// Names are `&'static str` by design — the metric namespace is closed
 /// and compiled in, which keeps recording allocation-free and makes the
-/// export order a compile-time property. No family is ever empty: the
-/// last [`Registry::remove`] from a family drops it.
+/// export order a compile-time property.
 #[derive(Debug, Default)]
 pub struct Registry {
     families: BTreeMap<&'static str, Family>,
@@ -360,10 +258,9 @@ impl Registry {
         labels: Labels,
         default: impl FnOnce() -> Instrument,
     ) -> Option<&mut Instrument> {
-        if !Cells::has_slot(labels) {
-            return None;
-        }
-        self.families.entry(name).or_default().slot(labels, default)
+        let (r, c) = index(labels)?;
+        let family = self.families.entry(name).or_default();
+        Some(grow_to(family, r, c).get_or_insert_with(default))
     }
 
     /// Adds `delta` to the counter `(name, labels)`, creating it at zero.
@@ -390,13 +287,17 @@ impl Registry {
         name: &'static str,
         rows: impl IntoIterator<Item = (Labels, u64)>,
     ) {
-        let mut rows = rows.into_iter();
-        let Some((first, v)) = rows.by_ref().find(|&(labels, _)| Cells::has_slot(labels)) else {
+        let mut cells = rows
+            .into_iter()
+            .filter_map(|(labels, v)| Some((index(labels)?, v)))
+            .peekable();
+        if cells.peek().is_none() {
             return;
-        };
+        }
         let family = self.families.entry(name).or_default();
-        for (labels, v) in std::iter::once((first, v)).chain(rows) {
-            if let Some(Instrument::Gauge(g)) = family.slot(labels, || Instrument::Gauge(0)) {
+        for ((r, c), v) in cells {
+            if let Instrument::Gauge(g) = grow_to(family, r, c).get_or_insert(Instrument::Gauge(0))
+            {
                 *g = v;
             }
         }
@@ -412,7 +313,8 @@ impl Registry {
 
     /// Looks up one instrument.
     pub fn get(&self, name: &'static str, labels: Labels) -> Option<&Instrument> {
-        self.families.get(name)?.cells.get(labels)
+        let (r, c) = index(labels)?;
+        self.families.get(name)?.get(r)?.get(c)?.as_ref()
     }
 
     /// The value of a counter, or `None` if absent / not a counter.
@@ -439,9 +341,10 @@ impl Registry {
         }
     }
 
-    /// Number of registered `(name, labels)` slots.
+    /// Number of registered `(name, labels)` slots: a walk of every
+    /// family.
     pub fn len(&self) -> usize {
-        self.families.values().map(|f| f.len).sum()
+        self.iter().count()
     }
 
     /// True if nothing has been recorded.
@@ -449,26 +352,20 @@ impl Registry {
         self.families.is_empty()
     }
 
-    /// Iterates every instrument in deterministic (name, labels) order.
+    /// Iterates every instrument in deterministic (name, labels) order:
+    /// each family in index order.
     pub fn iter(&self) -> impl Iterator<Item = (&'static str, Labels, &Instrument)> + '_ {
         self.families.iter().flat_map(|(&name, family)| {
-            family
-                .cells
-                .iter()
-                .map(move |(labels, inst)| (name, labels, inst))
+            family.iter().enumerate().flat_map(move |(r, row)| {
+                row.iter().enumerate().filter_map(move |(c, inst)| {
+                    let labels = Labels {
+                        host: r.checked_sub(1).map(|h| h as u64),
+                        qpn: c.checked_sub(1).map(|q| q as u32),
+                    };
+                    Some((name, labels, inst.as_ref()?))
+                })
+            })
         })
-    }
-
-    /// Removes one instrument; returns whether it existed.
-    pub fn remove(&mut self, name: &'static str, labels: Labels) -> bool {
-        let Some(family) = self.families.get_mut(name) else {
-            return false;
-        };
-        let removed = family.remove(labels);
-        if family.len == 0 {
-            self.families.remove(name);
-        }
-        removed
     }
 }
 
@@ -495,24 +392,6 @@ mod tests {
         r.gauge_set("depth", Labels::NONE, 10);
         r.gauge_set("depth", Labels::NONE, 4);
         assert_eq!(r.gauge("depth", Labels::NONE), Some(4));
-    }
-
-    #[test]
-    fn remove_drops_one_key_and_keeps_the_rest() {
-        let mut r = Registry::new();
-        r.counter_add("gone", Labels::NONE, 9);
-        r.counter_add("keep", Labels::NONE, 4);
-        assert!(r.remove("gone", Labels::NONE));
-        assert!(!r.remove("gone", Labels::NONE));
-        assert_eq!(r.counter("gone", Labels::NONE), None);
-        assert_eq!(r.counter("keep", Labels::NONE), Some(4));
-        // No trace: the emptied family went with its last slot.
-        assert_eq!(r.len(), 1);
-        let left: Vec<_> = r.iter().collect();
-        assert_eq!(left, [("keep", Labels::NONE, &Instrument::Counter(4))]);
-        // And the key is free again, for any kind.
-        r.gauge_set("gone", Labels::NONE, 2);
-        assert_eq!(r.gauge("gone", Labels::NONE), Some(2));
     }
 
     #[test]
@@ -647,10 +526,6 @@ mod tests {
             pub fn iter(&self) -> impl Iterator<Item = (&'static str, Labels, &Instrument)> + '_ {
                 self.instruments.iter().map(|(&(n, l), inst)| (n, l, inst))
             }
-
-            pub fn remove(&mut self, name: &'static str, labels: Labels) -> bool {
-                self.instruments.remove(&(name, labels)).is_some()
-            }
         }
     }
 
@@ -681,10 +556,10 @@ mod tests {
 
     /// Every label shape the registry must order: none; hosts with gaps
     /// between their ids, each host-only and with QPNs that leave gaps
-    /// (0, the first QPN a verbs host hands out, and two far ones);
-    /// switch pairs written as `(src, dst)` in both directions; and QPs
-    /// without a host. The second list adds a host that only appears
-    /// late, past every earlier row, and one between them.
+    /// (0, the first QPN a verbs host hands out, and two far ones); and
+    /// switch pairs written as `(src, dst)` in both directions. The
+    /// second list adds a host that only appears late, past every
+    /// earlier row, and one between them.
     fn label_universes() -> (Vec<Labels>, Vec<Labels>) {
         let mut early = vec![Labels::NONE];
         for host in [0, 1, 4] {
@@ -692,10 +567,6 @@ mod tests {
             early.extend([0, 1, 5, 40].map(|qpn| Labels::host_qp(host, qpn)));
         }
         early.extend([(2, 0), (0, 2), (6, 3)].map(|(src, dst)| Labels::host_qp(src, dst)));
-        early.extend([0, 3, 1 << 30].map(|qpn| Labels {
-            host: None,
-            qpn: Some(qpn),
-        }));
         let mut all = early.clone();
         for host in [9, 3] {
             all.push(Labels::host(host));
@@ -710,17 +581,13 @@ mod tests {
         Set(&'static str, Labels, u64),
         SetMany(&'static str, Vec<(Labels, u64)>),
         Observe(&'static str, Labels, u64),
-        Remove(&'static str, Labels),
-        /// Remove every label of the universe from one family, in a
-        /// seeded order: the family ends empty.
-        Clear(&'static str, Vec<Labels>),
     }
 
     fn random_op(rng: &mut SplitMix64, labels: &[Labels]) -> Op {
         let name = NAMES[rng.next_below(NAMES.len() as u64) as usize];
         let pick = |rng: &mut SplitMix64| labels[rng.next_below(labels.len() as u64) as usize];
         let label = pick(rng);
-        match rng.next_below(10) {
+        match rng.next_below(7) {
             0 | 1 => Op::Add(name, label, rng.next_below(1_000)),
             2 => Op::Set(name, label, rng.next_below(1 << 40)),
             3 | 4 => {
@@ -736,21 +603,13 @@ mod tests {
                 }
                 Op::SetMany(name, rows)
             }
-            5 | 6 => {
+            _ => {
                 let v = match rng.next_below(4) {
                     0 => 0,
                     1 => u64::MAX,
                     _ => rng.next_below(1 << 30),
                 };
                 Op::Observe(name, label, v)
-            }
-            7 | 8 => Op::Remove(name, label),
-            _ => {
-                let mut order = labels.to_vec();
-                for i in (1..order.len()).rev() {
-                    order.swap(i, rng.next_below(i as u64 + 1) as usize);
-                }
-                Op::Clear(name, order)
             }
         }
     }
@@ -774,15 +633,6 @@ mod tests {
             Op::Observe(n, l, v) => {
                 table.observe(n, *l, *v);
                 reference.observe(n, *l, *v);
-            }
-            Op::Remove(n, l) => {
-                assert_eq!(table.remove(n, *l), reference.remove(n, *l), "{op:?}");
-            }
-            Op::Clear(n, order) => {
-                for &l in order {
-                    assert_eq!(table.remove(n, l), reference.remove(n, l), "{op:?}");
-                }
-                assert!(table.get(n, Labels::NONE).is_none());
             }
         }
     }
@@ -852,7 +702,6 @@ mod tests {
             r.set_gauges("far", [(l, 1), (l, 2)]);
             r.observe("far", l, 1);
             assert_eq!(r.get("far", l), None);
-            assert!(!r.remove("far", l));
         }
         // A write that lands nowhere creates no family.
         assert!(r.is_empty());
@@ -863,15 +712,34 @@ mod tests {
         r.set_gauges("near", [(far[0], 5), (last, 6), (far[2], 7)]);
         assert_eq!(r.gauge("near", last), Some(6));
         assert_eq!(r.len(), 1);
-        // A QP without a host sits in the side list whatever its QPN.
-        let hostless = Labels {
+    }
+
+    #[test]
+    fn a_qp_without_a_host_creates_no_family() {
+        let mut r = Registry::new();
+        for qpn in [0, 1, u32::MAX] {
+            let l = Labels {
+                host: None,
+                qpn: Some(qpn),
+            };
+            r.counter_add("no_host", l, 1);
+            r.gauge_set("no_host", l, 1);
+            r.set_gauges("no_host", [(l, 1), (l, 2)]);
+            r.observe("no_host", l, 1);
+            assert_eq!(r.get("no_host", l), None);
+        }
+        assert!(r.is_empty());
+        assert!(r.families.is_empty());
+        // Nor does it displace the slots beside it in a snapshot.
+        let no_host = Labels {
             host: None,
-            qpn: Some(u32::MAX),
+            qpn: Some(3),
         };
-        r.counter_add("near", hostless, 4);
-        assert_eq!(r.counter("near", hostless), Some(4));
-        let order: Vec<Labels> = r.iter().map(|(_, l, _)| l).collect();
-        assert_eq!(order, [hostless, last]);
+        r.set_gauges("near", [(no_host, 5), (Labels::NONE, 6)]);
+        r.counter_add("near", no_host, 4);
+        let all: Vec<_> = r.iter().collect();
+        assert_eq!(all, [("near", Labels::NONE, &Instrument::Gauge(6))]);
+        assert_eq!(r.len(), 1);
     }
 
     #[test]

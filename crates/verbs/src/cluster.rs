@@ -15,7 +15,7 @@ use crate::device::DeviceProfile;
 use crate::driver::{Driver, DriverStats, DriverWork};
 use crate::mem::{Memory, MrMode};
 use crate::nic::Nic;
-use crate::packet::{Packet, PacketKind};
+use crate::packet::{Packet, PacketClass};
 use crate::qp::{Effects, QpConfig, QpEnv, QpStats, TimerFamily};
 use crate::sharded::{Envelope, PendingDraw, ShardState};
 use crate::types::{HostId, MrKey, Psn, Qpn, WrId};
@@ -199,7 +199,7 @@ pub struct ClusterStats {
     pub request_packets: u64,
     /// Retransmitted request packets.
     pub retransmit_packets: u64,
-    /// READ response packets.
+    /// Response packets: READ response segments and `ATOMIC_ACK`s.
     pub response_packets: u64,
     /// ACKs.
     pub ack_packets: u64,
@@ -211,6 +211,22 @@ pub struct ClusterStats {
     pub ghost_packets: u64,
     /// Packets the fabric dropped (unknown LID or injected loss).
     pub fabric_drops: u64,
+}
+
+impl ClusterStats {
+    /// Counts one packet of `class` (other NAKs have no field).
+    fn count(&mut self, class: PacketClass) {
+        let n = match class {
+            PacketClass::Request => &mut self.request_packets,
+            PacketClass::Retransmit => &mut self.retransmit_packets,
+            PacketClass::Response => &mut self.response_packets,
+            PacketClass::Ack => &mut self.ack_packets,
+            PacketClass::RnrNak => &mut self.rnr_nak_packets,
+            PacketClass::SeqNak => &mut self.seq_nak_packets,
+            PacketClass::OtherNak => return,
+        };
+        *n += 1;
+    }
 }
 
 /// A simulated InfiniBand cluster.
@@ -290,20 +306,23 @@ pub struct Cluster {
 }
 
 /// The host-labelled `packets.*` counters, in `Cluster::tx_counts` slot
-/// order: the total, the seven packet kinds, then the two fates.
+/// order: the total, one per [`PacketClass`] from [`TX_CLASS`] in
+/// declaration order, then the two fates.
 const TX_COUNTERS: [&str; 10] = [
     "packets.total",
+    "packets.request",
+    "packets.retransmit",
+    "packets.response",
     "packets.ack",
     "packets.rnr_nak",
     "packets.seq_nak",
     "packets.nak_other",
-    "packets.response",
-    "packets.retransmit",
-    "packets.request",
     "packets.ghost",
     "packets.fabric_drops",
 ];
 const TX_TOTAL: usize = 0;
+/// The slot of the first [`PacketClass`]; `class as usize` counts on.
+const TX_CLASS: usize = 1;
 const TX_GHOST: usize = 8;
 const TX_FABRIC_DROPS: usize = 9;
 
@@ -1140,7 +1159,7 @@ impl Cluster {
         if self.telemetry.is_enabled() {
             if let Some(state) = self.nics[host.0].qp(qpn).map(|q| q.state()) {
                 self.telemetry
-                    .qp_state_sample(host.0 as u64, qpn.0, state.name(), now);
+                    .qp_state_sample(host.0 as u64, qpn.0, state.dwell_counter(), now);
             }
         }
     }
@@ -1307,37 +1326,11 @@ impl Cluster {
 
     fn transmit(&mut self, eng: &mut Sim, host: HostId, mut pkt: Packet) {
         self.stats.total_packets += 1;
-        // The arm's value is the packet kind's slot in `TX_COUNTERS`.
-        let kind_slot = match (&pkt.kind, pkt.retransmit) {
-            (PacketKind::Ack, _) => {
-                self.stats.ack_packets += 1;
-                1
-            }
-            (PacketKind::Nak(crate::packet::NakKind::Rnr { .. }), _) => {
-                self.stats.rnr_nak_packets += 1;
-                2
-            }
-            (PacketKind::Nak(crate::packet::NakKind::SequenceError { .. }), _) => {
-                self.stats.seq_nak_packets += 1;
-                3
-            }
-            (PacketKind::Nak(_), _) => 4,
-            (PacketKind::ReadResponse { .. }, _) => {
-                self.stats.response_packets += 1;
-                5
-            }
-            (_, true) => {
-                self.stats.retransmit_packets += 1;
-                6
-            }
-            (_, false) => {
-                self.stats.request_packets += 1;
-                7
-            }
-        };
+        let class = pkt.class();
+        self.stats.count(class);
         let tx = &mut self.tx_counts[host.0];
         tx[TX_TOTAL] += 1;
-        tx[kind_slot] += 1;
+        tx[TX_CLASS + class as usize] += 1;
         let bytes = pkt.wire_bytes();
         let src_lid = pkt.src;
         let dst_lid = pkt.dst;
@@ -1706,6 +1699,7 @@ mod fanout_tests;
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::packet::PacketKind;
     use crate::types::Psn;
     use crate::wr::WcOpcode;
 
@@ -1823,6 +1817,48 @@ mod tests {
         cl.sync_telemetry_at(&eng, eng.now());
         assert_eq!(packets(&cl), once, "a second sync adds nothing");
         assert_eq!(everything(&cl), all_once, "nor moves any gauge");
+    }
+
+    /// An `ATOMIC_ACK` is a response, in the stats and the counters alike,
+    /// as the capture walk's traffic summary counts it.
+    #[test]
+    fn atomic_acks_count_as_responses() {
+        let (mut eng, mut cl, hosts) = ClusterBuilder::new()
+            .telemetry(true)
+            .host("a", DeviceProfile::connectx6())
+            .host("b", DeviceProfile::connectx6())
+            .build();
+        let (a, b) = (hosts[0], hosts[1]);
+        let remote = cl.alloc_mr(b, 4096, MrMode::Pinned);
+        let local = cl.alloc_mr(a, 4096, MrMode::Pinned);
+        let (qa, _) = cl.connect_pair(&mut eng, a, b, QpConfig::default());
+        cl.post(
+            &mut eng,
+            a,
+            qa,
+            crate::wr::FetchAddWr::new(local.key, remote.key)
+                .add(5)
+                .id(1),
+        );
+        cl.post(
+            &mut eng,
+            a,
+            qa,
+            crate::wr::CompareSwapWr::new((local.key, 8), remote.key)
+                .compare(5)
+                .swap(9)
+                .id(2),
+        );
+        eng.run(&mut cl, HORIZON).expect("the world quiesces");
+        assert_eq!(cl.stats.request_packets, 2);
+        assert_eq!(cl.stats.response_packets, 2);
+        assert_eq!(cl.stats.retransmit_packets, 0);
+        cl.sync_telemetry_at(&eng, eng.now());
+        let reg = cl.telemetry().registry();
+        let count = |name, h: HostId| reg.counter(name, Labels::host(h.0 as u64));
+        assert_eq!(count("packets.request", a), Some(2));
+        assert_eq!(count("packets.response", b), Some(2));
+        assert_eq!(count("packets.request", b), None);
     }
 
     #[test]

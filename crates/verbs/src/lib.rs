@@ -34,7 +34,7 @@ pub use device::{rnr_timer_decode, rnr_timer_encode, t_tr, DeviceModel, DevicePr
 pub use driver::{Driver, DriverStats, DriverWork};
 pub use mem::{MemRegion, Memory, MrMode, PageState, Payload};
 pub use nic::Nic;
-pub use packet::{AtomicOp, NakKind, Packet, PacketKind, SegPos};
+pub use packet::{AtomicOp, NakKind, Packet, PacketClass, PacketKind, SegPos};
 pub use qp::{
     Effects, Qp, QpConfig, QpEnv, QpState, QpStats, RecoveryKind, SackBitmap, TimerEffects,
     TimerFamily,

@@ -273,7 +273,52 @@ pub struct Packet {
     pub ecn: bool,
 }
 
+/// The class a packet is counted under. One mapping serves the send-side
+/// counts ([`ClusterStats`](crate::ClusterStats) and the host-labelled
+/// `packets.*` counters) and a capture's traffic summary, so a count
+/// means the same thing wherever it is kept.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum PacketClass {
+    /// A request's first transmission.
+    Request,
+    /// A retransmitted request.
+    Retransmit,
+    /// A READ response segment or an `ATOMIC_ACK`.
+    Response,
+    /// A positive acknowledgment.
+    Ack,
+    /// A Receiver Not Ready NAK.
+    RnrNak,
+    /// A PSN sequence error NAK.
+    SeqNak,
+    /// Any other NAK (a remote access error).
+    OtherNak,
+}
+
 impl Packet {
+    /// The class this packet is counted under.
+    pub fn class(&self) -> PacketClass {
+        match &self.kind {
+            PacketKind::ReadRequest { .. }
+            | PacketKind::WriteRequest { .. }
+            | PacketKind::Send { .. }
+            | PacketKind::AtomicRequest { .. } => {
+                if self.retransmit {
+                    PacketClass::Retransmit
+                } else {
+                    PacketClass::Request
+                }
+            }
+            PacketKind::ReadResponse { .. } | PacketKind::AtomicResponse { .. } => {
+                PacketClass::Response
+            }
+            PacketKind::Ack => PacketClass::Ack,
+            PacketKind::Nak(NakKind::Rnr { .. }) => PacketClass::RnrNak,
+            PacketKind::Nak(NakKind::SequenceError { .. }) => PacketClass::SeqNak,
+            PacketKind::Nak(NakKind::RemoteAccess) => PacketClass::OtherNak,
+        }
+    }
+
     /// Total wire size in bytes (headers + payload).
     pub fn wire_bytes(&self) -> u32 {
         let payload = match &self.kind {

@@ -45,8 +45,7 @@ impl QpState {
         )
     }
 
-    /// The state's canonical uppercase name (also what `Display` prints);
-    /// static so telemetry can key dwell counters off it.
+    /// The state's canonical uppercase name (also what `Display` prints).
     pub fn name(self) -> &'static str {
         match self {
             QpState::Reset => "RESET",
@@ -54,6 +53,18 @@ impl QpState {
             QpState::Rtr => "RTR",
             QpState::Rts => "RTS",
             QpState::Error => "ERROR",
+        }
+    }
+
+    /// The per-QP telemetry counter that accumulates the nanoseconds a QP
+    /// dwells in this state.
+    pub(crate) fn dwell_counter(self) -> &'static str {
+        match self {
+            QpState::Reset => "qp.dwell_reset_ns",
+            QpState::Init => "qp.dwell_init_ns",
+            QpState::Rtr => "qp.dwell_rtr_ns",
+            QpState::Rts => "qp.dwell_rts_ns",
+            QpState::Error => "qp.dwell_error_ns",
         }
     }
 }
