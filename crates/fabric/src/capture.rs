@@ -151,6 +151,8 @@ impl<P> Capture<P> {
     /// The closure runs only when the capture is enabled, so a disabled
     /// capture never materializes (or clones) the payload — this is what
     /// makes disabled captures genuinely free on the fabric hot path.
+    /// Only the `enabled` test is inlined into the caller: a disabled
+    /// capture costs one branch, and the push stays out of line.
     ///
     /// ```
     /// use std::cell::Cell;
@@ -177,6 +179,7 @@ impl<P> Capture<P> {
         clippy::too_many_arguments,
         reason = "one argument per `Captured` field, so a disabled capture builds nothing"
     )]
+    #[inline]
     pub fn record_with(
         &mut self,
         time: SimTime,
@@ -188,16 +191,35 @@ impl<P> Capture<P> {
         payload: impl FnOnce() -> P,
     ) {
         if self.enabled {
-            self.records.push(Captured {
-                time,
-                direction,
-                src,
-                dst,
-                bytes,
-                dropped,
-                payload: payload(),
-            });
+            self.push(time, direction, src, dst, bytes, dropped, payload);
         }
+    }
+
+    /// The enabled half of [`Capture::record_with`], kept out of line.
+    #[expect(
+        clippy::too_many_arguments,
+        reason = "one argument per `Captured` field, so a disabled capture builds nothing"
+    )]
+    #[inline(never)]
+    fn push(
+        &mut self,
+        time: SimTime,
+        direction: Direction,
+        src: Lid,
+        dst: Lid,
+        bytes: u32,
+        dropped: bool,
+        payload: impl FnOnce() -> P,
+    ) {
+        self.records.push(Captured {
+            time,
+            direction,
+            src,
+            dst,
+            bytes,
+            dropped,
+            payload: payload(),
+        });
     }
 
     /// All records in capture order.

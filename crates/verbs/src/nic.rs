@@ -35,8 +35,19 @@ pub struct Nic {
     awaits_page: Vec<bool>,
     next_mr: u32,
     cq: VecDeque<Completion>,
-    /// Requester-side QPs waiting for a page fault, in stall order.
-    fault_waiters: BTreeMap<(MrKey, usize), Vec<Qpn>>,
+    /// Requester-side QPs waiting for a page fault, per page: in
+    /// first-registration order, which decides who goes stale, beside a
+    /// QPN bitset that makes a repeat registration one bit test.
+    fault_waiters: BTreeMap<(MrKey, usize), FaultWaiters>,
+}
+
+/// The QPs registered on one faulting page.
+#[derive(Debug, Default)]
+struct FaultWaiters {
+    /// In first-registration order.
+    order: Vec<Qpn>,
+    /// Bit `qpn` is set once `qpn` is in `order`.
+    seen: Vec<u64>,
 }
 
 /// The table index of `qpn`; `None` for the never-assigned QPN 0.
@@ -139,15 +150,24 @@ impl Nic {
     /// Registers `qpn` as waiting for `(mr, page)` (requester side); used
     /// by the flood model to decide who needs a per-QP resume.
     pub fn register_fault_waiter(&mut self, qpn: Qpn, mr: MrKey, page: usize) {
-        let list = self.fault_waiters.entry((mr, page)).or_default();
-        if !list.contains(&qpn) {
-            list.push(qpn);
+        let waiters = self.fault_waiters.entry((mr, page)).or_default();
+        let (w, bit) = (qpn.0 as usize / 64, 1u64 << (qpn.0 % 64));
+        if w >= waiters.seen.len() {
+            waiters.seen.resize(w + 1, 0);
+        }
+        if waiters.seen[w] & bit == 0 {
+            waiters.seen[w] |= bit;
+            waiters.order.push(qpn);
         }
     }
 
-    /// Takes (and clears) the waiter list for `(mr, page)`, in stall order.
+    /// Takes (and clears) the waiter list for `(mr, page)`, in
+    /// first-registration order.
     pub fn take_fault_waiters(&mut self, mr: MrKey, page: usize) -> Vec<Qpn> {
-        self.fault_waiters.remove(&(mr, page)).unwrap_or_default()
+        self.fault_waiters
+            .remove(&(mr, page))
+            .map(|w| w.order)
+            .unwrap_or_default()
     }
 
     /// Refreshes the recovery-membership and the page interest of `qpn`
@@ -233,6 +253,36 @@ mod tests {
         n.register_fault_waiter(q1, MrKey(1), 0); // duplicate
         assert_eq!(n.take_fault_waiters(MrKey(1), 0), vec![q1, q2]);
         assert!(n.take_fault_waiters(MrKey(1), 0).is_empty());
+    }
+
+    /// 150 QPNs, so the seen-bitset spans three words, registered in a
+    /// scrambled order with every QP repeated later: the list keeps first
+    /// registrations only, in their order, and a take leaves the page
+    /// with no memory of who waited.
+    #[test]
+    fn fault_waiters_past_one_bitset_word() {
+        let mut n = nic();
+        let qpns: Vec<Qpn> = (0..150).map(|_| n.create_qp(QpConfig::default())).collect();
+        // 67 is coprime to 150: a walk over every QP, out of QPN order.
+        let first: Vec<Qpn> = (0..150).map(|i| qpns[i * 67 % 150]).collect();
+        for (i, &q) in first.iter().enumerate() {
+            n.register_fault_waiter(q, MrKey(1), 7);
+            n.register_fault_waiter(first[i / 2], MrKey(1), 7); // seen
+            n.register_fault_waiter(q, MrKey(2), 7); // another page
+        }
+        for &q in first.iter().rev() {
+            n.register_fault_waiter(q, MrKey(1), 7);
+        }
+        assert_eq!(n.take_fault_waiters(MrKey(1), 7), first);
+        let again = [qpns[140], qpns[3], qpns[70], qpns[3]];
+        for q in again {
+            n.register_fault_waiter(q, MrKey(1), 7);
+        }
+        assert_eq!(
+            n.take_fault_waiters(MrKey(1), 7),
+            [qpns[140], qpns[3], qpns[70]]
+        );
+        assert_eq!(n.take_fault_waiters(MrKey(2), 7), first);
     }
 
     #[test]

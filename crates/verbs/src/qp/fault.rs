@@ -12,7 +12,7 @@
 //! | asked by | span | pages still pending mean |
 //! |---|---|---|
 //! | responder admission (`Responder::admit`) | the request's remote target, or a SEND's posted receive | fault pendency on exactly those pages + an RNR NAK; every later packet is dropped until the last one resolves (the responder half of damming, §V) |
-//! | requester pump (`Requester::pump`) | the local source of the next WRITE/SEND segment | the pages join `tx_blocked`; the send queue is head-of-line blocked until the last one resolves |
+//! | requester pump (`Requester::pump`) | the local source of the next WRITE/SEND segment | the pages join `tx_blocked`, a [`PageSet`]; the send queue is head-of-line blocked until the last one resolves |
 //! | requester landing (`Requester::on_response`) | the local range a READ segment or an atomic's original value lands in | each page registers this QP's fault wait; the response is discarded and the message stalls on the first page that is faulting *or stale for this QP* (the flood, §VI) |
 //!
 //! What the gate does, in order. **Who may touch a span:** pinned memory
@@ -52,8 +52,9 @@
 //! This is the only place requester and responder knowledge meet: the
 //! [`FaultTracker`] stale-page set is owned by the QP facade, read by
 //! the landing gate, and written only by page-ready / mark-stale events.
+//! It and the requester's `tx_blocked` are the QP's two page sets, both
+//! a [`PageSet`].
 
-use std::collections::BTreeSet;
 use std::ops::Range;
 
 use ibsim_event::SimTime;
@@ -64,13 +65,109 @@ use crate::types::{MrKey, Psn};
 use super::effects::Effects;
 use super::recovery::RecoveryKind;
 
+/// A set of `(region, page)` pairs: one bitset per region, one bit per
+/// page up to the highest page inserted. A QP touches one to three
+/// regions, so [`PageSet::contains`] is a short scan and one bit test.
+/// A drained region keeps its words, so the flood's mark/resume cycle
+/// over the same pages allocates only on its first round. Each region
+/// counts its own bits, so the set stays one `Vec` (24 bytes; see
+/// `tests/layout.rs`). Nothing iterates it, so its layout decides no
+/// order.
+#[derive(Debug, Default)]
+pub(super) struct PageSet {
+    regions: Vec<PageBits>,
+}
+
+/// One region's pages in a [`PageSet`].
+#[derive(Debug)]
+struct PageBits {
+    key: MrKey,
+    /// Set bits in `words`.
+    live: u32,
+    words: Vec<u64>,
+}
+
+impl PageSet {
+    /// Adds `(key, page)`; true if it was absent.
+    pub(super) fn insert(&mut self, key: MrKey, page: usize) -> bool {
+        let i = match self.regions.iter().position(|r| r.key == key) {
+            Some(i) => i,
+            None => {
+                self.regions.push(PageBits {
+                    key,
+                    live: 0,
+                    words: Vec::new(),
+                });
+                self.regions.len() - 1
+            }
+        };
+        let r = &mut self.regions[i];
+        let (w, bit) = (page / 64, 1u64 << (page % 64));
+        if w >= r.words.len() {
+            r.words.resize(w + 1, 0);
+        }
+        let absent = r.words[w] & bit == 0;
+        r.words[w] |= bit;
+        r.live += u32::from(absent);
+        absent
+    }
+
+    /// Drops `(key, page)`; true if it was present.
+    pub(super) fn remove(&mut self, key: MrKey, page: usize) -> bool {
+        let Some(r) = self.regions.iter_mut().find(|r| r.key == key) else {
+            return false;
+        };
+        let bit = 1u64 << (page % 64);
+        match r.words.get_mut(page / 64) {
+            Some(w) if *w & bit != 0 => {
+                *w &= !bit;
+                r.live -= 1;
+                true
+            }
+            _ => false,
+        }
+    }
+
+    /// True if `(key, page)` is in the set.
+    pub(super) fn contains(&self, key: MrKey, page: usize) -> bool {
+        self.regions
+            .iter()
+            .find(|r| r.key == key)
+            .and_then(|r| r.words.get(page / 64))
+            .is_some_and(|w| w & (1u64 << (page % 64)) != 0)
+    }
+
+    /// True if no page is in the set.
+    pub(super) fn is_empty(&self) -> bool {
+        self.regions.iter().all(|r| r.live == 0)
+    }
+
+    /// Empties the set, keeping every region's words.
+    pub(super) fn clear(&mut self) {
+        for r in &mut self.regions {
+            r.words.fill(0);
+            r.live = 0;
+        }
+    }
+}
+
+impl Extend<(MrKey, usize)> for PageSet {
+    fn extend<I: IntoIterator<Item = (MrKey, usize)>>(&mut self, pages: I) {
+        for (key, page) in pages {
+            self.insert(key, page);
+        }
+    }
+}
+
 /// Pages globally mapped but not yet propagated to this QP — the packet
 /// flood root cause ("update failure of page statuses", §VI-B). Owned by
 /// the QP facade; the requester reads it, only page-ready/stale events
-/// write it.
+/// write it. Every landing response asks [`FaultTracker::is_stale`] of
+/// each page it touches, and every driver resume clears one page, so the
+/// set is a [`PageSet`]: one bit test either way.
 #[derive(Debug, Default)]
 pub(super) struct FaultTracker {
-    stale_pages: BTreeSet<(MrKey, usize)>,
+    stale_pages: PageSet,
 }
 
 impl FaultTracker {
@@ -81,22 +178,22 @@ impl FaultTracker {
 
     /// Marks a mapped page as not yet propagated to this QP.
     pub(super) fn mark_stale(&mut self, mr: MrKey, page: usize) {
-        self.stale_pages.insert((mr, page));
+        self.stale_pages.insert(mr, page);
     }
 
     /// A page became usable for this QP: drop any staleness.
     pub(super) fn page_ready(&mut self, mr: MrKey, page: usize) {
-        self.stale_pages.remove(&(mr, page));
+        self.stale_pages.remove(mr, page);
     }
 
     /// True if the page is mapped globally but unusable by this QP.
     pub(super) fn is_stale(&self, mr: MrKey, page: usize) -> bool {
-        self.stale_pages.contains(&(mr, page))
+        self.stale_pages.contains(mr, page)
     }
 
-    /// Number of pages this QP still considers stale.
-    pub(super) fn stale_count(&self) -> usize {
-        self.stale_pages.len()
+    /// True if this QP holds no stale page.
+    pub(super) fn is_empty(&self) -> bool {
+        self.stale_pages.is_empty()
     }
 }
 
@@ -294,10 +391,72 @@ mod tests {
         t.mark_stale(MrKey(1), 0);
         t.mark_stale(MrKey(1), 3);
         assert!(t.is_stale(MrKey(1), 0));
-        assert_eq!(t.stale_count(), 2);
         t.page_ready(MrKey(1), 0);
         assert!(!t.is_stale(MrKey(1), 0));
-        assert_eq!(t.stale_count(), 1);
+        assert!(t.is_stale(MrKey(1), 3));
+        assert!(!t.is_empty());
+        t.page_ready(MrKey(1), 3);
+        assert!(t.is_empty());
+    }
+
+    /// `PageSet` against a `BTreeSet<(MrKey, usize)>`, the type it
+    /// replaced, on seeded mixes of every operation: one to three regions,
+    /// pages on and beside word boundaries and past 10 000, removals of
+    /// absent pages, and a refill after each full drain.
+    #[test]
+    fn page_set_matches_an_ordered_set() {
+        use std::collections::BTreeSet;
+
+        use ibsim_event::SplitMix64;
+
+        const PAGES: [usize; 8] = [0, 1, 63, 64, 65, 127, 10_000, 12_345];
+        let mut rng = SplitMix64::new(0xFA6E_0053);
+        for run in 0..60u64 {
+            let regions = 1 + run % 3;
+            let mut set = PageSet::default();
+            let mut model = BTreeSet::new();
+            let mut drains = 0;
+            for step in 0..300 {
+                let key = MrKey(1 + rng.next_below(regions) as u32);
+                let page = if rng.next_bool() {
+                    PAGES[rng.next_below(PAGES.len() as u64) as usize]
+                } else {
+                    rng.next_below(130) as usize
+                };
+                let at = format!("run {run} step {step} ({key:?}, {page})");
+                match rng.next_below(10) {
+                    0..=3 => assert_eq!(set.insert(key, page), model.insert((key, page)), "{at}"),
+                    4..=7 => assert_eq!(set.remove(key, page), model.remove(&(key, page)), "{at}"),
+                    8 => {
+                        // Drain page by page, as resumes do, then refill.
+                        for (k, p) in std::mem::take(&mut model) {
+                            assert!(set.remove(k, p), "{at}");
+                        }
+                        assert!(set.is_empty(), "{at}");
+                        drains += 1;
+                    }
+                    _ => {
+                        set.clear();
+                        model.clear();
+                    }
+                }
+                assert_eq!(set.is_empty(), model.is_empty(), "{at}");
+                for k in 1..=regions as u32 {
+                    for p in PAGES.into_iter().chain(0..130) {
+                        let key = MrKey(k);
+                        assert_eq!(set.contains(key, p), model.contains(&(key, p)), "{at}");
+                    }
+                }
+            }
+            assert!(drains > 0, "run {run} never drained");
+        }
+        // Absent everywhere: an unknown region, a page past the words.
+        let mut set = PageSet::default();
+        assert!(!set.remove(MrKey(9), 0));
+        set.insert(MrKey(1), 3);
+        assert!(!set.remove(MrKey(1), 10_000));
+        assert!(!set.contains(MrKey(1), 10_000));
+        assert!(!set.is_empty());
     }
 
     #[test]

@@ -310,7 +310,7 @@ impl Qp {
     /// this is false [`Qp::on_page_ready`] is a no-op, which lets the
     /// cluster wake only the QPs that await a page.
     pub fn awaits_page(&self) -> bool {
-        self.fault.stale_count() > 0 || self.resp.awaits_page() || self.req.awaits_page()
+        !self.fault.is_empty() || self.resp.awaits_page() || self.req.awaits_page()
     }
 
     /// The public counter snapshot, assembled from the per-engine

@@ -27,7 +27,6 @@
 //! [`Backend::resends`].
 
 use core::fmt;
-use std::collections::BTreeMap;
 use std::str::FromStr;
 
 use crate::types::Psn;
@@ -162,10 +161,11 @@ impl FromStr for RecoveryKind {
 /// Tracks which PSNs at or ahead of a moving `base` have been delivered.
 /// All arithmetic is modulo 2^24 with the standard half-range horizon,
 /// so windows walking across `0xFF_FFFF → 0` behave exactly like windows
-/// in the middle of the space. Storage is a sparse word map keyed by
-/// absolute PSN word index; [`SackBitmap::advance_to`] prunes retired
-/// words so a wrapped-around PSN can never alias a stale mark from the
-/// previous epoch.
+/// in the middle of the space. Storage is the dense run of 64-PSN words
+/// from the base's word to the furthest mark, so a lookup is one index;
+/// [`SackBitmap::advance_to`] drops the retired words from the front, so
+/// a wrapped-around PSN can never alias a stale mark from the previous
+/// epoch.
 ///
 /// # Examples
 ///
@@ -183,8 +183,10 @@ impl FromStr for RecoveryKind {
 #[derive(Debug, Clone)]
 pub struct SackBitmap {
     base: Psn,
-    /// Absolute word index (`psn >> 6`) → delivered bits.
-    words: BTreeMap<u32, u64>,
+    /// Delivered bits: `words[i]` is the word `i` past the base's word
+    /// (`psn >> 6`, modulo the 2^18 words of the PSN space). The last
+    /// word is never zero.
+    words: Vec<u64>,
 }
 
 impl SackBitmap {
@@ -197,8 +199,15 @@ impl SackBitmap {
     pub fn new(base: Psn) -> Self {
         SackBitmap {
             base,
-            words: BTreeMap::new(),
+            words: Vec::new(),
         }
+    }
+
+    /// Index into `words` of the word holding `psn`, counted from the
+    /// base's word. Words never straddle the 2^24 wrap (the modulus is
+    /// word-aligned), so this is word-index distance modulo 2^18.
+    fn slot(&self, psn: Psn) -> usize {
+        ((psn.value() >> 6).wrapping_sub(self.base.value() >> 6) & (Psn::MODULUS / 64 - 1)) as usize
     }
 
     /// The current window base.
@@ -213,10 +222,12 @@ impl SackBitmap {
         if psn.distance_from(self.base) >= Self::WINDOW {
             return false;
         }
-        let bit = 1u64 << (psn.value() & 63);
-        let word = self.words.entry(psn.value() >> 6).or_insert(0);
-        let newly = *word & bit == 0;
-        *word |= bit;
+        let (i, bit) = (self.slot(psn), 1u64 << (psn.value() & 63));
+        if i >= self.words.len() {
+            self.words.resize(i + 1, 0);
+        }
+        let newly = self.words[i] & bit == 0;
+        self.words[i] |= bit;
         newly
     }
 
@@ -227,7 +238,7 @@ impl SackBitmap {
             return true;
         }
         self.words
-            .get(&(psn.value() >> 6))
+            .get(self.slot(psn))
             .is_some_and(|w| w & (1u64 << (psn.value() & 63)) != 0)
     }
 
@@ -255,24 +266,22 @@ impl SackBitmap {
         if new_base.precedes(self.base) || new_base == self.base {
             return;
         }
+        let retired = self.slot(new_base).min(self.words.len());
         self.base = new_base;
-        // Words are 64 aligned PSNs and never straddle the 2^24 wrap
-        // (the modulus is word-aligned), so a word is prunable iff its
-        // last PSN precedes the new base.
-        self.words
-            .retain(|&widx, _| !Psn::new(widx * 64 + 63).precedes(new_base));
+        self.words.drain(..retired);
         // Partial boundary word: clear the retired low bits so an epoch
         // later (2^24 PSNs from now) they cannot alias fresh marks.
-        if let Some(word) = self.words.get_mut(&(new_base.value() >> 6)) {
+        if let Some(word) = self.words.first_mut() {
             *word &= u64::MAX << (new_base.value() & 63);
-            if *word == 0 {
-                self.words.remove(&(new_base.value() >> 6));
-            }
+        }
+        while self.words.last() == Some(&0) {
+            self.words.pop();
         }
     }
 
-    /// Number of words currently held (diagnostics: stays proportional
-    /// to the outstanding window, not to total traffic).
+    /// Number of words from the base's word to the last word holding a
+    /// mark (diagnostics: stays proportional to the outstanding window,
+    /// not to total traffic).
     pub fn word_count(&self) -> usize {
         self.words.len()
     }
@@ -495,6 +504,163 @@ mod tests {
         assert_eq!(s.word_count(), 1);
         s.advance_to(Psn::new(10));
         assert_eq!(s.word_count(), 0);
+    }
+
+    /// `SackBitmap` as it stood with its words in a `BTreeMap` keyed by
+    /// absolute word index (`psn >> 6`), kept as the dense run's
+    /// reference.
+    mod sack_reference {
+        use std::collections::BTreeMap;
+
+        use crate::types::Psn;
+
+        pub struct Sack {
+            pub base: Psn,
+            pub words: BTreeMap<u32, u64>,
+        }
+
+        impl Sack {
+            pub fn new(base: Psn) -> Self {
+                Sack {
+                    base,
+                    words: BTreeMap::new(),
+                }
+            }
+
+            pub fn mark(&mut self, psn: Psn) -> bool {
+                if psn.distance_from(self.base) >= Psn::MODULUS >> 1 {
+                    return false;
+                }
+                let bit = 1u64 << (psn.value() & 63);
+                let word = self.words.entry(psn.value() >> 6).or_insert(0);
+                let newly = *word & bit == 0;
+                *word |= bit;
+                newly
+            }
+
+            pub fn is_marked(&self, psn: Psn) -> bool {
+                if psn.precedes(self.base) {
+                    return true;
+                }
+                self.words
+                    .get(&(psn.value() >> 6))
+                    .is_some_and(|w| w & (1u64 << (psn.value() & 63)) != 0)
+            }
+
+            pub fn advance_to(&mut self, new_base: Psn) {
+                if new_base.precedes(self.base) || new_base == self.base {
+                    return;
+                }
+                self.base = new_base;
+                self.words
+                    .retain(|&widx, _| !Psn::new(widx * 64 + 63).precedes(new_base));
+                if let Some(word) = self.words.get_mut(&(new_base.value() >> 6)) {
+                    *word &= u64::MAX << (new_base.value() & 63);
+                    if *word == 0 {
+                        self.words.remove(&(new_base.value() >> 6));
+                    }
+                }
+            }
+
+            /// Words from the base's word to the furthest word holding a
+            /// mark, modulo the 2^18 words of the PSN space.
+            pub fn word_span(&self) -> usize {
+                let home = self.base.value() >> 6;
+                self.words
+                    .iter()
+                    .filter(|&(_, &w)| w != 0)
+                    .map(|(&i, _)| (i.wrapping_sub(home) & (Psn::MODULUS / 64 - 1)) as usize + 1)
+                    .max()
+                    .unwrap_or(0)
+            }
+        }
+    }
+
+    /// The dense run against the word map it replaced, on seeded walks:
+    /// marks near and on word boundaries, behind the base and far ahead,
+    /// advances inside one word, across words, across the 2^24 wrap and
+    /// by whole quarter-epochs, so marks of one epoch meet the numerals
+    /// of the next.
+    #[test]
+    fn sack_dense_run_matches_the_word_map() {
+        let mut rng = SplitMix64::new(0x5AC4_0053);
+        for walk in 0..64u64 {
+            let start = match walk % 4 {
+                0 => Psn::new(0),
+                1 => Psn::new(0xFF_FFFF - rng.next_below(200) as u32),
+                2 => Psn::new(0xFF_FFC0),
+                _ => Psn::new(rng.next_below(1 << 24) as u32),
+            };
+            let mut dense = SackBitmap::new(start);
+            let mut model = sack_reference::Sack::new(start);
+            let mut probes = vec![start];
+            for step in 0..300 {
+                let base = dense.base();
+                match rng.next_below(10) {
+                    0..=5 => {
+                        let psn = match rng.next_below(6) {
+                            0 => base.add(rng.next_below(4096) as u32),
+                            // The last PSN of a word, the first of the
+                            // next, and the base's own word.
+                            1 => Psn::new((base.value() | 63) + rng.next_below(2) as u32),
+                            2 => Psn::new(base.value() & !63).add(rng.next_below(64) as u32),
+                            // Behind the base: retired, refused.
+                            3 => base.add(Psn::MODULUS - 1 - rng.next_below(300) as u32),
+                            _ => base.add(rng.next_below(160) as u32),
+                        };
+                        assert_eq!(
+                            dense.mark(psn),
+                            model.mark(psn),
+                            "walk {walk} step {step} mark {psn}"
+                        );
+                        probes.push(psn);
+                    }
+                    6..=8 => {
+                        let reach = if rng.next_bool() { 64 } else { 400 };
+                        let to = base.add(rng.next_below(reach) as u32);
+                        dense.advance_to(to);
+                        model.advance_to(to);
+                    }
+                    _ => {
+                        // A quarter of the PSN space: four carry the base a
+                        // full epoch round, past every numeral it marked.
+                        let to = base.add(Psn::MODULUS / 4 - rng.next_below(64) as u32);
+                        dense.advance_to(to);
+                        model.advance_to(to);
+                    }
+                }
+                assert_eq!(dense.base(), model.base, "walk {walk} step {step}");
+                assert_eq!(
+                    dense.word_count(),
+                    model.word_span(),
+                    "walk {walk} step {step}"
+                );
+                let b = dense.base();
+                for psn in probes.iter().copied().chain((0..200).map(|n| b.add(n))) {
+                    assert_eq!(
+                        dense.is_marked(psn),
+                        model.is_marked(psn),
+                        "walk {walk} step {step} probe {psn}"
+                    );
+                }
+            }
+        }
+    }
+
+    /// The one place the two part: a mark within 63 PSNs of the
+    /// half-range horizon. The word map pruned any word whose *last* PSN
+    /// lay past the horizon once the base moved, losing a mark still
+    /// ahead of the base; the dense run drops only words behind it.
+    #[test]
+    fn sack_keeps_a_mark_whose_word_crosses_the_horizon() {
+        let psn = Psn::new(0x80_0000);
+        let mut dense = SackBitmap::new(Psn::new(1));
+        let mut model = sack_reference::Sack::new(Psn::new(1));
+        assert!(dense.mark(psn) && model.mark(psn));
+        dense.advance_to(Psn::new(2));
+        model.advance_to(Psn::new(2));
+        assert!(dense.is_marked(psn));
+        assert!(!model.is_marked(psn));
     }
 
     #[test]

@@ -34,7 +34,7 @@
 
 mod response;
 
-use std::collections::{BTreeSet, VecDeque};
+use std::collections::VecDeque;
 
 use ibsim_event::SimTime;
 
@@ -42,7 +42,7 @@ use crate::types::{MrKey, Psn, WrId};
 use crate::wr::{Completion, SendWqe, WcStatus, WorkRequest, WrOp};
 
 use super::effects::Effects;
-use super::fault::{self, GateStats, Recovery};
+use super::fault::{self, GateStats, PageSet, Recovery};
 use super::recovery::{Backend, RecoveryKind};
 use super::state::{Lifecycle, QpState};
 use super::wire::{build_request_packet, source_segment};
@@ -123,7 +123,7 @@ pub(super) struct Requester {
     /// The loss-recovery backend's state and selection rule.
     backend: Backend,
     /// Local source pages whose faults block further transmission.
-    tx_blocked: BTreeSet<(MrKey, usize)>,
+    tx_blocked: PageSet,
     /// Protocol counters.
     pub(super) stats: ReqStats,
 }
@@ -143,7 +143,7 @@ impl Requester {
             ack_armed: false,
             recovery: Recovery::default(),
             backend: Backend::new(kind),
-            tx_blocked: BTreeSet::new(),
+            tx_blocked: PageSet::default(),
             stats: ReqStats::default(),
         }
     }
@@ -560,7 +560,7 @@ impl Requester {
         mr: MrKey,
         page: usize,
     ) {
-        if self.tx_blocked.remove(&(mr, page)) && self.tx_blocked.is_empty() {
+        if self.tx_blocked.remove(mr, page) && self.tx_blocked.is_empty() {
             self.pump(ctx, life, env, fx);
         }
         if self.recovery.stalls.is_empty() || ctx.cfg.recovery.blind_stall_tick() {

@@ -258,6 +258,76 @@ fn whole_pages_landing_on_first_touched_pages_allocate_nothing() {
     }
 }
 
+/// QPs in the flood world: more than either world's `resume_slots`.
+const FLOOD_QPS: usize = 24;
+/// Pages each QP reads into: more than a B-tree leaf holds (11), so a
+/// QP can hold that many stale pages at once.
+const FLOOD_PAGES: usize = 16;
+
+/// A §VI flood on both-side ODP: `FLOOD_QPS` pairs, each posting one
+/// page-sized READ per page of the server's first `FLOOD_PAGES` ODP
+/// pages into the client's, on ConnectX-4 hosts that resume `slots`
+/// waiters per resolved fault at once and leave the rest stale. Returns
+/// what each round after the first allocated, every page invalidated
+/// again once the previous round has resolved. One fault latency makes
+/// every round run alike.
+fn flood_round_allocations(slots: u32) -> [u64; 2] {
+    const LEN: u64 = (FLOOD_PAGES * 4096) as u64;
+    let mut profile = DeviceProfile::connectx4(ibsim_fabric::LinkSpec::fdr());
+    profile.resume_slots = slots;
+    profile.fault_latency_max = profile.fault_latency_min;
+    let (mut eng, mut cl, hosts) = ClusterBuilder::new()
+        .seed(3)
+        .host("client", profile.clone())
+        .host("server", profile)
+        .build();
+    let (a, b) = (hosts[0], hosts[1]);
+    let local = cl.alloc_mr(a, LEN, MrMode::Odp);
+    let remote = cl.alloc_mr(b, LEN, MrMode::Odp);
+    let qps: Vec<Qpn> = (0..FLOOD_QPS)
+        .map(|_| cl.connect_pair(&mut eng, a, b, QpConfig::default()).0)
+        .collect();
+    let round = |eng: &mut Sim, cl: &mut Cluster| {
+        for (i, &qa) in qps.iter().enumerate() {
+            for page in 0..FLOOD_PAGES as u64 {
+                let read = ReadWr::new(local.at(page * 4096), remote.at(page * 4096));
+                cl.post(eng, a, qa, read.len(4096).id(i as u64));
+            }
+        }
+        let resumes = cl.driver_stats(a).qp_resumes;
+        let allocated = counted(|| {
+            eng.run(cl, HORIZON).expect("the flood resolves");
+        });
+        let done = cl.poll_cq(a);
+        assert_eq!(done.len(), FLOOD_QPS * FLOOD_PAGES);
+        assert!(done.iter().all(|c| c.status.is_success()));
+        let resumed = cl.driver_stats(a).qp_resumes - resumes;
+        let stale = (FLOOD_QPS - slots as usize) * FLOOD_PAGES;
+        assert_eq!(resumed, stale as u64, "one resume per stale QP and page");
+        for page in 0..FLOOD_PAGES {
+            cl.invalidate_page(a, local.key, page);
+            cl.invalidate_page(b, remote.key, page);
+        }
+        allocated
+    };
+    round(&mut eng, &mut cl);
+    [round(&mut eng, &mut cl), round(&mut eng, &mut cl)]
+}
+
+/// Once a flood round has resolved, the stale-page sets it drained keep
+/// their words, so a later round over the same pages marks and clears
+/// staleness without allocating: a round allocates the same whether 8
+/// or 20 of its 24 QPs go stale. (A `BTreeSet` per QP outgrew its leaf
+/// and freed the split on draining, so each stale QP allocated twice
+/// every round: 24 more for the 12 extra; a set that dropped a drained
+/// region would allocate its words again.)
+#[test]
+fn repeated_flood_rounds_allocate_no_stale_page_bookkeeping() {
+    let few = flood_round_allocations(16);
+    let many = flood_round_allocations(4);
+    assert_eq!(few, many, "8 stale QPs a round against 20");
+}
+
 /// Allocations this thread makes while `f` runs.
 fn counted(f: impl FnOnce()) -> u64 {
     let before = ALLOCATIONS.get();

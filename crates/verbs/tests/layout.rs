@@ -10,7 +10,7 @@
 use std::mem::size_of;
 
 use ibsim_telemetry::Instrument;
-use ibsim_verbs::{ClusterEvent, Packet, Payload, Qp};
+use ibsim_verbs::{ClusterEvent, Packet, Payload, Qp, SackBitmap};
 
 #[test]
 fn hot_values_stay_within_their_size_bounds() {
@@ -32,6 +32,12 @@ fn hot_values_stay_within_their_size_bounds() {
     // every selective-repeat QP an allocation and every backend the
     // pointer chase per ACK; the timers keep one `bool` and one
     // `Option<Psn>` between them, their identity being the engine's
-    // keyed slots.
+    // keyed slots. Its two page sets (stale pages, blocked source pages)
+    // are per-region bitsets behind one `Vec`, 24 bytes like the
+    // `BTreeSet`s they replaced, and the SACK words one `Vec` from the
+    // base like the `BTreeMap` before it: so `Qp` kept its size. A page
+    // set with a length beside its `Vec` would not fit.
     assert!(size_of::<Qp>() <= 488);
+    // Inside every `Qp`: a base PSN and the dense run of words from it.
+    assert!(size_of::<SackBitmap>() <= 32);
 }
