@@ -71,6 +71,16 @@ if grep -rlE 'MicrobenchConfig|run_microbench' crates src tests examples | grep 
     exit 1
 fi
 
+echo "==> no new PDES caller: only verbs' sharded.rs, cluster.rs, lib.rs and"
+echo "    tests/run_plan.rs name the epoch loop; benchmark/'s wide is its one"
+echo "    caller until ROADMAP item 1 deletes it"
+if grep -rlE 'run_sharded|ShardPlan|enable_sharding|merge_queue_stats|shard_global_counters' \
+    crates src tests examples |
+    grep -vxE 'crates/verbs/src/(sharded|cluster|lib)\.rs|crates/verbs/tests/run_plan\.rs'; then
+    echo "ci: the files above name the PDES executor (run one engine instead)" >&2
+    exit 1
+fi
+
 echo "==> cargo clippy --workspace --all-targets -- -D warnings (the"
 echo "    determinism rules: no bare unwrap, no Instant/SystemTime::now, no"
 echo "    std HashMap/HashSet, no float arithmetic in sim time, no wildcard"

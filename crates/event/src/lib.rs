@@ -53,5 +53,5 @@ pub use engine::{Call, Engine, Event, EventFn, QueueStats, Stalled, TimerKey};
 pub use hash::{assert_golden, fnv1a, fnv1a_str, Fnv1a};
 pub use line::{Line, Render};
 pub use rng::SplitMix64;
-pub use shard::{epoch_end, injection_sort_key, EpochBarrier, PoisonGuard, POISON_PAYLOAD};
+pub use shard::{epoch_end, EpochBarrier, PoisonGuard, POISON_PAYLOAD};
 pub use time::SimTime;

@@ -1,28 +1,19 @@
-//! Cross-shard synchronization for the conservative-lookahead PDES layer.
+//! Epoch synchronization for the PDES layer.
 //!
 //! A sharded run gives every shard its own [`Engine`](crate::Engine) and
 //! lets the shards advance in lock-step *epochs*: each shard executes its
-//! local events up to the epoch boundary, deposits any cross-shard
-//! traffic, and then meets the other shards at an [`EpochBarrier`]. A
-//! designated leader (shard 0 by convention) merges the deposits in a
-//! deterministic order and publishes the next epoch boundary before the
-//! shards are released again.
+//! local events up to the epoch boundary, deposits its deferred work,
+//! and then meets the other shards at an [`EpochBarrier`]. A designated
+//! leader (shard 0 by convention) merges the deposits in a deterministic
+//! order and publishes the next epoch boundary before the shards are
+//! released again.
 //!
-//! Two pieces live here because they are engine-level, not protocol-level:
-//!
-//! * [`EpochBarrier`] — a generation-counted rendezvous with *poisoning*:
-//!   when one shard panics, its [`PoisonGuard`] marks the barrier so
-//!   every other shard unwinds immediately instead of deadlocking on a
-//!   rendezvous that can never complete.
-//! * [`injection_sort_key`] — the deterministic merge order for events
-//!   injected across shards, `(fire_time, src_shard, seq)`. Sorting
-//!   injections by this key before scheduling them reproduces the
-//!   sequential engine's insertion-order tiebreak bit-for-bit.
-//!
-//! The epoch math itself is two lines (`epoch width = min lookahead`,
-//! `epoch end = earliest pending work + width`); [`epoch_end`] keeps it
-//! in one audited place because the "no event may cross a boundary it
-//! was sent before" proof hangs off it.
+//! [`EpochBarrier`] lives here because it is engine-level, not
+//! protocol-level: a generation-counted rendezvous with *poisoning*.
+//! When one shard panics, its [`PoisonGuard`] marks the barrier so every
+//! other shard unwinds immediately instead of deadlocking on a
+//! rendezvous that can never complete. [`epoch_end`] keeps the epoch
+//! math in one audited place.
 
 use std::sync::{Condvar, Mutex, MutexGuard};
 
@@ -168,28 +159,16 @@ impl Drop for PoisonGuard<'_> {
     }
 }
 
-/// Deterministic merge order for cross-shard injections.
-///
-/// The sequential engine breaks timestamp ties by insertion order; a
-/// sharded run reproduces that order by sorting every injection destined
-/// for a shard by `(fire_time, src_shard, seq)` — `seq` being the
-/// sender's own monotone per-shard counter — before scheduling them, so
-/// they enter the destination heap in the same relative order the
-/// sequential run would have created them.
-#[inline]
-pub fn injection_sort_key(fire_time: SimTime, src_shard: usize, seq: u64) -> (SimTime, usize, u64) {
-    (fire_time, src_shard, seq)
-}
-
 /// The next epoch boundary: the earliest pending work anywhere in the
-/// simulation plus the conservative lookahead `width`.
+/// simulation plus `width`, the least delay before an effect created in
+/// one epoch must reach another shard.
 ///
-/// Soundness: any cross-shard effect generated by an event at time
-/// `t ≥ min_next` lands at `t + lookahead ≥ min_next + width`, i.e. at
-/// or after the boundary — so executing every shard's local events
-/// strictly *before* the boundary can never miss an incoming injection.
-/// A `width` of `None` means no cross-shard coupling exists at all and
-/// the epoch extends to the end of time.
+/// Soundness: any such effect generated by an event at time
+/// `t ≥ min_next` lands at `t + delay ≥ min_next + width`, i.e. at or
+/// after the boundary — so executing every shard's local events
+/// strictly *before* the boundary can never miss one. A `width` of
+/// `None` means no shard ever waits on another and the epoch extends to
+/// the end of time.
 #[inline]
 pub fn epoch_end(min_next: SimTime, width: Option<SimTime>) -> SimTime {
     match width {
@@ -271,26 +250,6 @@ mod tests {
     #[should_panic(expected = "at least one party")]
     fn zero_party_barrier_rejected() {
         let _ = EpochBarrier::new(0);
-    }
-
-    #[test]
-    fn injection_key_orders_time_then_shard_then_seq() {
-        let mut keys = vec![
-            injection_sort_key(SimTime::from_ns(5), 1, 0),
-            injection_sort_key(SimTime::from_ns(5), 0, 9),
-            injection_sort_key(SimTime::from_ns(4), 2, 3),
-            injection_sort_key(SimTime::from_ns(5), 0, 2),
-        ];
-        keys.sort();
-        assert_eq!(
-            keys,
-            vec![
-                (SimTime::from_ns(4), 2, 3),
-                (SimTime::from_ns(5), 0, 2),
-                (SimTime::from_ns(5), 0, 9),
-                (SimTime::from_ns(5), 1, 0),
-            ]
-        );
     }
 
     #[test]

@@ -6,9 +6,8 @@
 //! to, and every route in the crate is a walk over that one function.
 //! Routes are a pure function of the topology parameters and the
 //! endpoint indices — never of construction order, traffic history, or
-//! load — so every replica of a sharded run computes bit-identical paths
-//! and the conservative lookahead derived from them is a true lower
-//! bound.
+//! load — so every replica of a sharded run computes bit-identical
+//! paths, and the seeded route fuzz can replay any of them.
 //!
 //! The catalog is closed. Four kinds cover the shapes the congestion
 //! studies need; a fifth is a new variant, and the exhaustive matches
@@ -60,8 +59,7 @@ impl fmt::Display for SwitchId {
 /// [`validate`](Self::validate) — `FromStr` and
 /// [`Fabric::set_topology`](crate::Fabric::set_topology) admit no other —
 /// and switch ids below `switch_count()`. They honor three properties
-/// that the sharded executor's cross-shard lookahead and the seeded
-/// route fuzz rely on:
+/// that the seeded route fuzz relies on:
 ///
 /// * **Purity** — a route depends only on the parameters and the two
 ///   endpoints. No interior mutability, no load awareness.

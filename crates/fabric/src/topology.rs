@@ -340,13 +340,6 @@ impl Fabric {
         self.loss = loss;
     }
 
-    /// Whether the installed loss model consumes per-frame global state
-    /// (see [`LossModel::is_order_dependent`]); sharded execution must
-    /// refuse to route cross-shard traffic through such a model.
-    pub fn loss_is_order_dependent(&self) -> bool {
-        self.loss.is_order_dependent()
-    }
-
     /// Replaces the switch topology: re-attaches every registered host
     /// and resets all inter-link FIFO state. Intended for construction
     /// time, before any traffic flows.
@@ -432,9 +425,8 @@ impl Fabric {
     /// Minimum one-way latency between two hosts for a frame of `bytes`,
     /// assuming idle links: the exact sum [`Fabric::transit`] produces on
     /// an idle fabric, including every inter-switch store-and-forward
-    /// stage of the route. This is what the sharded executor's
-    /// cross-shard lookahead is derived from, so it must stay a true
-    /// lower bound on any contended transit.
+    /// stage of the route, and so a lower bound on any contended
+    /// transit.
     pub fn idle_transit(&self, src: Lid, dst: Lid, bytes: u32) -> Option<SimTime> {
         let (s, d) = (self.ports.get(src.slot())?, self.ports.get(dst.slot())?);
         let inter = self.default_spec.serialization(bytes) + self.default_spec.latency;
@@ -899,18 +891,13 @@ mod tests {
 
     #[test]
     fn loss_order_dependence_classification() {
-        let (mut f, _, b) = two_hosts();
-        assert!(!f.loss_is_order_dependent());
-        f.set_loss(LossModel::DropAll);
-        assert!(!f.loss_is_order_dependent());
-        f.set_loss(LossModel::ToDestination(b));
-        assert!(!f.loss_is_order_dependent());
-        f.set_loss(LossModel::uniform(500, 7));
-        assert!(f.loss_is_order_dependent());
-        f.set_loss(LossModel::nth(vec![3]));
-        assert!(f.loss_is_order_dependent());
-        f.set_loss(LossModel::burst(100, 500, 7));
-        assert!(f.loss_is_order_dependent());
+        let (_, _, b) = two_hosts();
+        assert!(!LossModel::None.is_order_dependent());
+        assert!(!LossModel::DropAll.is_order_dependent());
+        assert!(!LossModel::ToDestination(b).is_order_dependent());
+        assert!(LossModel::uniform(500, 7).is_order_dependent());
+        assert!(LossModel::nth(vec![3]).is_order_dependent());
+        assert!(LossModel::burst(100, 500, 7).is_order_dependent());
     }
 
     #[test]

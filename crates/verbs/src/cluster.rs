@@ -1,13 +1,12 @@
 //! The cluster: hosts, NICs, drivers and the fabric, glued to the event
 //! engine. This is the user-facing verbs API of the simulator.
 
-use std::collections::BTreeMap;
 use std::ops::Range;
 
 use ibsim_event::{Engine, Event, EventFn, SimTime};
 use ibsim_fabric::{
-    Capture, Delivery, DirectedLink, Direction, Fabric, InterLinkStats, Lid, LinkSpec, LinkStats,
-    LossModel, TopologyKind, Xorshift64Star,
+    Capture, Delivery, Direction, Fabric, InterLinkStats, Lid, LinkSpec, LinkStats, LossModel,
+    TopologyKind, Xorshift64Star,
 };
 use ibsim_telemetry::{Labels, Telemetry};
 
@@ -17,7 +16,7 @@ use crate::mem::{Memory, MrMode};
 use crate::nic::Nic;
 use crate::packet::{Packet, PacketClass};
 use crate::qp::{Effects, QpConfig, QpEnv, QpStats, TimerFamily};
-use crate::sharded::{Envelope, PendingDraw, ShardState};
+use crate::sharded::{PendingDraw, ShardState};
 use crate::types::{HostId, MrKey, Psn, Qpn, WrId};
 use crate::wr::{Completion, RecvWr, WorkRequest};
 
@@ -288,8 +287,8 @@ pub struct Cluster {
     )]
     fx_pool: Vec<Box<Effects>>,
     /// Sharded-execution state when this cluster is one replica of a
-    /// conservative-lookahead PDES run (see [`crate::sharded`]); `None`
-    /// on an ordinary sequential cluster.
+    /// PDES run (see [`crate::sharded`]); `None` on an ordinary
+    /// sequential cluster.
     shard: Option<Box<ShardState>>,
     /// Per-host transmit counts, one slot per [`TX_COUNTERS`] name,
     /// bumped by `transmit` whether or not telemetry is on and written
@@ -745,8 +744,19 @@ impl Cluster {
     /// Installs `model` as the fabric's loss model at `at`. The fabric is
     /// replicated state, so every replica of a sharded run schedules the
     /// swap, and [`crate::sharded::merge_queue_stats`] counts it once.
+    ///
+    /// # Panics
+    ///
+    /// Panics on a replica whose owner map names more than one shard if
+    /// `model` is order-dependent ([`LossModel::is_order_dependent`]):
+    /// each replica's copy would see only its own shard's frames.
     pub fn set_loss_at(&mut self, eng: &mut Sim, at: SimTime, model: LossModel) {
         if let Some(sh) = self.shard.as_mut() {
+            assert!(
+                !(sh.is_split() && model.is_order_dependent()),
+                "the order-dependent loss model {model:?} cannot run on a plan split \
+                 across shards: each replica would draw it for its own frames only"
+            );
             sh.global_scheduled += 1;
         }
         eng.post_at(at, ClusterEvent::SetLoss(model));
@@ -817,20 +827,6 @@ impl Cluster {
         if !self.telemetry.is_enabled() {
             return;
         }
-        // On a sharded replica, only sync driver and QP instruments for
-        // the hosts this shard owns: a non-owner replica never runs a
-        // host's driver or QP machinery, so its values are all zero, and
-        // every host has exactly one owner — the union of per-shard hubs
-        // covers every slot once and the merged export stays
-        // byte-identical while each replica's O(QPs) sync cost drops to
-        // its ownership share. Fabric link counters are the exception:
-        // a cross-shard transit is performed by the *sender's* replica,
-        // which accrues the receiver's rx frames too, so those gauges
-        // must keep summing across every replica.
-        let owned: Vec<HostId> = (0..self.nics.len())
-            .map(HostId)
-            .filter(|&h| self.owns(h))
-            .collect();
         let t = &mut self.telemetry;
         let qs = eng.queue_stats();
         t.gauge_set("event.live", Labels::NONE, qs.live as u64);
@@ -869,17 +865,18 @@ impl Cluster {
             t.set_gauges(name, ports.iter().map(|(l, ls)| (*l, field(ls))));
         }
         for (name, field) in DRIVER_GAUGES {
-            let rows = owned
+            let rows = self
+                .drivers
                 .iter()
-                .map(|&h| (Labels::host(h.0 as u64), field(&self.drivers[h.0].stats())));
+                .enumerate()
+                .map(|(h, d)| (Labels::host(h as u64), field(&d.stats())));
             t.set_gauges(name, rows);
         }
         for (name, field) in QP_GAUGES {
-            let rows = owned.iter().flat_map(|&h| {
-                self.nics[h.0]
-                    .qps()
+            let rows = self.nics.iter().enumerate().flat_map(|(h, nic)| {
+                nic.qps()
                     .iter()
-                    .map(move |qp| (Labels::host_qp(h.0 as u64, qp.qpn().0), field(&qp.stats())))
+                    .map(move |qp| (Labels::host_qp(h as u64, qp.qpn().0), field(&qp.stats())))
             });
             t.set_gauges(name, rows);
         }
@@ -887,12 +884,7 @@ impl Cluster {
         // first use, so a crossbar run (no inter-switch hops) emits no
         // `fabric.link.*` slots and its JSONL export stays byte-identical
         // to the pre-topology simulator. Labels reuse the `(host, qp)`
-        // slots as `(src switch, dst switch)`. The
-        // sharded merge is sound because routing is deterministic and
-        // [`Cluster::validate_sharding`] pins every directed link to a
-        // single sending shard: each gauge is non-zero on exactly one
-        // replica, and gauge-ADD absorption reproduces the sequential
-        // values (including the non-additive `peak_backlog_ns`).
+        // slots as `(src switch, dst switch)`.
         for (name, field) in INTER_LINK_GAUGES {
             let rows = self
                 .fabric
@@ -904,7 +896,7 @@ impl Cluster {
     }
 
     // ------------------------------------------------------------------
-    // Sharded execution (conservative-lookahead PDES; see crate::sharded)
+    // Sharded execution (PDES; see crate::sharded)
     // ------------------------------------------------------------------
 
     /// True if this replica executes events for `host`. Always true on
@@ -956,46 +948,12 @@ impl Cluster {
         SimTime::from_ns(lo + self.rng.next_below(hi.saturating_sub(lo).max(1)))
     }
 
-    /// The conservative cross-shard packet lookahead: the minimum
-    /// latency any packet between hosts on *different* shards can
-    /// experience (send overhead + unloaded zero-byte transit along the
-    /// topology's **route** — every store-and-forward hop of a fat-tree
-    /// or ring path counts — + receive overhead, minimized over
-    /// connected cross-shard QP pairs). Routed topologies therefore
-    /// widen the epoch for free: a deeper shard cut means a larger
-    /// provable lower bound. `None` when no QP crosses a shard boundary
-    /// — or when unsharded.
-    pub fn cross_shard_lookahead(&self) -> Option<SimTime> {
-        let sh = self.shard.as_ref()?;
-        let mut best: Option<SimTime> = None;
-        for nic in &self.nics {
-            for qp in nic.qps() {
-                let Some((peer_lid, _)) = qp.peer() else {
-                    continue;
-                };
-                let Some(dst) = self.host_of(peer_lid) else {
-                    continue;
-                };
-                if sh.owner[nic.host.0] == sh.owner[dst.0] {
-                    continue;
-                }
-                let Some(transit) = self.fabric.idle_transit(nic.lid, peer_lid, 0) else {
-                    continue;
-                };
-                let lat =
-                    nic.profile.send_overhead + transit + self.nics[dst.0].profile.recv_overhead;
-                best = Some(best.map_or(lat, |b| b.min(lat)));
-            }
-        }
-        best
-    }
-
     /// The fault-draw floor: the smallest possible ODP fault latency
     /// across hosts owning at least one ODP region, or `None` when no
-    /// region can fault. Bounds the epoch width even without cross-shard
-    /// links: a stalled driver rekicked at the next epoch boundary
-    /// schedules its completion no earlier than stall time + this floor,
-    /// so boundaries must not outrun it.
+    /// region can fault. It is a sharded run's epoch width: a stalled
+    /// driver rekicked at the next epoch boundary schedules its
+    /// completion no earlier than stall time + this floor, so boundaries
+    /// must not outrun it.
     pub fn fault_draw_floor(&self) -> Option<SimTime> {
         let mut best: Option<SimTime> = None;
         for nic in &self.nics {
@@ -1007,62 +965,53 @@ impl Cluster {
         best
     }
 
-    /// Checks the fabric single-writer contract of a sharded run: the
-    /// fabric's `transit` call (executed on the *sender's* replica)
-    /// mutates the serialization horizon of **every directed link** on
-    /// the packet's route — the destination port's ingress clock and,
-    /// on a routed topology, each inter-switch link along the way. So
-    /// every directed link must be traversed by QPs from a single
-    /// shard. On the crossbar, where every route is `src → sw0 → dst`,
-    /// this degenerates to the historical per-host ingress rule; on a
-    /// fat-tree it additionally forbids two shards sharing an uplink.
-    /// No-op when unsharded.
+    /// Rejects, before the first epoch, every plan the epoch loop cannot
+    /// run as the sequential engine would. No-op when unsharded.
+    ///
+    /// Every connected QP pair must sit on one shard, since no packet
+    /// crosses a shard. Any ODP region's minimum fault latency must be
+    /// positive, since that floor is the epoch width. A plan whose
+    /// owner map names more than one shard must also run on the
+    /// crossbar: there every port a frame touches belongs to the
+    /// sender's shard, while a routed topology shares inter-switch
+    /// links between shards. [`Cluster::set_loss_at`] refuses the
+    /// order-dependent loss models on such a plan.
     ///
     /// # Panics
     ///
-    /// Panics with a diagnostic naming the link and the two shards when
-    /// the contract is violated.
+    /// Panics with a message naming the rule the plan breaks.
     pub fn validate_sharding(&self) {
         let Some(sh) = self.shard.as_ref() else {
             return;
         };
-        let mut writer: BTreeMap<DirectedLink, usize> = BTreeMap::new();
         for nic in &self.nics {
-            let src_shard = sh.owner[nic.host.0];
             for qp in nic.qps() {
-                let Some((peer_lid, _)) = qp.peer() else {
+                let Some(peer) = qp.peer().and_then(|(lid, _)| self.host_of(lid)) else {
                     continue;
                 };
-                if self.host_of(peer_lid).is_none() {
-                    continue;
-                }
-                let Some(route) = self.fabric.route(nic.lid, peer_lid) else {
-                    continue;
-                };
-                for link in route {
-                    match writer.get(&link) {
-                        None => {
-                            writer.insert(link, src_shard);
-                        }
-                        Some(&w) => assert_eq!(
-                            w, src_shard,
-                            "sharding violates the fabric single-writer contract: \
-                             link {} -> {} carries packets sent from shard {} and \
-                             shard {}; every route over one directed link must \
-                             originate on a single shard",
-                            link.from, link.to, w, src_shard
-                        ),
-                    }
-                }
+                let (from, to) = (sh.owner[nic.host.0], sh.owner[peer.0]);
+                assert_eq!(
+                    from,
+                    to,
+                    "QP {} of host {} peers with host {}, on another shard ({from} vs {to}): \
+                     a sharded run needs every connected QP pair on one shard",
+                    qp.qpn().0,
+                    nic.host.0,
+                    peer.0
+                );
             }
         }
-    }
-
-    /// Drains the cross-shard outbox for an epoch deposit.
-    pub(crate) fn take_outbox(&mut self) -> Vec<Envelope> {
-        self.shard
-            .as_mut()
-            .map_or_else(Vec::new, |sh| std::mem::take(&mut sh.outbox))
+        assert!(
+            self.fault_draw_floor() != Some(SimTime::ZERO),
+            "a sharded run needs a positive minimum fault latency on every ODP host: \
+             the epoch width is that floor"
+        );
+        let kind = self.fabric.topology_kind();
+        assert!(
+            !sh.is_split() || kind == TopologyKind::Crossbar,
+            "a plan split across shards needs the crossbar, not {kind}: \
+             a routed topology shares inter-switch links between shards"
+        );
     }
 
     /// Drains the deferred fault-draw requests for an epoch deposit.
@@ -1072,21 +1021,21 @@ impl Cluster {
             .map_or_else(Vec::new, |sh| std::mem::take(&mut sh.pending_draws))
     }
 
-    /// Snapshots stalled drivers as `(host, stall time, fault floor)`
-    /// for the leader's progress computation. The stalls stay recorded
-    /// until [`Cluster::take_stalls`] consumes them at injection time.
-    pub(crate) fn snapshot_stalls(&self) -> Vec<(usize, SimTime, SimTime)> {
+    /// The earliest each stalled driver's fault can complete (stall
+    /// time + that host's fault floor), for the leader's progress
+    /// computation. The stalls stay recorded until
+    /// [`Cluster::take_stalls`] consumes them at rekick time.
+    pub(crate) fn stall_floors(&self) -> Vec<SimTime> {
         let Some(sh) = self.shard.as_ref() else {
             return Vec::new();
         };
         sh.stalls
             .iter()
-            .map(|(&host, &(at, _))| (host, at, self.nics[host].profile.fault_latency_min))
+            .map(|(&host, &(at, _))| at + self.nics[host].profile.fault_latency_min)
             .collect()
     }
 
-    /// Drains the stalled drivers as `(host, stall time, seq)` for the
-    /// unified injection sort.
+    /// Drains the stalled drivers as `(host, stall time, seq)`.
     pub(crate) fn take_stalls(&mut self) -> Vec<(usize, SimTime, u64)> {
         self.shard.as_mut().map_or_else(Vec::new, |sh| {
             std::mem::take(&mut sh.stalls)
@@ -1383,34 +1332,7 @@ impl Cluster {
             };
             let recv_overhead = self.nics[dst_host.0].profile.recv_overhead;
             let deliver_at = at + recv_overhead;
-            if !self.owns(dst_host) {
-                // Cross-shard delivery: the packet leaves this replica as
-                // an envelope and re-enters the destination's shard at the
-                // next epoch boundary, which the lookahead guarantees is
-                // no later than `deliver_at`.
-                assert!(
-                    !self.fabric.loss_is_order_dependent(),
-                    "sharded run with an order-dependent loss model: \
-                     cross-shard traffic would consume the loss PRNG in \
-                     per-shard order, diverging from the sequential stream; \
-                     run single-shard instead"
-                );
-                let sent_at = eng.now();
-                let sh = self
-                    .shard
-                    .as_mut()
-                    .expect("invariant: unowned host implies sharding");
-                sh.seq += 1;
-                sh.outbox.push(Envelope {
-                    deliver_at,
-                    sent_at,
-                    src_shard: sh.id,
-                    seq: sh.seq,
-                    dst_host: dst_host.0,
-                    pkt,
-                });
-                return;
-            }
+            debug_assert!(self.owns(dst_host), "a packet crossed a shard");
             eng.post_at(
                 deliver_at,
                 ClusterEvent::Deliver {

@@ -1,34 +1,33 @@
-//! Conservative-lookahead sharded execution (PDES) of a cluster run.
+//! Sharded execution (PDES) of a cluster whose hosts fall into
+//! shard-closed groups.
 //!
 //! ## Model
 //!
 //! Every shard thread builds a **full replica** of the cluster (same
 //! hosts, QPs, seeds) but only *executes* events for the hosts it owns
-//! (`ShardPlan::owner`). The shards advance in lock-step epochs:
+//! (`ShardPlan::owner`). Every connected QP pair sits on one shard, so
+//! no packet crosses a shard, and on the crossbar every port a frame
+//! touches belongs to the sender's shard. What the replicas still share
+//! is the cluster RNG, whose only consumer is the ODP fault-latency
+//! draw. The shards advance in lock-step epochs:
 //!
 //! 1. each shard runs its local event heap up to the current epoch
-//!    boundary, diverting cross-shard packet deliveries into an outbox
-//!    and deferring ODP fault-latency draws;
-//! 2. at the [`EpochBarrier`], a leader (shard 0) merges the deposits in
-//!    a deterministic `(time, src_shard, seq)` order, draws the deferred
-//!    fault latencies from *its own* cluster RNG (the only RNG consumer,
-//!    so the stream matches the sequential run exactly), routes each
-//!    envelope to its destination shard and publishes the next boundary;
-//! 3. each shard applies its fills and injections — sorted by
-//!    [`injection_sort_key`] so they enter the destination heap in the
-//!    sequential insertion order — and runs the next epoch.
+//!    boundary, deferring its fault-latency draws;
+//! 2. at the [`EpochBarrier`], a leader (shard 0) draws the deferred
+//!    latencies from *its own* cluster RNG in `(raise time, shard, seq)`
+//!    order, the order the sequential run consumed the stream in, and
+//!    publishes the next boundary;
+//! 3. each shard applies its fills, rekicks its stalled drivers in
+//!    `(stall time, seq)` order and runs the next epoch.
 //!
-//! The epoch width is the *conservative lookahead*: the minimum of the
-//! fastest possible cross-shard packet
-//! ([`Cluster::cross_shard_lookahead`]) and the smallest possible fault
-//! latency ([`Cluster::fault_draw_floor`]). Any cross-shard effect
-//! created at or after the epoch's earliest pending event therefore
-//! lands at or beyond the next boundary, so no shard can ever miss an
-//! incoming injection ("lookahead violation" is a panic, not a silent
-//! reordering). With identical replicas, deterministic merge order and a
-//! sequential-order RNG stream, a sharded run produces **bit-identical
-//! traces** at every shard count — the property `tests/run_plan.rs`
-//! pins against the plain engine.
+//! The epoch width is the fault-draw floor
+//! ([`Cluster::fault_draw_floor`]): a fault raised inside an epoch
+//! completes no earlier than the next boundary. With identical replicas
+//! and a sequential-order RNG stream, a sharded run produces
+//! **bit-identical traces** at every shard count, the property
+//! `tests/run_plan.rs` pins against the plain engine. No epoch waits on
+//! a packet from another shard: [`Cluster::validate_sharding`] rejects
+//! every plan that would send one, before the first epoch.
 //!
 //! ## Entry point
 //!
@@ -36,61 +35,33 @@
 //! shard. Its one caller outside this crate's tests is the benchmark's
 //! `wide` workload, which times it; every scenario, figure and app runs
 //! on one plain engine instead.
-//!
-//! ## Single-writer contract
-//!
-//! [`Fabric::transit`] runs on the replica that executes the send and
-//! advances the serialization clock of **every directed link** on the
-//! frame's route: the source port's egress, each inter-switch link of a
-//! routed topology, and the destination port's ingress. Every directed
-//! link must therefore carry frames sent from a single shard — on the
-//! crossbar that is the rule "all hosts whose QPs peer into one
-//! destination live on one shard (not necessarily the destination's
-//! own)"; on a fat-tree it also forbids two shards sharing an uplink.
-//! [`Cluster::validate_sharding`] walks [`Fabric::route`] for every
-//! connected QP pair to check this after the build, and the fabric's
-//! per-port and per-link counters merge by summation.
-//!
-//! [`Fabric::transit`]: ibsim_fabric::Fabric::transit
-//! [`Fabric::route`]: ibsim_fabric::Fabric::route
 
 use std::collections::BTreeMap;
 use std::sync::Mutex;
 
-use ibsim_event::{
-    epoch_end, injection_sort_key, EpochBarrier, PoisonGuard, QueueStats, SimTime, POISON_PAYLOAD,
-};
+use ibsim_event::{epoch_end, EpochBarrier, PoisonGuard, QueueStats, SimTime, POISON_PAYLOAD};
 
-use crate::cluster::{Cluster, ClusterEvent, Sim};
-use crate::packet::Packet;
+use crate::cluster::{Cluster, Sim};
 use crate::types::HostId;
 
-/// A host-to-shard partition plus the epoch parameters of one sharded
-/// run.
+/// A host-to-shard partition: the plan of one sharded run.
 #[derive(Debug, Clone)]
 pub struct ShardPlan {
     /// Number of shards, and of the threads that run them.
     pub shards: usize,
     /// `owner[h]` is the shard executing host `h`'s events.
     pub owner: Vec<usize>,
-    /// Replaces the computed cross-shard packet lookahead (testing knob:
-    /// an override larger than the real minimum latency manufactures a
-    /// lookahead violation). The fault-draw floor still applies.
-    pub lookahead_override: Option<SimTime>,
 }
 
 impl ShardPlan {
-    /// A plan with an explicit owner map and no lookahead override.
+    /// A plan with an explicit owner map.
     pub fn new(shards: usize, owner: Vec<usize>) -> Self {
-        ShardPlan {
-            shards,
-            owner,
-            lookahead_override: None,
-        }
+        ShardPlan { shards, owner }
     }
 
     /// The checks that need no cluster; [`Cluster::enable_sharding`]
-    /// checks that the owner map covers every host.
+    /// checks that the owner map covers every host, and
+    /// [`Cluster::validate_sharding`] the rest.
     fn check(&self) {
         assert!(self.shards >= 1, "a sharded run needs at least one shard");
         assert!(
@@ -110,12 +81,10 @@ pub struct ShardState {
     pub(crate) id: usize,
     /// Host → shard map (shared by every replica of the run).
     pub(crate) owner: Vec<usize>,
-    /// Monotone per-shard sequence number stamping outbox envelopes,
-    /// pending draws and stalls, so same-time items keep their local
-    /// creation order through the leader's global merge sort.
+    /// Monotone per-shard sequence number stamping pending draws and
+    /// stalls, so same-time items keep their local creation order
+    /// through the leader's global merge sort.
     pub(crate) seq: u64,
-    /// Cross-shard packet deliveries generated this epoch.
-    pub(crate) outbox: Vec<Envelope>,
     /// ODP faults raised this epoch whose latency draw is deferred to
     /// the leader (global draw order == sequential RNG order).
     pub(crate) pending_draws: Vec<PendingDraw>,
@@ -136,31 +105,17 @@ impl ShardState {
             id,
             owner,
             seq: 0,
-            outbox: Vec::new(),
             pending_draws: Vec::new(),
             stalls: BTreeMap::new(),
             global_scheduled: 0,
             global_executed: 0,
         }
     }
-}
 
-/// One cross-shard packet delivery in flight between epochs.
-#[derive(Debug)]
-pub(crate) struct Envelope {
-    /// Absolute delivery time (fabric arrival + receive overhead).
-    pub(crate) deliver_at: SimTime,
-    /// When the sending event executed — the moment the sequential run
-    /// would have inserted the delivery into the heap.
-    pub(crate) sent_at: SimTime,
-    /// Originating shard (merge-order tiebreak).
-    pub(crate) src_shard: usize,
-    /// Originating shard's sequence number (merge-order tiebreak).
-    pub(crate) seq: u64,
-    /// Destination host index.
-    pub(crate) dst_host: usize,
-    /// The packet itself.
-    pub(crate) pkt: Packet,
+    /// Whether the owner map names more than one shard.
+    pub(crate) fn is_split(&self) -> bool {
+        self.owner.iter().any(|&s| s != self.owner[0])
+    }
 }
 
 /// A deferred ODP fault-latency draw request.
@@ -182,10 +137,10 @@ pub(crate) struct PendingDraw {
 
 /// What one shard hands the leader at an epoch boundary.
 struct Deposit {
-    outbox: Vec<Envelope>,
     draws: Vec<PendingDraw>,
-    /// `(host, stall time, that host's minimum fault latency)`.
-    stalls: Vec<(usize, SimTime, SimTime)>,
+    /// For each stalled driver, the earliest its fault can complete:
+    /// stall time + that host's minimum fault latency.
+    stalls: Vec<SimTime>,
     next_event: Option<SimTime>,
     last_executed: SimTime,
 }
@@ -195,8 +150,6 @@ struct Directive {
     /// `(host, latency)` fills in global draw order, restricted to this
     /// shard's hosts.
     fills: Vec<(usize, SimTime)>,
-    /// Envelopes destined for this shard's hosts.
-    injections: Vec<Envelope>,
     /// Next epoch boundary; `None` means the run is complete.
     epoch_end: Option<SimTime>,
     /// On completion: the canonical end-of-run clock (max last-executed
@@ -210,13 +163,12 @@ struct Directive {
 struct Coordinator {
     deposits: Vec<Option<Deposit>>,
     directives: Vec<Option<Directive>>,
-    prev_epoch_end: SimTime,
     width: Option<SimTime>,
 }
 
 /// The bare epoch loop: runs one simulation split across `plan.shards`
-/// OS threads in conservative-lookahead epochs, always threaded, even
-/// for one shard — the form the benchmark times.
+/// OS threads in epochs as wide as the fault-draw floor, always
+/// threaded, even for one shard — the form the benchmark times.
 ///
 /// `build` is called once per shard, inside its thread ([`Cluster`] is
 /// not `Send`), and must construct shard `id`'s **full replica**: add
@@ -232,10 +184,9 @@ struct Coordinator {
 /// # Panics
 ///
 /// Panics on a malformed plan — no shards, an owner map that does not
-/// cover the cluster's hosts or names a shard out of range; if the plan
-/// and replicas disagree (an ingress single-writer violation); or with a
-/// "lookahead violation" diagnostic if a cross-shard packet arrives
-/// inside the epoch it was sent in. A panic on any shard poisons the
+/// cover the cluster's hosts or names a shard out of range — and on
+/// every plan [`Cluster::validate_sharding`] or
+/// [`Cluster::set_loss_at`] rejects. A panic on any shard poisons the
 /// barrier and unwinds every thread; the original panic payload is
 /// re-raised.
 pub fn run_sharded<D, B, F>(
@@ -250,35 +201,10 @@ where
     F: Fn(usize, Sim, Cluster, SimTime) -> D + Sync,
 {
     plan.check();
-    run_epochs(
-        plan,
-        deadline,
-        |id| {
-            let (eng, cl) = build(id);
-            (eng, cl, ())
-        },
-        |id, eng, cl, (), end| finish(id, eng, cl, end),
-    )
-}
-
-/// The epoch loop behind [`run_sharded`]: one thread per shard, each
-/// carrying its `build`'s handles `H` through to its `finish`.
-fn run_epochs<H, D, B, F>(
-    plan: &ShardPlan,
-    deadline: Option<SimTime>,
-    build: B,
-    finish: F,
-) -> Vec<D>
-where
-    D: Send,
-    B: Fn(usize) -> (Sim, Cluster, H) + Sync,
-    F: Fn(usize, Sim, Cluster, H, SimTime) -> D + Sync,
-{
     let barrier = EpochBarrier::new(plan.shards);
     let coord = Mutex::new(Coordinator {
         deposits: (0..plan.shards).map(|_| None).collect(),
         directives: (0..plan.shards).map(|_| None).collect(),
-        prev_epoch_end: SimTime::ZERO,
         width: None,
     });
     let mut results: Vec<Option<D>> = (0..plan.shards).map(|_| None).collect();
@@ -326,7 +252,7 @@ fn is_poison_payload(payload: &(dyn std::any::Any + Send)) -> bool {
 
 /// One shard thread: build the replica, then loop deposit → leader
 /// merge → apply → run until the leader declares the run complete.
-fn shard_main<H, D, B, F>(
+fn shard_main<D, B, F>(
     id: usize,
     plan: &ShardPlan,
     deadline: Option<SimTime>,
@@ -336,11 +262,11 @@ fn shard_main<H, D, B, F>(
     finish: &F,
 ) -> D
 where
-    B: Fn(usize) -> (Sim, Cluster, H),
-    F: Fn(usize, Sim, Cluster, H, SimTime) -> D,
+    B: Fn(usize) -> (Sim, Cluster),
+    F: Fn(usize, Sim, Cluster, SimTime) -> D,
 {
     let guard = PoisonGuard::new(barrier);
-    let (mut eng, mut cl, handles) = build(id);
+    let (mut eng, mut cl) = build(id);
     assert_eq!(
         cl.shard_id(),
         Some(id),
@@ -348,22 +274,14 @@ where
     );
     cl.validate_sharding();
     if id == 0 {
-        // The leader computes the epoch width once, from its own replica
-        // (all replicas are identical post-build).
-        let lookahead = plan
-            .lookahead_override
-            .or_else(|| cl.cross_shard_lookahead());
-        let width = match (lookahead, cl.fault_draw_floor()) {
-            (Some(a), Some(b)) => Some(a.min(b)),
-            (a, b) => a.or(b),
-        };
-        lock(coord).width = width;
+        // All replicas are identical post-build; the leader sets the
+        // epoch width once, from its own.
+        lock(coord).width = cl.fault_draw_floor();
     }
     loop {
         let deposit = Deposit {
-            outbox: cl.take_outbox(),
             draws: cl.take_pending_draws(),
-            stalls: cl.snapshot_stalls(),
+            stalls: cl.stall_floors(),
             next_event: eng.next_event_time(),
             last_executed: eng.last_executed_at(),
         };
@@ -382,7 +300,13 @@ where
         for (host, latency) in directive.fills {
             cl.apply_draw_fill(host, latency);
         }
-        apply_injections(&mut eng, &mut cl, directive.injections);
+        // Rekicks enter the heap in the order the sequential drivers
+        // would have scheduled their fault completions.
+        let mut stalls = cl.take_stalls();
+        stalls.sort_by_key(|&(_, at, seq)| (at, seq));
+        for (host, at, _) in stalls {
+            cl.driver_kick_at(&mut eng, HostId(host), at);
+        }
         match directive.epoch_end {
             None => {
                 if let Some(d) = deadline {
@@ -390,14 +314,15 @@ where
                     eng.run_until(&mut cl, d);
                 }
                 guard.defuse();
-                return finish(id, eng, cl, handles, directive.canonical_end);
+                return finish(id, eng, cl, directive.canonical_end);
             }
             Some(end) => {
                 let mut target = if end == SimTime::MAX {
                     SimTime::MAX
                 } else {
-                    // Run *strictly before* the boundary; injections for
-                    // the boundary instant arrive next round.
+                    // Run *strictly before* the boundary: a fault
+                    // completion rekicked next round may land on the
+                    // boundary instant itself.
                     SimTime::from_ns(end.as_ns() - 1)
                 };
                 if let Some(d) = deadline {
@@ -409,46 +334,8 @@ where
     }
 }
 
-/// Applies this epoch's rekicks and envelope injections in the order the
-/// sequential run would have *inserted* them into its heap: rekicks are
-/// keyed by their stall time (when the sequential driver would have
-/// scheduled the fault's completion), envelopes by their send time.
-fn apply_injections(eng: &mut Sim, cl: &mut Cluster, envelopes: Vec<Envelope>) {
-    enum Item {
-        Rekick { host: usize, at: SimTime },
-        Deliver(Envelope),
-    }
-    let mut items: Vec<((SimTime, usize, u64), Item)> = Vec::new();
-    let own_shard = cl.shard_id().expect("invariant: sharded replica");
-    for (host, at, seq) in cl.take_stalls() {
-        items.push((
-            injection_sort_key(at, own_shard, seq),
-            Item::Rekick { host, at },
-        ));
-    }
-    for env in envelopes {
-        items.push((
-            injection_sort_key(env.sent_at, env.src_shard, env.seq),
-            Item::Deliver(env),
-        ));
-    }
-    items.sort_by_key(|&(key, _)| key);
-    for (_, item) in items {
-        match item {
-            Item::Rekick { host, at } => cl.driver_kick_at(eng, HostId(host), at),
-            Item::Deliver(env) => {
-                let deliver = ClusterEvent::Deliver {
-                    host: HostId(env.dst_host),
-                    pkt: env.pkt,
-                };
-                eng.post_at(env.deliver_at, deliver);
-            }
-        }
-    }
-}
-
-/// The leader's barrier-phase work: violation check, global-order fault
-/// draws, envelope routing, and the next epoch verdict.
+/// The leader's barrier-phase work: global-order fault draws and the
+/// next epoch verdict.
 fn leader_merge(
     c: &mut Coordinator,
     cl: &mut Cluster,
@@ -460,78 +347,44 @@ fn leader_merge(
         .iter_mut()
         .map(|d| d.take().expect("invariant: every shard deposited"))
         .collect();
-    for dep in &deposits {
-        for env in &dep.outbox {
-            assert!(
-                env.deliver_at >= c.prev_epoch_end,
-                "lookahead violation: cross-shard packet from shard {} sent at {} \
-                 arrives at {} inside the epoch ending at {}; the configured \
-                 lookahead exceeds the real minimum cross-shard latency",
-                env.src_shard,
-                env.sent_at.as_ns(),
-                env.deliver_at.as_ns(),
-                c.prev_epoch_end.as_ns()
-            );
-        }
-    }
     // Draw deferred fault latencies in global (raised_at, shard, seq)
     // order — the order the sequential run consumed the RNG in. The
     // leader's own replica RNG is the stream: fault draws are its only
     // consumer, and sharded replicas never draw locally.
     let mut draws: Vec<&PendingDraw> = deposits.iter().flat_map(|d| d.draws.iter()).collect();
-    draws.sort_by_key(|d| injection_sort_key(d.raised_at, d.src_shard, d.seq));
+    draws.sort_by_key(|d| (d.raised_at, d.src_shard, d.seq));
     let mut fills: Vec<Vec<(usize, SimTime)>> = (0..plan.shards).map(|_| Vec::new()).collect();
     for d in draws {
         let latency = cl.draw_fault_latency(d.lo, d.hi);
         fills[plan.owner[d.host]].push((d.host, latency));
     }
-    // Route envelopes and compute the earliest pending work anywhere:
-    // local heaps, in-flight envelopes, and stalled drivers (whose next
-    // event lands no earlier than stall time + that host's fault floor).
-    let mut injections: Vec<Vec<Envelope>> = (0..plan.shards).map(|_| Vec::new()).collect();
-    let mut min_next: Option<SimTime> = None;
-    let mut stalled = false;
-    let mut canonical_end = SimTime::ZERO;
-    let fold = |t: SimTime, min_next: &mut Option<SimTime>| {
-        *min_next = Some(min_next.map_or(t, |m: SimTime| m.min(t)));
-    };
-    for dep in deposits {
-        canonical_end = canonical_end.max(dep.last_executed);
-        if let Some(t) = dep.next_event {
-            fold(t, &mut min_next);
-        }
-        for &(_, at, fault_floor) in &dep.stalls {
-            stalled = true;
-            fold(at + fault_floor, &mut min_next);
-        }
-        for env in dep.outbox {
-            fold(env.deliver_at, &mut min_next);
-            injections[plan.owner[env.dst_host]].push(env);
-        }
-    }
+    // The earliest pending work anywhere: local heaps, and stalled
+    // drivers, whose next event lands no earlier than their stall floor.
+    let min_next = deposits
+        .iter()
+        .flat_map(|d| d.next_event.iter().chain(&d.stalls))
+        .min()
+        .copied();
+    let stalled = deposits.iter().any(|d| !d.stalls.is_empty());
     // Done only when nothing is pending within the deadline *and* no
     // driver is stalled: a stall at t <= deadline must still be rekicked
     // (the sequential run began that fault even if its completion falls
     // past the deadline).
-    let done = match min_next {
-        None => true,
-        Some(m) => !stalled && deadline.is_some_and(|d| m > d),
+    let end = match min_next {
+        None => None,
+        Some(m) if !stalled && deadline.is_some_and(|d| m > d) => None,
+        Some(m) => Some(epoch_end(m, c.width)),
     };
-    let end = if done {
-        None
-    } else {
-        let m = min_next.expect("invariant: not done implies pending work");
-        let e = epoch_end(m, c.width);
-        c.prev_epoch_end = e;
-        Some(e)
-    };
-    if let Some(d) = deadline {
-        canonical_end = d;
-    }
-    for (id, (fills, injections)) in fills.into_iter().zip(injections).enumerate() {
+    let canonical_end = deadline.unwrap_or_else(|| {
+        deposits
+            .iter()
+            .map(|d| d.last_executed)
+            .max()
+            .unwrap_or(SimTime::ZERO)
+    });
+    for (id, fills) in fills.into_iter().enumerate() {
         c.directives[id] = Some(Directive {
             fills,
-            injections,
             epoch_end: end,
             canonical_end,
         });

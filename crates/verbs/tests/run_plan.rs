@@ -1,14 +1,16 @@
 //! The PDES epoch loop that remains, [`run_sharded`], against the plain
 //! engine: the same completions, clock, engine counters and fault spans
 //! at 2 and 4 shards, and at one shard the same export; a deadline;
-//! panic payloads; malformed plans; and a lookahead wider than the
-//! fabric allows. The benchmark's `wide` workload is the loop's one
-//! caller outside these tests.
+//! panic payloads; malformed plans; and the plans it rejects before the
+//! first epoch (a split QP pair, a split plan on a routed fabric or
+//! with an order-dependent loss model, a zero fault-latency floor). The
+//! benchmark's `wide` workload is the loop's one caller outside these
+//! tests.
 
 use std::panic::{catch_unwind, panic_any, AssertUnwindSafe};
 
 use ibsim_event::{QueueStats, SimTime};
-use ibsim_fabric::{LinkSpec, LossModel};
+use ibsim_fabric::{LinkSpec, LossModel, TopologyKind};
 use ibsim_telemetry::FaultSpan;
 use ibsim_verbs::{
     export_jsonl, merge_queue_stats, run_sharded, Cluster, Completion, DeviceProfile, HostId,
@@ -28,10 +30,20 @@ type World = fn(Shard) -> (Sim, Cluster);
 /// The §V damming shape: two hosts, both regions ODP, two READs 1 ms
 /// apart on one QP, telemetry on.
 fn two_host_world(shard: Shard) -> (Sim, Cluster) {
+    damming_on(DeviceProfile::connectx4(LinkSpec::fdr()), shard)
+}
+
+/// [`two_host_world`] on a device whose faults may resolve in 0 ns.
+fn zero_floor_world(shard: Shard) -> (Sim, Cluster) {
+    let mut device = DeviceProfile::connectx4(LinkSpec::fdr());
+    device.fault_latency_min = SimTime::ZERO;
+    damming_on(device, shard)
+}
+
+fn damming_on(device: DeviceProfile, shard: Shard) -> (Sim, Cluster) {
     let mut eng = Sim::new();
     let mut cl = Cluster::new(1);
     cl.telemetry_enable();
-    let device = DeviceProfile::connectx4(LinkSpec::fdr());
     let a = cl.add_host("client", device.clone());
     let b = cl.add_host("server", device);
     if let Some((id, owner)) = shard {
@@ -49,7 +61,7 @@ fn two_host_world(shard: Shard) -> (Sim, Cluster) {
 
 /// Two pinned hosts and one READ at t = 0 whose request the first of two
 /// loss phases drops: `ToDestination(server)` from t = 0, no loss from
-/// 1 ms. Both models judge each frame alone, so the plan may split.
+/// 1 ms.
 fn lossy_world(shard: Shard) -> (Sim, Cluster) {
     let mut eng = Sim::new();
     let mut cl = Cluster::new(2);
@@ -76,11 +88,30 @@ const PAIR_QPS: usize = 64;
 /// The `wide` rung in small: `PAIRS` independent client/server pairs,
 /// each a §VI flood of `PAIR_QPS` QPs posting one 32 B READ at t = 0
 /// against the pair's one cold client-side ODP page. No QP leaves its
-/// pair, so a pair-aligned plan has no cross-shard link and the epoch
-/// width is the fault-draw floor.
+/// pair, so a pair-aligned plan is shard-closed.
 fn flood_world(shard: Shard) -> (Sim, Cluster) {
+    flood_on(TopologyKind::Crossbar, shard)
+}
+
+/// [`flood_world`] losing the frame of index 40 through `Nth`, an
+/// order-dependent model: which frame that is depends on the order in
+/// which every frame meets it.
+fn nth_loss_flood_world(shard: Shard) -> (Sim, Cluster) {
+    let (mut eng, mut cl) = flood_world(shard);
+    cl.set_loss_at(&mut eng, SimTime::ZERO, LossModel::nth(vec![40]));
+    (eng, cl)
+}
+
+/// [`flood_world`] on a two-leaf fat-tree: every client on one leaf,
+/// every server on the other, so all pairs share the one spine.
+fn fat_tree_flood_world(shard: Shard) -> (Sim, Cluster) {
+    flood_on(TopologyKind::FatTree { k: 2 }, shard)
+}
+
+fn flood_on(topology: TopologyKind, shard: Shard) -> (Sim, Cluster) {
     let mut eng = Sim::new();
     let mut cl = Cluster::new((PAIRS * PAIR_QPS) as u64);
+    cl.fabric.set_topology(topology);
     cl.telemetry_enable();
     let device = DeviceProfile::connectx4(LinkSpec::fdr());
     for s in 0..PAIRS {
@@ -109,9 +140,13 @@ fn flood_world(shard: Shard) -> (Sim, Cluster) {
     (eng, cl)
 }
 
-/// The client on shard 0, the server on shard 1, further shards idle.
-fn pair(shards: usize) -> ShardPlan {
-    ShardPlan::new(shards, vec![0, 1])
+/// Both hosts of a two-host world on one shard, the first or the last,
+/// so the leader once runs them and once idles; further shards idle.
+fn closed(shards: usize) -> [ShardPlan; 2] {
+    [
+        ShardPlan::new(shards, vec![0, 0]),
+        ShardPlan::new(shards, vec![shards - 1; 2]),
+    ]
 }
 
 /// Client and server of a flood pair on one shard, pairs in blocks.
@@ -226,10 +261,10 @@ fn two_host_world_finishes_the_same_under_every_plan() {
         seq.spans.len()
     );
     assert_drained(&seq, "plain engine");
-    for shards in [2, 4] {
-        let split = outcome(sharded(two_host_world, &pair(shards), None));
-        assert_drained(&split, &format!("{shards} shards"));
-        assert_eq!(seq, split, "{shards} shards");
+    for plan in closed(2).into_iter().chain(closed(4)) {
+        let got = outcome(sharded(two_host_world, &plan, None));
+        assert_drained(&got, &format!("{plan:?}"));
+        assert_eq!(seq, got, "{plan:?}");
     }
 }
 
@@ -247,7 +282,7 @@ fn pair_aligned_flood_finishes_the_same_under_every_plan() {
 }
 
 /// A loss swap runs on every replica and is counted once: the merged
-/// queue of a split plan is the plain engine's.
+/// queue of a many-shard plan is the plain engine's.
 #[test]
 fn replicated_loss_phases_merge_into_the_one_owner_queue() {
     let seq = outcome(vec![plain(lossy_world, None)]);
@@ -257,10 +292,10 @@ fn replicated_loss_phases_merge_into_the_one_owner_queue() {
         seq.completions[0].at > SimTime::from_ms(1),
         "the first phase must drop the request"
     );
-    for shards in [2, 4] {
-        let split = outcome(sharded(lossy_world, &pair(shards), None));
-        assert_drained(&split, &format!("{shards} shards"));
-        assert_eq!(seq, split, "{shards} shards");
+    for plan in closed(2).into_iter().chain(closed(4)) {
+        let got = outcome(sharded(lossy_world, &plan, None));
+        assert_drained(&got, &format!("{plan:?}"));
+        assert_eq!(seq, got, "{plan:?}");
     }
 }
 
@@ -271,9 +306,9 @@ fn a_deadline_parks_every_plan_at_the_same_clock() {
     let seq = outcome(vec![plain(two_host_world, deadline)]);
     assert_eq!(seq.end, SimTime::from_us(500));
     assert!(seq.queue.live > 0, "the run must be cut short");
-    for shards in [2, 4] {
-        let split = outcome(sharded(two_host_world, &pair(shards), deadline));
-        assert_eq!(seq, split, "{shards} shards");
+    for plan in closed(2).into_iter().chain(closed(4)) {
+        let got = outcome(sharded(two_host_world, &plan, deadline));
+        assert_eq!(seq, got, "{plan:?}");
     }
 }
 
@@ -295,8 +330,8 @@ struct Boom(&'static str);
 
 #[test]
 fn a_panic_in_build_or_finish_keeps_its_payload() {
-    // Both hosts on shard 1, then one host per shard.
-    for plan in [ShardPlan::new(2, vec![1, 1]), pair(2)] {
+    // Both hosts on shard 1, then both on shard 0.
+    for plan in closed(2).into_iter().rev() {
         // Only shard 1 panics; shard 0 unwinds on the poisoned barrier
         // and must not mask it.
         let in_build = catch_unwind(AssertUnwindSafe(|| {
@@ -340,10 +375,11 @@ fn a_panic_in_build_or_finish_keeps_its_payload() {
     }
 }
 
-/// The message `run_sharded` dies with under `plan`.
-fn rejection(plan: &ShardPlan) -> String {
+/// The message `run_sharded` dies with when it runs `world` under
+/// `plan`.
+fn rejection(world: World, plan: &ShardPlan) -> String {
     let run = catch_unwind(AssertUnwindSafe(|| {
-        sharded(two_host_world, plan, None);
+        sharded(world, plan, None);
     }));
     let payload = run.expect_err("a malformed plan must be rejected");
     match payload.downcast::<String>() {
@@ -369,20 +405,58 @@ fn a_malformed_plan_is_rejected_whatever_its_shape() {
     for (one_owner, split, shards, want) in cases {
         for owner in [one_owner, split] {
             let plan = ShardPlan::new(shards, owner);
-            let msg = rejection(&plan);
+            let msg = rejection(two_host_world, &plan);
             assert!(msg.contains(want), "{plan:?}: {msg}");
         }
     }
 }
 
 #[test]
-#[should_panic(expected = "lookahead violation")]
-fn oversized_lookahead_override_is_rejected() {
-    // A lookahead wider than the real minimum cross-shard latency lets a
-    // packet arrive inside the epoch it was sent in; the leader must
-    // reject the run with a diagnostic instead of silently reordering.
-    // Both regions are pinned, so no fault-draw floor narrows the epoch.
-    let mut plan = pair(2);
-    plan.lookahead_override = Some(SimTime::from_ms(1000));
-    sharded(lossy_world, &plan, None);
+fn a_qp_pair_split_across_shards_is_rejected() {
+    let msg = rejection(two_host_world, &ShardPlan::new(2, vec![0, 1]));
+    assert!(
+        msg.contains("needs every connected QP pair on one shard"),
+        "{msg}"
+    );
+}
+
+/// Shard-closed pairs still share the fat-tree's spine links.
+#[test]
+fn a_split_plan_on_a_routed_fabric_is_rejected() {
+    let msg = rejection(fat_tree_flood_world, &pair_aligned(2));
+    assert!(msg.contains("needs the crossbar, not fattree2"), "{msg}");
+    // On one shard the fat-tree is the plain engine's.
+    let seq = outcome(vec![plain(fat_tree_flood_world, None)]);
+    let one = outcome(sharded(
+        fat_tree_flood_world,
+        &ShardPlan::new(2, vec![1; 2 * PAIRS]),
+        None,
+    ));
+    assert_eq!(seq, one);
+}
+
+/// Each replica would draw `Nth` for its own frames only, and lose
+/// other frames than the plain engine loses.
+#[test]
+fn an_order_dependent_loss_model_on_a_split_plan_is_rejected() {
+    let msg = rejection(nth_loss_flood_world, &pair_aligned(2));
+    assert!(msg.contains("order-dependent loss model Nth"), "{msg}");
+    // On one shard every frame meets the model in the plain order.
+    let seq = outcome(vec![plain(nth_loss_flood_world, None)]);
+    let one = outcome(sharded(
+        nth_loss_flood_world,
+        &ShardPlan::new(2, vec![1; 2 * PAIRS]),
+        None,
+    ));
+    assert_eq!(seq, one);
+}
+
+/// The epoch width is the fault floor; a zero width would rerun one
+/// boundary for ever.
+#[test]
+fn a_zero_fault_latency_floor_is_rejected() {
+    let seq = outcome(vec![plain(zero_floor_world, None)]);
+    assert_eq!(seq.completions.len(), 2, "the plain engine runs it");
+    let msg = rejection(zero_floor_world, &ShardPlan::new(1, vec![0, 0]));
+    assert!(msg.contains("positive minimum fault latency"), "{msg}");
 }
