@@ -52,6 +52,8 @@ fn fig2_reports_floors() {
     // The CX-4 floor (~0.502 s) and CX-5 floor (~0.030 s).
     assert!(out.contains("0.5020"), "{out}");
     assert!(out.contains("0.0300"), "{out}");
+    // The full sweep: every system at C_ack 1-21.
+    assert_pinned("fig2.stdout", &run(env!("CARGO_BIN_EXE_fig2"), false));
 }
 
 /// Asserts the FNV-1a of a bin's stdout, printed should it fail, against
@@ -161,6 +163,7 @@ fn ibperf_reports_latency_and_bandwidth() {
     assert!(out.contains("read_lat pinned"));
     assert!(out.contains("odp+prefetch"));
     assert!(out.contains("size_bytes,read_MiBps"));
+    assert_pinned("ibperf.stdout", &out);
 }
 
 /// Runs a bin twice and returns its stdout once both runs agree byte for
