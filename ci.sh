@@ -64,10 +64,15 @@ done
 
 echo "==> one world language: only core/src/microbench.rs names the wrapper"
 echo "    benchmark/'s flood still runs. Scenario describes every other two-host"
-echo "    world but three still built by hand, which ROADMAP item 11 moves:"
-echo "    fig2_curve, bin/ablation.rs and perftest/runner.rs"
+echo "    world; in core's and bench's sources only congestion.rs (four hosts)"
+echo "    and workaround.rs (its tests drive the §IX-A timers) build one by hand"
 if grep -rlE 'MicrobenchConfig|run_microbench' crates src tests examples | grep -vx crates/core/src/microbench.rs; then
     echo "ci: the files above name the wrapper's world (use Scenario::fig3_loop)" >&2
+    exit 1
+fi
+if grep -rlE 'Cluster::new\(|ClusterBuilder::new\(|Engine::new\(' crates/core/src crates/bench/src |
+    grep -vxE 'crates/bench/src/congestion\.rs|crates/core/src/workaround\.rs'; then
+    echo "ci: the files above build a world by hand (describe it as a Scenario)" >&2
     exit 1
 fi
 

@@ -14,90 +14,54 @@
 //! cargo run --release -p ibsim-bench --bin ablation
 //! ```
 
+use ibsim_bench::perftest::latencies;
 use ibsim_bench::{header, row, secs};
-use ibsim_event::{Engine, SimTime};
+use ibsim_event::SimTime;
 use ibsim_fabric::LinkSpec;
 use ibsim_odp::experiment::fig3;
-use ibsim_odp::regcache::{deregistration_cost, registration_cost, PinDownCache};
+use ibsim_odp::regcache::{
+    deregistration_cost, registration_cost, strategy_cell, PinDownCache, BUFFER_LEN,
+};
 use ibsim_odp::OdpMode;
 use ibsim_scenario::{run_scenario_with, RunOptions, Scenario, ScenarioRun};
-use ibsim_verbs::{Cluster, DeviceProfile, MrBuilder, MrMode, QpConfig, ReadWr, Sim, WrId};
+use ibsim_verbs::DeviceProfile;
 
-/// How long past its post one transfer may take before it has stalled;
-/// each takes microseconds.
-const HORIZON: SimTime = SimTime::from_secs(1);
-
-/// Sequentially READs `transfers` times, one of `buffers` 16 KiB client
-/// buffers per transfer (round-robin), under one strategy; returns
-/// (mean per-transfer latency, peak pinned bytes on the client).
-fn memory_strategy_run(strategy: &str, transfers: usize, buffers: usize) -> (SimTime, u64) {
-    const LEN: u64 = 16 * 4096;
-    let mut eng: Sim = Engine::new();
-    let mut cl = Cluster::new(9);
-    let device = DeviceProfile::connectx6(); // isolate from damming
-    let a = cl.add_host("client", device.clone());
-    let b = cl.add_host("server", device);
-    let remote = cl.alloc_mr(b, LEN, MrMode::Pinned);
-    let (qp, _) = cl.connect_pair(&mut eng, a, b, QpConfig::default());
-
-    let bases: Vec<u64> = (0..buffers).map(|_| cl.alloc_buffer(a, LEN)).collect();
-    let mut cache = PinDownCache::new(a, u64::MAX >> 1);
-    let mut pinned_keys = Vec::new();
-    let mut total = SimTime::ZERO;
-    let mut peak_pinned = 0u64;
-
-    // Pre-pin for the "pinned" strategy; pre-register ODP regions once.
-    let odp_keys: Vec<_> = if strategy == "odp" {
-        bases
-            .iter()
-            .map(|&bse| cl.mr(a, MrBuilder::odp(LEN).at(bse)).key)
-            .collect()
-    } else {
-        Vec::new()
+/// Each strategy's mean latency per transfer and peak pinned bytes on
+/// the client. The strategies' costs are host CPU time on top of each
+/// READ: registering pays before and deregistering after every READ of
+/// the pinned cell, the pin-down cache waits for its ready time, ODP and
+/// pinned pay the READ alone.
+fn memory_strategies() -> [(&'static str, SimTime, u64); 4] {
+    let cell = |odp| {
+        let sc = strategy_cell(odp);
+        let run = run_scenario_with(&sc, RunOptions::BARE);
+        (latencies(&sc, &run.client_comps[0]), sc)
     };
-    if strategy == "pinned" {
-        for &bse in &bases {
-            pinned_keys.push(cl.mr(a, MrBuilder::pinned(LEN).at(bse)).key);
-        }
-        peak_pinned = buffers as u64 * LEN;
-    }
-
-    for i in 0..transfers {
-        let buf = i % buffers;
-        let start = eng.now();
-        let (key, ready) = match strategy {
-            "register-each" => {
-                let cost = registration_cost(LEN);
-                let key = cl.mr(a, MrBuilder::pinned(LEN).at(bases[buf])).key;
-                peak_pinned = peak_pinned.max(LEN);
-                (key, eng.now() + cost)
-            }
-            "pin-down-cache" => {
-                let (key, ready) = cache.acquire(&mut eng, &mut cl, bases[buf], LEN);
-                peak_pinned = peak_pinned.max(cache.stats().peak_pinned_bytes);
-                (key, ready)
-            }
-            "odp" => (odp_keys[buf], eng.now()),
-            "pinned" => (pinned_keys[buf], eng.now()),
-            other => panic!("unknown strategy {other}"),
-        };
-        let wr = WrId(i as u64);
-        let at = ready.max(eng.now());
-        let read = ReadWr::new(key, remote.key).len(4096).id(wr);
-        cl.post_at(&mut eng, at, a, qp, read);
-        eng.run(&mut cl, eng.now() + HORIZON)
-            .unwrap_or_else(|s| panic!("{strategy}: {s}"));
-        let cq = cl.poll_cq(a);
-        assert_eq!(cq.len(), 1, "{strategy}: transfer completes");
-        assert!(cq[0].status.is_success());
-        let mut elapsed = cq[0].at - start;
-        if strategy == "register-each" {
-            // The buffer is deregistered after use.
-            elapsed += deregistration_cost(LEN);
-        }
-        total += elapsed;
-    }
-    (total / transfers as u64, peak_pinned)
+    let (pinned, sc) = cell(false);
+    let (odp, _) = cell(true);
+    let mean = |total: SimTime| total / sc.wrs.len() as u64;
+    let (reg, dereg) = (
+        registration_cost(BUFFER_LEN),
+        deregistration_cost(BUFFER_LEN),
+    );
+    let registered: SimTime = pinned.iter().map(|&read| reg + read + dereg).sum();
+    let mut cache = PinDownCache::new(u64::MAX >> 1);
+    let cached: SimTime = (pinned.iter().zip(&sc.wrs).enumerate())
+        .map(|(i, (&read, &(_, wr)))| {
+            let now = sc.post_time(i);
+            cache.acquire(now, wr.footprint().0, BUFFER_LEN) - now + read
+        })
+        .sum();
+    [
+        ("register-each", mean(registered), BUFFER_LEN),
+        (
+            "pin-down-cache",
+            mean(cached),
+            cache.stats().peak_pinned_bytes,
+        ),
+        ("odp", mean(odp.into_iter().sum()), 0),
+        ("pinned", mean(pinned.into_iter().sum()), sc.region_len()),
+    ]
 }
 
 fn part1() {
@@ -114,8 +78,7 @@ fn part1() {
             &widths
         )
     );
-    for strategy in ["register-each", "pin-down-cache", "odp", "pinned"] {
-        let (mean, pinned) = memory_strategy_run(strategy, 64, 8);
+    for (strategy, mean, pinned) in memory_strategies() {
         println!(
             "{}",
             row(

@@ -1,6 +1,9 @@
 //! Regenerates Fig. 2: actual time-to-timeout `T_o` measured by varying
-//! `C_ack` on all eight systems of Table I, with the paper's wrong-LID
-//! methodology (`C_retry = 7`, `T_o = t/8`).
+//! `C_ack` on all eight systems of Table I, with the paper's method
+//! (`C_retry = 7`, `T_o = t/8`). Where the paper sends the READ to a
+//! wrong LID, the fabric here drops every frame: the requester cannot
+//! tell the two apart, since its retry schedule is its own, so `T_o` is
+//! the same.
 
 use ibsim_bench::{header, quick_mode, row};
 use ibsim_odp::{experiment::fig2_curve, SystemProfile};

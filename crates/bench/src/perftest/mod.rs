@@ -4,6 +4,10 @@
 //! tooling gap the paper's investigation had to fill with hand-written
 //! benchmarks.
 //!
+//! Each benchmark is one [`Scenario`](ibsim_scenario::Scenario) cell
+//! ([`PerfConfig::cell`]) run by the scenario executor, so the
+//! differential oracle can check the same world the report reads.
+//!
 //! # Examples
 //!
 //! ```
@@ -20,5 +24,7 @@
 mod runner;
 mod stats;
 
-pub use runner::{read_bw, read_lat, send_lat, write_bw, BwReport, PerfConfig};
+pub use runner::{
+    latencies, read_bw, read_lat, send_lat, write_bw, BwReport, PerfConfig, PerfTest,
+};
 pub use stats::LatencyReport;

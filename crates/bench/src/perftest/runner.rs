@@ -1,17 +1,16 @@
-//! The benchmark runners.
+//! The benchmark runners: each builds one [`Scenario`] cell and runs it
+//! through the scenario executor.
 
-use ibsim_event::{Engine, SimTime};
+use ibsim_event::SimTime;
 use ibsim_fabric::LinkSpec;
-use ibsim_verbs::{
-    Cluster, DeviceProfile, HostId, MrDesc, MrMode, QpConfig, Qpn, ReadWr, RecvWr, SendWr, Sim,
-    WrId, WriteWr,
-};
+use ibsim_scenario::{run_scenario_with, Prefetch, RunOptions, Scenario, WrSpec};
+use ibsim_verbs::{Completion, DeviceProfile};
 
 use super::stats::LatencyReport;
 
-/// How long past its post one iteration (or a bandwidth run's whole
-/// burst) may take before it has stalled; the slowest `ibperf` run takes
-/// about 5 s.
+/// How far apart a latency cell posts its iterations, so how long one
+/// may take before it has stalled; the slowest `ibperf` iteration takes
+/// about 5.5 ms.
 const HORIZON: SimTime = SimTime::from_secs(60);
 
 /// Parameters shared by every benchmark, mirroring `perftest` flags.
@@ -48,131 +47,117 @@ impl Default for PerfConfig {
     }
 }
 
-struct Bench {
-    eng: Sim,
-    cl: Cluster,
-    client: HostId,
-    server: HostId,
-    qp: Qpn,
-    server_qp: Qpn,
-    local: MrDesc,
-    remote: MrDesc,
+/// The four `perftest` benchmarks.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum PerfTest {
+    /// `ib_read_lat`.
+    ReadLat,
+    /// `ib_send_lat`.
+    SendLat,
+    /// `ib_read_bw`.
+    ReadBw,
+    /// `ib_write_bw`.
+    WriteBw,
 }
 
-fn setup(cfg: &PerfConfig) -> Bench {
-    let mut eng = Engine::new();
-    let mut cl = Cluster::new(cfg.seed);
-    let client = cl.add_host("client", cfg.device.clone());
-    let server = cl.add_host("server", cfg.device.clone());
-    let mode = if cfg.odp { MrMode::Odp } else { MrMode::Pinned };
-    let span = (cfg.size as u64).max(8) * (cfg.iterations + cfg.warmup).max(1) as u64;
-    let span = span.clamp(4096, 64 * 1024 * 1024);
-    let remote = cl.alloc_mr(server, span, mode);
-    let local = cl.alloc_mr(client, span, mode);
-    if cfg.prefetch {
-        cl.prefetch_mr(server, remote.key);
-        cl.prefetch_mr(client, local.key);
-    }
-    let (qp, server_qp) = cl.connect_pair(&mut eng, client, server, QpConfig::default());
-    Bench {
-        eng,
-        cl,
-        client,
-        server,
-        qp,
-        server_qp,
-        local,
-        remote,
+impl PerfConfig {
+    /// The world `test` runs: `warmup + iterations` requests of `size`
+    /// bytes on one QP, in id order. Request `i` sits `i` messages into
+    /// the region, wrapping, so iterations touch fresh pages first
+    /// (exposing ODP's first-touch cost). A latency test posts its
+    /// requests a minute apart, one alone in the world at a time; a
+    /// bandwidth test posts them all at once, and `max_rd_atomic` and the
+    /// SQ pace the wire like a real tx depth.
+    pub fn cell(&self, test: PerfTest) -> Scenario {
+        let step = u64::from(self.size.max(8));
+        let total = self.warmup + self.iterations;
+        let span = (step * total.max(1) as u64).clamp(4096, 64 * 1024 * 1024);
+        let memory = match (self.odp, self.prefetch) {
+            (false, _) => "pinned",
+            (true, false) => "odp",
+            (true, true) => "odp+prefetch",
+        };
+        let mut sc = Scenario::base(&format!("{test:?}-{}B-{memory}", self.size));
+        (sc.seed, sc.device, sc.slot) = (self.seed, self.device.clone(), span);
+        (sc.client_odp, sc.server_odp) = (self.odp, self.odp);
+        if self.prefetch {
+            sc.prefetch = Prefetch::All;
+        }
+        sc.post_interval_ns = match test {
+            PerfTest::ReadLat | PerfTest::SendLat => HORIZON.as_ns(),
+            PerfTest::ReadBw | PerfTest::WriteBw => 0,
+        };
+        let len = self.size;
+        sc.wrs = (0..total as u64)
+            .map(|i| {
+                let off = i * step % (span - u64::from(len));
+                let wr = match test {
+                    PerfTest::ReadLat | PerfTest::ReadBw => WrSpec::Read { off, len },
+                    PerfTest::SendLat => WrSpec::Send { off, len },
+                    PerfTest::WriteBw => WrSpec::Write { off, len },
+                };
+                (0, wr)
+            })
+            .collect();
+        sc
     }
 }
 
-/// Offset used by iteration `i` so iterations touch fresh pages first
-/// (exposing ODP's first-touch cost), wrapping inside the region.
-fn off(b: &Bench, cfg: &PerfConfig, i: usize) -> u64 {
-    (i as u64 * cfg.size.max(8) as u64) % (b.local.len - cfg.size as u64)
+/// Each request's latency in a cell that posts them one at a time, in
+/// id order: its completion time less its post time.
+///
+/// # Panics
+///
+/// Panics if a request fails, completes at or after the next post, or
+/// never completes.
+pub fn latencies(sc: &Scenario, comps: &[Completion]) -> Vec<SimTime> {
+    let samples: Vec<SimTime> = comps
+        .iter()
+        .map(|c| {
+            let i = c.wr_id.0 as usize;
+            assert!(c.status.is_success(), "iteration {i} failed: {}", c.status);
+            let next = sc.post_time(i + 1);
+            assert!(
+                c.at < next,
+                "iteration {i} stalled past the next post at {next}"
+            );
+            c.at - sc.post_time(i)
+        })
+        .collect();
+    assert_eq!(samples.len(), sc.wrs.len(), "every iteration completes");
+    samples
+}
+
+/// The report on a latency cell's measured iterations.
+fn latency_report(cfg: &PerfConfig, sc: &Scenario, comps: &[Completion]) -> LatencyReport {
+    LatencyReport::from_samples(latencies(sc, comps).split_off(cfg.warmup))
 }
 
 /// `ib_read_lat`: sequential RDMA READ ping, one at a time.
 ///
 /// # Panics
 ///
-/// Panics if an iteration's READ does not complete successfully, or
-/// its world stalls.
+/// Panics if an iteration's READ does not complete successfully before
+/// the next post.
 pub fn read_lat(cfg: &PerfConfig) -> LatencyReport {
-    let mut b = setup(cfg);
-    let mut samples = Vec::with_capacity(cfg.iterations);
-    for i in 0..cfg.warmup + cfg.iterations {
-        let o = off(&b, cfg, i);
-        let start = b.eng.now();
-        b.cl.post(
-            &mut b.eng,
-            b.client,
-            b.qp,
-            ReadWr::new((b.local.key, o), (b.remote.key, o))
-                .len(cfg.size)
-                .id(i as u64),
-        );
-        b.eng
-            .run(&mut b.cl, b.eng.now() + HORIZON)
-            .unwrap_or_else(|s| panic!("perftest {s}"));
-        let cq = b.cl.poll_cq(b.client);
-        assert_eq!(cq.len(), 1, "iteration completes");
-        assert!(
-            cq[0].status.is_success(),
-            "read_lat failed: {}",
-            cq[0].status
-        );
-        if i >= cfg.warmup {
-            samples.push(cq[0].at - start);
-        }
-    }
-    LatencyReport::from_samples(samples)
+    let sc = cfg.cell(PerfTest::ReadLat);
+    let run = run_scenario_with(&sc, RunOptions::BARE);
+    latency_report(cfg, &sc, &run.client_comps[0])
 }
 
 /// `ib_send_lat`: two-sided ping (SEND + pre-posted receives).
 ///
 /// # Panics
 ///
-/// Panics if an iteration's SEND or its receive does not complete
-/// successfully, or its world stalls.
+/// Panics if an iteration's SEND does not complete successfully before
+/// the next post, or one of its receives does not complete successfully.
 pub fn send_lat(cfg: &PerfConfig) -> LatencyReport {
-    let mut b = setup(cfg);
-    let mut samples = Vec::with_capacity(cfg.iterations);
-    for i in 0..cfg.warmup + cfg.iterations {
-        let o = off(&b, cfg, i);
-        b.cl.post_recv(
-            b.server,
-            b.server_qp,
-            RecvWr {
-                id: WrId(1_000_000 + i as u64),
-                mr: b.remote.key,
-                offset: o,
-                max_len: cfg.size,
-            },
-        );
-        let start = b.eng.now();
-        b.cl.post(
-            &mut b.eng,
-            b.client,
-            b.qp,
-            SendWr::new((b.local.key, o)).len(cfg.size).id(i as u64),
-        );
-        b.eng
-            .run(&mut b.cl, b.eng.now() + HORIZON)
-            .unwrap_or_else(|s| panic!("perftest {s}"));
-        let cq = b.cl.poll_cq(b.client);
-        assert!(
-            cq[0].status.is_success(),
-            "send_lat failed: {}",
-            cq[0].status
-        );
-        let cq_s = b.cl.poll_cq(b.server);
-        assert_eq!(cq_s.len(), 1, "receive completed");
-        if i >= cfg.warmup {
-            samples.push(cq[0].at - start);
-        }
-    }
-    LatencyReport::from_samples(samples)
+    let sc = cfg.cell(PerfTest::SendLat);
+    let run = run_scenario_with(&sc, RunOptions::BARE);
+    let recvs = &run.server_comps[0];
+    assert_eq!(recvs.len(), sc.wrs.len(), "every receive completes");
+    assert!(recvs.iter().all(|c| c.status.is_success()), "{recvs:?}");
+    latency_report(cfg, &sc, &run.client_comps[0])
 }
 
 /// Bandwidth summary, like `perftest`'s `BW average` line.
@@ -198,42 +183,15 @@ impl BwReport {
     }
 }
 
-fn bw_run(cfg: &PerfConfig, write: bool) -> BwReport {
-    let mut b = setup(cfg);
-    let total = cfg.warmup + cfg.iterations;
-    // Post everything up front; max_rd_atomic and the SQ pace the wire
-    // like a real tx depth.
-    for i in 0..total {
-        let o = off(&b, cfg, i);
-        if write {
-            b.cl.post(
-                &mut b.eng,
-                b.client,
-                b.qp,
-                WriteWr::new((b.local.key, o), (b.remote.key, o))
-                    .len(cfg.size)
-                    .id(i as u64),
-            );
-        } else {
-            b.cl.post(
-                &mut b.eng,
-                b.client,
-                b.qp,
-                ReadWr::new((b.local.key, o), (b.remote.key, o))
-                    .len(cfg.size)
-                    .id(i as u64),
-            );
-        }
-    }
-    b.eng
-        .run(&mut b.cl, b.eng.now() + HORIZON)
-        .unwrap_or_else(|s| panic!("perftest {s}"));
-    let cq = b.cl.poll_cq(b.client);
-    assert_eq!(cq.len(), total, "all iterations complete");
+fn bw_run(cfg: &PerfConfig, test: PerfTest) -> BwReport {
+    let sc = cfg.cell(test);
+    let run = run_scenario_with(&sc, RunOptions::BARE);
+    let cq = &run.client_comps[0];
+    assert_eq!(cq.len(), sc.wrs.len(), "all iterations complete");
     let mut first = SimTime::MAX;
     let mut last = SimTime::ZERO;
     let mut measured = 0u64;
-    for c in &cq {
+    for c in cq {
         assert!(c.status.is_success(), "bw op failed: {}", c.status);
         if (c.wr_id.0 as usize) >= cfg.warmup {
             first = first.min(c.at);
@@ -250,12 +208,12 @@ fn bw_run(cfg: &PerfConfig, write: bool) -> BwReport {
 
 /// `ib_read_bw`: pipelined RDMA READ bandwidth.
 pub fn read_bw(cfg: &PerfConfig) -> BwReport {
-    bw_run(cfg, false)
+    bw_run(cfg, PerfTest::ReadBw)
 }
 
 /// `ib_write_bw`: pipelined RDMA WRITE bandwidth.
 pub fn write_bw(cfg: &PerfConfig) -> BwReport {
-    bw_run(cfg, true)
+    bw_run(cfg, PerfTest::WriteBw)
 }
 
 #[cfg(test)]

@@ -7,10 +7,11 @@
 //! paper reports; the same specs go through the differential oracle in
 //! this crate's tests.
 
-use ibsim_event::{Engine, SimTime};
-use ibsim_fabric::Lid;
-use ibsim_scenario::{Prefetch, Scenario, ScenarioRun};
-use ibsim_verbs::{Cluster, MrMode, QpConfig, ReadWr, WcStatus, PAGE_SIZE};
+use ibsim_event::SimTime;
+use ibsim_scenario::{
+    run_scenario_with, LossPhase, LossSpec, Prefetch, RunOptions, Scenario, ScenarioRun, WrSpec,
+};
+use ibsim_verbs::{WcStatus, PAGE_SIZE};
 
 use crate::microbench::OdpMode;
 use crate::systems::SystemProfile;
@@ -24,50 +25,37 @@ pub struct Fig2Point {
     pub t_o: SimTime,
 }
 
-/// Measures `T_o` on one system for each `C_ack`, with the paper's §IV-B
-/// methodology: mis-address a QP, post one READ, wait for
+/// Measures `T_o` on one system for each `C_ack` with the paper's §IV-B
+/// method: post one READ that can never be answered, wait for
 /// `IBV_WC_RETRY_EXC_ERR`, and divide the elapsed time by
-/// `C_retry + 1 = 8`.
+/// `C_retry + 1 = 8`. The paper mis-addresses the QP to a wrong LID; here
+/// the fabric drops every frame. The requester cannot tell the two
+/// apart, since its retry schedule is its own, so `T_o` is the same.
 ///
 /// # Panics
 ///
-/// Panics if a probe READ does not complete with `RetryExcErr`: the
-/// mis-addressed QP must exhaust its retries, within one `T_o` past
-/// `(C_retry + 1) · T_o`. A `C_ack` of 0, which disables the timeout,
-/// panics too.
+/// Panics if a probe READ does not complete with `RetryExcErr`. A
+/// `C_ack` of 0, which disables the timeout, panics too.
 pub fn fig2_curve(sys: &SystemProfile, cacks: impl Iterator<Item = u8>) -> Vec<Fig2Point> {
     cacks
         .map(|cack| {
-            let mut eng = Engine::new();
-            let mut cl = Cluster::new(2);
-            let a = cl.add_host("client", sys.device.clone());
-            let b = cl.add_host("server", sys.device.clone());
-            let remote = cl.alloc_mr(b, 4096, MrMode::Pinned);
-            let local = cl.alloc_mr(a, 4096, MrMode::Pinned);
-            let cfg = QpConfig {
-                cack,
-                retry_count: 7,
-                ..QpConfig::default()
+            assert_ne!(cack, 0, "C_ack 0 has no timeout");
+            let mut sc = Scenario::base("fig2");
+            (sc.seed, sc.device, sc.cack, sc.retry_count) = (2, sys.device.clone(), cack, 7);
+            sc.wrs = vec![(0, WrSpec::Read { off: 0, len: 100 })];
+            let model = LossSpec::Uniform {
+                prob_milli: 1000,
+                seed: 0,
             };
-            // The READ fails (C_retry + 1) · T_o after its post; one
-            // T_o more is slack for its wire time.
-            let t_o = sys.device.t_o(cack).expect("C_ack 0 has no timeout");
-            let horizon = t_o * (u64::from(cfg.retry_count) + 2);
-            let (qa, qb) = cl.connect_pair(&mut eng, a, b, cfg);
-            cl.connect_to_lid(a, qa, Lid(0xFFF), qb);
-            cl.post(
-                &mut eng,
-                a,
-                qa,
-                ReadWr::new(local.key, remote.key).len(100).id(1),
-            );
-            eng.run(&mut cl, horizon)
-                .unwrap_or_else(|s| panic!("{}: {s}", sys.name));
-            let cq = cl.poll_cq(a);
-            assert_eq!(cq[0].status, WcStatus::RetryExcErr, "{}", sys.name);
+            sc.loss = vec![LossPhase { at_ns: 0, model }];
+            let run = run_scenario_with(&sc, RunOptions::BARE);
+            let Some(c) = run.client_comps[0].first() else {
+                panic!("{}: the probe READ never completed", sys.name)
+            };
+            assert_eq!(c.status, WcStatus::RetryExcErr, "{}", sys.name);
             Fig2Point {
                 cack,
-                t_o: cq[0].at / 8,
+                t_o: (c.at - sc.post_time(0)) / 8,
             }
         })
         .collect()
@@ -261,7 +249,6 @@ pub fn completions_per_page(sc: &Scenario, run: &ScenarioRun) -> Vec<Vec<SimTime
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ibsim_scenario::{run_scenario_with, RunOptions};
 
     fn bare(sc: &Scenario) -> ScenarioRun {
         run_scenario_with(sc, RunOptions::BARE)

@@ -10,12 +10,13 @@
 //! * [`experiment`] — the figures of §V–§VI as families of the Fig. 3
 //!   micro-benchmark ([`Scenario::fig3_loop`](ibsim_scenario::Scenario::fig3_loop)
 //!   settings), run through the scenario executor, plus Fig. 2's
-//!   mis-addressed QP (Figs. 1, 5 and 8 are captures, which the
+//!   unanswerable READ (Figs. 1, 5 and 8 are captures, which the
 //!   `ibsim-bench` bins render through `ibsim-analysis`).
 //! * [`workaround`] — the §IX-A software mitigations (smallest RNR delay,
 //!   periodic dummy communication, fresh-QP re-issue).
 //! * [`regcache`] — the manual alternatives ODP competes against
-//!   (register-per-transfer, Tezuka-style pin-down cache, §VIII-A).
+//!   (register-per-transfer, Tezuka-style pin-down cache, §VIII-A), as
+//!   host CPU costs, and the world their READs run in.
 //! * [`microbench`] — the ODP sides of the loop, and a wrapper kept for
 //!   the repository benchmark.
 //!

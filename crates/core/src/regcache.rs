@@ -4,8 +4,9 @@
 //! memory management, and §VIII-A surveys the standard techniques:
 //! registering on every transfer, and the *pin-down cache* of Tezuka et
 //! al. \[16\] that reuses pinned buffers with LRU replacement. This module
-//! implements both so the trade-off can be measured against ODP in the
-//! same simulator (`ibsim-bench --bin ablation`).
+//! models both as host CPU time, and [`strategy_cell`] is the world their
+//! READs run in, so the trade-off can be measured against ODP in the same
+//! simulator (`ibsim-bench --bin ablation`).
 //!
 //! Cost model: memory registration is dominated by pinning user pages and
 //! programming the NIC translation table; following the measurements in
@@ -15,7 +16,8 @@
 use std::collections::BTreeMap;
 
 use ibsim_event::SimTime;
-use ibsim_verbs::{Cluster, HostId, MrBuilder, MrKey, Sim, PAGE_SIZE};
+use ibsim_scenario::{Scenario, WrSpec};
+use ibsim_verbs::{DeviceProfile, PAGE_SIZE};
 
 /// Registration cost: fixed part.
 const REG_BASE: SimTime = SimTime::from_us(30);
@@ -57,34 +59,29 @@ pub struct RegCacheStats {
 
 /// A pin-down cache for one host: keeps buffers registered after use and
 /// evicts in least-recently-used order when the pinned-memory budget is
-/// exceeded (Tezuka et al. \[16\]).
+/// exceeded (Tezuka et al. \[16\]). Registration is host CPU time, not
+/// simulator state: the cache says when a buffer is usable, and the
+/// caller posts its transfer then.
 ///
 /// # Examples
 ///
 /// ```
-/// use ibsim_event::Engine;
+/// use ibsim_event::SimTime;
 /// use ibsim_odp::regcache::PinDownCache;
-/// use ibsim_verbs::{Cluster, DeviceProfile};
 ///
-/// let mut eng = Engine::new();
-/// let mut cl = Cluster::new(1);
-/// let h = cl.add_host("h", DeviceProfile::connectx6());
-/// let mut cache = PinDownCache::new(h, 64 * 1024);
-/// let buf = cl.alloc_buffer(h, 4096);
+/// let mut cache = PinDownCache::new(64 * 1024);
+/// let buf = 0x1000;
 /// // First acquire registers (costs time)...
-/// let t0 = eng.now();
-/// let (key1, ready1) = cache.acquire(&mut eng, &mut cl, buf, 4096);
-/// assert!(ready1 > t0);
+/// let ready1 = cache.acquire(SimTime::ZERO, buf, 4096);
+/// assert!(ready1 > SimTime::ZERO);
 /// // ...the second is free.
-/// let (key2, ready2) = cache.acquire(&mut eng, &mut cl, buf, 4096);
-/// assert_eq!(key1, key2);
-/// assert_eq!(ready2, ready1.max(eng.now()));
+/// let ready2 = cache.acquire(SimTime::ZERO, buf, 4096);
+/// assert_eq!(ready2, ready1);
 /// ```
 #[derive(Debug)]
 pub struct PinDownCache {
-    host: HostId,
     capacity: u64,
-    /// base → (key, len, last-use tick, ready time).
+    /// base → (len, last-use tick, ready time).
     entries: BTreeMap<u64, Entry>,
     tick: u64,
     /// The cache serializes (de)registration work on the host CPU.
@@ -94,7 +91,6 @@ pub struct PinDownCache {
 
 #[derive(Debug, Clone, Copy)]
 struct Entry {
-    key: MrKey,
     len: u64,
     last_use: u64,
     ready_at: SimTime,
@@ -102,9 +98,8 @@ struct Entry {
 
 impl PinDownCache {
     /// Creates a cache allowed to keep `capacity` bytes pinned.
-    pub fn new(host: HostId, capacity: u64) -> Self {
+    pub fn new(capacity: u64) -> Self {
         PinDownCache {
-            host,
             capacity,
             entries: BTreeMap::new(),
             tick: 0,
@@ -128,21 +123,15 @@ impl PinDownCache {
         self.entries.is_empty()
     }
 
-    /// Acquires a registration for `[base, base+len)`: returns the key and
-    /// the time at which the registration is usable (now for a hit; after
-    /// the pinning work for a miss). Evicts LRU entries if the pinned
-    /// budget would overflow.
+    /// Acquires a registration for `[base, base+len)` at `now`: returns
+    /// the time at which it is usable (`now` for a hit on a finished
+    /// registration; after the pinning work for a miss). Evicts LRU
+    /// entries if the pinned budget would overflow.
     ///
     /// # Panics
     ///
     /// Panics if `len` exceeds the cache capacity.
-    pub fn acquire(
-        &mut self,
-        eng: &mut Sim,
-        cl: &mut Cluster,
-        base: u64,
-        len: u64,
-    ) -> (MrKey, SimTime) {
+    pub fn acquire(&mut self, now: SimTime, base: u64, len: u64) -> SimTime {
         assert!(len <= self.capacity, "buffer larger than pin budget");
         self.tick += 1;
         let tick = self.tick;
@@ -150,10 +139,10 @@ impl PinDownCache {
             debug_assert!(e.len >= len, "cached entry covers the request");
             e.last_use = tick;
             self.stats.hits += 1;
-            return (e.key, e.ready_at.max(eng.now()));
+            return e.ready_at.max(now);
         }
         self.stats.misses += 1;
-        let mut start = eng.now().max(self.busy_until);
+        let mut start = now.max(self.busy_until);
         // Evict until the new buffer fits.
         while self.stats.pinned_bytes + len > self.capacity {
             let (&victim_base, &victim) = self
@@ -172,11 +161,9 @@ impl PinDownCache {
         self.stats.reg_time += reg;
         let ready_at = start + reg;
         self.busy_until = ready_at;
-        let key = cl.mr(self.host, MrBuilder::pinned(len).at(base)).key;
         self.entries.insert(
             base,
             Entry {
-                key,
                 len,
                 last_use: tick,
                 ready_at,
@@ -184,21 +171,42 @@ impl PinDownCache {
         );
         self.stats.pinned_bytes += len;
         self.stats.peak_pinned_bytes = self.stats.peak_pinned_bytes.max(self.stats.pinned_bytes);
-        (key, ready_at)
+        ready_at
     }
+}
+
+/// Bytes of each client buffer of the [`strategy_cell`]: 16 pages.
+pub const BUFFER_LEN: u64 = 16 * PAGE_SIZE;
+
+/// The world the strategies' READs run in: 64 READs of 4 KiB on one QP,
+/// round-robin over 8 client buffers of [`BUFFER_LEN`] bytes (QP 0's
+/// window, one buffer after another), between two ConnectX-6 hosts, which
+/// keeps damming out. The READs post a second apart, each alone in the
+/// world. The client region is pinned, which is what a registered buffer
+/// is, or ODP; the server's is pinned.
+pub fn strategy_cell(client_odp: bool) -> Scenario {
+    const BUFFERS: u64 = 8;
+    let name = if client_odp {
+        "regcache-odp"
+    } else {
+        "regcache-pinned"
+    };
+    let mut sc = Scenario::base(name);
+    (sc.seed, sc.device, sc.client_odp) = (9, DeviceProfile::connectx6(), client_odp);
+    sc.slot = BUFFERS * BUFFER_LEN;
+    sc.post_interval_ns = SimTime::from_secs(1).as_ns();
+    sc.wrs = (0..64)
+        .map(|i| {
+            let off = i % BUFFERS * BUFFER_LEN;
+            (0, WrSpec::Read { off, len: 4096 })
+        })
+        .collect();
+    sc
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ibsim_event::Engine;
-    use ibsim_verbs::DeviceProfile;
-
-    fn setup() -> (Sim, Cluster, HostId) {
-        let mut cl = Cluster::new(3);
-        let h = cl.add_host("h", DeviceProfile::connectx6());
-        (Engine::new(), cl, h)
-    }
 
     #[test]
     fn cost_model_scales_with_pages() {
@@ -214,13 +222,11 @@ mod tests {
 
     #[test]
     fn first_acquire_pays_then_hits_are_free() {
-        let (mut eng, mut cl, h) = setup();
-        let buf = cl.alloc_buffer(h, 4096);
-        let mut cache = PinDownCache::new(h, 1 << 20);
-        let (k1, ready) = cache.acquire(&mut eng, &mut cl, buf, 4096);
+        let buf = 0x1000;
+        let mut cache = PinDownCache::new(1 << 20);
+        let ready = cache.acquire(SimTime::ZERO, buf, 4096);
         assert!(ready > SimTime::ZERO);
-        let (k2, ready2) = cache.acquire(&mut eng, &mut cl, buf, 4096);
-        assert_eq!(k1, k2);
+        let ready2 = cache.acquire(SimTime::ZERO, buf, 4096);
         assert_eq!(ready2, ready, "hit is free");
         let s = cache.stats();
         assert_eq!(s.hits, 1);
@@ -231,45 +237,41 @@ mod tests {
 
     #[test]
     fn lru_eviction_when_over_budget() {
-        let (mut eng, mut cl, h) = setup();
-        let bufs: Vec<u64> = (0..3).map(|_| cl.alloc_buffer(h, 4096)).collect();
+        let bufs: Vec<u64> = (1..=3).map(|i| i * 4096).collect();
         // Budget: two pages.
-        let mut cache = PinDownCache::new(h, 2 * 4096);
-        cache.acquire(&mut eng, &mut cl, bufs[0], 4096);
-        cache.acquire(&mut eng, &mut cl, bufs[1], 4096);
+        let mut cache = PinDownCache::new(2 * 4096);
+        cache.acquire(SimTime::ZERO, bufs[0], 4096);
+        cache.acquire(SimTime::ZERO, bufs[1], 4096);
         // Touch buf0 so buf1 becomes LRU.
-        cache.acquire(&mut eng, &mut cl, bufs[0], 4096);
+        cache.acquire(SimTime::ZERO, bufs[0], 4096);
         // buf2 evicts buf1.
-        cache.acquire(&mut eng, &mut cl, bufs[2], 4096);
+        cache.acquire(SimTime::ZERO, bufs[2], 4096);
         assert_eq!(cache.stats().evictions, 1);
         assert_eq!(cache.len(), 2);
         // buf0 still cached (hit), buf1 gone (miss → evicts LRU buf0 now? no:
         // budget fits after buf1 re-registers evicting the older of 0/2).
         let before = cache.stats().hits;
-        cache.acquire(&mut eng, &mut cl, bufs[0], 4096);
+        cache.acquire(SimTime::ZERO, bufs[0], 4096);
         assert_eq!(cache.stats().hits, before + 1);
         let miss_before = cache.stats().misses;
-        cache.acquire(&mut eng, &mut cl, bufs[1], 4096);
+        cache.acquire(SimTime::ZERO, bufs[1], 4096);
         assert_eq!(cache.stats().misses, miss_before + 1);
     }
 
     #[test]
     fn peak_pinned_tracks_high_water() {
-        let (mut eng, mut cl, h) = setup();
-        let a = cl.alloc_buffer(h, 8192);
-        let b = cl.alloc_buffer(h, 8192);
-        let mut cache = PinDownCache::new(h, 16 * 4096);
-        cache.acquire(&mut eng, &mut cl, a, 8192);
-        cache.acquire(&mut eng, &mut cl, b, 8192);
+        let (a, b) = (0x1000, 0x3000);
+        let mut cache = PinDownCache::new(16 * 4096);
+        cache.acquire(SimTime::ZERO, a, 8192);
+        cache.acquire(SimTime::ZERO, b, 8192);
         assert_eq!(cache.stats().peak_pinned_bytes, 16384);
     }
 
     #[test]
     #[should_panic(expected = "larger than pin budget")]
     fn oversized_buffer_panics() {
-        let (mut eng, mut cl, h) = setup();
-        let a = cl.alloc_buffer(h, 8192);
-        let mut cache = PinDownCache::new(h, 4096);
-        cache.acquire(&mut eng, &mut cl, a, 8192);
+        let a = 0x1000;
+        let mut cache = PinDownCache::new(4096);
+        cache.acquire(SimTime::ZERO, a, 8192);
     }
 }

@@ -257,9 +257,8 @@ fn build_scenario_world(sc: &Scenario, opts: RunOptions) -> (Sim, Cluster, World
     // The workload loop: the k-th request is posted at k * interval (the
     // Fig. 3 `usleep` pacing), with the global list index as its id.
     for (k, &(qp, wr)) in sc.wrs.iter().enumerate() {
-        let at = SimTime::from_ns(k as u64 * sc.post_interval_ns);
         let wr = work_request(wr, k as u64, sc.window(qp), &cmr, &smr);
-        cl.post_at(&mut eng, at, client, client_qpns[qp], wr);
+        cl.post_at(&mut eng, sc.post_time(k), client, client_qpns[qp], wr);
     }
 
     // The fault schedule. Invalidations only make sense on ODP regions:
@@ -550,6 +549,42 @@ mod tests {
             "pinned region must never fault"
         );
         assert!(!run.stalled);
+    }
+
+    /// A READ whose every frame is lost fails `(C_retry + 1) · T_o` after
+    /// its post. At `C_ack = 21` that is past the flat 30 s drain budget
+    /// on every device, so the deadline must cover the retry schedule.
+    #[test]
+    fn an_all_loss_read_exhausts_its_retries_before_the_deadline() {
+        use ibsim_fabric::LinkSpec;
+        use ibsim_verbs::{DeviceProfile, WcStatus};
+        let devices = [
+            DeviceProfile::connectx3(),
+            DeviceProfile::connectx4(LinkSpec::fdr()),
+            DeviceProfile::connectx4(LinkSpec::edr()),
+            DeviceProfile::connectx5(),
+            DeviceProfile::connectx6(),
+        ];
+        for device in devices {
+            let mut sc = Scenario::base("all-loss");
+            (sc.device, sc.cack) = (device, 21);
+            sc.wrs = vec![(0, WrSpec::Read { off: 0, len: 100 })];
+            sc.loss = vec![LossPhase {
+                at_ns: 0,
+                model: LossSpec::Uniform {
+                    prob_milli: 1000,
+                    seed: 1,
+                },
+            }];
+            let run = run_scenario_with(&sc, RunOptions::BARE);
+            let t_o = sc.device.t_o(sc.cack).expect("C_ack 21 times out");
+            assert!(!run.stalled, "{:?}", sc.device.model);
+            let [c] = &run.client_comps[0][..] else {
+                panic!("one completion: {:?}", run.client_comps)
+            };
+            assert_eq!(c.status, WcStatus::RetryExcErr);
+            assert_eq!(c.at / 8, t_o, "{:?}", sc.device.model);
+        }
     }
 
     #[test]

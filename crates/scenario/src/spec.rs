@@ -30,7 +30,7 @@ use ibsim_verbs::{
 
 use crate::device;
 
-/// Extra simulated time granted past the last post before a run is
+/// The least simulated time granted past the last post before a run is
 /// declared stalled. Generous: the paper's worst damming stalls are
 /// hundreds of milliseconds, and simulated seconds are cheap (the event
 /// engine only pays for events that exist).
@@ -497,11 +497,31 @@ impl Scenario {
         Ok(())
     }
 
+    /// When the workload loop posts its `k`-th request: `k` post
+    /// intervals in.
+    pub fn post_time(&self, k: usize) -> SimTime {
+        SimTime::from_ns(k as u64 * self.post_interval_ns)
+    }
+
+    /// Simulated time granted past the last post: [`DRAIN_BUDGET`], or the
+    /// transport's own retry schedule where that is longer. A request
+    /// whose every frame is lost fails `(C_retry + 1) · T_o` after its
+    /// post, and one `T_o` more is slack for its wire time. `None` if
+    /// that overflows the clock.
+    fn drain_budget(&self) -> Option<SimTime> {
+        let Some(t_o) = self.device.t_o(self.cack) else {
+            return Some(DRAIN_BUDGET);
+        };
+        let retries = u64::from(self.retry_count) + 2;
+        let schedule = t_o.as_ns().checked_mul(retries)?;
+        Some(DRAIN_BUDGET.max(SimTime::from_ns(schedule)))
+    }
+
     /// Simulated drain deadline: one post every `post_interval_ns`, then
     /// the drain budget; `None` if that overflows the clock.
     pub(crate) fn drain_deadline(&self) -> Option<SimTime> {
         let posts = (self.wrs.len() as u64).checked_mul(self.post_interval_ns)?;
-        SimTime::from_ns(posts).checked_add(DRAIN_BUDGET)
+        SimTime::from_ns(posts).checked_add(self.drain_budget()?)
     }
 
     /// Validates internal consistency; returns the first problem found.
@@ -541,10 +561,9 @@ impl Scenario {
         // Every post time and the run's deadline are within this.
         if self.drain_deadline().is_none() {
             return Err(format!(
-                "{} posts {} ns apart and a {} drain overflow the simulated clock",
+                "{} posts {} ns apart and their drain overflow the simulated clock",
                 self.wrs.len(),
                 self.post_interval_ns,
-                DRAIN_BUDGET
             ));
         }
         if self.shards != 1 {
