@@ -159,6 +159,14 @@ for fig in fig1 fig5 fig8; do
 done > target/figures.out
 pin "figures.stdout" target/figures.out
 
+echo "==> ibperf under a 128 MiB address-space cap (ulimit -v, set in a"
+echo "    subshell so it binds ibperf alone): its 64 MiB bandwidth regions"
+echo "    must stay views of one shared init page, never byte copies. The"
+echo "    gate reads address space, not a clock, so its verdict does not"
+echo "    move with host speed or load; ibperf's stdout is pinned by"
+echo "    bin_smoke)"
+(ulimit -v 131072 && exec target/release/ibperf) > /dev/null
+
 echo "==> the full Fig. 9 sweep (40 flood cells, ~15 s: the timer storm whose"
 echo "    one-delay ticks the event queue's lanes keep off its heaps; its"
 echo "    stdout is pinned)"

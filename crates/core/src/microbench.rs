@@ -11,7 +11,7 @@
 use ibsim_event::SimTime;
 use ibsim_fabric::LinkSpec;
 use ibsim_scenario::{run_scenario_with, RunOptions, Scenario, POST_OVERHEAD_NS};
-use ibsim_verbs::{DeviceProfile, RecoveryKind};
+use ibsim_verbs::{DeviceProfile, Payload, RecoveryKind, PAGE_SIZE};
 
 /// Which side(s) register their buffers with On-Demand Paging (§IV-A).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -140,7 +140,8 @@ pub fn run_microbench(cfg: &MicrobenchConfig) -> MicrobenchRun {
     let size = cfg.size as usize;
     let data_ok = run.client_comps.iter().flatten().all(|c| {
         let at = c.wr_id.0 as usize * size;
-        !c.status.is_success() || run.client_mem[at..at + size] == run.server_mem[at..at + size]
+        !c.status.is_success()
+            || bytes(&run.client_mem, at, size).eq(bytes(&run.server_mem, at, size))
     });
     let (c, s) = (&run.client_stats, &run.server_stats);
     MicrobenchRun {
@@ -155,10 +156,19 @@ pub fn run_microbench(cfg: &MicrobenchConfig) -> MicrobenchRun {
     }
 }
 
+/// The `len` bytes at offset `at` of a region's page view.
+fn bytes(view: &[Payload], at: usize, len: usize) -> impl Iterator<Item = &u8> {
+    let page = PAGE_SIZE as usize;
+    view[at / page..]
+        .iter()
+        .flat_map(Payload::iter)
+        .skip(at % page)
+        .take(len)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ibsim_verbs::PAGE_SIZE;
 
     /// Runs `cfg` under `trials` seeds drawn from its own.
     fn trials(cfg: &MicrobenchConfig, trials: u64) -> Vec<MicrobenchRun> {

@@ -4,7 +4,13 @@
 //! workload, runs the simulation up to the scenario's drain deadline and
 //! collects every observable artifact — completions, memory images,
 //! per-side QP counters, the merged lint report, runtime invariant
-//! counts, the telemetry hub and a trace hash.
+//! counts, the telemetry hub and, when it captures, a trace hash.
+//!
+//! A memory image is a page view, from the first post to the result:
+//! each whole page of a region starts as one shared init page
+//! ([`Cluster::mem_fill`]) and is handed back as shared pages
+//! ([`Cluster::mem_view`]), so a 64 MiB region that is never written
+//! holds one page.
 //!
 //! There is one path: [`run_scenario_with`] builds the world on one
 //! engine in the calling thread, runs it to [`Scenario::drain_deadline`]
@@ -23,8 +29,8 @@ use ibsim_event::{Fnv1a, Line, SimTime};
 use ibsim_fabric::{Capture, LossModel};
 use ibsim_verbs::{
     Cluster, ClusterBuilder, CompareSwapWr, Completion, FetchAddWr, HostId, MrBuilder, MrDesc,
-    MrMode, Packet, QpConfig, QpStats, Qpn, ReadWr, RecvWr, SendWr, Sim, Telemetry, WorkRequest,
-    WrId, WriteWr, PAGE_SIZE,
+    MrMode, Packet, Payload, QpConfig, QpStats, Qpn, ReadWr, RecvWr, SendWr, Sim, Telemetry,
+    WorkRequest, WrId, WriteWr, PAGE_SIZE,
 };
 
 use crate::reference::{client_init_byte, server_init_byte, RECV_ID_BASE};
@@ -66,7 +72,9 @@ impl RunOptions {
         telemetry: TelemetryMode::Synced,
     };
     /// Nothing but the simulation: a figure cell that reads only
-    /// completions and counters.
+    /// completions, counters and memory images. Its
+    /// [`ScenarioRun::trace_hash`] is 0: with no capture there is no
+    /// timeline to start the identity with.
     pub const BARE: RunOptions = RunOptions {
         capture: false,
         telemetry: TelemetryMode::Off,
@@ -83,10 +91,13 @@ pub struct ScenarioRun {
     pub server_comps: Vec<Vec<Completion>>,
     /// Completions whose QP number matched no scenario QP (always a bug).
     pub stray_comps: usize,
-    /// Final client region contents.
-    pub client_mem: Vec<u8>,
-    /// Final server region contents.
-    pub server_mem: Vec<u8>,
+    /// Final client region contents as shared pages, copying no byte:
+    /// the region's base is page-aligned, so payload `k` holds bytes
+    /// `[k·PAGE_SIZE, (k+1)·PAGE_SIZE)` of it (the last one may be
+    /// short).
+    pub client_mem: Vec<Payload>,
+    /// Final server region contents, paged as `client_mem`.
+    pub server_mem: Vec<Payload>,
     /// Requester-side protocol counters, summed over the client's QPs.
     pub client_stats: QpStats,
     /// Responder-side protocol counters, summed over the server's QPs.
@@ -109,9 +120,10 @@ pub struct ScenarioRun {
     /// drain deadline.
     pub end_ns: u64,
     /// The run's identity for determinism comparisons across worker
-    /// counts: FNV-1a over [`ScenarioRun::timeline`] followed by
-    /// the client then the server memory image, streamed into the
-    /// hasher without the text being built.
+    /// counts: FNV-1a over [`ScenarioRun::timeline`] followed by every
+    /// byte of the client then the server memory image, streamed page by
+    /// page into the hasher without the text being built. Computed only
+    /// when the run captures; 0 under [`RunOptions::BARE`].
     pub trace_hash: u64,
     /// Both hosts' packet captures, client first: what `lint` and
     /// [`ScenarioRun::timeline`] read.
@@ -146,9 +158,11 @@ impl ScenarioRun {
     fn identity(&self) -> u64 {
         let mut h = Fnv1a::new();
         let _ = self.write_timeline(&mut h);
-        h.write_bytes(&self.client_mem)
-            .write_bytes(&self.server_mem)
-            .finish()
+        for page in self.client_mem.iter().chain(&self.server_mem) {
+            let (head, tail) = page.parts();
+            h.write_bytes(head).write_bytes(tail);
+        }
+        h.finish()
     }
 
     /// The time of the last successful requester completion — the
@@ -202,10 +216,8 @@ fn build_scenario_world(sc: &Scenario, opts: RunOptions) -> (Sim, Cluster, World
     let cmr = cl.mr(client, mk(MrBuilder::new(len, mode(sc.client_odp))));
     let smr = cl.mr(server, mk(MrBuilder::new(len, mode(sc.server_odp))));
 
-    let client_init: Vec<u8> = (0..len).map(client_init_byte).collect();
-    let server_init: Vec<u8> = (0..len).map(server_init_byte).collect();
-    cl.mem_write(client, cmr.base, &client_init);
-    cl.mem_write(server, smr.base, &server_init);
+    init_region(&mut cl, &cmr, client_init_byte);
+    init_region(&mut cl, &smr, server_init_byte);
 
     // §V-C's warm buffer: the page the first request touches goes cold
     // again, at build time, so it is cold when that request arrives.
@@ -293,6 +305,20 @@ fn build_scenario_world(sc: &Scenario, opts: RunOptions) -> (Sim, Cluster, World
     (eng, cl, world)
 }
 
+/// Writes `mr`'s initial image, `byte(i)` at offset `i`. `byte` reads
+/// only `i mod 256` and the base is page-aligned, so every page of the
+/// image is the same: a region of a page or more tiles one page built
+/// here, and a shorter one is written byte by byte.
+fn init_region(cl: &mut Cluster, mr: &MrDesc, byte: impl Fn(u64) -> u8) {
+    if mr.len < PAGE_SIZE {
+        let image: Vec<u8> = (0..mr.len).map(byte).collect();
+        cl.mem_write(mr.host, mr.base, &image);
+    } else {
+        let page: Vec<u8> = (0..PAGE_SIZE).map(byte).collect();
+        cl.mem_fill(mr.host, mr.base, mr.len as usize, &Payload::from(&page[..]));
+    }
+}
+
 /// One host's post-run artifacts: grouped completions, the textual
 /// completion log, final memory image, QP counters and the packet
 /// capture.
@@ -300,12 +326,12 @@ struct HostCollect {
     comps: Vec<Vec<Completion>>,
     comp_log: String,
     stray: usize,
-    mem: Vec<u8>,
+    mem: Vec<Payload>,
     stats: QpStats,
     capture: Capture<Packet>,
 }
 
-/// Drains one host's completion queue, snapshots its region and
+/// Drains one host's completion queue, views its region's pages and
 /// counters and moves its capture out of the cluster.
 fn collect_host(
     cl: &mut Cluster,
@@ -326,7 +352,7 @@ fn collect_host(
             None => stray += 1,
         }
     }
-    let mem = cl.mem_read(host, mr.base, sc.region_len() as usize);
+    let mem = cl.mem_view(host, mr.base, mr.len as usize);
     HostCollect {
         comps,
         comp_log,
@@ -412,7 +438,9 @@ pub fn run_scenario_with(sc: &Scenario, opts: RunOptions) -> ScenarioRun {
         captures: [ccol.capture, scol.capture],
         comp_logs: [ccol.comp_log, scol.comp_log],
     };
-    run.trace_hash = run.identity();
+    if opts.capture {
+        run.trace_hash = run.identity();
+    }
     run
 }
 

@@ -29,7 +29,7 @@
 
 use std::fmt;
 
-use ibsim_verbs::Completion;
+use ibsim_verbs::{Completion, Payload};
 
 use crate::exec::ScenarioRun;
 use crate::reference::{Expectation, ExpectedComp, Injection};
@@ -249,16 +249,23 @@ fn check_stream(
     }
 }
 
-/// Byte-compares a final memory image with the reference, reporting the
-/// first divergence only (one bad store usually smears a whole range).
-fn check_memory(report: &mut OracleReport, side: &'static str, got: &[u8], want: &[u8]) {
-    if let Some(offset) = (0..got.len().min(want.len())).find(|&i| got[i] != want[i]) {
-        report.violations.push(OracleViolation::MemoryMismatch {
-            side,
-            offset,
-            got: got[offset],
-            want: want[offset],
-        });
+/// Byte-compares a final memory image, the run's page view, with the
+/// reference's flat image, reporting the first divergence only (one bad
+/// store usually smears a whole range).
+fn check_memory(report: &mut OracleReport, side: &'static str, got: &[Payload], want: &[u8]) {
+    let mut offset = 0;
+    for bytes in got.iter().flat_map(|page| <[&[u8]; 2]>::from(page.parts())) {
+        let want = want.get(offset..).unwrap_or_default();
+        if let Some(i) = bytes.iter().zip(want).position(|(g, w)| g != w) {
+            report.violations.push(OracleViolation::MemoryMismatch {
+                side,
+                offset: offset + i,
+                got: bytes[i],
+                want: want[i],
+            });
+            return;
+        }
+        offset += bytes.len();
     }
 }
 

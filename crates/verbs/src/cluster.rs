@@ -12,7 +12,7 @@ use ibsim_telemetry::{Labels, Telemetry};
 
 use crate::device::DeviceProfile;
 use crate::driver::{Driver, DriverStats, DriverWork};
-use crate::mem::{Memory, MrMode};
+use crate::mem::{Memory, MrMode, Payload};
 use crate::nic::Nic;
 use crate::packet::{Packet, PacketClass};
 use crate::qp::{Effects, QpConfig, QpEnv, QpStats, TimerFamily};
@@ -537,6 +537,16 @@ impl Cluster {
     /// Reads bytes from host memory (application load).
     pub fn mem_read(&mut self, host: HostId, addr: u64, len: usize) -> Vec<u8> {
         self.mems[host.0].read(addr, len)
+    }
+
+    /// Tiles host memory with one shared page ([`Memory::fill`]).
+    pub fn mem_fill(&mut self, host: HostId, addr: u64, len: usize, page: &Payload) {
+        self.mems[host.0].fill(addr, len, page);
+    }
+
+    /// Host memory as shared pages, copying no byte ([`Memory::view`]).
+    pub fn mem_view(&mut self, host: HostId, addr: u64, len: usize) -> Vec<Payload> {
+        self.mems[host.0].view(addr, len)
     }
 
     /// Pre-maps every page of an ODP region (like `ibv_advise_mr`

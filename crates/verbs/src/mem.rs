@@ -26,6 +26,12 @@
 //! write would have cloned anyway. A page that only this memory holds is
 //! copied into, as before: displacing it would drop a page that later
 //! writes reuse in place and make each of them clone a fresh one.
+//!
+//! A range whose every page starts alike, a scenario's initial region,
+//! is filled the same way ([`Memory::fill`]): each whole page adopts one
+//! shared page. [`Memory::view`] hands a range of any length back as
+//! payloads, one per page, so a region is read out without a byte
+//! copied.
 
 use std::fmt;
 use std::ops::Range;
@@ -68,7 +74,8 @@ type Page = [u8; PAGE_SIZE as usize];
 pub struct Memory {
     /// Indexed by page number; `None` until first touch. Shared with the
     /// payloads gathered from them and the memories that adopted them;
-    /// `Arc`, not `Rc`, because cross-shard packets cross threads.
+    /// `Arc`, not `Rc`, because the sharded executor moves whole worlds
+    /// onto threads.
     pages: Vec<Option<Arc<Page>>>,
     /// The `Some` slots of `pages`.
     resident: usize,
@@ -208,6 +215,43 @@ impl Memory {
         self.write(addr + head.len() as u64, tail);
     }
 
+    /// Tiles `[addr, addr+len)` with `page`, one whole page: each byte
+    /// takes `page`'s byte at its own in-page offset. Every whole page of
+    /// the range adopts `page` by [`Memory::write_payload`]'s rule, so an
+    /// untouched range ends up holding one page however long it is; a
+    /// piece shorter than a page, at either end, is copied.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `page` is not one whole page, or, naming the range, if
+    /// the range reaches past [`Memory::ADDR_LIMIT`].
+    pub fn fill(&mut self, addr: u64, len: usize, page: &Payload) {
+        let Some(bytes) = page.whole_page() else {
+            panic!("a fill tiles one whole page, not {} bytes", page.len())
+        };
+        for (base, in_page, _) in pieces(addr, len) {
+            if in_page.len() == PAGE_SIZE as usize {
+                self.write_payload(base, page);
+            } else {
+                self.write(base + in_page.start as u64, &bytes[in_page]);
+            }
+        }
+    }
+
+    /// The `len` bytes at `addr` as one [`Payload`] per page the range
+    /// touches, in address order: a [`Memory::gather`] snapshot of any
+    /// length, sharing every page and copying no byte.
+    ///
+    /// # Panics
+    ///
+    /// Panics, naming the range, if it reaches past
+    /// [`Memory::ADDR_LIMIT`].
+    pub fn view(&mut self, addr: u64, len: usize) -> Vec<Payload> {
+        pieces(addr, len)
+            .map(|(base, in_page, _)| self.gather(base + in_page.start as u64, in_page.len()))
+            .collect()
+    }
+
     /// Number of materialized pages.
     pub fn resident_pages(&self) -> usize {
         self.resident
@@ -243,8 +287,8 @@ fn pieces(addr: u64, len: usize) -> impl Iterator<Item = (u64, Range<usize>, Ran
     })
 }
 
-/// The bytes a packet carries: a read-only snapshot of at most
-/// `PAGE_SIZE` bytes of host memory, held as up to two shared pages, an
+/// The bytes a packet carries, or one page of a [`Memory::view`]: a
+/// read-only snapshot of at most `PAGE_SIZE` bytes of host memory, held as up to two shared pages, an
 /// offset and a length — 24 bytes, the size of the `Vec<u8>` it
 /// replaced. Clones share the pages; equality and `Debug` are those of
 /// the bytes, exactly as a `Vec<u8>`'s.
@@ -581,6 +625,45 @@ mod tests {
     )]
     fn region_overflowing_u64_panics() {
         MemRegion::new(MrKey(1), u64::MAX - 10, 100, MrMode::Odp);
+    }
+
+    /// A fill adopts the one page into every whole slot, counting each
+    /// once, and copies the two partial ends; a write then separates
+    /// only its own slot.
+    #[test]
+    fn fill_shares_one_page_and_copies_the_ends() {
+        let bytes: Vec<u8> = (0..PAGE_SIZE).map(|i| i as u8).collect();
+        let page = Payload::from(&bytes[..]);
+        let mut m = Memory::new();
+        let a = m.alloc(6 * PAGE_SIZE);
+        m.fill(a + 100, 4 * PAGE_SIZE as usize, &page);
+        assert_eq!(m.resident_pages(), 5);
+        let shared = page.whole_page().map(Arc::as_ptr);
+        let slot = |m: &Memory, n: u64| {
+            m.pages[(a / PAGE_SIZE + n) as usize]
+                .as_ref()
+                .map(Arc::as_ptr)
+        };
+        assert!((1..4).all(|n| slot(&m, n) == shared));
+        assert!(slot(&m, 0) != shared && slot(&m, 4) != shared);
+        m.write(a + PAGE_SIZE + 7, b"x");
+        assert!(slot(&m, 1) != shared && slot(&m, 2) == shared);
+        let view: Vec<u8> = m
+            .view(a + 100, 4 * PAGE_SIZE as usize)
+            .iter()
+            .flat_map(Payload::to_vec)
+            .collect();
+        let want: Vec<u8> = (100..100 + 4 * PAGE_SIZE)
+            .map(|i| if i == PAGE_SIZE + 7 { b'x' } else { i as u8 })
+            .collect();
+        assert_eq!(view, want);
+        assert_eq!(page.to_vec(), bytes, "the shared page kept its bytes");
+    }
+
+    #[test]
+    #[should_panic(expected = "a fill tiles one whole page, not 100 bytes")]
+    fn filling_from_a_partial_page_panics() {
+        Memory::new().fill(0x1000, 10, &Payload::from(&[0; 100][..]));
     }
 
     #[test]

@@ -135,10 +135,11 @@ fn payloads_gather_and_land_like_reads_and_writes() {
 }
 
 /// The page table against a sorted-set model of the pages touched:
-/// after every read, write, gather, materialization or allocation at a
-/// random address below 2^30 (or in the first 16 pages),
-/// `resident_pages` is the model's count. Allocation reserves address
-/// space and touches nothing.
+/// after every read, write, gather, materialization, fill from one
+/// page, view or allocation at a random address below 2^30 (or in the
+/// first 16 pages), `resident_pages` is the model's count, so a fill
+/// counts each slot it fills once however many share its page.
+/// Allocation reserves address space and touches nothing.
 #[test]
 fn resident_pages_counts_exactly_the_pages_touched() {
     for case in 0..32u64 {
@@ -150,7 +151,7 @@ fn resident_pages_counts_exactly_the_pages_touched() {
             let addr = rng.next_below([1 << 30, 16 * PAGE_SIZE][op % 2]);
             let len = rng.next_below(3 * PAGE_SIZE) as usize;
             let short = len.min(PAGE_SIZE as usize);
-            let touched = match rng.next_below(5) {
+            let touched = match rng.next_below(7) {
                 0 => {
                     mem.write(addr, &vec![op as u8; len]);
                     len
@@ -161,6 +162,15 @@ fn resident_pages_counts_exactly_the_pages_touched() {
                     mem.materialize(addr, len);
                     len
                 }
+                4 => {
+                    mem.fill(
+                        addr,
+                        len,
+                        &Payload::from(&[op as u8; PAGE_SIZE as usize][..]),
+                    );
+                    len
+                }
+                5 => mem.view(addr, len).iter().map(Payload::len).sum(),
                 _ => {
                     mem.alloc(len as u64);
                     0
@@ -234,6 +244,37 @@ impl Twin {
         (payload, self.bytes[m][addr as usize..][..len].to_vec())
     }
 
+    /// Tiles `[addr, addr+len)` with one page of random bytes, as a
+    /// scenario's init fill does, and holds that page, which must keep
+    /// its bytes through every later write.
+    fn fill(&mut self, m: usize, addr: u64, len: usize, rng: &mut SplitMix64) {
+        let bytes: Vec<u8> = (0..PAGE_SIZE).map(|_| rng.next_u64() as u8).collect();
+        let page = Payload::from(&bytes[..]);
+        self.mems[m].fill(addr, len, &page);
+        self.touch(m, addr, len);
+        for at in addr as usize..addr as usize + len {
+            self.bytes[m][at] = bytes[at % PAGE_SIZE as usize];
+        }
+        self.held.push((page, bytes));
+    }
+
+    /// Takes a view of `[addr, addr+len)`, one payload per page it
+    /// touches, and holds it: it must keep these bytes whatever either
+    /// memory writes later.
+    fn view(&mut self, m: usize, addr: u64, len: usize) {
+        let view = self.mems[m].view(addr, len);
+        self.touch(m, addr, len);
+        let pages = len.div_ceil(PAGE_SIZE as usize) + usize::from(len > 0);
+        assert!(view.len() <= pages, "{} pieces for {len} bytes", view.len());
+        let mut at = addr as usize;
+        for piece in view {
+            let want = self.bytes[m][at..][..piece.len()].to_vec();
+            at += piece.len();
+            self.held.push((piece, want));
+        }
+        assert_eq!(at, addr as usize + len, "a view covers its range");
+    }
+
     /// Gathers `len` bytes at `src` and lands them at `dst`, as a packet
     /// does; `hold` keeps the payload, as an in-flight copy or a capture.
     fn deliver(&mut self, src: (usize, u64), len: usize, dst: (usize, u64), hold: bool) {
@@ -266,8 +307,9 @@ impl Twin {
             }
         }
         for (k, (payload, want)) in self.held.iter().enumerate() {
+            let (head, tail) = payload.parts();
             assert!(
-                payload.to_vec() == *want,
+                [head, tail].concat() == *want,
                 "case {case} step {step} snapshot {k}"
             );
         }
@@ -278,9 +320,12 @@ impl Twin {
 /// whole pages from the other memory, from another slot of the same one,
 /// onto their own slot, onto a page a held snapshot shares and onto an
 /// untouched page, interleaved with sub-page writes on both sides,
-/// deliveries that must be copied (unaligned, short or straddling) and
-/// snapshots held across it all. After every step both memories, every
-/// snapshot and `resident_pages` match the model.
+/// deliveries that must be copied (unaligned, short or straddling),
+/// fills from one page (each followed by a sub-page write inside the
+/// filled range, which must change only its own page) and views, with
+/// snapshots, fill pages and views held across it all. After every step
+/// both memories, every held payload and `resident_pages` match the
+/// model.
 #[test]
 fn whole_page_adoption_matches_a_flat_model() {
     const PAGES: u64 = 12;
@@ -304,7 +349,7 @@ fn whole_page_adoption_matches_a_flat_model() {
             let pick = |rng: &mut SplitMix64| rng.next_below(8) * PAGE_SIZE;
             let (to, from) = (pick(&mut rng), pick(&mut rng));
             let hold = rng.next_below(4) == 0;
-            match rng.next_below(10) {
+            match rng.next_below(12) {
                 0 | 1 => {
                     let addr = rng.next_below((PAGES - 1) * PAGE_SIZE);
                     let len = rng.range(1, PAGE_SIZE / 2) as usize;
@@ -351,6 +396,23 @@ fn whole_page_adoption_matches_a_flat_model() {
                         _ => (from, page, to + skew),
                     };
                     twin.deliver((src, from), len, (dst, to), hold);
+                }
+                9 => {
+                    let addr = rng.next_below(8 * PAGE_SIZE);
+                    let len = rng.next_below(4 * PAGE_SIZE) as usize;
+                    twin.fill(dst, addr, len, &mut rng);
+                    if len > 0 {
+                        let at = addr + rng.next_below(len as u64);
+                        let room = PAGE_SIZE - at % PAGE_SIZE;
+                        let n = rng.range(1, room.min(64) + 1) as usize;
+                        let data: Vec<u8> = (0..n).map(|_| rng.next_u64() as u8).collect();
+                        twin.write(dst, at, &data);
+                    }
+                }
+                10 => {
+                    let addr = rng.next_below(8 * PAGE_SIZE);
+                    let len = rng.next_below(4 * PAGE_SIZE) as usize;
+                    twin.view(rng.next_below(2) as usize, addr, len);
                 }
                 _ => {
                     if !twin.held.is_empty() {
